@@ -15,28 +15,47 @@ and that is the direction the nonnegativity of x2 rests on.  The suite
 tests the inequality.  Cutting the centered function (g - <g>_J) 1_J instead
 gives equality exactly; ``restriction_identity_gaps`` measures that identity
 and the exact size of the uncentered slack, outside the registered suites.
+
+The per-event suites do not loop over split events.  The single-split
+differences of all events at level n have disjoint supports and sum to the
+level difference E_{n+1} - E_n, so one level difference carries every event
+of its level, and sums over an event's atom are one ``np.add.reduceat``
+over the level's atoms.  Inputs that differ per event (the random pieces of
+the localization suite, the cut functions of the restriction bound) go
+through the transform kernels as stacks of at most ``_STACK_VALUES`` leaf
+values.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .filtration import split_schedule
+from .filtration import Filtration, split_schedule
 from .martingale import (
     MartFunction,
+    _level_difference,
+    _level_differences,
+    _level_means,
+    _level_osc2,
+    _weighted,
     average,
-    delta_split,
-    indicator,
     inner,
     l2_norm,
     osc2,
     pointwise_dot,
-    restrict,
 )
-from .transforms import MartingaleTransform, operator_norm, predictable_hull
+from .transforms import (
+    MartingaleTransform,
+    _adjoint_stack,
+    _transform_stack,
+    operator_norm,
+    predictable_hull,
+)
 from .corpus import active_split_function, random_function
 
 __all__ = [
@@ -78,9 +97,42 @@ class Tolerances:
     @staticmethod
     def from_env() -> "Tolerances":
         scale = float(os.environ.get("MBL_TOL", "1.0"))
-        if not scale > 0.0:
-            raise ValueError(f"MBL_TOL must be a positive scale, got {scale}")
+        if not (scale > 0.0 and math.isfinite(scale)):
+            raise ValueError(f"MBL_TOL must be a positive finite scale, got {scale}")
         return Tolerances(scale=scale)
+
+
+# Leaf values per stack handed to the transform kernels at once.
+_STACK_VALUES = 1 << 18
+
+
+def _blocks(count: int, row_values: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)`` whose rows of ``row_values``
+    leaf values stay within ``_STACK_VALUES``."""
+    step = max(1, _STACK_VALUES // row_values)
+    for lo in range(0, count, step):
+        yield slice(lo, min(count, lo + step))
+
+
+def _atom_sums(filt: Filtration, per_leaf: np.ndarray, n: int) -> np.ndarray:
+    """Sums of a per-leaf array over every A_n atom, in level order."""
+    return np.add.reduceat(per_leaf, filt.layout.level_starts[n], axis=-1)
+
+
+def _at_events(filt: Filtration, per_level, spans: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Pick, for each atom J (leaf span, level n), entry J of the per-A_n-atom
+    array ``per_level(n)``; J is the A_n atom holding its first leaf."""
+    out = np.empty(len(levels))
+    for n in np.unique(levels).tolist():
+        at = levels == n
+        out[at] = per_level(n)[filt.layout.level_maps[n][spans[at, 0]]]
+    return out
+
+
+def _inside(spans: np.ndarray, n_leaves: int) -> np.ndarray:
+    """Boolean (len(spans), L) mask of the leaves inside each span."""
+    leaf = np.arange(n_leaves)
+    return (spans[:, :1] <= leaf) & (leaf < spans[:, 1:])
 
 
 def _row(name: str, err: float, tol: float, detail: str = "") -> dict:
@@ -101,32 +153,40 @@ def check_projections(
     rng: np.random.Generator,
 ) -> list[dict]:
     """Split differences behave as orthogonal projections with mutually
-    orthogonal ranges, and they telescope the centered function."""
+    orthogonal ranges, and they telescope the centered function.
+
+    Level n's difference carries the pieces of every event at level n.  Two
+    pieces on disjoint atoms pair to an exact zero, so orthogonality is
+    measured on the nested pairs: an event at level n against its ancestor
+    at each level k < n, summed over the event's atom.
+    """
     filt = f.filtration
-    events = split_schedule(filt)
+    m = filt.leaf_measures()
     scale = max(1.0, l2_norm(f) ** 2)
+    aux = random_function(filt, f.dim, rng)
+    pieces = list(_level_differences(filt, f.values))
+    other = list(_level_differences(filt, aux.values))
 
     idem = 0.0
     selfadj = 0.0
-    aux = random_function(filt, f.dim, rng)
-    for ev in events:
-        df = delta_split(f, ev)
-        idem = max(idem, float(np.max(np.abs(delta_split(df, ev).values - df.values))))
-        selfadj = max(selfadj, abs(inner(df, aux) - inner(f, delta_split(aux, ev))))
+    for n, (df, da) in enumerate(zip(pieces, other)):
+        idem = max(idem, float(np.max(np.abs(_level_difference(filt, df, n) - df))))
+        lhs = _atom_sums(filt, m * np.einsum("ij,ij->i", df, aux.values), n)
+        rhs = _atom_sums(filt, m * np.einsum("ij,ij->i", f.values, da), n)
+        selfadj = max(selfadj, float(np.max(np.abs(lhs - rhs))))
 
     ortho = 0.0
-    pieces = [delta_split(f, ev) for ev in events]
-    other = [delta_split(aux, ev) for ev in events]
-    for i in range(len(events)):
-        for j in range(len(events)):
-            if i != j:
-                ortho = max(ortho, abs(inner(pieces[i], other[j])))
+    for n in range(filt.depth):
+        for k in range(n):
+            for x, y in ((pieces[k], other[n]), (pieces[n], other[k])):
+                pair = _atom_sums(filt, m * np.einsum("ij,ij->i", x, y), n)
+                ortho = max(ortho, float(np.max(np.abs(pair))))
 
     total = pieces[0]
     for piece in pieces[1:]:
         total = total + piece
     centered = f.shift(-average(f, filt.root.id))
-    tele = float(np.max(np.abs(total.values - centered.values)))
+    tele = float(np.max(np.abs(total - centered.values)))
 
     return [
         _row("projection_idempotent", idem, tol.tight, "delta applied twice"),
@@ -147,28 +207,30 @@ def check_localization(
     supported in J, and the adjoint commutes with the split difference up to
     the multiplier of that atom."""
     filt = f.filtration
+    lay = filt.layout
+    L = filt.n_leaves
     outside = 0.0
+    for blk in _blocks(len(lay.event_atoms), L * f.dim):
+        # One random function per event in schedule order: the same draws as
+        # calling random_function once per event.
+        raw = rng.normal(size=(blk.stop - blk.start, L, f.dim))
+        levels = lay.event_levels[blk]
+        pieces = np.empty_like(raw)
+        for n in np.unique(levels).tolist():
+            pieces[levels == n] = _level_difference(filt, raw[levels == n], n)
+        inside = _inside(lay.event_spans[blk], L)
+        pieces[~inside] = 0.0
+        th = _transform_stack(op, pieces)
+        outside = max(outside, float(np.max(np.abs(th[~inside]), initial=0.0)))
+
+    # On an atom J split at level n, the level-n difference is J's split
+    # difference, and T* multiplies it by the level-(n+1) multiplier of J.
     commute = 0.0
     tstar_g = op.adjoint_apply(g)
-    for ev in split_schedule(filt):
-        h = delta_split(random_function(filt, f.dim, rng), ev)
-        th = op.apply(h)
-        sl = filt.leaf_slice(ev.atom)
-        mask = np.ones(filt.n_leaves, dtype=bool)
-        mask[sl] = False
-        if mask.any():
-            outside = max(outside, float(np.max(np.abs(th.values[mask]))))
-
-        atom = filt.atom(ev.atom)
-        level = atom.level  # multiplier index for the split creating level+1
-        part = filt.levels[level]
-        a_row = op.multipliers[level][part.index(atom.id)]
-        dsg = delta_split(g, ev)
-        dtg = delta_split(tstar_g, ev)
-        commute = max(
-            commute,
-            float(np.max(np.abs(dtg.values - a_row[None, :] * dsg.values))),
-        )
+    diffs = zip(_level_differences(filt, g.values), _level_differences(filt, tstar_g.values))
+    for n, (dsg, dtg) in enumerate(diffs, start=1):
+        err = np.abs(dtg - op.multiplier_on_leaves(n) * dsg)
+        commute = max(commute, float(np.max(err)))
     return [
         _row("localization_support", outside, tol.exact, "T of split piece outside atom"),
         _row("localization_adjoint", commute, tol.tight, "adjoint split vs multiplier"),
@@ -214,27 +276,32 @@ def check_osc_series(
     rng: np.random.Generator,
 ) -> list[dict]:
     """Mean squared oscillation over an atom equals the normalized sum of
-    squared split differences of atoms inside it."""
+    squared split differences of atoms inside it.
+
+    The series is summed up the tree level by level: each A_{n+1} atom lies
+    inside the A_n atom that holds its first leaf, and an A_n atom splits
+    when it holds more than one A_{n+1} atom.
+    """
     filt = f.filtration
-    tstar_g = op.adjoint_apply(g)
-    events = split_schedule(filt)
-    piece_sq = {ev.atom: inner(delta_split(tstar_g, ev), delta_split(tstar_g, ev)) for ev in events}
+    lay = filt.layout
+    m = filt.leaf_measures()
+    tstar_g = op.adjoint_apply(g).values
+    diffs = list(_level_differences(filt, tstar_g))
+    series = np.zeros(len(filt.leaves))
     err = 0.0
-    for atom in filt.atoms:
-        if atom.is_leaf:
-            continue
-        direct = osc2(tstar_g, atom.id)
-        series = sum(
-            sq
-            for q_id, sq in piece_sq.items()
-            if filt.atom(q_id).a >= atom.a - 1e-15 and filt.atom(q_id).b <= atom.b + 1e-15
-        ) / atom.measure
-        err = max(err, abs(direct - series) / max(1.0, direct))
+    for n in range(filt.depth - 1, -1, -1):
+        piece_sq = _atom_sums(filt, m * np.einsum("ij,ij->i", diffs[n], diffs[n]), n)
+        container = lay.level_maps[n][lay.level_starts[n + 1]]
+        series = piece_sq + np.bincount(container, weights=series, minlength=len(piece_sq))
+        split = np.bincount(container, minlength=len(piece_sq)) > 1
+        direct = _level_osc2(filt, tstar_g, n)[split]
+        rel = np.abs(direct - series[split] / lay.level_measures[n][split]) / np.maximum(1.0, direct)
+        err = max(err, float(np.max(rel)))
     return [_row("osc_series", err, tol.tight, "series vs direct, relative")]
 
 
-def _x2_of(g: MartFunction, tstar_g: MartFunction, atom_id: int) -> float:
-    g2 = float(average(pointwise_dot(g, g), atom_id)[0])
+def _x2_of(gg: MartFunction, tstar_g: MartFunction, atom_id: int) -> float:
+    g2 = float(average(gg, atom_id)[0])
     return g2 - osc2(tstar_g, atom_id)
 
 
@@ -251,16 +318,17 @@ def check_x2_drop(
 
     filt = f.filtration
     tstar_g = op.adjoint_apply(g)
+    gg = pointwise_dot(g, g)
     err = 0.0
     for ev in split_schedule(filt):
         atom = filt.atom(ev.atom)
         d = split_displacement(tstar_g, ev)
         gain = (
             sum(
-                filt.atom(c).measure / atom.measure * _x2_of(g, tstar_g, c)
+                filt.atom(c).measure / atom.measure * _x2_of(gg, tstar_g, c)
                 for c in atom.children
             )
-            - _x2_of(g, tstar_g, atom.id)
+            - _x2_of(gg, tstar_g, atom.id)
         )
         err = max(err, abs(gain - d * d) / max(1.0, d * d))
     return [_row("x2_drop", err, tol.tight, "weighted x2 gain vs d^2, relative")]
@@ -277,15 +345,16 @@ def check_x2_sign(
     never exceeds the local second moment of g)."""
     filt = f.filtration
     tstar_g = op.adjoint_apply(g)
+    gg = pointwise_dot(g, g)
     worst = 0.0
     for atom in filt.atoms:
-        g2 = float(average(pointwise_dot(g, g), atom.id)[0])
+        g2 = float(average(gg, atom.id)[0])
         x2 = g2 - osc2(tstar_g, atom.id)
         worst = min(worst, x2 / max(g2, 1e-300))
     rows = [_row("x2_sign", max(0.0, -worst), tol.exact, "most negative x2, relative")]
     # root form keeps the squared mean of the adjoint on the right hand side
     root = filt.root.id
-    g2_root = float(average(pointwise_dot(g, g), root)[0])
+    g2_root = float(average(gg, root)[0])
     x2_root = g2_root - osc2(tstar_g, root)
     mean_sq = float(np.sum(average(tstar_g, root) ** 2))
     rows.append(
@@ -299,20 +368,40 @@ def check_x2_sign(
     return rows
 
 
-def _restriction_sides(g: MartFunction, op: MartingaleTransform):
-    """For every non-root split atom J yield (J, osc2(T* g, J), rescaled
-    global oscillation (|I|/|J|) osc2(T*(g 1_J), I))."""
+def _cut_adjoints(
+    op: MartingaleTransform, values: np.ndarray, spans: np.ndarray, shifts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each span J, osc2 over I and squared norm of T*((v - s_J) 1_J),
+    with v the scalar leaf values and s_J the shift of J."""
+    filt = op.filtration
+    m = filt.leaf_measures()
+    root = filt.root
+    osc = np.empty(len(spans))
+    norm_sq = np.empty(len(spans))
+    for blk in _blocks(len(spans), filt.n_leaves * op.dim):
+        inside = _inside(spans[blk], filt.n_leaves)
+        cuts = np.where(inside, values[None, :] - shifts[blk, None], 0.0)
+        x = _adjoint_stack(op, cuts[..., None])
+        centered = x - _level_means(filt, _weighted(filt, x), 0)
+        osc[blk] = np.einsum("bij,bij->bi", centered, centered) @ m / root.measure
+        norm_sq[blk] = np.einsum("bij,bij->bi", x, x) @ m
+    return osc, norm_sq
+
+
+def _restriction_sides(g: MartFunction, op: MartingaleTransform) -> tuple[np.ndarray, ...]:
+    """Per non-root split atom J, in schedule order: leaf span, level,
+    measure, local side osc2(T* g, J) and rescaled global side
+    (|I|/|J|) osc2(T*(g 1_J), I)."""
     filt = g.filtration
-    tstar_g = op.adjoint_apply(g)
-    root = filt.root.id
-    total = filt.total_measure
-    for ev in split_schedule(filt):
-        if ev.atom == root:
-            continue
-        atom = filt.atom(ev.atom)
-        local = osc2(tstar_g, atom.id)
-        cut = op.adjoint_apply(restrict(g, atom.id))
-        yield atom, local, (total / atom.measure) * osc2(cut, root)
+    lay = filt.layout
+    below_root = lay.event_levels > 0
+    spans = lay.event_spans[below_root]
+    levels = lay.event_levels[below_root]
+    measures = _at_events(filt, lambda n: lay.level_measures[n], spans, levels)
+    tstar_g = op.adjoint_apply(g).values
+    local = _at_events(filt, lambda n: _level_osc2(filt, tstar_g, n), spans, levels)
+    cut_osc, _ = _cut_adjoints(op, g.values[:, 0], spans, np.zeros(len(spans)))
+    return spans, levels, measures, local, (filt.total_measure / measures) * cut_osc
 
 
 def check_restriction(
@@ -325,9 +414,8 @@ def check_restriction(
     """One-sided restriction bound: the local oscillation of T* g over J is
     dominated by the rescaled global oscillation of T* applied to g cut to
     J.  Ancestor splits make the global side strictly larger in general."""
-    worst = 0.0
-    for _, local, glob in _restriction_sides(g, op):
-        worst = max(worst, (local - glob) / max(1.0, local))
+    _, _, _, local, glob = _restriction_sides(g, op)
+    worst = float(np.max((local - glob) / np.maximum(1.0, local), initial=0.0))
     return [_row("restriction_bound", worst, tol.tight, "local minus rescaled global")]
 
 
@@ -348,20 +436,17 @@ def restriction_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple
     include it.
     """
     filt = g.filtration
-    root = filt.root.id
-    total = filt.total_measure
-    centered_worst = defect_worst = 0.0
-    for atom, local, glob in _restriction_sides(g, op):
-        c = float(average(g, atom.id)[0])
-        cut = op.adjoint_apply(restrict(g.shift(-c), atom.id))
-        centered = (total / atom.measure) * osc2(cut, root)
-        centered_worst = max(
-            centered_worst, abs(local - centered) / max(local, centered, 1e-30)
-        )
-        ones = op.adjoint_apply(indicator(filt, atom.id))
-        defect = c * c * inner(ones, ones) / atom.measure
-        defect_worst = max(defect_worst, abs((glob - local) - defect) / max(1.0, defect))
-    return centered_worst, defect_worst
+    spans, levels, measures, local, glob = _restriction_sides(g, op)
+    w = _weighted(filt, g.values)
+    c = _at_events(filt, lambda n: _level_means(filt, w, n)[:, 0], spans, levels)
+    centered_osc, _ = _cut_adjoints(op, g.values[:, 0], spans, c)
+    centered = (filt.total_measure / measures) * centered_osc
+    scale = np.maximum(np.maximum(local, centered), 1e-30)
+    centered_worst = float(np.max(np.abs(local - centered) / scale, initial=0.0))
+    _, ones_sq = _cut_adjoints(op, np.ones(filt.n_leaves), spans, np.zeros(len(c)))
+    defect = c * c * ones_sq / measures
+    gap = np.abs((glob - local) - defect) / np.maximum(1.0, defect)
+    return centered_worst, float(np.max(gap, initial=0.0))
 
 
 def check_contraction(

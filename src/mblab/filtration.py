@@ -16,13 +16,18 @@ are indexed by.
 
 Two builders are provided: the uniform binary (dyadic) filtration, and a
 seeded random generator with prescribed regularity floor.
+
+Every atom covers a contiguous run of leaves in left-endpoint order.  The
+array form of that fact (leaf spans, per-level leaf -> atom maps and
+reduceat boundaries, per-event spans) is the ``LeafLayout`` of a tower,
+built on first use in one pass and kept on the instance.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -98,9 +103,34 @@ class SplitEvent:
 
 
 @dataclass(frozen=True, eq=False)
+class LeafLayout:
+    """Array bookkeeping of one tower, in leaf positions 0..L-1.
+
+    ``spans[i]`` is the [lo, hi) leaf range of atom i.  For each level n,
+    ``level_starts[n]`` holds the first leaf of every A_n atom in level
+    order (the boundaries for ``np.add.reduceat``), ``level_measures[n]``
+    their measures b - a, and ``level_maps[n]`` maps each leaf position to
+    the index of its A_n atom.  ``event_atoms``, ``event_levels`` and
+    ``event_spans`` describe the split events in schedule order; the
+    children of an event at level n are the A_{n+1} atoms inside its span.
+    All arrays are read-only.
+    """
+
+    positions: dict[int, int]
+    measures: np.ndarray
+    spans: np.ndarray
+    level_starts: tuple[np.ndarray, ...]
+    level_measures: tuple[np.ndarray, ...]
+    level_maps: tuple[np.ndarray, ...]
+    event_atoms: np.ndarray
+    event_levels: np.ndarray
+    event_spans: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class Filtration:
     """Immutable atom tower.  Hash/eq are by object identity on purpose:
-    derived structures (schedules, averaging matrices) are cached per object.
+    derived structures (schedules, the leaf layout) are cached per object.
     """
 
     delta: float
@@ -154,15 +184,20 @@ class Filtration:
     def n_leaves(self) -> int:
         return len(self.leaves)
 
+    @cached_property
+    def layout(self) -> LeafLayout:
+        """Leaf spans, level maps and event spans; built on first use."""
+        return _build_layout(self)
+
     def leaf_index(self, atom_id: int) -> int:
-        return _leaf_positions(self)[atom_id]
+        return self.layout.positions[atom_id]
 
     def leaf_measures(self) -> np.ndarray:
-        return _leaf_measures(self)
+        return self.layout.measures
 
     def leaf_slice(self, atom_id: int) -> slice:
         """Contiguous range of leaf positions covered by the atom."""
-        lo, hi = _leaf_spans(self)[atom_id]
+        lo, hi = self.layout.spans[atom_id].tolist()
         return slice(lo, hi)
 
 
@@ -353,37 +388,49 @@ def level_partition(f: Filtration, n: int) -> tuple[int, ...]:
     return f.levels[n]
 
 
-@lru_cache(maxsize=64)
-def _leaf_positions(f: Filtration) -> dict[int, int]:
-    return {atom_id: i for i, atom_id in enumerate(f.leaves)}
+def _build_layout(f: Filtration) -> LeafLayout:
+    """One pass over the tower: leaf counts children first, then per level
+    the cumulative counts in left-endpoint order give every atom's span."""
+    count = [0] * len(f.atoms)
+    for a in sorted(f.atoms, key=lambda a: a.level, reverse=True):
+        count[a.id] = sum(count[c] for c in a.children) if a.children else 1
+    counts = np.array(count)
+    atom_measure = np.array([a.measure for a in f.atoms])
+    spans = np.empty((len(f.atoms), 2), dtype=np.intp)
+    starts, measures, maps = [], [], []
+    event_atoms, event_levels = [], []
+    for n, level_ids in enumerate(f.levels):
+        ids = np.array(level_ids)
+        c = counts[ids]
+        hi = np.cumsum(c)
+        lo = hi - c
+        spans[ids, 0] = lo
+        spans[ids, 1] = hi
+        starts.append(_frozen(lo))
+        measures.append(_frozen(atom_measure[ids]))
+        maps.append(_frozen(np.repeat(np.arange(len(ids)), c)))
+        # Atoms split at the level they are created, so the events of level
+        # n are the A_n atoms with children, in left-endpoint order.
+        split = [i for i in level_ids if f.atoms[i].children]
+        event_atoms.extend(split)
+        event_levels.extend([n] * len(split))
+    event_atoms_arr = np.array(event_atoms, dtype=np.intp)
+    return LeafLayout(
+        positions={atom_id: i for i, atom_id in enumerate(f.leaves)},
+        measures=_frozen(atom_measure[list(f.leaves)]),
+        spans=_frozen(spans),
+        level_starts=tuple(starts),
+        level_measures=tuple(measures),
+        level_maps=tuple(maps),
+        event_atoms=_frozen(event_atoms_arr),
+        event_levels=_frozen(np.array(event_levels, dtype=np.intp)),
+        event_spans=_frozen(spans[event_atoms_arr]),
+    )
 
 
-@lru_cache(maxsize=64)
-def _leaf_measures(f: Filtration) -> np.ndarray:
-    m = np.array([f.atoms[i].measure for i in f.leaves])
-    m.flags.writeable = False
-    return m
-
-
-@lru_cache(maxsize=64)
-def _leaf_spans(f: Filtration) -> dict[int, tuple[int, int]]:
-    """Every atom covers a contiguous run of leaves; record [lo, hi) spans."""
-    pos = _leaf_positions(f)
-    spans: dict[int, tuple[int, int]] = {}
-
-    def rec(atom_id: int) -> tuple[int, int]:
-        a = f.atoms[atom_id]
-        if not a.children:
-            i = pos[atom_id]
-            spans[atom_id] = (i, i + 1)
-        else:
-            lo = min(rec(c)[0] for c in a.children)
-            hi = max(rec(c)[1] for c in a.children)
-            spans[atom_id] = (lo, hi)
-        return spans[atom_id]
-
-    rec(f.root.id)
-    return spans
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------

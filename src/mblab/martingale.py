@@ -14,14 +14,22 @@ and the single-split difference attached to one schedule event J:
 
 which is supported on J, has zero mean over J, and is an orthogonal
 projection of the function space.  Scalar functions are simply d = 1.
+
+Every atom average comes from one kernel: the measure-weighted leaf values
+are summed over each atom's leaf span with ``np.add.reduceat`` and divided
+by the atom's measure, one reduceat per level (or per partition) over the
+whole leaf axis, never as differences of prefix sums.  An atom's sum
+depends only on its own leaves, taken in one fixed order, so an atom that
+persists across levels gets the same float at every level and its level
+differences cancel exactly.  The kernel takes a leading stack axis, so the
+check suites push many functions through it in one call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -157,27 +165,71 @@ def _check_partition(f: Filtration, atom_ids: Sequence[int]) -> list[int]:
     return [a.id for a in atoms]
 
 
-def _atom_average(f: MartFunction, atom_id: int) -> np.ndarray:
-    filt = f.filtration
-    sl = filt.leaf_slice(atom_id)
-    m = filt.leaf_measures()[sl]
-    # One fixed accumulation per atom: identical inputs give identical floats,
-    # so differences of unchanged atoms cancel exactly.
-    return m @ f.values[sl] / filt.atoms[atom_id].measure
+def _weighted(filt: Filtration, values: np.ndarray) -> np.ndarray:
+    """Measure-weighted leaf values; ``values`` has shape (..., L, d)."""
+    return filt.layout.measures[:, None] * values
+
+
+def _segment_means(w: np.ndarray, starts, measures: np.ndarray) -> np.ndarray:
+    """Means over consecutive leaf segments of weighted values ``w``
+    (..., L', d) beginning at ``starts``; shape (..., len(starts), d)."""
+    return np.add.reduceat(w, starts, axis=-2) / measures[:, None]
+
+
+def _level_means(filt: Filtration, w: np.ndarray, n: int) -> np.ndarray:
+    """Averages over the A_n atoms, in level order, of weighted values."""
+    lay = filt.layout
+    return _segment_means(w, lay.level_starts[n], lay.level_measures[n])
+
+
+def _level_expectation(filt: Filtration, w: np.ndarray, n: int) -> np.ndarray:
+    """E_n at leaf resolution, from weighted values; shape (..., L, d)."""
+    return np.take(_level_means(filt, w, n), filt.layout.level_maps[n], axis=-2)
+
+
+def _level_difference(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
+    """E_{n+1} v - E_n v at leaf resolution: the sum of the single-split
+    differences of all events at level n, whose supports are disjoint."""
+    w = _weighted(filt, values)
+    return _level_expectation(filt, w, n + 1) - _level_expectation(filt, w, n)
+
+
+def _level_differences(filt: Filtration, values: np.ndarray) -> Iterator[np.ndarray]:
+    """E_{n+1} v - E_n v at leaf resolution for n = 0..depth-1, in order."""
+    w = _weighted(filt, values)
+    prev = _level_expectation(filt, w, 0)
+    for n in range(1, filt.depth + 1):
+        cur = _level_expectation(filt, w, n)
+        yield cur - prev
+        prev = cur
+
+
+# reduceat boundaries of a single segment starting at the first row.
+_WHOLE = np.zeros(1, dtype=np.intp)
+
+
+def _atom_mean(filt: Filtration, values: np.ndarray, atom_id: int) -> np.ndarray:
+    """Average of (L, d) values over one atom; the same float the level
+    kernel gives that atom, since the segment sum is the same reduceat."""
+    lay = filt.layout
+    lo, hi = lay.spans[atom_id].tolist()
+    w = lay.measures[lo:hi, None] * values[lo:hi]
+    return np.add.reduceat(w, _WHOLE, axis=0)[0] / filt.atoms[atom_id].measure
 
 
 def average(f: MartFunction, atom_id: int) -> np.ndarray:
     """Measure-weighted mean <f>_J as a vector of length dim."""
-    return _atom_average(f, atom_id)
+    return _atom_mean(f.filtration, f.values, atom_id)
 
 
 def cond_exp(f: MartFunction, partition: Sequence[int]) -> MartFunction:
     """Project onto functions constant on the given partition atoms."""
-    ids = _check_partition(f.filtration, partition)
-    out = np.empty_like(f.values)
-    for atom_id in ids:
-        out[f.filtration.leaf_slice(atom_id)] = _atom_average(f, atom_id)
-    return MartFunction(f.filtration, out)
+    filt = f.filtration
+    ids = _check_partition(filt, partition)
+    spans = filt.layout.spans[ids]
+    measures = np.array([filt.atoms[i].measure for i in ids])
+    means = _segment_means(_weighted(filt, f.values), spans[:, 0], measures)
+    return MartFunction(filt, np.repeat(means, spans[:, 1] - spans[:, 0], axis=0))
 
 
 def delta_split(f: MartFunction, event: SplitEvent) -> MartFunction:
@@ -185,16 +237,26 @@ def delta_split(f: MartFunction, event: SplitEvent) -> MartFunction:
 
     Computed directly as (child average - parent average) inside the split
     atom and exact zero outside, which agrees with the difference of the two
-    partition projections.
+    partition projections.  The children are the A_{n+1} atoms inside the
+    split atom's span, n being its level.
     """
     filt = f.filtration
     atom = filt.atoms[event.atom]
     if not atom.children:
         raise ValueError(f"atom {atom.id} has no split event")
+    lay = filt.layout
+    lo, hi = lay.spans[atom.id].tolist()
+    child_map = lay.level_maps[atom.level + 1][lo:hi]
+    first, last = int(child_map[0]), int(child_map[-1]) + 1
+    w = lay.measures[lo:hi, None] * f.values[lo:hi]
+    parent_avg = np.add.reduceat(w, _WHOLE, axis=0)[0] / atom.measure
+    child_avg = _segment_means(
+        w,
+        lay.level_starts[atom.level + 1][first:last] - lo,
+        lay.level_measures[atom.level + 1][first:last],
+    )
     out = np.zeros_like(f.values)
-    parent_avg = _atom_average(f, atom.id)
-    for c in atom.children:
-        out[filt.leaf_slice(c)] = _atom_average(f, c) - parent_avg
+    out[lo:hi] = child_avg[child_map - first] - parent_avg
     return MartFunction(filt, out)
 
 
@@ -207,8 +269,16 @@ def osc2(f: MartFunction, atom_id: int) -> float:
     filt = f.filtration
     sl = filt.leaf_slice(atom_id)
     m = filt.leaf_measures()[sl]
-    centered = f.values[sl] - _atom_average(f, atom_id)[None, :]
+    centered = f.values[sl] - _atom_mean(filt, f.values, atom_id)[None, :]
     return float(m @ np.einsum("ij,ij->i", centered, centered) / filt.atoms[atom_id].measure)
+
+
+def _level_osc2(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
+    """osc2 of (L, d) values over every A_n atom, in level order."""
+    w = _weighted(filt, values)
+    centered = values - _level_expectation(filt, w, n)
+    sq = filt.layout.measures * np.einsum("ij,ij->i", centered, centered)
+    return _level_means(filt, sq[:, None], n)[:, 0]
 
 
 def inner(f: MartFunction, g: MartFunction) -> float:
@@ -254,44 +324,23 @@ def restrict(f: MartFunction, atom_id: int) -> MartFunction:
 
 
 # ---------------------------------------------------------------------------
-# Level machinery shared with the transform module
+# Dense oracle
 
 
-@lru_cache(maxsize=64)
-def _level_leaf_maps(f: Filtration) -> tuple[np.ndarray, ...]:
-    """For each level n, an int array mapping leaf position -> index of the
-    A_n atom containing that leaf (in level partition order)."""
-    maps = []
-    for n in range(f.depth + 1):
-        idx = np.empty(f.n_leaves, dtype=int)
-        for j, atom_id in enumerate(f.levels[n]):
-            idx[f.leaf_slice(atom_id)] = j
-        idx.flags.writeable = False
-        maps.append(idx)
-    return tuple(maps)
-
-
-@lru_cache(maxsize=64)
 def _averaging_matrices(f: Filtration) -> tuple[np.ndarray, ...]:
     """Dense projection matrices P_n with (P_n v)_i = <v>_{A_n atom of leaf i}.
 
-    Assembled from the block structure directly; used by the transform
-    module's matrix route, independently of ``cond_exp``.
+    Assembled from the block structure directly, independently of the
+    reduceat kernel; the transform module's matrix route and the tests use
+    them.  Not cached: each is an L x L array.
     """
-    m = _np_leaf_measures(f)
+    lay = f.layout
+    m = lay.measures
     mats = []
-    for n in range(f.depth + 1):
-        P = np.zeros((f.n_leaves, f.n_leaves))
-        for atom_id in f.levels[n]:
-            sl = f.leaf_slice(atom_id)
-            P[sl, sl] = m[sl] / f.atoms[atom_id].measure
-        P.flags.writeable = False
-        mats.append(P)
+    for leaf_map, measures in zip(lay.level_maps, lay.level_measures):
+        same = leaf_map[:, None] == leaf_map[None, :]
+        mats.append(np.where(same, m[None, :] / measures[leaf_map][:, None], 0.0))
     return tuple(mats)
-
-
-def _np_leaf_measures(f: Filtration) -> np.ndarray:
-    return f.leaf_measures()
 
 
 # ---------------------------------------------------------------------------

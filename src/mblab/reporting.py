@@ -1,8 +1,9 @@
 """Canonical report writers.
 
 Reports must be byte-identical across runs with the same inputs, so floats
-are always rendered through '%.17g' (shortest form that still round-trips)
-and key order is fixed by construction.  Writers refuse empty payloads and
+are always rendered through '%.17g' and key order is fixed by construction.
+Seventeen significant digits always round-trip a double exactly, but the
+form is not the shortest one that does: 0.1 renders as 0.10000000000000001.  Writers refuse empty payloads and
 wrap filesystem failures in ReportError.
 """
 
@@ -23,6 +24,8 @@ class ReportError(RuntimeError):
 
 
 def format_float(x: float) -> str:
+    """Canonical float text: '%.17g' (exact round-trip, not shortest),
+    with NaN, +-Infinity and a single 0 for both signed zeros."""
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):

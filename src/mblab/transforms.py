@@ -20,24 +20,25 @@ independent and cross-checked by the test suite:
 The adjoint is computed from the matrix by weight-conjugated transposition;
 for transforms it also has the closed form T* g = sum_n a_n * (D_n g) with
 D_n the scalar level-n difference.
+
+The multiplier route, the closed-form adjoint and the predictable hull read
+the per-level atom averages of the martingale kernel and gather them to the
+leaves, O(L * depth) work per function.  The stack kernels
+``_transform_stack`` and ``_adjoint_stack`` take a leading axis of inputs,
+for the check suites.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .filtration import Filtration, level_partition
-from .martingale import (
-    MartFunction,
-    _averaging_matrices,
-    _level_leaf_maps,
-    cond_exp,
-    delta_split,
-)
+from .martingale import MartFunction, _averaging_matrices, _level_differences
 
 __all__ = [
     "MartingaleTransform",
@@ -79,20 +80,12 @@ class MartingaleTransform:
 
     def multiplier_on_leaves(self, n: int) -> np.ndarray:
         """Level-n multiplier expanded to leaf resolution, shape (L, dim)."""
-        leaf_map = _level_leaf_maps(self.filtration)[n - 1]
-        return self.multipliers[n - 1][leaf_map]
+        return self.multipliers[n - 1][self.filtration.layout.level_maps[n - 1]]
 
     def apply(self, f: MartFunction) -> MartFunction:
         """T f through the multiplier formula."""
         self._check_input(f)
-        out = np.zeros((self.filtration.n_leaves, 1))
-        prev = cond_exp(f, level_partition(self.filtration, 0))
-        for n in range(1, self.filtration.depth + 1):
-            cur = cond_exp(f, level_partition(self.filtration, n))
-            diff = cur.values - prev.values
-            out[:, 0] += np.einsum("ij,ij->i", self.multiplier_on_leaves(n), diff)
-            prev = cur
-        return MartFunction(self.filtration, out)
+        return MartFunction(self.filtration, _transform_stack(self, f.values)[:, None])
 
     def matrix_apply(self, f: MartFunction) -> MartFunction:
         """T f through the materialized matrix; must agree with apply()."""
@@ -100,14 +93,18 @@ class MartingaleTransform:
         flat = f.values.reshape(-1)
         return MartFunction(self.filtration, (self.matrix @ flat)[:, None])
 
+    @cached_property
+    def _weighted_transpose(self) -> np.ndarray:
+        """M^T W_out, built on the first adjoint_apply and kept."""
+        return self.matrix.T * self.filtration.leaf_measures()[None, :]
+
     def adjoint_apply(self, g: MartFunction) -> MartFunction:
         """T* g via the weight-conjugated transpose of the matrix."""
         if g.filtration is not self.filtration or g.dim != 1:
             raise ValueError("adjoint expects a scalar function on the same filtration")
-        m = self.filtration.leaf_measures()
-        w_in = np.repeat(m, self.dim)
+        w_in = np.repeat(self.filtration.leaf_measures(), self.dim)
         # (W_in)^-1 M^T W_out acting on g.
-        flat = (self.matrix.T * m[None, :]) @ g.values[:, 0]
+        flat = self._weighted_transpose @ g.values[:, 0]
         flat /= w_in
         return MartFunction(self.filtration, flat.reshape(-1, self.dim))
 
@@ -115,19 +112,30 @@ class MartingaleTransform:
         """T* g = sum_n a_n * (E_n g - E_{n-1} g); the independent route."""
         if g.filtration is not self.filtration or g.dim != 1:
             raise ValueError("adjoint expects a scalar function on the same filtration")
-        out = np.zeros((self.filtration.n_leaves, self.dim))
-        prev = cond_exp(g, level_partition(self.filtration, 0))
-        for n in range(1, self.filtration.depth + 1):
-            cur = cond_exp(g, level_partition(self.filtration, n))
-            out += self.multiplier_on_leaves(n) * (cur.values - prev.values)
-            prev = cur
-        return MartFunction(self.filtration, out)
+        return MartFunction(self.filtration, _adjoint_stack(self, g.values))
 
     def _check_input(self, f: MartFunction) -> None:
         if f.filtration is not self.filtration:
             raise ValueError("function lives on a different filtration object")
         if f.dim != self.dim:
             raise ValueError(f"dimension mismatch: transform {self.dim}, function {f.dim}")
+
+
+def _transform_stack(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
+    """T applied to a stack of inputs of shape (..., L, dim); shape (..., L)."""
+    out = np.zeros(values.shape[:-1])
+    for n, diff in enumerate(_level_differences(op.filtration, values), start=1):
+        out += np.einsum("ij,...ij->...i", op.multiplier_on_leaves(n), diff)
+    return out
+
+
+def _adjoint_stack(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
+    """Closed-form T* applied to a stack of scalar inputs of shape
+    (..., L, 1); shape (..., L, dim)."""
+    out = np.zeros((*values.shape[:-1], op.dim))
+    for n, diff in enumerate(_level_differences(op.filtration, values), start=1):
+        out += op.multiplier_on_leaves(n) * diff
+    return out
 
 
 def make_transform(
@@ -183,15 +191,15 @@ def make_transform(
 
 
 def _reduce_to_level(filtration: Filtration, leaf_vals: np.ndarray, level: int) -> np.ndarray:
-    out = []
-    for atom_id in filtration.levels[level]:
-        block = leaf_vals[filtration.leaf_slice(atom_id)]
-        if not np.all(block == block[0]):
-            raise PredictabilityError(
-                f"multiplier is not constant on atom {atom_id} of level {level}"
-            )
-        out.append(block[0])
-    return np.array(out)
+    lay = filtration.layout
+    per_atom = leaf_vals[lay.level_starts[level]]
+    bad = np.any(leaf_vals != per_atom[lay.level_maps[level]], axis=1)
+    if bad.any():
+        atom_id = filtration.levels[level][lay.level_maps[level][np.argmax(bad)]]
+        raise PredictabilityError(
+            f"multiplier is not constant on atom {atom_id} of level {level}"
+        )
+    return per_atom
 
 
 def _materialize_matrix(
@@ -200,7 +208,7 @@ def _materialize_matrix(
     """Assemble T as a dense (L, L*dim) matrix from block averaging matrices."""
     P = _averaging_matrices(filtration)
     L = filtration.n_leaves
-    leaf_maps = _level_leaf_maps(filtration)
+    leaf_maps = filtration.layout.level_maps
     tensor = np.zeros((L, L, dim))
     for n in range(1, filtration.depth + 1):
         D = P[n] - P[n - 1]
@@ -233,18 +241,11 @@ def predictable_hull(op_or_filt: MartingaleTransform | Filtration, f: MartFuncti
     if f.filtration is not filt:
         raise ValueError("function lives on a different filtration object")
     threshold = 1e-12 * max(1.0, float(np.max(np.abs(f.values))) if f.values.size else 0.0)
+    starts = filt.layout.level_starts
     events: list[list[int]] = []
-    prev = cond_exp(f, level_partition(filt, 0))
-    for n in range(1, filt.depth + 1):
-        cur = cond_exp(f, level_partition(filt, n))
-        diff = cur.values - prev.values
-        hull = [
-            atom_id
-            for atom_id in filt.levels[n - 1]
-            if float(np.max(np.abs(diff[filt.leaf_slice(atom_id)]))) > threshold
-        ]
-        events.append(hull)
-        prev = cur
+    for n, diff in enumerate(_level_differences(filt, f.values)):
+        atom_max = np.maximum.reduceat(np.max(np.abs(diff), axis=1), starts[n])
+        events.append([filt.levels[n][i] for i in np.flatnonzero(atom_max > threshold)])
     return events
 
 

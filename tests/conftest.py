@@ -17,7 +17,7 @@ import pytest
 
 from mblab.checks import restriction_identity_gaps, run_all
 from mblab.corpus import CorpusCell, default_corpus, prepare_cell
-from mblab.filtration import build_dyadic, split_schedule
+from mblab.filtration import build_dyadic, build_random_regular, split_schedule
 from mblab.martingale import average, lp_norm
 
 
@@ -34,6 +34,23 @@ def dyadic2():
 @pytest.fixture(scope="session")
 def dyadic3():
     return build_dyadic(3)
+
+
+# Towers for the kernel cross-checks: balanced, uneven and many-child.
+KERNEL_TOWERS = {
+    "dyadic3": lambda: build_dyadic(3),
+    "regular8": lambda: build_random_regular(
+        depth=8, delta=0.25, max_children=3, split_prob=0.7, seed=31
+    ),
+    "regular6": lambda: build_random_regular(
+        depth=6, delta=0.1, max_children=4, split_prob=0.7, seed=32
+    ),
+}
+
+
+@pytest.fixture(scope="session", params=list(KERNEL_TOWERS))
+def kernel_tower(request):
+    return KERNEL_TOWERS[request.param]()
 
 
 @pytest.fixture(scope="session")

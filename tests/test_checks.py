@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mblab.checks import SUITES, Tolerances, run_all, run_suite
+from mblab.corpus import random_transform, random_witness
 
 
 def test_suite_names_are_stable():
@@ -28,6 +29,16 @@ def test_all_suites_pass_on_small_cells(small_cells):
         for r in rows:
             assert set(r) == {"check", "max_err", "tol", "ok", "detail"}
             assert r["max_err"] <= r["tol"]
+
+
+def test_all_suites_pass_on_kernel_towers(kernel_tower):
+    # deeper and uneven towers than the depth-2 small cells: the suites
+    # work level by level, so nesting across many levels must line up
+    rng = np.random.default_rng(5)
+    f, g = random_witness(kernel_tower, 2, rng)
+    op = random_transform(kernel_tower, 2, rng)
+    rows, ok = run_all(f, g, op, rng=rng)
+    assert ok, [r for r in rows if not r["ok"]]
 
 
 def test_row_names_unique(small_cells):
@@ -65,7 +76,9 @@ def test_tolerance_scale_from_env(monkeypatch):
     assert wide.tight == pytest.approx(1e-6)
 
 
-def test_bad_env_tolerance_rejected(monkeypatch):
-    monkeypatch.setenv("MBL_TOL", "-2")
+@pytest.mark.parametrize("value", ["-2", "0", "inf", "nan"])
+def test_bad_env_tolerance_rejected(monkeypatch, value):
+    # a non-finite scale would turn every tolerance into inf or nan
+    monkeypatch.setenv("MBL_TOL", value)
     with pytest.raises(ValueError):
         Tolerances.from_env()

@@ -28,6 +28,37 @@ def test_dyadic_shape(dyadic3):
     assert np.allclose(widths, 0.125, atol=1e-15)
 
 
+def test_deep_dyadic_leaf_spans():
+    # spans come from one pass over the tower, so depth 14 (32767 atoms)
+    # is quick; a recursion visiting each child twice would need ~4^14 calls
+    filt = build_dyadic(14)
+    assert filt.leaf_slice(filt.root.id) == slice(0, 16384)
+    for atom in filt.atoms:
+        sl = filt.leaf_slice(atom.id)
+        assert sl.stop - sl.start == 2 ** (14 - atom.level)
+    events = filt.layout.event_atoms
+    assert len(events) == 2**14 - 1 and events[0] == filt.root.id
+
+
+def test_layout_events_follow_schedule():
+    filt = build_random_regular(depth=6, delta=0.1, max_children=4, split_prob=0.7, seed=32)
+    lay = filt.layout
+    events = split_schedule(filt)
+    assert lay.event_atoms.tolist() == [e.atom for e in events]
+    assert lay.event_levels.tolist() == [filt.atom(e.atom).level for e in events]
+    for e, (lo, hi) in zip(events, lay.event_spans.tolist()):
+        assert filt.leaf_slice(e.atom) == slice(lo, hi)
+        kids = sorted(filt.leaf_slice(c).start for c in filt.atom(e.atom).children)
+        assert kids[0] == lo
+    for n, part in enumerate(filt.levels):
+        spans = [filt.leaf_slice(a) for a in part]
+        assert lay.level_starts[n].tolist() == [sl.start for sl in spans]
+        assert spans[-1].stop == filt.n_leaves
+        for j, sl in enumerate(spans):
+            assert np.all(lay.level_maps[n][sl] == j)
+            assert lay.level_measures[n][j] == filt.atom(part[j]).measure
+
+
 def test_dyadic_depth_one_is_single_split(dyadic1):
     assert dyadic1.n_leaves == 2
     events = split_schedule(dyadic1)

@@ -11,6 +11,7 @@ from mblab.filtration import build_dyadic, level_partition, split_schedule
 from mblab.martingale import (
     MartFunction,
     PartitionError,
+    _averaging_matrices,
     average,
     cond_exp,
     constant_function,
@@ -77,6 +78,28 @@ def test_cond_exp_tower(dyadic3):
     via_fine = cond_exp(cond_exp(f, fine), coarse)
     direct = cond_exp(f, coarse)
     assert np.allclose(via_fine.values, direct.values, atol=1e-14)
+
+
+def test_cond_exp_matches_dense_oracle(kernel_tower):
+    # the reduceat kernel against the dense per-level averaging matrices
+    f = rand_fn(kernel_tower, 3, 14)
+    oracle = _averaging_matrices(kernel_tower)
+    for n in range(kernel_tower.depth + 1):
+        ef = cond_exp(f, level_partition(kernel_tower, n))
+        assert np.allclose(ef.values, oracle[n] @ f.values, rtol=0.0, atol=1e-13)
+
+
+def test_persisting_atoms_cancel_exactly(kernel_tower):
+    # an atom kept from one level to the next gets the same float at both,
+    # so every leaf the level does not split sees an exact zero difference
+    f = rand_fn(kernel_tower, 2, 15)
+    for n in range(kernel_tower.depth):
+        coarse = cond_exp(f, level_partition(kernel_tower, n)).values
+        fine = cond_exp(f, level_partition(kernel_tower, n + 1)).values
+        for atom_id in level_partition(kernel_tower, n):
+            if kernel_tower.atom(atom_id).is_leaf:
+                sl = kernel_tower.leaf_slice(atom_id)
+                assert np.all(fine[sl] == coarse[sl])
 
 
 def test_cond_exp_rejects_non_partition(dyadic2):

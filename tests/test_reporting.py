@@ -23,6 +23,13 @@ def test_format_float_special_values():
     assert format_float(1.0) == "1"
 
 
+def test_format_float_is_seventeen_digits_not_shortest():
+    # exact round-trip, but longer than repr where repr is shorter
+    assert format_float(0.1) == "0.10000000000000001"
+    assert float(format_float(0.1)) == 0.1
+    assert format_float(0.5) == "0.5"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_float_roundtrips(x):

@@ -88,17 +88,17 @@ def test_invariant_under_constant_shift(dyadic3):
     assert np.allclose(op.apply(f).values, op.apply(shifted).values, atol=1e-13)
 
 
-def test_matrix_route_agrees(dyadic3):
+def test_matrix_route_agrees(kernel_tower):
     rng = np.random.default_rng(4)
-    op = random_transform(dyadic3, 2, rng)
-    f = rand_fn(dyadic3, 2, 5)
+    op = random_transform(kernel_tower, 2, rng)
+    f = rand_fn(kernel_tower, 2, 5)
     assert np.allclose(op.apply(f).values, op.matrix_apply(f).values, atol=1e-12)
 
 
-def test_adjoint_routes_agree(dyadic3):
+def test_adjoint_routes_agree(kernel_tower):
     rng = np.random.default_rng(6)
-    op = random_transform(dyadic3, 3, rng)
-    g = rand_fn(dyadic3, 1, 7)
+    op = random_transform(kernel_tower, 3, rng)
+    g = rand_fn(kernel_tower, 1, 7)
     a = op.adjoint_apply(g)
     b = op.adjoint_closed_form(g)
     assert np.allclose(a.values, b.values, atol=1e-12)
