@@ -17,18 +17,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from mblab.checks import restriction_identity_gaps, run_all
+from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_all
 from mblab.corpus import default_corpus, prepare_cell
-from mblab.martingale import average, lp_norm
-
-
-def mean_margin(f, g, op, p: float, q: float) -> float:
-    """Signed margin of the averaged mean product bound; must be <= 0."""
-    filt = f.filtration
-    root = filt.root.id
-    lhs = abs(float(np.dot(average(f, root), average(op.adjoint_apply(g), root))))
-    rhs = lp_norm(f, p) * lp_norm(g, q) / filt.total_measure
-    return lhs - rhs
 
 
 def main() -> int:
@@ -54,7 +44,7 @@ def main() -> int:
         centered, defect = restriction_identity_gaps(pc.g, pc.op)
         eq_worst = max(eq_worst, centered)
         defect_worst = max(defect_worst, defect)
-        margin_worst = max(margin_worst, mean_margin(pc.f, pc.g, pc.op, 2.0, 2.0))
+        margin_worst = max(margin_worst, hoelder_mean_margin(pc.f, pc.g, pc.op, 2.0, 2.0))
 
     print(f"{len(cells)} cells")
     print(f"{'check':28s} {'worst err/tol':>14s}  worst cell")

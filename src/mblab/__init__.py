@@ -31,7 +31,6 @@ from .martingale import (
     restrict,
 )
 from .transforms import (
-    ContractionError,
     MartingaleTransform,
     PredictabilityError,
     make_transform,

@@ -133,11 +133,13 @@ def bellman_point(
     atom_id: int,
     p: float,
     tstar_g: MartFunction | None = None,
+    g_sq: MartFunction | None = None,
 ) -> BellmanPoint:
     """Moment point of the witness (f, g, T) localized to one atom.
 
-    ``tstar_g`` may carry a precomputed adjoint to avoid recomputation when
-    walking many atoms of the same witness.
+    ``tstar_g`` and ``g_sq`` may carry the precomputed adjoint T* g and
+    square g . g, to avoid recomputing them when walking many atoms of the
+    same witness.
     """
     q = conjugate_exponent(p)
     filt = f.filtration
@@ -145,8 +147,10 @@ def bellman_point(
         raise ValueError("g must be scalar valued")
     if tstar_g is None:
         tstar_g = op.adjoint_apply(g)
+    if g_sq is None:
+        g_sq = pointwise_dot(g, g)
     x1 = average(f, atom_id)
-    g2_mean = float(average(pointwise_dot(g, g), atom_id)[0])
+    g2_mean = float(average(g_sq, atom_id)[0])
     x2 = g2_mean - osc2(tstar_g, atom_id)
     if x2 < -1e-12 * max(g2_mean, 1.0):
         raise ArithmeticError(

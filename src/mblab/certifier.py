@@ -30,7 +30,7 @@ import numpy as np
 
 from .bellman import BellmanCandidate, BellmanPoint, bellman_point
 from .filtration import SplitEvent, split_schedule
-from .martingale import MartFunction, delta_split, inner
+from .martingale import MartFunction, delta_split, inner, pointwise_dot
 from .transforms import MartingaleTransform
 
 __all__ = [
@@ -152,6 +152,7 @@ def certify(
 
     p = cand.p
     tstar_g = op.adjoint_apply(g)
+    g_sq = pointwise_dot(g, g)
     tf = op.apply(f)
     total = filt.total_measure
     objective = inner(g, tf) / total
@@ -160,7 +161,9 @@ def certify(
 
     def point(atom_id: int) -> BellmanPoint:
         if atom_id not in point_cache:
-            point_cache[atom_id] = bellman_point(f, g, op, atom_id, p, tstar_g=tstar_g)
+            point_cache[atom_id] = bellman_point(
+                f, g, op, atom_id, p, tstar_g=tstar_g, g_sq=g_sq
+            )
         return point_cache[atom_id]
 
     failures: list[str] = []

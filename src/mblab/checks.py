@@ -15,6 +15,8 @@ and that is the direction the nonnegativity of x2 rests on.  The suite
 tests the inequality.  Cutting the centered function (g - <g>_J) 1_J instead
 gives equality exactly; ``restriction_identity_gaps`` measures that identity
 and the exact size of the uncentered slack, outside the registered suites.
+``hoelder_mean_margin``, the mean bound probe of the acceptance gate, is the
+other unregistered probe.
 
 The per-event suites do not loop over split events.  The single-split
 differences of all events at level n have disjoint supports and sum to the
@@ -46,6 +48,7 @@ from .martingale import (
     average,
     inner,
     l2_norm,
+    lp_norm,
     osc2,
     pointwise_dot,
 )
@@ -72,6 +75,7 @@ __all__ = [
     "check_restriction",
     "check_contraction",
     "restriction_identity_gaps",
+    "hoelder_mean_margin",
 ]
 
 
@@ -447,6 +451,19 @@ def restriction_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple
     defect = c * c * ones_sq / measures
     gap = np.abs((glob - local) - defect) / np.maximum(1.0, defect)
     return centered_worst, float(np.max(gap, initial=0.0))
+
+
+def hoelder_mean_margin(
+    f: MartFunction, g: MartFunction, op: MartingaleTransform, p: float, q: float
+) -> float:
+    """How far |<f>_I . <T* g>_I| sits above ||f||_p ||g||_q / |I|;
+    nonpositive when the Hoelder mean bound holds.  Not a registered suite,
+    so ``run_all`` rows do not include it."""
+    filt = f.filtration
+    root = filt.root.id
+    lhs = abs(float(np.dot(average(f, root), average(op.adjoint_apply(g), root))))
+    rhs = lp_norm(f, p) * lp_norm(g, q) / filt.total_measure
+    return lhs - rhs
 
 
 def check_contraction(

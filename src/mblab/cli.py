@@ -51,7 +51,7 @@ from .filtration import (
     filtration_to_json,
 )
 from .reporting import ReportError, rows_to_csv, to_canonical_json, write_text
-from .transforms import ContractionError, PredictabilityError, transform_to_json
+from .transforms import PredictabilityError, transform_to_json
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -138,7 +138,38 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 class UsageError(ValueError):
-    pass
+    """Bad flags, config values or environment; exit code 2."""
+
+
+# Commands whose Bellman points or candidates need the conjugate exponent,
+# defined for p in (1, 2].
+_CONJUGATE_COMMANDS = ("certify", "lemma1", "search", "bound")
+
+
+def _validate(command: str, cfg: RunConfig) -> None:
+    """Reject out-of-range flags, config values and MBL_TOL before any work
+    is done."""
+    if cfg.seed is not None and cfg.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
+    if not 0.0 < cfg.delta <= 0.5:
+        raise UsageError(f"--delta must lie in (0, 1/2], got {cfg.delta}")
+    if cfg.dim < 1:
+        raise UsageError(f"--dim must be >= 1, got {cfg.dim}")
+    if cfg.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {cfg.trials}")
+    if command in _CONJUGATE_COMMANDS and not 1.0 < cfg.p <= 2.0:
+        raise UsageError(f"{command} needs --p in (1, 2], got {cfg.p}")
+    if not cfg.p > 0.0:
+        raise UsageError(f"--p must be positive, got {cfg.p}")
+    if command == "lemma1":
+        if not 1 <= cfg.dim <= 4:
+            raise UsageError(f"lemma1 needs --dim in [1, 4], got {cfg.dim}")
+        if not 1 <= cfg.m <= 16:
+            raise UsageError(f"lemma1 needs --m in [1, 16], got {cfg.m}")
+    try:
+        Tolerances.from_env()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -170,6 +201,8 @@ def _filtration(cfg: RunConfig):
 
 def _witness(cfg: RunConfig, filt):
     if cfg.witness == "structured":
+        if len(filt.root.children) != 2:
+            raise UsageError("the structured witness needs a tower whose root splits in two")
         return haar_witness(filt, cfg.dim)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=_require_seed(cfg), spawn_key=(1,)))
     f, g = random_witness(filt, cfg.dim, rng)
@@ -180,15 +213,24 @@ def _witness(cfg: RunConfig, filt):
 def _candidate(cfg: RunConfig, filt):
     chosen = cfg.candidate
     name, _, arg = chosen.partition(":")
+    try:
+        value = float(arg) if arg else None
+    except ValueError:
+        raise UsageError(f"candidate '{chosen}' needs a number after ':'") from None
     if name == "quadratic":
-        delta = float(arg) if arg else filt.delta
+        delta = filt.delta if value is None else value
+        if not 0.0 < delta <= filt.delta:
+            raise UsageError(
+                f"candidate floor delta={delta:g} must lie in (0, {filt.delta:g}], "
+                "the tower's regularity floor"
+            )
         if cfg.p == 2.0:
             return quadratic_candidate(delta)
         return duality_candidate(cfg.p, delta)
     if name == "linear":
-        if not arg:
+        if value is None:
             raise UsageError("linear candidate needs a constant: linear:<cp>")
-        return linear_candidate(float(arg), cfg.p, filt.delta)
+        return linear_candidate(value, cfg.p, filt.delta)
     raise UsageError(f"unknown candidate '{chosen}'; use quadratic[:delta] or linear:<cp>")
 
 
@@ -430,6 +472,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
+        _validate(args.command, cfg)
         return _COMMANDS[args.command](cfg)
     except (
         UsageError,
@@ -437,12 +480,10 @@ def run(argv: list[str] | None = None) -> int:
         RatioSamplingError,
         PredictabilityError,
         ReportError,
-        ValueError,
-        KeyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CertificationError, ContractionError, EstimateError, ArithmeticError) as exc:
+    except (CertificationError, EstimateError, ArithmeticError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
 

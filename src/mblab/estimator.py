@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .bellman import BellmanPoint, bellman_point, conjugate_exponent, quadratic_candidate
 from .certifier import Certificate, certify
@@ -87,6 +86,8 @@ def optimal_lambda_numeric(p: float, x3: float, x4: float) -> float:
     derivative here is differentiated numerically from the objective's own
     terms, never solved algebraically.
     """
+    from scipy.optimize import brentq, minimize_scalar  # only this oracle needs scipy
+
     if x3 <= 0 or x4 <= 0:
         raise ValueError(f"moments must be positive, got x3={x3}, x4={x4}")
     q = conjugate_exponent(p)

@@ -142,21 +142,10 @@ class Filtration:
 
     def __post_init__(self) -> None:
         _validate_atoms(self)
-        levels = tuple(
-            tuple(a.id for a in sorted(self._atoms_of_level(n), key=lambda a: a.a))
-            for n in range(self.depth + 1)
-        )
+        levels = _level_partitions(self.atoms, self.depth)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "leaves", levels[self.depth])
         _validate_levels(self)
-
-    def _atoms_of_level(self, n: int) -> list[Atom]:
-        # A_n: atoms created at level n, plus earlier atoms that never split.
-        out = []
-        for a in self.atoms:
-            if a.level == n or (a.is_leaf and a.level < n):
-                out.append(a)
-        return out
 
     @property
     def root(self) -> Atom:
@@ -238,6 +227,25 @@ def _validate_atoms(f: Filtration) -> None:
                     raise FiltrationError(
                         f"child ratio {k.measure / a.measure:.3e} below delta at atom {a.id}"
                     )
+
+
+def _level_partitions(atoms: tuple[Atom, ...], depth: int) -> tuple[tuple[int, ...], ...]:
+    """A_0..A_depth as atom ids in left-endpoint order, in one pass over the
+    atoms: A_n holds the atoms created at level n plus the earlier atoms
+    that never split.  Ties in ``a`` keep id order."""
+    created: list[list[Atom]] = [[] for _ in range(depth + 1)]
+    carried: list[Atom] = []  # leaves created below the current level
+    for a in atoms:
+        if 0 <= a.level <= depth:
+            created[a.level].append(a)
+        elif a.level < 0 and a.is_leaf:
+            carried.append(a)
+    levels = []
+    for here in created:
+        members = sorted(here + carried, key=lambda a: (a.a, a.id))
+        levels.append(tuple(a.id for a in members))
+        carried.extend(a for a in here if a.is_leaf)
+    return tuple(levels)
 
 
 def _validate_levels(f: Filtration) -> None:
@@ -333,14 +341,34 @@ def build_random_regular(
     return Filtration(delta=delta, depth=depth, atoms=tuple(atoms))
 
 
+# Dirichlet rows drawn per block of rejection sampling.
+_RATIO_BLOCK = 64
+
+
 def _sample_ratios(rng: np.random.Generator, k: int, delta: float, budget: int) -> np.ndarray:
+    """First Dirichlet(1, ..., 1) draw with every ratio >= delta, in at most
+    ``budget`` draws.
+
+    Draws come in blocks of rows.  Row j of a block is the draw a one-row
+    loop would make j-th, but a block overshoots the accepted row; so the
+    generator is rewound and exactly the rows up to the accepted one are
+    drawn again.  It ends in the state a one-draw-at-a-time loop would
+    leave, and the draws after this call do not depend on the block size.
+    """
     if 1.0 - k * delta < 1e-9:
         # Unique feasible point: the equal split.
         return np.full(k, 1.0 / k)
-    for _ in range(budget):
-        w = rng.dirichlet(np.ones(k))
-        if w.min() >= delta:
-            return w
+    alpha = np.ones(k)
+    left = budget
+    while left > 0:
+        n = min(_RATIO_BLOCK, left)
+        state = rng.bit_generator.state
+        block = rng.dirichlet(alpha, size=n)
+        hits = np.flatnonzero(block.min(axis=1) >= delta)
+        if hits.size:
+            rng.bit_generator.state = state
+            return rng.dirichlet(alpha, size=int(hits[0]) + 1)[-1]
+        left -= n
     raise RatioSamplingError(
         f"no ratio draw with min >= {delta} in {budget} tries (k={k}); "
         "delta is too close to 1/k"

@@ -10,12 +10,23 @@ is the R^d inner product applied leafwise.  Such operators are L^2
 contractions, and they localize: a function living in the range of one
 single-split difference at atom J is mapped to a function supported in J.
 
+Contraction holds by construction.  The level differences are orthogonal,
+and on an atom J that splits at level n-1 the multiplier a_n(J) maps the
+R^d difference to a scalar with norm |a_n(J)|, so the operator norm is the
+largest |a_n(J)| over the split atoms; ``make_transform`` rejects every
+multiplier outside the unit ball.
+
 Each operator carries two representations that are kept deliberately
 independent and cross-checked by the test suite:
 
   * the multiplier formula above, evaluated through conditional expectations;
-  * a materialized matrix with rows indexed by leaves and columns indexed by
+  * a dense matrix with rows indexed by leaves and columns indexed by
     (leaf, coordinate) pairs in row-major order (column = leaf * dim + coord).
+
+The matrix is a lazily built oracle: it takes O(L^2 d) memory, and a
+transform builds it on its first ``matrix_apply``, ``adjoint_apply`` or
+``operator_norm``.  Construction neither builds it nor runs an SVD; the SVD
+norm of ``operator_norm`` serves ``check_contraction`` and the tests.
 
 The adjoint is computed from the matrix by weight-conjugated transposition;
 for transforms it also has the closed form T* g = sum_n a_n * (D_n g) with
@@ -43,7 +54,6 @@ from .martingale import MartFunction, _averaging_matrices, _level_differences
 __all__ = [
     "MartingaleTransform",
     "PredictabilityError",
-    "ContractionError",
     "make_transform",
     "operator_norm",
     "predictable_hull",
@@ -51,32 +61,29 @@ __all__ = [
     "transform_from_json",
 ]
 
-_NORM_TOL = 1e-9
-
-
 class PredictabilityError(ValueError):
     """Multiplier data is not constant on the coarser-level atoms or exceeds
     the unit ball."""
 
 
-class ContractionError(RuntimeError):
-    """Construction-time norm check failed; signals an assembly bug."""
-
-
 @dataclass(frozen=True, eq=False)
 class MartingaleTransform:
     """Immutable transform.  ``multipliers[n-1]`` holds the level-n multiplier
-    as an array of shape (len(A_{n-1}), dim), rows in level partition order.
-    ``matrix`` maps flattened (leaf, coord) inputs to leaf outputs."""
+    as an array of shape (len(A_{n-1}), dim), rows in level partition order."""
 
     filtration: Filtration
     dim: int
     multipliers: tuple[np.ndarray, ...]
-    matrix: np.ndarray
 
     @property
     def n_levels(self) -> int:
         return len(self.multipliers)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense oracle mapping flattened (leaf, coord) inputs to leaf
+        outputs, shape (L, L*dim); built on first use and kept."""
+        return _materialize_matrix(self.filtration, self.multipliers, self.dim)
 
     def multiplier_on_leaves(self, n: int) -> np.ndarray:
         """Level-n multiplier expanded to leaf resolution, shape (L, dim)."""
@@ -143,12 +150,13 @@ def make_transform(
     multipliers: Sequence[np.ndarray | MartFunction],
     dim: int | None = None,
 ) -> MartingaleTransform:
-    """Validate multiplier data, materialize the matrix, and norm-check.
+    """Validate multiplier data and build the transform.
 
     Each entry of ``multipliers`` gives the level-n multiplier (n = 1..depth)
     either as an array of shape (len(A_{n-1}), dim) in level partition order,
     or as leaf-resolution data (shape (n_leaves, dim) or a MartFunction) that
-    is checked for constancy on the level n-1 atoms.
+    is checked for constancy on the level n-1 atoms.  Every multiplier must
+    lie in the closed unit ball, which makes the transform a contraction.
     """
     if len(multipliers) != filtration.depth:
         raise PredictabilityError(
@@ -182,12 +190,7 @@ def make_transform(
         row.flags.writeable = False
         rows.append(row)
     assert dim is not None
-    matrix = _materialize_matrix(filtration, rows, dim)
-    op = MartingaleTransform(filtration, dim, tuple(rows), matrix)
-    norm = operator_norm(op)
-    if norm > 1.0 + _NORM_TOL:
-        raise ContractionError(f"operator norm {norm} exceeds 1; assembly bug")
-    return op
+    return MartingaleTransform(filtration, dim, tuple(rows))
 
 
 def _reduce_to_level(filtration: Filtration, leaf_vals: np.ndarray, level: int) -> np.ndarray:
@@ -220,7 +223,8 @@ def _materialize_matrix(
 
 
 def operator_norm(op: MartingaleTransform) -> float:
-    """Largest singular value of W_out^(1/2) M W_in^(-1/2)."""
+    """Largest singular value of W_out^(1/2) M W_in^(-1/2): a full SVD of
+    the dense matrix oracle, for cross-checks only."""
     m = op.filtration.leaf_measures()
     w_out = np.sqrt(m)
     w_in = np.sqrt(np.repeat(m, op.dim))

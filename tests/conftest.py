@@ -3,8 +3,9 @@
 Unit tests lean on a handful of cheap prepared cells.  The acceptance
 suite walks the full randomized corpus once per session; the heavy per
 cell sweep (all check suites, the restriction identity gaps, the
-telescoping gap and a mean bound margin) is cached here so each criterion
-only scans rows.  The restriction probe is
+telescoping gap and the Hoelder mean bound margin
+``mblab.checks.hoelder_mean_margin``) is cached here so each criterion only
+scans rows.  The restriction probe is
 ``mblab.checks.restriction_identity_gaps``: the centered cut
 (g - <g>_J) 1_J gives an exact localization identity, and the uncentered
 cut g 1_J exceeds it by exactly <g>_J^2 ||T* 1_J||^2 / |J|.
@@ -15,10 +16,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mblab.checks import restriction_identity_gaps, run_all
+from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_all
 from mblab.corpus import CorpusCell, default_corpus, prepare_cell
 from mblab.filtration import build_dyadic, build_random_regular, split_schedule
-from mblab.martingale import average, lp_norm
+from mblab.martingale import average
 
 
 @pytest.fixture(scope="session")
@@ -79,16 +80,6 @@ def telescoping_relerr(f, g, op) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def hoelder_margin(f, g, op, p: float, q: float) -> float:
-    """How far |<f>_I . <T* g>_I| sits above ||f||_p ||g||_q / |I|;
-    nonpositive when the mean bound holds."""
-    filt = f.filtration
-    root = filt.root.id
-    lhs = abs(float(np.dot(average(f, root), average(op.adjoint_apply(g), root))))
-    rhs = lp_norm(f, p) * lp_norm(g, q) / filt.total_measure
-    return lhs - rhs
-
-
 @pytest.fixture(scope="session")
 def corpus_report():
     """Full corpus sweep: check-suite rows plus acceptance-only probes."""
@@ -107,7 +98,7 @@ def corpus_report():
                 "restriction_centered": centered,
                 "restriction_defect": defect,
                 "telescoping": telescoping_relerr(pc.f, pc.g, pc.op),
-                "hoelder_margin": hoelder_margin(pc.f, pc.g, pc.op, 2.0, 2.0),
+                "hoelder_margin": hoelder_mean_margin(pc.f, pc.g, pc.op, 2.0, 2.0),
             }
         )
     return report

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import mblab.certifier as certifier
 from mblab.bellman import linear_candidate, quadratic_candidate
 from mblab.certifier import (
     certificate_rows,
@@ -124,12 +125,20 @@ def test_displacement_and_pairing_helpers(dyadic2):
         assert split_pairing(f, tstar, ev) == pytest.approx(manual_pairing, rel=1e-12, abs=1e-15)
 
 
-def test_depth3_random_witness_end_to_end():
+def test_depth3_random_witness_end_to_end(monkeypatch):
     pc = prepare_cell(CorpusCell(0.25, 2, 1))
     cert = certify(quadratic_candidate(0.25), pc.f, pc.g, pc.op)
     assert cert.ok
     assert cert.final_slack >= -1e-6
     assert cert.identity_residual <= 1e-9 * max(1.0, abs(cert.bound), abs(cert.objective))
+    # certify hands every point the g . g it formed once; recomputing it per
+    # atom must give the same certificate to the last bit
+    with_g_sq = certifier.bellman_point
+    monkeypatch.setattr(
+        certifier, "bellman_point", lambda *args, g_sq=None, **kw: with_g_sq(*args, **kw)
+    )
+    recomputed = certify(quadratic_candidate(0.25), pc.f, pc.g, pc.op)
+    assert certificate_to_dict(recomputed) == certificate_to_dict(cert)
 
 
 def test_final_slack_equals_bound_minus_objective():

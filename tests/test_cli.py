@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import mblab.cli as cli
 from mblab.cli import run
 from mblab.filtration import filtration_from_json
 from mblab.martingale import from_leaf_values, inner
@@ -47,6 +48,44 @@ def test_infeasible_filtration_exits_two(capsys):
 
 def test_unwritable_out_exits_two(capsys):
     assert run(["gen", "--out", "/proc/nowhere/x.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--seed", "1", "--trials", "0"],
+        ["lemma1", "--seed", "1", "--delta", "0.9"],
+        ["scan", "--seed", "1", "--delta", "0.9"],
+        ["search", "--seed", "1", "--p", "3"],
+        ["scan", "--seed", "1", "--p", "-1"],
+        ["gen", "--seed", "-1", "--delta", "0.25"],
+        ["gen", "--dim", "0", "--witness", "structured"],
+        ["lemma1", "--seed", "1", "--dim", "5"],
+        ["lemma1", "--seed", "1", "--m", "0"],
+        ["certify", "--seed", "1", "--candidate", "linear:abc"],
+        ["certify", "--seed", "1", "--delta", "0.25", "--candidate", "quadratic:0.5"],
+        ["gen", "--delta", "0.1", "--seed", "4", "--depth", "2", "--witness", "structured"],
+    ],
+)
+def test_bad_arguments_exit_two(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bad_tolerance_env_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("MBL_TOL", "nan")
+    assert run(["check", "--seed", "1"]) == 2
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    # only input errors map to exit 2; a ValueError from inside a command
+    # is a bug and must surface as such
+    def broken(cfg):
+        raise ValueError("internal")
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", broken)
+    with pytest.raises(ValueError, match="internal"):
+        run(["gen"])
 
 
 # ---------------------------------------------------------------------------

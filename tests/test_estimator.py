@@ -1,12 +1,17 @@
 """Scaling balance, norm-ratio scans, witness search, duality pipeline."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mblab
 import mblab.estimator as est
 from mblab.bellman import BellmanPoint, bellman_point, conjugate_exponent, linear_candidate
 from mblab.estimator import (
@@ -53,6 +58,21 @@ def test_optimal_lambda_agrees_with_golden_oracle():
         a = optimal_lambda(p, x3, x4)
         b = optimal_lambda_numeric(p, x3, x4)
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
+
+
+def test_import_mblab_loads_no_scipy():
+    # scipy serves only the optimal_lambda_numeric oracle, imported inside it
+    src = str(Path(mblab.__file__).resolve().parents[1])
+    code = "import sys, mblab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_optimal_lambda_is_strict_minimizer():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from mblab.filtration import (
     FiltrationError,
+    RatioSamplingError,
+    _sample_ratios,
     build_dyadic,
     build_random_regular,
     filtration_from_json,
@@ -28,10 +30,33 @@ def test_dyadic_shape(dyadic3):
     assert np.allclose(widths, 0.125, atol=1e-15)
 
 
+def levels_by_definition(filt):
+    """A_n scanned out of all atoms once per level: the atoms created at
+    level n plus the earlier atoms that never split, by left endpoint."""
+    return tuple(
+        tuple(
+            a.id
+            for a in sorted(
+                (a for a in filt.atoms if a.level == n or (a.is_leaf and a.level < n)),
+                key=lambda a: a.a,
+            )
+        )
+        for n in range(filt.depth + 1)
+    )
+
+
+def test_levels_match_per_level_definition(kernel_tower):
+    ref = levels_by_definition(kernel_tower)
+    assert kernel_tower.levels == ref
+    assert kernel_tower.leaves == ref[-1]
+
+
 def test_deep_dyadic_leaf_spans():
     # spans come from one pass over the tower, so depth 14 (32767 atoms)
     # is quick; a recursion visiting each child twice would need ~4^14 calls
     filt = build_dyadic(14)
+    ref = levels_by_definition(filt)
+    assert filt.levels == ref and filt.leaves == ref[-1]
     assert filt.leaf_slice(filt.root.id) == slice(0, 16384)
     for atom in filt.atoms:
         sl = filt.leaf_slice(atom.id)
@@ -133,6 +158,40 @@ def test_random_regular_critical_delta_forces_equal_split():
         if atom.children:
             ratios = [filt.atom(c).measure / atom.measure for c in atom.children]
             assert ratios == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+def sample_ratios_one_by_one(rng, k, delta, budget):
+    """Rejection sampling with one Dirichlet draw per iteration."""
+    if 1.0 - k * delta < 1e-9:
+        return np.full(k, 1.0 / k)
+    for _ in range(budget):
+        w = rng.dirichlet(np.ones(k))
+        if w.min() >= delta:
+            return w
+    raise RatioSamplingError("budget exhausted")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("delta", [0.1, 0.25, 1.0 / 3.0])
+def test_blocked_ratio_draws_match_one_by_one(k, delta):
+    # block draws must return the same ratios and leave the generator where
+    # the one-draw loop leaves it, call after call
+    blocked, single = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(40):
+        expected = sample_ratios_one_by_one(single, k, delta, 10_000)
+        assert np.array_equal(_sample_ratios(blocked, k, delta, 10_000), expected)
+    assert blocked.random() == single.random()
+
+
+@pytest.mark.parametrize("budget", [1, 63, 64, 65, 200])
+def test_ratio_budget_counts_single_draws(budget):
+    # feasible volume (1 - 3 * 0.333)^2 = 1e-6: every budget here runs out
+    blocked, single = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(RatioSamplingError):
+        sample_ratios_one_by_one(single, 3, 0.333, budget)
+    with pytest.raises(RatioSamplingError):
+        _sample_ratios(blocked, 3, 0.333, budget)
+    assert blocked.random() == single.random()
 
 
 def test_random_regular_rejects_bad_parameters():

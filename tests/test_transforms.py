@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mblab.checks import restriction_identity_gaps
-from mblab.corpus import active_split_function, random_transform
+from mblab.corpus import active_split_function, max_children_for, random_transform
 from mblab.filtration import build_dyadic, build_random_regular, split_schedule
 from mblab.martingale import (
     MartFunction,
@@ -91,8 +91,44 @@ def test_invariant_under_constant_shift(dyadic3):
 def test_matrix_route_agrees(kernel_tower):
     rng = np.random.default_rng(4)
     op = random_transform(kernel_tower, 2, rng)
+    assert "matrix" not in vars(op)  # construction builds no dense matrix
     f = rand_fn(kernel_tower, 2, 5)
     assert np.allclose(op.apply(f).values, op.matrix_apply(f).values, atol=1e-12)
+    assert "matrix" in vars(op)
+
+
+def split_multiplier_max(op):
+    """max |a_n(J)| over the atoms J of A_{n-1} that split at level n-1:
+    the operator norm that contraction by construction predicts."""
+    filt = op.filtration
+    best = 0.0
+    for n in range(1, filt.depth + 1):
+        for row, atom_id in zip(op.multipliers[n - 1], filt.levels[n - 1]):
+            atom = filt.atom(atom_id)
+            if atom.children and atom.level == n - 1:
+                best = max(best, float(np.linalg.norm(row)))
+    return best
+
+
+def test_operator_norm_is_largest_split_multiplier(kernel_tower):
+    for seed in range(3):
+        op = random_transform(kernel_tower, 1 + seed, np.random.default_rng(seed))
+        assert abs(operator_norm(op) - split_multiplier_max(op)) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.25, 1.0 / 3.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_operator_norm_on_random_regular_towers(delta, dim):
+    for seed in range(8):
+        filt = build_random_regular(
+            depth=2 + seed % 4,
+            delta=delta,
+            max_children=max_children_for(delta),
+            split_prob=0.7,
+            seed=seed,
+        )
+        op = random_transform(filt, dim, np.random.default_rng(100 + seed))
+        assert abs(operator_norm(op) - split_multiplier_max(op)) <= 1e-12
 
 
 def test_adjoint_routes_agree(kernel_tower):
