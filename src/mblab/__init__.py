@@ -63,8 +63,6 @@ from .certifier import (
     CertificationError,
     SplitRecord,
     certify,
-    split_displacement,
-    split_pairing,
 )
 from .estimator import (
     DualityReport,

@@ -9,6 +9,12 @@ with q the conjugate exponent of p.  These points live in the convex domain
 
     x2 >= 0,   |x1|^p <= x3,   x2^q <= x4^2.
 
+``moment_table`` computes the point of every atom and, for every split
+event J, the displacement d_J, the pairing of the split differences of f and
+T* g, and the x2 gain of the split, in one level-by-level pass of the
+martingale kernel; ``bellman_point`` returns one atom's row of the same
+arithmetic.
+
 A candidate function B is tested against the split inequality: whenever
 points x^1..x^N and weights lambda_k >= delta (summing to one) satisfy
 
@@ -36,19 +42,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filtration import Filtration
-from .martingale import MartFunction, average, osc2, pointwise_dot
+from .martingale import MartFunction, _level_means, _weighted
 from .transforms import MartingaleTransform
 
 __all__ = [
     "BellmanPoint",
     "BellmanCandidate",
+    "MomentTable",
     "SplitConfig",
     "ExpansionNode",
     "ExpansionCertificate",
     "RescaleEstimate",
     "conjugate_exponent",
     "bellman_point",
+    "moment_table",
     "in_bellman_domain",
     "shaped_candidate",
     "quadratic_candidate",
@@ -126,6 +133,83 @@ class BellmanPoint:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class MomentTable:
+    """Moment points of every atom and split data of every event, for one
+    witness (f, g, T) and exponent p.
+
+    Atom arrays are indexed by atom id: ``x1`` (atoms, dim), ``g2`` = <g^2>_J,
+    and ``x2``, ``x3``, ``x4``.  Event arrays follow the layout's schedule
+    order: the displacement ``d``, the normalized ``pairing`` of the split
+    differences of f and T* g, and ``x2_gain``, the weighted x2 of the
+    children minus the x2 of the split atom, which equals d^2 exactly.
+    """
+
+    p: float
+    x1: np.ndarray
+    g2: np.ndarray
+    x2: np.ndarray
+    x3: np.ndarray
+    x4: np.ndarray
+    d: np.ndarray
+    pairing: np.ndarray
+    x2_gain: np.ndarray
+
+    def point(self, atom_id: int) -> BellmanPoint:
+        """The atom's row as a point; raises ArithmeticError on an x2 below
+        roundoff of zero."""
+        x2, g2 = float(self.x2[atom_id]), float(self.g2[atom_id])
+        if x2 < -1e-12 * max(g2, 1.0):
+            raise ArithmeticError(
+                f"negative x2 = {x2:.3e} at atom {atom_id}; adjoint accounting is broken"
+            )
+        x3, x4 = float(self.x3[atom_id]), float(self.x4[atom_id])
+        return BellmanPoint(x1=self.x1[atom_id], x2=x2, x3=x3, x4=x4, p=self.p, atom=atom_id)
+
+
+def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: float) -> MomentTable:
+    """All moment points and split data of the witness in one pass.
+
+    The measure-weighted leaf columns f, T* g, g^2, |f|^p and |g|^q are
+    averaged over the A_n atoms with one reduceat per level, which gives x1,
+    <g^2>_J, x3, x4 and E_n of f and T* g; one more gives osc2 of T* g (the
+    ``_level_osc2`` arithmetic), and one the sums of the level-n differences
+    of f and T* g over the events of level n.  An event's x2 gain groups the
+    rows of its children.
+    """
+    if g.dim != 1 or tstar_g.dim != f.dim:
+        raise ValueError("g must be scalar valued and T* g must have the dimension of f")
+    filt = f.filtration
+    lay = filt.layout
+    dim, q, gv = f.dim, conjugate_exponent(p), g.values[:, 0]
+    f_p = np.linalg.norm(f.values, axis=1) ** p
+    w = _weighted(filt, np.column_stack((f.values, tstar_g.values, gv * gv, f_p, np.abs(gv) ** q)))
+    rows = np.empty((len(filt.atoms), dim + 4))  # x1, g2, x2, x3, x4
+    split = np.empty((len(lay.event_atoms), 3))  # d^2, pairing, x2 gain
+    for n in range(filt.depth + 1):
+        means = _level_means(filt, w, n)
+        cond = np.take(means[:, : 2 * dim], lay.level_maps[n], axis=0)
+        centered = tstar_g.values - cond[:, dim:]
+        sq = np.einsum("ij,ij->i", centered, centered)[:, None]
+        x2 = means[:, -3] - _level_means(filt, _weighted(filt, sq), n)[:, 0]
+        # A persisting atom gets the same floats at every level it is in.
+        level_rows = np.column_stack((means[:, :dim], means[:, -3], x2, means[:, -2:]))
+        rows[np.asarray(filt.levels[n])] = level_rows
+        if n:
+            df, dg = np.hsplit(cond - prev_cond, 2)
+            pair = np.column_stack((np.einsum("ij,ij->i", dg, dg), np.einsum("ij,ij->i", df, dg)))
+            at = lay.event_levels == n - 1
+            pick = lay.level_maps[n - 1][lay.event_spans[at, 0]]
+            split[at, :2] = _level_means(filt, _weighted(filt, pair), n - 1)[pick]
+            first_kids = lay.level_maps[n][lay.level_starts[n - 1]]
+            kids_x2 = np.add.reduceat(lay.level_measures[n] * x2, first_kids)
+            split[at, 2] = (kids_x2 / lay.level_measures[n - 1] - prev_x2)[pick]
+        prev_cond, prev_x2 = cond, x2
+    x1, g2, x2, x3, x4 = np.hsplit(rows, [dim, dim + 1, dim + 2, dim + 3])
+    d = np.sqrt(np.maximum(split[:, 0], 0.0))
+    return MomentTable(p, x1, g2[:, 0], x2[:, 0], x3[:, 0], x4[:, 0], d, split[:, 1], split[:, 2])
+
+
 def bellman_point(
     f: MartFunction,
     g: MartFunction,
@@ -133,35 +217,13 @@ def bellman_point(
     atom_id: int,
     p: float,
     tstar_g: MartFunction | None = None,
-    g_sq: MartFunction | None = None,
 ) -> BellmanPoint:
-    """Moment point of the witness (f, g, T) localized to one atom.
-
-    ``tstar_g`` and ``g_sq`` may carry the precomputed adjoint T* g and
-    square g . g, to avoid recomputing them when walking many atoms of the
-    same witness.
+    """Moment point of the witness (f, g, T) localized to one atom: its row
+    of ``moment_table``.  ``tstar_g`` may carry the precomputed adjoint T* g.
     """
-    q = conjugate_exponent(p)
-    filt = f.filtration
-    if g.dim != 1:
-        raise ValueError("g must be scalar valued")
     if tstar_g is None:
         tstar_g = op.adjoint_apply(g)
-    if g_sq is None:
-        g_sq = pointwise_dot(g, g)
-    x1 = average(f, atom_id)
-    g2_mean = float(average(g_sq, atom_id)[0])
-    x2 = g2_mean - osc2(tstar_g, atom_id)
-    if x2 < -1e-12 * max(g2_mean, 1.0):
-        raise ArithmeticError(
-            f"negative x2 = {x2:.3e} at atom {atom_id}; adjoint accounting is broken"
-        )
-    sl = filt.leaf_slice(atom_id)
-    m = filt.leaf_measures()[sl]
-    measure = filt.atoms[atom_id].measure
-    x3 = float(m @ np.linalg.norm(f.values[sl], axis=1) ** p / measure)
-    x4 = float(m @ np.abs(g.values[sl, 0]) ** q / measure)
-    return BellmanPoint(x1=x1, x2=x2, x3=x3, x4=x4, p=p, atom=atom_id)
+    return moment_table(f, g, tstar_g, p).point(atom_id)
 
 
 def in_bellman_domain(pt: BellmanPoint, tol: float = _DOMAIN_TOL) -> bool:
@@ -648,23 +710,18 @@ def dyadic_expand(cfg: SplitConfig, m: int | None = None) -> ExpansionCertificat
     )
     dim = pts_x1.shape[1]
 
-    def build(lo: int, hi: int) -> ExpansionNode:
-        block = full[lo:hi]
-        mean = block.mean(axis=0)
-        node_kids: tuple[ExpansionNode, ...] = ()
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            node_kids = (build(lo, mid), build(mid, hi))
-        return ExpansionNode(
-            x1=mean[:dim],
-            x2=float(mean[dim]),
-            x3=float(mean[dim + 1]),
-            x4=float(mean[dim + 2]),
-            weight=(hi - lo) / b,
-            children=node_kids,
+    # The 2^k nodes at depth k average consecutive blocks of b / 2^k copies:
+    # one reshape-mean per level, then the nodes are linked bottom up.
+    nodes: tuple[ExpansionNode, ...] = ()
+    for k in range(mm, -1, -1):
+        means = full.reshape(2**k, b >> k, -1).mean(axis=1)
+        weight = (b >> k) / b
+        rows = zip(means[:, :dim], means[:, dim:].tolist())
+        nodes = tuple(
+            ExpansionNode(x1, x2, x3, x4, weight, children=nodes[2 * i : 2 * i + 2])
+            for i, (x1, (x2, x3, x4)) in enumerate(rows)
         )
-
-    tree = build(0, b)
+    tree = nodes[0]
     left, right = tree.children if tree.children else (tree, tree)
     separation = float(np.linalg.norm(left.x1 - right.x1))
     ratio = None if degenerate else separation / diam

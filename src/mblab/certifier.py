@@ -19,26 +19,26 @@ an exact bookkeeping identity for any candidate.  The certificate succeeds
 when all three bracketed families are nonnegative within tolerance, which
 forces objective <= B(x_root).  A failed certificate is a first-class
 result: it carries every violating record and the reasons.
+
+Every moment point, displacement, pairing and x2 gain comes from one
+``moment_table`` pass over the witness; the walk over the schedule only
+evaluates the candidate and assembles the records.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import BellmanCandidate, BellmanPoint, bellman_point
-from .filtration import SplitEvent, split_schedule
-from .martingale import MartFunction, delta_split, inner, pointwise_dot
+from .bellman import BellmanCandidate, BellmanPoint, moment_table
+from .martingale import MartFunction, inner
 from .transforms import MartingaleTransform
 
 __all__ = [
     "SplitRecord",
     "Certificate",
     "CertificationError",
-    "split_displacement",
-    "split_pairing",
     "certify",
     "certificate_to_dict",
     "certificate_rows",
@@ -101,27 +101,6 @@ class Certificate:
         return tuple(bad)
 
 
-def split_displacement(tstar_g: MartFunction, event: SplitEvent) -> float:
-    """Root mean square of the single-split difference of T* g over the
-    split atom, the d entering the split inequality."""
-    diff = delta_split(tstar_g, event)
-    filt = tstar_g.filtration
-    atom = filt.atom(event.atom)
-    sl = filt.leaf_slice(atom.id)
-    m = filt.leaf_measures()[sl]
-    sq = float(m @ np.einsum("ij,ij->i", diff.values[sl], diff.values[sl]))
-    return math.sqrt(max(sq, 0.0) / atom.measure)
-
-
-def split_pairing(
-    f: MartFunction, tstar_g: MartFunction, event: SplitEvent
-) -> float:
-    """Normalized pairing of the two single-split differences on the atom."""
-    df = delta_split(f, event)
-    dg = delta_split(tstar_g, event)
-    return inner(df, dg) / f.filtration.atom(event.atom).measure
-
-
 def certify(
     cand: BellmanCandidate,
     f: MartFunction,
@@ -152,41 +131,36 @@ def certify(
 
     p = cand.p
     tstar_g = op.adjoint_apply(g)
-    g_sq = pointwise_dot(g, g)
     tf = op.apply(f)
     total = filt.total_measure
     objective = inner(g, tf) / total
+    table = moment_table(f, g, tstar_g, p)
+    points = [table.point(i) for i in range(len(filt.atoms))]
+    lay = filt.layout
 
-    point_cache: dict[int, BellmanPoint] = {}
-
-    def point(atom_id: int) -> BellmanPoint:
-        if atom_id not in point_cache:
-            point_cache[atom_id] = bellman_point(
-                f, g, op, atom_id, p, tstar_g=tstar_g, g_sq=g_sq
-            )
-        return point_cache[atom_id]
+    # Exact identity: the x2 drop across every split equals d^2.
+    d_sq = table.d * table.d
+    scale = np.maximum(1.0, np.maximum(np.abs(table.x2[lay.event_atoms]), d_sq))
+    broken = np.flatnonzero(np.abs(table.x2_gain - d_sq) > 1e-9 * scale)
+    if broken.size:
+        e = broken[0]
+        raise CertificationError(
+            f"displacement accounting failed at atom {lay.event_atoms[e]}: "
+            f"d^2={d_sq[e]:.12g} but weighted x2 gain is {table.x2_gain[e]:.12g}"
+        )
 
     failures: list[str] = []
     records: list[SplitRecord] = []
     weighted_slack = 0.0
     weighted_gap = 0.0
 
-    for event in split_schedule(filt):
-        atom = filt.atom(event.atom)
-        base = point(atom.id)
-        kids = tuple(point(c) for c in atom.children)
+    for atom_id, d, pairing in zip(
+        lay.event_atoms.tolist(), table.d.tolist(), table.pairing.tolist()
+    ):
+        atom = filt.atom(atom_id)
+        base = points[atom_id]
+        kids = tuple(points[c] for c in atom.children)
         weights = tuple(filt.atom(c).measure / atom.measure for c in atom.children)
-        d = split_displacement(tstar_g, event)
-        pairing = split_pairing(f, tstar_g, event)
-
-        # Exact identity: the x2 drop across the split equals d^2.
-        x2_gain = sum(w * k.x2 for w, k in zip(weights, kids)) - base.x2
-        scale = max(1.0, abs(base.x2), d * d)
-        if abs(x2_gain - d * d) > 1e-9 * scale:
-            raise CertificationError(
-                f"displacement accounting failed at atom {atom.id}: "
-                f"d^2={d * d:.12g} but weighted x2 gain is {x2_gain:.12g}"
-            )
 
         diam = 0.0
         for i in range(len(kids)):
@@ -230,7 +204,7 @@ def certify(
     leaf_vals = []
     leaf_weighted = 0.0
     for leaf_id in filt.leaves:
-        lp = point(leaf_id)
+        lp = points[leaf_id]
         val = cand.evaluate(lp)
         leaf_pts.append(lp)
         leaf_vals.append(val)
@@ -238,7 +212,7 @@ def certify(
         if val < -tol * max(1.0, abs(val)):
             failures.append(f"negative candidate value on leaf atom {leaf_id}: {val:.6g}")
 
-    root_pt = point(filt.root.id)
+    root_pt = points[filt.root.id]
     bound = cand.evaluate(root_pt)
     final_slack = bound - objective
     leaf_term = leaf_weighted / total

@@ -25,7 +25,8 @@ of its level, and sums over an event's atom are one ``np.add.reduceat``
 over the level's atoms.  Inputs that differ per event (the random pieces of
 the localization suite, the cut functions of the restriction bound) go
 through the transform kernels as stacks of at most ``_STACK_VALUES`` leaf
-values.
+values.  The x2 suites read every atom's x2 and every event's displacement
+and x2 gain off one ``bellman.moment_table``, the arrays the certifier uses.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .filtration import Filtration, split_schedule
+from .bellman import moment_table
+from .filtration import Filtration
 from .martingale import (
     MartFunction,
     _level_difference,
@@ -49,8 +51,6 @@ from .martingale import (
     inner,
     l2_norm,
     lp_norm,
-    osc2,
-    pointwise_dot,
 )
 from .transforms import (
     MartingaleTransform,
@@ -304,9 +304,8 @@ def check_osc_series(
     return [_row("osc_series", err, tol.tight, "series vs direct, relative")]
 
 
-def _x2_of(gg: MartFunction, tstar_g: MartFunction, atom_id: int) -> float:
-    g2 = float(average(gg, atom_id)[0])
-    return g2 - osc2(tstar_g, atom_id)
+# x2, d and the x2 gains of a moment table do not depend on the exponent.
+_ANY_P = 2.0
 
 
 def check_x2_drop(
@@ -318,23 +317,9 @@ def check_x2_drop(
 ) -> list[dict]:
     """Across one split the weighted x2 of the children exceeds the parent
     x2 by exactly the squared displacement."""
-    from .certifier import split_displacement
-
-    filt = f.filtration
-    tstar_g = op.adjoint_apply(g)
-    gg = pointwise_dot(g, g)
-    err = 0.0
-    for ev in split_schedule(filt):
-        atom = filt.atom(ev.atom)
-        d = split_displacement(tstar_g, ev)
-        gain = (
-            sum(
-                filt.atom(c).measure / atom.measure * _x2_of(gg, tstar_g, c)
-                for c in atom.children
-            )
-            - _x2_of(gg, tstar_g, atom.id)
-        )
-        err = max(err, abs(gain - d * d) / max(1.0, d * d))
+    table = moment_table(f, g, op.adjoint_apply(g), _ANY_P)
+    d_sq = table.d * table.d
+    err = float(np.max(np.abs(table.x2_gain - d_sq) / np.maximum(1.0, d_sq), initial=0.0))
     return [_row("x2_drop", err, tol.tight, "weighted x2 gain vs d^2, relative")]
 
 
@@ -347,24 +332,17 @@ def check_x2_sign(
 ) -> list[dict]:
     """The x2 slot is nonnegative on every atom (oscillation of the adjoint
     never exceeds the local second moment of g)."""
-    filt = f.filtration
     tstar_g = op.adjoint_apply(g)
-    gg = pointwise_dot(g, g)
-    worst = 0.0
-    for atom in filt.atoms:
-        g2 = float(average(gg, atom.id)[0])
-        x2 = g2 - osc2(tstar_g, atom.id)
-        worst = min(worst, x2 / max(g2, 1e-300))
+    table = moment_table(f, g, tstar_g, _ANY_P)
+    worst = float(np.min(table.x2 / np.maximum(table.g2, 1e-300), initial=0.0))
     rows = [_row("x2_sign", max(0.0, -worst), tol.exact, "most negative x2, relative")]
     # root form keeps the squared mean of the adjoint on the right hand side
-    root = filt.root.id
-    g2_root = float(average(gg, root)[0])
-    x2_root = g2_root - osc2(tstar_g, root)
+    root = f.filtration.root.id
     mean_sq = float(np.sum(average(tstar_g, root) ** 2))
     rows.append(
         _row(
             "x2_root_mean_bound",
-            max(0.0, mean_sq - x2_root),
+            max(0.0, mean_sq - table.x2[root]),
             1e-10 * tol.scale,
             "squared adjoint mean minus root x2",
         )

@@ -12,22 +12,24 @@ Atoms that split form the active set D; they are consumed one at a time by
 a deterministic split schedule (ascending level, then ascending left
 endpoint) that refines {I} step by step into the leaf partition A_N.  The
 one-split-at-a-time refiltration is what downstream difference operators
-are indexed by.
+are indexed by.  The schedule is the event list of the layout below, O(E)
+for E split events.
 
 Two builders are provided: the uniform binary (dyadic) filtration, and a
 seeded random generator with prescribed regularity floor.
 
 Every atom covers a contiguous run of leaves in left-endpoint order.  The
 array form of that fact (leaf spans, per-level leaf -> atom maps and
-reduceat boundaries, per-event spans) is the ``LeafLayout`` of a tower,
-built on first use in one pass and kept on the instance.
+reduceat boundaries, per-event atoms, levels and spans in schedule order)
+is the ``LeafLayout`` of a tower, built on first use in one pass and kept
+on the instance.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -90,16 +92,9 @@ class Atom:
 
 @dataclass(frozen=True, eq=False)
 class SplitEvent:
-    """One step of the refiltration: atom ``atom`` is replaced by its children.
-
-    ``prev_partition`` and ``post_partition`` are full partitions of I (atom
-    ids, left-endpoint order); they differ only at ``atom``.
-    """
+    """One step of the refiltration: atom ``atom`` is replaced by its children."""
 
     atom: int
-    order_index: int
-    prev_partition: tuple[int, ...]
-    post_partition: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +124,8 @@ class LeafLayout:
 
 @dataclass(frozen=True, eq=False)
 class Filtration:
-    """Immutable atom tower.  Hash/eq are by object identity on purpose:
-    derived structures (schedules, the leaf layout) are cached per object.
+    """Immutable atom tower.  Eq is by object identity on purpose: the
+    derived leaf layout is built once and kept on the object.
     """
 
     delta: float
@@ -167,7 +162,7 @@ class Filtration:
     @property
     def active_set(self) -> tuple[int, ...]:
         """Ids of the atoms that split, in schedule order."""
-        return tuple(e.atom for e in split_schedule(self))
+        return tuple(self.layout.event_atoms.tolist())
 
     @property
     def n_leaves(self) -> int:
@@ -389,25 +384,14 @@ def regularity_delta(f: Filtration) -> float:
     return best
 
 
-@lru_cache(maxsize=64)
 def split_schedule(f: Filtration) -> tuple[SplitEvent, ...]:
     """Deterministic one-split-at-a-time refinement from {I} to the leaves.
 
-    Events are ordered by (level of the split atom, left endpoint).  Each
-    event's post partition is the next event's prev partition.
+    Events are ordered by (level of the split atom, left endpoint); each
+    replaces one atom of the current partition by its children.  Read off
+    the layout's event atoms.
     """
-    split_atoms = sorted(
-        (a for a in f.atoms if a.children), key=lambda a: (a.level, a.a)
-    )
-    events = []
-    partition: list[int] = [f.root.id]
-    for idx, a in enumerate(split_atoms):
-        prev = tuple(partition)
-        pos = partition.index(a.id)
-        partition[pos : pos + 1] = list(a.children)
-        partition.sort(key=lambda i: f.atoms[i].a)
-        events.append(SplitEvent(a.id, idx, prev, tuple(partition)))
-    return tuple(events)
+    return tuple(SplitEvent(a) for a in f.layout.event_atoms.tolist())
 
 
 def level_partition(f: Filtration, n: int) -> tuple[int, ...]:

@@ -27,7 +27,6 @@ check suites push many functions through it in one call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -51,8 +50,6 @@ __all__ = [
     "pointwise_dot",
     "pointwise_scale",
     "restrict",
-    "function_to_json",
-    "function_from_json",
 ]
 
 
@@ -327,45 +324,16 @@ def restrict(f: MartFunction, atom_id: int) -> MartFunction:
 # Dense oracle
 
 
-def _averaging_matrices(f: Filtration) -> tuple[np.ndarray, ...]:
-    """Dense projection matrices P_n with (P_n v)_i = <v>_{A_n atom of leaf i}.
+def _averaging_matrices(f: Filtration) -> Iterator[np.ndarray]:
+    """Dense projection matrices P_n with (P_n v)_i = <v>_{A_n atom of leaf i},
+    for n = 0..depth in order.
 
     Assembled from the block structure directly, independently of the
     reduceat kernel; the transform module's matrix route and the tests use
-    them.  Not cached: each is an L x L array.
+    them.  Each is an L x L array, so they are yielded one level at a time.
     """
     lay = f.layout
     m = lay.measures
-    mats = []
     for leaf_map, measures in zip(lay.level_maps, lay.level_measures):
         same = leaf_map[:, None] == leaf_map[None, :]
-        mats.append(np.where(same, m[None, :] / measures[leaf_map][:, None], 0.0))
-    return tuple(mats)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def function_to_json(f: MartFunction) -> str:
-    payload = {
-        "dim": f.dim,
-        "values": [
-            {"atom_id": atom_id, "coords": f.values[i].tolist()}
-            for i, atom_id in enumerate(f.filtration.leaves)
-        ],
-    }
-    return json.dumps(payload)
-
-
-def function_from_json(filt: Filtration, text: str) -> MartFunction:
-    payload = json.loads(text)
-    d = int(payload["dim"])
-    vals = np.zeros((filt.n_leaves, d))
-    seen = set()
-    for rec in payload["values"]:
-        vals[filt.leaf_index(int(rec["atom_id"]))] = np.asarray(rec["coords"], dtype=float)
-        seen.add(int(rec["atom_id"]))
-    if seen != set(filt.leaves):
-        raise ValueError("serialized values do not cover the leaves")
-    return MartFunction(filt, vals)
+        yield np.where(same, m[None, :] / measures[leaf_map][:, None], 0.0)

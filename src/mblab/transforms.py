@@ -208,15 +208,17 @@ def _reduce_to_level(filtration: Filtration, leaf_vals: np.ndarray, level: int) 
 def _materialize_matrix(
     filtration: Filtration, rows: Sequence[np.ndarray], dim: int
 ) -> np.ndarray:
-    """Assemble T as a dense (L, L*dim) matrix from block averaging matrices."""
+    """Assemble T as a dense (L, L*dim) matrix from block averaging matrices,
+    holding two of them at a time."""
     P = _averaging_matrices(filtration)
     L = filtration.n_leaves
     leaf_maps = filtration.layout.level_maps
     tensor = np.zeros((L, L, dim))
-    for n in range(1, filtration.depth + 1):
-        D = P[n] - P[n - 1]
+    prev = next(P)
+    for n, cur in enumerate(P, start=1):
         a_leaf = rows[n - 1][leaf_maps[n - 1]]
-        tensor += a_leaf[:, None, :] * D[:, :, None]
+        tensor += a_leaf[:, None, :] * (cur - prev)[:, :, None]
+        prev = cur
     out = tensor.reshape(L, L * dim)
     out.flags.writeable = False
     return out

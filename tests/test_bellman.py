@@ -250,6 +250,39 @@ def test_expansion_ratio_positive_on_samples():
                 assert cert.ratio > 0.0
 
 
+def expansion_by_node(cfg, order):
+    """Reference tree: the uniform mean of each copy block taken node by
+    node, halving [lo, hi) recursively, as (x1, x2, x3, x4, weight, kids)."""
+    pts = [cfg.points[k] for k in order]
+    full = np.array([[*pt.x1, pt.x2, pt.x3, pt.x4] for pt in pts])
+    dim, b = cfg.points[0].dim, len(order)
+
+    def build(lo, hi):
+        mean = full[lo:hi].mean(axis=0)
+        mid = (lo + hi) // 2
+        kids = () if hi - lo == 1 else (build(lo, mid), build(mid, hi))
+        x2, x3, x4 = (float(v) for v in mean[dim:])
+        return (mean[:dim].tolist(), x2, x3, x4, (hi - lo) / b, kids)
+
+    return build(0, b)
+
+
+def as_tuple(node):
+    kids = tuple(as_tuple(c) for c in node.children)
+    return (node.x1.tolist(), node.x2, node.x3, node.x4, node.weight, kids)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_expansion_tree_matches_per_node_means(m):
+    # node means taken one tree level at a time equal the per-node means bit for bit
+    delta = 0.5 if m == 1 else (0.25 if m < 4 else 0.1)
+    for dim in (1, 2, 3):
+        for cfg in sample_dyadic_split_configs(delta, 1.5, 4, seed=m, dim=dim, m=m):
+            cert = dyadic_expand(cfg, m=m)
+            assert cert.copies == 2**m
+            assert as_tuple(cert.tree) == expansion_by_node(cfg, cert.order)
+
+
 def test_expand_rejects_non_dyadic_weights():
     cfg = three_point_config([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
     with pytest.raises(ValueError):

@@ -6,15 +6,8 @@ import math
 import numpy as np
 import pytest
 
-import mblab.certifier as certifier
-from mblab.bellman import linear_candidate, quadratic_candidate
-from mblab.certifier import (
-    certificate_rows,
-    certificate_to_dict,
-    certify,
-    split_displacement,
-    split_pairing,
-)
+from mblab.bellman import bellman_point, conjugate_exponent, linear_candidate, quadratic_candidate
+from mblab.certifier import certificate_rows, certificate_to_dict, certify
 from mblab.corpus import CorpusCell, haar_witness, prepare_cell
 from mblab.filtration import build_dyadic, split_schedule
 from mblab.martingale import (
@@ -23,7 +16,7 @@ from mblab.martingale import (
     constant_function,
     delta_split,
     inner,
-    pointwise_dot,
+    osc2,
 )
 from mblab.reporting import to_canonical_json
 
@@ -112,33 +105,61 @@ def test_mismatched_filtration_rejected(dyadic2, dyadic3):
         certify(quadratic_candidate(0.5), f_other, g, op)
 
 
-def test_displacement_and_pairing_helpers(dyadic2):
-    f, g, op = haar_witness(dyadic2, 1)
-    tstar = op.adjoint_apply(g)
-    for ev in split_schedule(dyadic2):
-        atom = dyadic2.atom(ev.atom)
-        diff = delta_split(tstar, ev)
-        manual_d2 = inner(diff, diff) / atom.measure
-        assert split_displacement(tstar, ev) == pytest.approx(math.sqrt(manual_d2), rel=1e-12)
-        df = delta_split(f, ev)
-        manual_pairing = inner(df, diff) / atom.measure
-        assert split_pairing(f, tstar, ev) == pytest.approx(manual_pairing, rel=1e-12, abs=1e-15)
+def point_by_atom(f, g, tstar_g, atom_id, p):
+    """Reference: the moment point summed over one atom's leaves at a time."""
+    filt = f.filtration
+    sl = filt.leaf_slice(atom_id)
+    m = filt.leaf_measures()[sl] / filt.atom(atom_id).measure
+    x2 = float(m @ g.values[sl, 0] ** 2) - osc2(tstar_g, atom_id)
+    x3 = float(m @ np.linalg.norm(f.values[sl], axis=1) ** p)
+    x4 = float(m @ np.abs(g.values[sl, 0]) ** conjugate_exponent(p))
+    return average(f, atom_id), x2, x3, x4
 
 
-def test_depth3_random_witness_end_to_end(monkeypatch):
+def test_records_and_leaves_are_bellman_points(small_cells):
+    # every point certify reports is bellman_point's row for its atom, bit
+    # for bit, and agrees with the per-atom sums; d and the pairing are those
+    # of the single-split differences
+    for pc in small_cells:
+        filt = pc.filtration
+        cand = quadratic_candidate(pc.cell.delta)
+        cert = certify(cand, pc.f, pc.g, pc.op)
+        tstar = pc.op.adjoint_apply(pc.g)
+
+        def assert_is_point(pt, atom_id):
+            ref = bellman_point(pc.f, pc.g, pc.op, atom_id, cand.p, tstar_g=tstar)
+            assert pt.atom == ref.atom == atom_id
+            assert np.array_equal(pt.x1, ref.x1)
+            assert (pt.x2, pt.x3, pt.x4, pt.p) == (ref.x2, ref.x3, ref.x4, ref.p)
+            x1, x2, x3, x4 = point_by_atom(pc.f, pc.g, tstar, atom_id, cand.p)
+            assert np.array_equal(pt.x1, x1)
+            assert (pt.x2, pt.x3, pt.x4) == pytest.approx((x2, x3, x4), rel=1e-12, abs=1e-15)
+
+        events = split_schedule(filt)
+        assert [rec.atom for rec in cert.records] == [ev.atom for ev in events]
+        for ev, rec in zip(events, cert.records):
+            atom = filt.atom(ev.atom)
+            assert_is_point(rec.base, atom.id)
+            assert len(rec.children) == len(atom.children)
+            for pt, child in zip(rec.children, atom.children):
+                assert_is_point(pt, child)
+            diff = delta_split(tstar, ev)
+            d = math.sqrt(inner(diff, diff) / atom.measure)
+            pairing = inner(delta_split(pc.f, ev), diff) / atom.measure
+            assert rec.d == pytest.approx(d, rel=1e-12)
+            assert rec.pairing == pytest.approx(pairing, rel=1e-12, abs=1e-15)
+        assert len(cert.leaves) == filt.n_leaves
+        for pt, leaf_id in zip(cert.leaves, filt.leaves):
+            assert_is_point(pt, leaf_id)
+        assert_is_point(cert.root, filt.root.id)
+
+
+def test_depth3_random_witness_end_to_end():
     pc = prepare_cell(CorpusCell(0.25, 2, 1))
     cert = certify(quadratic_candidate(0.25), pc.f, pc.g, pc.op)
     assert cert.ok
     assert cert.final_slack >= -1e-6
     assert cert.identity_residual <= 1e-9 * max(1.0, abs(cert.bound), abs(cert.objective))
-    # certify hands every point the g . g it formed once; recomputing it per
-    # atom must give the same certificate to the last bit
-    with_g_sq = certifier.bellman_point
-    monkeypatch.setattr(
-        certifier, "bellman_point", lambda *args, g_sq=None, **kw: with_g_sq(*args, **kw)
-    )
-    recomputed = certify(quadratic_candidate(0.25), pc.f, pc.g, pc.op)
-    assert certificate_to_dict(recomputed) == certificate_to_dict(cert)
 
 
 def test_final_slack_equals_bound_minus_objective():

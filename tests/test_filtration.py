@@ -63,12 +63,18 @@ def test_deep_dyadic_leaf_spans():
         assert sl.stop - sl.start == 2 ** (14 - atom.level)
     events = filt.layout.event_atoms
     assert len(events) == 2**14 - 1 and events[0] == filt.root.id
+    # the schedule and the active set are reads of the layout's events
+    assert [e.atom for e in split_schedule(filt)] == events.tolist()
+    assert len(filt.active_set) == 2**14 - 1
 
 
 def test_layout_events_follow_schedule():
     filt = build_random_regular(depth=6, delta=0.1, max_children=4, split_prob=0.7, seed=32)
     lay = filt.layout
     events = split_schedule(filt)
+    # schedule order by definition: split atoms by (level, left endpoint)
+    by_definition = sorted((a for a in filt.atoms if a.children), key=lambda a: (a.level, a.a))
+    assert [e.atom for e in events] == [a.id for a in by_definition]
     assert lay.event_atoms.tolist() == [e.atom for e in events]
     assert lay.event_levels.tolist() == [filt.atom(e.atom).level for e in events]
     for e, (lo, hi) in zip(events, lay.event_spans.tolist()):
@@ -117,14 +123,19 @@ def test_schedule_order_level_then_endpoint(dyadic3):
     assert keys == sorted(keys)
 
 
+def assert_schedule_replays(filt):
+    """Replayed from {I}, each event replaces one atom of the current
+    partition by its children, and the last partition is the leaves."""
+    part = {filt.root.id}
+    for ev in split_schedule(filt):
+        kids = set(filt.atom(ev.atom).children)
+        assert ev.atom in part and not kids & part
+        part = (part - {ev.atom}) | kids
+    assert part == set(filt.leaves)
+
+
 def test_schedule_refines_one_atom_at_a_time(dyadic3):
-    for ev in split_schedule(dyadic3):
-        prev = set(ev.prev_partition)
-        post = set(ev.post_partition)
-        gone = prev - post
-        new = post - prev
-        assert gone == {ev.atom}
-        assert new == set(dyadic3.atom(ev.atom).children)
+    assert_schedule_replays(dyadic3)
 
 
 def test_schedule_covers_active_set(dyadic3):
@@ -244,10 +255,4 @@ def test_random_regular_invariants(depth, delta_k, seed):
     for left, right in zip(leaves, leaves[1:]):
         assert math.isclose(left.b, right.a, abs_tol=1e-12)
     # schedule replays into exactly the leaf partition
-    events = split_schedule(filt)
-    part = {filt.root.id}
-    for ev in events:
-        assert ev.atom in part
-        part.discard(ev.atom)
-        part.update(filt.atom(ev.atom).children)
-    assert part == set(filt.leaves)
+    assert_schedule_replays(filt)

@@ -83,10 +83,13 @@ def test_cond_exp_tower(dyadic3):
 def test_cond_exp_matches_dense_oracle(kernel_tower):
     # the reduceat kernel against the dense per-level averaging matrices
     f = rand_fn(kernel_tower, 3, 14)
-    oracle = _averaging_matrices(kernel_tower)
-    for n in range(kernel_tower.depth + 1):
+    # the oracle yields P_0..P_depth one level at a time
+    levels = 0
+    for n, P in enumerate(_averaging_matrices(kernel_tower)):
         ef = cond_exp(f, level_partition(kernel_tower, n))
-        assert np.allclose(ef.values, oracle[n] @ f.values, rtol=0.0, atol=1e-13)
+        assert np.allclose(ef.values, P @ f.values, rtol=0.0, atol=1e-13)
+        levels += 1
+    assert levels == kernel_tower.depth + 1
 
 
 def test_persisting_atoms_cancel_exactly(kernel_tower):
