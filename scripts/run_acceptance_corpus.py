@@ -8,17 +8,26 @@ gate probes directly: the centered restriction identity gap and the
 uncentered restriction defect gap, which must both stay at roundoff, and
 the mean bound margin, which must stay nonpositive.
 
+The last line, ``reports sha256 <hex>``, hashes the canonical JSON of every
+cell's ``run_all`` rows and of its certificate for the quadratic candidate
+at the cell's floor, in corpus order.  Two commits that print the same line
+emit the same report bytes over the whole corpus.
+
 Usage:
     python3 scripts/run_acceptance_corpus.py --seeds 25
 """
 
 import argparse
+import hashlib
 from collections import defaultdict
 
 import numpy as np
 
+from mblab.bellman import quadratic_candidate
+from mblab.certifier import certificate_to_dict, certify
 from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_all
 from mblab.corpus import default_corpus, prepare_cell
+from mblab.reporting import to_canonical_json
 
 
 def main() -> int:
@@ -32,11 +41,15 @@ def main() -> int:
     worst = defaultdict(lambda: (0.0, None))
     eq_worst, defect_worst, margin_worst = 0.0, 0.0, -np.inf
     all_ok = True
+    digest = hashlib.sha256()
     cells = default_corpus(seeds=args.seeds)
     for cell in cells:
         pc = prepare_cell(cell)
         rows, ok = run_all(pc.f, pc.g, pc.op, rng=rng, suites=suites)
         all_ok = all_ok and ok
+        cert = certify(quadratic_candidate(cell.delta), pc.f, pc.g, pc.op)
+        digest.update(to_canonical_json(rows).encode())
+        digest.update(to_canonical_json(certificate_to_dict(cert)).encode())
         for row in rows:
             ratio = row["max_err"] / row["tol"] if row["tol"] > 0 else float(row["max_err"] > 0)
             if ratio > worst[row["check"]][0]:
@@ -56,6 +69,7 @@ def main() -> int:
     print(f"uncentered restriction defect identity (must be <= 1e-9): {defect_worst:.3e}")
     print(f"mean bound margin (must be <= 0): {margin_worst:.3e}")
     print("all suites ok" if all_ok else "SOME SUITE FAILED")
+    print(f"reports sha256 {digest.hexdigest()}")
     return 0 if all_ok else 1
 
 

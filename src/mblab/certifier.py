@@ -245,7 +245,20 @@ def certify(
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    """Full JSON-ready payload, one record per schedule step."""
+    """Full JSON-ready payload, one record per schedule step.
+
+    A moment point appears as one record's base, as a child in its parent's
+    record and as a leaf's point; every appearance of the same
+    ``BellmanPoint`` in one payload is the same dict, so the writer renders
+    it once.  Mutating one of them changes them all."""
+    point_dicts: dict[int, dict] = {}
+
+    def point(pt: BellmanPoint) -> dict:
+        d = point_dicts.get(id(pt))
+        if d is None:
+            d = point_dicts[id(pt)] = pt.to_dict()
+        return d
+
     return {
         "ok": cert.ok,
         "candidate": cert.label,
@@ -268,13 +281,13 @@ def certificate_to_dict(cert: Certificate) -> dict:
                 "diameter": r.diameter,
                 "pairing": r.pairing,
                 "slack": r.slack,
-                "base": r.base.to_dict(),
-                "children": [c.to_dict() for c in r.children],
+                "base": point(r.base),
+                "children": [point(c) for c in r.children],
             }
             for r in cert.records
         ],
         "leaves": [
-            {"point": pt.to_dict(), "value": val}
+            {"point": point(pt), "value": val}
             for pt, val in zip(cert.leaves, cert.leaf_values)
         ],
     }

@@ -3,14 +3,26 @@
 Reports must be byte-identical across runs with the same inputs, so floats
 are always rendered through '%.17g' and key order is fixed by construction.
 Seventeen significant digits always round-trip a double exactly, but the
-form is not the shortest one that does: 0.1 renders as 0.10000000000000001.  Writers refuse empty payloads and
-wrap filesystem failures in ReportError.
+form is not the shortest one that does: 0.1 renders as
+0.10000000000000001.  Writers refuse empty payloads and wrap filesystem
+failures in ReportError.
+
+``to_canonical_json`` renders a payload in one pass that dispatches on the
+exact type of each value; numpy scalars and arrays, other mappings and
+subclasses take the slower ``isinstance`` route to the same text.  Within
+one call a dict reached twice (a certificate shares one dict per moment
+point) is rendered once: a memo keyed by ``id()`` holds the text of every
+plain dict reached from the payload through plain dicts, lists and tuples.
+The payload keeps each of them alive for the whole call, and objects made
+during the call (``tolist()`` results, mapping items) never enter the memo,
+so no id in it can be reused while it is held.  The memo is dropped when
+the call returns.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -18,59 +30,101 @@ import numpy as np
 
 __all__ = ["ReportError", "format_float", "to_canonical_json", "rows_to_csv", "write_text"]
 
+_INF = math.inf
+
 
 class ReportError(RuntimeError):
     pass
 
 
+def _format_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    if x == 0.0:
+        return "0"  # fold -0.0 as well
+    return format(x, ".17g")
+
+
 def format_float(x: float) -> str:
     """Canonical float text: '%.17g' (exact round-trip, not shortest),
     with NaN, +-Infinity and a single 0 for both signed zeros."""
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if x == 0.0:
-        return "0"  # fold -0.0 as well
-    return format(float(x), ".17g")
+    return _format_float(float(x))
 
 
-def _canon(obj) -> str:
+def _format_number(v) -> str | None:
+    """Text of a bool, integer or float scalar, numpy ones included; None
+    for anything else.  The one scalar rule of both writers."""
+    t = type(v)
+    if t is float:
+        return _format_float(v)
+    if t is int:
+        return str(v)
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return _format_float(float(v))
+    return None
+
+
+def _canon(obj, memo: dict | None) -> str:
+    """Canonical JSON text of ``obj``; ``memo`` maps id(dict) to its text,
+    or is None inside values the writer had to convert."""
+    t = type(obj)
+    if t is float:
+        return _format_float(obj)
+    if t is dict:
+        if memo is None:
+            return _canon_items(obj, None)
+        text = memo.get(id(obj))
+        if text is None:
+            text = memo[id(obj)] = _canon_items(obj, memo)
+        return text
+    if t is list or t is tuple:
+        return "[" + ",".join([_canon(v, memo) for v in obj]) + "]"
+    if t is str:
+        return _encode_str(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+    text = _format_number(obj)
+    if text is not None:
+        return text
+    # Subclasses, arrays and other mappings: no memo below this point.
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _encode_str(obj)
     if isinstance(obj, np.ndarray):
-        return _canon(obj.tolist())
+        return _canon(obj.tolist(), None)
     if isinstance(obj, Mapping):
-        inner = ",".join(f"{json.dumps(str(k))}:{_canon(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
+        return _canon_items(obj, None)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canon(v) for v in obj) + "]"
+        return "[" + ",".join([_canon(v, None) for v in obj]) + "]"
     raise ReportError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _canon_items(obj: Mapping, memo: dict | None) -> str:
+    return "{" + ",".join([
+        _encode_str(k if type(k) is str else str(k)) + ":" + _canon(v, memo)
+        for k, v in obj.items()
+    ]) + "}"
 
 
 def to_canonical_json(payload) -> str:
     if payload is None or (isinstance(payload, (list, tuple, dict)) and not payload):
         raise ReportError("refusing to write an empty report")
-    return _canon(payload) + "\n"
+    return _canon(payload, {}) + "\n"
 
 
 def _cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool) or isinstance(v, np.bool_):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format_float(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    text = _format_number(v)
+    if text is not None:
+        return text
     text = str(v)
     if any(c in text for c in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'

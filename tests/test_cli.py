@@ -58,6 +58,8 @@ def test_unwritable_out_exits_two(capsys):
         ["scan", "--seed", "1", "--delta", "0.9"],
         ["search", "--seed", "1", "--p", "3"],
         ["scan", "--seed", "1", "--p", "-1"],
+        ["scan", "--seed", "1", "--p", "1"],
+        ["scan", "--seed", "1", "--p", "0.5"],
         ["gen", "--seed", "-1", "--delta", "0.25"],
         ["gen", "--dim", "0", "--witness", "structured"],
         ["lemma1", "--seed", "1", "--dim", "5"],

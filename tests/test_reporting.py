@@ -1,10 +1,26 @@
-"""Deterministic report serialization."""
+"""Deterministic report serialization.
+
+The writers render in one type-dispatched pass and render a dict met twice
+in one payload only once.  The oracle below is the plain recursive writer
+(an ``isinstance`` chain, one ``json.dumps`` per key, no memo): every
+payload, random or real, must give the same bytes through both.
+"""
+
+import json
+import math
+import types
+from collections import OrderedDict
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mblab.bellman import quadratic_candidate
+from mblab.certifier import certificate_rows, certificate_to_dict, certify
+from mblab.checks import run_all
+from mblab.corpus import DELTAS, DIMS, CorpusCell, prepare_cell
 from mblab.reporting import (
     ReportError,
     format_float,
@@ -12,6 +28,219 @@ from mblab.reporting import (
     to_canonical_json,
     write_text,
 )
+
+
+# --- reference writers -----------------------------------------------------
+
+
+def ref_format_float(x: float) -> str:
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    if x == 0.0:
+        return "0"  # fold -0.0 as well
+    return format(float(x), ".17g")
+
+
+def ref_canon(obj) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return ref_format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return ref_canon(obj.tolist())
+    if isinstance(obj, Mapping):
+        inner = ",".join(f"{json.dumps(str(k))}:{ref_canon(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(ref_canon(v) for v in obj) + "]"
+    raise ReportError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def ref_to_canonical_json(payload) -> str:
+    if payload is None or (isinstance(payload, (list, tuple, dict)) and not payload):
+        raise ReportError("refusing to write an empty report")
+    return ref_canon(payload) + "\n"
+
+
+def ref_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool) or isinstance(v, np.bool_):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return ref_format_float(float(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    text = str(v)
+    if any(c in text for c in ",\"\n"):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def ref_rows_to_csv(rows, fields=None) -> str:
+    if not rows:
+        raise ReportError("refusing to write an empty report")
+    cols = list(fields) if fields is not None else list(rows[0].keys())
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join(ref_cell(row.get(c)) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+# --- random payloads -------------------------------------------------------
+
+
+class ScratchMapping(Mapping):
+    """A Mapping that is not a dict.  It hands out every dict value through
+    one reused scratch dict, so one id carries different contents, as when
+    a freed temporary's id is reused."""
+
+    def __init__(self, items):
+        self._d = dict(items)
+        self._scratch = {}
+
+    def __getitem__(self, key):
+        value = self._d[key]
+        if type(value) is not dict:
+            return value
+        self._scratch.clear()
+        self._scratch.update(value)
+        return self._scratch
+
+    def __iter__(self):
+        return iter(self._d)
+
+    def __len__(self):
+        return len(self._d)
+
+
+SPECIAL_FLOATS = (
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+    5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    1e-310, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e17,
+)
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+texts = st.one_of(
+    st.text(),
+    st.sampled_from(['', 'say "hi", ok', "back\\slash", "tab\tnl\nnul\x00\x1f\x7f",
+                     "caf\u00e9 \u6f22\u5b57 \U0001f600", "\ud800 lone surrogate"]),
+)
+numpy_scalars = st.one_of(
+    floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    INT64.map(np.int64),
+    st.booleans().map(np.bool_),
+)
+numpy_arrays = st.one_of(
+    st.lists(floats, max_size=5).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.floats(width=32), max_size=5).map(lambda v: np.array(v, dtype=np.float32)),
+    st.lists(INT64, max_size=5).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=5).map(lambda v: np.array(v, dtype=np.bool_)),
+    st.lists(floats, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2)),
+)
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), floats, texts, numpy_scalars, numpy_arrays
+)
+keys = st.one_of(st.text(max_size=8), st.integers(), st.booleans(), st.none(), floats)
+
+
+def _containers(children):
+    str_dicts = st.dictionaries(texts, children, max_size=4)
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        str_dicts,
+        st.dictionaries(keys, children, max_size=4),
+        str_dicts.map(ScratchMapping),
+        str_dicts.map(types.MappingProxyType),
+        str_dicts.map(OrderedDict),
+        # the same sub-dict or list twice in one payload
+        st.tuples(str_dicts, st.lists(children, max_size=3)).map(
+            lambda dl: {"a": dl[0], "b": [dl[0], dl[1], {"c": dl[0]}], "d": dl[1]}
+        ),
+    )
+
+
+payloads = st.recursive(scalars, _containers, max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads)
+def test_canonical_json_matches_reference(payload):
+    try:
+        expected = ref_to_canonical_json(payload)
+    except ReportError:
+        with pytest.raises(ReportError):
+            to_canonical_json(payload)
+        return
+    assert to_canonical_json(payload) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.sampled_from("abc"), scalars, max_size=3), min_size=1, max_size=4))
+def test_rows_to_csv_matches_reference(rows):
+    assert rows_to_csv(rows, fields="abc") == ref_rows_to_csv(rows, fields="abc")
+
+
+def test_canonical_json_memo_skips_temporaries():
+    # a memo keyed by id() must not hold values a mapping made on lookup
+    payload = [ScratchMapping({f"k{i}": {"v": i} for i in range(4)})] * 2
+    assert to_canonical_json(payload) == ref_to_canonical_json(payload)
+
+
+@pytest.mark.parametrize("bad", [set(), object(), [1.0, {"x": {1, 2}}], {"k": (object(),)}])
+def test_canonical_json_rejects_unknown_types(bad):
+    with pytest.raises(ReportError):
+        to_canonical_json(bad)
+
+
+@pytest.fixture(scope="module")
+def corpus_reports():
+    """run_all rows and the quadratic-candidate certificate for one cell
+    of every (floor, dim) pair."""
+    rng = np.random.default_rng(0)
+    out = []
+    for delta in DELTAS:
+        for dim in DIMS:
+            pc = prepare_cell(CorpusCell(delta=delta, dim=dim, seed=1))
+            rows, ok = run_all(pc.f, pc.g, pc.op, rng=rng)
+            cert = certify(quadratic_candidate(delta), pc.f, pc.g, pc.op)
+            out.append((rows, ok, cert))
+    return out
+
+
+def test_real_reports_match_reference(corpus_reports):
+    for rows, ok, cert in corpus_reports:
+        payload = {"ok": ok, "rows": rows, "certificate": certificate_to_dict(cert)}
+        assert to_canonical_json(payload) == ref_to_canonical_json(payload)
+
+
+def test_real_csv_matches_reference(corpus_reports):
+    for rows, _, cert in corpus_reports:
+        assert rows_to_csv(rows) == ref_rows_to_csv(rows)
+        cert_rows = certificate_rows(cert)
+        assert rows_to_csv(cert_rows) == ref_rows_to_csv(cert_rows)
+
+
+def test_certificate_points_share_one_dict(corpus_reports):
+    _, _, cert = corpus_reports[-1]
+    payload = certificate_to_dict(cert)
+    by_atom = {}
+    for rec in payload["records"]:
+        for pt in [rec["base"], *rec["children"]]:
+            assert by_atom.setdefault(pt["atom"], pt) is pt
+    for leaf in payload["leaves"]:
+        assert by_atom.setdefault(leaf["point"]["atom"], leaf["point"]) is leaf["point"]
 
 
 def test_format_float_special_values():
