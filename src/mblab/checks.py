@@ -23,10 +23,18 @@ differences of all events at level n have disjoint supports and sum to the
 level difference E_{n+1} - E_n, so one level difference carries every event
 of its level, and sums over an event's atom are one ``np.add.reduceat``
 over the level's atoms.  Inputs that differ per event (the random pieces of
-the localization suite, the cut functions of the restriction bound) go
-through the transform kernels as stacks of at most ``_STACK_VALUES`` leaf
-values.  The x2 suites read every atom's x2 and every event's displacement
-and x2 gain off one ``bellman.moment_table``, the arrays the certifier uses.
+the localization suite, the cut functions of the restriction bound) are
+supported in the event's atom J, so the inputs of one level share one leaf
+array.  Levels below J see only J's leaves: one pass of the level's array
+through them serves every event of the level, from J's own reduceat
+segments.  Levels above J see only J's sum, so T or T* of the input is
+constant on J and on each ring K_j - K_{j+1} of J's ancestor chain: O(depth)
+numbers per event from the chain's measures and multipliers.  That is
+O(L * depth^2) per witness; no event gets an L-leaf array of its own.  The
+tests keep the per-event route, one full-length input per event through
+the transform kernels, as an oracle.  The x2 suites read every atom's x2
+and every event's displacement and x2 gain off one ``bellman.moment_table``,
+the arrays the certifier uses.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,23 +50,18 @@ from .bellman import moment_table
 from .filtration import Filtration
 from .martingale import (
     MartFunction,
+    _event_draws,
     _level_difference,
     _level_differences,
-    _level_means,
     _level_osc2,
+    _span_leaves,
     _weighted,
     average,
     inner,
     l2_norm,
     lp_norm,
 )
-from .transforms import (
-    MartingaleTransform,
-    _adjoint_stack,
-    _transform_stack,
-    operator_norm,
-    predictable_hull,
-)
+from .transforms import MartingaleTransform, operator_norm, predictable_hull
 from .corpus import active_split_function, random_function
 
 __all__ = [
@@ -106,37 +109,76 @@ class Tolerances:
         return Tolerances(scale=scale)
 
 
-# Leaf values per stack handed to the transform kernels at once.
-_STACK_VALUES = 1 << 18
-
-
-def _blocks(count: int, row_values: int) -> Iterator[slice]:
-    """Consecutive slices of ``range(count)`` whose rows of ``row_values``
-    leaf values stay within ``_STACK_VALUES``."""
-    step = max(1, _STACK_VALUES // row_values)
-    for lo in range(0, count, step):
-        yield slice(lo, min(count, lo + step))
-
-
 def _atom_sums(filt: Filtration, per_leaf: np.ndarray, n: int) -> np.ndarray:
     """Sums of a per-leaf array over every A_n atom, in level order."""
     return np.add.reduceat(per_leaf, filt.layout.level_starts[n], axis=-1)
 
 
-def _at_events(filt: Filtration, per_level, spans: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Pick, for each atom J (leaf span, level n), entry J of the per-A_n-atom
-    array ``per_level(n)``; J is the A_n atom holding its first leaf."""
-    out = np.empty(len(levels))
-    for n in np.unique(levels).tolist():
-        at = levels == n
-        out[at] = per_level(n)[filt.layout.level_maps[n][spans[at, 0]]]
-    return out
+class _EventRuns(NamedTuple):
+    """The non-root split events of a transform's tower, in schedule order,
+    with each event's atom J laid out as a run of leaves: run position i
+    holds leaf ``leaf[i]`` of event ``owner[i]``, and the runs begin at
+    ``starts``.  A run is J's leaves in order, so a reduceat over the runs
+    sums the same segments as the level kernel does over J.
+
+    ``measures`` (e, depth) and ``mults`` (e, depth, d) describe each
+    event's ancestor chain K_0 > K_1 > ... > K_n = J, with K_k the A_k atom
+    holding J: |K_k| and a_{k+1}(K_k).  Chains are padded to the depth with
+    J's measure and zero multipliers, so the last column holds |J| and a
+    padded step sees J's mean twice and adds an exact zero.
+    """
+
+    levels: np.ndarray
+    owner: np.ndarray
+    leaf: np.ndarray
+    starts: np.ndarray
+    measures: np.ndarray
+    mults: np.ndarray
+
+    def sums(self, per_leaf: np.ndarray) -> np.ndarray:
+        """Sums over each run of ``per_leaf`` in run order."""
+        return np.add.reduceat(per_leaf, self.starts, axis=0)
 
 
-def _inside(spans: np.ndarray, n_leaves: int) -> np.ndarray:
-    """Boolean (len(spans), L) mask of the leaves inside each span."""
-    leaf = np.arange(n_leaves)
-    return (spans[:, :1] <= leaf) & (leaf < spans[:, 1:])
+def _event_runs(op: MartingaleTransform) -> _EventRuns:
+    filt = op.filtration
+    lay = filt.layout
+    below_root = lay.event_levels > 0
+    levels = lay.event_levels[below_root]
+    spans = lay.event_spans[below_root]
+    owner, leaf = _span_leaves(spans)
+    lengths = spans[:, 1] - spans[:, 0]
+    at = [lay.level_maps[k][spans[:, 0]] for k in range(filt.depth)]
+    measures = np.stack([lay.level_measures[k][i] for k, i in enumerate(at)], axis=1)
+    mults = np.stack([op.multipliers[k][i] for k, i in enumerate(at)], axis=1)
+    beyond = np.arange(filt.depth) > levels[:, None]
+    own = measures[np.arange(len(levels)), levels]
+    return _EventRuns(
+        levels,
+        owner,
+        leaf,
+        np.cumsum(lengths) - lengths,
+        np.where(beyond, own[:, None], measures),
+        np.where(beyond[..., None], 0.0, mults),
+    )
+
+
+def _ancestor_values(mults: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levels 1..n of T or T* applied to a function h supported in an A_n
+    atom J, n >= 1, outside J's subtree, from its padded ancestor chain
+    (``_EventRuns``).
+
+    h has the same sum, J's, over every K_k, so ``means`` (e, depth, c)
+    holds its averages over the chain.  Level k adds a_k(K_{k-1}) (mean_k -
+    mean_{k-1}) on J, and on the ring K_j - K_{j+1} every level up to j does
+    the same while level j+1 sees 0 - mean_j.  Returns the constant on J,
+    (e, d), and on each ring, (e, depth-1, d), as coordinatewise products
+    a * mean: T sums them over the coordinates, T* keeps them.  A ring of
+    zero measure (K_j = K_{j+1}) holds no leaf.
+    """
+    steps = np.cumsum(mults[:, :-1] * np.diff(means, axis=1), axis=1)
+    before = np.concatenate([np.zeros_like(steps[:, :1]), steps[:, :-1]], axis=1)
+    return steps[:, -1], before - mults[:, :-1] * means[:, :-1]
 
 
 def _row(name: str, err: float, tol: float, detail: str = "") -> dict:
@@ -209,28 +251,32 @@ def check_localization(
 ) -> list[dict]:
     """Single-split inputs localize: T of a split difference at J is
     supported in J, and the adjoint commutes with the split difference up to
-    the multiplier of that atom."""
+    the multiplier of that atom.
+
+    Each event draws one random function, in schedule order, and its piece
+    is the split difference of that draw at J.  T of the piece is read
+    outside J only, where the levels below J see nothing and levels 1..n
+    see the piece's sum over J, roundoff of the mean-zero piece.  The
+    full-length route, one transform of an L-leaf piece per event, is kept
+    in the tests as an oracle.
+    """
     filt = f.filtration
     lay = filt.layout
-    L = filt.n_leaves
+    draws = _event_draws(filt, np.arange(len(lay.event_atoms)), f.dim, rng)
+    runs = _event_runs(op)
     outside = 0.0
-    for blk in _blocks(len(lay.event_atoms), L * f.dim):
-        # One random function per event in schedule order: the same draws as
-        # calling random_function once per event.
-        raw = rng.normal(size=(blk.stop - blk.start, L, f.dim))
-        levels = lay.event_levels[blk]
-        pieces = np.empty_like(raw)
-        for n in np.unique(levels).tolist():
-            pieces[levels == n] = _level_difference(filt, raw[levels == n], n)
-        inside = _inside(lay.event_spans[blk], L)
-        pieces[~inside] = 0.0
-        th = _transform_stack(op, pieces)
-        outside = max(outside, float(np.max(np.abs(th[~inside]), initial=0.0)))
+    if len(runs.levels):
+        pieces = np.stack([_level_difference(filt, draws[n], n) for n in range(1, filt.depth)])
+        on_atoms = pieces[runs.levels[runs.owner] - 1, runs.leaf]
+        sums = runs.sums(lay.measures[runs.leaf, None] * on_atoms)
+        _, rings = _ancestor_values(runs.mults, sums[:, None, :] / runs.measures[..., None])
+        nonempty = runs.measures[:, :-1] > runs.measures[:, 1:]
+        outside = float(np.max(np.abs(rings.sum(axis=-1)[nonempty]), initial=0.0))
 
     # On an atom J split at level n, the level-n difference is J's split
     # difference, and T* multiplies it by the level-(n+1) multiplier of J.
     commute = 0.0
-    tstar_g = op.adjoint_apply(g)
+    tstar_g = op.adjoint_closed_form(g)
     diffs = zip(_level_differences(filt, g.values), _level_differences(filt, tstar_g.values))
     for n, (dsg, dtg) in enumerate(diffs, start=1):
         err = np.abs(dtg - op.multiplier_on_leaves(n) * dsg)
@@ -351,39 +397,64 @@ def check_x2_sign(
 
 
 def _cut_adjoints(
-    op: MartingaleTransform, values: np.ndarray, spans: np.ndarray, shifts: np.ndarray
+    op: MartingaleTransform, runs: _EventRuns, values: np.ndarray, shifts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """For each span J, osc2 over I and squared norm of T*((v - s_J) 1_J),
-    with v the scalar leaf values and s_J the shift of J."""
+    """For each non-root split atom J, in schedule order, osc2 over I and
+    squared norm of T*((v - s_J) 1_J), with v the scalar leaf values and s_J
+    the shift of J.
+
+    The cuts of one level n have disjoint atoms and share one leaf array,
+    row n - 1 of a stack.  Inside J, levels n+1.. see J's leaves only, so
+    one push of the stack through them gives every cut's T* there, from J's
+    own reduceat segments.  Levels 1..n add a constant on J and on each ring
+    of J's ancestor chain, from J's cut sum: O(L * depth^2) in all, none of
+    it per event.
+    """
     filt = op.filtration
-    m = filt.leaf_measures()
-    root = filt.root
-    osc = np.empty(len(spans))
-    norm_sq = np.empty(len(spans))
-    for blk in _blocks(len(spans), filt.n_leaves * op.dim):
-        inside = _inside(spans[blk], filt.n_leaves)
-        cuts = np.where(inside, values[None, :] - shifts[blk, None], 0.0)
-        x = _adjoint_stack(op, cuts[..., None])
-        centered = x - _level_means(filt, _weighted(filt, x), 0)
-        osc[blk] = np.einsum("bij,bij->bi", centered, centered) @ m / root.measure
-        norm_sq[blk] = np.einsum("bij,bij->bi", x, x) @ m
-    return osc, norm_sq
+    if not len(runs.levels):
+        return np.empty(0), np.empty(0)
+    owner, leaf = runs.owner, runs.leaf
+    row = runs.levels[owner] - 1
+    cuts = np.zeros((filt.depth - 1, filt.n_leaves, 1))
+    cuts[row, leaf, 0] = values[leaf] - shifts[owner]
+    weights = filt.layout.measures[leaf]
+    sums = runs.sums(weights * cuts[row, leaf, 0])
+    inside, rings = _ancestor_values(runs.mults, (sums[:, None] / runs.measures)[..., None])
+    x = np.zeros((filt.depth - 1, filt.n_leaves, op.dim))
+    x[row, leaf] = inside[owner]
+    # Level k reaches inside the atoms of levels n < k: rows 0..k-2.
+    for k, diff in enumerate(_level_differences(filt, cuts, start=1), start=2):
+        x[: k - 1] += op.multiplier_on_leaves(k) * diff[: k - 1]
+    on_atoms = x[row, leaf]
+
+    ring_measures = runs.measures[:, :-1] - runs.measures[:, 1:]
+    mean = runs.sums(weights[:, None] * on_atoms) + np.einsum("ej,ejd->ed", ring_measures, rings)
+    mean /= filt.total_measure
+
+    def square_sums(inside: np.ndarray, on_rings: np.ndarray) -> np.ndarray:
+        per_leaf = runs.sums(weights * np.einsum("ij,ij->i", inside, inside))
+        return per_leaf + np.einsum("ej,ejd,ejd->e", ring_measures, on_rings, on_rings)
+
+    off_mean = square_sums(on_atoms - mean[owner], rings - mean[:, None, :])
+    return off_mean / filt.total_measure, square_sums(on_atoms, rings)
 
 
-def _restriction_sides(g: MartFunction, op: MartingaleTransform) -> tuple[np.ndarray, ...]:
-    """Per non-root split atom J, in schedule order: leaf span, level,
-    measure, local side osc2(T* g, J) and rescaled global side
+def _restriction_sides(
+    g: MartFunction, op: MartingaleTransform, runs: _EventRuns
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per non-root split atom J, in schedule order: the mean <g>_J, the
+    local side osc2(T* g, J) and the rescaled global side
     (|I|/|J|) osc2(T*(g 1_J), I)."""
     filt = g.filtration
-    lay = filt.layout
-    below_root = lay.event_levels > 0
-    spans = lay.event_spans[below_root]
-    levels = lay.event_levels[below_root]
-    measures = _at_events(filt, lambda n: lay.level_measures[n], spans, levels)
-    tstar_g = op.adjoint_apply(g).values
-    local = _at_events(filt, lambda n: _level_osc2(filt, tstar_g, n), spans, levels)
-    cut_osc, _ = _cut_adjoints(op, g.values[:, 0], spans, np.zeros(len(spans)))
-    return spans, levels, measures, local, (filt.total_measure / measures) * cut_osc
+    weights = filt.layout.measures[runs.leaf]
+    measures = runs.measures[:, -1]
+    mean_g = runs.sums(weights * g.values[runs.leaf, 0]) / measures
+    tstar_g = op.adjoint_closed_form(g).values[runs.leaf]
+    mean = runs.sums(weights[:, None] * tstar_g) / measures[:, None]
+    centered = tstar_g - mean[runs.owner]
+    local = runs.sums(weights * np.einsum("ij,ij->i", centered, centered)) / measures
+    cut_osc, _ = _cut_adjoints(op, runs, g.values[:, 0], np.zeros(len(measures)))
+    return mean_g, local, (filt.total_measure / measures) * cut_osc
 
 
 def check_restriction(
@@ -395,8 +466,14 @@ def check_restriction(
 ) -> list[dict]:
     """One-sided restriction bound: the local oscillation of T* g over J is
     dominated by the rescaled global oscillation of T* applied to g cut to
-    J.  Ancestor splits make the global side strictly larger in general."""
-    _, _, _, local, glob = _restriction_sides(g, op)
+    J.  Ancestor splits make the global side strictly larger in general.
+
+    Both sides read T* g through the closed form, and the cuts go through
+    the per-level kernel of ``_cut_adjoints``; the full-length route, one
+    L-leaf cut per event through the adjoint, is kept in the tests as an
+    oracle.
+    """
+    _, local, glob = _restriction_sides(g, op, _event_runs(op))
     worst = float(np.max((local - glob) / np.maximum(1.0, local), initial=0.0))
     return [_row("restriction_bound", worst, tol.tight, "local minus rescaled global")]
 
@@ -418,14 +495,14 @@ def restriction_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple
     include it.
     """
     filt = g.filtration
-    spans, levels, measures, local, glob = _restriction_sides(g, op)
-    w = _weighted(filt, g.values)
-    c = _at_events(filt, lambda n: _level_means(filt, w, n)[:, 0], spans, levels)
-    centered_osc, _ = _cut_adjoints(op, g.values[:, 0], spans, c)
+    runs = _event_runs(op)
+    measures = runs.measures[:, -1]
+    c, local, glob = _restriction_sides(g, op, runs)
+    centered_osc, _ = _cut_adjoints(op, runs, g.values[:, 0], c)
     centered = (filt.total_measure / measures) * centered_osc
     scale = np.maximum(np.maximum(local, centered), 1e-30)
     centered_worst = float(np.max(np.abs(local - centered) / scale, initial=0.0))
-    _, ones_sq = _cut_adjoints(op, np.ones(filt.n_leaves), spans, np.zeros(len(c)))
+    _, ones_sq = _cut_adjoints(op, runs, np.ones(filt.n_leaves), np.zeros(len(c)))
     defect = c * c * ones_sq / measures
     gap = np.abs((glob - local) - defect) / np.maximum(1.0, defect)
     return centered_worst, float(np.max(gap, initial=0.0))

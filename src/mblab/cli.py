@@ -163,6 +163,8 @@ def _validate(command: str, cfg: RunConfig) -> None:
         raise UsageError(f"--p must be positive, got {cfg.p}")
     if command == "scan" and not cfg.p > 1.0:
         raise UsageError(f"scan needs --p > 1 (no L^p bound holds for p <= 1), got {cfg.p}")
+    if cfg.suites is not None and not cfg.suites.strip():
+        raise UsageError("--suites must name at least one suite")
     if command == "lemma1":
         if not 1 <= cfg.dim <= 4:
             raise UsageError(f"lemma1 needs --dim in [1, 4], got {cfg.dim}")

@@ -16,14 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .filtration import (
-    Filtration,
-    build_dyadic,
-    build_random_regular,
-    level_partition,
-    split_schedule,
-)
-from .martingale import MartFunction, delta_split
+from .filtration import Filtration, build_dyadic, build_random_regular, level_partition
+from .martingale import MartFunction, _event_draws, _level_difference
 from .transforms import MartingaleTransform, make_transform
 
 __all__ = [
@@ -186,16 +180,23 @@ def active_split_function(
     filt: Filtration, dim: int, rng: np.random.Generator
 ) -> tuple[MartFunction, frozenset[int]]:
     """Function assembled as a sum of single-split differences over a random
-    subset of the schedule, with the subset returned for support checks."""
-    events = split_schedule(filt)
-    keep = [ev for ev in events if rng.random() < 0.5]
-    if not keep:
-        keep = [events[int(rng.integers(len(events)))]]
-    f = MartFunction(filt, np.zeros((filt.n_leaves, dim)))
-    for ev in keep:
-        piece = delta_split(random_function(filt, dim, rng), ev)
-        f = f + piece
-    return f, frozenset(ev.atom for ev in keep)
+    subset of the schedule, with the subset returned for support checks.
+
+    Each kept event draws one random function, in schedule order, and
+    contributes its split difference.  The kept events of one level have
+    disjoint atoms, so their differences are one level difference of the
+    level's draws, and each leaf receives its pieces in level order.
+    """
+    lay = filt.layout
+    n_events = len(lay.event_atoms)
+    kept = np.flatnonzero(rng.random(n_events) < 0.5)
+    if not kept.size:
+        kept = np.array([int(rng.integers(n_events))])
+    draws = _event_draws(filt, kept, dim, rng)
+    values = np.zeros((filt.n_leaves, dim))
+    for n in np.unique(lay.event_levels[kept]).tolist():
+        values += _level_difference(filt, draws[n], n)
+    return MartFunction(filt, values), frozenset(lay.event_atoms[kept].tolist())
 
 
 def prepare_cell(cell: CorpusCell) -> PreparedCell:

@@ -21,8 +21,13 @@ by the atom's measure, one reduceat per level (or per partition) over the
 whole leaf axis, never as differences of prefix sums.  An atom's sum
 depends only on its own leaves, taken in one fixed order, so an atom that
 persists across levels gets the same float at every level and its level
-differences cancel exactly.  The kernel takes a leading stack axis, so the
-check suites push many functions through it in one call.
+differences cancel exactly.  The kernel takes a leading stack axis.
+
+A split piece lives in its event's atom, and the atoms of one level are
+disjoint, so ``_event_draws`` lays the random draws of one level's events
+side by side in one leaf array: one level difference then gives every
+event's split piece, each from its atom's own reduceat segments, bit for
+bit as ``delta_split``.
 """
 
 from __future__ import annotations
@@ -191,14 +196,58 @@ def _level_difference(filt: Filtration, values: np.ndarray, n: int) -> np.ndarra
     return _level_expectation(filt, w, n + 1) - _level_expectation(filt, w, n)
 
 
-def _level_differences(filt: Filtration, values: np.ndarray) -> Iterator[np.ndarray]:
-    """E_{n+1} v - E_n v at leaf resolution for n = 0..depth-1, in order."""
+def _level_differences(
+    filt: Filtration, values: np.ndarray, start: int = 0
+) -> Iterator[np.ndarray]:
+    """E_{n+1} v - E_n v at leaf resolution for n = start..depth-1, in order."""
     w = _weighted(filt, values)
-    prev = _level_expectation(filt, w, 0)
-    for n in range(1, filt.depth + 1):
+    prev = _level_expectation(filt, w, start)
+    for n in range(start + 1, filt.depth + 1):
         cur = _level_expectation(filt, w, n)
         yield cur - prev
         prev = cur
+
+
+# Leaf values per block of random draws.
+_STACK_VALUES = 1 << 18
+
+
+def _blocks(count: int, row_values: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)`` whose rows of ``row_values``
+    leaf values stay within ``_STACK_VALUES``."""
+    step = max(1, _STACK_VALUES // row_values)
+    for lo in range(0, count, step):
+        yield slice(lo, min(count, lo + step))
+
+
+def _event_draws(
+    filt: Filtration, events: np.ndarray, dim: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One ``rng.normal`` draw of shape (L, dim) per split event, for the
+    layout event indices ``events`` in order, each cut to its event's leaf
+    span and laid into the array of the event's level.
+
+    Shape (depth, L, dim), zero off the spans: the events of one level have
+    disjoint spans, so they share one leaf array.  Draws come in blocks of
+    at most ``_STACK_VALUES`` values, the stream of one draw per event.
+    """
+    lay = filt.layout
+    L = filt.n_leaves
+    out = np.zeros((filt.depth, L, dim))
+    for blk in _blocks(len(events), L * dim):
+        raw = rng.normal(size=(blk.stop - blk.start, L, dim))
+        row, leaf = _span_leaves(lay.event_spans[events[blk]])
+        out[lay.event_levels[events[blk]][row], leaf] = raw[row, leaf]
+    return out
+
+
+def _span_leaves(spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves of each [lo, hi) span in turn, as (index of the span,
+    leaf position) pairs."""
+    lengths = spans[:, 1] - spans[:, 0]
+    owner = np.repeat(np.arange(len(spans)), lengths)
+    offsets = spans[:, 0] - (np.cumsum(lengths) - lengths)
+    return owner, np.arange(len(owner)) + np.repeat(offsets, lengths)
 
 
 # reduceat boundaries of a single segment starting at the first row.

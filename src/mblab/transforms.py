@@ -34,9 +34,10 @@ D_n the scalar level-n difference.
 
 The multiplier route, the closed-form adjoint and the predictable hull read
 the per-level atom averages of the martingale kernel and gather them to the
-leaves, O(L * depth) work per function.  The stack kernels
-``_transform_stack`` and ``_adjoint_stack`` take a leading axis of inputs,
-for the check suites.
+leaves, O(L * depth) work per function.  The kernels ``_transform_stack``
+and ``_adjoint_stack`` also take a leading axis of inputs; the tests push
+one full-length input per split event through them as an oracle for the
+per-level check suites.
 """
 
 from __future__ import annotations

@@ -1,11 +1,30 @@
 """Check-suite layer: row structure, per-suite pass behavior, tolerance
-scaling through the environment."""
+scaling through the environment, and the per-level localization and
+restriction kernels against the per-event routes they replaced."""
+
+from __future__ import annotations
+
+import sys
+from typing import Iterator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mblab.checks import SUITES, Tolerances, run_all, run_suite
-from mblab.corpus import random_transform, random_witness
+import mblab.checks as checks
+from mblab.checks import SUITES, Tolerances, _row, run_all, run_suite
+from mblab.corpus import max_children_for, random_transform, random_witness
+from mblab.filtration import Filtration, build_dyadic, build_random_regular
+from mblab.martingale import (
+    MartFunction,
+    _level_difference,
+    _level_differences,
+    _level_means,
+    _level_osc2,
+    _weighted,
+)
+from mblab.transforms import MartingaleTransform, _adjoint_stack, _transform_stack
 
 
 def test_suite_names_are_stable():
@@ -82,3 +101,297 @@ def test_bad_env_tolerance_rejected(monkeypatch, value):
     monkeypatch.setenv("MBL_TOL", value)
     with pytest.raises(ValueError):
         Tolerances.from_env()
+
+
+# ---------------------------------------------------------------------------
+# Reference routes: the per-event localization and restriction suites that
+# the per-level kernel replaced, kept verbatim as oracles.  Each pushes one
+# full-length L-leaf piece or cut per split event through every level.
+
+# Leaf values per stack handed to the transform kernels at once.
+_STACK_VALUES = 1 << 18
+
+
+def _blocks(count: int, row_values: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)`` whose rows of ``row_values``
+    leaf values stay within ``_STACK_VALUES``."""
+    step = max(1, _STACK_VALUES // row_values)
+    for lo in range(0, count, step):
+        yield slice(lo, min(count, lo + step))
+
+
+def _at_events(filt: Filtration, per_level, spans: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Pick, for each atom J (leaf span, level n), entry J of the per-A_n-atom
+    array ``per_level(n)``; J is the A_n atom holding its first leaf."""
+    out = np.empty(len(levels))
+    for n in np.unique(levels).tolist():
+        at = levels == n
+        out[at] = per_level(n)[filt.layout.level_maps[n][spans[at, 0]]]
+    return out
+
+
+def _inside(spans: np.ndarray, n_leaves: int) -> np.ndarray:
+    """Boolean (len(spans), L) mask of the leaves inside each span."""
+    leaf = np.arange(n_leaves)
+    return (spans[:, :1] <= leaf) & (leaf < spans[:, 1:])
+
+
+def check_localization(
+    f: MartFunction,
+    g: MartFunction,
+    op: MartingaleTransform,
+    tol: Tolerances,
+    rng: np.random.Generator,
+) -> list[dict]:
+    """Single-split inputs localize: T of a split difference at J is
+    supported in J, and the adjoint commutes with the split difference up to
+    the multiplier of that atom."""
+    filt = f.filtration
+    lay = filt.layout
+    L = filt.n_leaves
+    outside = 0.0
+    for blk in _blocks(len(lay.event_atoms), L * f.dim):
+        # One random function per event in schedule order: the same draws as
+        # calling random_function once per event.
+        raw = rng.normal(size=(blk.stop - blk.start, L, f.dim))
+        levels = lay.event_levels[blk]
+        pieces = np.empty_like(raw)
+        for n in np.unique(levels).tolist():
+            pieces[levels == n] = _level_difference(filt, raw[levels == n], n)
+        inside = _inside(lay.event_spans[blk], L)
+        pieces[~inside] = 0.0
+        th = _transform_stack(op, pieces)
+        outside = max(outside, float(np.max(np.abs(th[~inside]), initial=0.0)))
+
+    # On an atom J split at level n, the level-n difference is J's split
+    # difference, and T* multiplies it by the level-(n+1) multiplier of J.
+    commute = 0.0
+    tstar_g = op.adjoint_apply(g)
+    diffs = zip(_level_differences(filt, g.values), _level_differences(filt, tstar_g.values))
+    for n, (dsg, dtg) in enumerate(diffs, start=1):
+        err = np.abs(dtg - op.multiplier_on_leaves(n) * dsg)
+        commute = max(commute, float(np.max(err)))
+    return [
+        _row("localization_support", outside, tol.exact, "T of split piece outside atom"),
+        _row("localization_adjoint", commute, tol.tight, "adjoint split vs multiplier"),
+    ]
+
+
+def _cut_adjoints(
+    op: MartingaleTransform, values: np.ndarray, spans: np.ndarray, shifts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each span J, osc2 over I and squared norm of T*((v - s_J) 1_J),
+    with v the scalar leaf values and s_J the shift of J."""
+    filt = op.filtration
+    m = filt.leaf_measures()
+    root = filt.root
+    osc = np.empty(len(spans))
+    norm_sq = np.empty(len(spans))
+    for blk in _blocks(len(spans), filt.n_leaves * op.dim):
+        inside = _inside(spans[blk], filt.n_leaves)
+        cuts = np.where(inside, values[None, :] - shifts[blk, None], 0.0)
+        x = _adjoint_stack(op, cuts[..., None])
+        centered = x - _level_means(filt, _weighted(filt, x), 0)
+        osc[blk] = np.einsum("bij,bij->bi", centered, centered) @ m / root.measure
+        norm_sq[blk] = np.einsum("bij,bij->bi", x, x) @ m
+    return osc, norm_sq
+
+
+def _restriction_sides(g: MartFunction, op: MartingaleTransform) -> tuple[np.ndarray, ...]:
+    """Per non-root split atom J, in schedule order: leaf span, level,
+    measure, local side osc2(T* g, J) and rescaled global side
+    (|I|/|J|) osc2(T*(g 1_J), I)."""
+    filt = g.filtration
+    lay = filt.layout
+    below_root = lay.event_levels > 0
+    spans = lay.event_spans[below_root]
+    levels = lay.event_levels[below_root]
+    measures = _at_events(filt, lambda n: lay.level_measures[n], spans, levels)
+    tstar_g = op.adjoint_apply(g).values
+    local = _at_events(filt, lambda n: _level_osc2(filt, tstar_g, n), spans, levels)
+    cut_osc, _ = _cut_adjoints(op, g.values[:, 0], spans, np.zeros(len(spans)))
+    return spans, levels, measures, local, (filt.total_measure / measures) * cut_osc
+
+
+def check_restriction(
+    f: MartFunction,
+    g: MartFunction,
+    op: MartingaleTransform,
+    tol: Tolerances,
+    rng: np.random.Generator,
+) -> list[dict]:
+    """One-sided restriction bound: the local oscillation of T* g over J is
+    dominated by the rescaled global oscillation of T* applied to g cut to
+    J.  Ancestor splits make the global side strictly larger in general."""
+    _, _, _, local, glob = _restriction_sides(g, op)
+    worst = float(np.max((local - glob) / np.maximum(1.0, local), initial=0.0))
+    return [_row("restriction_bound", worst, tol.tight, "local minus rescaled global")]
+
+
+def restriction_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple[float, float]:
+    """Worst relative gaps, over the non-root split atoms J, in the two exact
+    restriction identities; both are roundoff on a correct transform.
+
+    With c = <g>_J, the centered cut (g - c) 1_J has no mass on any split
+    outside J, so T* localizes:
+
+        osc2(T* g, J) = (|I|/|J|) osc2(T*((g - c) 1_J), I).
+
+    The uncentered cut g 1_J lets the strict ancestors of J see c, and the
+    rescaled global side exceeds the local one by exactly c^2 ||T* 1_J||^2/|J|.
+
+    Returns (centered gap relative to the larger side, defect gap relative to
+    max(1, defect)).  Not a registered suite, so ``run_all`` rows do not
+    include it.
+    """
+    filt = g.filtration
+    spans, levels, measures, local, glob = _restriction_sides(g, op)
+    w = _weighted(filt, g.values)
+    c = _at_events(filt, lambda n: _level_means(filt, w, n)[:, 0], spans, levels)
+    centered_osc, _ = _cut_adjoints(op, g.values[:, 0], spans, c)
+    centered = (filt.total_measure / measures) * centered_osc
+    scale = np.maximum(np.maximum(local, centered), 1e-30)
+    centered_worst = float(np.max(np.abs(local - centered) / scale, initial=0.0))
+    _, ones_sq = _cut_adjoints(op, np.ones(filt.n_leaves), spans, np.zeros(len(c)))
+    defect = c * c * ones_sq / measures
+    gap = np.abs((glob - local) - defect) / np.maximum(1.0, defect)
+    return centered_worst, float(np.max(gap, initial=0.0))
+
+
+# ---------------------------------------------------------------------------
+# Per-level kernel against the reference routes
+
+
+def _witness(filt, dim, seed):
+    rng = np.random.default_rng(seed)
+    f, g = random_witness(filt, dim, rng)
+    return f, g, random_transform(filt, dim, rng)
+
+
+def _fixed(rows):
+    """Every field of the rows but max_err."""
+    return [{k: v for k, v in r.items() if k != "max_err"} for r in rows]
+
+
+def _rel(new, ref, floor=0.0):
+    new, ref = np.asarray(new), np.asarray(ref)
+    return float(np.max(np.abs(new - ref) / np.maximum(np.abs(ref), floor), initial=0.0))
+
+
+def _assert_matches_reference(f, g, op):
+    tol = Tolerances()
+    # Every max_err here is roundoff of an exact zero.  localization_support
+    # reads mean-zero pieces, restriction_bound local - global where the two
+    # sides meet.  localization_adjoint now reads T* g through the closed
+    # form, while the reference reads it through the dense matrix, whose
+    # roundoff grows with the size of T* g.
+    scale = max(1.0, float(np.max(np.abs(op.adjoint_closed_form(g).values))))
+    gaps = {
+        "localization_support": 1e-15,
+        "localization_adjoint": 1e-15 * scale,
+        "restriction_bound": 1e-12,
+    }
+    for new_suite, ref_suite in (
+        (checks.check_localization, check_localization),
+        (checks.check_restriction, check_restriction),
+    ):
+        new_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        new = new_suite(f, g, op, tol, new_rng)
+        ref = ref_suite(f, g, op, tol, ref_rng)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert _fixed(new) == _fixed(ref)
+        for a, b in zip(new, ref):
+            assert abs(a["max_err"] - b["max_err"]) <= gaps[a["check"]], (a, b)
+
+    runs = checks._event_runs(op)
+    _, new_local, new_glob = checks._restriction_sides(g, op, runs)
+    spans, _, _, ref_local, ref_glob = _restriction_sides(g, op)
+    # the local side is osc2 of T* g over J: tiny on some deep atoms, where
+    # the two adjoint routes differ by roundoff of the O(1) leaf values
+    assert _rel(new_local, ref_local, floor=1.0) <= 1e-12
+    assert _rel(new_glob, ref_glob) <= 1e-12
+
+    shifts = np.random.default_rng(11).normal(size=len(spans))
+    for values in (g.values[:, 0], np.ones(f.filtration.n_leaves)):
+        for s in (shifts, np.zeros(len(spans))):
+            new = checks._cut_adjoints(op, runs, values, s)
+            ref = _cut_adjoints(op, values, spans, s)
+            assert _rel(new[0], ref[0]) <= 1e-12
+            assert _rel(new[1], ref[1]) <= 1e-12
+
+    # Both gaps are relative roundoff on a correct transform.  The centered
+    # gap reaches a few 1e-12 in either route on atoms whose local side is
+    # tiny, so the new route is held to the reference's gap plus 1e-12.
+    new_gaps = checks.restriction_identity_gaps(g, op)
+    ref_gaps = restriction_identity_gaps(g, op)
+    assert all(a <= b + 1e-12 for a, b in zip(new_gaps, ref_gaps)), (new_gaps, ref_gaps)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_per_level_suites_match_per_event_route(kernel_tower, dim):
+    f, g, op = _witness(kernel_tower, dim, 40 + dim)
+    _assert_matches_reference(f, g, op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    depth=st.integers(1, 7),
+    delta=st.sampled_from([0.1, 0.25, 1.0 / 3.0]),
+    tower_seed=st.integers(0, 10_000),
+    dim=st.integers(1, 3),
+)
+def test_per_level_suites_match_on_random_towers(depth, delta, tower_seed, dim):
+    filt = build_random_regular(depth, delta, max_children_for(delta), 0.7, tower_seed)
+    f, g, op = _witness(filt, dim, tower_seed + 1)
+    _assert_matches_reference(f, g, op)
+
+
+# ---------------------------------------------------------------------------
+# The suites can go red: a wrong piece or cut shows in both routes
+
+_THIS = sys.modules[__name__]
+
+
+def test_localization_red_on_offset_piece(monkeypatch, kernel_tower):
+    f, g, op = _witness(kernel_tower, 2, 3)
+    for module in (checks, _THIS):
+        exact = module._level_difference
+        monkeypatch.setattr(
+            module, "_level_difference", lambda filt, v, n, exact=exact: exact(filt, v, n) + 1e-6
+        )
+    for suite in (checks.check_localization, check_localization):
+        row = suite(f, g, op, Tolerances(), np.random.default_rng(4))[0]
+        assert row["check"] == "localization_support"
+        assert not row["ok"], row
+
+
+def test_restriction_probe_red_on_scaled_cut(monkeypatch, kernel_tower):
+    f, g, op = _witness(kernel_tower, 2, 5)
+    # every cut 1 + 1e-6 times too large where it enters the adjoint kernel
+    exact_levels = checks._level_differences
+    monkeypatch.setattr(
+        checks,
+        "_level_differences",
+        lambda filt, v, start=0: exact_levels(filt, v * (1 + 1e-6), start),
+    )
+    exact_stack = _adjoint_stack
+    monkeypatch.setattr(_THIS, "_adjoint_stack", lambda op, v: exact_stack(op, v * (1 + 1e-6)))
+    for probe in (checks.restriction_identity_gaps, restriction_identity_gaps):
+        centered, _ = probe(g, op)
+        assert centered > 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Deep slice
+
+
+def test_dyadic_depth_12_localization_and_restriction():
+    filt = build_dyadic(12)
+    f, g, op = _witness(filt, 1, 12)
+    rng = np.random.default_rng(13)
+    for name in ("localization", "restriction"):
+        rows = run_suite(name, f, g, op, Tolerances(), rng)
+        assert all(r["ok"] for r in rows), rows
+    centered, defect = checks.restriction_identity_gaps(g, op)
+    assert centered <= 1e-9 and defect <= 1e-9
+    assert "matrix" not in vars(op)

@@ -67,6 +67,8 @@ def test_unwritable_out_exits_two(capsys):
         ["certify", "--seed", "1", "--candidate", "linear:abc"],
         ["certify", "--seed", "1", "--delta", "0.25", "--candidate", "quadratic:0.5"],
         ["gen", "--delta", "0.1", "--seed", "4", "--depth", "2", "--witness", "structured"],
+        ["check", "--seed", "1", "--suites", ""],
+        ["check", "--seed", "1", "--suites", " "],
     ],
 )
 def test_bad_arguments_exit_two(argv, capsys):
@@ -290,6 +292,14 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"sede": 9}))
     assert run(["search", "--config", str(cfg)]) == 2
+
+
+def test_config_file_rejects_empty_suites(tmp_path, capsys):
+    # an empty suite list is a usage error, not a request for every suite
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"suites": ""}))
+    assert run(["check", "--seed", "1", "--config", str(cfg)]) == 2
+    assert "--suites" in capsys.readouterr().err
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -12,10 +12,11 @@ from mblab.corpus import (
     haar_witness,
     max_children_for,
     prepare_cell,
+    random_function,
     random_witness,
 )
-from mblab.filtration import regularity_delta
-from mblab.martingale import average, inner, lp_norm
+from mblab.filtration import build_dyadic, regularity_delta, split_schedule
+from mblab.martingale import MartFunction, average, delta_split, inner, lp_norm
 
 
 def test_grid_size_and_axes():
@@ -94,3 +95,42 @@ def test_active_split_function_support(dyadic3):
     assert active <= set(dyadic3.active_set)
     # the function has mean zero: it is a sum of split differences
     assert np.allclose(average(f, dyadic3.root.id), 0.0, atol=1e-13)
+
+
+def reference_active_split_function(filt, dim, rng):
+    """The one-event-at-a-time loop the per-level kernel replaced."""
+    events = split_schedule(filt)
+    keep = [ev for ev in events if rng.random() < 0.5]
+    if not keep:
+        keep = [events[int(rng.integers(len(events)))]]
+    f = MartFunction(filt, np.zeros((filt.n_leaves, dim)))
+    for ev in keep:
+        piece = delta_split(random_function(filt, dim, rng), ev)
+        f = f + piece
+    return f, frozenset(ev.atom for ev in keep)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_active_split_function_matches_event_loop(kernel_tower, dim):
+    for seed in range(6):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        f, active = active_split_function(kernel_tower, dim, rng)
+        ref, ref_active = reference_active_split_function(kernel_tower, dim, ref_rng)
+        assert f.values.tobytes() == ref.values.tobytes()
+        assert active == ref_active
+        assert rng.random() == ref_rng.random()
+
+
+def test_active_split_function_fallback_event():
+    # one split event: half the seeds keep none and draw the fallback
+    filt = build_dyadic(1)
+    fallbacks = 0
+    for seed in range(8):
+        fallbacks += np.random.default_rng(seed).random() >= 0.5
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        f, active = active_split_function(filt, 2, rng)
+        ref, ref_active = reference_active_split_function(filt, 2, ref_rng)
+        assert f.values.tobytes() == ref.values.tobytes()
+        assert active == ref_active == {filt.root.id}
+        assert rng.random() == ref_rng.random()
+    assert 0 < fallbacks < 8
