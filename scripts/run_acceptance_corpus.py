@@ -35,6 +35,9 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=100, help="seeds per (delta, dim) cell")
     ap.add_argument("--suites", type=str, default=None, help="comma separated suite names")
     args = ap.parse_args()
+    if args.suites is not None and not args.suites.strip():
+        # an empty list is a usage error, not a request for every suite
+        ap.error("--suites must name at least one suite")
 
     suites = [s.strip() for s in args.suites.split(",")] if args.suites else None
     rng = np.random.default_rng(0)

@@ -219,10 +219,11 @@ def bellman_point(
     tstar_g: MartFunction | None = None,
 ) -> BellmanPoint:
     """Moment point of the witness (f, g, T) localized to one atom: its row
-    of ``moment_table``.  ``tstar_g`` may carry the precomputed adjoint T* g.
+    of ``moment_table``.  ``tstar_g`` may carry the precomputed adjoint T* g;
+    by default it is the closed form ``op.adjoint_closed_form(g)``.
     """
     if tstar_g is None:
-        tstar_g = op.adjoint_apply(g)
+        tstar_g = op.adjoint_closed_form(g)
     return moment_table(f, g, tstar_g, p).point(atom_id)
 
 

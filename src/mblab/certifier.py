@@ -130,7 +130,7 @@ def certify(
         )
 
     p = cand.p
-    tstar_g = op.adjoint_apply(g)
+    tstar_g = op.adjoint_closed_form(g)
     tf = op.apply(f)
     total = filt.total_measure
     objective = inner(g, tf) / total

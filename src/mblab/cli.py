@@ -438,6 +438,7 @@ def cmd_bound(cfg: RunConfig) -> int:
             "empirical_max": report.empirical_max,
             "draws": report.n_g,
             "ok": report.ok,
+            "proved": report.proved,
             "rows": list(report.rows),
         }
         _emit(cfg, to_canonical_json(payload))

@@ -415,6 +415,7 @@ class DualityReport:
     n_g: int
     seed: int
     ok: bool
+    proved: bool
     rows: tuple[dict, ...]
 
 
@@ -447,6 +448,10 @@ def duality_bound(
     balance rescales (f, g) to (lambda f, g / lambda) before certification,
     which leaves the pairing invariant.  Every certificate must succeed, and
     the empirical maximum must stay below cp * kappa + 1.
+
+    ``proved`` is true only at p = 2, where the candidate is admissible
+    outright; below 2 ``ok`` vouches for an empirical bound only (see
+    ``duality_candidate``).
     """
     q = conjugate_exponent(p)
     cand = duality_candidate(p, delta)
@@ -485,7 +490,7 @@ def duality_bound(
                 f"certification failed for draw {j} ({kind}): {cert.first_failure}",
                 certificate=cert,
             )
-        tstar_mean = average(op.adjoint_apply(g_s), filt.root.id)
+        tstar_mean = average(op.adjoint_closed_form(g_s), filt.root.id)
         mean_term = abs(float(np.dot(cert.root.x1, tstar_mean)))
         bound_g = cert.bound + mean_term
         if obj > bound_g + 1e-9 * max(1.0, abs(bound_g)):
@@ -516,5 +521,6 @@ def duality_bound(
         n_g=n_g,
         seed=seed,
         ok=empirical <= analytic + tol,
+        proved=p == 2.0,
         rows=tuple(rows),
     )

@@ -14,30 +14,26 @@ Contraction holds by construction.  The level differences are orthogonal,
 and on an atom J that splits at level n-1 the multiplier a_n(J) maps the
 R^d difference to a scalar with norm |a_n(J)|, so the operator norm is the
 largest |a_n(J)| over the split atoms; ``make_transform`` rejects every
-multiplier outside the unit ball.
+multiplier outside the unit ball, and ``split_multiplier_norm`` reads that
+maximum off the multipliers.
 
-Each operator carries two representations that are kept deliberately
-independent and cross-checked by the test suite:
+Every production route is matrix-free.  ``apply`` evaluates the multiplier
+formula above, and ``adjoint_closed_form`` the closed form
+T* g = sum_n a_n * (D_n g), with D_n the scalar level-n difference.  They
+and the predictable hull read the per-level atom averages of the martingale
+kernel and gather them to the leaves, O(L * depth) work per function.  The
+kernels ``_transform_stack`` and ``_adjoint_stack`` also take a leading axis
+of inputs; the tests push one full-length input per split event through them
+as an oracle for the per-level check suites.
 
-  * the multiplier formula above, evaluated through conditional expectations;
-  * a dense matrix with rows indexed by leaves and columns indexed by
-    (leaf, coordinate) pairs in row-major order (column = leaf * dim + coord).
-
-The matrix is a lazily built oracle: it takes O(L^2 d) memory, and a
-transform builds it on its first ``matrix_apply``, ``adjoint_apply`` or
-``operator_norm``.  Construction neither builds it nor runs an SVD; the SVD
-norm of ``operator_norm`` serves ``check_contraction`` and the tests.
-
-The adjoint is computed from the matrix by weight-conjugated transposition;
-for transforms it also has the closed form T* g = sum_n a_n * (D_n g) with
-D_n the scalar level-n difference.
-
-The multiplier route, the closed-form adjoint and the predictable hull read
-the per-level atom averages of the martingale kernel and gather them to the
-leaves, O(L * depth) work per function.  The kernels ``_transform_stack``
-and ``_adjoint_stack`` also take a leading axis of inputs; the tests push
-one full-length input per split event through them as an oracle for the
-per-level check suites.
+The dense route is a test oracle, kept deliberately independent of the
+multiplier formula: a matrix with rows indexed by leaves and columns indexed
+by (leaf, coordinate) pairs in row-major order (column = leaf * dim +
+coord), assembled from block averaging matrices.  It takes O(L^2 d) memory,
+and a transform builds it on its first ``matrix_apply``, ``adjoint_apply``
+(the weight-conjugated transpose) or ``operator_norm`` (a full SVD), never
+by construction.  No production caller reaches it; the tests compare each
+production route against it.
 """
 
 from __future__ import annotations
@@ -58,6 +54,7 @@ __all__ = [
     "make_transform",
     "operator_norm",
     "predictable_hull",
+    "split_multiplier_norm",
     "transform_to_json",
     "transform_from_json",
 ]
@@ -83,7 +80,7 @@ class MartingaleTransform:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense oracle mapping flattened (leaf, coord) inputs to leaf
-        outputs, shape (L, L*dim); built on first use and kept."""
+        outputs, shape (L, L*dim); built on first use and kept.  Tests only."""
         return _materialize_matrix(self.filtration, self.multipliers, self.dim)
 
     def multiplier_on_leaves(self, n: int) -> np.ndarray:
@@ -96,7 +93,7 @@ class MartingaleTransform:
         return MartFunction(self.filtration, _transform_stack(self, f.values)[:, None])
 
     def matrix_apply(self, f: MartFunction) -> MartFunction:
-        """T f through the materialized matrix; must agree with apply()."""
+        """T f through the dense oracle; must agree with apply().  Tests only."""
         self._check_input(f)
         flat = f.values.reshape(-1)
         return MartFunction(self.filtration, (self.matrix @ flat)[:, None])
@@ -107,7 +104,8 @@ class MartingaleTransform:
         return self.matrix.T * self.filtration.leaf_measures()[None, :]
 
     def adjoint_apply(self, g: MartFunction) -> MartFunction:
-        """T* g via the weight-conjugated transpose of the matrix."""
+        """T* g via the weight-conjugated transpose of the dense oracle; must
+        agree with adjoint_closed_form().  Tests only."""
         if g.filtration is not self.filtration or g.dim != 1:
             raise ValueError("adjoint expects a scalar function on the same filtration")
         w_in = np.repeat(self.filtration.leaf_measures(), self.dim)
@@ -117,7 +115,7 @@ class MartingaleTransform:
         return MartFunction(self.filtration, flat.reshape(-1, self.dim))
 
     def adjoint_closed_form(self, g: MartFunction) -> MartFunction:
-        """T* g = sum_n a_n * (E_n g - E_{n-1} g); the independent route."""
+        """T* g = sum_n a_n * (E_n g - E_{n-1} g); the production adjoint."""
         if g.filtration is not self.filtration or g.dim != 1:
             raise ValueError("adjoint expects a scalar function on the same filtration")
         return MartFunction(self.filtration, _adjoint_stack(self, g.values))
@@ -227,12 +225,29 @@ def _materialize_matrix(
 
 def operator_norm(op: MartingaleTransform) -> float:
     """Largest singular value of W_out^(1/2) M W_in^(-1/2): a full SVD of
-    the dense matrix oracle, for cross-checks only."""
+    the dense matrix oracle, for the tests only.  It equals
+    ``split_multiplier_norm`` up to roundoff."""
     m = op.filtration.leaf_measures()
     w_out = np.sqrt(m)
     w_in = np.sqrt(np.repeat(m, op.dim))
     scaled = op.matrix * w_out[:, None] / w_in[None, :]
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
+
+
+def split_multiplier_norm(op: MartingaleTransform) -> float:
+    """The operator norm, matrix-free: max |a_{n+1}(J)| over the atoms J
+    that split at level n.  The split projections are orthogonal and T maps
+    the range of J's split difference by h -> a_{n+1}(J) . h, so this is
+    ||T|| exactly; 0 on a tower without splits."""
+    lay = op.filtration.layout
+    first = lay.event_spans[:, 0]
+    # Row of J in the concatenated multipliers: its level's offset plus its
+    # index in that level's partition.
+    offsets = np.cumsum([0] + [len(a) for a in op.multipliers])
+    index = np.stack([lay.level_maps[n][first] for n in range(op.n_levels)])
+    rows = offsets[lay.event_levels] + index[lay.event_levels, np.arange(len(first))]
+    mags = np.linalg.norm(np.concatenate(op.multipliers)[rows], axis=1)
+    return float(np.max(mags, initial=0.0))
 
 
 def predictable_hull(op_or_filt: MartingaleTransform | Filtration, f: MartFunction) -> list[list[int]]:

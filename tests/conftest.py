@@ -3,9 +3,13 @@
 Unit tests lean on a handful of cheap prepared cells.  The acceptance
 suite walks the full randomized corpus once per session; the heavy per
 cell sweep (all check suites, the restriction identity gaps, the
-telescoping gap and the Hoelder mean bound margin
-``mblab.checks.hoelder_mean_margin``) is cached here so each criterion only
-scans rows.  The restriction probe is
+telescoping gap, the Hoelder mean bound margin
+``mblab.checks.hoelder_mean_margin`` and the dense-oracle cross-checks) is
+cached here so each criterion only scans rows.  The check suites are
+matrix-free, so the sweep holds their routes against the dense oracle of
+``mblab.transforms`` on every cell: the SVD norm against the split-multiplier
+norm, ``matrix_apply`` against ``apply`` and ``adjoint_apply`` against
+``adjoint_closed_form``.  The restriction probe is
 ``mblab.checks.restriction_identity_gaps``: the centered cut
 (g - <g>_J) 1_J gives an exact localization identity, and the uncentered
 cut g 1_J exceeds it by exactly <g>_J^2 ||T* 1_J||^2 / |J|.
@@ -20,6 +24,7 @@ from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_all
 from mblab.corpus import CorpusCell, default_corpus, prepare_cell
 from mblab.filtration import build_dyadic, build_random_regular, split_schedule
 from mblab.martingale import average
+from mblab.transforms import operator_norm, split_multiplier_norm
 
 
 @pytest.fixture(scope="session")
@@ -89,6 +94,11 @@ def corpus_report():
         pc = prepare_cell(cell)
         rows, ok = run_all(pc.f, pc.g, pc.op, rng=rng)
         centered, defect = restriction_identity_gaps(pc.g, pc.op)
+        op = pc.op
+        apply_gap = np.max(np.abs(op.matrix_apply(pc.f).values - op.apply(pc.f).values))
+        adjoint_gap = np.max(
+            np.abs(op.adjoint_apply(pc.g).values - op.adjoint_closed_form(pc.g).values)
+        )
         report.append(
             {
                 "cell": cell,
@@ -99,6 +109,10 @@ def corpus_report():
                 "restriction_defect": defect,
                 "telescoping": telescoping_relerr(pc.f, pc.g, pc.op),
                 "hoelder_margin": hoelder_mean_margin(pc.f, pc.g, pc.op, 2.0, 2.0),
+                "svd_norm": operator_norm(op),
+                "split_norm": split_multiplier_norm(op),
+                "apply_route": float(apply_gap),
+                "adjoint_route": float(adjoint_gap),
             }
         )
     return report

@@ -124,7 +124,7 @@ def test_records_and_leaves_are_bellman_points(small_cells):
         filt = pc.filtration
         cand = quadratic_candidate(pc.cell.delta)
         cert = certify(cand, pc.f, pc.g, pc.op)
-        tstar = pc.op.adjoint_apply(pc.g)
+        tstar = pc.op.adjoint_closed_form(pc.g)  # the T* g certify reads
 
         def assert_is_point(pt, atom_id):
             ref = bellman_point(pc.f, pc.g, pc.op, atom_id, cand.p, tstar_g=tstar)

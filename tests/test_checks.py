@@ -1,6 +1,8 @@
 """Check-suite layer: row structure, per-suite pass behavior, tolerance
-scaling through the environment, and the per-level localization and
-restriction kernels against the per-event routes they replaced."""
+scaling through the environment, the per-level localization and
+restriction kernels against the per-event routes they replaced, and the
+matrix-free production path: no suite, certificate, moment point or
+duality bound builds the dense matrix, on small cells or at dyadic depth 12."""
 
 from __future__ import annotations
 
@@ -13,18 +15,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mblab.checks as checks
-from mblab.checks import SUITES, Tolerances, _row, run_all, run_suite
-from mblab.corpus import max_children_for, random_transform, random_witness
+import mblab.estimator as estimator
+from mblab.bellman import bellman_point, quadratic_candidate
+from mblab.certifier import certify
+from mblab.checks import SUITES, Tolerances, _row, hoelder_mean_margin, run_all, run_suite
+from mblab.corpus import max_children_for, prepare_cell, random_transform, random_witness
 from mblab.filtration import Filtration, build_dyadic, build_random_regular
 from mblab.martingale import (
     MartFunction,
+    inner,
+    l2_norm,
     _level_difference,
     _level_differences,
     _level_means,
     _level_osc2,
     _weighted,
 )
-from mblab.transforms import MartingaleTransform, _adjoint_stack, _transform_stack
+from mblab.transforms import (
+    MartingaleTransform,
+    _adjoint_stack,
+    _transform_stack,
+    operator_norm,
+    split_multiplier_norm,
+)
 
 
 def test_suite_names_are_stable():
@@ -101,6 +114,58 @@ def test_bad_env_tolerance_rejected(monkeypatch, value):
     monkeypatch.setenv("MBL_TOL", value)
     with pytest.raises(ValueError):
         Tolerances.from_env()
+
+
+# ---------------------------------------------------------------------------
+# Matrix-free production path
+
+
+def _pays_no_matrix(f, g, op):
+    filt = f.filtration
+    run_all(f, g, op, rng=np.random.default_rng(6))
+    certify(quadratic_candidate(filt.delta), f, g, op)
+    bellman_point(f, g, op, filt.root.id, 2.0)
+    hoelder_mean_margin(f, g, op, 2.0, 2.0)
+    assert "matrix" not in vars(op)
+
+
+def test_production_paths_build_no_matrix_on_small_cells(small_cells):
+    # fresh cells: other tests build the dense oracle on the shared ones
+    for pc in map(prepare_cell, (pc.cell for pc in small_cells)):
+        assert "matrix" not in vars(pc.op)
+        _pays_no_matrix(pc.f, pc.g, pc.op)
+
+
+def test_production_paths_build_no_matrix_on_kernel_towers(kernel_tower):
+    _pays_no_matrix(*_witness(kernel_tower, 2, 7))
+
+
+def test_duality_bound_builds_no_matrix(monkeypatch):
+    drawn = []
+
+    def capture(*args, **kwargs):
+        drawn.append(random_transform(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(estimator, "random_transform", capture)
+    for p in (2.0, 1.5):
+        assert estimator.duality_bound(p, n_g=4, seed=1).ok
+    assert len(drawn) == 2
+    assert all("matrix" not in vars(op) for op in drawn)
+
+
+def test_contraction_norm_red_past_the_unit_ball(kernel_tower):
+    f, g, op = _witness(kernel_tower, 2, 8)
+    # a split-atom multiplier of norm 1 + 1e-6, which make_transform would
+    # reject: the root splits at level 0, so a_1(root) is one
+    mults = [a.copy() for a in op.multipliers]
+    mults[0][0] = (1.0 + 1e-6) * mults[0][0] / np.linalg.norm(mults[0][0])
+    wide = MartingaleTransform(op.filtration, op.dim, tuple(mults))
+    row = checks.check_contraction(f, g, wide, Tolerances(), np.random.default_rng(9))[0]
+    assert row["check"] == "contraction_norm"
+    assert not row["ok"], row
+    assert row["max_err"] == pytest.approx(1e-6, rel=1e-9)
+    assert abs(operator_norm(wide) - split_multiplier_norm(wide)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -394,4 +459,24 @@ def test_dyadic_depth_12_localization_and_restriction():
         assert all(r["ok"] for r in rows), rows
     centered, defect = checks.restriction_identity_gaps(g, op)
     assert centered <= 1e-9 and defect <= 1e-9
+
+    rows, ok = run_all(f, g, op, Tolerances(), rng)
+    assert ok, [r for r in rows if not r["ok"]]
+    assert certify(quadratic_candidate(0.5), f, g, op).ok
+
+    # Power iteration on T*T through the two matrix-free routes: every
+    # Rayleigh estimate ||Tx|| / ||x|| stays below the split-multiplier norm,
+    # and for a positive operator the estimates never fall.
+    norm = split_multiplier_norm(op)
+    x = MartFunction(filt, np.random.default_rng(14).normal(size=(filt.n_leaves, 1)))
+    estimates = []
+    for _ in range(8):
+        x = x * (1.0 / l2_norm(x))
+        tx = op.apply(x)
+        estimates.append(l2_norm(tx))
+        tstar_tx = op.adjoint_closed_form(tx)
+        assert inner(x, tstar_tx) == pytest.approx(inner(tx, tx), rel=1e-12)
+        x = tstar_tx
+    assert max(estimates) <= norm + 1e-12, (estimates, norm)
+    assert all(b >= a - 1e-12 for a, b in zip(estimates, estimates[1:])), estimates
     assert "matrix" not in vars(op)

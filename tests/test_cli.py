@@ -1,6 +1,10 @@
 """Command line behavior: subcommands, exit codes, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +276,19 @@ def test_bound_accepts(tmp_path):
     assert payload["empirical_max"] <= payload["analytic_bound"] + 1e-6
 
 
+@pytest.mark.parametrize("p, proved", [("2", True), ("1.5", False)])
+def test_bound_labels_unproved_exponents(tmp_path, p, proved):
+    # below p = 2 the candidate's leading constant is widened empirically, so
+    # an ok bound there is a measurement, not a proof
+    code, out = run_to_file(
+        tmp_path, "bound.json", ["bound", "--seed", "0", "--p", p, "--trials", "4"]
+    )
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["ok"] is True
+    assert payload["proved"] is proved
+
+
 # ---------------------------------------------------------------------------
 # config file and determinism
 
@@ -300,6 +317,24 @@ def test_config_file_rejects_empty_suites(tmp_path, capsys):
     cfg.write_text(json.dumps({"suites": ""}))
     assert run(["check", "--seed", "1", "--config", str(cfg)]) == 2
     assert "--suites" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["", " "])
+def test_corpus_script_rejects_empty_suites(value):
+    # same rule as mblab check: an empty list names no suite, it does not
+    # ask for all of them
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_acceptance_corpus.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(script), "--seeds", "1", "--suites", value],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "--suites must name at least one suite" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_reports_are_byte_identical(tmp_path):

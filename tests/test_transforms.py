@@ -1,6 +1,9 @@
 """Multiplier transforms: contraction, localization, adjoint routes,
 and the one-sided restriction bound with its strictness witness, which the
-centered cut turns into an equality."""
+centered cut turns into an equality.  The dense matrix, its weighted
+transpose and its SVD norm are the oracles every matrix-free production
+route (``apply``, ``adjoint_closed_form``, ``split_multiplier_norm``) is
+compared against."""
 
 import numpy as np
 import pytest
@@ -22,10 +25,12 @@ from mblab.martingale import (
     restrict,
 )
 from mblab.transforms import (
+    MartingaleTransform,
     PredictabilityError,
     make_transform,
     operator_norm,
     predictable_hull,
+    split_multiplier_norm,
     transform_from_json,
     transform_to_json,
 )
@@ -114,6 +119,7 @@ def test_operator_norm_is_largest_split_multiplier(kernel_tower):
     for seed in range(3):
         op = random_transform(kernel_tower, 1 + seed, np.random.default_rng(seed))
         assert abs(operator_norm(op) - split_multiplier_max(op)) <= 1e-12
+        assert abs(split_multiplier_norm(op) - split_multiplier_max(op)) <= 1e-15
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.25, 1.0 / 3.0])
@@ -129,6 +135,26 @@ def test_operator_norm_on_random_regular_towers(delta, dim):
         )
         op = random_transform(filt, dim, np.random.default_rng(100 + seed))
         assert abs(operator_norm(op) - split_multiplier_max(op)) <= 1e-12
+        assert abs(split_multiplier_norm(op) - split_multiplier_max(op)) <= 1e-15
+
+
+def test_split_multiplier_norm_ignores_atoms_that_do_not_split():
+    # an atom that persists to the next level holds no split difference, so
+    # its multiplier never reaches the norm, even past the unit ball
+    filt = build_random_regular(depth=4, delta=0.2, max_children=3, split_prob=0.5, seed=3)
+    op = random_transform(filt, 2, np.random.default_rng(4))
+    lay = filt.layout
+    level, idle = next(
+        (n, i)
+        for n in range(filt.depth)
+        for i in range(len(filt.levels[n]))
+        if i not in lay.level_maps[n][lay.event_spans[lay.event_levels == n, 0]]
+    )
+    mults = [a.copy() for a in op.multipliers]
+    mults[level][idle] = 5.0
+    wide = MartingaleTransform(filt, op.dim, tuple(mults))
+    assert split_multiplier_norm(wide) == split_multiplier_norm(op)
+    assert abs(operator_norm(wide) - split_multiplier_norm(wide)) <= 1e-12
 
 
 def test_adjoint_routes_agree(kernel_tower):
@@ -138,6 +164,23 @@ def test_adjoint_routes_agree(kernel_tower):
     a = op.adjoint_apply(g)
     b = op.adjoint_closed_form(g)
     assert np.allclose(a.values, b.values, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    depth=st.integers(1, 6),
+    delta=st.sampled_from([0.1, 0.25, 1.0 / 3.0]),
+    tower_seed=st.integers(0, 10_000),
+    dim=st.integers(1, 3),
+)
+def test_dense_oracle_routes_on_random_towers(depth, delta, tower_seed, dim):
+    # the production routes against the dense matrix and its weighted transpose
+    filt = build_random_regular(depth, delta, max_children_for(delta), 0.7, tower_seed)
+    op = random_transform(filt, dim, np.random.default_rng(tower_seed + 1))
+    f = rand_fn(filt, dim, tower_seed + 2)
+    g = rand_fn(filt, 1, tower_seed + 3)
+    assert np.allclose(op.apply(f).values, op.matrix_apply(f).values, atol=1e-12)
+    assert np.allclose(op.adjoint_closed_form(g).values, op.adjoint_apply(g).values, atol=1e-12)
 
 
 def test_adjoint_duality(dyadic3):
