@@ -35,9 +35,8 @@ regime delta = 1/2 down to smaller regularity floors.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,30 +47,16 @@ from .transforms import MartingaleTransform
 __all__ = [
     "BellmanPoint",
     "BellmanCandidate",
-    "MomentTable",
-    "SplitConfig",
-    "ExpansionNode",
-    "ExpansionCertificate",
-    "RescaleEstimate",
     "conjugate_exponent",
     "bellman_point",
     "moment_table",
-    "in_bellman_domain",
-    "shaped_candidate",
     "quadratic_candidate",
     "linear_candidate",
-    "scale_candidate",
-    "split_slack",
-    "sample_split_configs",
     "sample_dyadic_split_configs",
-    "adversarial_split_configs",
     "dyadic_expand",
     "recombine_slack",
     "estimate_rescale_constant",
-    "sample_boundary_points",
-    "expansion_to_json",
-    "configs_to_jsonl",
-    "configs_from_jsonl",
+    "expansion_to_dict",
 ]
 
 _DOMAIN_TOL = 1e-12
@@ -108,9 +93,6 @@ class BellmanPoint:
     def dim(self) -> int:
         return self.x1.shape[0]
 
-    def as_tuple(self) -> tuple[np.ndarray, float, float, float]:
-        return (self.x1, self.x2, self.x3, self.x4)
-
     def to_dict(self) -> dict:
         return {
             "x1": self.x1.tolist(),
@@ -120,17 +102,6 @@ class BellmanPoint:
             "p": self.p,
             "atom": self.atom,
         }
-
-    @staticmethod
-    def from_dict(rec: dict) -> "BellmanPoint":
-        return BellmanPoint(
-            x1=np.asarray(rec["x1"], dtype=float),
-            x2=float(rec["x2"]),
-            x3=float(rec["x3"]),
-            x4=float(rec["x4"]),
-            p=float(rec["p"]),
-            atom=rec.get("atom"),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +225,6 @@ class BellmanCandidate:
     p: float
     delta: float
     label: str
-    homogeneous: bool = False
     cp: float | None = None
     h: Callable[[np.ndarray, float], float] | None = None
 
@@ -275,16 +245,13 @@ def shaped_candidate(
     p: float,
     delta: float,
     label: str,
-    homogeneous: bool = False,
 ) -> BellmanCandidate:
     """Candidate of the separated shape cp * (x3 + x4) - h(x1, x2)."""
 
     def fn(x1: np.ndarray, x2: float, x3: float, x4: float) -> float:
         return cp * (x3 + x4) - h(x1, x2)
 
-    return BellmanCandidate(
-        fn=fn, p=p, delta=delta, label=label, homogeneous=homogeneous, cp=cp, h=h
-    )
+    return BellmanCandidate(fn=fn, p=p, delta=delta, label=label, cp=cp, h=h)
 
 
 def quadratic_candidate(delta: float, p: float = 2.0, cp: float | None = None) -> BellmanCandidate:
@@ -335,7 +302,6 @@ def scale_candidate(cand: BellmanCandidate, c: float, delta: float | None = None
         p=cand.p,
         delta=new_delta,
         label=f"{c:g}*{cand.label}",
-        homogeneous=cand.homogeneous,
         cp=None if cand.cp is None else c * cand.cp,
         h=scaled_h,
     )
@@ -403,33 +369,20 @@ class SplitConfig:
         return max(r1, r2, r3, r4)
 
     def x1_diameter(self) -> float:
-        pts = [pt.x1 for pt in self.points]
-        best = 0.0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                best = max(best, float(np.linalg.norm(pts[i] - pts[j])))
-        return best
+        return _diameter_pair([pt.x1 for pt in self.points])[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "p": self.p,
-            "weights": self.weights.tolist(),
-            "d": self.d,
-            "base": self.base.to_dict(),
-            "points": [pt.to_dict() for pt in self.points],
-        }
 
-    @staticmethod
-    def from_dict(rec: dict) -> "SplitConfig":
-        return SplitConfig(
-            delta=float(rec["delta"]),
-            p=float(rec["p"]),
-            points=tuple(BellmanPoint.from_dict(r) for r in rec["points"]),
-            weights=np.asarray(rec["weights"], dtype=float),
-            d=float(rec["d"]),
-            base=BellmanPoint.from_dict(rec["base"]),
-        )
+def _diameter_pair(x1s: Sequence[np.ndarray]) -> tuple[float, tuple[int, int]]:
+    """Largest pairwise distance of the x1 vectors and the first pair (i, j),
+    i < j in row-major order, that attains it: a later pair replaces the
+    best only when strictly farther.  (0.0, (0, 0)) when no two differ."""
+    best, pair = 0.0, (0, 0)
+    for i in range(len(x1s)):
+        for j in range(i + 1, len(x1s)):
+            dij = float(np.linalg.norm(x1s[i] - x1s[j]))
+            if dij > best:
+                best, pair = dij, (i, j)
+    return best, pair
 
 
 def _scale_of(pt: BellmanPoint) -> float:
@@ -538,13 +491,13 @@ def sample_dyadic_split_configs(
     return out
 
 
-def adversarial_split_configs(
-    delta: float,
-    p: float,
-    dim: int = 1,
-    scales: Sequence[float] = (0.5, 1.0, 2.0),
-    d_grid: Sequence[float] | None = None,
-) -> list[SplitConfig]:
+# Diameters and displacement-to-diameter ratios (0.025 .. 0.7) of the
+# extremal configurations.
+_ADVERSARIAL_SCALES = (0.5, 1.0, 2.0)
+_ADVERSARIAL_D_GRID = tuple(0.025 * (k + 1) for k in range(28))
+
+
+def adversarial_split_configs(delta: float, p: float, dim: int = 1) -> list[SplitConfig]:
     """Extremal-geometry configurations that pin the worst case of
     quadratic-penalty candidates.
 
@@ -555,17 +508,15 @@ def adversarial_split_configs(
     sampling alone stays far from this corner.
     """
     q = conjugate_exponent(p)
-    if d_grid is None:
-        d_grid = tuple(0.025 * (k + 1) for k in range(28))  # 0.025 .. 0.7
     out = []
-    for scale in scales:
+    for scale in _ADVERSARIAL_SCALES:
         if delta <= 1.0 / 3.0 + 1e-12:
             xs = (0.0, scale, scale / 2.0)
             ws = (delta, delta, 1.0 - 2.0 * delta)
         else:
             xs = (0.0, scale)
             ws = (delta, 1.0 - delta)
-        for t in d_grid:
+        for t in _ADVERSARIAL_D_GRID:
             d = t * scale
             pts = []
             for x in xs:
@@ -593,29 +544,6 @@ def adversarial_split_configs(
                     delta=delta, p=p, points=tuple(pts), weights=weights, d=d, base=base
                 )
             )
-    return out
-
-
-def sample_boundary_points(
-    p: float, count: int, seed: int, dim: int = 1
-) -> list[BellmanPoint]:
-    """Points sitting exactly on the face |x1|^p = x3."""
-    q = conjugate_exponent(p)
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        x1 = rng.normal(size=dim)
-        x2 = float(abs(rng.normal()))
-        margin = 0.0 if rng.random() < 0.25 else float(0.5 * rng.exponential())
-        out.append(
-            BellmanPoint(
-                x1=x1,
-                x2=x2,
-                x3=float(np.linalg.norm(x1) ** p),
-                x4=float(x2 ** (q / 2.0) + margin),
-                p=p,
-            )
-        )
     return out
 
 
@@ -675,28 +603,22 @@ def dyadic_expand(cfg: SplitConfig, m: int | None = None) -> ExpansionCertificat
     """Expand, sort along the diameter direction, halve, and build the tree.
 
     Sort keys are scalar projections of the x1 copies onto the segment
-    between a fixed diameter-realizing pair; ties keep original copy order.
+    between the first diameter-realizing pair of ``_diameter_pair``; ties
+    keep original copy order.
     """
     counts, mm = _weights_to_counts(cfg.weights, m)
     b = int(counts.sum())
     copy_owner = np.repeat(np.arange(cfg.n), counts)
 
     pts_x1 = np.stack([pt.x1 for pt in cfg.points])
-    diam = cfg.x1_diameter()
+    diam, pair = _diameter_pair(pts_x1)
     degenerate = diam <= 0.0
 
     if degenerate:
         order = np.arange(b)
     else:
-        best = (0, 0)
-        best_d = -1.0
-        for i in range(cfg.n):
-            for j in range(i + 1, cfg.n):
-                dij = float(np.linalg.norm(pts_x1[i] - pts_x1[j]))
-                if dij > best_d:
-                    best_d, best = dij, (i, j)
-        y1, y2 = pts_x1[best[0]], pts_x1[best[1]]
-        u = (y2 - y1) / best_d
+        y1, y2 = pts_x1[pair[0]], pts_x1[pair[1]]
+        u = (y2 - y1) / diam
         keys = (pts_x1[copy_owner] - y1[None, :]) @ u
         order = np.argsort(keys, kind="stable")
 
@@ -842,11 +764,12 @@ def estimate_rescale_constant(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Report payload
 
 
-def expansion_to_json(cert: ExpansionCertificate) -> str:
-    payload = {
+def expansion_to_dict(cert: ExpansionCertificate) -> dict:
+    """JSON-ready payload of an expansion, with its whole midpoint tree."""
+    return {
         "m": cert.m,
         "copies": cert.copies,
         "order": list(cert.order),
@@ -856,16 +779,3 @@ def expansion_to_json(cert: ExpansionCertificate) -> str:
         "degenerate": cert.degenerate,
         "tree": cert.tree.to_dict(),
     }
-    return json.dumps(payload)
-
-
-def configs_to_jsonl(cfgs: Sequence[SplitConfig]) -> str:
-    return "\n".join(json.dumps(cfg.to_dict()) for cfg in cfgs) + "\n"
-
-
-def configs_from_jsonl(text: str) -> list[SplitConfig]:
-    return [
-        SplitConfig.from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]

@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import BellmanCandidate, BellmanPoint, moment_table
+from .bellman import BellmanCandidate, BellmanPoint, _diameter_pair, moment_table
 from .martingale import MartFunction, inner
 from .transforms import MartingaleTransform
 
 __all__ = [
-    "SplitRecord",
     "Certificate",
     "CertificationError",
     "certify",
@@ -161,11 +160,7 @@ def certify(
         base = points[atom_id]
         kids = tuple(points[c] for c in atom.children)
         weights = tuple(filt.atom(c).measure / atom.measure for c in atom.children)
-
-        diam = 0.0
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                diam = max(diam, float(np.linalg.norm(kids[i].x1 - kids[j].x1)))
+        diam = _diameter_pair([k.x1 for k in kids])[0]
 
         chain_scale = max(1.0, abs(pairing), d * diam)
         if d * diam < pairing - tol * chain_scale:

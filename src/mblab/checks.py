@@ -61,7 +61,6 @@ from .martingale import (
     _level_differences,
     _level_osc2,
     _span_leaves,
-    _weighted,
     average,
     inner,
     l2_norm,
@@ -73,16 +72,7 @@ from .corpus import active_split_function, random_function
 __all__ = [
     "Tolerances",
     "SUITES",
-    "run_suite",
     "run_all",
-    "check_projections",
-    "check_localization",
-    "check_support",
-    "check_osc_series",
-    "check_x2_drop",
-    "check_x2_sign",
-    "check_restriction",
-    "check_contraction",
     "restriction_identity_gaps",
     "hoelder_mean_margin",
 ]
@@ -102,10 +92,6 @@ class Tolerances:
     @property
     def tight(self) -> float:
         return 1e-9 * self.scale
-
-    @property
-    def loose(self) -> float:
-        return 1e-6 * self.scale
 
     @staticmethod
     def from_env() -> "Tolerances":

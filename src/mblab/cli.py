@@ -28,7 +28,7 @@ import numpy as np
 
 from .bellman import (
     dyadic_expand,
-    expansion_to_json,
+    expansion_to_dict,
     linear_candidate,
     quadratic_candidate,
     sample_dyadic_split_configs,
@@ -48,12 +48,12 @@ from .filtration import (
     RatioSamplingError,
     build_dyadic,
     build_random_regular,
-    filtration_to_json,
+    filtration_to_dict,
 )
 from .reporting import ReportError, rows_to_csv, to_canonical_json, write_text
-from .transforms import PredictabilityError, transform_to_json
+from .transforms import PredictabilityError, transform_to_dict
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 
 @dataclass
@@ -245,7 +245,7 @@ def _candidate(cfg: RunConfig, filt):
 def cmd_gen(cfg: RunConfig) -> int:
     filt = _filtration(cfg)
     if cfg.fmt == "json":
-        payload = {"filtration": json.loads(filtration_to_json(filt))}
+        payload = {"filtration": filtration_to_dict(filt)}
         # a structured witness is deterministic; a random one needs the seed
         if cfg.witness == "structured" or cfg.seed is not None:
             f, g, op = _witness(cfg, filt)
@@ -254,7 +254,7 @@ def cmd_gen(cfg: RunConfig) -> int:
                 "dim": cfg.dim,
                 "f": f.values.tolist(),
                 "g": g.values.tolist(),
-                "transform": json.loads(transform_to_json(op)),
+                "transform": transform_to_dict(op),
             }
         _emit(cfg, to_canonical_json(payload))
     else:
@@ -339,7 +339,7 @@ def cmd_lemma1(cfg: RunConfig) -> int:
             "min_ratio": min(ratios) if ratios else None,
             "degenerate": sum(1 for r in rows if r["degenerate"]),
             "rows": rows,
-            "worst": None if worst is None else json.loads(expansion_to_json(worst[1])),
+            "worst": None if worst is None else expansion_to_dict(worst[1]),
         }
         _emit(cfg, to_canonical_json(payload))
     else:

@@ -22,7 +22,6 @@ from .transforms import MartingaleTransform, make_transform
 
 __all__ = [
     "CorpusCell",
-    "PreparedCell",
     "DELTAS",
     "DIMS",
     "default_corpus",

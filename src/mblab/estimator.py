@@ -33,14 +33,7 @@ from .martingale import MartFunction, average, inner, lp_norm
 
 __all__ = [
     "EstimateError",
-    "ScanResult",
-    "SearchResult",
-    "DualityReport",
-    "hoelder_objective",
-    "optimal_lambda",
     "optimal_lambda_numeric",
-    "kappa_constant",
-    "point_in_box",
     "duality_candidate",
     "lp_constant_scan",
     "lower_bound_search",
@@ -79,6 +72,9 @@ def optimal_lambda(p: float, x3: float, x4: float) -> float:
 
 def optimal_lambda_numeric(p: float, x3: float, x4: float) -> float:
     """Numeric minimizer, independent of the closed form on purpose.
+
+    Test oracle: the tests compare ``optimal_lambda`` with it; no
+    production path calls it.
 
     Golden section over a log grid bracket locates the minimum; value
     comparisons alone bottom out near sqrt(machine eps) relative, so a

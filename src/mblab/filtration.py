@@ -27,15 +27,12 @@ on the instance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
-    "Atom",
     "Filtration",
     "SplitEvent",
     "FiltrationError",
@@ -45,8 +42,7 @@ __all__ = [
     "regularity_delta",
     "split_schedule",
     "level_partition",
-    "filtration_to_json",
-    "filtration_from_json",
+    "filtration_to_dict",
 ]
 
 # Exactness floor for partition bookkeeping (endpoint chaining, measure sums).
@@ -375,7 +371,11 @@ def _sample_ratios(rng: np.random.Generator, k: int, delta: float, budget: int) 
 
 
 def regularity_delta(f: Filtration) -> float:
-    """Smallest realized child/parent measure ratio."""
+    """Smallest realized child/parent measure ratio.
+
+    Test oracle: the tests check with it that the builders keep every
+    child/parent ratio at or above the floor; no production path calls it.
+    """
     best = 0.5
     for a in f.atoms:
         if a.children:
@@ -446,11 +446,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Report payload
 
 
-def filtration_to_json(f: Filtration) -> str:
-    payload = {
+def filtration_to_dict(f: Filtration) -> dict:
+    """JSON-ready payload of the tower: delta, depth and every atom."""
+    return {
         "delta": f.delta,
         "depth": f.depth,
         "atoms": [
@@ -465,20 +466,3 @@ def filtration_to_json(f: Filtration) -> str:
             for a in f.atoms
         ],
     }
-    return json.dumps(payload)
-
-
-def filtration_from_json(text: str) -> Filtration:
-    payload = json.loads(text)
-    atoms = tuple(
-        Atom(
-            id=rec["id"],
-            a=float(rec["a"]),
-            b=float(rec["b"]),
-            level=int(rec["level"]),
-            parent=rec["parent"],
-            children=tuple(rec["children"]),
-        )
-        for rec in sorted(payload["atoms"], key=lambda r: r["id"])
-    )
-    return Filtration(delta=float(payload["delta"]), depth=int(payload["depth"]), atoms=atoms)

@@ -41,10 +41,6 @@ from .filtration import Filtration, SplitEvent, _GEOM_TOL
 
 __all__ = [
     "MartFunction",
-    "PartitionError",
-    "from_leaf_values",
-    "constant_function",
-    "indicator",
     "cond_exp",
     "delta_split",
     "average",
@@ -52,8 +48,6 @@ __all__ = [
     "lp_norm",
     "l2_norm",
     "inner",
-    "pointwise_dot",
-    "pointwise_scale",
     "restrict",
 ]
 
@@ -115,29 +109,6 @@ def _check_same_space(f: MartFunction, g: MartFunction) -> None:
         raise ValueError("functions live on different filtration objects")
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-
-
-def from_leaf_values(f: Filtration, leaf_map: dict[int, Sequence[float]] | np.ndarray) -> MartFunction:
-    """Build from either an array in leaf order or a map {leaf atom id: vector}."""
-    if isinstance(leaf_map, dict):
-        dims = {len(np.atleast_1d(v)) for v in leaf_map.values()}
-        if len(dims) != 1:
-            raise ValueError("inconsistent vector dimensions in leaf map")
-        d = dims.pop()
-        vals = np.zeros((f.n_leaves, d))
-        seen = set()
-        for atom_id, vec in leaf_map.items():
-            vals[f.leaf_index(atom_id)] = np.atleast_1d(vec)
-            seen.add(atom_id)
-        if seen != set(f.leaves):
-            raise ValueError("leaf map must cover every leaf exactly once")
-        return MartFunction(f, vals)
-    return MartFunction(f, np.asarray(leaf_map, dtype=float))
-
-
-def constant_function(f: Filtration, vec: Sequence[float] | float) -> MartFunction:
-    v = np.atleast_1d(np.asarray(vec, dtype=float))
-    return MartFunction(f, np.tile(v, (f.n_leaves, 1)))
 
 
 def indicator(f: Filtration, atom_id: int) -> MartFunction:
@@ -269,7 +240,12 @@ def average(f: MartFunction, atom_id: int) -> np.ndarray:
 
 
 def cond_exp(f: MartFunction, partition: Sequence[int]) -> MartFunction:
-    """Project onto functions constant on the given partition atoms."""
+    """Project onto functions constant on the given partition atoms.
+
+    Test oracle: the tests compare it with the dense averaging matrices
+    and read per-level projections off it; no production path calls it.
+    ``perfbench`` reports its calls as a named kernel.
+    """
     filt = f.filtration
     ids = _check_partition(filt, partition)
     spans = filt.layout.spans[ids]
@@ -346,23 +322,13 @@ def lp_norm(f: MartFunction, p: float) -> float:
     return float((m @ mags**p) ** (1.0 / p))
 
 
-def pointwise_dot(f: MartFunction, g: MartFunction) -> MartFunction:
-    """Scalar function t -> <f(t), g(t)>."""
-    _check_same_space(f, g)
-    return MartFunction(f.filtration, np.einsum("ij,ij->i", f.values, g.values)[:, None])
-
-
-def pointwise_scale(scalar: MartFunction, f: MartFunction) -> MartFunction:
-    """Multiply a (possibly vector) function by a scalar function leafwise."""
-    if scalar.dim != 1:
-        raise ValueError("first argument must be scalar valued")
-    if scalar.filtration is not f.filtration:
-        raise ValueError("functions live on different filtration objects")
-    return MartFunction(f.filtration, f.values * scalar.values)
-
-
 def restrict(f: MartFunction, atom_id: int) -> MartFunction:
-    """Multiply by the indicator of one atom (extension by zero)."""
+    """Multiply by the indicator of one atom (extension by zero).
+
+    Test oracle: the tests cut functions to one atom with it when they
+    check the restriction bound on the dense route; no production path
+    calls it.
+    """
     out = np.zeros_like(f.values)
     sl = f.filtration.leaf_slice(atom_id)
     out[sl] = f.values[sl]

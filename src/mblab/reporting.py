@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["ReportError", "format_float", "to_canonical_json", "rows_to_csv", "write_text"]
+__all__ = ["ReportError", "to_canonical_json", "rows_to_csv", "write_text"]
 
 _INF = math.inf
 

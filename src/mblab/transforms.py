@@ -38,7 +38,6 @@ production route against it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -55,8 +54,7 @@ __all__ = [
     "operator_norm",
     "predictable_hull",
     "split_multiplier_norm",
-    "transform_to_json",
-    "transform_from_json",
+    "transform_to_dict",
 ]
 
 class PredictabilityError(ValueError):
@@ -272,11 +270,12 @@ def predictable_hull(op_or_filt: MartingaleTransform | Filtration, f: MartFuncti
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Report payload
 
 
-def transform_to_json(op: MartingaleTransform) -> str:
-    payload = {
+def transform_to_dict(op: MartingaleTransform) -> dict:
+    """JSON-ready payload: per level, each A_{n-1} atom's multiplier."""
+    return {
         "multipliers": [
             {
                 "level": n,
@@ -288,20 +287,3 @@ def transform_to_json(op: MartingaleTransform) -> str:
             for n in range(1, op.filtration.depth + 1)
         ]
     }
-    return json.dumps(payload)
-
-
-def transform_from_json(filtration: Filtration, text: str) -> MartingaleTransform:
-    payload = json.loads(text)
-    by_level: dict[int, dict[int, list[float]]] = {}
-    for entry in payload["multipliers"]:
-        by_level[int(entry["level"])] = {
-            int(rec["atom_id"]): [float(c) for c in rec["coords"]] for rec in entry["values"]
-        }
-    rows = []
-    for n in range(1, filtration.depth + 1):
-        if n not in by_level:
-            raise ValueError(f"serialized transform is missing level {n}")
-        level_map = by_level[n]
-        rows.append(np.array([level_map[a] for a in filtration.levels[n - 1]]))
-    return make_transform(filtration, rows)

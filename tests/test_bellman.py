@@ -1,6 +1,7 @@
 """Candidate functions, split configurations, the two-point expansion,
 and the rescaling estimator."""
 
+import json
 import math
 
 import numpy as np
@@ -11,10 +12,9 @@ from hypothesis import strategies as st
 from mblab.bellman import (
     BellmanPoint,
     SplitConfig,
+    _diameter_pair,
     adversarial_split_configs,
     bellman_point,
-    configs_from_jsonl,
-    configs_to_jsonl,
     conjugate_exponent,
     dyadic_expand,
     estimate_rescale_constant,
@@ -22,12 +22,12 @@ from mblab.bellman import (
     linear_candidate,
     quadratic_candidate,
     recombine_slack,
-    sample_boundary_points,
     sample_dyadic_split_configs,
     sample_split_configs,
     scale_candidate,
     split_slack,
 )
+from mblab.reporting import to_canonical_json
 
 
 def point(x1, x2, x3, x4, p=2.0):
@@ -83,12 +83,14 @@ def test_bellman_point_slots(small_cells):
     pc = small_cells[0]
     filt = pc.filtration
     pt = bellman_point(pc.f, pc.g, pc.op, filt.root.id, 2.0)
-    from mblab.martingale import average, osc2, pointwise_dot
+    from mblab.martingale import average, osc2
 
     assert np.allclose(pt.x1, average(pc.f, filt.root.id), atol=1e-14)
-    g2 = float(average(pointwise_dot(pc.g, pc.g), filt.root.id)[0])
+    # <g^2> and <|f|^2> over the root, the measure-weighted leaf sums
+    m = filt.leaf_measures() / filt.total_measure
+    g2 = float(m @ pc.g.values[:, 0] ** 2)
     assert pt.x2 == pytest.approx(g2 - osc2(pc.op.adjoint_apply(pc.g), filt.root.id), rel=1e-12)
-    f2 = float(average(pointwise_dot(pc.f, pc.f), filt.root.id)[0])
+    f2 = float(m @ np.sum(pc.f.values**2, axis=1))
     assert pt.x3 == pytest.approx(f2, rel=1e-12)
     assert in_bellman_domain(pt, tol=1e-9 * max(1.0, pt.x3, pt.x4))
 
@@ -105,9 +107,8 @@ def test_bellman_point_rejects_negative_x2(small_cells):
 
 def test_point_serialization_roundtrip():
     pt = point([1.5, -2.0], 0.25, 9.0, 1.0)
-    back = BellmanPoint.from_dict(pt.to_dict())
-    assert np.allclose(back.x1, pt.x1)
-    assert (back.x2, back.x3, back.x4, back.p) == (pt.x2, pt.x3, pt.x4, pt.p)
+    back = json.loads(to_canonical_json(pt.to_dict()))
+    assert back == {"x1": [1.5, -2.0], "x2": 0.25, "x3": 9.0, "x4": 1.0, "p": 2.0, "atom": None}
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +140,13 @@ def test_scale_candidate():
 
 def test_boundary_sign_on_sampled_boundary():
     cand = quadratic_candidate(0.25)
-    for pt in sample_boundary_points(2.0, 200, seed=0, dim=2):
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        # on the face |x1|^2 = x3, with x4 at or above x2^{q/2}
+        x1 = rng.normal(size=2)
+        x2 = float(abs(rng.normal()))
+        margin = 0.0 if rng.random() < 0.25 else float(0.5 * rng.exponential())
+        pt = point(x1, x2, float(np.linalg.norm(x1) ** 2.0), x2 + margin)
         assert abs(float(np.linalg.norm(pt.x1))) ** 2.0 == pytest.approx(pt.x3, rel=1e-12)
         assert cand.evaluate(pt) >= -1e-9
 
@@ -195,18 +202,6 @@ def test_sampled_configs_respect_contracts():
         assert np.allclose(cfg.weights * 64, np.round(cfg.weights * 64), atol=1e-9)
 
 
-def test_config_jsonl_roundtrip(tmp_path):
-    cfgs = sample_split_configs(0.25, 2.0, 5, seed=4, dim=2)
-    path = tmp_path / "configs.jsonl"
-    path.write_text(configs_to_jsonl(cfgs))
-    back = configs_from_jsonl(path.read_text())
-    assert len(back) == len(cfgs)
-    for a, b in zip(cfgs, back):
-        assert a.d == pytest.approx(b.d, rel=1e-15)
-        assert np.allclose(a.weights, b.weights, atol=1e-15)
-        assert np.allclose(a.base.x1, b.base.x1, atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # dyadic expansion
 
@@ -238,6 +233,26 @@ def test_expansion_degenerate_when_points_coincide():
     cert = dyadic_expand(cfg)
     assert cert.degenerate
     assert cert.ratio is None
+
+
+def test_expansion_pair_choice_on_tied_and_repeated_points():
+    # the square's two diagonals tie for the diameter and point 4 repeats
+    # point 0: the first maximal pair (0, 3) sets the sort direction, and
+    # ties in the sort keys keep copy order
+    xs = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)]
+    ws = np.array([0.25, 0.25, 0.25, 0.125, 0.125])
+    pts = tuple(point(x, 0.0, float(np.dot(x, x)) + 1.0, 1.0) for x in xs)
+    base = point(
+        sum(w * pt.x1 for w, pt in zip(ws, pts)), 0.0, float(ws @ [pt.x3 for pt in pts]), 1.0
+    )
+    cfg = SplitConfig(delta=0.125, p=2.0, points=pts, weights=ws, d=0.0, base=base)
+    assert _diameter_pair([pt.x1 for pt in pts]) == (math.sqrt(2.0), (0, 3))
+    assert _diameter_pair([pts[0].x1, pts[4].x1]) == (0.0, (0, 0))
+    assert cfg.x1_diameter() == math.sqrt(2.0)
+    cert = dyadic_expand(cfg, m=3)
+    assert cert.diameter == math.sqrt(2.0)
+    # the other diagonal (1, 2) would give (1, 1, 0, 0, 3, 4, 2, 2)
+    assert cert.order == (0, 0, 4, 1, 1, 2, 2, 3)
 
 
 def test_expansion_ratio_positive_on_samples():

@@ -13,7 +13,6 @@ from mblab.filtration import build_dyadic, split_schedule
 from mblab.martingale import (
     MartFunction,
     average,
-    constant_function,
     delta_split,
     inner,
     osc2,
@@ -62,8 +61,8 @@ def test_haar_certificate_accepts(haar_cert):
 
 
 def test_zero_function_certifies_trivially(dyadic3):
-    f = constant_function(dyadic3, [0.0, 0.0])
-    g = constant_function(dyadic3, 0.0)
+    f = MartFunction(dyadic3, np.zeros((dyadic3.n_leaves, 2)))
+    g = MartFunction(dyadic3, np.zeros((dyadic3.n_leaves, 1)))
     rng = np.random.default_rng(0)
     from mblab.corpus import random_transform
 
@@ -100,7 +99,7 @@ def test_claimed_floor_must_cover_filtration(dyadic2):
 
 def test_mismatched_filtration_rejected(dyadic2, dyadic3):
     f, g, op = haar_witness(dyadic2, 1)
-    f_other = constant_function(dyadic3, 1.0)
+    f_other = MartFunction(dyadic3, np.full((dyadic3.n_leaves, 1), 1.0))
     with pytest.raises(ValueError):
         certify(quadratic_candidate(0.5), f_other, g, op)
 

@@ -101,7 +101,6 @@ def test_tolerance_scale_from_env(monkeypatch):
     assert base.scale == 1.0
     assert base.tight == pytest.approx(1e-9)
     assert base.exact == pytest.approx(1e-12)
-    assert base.loose == pytest.approx(1e-6)
     monkeypatch.setenv("MBL_TOL", "1000")
     wide = Tolerances.from_env()
     assert wide.scale == 1000.0

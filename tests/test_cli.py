@@ -6,14 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import mblab.cli as cli
 from mblab.cli import run
-from mblab.filtration import filtration_from_json
-from mblab.martingale import from_leaf_values, inner
-from mblab.transforms import transform_from_json
+from mblab.corpus import haar_witness
+from mblab.filtration import build_dyadic, filtration_to_dict
+from mblab.martingale import inner
+from mblab.transforms import transform_to_dict
 
 
 def run_to_file(tmp_path, name, argv):
@@ -106,12 +106,13 @@ def test_gen_depth1_structured_matches_reference_witness(tmp_path):
     )
     assert code == 0
     payload = json.loads(out.read_text())
-    filt = filtration_from_json(json.dumps(payload["filtration"]))
-    assert filt.depth == 1
+    filt = build_dyadic(1)
+    assert payload["filtration"] == filtration_to_dict(filt)
+    f, g, op = haar_witness(filt, 1)
     wit = payload["witness"]
-    f = from_leaf_values(filt, np.asarray(wit["f"], dtype=float))
-    g = from_leaf_values(filt, np.asarray(wit["g"], dtype=float))
-    op = transform_from_json(filt, json.dumps(wit["transform"]))
+    assert wit["f"] == f.values.tolist()
+    assert wit["g"] == g.values.tolist()
+    assert wit["transform"] == transform_to_dict(op)
     assert inner(g, op.apply(f)) == pytest.approx(1.0, rel=1e-12)
 
 

@@ -1,5 +1,6 @@
 """Structure tests for the atom tower: builders, regularity, schedule."""
 
+import json
 import math
 
 import numpy as np
@@ -13,12 +14,12 @@ from mblab.filtration import (
     _sample_ratios,
     build_dyadic,
     build_random_regular,
-    filtration_from_json,
-    filtration_to_json,
+    filtration_to_dict,
     level_partition,
     regularity_delta,
     split_schedule,
 )
+from mblab.reporting import to_canonical_json
 
 
 def test_dyadic_shape(dyadic3):
@@ -229,13 +230,12 @@ def test_random_regular_is_seed_deterministic():
 
 def test_json_roundtrip():
     filt = build_random_regular(depth=3, delta=0.2, max_children=3, split_prob=0.7, seed=5)
-    back = filtration_from_json(filtration_to_json(filt))
-    assert back.n_leaves == filt.n_leaves
-    assert back.depth == filt.depth
-    assert [(x.id, x.a, x.b, x.level, x.parent, x.children) for x in back.atoms] == [
-        (x.id, x.a, x.b, x.level, x.parent, x.children) for x in filt.atoms
-    ]
-    assert [e.atom for e in split_schedule(back)] == [e.atom for e in split_schedule(filt)]
+    back = json.loads(to_canonical_json(filtration_to_dict(filt)))
+    assert (back["delta"], back["depth"]) == (filt.delta, filt.depth)
+    assert [
+        (x["id"], x["a"], x["b"], x["level"], x["parent"], tuple(x["children"]))
+        for x in back["atoms"]
+    ] == [(x.id, x.a, x.b, x.level, x.parent, x.children) for x in filt.atoms]
 
 
 @settings(max_examples=40, deadline=None)

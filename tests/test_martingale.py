@@ -14,16 +14,12 @@ from mblab.martingale import (
     _averaging_matrices,
     average,
     cond_exp,
-    constant_function,
     delta_split,
-    from_leaf_values,
     indicator,
     inner,
     l2_norm,
     lp_norm,
     osc2,
-    pointwise_dot,
-    pointwise_scale,
     restrict,
 )
 
@@ -34,20 +30,13 @@ def rand_fn(filt, dim, seed):
 
 
 def test_constant_and_indicator(dyadic2):
-    c = constant_function(dyadic2, [2.0, -1.0])
+    c = MartFunction(dyadic2, np.full((dyadic2.n_leaves, 2), [2.0, -1.0]))
     assert c.dim == 2
     assert np.allclose(average(c, dyadic2.root.id), [2.0, -1.0])
     left = dyadic2.atom(dyadic2.root.children[0])
     ind = indicator(dyadic2, left.id)
     assert inner(ind, ind) == pytest.approx(left.measure, abs=1e-15)
     assert float(average(ind, dyadic2.root.id)[0]) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_from_leaf_values_roundtrip(dyadic2):
-    vals = {leaf: [float(leaf), 2.0 * leaf] for leaf in dyadic2.leaves}
-    f = from_leaf_values(dyadic2, vals)
-    for leaf in dyadic2.leaves:
-        assert np.allclose(f.leaf_value(leaf), vals[leaf])
 
 
 def test_average_is_measure_weighted(dyadic2):
@@ -189,18 +178,12 @@ def test_norms_and_inner(dyadic2):
     assert inner(f, f) == pytest.approx(l2_norm(f) ** 2, rel=1e-13)
     g = rand_fn(dyadic2, 3, 10)
     assert abs(inner(f, g)) <= l2_norm(f) * l2_norm(g) + 1e-12
-    dot = pointwise_dot(f, g)
-    assert dot.dim == 1
-    assert inner(f, g) == pytest.approx(
-        float(np.dot(dyadic2.leaf_measures(), dot.values[:, 0])), rel=1e-13
-    )
+    dot = np.einsum("ij,ij->i", f.values, g.values)
+    assert inner(f, g) == pytest.approx(float(np.dot(dyadic2.leaf_measures(), dot)), rel=1e-13)
 
 
-def test_pointwise_scale_and_shift(dyadic2):
+def test_shift_adds_a_constant_vector(dyadic2):
     f = rand_fn(dyadic2, 2, 11)
-    s = rand_fn(dyadic2, 1, 12)
-    scaled = pointwise_scale(s, f)
-    assert np.allclose(scaled.values, s.values * f.values, atol=1e-15)
     shifted = f.shift([1.0, -2.0])
     assert np.allclose(shifted.values, f.values + np.array([1.0, -2.0]), atol=1e-15)
 

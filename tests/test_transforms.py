@@ -5,6 +5,8 @@ transpose and its SVD norm are the oracles every matrix-free production
 route (``apply``, ``adjoint_closed_form``, ``split_multiplier_norm``) is
 compared against."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from mblab.filtration import build_dyadic, build_random_regular, split_schedule
 from mblab.martingale import (
     MartFunction,
     average,
-    constant_function,
     delta_split,
     indicator,
     inner,
@@ -24,6 +25,7 @@ from mblab.martingale import (
     osc2,
     restrict,
 )
+from mblab.reporting import to_canonical_json
 from mblab.transforms import (
     MartingaleTransform,
     PredictabilityError,
@@ -31,8 +33,7 @@ from mblab.transforms import (
     operator_norm,
     predictable_hull,
     split_multiplier_norm,
-    transform_from_json,
-    transform_to_json,
+    transform_to_dict,
 )
 
 
@@ -73,7 +74,7 @@ def test_operator_norm_below_one(dyadic3):
 
 def test_kills_constants(dyadic3):
     op = ones_transform(dyadic3)
-    c = constant_function(dyadic3, 7.0)
+    c = MartFunction(dyadic3, np.full((dyadic3.n_leaves, 1), 7.0))
     assert np.all(op.apply(c).values == 0.0)
 
 
@@ -286,9 +287,11 @@ def test_adjoint_mean_vanishes(dyadic3):
 def test_json_roundtrip(dyadic3):
     rng = np.random.default_rng(21)
     op = random_transform(dyadic3, 2, rng)
-    back = transform_from_json(dyadic3, transform_to_json(op))
-    f = rand_fn(dyadic3, 2, 22)
-    assert np.allclose(back.apply(f).values, op.apply(f).values, atol=1e-15)
+    back = json.loads(to_canonical_json(transform_to_dict(op)))
+    for n, level in enumerate(back["multipliers"], start=1):
+        assert level["level"] == n
+        assert [v["atom_id"] for v in level["values"]] == list(dyadic3.levels[n - 1])
+        assert np.array_equal([v["coords"] for v in level["values"]], op.multipliers[n - 1])
 
 
 @settings(max_examples=25, deadline=None)
