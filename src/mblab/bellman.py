@@ -12,8 +12,9 @@ with q the conjugate exponent of p.  These points live in the convex domain
 ``moment_table`` computes the point of every atom and, for every split
 event J, the displacement d_J, the pairing of the split differences of f and
 T* g, and the x2 gain of the split, in one level-by-level pass of the
-martingale kernel; ``bellman_point`` returns one atom's row of the same
-arithmetic.
+martingale kernel.  A ``Witness`` holds (f, g, T) and p and derives T* g and
+that table once each, for every suite, probe and certificate that reads
+them; ``bellman_point`` returns one atom's row of its table.
 
 A candidate function B is tested against the split inequality: whenever
 points x^1..x^N and weights lambda_k >= delta (summing to one) satisfy
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +51,7 @@ __all__ = [
     "BellmanCandidate",
     "conjugate_exponent",
     "bellman_point",
-    "moment_table",
+    "Witness",
     "quadratic_candidate",
     "linear_candidate",
     "sample_dyadic_split_configs",
@@ -181,21 +183,36 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     return MomentTable(p, x1, g2[:, 0], x2[:, 0], x3[:, 0], x4[:, 0], d, split[:, 1], split[:, 2])
 
 
+@dataclass(frozen=True, eq=False)
+class Witness:
+    """A witness triple (f, g, T) at exponent p, with the two objects the
+    suites, probes and certificates read derived once each, on first use:
+    ``tstar_g``, T* g through the closed form ``adjoint_closed_form``, and
+    ``table``, the ``moment_table`` at p.  The table's x2, d and x2 gains do
+    not depend on p.  ``f`` is None for a probe that reads only g and T* g;
+    such a witness has no table.
+    """
+
+    f: MartFunction | None
+    g: MartFunction
+    op: MartingaleTransform
+    p: float = 2.0
+
+    @cached_property
+    def tstar_g(self) -> MartFunction:
+        return self.op.adjoint_closed_form(self.g)
+
+    @cached_property
+    def table(self) -> MomentTable:
+        return moment_table(self.f, self.g, self.tstar_g, self.p)
+
+
 def bellman_point(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    atom_id: int,
-    p: float,
-    tstar_g: MartFunction | None = None,
+    f: MartFunction, g: MartFunction, op: MartingaleTransform, atom_id: int, p: float
 ) -> BellmanPoint:
     """Moment point of the witness (f, g, T) localized to one atom: its row
-    of ``moment_table``.  ``tstar_g`` may carry the precomputed adjoint T* g;
-    by default it is the closed form ``op.adjoint_closed_form(g)``.
-    """
-    if tstar_g is None:
-        tstar_g = op.adjoint_closed_form(g)
-    return moment_table(f, g, tstar_g, p).point(atom_id)
+    of the witness's moment table."""
+    return Witness(f, g, op, p).table.point(atom_id)
 
 
 def in_bellman_domain(pt: BellmanPoint, tol: float = _DOMAIN_TOL) -> bool:
@@ -577,7 +594,6 @@ class ExpansionCertificate:
     m: int
     copies: int
     order: tuple[int, ...]  # sorted copy order, entries = original point index
-    half_weights: tuple[float, float]
     half_means: tuple[ExpansionNode, ExpansionNode]
     separation: float
     diameter: float
@@ -645,14 +661,13 @@ def dyadic_expand(cfg: SplitConfig, m: int | None = None) -> ExpansionCertificat
             for i, (x1, (x2, x3, x4)) in enumerate(rows)
         )
     tree = nodes[0]
-    left, right = tree.children if tree.children else (tree, tree)
+    left, right = tree.children
     separation = float(np.linalg.norm(left.x1 - right.x1))
     ratio = None if degenerate else separation / diam
     return ExpansionCertificate(
         m=mm,
         copies=b,
         order=tuple(int(k) for k in sorted_owner),
-        half_weights=(left.weight, right.weight),
         half_means=(left, right),
         separation=separation,
         diameter=diam,

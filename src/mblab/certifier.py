@@ -20,9 +20,9 @@ when all three bracketed families are nonnegative within tolerance, which
 forces objective <= B(x_root).  A failed certificate is a first-class
 result: it carries every violating record and the reasons.
 
-Every moment point, displacement, pairing and x2 gain comes from one
-``moment_table`` pass over the witness; the walk over the schedule only
-evaluates the candidate and assembles the records.
+Every moment point, displacement, pairing and x2 gain comes from the moment
+table of one ``Witness`` at the candidate's exponent; the walk over the
+schedule only evaluates the candidate and assembles the records.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import BellmanCandidate, BellmanPoint, _diameter_pair, moment_table
+from .bellman import BellmanCandidate, BellmanPoint, Witness, _diameter_pair
 from .martingale import MartFunction, inner
 from .transforms import MartingaleTransform
 
@@ -68,6 +68,10 @@ class SplitRecord:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
+    """Outcome of ``certify``.  ``failing_records`` are the records behind
+    the split failures, flagged by the same tests, tolerance and scales that
+    wrote the messages in ``failures``."""
+
     ok: bool
     label: str
     p: float
@@ -83,21 +87,11 @@ class Certificate:
     leaf_term: float
     identity_residual: float
     failures: tuple[str, ...]
+    failing_records: tuple[SplitRecord, ...]
 
     @property
     def first_failure(self) -> str | None:
         return self.failures[0] if self.failures else None
-
-    @property
-    def failing_records(self) -> tuple[SplitRecord, ...]:
-        """Records behind the failure messages: materially negative slack or
-        a broken pairing domination step."""
-        bad = []
-        for rec in self.records:
-            scale = max(1.0, abs(rec.pairing), abs(rec.d) * rec.diameter)
-            if rec.slack < -_CERT_TOL * scale or rec.d * rec.diameter < rec.pairing - _CERT_TOL * scale:
-                bad.append(rec)
-        return tuple(bad)
 
 
 def certify(
@@ -129,11 +123,10 @@ def certify(
         )
 
     p = cand.p
-    tstar_g = op.adjoint_closed_form(g)
     tf = op.apply(f)
     total = filt.total_measure
     objective = inner(g, tf) / total
-    table = moment_table(f, g, tstar_g, p)
+    table = Witness(f, g, op, p).table
     points = [table.point(i) for i in range(len(filt.atoms))]
     lay = filt.layout
 
@@ -150,6 +143,7 @@ def certify(
 
     failures: list[str] = []
     records: list[SplitRecord] = []
+    failing: list[SplitRecord] = []
     weighted_slack = 0.0
     weighted_gap = 0.0
 
@@ -162,21 +156,20 @@ def certify(
         weights = tuple(filt.atom(c).measure / atom.measure for c in atom.children)
         diam = _diameter_pair([k.x1 for k in kids])[0]
 
+        flagged = False
         chain_scale = max(1.0, abs(pairing), d * diam)
         if d * diam < pairing - tol * chain_scale:
             failures.append(
                 f"pairing domination failed at atom {atom.id}: "
                 f"|d|*diam={d * diam:.6g} < pairing={pairing:.6g}"
             )
+            flagged = True
 
-        slack = (
-            cand.evaluate(base)
-            - d * diam
-            - sum(w * cand.evaluate(k) for w, k in zip(weights, kids))
-        )
-        slack_scale = max(1.0, abs(cand.evaluate(base)))
-        if slack < -tol * slack_scale:
+        b_base = cand.evaluate(base)
+        slack = b_base - d * diam - sum(w * cand.evaluate(k) for w, k in zip(weights, kids))
+        if slack < -tol * max(1.0, abs(b_base)):
             failures.append(f"negative split slack at atom {atom.id}: {slack:.6g}")
+            flagged = True
 
         records.append(
             SplitRecord(
@@ -192,6 +185,8 @@ def certify(
                 children=kids,
             )
         )
+        if flagged:
+            failing.append(records[-1])
         weighted_slack += atom.measure * slack
         weighted_gap += atom.measure * (d * diam - pairing)
 
@@ -236,6 +231,7 @@ def certify(
         leaf_term=leaf_term,
         identity_residual=identity_residual,
         failures=tuple(failures),
+        failing_records=tuple(failing),
     )
 
 

@@ -1,14 +1,18 @@
 """Named identity and inequality suites over a witness triple.
 
-Each suite returns rows of the form {check, max_err, tol, ok, detail} and
+Each suite takes a ``bellman.Witness`` (f, g, T), a ``Tolerances`` and a
+generator, returns rows of the form {check, max_err, tol, ok, detail} and
 never raises on a violation: callers decide what a red row means.  The
 suites cover the split-difference projection algebra, transform
 localization, predictable support, the oscillation series, the x2 drop
 accounting, nonnegativity of the x2 slot, the one-sided restriction bound,
 and the L2 contraction.
 
-Every suite reads T* g through the closed form ``adjoint_closed_form`` and
-T f through the multiplier formula ``apply``; none builds the dense matrix.
+``run_all`` and ``run_suite`` build one witness at p = 2 from (f, g, T), and
+every suite reads T* g and the moment table from it, so one ``run_all`` call
+computes T* g once, through the closed form ``adjoint_closed_form``, and the
+table once.  T f goes through the multiplier formula ``apply``; no suite
+builds the dense matrix.
 The dense routes (``matrix_apply``, ``adjoint_apply``, the SVD norm
 ``operator_norm``) are test oracles: the tests compare them with the
 production routes, on the whole acceptance corpus among others.
@@ -39,7 +43,7 @@ numbers per event from the chain's measures and multipliers.  That is
 O(L * depth^2) per witness; no event gets an L-leaf array of its own.  The
 tests keep the per-event route, one full-length input per event through
 the transform kernels, as an oracle.  The x2 suites read every atom's x2
-and every event's displacement and x2 gain off one ``bellman.moment_table``,
+and every event's displacement and x2 gain off the witness's moment table,
 the arrays the certifier uses.
 """
 
@@ -52,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bellman import moment_table
+from .bellman import Witness
 from .filtration import Filtration
 from .martingale import (
     MartFunction,
@@ -183,13 +187,7 @@ def _row(name: str, err: float, tol: float, detail: str = "") -> dict:
     }
 
 
-def check_projections(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
+def check_projections(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
     """Split differences behave as orthogonal projections with mutually
     orthogonal ranges, and they telescope the centered function.
 
@@ -198,6 +196,7 @@ def check_projections(
     measured on the nested pairs: an event at level n against its ancestor
     at each level k < n, summed over the event's atom.
     """
+    f = w.f
     filt = f.filtration
     m = filt.leaf_measures()
     scale = max(1.0, l2_norm(f) ** 2)
@@ -234,13 +233,7 @@ def check_projections(
     ]
 
 
-def check_localization(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
+def check_localization(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
     """Single-split inputs localize: T of a split difference at J is
     supported in J, and the adjoint commutes with the split difference up to
     the multiplier of that atom.
@@ -252,9 +245,9 @@ def check_localization(
     full-length route, one transform of an L-leaf piece per event, is kept
     in the tests as an oracle.
     """
-    filt = f.filtration
+    filt, op = w.f.filtration, w.op
     lay = filt.layout
-    draws = _event_draws(filt, np.arange(len(lay.event_atoms)), f.dim, rng)
+    draws = _event_draws(filt, np.arange(len(lay.event_atoms)), w.f.dim, rng)
     runs = _event_runs(op)
     outside = 0.0
     if len(runs.levels):
@@ -268,8 +261,7 @@ def check_localization(
     # On an atom J split at level n, the level-n difference is J's split
     # difference, and T* multiplies it by the level-(n+1) multiplier of J.
     commute = 0.0
-    tstar_g = op.adjoint_closed_form(g)
-    diffs = zip(_level_differences(filt, g.values), _level_differences(filt, tstar_g.values))
+    diffs = zip(_level_differences(filt, w.g.values), _level_differences(filt, w.tstar_g.values))
     for n, (dsg, dtg) in enumerate(diffs, start=1):
         err = np.abs(dtg - op.multiplier_on_leaves(n) * dsg)
         commute = max(commute, float(np.max(err)))
@@ -279,18 +271,12 @@ def check_localization(
     ]
 
 
-def check_support(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
+def check_support(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
     """Transforms of functions built from a known active split set stay
     supported in the union of those atoms, exactly."""
-    filt = f.filtration
-    h, active = active_split_function(filt, f.dim, rng)
-    th = op.apply(h)
+    filt = w.f.filtration
+    h, active = active_split_function(filt, w.f.dim, rng)
+    th = w.op.apply(h)
     covered = np.zeros(filt.n_leaves, dtype=bool)
     for atom_id in active:
         covered[filt.leaf_slice(atom_id)] = True
@@ -298,7 +284,7 @@ def check_support(
     if (~covered).any():
         err = float(np.max(np.abs(th.values[~covered])))
 
-    hull = predictable_hull(op, h)
+    hull = predictable_hull(w.op, h)
     hull_err = 0.0
     for level_atoms in hull:
         for atom_id in level_atoms:
@@ -310,13 +296,7 @@ def check_support(
     ]
 
 
-def check_osc_series(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
+def check_osc_series(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
     """Mean squared oscillation over an atom equals the normalized sum of
     squared split differences of atoms inside it.
 
@@ -324,10 +304,10 @@ def check_osc_series(
     inside the A_n atom that holds its first leaf, and an A_n atom splits
     when it holds more than one A_{n+1} atom.
     """
-    filt = f.filtration
+    filt = w.f.filtration
     lay = filt.layout
     m = filt.leaf_measures()
-    tstar_g = op.adjoint_closed_form(g).values
+    tstar_g = w.tstar_g.values
     diffs = list(_level_differences(filt, tstar_g))
     series = np.zeros(len(filt.leaves))
     err = 0.0
@@ -342,41 +322,24 @@ def check_osc_series(
     return [_row("osc_series", err, tol.tight, "series vs direct, relative")]
 
 
-# x2, d and the x2 gains of a moment table do not depend on the exponent.
-_ANY_P = 2.0
-
-
-def check_x2_drop(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
+def check_x2_drop(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
     """Across one split the weighted x2 of the children exceeds the parent
     x2 by exactly the squared displacement."""
-    table = moment_table(f, g, op.adjoint_closed_form(g), _ANY_P)
+    table = w.table
     d_sq = table.d * table.d
     err = float(np.max(np.abs(table.x2_gain - d_sq) / np.maximum(1.0, d_sq), initial=0.0))
     return [_row("x2_drop", err, tol.tight, "weighted x2 gain vs d^2, relative")]
 
 
-def check_x2_sign(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
+def check_x2_sign(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
     """The x2 slot is nonnegative on every atom (oscillation of the adjoint
     never exceeds the local second moment of g)."""
-    tstar_g = op.adjoint_closed_form(g)
-    table = moment_table(f, g, tstar_g, _ANY_P)
+    table = w.table
     worst = float(np.min(table.x2 / np.maximum(table.g2, 1e-300), initial=0.0))
     rows = [_row("x2_sign", max(0.0, -worst), tol.exact, "most negative x2, relative")]
     # root form keeps the squared mean of the adjoint on the right hand side
-    root = f.filtration.root.id
-    mean_sq = float(np.sum(average(tstar_g, root) ** 2))
+    root = w.f.filtration.root.id
+    mean_sq = float(np.sum(average(w.tstar_g, root) ** 2))
     rows.append(
         _row(
             "x2_root_mean_bound",
@@ -431,17 +394,16 @@ def _cut_adjoints(
     return off_mean / filt.total_measure, square_sums(on_atoms, rings)
 
 
-def _restriction_sides(
-    g: MartFunction, op: MartingaleTransform, runs: _EventRuns
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _restriction_sides(w: Witness, runs: _EventRuns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per non-root split atom J, in schedule order: the mean <g>_J, the
     local side osc2(T* g, J) and the rescaled global side
     (|I|/|J|) osc2(T*(g 1_J), I)."""
+    g, op = w.g, w.op
     filt = g.filtration
     weights = filt.layout.measures[runs.leaf]
     measures = runs.measures[:, -1]
     mean_g = runs.sums(weights * g.values[runs.leaf, 0]) / measures
-    tstar_g = op.adjoint_closed_form(g).values[runs.leaf]
+    tstar_g = w.tstar_g.values[runs.leaf]
     mean = runs.sums(weights[:, None] * tstar_g) / measures[:, None]
     centered = tstar_g - mean[runs.owner]
     local = runs.sums(weights * np.einsum("ij,ij->i", centered, centered)) / measures
@@ -449,23 +411,16 @@ def _restriction_sides(
     return mean_g, local, (filt.total_measure / measures) * cut_osc
 
 
-def check_restriction(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
+def check_restriction(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
     """One-sided restriction bound: the local oscillation of T* g over J is
     dominated by the rescaled global oscillation of T* applied to g cut to
     J.  Ancestor splits make the global side strictly larger in general.
 
-    Both sides read T* g through the closed form, and the cuts go through
-    the per-level kernel of ``_cut_adjoints``; the full-length route, one
-    L-leaf cut per event through the adjoint, is kept in the tests as an
-    oracle.
+    Both sides read the witness's T* g, and the cuts go through the
+    per-level kernel of ``_cut_adjoints``; the full-length route, one L-leaf
+    cut per event through the adjoint, is kept in the tests as an oracle.
     """
-    _, local, glob = _restriction_sides(g, op, _event_runs(op))
+    _, local, glob = _restriction_sides(w, _event_runs(w.op))
     worst = float(np.max((local - glob) / np.maximum(1.0, local), initial=0.0))
     return [_row("restriction_bound", worst, tol.tight, "local minus rescaled global")]
 
@@ -489,7 +444,7 @@ def restriction_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple
     filt = g.filtration
     runs = _event_runs(op)
     measures = runs.measures[:, -1]
-    c, local, glob = _restriction_sides(g, op, runs)
+    c, local, glob = _restriction_sides(Witness(None, g, op), runs)
     centered_osc, _ = _cut_adjoints(op, runs, g.values[:, 0], c)
     centered = (filt.total_measure / measures) * centered_osc
     scale = np.maximum(np.maximum(local, centered), 1e-30)
@@ -508,18 +463,12 @@ def hoelder_mean_margin(
     so ``run_all`` rows do not include it."""
     filt = f.filtration
     root = filt.root.id
-    lhs = abs(float(np.dot(average(f, root), average(op.adjoint_closed_form(g), root))))
+    lhs = abs(float(np.dot(average(f, root), average(Witness(f, g, op, p).tstar_g, root))))
     rhs = lp_norm(f, p) * lp_norm(g, q) / filt.total_measure
     return lhs - rhs
 
 
-def check_contraction(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
+def check_contraction(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
     """Norm bound, witness ratio, and duality of the two applications.
 
     The operator norm is ``split_multiplier_norm``, the largest split-atom
@@ -527,10 +476,11 @@ def check_contraction(
     ``apply`` against <f, T* g> from the closed-form adjoint.  No dense
     matrix and no SVD: the tests hold both against the dense oracle.
     """
-    norm = split_multiplier_norm(op)
-    tf = op.apply(f)
+    f, g = w.f, w.g
+    norm = split_multiplier_norm(w.op)
+    tf = w.op.apply(f)
     ratio = l2_norm(tf) / max(l2_norm(f), 1e-300)
-    pair = abs(inner(tf, g) - inner(f, op.adjoint_closed_form(g))) / max(1.0, abs(inner(tf, g)))
+    pair = abs(inner(tf, g) - inner(f, w.tstar_g)) / max(1.0, abs(inner(tf, g)))
     return [
         _row("contraction_norm", max(0.0, norm - 1.0), tol.tight, "operator norm minus 1"),
         _row("contraction_ratio", max(0.0, ratio - 1.0), tol.tight, "witness ratio minus 1"),
@@ -550,6 +500,12 @@ SUITES = {
 }
 
 
+def _suite(name: str):
+    if name not in SUITES:
+        raise KeyError(f"unknown check suite '{name}'; known: {sorted(SUITES)}")
+    return SUITES[name]
+
+
 def run_suite(
     name: str,
     f: MartFunction,
@@ -558,9 +514,7 @@ def run_suite(
     tol: Tolerances,
     rng: np.random.Generator,
 ) -> list[dict]:
-    if name not in SUITES:
-        raise KeyError(f"unknown check suite '{name}'; known: {sorted(SUITES)}")
-    return SUITES[name](f, g, op, tol, rng)
+    return _suite(name)(Witness(f, g, op), tol, rng)
 
 
 def run_all(
@@ -573,7 +527,8 @@ def run_all(
 ) -> tuple[list[dict], bool]:
     tol = tol or Tolerances()
     rng = rng if rng is not None else np.random.default_rng(0)
+    w = Witness(f, g, op)
     rows: list[dict] = []
     for name in suites or list(SUITES):
-        rows.extend(run_suite(name, f, g, op, tol, rng))
+        rows.extend(_suite(name)(w, tol, rng))
     return rows, all(r["ok"] for r in rows)

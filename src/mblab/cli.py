@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,10 +160,12 @@ def _validate(command: str, cfg: RunConfig) -> None:
         raise UsageError(f"--trials must be >= 1, got {cfg.trials}")
     if command in _CONJUGATE_COMMANDS and not 1.0 < cfg.p <= 2.0:
         raise UsageError(f"{command} needs --p in (1, 2], got {cfg.p}")
-    if not cfg.p > 0.0:
-        raise UsageError(f"--p must be positive, got {cfg.p}")
+    if not (cfg.p > 0.0 and math.isfinite(cfg.p)):
+        raise UsageError(f"--p must be positive and finite, got {cfg.p}")
     if command == "scan" and not cfg.p > 1.0:
         raise UsageError(f"scan needs --p > 1 (no L^p bound holds for p <= 1), got {cfg.p}")
+    if cfg.ascent < 0:
+        raise UsageError(f"--ascent must be >= 0, got {cfg.ascent}")
     if cfg.suites is not None and not cfg.suites.strip():
         raise UsageError("--suites must name at least one suite")
     if command == "lemma1":
@@ -197,7 +200,7 @@ def _filtration(cfg: RunConfig):
     return build_random_regular(
         depth=depth,
         delta=cfg.delta,
-        max_children=cfg.max_children or max_children_for(cfg.delta),
+        max_children=max_children_for(cfg.delta) if cfg.max_children is None else cfg.max_children,
         split_prob=cfg.split_prob,
         seed=seed,
     )

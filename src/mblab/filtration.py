@@ -156,11 +156,6 @@ class Filtration:
         return self.atoms[atom_id]
 
     @property
-    def active_set(self) -> tuple[int, ...]:
-        """Ids of the atoms that split, in schedule order."""
-        return tuple(self.layout.event_atoms.tolist())
-
-    @property
     def n_leaves(self) -> int:
         return len(self.leaves)
 
@@ -168,9 +163,6 @@ class Filtration:
     def layout(self) -> LeafLayout:
         """Leaf spans, level maps and event spans; built on first use."""
         return _build_layout(self)
-
-    def leaf_index(self, atom_id: int) -> int:
-        return self.layout.positions[atom_id]
 
     def leaf_measures(self) -> np.ndarray:
         return self.layout.measures

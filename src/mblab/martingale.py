@@ -79,9 +79,6 @@ class MartFunction:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def leaf_value(self, atom_id: int) -> np.ndarray:
-        return self.values[self.filtration.leaf_index(atom_id)]
-
     def __add__(self, other: "MartFunction") -> "MartFunction":
         _check_same_space(self, other)
         return MartFunction(self.filtration, self.values + other.values)
@@ -109,13 +106,6 @@ def _check_same_space(f: MartFunction, g: MartFunction) -> None:
         raise ValueError("functions live on different filtration objects")
     if f.dim != g.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-
-
-def indicator(f: Filtration, atom_id: int) -> MartFunction:
-    """Scalar indicator of one atom."""
-    vals = np.zeros((f.n_leaves, 1))
-    vals[f.leaf_slice(atom_id)] = 1.0
-    return MartFunction(f, vals)
 
 
 # ---------------------------------------------------------------------------

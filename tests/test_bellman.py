@@ -20,6 +20,7 @@ from mblab.bellman import (
     estimate_rescale_constant,
     in_bellman_domain,
     linear_candidate,
+    moment_table,
     quadratic_candidate,
     recombine_slack,
     sample_dyadic_split_configs,
@@ -102,7 +103,7 @@ def test_bellman_point_rejects_negative_x2(small_cells):
     big = pc.op.adjoint_apply(pc.g)
     fake = type(big)(filt, big.values * 100.0 + 5.0)
     with pytest.raises(ArithmeticError):
-        bellman_point(pc.f, pc.g, pc.op, filt.root.id, 2.0, tstar_g=fake)
+        moment_table(pc.f, pc.g, fake, 2.0).point(filt.root.id)
 
 
 def test_point_serialization_roundtrip():

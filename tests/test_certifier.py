@@ -2,11 +2,12 @@
 witness numbers, failure reporting, accumulation identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from mblab.bellman import bellman_point, conjugate_exponent, linear_candidate, quadratic_candidate
+from mblab.bellman import conjugate_exponent, linear_candidate, moment_table, quadratic_candidate
 from mblab.certifier import certificate_rows, certificate_to_dict, certify
 from mblab.corpus import CorpusCell, haar_witness, prepare_cell
 from mblab.filtration import build_dyadic, split_schedule
@@ -89,6 +90,25 @@ def test_linear_candidate_rejected_with_failing_record(dyadic1):
     assert rec.slack < -1e-6
 
 
+def test_failing_records_follow_certify_tolerance():
+    # the failing records are the ones certify flagged, under the tol and
+    # scales it was given: a witness scaled down by 1e-3 passes a linear
+    # candidate at tol 1e-3 with none, and fails it at the default tol with
+    # exactly the records its failure messages name
+    pc = prepare_cell(CorpusCell(0.25, 2, 3))
+    f, g = pc.f * 1e-3, pc.g * 1e-3
+    cand = linear_candidate(1.0, 2.0, pc.cell.delta)
+    loose = certify(cand, f, g, pc.op, tol=1e-3)
+    assert loose.ok and loose.failures == ()
+    assert loose.failing_records == ()
+    strict = certify(cand, f, g, pc.op)
+    assert not strict.ok
+    named = {int(a) for msg in strict.failures for a in re.findall(r"at atom (\d+)", msg)}
+    assert [r.atom for r in strict.failing_records] == sorted(
+        named, key=[r.atom for r in strict.records].index
+    )
+
+
 def test_claimed_floor_must_cover_filtration(dyadic2):
     f, g, op = haar_witness(dyadic2, 1)
     tight = quadratic_candidate(0.25)
@@ -116,9 +136,9 @@ def point_by_atom(f, g, tstar_g, atom_id, p):
 
 
 def test_records_and_leaves_are_bellman_points(small_cells):
-    # every point certify reports is bellman_point's row for its atom, bit
-    # for bit, and agrees with the per-atom sums; d and the pairing are those
-    # of the single-split differences
+    # every point certify reports is the moment table's row for its atom,
+    # bit for bit, and agrees with the per-atom sums; d and the pairing are
+    # those of the single-split differences
     for pc in small_cells:
         filt = pc.filtration
         cand = quadratic_candidate(pc.cell.delta)
@@ -126,7 +146,7 @@ def test_records_and_leaves_are_bellman_points(small_cells):
         tstar = pc.op.adjoint_closed_form(pc.g)  # the T* g certify reads
 
         def assert_is_point(pt, atom_id):
-            ref = bellman_point(pc.f, pc.g, pc.op, atom_id, cand.p, tstar_g=tstar)
+            ref = moment_table(pc.f, pc.g, tstar, cand.p).point(atom_id)
             assert pt.atom == ref.atom == atom_id
             assert np.array_equal(pt.x1, ref.x1)
             assert (pt.x2, pt.x3, pt.x4, pt.p) == (ref.x2, ref.x3, ref.x4, ref.p)

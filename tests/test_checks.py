@@ -1,8 +1,9 @@
 """Check-suite layer: row structure, per-suite pass behavior, tolerance
-scaling through the environment, the per-level localization and
-restriction kernels against the per-event routes they replaced, and the
-matrix-free production path: no suite, certificate, moment point or
-duality bound builds the dense matrix, on small cells or at dyadic depth 12."""
+scaling through the environment, one T* g and one moment table per
+witness, the per-level localization and restriction kernels against the
+per-event routes they replaced, and the matrix-free production path: no
+suite, certificate, moment point or duality bound builds the dense matrix,
+on small cells or at dyadic depth 12."""
 
 from __future__ import annotations
 
@@ -14,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mblab.bellman as bellman
+import mblab.certifier as certifier
 import mblab.checks as checks
 import mblab.estimator as estimator
-from mblab.bellman import bellman_point, quadratic_candidate
+from mblab.bellman import Witness, bellman_point, quadratic_candidate
 from mblab.certifier import certify
 from mblab.checks import SUITES, Tolerances, _row, hoelder_mean_margin, run_all, run_suite
 from mblab.corpus import max_children_for, prepare_cell, random_transform, random_witness
@@ -116,6 +119,46 @@ def test_bad_env_tolerance_rejected(monkeypatch, value):
 
 
 # ---------------------------------------------------------------------------
+# One witness: T* g and the moment table once per call
+
+
+def _count_derivations(monkeypatch) -> dict[str, int]:
+    """Count calls of the closed-form adjoint and of the moment table, in
+    every module that binds the table."""
+    counts = {"adjoint_closed_form": 0, "moment_table": 0}
+    closed_form, table = MartingaleTransform.adjoint_closed_form, bellman.moment_table
+
+    def counted_adjoint(op, g):
+        counts["adjoint_closed_form"] += 1
+        return closed_form(op, g)
+
+    def counted_table(*args):
+        counts["moment_table"] += 1
+        return table(*args)
+
+    monkeypatch.setattr(MartingaleTransform, "adjoint_closed_form", counted_adjoint)
+    for module in (bellman, checks, certifier):
+        if getattr(module, "moment_table", None) is table:
+            monkeypatch.setattr(module, "moment_table", counted_table)
+    return counts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_one_adjoint_and_one_table_per_call(monkeypatch, kernel_tower, dim):
+    f, g, op = _witness(kernel_tower, dim, 20 + dim)
+    counts = _count_derivations(monkeypatch)
+    calls = {
+        "run_all": lambda: run_all(f, g, op, rng=np.random.default_rng(21)),
+        "certify": lambda: certify(quadratic_candidate(kernel_tower.delta), f, g, op),
+        "bellman_point": lambda: bellman_point(f, g, op, kernel_tower.root.id, 2.0),
+    }
+    for name, call in calls.items():
+        counts.update(dict.fromkeys(counts, 0))
+        call()
+        assert counts == {"adjoint_closed_form": 1, "moment_table": 1}, name
+
+
+# ---------------------------------------------------------------------------
 # Matrix-free production path
 
 
@@ -160,7 +203,7 @@ def test_contraction_norm_red_past_the_unit_ball(kernel_tower):
     mults = [a.copy() for a in op.multipliers]
     mults[0][0] = (1.0 + 1e-6) * mults[0][0] / np.linalg.norm(mults[0][0])
     wide = MartingaleTransform(op.filtration, op.dim, tuple(mults))
-    row = checks.check_contraction(f, g, wide, Tolerances(), np.random.default_rng(9))[0]
+    row = checks.check_contraction(Witness(f, g, wide), Tolerances(), np.random.default_rng(9))[0]
     assert row["check"] == "contraction_norm"
     assert not row["ok"], row
     assert row["max_err"] == pytest.approx(1e-6, rel=1e-9)
@@ -360,7 +403,7 @@ def _assert_matches_reference(f, g, op):
         (checks.check_restriction, check_restriction),
     ):
         new_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        new = new_suite(f, g, op, tol, new_rng)
+        new = new_suite(Witness(f, g, op), tol, new_rng)
         ref = ref_suite(f, g, op, tol, ref_rng)
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
         assert _fixed(new) == _fixed(ref)
@@ -368,7 +411,7 @@ def _assert_matches_reference(f, g, op):
             assert abs(a["max_err"] - b["max_err"]) <= gaps[a["check"]], (a, b)
 
     runs = checks._event_runs(op)
-    _, new_local, new_glob = checks._restriction_sides(g, op, runs)
+    _, new_local, new_glob = checks._restriction_sides(Witness(f, g, op), runs)
     spans, _, _, ref_local, ref_glob = _restriction_sides(g, op)
     # the local side is osc2 of T* g over J: tiny on some deep atoms, where
     # the two adjoint routes differ by roundoff of the O(1) leaf values
@@ -423,10 +466,12 @@ def test_localization_red_on_offset_piece(monkeypatch, kernel_tower):
         monkeypatch.setattr(
             module, "_level_difference", lambda filt, v, n, exact=exact: exact(filt, v, n) + 1e-6
         )
-    for suite in (checks.check_localization, check_localization):
-        row = suite(f, g, op, Tolerances(), np.random.default_rng(4))[0]
-        assert row["check"] == "localization_support"
-        assert not row["ok"], row
+    for rows in (
+        checks.check_localization(Witness(f, g, op), Tolerances(), np.random.default_rng(4)),
+        check_localization(f, g, op, Tolerances(), np.random.default_rng(4)),
+    ):
+        assert rows[0]["check"] == "localization_support"
+        assert not rows[0]["ok"], rows[0]
 
 
 def test_restriction_probe_red_on_scaled_cut(monkeypatch, kernel_tower):

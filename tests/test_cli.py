@@ -73,6 +73,9 @@ def test_unwritable_out_exits_two(capsys):
         ["gen", "--delta", "0.1", "--seed", "4", "--depth", "2", "--witness", "structured"],
         ["check", "--seed", "1", "--suites", ""],
         ["check", "--seed", "1", "--suites", " "],
+        ["gen", "--seed", "1", "--delta", "0.25", "--max-children", "0"],
+        ["scan", "--seed", "1", "--p", "inf"],
+        ["search", "--seed", "1", "--ascent", "-5"],
     ],
 )
 def test_bad_arguments_exit_two(argv, capsys):

@@ -92,7 +92,7 @@ def test_random_witness_shapes(dyadic3):
 def test_active_split_function_support(dyadic3):
     rng = np.random.default_rng(1)
     f, active = active_split_function(dyadic3, 2, rng)
-    assert active <= set(dyadic3.active_set)
+    assert active <= set(dyadic3.layout.event_atoms.tolist())
     # the function has mean zero: it is a sum of split differences
     assert np.allclose(average(f, dyadic3.root.id), 0.0, atol=1e-13)
 

@@ -64,9 +64,8 @@ def test_deep_dyadic_leaf_spans():
         assert sl.stop - sl.start == 2 ** (14 - atom.level)
     events = filt.layout.event_atoms
     assert len(events) == 2**14 - 1 and events[0] == filt.root.id
-    # the schedule and the active set are reads of the layout's events
+    # the schedule is a read of the layout's events
     assert [e.atom for e in split_schedule(filt)] == events.tolist()
-    assert len(filt.active_set) == 2**14 - 1
 
 
 def test_layout_events_follow_schedule():
@@ -141,8 +140,8 @@ def test_schedule_refines_one_atom_at_a_time(dyadic3):
 
 def test_schedule_covers_active_set(dyadic3):
     events = split_schedule(dyadic3)
-    assert {e.atom for e in events} == set(dyadic3.active_set)
-    assert len(events) == len(dyadic3.active_set)
+    assert {e.atom for e in events} == set(dyadic3.layout.event_atoms.tolist())
+    assert len(events) == len(dyadic3.layout.event_atoms)
 
 
 def test_level_partition_measures(dyadic3):

@@ -15,7 +15,6 @@ from mblab.martingale import (
     average,
     cond_exp,
     delta_split,
-    indicator,
     inner,
     l2_norm,
     lp_norm,
@@ -34,7 +33,9 @@ def test_constant_and_indicator(dyadic2):
     assert c.dim == 2
     assert np.allclose(average(c, dyadic2.root.id), [2.0, -1.0])
     left = dyadic2.atom(dyadic2.root.children[0])
-    ind = indicator(dyadic2, left.id)
+    vals = np.zeros((dyadic2.n_leaves, 1))
+    vals[dyadic2.leaf_slice(left.id)] = 1.0
+    ind = MartFunction(dyadic2, vals)
     assert inner(ind, ind) == pytest.approx(left.measure, abs=1e-15)
     assert float(average(ind, dyadic2.root.id)[0]) == pytest.approx(0.5, abs=1e-15)
 
@@ -43,7 +44,7 @@ def test_average_is_measure_weighted(dyadic2):
     f = rand_fn(dyadic2, 1, 0)
     root = dyadic2.root.id
     manual = sum(
-        dyadic2.atom(leaf).measure * f.leaf_value(leaf) for leaf in dyadic2.leaves
+        dyadic2.atom(leaf).measure * f.values[dyadic2.layout.positions[leaf]] for leaf in dyadic2.leaves
     )
     assert np.allclose(average(f, root), manual, atol=1e-15)
 
@@ -112,7 +113,7 @@ def test_delta_split_mean_zero_and_support(dyadic3):
         for leaf in dyadic3.leaves:
             la = dyadic3.atom(leaf)
             if not (atom.a <= la.a and la.b <= atom.b):
-                assert np.all(d.leaf_value(leaf) == 0.0)
+                assert np.all(d.values[dyadic3.layout.positions[leaf]] == 0.0)
         assert np.allclose(average(d, dyadic3.root.id), 0.0, atol=1e-15)
         # constant on each child: the value is child mean minus parent mean
         for child in atom.children:
@@ -137,7 +138,7 @@ def test_osc2_matches_variance_definition(dyadic3):
         for leaf in dyadic3.leaves:
             la = dyadic3.atom(leaf)
             if atom.a <= la.a and la.b <= atom.b:
-                acc += la.measure * float(np.sum((f.leaf_value(leaf) - mean) ** 2))
+                acc += la.measure * float(np.sum((f.values[dyadic3.layout.positions[leaf]] - mean) ** 2))
         assert osc2(f, atom.id) == pytest.approx(acc / atom.measure, rel=1e-12, abs=1e-15)
 
 
@@ -166,10 +167,11 @@ def test_restrict_cuts_support(dyadic2):
     for leaf in dyadic2.leaves:
         leaf_atom = dyadic2.atom(leaf)
         inside = la.a <= leaf_atom.a and leaf_atom.b <= la.b
+        at = dyadic2.layout.positions[leaf]
         if inside:
-            assert np.all(cut.leaf_value(leaf) == f.leaf_value(leaf))
+            assert np.all(cut.values[at] == f.values[at])
         else:
-            assert np.all(cut.leaf_value(leaf) == 0.0)
+            assert np.all(cut.values[at] == 0.0)
 
 
 def test_norms_and_inner(dyadic2):

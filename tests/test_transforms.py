@@ -19,7 +19,6 @@ from mblab.martingale import (
     MartFunction,
     average,
     delta_split,
-    indicator,
     inner,
     l2_norm,
     osc2,
@@ -204,7 +203,7 @@ def test_localization_single_split_input(dyadic3):
         for leaf in dyadic3.leaves:
             la = dyadic3.atom(leaf)
             if not (atom.a <= la.a and la.b <= atom.b):
-                assert abs(float(out.leaf_value(leaf)[0])) <= 1e-12
+                assert abs(float(out.values[dyadic3.layout.positions[leaf], 0])) <= 1e-12
 
 
 def test_predictable_support_containment():
@@ -222,7 +221,7 @@ def test_predictable_support_containment():
                 keep.add(leaf)
     for leaf in filt.leaves:
         if leaf not in keep:
-            assert abs(float(out.leaf_value(leaf)[0])) <= 1e-12
+            assert abs(float(out.values[filt.layout.positions[leaf], 0])) <= 1e-12
 
 
 def test_predictable_hull_is_contained_in_active_levels():
@@ -256,7 +255,9 @@ def test_restriction_equality_fails_in_general(dyadic2):
     # rescaling retains the root-level jump the local oscillation never sees
     op = ones_transform(dyadic2)
     left = dyadic2.root.children[0]
-    g = indicator(dyadic2, left)
+    values = np.zeros((dyadic2.n_leaves, 1))
+    values[dyadic2.leaf_slice(left)] = 1.0
+    g = MartFunction(dyadic2, values)  # the indicator of J
     tstar = op.adjoint_apply(g)
     local = osc2(tstar, left)
     cut = op.adjoint_apply(restrict(g, left))
@@ -270,7 +271,7 @@ def test_restriction_equality_fails_in_general(dyadic2):
     centered_cut = op.adjoint_apply(restrict(g.shift(-mean), left))
     centered = osc2(centered_cut, dyadic2.root.id) / dyadic2.atom(left).measure
     assert centered == pytest.approx(local, abs=1e-15)
-    ones = op.adjoint_apply(indicator(dyadic2, left))
+    ones = op.adjoint_apply(g)
     defect = mean**2 * inner(ones, ones) / dyadic2.atom(left).measure
     assert defect == pytest.approx(0.5, abs=1e-12)
     assert glob - local == pytest.approx(defect, abs=1e-12)
