@@ -64,6 +64,9 @@ __all__ = [
 _DOMAIN_TOL = 1e-12
 _DISPLACEMENT_TOL = 1e-10
 
+# A candidate's scalar arguments and result: one float, or an array of them.
+Values = np.ndarray | float
+
 
 def conjugate_exponent(p: float) -> float:
     if not (1.0 < p <= 2.0):
@@ -234,16 +237,19 @@ def in_bellman_domain(pt: BellmanPoint, tol: float = _DOMAIN_TOL) -> bool:
 class BellmanCandidate:
     """Callable candidate with its claimed exponent and regularity floor.
 
+    ``fn(x1, x2, x3, x4)`` takes one point, x1 of shape (dim,) and scalars,
+    or many at once, x1 of shape (n, dim) and arrays of length n, and then
+    returns the n values; each value has the bits of the one-point call.
     ``cp`` and ``h`` are populated for candidates of the separated shape
     B(x) = cp * (x3 + x4) - h(x1, x2); the duality estimator needs ``cp``.
     """
 
-    fn: Callable[[np.ndarray, float, float, float], float]
+    fn: Callable[[np.ndarray, Values, Values, Values], Values]
     p: float
     delta: float
     label: str
     cp: float | None = None
-    h: Callable[[np.ndarray, float], float] | None = None
+    h: Callable[[np.ndarray, Values], Values] | None = None
 
     @property
     def q(self) -> float:
@@ -258,14 +264,15 @@ class BellmanCandidate:
 
 def shaped_candidate(
     cp: float,
-    h: Callable[[np.ndarray, float], float],
+    h: Callable[[np.ndarray, Values], Values],
     p: float,
     delta: float,
     label: str,
 ) -> BellmanCandidate:
-    """Candidate of the separated shape cp * (x3 + x4) - h(x1, x2)."""
+    """Candidate of the separated shape cp * (x3 + x4) - h(x1, x2); ``h``
+    takes one point or many, as ``BellmanCandidate.fn`` does."""
 
-    def fn(x1: np.ndarray, x2: float, x3: float, x4: float) -> float:
+    def fn(x1: np.ndarray, x2: Values, x3: Values, x4: Values) -> Values:
         return cp * (x3 + x4) - h(x1, x2)
 
     return BellmanCandidate(fn=fn, p=p, delta=delta, label=label, cp=cp, h=h)
@@ -292,8 +299,9 @@ def quadratic_candidate(delta: float, p: float = 2.0, cp: float | None = None) -
             raise ValueError("for p != 2 an explicit cp must be supplied")
         cp = alpha
 
-    def h(x1: np.ndarray, x2: float) -> float:
-        return alpha * (float(np.dot(x1, x1)) + x2)
+    def h(x1: np.ndarray, x2: Values) -> Values:
+        # vecdot of a row rounds like np.dot of the same vector
+        return alpha * (np.vecdot(x1, x1) + x2)
 
     return shaped_candidate(cp=cp, h=h, p=p, delta=delta, label=f"quadratic(delta={delta:g})")
 

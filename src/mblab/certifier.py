@@ -1,14 +1,16 @@
 """Certificate machinery: from a candidate and a witness to a global bound.
 
-The certifier walks the refiltration schedule of a witness triple
-(f, g, T).  At every split atom J it records the moment points of J and of
-its children, the convex weights, the displacement scale
+The certifier reads the moment table of one ``Witness`` (f, g, T) at the
+candidate's exponent in a single array pass.  At every split event J of the
+refiltration schedule it computes, from the candidate's values on all atoms
+and the layout's children, the convex weights of the children, the
+displacement scale
 
     d_J = |J|^{-1/2} || single-split difference of T* g on J ||,
 
-the spread of the child x1 components, and the slack of the split
-inequality.  Summing the per-split inequalities against the telescoping of
-the pairing integral yields
+the spread (diameter) of the child x1 components, and the slack of the
+split inequality.  Summing the per-split inequalities against the
+telescoping of the pairing integral yields
 
     B(x_root) - objective
         = (1/|I|) [ sum_J |J| slack_J
@@ -20,18 +22,24 @@ when all three bracketed families are nonnegative within tolerance, which
 forces objective <= B(x_root).  A failed certificate is a first-class
 result: it carries every violating record and the reasons.
 
-Every moment point, displacement, pairing and x2 gain comes from the moment
-table of one ``Witness`` at the candidate's exponent; the walk over the
-schedule only evaluates the candidate and assembles the records.
+The certificate keeps the per-event and per-atom arrays; a ``SplitRecord``
+or ``BellmanPoint`` is built only when one is read, and the report payload
+is built from the arrays.  Every float has the bits of a walk over the
+records one at a time: distances and |x1|^2 come from ``np.vecdot``, which
+rounds like ``np.dot``, and every sum adds its terms in order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
-from .bellman import BellmanCandidate, BellmanPoint, Witness, _diameter_pair
+from .bellman import BellmanCandidate, BellmanPoint, Witness
+from .filtration import Filtration
 from .martingale import MartFunction, inner
 from .transforms import MartingaleTransform
 
@@ -66,11 +74,45 @@ class SplitRecord:
     children: tuple[BellmanPoint, ...]
 
 
+class _Lazy(Sequence):
+    """Read-only sequence whose item i is ``make(keys[i])``, built when it
+    is read; ``len`` builds none."""
+
+    __slots__ = ("_make", "_keys")
+
+    def __init__(self, make: Callable[[int], object], keys: np.ndarray):
+        self._make = make
+        self._keys = keys
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Lazy(self._make, self._keys[i])
+        return self._make(int(self._keys[i]))
+
+    def __iter__(self):
+        return map(self._make, self._keys.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Outcome of ``certify``.  ``failing_records`` are the records behind
-    the split failures, flagged by the same tests, tolerance and scales that
-    wrote the messages in ``failures``."""
+    """Outcome of ``certify``.
+
+    ``values`` holds the candidate on every atom, by atom id; ``weights``
+    the child weights, flat in the layout's ``event_children`` order; and
+    ``diameter`` and ``slack`` one entry per split event in schedule order.
+    ``flagged`` lists the events behind the split failures, flagged by the
+    same tests, tolerance and scales that wrote the messages in
+    ``failures``.  ``records``, ``failing_records`` and ``leaves`` are
+    sequences of ``SplitRecord`` and ``BellmanPoint`` built on read.
+    """
 
     ok: bool
     label: str
@@ -78,20 +120,68 @@ class Certificate:
     candidate_delta: float
     filtration_delta: float
     objective: float
-    root: BellmanPoint
     bound: float
     final_slack: float
-    records: tuple[SplitRecord, ...]
-    leaves: tuple[BellmanPoint, ...]
-    leaf_values: tuple[float, ...]
     leaf_term: float
     identity_residual: float
     failures: tuple[str, ...]
-    failing_records: tuple[SplitRecord, ...]
+    witness: Witness
+    values: np.ndarray
+    weights: np.ndarray
+    diameter: np.ndarray
+    slack: np.ndarray
+    flagged: np.ndarray
 
     @property
     def first_failure(self) -> str | None:
         return self.failures[0] if self.failures else None
+
+    @property
+    def filtration(self) -> Filtration:
+        return self.witness.f.filtration
+
+    @property
+    def root(self) -> BellmanPoint:
+        return self.witness.table.point(self.filtration.root.id)
+
+    @property
+    def records(self) -> Sequence[SplitRecord]:
+        return _Lazy(self._record, np.arange(len(self.slack)))
+
+    @property
+    def failing_records(self) -> Sequence[SplitRecord]:
+        return _Lazy(self._record, self.flagged)
+
+    @property
+    def leaves(self) -> Sequence[BellmanPoint]:
+        return _Lazy(self.witness.table.point, np.asarray(self.filtration.leaves))
+
+    @property
+    def leaf_values(self) -> tuple[float, ...]:
+        return tuple(self.values[list(self.filtration.leaves)].tolist())
+
+    def _record(self, e: int) -> SplitRecord:
+        table, lay = self.witness.table, self.filtration.layout
+        atom = int(lay.event_atoms[e])
+        lo, hi = lay.event_child_starts[e : e + 2].tolist()
+        return SplitRecord(
+            atom=atom,
+            level=int(lay.event_levels[e]),
+            measure=float(lay.atom_measures[atom]),
+            weights=tuple(self.weights[lo:hi].tolist()),
+            d=float(table.d[e]),
+            diameter=float(self.diameter[e]),
+            pairing=float(table.pairing[e]),
+            slack=float(self.slack[e]),
+            base=table.point(atom),
+            children=tuple(map(table.point, lay.event_children[lo:hi].tolist())),
+        )
+
+
+def _running_sum(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added in order as a loop would;
+    ``np.sum`` adds pairwise and rounds differently."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def certify(
@@ -101,13 +191,15 @@ def certify(
     op: MartingaleTransform,
     tol: float = _CERT_TOL,
 ) -> Certificate:
-    """Run the full schedule walk and assemble the certificate.
+    """Evaluate the split inequality at every schedule step and assemble the
+    certificate.
 
     Raises ValueError if the candidate claims a regularity floor above the
-    filtration's, and CertificationError if an exact identity (displacement
-    accounting, telescoping) fails beyond roundoff.  Candidate violations
-    (negative slack, negative leaf value, broken pairing domination) do not
-    raise; they mark the certificate failed.
+    filtration's, CertificationError if an exact identity (displacement
+    accounting, telescoping) fails beyond roundoff, and ArithmeticError on
+    an x2 below roundoff of zero.  Candidate violations (negative slack,
+    negative leaf value, broken pairing domination) do not raise; they mark
+    the certificate failed.
     """
     filt = f.filtration
     if g.filtration is not filt or op.filtration is not filt:
@@ -122,12 +214,14 @@ def certify(
             f"regularity delta={filt.delta:g}"
         )
 
-    p = cand.p
     tf = op.apply(f)
     total = filt.total_measure
     objective = inner(g, tf) / total
-    table = Witness(f, g, op, p).table
-    points = [table.point(i) for i in range(len(filt.atoms))]
+    witness = Witness(f, g, op, cand.p)
+    table = witness.table
+    negative = np.flatnonzero(table.x2 < -1e-12 * np.maximum(table.g2, 1.0))
+    if negative.size:
+        table.point(int(negative[0]))  # raises ArithmeticError for that atom
     lay = filt.layout
 
     # Exact identity: the x2 drop across every split equals d^2.
@@ -141,71 +235,64 @@ def certify(
             f"d^2={d_sq[e]:.12g} but weighted x2 gain is {table.x2_gain[e]:.12g}"
         )
 
+    values = cand.fn(table.x1, table.x2, table.x3, table.x4)
+
+    # Children as an (events, max children) grid, row e holding event e's
+    # children in order; the cells past an event's count hold atom 0 and
+    # are masked out by ``has``.
+    counts = np.diff(lay.event_child_starts)
+    has = np.arange(counts.max()) < counts[:, None]
+    kids = np.zeros(has.shape, dtype=np.intp)
+    kids[has] = lay.event_children
+    measure = lay.atom_measures[lay.event_atoms]
+    grid_weights = lay.atom_measures[kids] / measure[:, None]
+    kid_values = values[kids]
+    kid_x1 = table.x1[kids]
+
+    # Largest child x1 distance; a later pair replaces the best only when
+    # strictly farther, as in ``bellman._diameter_pair``.
+    diameter = np.zeros(len(counts))
+    for i, j in combinations(range(has.shape[1]), 2):
+        diff = kid_x1[:, i] - kid_x1[:, j]
+        dist = np.sqrt(np.vecdot(diff, diff))
+        better = has[:, j] & (dist > diameter)
+        diameter[better] = dist[better]
+    # sum_k lambda_k B(x_k), one child rank at a time.
+    kid_sum = np.zeros(len(counts))
+    for r in range(has.shape[1]):
+        kid_sum = np.where(has[:, r], kid_sum + grid_weights[:, r] * kid_values[:, r], kid_sum)
+
+    d, pairing = table.d, table.pairing
+    d_diam = d * diameter
+    base_values = values[lay.event_atoms]
+    slack = base_values - d_diam - kid_sum
+    chain_scale = np.maximum(np.maximum(1.0, np.abs(pairing)), d_diam)
+    pairing_bad = d_diam < pairing - tol * chain_scale
+    slack_bad = slack < -tol * np.maximum(1.0, np.abs(base_values))
+
+    leaves = np.asarray(filt.leaves)
+    leaf_values = values[leaves]
+    leaf_bad = leaf_values < -tol * np.maximum(1.0, np.abs(leaf_values))
+
     failures: list[str] = []
-    records: list[SplitRecord] = []
-    failing: list[SplitRecord] = []
-    weighted_slack = 0.0
-    weighted_gap = 0.0
-
-    for atom_id, d, pairing in zip(
-        lay.event_atoms.tolist(), table.d.tolist(), table.pairing.tolist()
-    ):
-        atom = filt.atom(atom_id)
-        base = points[atom_id]
-        kids = tuple(points[c] for c in atom.children)
-        weights = tuple(filt.atom(c).measure / atom.measure for c in atom.children)
-        diam = _diameter_pair([k.x1 for k in kids])[0]
-
-        flagged = False
-        chain_scale = max(1.0, abs(pairing), d * diam)
-        if d * diam < pairing - tol * chain_scale:
+    flagged = np.flatnonzero(pairing_bad | slack_bad)
+    for e in flagged.tolist():
+        atom_id = int(lay.event_atoms[e])
+        if pairing_bad[e]:
             failures.append(
-                f"pairing domination failed at atom {atom.id}: "
-                f"|d|*diam={d * diam:.6g} < pairing={pairing:.6g}"
+                f"pairing domination failed at atom {atom_id}: "
+                f"|d|*diam={float(d_diam[e]):.6g} < pairing={float(pairing[e]):.6g}"
             )
-            flagged = True
+        if slack_bad[e]:
+            failures.append(f"negative split slack at atom {atom_id}: {float(slack[e]):.6g}")
+    for leaf_id, val in zip(leaves[leaf_bad].tolist(), leaf_values[leaf_bad].tolist()):
+        failures.append(f"negative candidate value on leaf atom {leaf_id}: {val:.6g}")
 
-        b_base = cand.evaluate(base)
-        slack = b_base - d * diam - sum(w * cand.evaluate(k) for w, k in zip(weights, kids))
-        if slack < -tol * max(1.0, abs(b_base)):
-            failures.append(f"negative split slack at atom {atom.id}: {slack:.6g}")
-            flagged = True
-
-        records.append(
-            SplitRecord(
-                atom=atom.id,
-                level=atom.level,
-                measure=atom.measure,
-                weights=weights,
-                d=d,
-                diameter=diam,
-                pairing=pairing,
-                slack=slack,
-                base=base,
-                children=kids,
-            )
-        )
-        if flagged:
-            failing.append(records[-1])
-        weighted_slack += atom.measure * slack
-        weighted_gap += atom.measure * (d * diam - pairing)
-
-    leaf_pts = []
-    leaf_vals = []
-    leaf_weighted = 0.0
-    for leaf_id in filt.leaves:
-        lp = points[leaf_id]
-        val = cand.evaluate(lp)
-        leaf_pts.append(lp)
-        leaf_vals.append(val)
-        leaf_weighted += filt.atom(leaf_id).measure * val
-        if val < -tol * max(1.0, abs(val)):
-            failures.append(f"negative candidate value on leaf atom {leaf_id}: {val:.6g}")
-
-    root_pt = points[filt.root.id]
-    bound = cand.evaluate(root_pt)
+    bound = float(values[filt.root.id])
     final_slack = bound - objective
-    leaf_term = leaf_weighted / total
+    weighted_slack = _running_sum(measure * slack)
+    weighted_gap = _running_sum(measure * (d_diam - pairing))
+    leaf_term = _running_sum(lay.measures * leaf_values) / total
     reassembled = (weighted_slack + weighted_gap) / total + leaf_term
     identity_residual = abs(final_slack - reassembled)
     id_scale = max(1.0, abs(bound), abs(objective))
@@ -218,38 +305,56 @@ def certify(
     return Certificate(
         ok=not failures,
         label=cand.label,
-        p=p,
+        p=cand.p,
         candidate_delta=cand.delta,
         filtration_delta=filt.delta,
         objective=objective,
-        root=root_pt,
         bound=bound,
         final_slack=final_slack,
-        records=tuple(records),
-        leaves=tuple(leaf_pts),
-        leaf_values=tuple(leaf_vals),
         leaf_term=leaf_term,
         identity_residual=identity_residual,
         failures=tuple(failures),
-        failing_records=tuple(failing),
+        witness=witness,
+        values=values,
+        weights=grid_weights[has],
+        diameter=diameter,
+        slack=slack,
+        flagged=flagged,
     )
+
+
+def _event_columns(cert: Certificate) -> list:
+    """Per-event atom, level, measure, d, diameter, pairing and slack as
+    Python lists, schedule order."""
+    lay, table = cert.filtration.layout, cert.witness.table
+    return [
+        lay.event_atoms.tolist(),
+        lay.event_levels.tolist(),
+        lay.atom_measures[lay.event_atoms].tolist(),
+        table.d.tolist(),
+        cert.diameter.tolist(),
+        table.pairing.tolist(),
+        cert.slack.tolist(),
+    ]
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
     """Full JSON-ready payload, one record per schedule step.
 
     A moment point appears as one record's base, as a child in its parent's
-    record and as a leaf's point; every appearance of the same
-    ``BellmanPoint`` in one payload is the same dict, so the writer renders
-    it once.  Mutating one of them changes them all."""
-    point_dicts: dict[int, dict] = {}
-
-    def point(pt: BellmanPoint) -> dict:
-        d = point_dicts.get(id(pt))
-        if d is None:
-            d = point_dicts[id(pt)] = pt.to_dict()
-        return d
-
+    record and as a leaf's point; every appearance of the same atom's point
+    in one payload is the same dict, so the writer renders it once.
+    Mutating one of them changes them all."""
+    table, lay = cert.witness.table, cert.filtration.layout
+    points = [
+        {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": table.p, "atom": atom}
+        for atom, (x1, x2, x3, x4) in enumerate(
+            zip(table.x1.tolist(), table.x2.tolist(), table.x3.tolist(), table.x4.tolist())
+        )
+    ]
+    kids, weights = lay.event_children.tolist(), cert.weights.tolist()
+    starts = lay.event_child_starts.tolist()
+    leaves = cert.filtration.leaves
     return {
         "ok": cert.ok,
         "candidate": cert.label,
@@ -264,37 +369,29 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "failures": list(cert.failures),
         "records": [
             {
-                "atom": r.atom,
-                "level": r.level,
-                "measure": r.measure,
-                "weights": list(r.weights),
-                "d": r.d,
-                "diameter": r.diameter,
-                "pairing": r.pairing,
-                "slack": r.slack,
-                "base": point(r.base),
-                "children": [point(c) for c in r.children],
+                "atom": atom,
+                "level": level,
+                "measure": measure,
+                "weights": weights[lo:hi],
+                "d": d,
+                "diameter": diameter,
+                "pairing": pairing,
+                "slack": slack,
+                "base": points[atom],
+                "children": [points[c] for c in kids[lo:hi]],
             }
-            for r in cert.records
+            for atom, level, measure, d, diameter, pairing, slack, lo, hi in zip(
+                *_event_columns(cert), starts, starts[1:]
+            )
         ],
         "leaves": [
-            {"point": point(pt), "value": val}
-            for pt, val in zip(cert.leaves, cert.leaf_values)
+            {"point": points[leaf], "value": value}
+            for leaf, value in zip(leaves, cert.values[list(leaves)].tolist())
         ],
     }
 
 
 def certificate_rows(cert: Certificate) -> list[dict]:
     """Flat per-split rows for the tabular summary."""
-    return [
-        {
-            "atom": r.atom,
-            "level": r.level,
-            "measure": r.measure,
-            "d": r.d,
-            "diameter": r.diameter,
-            "pairing": r.pairing,
-            "slack": r.slack,
-        }
-        for r in cert.records
-    ]
+    keys = ("atom", "level", "measure", "d", "diameter", "pairing", "slack")
+    return [dict(zip(keys, row)) for row in zip(*_event_columns(cert))]

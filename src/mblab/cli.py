@@ -194,13 +194,19 @@ def _require_seed(cfg: RunConfig) -> int:
 
 def _filtration(cfg: RunConfig):
     depth = cfg.depth if cfg.depth is not None else 3
+    max_children = max_children_for(cfg.delta) if cfg.max_children is None else cfg.max_children
+    # Checked for every delta, the dyadic tower included.
+    if max_children < 2 or max_children * cfg.delta > 1.0 + 1e-12:
+        raise UsageError(
+            f"--max-children must lie in [2, 1/delta] = [2, {1.0 / cfg.delta:g}], got {max_children}"
+        )
     if cfg.delta == 0.5:
         return build_dyadic(depth)
     seed = _require_seed(cfg)
     return build_random_regular(
         depth=depth,
         delta=cfg.delta,
-        max_children=max_children_for(cfg.delta) if cfg.max_children is None else cfg.max_children,
+        max_children=max_children,
         split_prob=cfg.split_prob,
         seed=seed,
     )

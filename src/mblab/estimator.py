@@ -486,7 +486,7 @@ def duality_bound(
                 f"certification failed for draw {j} ({kind}): {cert.first_failure}",
                 certificate=cert,
             )
-        tstar_mean = average(op.adjoint_closed_form(g_s), filt.root.id)
+        tstar_mean = average(cert.witness.tstar_g, filt.root.id)
         mean_term = abs(float(np.dot(cert.root.x1, tstar_mean)))
         bound_g = cert.bound + mean_term
         if obj > bound_g + 1e-9 * max(1.0, abs(bound_g)):

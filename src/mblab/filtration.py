@@ -20,9 +20,9 @@ seeded random generator with prescribed regularity floor.
 
 Every atom covers a contiguous run of leaves in left-endpoint order.  The
 array form of that fact (leaf spans, per-level leaf -> atom maps and
-reduceat boundaries, per-event atoms, levels and spans in schedule order)
-is the ``LeafLayout`` of a tower, built on first use in one pass and kept
-on the instance.
+reduceat boundaries, per-event atoms, levels, spans and children in
+schedule order) is the ``LeafLayout`` of a tower, built on first use in one
+pass and kept on the instance.
 """
 
 from __future__ import annotations
@@ -97,18 +97,22 @@ class SplitEvent:
 class LeafLayout:
     """Array bookkeeping of one tower, in leaf positions 0..L-1.
 
-    ``spans[i]`` is the [lo, hi) leaf range of atom i.  For each level n,
+    ``measures`` holds the leaf measures in leaf order and
+    ``atom_measures[i]`` the measure b - a of atom i.  ``spans[i]`` is the
+    [lo, hi) leaf range of atom i.  For each level n,
     ``level_starts[n]`` holds the first leaf of every A_n atom in level
     order (the boundaries for ``np.add.reduceat``), ``level_measures[n]``
     their measures b - a, and ``level_maps[n]`` maps each leaf position to
     the index of its A_n atom.  ``event_atoms``, ``event_levels`` and
     ``event_spans`` describe the split events in schedule order; the
     children of an event at level n are the A_{n+1} atoms inside its span.
+    ``event_children[event_child_starts[e]:event_child_starts[e + 1]]`` are
+    the children of event e in the order of its atom's ``children``.
     All arrays are read-only.
     """
 
-    positions: dict[int, int]
     measures: np.ndarray
+    atom_measures: np.ndarray
     spans: np.ndarray
     level_starts: tuple[np.ndarray, ...]
     level_measures: tuple[np.ndarray, ...]
@@ -116,6 +120,8 @@ class LeafLayout:
     event_atoms: np.ndarray
     event_levels: np.ndarray
     event_spans: np.ndarray
+    event_children: np.ndarray
+    event_child_starts: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,7 +408,7 @@ def _build_layout(f: Filtration) -> LeafLayout:
     atom_measure = np.array([a.measure for a in f.atoms])
     spans = np.empty((len(f.atoms), 2), dtype=np.intp)
     starts, measures, maps = [], [], []
-    event_atoms, event_levels = [], []
+    event_atoms, event_levels, event_children, child_starts = [], [], [], [0]
     for n, level_ids in enumerate(f.levels):
         ids = np.array(level_ids)
         c = counts[ids]
@@ -418,10 +424,13 @@ def _build_layout(f: Filtration) -> LeafLayout:
         split = [i for i in level_ids if f.atoms[i].children]
         event_atoms.extend(split)
         event_levels.extend([n] * len(split))
+        for i in split:
+            event_children.extend(f.atoms[i].children)
+            child_starts.append(len(event_children))
     event_atoms_arr = np.array(event_atoms, dtype=np.intp)
     return LeafLayout(
-        positions={atom_id: i for i, atom_id in enumerate(f.leaves)},
         measures=_frozen(atom_measure[list(f.leaves)]),
+        atom_measures=_frozen(atom_measure),
         spans=_frozen(spans),
         level_starts=tuple(starts),
         level_measures=tuple(measures),
@@ -429,6 +438,8 @@ def _build_layout(f: Filtration) -> LeafLayout:
         event_atoms=_frozen(event_atoms_arr),
         event_levels=_frozen(np.array(event_levels, dtype=np.intp)),
         event_spans=_frozen(spans[event_atoms_arr]),
+        event_children=_frozen(np.array(event_children, dtype=np.intp)),
+        event_child_starts=_frozen(np.array(child_starts, dtype=np.intp)),
     )
 
 

@@ -1,0 +1,111 @@
+"""Slow, obvious versions of production routes, for the tests to compare
+against."""
+
+from __future__ import annotations
+
+from mblab.bellman import BellmanCandidate, Witness, _diameter_pair
+from mblab.martingale import MartFunction, inner
+from mblab.transforms import MartingaleTransform
+
+
+def certificate_by_records(
+    cand: BellmanCandidate,
+    f: MartFunction,
+    g: MartFunction,
+    op: MartingaleTransform,
+    tol: float = 1e-9,
+) -> tuple[dict, list[int]]:
+    """The certificate as a walk over the schedule, one record at a time.
+
+    Every moment point is a ``BellmanPoint`` of the witness's table, the
+    candidate is evaluated one point at a time, each child diameter comes
+    from ``_diameter_pair`` and every sum adds its terms left to right in a
+    loop.  Returns the payload ``certificate_to_dict`` writes, with one
+    shared dict per point, and the atoms of the flagged records in schedule
+    order.  Raises nothing: the identity checks are ``certify``'s.
+    """
+    filt = f.filtration
+    total = filt.total_measure
+    objective = inner(g, op.apply(f)) / total
+    table = Witness(f, g, op, cand.p).table
+    points = [table.point(i) for i in range(len(filt.atoms))]
+    dicts = [pt.to_dict() for pt in points]
+
+    failures: list[str] = []
+    records: list[dict] = []
+    flagged: list[int] = []
+    weighted_slack = 0.0
+    weighted_gap = 0.0
+    for atom_id, d, pairing in zip(
+        filt.layout.event_atoms.tolist(), table.d.tolist(), table.pairing.tolist()
+    ):
+        atom = filt.atom(atom_id)
+        kids = [points[c] for c in atom.children]
+        weights = [filt.atom(c).measure / atom.measure for c in atom.children]
+        diam = _diameter_pair([k.x1 for k in kids])[0]
+
+        bad = False
+        chain_scale = max(1.0, abs(pairing), d * diam)
+        if d * diam < pairing - tol * chain_scale:
+            failures.append(
+                f"pairing domination failed at atom {atom.id}: "
+                f"|d|*diam={d * diam:.6g} < pairing={pairing:.6g}"
+            )
+            bad = True
+        b_base = cand.evaluate(points[atom_id])
+        kid_sum = 0.0
+        for w, k in zip(weights, kids):
+            kid_sum += w * cand.evaluate(k)
+        slack = b_base - d * diam - kid_sum
+        if slack < -tol * max(1.0, abs(b_base)):
+            failures.append(f"negative split slack at atom {atom.id}: {slack:.6g}")
+            bad = True
+        if bad:
+            flagged.append(atom.id)
+        records.append(
+            {
+                "atom": atom.id,
+                "level": atom.level,
+                "measure": atom.measure,
+                "weights": weights,
+                "d": d,
+                "diameter": diam,
+                "pairing": pairing,
+                "slack": slack,
+                "base": dicts[atom_id],
+                "children": [dicts[c] for c in atom.children],
+            }
+        )
+        weighted_slack += atom.measure * slack
+        weighted_gap += atom.measure * (d * diam - pairing)
+
+    leaves = []
+    leaf_weighted = 0.0
+    for leaf_id in filt.leaves:
+        val = cand.evaluate(points[leaf_id])
+        leaves.append({"point": dicts[leaf_id], "value": val})
+        leaf_weighted += filt.atom(leaf_id).measure * val
+        if val < -tol * max(1.0, abs(val)):
+            failures.append(f"negative candidate value on leaf atom {leaf_id}: {val:.6g}")
+
+    bound = cand.evaluate(points[filt.root.id])
+    final_slack = bound - objective
+    leaf_term = leaf_weighted / total
+    reassembled = (weighted_slack + weighted_gap) / total + leaf_term
+    payload = {
+        "ok": not failures,
+        "candidate": cand.label,
+        "p": cand.p,
+        "candidate_delta": cand.delta,
+        "filtration_delta": filt.delta,
+        "objective": objective,
+        "bound": bound,
+        "final_slack": final_slack,
+        "identity_residual": abs(final_slack - reassembled),
+        "leaf_term": leaf_term,
+        "failures": failures,
+        "records": records,
+        "leaves": leaves,
+    }
+    return payload, flagged
+

@@ -124,6 +124,26 @@ def test_quadratic_candidate_reference_values():
     assert cand.evaluate(point(0.0, 0.0, 0.0, 0.0)) == pytest.approx(0.0, abs=0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_candidates_take_many_points_with_one_point_bits(dim):
+    # many points at once give each point's one-point value bit for bit,
+    # and |x1|^2 rounds like np.dot
+    rng = np.random.default_rng(dim)
+    x1 = rng.normal(size=(500, dim)) * rng.exponential(size=(500, 1))
+    x2, x3, x4 = rng.exponential(size=(3, 500))
+    quad = quadratic_candidate(0.25)
+    alpha = 1.0 / math.sqrt(0.5)
+    for cand in (quad, linear_candidate(1.5, 2.0, 0.25), scale_candidate(quad, 3.0)):
+        many = cand.fn(x1, x2, x3, x4)
+        one = [cand.evaluate_raw(*row) for row in zip(x1, x2.tolist(), x3.tolist(), x4.tolist())]
+        assert many.tolist() == one
+    by_dot = [
+        alpha * (a + b) - alpha * (float(np.dot(v, v)) + c)
+        for v, c, a, b in zip(x1, x2.tolist(), x3.tolist(), x4.tolist())
+    ]
+    assert quad.fn(x1, x2, x3, x4).tolist() == by_dot
+
+
 def test_quadratic_candidate_needs_cp_below_two():
     with pytest.raises(ValueError):
         quadratic_candidate(0.25, p=1.5)

@@ -1,16 +1,30 @@
 """Induction certificates over the split schedule: reference two-value
 witness numbers, failure reporting, accumulation identities."""
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
-from mblab.bellman import conjugate_exponent, linear_candidate, moment_table, quadratic_candidate
-from mblab.certifier import certificate_rows, certificate_to_dict, certify
-from mblab.corpus import CorpusCell, haar_witness, prepare_cell
-from mblab.filtration import build_dyadic, split_schedule
+from mblab.bellman import (
+    conjugate_exponent,
+    linear_candidate,
+    moment_table,
+    quadratic_candidate,
+    scale_candidate,
+)
+from mblab.certifier import Certificate, certificate_rows, certificate_to_dict, certify
+from mblab.corpus import (
+    DELTAS,
+    CorpusCell,
+    haar_witness,
+    prepare_cell,
+    random_transform,
+    random_witness,
+)
+from mblab.filtration import Atom, Filtration, build_dyadic, build_random_regular, split_schedule
 from mblab.martingale import (
     MartFunction,
     average,
@@ -19,6 +33,7 @@ from mblab.martingale import (
     osc2,
 )
 from mblab.reporting import to_canonical_json
+from oracles import certificate_by_records
 
 SQRT2 = math.sqrt(2.0)
 
@@ -115,6 +130,23 @@ def test_claimed_floor_must_cover_filtration(dyadic2):
     loose_filtration = prepare_cell(CorpusCell(0.1, 1, 0))
     with pytest.raises(ValueError):
         certify(tight, loose_filtration.f, loose_filtration.g, loose_filtration.op)
+
+
+def test_negative_x2_raises_at_its_atom(monkeypatch):
+    import mblab.bellman as bellman
+
+    table_of = bellman.moment_table
+
+    def broken(*args):
+        table = table_of(*args)
+        x2 = table.x2.copy()
+        x2[[3, 5]] = -1.0
+        return dataclasses.replace(table, x2=x2)
+
+    monkeypatch.setattr(bellman, "moment_table", broken)
+    pc = prepare_cell(CorpusCell(0.25, 1, 2))
+    with pytest.raises(ArithmeticError, match="negative x2 = -1.000e\\+00 at atom 3;"):
+        certify(quadratic_candidate(0.25), pc.f, pc.g, pc.op)
 
 
 def test_mismatched_filtration_rejected(dyadic2, dyadic3):
@@ -256,3 +288,132 @@ def test_certificate_serialization(haar_cert):
     rows = certificate_rows(haar_cert)
     assert len(rows) == len(haar_cert.records)
     assert set(rows[0]) >= {"atom", "d", "diameter", "slack", "pairing"}
+
+
+# ---------------------------------------------------------------------------
+# The batched certificate against the record-by-record walk
+
+
+def spec_tower(spec, delta, reversed_atoms=()):
+    """Tower of equal splits: ``spec`` is a list of child specs, None for a
+    leaf.  The atoms in ``reversed_atoms`` list their children right to
+    left."""
+    atoms = []
+
+    def rec(node, a, b, level, parent):
+        me = len(atoms)
+        atoms.append(None)
+        kids = []
+        if node:
+            width = (b - a) / len(node)
+            for i, sub in enumerate(node):
+                hi = b if i == len(node) - 1 else a + (i + 1) * width
+                kids.append(rec(sub, a + i * width, hi, level + 1, me))
+        if me in reversed_atoms:
+            kids.reverse()
+        atoms[me] = Atom(me, a, b, level, parent, tuple(kids))
+        return me
+
+    rec(spec, 0.0, 1.0, 0, None)
+    return Filtration(delta=delta, depth=max(a.level for a in atoms), atoms=tuple(atoms))
+
+
+def ten_child_tower():
+    """Root split in ten; its children split in 2 to 5 or stay leaves, and
+    two atoms list their children right to left."""
+    spec = [None if i % 3 == 2 else [None] * (2 + i % 4) for i in range(10)]
+    return spec_tower(spec, 0.1, reversed_atoms=(0, 1))
+
+
+def drawn_witness(filt, dim, seed):
+    rng = np.random.default_rng(seed)
+    f, g = random_witness(filt, dim, rng)
+    return f, g, random_transform(filt, dim, rng)
+
+
+def assert_matches_walk(cand, f, g, op, tol=1e-9):
+    cert = certify(cand, f, g, op, tol=tol)
+    payload, flagged = certificate_by_records(cand, f, g, op, tol)
+    assert to_canonical_json(certificate_to_dict(cert)) == to_canonical_json(payload)
+    assert list(cert.failures) == payload["failures"]
+    assert [r.atom for r in cert.failing_records] == flagged
+    return cert
+
+
+def oracle_witnesses():
+    """Corpus cells at every floor, d = 1 to 3, a ten-child tower and a
+    random-regular tower at floor 0.1."""
+    for delta in DELTAS:
+        for dim in (1, 2, 3):
+            pc = prepare_cell(CorpusCell(delta, dim, dim + 3))
+            yield pc.filtration, (pc.f, pc.g, pc.op)
+    ten = ten_child_tower()
+    regular = build_random_regular(depth=6, delta=0.1, max_children=4, split_prob=0.7, seed=5)
+    for dim in (1, 2, 3):
+        yield ten, drawn_witness(ten, dim, 40 + dim)
+        yield regular, drawn_witness(regular, dim, 50 + dim)
+
+
+def test_batched_certificate_matches_record_walk():
+    for filt, (f, g, op) in oracle_witnesses():
+        cert = assert_matches_walk(quadratic_candidate(filt.delta), f, g, op)
+        assert cert.ok
+        assert len(cert.records) == len(split_schedule(filt))
+
+
+def test_batched_failures_match_record_walk():
+    # failure text, order and failing records: the linear candidate fails
+    # most splits, a quarter of the quadratic some, and a negative tolerance
+    # flags near-tight pairings, slacks and leaves, so all three messages
+    for filt, (f, g, op) in oracle_witnesses():
+        quad = quadratic_candidate(filt.delta)
+        linear = assert_matches_walk(linear_candidate(1.0, 2.0, filt.delta), f, g, op)
+        assert not linear.ok and len(linear.failing_records) >= 1
+        assert_matches_walk(scale_candidate(quad, 0.25), f, g, op)
+        assert_matches_walk(quad, f, g, op, tol=-0.5)
+    kinds = {msg.split(" atom ")[0] for msg in certify(quad, f, g, op, tol=-0.5).failures}
+    assert kinds == {
+        "pairing domination failed at",
+        "negative split slack at",
+        "negative candidate value on leaf",
+    }
+
+
+def test_batched_diameter_on_tied_and_repeated_children():
+    # the root's children sit on the corners of a unit square, so both
+    # diagonals attain the diameter; the first child's two leaves coincide
+    filt = spec_tower([[None, None], None, None, None], 0.25)
+    corners = {2: (0.0, 0.0), 3: (0.0, 0.0), 4: (1.0, 0.0), 5: (1.0, 1.0), 6: (0.0, 1.0)}
+    values = np.array([corners[leaf] for leaf in filt.leaves])
+    f = MartFunction(filt, values)
+    _, g, op = drawn_witness(filt, 2, 60)
+    cert = assert_matches_walk(quadratic_candidate(0.25), f, g, op)
+    by_atom = {r.atom: r for r in cert.records}
+    assert by_atom[0].diameter == float(np.linalg.norm([1.0, 1.0]))
+    assert by_atom[1].diameter == 0.0
+
+
+def test_record_count_builds_no_record(monkeypatch):
+    pc = prepare_cell(CorpusCell(0.25, 2, 3))
+    cert = certify(linear_candidate(1.0, 2.0, 0.25), pc.f, pc.g, pc.op)
+    first, last = cert.records[0], cert.records[-1]
+    assert (first.atom, last.atom) == (pc.filtration.root.id, split_schedule(pc.filtration)[-1].atom)
+    assert [r.atom for r in cert.records[1:3]] == [ev.atom for ev in split_schedule(pc.filtration)[1:3]]
+
+    def built(self, e):
+        raise AssertionError(f"record {e} built")
+
+    monkeypatch.setattr(Certificate, "_record", built)
+    assert len(cert.records) == len(split_schedule(pc.filtration))
+    assert len(cert.failing_records) == len(cert.flagged) >= 1
+    assert len(cert.leaves) == pc.filtration.n_leaves
+    assert certificate_rows(cert)[0]["atom"] == first.atom
+
+
+def test_certify_dyadic_depth_14():
+    filt = build_dyadic(14)
+    f, g, op = drawn_witness(filt, 1, 14)
+    cert = certify(quadratic_candidate(0.5), f, g, op)
+    assert cert.ok
+    assert len(cert.records) == 16_383 == len(filt.atoms) - filt.n_leaves
+    assert cert.identity_residual <= 1e-9 * max(1.0, abs(cert.bound), abs(cert.objective))

@@ -50,6 +50,14 @@ def test_infeasible_filtration_exits_two(capsys):
     assert run(["gen", "--delta", "0.4", "--max-children", "3", "--seed", "1"]) == 2
 
 
+@pytest.mark.parametrize("delta", ["0.5", "0.25"])
+def test_max_children_is_checked_at_every_delta(delta, capsys):
+    argv = ["gen", "--seed", "1", "--depth", "2", "--delta", delta, "--max-children"]
+    assert run([*argv, "0"]) == 2
+    assert "--max-children" in capsys.readouterr().err
+    assert run([*argv, "2"]) == 0
+
+
 def test_unwritable_out_exits_two(capsys):
     assert run(["gen", "--out", "/proc/nowhere/x.json"]) == 2
 

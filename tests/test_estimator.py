@@ -230,6 +230,22 @@ def test_duality_bound_below_two():
     assert rep.empirical_max <= rep.analytic_bound + 1e-6
 
 
+def test_duality_bound_computes_tstar_g_once_per_draw(monkeypatch):
+    # the root mean of T* g comes from the certificate's witness
+    from mblab.transforms import MartingaleTransform
+
+    calls = []
+    closed_form = MartingaleTransform.adjoint_closed_form
+
+    def counted(self, g):
+        calls.append(1)
+        return closed_form(self, g)
+
+    monkeypatch.setattr(MartingaleTransform, "adjoint_closed_form", counted)
+    duality_bound(2.0, n_g=6, seed=4, delta=0.25)
+    assert len(calls) == 6
+
+
 def test_duality_candidate_shapes():
     assert duality_candidate(2.0, 0.25).cp == pytest.approx(1.0 / math.sqrt(0.5), rel=1e-15)
     low = duality_candidate(1.5, 0.25)

@@ -28,6 +28,11 @@ def rand_fn(filt, dim, seed):
     return MartFunction(filt, rng.normal(size=(filt.n_leaves, dim)))
 
 
+def leaf_positions(filt):
+    """Leaf atom id -> its position in leaf order."""
+    return {leaf: i for i, leaf in enumerate(filt.leaves)}
+
+
 def test_constant_and_indicator(dyadic2):
     c = MartFunction(dyadic2, np.full((dyadic2.n_leaves, 2), [2.0, -1.0]))
     assert c.dim == 2
@@ -44,7 +49,7 @@ def test_average_is_measure_weighted(dyadic2):
     f = rand_fn(dyadic2, 1, 0)
     root = dyadic2.root.id
     manual = sum(
-        dyadic2.atom(leaf).measure * f.values[dyadic2.layout.positions[leaf]] for leaf in dyadic2.leaves
+        dyadic2.atom(leaf).measure * f.values[leaf_positions(dyadic2)[leaf]] for leaf in dyadic2.leaves
     )
     assert np.allclose(average(f, root), manual, atol=1e-15)
 
@@ -113,7 +118,7 @@ def test_delta_split_mean_zero_and_support(dyadic3):
         for leaf in dyadic3.leaves:
             la = dyadic3.atom(leaf)
             if not (atom.a <= la.a and la.b <= atom.b):
-                assert np.all(d.values[dyadic3.layout.positions[leaf]] == 0.0)
+                assert np.all(d.values[leaf_positions(dyadic3)[leaf]] == 0.0)
         assert np.allclose(average(d, dyadic3.root.id), 0.0, atol=1e-15)
         # constant on each child: the value is child mean minus parent mean
         for child in atom.children:
@@ -138,7 +143,7 @@ def test_osc2_matches_variance_definition(dyadic3):
         for leaf in dyadic3.leaves:
             la = dyadic3.atom(leaf)
             if atom.a <= la.a and la.b <= atom.b:
-                acc += la.measure * float(np.sum((f.values[dyadic3.layout.positions[leaf]] - mean) ** 2))
+                acc += la.measure * float(np.sum((f.values[leaf_positions(dyadic3)[leaf]] - mean) ** 2))
         assert osc2(f, atom.id) == pytest.approx(acc / atom.measure, rel=1e-12, abs=1e-15)
 
 
@@ -167,7 +172,7 @@ def test_restrict_cuts_support(dyadic2):
     for leaf in dyadic2.leaves:
         leaf_atom = dyadic2.atom(leaf)
         inside = la.a <= leaf_atom.a and leaf_atom.b <= la.b
-        at = dyadic2.layout.positions[leaf]
+        at = leaf_positions(dyadic2)[leaf]
         if inside:
             assert np.all(cut.values[at] == f.values[at])
         else:

@@ -52,6 +52,11 @@ def rand_fn(filt, dim, seed):
     return MartFunction(filt, rng.normal(size=(filt.n_leaves, dim)))
 
 
+def leaf_positions(filt):
+    """Leaf atom id -> its position in leaf order."""
+    return {leaf: i for i, leaf in enumerate(filt.leaves)}
+
+
 def test_unit_ball_is_enforced(dyadic2):
     with pytest.raises(PredictabilityError):
         make_transform(dyadic2, [2.0 * np.ones((1, 1)), np.ones((2, 1))])
@@ -203,7 +208,7 @@ def test_localization_single_split_input(dyadic3):
         for leaf in dyadic3.leaves:
             la = dyadic3.atom(leaf)
             if not (atom.a <= la.a and la.b <= atom.b):
-                assert abs(float(out.values[dyadic3.layout.positions[leaf], 0])) <= 1e-12
+                assert abs(float(out.values[leaf_positions(dyadic3)[leaf], 0])) <= 1e-12
 
 
 def test_predictable_support_containment():
@@ -221,7 +226,7 @@ def test_predictable_support_containment():
                 keep.add(leaf)
     for leaf in filt.leaves:
         if leaf not in keep:
-            assert abs(float(out.values[filt.layout.positions[leaf], 0])) <= 1e-12
+            assert abs(float(out.values[leaf_positions(filt)[leaf], 0])) <= 1e-12
 
 
 def test_predictable_hull_is_contained_in_active_levels():
