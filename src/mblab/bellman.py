@@ -25,13 +25,18 @@ an admissible B must obey
 
     B(x) >= |d| * diam{x1^1..x1^N} + sum_k lambda_k B(x^k).
 
-check = evaluate the slack of that inequality on one configuration.  The
-module also implements the constructive rescaling route: a configuration
+``_diameters`` (the one diameter rule) and ``_split_sides`` evaluate the
+right-hand side over rows of child points: ``certify`` passes one row per
+split event, ``split_slack`` and ``estimate_rescale_constant`` one per
+sampled configuration.
+
+The module also implements the constructive rescaling route: a configuration
 with dyadic weights a_k / 2^M is expanded into 2^M copies, sorted along the
 diameter direction of the x1 cloud, halved, and recombined through a binary
-midpoint tree.  The separation of the half means against the cloud diameter
-is the measured constant that prices moving a candidate from the balanced
-regime delta = 1/2 down to smaller regularity floors.
+midpoint tree, held as one array of block means per tree level.  The
+separation of the half means against the cloud diameter is the measured
+constant that prices moving a candidate from the balanced regime
+delta = 1/2 down to smaller regularity floors.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -258,9 +264,6 @@ class BellmanCandidate:
     def evaluate(self, pt: BellmanPoint) -> float:
         return float(self.fn(pt.x1, pt.x2, pt.x3, pt.x4))
 
-    def evaluate_raw(self, x1: np.ndarray, x2: float, x3: float, x4: float) -> float:
-        return float(self.fn(np.atleast_1d(np.asarray(x1, dtype=float)), x2, x3, x4))
-
 
 def shaped_candidate(
     cp: float,
@@ -311,24 +314,6 @@ def linear_candidate(cp: float, p: float, delta: float) -> BellmanCandidate:
     penalty term, so every split with d != 0 and spread children defeats it."""
     return shaped_candidate(
         cp=cp, h=lambda x1, x2: 0.0, p=p, delta=delta, label=f"linear(cp={cp:g})"
-    )
-
-
-def scale_candidate(cand: BellmanCandidate, c: float, delta: float | None = None) -> BellmanCandidate:
-    """Multiply a candidate by c >= 1, optionally retagging the claimed floor."""
-    new_delta = cand.delta if delta is None else delta
-    scaled_h = None
-    if cand.h is not None:
-        base_h = cand.h
-        scaled_h = lambda x1, x2: c * base_h(x1, x2)
-    base_fn = cand.fn
-    return BellmanCandidate(
-        fn=lambda x1, x2, x3, x4: c * base_fn(x1, x2, x3, x4),
-        p=cand.p,
-        delta=new_delta,
-        label=f"{c:g}*{cand.label}",
-        cp=None if cand.cp is None else c * cand.cp,
-        h=scaled_h,
     )
 
 
@@ -394,34 +379,81 @@ class SplitConfig:
         return max(r1, r2, r3, r4)
 
     def x1_diameter(self) -> float:
-        return _diameter_pair([pt.x1 for pt in self.points])[0]
+        x1 = np.stack([pt.x1 for pt in self.points])
+        return float(_diameters(x1[None], np.ones((1, self.n), dtype=bool))[0])
 
 
-def _diameter_pair(x1s: Sequence[np.ndarray]) -> tuple[float, tuple[int, int]]:
-    """Largest pairwise distance of the x1 vectors and the first pair (i, j),
-    i < j in row-major order, that attains it: a later pair replaces the
-    best only when strictly farther.  (0.0, (0, 0)) when no two differ."""
-    best, pair = 0.0, (0, 0)
-    for i in range(len(x1s)):
-        for j in range(i + 1, len(x1s)):
-            dij = float(np.linalg.norm(x1s[i] - x1s[j]))
-            if dij > best:
-                best, pair = dij, (i, j)
-    return best, pair
+def _diameters(
+    x1: np.ndarray, has: np.ndarray, return_pairs: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The diameter rule of the split inequality, for many splits at once.
+
+    Row r of ``x1`` (rows, k, dim) holds one split's child x1 points, of
+    which those with ``has[r]`` (rows, k) set take part.  Returns each row's
+    largest pairwise distance, and with ``return_pairs`` also the first
+    pair (i, j), i < j in row-major order, that attains it: a later pair
+    replaces the best only when strictly farther, so a row whose points all
+    coincide gives (0.0, (0, 0)).  A distance is
+    ``np.sqrt(np.vecdot(diff, diff))``, which rounds like ``np.linalg.norm``
+    of that one difference.
+    """
+    i, j = np.array(list(combinations(range(has.shape[1]), 2))).T
+    diff = x1[:, i] - x1[:, j]
+    dist = np.where(has[:, i] & has[:, j], np.sqrt(np.vecdot(diff, diff)), 0.0)
+    diam = np.fmax.reduce(dist, axis=1, initial=0.0)
+    if not return_pairs:
+        return diam
+    first = np.argmax(dist == diam[:, None], axis=1)
+    return diam, np.where(diam[:, None] > 0.0, np.column_stack((i[first], j[first])), 0)
+
+
+def _split_sides(
+    x1: np.ndarray, values: np.ndarray, weights: np.ndarray, has: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """diam{x1^k} and sum_k lambda_k B(x^k) for rows of splits laid out as
+    in ``_diameters``, with the children's candidate values and weights
+    (rows, k); the sum adds the children in order, as a loop would."""
+    diam = _diameters(x1, has)
+    kid_sum = np.zeros(len(has))
+    for r in range(has.shape[1]):
+        kid_sum = np.where(has[:, r], kid_sum + weights[:, r] * values[:, r], kid_sum)
+    return diam, kid_sum
 
 
 def _scale_of(pt: BellmanPoint) -> float:
     return max(1.0, float(np.linalg.norm(pt.x1)), abs(pt.x2), abs(pt.x3), abs(pt.x4))
 
 
+def _split_terms(
+    cand: BellmanCandidate, cfgs: Sequence[SplitConfig]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B(base), |d| * diam{x1^k} and sum_k lambda_k B(x^k) of each
+    configuration, with one candidate call for all points."""
+    counts = np.array([cfg.n for cfg in cfgs])
+    has = np.arange(counts.max()) < counts[:, None]
+    pts = [pt for cfg in cfgs for pt in cfg.points] + [cfg.base for cfg in cfgs]
+    x1 = np.stack([pt.x1 for pt in pts])
+    x2, x3, x4 = np.array([(pt.x2, pt.x3, pt.x4) for pt in pts]).T
+    values = cand.fn(x1, x2, x3, x4)
+    # Cells past a configuration's count hold point 0; ``has`` masks them out.
+    kids = np.zeros(has.shape, dtype=np.intp)
+    kids[has] = np.arange(counts.sum())
+    weights = np.zeros(has.shape)
+    weights[has] = np.concatenate([cfg.weights for cfg in cfgs])
+    diam, kid_sum = _split_sides(x1[kids], values[kids], weights, has)
+    d = np.array([abs(cfg.d) for cfg in cfgs])
+    return values[counts.sum() :], d * diam, kid_sum
+
+
+def _slacks(c: float, base: np.ndarray, d_diam: np.ndarray, kid_sum: np.ndarray) -> np.ndarray:
+    """Split slacks of the candidate scaled by c, from the unscaled terms."""
+    return c * base - d_diam - c * kid_sum
+
+
 def split_slack(cand: BellmanCandidate, cfg: SplitConfig) -> float:
     """Signed slack of the split inequality; admissible candidates keep it
     nonnegative up to roundoff."""
-    diam = cfg.x1_diameter()
-    split_side = abs(cfg.d) * diam + float(
-        sum(w * cand.evaluate(pt) for w, pt in zip(cfg.weights, cfg.points))
-    )
-    return cand.evaluate(cfg.base) - split_side
+    return float(_slacks(1.0, *_split_terms(cand, [cfg]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -576,38 +608,26 @@ def adversarial_split_configs(delta: float, p: float, dim: int = 1) -> list[Spli
 # Dyadic expansion
 
 
-@dataclass(frozen=True)
-class ExpansionNode:
-    """Binary midpoint tree node: uniform mean of a contiguous copy block."""
-
-    x1: np.ndarray
-    x2: float
-    x3: float
-    x4: float
-    weight: float
-    children: tuple["ExpansionNode", ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "point": {"x1": np.atleast_1d(self.x1).tolist(), "x2": self.x2, "x3": self.x3, "x4": self.x4},
-            "weight": self.weight,
-            "children": [c.to_dict() for c in self.children],
-        }
-
-
 @dataclass(frozen=True, eq=False)
 class ExpansionCertificate:
-    """Outcome of the copy-sort-halve expansion of a dyadic configuration."""
+    """Outcome of the copy-sort-halve expansion of a dyadic configuration.
+
+    The binary midpoint tree is held as ``levels``: ``levels[k]`` is the
+    (2^k, dim + 3) array of the depth-k nodes, left to right, each row the
+    uniform mean (x1, x2, x3, x4) of a block of copies / 2^k consecutive
+    sorted copies, with weight 2^-k.  The children of row i are rows 2i and
+    2i + 1 of the next level; ``levels[1]`` holds the two half means and
+    ``levels[m]`` the sorted copies themselves.
+    """
 
     m: int
     copies: int
     order: tuple[int, ...]  # sorted copy order, entries = original point index
-    half_means: tuple[ExpansionNode, ExpansionNode]
+    levels: tuple[np.ndarray, ...]
     separation: float
     diameter: float
     ratio: float | None
     degenerate: bool
-    tree: ExpansionNode
 
 
 def _weights_to_counts(weights: np.ndarray, m: int | None) -> tuple[np.ndarray, int]:
@@ -627,61 +647,41 @@ def dyadic_expand(cfg: SplitConfig, m: int | None = None) -> ExpansionCertificat
     """Expand, sort along the diameter direction, halve, and build the tree.
 
     Sort keys are scalar projections of the x1 copies onto the segment
-    between the first diameter-realizing pair of ``_diameter_pair``; ties
-    keep original copy order.
+    between the first diameter-realizing pair of ``_diameters``; ties keep
+    original copy order.
     """
     counts, mm = _weights_to_counts(cfg.weights, m)
     b = int(counts.sum())
     copy_owner = np.repeat(np.arange(cfg.n), counts)
 
-    pts_x1 = np.stack([pt.x1 for pt in cfg.points])
-    diam, pair = _diameter_pair(pts_x1)
+    rows = np.array([[*pt.x1, pt.x2, pt.x3, pt.x4] for pt in cfg.points])
+    dim = cfg.points[0].dim
+    pts_x1 = rows[:, :dim]
+    diam, pair = _diameters(pts_x1[None], np.ones((1, cfg.n), dtype=bool), return_pairs=True)
+    diam, (i, j) = float(diam[0]), pair[0]
     degenerate = diam <= 0.0
 
     if degenerate:
         order = np.arange(b)
     else:
-        y1, y2 = pts_x1[pair[0]], pts_x1[pair[1]]
-        u = (y2 - y1) / diam
-        keys = (pts_x1[copy_owner] - y1[None, :]) @ u
+        u = (pts_x1[j] - pts_x1[i]) / diam
+        keys = (pts_x1[copy_owner] - pts_x1[i][None, :]) @ u
         order = np.argsort(keys, kind="stable")
 
     sorted_owner = copy_owner[order]
-    full = np.column_stack(
-        [
-            pts_x1[sorted_owner],
-            [cfg.points[k].x2 for k in sorted_owner],
-            [cfg.points[k].x3 for k in sorted_owner],
-            [cfg.points[k].x4 for k in sorted_owner],
-        ]
-    )
-    dim = pts_x1.shape[1]
-
-    # The 2^k nodes at depth k average consecutive blocks of b / 2^k copies:
-    # one reshape-mean per level, then the nodes are linked bottom up.
-    nodes: tuple[ExpansionNode, ...] = ()
-    for k in range(mm, -1, -1):
-        means = full.reshape(2**k, b >> k, -1).mean(axis=1)
-        weight = (b >> k) / b
-        rows = zip(means[:, :dim], means[:, dim:].tolist())
-        nodes = tuple(
-            ExpansionNode(x1, x2, x3, x4, weight, children=nodes[2 * i : 2 * i + 2])
-            for i, (x1, (x2, x3, x4)) in enumerate(rows)
-        )
-    tree = nodes[0]
-    left, right = tree.children
-    separation = float(np.linalg.norm(left.x1 - right.x1))
-    ratio = None if degenerate else separation / diam
+    full = rows[sorted_owner]
+    # The 2^k nodes at depth k average consecutive blocks of b / 2^k copies.
+    levels = tuple(full.reshape(2**k, b >> k, -1).mean(axis=1) for k in range(mm + 1))
+    separation = float(np.linalg.norm(levels[1][0, :dim] - levels[1][1, :dim]))
     return ExpansionCertificate(
         m=mm,
         copies=b,
-        order=tuple(int(k) for k in sorted_owner),
-        half_means=(left, right),
+        order=tuple(sorted_owner.tolist()),
+        levels=levels,
         separation=separation,
         diameter=diam,
-        ratio=ratio,
+        ratio=None if degenerate else separation / diam,
         degenerate=degenerate,
-        tree=tree,
     )
 
 
@@ -698,26 +698,19 @@ def recombine_slack(
         direct = top + sum_nodes weight * midpoint_slack
                      + |d| * (separation - diameter).
 
-    Returns (direct, recombined); the two must agree to roundoff for any
-    candidate, admissible or not.
+    The candidate is evaluated once per tree level, and the midpoint slacks
+    are added level by level.  Returns (direct, recombined); the two must
+    agree to roundoff for any candidate, admissible or not.
     """
     direct = split_slack(cand, cfg)
-
-    def b_of(node: ExpansionNode) -> float:
-        return cand.evaluate_raw(node.x1, node.x2, node.x3, node.x4)
-
-    left, right = cert.half_means
-    top = cand.evaluate(cfg.base) - abs(cfg.d) * cert.separation - 0.5 * (b_of(left) + b_of(right))
-
-    def midpoint_sum(node: ExpansionNode) -> float:
-        if not node.children:
-            return 0.0
-        c1, c2 = node.children
-        own = node.weight * (b_of(node) - 0.5 * (b_of(c1) + b_of(c2)))
-        return own + midpoint_sum(c1) + midpoint_sum(c2)
-
-    mids = midpoint_sum(left) + midpoint_sum(right)
-    recombined = top + mids + abs(cfg.d) * (cert.separation - cert.diameter)
+    dim = cfg.points[0].dim
+    vals = [cand.fn(lv[:, :dim], lv[:, dim], lv[:, dim + 1], lv[:, dim + 2]) for lv in cert.levels]
+    top = cand.evaluate(cfg.base) - abs(cfg.d) * cert.separation - 0.5 * (vals[1][0] + vals[1][1])
+    mids = 0.0
+    for k in range(1, cert.m):
+        own = vals[k] - 0.5 * (vals[k + 1][0::2] + vals[k + 1][1::2])
+        mids += 0.5**k * float(own.sum())
+    recombined = float(top) + mids + abs(cfg.d) * (cert.separation - cert.diameter)
     return direct, recombined
 
 
@@ -751,24 +744,18 @@ def estimate_rescale_constant(
     geometrically; a candidate already admissible at delta reports 1.0.
     Extremal-geometry configurations are mixed in by default because random
     draws alone understate the required constant."""
+    if not c_max >= 1.0:
+        raise ValueError(f"c_max must be at least 1, got {c_max}")
     cfgs = sample_split_configs(delta, cand.p, samples, seed, dim=dim)
     adv = adversarial_split_configs(delta, cand.p, dim=dim) if adversarial else []
-    cfgs = cfgs + adv
+    terms = _split_terms(cand, cfgs + adv)
     grid: list[tuple[float, int]] = []
     c = 1.0
     while c <= c_max:
-        scaled = scale_candidate(cand, c, delta=delta)
-        failures = 0
-        worst = (0.0, -1)
-        for k, cfg in enumerate(cfgs):
-            tol = 1e-9 * max(1.0, abs(scaled.evaluate(cfg.base)))
-            slack = split_slack(scaled, cfg)
-            if slack < -tol:
-                failures += 1
-                if slack < worst[0]:
-                    worst = (slack, k)
-        grid.append((c, failures))
-        if failures == 0:
+        slack = _slacks(c, *terms)
+        failing = np.flatnonzero(slack < -1e-9 * np.maximum(1.0, np.abs(c * terms[0])))
+        grid.append((c, len(failing)))
+        if not len(failing):
             return RescaleEstimate(
                 constant=c,
                 delta=delta,
@@ -779,10 +766,11 @@ def estimate_rescale_constant(
                 grid=tuple(grid),
             )
         c *= grid_factor
+    worst = failing[np.argmin(slack[failing])]
     raise RuntimeError(
         f"no rescale constant up to {c_max:g} makes '{cand.label}' pass at "
-        f"delta={delta}; at C={grid[-1][0]:.6g} {grid[-1][1]} of {len(cfgs)} "
-        f"configurations still fail, worst slack {worst[0]:.6g} at config {worst[1]}"
+        f"delta={delta}; at C={grid[-1][0]:.6g} {grid[-1][1]} of {len(slack)} "
+        f"configurations still fail, worst slack {slack[worst]:.6g} at config {worst}"
     )
 
 
@@ -791,7 +779,19 @@ def estimate_rescale_constant(
 
 
 def expansion_to_dict(cert: ExpansionCertificate) -> dict:
-    """JSON-ready payload of an expansion, with its whole midpoint tree."""
+    """JSON-ready payload of an expansion, with its whole midpoint tree as
+    nested nodes, each with its point, weight and two children."""
+    dim = cert.levels[0].shape[1] - 3
+    nodes: list[dict] = []
+    for k in range(cert.m, -1, -1):
+        nodes = [
+            {
+                "point": {"x1": row[:dim], "x2": row[dim], "x3": row[dim + 1], "x4": row[dim + 2]},
+                "weight": 0.5**k,
+                "children": nodes[2 * i : 2 * i + 2],
+            }
+            for i, row in enumerate(cert.levels[k].tolist())
+        ]
     return {
         "m": cert.m,
         "copies": cert.copies,
@@ -800,5 +800,5 @@ def expansion_to_dict(cert: ExpansionCertificate) -> dict:
         "diameter": cert.diameter,
         "ratio": cert.ratio,
         "degenerate": cert.degenerate,
-        "tree": cert.tree.to_dict(),
+        "tree": nodes[0],
     }

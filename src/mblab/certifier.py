@@ -33,12 +33,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
-from .bellman import BellmanCandidate, BellmanPoint, Witness
+from .bellman import BellmanCandidate, BellmanPoint, Witness, _split_sides
 from .filtration import Filtration
 from .martingale import MartFunction, inner
 from .transforms import MartingaleTransform
@@ -246,21 +245,9 @@ def certify(
     kids[has] = lay.event_children
     measure = lay.atom_measures[lay.event_atoms]
     grid_weights = lay.atom_measures[kids] / measure[:, None]
-    kid_values = values[kids]
-    kid_x1 = table.x1[kids]
-
-    # Largest child x1 distance; a later pair replaces the best only when
-    # strictly farther, as in ``bellman._diameter_pair``.
-    diameter = np.zeros(len(counts))
-    for i, j in combinations(range(has.shape[1]), 2):
-        diff = kid_x1[:, i] - kid_x1[:, j]
-        dist = np.sqrt(np.vecdot(diff, diff))
-        better = has[:, j] & (dist > diameter)
-        diameter[better] = dist[better]
-    # sum_k lambda_k B(x_k), one child rank at a time.
-    kid_sum = np.zeros(len(counts))
-    for r in range(has.shape[1]):
-        kid_sum = np.where(has[:, r], kid_sum + grid_weights[:, r] * kid_values[:, r], kid_sum)
+    # The child x1 diameter by the shared rule ``bellman._diameters``, and
+    # sum_k lambda_k B(x_k).
+    diameter, kid_sum = _split_sides(table.x1[kids], values[kids], grid_weights, has)
 
     d, pairing = table.d, table.pairing
     d_diam = d * diameter

@@ -3,9 +3,46 @@ against."""
 
 from __future__ import annotations
 
-from mblab.bellman import BellmanCandidate, Witness, _diameter_pair
+from collections.abc import Sequence
+
+import numpy as np
+
+from mblab.bellman import BellmanCandidate, Witness
 from mblab.martingale import MartFunction, inner
 from mblab.transforms import MartingaleTransform
+
+
+def scale_candidate(cand: BellmanCandidate, c: float, delta: float | None = None) -> BellmanCandidate:
+    """c times a candidate as a candidate of its own, optionally retagging
+    the claimed floor: the direct route to the slacks of C * B that
+    ``estimate_rescale_constant`` reads off B's unscaled terms."""
+    new_delta = cand.delta if delta is None else delta
+    scaled_h = None
+    if cand.h is not None:
+        base_h = cand.h
+        scaled_h = lambda x1, x2: c * base_h(x1, x2)
+    base_fn = cand.fn
+    return BellmanCandidate(
+        fn=lambda x1, x2, x3, x4: c * base_fn(x1, x2, x3, x4),
+        p=cand.p,
+        delta=new_delta,
+        label=f"{c:g}*{cand.label}",
+        cp=None if cand.cp is None else c * cand.cp,
+        h=scaled_h,
+    )
+
+
+def diameter_pair(x1s: Sequence[np.ndarray]) -> tuple[float, tuple[int, int]]:
+    """Largest pairwise distance of the x1 vectors and the first pair (i, j),
+    i < j in row-major order, that attains it: a later pair replaces the
+    best only when strictly farther.  (0.0, (0, 0)) when no two differ."""
+    best, pair = 0.0, (0, 0)
+    for i in range(len(x1s)):
+        for j in range(i + 1, len(x1s)):
+            dij = float(np.linalg.norm(x1s[i] - x1s[j]))
+            if dij > best:
+                best, pair = dij, (i, j)
+    return best, pair
 
 
 def certificate_by_records(
@@ -19,7 +56,7 @@ def certificate_by_records(
 
     Every moment point is a ``BellmanPoint`` of the witness's table, the
     candidate is evaluated one point at a time, each child diameter comes
-    from ``_diameter_pair`` and every sum adds its terms left to right in a
+    from ``diameter_pair`` and every sum adds its terms left to right in a
     loop.  Returns the payload ``certificate_to_dict`` writes, with one
     shared dict per point, and the atoms of the flagged records in schedule
     order.  Raises nothing: the identity checks are ``certify``'s.
@@ -42,7 +79,7 @@ def certificate_by_records(
         atom = filt.atom(atom_id)
         kids = [points[c] for c in atom.children]
         weights = [filt.atom(c).measure / atom.measure for c in atom.children]
-        diam = _diameter_pair([k.x1 for k in kids])[0]
+        diam = diameter_pair([k.x1 for k in kids])[0]
 
         bad = False
         chain_scale = max(1.0, abs(pairing), d * diam)

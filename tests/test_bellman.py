@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from mblab.bellman import (
     BellmanPoint,
     SplitConfig,
-    _diameter_pair,
+    _diameters,
     adversarial_split_configs,
     bellman_point,
     conjugate_exponent,
     dyadic_expand,
     estimate_rescale_constant,
+    expansion_to_dict,
     in_bellman_domain,
     linear_candidate,
     moment_table,
@@ -25,10 +26,10 @@ from mblab.bellman import (
     recombine_slack,
     sample_dyadic_split_configs,
     sample_split_configs,
-    scale_candidate,
     split_slack,
 )
 from mblab.reporting import to_canonical_json
+from oracles import diameter_pair, scale_candidate
 
 
 def point(x1, x2, x3, x4, p=2.0):
@@ -135,7 +136,7 @@ def test_candidates_take_many_points_with_one_point_bits(dim):
     alpha = 1.0 / math.sqrt(0.5)
     for cand in (quad, linear_candidate(1.5, 2.0, 0.25), scale_candidate(quad, 3.0)):
         many = cand.fn(x1, x2, x3, x4)
-        one = [cand.evaluate_raw(*row) for row in zip(x1, x2.tolist(), x3.tolist(), x4.tolist())]
+        one = [float(cand.fn(*row)) for row in zip(x1, x2.tolist(), x3.tolist(), x4.tolist())]
         assert many.tolist() == one
     by_dot = [
         alpha * (a + b) - alpha * (float(np.dot(v, v)) + c)
@@ -267,13 +268,49 @@ def test_expansion_pair_choice_on_tied_and_repeated_points():
         sum(w * pt.x1 for w, pt in zip(ws, pts)), 0.0, float(ws @ [pt.x3 for pt in pts]), 1.0
     )
     cfg = SplitConfig(delta=0.125, p=2.0, points=pts, weights=ws, d=0.0, base=base)
-    assert _diameter_pair([pt.x1 for pt in pts]) == (math.sqrt(2.0), (0, 3))
-    assert _diameter_pair([pts[0].x1, pts[4].x1]) == (0.0, (0, 0))
+    assert diameter_pair([pt.x1 for pt in pts]) == (math.sqrt(2.0), (0, 3))
+    assert diameter_pair([pts[0].x1, pts[4].x1]) == (0.0, (0, 0))
+    assert one_row_diameter([pt.x1 for pt in pts]) == (math.sqrt(2.0), (0, 3))
+    assert one_row_diameter([pts[0].x1, pts[4].x1]) == (0.0, (0, 0))
     assert cfg.x1_diameter() == math.sqrt(2.0)
     cert = dyadic_expand(cfg, m=3)
     assert cert.diameter == math.sqrt(2.0)
     # the other diagonal (1, 2) would give (1, 1, 0, 0, 3, 4, 2, 2)
     assert cert.order == (0, 0, 4, 1, 1, 2, 2, 3)
+
+
+def one_row_diameter(x1s):
+    diam, pair = _diameters(np.stack(x1s)[None], np.ones((1, len(x1s)), dtype=bool), True)
+    return float(diam[0]), tuple(pair[0].tolist())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_diameter_kernel_matches_pairwise_loop(dim):
+    # ragged rows of 2 to 10 children, with masked cells holding far-off
+    # points, repeated points, lattice points whose distances tie, and the
+    # unit square's tied diagonals; diameters and pairs equal bit for bit
+    rng = np.random.default_rng(40 + dim)
+    counts = rng.integers(2, 11, size=300)
+    x1 = rng.normal(size=(300, 10, dim)) * rng.exponential(size=(300, 1, 1))
+    x1[100:200] = rng.integers(-1, 2, size=(100, 10, dim))  # ties on a lattice
+    for r in range(200, 300):  # repeats of earlier children
+        picks = rng.integers(0, np.arange(10) + 1)
+        x1[r] = x1[r, picks]
+    x1[-1] = x1[-1, 0]  # every child the same point
+    square = np.zeros((4, dim))
+    square[[1, 3], 0] = 1.0
+    if dim > 1:
+        square[[2, 3], 1] = 1.0
+    x1[0, :4], counts[0] = square, 4
+    has = np.arange(10) < counts[:, None]
+    x1[~has] = 1e6 * rng.normal(size=(int((~has).sum()), dim))
+    assert _diameters(x1, has).tolist() == _diameters(x1, has, True)[0].tolist()
+    diam, pair = _diameters(x1, has, True)
+    expected = [diameter_pair(list(row[:n])) for row, n in zip(x1, counts)]
+    assert diam.tolist() == [e[0] for e in expected]
+    assert [tuple(pr) for pr in pair.tolist()] == [e[1] for e in expected]
+    assert expected[0] == ((math.sqrt(2.0), (0, 3)) if dim > 1 else (1.0, (0, 1)))
+    assert expected[-1] == (0.0, (0, 0))
 
 
 def test_expansion_ratio_positive_on_samples():
@@ -303,9 +340,25 @@ def expansion_by_node(cfg, order):
     return build(0, b)
 
 
-def as_tuple(node):
-    kids = tuple(as_tuple(c) for c in node.children)
-    return (node.x1.tolist(), node.x2, node.x3, node.x4, node.weight, kids)
+def as_tuple(levels, k=0, i=0):
+    """Node i of tree level k and its subtree, in the shape of
+    ``expansion_by_node``."""
+    row = levels[k][i].tolist()
+    kids = () if k + 1 == len(levels) else tuple(as_tuple(levels, k + 1, c) for c in (2 * i, 2 * i + 1))
+    return (row[:-3], *row[-3:], 0.5**k, kids)
+
+
+def payload_by_node(cert, node):
+    """``expansion_to_dict``'s payload with the tree taken from a reference
+    tuple of ``expansion_by_node``."""
+
+    def tree(n):
+        x1, x2, x3, x4, weight, kids = n
+        point = {"x1": x1, "x2": x2, "x3": x3, "x4": x4}
+        return {"point": point, "weight": weight, "children": [tree(c) for c in kids]}
+
+    fields = ("m", "copies", "order", "separation", "diameter", "ratio", "degenerate")
+    return {**{name: getattr(cert, name) for name in fields}, "tree": tree(node)}
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -316,7 +369,29 @@ def test_expansion_tree_matches_per_node_means(m):
         for cfg in sample_dyadic_split_configs(delta, 1.5, 4, seed=m, dim=dim, m=m):
             cert = dyadic_expand(cfg, m=m)
             assert cert.copies == 2**m
-            assert as_tuple(cert.tree) == expansion_by_node(cfg, cert.order)
+            assert as_tuple(cert.levels) == expansion_by_node(cfg, cert.order)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_expansion_payload_matches_per_node_tree(m):
+    delta = 0.5 if m == 1 else (0.25 if m < 4 else 0.1)
+    for dim in (1, 2, 3):
+        for cfg in sample_dyadic_split_configs(delta, 1.5, 2, seed=20 + m, dim=dim, m=m):
+            cert = dyadic_expand(cfg, m=m)
+            reference = payload_by_node(cert, expansion_by_node(cfg, cert.order))
+            assert to_canonical_json(expansion_to_dict(cert)) == to_canonical_json(reference)
+
+
+def test_deep_expansion_recombines():
+    # m = 14: 16,384 copies and 14 tree levels
+    cand = quadratic_candidate(0.1)
+    for cfg in sample_dyadic_split_configs(0.1, 2.0, 3, seed=14, dim=2, m=14):
+        cert = dyadic_expand(cfg, m=14)
+        assert cert.copies == 2**14 and len(cert.levels) == 15
+        assert cert.levels[14].shape == (2**14, 5)
+        assert not cert.degenerate and cert.ratio > 0.0
+        direct, recombined = recombine_slack(cand, cfg, cert)
+        assert recombined == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
 def test_expand_rejects_non_dyadic_weights():
@@ -379,6 +454,21 @@ def test_rescale_frozen_grid_values():
     assert est2.constant == pytest.approx(1.05**17, rel=1e-12)
 
 
+@pytest.mark.parametrize("delta, dim, seed", [(0.25, 1, 10), (0.1, 1, 10), (0.2, 3, 13)])
+def test_rescale_grid_matches_scaled_candidates(delta, dim, seed):
+    # each grid point's failure count is that of the rebuilt candidate C * B
+    # with split_slack on every configuration
+    cand = quadratic_candidate(0.5)
+    est = estimate_rescale_constant(cand, delta, samples=150, seed=seed, dim=dim)
+    cfgs = sample_split_configs(delta, 2.0, 150, seed, dim=dim)
+    cfgs += adversarial_split_configs(delta, 2.0, dim=dim)
+    for c, failures in est.grid:
+        scaled = scale_candidate(cand, c, delta=delta)
+        tols = [1e-9 * max(1.0, abs(scaled.evaluate(cfg.base))) for cfg in cfgs]
+        assert failures == sum(split_slack(scaled, cfg) < -tol for cfg, tol in zip(cfgs, tols))
+    assert len(est.grid) > 5
+
+
 def test_rescale_grid_reports_failures_then_success():
     cand = quadratic_candidate(0.5)
     est = estimate_rescale_constant(cand, 0.25, samples=100, seed=11)
@@ -392,6 +482,8 @@ def test_rescale_exhaustion_raises():
     cand = quadratic_candidate(0.5)
     with pytest.raises(RuntimeError):
         estimate_rescale_constant(cand, 0.1, samples=80, seed=12, c_max=1.5)
+    with pytest.raises(ValueError):
+        estimate_rescale_constant(cand, 0.1, samples=80, seed=12, c_max=0.5)
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,7 +13,6 @@ from mblab.bellman import (
     linear_candidate,
     moment_table,
     quadratic_candidate,
-    scale_candidate,
 )
 from mblab.certifier import Certificate, certificate_rows, certificate_to_dict, certify
 from mblab.corpus import (
@@ -33,7 +32,7 @@ from mblab.martingale import (
     osc2,
 )
 from mblab.reporting import to_canonical_json
-from oracles import certificate_by_records
+from oracles import certificate_by_records, scale_candidate
 
 SQRT2 = math.sqrt(2.0)
 

@@ -23,7 +23,7 @@ ORACLES = {
     "estimator.optimal_lambda_numeric",
     "transforms.operator_norm",
 }
-# The two halves of the rescaling route have no caller yet; ROADMAP item 2
+# The two halves of the rescaling route have no caller yet; ROADMAP item 3
 # gives them one, an `mblab rescale` command.
 AWAITING_CALLER = {"bellman.estimate_rescale_constant", "bellman.recombine_slack"}
 
