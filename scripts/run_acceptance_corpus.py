@@ -11,7 +11,9 @@ the mean bound margin, which must stay nonpositive.
 The last line, ``reports sha256 <hex>``, hashes the canonical JSON of every
 cell's ``run_all`` rows and of its certificate for the quadratic candidate
 at the cell's floor, in corpus order.  Two commits that print the same line
-emit the same report bytes over the whole corpus.
+emit the same report bytes over the whole corpus.  The line before it,
+``certificates sha256 <hex>``, hashes the certificates alone, in the same
+order: it holds still when only the suites' random draws move.
 
 Usage:
     python3 scripts/run_acceptance_corpus.py --seeds 25
@@ -44,15 +46,17 @@ def main() -> int:
     worst = defaultdict(lambda: (0.0, None))
     eq_worst, defect_worst, margin_worst = 0.0, 0.0, -np.inf
     all_ok = True
-    digest = hashlib.sha256()
+    digest, cert_digest = hashlib.sha256(), hashlib.sha256()
     cells = default_corpus(seeds=args.seeds)
     for cell in cells:
         pc = prepare_cell(cell)
         rows, ok = run_all(pc.f, pc.g, pc.op, rng=rng, suites=suites)
         all_ok = all_ok and ok
         cert = certify(quadratic_candidate(cell.delta), pc.f, pc.g, pc.op)
+        cert_text = to_canonical_json(certificate_to_dict(cert)).encode()
         digest.update(to_canonical_json(rows).encode())
-        digest.update(to_canonical_json(certificate_to_dict(cert)).encode())
+        digest.update(cert_text)
+        cert_digest.update(cert_text)
         for row in rows:
             ratio = row["max_err"] / row["tol"] if row["tol"] > 0 else float(row["max_err"] > 0)
             if ratio > worst[row["check"]][0]:
@@ -72,6 +76,7 @@ def main() -> int:
     print(f"uncentered restriction defect identity (must be <= 1e-9): {defect_worst:.3e}")
     print(f"mean bound margin (must be <= 0): {margin_worst:.3e}")
     print("all suites ok" if all_ok else "SOME SUITE FAILED")
+    print(f"certificates sha256 {cert_digest.hexdigest()}")
     print(f"reports sha256 {digest.hexdigest()}")
     return 0 if all_ok else 1
 

@@ -50,6 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .martingale import MartFunction, _level_means, _weighted
+from .reporting import Verbatim, _format_float, _format_floats, _format_rows
 from .transforms import MartingaleTransform
 
 __all__ = [
@@ -780,17 +781,25 @@ def estimate_rescale_constant(
 
 def expansion_to_dict(cert: ExpansionCertificate) -> dict:
     """JSON-ready payload of an expansion, with its whole midpoint tree as
-    nested nodes, each with its point, weight and two children."""
+    nested nodes, each with its point, weight and two children.
+
+    The tree is ``Verbatim`` canonical text written from ``levels``, bottom
+    level first: each level's columns are formatted once with the writer's
+    float rule, and each node's text wraps its two children's."""
     dim = cert.levels[0].shape[1] - 3
-    nodes: list[dict] = []
+    nodes: list[str] = []
     for k in range(cert.m, -1, -1):
+        level = cert.levels[k]
+        x1 = _format_rows(level[:, :dim])
+        x2, x3, x4 = (_format_floats(level[:, dim + j]) for j in range(3))
+        if k == cert.m:
+            kids = [""] * len(x1)
+        else:
+            kids = [a + "," + b for a, b in zip(nodes[0::2], nodes[1::2])]
+        tail = '},"weight":' + _format_float(0.5**k) + ',"children":['
         nodes = [
-            {
-                "point": {"x1": row[:dim], "x2": row[dim], "x3": row[dim + 1], "x4": row[dim + 2]},
-                "weight": 0.5**k,
-                "children": nodes[2 * i : 2 * i + 2],
-            }
-            for i, row in enumerate(cert.levels[k].tolist())
+            f'{{"point":{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}{tail}{kid}]}}'
+            for a, b, c, e, kid in zip(x1, x2, x3, x4, kids)
         ]
     return {
         "m": cert.m,
@@ -800,5 +809,5 @@ def expansion_to_dict(cert: ExpansionCertificate) -> dict:
         "diameter": cert.diameter,
         "ratio": cert.ratio,
         "degenerate": cert.degenerate,
-        "tree": nodes[0],
+        "tree": Verbatim(nodes[0]),
     }

@@ -23,10 +23,11 @@ forces objective <= B(x_root).  A failed certificate is a first-class
 result: it carries every violating record and the reasons.
 
 The certificate keeps the per-event and per-atom arrays; a ``SplitRecord``
-or ``BellmanPoint`` is built only when one is read, and the report payload
-is built from the arrays.  Every float has the bits of a walk over the
-records one at a time: distances and |x1|^2 come from ``np.vecdot``, which
-rounds like ``np.dot``, and every sum adds its terms in order.
+or ``BellmanPoint`` is built only when one is read, and the report text of
+the records and leaves is written from the arrays.  Every float has the
+bits of a walk over the records one at a time: distances and |x1|^2 come
+from ``np.vecdot``, which rounds like ``np.dot``, and every sum adds its
+terms in order.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bellman import BellmanCandidate, BellmanPoint, Witness, _split_sides
+from .bellman import BellmanCandidate, BellmanPoint, MomentTable, Witness, _split_sides
 from .filtration import Filtration
 from .martingale import MartFunction, inner
+from .reporting import Verbatim, _format_floats, _format_number, _format_rows
 from .transforms import MartingaleTransform
 
 __all__ = [
@@ -325,23 +327,49 @@ def _event_columns(cert: Certificate) -> list:
     ]
 
 
+def _point_texts(table: MomentTable) -> list[str]:
+    """Every atom's moment point as canonical JSON text, by atom id."""
+    x1 = _format_rows(table.x1)
+    tail = ',"p":' + _format_number(table.p) + ',"atom":'
+    x2, x3, x4 = map(_format_floats, (table.x2, table.x3, table.x4))
+    return [
+        f'{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}{tail}{atom}}}'
+        for atom, (a, b, c, e) in enumerate(zip(x1, x2, x3, x4))
+    ]
+
+
 def certificate_to_dict(cert: Certificate) -> dict:
     """Full JSON-ready payload, one record per schedule step.
 
-    A moment point appears as one record's base, as a child in its parent's
-    record and as a leaf's point; every appearance of the same atom's point
-    in one payload is the same dict, so the writer renders it once.
-    Mutating one of them changes them all."""
+    The summary fields are plain values.  ``records`` and ``leaves`` are
+    ``Verbatim`` canonical text written from the certificate's arrays: each
+    float column is formatted once with the writer's float rule, and each
+    atom's moment point is rendered once and spliced in as its record's
+    base, as a child in its parent's record and as its leaf's point.
+    ``to_canonical_json`` of the payload gives the text of the same payload
+    built as one dict per record, leaf and point."""
     table, lay = cert.witness.table, cert.filtration.layout
-    points = [
-        {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": table.p, "atom": atom}
-        for atom, (x1, x2, x3, x4) in enumerate(
-            zip(table.x1.tolist(), table.x2.tolist(), table.x3.tolist(), table.x4.tolist())
+    points = _point_texts(table)
+    starts, kids = lay.event_child_starts.tolist(), lay.event_children.tolist()
+    weights = _format_floats(cert.weights)
+    floats = map(
+        _format_floats,
+        (lay.atom_measures[lay.event_atoms], table.d, cert.diameter, table.pairing, cert.slack),
+    )
+    records = [
+        f'{{"atom":{atom},"level":{level},"measure":{measure},'
+        f'"weights":[{",".join(weights[lo:hi])}],"d":{d},"diameter":{diameter},'
+        f'"pairing":{pairing},"slack":{slack},"base":{points[atom]},'
+        f'"children":[{",".join([points[c] for c in kids[lo:hi]])}]}}'
+        for atom, level, measure, d, diameter, pairing, slack, lo, hi in zip(
+            lay.event_atoms.tolist(), lay.event_levels.tolist(), *floats, starts, starts[1:]
         )
     ]
-    kids, weights = lay.event_children.tolist(), cert.weights.tolist()
-    starts = lay.event_child_starts.tolist()
-    leaves = cert.filtration.leaves
+    leaves = list(cert.filtration.leaves)
+    leaf_entries = [
+        f'{{"point":{points[leaf]},"value":{value}}}'
+        for leaf, value in zip(leaves, _format_floats(cert.values[leaves]))
+    ]
     return {
         "ok": cert.ok,
         "candidate": cert.label,
@@ -354,27 +382,8 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "identity_residual": cert.identity_residual,
         "leaf_term": cert.leaf_term,
         "failures": list(cert.failures),
-        "records": [
-            {
-                "atom": atom,
-                "level": level,
-                "measure": measure,
-                "weights": weights[lo:hi],
-                "d": d,
-                "diameter": diameter,
-                "pairing": pairing,
-                "slack": slack,
-                "base": points[atom],
-                "children": [points[c] for c in kids[lo:hi]],
-            }
-            for atom, level, measure, d, diameter, pairing, slack, lo, hi in zip(
-                *_event_columns(cert), starts, starts[1:]
-            )
-        ],
-        "leaves": [
-            {"point": points[leaf], "value": value}
-            for leaf, value in zip(leaves, cert.values[list(leaves)].tolist())
-        ],
+        "records": Verbatim("[" + ",".join(records) + "]"),
+        "leaves": Verbatim("[" + ",".join(leaf_entries) + "]"),
     }
 
 

@@ -238,10 +238,11 @@ def check_localization(w: Witness, tol: Tolerances, rng: np.random.Generator) ->
     supported in J, and the adjoint commutes with the split difference up to
     the multiplier of that atom.
 
-    Each event draws one random function, in schedule order, and its piece
-    is the split difference of that draw at J.  T of the piece is read
-    outside J only, where the levels below J see nothing and levels 1..n
-    see the piece's sum over J, roundoff of the mean-zero piece.  The
+    Each event draws random values on J's leaves only, in schedule order
+    (``_event_draws``: one normal draw of sum |J| rows over all events), and
+    its piece is the split difference of that draw at J.  T of the piece is
+    read outside J only, where the levels below J see nothing and levels
+    1..n see the piece's sum over J, roundoff of the mean-zero piece.  The
     full-length route, one transform of an L-leaf piece per event, is kept
     in the tests as an oracle.
     """

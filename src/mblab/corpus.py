@@ -181,10 +181,12 @@ def active_split_function(
     """Function assembled as a sum of single-split differences over a random
     subset of the schedule, with the subset returned for support checks.
 
-    Each kept event draws one random function, in schedule order, and
-    contributes its split difference.  The kept events of one level have
-    disjoint atoms, so their differences are one level difference of the
-    level's draws, and each leaf receives its pieces in level order.
+    Each kept event draws random values on its atom's leaves only, in
+    schedule order (``_event_draws``: one normal draw of sum |J| rows over
+    the kept events), and contributes its split difference.  The kept
+    events of one level have disjoint atoms, so their differences are one
+    level difference of the level's draws, and each leaf receives its
+    pieces in level order.
     """
     lay = filt.layout
     n_events = len(lay.event_atoms)

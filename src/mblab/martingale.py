@@ -27,7 +27,10 @@ A split piece lives in its event's atom, and the atoms of one level are
 disjoint, so ``_event_draws`` lays the random draws of one level's events
 side by side in one leaf array: one level difference then gives every
 event's split piece, each from its atom's own reduceat segments, bit for
-bit as ``delta_split``.
+bit as ``delta_split``.  An event draws values only for its atom's leaves,
+so all events together take one ``rng.normal`` call of sum |J| rows, cut
+into spans in schedule order: O(L * depth) values per call rather than a
+full L-leaf block per event.
 """
 
 from __future__ import annotations
@@ -169,36 +172,22 @@ def _level_differences(
         prev = cur
 
 
-# Leaf values per block of random draws.
-_STACK_VALUES = 1 << 18
-
-
-def _blocks(count: int, row_values: int) -> Iterator[slice]:
-    """Consecutive slices of ``range(count)`` whose rows of ``row_values``
-    leaf values stay within ``_STACK_VALUES``."""
-    step = max(1, _STACK_VALUES // row_values)
-    for lo in range(0, count, step):
-        yield slice(lo, min(count, lo + step))
-
-
 def _event_draws(
     filt: Filtration, events: np.ndarray, dim: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """One ``rng.normal`` draw of shape (L, dim) per split event, for the
-    layout event indices ``events`` in order, each cut to its event's leaf
-    span and laid into the array of the event's level.
+    """Random draws on the leaf spans of the layout event indices
+    ``events``, each laid into the array of its event's level.
 
-    Shape (depth, L, dim), zero off the spans: the events of one level have
-    disjoint spans, so they share one leaf array.  Draws come in blocks of
-    at most ``_STACK_VALUES`` values, the stream of one draw per event.
+    One ``rng.normal`` call of shape (sum |J|, dim), cut into the events'
+    spans in order, leaves in order within each span: the stream of one
+    (|J|, dim) draw per event, O(L * depth * dim) values in all.  Shape
+    (depth, L, dim), zero off the spans: the events of one level have
+    disjoint spans, so they share one leaf array.
     """
     lay = filt.layout
-    L = filt.n_leaves
-    out = np.zeros((filt.depth, L, dim))
-    for blk in _blocks(len(events), L * dim):
-        raw = rng.normal(size=(blk.stop - blk.start, L, dim))
-        row, leaf = _span_leaves(lay.event_spans[events[blk]])
-        out[lay.event_levels[events[blk]][row], leaf] = raw[row, leaf]
+    row, leaf = _span_leaves(lay.event_spans[events])
+    out = np.zeros((filt.depth, filt.n_leaves, dim))
+    out[lay.event_levels[events][row], leaf] = rng.normal(size=(len(leaf), dim))
     return out
 
 

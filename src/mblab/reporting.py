@@ -9,14 +9,14 @@ failures in ReportError.
 
 ``to_canonical_json`` renders a payload in one pass that dispatches on the
 exact type of each value; numpy scalars and arrays, other mappings and
-subclasses take the slower ``isinstance`` route to the same text.  Within
-one call a dict reached twice (a certificate shares one dict per moment
-point) is rendered once: a memo keyed by ``id()`` holds the text of every
-plain dict reached from the payload through plain dicts, lists and tuples.
-The payload keeps each of them alive for the whole call, and objects made
-during the call (``tolist()`` results, mapping items) never enter the memo,
-so no id in it can be reused while it is held.  The memo is dropped when
-the call returns.
+subclasses take the slower ``isinstance`` route to the same text.
+
+Large array-backed parts of a payload (a certificate's records and leaves,
+an expansion's midpoint tree) are rendered ahead of time from their arrays:
+``_format_floats`` formats a whole float column with the one float rule,
+and the text sits in the payload as a ``Verbatim``, which the writer copies
+as is.  ``Verbatim`` is not a ``str``, so ``json.dumps`` rejects it rather
+than quoting the text as a JSON string.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["ReportError", "to_canonical_json", "rows_to_csv", "write_text"]
+__all__ = ["ReportError", "Verbatim", "to_canonical_json", "rows_to_csv", "write_text"]
 
 _INF = math.inf
 
@@ -47,6 +47,40 @@ def _format_float(x: float) -> str:
     if x == 0.0:
         return "0"  # fold -0.0 as well
     return format(x, ".17g")
+
+
+def _format_floats(values) -> list[str]:
+    """``[_format_float(x) for x in values]`` over a float array of any
+    shape, flattened in C order: one '%.17g' pass over the column, then the
+    zeros and non-finite entries rewritten one by one."""
+    flat = np.asarray(values, dtype=float).ravel()
+    texts = [format(x, ".17g") for x in flat.tolist()]
+    for i in np.flatnonzero((flat == 0.0) | ~np.isfinite(flat)).tolist():
+        texts[i] = _format_float(float(flat[i]))
+    return texts
+
+
+def _format_rows(values: np.ndarray) -> list[str]:
+    """Each row of a 2-D float array as its canonical floats joined by
+    commas, the inside of the row's JSON array."""
+    texts = _format_floats(values)
+    width = values.shape[1]
+    if width == 1:
+        return texts
+    return [",".join(texts[i : i + width]) for i in range(0, len(texts), width)]
+
+
+class Verbatim:
+    """Canonical JSON text rendered ahead of time, which ``to_canonical_json``
+    writes as is; any other serializer fails on it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return f"Verbatim({len(self.text)} chars)"
 
 
 def format_float(x: float) -> str:
@@ -72,43 +106,39 @@ def _format_number(v) -> str | None:
     return None
 
 
-def _canon(obj, memo: dict | None) -> str:
-    """Canonical JSON text of ``obj``; ``memo`` maps id(dict) to its text,
-    or is None inside values the writer had to convert."""
+def _canon(obj) -> str:
+    """Canonical JSON text of ``obj``."""
     t = type(obj)
     if t is float:
         return _format_float(obj)
     if t is dict:
-        if memo is None:
-            return _canon_items(obj, None)
-        text = memo.get(id(obj))
-        if text is None:
-            text = memo[id(obj)] = _canon_items(obj, memo)
-        return text
+        return _canon_items(obj)
     if t is list or t is tuple:
-        return "[" + ",".join([_canon(v, memo) for v in obj]) + "]"
+        return "[" + ",".join([_canon(v) for v in obj]) + "]"
     if t is str:
         return _encode_str(obj)
+    if t is Verbatim:
+        return obj.text
     if obj is None:
         return "null"
     text = _format_number(obj)
     if text is not None:
         return text
-    # Subclasses, arrays and other mappings: no memo below this point.
+    # Subclasses, arrays and other mappings.
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, np.ndarray):
-        return _canon(obj.tolist(), None)
+        return _canon(obj.tolist())
     if isinstance(obj, Mapping):
-        return _canon_items(obj, None)
+        return _canon_items(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join([_canon(v, None) for v in obj]) + "]"
+        return "[" + ",".join([_canon(v) for v in obj]) + "]"
     raise ReportError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _canon_items(obj: Mapping, memo: dict | None) -> str:
+def _canon_items(obj: Mapping) -> str:
     return "{" + ",".join([
-        _encode_str(k if type(k) is str else str(k)) + ":" + _canon(v, memo)
+        _encode_str(k if type(k) is str else str(k)) + ":" + _canon(v)
         for k, v in obj.items()
     ]) + "}"
 
@@ -116,7 +146,7 @@ def _canon_items(obj: Mapping, memo: dict | None) -> str:
 def to_canonical_json(payload) -> str:
     if payload is None or (isinstance(payload, (list, tuple, dict)) and not payload):
         raise ReportError("refusing to write an empty report")
-    return _canon(payload, {}) + "\n"
+    return _canon(payload) + "\n"
 
 
 def _cell(v) -> str:

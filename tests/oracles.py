@@ -3,12 +3,13 @@ against."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from mblab.bellman import BellmanCandidate, Witness
-from mblab.martingale import MartFunction, inner
+from mblab.filtration import Filtration
+from mblab.martingale import MartFunction, _span_leaves, inner
 from mblab.transforms import MartingaleTransform
 
 
@@ -146,3 +147,67 @@ def certificate_by_records(
     }
     return payload, flagged
 
+
+# ---------------------------------------------------------------------------
+# Full-block random draws: one full-length (L, d) normal block per split
+# event, of which only the event's span is used.
+
+# Leaf values per block of random draws.
+_STACK_VALUES = 1 << 18
+
+
+def _blocks(count: int, row_values: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)`` whose rows of ``row_values``
+    leaf values stay within ``_STACK_VALUES``."""
+    step = max(1, _STACK_VALUES // row_values)
+    for lo in range(0, count, step):
+        yield slice(lo, min(count, lo + step))
+
+
+def event_draws_by_blocks(
+    filt: Filtration, events: np.ndarray, dim: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One ``rng.normal`` draw of shape (L, dim) per split event, for the
+    layout event indices ``events`` in order, each cut to its event's leaf
+    span and laid into the array of the event's level.
+
+    Shape (depth, L, dim), zero off the spans.  Draws come in blocks of at
+    most ``_STACK_VALUES`` values, the stream of one draw per event.
+    """
+    lay = filt.layout
+    L = filt.n_leaves
+    out = np.zeros((filt.depth, L, dim))
+    for blk in _blocks(len(events), L * dim):
+        raw = rng.normal(size=(blk.stop - blk.start, L, dim))
+        row, leaf = _span_leaves(lay.event_spans[events[blk]])
+        out[lay.event_levels[events[blk]][row], leaf] = raw[row, leaf]
+    return out
+
+
+class SpanFed:
+    """Stands in for a generator in the full-block routes and feeds them the
+    raw numbers of the span-sized stream.
+
+    ``normal(size=(..., L, d))`` returns one full-length (L, d) draw for each
+    of the next events of ``events``: on the event's leaf span it holds the
+    event's rows of one ``rng.normal(size=(sum |J|, d))`` call over those
+    events, and NaN on every other leaf, which no split piece may read.
+    Every other attribute is ``rng``'s, so the routes' other draws come
+    from the same stream.
+    """
+
+    def __init__(self, rng: np.random.Generator, filt: Filtration, events: Iterable[int]):
+        self._rng = rng
+        self._spans = filt.layout.event_spans
+        self._events = iter(events)
+
+    def normal(self, size: tuple[int, ...]) -> np.ndarray:
+        *lead, n_leaves, dim = size
+        spans = self._spans[[next(self._events) for _ in range(int(np.prod(lead)))]]
+        row, leaf = _span_leaves(spans)
+        out = np.full((len(spans), n_leaves, dim), np.nan)
+        out[row, leaf] = self._rng.normal(size=(len(leaf), dim))
+        return out.reshape(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)

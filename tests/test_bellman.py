@@ -30,6 +30,7 @@ from mblab.bellman import (
 )
 from mblab.reporting import to_canonical_json
 from oracles import diameter_pair, scale_candidate
+from test_reporting import ref_to_canonical_json
 
 
 def point(x1, x2, x3, x4, p=2.0):
@@ -379,7 +380,7 @@ def test_expansion_payload_matches_per_node_tree(m):
         for cfg in sample_dyadic_split_configs(delta, 1.5, 2, seed=20 + m, dim=dim, m=m):
             cert = dyadic_expand(cfg, m=m)
             reference = payload_by_node(cert, expansion_by_node(cfg, cert.order))
-            assert to_canonical_json(expansion_to_dict(cert)) == to_canonical_json(reference)
+            assert to_canonical_json(expansion_to_dict(cert)) == ref_to_canonical_json(reference)
 
 
 def test_deep_expansion_recombines():

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from mblab.bellman import (
+    BellmanCandidate,
+    Witness,
     conjugate_exponent,
     linear_candidate,
     moment_table,
@@ -33,6 +35,7 @@ from mblab.martingale import (
 )
 from mblab.reporting import to_canonical_json
 from oracles import certificate_by_records, scale_candidate
+from test_reporting import ref_to_canonical_json
 
 SQRT2 = math.sqrt(2.0)
 
@@ -331,9 +334,11 @@ def drawn_witness(filt, dim, seed):
 
 
 def assert_matches_walk(cand, f, g, op, tol=1e-9):
+    # the certificate text, written from the arrays, against the reference
+    # writer over the walk's payload of dicts
     cert = certify(cand, f, g, op, tol=tol)
     payload, flagged = certificate_by_records(cand, f, g, op, tol)
-    assert to_canonical_json(certificate_to_dict(cert)) == to_canonical_json(payload)
+    assert to_canonical_json(certificate_to_dict(cert)) == ref_to_canonical_json(payload)
     assert list(cert.failures) == payload["failures"]
     assert [r.atom for r in cert.failing_records] == flagged
     return cert
@@ -376,6 +381,32 @@ def test_batched_failures_match_record_walk():
         "negative split slack at",
         "negative candidate value on leaf",
     }
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_certificate_text_with_signed_zeros_and_non_finite_values(dim):
+    # f = -0.0 gives x1 = -0.0 on every atom, and a candidate that is -inf,
+    # -0.0, NaN or +inf by quartile of x2 carries all four into the values,
+    # slacks and summary fields, which the writer spells NaN, +-Infinity, 0
+    filt = build_random_regular(depth=5, delta=0.25, max_children=3, split_prob=0.7, seed=7)
+    _, g, op = drawn_witness(filt, dim, 70 + dim)
+    f = MartFunction(filt, np.full((filt.n_leaves, dim), -0.0))
+    lo, mid, hi = np.quantile(Witness(f, g, op, 2.0).table.x2, [0.25, 0.5, 0.75])
+
+    def fn(x1, x2, x3, x4):
+        special = np.where(x2 > mid, np.nan, np.where(x2 < lo, -np.inf, -0.0 * x4))
+        return np.where(x2 > hi, np.inf, special)
+
+    cand = BellmanCandidate(fn=fn, p=2.0, delta=0.25, label="special")
+    with np.errstate(invalid="ignore"):
+        cert = assert_matches_walk(cand, f, g, op)
+    assert np.all(np.signbit(cert.witness.table.x1))
+    values = cert.values
+    assert np.isnan(values).any() and np.isposinf(values).any() and np.isneginf(values).any()
+    assert np.any((values == 0.0) & np.signbit(values))
+    text = to_canonical_json(certificate_to_dict(cert))
+    assert '"x1":[0' in text and not re.search(r"[:\[,]-0[,\]}]", text)
+    assert all(word in text for word in ("NaN", "-Infinity", ":Infinity"))
 
 
 def test_batched_diameter_on_tied_and_repeated_children():

@@ -8,7 +8,6 @@ on small cells or at dyadic depth 12."""
 from __future__ import annotations
 
 import sys
-from typing import Iterator
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from mblab.transforms import (
     operator_norm,
     split_multiplier_norm,
 )
+from oracles import SpanFed, _blocks
 
 
 def test_suite_names_are_stable():
@@ -213,18 +213,8 @@ def test_contraction_norm_red_past_the_unit_ball(kernel_tower):
 # ---------------------------------------------------------------------------
 # Reference routes: the per-event localization and restriction suites that
 # the per-level kernel replaced, kept verbatim as oracles.  Each pushes one
-# full-length L-leaf piece or cut per split event through every level.
-
-# Leaf values per stack handed to the transform kernels at once.
-_STACK_VALUES = 1 << 18
-
-
-def _blocks(count: int, row_values: int) -> Iterator[slice]:
-    """Consecutive slices of ``range(count)`` whose rows of ``row_values``
-    leaf values stay within ``_STACK_VALUES``."""
-    step = max(1, _STACK_VALUES // row_values)
-    for lo in range(0, count, step):
-        yield slice(lo, min(count, lo + step))
+# full-length L-leaf piece or cut per split event through every level, in
+# blocks of at most ``oracles._STACK_VALUES`` leaf values.
 
 
 def _at_events(filt: Filtration, per_level, spans: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -404,7 +394,10 @@ def _assert_matches_reference(f, g, op):
     ):
         new_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
         new = new_suite(Witness(f, g, op), tol, new_rng)
-        ref = ref_suite(f, g, op, tol, ref_rng)
+        # the reference's full-length draws carry the new route's numbers
+        # on each event's atom
+        events = range(len(f.filtration.layout.event_atoms))
+        ref = ref_suite(f, g, op, tol, SpanFed(ref_rng, f.filtration, events))
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
         assert _fixed(new) == _fixed(ref)
         for a, b in zip(new, ref):
@@ -524,3 +517,14 @@ def test_dyadic_depth_12_localization_and_restriction():
     assert max(estimates) <= norm + 1e-12, (estimates, norm)
     assert all(b >= a - 1e-12 for a, b in zip(estimates, estimates[1:])), estimates
     assert "matrix" not in vars(op)
+
+
+def test_run_all_dyadic_depth_14():
+    # 16,384 leaves: every suite draws only its events' spans, so the
+    # whole run stays O(L * depth) in draws
+    filt = build_dyadic(14)
+    f, g, op = _witness(filt, 1, 14)
+    rows, ok = run_all(f, g, op, Tolerances(), np.random.default_rng(15))
+    assert ok and len(rows) == 16, [r for r in rows if not r["ok"]]
+    centered, defect = checks.restriction_identity_gaps(g, op)
+    assert centered <= 1e-9 and defect <= 1e-9

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, deterministic output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import mblab.cli as cli
+from mblab.bellman import quadratic_candidate
+from mblab.certifier import certificate_to_dict, certify
 from mblab.cli import run
-from mblab.corpus import haar_witness
+from mblab.corpus import default_corpus, haar_witness, prepare_cell
 from mblab.filtration import build_dyadic, filtration_to_dict
 from mblab.martingale import inner
+from mblab.reporting import to_canonical_json
 from mblab.transforms import transform_to_dict
 
 
@@ -347,6 +351,34 @@ def test_corpus_script_rejects_empty_suites(value):
     assert proc.returncode == 2
     assert "--suites must name at least one suite" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_corpus_script_digests_certificates_alone():
+    # the certificates line hashes the certificates in corpus order and
+    # nothing else: the suites run change the reports digest only
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_acceptance_corpus.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    digests = []
+    for suites in ("x2_drop", "localization,support"):
+        proc = subprocess.run(
+            [sys.executable, str(script), "--seeds", "1", "--suites", suites],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        cert_line, reports_line = proc.stdout.splitlines()[-2:]
+        assert cert_line.startswith("certificates sha256 ")
+        assert reports_line.startswith("reports sha256 ")
+        digests.append((cert_line.split()[-1], reports_line.split()[-1]))
+    expected = hashlib.sha256()
+    for cell in default_corpus(seeds=1):
+        pc = prepare_cell(cell)
+        cert = certify(quadratic_candidate(cell.delta), pc.f, pc.g, pc.op)
+        expected.update(to_canonical_json(certificate_to_dict(cert)).encode())
+    assert digests[0][0] == digests[1][0] == expected.hexdigest()
+    assert digests[0][1] != digests[1][1]
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -17,6 +17,7 @@ from mblab.corpus import (
 )
 from mblab.filtration import build_dyadic, regularity_delta, split_schedule
 from mblab.martingale import MartFunction, average, delta_split, inner, lp_norm
+from oracles import SpanFed
 
 
 def test_grid_size_and_axes():
@@ -98,16 +99,19 @@ def test_active_split_function_support(dyadic3):
 
 
 def reference_active_split_function(filt, dim, rng):
-    """The one-event-at-a-time loop the per-level kernel replaced."""
+    """The one-event-at-a-time loop the per-level kernel replaced.  Each
+    kept event's full-length random function carries, on the event's atom,
+    the numbers the span-sized draw gives it."""
     events = split_schedule(filt)
-    keep = [ev for ev in events if rng.random() < 0.5]
+    keep = [i for i in range(len(events)) if rng.random() < 0.5]
     if not keep:
-        keep = [events[int(rng.integers(len(events)))]]
+        keep = [int(rng.integers(len(events)))]
+    fed = SpanFed(rng, filt, keep)
     f = MartFunction(filt, np.zeros((filt.n_leaves, dim)))
-    for ev in keep:
-        piece = delta_split(random_function(filt, dim, rng), ev)
+    for i in keep:
+        piece = delta_split(random_function(filt, dim, fed), events[i])
         f = f + piece
-    return f, frozenset(ev.atom for ev in keep)
+    return f, frozenset(events[i].atom for i in keep)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

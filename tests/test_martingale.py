@@ -12,6 +12,7 @@ from mblab.martingale import (
     MartFunction,
     PartitionError,
     _averaging_matrices,
+    _event_draws,
     average,
     cond_exp,
     delta_split,
@@ -21,6 +22,8 @@ from mblab.martingale import (
     osc2,
     restrict,
 )
+import oracles
+from oracles import SpanFed, event_draws_by_blocks
 
 
 def rand_fn(filt, dim, seed):
@@ -162,6 +165,45 @@ def test_osc2_series_identity(dyadic3):
                 d = delta_split(f, ev)
                 acc += inner(d, d)
         assert osc2(f, atom.id) == pytest.approx(acc / atom.measure, rel=1e-11)
+
+
+def _drawn_events(filt, seed):
+    """Every event, and a sorted random subset, as layout event indices."""
+    n_events = len(filt.layout.event_atoms)
+    some = np.flatnonzero(np.random.default_rng(seed).random(n_events) < 0.5)
+    return np.arange(n_events), some if some.size else np.arange(1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_event_draws_are_one_span_sized_normal_call(kernel_tower, dim):
+    spans = kernel_tower.layout.event_spans
+    for events in _drawn_events(kernel_tower, dim):
+        rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)
+        draws = _event_draws(kernel_tower, events, dim, rng)
+        lengths = spans[events, 1] - spans[events, 0]
+        ref.normal(size=(int(lengths.sum()), dim))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # the same numbers as one (|J|, dim) draw per event, laid on J's
+        # leaves in its level's array
+        ref = np.random.default_rng(dim)
+        levels = kernel_tower.layout.event_levels[events]
+        for (lo, hi), n in zip(spans[events].tolist(), levels.tolist()):
+            assert np.array_equal(draws[n, lo:hi], ref.normal(size=(hi - lo, dim)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+def test_event_draws_match_full_block_route(monkeypatch, kernel_tower, rows_per_block):
+    # the full-block draw, fed the span-sized stream's numbers on each
+    # span, lays out the same array; small blocks split the events
+    if rows_per_block is not None:
+        monkeypatch.setattr(oracles, "_STACK_VALUES", rows_per_block * kernel_tower.n_leaves * 2)
+    for events in _drawn_events(kernel_tower, 5):
+        rng, fed_rng = np.random.default_rng(8), np.random.default_rng(8)
+        draws = _event_draws(kernel_tower, events, 2, rng)
+        fed = SpanFed(fed_rng, kernel_tower, events.tolist())
+        assert np.array_equal(draws, event_draws_by_blocks(kernel_tower, events, 2, fed))
+        assert rng.bit_generator.state == fed_rng.bit_generator.state
 
 
 def test_restrict_cuts_support(dyadic2):

@@ -1,9 +1,11 @@
 """Deterministic report serialization.
 
-The writers render in one type-dispatched pass and render a dict met twice
-in one payload only once.  The oracle below is the plain recursive writer
-(an ``isinstance`` chain, one ``json.dumps`` per key, no memo): every
-payload, random or real, must give the same bytes through both.
+The writers render in one type-dispatched pass.  The oracle below is the
+plain recursive writer (an ``isinstance`` chain, one ``json.dumps`` per
+key): every payload, random or real, must give the same bytes through both.
+A certificate's records and leaves are written from its arrays ahead of
+time, so the oracle renders the record-by-record payload of
+``oracles.certificate_by_records`` in their place.
 """
 
 import json
@@ -21,13 +23,19 @@ from mblab.bellman import quadratic_candidate
 from mblab.certifier import certificate_rows, certificate_to_dict, certify
 from mblab.checks import run_all
 from mblab.corpus import DELTAS, DIMS, CorpusCell, prepare_cell
+import mblab.certifier as certifier
+import mblab.reporting as reporting
 from mblab.reporting import (
     ReportError,
+    Verbatim,
+    _format_float,
+    _format_floats,
     format_float,
     rows_to_csv,
     to_canonical_json,
     write_text,
 )
+from oracles import certificate_by_records
 
 
 # --- reference writers -----------------------------------------------------
@@ -193,7 +201,8 @@ def test_rows_to_csv_matches_reference(rows):
 
 
 def test_canonical_json_memo_skips_temporaries():
-    # a memo keyed by id() must not hold values a mapping made on lookup
+    # a writer that kept text by id() must not reuse the text of values a
+    # mapping made on lookup
     payload = [ScratchMapping({f"k{i}": {"v": i} for i in range(4)})] * 2
     assert to_canonical_json(payload) == ref_to_canonical_json(payload)
 
@@ -206,41 +215,80 @@ def test_canonical_json_rejects_unknown_types(bad):
 
 @pytest.fixture(scope="module")
 def corpus_reports():
-    """run_all rows and the quadratic-candidate certificate for one cell
-    of every (floor, dim) pair."""
+    """run_all rows, the quadratic-candidate certificate and the payload of
+    its record-by-record walk for one cell of every (floor, dim) pair."""
     rng = np.random.default_rng(0)
     out = []
     for delta in DELTAS:
         for dim in DIMS:
             pc = prepare_cell(CorpusCell(delta=delta, dim=dim, seed=1))
             rows, ok = run_all(pc.f, pc.g, pc.op, rng=rng)
-            cert = certify(quadratic_candidate(delta), pc.f, pc.g, pc.op)
-            out.append((rows, ok, cert))
+            cand = quadratic_candidate(delta)
+            cert = certify(cand, pc.f, pc.g, pc.op)
+            walk, _ = certificate_by_records(cand, pc.f, pc.g, pc.op)
+            out.append((rows, ok, cert, walk))
     return out
 
 
 def test_real_reports_match_reference(corpus_reports):
-    for rows, ok, cert in corpus_reports:
+    for rows, ok, cert, walk in corpus_reports:
         payload = {"ok": ok, "rows": rows, "certificate": certificate_to_dict(cert)}
-        assert to_canonical_json(payload) == ref_to_canonical_json(payload)
+        expected = {"ok": ok, "rows": rows, "certificate": walk}
+        assert to_canonical_json(payload) == ref_to_canonical_json(expected)
 
 
 def test_real_csv_matches_reference(corpus_reports):
-    for rows, _, cert in corpus_reports:
+    for rows, _, cert, _ in corpus_reports:
         assert rows_to_csv(rows) == ref_rows_to_csv(rows)
         cert_rows = certificate_rows(cert)
         assert rows_to_csv(cert_rows) == ref_rows_to_csv(cert_rows)
 
 
-def test_certificate_points_share_one_dict(corpus_reports):
-    _, _, cert = corpus_reports[-1]
-    payload = certificate_to_dict(cert)
-    by_atom = {}
-    for rec in payload["records"]:
-        for pt in [rec["base"], *rec["children"]]:
-            assert by_atom.setdefault(pt["atom"], pt) is pt
-    for leaf in payload["leaves"]:
-        assert by_atom.setdefault(leaf["point"]["atom"], leaf["point"]) is leaf["point"]
+def test_certificate_formats_each_point_once(monkeypatch, corpus_reports):
+    # every float column goes through the column formatter once, the four
+    # moment columns with one entry per atom, although the text writes a
+    # point as a record's base, as a child and as a leaf's point
+    _, _, cert, _ = corpus_reports[-1]
+    sizes = []
+
+    def counted(values):
+        sizes.append(np.size(values))
+        return _format_floats(values)
+
+    # the certifier's own binding and the one behind ``_format_rows``
+    monkeypatch.setattr(certifier, "_format_floats", counted)
+    monkeypatch.setattr(reporting, "_format_floats", counted)
+    certificate_to_dict(cert)
+    n_atoms, dim = cert.witness.table.x1.shape
+    n_events, n_leaves = len(cert.slack), len(cert.filtration.leaves)
+    expected = [n_atoms * dim, n_atoms, n_atoms, n_atoms, len(cert.weights)]
+    expected += [n_events] * 5 + [n_leaves]
+    assert sorted(sizes) == sorted(expected)
+
+
+FLOAT_COLUMN = st.lists(
+    st.one_of(floats, st.floats(min_value=-1e-300, max_value=1e-300)), max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOAT_COLUMN)
+def test_format_floats_matches_format_float(col):
+    expected = [_format_float(x) for x in col]
+    assert _format_floats(np.array(col, dtype=float)) == expected
+    if len(col) % 2 == 0:
+        # a 2-D column is formatted flat, in row order
+        assert _format_floats(np.array(col, dtype=float).reshape(-1, 2)) == expected
+
+
+def test_verbatim_text_is_written_as_is():
+    payload = {"a": Verbatim('[1,{"b":NaN}]'), "c": [Verbatim("0"), -0.0]}
+    assert to_canonical_json(payload) == '{"a":[1,{"b":NaN}],"c":[0,0]}\n'
+    # no other serializer quotes the text as a JSON string
+    with pytest.raises(TypeError):
+        json.dumps(payload)
+    with pytest.raises(ReportError):
+        ref_to_canonical_json(payload)
 
 
 def test_format_float_special_values():
