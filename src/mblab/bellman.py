@@ -122,10 +122,12 @@ class MomentTable:
     witness (f, g, T) and exponent p.
 
     Atom arrays are indexed by atom id: ``x1`` (atoms, dim), ``g2`` = <g^2>_J,
-    and ``x2``, ``x3``, ``x4``.  Event arrays follow the layout's schedule
-    order: the displacement ``d``, the normalized ``pairing`` of the split
-    differences of f and T* g, and ``x2_gain``, the weighted x2 of the
-    children minus the x2 of the split atom, which equals d^2 exactly.
+    ``x2``, ``x3``, ``x4``, ``tstar_mean`` = <T* g>_J (atoms, dim) and
+    ``osc2``, the mean squared oscillation of T* g over J, so that
+    x2 = g2 - osc2.  Event arrays follow the layout's schedule order: the
+    displacement ``d``, the normalized ``pairing`` of the split differences
+    of f and T* g, and ``x2_gain``, the weighted x2 of the children minus
+    the x2 of the split atom, which equals d^2 exactly.
     """
 
     p: float
@@ -134,6 +136,8 @@ class MomentTable:
     x2: np.ndarray
     x3: np.ndarray
     x4: np.ndarray
+    tstar_mean: np.ndarray
+    osc2: np.ndarray
     d: np.ndarray
     pairing: np.ndarray
     x2_gain: np.ndarray
@@ -155,10 +159,9 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
 
     The measure-weighted leaf columns f, T* g, g^2, |f|^p and |g|^q are
     averaged over the A_n atoms with one reduceat per level, which gives x1,
-    <g^2>_J, x3, x4 and E_n of f and T* g; one more gives osc2 of T* g (the
-    ``_level_osc2`` arithmetic), and one the sums of the level-n differences
-    of f and T* g over the events of level n.  An event's x2 gain groups the
-    rows of its children.
+    <g^2>_J, x3, x4 and E_n of f and T* g; one more gives osc2 of T* g, and
+    one the sums of the level-n differences of f and T* g over the events of
+    level n.  An event's x2 gain groups the rows of its children.
     """
     if g.dim != 1 or tstar_g.dim != f.dim:
         raise ValueError("g must be scalar valued and T* g must have the dimension of f")
@@ -167,16 +170,19 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     dim, q, gv = f.dim, conjugate_exponent(p), g.values[:, 0]
     f_p = np.linalg.norm(f.values, axis=1) ** p
     w = _weighted(filt, np.column_stack((f.values, tstar_g.values, gv * gv, f_p, np.abs(gv) ** q)))
-    rows = np.empty((len(filt.atoms), dim + 4))  # x1, g2, x2, x3, x4
+    rows = np.empty((len(filt.atoms), 2 * dim + 5))  # x1, g2, x2, x3, x4, <T* g>, osc2
     split = np.empty((len(lay.event_atoms), 3))  # d^2, pairing, x2 gain
     for n in range(filt.depth + 1):
         means = _level_means(filt, w, n)
         cond = np.take(means[:, : 2 * dim], lay.level_maps[n], axis=0)
         centered = tstar_g.values - cond[:, dim:]
         sq = np.einsum("ij,ij->i", centered, centered)[:, None]
-        x2 = means[:, -3] - _level_means(filt, _weighted(filt, sq), n)[:, 0]
+        osc2 = _level_means(filt, _weighted(filt, sq), n)[:, 0]
+        x2 = means[:, -3] - osc2
         # A persisting atom gets the same floats at every level it is in.
-        level_rows = np.column_stack((means[:, :dim], means[:, -3], x2, means[:, -2:]))
+        level_rows = np.column_stack(
+            (means[:, :dim], means[:, -3], x2, means[:, -2:], means[:, dim : 2 * dim], osc2)
+        )
         rows[np.asarray(filt.levels[n])] = level_rows
         if n:
             df, dg = np.hsplit(cond - prev_cond, 2)
@@ -188,9 +194,14 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
             kids_x2 = np.add.reduceat(lay.level_measures[n] * x2, first_kids)
             split[at, 2] = (kids_x2 / lay.level_measures[n - 1] - prev_x2)[pick]
         prev_cond, prev_x2 = cond, x2
-    x1, g2, x2, x3, x4 = np.hsplit(rows, [dim, dim + 1, dim + 2, dim + 3])
+    x1, g2, x2, x3, x4, tstar_mean, osc2 = np.hsplit(
+        rows, [dim, dim + 1, dim + 2, dim + 3, dim + 4, 2 * dim + 4]
+    )
     d = np.sqrt(np.maximum(split[:, 0], 0.0))
-    return MomentTable(p, x1, g2[:, 0], x2[:, 0], x3[:, 0], x4[:, 0], d, split[:, 1], split[:, 2])
+    return MomentTable(
+        p, x1, g2[:, 0], x2[:, 0], x3[:, 0], x4[:, 0], tstar_mean, osc2[:, 0],
+        d, split[:, 1], split[:, 2],
+    )
 
 
 @dataclass(frozen=True, eq=False)

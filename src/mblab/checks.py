@@ -63,7 +63,6 @@ from .martingale import (
     _event_draws,
     _level_difference,
     _level_differences,
-    _level_osc2,
     _span_leaves,
     average,
     inner,
@@ -285,7 +284,7 @@ def check_support(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     if (~covered).any():
         err = float(np.max(np.abs(th.values[~covered])))
 
-    hull = predictable_hull(w.op, h)
+    hull = predictable_hull(h)
     hull_err = 0.0
     for level_atoms in hull:
         for atom_id in level_atoms:
@@ -308,8 +307,8 @@ def check_osc_series(w: Witness, tol: Tolerances, rng: np.random.Generator) -> l
     filt = w.f.filtration
     lay = filt.layout
     m = filt.leaf_measures()
-    tstar_g = w.tstar_g.values
-    diffs = list(_level_differences(filt, tstar_g))
+    osc2 = w.table.osc2
+    diffs = list(_level_differences(filt, w.tstar_g.values))
     series = np.zeros(len(filt.leaves))
     err = 0.0
     for n in range(filt.depth - 1, -1, -1):
@@ -317,7 +316,7 @@ def check_osc_series(w: Witness, tol: Tolerances, rng: np.random.Generator) -> l
         container = lay.level_maps[n][lay.level_starts[n + 1]]
         series = piece_sq + np.bincount(container, weights=series, minlength=len(piece_sq))
         split = np.bincount(container, minlength=len(piece_sq)) > 1
-        direct = _level_osc2(filt, tstar_g, n)[split]
+        direct = osc2[np.asarray(filt.levels[n])[split]]
         rel = np.abs(direct - series[split] / lay.level_measures[n][split]) / np.maximum(1.0, direct)
         err = max(err, float(np.max(rel)))
     return [_row("osc_series", err, tol.tight, "series vs direct, relative")]
@@ -340,7 +339,7 @@ def check_x2_sign(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     rows = [_row("x2_sign", max(0.0, -worst), tol.exact, "most negative x2, relative")]
     # root form keeps the squared mean of the adjoint on the right hand side
     root = w.f.filtration.root.id
-    mean_sq = float(np.sum(average(w.tstar_g, root) ** 2))
+    mean_sq = float(np.sum(table.tstar_mean[root] ** 2))
     rows.append(
         _row(
             "x2_root_mean_bound",

@@ -9,6 +9,12 @@ Subcommands:
   scan     norm-ratio scan over random witnesses and extremal multipliers
   bound    certified duality bound over a spread of dual draws
 
+Each subcommand accepts only the flags it reads (``_FLAGS``), plus
+--config, --out and --format; a flag or config key it does not read is a
+usage error.  Each command hands ``_emit`` two builders, one for the JSON
+payload and one for the CSV rows, and only the builder --format chooses
+runs.
+
 Exit codes: 0 success, 1 a check/certificate/bound failed, 2 bad usage or
 infeasible configuration.  Tolerances scale with the MBL_TOL environment
 variable.  All randomized commands require --seed and are deterministic
@@ -18,10 +24,10 @@ given it; reports are byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,46 +85,58 @@ class RunConfig:
     suites: str | None = None
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+# The RunConfig fields each command reads, as flags and as config keys.
+_TOWER = ("seed", "depth", "delta", "dim", "max_children", "split_prob", "witness")
+_SAMPLED = ("seed", "depth", "delta", "dim", "p", "trials")
+_FLAGS = {
+    "gen": _TOWER,
+    "check": (*_TOWER, "suites"),
+    "certify": (*_TOWER, "p", "candidate"),
+    "lemma1": ("seed", "delta", "dim", "p", "trials", "m"),
+    "search": (*_SAMPLED, "target", "ascent"),
+    "scan": _SAMPLED,
+    "bound": _SAMPLED,
+}
+# Read by every command.
+_OUTPUT = ("out", "fmt")
+
+# argparse settings of each flag: --format for fmt, else the key with "-" for "_".
+_SPECS = {
+    "seed": {"type": int},
+    "depth": {"type": int},
+    "delta": {"type": float},
+    "dim": {"type": int},
+    "p": {"type": float},
+    "trials": {"type": int},
+    "max_children": {"type": int},
+    "split_prob": {"type": float},
+    "witness": {"choices": ("random", "structured")},
+    "candidate": {},
+    "target": {"type": float},
+    "ascent": {"type": int},
+    "m": {"type": int},
+    "suites": {},
+    "out": {},
+    "fmt": {"choices": ("json", "csv")},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", type=str, default=None, help="JSON file with defaults")
-    shared.add_argument("--seed", type=int, default=None)
-    shared.add_argument("--depth", type=int, default=None)
-    shared.add_argument("--delta", type=float, default=None)
-    shared.add_argument("--dim", type=int, default=None)
-    shared.add_argument("--p", type=float, default=None)
-    shared.add_argument("--trials", type=int, default=None)
-    shared.add_argument("--out", type=str, default=None)
-    shared.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
-    shared.add_argument("--max-children", dest="max_children", type=int, default=None)
-    shared.add_argument("--split-prob", dest="split_prob", type=float, default=None)
-    shared.add_argument("--witness", choices=("random", "structured"), default=None)
-    shared.add_argument("--candidate", type=str, default=None)
-    shared.add_argument("--target", type=float, default=None)
-    shared.add_argument("--ascent", type=int, default=None)
-    shared.add_argument("--m", type=int, default=None)
-    shared.add_argument("--suites", type=str, default=None)
-
     parser = argparse.ArgumentParser(prog="mblab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("gen", "build a filtration and emit it"),
-        ("check", "run identity and inequality suites"),
-        ("certify", "run the schedule certifier"),
-        ("lemma1", "expand dyadic configurations, report separation ratios"),
-        ("search", "lower-bound search for the pairing"),
-        ("scan", "norm-ratio scan"),
-        ("bound", "certified duality bound"),
-    ):
-        sub.add_parser(name, parents=[shared], help=text)
+    for name, command in _COMMANDS.items():
+        # No abbreviations: --m would otherwise stand for --max-children.
+        cmd = sub.add_parser(name, help=command.__doc__, allow_abbrev=False)
+        cmd.add_argument("--config", help="JSON file with defaults")
+        for key in (*_FLAGS[name], *_OUTPUT):
+            flag = "--format" if key == "fmt" else "--" + key.replace("_", "-")
+            cmd.add_argument(flag, dest=key, **_SPECS[key])
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    keys = (*_FLAGS[args.command], *_OUTPUT)
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -126,13 +144,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(loaded) - _CONFIG_KEYS
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        unread = set(loaded) - set(keys)
+        if unread:
+            raise UsageError(f"config keys that {args.command} does not read: {sorted(unread)}")
         for key, value in loaded.items():
             setattr(cfg, key, value)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, value)
     return cfg
@@ -158,6 +176,8 @@ def _validate(command: str, cfg: RunConfig) -> None:
         raise UsageError(f"--dim must be >= 1, got {cfg.dim}")
     if cfg.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {cfg.trials}")
+    if not 0.0 <= cfg.split_prob <= 1.0:
+        raise UsageError(f"--split-prob must lie in [0, 1], got {cfg.split_prob}")
     if command in _CONJUGATE_COMMANDS and not 1.0 < cfg.p <= 2.0:
         raise UsageError(f"{command} needs --p in (1, 2], got {cfg.p}")
     if not (cfg.p > 0.0 and math.isfinite(cfg.p)):
@@ -179,7 +199,10 @@ def _validate(command: str, cfg: RunConfig) -> None:
         raise UsageError(str(exc)) from None
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: RunConfig, payload: Callable[[], dict], rows: Callable[[], list[dict]]) -> None:
+    """Write the report to --out or stdout: canonical JSON of ``payload()``
+    or, with --format csv, ``rows()`` as CSV; only that builder runs."""
+    text = to_canonical_json(payload()) if cfg.fmt == "json" else rows_to_csv(rows())
     if cfg.out:
         write_text(cfg.out, text)
     else:
@@ -252,22 +275,25 @@ def _candidate(cfg: RunConfig, filt):
 
 
 def cmd_gen(cfg: RunConfig) -> int:
+    """build a filtration and emit it"""
     filt = _filtration(cfg)
-    if cfg.fmt == "json":
-        payload = {"filtration": filtration_to_dict(filt)}
+
+    def payload() -> dict:
+        out = {"filtration": filtration_to_dict(filt)}
         # a structured witness is deterministic; a random one needs the seed
         if cfg.witness == "structured" or cfg.seed is not None:
             f, g, op = _witness(cfg, filt)
-            payload["witness"] = {
+            out["witness"] = {
                 "kind": cfg.witness,
                 "dim": cfg.dim,
                 "f": f.values.tolist(),
                 "g": g.values.tolist(),
                 "transform": transform_to_dict(op),
             }
-        _emit(cfg, to_canonical_json(payload))
-    else:
-        rows = [
+        return out
+
+    def rows() -> list[dict]:
+        return [
             {
                 "id": a.id,
                 "a": a.a,
@@ -278,11 +304,13 @@ def cmd_gen(cfg: RunConfig) -> int:
             }
             for a in filt.atoms
         ]
-        _emit(cfg, rows_to_csv(rows))
+
+    _emit(cfg, payload, rows)
     return 0
 
 
 def cmd_check(cfg: RunConfig) -> int:
+    """run identity and inequality suites"""
     seed = _require_seed(cfg)
     filt = _filtration(cfg)
     f, g, op = _witness(cfg, filt)
@@ -292,33 +320,23 @@ def cmd_check(cfg: RunConfig) -> int:
         if name not in SUITES:
             raise UsageError(f"unknown suite '{name}'; known: {sorted(SUITES)}")
     rows, ok = run_all(f, g, op, Tolerances.from_env(), rng, suites=names)
-    if cfg.fmt == "json":
-        _emit(cfg, to_canonical_json({"ok": ok, "rows": rows}))
-    else:
-        _emit(cfg, rows_to_csv(rows, fields=("check", "max_err", "tol", "ok", "detail")))
+    _emit(cfg, lambda: {"ok": ok, "rows": rows}, lambda: rows)
     return 0 if ok else 1
 
 
 def cmd_certify(cfg: RunConfig) -> int:
+    """run the schedule certifier"""
     _require_seed(cfg)
     filt = _filtration(cfg)
     f, g, op = _witness(cfg, filt)
     cand = _candidate(cfg, filt)
     cert = certify(cand, f, g, op, tol=1e-9 * Tolerances.from_env().scale)
-    if cfg.fmt == "json":
-        _emit(cfg, to_canonical_json(certificate_to_dict(cert)))
-    else:
-        _emit(
-            cfg,
-            rows_to_csv(
-                certificate_rows(cert),
-                fields=("atom", "level", "measure", "d", "diameter", "pairing", "slack"),
-            ),
-        )
+    _emit(cfg, lambda: certificate_to_dict(cert), lambda: certificate_rows(cert))
     return 0 if cert.ok else 1
 
 
 def cmd_lemma1(cfg: RunConfig) -> int:
+    """expand dyadic configurations, report separation ratios"""
     seed = _require_seed(cfg)
     cfgs = sample_dyadic_split_configs(
         cfg.delta, cfg.p, cfg.trials, seed, dim=cfg.dim, m=cfg.m
@@ -338,31 +356,26 @@ def cmd_lemma1(cfg: RunConfig) -> int:
                 "degenerate": cert.degenerate,
             }
         )
-        if not cert.degenerate and (worst is None or cert.ratio < worst[1].ratio):
-            worst = (i, cert)
-    ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
-    if cfg.fmt == "json":
-        payload = {
+        if not cert.degenerate and (worst is None or cert.ratio < worst.ratio):
+            worst = cert
+
+    def payload() -> dict:
+        ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
+        return {
             "delta": cfg.delta,
             "trials": cfg.trials,
             "min_ratio": min(ratios) if ratios else None,
             "degenerate": sum(1 for r in rows if r["degenerate"]),
             "rows": rows,
-            "worst": None if worst is None else expansion_to_dict(worst[1]),
+            "worst": None if worst is None else expansion_to_dict(worst),
         }
-        _emit(cfg, to_canonical_json(payload))
-    else:
-        _emit(
-            cfg,
-            rows_to_csv(
-                rows,
-                fields=("config", "m", "copies", "separation", "diameter", "ratio", "degenerate"),
-            ),
-        )
+
+    _emit(cfg, payload, lambda: rows)
     return 0
 
 
 def cmd_search(cfg: RunConfig) -> int:
+    """lower-bound search for the pairing"""
     seed = _require_seed(cfg)
     res = lower_bound_search(
         cfg.p,
@@ -374,8 +387,9 @@ def cmd_search(cfg: RunConfig) -> int:
         depth=cfg.depth,
         ascent_steps=cfg.ascent,
     )
-    if cfg.fmt == "json":
-        payload = {
+    _emit(
+        cfg,
+        lambda: {
             "p": res.p,
             "delta": res.delta,
             "trials": res.trials,
@@ -383,26 +397,24 @@ def cmd_search(cfg: RunConfig) -> int:
             "best": res.best,
             "found": res.found,
             "witness": res.witness,
-            "achieved_point": None
-            if res.achieved_point is None
-            else res.achieved_point.to_dict(),
+            "achieved_point": None if res.achieved_point is None else res.achieved_point.to_dict(),
             "history": list(res.history),
-        }
-        _emit(cfg, to_canonical_json(payload))
-    else:
-        rows = [{"trial": i, "value": v} for i, v in enumerate(res.history)]
-        _emit(cfg, rows_to_csv(rows, fields=("trial", "value")))
+        },
+        lambda: [{"trial": i, "value": v} for i, v in enumerate(res.history)],
+    )
     return 0 if res.found else 1
 
 
 def cmd_scan(cfg: RunConfig) -> int:
+    """norm-ratio scan"""
     seed = _require_seed(cfg)
     res = lp_constant_scan(
         cfg.p, cfg.trials, seed, delta=cfg.delta, dim=cfg.dim, depth=cfg.depth
     )
     tolerances = Tolerances.from_env()
-    if cfg.fmt == "json":
-        payload = {
+    _emit(
+        cfg,
+        lambda: {
             "p": res.p,
             "delta": res.delta,
             "dim": res.dim,
@@ -412,20 +424,19 @@ def cmd_scan(cfg: RunConfig) -> int:
             "argmax": res.argmax,
             "bin_edges": list(res.bin_edges),
             "counts": list(res.counts),
-        }
-        _emit(cfg, to_canonical_json(payload))
-    else:
-        rows = [
+        },
+        lambda: [
             {"bin_lo": res.bin_edges[i], "bin_hi": res.bin_edges[i + 1], "count": c}
             for i, c in enumerate(res.counts)
-        ]
-        _emit(cfg, rows_to_csv(rows, fields=("bin_lo", "bin_hi", "count")))
+        ],
+    )
     if cfg.p == 2.0 and res.max_ratio > 1.0 + tolerances.tight:
         return 1
     return 0
 
 
 def cmd_bound(cfg: RunConfig) -> int:
+    """certified duality bound"""
     seed = _require_seed(cfg)
     report = duality_bound(
         cfg.p,
@@ -436,8 +447,9 @@ def cmd_bound(cfg: RunConfig) -> int:
         depth=cfg.depth if cfg.depth is not None else 3,
         tol=1e-6 * Tolerances.from_env().scale,
     )
-    if cfg.fmt == "json":
-        payload = {
+    _emit(
+        cfg,
+        lambda: {
             "p": report.p,
             "q": report.q,
             "delta": report.delta,
@@ -449,24 +461,9 @@ def cmd_bound(cfg: RunConfig) -> int:
             "ok": report.ok,
             "proved": report.proved,
             "rows": list(report.rows),
-        }
-        _emit(cfg, to_canonical_json(payload))
-    else:
-        _emit(
-            cfg,
-            rows_to_csv(
-                list(report.rows),
-                fields=(
-                    "draw",
-                    "kind",
-                    "objective",
-                    "lambda",
-                    "certified_bound",
-                    "mean_term",
-                    "bound",
-                ),
-            ),
-        )
+        },
+        lambda: list(report.rows),
+    )
     return 0 if report.ok else 1
 
 

@@ -1,12 +1,15 @@
-"""Constant estimation: scaling balance, norm-ratio scans, duality bounds.
+"""Constant estimation: scaling balance, norm-ratio scans, witness search,
+duality bounds.
 
-Three instruments share this module.  The scaling balance picks the factor
+Four instruments share this module.  The scaling balance picks the factor
 lambda that minimizes the two-sided moment expression
 lambda^p x3 + lambda^-q x4, with a golden-section minimizer kept alongside
-as an independent oracle.  The ratio scan measures
-||Tf||_p / ||f||_p over random witnesses and extremal multipliers; at p = 2
-the ratio is pinned below one by the contraction property, below 2 the
-measured maxima are empirical readings, not proved constants.  The duality
+as an independent oracle.  The ratio scan measures ||Tf||_p / ||f||_p over
+random witnesses and extremal multipliers and bins the ratios into a fixed
+histogram; at p = 2 the ratio is pinned below one by the contraction
+property, below 2 the measured maxima are empirical readings, not proved
+constants.  The witness search ranks unit-norm witnesses by their pairing
+alone and reports whether the best reaches a scalar target.  The duality
 instrument turns certified pairing bounds into norm bounds: every certified
 witness pair yields |<g, Tf>| <= B(root), and optimizing lambda trades the
 two moment slots against each other at unit norms.
@@ -29,7 +32,7 @@ from .corpus import (
     random_transform,
 )
 from .filtration import build_random_regular
-from .martingale import MartFunction, average, inner, lp_norm
+from .martingale import MartFunction, inner, lp_norm
 
 __all__ = [
     "EstimateError",
@@ -161,6 +164,10 @@ def _trial_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
 
 
+# Histogram bins of the ratio scan.
+_SCAN_BINS = 24
+
+
 def lp_constant_scan(
     p: float,
     trials: int,
@@ -168,7 +175,6 @@ def lp_constant_scan(
     delta: float = 0.5,
     dim: int = 1,
     depth: int | None = None,
-    bins: int = 24,
 ) -> ScanResult:
     """Measure ||Tf||_p / ||f||_p over random witnesses and unit-length
     multiplier sequences.  At p = 2 the max is a contraction check; away
@@ -197,7 +203,7 @@ def lp_constant_scan(
                 "dim": dim,
             }
     hi = max(1.05, float(ratios.max()) * 1.0001)
-    counts, edges = np.histogram(ratios, bins=bins, range=(0.0, hi))
+    counts, edges = np.histogram(ratios, bins=_SCAN_BINS, range=(0.0, hi))
     return ScanResult(
         p=p,
         delta=delta,
@@ -226,28 +232,8 @@ class SearchResult:
     found: bool
     witness: dict
     history: tuple[float, ...]
-    achieved_point: BellmanPoint | None = None
-    target_point: BellmanPoint | None = None
-    box: float | None = None
-    state: tuple | None = None  # live (filt, f, g, op) of the best witness
-
-
-def point_in_box(pt: BellmanPoint, target: BellmanPoint, box: float) -> bool:
-    """Componentwise relative box test around a target point.
-
-    The first slot compares by max-norm of the difference; every slot uses
-    the tolerance box * max(1, |target slot|).
-    """
-    t1 = np.asarray(target.x1, dtype=float)
-    p1 = np.asarray(pt.x1, dtype=float)
-    if t1.shape != p1.shape:
-        return False
-    if np.max(np.abs(p1 - t1), initial=0.0) > box * max(1.0, float(np.max(np.abs(t1), initial=0.0))):
-        return False
-    for a, b in ((pt.x2, target.x2), (pt.x3, target.x3), (pt.x4, target.x4)):
-        if abs(a - b) > box * max(1.0, abs(b)):
-            return False
-    return True
+    achieved_point: BellmanPoint | None
+    state: tuple  # live (filt, f, g, op) of the best witness
 
 
 def _pairing_value(
@@ -276,28 +262,23 @@ def lower_bound_search(
     dim: int = 1,
     depth: int | None = None,
     ascent_steps: int = 0,
-    target_point: BellmanPoint | None = None,
-    box: float = 0.25,
 ) -> SearchResult:
     """Maximize |<g, Tf>| over unit-norm witnesses.
 
     Trial 0 plants the structured two-value witness (pairing exactly one);
     the rest are Gaussian draws.  Witnesses are normalized to unit p- and
     q-norm, otherwise the pairing is unbounded under scaling.  Optional
-    coordinate ascent perturbs the best witness leafwise, keeping moves that
-    both improve the value and stay inside any target box.
-
-    With a target_point the search only ranks witnesses whose root point
-    lands inside the relative box around the target; when no trial lands
-    there the result is empty (best is nan, found False), never an error.
+    coordinate ascent perturbs the best witness leafwise, keeping the moves
+    that improve the value.  ``found`` tells whether the best value reaches
+    ``target``; with no target it is true.  ``achieved_point`` is the best
+    witness's root moment point, None where its x2 falls below roundoff of
+    zero.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     q = conjugate_exponent(p)
     history = []
     best = -1.0
-    best_state = None
-    best_point: BellmanPoint | None = None
     witness: dict = {}
     for i in range(trials):
         rng = _trial_rng(seed, i)
@@ -320,18 +301,13 @@ def lower_bound_search(
             kind = "random"
         val = _pairing_value(f, g, op, p, q)
         history.append(val)
-        point = None
-        if target_point is not None:
-            point = _root_point(filt, f, g, op, p)
-            if point is None or not point_in_box(point, target_point, box):
-                continue
+        # Values are nonnegative, so trial 0 always sets the best state.
         if val > best:
             best = val
             best_state = (filt, f, g, op)
-            best_point = point
             witness = {"trial": i, "kind": kind, "depth": filt.depth, "dim": dim}
 
-    if ascent_steps > 0 and best_state is not None:
+    if ascent_steps > 0:
         filt, f, g, op = best_state
         rng = _trial_rng(seed, trials)  # ascent stream sits after all trials
         fv = f.values.copy()
@@ -343,41 +319,14 @@ def lower_bound_search(
             jdx = int(rng.integers(tgt.shape[1]))
             old = tgt[idx, jdx]
             tgt[idx, jdx] = old + 0.05 * rng.normal()
-            fc, gc = MartFunction(filt, fv), MartFunction(filt, gv)
-            cand_val = _pairing_value(fc, gc, op, p, q)
-            cand_point = None
-            in_box = True
-            if target_point is not None:
-                cand_point = _root_point(filt, fc, gc, op, p)
-                in_box = cand_point is not None and point_in_box(
-                    cand_point, target_point, box
-                )
-            if cand_val > best and in_box:
+            cand_val = _pairing_value(MartFunction(filt, fv), MartFunction(filt, gv), op, p, q)
+            if cand_val > best:
                 best = cand_val
-                best_point = cand_point
                 witness = dict(witness, kind="ascent", step=step)
             else:
                 tgt[idx, jdx] = old
         best_state = (filt, MartFunction(filt, fv), MartFunction(filt, gv), op)
 
-    if best_state is None:
-        return SearchResult(
-            p=p,
-            delta=delta,
-            trials=trials,
-            target=target,
-            best=float("nan"),
-            found=False,
-            witness={},
-            history=tuple(history),
-            achieved_point=None,
-            target_point=target_point,
-            box=box if target_point is not None else None,
-            state=None,
-        )
-    if best_point is None:
-        filt, f, g, op = best_state
-        best_point = _root_point(filt, f, g, op, p)
     found = True if target is None else best >= target - 1e-12
     return SearchResult(
         p=p,
@@ -388,9 +337,7 @@ def lower_bound_search(
         found=found,
         witness=witness,
         history=tuple(history),
-        achieved_point=best_point,
-        target_point=target_point,
-        box=box if target_point is not None else None,
+        achieved_point=_root_point(*best_state, p),
         state=best_state,
     )
 
@@ -486,7 +433,7 @@ def duality_bound(
                 f"certification failed for draw {j} ({kind}): {cert.first_failure}",
                 certificate=cert,
             )
-        tstar_mean = average(cert.witness.tstar_g, filt.root.id)
+        tstar_mean = cert.witness.table.tstar_mean[filt.root.id]
         mean_term = abs(float(np.dot(cert.root.x1, tstar_mean)))
         bound_g = cert.bound + mean_term
         if obj > bound_g + 1e-9 * max(1.0, abs(bound_g)):

@@ -274,14 +274,6 @@ def osc2(f: MartFunction, atom_id: int) -> float:
     return float(m @ np.einsum("ij,ij->i", centered, centered) / filt.atoms[atom_id].measure)
 
 
-def _level_osc2(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
-    """osc2 of (L, d) values over every A_n atom, in level order."""
-    w = _weighted(filt, values)
-    centered = values - _level_expectation(filt, w, n)
-    sq = filt.layout.measures * np.einsum("ij,ij->i", centered, centered)
-    return _level_means(filt, sq[:, None], n)[:, 0]
-
-
 def inner(f: MartFunction, g: MartFunction) -> float:
     """Unnormalized pairing integral_I <f, g> dt."""
     _check_same_space(f, g)

@@ -248,7 +248,7 @@ def split_multiplier_norm(op: MartingaleTransform) -> float:
     return float(np.max(mags, initial=0.0))
 
 
-def predictable_hull(op_or_filt: MartingaleTransform | Filtration, f: MartFunction) -> list[list[int]]:
+def predictable_hull(f: MartFunction) -> list[list[int]]:
     """Per level n, the atoms of A_{n-1} on which the level-n difference of f
     is not zero.  These are the smallest predictable events containing the
     level differences; the transform of f vanishes outside their union.
@@ -257,9 +257,7 @@ def predictable_hull(op_or_filt: MartingaleTransform | Filtration, f: MartFuncti
     atoms whose content is mean-zero cancel only up to roundoff, so a strict
     bit test would promote every ancestor of genuine activity into the hull.
     """
-    filt = op_or_filt.filtration if isinstance(op_or_filt, MartingaleTransform) else op_or_filt
-    if f.filtration is not filt:
-        raise ValueError("function lives on a different filtration object")
+    filt = f.filtration
     threshold = 1e-12 * max(1.0, float(np.max(np.abs(f.values))) if f.values.size else 0.0)
     starts = filt.layout.level_starts
     events: list[list[int]] = []

@@ -9,7 +9,14 @@ import numpy as np
 
 from mblab.bellman import BellmanCandidate, Witness
 from mblab.filtration import Filtration
-from mblab.martingale import MartFunction, _span_leaves, inner
+from mblab.martingale import (
+    MartFunction,
+    _level_expectation,
+    _level_means,
+    _span_leaves,
+    _weighted,
+    inner,
+)
 from mblab.transforms import MartingaleTransform
 
 
@@ -146,6 +153,19 @@ def certificate_by_records(
         "leaves": leaves,
     }
     return payload, flagged
+
+
+# ---------------------------------------------------------------------------
+# Level oscillation: osc2 of leaf values over every atom of one level,
+# computed directly from the values; the moment table's osc2 must match it.
+
+
+def level_osc2(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
+    """osc2 of (L, d) values over every A_n atom, in level order."""
+    w = _weighted(filt, values)
+    centered = values - _level_expectation(filt, w, n)
+    sq = filt.layout.measures * np.einsum("ij,ij->i", centered, centered)
+    return _level_means(filt, sq[:, None], n)[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ from mblab.corpus import max_children_for, prepare_cell, random_transform, rando
 from mblab.filtration import Filtration, build_dyadic, build_random_regular
 from mblab.martingale import (
     MartFunction,
+    average,
     inner,
     l2_norm,
     _level_difference,
     _level_differences,
     _level_means,
-    _level_osc2,
     _weighted,
 )
 from mblab.transforms import (
@@ -40,7 +40,7 @@ from mblab.transforms import (
     operator_norm,
     split_multiplier_norm,
 )
-from oracles import SpanFed, _blocks
+from oracles import SpanFed, _blocks, level_osc2
 
 
 def test_suite_names_are_stable():
@@ -74,6 +74,25 @@ def test_all_suites_pass_on_kernel_towers(kernel_tower):
     op = random_transform(kernel_tower, 2, rng)
     rows, ok = run_all(f, g, op, rng=rng)
     assert ok, [r for r in rows if not r["ok"]]
+
+
+def test_moment_table_osc2_and_tstar_mean_match_their_old_sources(small_cells, kernel_tower):
+    # the osc-series and x2-sign suites and the duality bound read osc2 and
+    # <T* g>_J off the table: they equal the direct routes bit for bit, on
+    # every atom of every level, at p = 2 and below
+    rng = np.random.default_rng(7)
+    f, g = random_witness(kernel_tower, 2, rng)
+    triples = [(pc.f, pc.g, pc.op) for pc in small_cells]
+    triples.append((f, g, random_transform(kernel_tower, 2, rng)))
+    for f, g, op in triples:
+        filt = f.filtration
+        for p in (2.0, 1.5):
+            w = Witness(f, g, op, p)
+            for n in range(filt.depth + 1):
+                ids = np.asarray(filt.levels[n])
+                assert np.array_equal(w.table.osc2[ids], level_osc2(filt, w.tstar_g.values, n))
+            for atom in filt.atoms:
+                assert np.array_equal(w.table.tstar_mean[atom.id], average(w.tstar_g, atom.id))
 
 
 def test_row_names_unique(small_cells):
@@ -305,7 +324,7 @@ def _restriction_sides(g: MartFunction, op: MartingaleTransform) -> tuple[np.nda
     levels = lay.event_levels[below_root]
     measures = _at_events(filt, lambda n: lay.level_measures[n], spans, levels)
     tstar_g = op.adjoint_apply(g).values
-    local = _at_events(filt, lambda n: _level_osc2(filt, tstar_g, n), spans, levels)
+    local = _at_events(filt, lambda n: level_osc2(filt, tstar_g, n), spans, levels)
     cut_osc, _ = _cut_adjoints(op, g.values[:, 0], spans, np.zeros(len(spans)))
     return spans, levels, measures, local, (filt.total_measure / measures) * cut_osc
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -88,11 +89,86 @@ def test_unwritable_out_exits_two(capsys):
         ["gen", "--seed", "1", "--delta", "0.25", "--max-children", "0"],
         ["scan", "--seed", "1", "--p", "inf"],
         ["search", "--seed", "1", "--ascent", "-5"],
+        ["gen", "--split-prob", "7", "--depth", "2"],
+        ["gen", "--seed", "1", "--delta", "0.25", "--split-prob", "-0.1"],
     ],
 )
 def test_bad_arguments_exit_two(argv, capsys):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# The flags each command reads; every command also takes --config, --out
+# and --format.
+TOWER = ("--seed", "--depth", "--delta", "--dim", "--max-children", "--split-prob", "--witness")
+SAMPLED = ("--seed", "--depth", "--delta", "--dim", "--p", "--trials")
+READS = {
+    "gen": TOWER,
+    "check": (*TOWER, "--suites"),
+    "certify": (*TOWER, "--p", "--candidate"),
+    "lemma1": ("--seed", "--delta", "--dim", "--p", "--trials", "--m"),
+    "search": (*SAMPLED, "--target", "--ascent"),
+    "scan": SAMPLED,
+    "bound": SAMPLED,
+}
+EVERY = ("--config", "--out", "--format")
+FLAGS = sorted(set().union(*READS.values()))
+VALUES = {"--witness": "random", "--candidate": "quadratic", "--suites": "x2_drop", "--format": "csv"}
+
+
+def test_flag_table_counts():
+    # 17 flags, of which each command reads its own share: 71 of the
+    # 119 flag-and-command pairs
+    assert len(FLAGS) + len(EVERY) == 17
+    assert sum(len(flags) + len(EVERY) for flags in READS.values()) == 71
+    assert set(READS) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in READS.items() for f in (*flags, *EVERY)]
+)
+def test_each_command_parses_the_flags_it_reads(command, flag):
+    args = cli._build_parser().parse_args([command, flag, str(VALUES.get(flag, 1))])
+    assert args.command == command
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in READS.items() for f in FLAGS if f not in flags]
+)
+def test_unread_flag_or_config_key_exits_two(command, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, flag, str(VALUES.get(flag, 1))])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: VALUES.get(flag, 1)}))
+    assert run([command, "--config", str(config)]) == 2
+    assert f"does not read: ['{key}']" in capsys.readouterr().err
+
+
+def _readme_command_line() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_flag_table_matches_the_flag_table():
+    table = {}
+    for line in _readme_command_line().splitlines():
+        if line.startswith("| `"):
+            command, flags = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            table[command] = tuple(flags.split())
+    assert table == READS
+
+
+def test_readme_examples_parse():
+    lines = [
+        line for line in _readme_command_line().splitlines() if line.startswith("mblab ")
+    ]
+    assert len(lines) >= 7
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert cli._build_parser().parse_args(argv).command == argv[0]
 
 
 def test_bad_tolerance_env_exits_two(monkeypatch, capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import mblab
 import mblab.estimator as est
-from mblab.bellman import BellmanPoint, bellman_point, conjugate_exponent, linear_candidate
+from mblab.bellman import bellman_point, conjugate_exponent, linear_candidate
 from mblab.estimator import (
     EstimateError,
     duality_bound,
@@ -24,13 +24,8 @@ from mblab.estimator import (
     lp_constant_scan,
     optimal_lambda,
     optimal_lambda_numeric,
-    point_in_box,
 )
 from mblab.martingale import average, inner, lp_norm
-
-
-def pt(x1, x2, x3, x4, p=2.0):
-    return BellmanPoint(x1=np.atleast_1d(np.asarray(x1, dtype=float)), x2=x2, x3=x3, x4=x4, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -173,24 +168,6 @@ def test_search_best_recomputes_from_witness():
         lp_norm(f, 1.5) * lp_norm(g, q) * filt.total_measure
     )
     assert direct == pytest.approx(res.best, rel=1e-10, abs=1e-10)
-
-
-def test_search_target_point_box_feasible():
-    target = pt(0.0, 0.0, 1.0, 1.0)
-    res = lower_bound_search(2.0, 20, seed=9, target_point=target, box=0.25)
-    assert res.found
-    assert res.best >= 1.0 - 1e-12
-    assert res.achieved_point is not None
-    assert point_in_box(res.achieved_point, target, 0.25)
-
-
-def test_search_target_point_box_empty_is_reported_not_raised():
-    far = pt(0.0, 0.0, 500.0, 500.0)
-    res = lower_bound_search(2.0, 10, seed=10, target_point=far, box=0.05)
-    assert not res.found
-    assert math.isnan(res.best)
-    assert res.witness == {}
-    assert res.achieved_point is None
 
 
 def test_search_ascent_never_hurts():

@@ -233,7 +233,7 @@ def test_predictable_hull_is_contained_in_active_levels():
     filt = build_random_regular(depth=4, delta=0.2, max_children=3, split_prob=0.8, seed=15)
     rng = np.random.default_rng(16)
     f, active = active_split_function(filt, 1, rng)
-    hull = predictable_hull(filt, f)
+    hull = predictable_hull(f)
     for level_atoms in hull:
         for aid in level_atoms:
             assert aid in active
