@@ -15,13 +15,19 @@ emit the same report bytes over the whole corpus.  The line before it,
 ``certificates sha256 <hex>``, hashes the certificates alone, in the same
 order: it holds still when only the suites' random draws move.
 
+Per-stage wall totals over the corpus (building each cell's witness,
+``run_all``, ``certify``, report emission and the unregistered probes) go
+to stderr, so stdout stays the same from run to run.
+
 Usage:
     python3 scripts/run_acceptance_corpus.py --seeds 25
 """
 
 import argparse
 import hashlib
+import sys
 from collections import defaultdict
+from time import perf_counter
 
 import numpy as np
 
@@ -48,11 +54,24 @@ def main() -> int:
     all_ok = True
     digest, cert_digest = hashlib.sha256(), hashlib.sha256()
     cells = default_corpus(seeds=args.seeds)
+    stages: dict[str, float] = defaultdict(float)
+    last = perf_counter()
+
+    def lap(stage: str) -> None:
+        """Add the wall time since the previous lap to ``stage``."""
+        nonlocal last
+        now = perf_counter()
+        stages[stage] += now - last
+        last = now
+
     for cell in cells:
         pc = prepare_cell(cell)
+        lap("prepare_cell")
         rows, ok = run_all(pc.f, pc.g, pc.op, rng=rng, suites=suites)
+        lap("run_all")
         all_ok = all_ok and ok
         cert = certify(quadratic_candidate(cell.delta), pc.f, pc.g, pc.op)
+        lap("certify")
         cert_text = to_canonical_json(certificate_to_dict(cert)).encode()
         digest.update(to_canonical_json(rows).encode())
         digest.update(cert_text)
@@ -61,10 +80,12 @@ def main() -> int:
             ratio = row["max_err"] / row["tol"] if row["tol"] > 0 else float(row["max_err"] > 0)
             if ratio > worst[row["check"]][0]:
                 worst[row["check"]] = (ratio, cell)
+        lap("emission")
         centered, defect = restriction_identity_gaps(pc.g, pc.op)
         eq_worst = max(eq_worst, centered)
         defect_worst = max(defect_worst, defect)
         margin_worst = max(margin_worst, hoelder_mean_margin(pc.f, pc.g, pc.op, 2.0, 2.0))
+        lap("probes")
 
     print(f"{len(cells)} cells")
     print(f"{'check':28s} {'worst err/tol':>14s}  worst cell")
@@ -78,6 +99,8 @@ def main() -> int:
     print("all suites ok" if all_ok else "SOME SUITE FAILED")
     print(f"certificates sha256 {cert_digest.hexdigest()}")
     print(f"reports sha256 {digest.hexdigest()}")
+    walls = "  ".join(f"{name} {wall:.3f}" for name, wall in stages.items())
+    print(f"stage wall (s): {walls}  total {sum(stages.values()):.3f}", file=sys.stderr)
     return 0 if all_ok else 1
 
 

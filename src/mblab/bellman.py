@@ -11,10 +11,11 @@ with q the conjugate exponent of p.  These points live in the convex domain
 
 ``moment_table`` computes the point of every atom and, for every split
 event J, the displacement d_J, the pairing of the split differences of f and
-T* g, and the x2 gain of the split, in one level-by-level pass of the
-martingale kernel.  A ``Witness`` holds (f, g, T) and p and derives T* g and
-that table once each, for every suite, probe and certificate that reads
-them; ``bellman_point`` returns one atom's row of its table.
+T* g, and the x2 gain of the split, in one stacked pass of the martingale
+kernel over all levels.  A ``Witness`` holds (f, g, T) and p and derives
+T* g, that table and the transform's event runs once each, for every
+suite, probe and certificate that reads them; ``bellman_point`` returns
+one atom's row of its table.
 
 A candidate function B is tested against the split inequality: whenever
 points x^1..x^N and weights lambda_k >= delta (summing to one) satisfy
@@ -49,9 +50,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .martingale import MartFunction, _level_means, _weighted
+from .martingale import MartFunction, _diagonal_sums, _level_steps, _stacked_means
 from .reporting import Verbatim, _format_float, _format_floats, _format_rows
-from .transforms import MartingaleTransform
+from .transforms import EventRuns, MartingaleTransform, _event_runs
 
 __all__ = [
     "BellmanPoint",
@@ -158,10 +159,16 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     """All moment points and split data of the witness in one pass.
 
     The measure-weighted leaf columns f, T* g, g^2, |f|^p and |g|^q are
-    averaged over the A_n atoms with one reduceat per level, which gives x1,
-    <g^2>_J, x3, x4 and E_n of f and T* g; one more gives osc2 of T* g, and
-    one the sums of the level-n differences of f and T* g over the events of
-    level n.  An event's x2 gain groups the rows of its children.
+    averaged over the atoms of every level at once, in the layout's
+    stacked rows (one reduceat at the stacked boundaries), which gives x1,
+    <g^2>_J, x3 and x4 of every row and the atom steps E_n - E_{n-1} of f
+    and T* g.  The leaf expectations of T* g at every level are one take
+    of the means; osc2 of T* g and the split pairings, each row of levels
+    0..N-1 with the next level's steps, are one diagonal reduceat each, row
+    n summed over the A_n atoms.  The children's x2 of every row are one
+    reduceat over its children's rows.  Every float is the one the
+    level-by-level pass gave; a persisting atom has the same floats in each
+    of its rows.
     """
     if g.dim != 1 or tstar_g.dim != f.dim:
         raise ValueError("g must be scalar valued and T* g must have the dimension of f")
@@ -169,49 +176,52 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     lay = filt.layout
     dim, q, gv = f.dim, conjugate_exponent(p), g.values[:, 0]
     f_p = np.linalg.norm(f.values, axis=1) ** p
-    w = _weighted(filt, np.column_stack((f.values, tstar_g.values, gv * gv, f_p, np.abs(gv) ** q)))
+    columns = np.column_stack((f.values, tstar_g.values, gv * gv, f_p, np.abs(gv) ** q))
+    means = _stacked_means(filt, columns)
+    below = lay.level_offsets[-2]  # rows of levels 0..N-1
+
+    centered = np.take(means[:, dim : 2 * dim], lay.stacked_maps, axis=0)
+    np.subtract(tstar_g.values, centered, out=centered)
+    osc2 = _diagonal_sums(filt, np.einsum("nij,nij->ni", centered, centered)[..., None])[:, 0]
+    del centered
+    osc2 /= lay.stacked_measures
+    x2 = means[:, -3] - osc2
+
+    steps = _level_steps(filt, means[:, : 2 * dim])
+    df, dg = steps[:, :dim], steps[:, dim:]
+    pair = np.column_stack((np.einsum("ij,ij->i", dg, dg), np.einsum("ij,ij->i", df, dg)))
+    pair_means = _diagonal_sums(filt, np.take(pair, lay.stacked_maps[1:], axis=0))
+    pair_means /= lay.stacked_measures[:below, None]
+    kids_x2 = np.add.reduceat(lay.stacked_measures * x2, lay.stacked_children)
+    gain = kids_x2 / lay.stacked_measures[:below] - x2[:below]
+
     rows = np.empty((len(filt.atoms), 2 * dim + 5))  # x1, g2, x2, x3, x4, <T* g>, osc2
-    split = np.empty((len(lay.event_atoms), 3))  # d^2, pairing, x2 gain
-    for n in range(filt.depth + 1):
-        means = _level_means(filt, w, n)
-        cond = np.take(means[:, : 2 * dim], lay.level_maps[n], axis=0)
-        centered = tstar_g.values - cond[:, dim:]
-        sq = np.einsum("ij,ij->i", centered, centered)[:, None]
-        osc2 = _level_means(filt, _weighted(filt, sq), n)[:, 0]
-        x2 = means[:, -3] - osc2
-        # A persisting atom gets the same floats at every level it is in.
-        level_rows = np.column_stack(
-            (means[:, :dim], means[:, -3], x2, means[:, -2:], means[:, dim : 2 * dim], osc2)
-        )
-        rows[np.asarray(filt.levels[n])] = level_rows
-        if n:
-            df, dg = np.hsplit(cond - prev_cond, 2)
-            pair = np.column_stack((np.einsum("ij,ij->i", dg, dg), np.einsum("ij,ij->i", df, dg)))
-            at = lay.event_levels == n - 1
-            pick = lay.level_maps[n - 1][lay.event_spans[at, 0]]
-            split[at, :2] = _level_means(filt, _weighted(filt, pair), n - 1)[pick]
-            first_kids = lay.level_maps[n][lay.level_starts[n - 1]]
-            kids_x2 = np.add.reduceat(lay.level_measures[n] * x2, first_kids)
-            split[at, 2] = (kids_x2 / lay.level_measures[n - 1] - prev_x2)[pick]
-        prev_cond, prev_x2 = cond, x2
+    # A persisting atom has the same floats in each of its rows.
+    rows[lay.stacked_atoms] = np.column_stack(
+        (means[:, :dim], means[:, -3], x2, means[:, -2:], means[:, dim : 2 * dim], osc2)
+    )
     x1, g2, x2, x3, x4, tstar_mean, osc2 = np.hsplit(
         rows, [dim, dim + 1, dim + 2, dim + 3, dim + 4, 2 * dim + 4]
     )
-    d = np.sqrt(np.maximum(split[:, 0], 0.0))
+    events = lay.stacked_maps[lay.event_levels, lay.event_spans[:, 0]]
+    d = np.sqrt(np.maximum(pair_means[events, 0], 0.0))
     return MomentTable(
         p, x1, g2[:, 0], x2[:, 0], x3[:, 0], x4[:, 0], tstar_mean, osc2[:, 0],
-        d, split[:, 1], split[:, 2],
+        d, pair_means[events, 1], gain[events],
     )
 
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """A witness triple (f, g, T) at exponent p, with the two objects the
+    """A witness triple (f, g, T) at exponent p, with the objects the
     suites, probes and certificates read derived once each, on first use:
-    ``tstar_g``, T* g through the closed form ``adjoint_closed_form``, and
-    ``table``, the ``moment_table`` at p.  The table's x2, d and x2 gains do
-    not depend on p.  ``f`` is None for a probe that reads only g and T* g;
-    such a witness has no table.
+    ``tstar_g``, T* g through the closed form ``adjoint_closed_form``,
+    ``table``, the ``moment_table`` at p, and ``event_runs``, T's split
+    events as runs of leaves with their ancestor chains, which the
+    localization and restriction kernels read.  The table's x2, d and x2
+    gains do not depend on p.  ``f`` is None for a probe that reads only g
+    and T* g; such a witness has no table.  The objects live as long as the
+    witness, so one ``run_all`` builds each once and frees them after.
     """
 
     f: MartFunction | None
@@ -226,6 +236,10 @@ class Witness:
     @cached_property
     def table(self) -> MomentTable:
         return moment_table(self.f, self.g, self.tstar_g, self.p)
+
+    @cached_property
+    def event_runs(self) -> EventRuns:
+        return _event_runs(self.op)
 
 
 def bellman_point(

@@ -41,7 +41,7 @@ import numpy as np
 from .bellman import BellmanCandidate, BellmanPoint, MomentTable, Witness, _split_sides
 from .filtration import Filtration
 from .martingale import MartFunction, inner
-from .reporting import Verbatim, _format_floats, _format_number, _format_rows
+from .reporting import Verbatim, _enclosed, _format_floats, _format_number, _format_rows
 from .transforms import MartingaleTransform
 
 __all__ = [
@@ -356,7 +356,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         _format_floats,
         (lay.atom_measures[lay.event_atoms], table.d, cert.diameter, table.pairing, cert.slack),
     )
-    records = [
+    records = _enclosed("[", [
         f'{{"atom":{atom},"level":{level},"measure":{measure},'
         f'"weights":[{",".join(weights[lo:hi])}],"d":{d},"diameter":{diameter},'
         f'"pairing":{pairing},"slack":{slack},"base":{points[atom]},'
@@ -364,12 +364,12 @@ def certificate_to_dict(cert: Certificate) -> dict:
         for atom, level, measure, d, diameter, pairing, slack, lo, hi in zip(
             lay.event_atoms.tolist(), lay.event_levels.tolist(), *floats, starts, starts[1:]
         )
-    ]
+    ], "]")
     leaves = list(cert.filtration.leaves)
-    leaf_entries = [
+    leaf_entries = _enclosed("[", [
         f'{{"point":{points[leaf]},"value":{value}}}'
         for leaf, value in zip(leaves, _format_floats(cert.values[leaves]))
-    ]
+    ], "]")
     return {
         "ok": cert.ok,
         "candidate": cert.label,
@@ -382,8 +382,8 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "identity_residual": cert.identity_residual,
         "leaf_term": cert.leaf_term,
         "failures": list(cert.failures),
-        "records": Verbatim("[" + ",".join(records) + "]"),
-        "leaves": Verbatim("[" + ",".join(leaf_entries) + "]"),
+        "records": Verbatim(records),
+        "leaves": Verbatim(leaf_entries),
     }
 
 

@@ -45,6 +45,14 @@ tests keep the per-event route, one full-length input per event through
 the transform kernels, as an oracle.  The x2 suites read every atom's x2
 and every event's displacement and x2 gain off the witness's moment table,
 the arrays the certifier uses.
+
+No suite walks the levels one kernel call at a time where the martingale
+kernel's stacked pass serves: the level differences of a function are one
+(depth, L, d) array, a stack with one level per row (the localization
+draws, the projection pieces) goes through the diagonal route, and sums
+whose row n runs over the A_n atoms (the self-adjoint pairings, the
+oscillation pieces) are one diagonal reduceat.  Each level's accumulation
+keeps its order, so every row's max_err is the per-level loop's float.
 """
 
 from __future__ import annotations
@@ -52,7 +60,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,16 +67,17 @@ from .bellman import Witness
 from .filtration import Filtration
 from .martingale import (
     MartFunction,
+    _atom_steps,
+    _diagonal_steps,
+    _diagonal_sums,
     _event_draws,
-    _level_difference,
     _level_differences,
-    _span_leaves,
     average,
     inner,
     l2_norm,
     lp_norm,
 )
-from .transforms import MartingaleTransform, predictable_hull, split_multiplier_norm
+from .transforms import EventRuns, MartingaleTransform, predictable_hull, split_multiplier_norm
 from .corpus import active_split_function, random_function
 
 __all__ = [
@@ -109,59 +117,10 @@ def _atom_sums(filt: Filtration, per_leaf: np.ndarray, n: int) -> np.ndarray:
     return np.add.reduceat(per_leaf, filt.layout.level_starts[n], axis=-1)
 
 
-class _EventRuns(NamedTuple):
-    """The non-root split events of a transform's tower, in schedule order,
-    with each event's atom J laid out as a run of leaves: run position i
-    holds leaf ``leaf[i]`` of event ``owner[i]``, and the runs begin at
-    ``starts``.  A run is J's leaves in order, so a reduceat over the runs
-    sums the same segments as the level kernel does over J.
-
-    ``measures`` (e, depth) and ``mults`` (e, depth, d) describe each
-    event's ancestor chain K_0 > K_1 > ... > K_n = J, with K_k the A_k atom
-    holding J: |K_k| and a_{k+1}(K_k).  Chains are padded to the depth with
-    J's measure and zero multipliers, so the last column holds |J| and a
-    padded step sees J's mean twice and adds an exact zero.
-    """
-
-    levels: np.ndarray
-    owner: np.ndarray
-    leaf: np.ndarray
-    starts: np.ndarray
-    measures: np.ndarray
-    mults: np.ndarray
-
-    def sums(self, per_leaf: np.ndarray) -> np.ndarray:
-        """Sums over each run of ``per_leaf`` in run order."""
-        return np.add.reduceat(per_leaf, self.starts, axis=0)
-
-
-def _event_runs(op: MartingaleTransform) -> _EventRuns:
-    filt = op.filtration
-    lay = filt.layout
-    below_root = lay.event_levels > 0
-    levels = lay.event_levels[below_root]
-    spans = lay.event_spans[below_root]
-    owner, leaf = _span_leaves(spans)
-    lengths = spans[:, 1] - spans[:, 0]
-    at = [lay.level_maps[k][spans[:, 0]] for k in range(filt.depth)]
-    measures = np.stack([lay.level_measures[k][i] for k, i in enumerate(at)], axis=1)
-    mults = np.stack([op.multipliers[k][i] for k, i in enumerate(at)], axis=1)
-    beyond = np.arange(filt.depth) > levels[:, None]
-    own = measures[np.arange(len(levels)), levels]
-    return _EventRuns(
-        levels,
-        owner,
-        leaf,
-        np.cumsum(lengths) - lengths,
-        np.where(beyond, own[:, None], measures),
-        np.where(beyond[..., None], 0.0, mults),
-    )
-
-
 def _ancestor_values(mults: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Levels 1..n of T or T* applied to a function h supported in an A_n
     atom J, n >= 1, outside J's subtree, from its padded ancestor chain
-    (``_EventRuns``).
+    (``EventRuns``).
 
     h has the same sum, J's, over every K_k, so ``means`` (e, depth, c)
     holds its averages over the chain.  Level k adds a_k(K_{k-1}) (mean_k -
@@ -193,34 +152,37 @@ def check_projections(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
     Level n's difference carries the pieces of every event at level n.  Two
     pieces on disjoint atoms pair to an exact zero, so orthogonality is
     measured on the nested pairs: an event at level n against its ancestor
-    at each level k < n, summed over the event's atom.
+    at each level k < n, summed over the event's atom.  The level
+    differences of f and of the auxiliary draw are one stack each, and the
+    level-n difference of every piece n is one diagonal pass over the
+    pieces.
     """
     f = w.f
     filt = f.filtration
+    lay = filt.layout
     m = filt.leaf_measures()
     scale = max(1.0, l2_norm(f) ** 2)
     aux = random_function(filt, f.dim, rng)
-    pieces = list(_level_differences(filt, f.values))
-    other = list(_level_differences(filt, aux.values))
+    pieces = _level_differences(filt, f.values)
+    other = _level_differences(filt, aux.values)
 
-    idem = 0.0
-    selfadj = 0.0
-    for n, (df, da) in enumerate(zip(pieces, other)):
-        idem = max(idem, float(np.max(np.abs(_level_difference(filt, df, n) - df))))
-        lhs = _atom_sums(filt, m * np.einsum("ij,ij->i", df, aux.values), n)
-        rhs = _atom_sums(filt, m * np.einsum("ij,ij->i", f.values, da), n)
-        selfadj = max(selfadj, float(np.max(np.abs(lhs - rhs))))
+    again = np.take(_diagonal_steps(filt, pieces), lay.stacked_maps[1:], axis=0)
+    idem = float(np.max(np.abs(again - pieces)))
+    lhs = _diagonal_sums(filt, np.einsum("nij,ij->ni", pieces, aux.values))
+    rhs = _diagonal_sums(filt, np.einsum("ij,nij->ni", f.values, other))
+    selfadj = float(np.max(np.abs(lhs - rhs)))
 
     ortho = 0.0
-    for n in range(filt.depth):
-        for k in range(n):
-            for x, y in ((pieces[k], other[n]), (pieces[n], other[k])):
-                pair = _atom_sums(filt, m * np.einsum("ij,ij->i", x, y), n)
-                ortho = max(ortho, float(np.max(np.abs(pair))))
+    for n in range(1, filt.depth):
+        pairs = np.concatenate(
+            (
+                np.einsum("kij,ij->ki", pieces[:n], other[n]),
+                np.einsum("ij,kij->ki", pieces[n], other[:n]),
+            )
+        )
+        ortho = max(ortho, float(np.max(np.abs(_atom_sums(filt, m * pairs, n)))))
 
-    total = pieces[0]
-    for piece in pieces[1:]:
-        total = total + piece
+    total = pieces.sum(axis=0)
     centered = f.shift(-average(f, filt.root.id))
     tele = float(np.max(np.abs(total - centered.values)))
 
@@ -248,23 +210,26 @@ def check_localization(w: Witness, tol: Tolerances, rng: np.random.Generator) ->
     filt, op = w.f.filtration, w.op
     lay = filt.layout
     draws = _event_draws(filt, np.arange(len(lay.event_atoms)), w.f.dim, rng)
-    runs = _event_runs(op)
+    runs = w.event_runs
     outside = 0.0
     if len(runs.levels):
-        pieces = np.stack([_level_difference(filt, draws[n], n) for n in range(1, filt.depth)])
-        on_atoms = pieces[runs.levels[runs.owner] - 1, runs.leaf]
+        # The piece of an event at level n >= 1 is the level-n difference
+        # of row n of the draws: on J's leaves, the step of their A_{n+1}
+        # row.
+        steps = _diagonal_steps(filt, draws[1:], first=1)
+        on_atoms = steps[lay.stacked_maps[runs.levels[runs.owner] + 1, runs.leaf]]
         sums = runs.sums(lay.measures[runs.leaf, None] * on_atoms)
         _, rings = _ancestor_values(runs.mults, sums[:, None, :] / runs.measures[..., None])
         nonempty = runs.measures[:, :-1] > runs.measures[:, 1:]
         outside = float(np.max(np.abs(rings.sum(axis=-1)[nonempty]), initial=0.0))
 
     # On an atom J split at level n, the level-n difference is J's split
-    # difference, and T* multiplies it by the level-(n+1) multiplier of J.
-    commute = 0.0
-    diffs = zip(_level_differences(filt, w.g.values), _level_differences(filt, w.tstar_g.values))
-    for n, (dsg, dtg) in enumerate(diffs, start=1):
-        err = np.abs(dtg - op.multiplier_on_leaves(n) * dsg)
-        commute = max(commute, float(np.max(err)))
+    # difference, and T* multiplies it by the level-(n+1) multiplier of J:
+    # row by row, the step of T* g is a_{n+1}(J) times the step of g.
+    dsg, dtg = (_atom_steps(filt, v) for v in (w.g.values, w.tstar_g.values))
+    below = lay.level_offsets[1]  # the root row has no step
+    err = dtg[below:] - op.step_multipliers[below:] * dsg[below:]
+    commute = float(np.max(np.abs(err)))
     return [
         _row("localization_support", outside, tol.exact, "T of split piece outside atom"),
         _row("localization_adjoint", commute, tol.tight, "adjoint split vs multiplier"),
@@ -306,13 +271,14 @@ def check_osc_series(w: Witness, tol: Tolerances, rng: np.random.Generator) -> l
     """
     filt = w.f.filtration
     lay = filt.layout
-    m = filt.leaf_measures()
     osc2 = w.table.osc2
-    diffs = list(_level_differences(filt, w.tstar_g.values))
+    steps = _atom_steps(filt, w.tstar_g.values)
+    sq = np.take(np.einsum("ij,ij->i", steps, steps), lay.stacked_maps[1:], axis=0)
+    piece_sums = _diagonal_sums(filt, sq)
     series = np.zeros(len(filt.leaves))
     err = 0.0
     for n in range(filt.depth - 1, -1, -1):
-        piece_sq = _atom_sums(filt, m * np.einsum("ij,ij->i", diffs[n], diffs[n]), n)
+        piece_sq = piece_sums[lay.level_offsets[n] : lay.level_offsets[n + 1]]
         container = lay.level_maps[n][lay.level_starts[n + 1]]
         series = piece_sq + np.bincount(container, weights=series, minlength=len(piece_sq))
         split = np.bincount(container, minlength=len(piece_sq)) > 1
@@ -352,7 +318,7 @@ def check_x2_sign(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
 
 
 def _cut_adjoints(
-    op: MartingaleTransform, runs: _EventRuns, values: np.ndarray, shifts: np.ndarray
+    op: MartingaleTransform, runs: EventRuns, values: np.ndarray, shifts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each non-root split atom J, in schedule order, osc2 over I and
     squared norm of T*((v - s_J) 1_J), with v the scalar leaf values and s_J
@@ -370,16 +336,20 @@ def _cut_adjoints(
         return np.empty(0), np.empty(0)
     owner, leaf = runs.owner, runs.leaf
     row = runs.levels[owner] - 1
+    cut = values[leaf] - shifts[owner]
     cuts = np.zeros((filt.depth - 1, filt.n_leaves, 1))
-    cuts[row, leaf, 0] = values[leaf] - shifts[owner]
+    cuts[row, leaf, 0] = cut
+    steps = _atom_steps(filt, cuts)
+    del cuts
     weights = filt.layout.measures[leaf]
-    sums = runs.sums(weights * cuts[row, leaf, 0])
+    sums = runs.sums(weights * cut)
     inside, rings = _ancestor_values(runs.mults, (sums[:, None] / runs.measures)[..., None])
     x = np.zeros((filt.depth - 1, filt.n_leaves, op.dim))
     x[row, leaf] = inside[owner]
     # Level k reaches inside the atoms of levels n < k: rows 0..k-2.
-    for k, diff in enumerate(_level_differences(filt, cuts, start=1), start=2):
-        x[: k - 1] += op.multiplier_on_leaves(k) * diff[: k - 1]
+    for k in range(2, filt.depth + 1):
+        diff = np.take(steps[: k - 1], filt.layout.stacked_maps[k], axis=-2)
+        x[: k - 1] += op.multiplier_on_leaves(k) * diff
     on_atoms = x[row, leaf]
 
     ring_measures = runs.measures[:, :-1] - runs.measures[:, 1:]
@@ -394,20 +364,20 @@ def _cut_adjoints(
     return off_mean / filt.total_measure, square_sums(on_atoms, rings)
 
 
-def _restriction_sides(w: Witness, runs: _EventRuns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _restriction_sides(w: Witness) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per non-root split atom J, in schedule order: the mean <g>_J, the
     local side osc2(T* g, J) and the rescaled global side
     (|I|/|J|) osc2(T*(g 1_J), I)."""
-    g, op = w.g, w.op
+    g, op, runs = w.g, w.op, w.event_runs
     filt = g.filtration
-    weights = filt.layout.measures[runs.leaf]
     measures = runs.measures[:, -1]
+    cut_osc, _ = _cut_adjoints(op, runs, g.values[:, 0], np.zeros(len(measures)))
+    weights = filt.layout.measures[runs.leaf]
     mean_g = runs.sums(weights * g.values[runs.leaf, 0]) / measures
     tstar_g = w.tstar_g.values[runs.leaf]
     mean = runs.sums(weights[:, None] * tstar_g) / measures[:, None]
     centered = tstar_g - mean[runs.owner]
     local = runs.sums(weights * np.einsum("ij,ij->i", centered, centered)) / measures
-    cut_osc, _ = _cut_adjoints(op, runs, g.values[:, 0], np.zeros(len(measures)))
     return mean_g, local, (filt.total_measure / measures) * cut_osc
 
 
@@ -420,7 +390,7 @@ def check_restriction(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
     per-level kernel of ``_cut_adjoints``; the full-length route, one L-leaf
     cut per event through the adjoint, is kept in the tests as an oracle.
     """
-    _, local, glob = _restriction_sides(w, _event_runs(w.op))
+    _, local, glob = _restriction_sides(w)
     worst = float(np.max((local - glob) / np.maximum(1.0, local), initial=0.0))
     return [_row("restriction_bound", worst, tol.tight, "local minus rescaled global")]
 
@@ -442,9 +412,10 @@ def restriction_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple
     include it.
     """
     filt = g.filtration
-    runs = _event_runs(op)
+    w = Witness(None, g, op)
+    runs = w.event_runs
     measures = runs.measures[:, -1]
-    c, local, glob = _restriction_sides(Witness(None, g, op), runs)
+    c, local, glob = _restriction_sides(w)
     centered_osc, _ = _cut_adjoints(op, runs, g.values[:, 0], c)
     centered = (filt.total_measure / measures) * centered_osc
     scale = np.maximum(np.maximum(local, centered), 1e-30)

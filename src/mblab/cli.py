@@ -148,12 +148,29 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if unread:
             raise UsageError(f"config keys that {args.command} does not read: {sorted(unread)}")
         for key, value in loaded.items():
-            setattr(cfg, key, value)
+            setattr(cfg, key, _config_value(key, value))
     for key in keys:
         value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, value)
     return cfg
+
+
+def _config_value(key: str, value):
+    """A config file value, held to its flag's type and choices: a JSON
+    integer for an int flag, any JSON number for a float flag (as a
+    float), a string otherwise."""
+    spec = _SPECS[key]
+    kind = spec.get("type", str)
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        wanted = {int: "an integer", float: "a number", str: "a string"}[kind]
+        raise UsageError(f"config key {key!r} needs {wanted}, got {value!r}")
+    value = kind(value)
+    if "choices" in spec and value not in spec["choices"]:
+        choices = list(spec["choices"])
+        raise UsageError(f"config key {key!r} must be one of {choices}, got {value!r}")
+    return value
 
 
 class UsageError(ValueError):

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .filtration import Filtration, build_dyadic, build_random_regular, level_partition
-from .martingale import MartFunction, _event_draws, _level_difference
+from .martingale import MartFunction, _diagonal_steps, _event_draws, _leaf_sum
 from .transforms import MartingaleTransform, make_transform
 
 __all__ = [
@@ -186,18 +186,16 @@ def active_split_function(
     the kept events), and contributes its split difference.  The kept
     events of one level have disjoint atoms, so their differences are one
     level difference of the level's draws, and each leaf receives its
-    pieces in level order.
+    pieces in level order (a level without kept events adds an exact
+    zero).
     """
     lay = filt.layout
     n_events = len(lay.event_atoms)
     kept = np.flatnonzero(rng.random(n_events) < 0.5)
     if not kept.size:
         kept = np.array([int(rng.integers(n_events))])
-    draws = _event_draws(filt, kept, dim, rng)
-    values = np.zeros((filt.n_leaves, dim))
-    for n in np.unique(lay.event_levels[kept]).tolist():
-        values += _level_difference(filt, draws[n], n)
-    return MartFunction(filt, values), frozenset(lay.event_atoms[kept].tolist())
+    steps = _diagonal_steps(filt, _event_draws(filt, kept, dim, rng))
+    return MartFunction(filt, _leaf_sum(filt, steps)), frozenset(lay.event_atoms[kept].tolist())
 
 
 def prepare_cell(cell: CorpusCell) -> PreparedCell:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -108,6 +109,25 @@ class LeafLayout:
     children of an event at level n are the A_{n+1} atoms inside its span.
     ``event_children[event_child_starts[e]:event_child_starts[e + 1]]`` are
     the children of event e in the order of its atom's ``children``.
+
+    The stacked fields lay the atoms of all levels A_0..A_N end to end, in
+    rows: level n holds rows ``level_offsets[n]:level_offsets[n + 1]``, in
+    level order, and a persisting atom has one row per level it is in.
+    ``stacked_starts`` is the reduceat boundary list of every level at once:
+    each level's ``level_starts`` followed by the sentinel L.  Reduced over
+    leaf values padded with one zero row at position L, it gives each
+    level's last atom the segment up to L and each sentinel the zero row,
+    which is dropped; the remaining segment sums are the stacked rows, the
+    floats of the per-level reduceat.  ``level_starts[n]`` and
+    ``level_measures[n]`` are views of ``stacked_starts`` and
+    ``stacked_measures``.  ``stacked_maps[n]`` maps each leaf to its A_n
+    row, ``stacked_atoms`` each row to its atom id, ``stacked_parents``
+    each row of level n >= 1 to the row of the A_{n-1} atom holding it (the
+    root row to itself), and ``stacked_children`` each row of levels
+    0..N-1 to the row of its first A_{n+1} atom, so that the rows of one
+    parent's children are one reduceat segment.  ``diagonal_starts`` is
+    ``stacked_starts`` with level n's boundaries moved by n * (L + 1): the
+    boundaries of level n in row n of padded leaf rows laid end to end.
     All arrays are read-only.
     """
 
@@ -122,6 +142,14 @@ class LeafLayout:
     event_spans: np.ndarray
     event_children: np.ndarray
     event_child_starts: np.ndarray
+    level_offsets: np.ndarray
+    stacked_starts: np.ndarray
+    diagonal_starts: np.ndarray
+    stacked_measures: np.ndarray
+    stacked_maps: np.ndarray
+    stacked_atoms: np.ndarray
+    stacked_parents: np.ndarray
+    stacked_children: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,47 +427,67 @@ def level_partition(f: Filtration, n: int) -> tuple[int, ...]:
 
 
 def _build_layout(f: Filtration) -> LeafLayout:
-    """One pass over the tower: leaf counts children first, then per level
-    the cumulative counts in left-endpoint order give every atom's span."""
+    """One pass over the tower: leaf counts children first, then the
+    levels' atoms laid end to end in stacked rows; the cumulative counts
+    in row order give every atom's span, since each level tiles the L
+    leaves in left-endpoint order."""
     count = [0] * len(f.atoms)
     for a in sorted(f.atoms, key=lambda a: a.level, reverse=True):
         count[a.id] = sum(count[c] for c in a.children) if a.children else 1
-    counts = np.array(count)
     atom_measure = np.array([a.measure for a in f.atoms])
+    n_leaves = len(f.leaves)
+    sizes = [len(ids) for ids in f.levels]
+    offsets = np.cumsum([0] + sizes)
+    rows = np.arange(offsets[-1])
+    row_level = np.repeat(np.arange(len(sizes)), sizes)
+    stacked_atoms = np.fromiter(chain.from_iterable(f.levels), dtype=np.intp, count=offsets[-1])
+    leaves_in = np.array(count)[stacked_atoms]
+    first_leaf = np.cumsum(leaves_in) - leaves_in - row_level * n_leaves
     spans = np.empty((len(f.atoms), 2), dtype=np.intp)
-    starts, measures, maps = [], [], []
-    event_atoms, event_levels, event_children, child_starts = [], [], [], [0]
-    for n, level_ids in enumerate(f.levels):
-        ids = np.array(level_ids)
-        c = counts[ids]
-        hi = np.cumsum(c)
-        lo = hi - c
-        spans[ids, 0] = lo
-        spans[ids, 1] = hi
-        starts.append(_frozen(lo))
-        measures.append(_frozen(atom_measure[ids]))
-        maps.append(_frozen(np.repeat(np.arange(len(ids)), c)))
-        # Atoms split at the level they are created, so the events of level
-        # n are the A_n atoms with children, in left-endpoint order.
-        split = [i for i in level_ids if f.atoms[i].children]
-        event_atoms.extend(split)
-        event_levels.extend([n] * len(split))
-        for i in split:
-            event_children.extend(f.atoms[i].children)
-            child_starts.append(len(event_children))
-    event_atoms_arr = np.array(event_atoms, dtype=np.intp)
+    spans[stacked_atoms, 0] = first_leaf
+    spans[stacked_atoms, 1] = first_leaf + leaves_in
+    shape = (len(sizes), n_leaves)
+    stacked_maps = _frozen(np.repeat(rows, leaves_in).reshape(shape))
+    level_maps = _frozen(np.repeat(rows - offsets[row_level], leaves_in).reshape(shape))
+    # Row r of level n is boundary r + n, after n sentinels.
+    stacked_starts = np.full(offsets[-1] + len(sizes), n_leaves)
+    stacked_starts[rows + row_level] = first_leaf
+    stacked_starts = _frozen(stacked_starts)
+    boundary_levels = np.repeat(np.arange(len(sizes)), np.array(sizes) + 1)
+    stacked_measures = _frozen(atom_measure[stacked_atoms])
+    # Atoms split at the level they are created, so the events of level n
+    # are the A_n atoms with children, in left-endpoint order: the rows
+    # with children, in row order.
+    split = np.flatnonzero(np.array([bool(a.children) for a in f.atoms])[stacked_atoms])
+    event_atoms = stacked_atoms[split]
+    kids = [f.atoms[i].children for i in event_atoms.tolist()]
+    # The row of the atom holding each row's first leaf one level up, or down.
+    parents = stacked_maps[np.maximum(row_level - 1, 0), first_leaf]
+    below = offsets[-2]
+    children = stacked_maps[row_level[:below] + 1, first_leaf[:below]]
     return LeafLayout(
         measures=_frozen(atom_measure[list(f.leaves)]),
         atom_measures=_frozen(atom_measure),
         spans=_frozen(spans),
-        level_starts=tuple(starts),
-        level_measures=tuple(measures),
-        level_maps=tuple(maps),
-        event_atoms=_frozen(event_atoms_arr),
-        event_levels=_frozen(np.array(event_levels, dtype=np.intp)),
-        event_spans=_frozen(spans[event_atoms_arr]),
-        event_children=_frozen(np.array(event_children, dtype=np.intp)),
-        event_child_starts=_frozen(np.array(child_starts, dtype=np.intp)),
+        level_starts=tuple(
+            stacked_starts[off + n : end + n]
+            for n, (off, end) in enumerate(zip(offsets, offsets[1:]))
+        ),
+        level_measures=tuple(stacked_measures[off:end] for off, end in zip(offsets, offsets[1:])),
+        level_maps=tuple(level_maps),
+        event_atoms=_frozen(event_atoms),
+        event_levels=_frozen(row_level[split]),
+        event_spans=_frozen(spans[event_atoms]),
+        event_children=_frozen(np.fromiter(chain.from_iterable(kids), dtype=np.intp)),
+        event_child_starts=_frozen(np.cumsum([0] + [len(k) for k in kids])),
+        level_offsets=_frozen(offsets),
+        stacked_starts=stacked_starts,
+        diagonal_starts=_frozen(stacked_starts + boundary_levels * (n_leaves + 1)),
+        stacked_measures=stacked_measures,
+        stacked_maps=stacked_maps,
+        stacked_atoms=_frozen(stacked_atoms),
+        stacked_parents=_frozen(parents),
+        stacked_children=_frozen(children),
     )
 
 

@@ -15,13 +15,28 @@ and the single-split difference attached to one schedule event J:
 which is supported on J, has zero mean over J, and is an orthogonal
 projection of the function space.  Scalar functions are simply d = 1.
 
-Every atom average comes from one kernel: the measure-weighted leaf values
-are summed over each atom's leaf span with ``np.add.reduceat`` and divided
-by the atom's measure, one reduceat per level (or per partition) over the
-whole leaf axis, never as differences of prefix sums.  An atom's sum
-depends only on its own leaves, taken in one fixed order, so an atom that
-persists across levels gets the same float at every level and its level
-differences cancel exactly.  The kernel takes a leading stack axis.
+Every atom average comes from one kernel, over all levels at once.  The
+measure-weighted leaf values get one zero row at position L, and one
+``np.add.reduceat`` at the layout's stacked boundaries (each level's atom
+starts followed by the sentinel L) sums every atom of every level A_0..A_N;
+the sentinel rows are dropped and the sums divided by the atom measures.
+The result is the stacked means, one row per atom per level, level n at
+rows ``level_offsets[n]:level_offsets[n + 1]``, never as differences of
+prefix sums.  An atom's sum depends only on its own leaves, taken in one
+fixed order, so it is the float the per-level reduceat gave, an atom that
+persists across levels gets the same float at every level, and its level
+differences cancel exactly.  The level differences E_n - E_{n-1} are
+atom steps first, each row's mean minus its parent's (``_level_steps``),
+and reach the leaves by a take over the stacked leaf maps.  The leaf rule
+depends on the input: without a stack axis, one take gives every level's
+difference at once, (depth, L, d); with a leading stack axis, the levels
+are expanded (or summed on the leaves, ``_leaf_sum``) one at a time, so no
+(stack, depth, L, d) array is ever made.  A stack whose row k belongs to
+one level n = first + k (the level rows of ``_event_draws``, the level
+pieces of a function) takes the diagonal route instead:
+``_diagonal_sums`` lays the padded rows end to end and sums row k over the
+A_n atoms only, and ``_diagonal_steps`` gives each row's level-n
+difference from its sums at levels n and n + 1.
 
 A split piece lives in its event's atom, and the atoms of one level are
 disjoint, so ``_event_draws`` lays the random draws of one level's events
@@ -142,34 +157,103 @@ def _segment_means(w: np.ndarray, starts, measures: np.ndarray) -> np.ndarray:
     return np.add.reduceat(w, starts, axis=-2) / measures[:, None]
 
 
-def _level_means(filt: Filtration, w: np.ndarray, n: int) -> np.ndarray:
-    """Averages over the A_n atoms, in level order, of weighted values."""
+def _padded(filt: Filtration, values: np.ndarray) -> np.ndarray:
+    """Measure-weighted leaf values (..., L, c) followed by one zero row,
+    the sentinel row L."""
+    w = np.zeros((*values.shape[:-2], filt.n_leaves + 1, values.shape[-1]))
+    np.multiply(filt.layout.measures[:, None], values, out=w[..., :-1, :])
+    return w
+
+
+def _stacked_means(filt: Filtration, values: np.ndarray) -> np.ndarray:
+    """Averages of (..., L, d) values over the atoms of every level A_0..A_N,
+    in stacked rows; shape (..., A, d).
+
+    One reduceat over the measure-weighted values, padded with the zero
+    row L, at the stacked boundaries; each level's sentinel row is dropped.
+    """
     lay = filt.layout
-    return _segment_means(w, lay.level_starts[n], lay.level_measures[n])
+    sums = np.add.reduceat(_padded(filt, values), lay.stacked_starts, axis=-2)
+    means = sums[..., lay.stacked_starts < filt.n_leaves, :]
+    means /= lay.stacked_measures[:, None]
+    return means
 
 
-def _level_expectation(filt: Filtration, w: np.ndarray, n: int) -> np.ndarray:
-    """E_n at leaf resolution, from weighted values; shape (..., L, d)."""
-    return np.take(_level_means(filt, w, n), filt.layout.level_maps[n], axis=-2)
+def _diagonal_sums(filt: Filtration, values: np.ndarray, first: int = 0) -> np.ndarray:
+    """Row k of a stack of leaf values (K, L) or (K, L, c), weighted by the
+    leaf measures and summed over the atoms of level first + k only: the
+    stacked rows of levels first..first+K-1, shape (rows,) or (rows, c).
+
+    One reduceat: the padded rows are laid end to end and each level's
+    boundaries shifted to its row.  Each segment is the per-level one, over
+    the same leaves, so its sum is the same float.
+    """
+    lay = filt.layout
+    K, L = values.shape[:2]
+    # The boundaries of levels first..first+K-1, sentinels included.
+    lo = lay.level_offsets[first] + first
+    hi = lay.level_offsets[first + K] + first + K
+    bounds = lay.diagonal_starts[lo:hi] - first * (L + 1)
+    flat = _padded(filt, values.reshape(K, L, -1)).reshape(K * (L + 1), -1)
+    sums = np.add.reduceat(flat if values.ndim == 3 else flat[:, 0], bounds, axis=0)
+    return sums[lay.stacked_starts[lo:hi] < L]
 
 
-def _level_difference(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
-    """E_{n+1} v - E_n v at leaf resolution: the sum of the single-split
-    differences of all events at level n, whose supports are disjoint."""
-    w = _weighted(filt, values)
-    return _level_expectation(filt, w, n + 1) - _level_expectation(filt, w, n)
+def _level_steps(filt: Filtration, means: np.ndarray) -> np.ndarray:
+    """E_n - E_{n-1} at atom resolution, from stacked means (..., A, d): each
+    row's mean minus its parent's, the floats the level difference takes
+    on the row's leaves.  The root row is zero."""
+    steps = np.take(means, filt.layout.stacked_parents, axis=-2)
+    np.subtract(means, steps, out=steps)
+    return steps
 
 
-def _level_differences(
-    filt: Filtration, values: np.ndarray, start: int = 0
-) -> Iterator[np.ndarray]:
-    """E_{n+1} v - E_n v at leaf resolution for n = start..depth-1, in order."""
-    w = _weighted(filt, values)
-    prev = _level_expectation(filt, w, start)
-    for n in range(start + 1, filt.depth + 1):
-        cur = _level_expectation(filt, w, n)
-        yield cur - prev
-        prev = cur
+def _atom_steps(filt: Filtration, values: np.ndarray) -> np.ndarray:
+    """E_n - E_{n-1} of (..., L, d) values at atom resolution, in stacked
+    rows (..., A, d): one stacked pass, then the steps."""
+    return _level_steps(filt, _stacked_means(filt, values))
+
+
+def _diagonal_steps(filt: Filtration, values: np.ndarray, first: int = 0) -> np.ndarray:
+    """The level-n difference of row k of a stack (K, L, d), n = first + k,
+    at atom resolution: on the stacked rows of level n + 1, each row's mean
+    of row k minus its parent's; every other row is zero.  Shape (A, d).
+
+    Two diagonal reduceats, levels n and n + 1 of each row, so the stack is
+    never averaged over every level.
+    """
+    lay = filt.layout
+    off, measures = lay.level_offsets, lay.stacked_measures[:, None]
+    top, lo, hi = off[first], off[first + 1], off[first + len(values) + 1]
+    parent = _diagonal_sums(filt, values, first) / measures[top : off[first + len(values)]]
+    child = _diagonal_sums(filt, values, first + 1) / measures[lo:hi]
+    steps = np.zeros((len(measures), values.shape[-1]))
+    np.subtract(child, parent[lay.stacked_parents[lo:hi] - top], out=steps[lo:hi])
+    return steps
+
+
+def _level_differences(filt: Filtration, values: np.ndarray) -> np.ndarray:
+    """E_{n+1} v - E_n v at leaf resolution for n = 0..depth-1 of (L, d)
+    values; shape (depth, L, d), one take of the atom steps."""
+    return np.take(_atom_steps(filt, values), filt.layout.stacked_maps[1:], axis=0)
+
+
+def _leaf_sum(filt: Filtration, per_row: np.ndarray) -> np.ndarray:
+    """sum_{n=1..N} of stacked rows (..., A, c) expanded to the leaves at
+    level n, added in level order onto zeros; shape (..., L, c).
+
+    Without a stack axis, one take over all levels; the level axis is the
+    outermost and holds L >= 2 leaves per level, so numpy adds the levels
+    in order.  With a stack axis, level by level, so that no (stack,
+    levels, L) array is made.
+    """
+    maps = filt.layout.stacked_maps[1:]
+    if per_row.ndim == 2:
+        return np.add.reduce(np.take(per_row, maps, axis=0), axis=0, initial=0.0)
+    out = np.zeros((*per_row.shape[:-2], filt.n_leaves, per_row.shape[-1]))
+    for leaf_rows in maps:
+        out += np.take(per_row, leaf_rows, axis=-2)
+    return out
 
 
 def _event_draws(

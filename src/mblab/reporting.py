@@ -106,6 +106,19 @@ def _format_number(v) -> str | None:
     return None
 
 
+def _enclosed(opener: str, texts: list[str], closer: str) -> str:
+    """``opener + ",".join(texts) + closer`` in one join: the separators and
+    both brackets are parts of the list, so the text is built once instead
+    of being joined and then copied again to add the brackets."""
+    if not texts:
+        return opener + closer
+    parts = [","] * (2 * len(texts) + 1)
+    parts[0] = opener
+    parts[1::2] = texts
+    parts[-1] = closer
+    return "".join(parts)
+
+
 def _canon(obj) -> str:
     """Canonical JSON text of ``obj``."""
     t = type(obj)
@@ -136,16 +149,30 @@ def _canon(obj) -> str:
     raise ReportError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _canon_items(obj: Mapping) -> str:
-    return "{" + ",".join([
-        _encode_str(k if type(k) is str else str(k)) + ":" + _canon(v)
-        for k, v in obj.items()
-    ]) + "}"
+def _canon_items(obj: Mapping, closer: str = "}") -> str:
+    """Canonical JSON text of a mapping, then ``closer``: one join over the
+    brackets, separators, keys and values, so no value's text (a
+    certificate's records, say) is first copied into an item string."""
+    parts: list[str] = []
+    for k, v in obj.items():
+        parts += (",", _encode_str(k if type(k) is str else str(k)), ":", _canon(v))
+    if not parts:
+        return "{" + closer
+    parts[0] = "{"
+    parts.append(closer)
+    return "".join(parts)
 
 
 def to_canonical_json(payload) -> str:
+    """Canonical JSON text of ``payload`` and a newline; the outermost
+    container is joined once with its brackets and the newline, so the
+    report text, the largest string, is built once."""
     if payload is None or (isinstance(payload, (list, tuple, dict)) and not payload):
         raise ReportError("refusing to write an empty report")
+    if isinstance(payload, Mapping):
+        return _canon_items(payload, "}\n")
+    if type(payload) in (list, tuple):
+        return _enclosed("[", [_canon(v) for v in payload], "]\n")
     return _canon(payload) + "\n"
 
 

@@ -19,11 +19,13 @@ maximum off the multipliers.
 
 Every production route is matrix-free.  ``apply`` evaluates the multiplier
 formula above, and ``adjoint_closed_form`` the closed form
-T* g = sum_n a_n * (D_n g), with D_n the scalar level-n difference.  They
-and the predictable hull read the per-level atom averages of the martingale
-kernel and gather them to the leaves, O(L * depth) work per function.  The
-kernels ``_transform_stack`` and ``_adjoint_stack`` also take a leading axis
-of inputs; the tests push one full-length input per split event through them
+T* g = sum_n a_n * (D_n g), with D_n the scalar level-n difference.  Both
+read the atom steps of the martingale kernel's stacked pass: on each atom
+row of level n, a_n of its parent row (``step_multipliers``) times the
+row's step, the levels then summed on the leaves in order; the predictable
+hull reads the same steps.  O(L * depth) work per function.  The kernels
+``_transform_stack`` and ``_adjoint_stack`` also take a leading axis of
+inputs; the tests push one full-length input per split event through them
 as an oracle for the per-level check suites.
 
 The dense route is a test oracle, kept deliberately independent of the
@@ -40,12 +42,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .filtration import Filtration, level_partition
-from .martingale import MartFunction, _averaging_matrices, _level_differences
+from .martingale import (
+    MartFunction,
+    _atom_steps,
+    _averaging_matrices,
+    _leaf_sum,
+    _span_leaves,
+)
 
 __all__ = [
     "MartingaleTransform",
@@ -80,6 +88,14 @@ class MartingaleTransform:
         """Dense oracle mapping flattened (leaf, coord) inputs to leaf
         outputs, shape (L, L*dim); built on first use and kept.  Tests only."""
         return _materialize_matrix(self.filtration, self.multipliers, self.dim)
+
+    @cached_property
+    def step_multipliers(self) -> np.ndarray:
+        """The multiplier each stacked row's step gets, shape (A, dim): a_n
+        of the row's parent for a row of level n >= 1.  The multipliers of
+        A_0..A_{N-1} in order are the stacked rows of those levels."""
+        lay = self.filtration.layout
+        return np.concatenate(self.multipliers)[lay.stacked_parents]
 
     def multiplier_on_leaves(self, n: int) -> np.ndarray:
         """Level-n multiplier expanded to leaf resolution, shape (L, dim)."""
@@ -125,21 +141,71 @@ class MartingaleTransform:
             raise ValueError(f"dimension mismatch: transform {self.dim}, function {f.dim}")
 
 
+class EventRuns(NamedTuple):
+    """The non-root split events of a transform's tower, in schedule order,
+    with each event's atom J laid out as a run of leaves: run position i
+    holds leaf ``leaf[i]`` of event ``owner[i]``, and the runs begin at
+    ``starts``.  A run is J's leaves in order, so a reduceat over the runs
+    sums the same segments as the level kernel does over J.
+
+    ``measures`` (e, depth) and ``mults`` (e, depth, d) describe each
+    event's ancestor chain K_0 > K_1 > ... > K_n = J, with K_k the A_k atom
+    holding J: |K_k| and a_{k+1}(K_k).  Chains are padded to the depth with
+    J's measure and zero multipliers, so the last column holds |J| and a
+    padded step sees J's mean twice and adds an exact zero.
+    """
+
+    levels: np.ndarray
+    owner: np.ndarray
+    leaf: np.ndarray
+    starts: np.ndarray
+    measures: np.ndarray
+    mults: np.ndarray
+
+    def sums(self, per_leaf: np.ndarray) -> np.ndarray:
+        """Sums over each run of ``per_leaf`` in run order."""
+        return np.add.reduceat(per_leaf, self.starts, axis=0)
+
+
+def _event_runs(op: MartingaleTransform) -> EventRuns:
+    filt = op.filtration
+    lay = filt.layout
+    below_root = lay.event_levels > 0
+    levels = lay.event_levels[below_root]
+    spans = lay.event_spans[below_root]
+    owner, leaf = _span_leaves(spans)
+    lengths = spans[:, 1] - spans[:, 0]
+    # Row of K_k, k = 0..depth-1, in the stacked rows.
+    chain = lay.stacked_maps[: filt.depth, spans[:, 0]].T
+    measures = lay.stacked_measures[chain]
+    mults = np.concatenate(op.multipliers)[chain]
+    beyond = np.arange(filt.depth) > levels[:, None]
+    own = measures[np.arange(len(levels)), levels]
+    return EventRuns(
+        levels,
+        owner,
+        leaf,
+        np.cumsum(lengths) - lengths,
+        np.where(beyond, own[:, None], measures),
+        np.where(beyond[..., None], 0.0, mults),
+    )
+
+
 def _transform_stack(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
-    """T applied to a stack of inputs of shape (..., L, dim); shape (..., L)."""
-    out = np.zeros(values.shape[:-1])
-    for n, diff in enumerate(_level_differences(op.filtration, values), start=1):
-        out += np.einsum("ij,...ij->...i", op.multiplier_on_leaves(n), diff)
-    return out
+    """T applied to a stack of inputs of shape (..., L, dim); shape (..., L).
+
+    Each atom row of level n >= 1 dots its step with a_n of its parent,
+    and the levels' products are summed on the leaves (``_leaf_sum``).
+    """
+    steps = _atom_steps(op.filtration, values)
+    dots = np.einsum("ij,...ij->...i", op.step_multipliers, steps)
+    return _leaf_sum(op.filtration, dots[..., None])[..., 0]
 
 
 def _adjoint_stack(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
     """Closed-form T* applied to a stack of scalar inputs of shape
     (..., L, 1); shape (..., L, dim)."""
-    out = np.zeros((*values.shape[:-1], op.dim))
-    for n, diff in enumerate(_level_differences(op.filtration, values), start=1):
-        out += op.multiplier_on_leaves(n) * diff
-    return out
+    return _leaf_sum(op.filtration, op.step_multipliers * _atom_steps(op.filtration, values))
 
 
 def make_transform(
@@ -238,12 +304,9 @@ def split_multiplier_norm(op: MartingaleTransform) -> float:
     the range of J's split difference by h -> a_{n+1}(J) . h, so this is
     ||T|| exactly; 0 on a tower without splits."""
     lay = op.filtration.layout
-    first = lay.event_spans[:, 0]
-    # Row of J in the concatenated multipliers: its level's offset plus its
-    # index in that level's partition.
-    offsets = np.cumsum([0] + [len(a) for a in op.multipliers])
-    index = np.stack([lay.level_maps[n][first] for n in range(op.n_levels)])
-    rows = offsets[lay.event_levels] + index[lay.event_levels, np.arange(len(first))]
+    # The concatenated multipliers are the stacked rows of A_0..A_{N-1}, so
+    # J's row there is its stacked row at its level.
+    rows = lay.stacked_maps[lay.event_levels, lay.event_spans[:, 0]]
     mags = np.linalg.norm(np.concatenate(op.multipliers)[rows], axis=1)
     return float(np.max(mags, initial=0.0))
 
@@ -258,13 +321,16 @@ def predictable_hull(f: MartFunction) -> list[list[int]]:
     bit test would promote every ancestor of genuine activity into the hull.
     """
     filt = f.filtration
+    lay = filt.layout
     threshold = 1e-12 * max(1.0, float(np.max(np.abs(f.values))) if f.values.size else 0.0)
-    starts = filt.layout.level_starts
-    events: list[list[int]] = []
-    for n, diff in enumerate(_level_differences(filt, f.values)):
-        atom_max = np.maximum.reduceat(np.max(np.abs(diff), axis=1), starts[n])
-        events.append([filt.levels[n][i] for i in np.flatnonzero(atom_max > threshold)])
-    return events
+    # The level-n difference is the step of each A_{n+1} row on its leaves,
+    # so its largest value on an A_n atom is the largest over its children.
+    steps = _atom_steps(filt, f.values)
+    atom_max = np.maximum.reduceat(np.max(np.abs(steps), axis=1), lay.stacked_children)
+    rows = np.flatnonzero(atom_max > threshold)
+    ids = lay.stacked_atoms[rows]
+    ends = np.searchsorted(rows, lay.level_offsets[1 : filt.depth])
+    return [level.tolist() for level in np.split(ids, ends)]
 
 
 # ---------------------------------------------------------------------------

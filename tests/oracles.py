@@ -7,16 +7,9 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from mblab.bellman import BellmanCandidate, Witness
+from mblab.bellman import BellmanCandidate, MomentTable, Witness, conjugate_exponent
 from mblab.filtration import Filtration
-from mblab.martingale import (
-    MartFunction,
-    _level_expectation,
-    _level_means,
-    _span_leaves,
-    _weighted,
-    inner,
-)
+from mblab.martingale import MartFunction, _segment_means, _span_leaves, _weighted, inner
 from mblab.transforms import MartingaleTransform
 
 
@@ -153,6 +146,106 @@ def certificate_by_records(
         "leaves": leaves,
     }
     return payload, flagged
+
+
+# ---------------------------------------------------------------------------
+# The per-level conditional calculus: one reduceat, one take and one
+# subtraction per level, which the level-stacked kernel replaced.  Its
+# floats are the reference the stacked kernel must reproduce bit for bit.
+
+
+def _level_means(filt: Filtration, w: np.ndarray, n: int) -> np.ndarray:
+    """Averages over the A_n atoms, in level order, of weighted values."""
+    lay = filt.layout
+    return _segment_means(w, lay.level_starts[n], lay.level_measures[n])
+
+
+def _level_expectation(filt: Filtration, w: np.ndarray, n: int) -> np.ndarray:
+    """E_n at leaf resolution, from weighted values; shape (..., L, d)."""
+    return np.take(_level_means(filt, w, n), filt.layout.level_maps[n], axis=-2)
+
+
+def _level_difference(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
+    """E_{n+1} v - E_n v at leaf resolution: the sum of the single-split
+    differences of all events at level n, whose supports are disjoint."""
+    w = _weighted(filt, values)
+    return _level_expectation(filt, w, n + 1) - _level_expectation(filt, w, n)
+
+
+def _level_differences(
+    filt: Filtration, values: np.ndarray, start: int = 0
+) -> Iterator[np.ndarray]:
+    """E_{n+1} v - E_n v at leaf resolution for n = start..depth-1, in order."""
+    w = _weighted(filt, values)
+    prev = _level_expectation(filt, w, start)
+    for n in range(start + 1, filt.depth + 1):
+        cur = _level_expectation(filt, w, n)
+        yield cur - prev
+        prev = cur
+
+
+def transform_by_levels(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
+    """T of (..., L, dim) inputs, one level difference at a time."""
+    out = np.zeros(values.shape[:-1])
+    for n, diff in enumerate(_level_differences(op.filtration, values), start=1):
+        out += np.einsum("ij,...ij->...i", op.multiplier_on_leaves(n), diff)
+    return out
+
+
+def adjoint_by_levels(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
+    """Closed-form T* of (..., L, 1) inputs, one level difference at a time."""
+    out = np.zeros((*values.shape[:-1], op.dim))
+    for n, diff in enumerate(_level_differences(op.filtration, values), start=1):
+        out += op.multiplier_on_leaves(n) * diff
+    return out
+
+
+def moment_table_by_levels(
+    f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: float
+) -> MomentTable:
+    """``moment_table`` as the level-by-level pass it replaced: per level,
+    one reduceat of the weighted columns, the leaf expectations, osc2 of
+    T* g, the split pairings of the level's events and their children's
+    x2 gains."""
+    if g.dim != 1 or tstar_g.dim != f.dim:
+        raise ValueError("g must be scalar valued and T* g must have the dimension of f")
+    filt = f.filtration
+    lay = filt.layout
+    dim, q, gv = f.dim, conjugate_exponent(p), g.values[:, 0]
+    f_p = np.linalg.norm(f.values, axis=1) ** p
+    w = _weighted(filt, np.column_stack((f.values, tstar_g.values, gv * gv, f_p, np.abs(gv) ** q)))
+    rows = np.empty((len(filt.atoms), 2 * dim + 5))  # x1, g2, x2, x3, x4, <T* g>, osc2
+    split = np.empty((len(lay.event_atoms), 3))  # d^2, pairing, x2 gain
+    for n in range(filt.depth + 1):
+        means = _level_means(filt, w, n)
+        cond = np.take(means[:, : 2 * dim], lay.level_maps[n], axis=0)
+        centered = tstar_g.values - cond[:, dim:]
+        sq = np.einsum("ij,ij->i", centered, centered)[:, None]
+        osc2 = _level_means(filt, _weighted(filt, sq), n)[:, 0]
+        x2 = means[:, -3] - osc2
+        # A persisting atom gets the same floats at every level it is in.
+        level_rows = np.column_stack(
+            (means[:, :dim], means[:, -3], x2, means[:, -2:], means[:, dim : 2 * dim], osc2)
+        )
+        rows[np.asarray(filt.levels[n])] = level_rows
+        if n:
+            df, dg = np.hsplit(cond - prev_cond, 2)
+            pair = np.column_stack((np.einsum("ij,ij->i", dg, dg), np.einsum("ij,ij->i", df, dg)))
+            at = lay.event_levels == n - 1
+            pick = lay.level_maps[n - 1][lay.event_spans[at, 0]]
+            split[at, :2] = _level_means(filt, _weighted(filt, pair), n - 1)[pick]
+            first_kids = lay.level_maps[n][lay.level_starts[n - 1]]
+            kids_x2 = np.add.reduceat(lay.level_measures[n] * x2, first_kids)
+            split[at, 2] = (kids_x2 / lay.level_measures[n - 1] - prev_x2)[pick]
+        prev_cond, prev_x2 = cond, x2
+    x1, g2, x2, x3, x4, tstar_mean, osc2 = np.hsplit(
+        rows, [dim, dim + 1, dim + 2, dim + 3, dim + 4, 2 * dim + 4]
+    )
+    d = np.sqrt(np.maximum(split[:, 0], 0.0))
+    return MomentTable(
+        p, x1, g2[:, 0], x2[:, 0], x3[:, 0], x4[:, 0], tstar_mean, osc2[:, 0],
+        d, split[:, 1], split[:, 2],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,7 @@ from mblab.certifier import certify
 from mblab.checks import SUITES, Tolerances, _row, hoelder_mean_margin, run_all, run_suite
 from mblab.corpus import max_children_for, prepare_cell, random_transform, random_witness
 from mblab.filtration import Filtration, build_dyadic, build_random_regular
-from mblab.martingale import (
-    MartFunction,
-    average,
-    inner,
-    l2_norm,
-    _level_difference,
-    _level_differences,
-    _level_means,
-    _weighted,
-)
+from mblab.martingale import MartFunction, average, inner, l2_norm
 from mblab.transforms import (
     MartingaleTransform,
     _adjoint_stack,
@@ -40,7 +31,15 @@ from mblab.transforms import (
     operator_norm,
     split_multiplier_norm,
 )
-from oracles import SpanFed, _blocks, level_osc2
+from oracles import (
+    SpanFed,
+    _blocks,
+    _level_difference,
+    _level_differences,
+    _level_means,
+    _weighted,
+    level_osc2,
+)
 
 
 def test_suite_names_are_stable():
@@ -422,8 +421,9 @@ def _assert_matches_reference(f, g, op):
         for a, b in zip(new, ref):
             assert abs(a["max_err"] - b["max_err"]) <= gaps[a["check"]], (a, b)
 
-    runs = checks._event_runs(op)
-    _, new_local, new_glob = checks._restriction_sides(Witness(f, g, op), runs)
+    w = Witness(f, g, op)
+    runs = w.event_runs
+    _, new_local, new_glob = checks._restriction_sides(w)
     spans, _, _, ref_local, ref_glob = _restriction_sides(g, op)
     # the local side is osc2 of T* g over J: tiny on some deep atoms, where
     # the two adjoint routes differ by roundoff of the O(1) leaf values
@@ -473,11 +473,16 @@ _THIS = sys.modules[__name__]
 
 def test_localization_red_on_offset_piece(monkeypatch, kernel_tower):
     f, g, op = _witness(kernel_tower, 2, 3)
-    for module in (checks, _THIS):
-        exact = module._level_difference
-        monkeypatch.setattr(
-            module, "_level_difference", lambda filt, v, n, exact=exact: exact(filt, v, n) + 1e-6
-        )
+    # every piece 1e-6 off where the kernels return it: the atom steps of
+    # the diagonal route, the level difference of the reference
+    exact_steps = checks._diagonal_steps
+    monkeypatch.setattr(
+        checks, "_diagonal_steps", lambda filt, v, first=0: exact_steps(filt, v, first) + 1e-6
+    )
+    exact = _level_difference
+    monkeypatch.setattr(
+        _THIS, "_level_difference", lambda filt, v, n: exact(filt, v, n) + 1e-6
+    )
     for rows in (
         checks.check_localization(Witness(f, g, op), Tolerances(), np.random.default_rng(4)),
         check_localization(f, g, op, Tolerances(), np.random.default_rng(4)),
@@ -489,12 +494,8 @@ def test_localization_red_on_offset_piece(monkeypatch, kernel_tower):
 def test_restriction_probe_red_on_scaled_cut(monkeypatch, kernel_tower):
     f, g, op = _witness(kernel_tower, 2, 5)
     # every cut 1 + 1e-6 times too large where it enters the adjoint kernel
-    exact_levels = checks._level_differences
-    monkeypatch.setattr(
-        checks,
-        "_level_differences",
-        lambda filt, v, start=0: exact_levels(filt, v * (1 + 1e-6), start),
-    )
+    exact_steps = checks._atom_steps
+    monkeypatch.setattr(checks, "_atom_steps", lambda filt, v: exact_steps(filt, v * (1 + 1e-6)))
     exact_stack = _adjoint_stack
     monkeypatch.setattr(_THIS, "_adjoint_stack", lambda op, v: exact_stack(op, v * (1 + 1e-6)))
     for probe in (checks.restriction_identity_gaps, restriction_identity_gaps):

@@ -91,9 +91,17 @@ def test_unwritable_out_exits_two(capsys):
         ["search", "--seed", "1", "--ascent", "-5"],
         ["gen", "--split-prob", "7", "--depth", "2"],
         ["gen", "--seed", "1", "--delta", "0.25", "--split-prob", "-0.1"],
+        # a dict stands for a --config file holding it
+        ["scan", "--seed", "1", "--config", {"trials": "5"}],
+        ["gen", "--config", {"seed": 1.5, "depth": 2}],
     ],
 )
-def test_bad_arguments_exit_two(argv, capsys):
+def test_bad_arguments_exit_two(argv, capsys, tmp_path):
+    config = tmp_path / "config.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
+            argv = [*argv[:i], str(config), *argv[i + 1 :]]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

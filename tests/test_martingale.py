@@ -3,16 +3,30 @@ single-split differences, oscillation bookkeeping."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mblab.filtration import build_dyadic, level_partition, split_schedule
+from mblab.bellman import moment_table
+from mblab.corpus import random_transform, random_witness
+from mblab.filtration import (
+    Atom,
+    Filtration,
+    build_dyadic,
+    build_random_regular,
+    level_partition,
+    split_schedule,
+)
 from mblab.martingale import (
     MartFunction,
     PartitionError,
     _averaging_matrices,
+    _diagonal_steps,
+    _diagonal_sums,
     _event_draws,
+    _level_differences,
+    _level_steps,
+    _stacked_means,
     average,
     cond_exp,
     delta_split,
@@ -22,6 +36,7 @@ from mblab.martingale import (
     osc2,
     restrict,
 )
+from mblab.transforms import _adjoint_stack, _transform_stack
 import oracles
 from oracles import SpanFed, event_draws_by_blocks
 
@@ -264,3 +279,112 @@ def test_jensen_for_averages(vals):
     f = MartFunction(filt, vals)
     root = filt.root.id
     assert abs(float(average(f, root)[0])) <= lp_norm(f, 2.0) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The level-stacked kernel against the per-level loop it replaced, bit for bit
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def _assert_same_bits(new, ref):
+    assert new.shape == ref.shape
+    assert np.array_equal(_bits(new), _bits(ref))
+
+
+def _last_atom_single_leaf():
+    # [0, 1) splits in two and only the left half splits again, so the last
+    # atom of levels 1 and 2 is one leaf: a segment of one row before the
+    # sentinel
+    atoms = (
+        Atom(0, 0.0, 1.0, 0, None, (1, 2)),
+        Atom(1, 0.0, 0.5, 1, 0, (3, 4)),
+        Atom(2, 0.5, 1.0, 1, 0, ()),
+        Atom(3, 0.0, 0.25, 2, 1, ()),
+        Atom(4, 0.25, 0.5, 2, 1, ()),
+    )
+    return Filtration(delta=0.5, depth=2, atoms=atoms)
+
+
+def _assert_kernel_matches_levels(filt, dim, seed):
+    rng = np.random.default_rng(seed)
+    lay = filt.layout
+    L = filt.n_leaves
+    for lead in [(), (3,), (2, 2)]:
+        values = rng.normal(size=(*lead, L, dim)) * np.exp(rng.normal(size=(*lead, L, dim)))
+        w = oracles._weighted(filt, values)
+        means = _stacked_means(filt, values)
+        per_level = [oracles._level_means(filt, w, n) for n in range(filt.depth + 1)]
+        _assert_same_bits(means, np.concatenate(per_level, axis=-2))
+        for n in range(filt.depth + 1):
+            expectation = np.take(means, lay.stacked_maps[n], axis=-2)
+            _assert_same_bits(expectation, oracles._level_expectation(filt, w, n))
+        steps = _level_steps(filt, means)
+        ref = list(oracles._level_differences(filt, values))
+        for n, diff in enumerate(ref, start=1):
+            _assert_same_bits(np.take(steps, lay.stacked_maps[n], axis=-2), diff)
+        if not lead:
+            _assert_same_bits(_level_differences(filt, values), np.stack(ref))
+
+    # row k at level first + k: the diagonal sums and steps
+    for first in range(filt.depth):
+        stack = rng.normal(size=(filt.depth - first, L, dim))
+        sums = _diagonal_sums(filt, stack, first)
+        ref = [
+            np.add.reduceat(lay.measures[:, None] * row, lay.level_starts[first + k], axis=-2)
+            for k, row in enumerate(stack)
+        ]
+        _assert_same_bits(sums, np.concatenate(ref))
+        flat = _diagonal_sums(filt, stack[..., 0], first)
+        ref = [
+            np.add.reduceat(lay.measures * row[:, 0], lay.level_starts[first + k])
+            for k, row in enumerate(stack)
+        ]
+        _assert_same_bits(flat, np.concatenate(ref))
+        steps = _diagonal_steps(filt, stack, first)
+        for k, row in enumerate(stack):
+            n = first + k
+            piece = np.take(steps, lay.stacked_maps[n + 1], axis=0)
+            _assert_same_bits(piece, oracles._level_difference(filt, row, n))
+
+    # the transform kernels sum the levels on the leaves in the loop's order
+    f, g = random_witness(filt, dim, rng)
+    op = random_transform(filt, dim, rng)
+    for lead in [(), (2,)]:
+        x = rng.normal(size=(*lead, L, dim))
+        _assert_same_bits(_transform_stack(op, x), oracles.transform_by_levels(op, x))
+        y = rng.normal(size=(*lead, L, 1))
+        _assert_same_bits(_adjoint_stack(op, y), oracles.adjoint_by_levels(op, y))
+
+    tstar_g = op.adjoint_closed_form(g)
+    for p in (2.0, 1.5):
+        new = moment_table(f, g, tstar_g, p)
+        ref = oracles.moment_table_by_levels(f, g, tstar_g, p)
+        for name in ("x1", "g2", "x2", "x3", "x4", "tstar_mean", "osc2", "d", "pairing", "x2_gain"):
+            _assert_same_bits(getattr(new, name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stacked_kernel_matches_per_level_loop_on_fixed_towers(kernel_tower, dim):
+    _assert_kernel_matches_levels(kernel_tower, dim, 20 + dim)
+    _assert_kernel_matches_levels(_last_atom_single_leaf(), dim, 30 + dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dyadic=st.booleans(),
+    depth=st.integers(1, 10),
+    delta=st.sampled_from([0.1, 0.25, 1.0 / 3.0]),
+    split_prob=st.sampled_from([0.3, 0.6]),
+    tower_seed=st.integers(0, 10_000),
+    dim=st.integers(1, 3),
+)
+def test_stacked_kernel_matches_per_level_loop(dyadic, depth, delta, split_prob, tower_seed, dim):
+    if dyadic:
+        filt = build_dyadic(depth)
+    else:
+        filt = build_random_regular(depth, delta, 3, split_prob, tower_seed)
+    assume(filt.n_leaves <= 2048)
+    _assert_kernel_matches_levels(filt, dim, tower_seed)
