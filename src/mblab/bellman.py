@@ -37,7 +37,9 @@ diameter direction of the x1 cloud, halved, and recombined through a binary
 midpoint tree, held as one array of block means per tree level.  The
 separation of the half means against the cloud diameter is the measured
 constant that prices moving a candidate from the balanced regime
-delta = 1/2 down to smaller regularity floors.
+delta = 1/2 down to smaller regularity floors.  ``estimate_rescale_constant``
+prices the same move exactly: the slack of C * B is affine in C, so the
+smallest C is one ratio over the configurations that fail at C = 1.
 """
 
 from __future__ import annotations
@@ -471,15 +473,11 @@ def _split_terms(
     return values[counts.sum() :], d * diam, kid_sum
 
 
-def _slacks(c: float, base: np.ndarray, d_diam: np.ndarray, kid_sum: np.ndarray) -> np.ndarray:
-    """Split slacks of the candidate scaled by c, from the unscaled terms."""
-    return c * base - d_diam - c * kid_sum
-
-
 def split_slack(cand: BellmanCandidate, cfg: SplitConfig) -> float:
     """Signed slack of the split inequality; admissible candidates keep it
     nonnegative up to roundoff."""
-    return float(_slacks(1.0, *_split_terms(cand, [cfg]))[0])
+    base, d_diam, kid_sum = _split_terms(cand, [cfg])
+    return float(base[0] - d_diam[0] - kid_sum[0])
 
 
 # ---------------------------------------------------------------------------
@@ -574,59 +572,54 @@ def sample_dyadic_split_configs(
     return out
 
 
-# Diameters and displacement-to-diameter ratios (0.025 .. 0.7) of the
-# extremal configurations.
+# Diameters of the extremal configurations.
 _ADVERSARIAL_SCALES = (0.5, 1.0, 2.0)
-_ADVERSARIAL_D_GRID = tuple(0.025 * (k + 1) for k in range(28))
 
 
 def adversarial_split_configs(delta: float, p: float, dim: int = 1) -> list[SplitConfig]:
     """Extremal-geometry configurations that pin the worst case of
-    quadratic-penalty candidates.
+    quadratic-penalty candidates, one per diameter D in
+    ``_ADVERSARIAL_SCALES``.
 
     For delta <= 1/3: two weight-delta points at the ends of a diameter and
-    the rest of the mass at the mean, which minimizes the x1 spread at fixed
-    diameter.  Above 1/3 only two parts fit, with the lighter one at the
-    floor.  Crossed with a grid of displacement-to-diameter ratios; random
-    sampling alone stays far from this corner.
+    the rest of the mass at the mean, which minimizes the x1 variance at
+    fixed diameter, Var = v * D^2 with v = delta / 2.  Above 1/3 only two
+    parts fit, with the lighter one at the floor, and v = delta (1 - delta).
+    The displacement is d = sqrt(v) * D, where |d| * D / (Var + d^2), the
+    scale a quadratic-penalty candidate needs, peaks at 1 / (2 sqrt(v));
+    random sampling alone stays far from this corner.
     """
     q = conjugate_exponent(p)
+    if delta <= 1.0 / 3.0 + 1e-12:
+        fracs, weights, v = (0.0, 1.0, 0.5), (delta, delta, 1.0 - 2.0 * delta), delta / 2.0
+    else:
+        fracs, weights, v = (0.0, 1.0), (delta, 1.0 - delta), delta * (1.0 - delta)
     out = []
     for scale in _ADVERSARIAL_SCALES:
-        if delta <= 1.0 / 3.0 + 1e-12:
-            xs = (0.0, scale, scale / 2.0)
-            ws = (delta, delta, 1.0 - 2.0 * delta)
-        else:
-            xs = (0.0, scale)
-            ws = (delta, 1.0 - delta)
-        for t in _ADVERSARIAL_D_GRID:
-            d = t * scale
-            pts = []
-            for x in xs:
-                x1 = np.zeros(dim)
-                x1[0] = x
-                pts.append(
-                    BellmanPoint(
-                        x1=x1,
-                        x2=d * d,
-                        x3=float(abs(x) ** p),
-                        x4=float((d * d) ** (q / 2.0)),
-                        p=p,
-                    )
-                )
-            weights = np.asarray(ws, dtype=float)
-            base = BellmanPoint(
-                x1=sum(w * pt.x1 for w, pt in zip(weights, pts)),
-                x2=0.0,
-                x3=float(sum(w * pt.x3 for w, pt in zip(weights, pts))),
-                x4=float(sum(w * pt.x4 for w, pt in zip(weights, pts))),
-                p=p,
-            )
-            out.append(
-                SplitConfig(
-                    delta=delta, p=p, points=tuple(pts), weights=weights, d=d, base=base
+        d = math.sqrt(v) * scale
+        pts = []
+        for frac in fracs:
+            x1 = np.zeros(dim)
+            x1[0] = frac * scale
+            pts.append(
+                BellmanPoint(
+                    x1=x1,
+                    x2=d * d,
+                    x3=float(abs(x1[0]) ** p),
+                    x4=float((d * d) ** (q / 2.0)),
+                    p=p,
                 )
             )
+        base = BellmanPoint(
+            x1=sum(w * pt.x1 for w, pt in zip(weights, pts)),
+            x2=0.0,
+            x3=float(sum(w * pt.x3 for w, pt in zip(weights, pts))),
+            x4=float(sum(w * pt.x4 for w, pt in zip(weights, pts))),
+            p=p,
+        )
+        out.append(
+            SplitConfig(delta=delta, p=p, points=tuple(pts), weights=weights, d=d, base=base)
+        )
     return out
 
 
@@ -746,13 +739,17 @@ def recombine_slack(
 
 @dataclass(frozen=True)
 class RescaleEstimate:
+    """The rescale constant of a candidate at floor ``delta``.  ``worst``
+    indexes the configuration that sets it, the sampled ones first, or is
+    None when the constant is 1."""
+
     constant: float
     delta: float
     p: float
     samples: int
     adversarial: int
     seed: int
-    grid: tuple[tuple[float, int], ...]  # (tested constant, failing configs)
+    worst: int | None
 
 
 def estimate_rescale_constant(
@@ -761,42 +758,38 @@ def estimate_rescale_constant(
     samples: int = 200,
     seed: int = 0,
     dim: int = 1,
-    grid_factor: float = 1.05,
-    c_max: float = 1e6,
-    adversarial: bool = True,
 ) -> RescaleEstimate:
-    """Smallest grid constant C with C * candidate passing every sampled
-    configuration at the target floor.  The grid starts at 1 and grows
-    geometrically; a candidate already admissible at delta reports 1.0.
-    Extremal-geometry configurations are mixed in by default because random
-    draws alone understate the required constant."""
-    if not c_max >= 1.0:
-        raise ValueError(f"c_max must be at least 1, got {c_max}")
+    """Smallest C with C * cand admissible at floor delta on sampled and
+    extremal configurations; random draws alone understate it.  The slack
+    of C * B is C * gap - |d| * diam, gap = B(base) - sum_k lambda_k B(x^k),
+    so C is 1.0 if every slack at C = 1 is at least -1e-9 * max(1, |B(base)|),
+    else the largest |d| * diam / gap over the failing configurations.  A
+    failing one with gap <= 0 fails at every C: RuntimeError."""
     cfgs = sample_split_configs(delta, cand.p, samples, seed, dim=dim)
-    adv = adversarial_split_configs(delta, cand.p, dim=dim) if adversarial else []
-    terms = _split_terms(cand, cfgs + adv)
-    grid: list[tuple[float, int]] = []
-    c = 1.0
-    while c <= c_max:
-        slack = _slacks(c, *terms)
-        failing = np.flatnonzero(slack < -1e-9 * np.maximum(1.0, np.abs(c * terms[0])))
-        grid.append((c, len(failing)))
-        if not len(failing):
-            return RescaleEstimate(
-                constant=c,
-                delta=delta,
-                p=cand.p,
-                samples=samples,
-                adversarial=len(adv),
-                seed=seed,
-                grid=tuple(grid),
+    adv = adversarial_split_configs(delta, cand.p, dim=dim)
+    base, d_diam, kid_sum = _split_terms(cand, cfgs + adv)
+    gap = base - kid_sum
+    failing = np.flatnonzero(base - d_diam - kid_sum < -1e-9 * np.maximum(1.0, np.abs(base)))
+    constant, worst = 1.0, None
+    if len(failing):
+        stuck = failing[gap[failing] <= 0.0]
+        if len(stuck):
+            i = int(stuck[0])
+            raise RuntimeError(
+                f"no rescale constant makes '{cand.label}' pass at delta={delta}: configuration"
+                f" {i} has |d| * diam = {d_diam[i]:.6g} and gap {gap[i]:.6g}"
             )
-        c *= grid_factor
-    worst = failing[np.argmin(slack[failing])]
-    raise RuntimeError(
-        f"no rescale constant up to {c_max:g} makes '{cand.label}' pass at "
-        f"delta={delta}; at C={grid[-1][0]:.6g} {grid[-1][1]} of {len(slack)} "
-        f"configurations still fail, worst slack {slack[worst]:.6g} at config {worst}"
+        ratio = d_diam[failing] / gap[failing]
+        worst = int(failing[np.argmax(ratio)])
+        constant = float(ratio.max())
+    return RescaleEstimate(
+        constant=constant,
+        delta=delta,
+        p=cand.p,
+        samples=samples,
+        adversarial=len(adv),
+        seed=seed,
+        worst=worst,
     )
 
 

@@ -279,7 +279,7 @@ def check_osc_series(w: Witness, tol: Tolerances, rng: np.random.Generator) -> l
     err = 0.0
     for n in range(filt.depth - 1, -1, -1):
         piece_sq = piece_sums[lay.level_offsets[n] : lay.level_offsets[n + 1]]
-        container = lay.level_maps[n][lay.level_starts[n + 1]]
+        container = lay.stacked_maps[n][lay.level_starts[n + 1]] - lay.level_offsets[n]
         series = piece_sq + np.bincount(container, weights=series, minlength=len(piece_sq))
         split = np.bincount(container, minlength=len(piece_sq)) > 1
         direct = osc2[np.asarray(filt.levels[n])[split]]

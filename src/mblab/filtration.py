@@ -102,9 +102,8 @@ class LeafLayout:
     ``atom_measures[i]`` the measure b - a of atom i.  ``spans[i]`` is the
     [lo, hi) leaf range of atom i.  For each level n,
     ``level_starts[n]`` holds the first leaf of every A_n atom in level
-    order (the boundaries for ``np.add.reduceat``), ``level_measures[n]``
-    their measures b - a, and ``level_maps[n]`` maps each leaf position to
-    the index of its A_n atom.  ``event_atoms``, ``event_levels`` and
+    order (the boundaries for ``np.add.reduceat``) and ``level_measures[n]``
+    their measures b - a.  ``event_atoms``, ``event_levels`` and
     ``event_spans`` describe the split events in schedule order; the
     children of an event at level n are the A_{n+1} atoms inside its span.
     ``event_children[event_child_starts[e]:event_child_starts[e + 1]]`` are
@@ -121,8 +120,9 @@ class LeafLayout:
     floats of the per-level reduceat.  ``level_starts[n]`` and
     ``level_measures[n]`` are views of ``stacked_starts`` and
     ``stacked_measures``.  ``stacked_maps[n]`` maps each leaf to its A_n
-    row, ``stacked_atoms`` each row to its atom id, ``stacked_parents``
-    each row of level n >= 1 to the row of the A_{n-1} atom holding it (the
+    row (less ``level_offsets[n]``, the index of that atom in level order),
+    ``stacked_atoms`` each row to its atom id, ``stacked_parents`` each row
+    of level n >= 1 to the row of the A_{n-1} atom holding it (the
     root row to itself), and ``stacked_children`` each row of levels
     0..N-1 to the row of its first A_{n+1} atom, so that the rows of one
     parent's children are one reduceat segment.  ``diagonal_starts`` is
@@ -136,7 +136,6 @@ class LeafLayout:
     spans: np.ndarray
     level_starts: tuple[np.ndarray, ...]
     level_measures: tuple[np.ndarray, ...]
-    level_maps: tuple[np.ndarray, ...]
     event_atoms: np.ndarray
     event_levels: np.ndarray
     event_spans: np.ndarray
@@ -195,7 +194,7 @@ class Filtration:
 
     @cached_property
     def layout(self) -> LeafLayout:
-        """Leaf spans, level maps and event spans; built on first use."""
+        """Leaf spans, level rows and event spans; built on first use."""
         return _build_layout(self)
 
     def leaf_measures(self) -> np.ndarray:
@@ -448,7 +447,6 @@ def _build_layout(f: Filtration) -> LeafLayout:
     spans[stacked_atoms, 1] = first_leaf + leaves_in
     shape = (len(sizes), n_leaves)
     stacked_maps = _frozen(np.repeat(rows, leaves_in).reshape(shape))
-    level_maps = _frozen(np.repeat(rows - offsets[row_level], leaves_in).reshape(shape))
     # Row r of level n is boundary r + n, after n sentinels.
     stacked_starts = np.full(offsets[-1] + len(sizes), n_leaves)
     stacked_starts[rows + row_level] = first_leaf
@@ -474,7 +472,6 @@ def _build_layout(f: Filtration) -> LeafLayout:
             for n, (off, end) in enumerate(zip(offsets, offsets[1:]))
         ),
         level_measures=tuple(stacked_measures[off:end] for off, end in zip(offsets, offsets[1:])),
-        level_maps=tuple(level_maps),
         event_atoms=_frozen(event_atoms),
         event_levels=_frozen(row_level[split]),
         event_spans=_frozen(spans[event_atoms]),

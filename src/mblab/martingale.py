@@ -331,7 +331,7 @@ def delta_split(f: MartFunction, event: SplitEvent) -> MartFunction:
         raise ValueError(f"atom {atom.id} has no split event")
     lay = filt.layout
     lo, hi = lay.spans[atom.id].tolist()
-    child_map = lay.level_maps[atom.level + 1][lo:hi]
+    child_map = lay.stacked_maps[atom.level + 1][lo:hi] - lay.level_offsets[atom.level + 1]
     first, last = int(child_map[0]), int(child_map[-1]) + 1
     w = lay.measures[lo:hi, None] * f.values[lo:hi]
     parent_avg = np.add.reduceat(w, _WHOLE, axis=0)[0] / atom.measure
@@ -404,6 +404,6 @@ def _averaging_matrices(f: Filtration) -> Iterator[np.ndarray]:
     """
     lay = f.layout
     m = lay.measures
-    for leaf_map, measures in zip(lay.level_maps, lay.level_measures):
+    for leaf_map in lay.stacked_maps:
         same = leaf_map[:, None] == leaf_map[None, :]
-        yield np.where(same, m[None, :] / measures[leaf_map][:, None], 0.0)
+        yield np.where(same, m[None, :] / lay.stacked_measures[leaf_map][:, None], 0.0)

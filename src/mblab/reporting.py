@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -188,10 +188,12 @@ def _cell(v) -> str:
     return text
 
 
-def rows_to_csv(rows: Sequence[Mapping], fields: Iterable[str] | None = None) -> str:
+def rows_to_csv(rows: Sequence[Mapping]) -> str:
+    """One CSV line per row under the first row's keys; a key a row lacks
+    gives an empty cell."""
     if not rows:
         raise ReportError("refusing to write an empty report")
-    cols = list(fields) if fields is not None else list(rows[0].keys())
+    cols = list(rows[0].keys())
     lines = [",".join(cols)]
     for row in rows:
         lines.append(",".join(_cell(row.get(c)) for c in cols))

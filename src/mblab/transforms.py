@@ -79,10 +79,6 @@ class MartingaleTransform:
     dim: int
     multipliers: tuple[np.ndarray, ...]
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.multipliers)
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense oracle mapping flattened (leaf, coord) inputs to leaf
@@ -99,7 +95,8 @@ class MartingaleTransform:
 
     def multiplier_on_leaves(self, n: int) -> np.ndarray:
         """Level-n multiplier expanded to leaf resolution, shape (L, dim)."""
-        return self.multipliers[n - 1][self.filtration.layout.level_maps[n - 1]]
+        lay = self.filtration.layout
+        return self.multipliers[n - 1][lay.stacked_maps[n - 1] - lay.level_offsets[n - 1]]
 
     def apply(self, f: MartFunction) -> MartFunction:
         """T f through the multiplier formula."""
@@ -258,10 +255,11 @@ def make_transform(
 
 def _reduce_to_level(filtration: Filtration, leaf_vals: np.ndarray, level: int) -> np.ndarray:
     lay = filtration.layout
+    leaf_map = lay.stacked_maps[level] - lay.level_offsets[level]
     per_atom = leaf_vals[lay.level_starts[level]]
-    bad = np.any(leaf_vals != per_atom[lay.level_maps[level]], axis=1)
+    bad = np.any(leaf_vals != per_atom[leaf_map], axis=1)
     if bad.any():
-        atom_id = filtration.levels[level][lay.level_maps[level][np.argmax(bad)]]
+        atom_id = filtration.levels[level][leaf_map[np.argmax(bad)]]
         raise PredictabilityError(
             f"multiplier is not constant on atom {atom_id} of level {level}"
         )
@@ -275,11 +273,11 @@ def _materialize_matrix(
     holding two of them at a time."""
     P = _averaging_matrices(filtration)
     L = filtration.n_leaves
-    leaf_maps = filtration.layout.level_maps
+    stacked = np.concatenate(rows)  # the multipliers of the stacked rows of A_0..A_{N-1}
     tensor = np.zeros((L, L, dim))
     prev = next(P)
     for n, cur in enumerate(P, start=1):
-        a_leaf = rows[n - 1][leaf_maps[n - 1]]
+        a_leaf = stacked[filtration.layout.stacked_maps[n - 1]]
         tensor += a_leaf[:, None, :] * (cur - prev)[:, :, None]
         prev = cur
     out = tensor.reshape(L, L * dim)

@@ -154,6 +154,12 @@ def certificate_by_records(
 # floats are the reference the stacked kernel must reproduce bit for bit.
 
 
+def level_map(filt: Filtration, n: int) -> np.ndarray:
+    """Index, in level order, of the A_n atom holding each leaf."""
+    lay = filt.layout
+    return lay.stacked_maps[n] - lay.level_offsets[n]
+
+
 def _level_means(filt: Filtration, w: np.ndarray, n: int) -> np.ndarray:
     """Averages over the A_n atoms, in level order, of weighted values."""
     lay = filt.layout
@@ -162,7 +168,7 @@ def _level_means(filt: Filtration, w: np.ndarray, n: int) -> np.ndarray:
 
 def _level_expectation(filt: Filtration, w: np.ndarray, n: int) -> np.ndarray:
     """E_n at leaf resolution, from weighted values; shape (..., L, d)."""
-    return np.take(_level_means(filt, w, n), filt.layout.level_maps[n], axis=-2)
+    return np.take(_level_means(filt, w, n), level_map(filt, n), axis=-2)
 
 
 def _level_difference(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
@@ -218,7 +224,7 @@ def moment_table_by_levels(
     split = np.empty((len(lay.event_atoms), 3))  # d^2, pairing, x2 gain
     for n in range(filt.depth + 1):
         means = _level_means(filt, w, n)
-        cond = np.take(means[:, : 2 * dim], lay.level_maps[n], axis=0)
+        cond = np.take(means[:, : 2 * dim], level_map(filt, n), axis=0)
         centered = tstar_g.values - cond[:, dim:]
         sq = np.einsum("ij,ij->i", centered, centered)[:, None]
         osc2 = _level_means(filt, _weighted(filt, sq), n)[:, 0]
@@ -232,9 +238,9 @@ def moment_table_by_levels(
             df, dg = np.hsplit(cond - prev_cond, 2)
             pair = np.column_stack((np.einsum("ij,ij->i", dg, dg), np.einsum("ij,ij->i", df, dg)))
             at = lay.event_levels == n - 1
-            pick = lay.level_maps[n - 1][lay.event_spans[at, 0]]
+            pick = level_map(filt, n - 1)[lay.event_spans[at, 0]]
             split[at, :2] = _level_means(filt, _weighted(filt, pair), n - 1)[pick]
-            first_kids = lay.level_maps[n][lay.level_starts[n - 1]]
+            first_kids = level_map(filt, n)[lay.level_starts[n - 1]]
             kids_x2 = np.add.reduceat(lay.level_measures[n] * x2, first_kids)
             split[at, 2] = (kids_x2 / lay.level_measures[n - 1] - prev_x2)[pick]
         prev_cond, prev_x2 = cond, x2

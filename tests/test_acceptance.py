@@ -199,12 +199,11 @@ def test_criterion_6_expansion_suite():
     own = estimate_rescale_constant(cand, 0.5, samples=150, seed=61)
     c025 = estimate_rescale_constant(cand, 0.25, samples=150, seed=61)
     c010 = estimate_rescale_constant(cand, 0.1, samples=150, seed=61)
+    # the analytic constants 1/(2 sqrt(delta/2)) of the extremal configurations
     rescale_ok = (
         own.constant == 1.0
-        and math.isfinite(c025.constant)
-        and 1.0 < c025.constant < 1e6
-        and math.isfinite(c010.constant)
-        and 1.0 < c010.constant < 1e6
+        and abs(c025.constant / math.sqrt(2.0) - 1.0) <= 1e-12
+        and abs(c010.constant / math.sqrt(5.0) - 1.0) <= 1e-12
     )
     ok = ratio_ok and positive_ok and recomb_ok and rescale_ok
     _verdict(

@@ -431,60 +431,72 @@ def test_rescale_identity_at_own_floor():
     cand = quadratic_candidate(0.5)
     est = estimate_rescale_constant(cand, 0.5, samples=150, seed=8)
     assert est.constant == pytest.approx(1.0, abs=0)
+    assert est.worst is None
     assert est.adversarial > 0
 
 
-def test_rescale_matches_two_point_extremal_theory():
+def _sharp_constant(delta):
     # worst configurations put mass delta at both diameter ends; the scale
     # factor needed by the unit quadratic candidate is 1/(2 sqrt(v)) with
     # v = delta/2 below 1/3 and v = delta (1 - delta) above
+    v = delta / 2.0 if delta <= 1.0 / 3.0 else delta * (1.0 - delta)
+    return 1.0 / (2.0 * math.sqrt(v))
+
+
+def test_rescale_matches_two_point_extremal_theory():
     cand = quadratic_candidate(0.5)  # alpha = 1, cp = 1
     for delta in (0.1, 0.25, 1.0 / 3.0):
-        v = delta / 2.0 if delta <= 1.0 / 3.0 else delta * (1.0 - delta)
-        sharp = 1.0 / (2.0 * math.sqrt(v))
         est = estimate_rescale_constant(cand, delta, samples=150, seed=9)
-        assert sharp - 1e-9 <= est.constant <= sharp * 1.051
+        assert est.constant == pytest.approx(_sharp_constant(delta), rel=1e-12, abs=0)
 
 
-def test_rescale_frozen_grid_values():
+def _clears(cand, cfg):
+    return split_slack(cand, cfg) >= -1e-9 * max(1.0, abs(cand.evaluate(cfg.base)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("delta", [0.1, 0.125, 0.2, 0.25, 1.0 / 3.0, 0.4, 0.45])
+def test_rescale_constant_is_exact(delta, dim):
+    # C is the analytic constant, set by an extremal configuration: C * B
+    # clears every configuration just above C, and the worst one fails just
+    # below it
     cand = quadratic_candidate(0.5)
-    est = estimate_rescale_constant(cand, 0.25, samples=150, seed=10)
-    # first geometric grid point clearing sqrt(2)
-    assert est.constant == pytest.approx(1.05**8, rel=1e-12)
-    est2 = estimate_rescale_constant(cand, 0.1, samples=150, seed=10)
-    assert est2.constant == pytest.approx(1.05**17, rel=1e-12)
+    est = estimate_rescale_constant(cand, delta, samples=150, seed=dim, dim=dim)
+    assert est.constant == pytest.approx(_sharp_constant(delta), rel=1e-12, abs=0)
+    cfgs = sample_split_configs(delta, 2.0, 150, dim, dim=dim)
+    adv = adversarial_split_configs(delta, 2.0, dim=dim)
+    assert est.adversarial == len(adv)
+    assert 150 <= est.worst < 150 + len(adv)
+    above = scale_candidate(cand, est.constant * (1.0 + 1e-9), delta=delta)
+    assert all(_clears(above, cfg) for cfg in cfgs + adv)
+    below = scale_candidate(cand, est.constant * (1.0 - 1e-6), delta=delta)
+    assert not _clears(below, (cfgs + adv)[est.worst])
 
 
-@pytest.mark.parametrize("delta, dim, seed", [(0.25, 1, 10), (0.1, 1, 10), (0.2, 3, 13)])
-def test_rescale_grid_matches_scaled_candidates(delta, dim, seed):
-    # each grid point's failure count is that of the rebuilt candidate C * B
-    # with split_slack on every configuration
+@pytest.mark.parametrize("delta", [0.25, 0.125])
+def test_extremal_configs_through_the_expansion(delta):
+    # the extremal weights (delta, delta, 1 - 2 delta) are dyadic here, so
+    # the Lemma-1 route takes the configurations that set C
     cand = quadratic_candidate(0.5)
-    est = estimate_rescale_constant(cand, delta, samples=150, seed=seed, dim=dim)
-    cfgs = sample_split_configs(delta, 2.0, 150, seed, dim=dim)
-    cfgs += adversarial_split_configs(delta, 2.0, dim=dim)
-    for c, failures in est.grid:
-        scaled = scale_candidate(cand, c, delta=delta)
-        tols = [1e-9 * max(1.0, abs(scaled.evaluate(cfg.base))) for cfg in cfgs]
-        assert failures == sum(split_slack(scaled, cfg) < -tol for cfg, tol in zip(cfgs, tols))
-    assert len(est.grid) > 5
-
-
-def test_rescale_grid_reports_failures_then_success():
-    cand = quadratic_candidate(0.5)
-    est = estimate_rescale_constant(cand, 0.25, samples=100, seed=11)
-    assert est.grid[0][0] == pytest.approx(1.0, abs=0)
-    assert est.grid[0][1] > 0  # unscaled candidate fails below its floor
-    assert est.grid[-1][1] == 0
-    assert est.grid[-1][0] == pytest.approx(est.constant, rel=1e-15)
+    c = estimate_rescale_constant(cand, delta, samples=50, seed=5).constant
+    scaled = scale_candidate(cand, c, delta=delta)
+    for cfg in adversarial_split_configs(delta, 2.0):
+        cert = dyadic_expand(cfg)
+        assert not cert.degenerate
+        direct, recombined = recombine_slack(cand, cfg, cert)
+        assert direct < 0.0  # the unscaled candidate fails below its floor
+        assert recombined == pytest.approx(direct, rel=1e-12, abs=0)
+        assert split_slack(scaled, cfg) == pytest.approx(
+            0.0, abs=1e-12 * max(1.0, abs(scaled.evaluate(cfg.base)))
+        )
 
 
 def test_rescale_exhaustion_raises():
-    cand = quadratic_candidate(0.5)
-    with pytest.raises(RuntimeError):
-        estimate_rescale_constant(cand, 0.1, samples=80, seed=12, c_max=1.5)
-    with pytest.raises(ValueError):
-        estimate_rescale_constant(cand, 0.1, samples=80, seed=12, c_max=0.5)
+    # the linear candidate has no penalty: its gap B(base) - sum lambda_k B(x^k)
+    # is zero up to roundoff, so no constant rescues a split with d != 0
+    cand = linear_candidate(1.0, 2.0, 0.25)
+    with pytest.raises(RuntimeError, match="configuration"):
+        estimate_rescale_constant(cand, 0.1, samples=80, seed=12)
 
 
 @settings(max_examples=20, deadline=None)

@@ -419,19 +419,24 @@ def test_config_file_rejects_empty_suites(tmp_path, capsys):
     assert "--suites" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["", " "])
-def test_corpus_script_rejects_empty_suites(value):
-    # same rule as mblab check: an empty list names no suite, it does not
-    # ask for all of them
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_acceptance_corpus.py"
+def run_script(name, *args):
+    """Run ``scripts/<name>`` in a fresh interpreter on this source tree."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, str(script), "--seeds", "1", "--suites", value],
+    return subprocess.run(
+        [sys.executable, str(script), *args],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("value", ["", " "])
+def test_corpus_script_rejects_empty_suites(value):
+    # same rule as mblab check: an empty list names no suite, it does not
+    # ask for all of them
+    proc = run_script("run_acceptance_corpus.py", "--seeds", "1", "--suites", value)
     assert proc.returncode == 2
     assert "--suites must name at least one suite" in proc.stderr
     assert proc.stdout == ""
@@ -440,17 +445,9 @@ def test_corpus_script_rejects_empty_suites(value):
 def test_corpus_script_digests_certificates_alone():
     # the certificates line hashes the certificates in corpus order and
     # nothing else: the suites run change the reports digest only
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_acceptance_corpus.py"
-    src = str(Path(cli.__file__).resolve().parents[1])
     digests = []
     for suites in ("x2_drop", "localization,support"):
-        proc = subprocess.run(
-            [sys.executable, str(script), "--seeds", "1", "--suites", suites],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_script("run_acceptance_corpus.py", "--seeds", "1", "--suites", suites)
         assert proc.returncode == 0, proc.stderr
         cert_line, reports_line = proc.stdout.splitlines()[-2:]
         assert cert_line.startswith("certificates sha256 ")
@@ -463,6 +460,23 @@ def test_corpus_script_digests_certificates_alone():
         expected.update(to_canonical_json(certificate_to_dict(cert)).encode())
     assert digests[0][0] == digests[1][0] == expected.hexdigest()
     assert digests[0][1] != digests[1][1]
+
+
+def test_lp_scan_script_runs():
+    proc = run_script("scan_lp_constants.py", "--trials", "5", "--p-grid", "2", "1.5")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "delta=0.5 dim=1 trials=5 seed=11"
+    assert lines[2].split()[0] == "2.00" and lines[2].endswith("contraction ok")
+    assert lines[3].split()[0] == "1.50"
+
+
+def test_expansion_ratio_script_runs():
+    proc = run_script("measure_expansion_ratios.py", "--count", "5")
+    assert proc.returncode == 0, proc.stderr
+    summary = proc.stdout.splitlines()[-1]
+    assert summary.startswith("overall minimum ratio: ")
+    assert float(summary.split()[-1]) > 0.0
 
 
 def test_reports_are_byte_identical(tmp_path):

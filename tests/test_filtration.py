@@ -86,7 +86,7 @@ def test_layout_events_follow_schedule():
         assert lay.level_starts[n].tolist() == [sl.start for sl in spans]
         assert spans[-1].stop == filt.n_leaves
         for j, sl in enumerate(spans):
-            assert np.all(lay.level_maps[n][sl] == j)
+            assert np.all(lay.stacked_maps[n][sl] == lay.level_offsets[n] + j)
             assert lay.level_measures[n][j] == filt.atom(part[j]).measure
 
 

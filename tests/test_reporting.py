@@ -93,10 +93,10 @@ def ref_cell(v) -> str:
     return text
 
 
-def ref_rows_to_csv(rows, fields=None) -> str:
+def ref_rows_to_csv(rows) -> str:
     if not rows:
         raise ReportError("refusing to write an empty report")
-    cols = list(fields) if fields is not None else list(rows[0].keys())
+    cols = list(rows[0].keys())
     lines = [",".join(cols)]
     for row in rows:
         lines.append(",".join(ref_cell(row.get(c)) for c in cols))
@@ -197,7 +197,7 @@ def test_canonical_json_matches_reference(payload):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.dictionaries(st.sampled_from("abc"), scalars, max_size=3), min_size=1, max_size=4))
 def test_rows_to_csv_matches_reference(rows):
-    assert rows_to_csv(rows, fields="abc") == ref_rows_to_csv(rows, fields="abc")
+    assert rows_to_csv(rows) == ref_rows_to_csv(rows)
 
 
 def test_canonical_json_memo_skips_temporaries():
@@ -341,13 +341,6 @@ def test_rows_to_csv_header_and_quoting():
     assert lines[0] == "a,b"
     assert lines[1] == '1.5,"say ""hi"", ok"'
     assert lines[2] == "2,plain"
-
-
-def test_rows_to_csv_field_selection():
-    rows = [{"a": 1, "b": 2, "c": 3}]
-    text = rows_to_csv(rows, fields=("c", "a"))
-    assert text.splitlines()[0] == "c,a"
-    assert text.splitlines()[1] == "3,1"
 
 
 def test_rows_to_csv_refuses_empty():

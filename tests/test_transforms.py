@@ -34,6 +34,7 @@ from mblab.transforms import (
     split_multiplier_norm,
     transform_to_dict,
 )
+from oracles import level_map
 
 
 def ones_transform(filt, dim=1):
@@ -153,7 +154,7 @@ def test_split_multiplier_norm_ignores_atoms_that_do_not_split():
         (n, i)
         for n in range(filt.depth)
         for i in range(len(filt.levels[n]))
-        if i not in lay.level_maps[n][lay.event_spans[lay.event_levels == n, 0]]
+        if i not in level_map(filt, n)[lay.event_spans[lay.event_levels == n, 0]]
     )
     mults = [a.copy() for a in op.multipliers]
     mults[level][idle] = 5.0
