@@ -197,7 +197,7 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     kids_x2 = np.add.reduceat(lay.stacked_measures * x2, lay.stacked_children)
     gain = kids_x2 / lay.stacked_measures[:below] - x2[:below]
 
-    rows = np.empty((len(filt.atoms), 2 * dim + 5))  # x1, g2, x2, x3, x4, <T* g>, osc2
+    rows = np.empty((filt.n_atoms, 2 * dim + 5))  # x1, g2, x2, x3, x4, <T* g>, osc2
     # A persisting atom has the same floats in each of its rows.
     rows[lay.stacked_atoms] = np.column_stack(
         (means[:, :dim], means[:, -3], x2, means[:, -2:], means[:, dim : 2 * dim], osc2)
@@ -764,15 +764,17 @@ def estimate_rescale_constant(
     of C * B is C * gap - |d| * diam, gap = B(base) - sum_k lambda_k B(x^k),
     so C is 1.0 if every slack at C = 1 is at least -1e-9 * max(1, |B(base)|),
     else the largest |d| * diam / gap over the failing configurations.  A
-    failing one with gap <= 0 fails at every C: RuntimeError."""
+    failing one whose gap is within that roundoff floor, gap <= 1e-9 *
+    max(1, |B(base)|), fails at every C up to roundoff: RuntimeError."""
     cfgs = sample_split_configs(delta, cand.p, samples, seed, dim=dim)
     adv = adversarial_split_configs(delta, cand.p, dim=dim)
     base, d_diam, kid_sum = _split_terms(cand, cfgs + adv)
     gap = base - kid_sum
-    failing = np.flatnonzero(base - d_diam - kid_sum < -1e-9 * np.maximum(1.0, np.abs(base)))
+    floor = 1e-9 * np.maximum(1.0, np.abs(base))
+    failing = np.flatnonzero(base - d_diam - kid_sum < -floor)
     constant, worst = 1.0, None
     if len(failing):
-        stuck = failing[gap[failing] <= 0.0]
+        stuck = failing[gap[failing] <= floor[failing]]
         if len(stuck):
             i = int(stuck[0])
             raise RuntimeError(

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .bellman import BellmanCandidate, BellmanPoint, MomentTable, Witness, _split_sides
-from .filtration import Filtration
+from .filtration import Filtration, _Lazy, level_partition
 from .martingale import MartFunction, inner
 from .reporting import Verbatim, _enclosed, _format_floats, _format_number, _format_rows
 from .transforms import MartingaleTransform
@@ -73,33 +72,6 @@ class SplitRecord:
     slack: float
     base: BellmanPoint
     children: tuple[BellmanPoint, ...]
-
-
-class _Lazy(Sequence):
-    """Read-only sequence whose item i is ``make(keys[i])``, built when it
-    is read; ``len`` builds none."""
-
-    __slots__ = ("_make", "_keys")
-
-    def __init__(self, make: Callable[[int], object], keys: np.ndarray):
-        self._make = make
-        self._keys = keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _Lazy(self._make, self._keys[i])
-        return self._make(int(self._keys[i]))
-
-    def __iter__(self):
-        return map(self._make, self._keys.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return tuple(self) == tuple(other)
-        return NotImplemented
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,11 +127,11 @@ class Certificate:
 
     @property
     def leaves(self) -> Sequence[BellmanPoint]:
-        return _Lazy(self.witness.table.point, np.asarray(self.filtration.leaves))
+        return _Lazy(self.witness.table.point, level_partition(self.filtration, self.filtration.depth))
 
     @property
     def leaf_values(self) -> tuple[float, ...]:
-        return tuple(self.values[list(self.filtration.leaves)].tolist())
+        return tuple(self.values[level_partition(self.filtration, self.filtration.depth)].tolist())
 
     def _record(self, e: int) -> SplitRecord:
         table, lay = self.witness.table, self.filtration.layout
@@ -259,7 +231,7 @@ def certify(
     pairing_bad = d_diam < pairing - tol * chain_scale
     slack_bad = slack < -tol * np.maximum(1.0, np.abs(base_values))
 
-    leaves = np.asarray(filt.leaves)
+    leaves = level_partition(filt, filt.depth)
     leaf_values = values[leaves]
     leaf_bad = leaf_values < -tol * np.maximum(1.0, np.abs(leaf_values))
 
@@ -365,10 +337,10 @@ def certificate_to_dict(cert: Certificate) -> dict:
             lay.event_atoms.tolist(), lay.event_levels.tolist(), *floats, starts, starts[1:]
         )
     ], "]")
-    leaves = list(cert.filtration.leaves)
+    leaves = level_partition(cert.filtration, cert.filtration.depth)
     leaf_entries = _enclosed("[", [
         f'{{"point":{points[leaf]},"value":{value}}}'
-        for leaf, value in zip(leaves, _format_floats(cert.values[leaves]))
+        for leaf, value in zip(leaves.tolist(), _format_floats(cert.values[leaves]))
     ], "]")
     return {
         "ok": cert.ok,

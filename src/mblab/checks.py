@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellman import Witness
-from .filtration import Filtration
+from .filtration import Filtration, level_partition
 from .martingale import (
     MartFunction,
     _atom_steps,
@@ -275,14 +275,14 @@ def check_osc_series(w: Witness, tol: Tolerances, rng: np.random.Generator) -> l
     steps = _atom_steps(filt, w.tstar_g.values)
     sq = np.take(np.einsum("ij,ij->i", steps, steps), lay.stacked_maps[1:], axis=0)
     piece_sums = _diagonal_sums(filt, sq)
-    series = np.zeros(len(filt.leaves))
+    series = np.zeros(filt.n_leaves)
     err = 0.0
     for n in range(filt.depth - 1, -1, -1):
         piece_sq = piece_sums[lay.level_offsets[n] : lay.level_offsets[n + 1]]
         container = lay.stacked_maps[n][lay.level_starts[n + 1]] - lay.level_offsets[n]
         series = piece_sq + np.bincount(container, weights=series, minlength=len(piece_sq))
         split = np.bincount(container, minlength=len(piece_sq)) > 1
-        direct = osc2[np.asarray(filt.levels[n])[split]]
+        direct = osc2[level_partition(filt, n)[split]]
         rel = np.abs(direct - series[split] / lay.level_measures[n][split]) / np.maximum(1.0, direct)
         err = max(err, float(np.max(rel)))
     return [_row("osc_series", err, tol.tight, "series vs direct, relative")]

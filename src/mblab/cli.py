@@ -311,15 +311,8 @@ def cmd_gen(cfg: RunConfig) -> int:
 
     def rows() -> list[dict]:
         return [
-            {
-                "id": a.id,
-                "a": a.a,
-                "b": a.b,
-                "level": a.level,
-                "parent": a.parent,
-                "children": "|".join(str(c) for c in a.children),
-            }
-            for a in filt.atoms
+            dict(atom, children="|".join(map(str, atom["children"])))
+            for atom in filtration_to_dict(filt)["atoms"]
         ]
 
     _emit(cfg, payload, rows)

@@ -132,7 +132,7 @@ def _check_same_space(f: MartFunction, g: MartFunction) -> None:
 
 def _check_partition(f: Filtration, atom_ids: Sequence[int]) -> list[int]:
     try:
-        atoms = [f.atoms[i] for i in atom_ids]
+        atoms = [f.atom(i) for i in atom_ids]
     except (IndexError, TypeError) as exc:
         raise PartitionError(f"unknown atom id in partition: {exc}") from None
     atoms = sorted(atoms, key=lambda a: a.a)
@@ -294,7 +294,7 @@ def _atom_mean(filt: Filtration, values: np.ndarray, atom_id: int) -> np.ndarray
     lay = filt.layout
     lo, hi = lay.spans[atom_id].tolist()
     w = lay.measures[lo:hi, None] * values[lo:hi]
-    return np.add.reduceat(w, _WHOLE, axis=0)[0] / filt.atoms[atom_id].measure
+    return np.add.reduceat(w, _WHOLE, axis=0)[0] / lay.atom_measures[atom_id]
 
 
 def average(f: MartFunction, atom_id: int) -> np.ndarray:
@@ -312,7 +312,7 @@ def cond_exp(f: MartFunction, partition: Sequence[int]) -> MartFunction:
     filt = f.filtration
     ids = _check_partition(filt, partition)
     spans = filt.layout.spans[ids]
-    measures = np.array([filt.atoms[i].measure for i in ids])
+    measures = filt.layout.atom_measures[ids]
     means = _segment_means(_weighted(filt, f.values), spans[:, 0], measures)
     return MartFunction(filt, np.repeat(means, spans[:, 1] - spans[:, 0], axis=0))
 
@@ -326,7 +326,7 @@ def delta_split(f: MartFunction, event: SplitEvent) -> MartFunction:
     split atom's span, n being its level.
     """
     filt = f.filtration
-    atom = filt.atoms[event.atom]
+    atom = filt.atom(event.atom)
     if not atom.children:
         raise ValueError(f"atom {atom.id} has no split event")
     lay = filt.layout
@@ -355,7 +355,7 @@ def osc2(f: MartFunction, atom_id: int) -> float:
     sl = filt.leaf_slice(atom_id)
     m = filt.leaf_measures()[sl]
     centered = f.values[sl] - _atom_mean(filt, f.values, atom_id)[None, :]
-    return float(m @ np.einsum("ij,ij->i", centered, centered) / filt.atoms[atom_id].measure)
+    return float(m @ np.einsum("ij,ij->i", centered, centered) / filt.layout.atom_measures[atom_id])
 
 
 def inner(f: MartFunction, g: MartFunction) -> float:

@@ -227,15 +227,15 @@ def make_transform(
         if isinstance(raw, MartFunction):
             raw = raw.values
         arr = np.atleast_2d(np.asarray(raw, dtype=float))
-        atoms = level_partition(filtration, n - 1)
-        if arr.shape[0] == len(atoms):
+        n_atoms = len(level_partition(filtration, n - 1))
+        if arr.shape[0] == n_atoms:
             per_atom = arr
         elif arr.shape[0] == filtration.n_leaves:
             per_atom = _reduce_to_level(filtration, arr, n - 1)
         else:
             raise PredictabilityError(
                 f"level {n} multiplier has {arr.shape[0]} rows; expected "
-                f"{len(atoms)} (per atom) or {filtration.n_leaves} (per leaf)"
+                f"{n_atoms} (per atom) or {filtration.n_leaves} (per leaf)"
             )
         if dim is None:
             dim = per_atom.shape[1]
@@ -259,7 +259,7 @@ def _reduce_to_level(filtration: Filtration, leaf_vals: np.ndarray, level: int) 
     per_atom = leaf_vals[lay.level_starts[level]]
     bad = np.any(leaf_vals != per_atom[leaf_map], axis=1)
     if bad.any():
-        atom_id = filtration.levels[level][leaf_map[np.argmax(bad)]]
+        atom_id = level_partition(filtration, level)[leaf_map[np.argmax(bad)]]
         raise PredictabilityError(
             f"multiplier is not constant on atom {atom_id} of level {level}"
         )
@@ -343,7 +343,7 @@ def transform_to_dict(op: MartingaleTransform) -> dict:
                 "level": n,
                 "values": [
                     {"atom_id": atom_id, "coords": op.multipliers[n - 1][j].tolist()}
-                    for j, atom_id in enumerate(op.filtration.levels[n - 1])
+                    for j, atom_id in enumerate(level_partition(op.filtration, n - 1).tolist())
                 ],
             }
             for n in range(1, op.filtration.depth + 1)

@@ -4,11 +4,23 @@ against."""
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from mblab.bellman import BellmanCandidate, MomentTable, Witness, conjugate_exponent
-from mblab.filtration import Filtration
+from mblab.filtration import (
+    _GEOM_TOL,
+    Atom,
+    Filtration,
+    FiltrationError,
+    LeafLayout,
+    RatioSamplingError,
+    _frozen,
+    level_partition,
+)
 from mblab.martingale import MartFunction, _segment_means, _span_leaves, _weighted, inner
 from mblab.transforms import MartingaleTransform
 
@@ -119,7 +131,7 @@ def certificate_by_records(
 
     leaves = []
     leaf_weighted = 0.0
-    for leaf_id in filt.leaves:
+    for leaf_id in level_partition(filt, filt.depth).tolist():
         val = cand.evaluate(points[leaf_id])
         leaves.append({"point": dicts[leaf_id], "value": val})
         leaf_weighted += filt.atom(leaf_id).measure * val
@@ -233,7 +245,7 @@ def moment_table_by_levels(
         level_rows = np.column_stack(
             (means[:, :dim], means[:, -3], x2, means[:, -2:], means[:, dim : 2 * dim], osc2)
         )
-        rows[np.asarray(filt.levels[n])] = level_rows
+        rows[level_partition(filt, n)] = level_rows
         if n:
             df, dg = np.hsplit(cond - prev_cond, 2)
             pair = np.column_stack((np.einsum("ij,ij->i", dg, dg), np.einsum("ij,ij->i", df, dg)))
@@ -330,3 +342,302 @@ class SpanFed:
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
+
+
+# ---------------------------------------------------------------------------
+# The tower as a tuple of Atom records
+
+
+def tower_from_atoms(atoms: Sequence[Atom], delta: float, depth: int | None = None) -> Filtration:
+    """The columnar tower of a list of atoms, row i from ``atoms[i]``, each
+    atom's children in their listed order; depth defaults to the deepest
+    level."""
+    children = [a.children for a in atoms]
+    return Filtration(
+        delta=delta,
+        depth=max(a.level for a in atoms) if depth is None else depth,
+        a=[a.a for a in atoms],
+        b=[a.b for a in atoms],
+        level=[a.level for a in atoms],
+        parent=[-1 if a.parent is None else a.parent for a in atoms],
+        child_starts=np.cumsum([0] + [len(c) for c in children]),
+        children=list(chain.from_iterable(children)),
+    )
+
+
+def levels_of(filt: Filtration) -> tuple[tuple[int, ...], ...]:
+    """A_0..A_N of a columnar tower as tuples of atom ids, the form
+    ``AtomTower.levels`` takes."""
+    return tuple(tuple(level_partition(filt, n).tolist()) for n in range(filt.depth + 1))
+
+
+def leaves_of(filt: Filtration) -> tuple[int, ...]:
+    """The leaf ids of a columnar tower in left-endpoint order."""
+    return tuple(level_partition(filt, filt.depth).tolist())
+
+
+def columns_of(tower) -> dict[str, list]:
+    """The columns of a tower of either kind, as lists."""
+    atoms = list(tower.atoms)
+    return {
+        "a": [a.a for a in atoms],
+        "b": [a.b for a in atoms],
+        "level": [a.level for a in atoms],
+        "parent": [-1 if a.parent is None else a.parent for a in atoms],
+        "child_starts": np.cumsum([0] + [len(a.children) for a in atoms]).tolist(),
+        "children": [c for a in atoms for c in a.children],
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class AtomTower:
+    """The tower as a tuple of ``Atom`` records, validated, partitioned
+    into levels and laid out one atom at a time."""
+
+    delta: float
+    depth: int
+    atoms: tuple[Atom, ...]
+    levels: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    leaves: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _validate_atoms(self)
+        levels = _level_partitions(self.atoms, self.depth)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "leaves", levels[self.depth])
+        _validate_levels(self)
+
+    @cached_property
+    def layout(self) -> LeafLayout:
+        return _build_layout(self)
+
+
+def atoms_to_dict(f: AtomTower) -> dict:
+    """JSON-ready payload of the tower, one atom record at a time."""
+    return {
+        "delta": f.delta,
+        "depth": f.depth,
+        "atoms": [
+            {
+                "id": a.id,
+                "a": a.a,
+                "b": a.b,
+                "level": a.level,
+                "parent": a.parent,
+                "children": list(a.children),
+            }
+            for a in f.atoms
+        ],
+    }
+
+
+def regularity_delta(f) -> float:
+    """Smallest realized child/parent measure ratio."""
+    best = 0.5
+    for a in f.atoms:
+        if a.children:
+            for c in a.children:
+                best = min(best, f.atoms[c].measure / a.measure)
+    return best
+
+
+def _validate_atoms(f: AtomTower) -> None:
+    if not (0.0 < f.delta <= 0.5):
+        raise FiltrationError(f"delta must lie in (0, 1/2], got {f.delta}")
+    if f.depth < 1:
+        raise FiltrationError(f"depth must be >= 1, got {f.depth}")
+    if not f.atoms:
+        raise FiltrationError("empty atom list")
+    for i, a in enumerate(f.atoms):
+        if a.id != i:
+            raise FiltrationError("atom ids must be dense 0..len-1 in order")
+        if not (a.b > a.a):
+            raise FiltrationError(f"atom {a.id} has nonpositive measure")
+        if len(a.children) == 1:
+            raise FiltrationError(f"atom {a.id} has exactly one child")
+        if a.children:
+            if a.level >= f.depth:
+                raise FiltrationError(f"atom {a.id} splits past the final level")
+            kids = [f.atoms[c] for c in a.children]
+            for k in kids:
+                if k.parent != a.id or k.level != a.level + 1:
+                    raise FiltrationError(f"child bookkeeping broken at atom {a.id}")
+            kids_sorted = sorted(kids, key=lambda k: k.a)
+            scale = max(a.measure, 1.0)
+            if abs(kids_sorted[0].a - a.a) > _GEOM_TOL * scale or abs(
+                kids_sorted[-1].b - a.b
+            ) > _GEOM_TOL * scale:
+                raise FiltrationError(f"children do not span atom {a.id}")
+            for u, v in zip(kids_sorted, kids_sorted[1:]):
+                if abs(u.b - v.a) > _GEOM_TOL * scale:
+                    raise FiltrationError(f"children leave a gap inside atom {a.id}")
+            if abs(sum(k.measure for k in kids) - a.measure) > _GEOM_TOL * scale:
+                raise FiltrationError(f"child measures do not sum inside atom {a.id}")
+            for k in kids:
+                if k.measure / a.measure < f.delta - _GEOM_TOL:
+                    raise FiltrationError(
+                        f"child ratio {k.measure / a.measure:.3e} below delta at atom {a.id}"
+                    )
+
+
+def _level_partitions(atoms: tuple[Atom, ...], depth: int) -> tuple[tuple[int, ...], ...]:
+    """A_0..A_depth as atom ids in left-endpoint order, in one pass over the
+    atoms: A_n holds the atoms created at level n plus the earlier atoms
+    that never split.  Ties in ``a`` keep id order."""
+    created: list[list[Atom]] = [[] for _ in range(depth + 1)]
+    carried: list[Atom] = []  # leaves created below the current level
+    for a in atoms:
+        if 0 <= a.level <= depth:
+            created[a.level].append(a)
+        elif a.level < 0 and a.is_leaf:
+            carried.append(a)
+    levels = []
+    for here in created:
+        members = sorted(here + carried, key=lambda a: (a.a, a.id))
+        levels.append(tuple(a.id for a in members))
+        carried.extend(a for a in here if a.is_leaf)
+    return tuple(levels)
+
+
+def _validate_levels(f: AtomTower) -> None:
+    roots = [a for a in f.atoms if a.parent is None]
+    if len(roots) != 1 or roots[0].level != 0:
+        raise FiltrationError("need exactly one root atom at level 0")
+    for n in range(f.depth):
+        # Strictly increasing tower: some atom of A_n must split at time n.
+        if not any(f.atoms[i].children and f.atoms[i].level == n for i in f.levels[n]):
+            raise FiltrationError(f"no split at level {n}; tower not strictly increasing")
+
+
+def build_dyadic(depth: int) -> AtomTower:
+    """Uniform binary filtration of [0, 1).  Every atom above the final level
+    splits in half; endpoints are exact binary fractions."""
+    if not (1 <= depth <= 20):
+        raise FiltrationError(f"dyadic depth must be in [1, 20], got {depth}")
+    atoms: list[Atom] = []
+
+    def rec(a: float, b: float, level: int, parent: int | None) -> int:
+        my_id = len(atoms)
+        atoms.append(None)  # placeholder, patched below
+        if level < depth:
+            mid = (a + b) / 2.0
+            left = rec(a, mid, level + 1, my_id)
+            right = rec(mid, b, level + 1, my_id)
+            atoms[my_id] = Atom(my_id, a, b, level, parent, (left, right))
+        else:
+            atoms[my_id] = Atom(my_id, a, b, level, parent, ())
+        return my_id
+
+    rec(0.0, 1.0, 0, None)
+    return AtomTower(delta=0.5, depth=depth, atoms=tuple(atoms))
+
+
+def sample_ratios_one_by_one(rng, k, delta, budget):
+    """Rejection sampling with one Dirichlet draw per iteration."""
+    if 1.0 - k * delta < 1e-9:
+        return np.full(k, 1.0 / k)
+    for _ in range(budget):
+        w = rng.dirichlet(np.ones(k))
+        if w.min() >= delta:
+            return w
+    raise RatioSamplingError("budget exhausted")
+
+
+def build_random_regular(
+    depth: int,
+    delta: float,
+    max_children: int,
+    split_prob: float,
+    seed: int,
+    ratio_budget: int = 10_000,
+) -> AtomTower:
+    """Seeded random filtration of [0, 1) with child ratios >= delta, one
+    ``Atom`` at a time, ratios from ``sample_ratios_one_by_one``."""
+    rng = np.random.default_rng(seed)
+    atoms: list[Atom] = [Atom(0, 0.0, 1.0, 0, None, ())]
+
+    current = [0]  # atoms created at the current level, candidates to split
+    for level in range(depth):
+        coins = rng.random(len(current))
+        chosen = [i for i, c in zip(current, coins) if c < split_prob]
+        if not chosen:
+            chosen = [current[int(rng.integers(len(current)))]]
+        nxt: list[int] = []
+        for i in sorted(chosen, key=lambda j: atoms[j].a):
+            parent = atoms[i]
+            k = int(rng.integers(2, max_children + 1))
+            ratios = sample_ratios_one_by_one(rng, k, delta, ratio_budget)
+            cuts = parent.a + parent.measure * np.cumsum(ratios)[:-1]
+            edges = [parent.a, *cuts.tolist(), parent.b]
+            child_ids = []
+            for j in range(k):
+                cid = len(atoms)
+                atoms.append(Atom(cid, edges[j], edges[j + 1], level + 1, parent.id, ()))
+                child_ids.append(cid)
+            atoms[i] = Atom(parent.id, parent.a, parent.b, parent.level, parent.parent, tuple(child_ids))
+            nxt.extend(child_ids)
+        current = nxt
+    return AtomTower(delta=delta, depth=depth, atoms=tuple(atoms))
+
+
+def _build_layout(f: AtomTower) -> LeafLayout:
+    """One pass over the tower: leaf counts children first, then the
+    levels' atoms laid end to end in stacked rows; the cumulative counts
+    in row order give every atom's span, since each level tiles the L
+    leaves in left-endpoint order."""
+    count = [0] * len(f.atoms)
+    for a in sorted(f.atoms, key=lambda a: a.level, reverse=True):
+        count[a.id] = sum(count[c] for c in a.children) if a.children else 1
+    atom_measure = np.array([a.measure for a in f.atoms])
+    n_leaves = len(f.leaves)
+    sizes = [len(ids) for ids in f.levels]
+    offsets = np.cumsum([0] + sizes)
+    rows = np.arange(offsets[-1])
+    row_level = np.repeat(np.arange(len(sizes)), sizes)
+    stacked_atoms = np.fromiter(chain.from_iterable(f.levels), dtype=np.intp, count=offsets[-1])
+    leaves_in = np.array(count)[stacked_atoms]
+    first_leaf = np.cumsum(leaves_in) - leaves_in - row_level * n_leaves
+    spans = np.empty((len(f.atoms), 2), dtype=np.intp)
+    spans[stacked_atoms, 0] = first_leaf
+    spans[stacked_atoms, 1] = first_leaf + leaves_in
+    shape = (len(sizes), n_leaves)
+    stacked_maps = _frozen(np.repeat(rows, leaves_in).reshape(shape))
+    # Row r of level n is boundary r + n, after n sentinels.
+    stacked_starts = np.full(offsets[-1] + len(sizes), n_leaves)
+    stacked_starts[rows + row_level] = first_leaf
+    stacked_starts = _frozen(stacked_starts)
+    boundary_levels = np.repeat(np.arange(len(sizes)), np.array(sizes) + 1)
+    stacked_measures = _frozen(atom_measure[stacked_atoms])
+    # Atoms split at the level they are created, so the events of level n
+    # are the A_n atoms with children, in left-endpoint order: the rows
+    # with children, in row order.
+    split = np.flatnonzero(np.array([bool(a.children) for a in f.atoms])[stacked_atoms])
+    event_atoms = stacked_atoms[split]
+    kids = [f.atoms[i].children for i in event_atoms.tolist()]
+    # The row of the atom holding each row's first leaf one level up, or down.
+    parents = stacked_maps[np.maximum(row_level - 1, 0), first_leaf]
+    below = offsets[-2]
+    children = stacked_maps[row_level[:below] + 1, first_leaf[:below]]
+    return LeafLayout(
+        measures=_frozen(atom_measure[list(f.leaves)]),
+        atom_measures=_frozen(atom_measure),
+        spans=_frozen(spans),
+        level_starts=tuple(
+            stacked_starts[off + n : end + n]
+            for n, (off, end) in enumerate(zip(offsets, offsets[1:]))
+        ),
+        level_measures=tuple(stacked_measures[off:end] for off, end in zip(offsets, offsets[1:])),
+        event_atoms=_frozen(event_atoms),
+        event_levels=_frozen(row_level[split]),
+        event_spans=_frozen(spans[event_atoms]),
+        event_children=_frozen(np.fromiter(chain.from_iterable(kids), dtype=np.intp)),
+        event_child_starts=_frozen(np.cumsum([0] + [len(k) for k in kids])),
+        level_offsets=_frozen(offsets),
+        stacked_starts=stacked_starts,
+        diagonal_starts=_frozen(stacked_starts + boundary_levels * (n_leaves + 1)),
+        stacked_measures=stacked_measures,
+        stacked_maps=stacked_maps,
+        stacked_atoms=_frozen(stacked_atoms),
+        stacked_parents=_frozen(parents),
+        stacked_children=_frozen(children),
+    )

@@ -13,6 +13,7 @@ from mblab.bellman import (
     BellmanPoint,
     SplitConfig,
     _diameters,
+    _split_terms,
     adversarial_split_configs,
     bellman_point,
     conjugate_exponent,
@@ -26,6 +27,7 @@ from mblab.bellman import (
     recombine_slack,
     sample_dyadic_split_configs,
     sample_split_configs,
+    shaped_candidate,
     split_slack,
 )
 from mblab.reporting import to_canonical_json
@@ -495,6 +497,21 @@ def test_rescale_exhaustion_raises():
     # the linear candidate has no penalty: its gap B(base) - sum lambda_k B(x^k)
     # is zero up to roundoff, so no constant rescues a split with d != 0
     cand = linear_candidate(1.0, 2.0, 0.25)
+    with pytest.raises(RuntimeError, match="configuration"):
+        estimate_rescale_constant(cand, 0.1, samples=80, seed=12)
+
+
+def test_rescale_roundoff_gap_raises():
+    # the linear candidate tilted by -1e-12 * x2 has gap 1e-12 * d^2: every
+    # failing gap is positive, yet far below the roundoff floor 1e-9 * |B|,
+    # so no constant of honest size rescues it (by sign alone C would be
+    # about 3e13)
+    cand = shaped_candidate(cp=1.0, h=lambda x1, x2: 1e-12 * x2, p=2.0, delta=0.25, label="tilted")
+    cfgs = sample_split_configs(0.1, 2.0, 80, 12, dim=1) + adversarial_split_configs(0.1, 2.0, dim=1)
+    base, d_diam, kid_sum = _split_terms(cand, cfgs)
+    failing = base - d_diam - kid_sum < -1e-9 * np.maximum(1.0, np.abs(base))
+    gap = (base - kid_sum)[failing]
+    assert failing.any() and gap.min() > 0.0 and gap.max() < 1e-9
     with pytest.raises(RuntimeError, match="configuration"):
         estimate_rescale_constant(cand, 0.1, samples=80, seed=12)
 

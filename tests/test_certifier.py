@@ -25,7 +25,7 @@ from mblab.corpus import (
     random_transform,
     random_witness,
 )
-from mblab.filtration import Atom, Filtration, build_dyadic, build_random_regular, split_schedule
+from mblab.filtration import Atom, build_dyadic, build_random_regular, split_schedule
 from mblab.martingale import (
     MartFunction,
     average,
@@ -34,7 +34,7 @@ from mblab.martingale import (
     osc2,
 )
 from mblab.reporting import to_canonical_json
-from oracles import certificate_by_records, scale_candidate
+from oracles import certificate_by_records, leaves_of, scale_candidate, tower_from_atoms
 from test_reporting import ref_to_canonical_json
 
 SQRT2 = math.sqrt(2.0)
@@ -202,7 +202,7 @@ def test_records_and_leaves_are_bellman_points(small_cells):
             assert rec.d == pytest.approx(d, rel=1e-12)
             assert rec.pairing == pytest.approx(pairing, rel=1e-12, abs=1e-15)
         assert len(cert.leaves) == filt.n_leaves
-        for pt, leaf_id in zip(cert.leaves, filt.leaves):
+        for pt, leaf_id in zip(cert.leaves, leaves_of(filt)):
             assert_is_point(pt, leaf_id)
         assert_is_point(cert.root, filt.root.id)
 
@@ -317,7 +317,7 @@ def spec_tower(spec, delta, reversed_atoms=()):
         return me
 
     rec(spec, 0.0, 1.0, 0, None)
-    return Filtration(delta=delta, depth=max(a.level for a in atoms), atoms=tuple(atoms))
+    return tower_from_atoms(atoms, delta)
 
 
 def ten_child_tower():
@@ -414,7 +414,7 @@ def test_batched_diameter_on_tied_and_repeated_children():
     # diagonals attain the diameter; the first child's two leaves coincide
     filt = spec_tower([[None, None], None, None, None], 0.25)
     corners = {2: (0.0, 0.0), 3: (0.0, 0.0), 4: (1.0, 0.0), 5: (1.0, 1.0), 6: (0.0, 1.0)}
-    values = np.array([corners[leaf] for leaf in filt.leaves])
+    values = np.array([corners[leaf] for leaf in leaves_of(filt)])
     f = MartFunction(filt, values)
     _, g, op = drawn_witness(filt, 2, 60)
     cert = assert_matches_walk(quadratic_candidate(0.25), f, g, op)

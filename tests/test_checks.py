@@ -22,7 +22,7 @@ from mblab.bellman import Witness, bellman_point, quadratic_candidate
 from mblab.certifier import certify
 from mblab.checks import SUITES, Tolerances, _row, hoelder_mean_margin, run_all, run_suite
 from mblab.corpus import max_children_for, prepare_cell, random_transform, random_witness
-from mblab.filtration import Filtration, build_dyadic, build_random_regular
+from mblab.filtration import Filtration, build_dyadic, build_random_regular, level_partition
 from mblab.martingale import MartFunction, average, inner, l2_norm
 from mblab.transforms import (
     MartingaleTransform,
@@ -90,7 +90,7 @@ def test_moment_table_osc2_and_tstar_mean_match_their_old_sources(small_cells, k
         for p in (2.0, 1.5):
             w = Witness(f, g, op, p)
             for n in range(filt.depth + 1):
-                ids = np.asarray(filt.levels[n])
+                ids = level_partition(filt, n)
                 assert np.array_equal(w.table.osc2[ids], level_osc2(filt, w.tstar_g.values, n))
             for atom in filt.atoms:
                 assert np.array_equal(w.table.tstar_mean[atom.id], average(w.tstar_g, atom.id))

@@ -227,6 +227,19 @@ def test_gen_random_delta_needs_seed(capsys):
     assert run(["gen", "--delta", "0.25"]) == 2
 
 
+@pytest.mark.parametrize(
+    "depth, delta, max_children", [("9", "0.25", "4"), ("10", "0.3333333333333333", "3")]
+)
+def test_gen_critical_equal_split(depth, delta, max_children, tmp_path):
+    # max_children * delta = 1: the builder's equal splits pass its own
+    # ratio check at any depth
+    argv = ["gen", "--seed", "1", "--depth", depth, "--delta", delta, "--max-children", max_children]
+    code, out = run_to_file(tmp_path, "tower.json", argv)
+    assert code == 0
+    atoms = json.loads(out.read_text())["filtration"]["atoms"]
+    assert max(a["level"] for a in atoms) == int(depth)
+
+
 # ---------------------------------------------------------------------------
 # check
 

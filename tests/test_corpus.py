@@ -15,9 +15,9 @@ from mblab.corpus import (
     random_function,
     random_witness,
 )
-from mblab.filtration import build_dyadic, regularity_delta, split_schedule
+from mblab.filtration import build_dyadic, split_schedule
 from mblab.martingale import MartFunction, average, delta_split, inner, lp_norm
-from oracles import SpanFed
+from oracles import SpanFed, regularity_delta
 
 
 def test_grid_size_and_axes():

@@ -1,25 +1,34 @@
-"""Structure tests for the atom tower: builders, regularity, schedule."""
+"""Structure tests for the atom tower: builders, regularity, schedule, and
+the columnar tower against the atom-by-atom oracles."""
 
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mblab.corpus import max_children_for
 from mblab.filtration import (
+    Atom,
+    Filtration,
     FiltrationError,
+    LeafLayout,
     RatioSamplingError,
     _sample_ratios,
     build_dyadic,
     build_random_regular,
     filtration_to_dict,
     level_partition,
-    regularity_delta,
     split_schedule,
 )
 from mblab.reporting import to_canonical_json
+
+import oracles
+from oracles import regularity_delta, sample_ratios_one_by_one, tower_from_atoms
 
 
 def test_dyadic_shape(dyadic3):
@@ -34,11 +43,12 @@ def test_dyadic_shape(dyadic3):
 def levels_by_definition(filt):
     """A_n scanned out of all atoms once per level: the atoms created at
     level n plus the earlier atoms that never split, by left endpoint."""
+    atoms = list(filt.atoms)
     return tuple(
         tuple(
             a.id
             for a in sorted(
-                (a for a in filt.atoms if a.level == n or (a.is_leaf and a.level < n)),
+                (a for a in atoms if a.level == n or (a.is_leaf and a.level < n)),
                 key=lambda a: a.a,
             )
         )
@@ -48,8 +58,7 @@ def levels_by_definition(filt):
 
 def test_levels_match_per_level_definition(kernel_tower):
     ref = levels_by_definition(kernel_tower)
-    assert kernel_tower.levels == ref
-    assert kernel_tower.leaves == ref[-1]
+    assert oracles.levels_of(kernel_tower) == ref
 
 
 def test_deep_dyadic_leaf_spans():
@@ -57,7 +66,7 @@ def test_deep_dyadic_leaf_spans():
     # is quick; a recursion visiting each child twice would need ~4^14 calls
     filt = build_dyadic(14)
     ref = levels_by_definition(filt)
-    assert filt.levels == ref and filt.leaves == ref[-1]
+    assert oracles.levels_of(filt) == ref
     assert filt.leaf_slice(filt.root.id) == slice(0, 16384)
     for atom in filt.atoms:
         sl = filt.leaf_slice(atom.id)
@@ -81,7 +90,7 @@ def test_layout_events_follow_schedule():
         assert filt.leaf_slice(e.atom) == slice(lo, hi)
         kids = sorted(filt.leaf_slice(c).start for c in filt.atom(e.atom).children)
         assert kids[0] == lo
-    for n, part in enumerate(filt.levels):
+    for n, part in enumerate(oracles.levels_of(filt)):
         spans = [filt.leaf_slice(a) for a in part]
         assert lay.level_starts[n].tolist() == [sl.start for sl in spans]
         assert spans[-1].stop == filt.n_leaves
@@ -131,7 +140,7 @@ def assert_schedule_replays(filt):
         kids = set(filt.atom(ev.atom).children)
         assert ev.atom in part and not kids & part
         part = (part - {ev.atom}) | kids
-    assert part == set(filt.leaves)
+    assert part == set(oracles.leaves_of(filt))
 
 
 def test_schedule_refines_one_atom_at_a_time(dyadic3):
@@ -150,7 +159,7 @@ def test_level_partition_measures(dyadic3):
         total = sum(dyadic3.atom(a).measure for a in part)
         assert total == pytest.approx(1.0, rel=1e-12)
     assert list(level_partition(dyadic3, 0)) == [dyadic3.root.id]
-    assert set(level_partition(dyadic3, dyadic3.depth)) == set(dyadic3.leaves)
+    assert set(level_partition(dyadic3, dyadic3.depth)) == {a.id for a in dyadic3.atoms if a.is_leaf}
 
 
 def test_random_regular_respects_floor():
@@ -169,17 +178,6 @@ def test_random_regular_critical_delta_forces_equal_split():
         if atom.children:
             ratios = [filt.atom(c).measure / atom.measure for c in atom.children]
             assert ratios == pytest.approx([0.5, 0.5], abs=1e-12)
-
-
-def sample_ratios_one_by_one(rng, k, delta, budget):
-    """Rejection sampling with one Dirichlet draw per iteration."""
-    if 1.0 - k * delta < 1e-9:
-        return np.full(k, 1.0 / k)
-    for _ in range(budget):
-        w = rng.dirichlet(np.ones(k))
-        if w.min() >= delta:
-            return w
-    raise RatioSamplingError("budget exhausted")
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -248,10 +246,207 @@ def test_random_regular_invariants(depth, delta_k, seed):
     filt = build_random_regular(depth, delta, k, split_prob=0.7, seed=seed)
     assert regularity_delta(filt) >= delta - 1e-12
     # leaves tile the unit interval
-    leaves = sorted((filt.atom(i) for i in filt.leaves), key=lambda a: a.a)
+    leaves = sorted((filt.atom(i) for i in oracles.leaves_of(filt)), key=lambda a: a.a)
     assert leaves[0].a == 0.0
     assert leaves[-1].b == 1.0
     for left, right in zip(leaves, leaves[1:]):
         assert math.isclose(left.b, right.a, abs_tol=1e-12)
     # schedule replays into exactly the leaf partition
     assert_schedule_replays(filt)
+
+
+# ---------------------------------------------------------------------------
+# The columnar tower against the atom-by-atom oracles
+
+
+def assert_same_tower(filt, ref):
+    """Columns, atom views, levels, every layout field (dtype and values) and
+    the canonical payload bytes of a tower equal the oracle tower's."""
+    for name, column in oracles.columns_of(ref).items():
+        assert getattr(filt, name).tolist() == column, name
+    assert [(x.id, x.a, x.b, x.level, x.parent, x.children) for x in filt.atoms] == [
+        (x.id, x.a, x.b, x.level, x.parent, x.children) for x in ref.atoms
+    ]
+    assert oracles.levels_of(filt) == ref.levels
+    lay, ref_lay = filt.layout, ref.layout
+    for fld in dataclasses.fields(LeafLayout):
+        new, old = getattr(lay, fld.name), getattr(ref_lay, fld.name)
+        pairs = zip(new, old, strict=True) if isinstance(old, tuple) else [(new, old)]
+        for x, y in pairs:
+            assert x.dtype == y.dtype and x.shape == y.shape, fld.name
+            assert np.array_equal(x, y), fld.name
+            assert not x.flags.writeable, fld.name
+    assert to_canonical_json(filtration_to_dict(filt)) == to_canonical_json(oracles.atoms_to_dict(ref))
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_dyadic_matches_recursive_builder(depth):
+    assert_same_tower(build_dyadic(depth), oracles.build_dyadic(depth))
+
+
+FLOORS = (0.1, 0.25, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("delta", FLOORS)
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_random_regular_matches_atom_builder(depth, delta):
+    args = (depth, delta, max_children_for(delta), 0.7, 100 * depth)
+    assert_same_tower(build_random_regular(*args), oracles.build_random_regular(*args))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    depth=st.integers(min_value=1, max_value=6),
+    delta=st.sampled_from(FLOORS),
+    split_prob=st.sampled_from([0.3, 0.7, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_random_regular_matches_atom_builder_at_any_seed(depth, delta, split_prob, seed):
+    args = (depth, delta, max_children_for(delta), split_prob, seed)
+    assert_same_tower(build_random_regular(*args), oracles.build_random_regular(*args))
+
+
+def test_hand_built_tower_keeps_child_order():
+    # children listed right to left, the root's and one grandchild's: the
+    # layout orders levels by endpoint but lists event children as given
+    atoms = [
+        Atom(0, 0.0, 1.0, 0, None, (2, 1)),
+        Atom(1, 0.0, 0.5, 1, 0, (3, 4)),
+        Atom(2, 0.5, 1.0, 1, 0, (6, 5)),
+        Atom(3, 0.0, 0.25, 2, 1, ()),
+        Atom(4, 0.25, 0.5, 2, 1, ()),
+        Atom(5, 0.5, 0.75, 2, 2, ()),
+        Atom(6, 0.75, 1.0, 2, 2, ()),
+    ]
+    filt = tower_from_atoms(atoms, 0.5)
+    assert_same_tower(filt, oracles.AtomTower(delta=0.5, depth=2, atoms=tuple(atoms)))
+    assert oracles.levels_of(filt) == ((0,), (1, 2), (3, 4, 5, 6))
+    assert filt.layout.event_children.tolist() == [2, 1, 3, 4, 6, 5]
+
+
+def test_dyadic_columns_hold_little_memory():
+    # four int and two float columns of 2^17 - 1 atoms; the layout is not
+    # built until it is read
+    tracemalloc.start()
+    try:
+        filt = build_dyadic(16)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 8_000_000
+    assert "layout" not in vars(filt)
+
+
+@pytest.mark.parametrize("delta, k, seed", [(0.25, 4, 2), (1.0 / 3.0, 3, 1)])
+def test_critical_equal_split_at_depth_twelve(delta, k, seed):
+    # k * delta = 1 leaves the equal split only; past depth 8 the rounding of
+    # its endpoints alone puts ratios more than 1e-12 below delta, which the
+    # fixed-tolerance check rejected
+    filt = build_random_regular(depth=12, delta=delta, max_children=k, split_prob=0.7, seed=seed)
+    assert regularity_delta(filt) < delta - 1e-12
+    with pytest.raises(FiltrationError, match="below delta"):
+        oracles.AtomTower(delta=delta, depth=12, atoms=tuple(filt.atoms))
+
+
+def test_ratio_check_still_rejects_a_sub_delta_child():
+    # move one cut of the last split so that a child keeps delta - 1e-7
+    # of its parent: far below delta at that depth, though far above the
+    # endpoint roundoff
+    filt = build_random_regular(depth=12, delta=0.25, max_children=4, split_prob=0.7, seed=2)
+    p = int(filt.layout.event_atoms[-1])
+    lo = int(filt.child_starts[p])
+    c1, c2 = filt.children[lo : lo + 2].tolist()
+    a, b = filt.a.copy(), filt.b.copy()
+    a[c2] = b[c1] = a[c1] + (0.25 - 1e-7) * (b[p] - a[p])
+    cols = {name: getattr(filt, name) for name in ("level", "parent", "child_starts", "children")}
+    with pytest.raises(FiltrationError, match=f"below delta at atom {p}"):
+        Filtration(delta=0.25, depth=12, a=a, b=b, **cols)
+
+
+# A dyadic depth-2 tower as atoms; each malformed tower below edits it.
+DYADIC2 = (
+    Atom(0, 0.0, 1.0, 0, None, (1, 2)),
+    Atom(1, 0.0, 0.5, 1, 0, (3, 4)),
+    Atom(2, 0.5, 1.0, 1, 0, (5, 6)),
+    Atom(3, 0.0, 0.25, 2, 1, ()),
+    Atom(4, 0.25, 0.5, 2, 1, ()),
+    Atom(5, 0.5, 0.75, 2, 2, ()),
+    Atom(6, 0.75, 1.0, 2, 2, ()),
+)
+
+
+def _edit(*atoms):
+    """DYADIC2 with each given atom in place of the one with its id."""
+    new = {atom.id: atom for atom in atoms}
+    return [new.get(atom.id, atom) for atom in DYADIC2]
+
+
+def _crowded_split():
+    # ten children overlapping by 0.9e-12 each: every endpoint chains within
+    # the 1e-12 tolerance, but their measures sum 8.1e-12 past the parent's
+    cuts = [j / 10 for j in range(11)]
+    kids = [
+        Atom(j + 1, cuts[j], cuts[j + 1] + (0.9e-12 if j < 9 else 0.0), 1, 0, ())
+        for j in range(10)
+    ]
+    return [Atom(0, 0.0, 1.0, 0, None, tuple(range(1, 11))), *kids]
+
+
+MALFORMED = {
+    "atom ids must be dense": (_edit(Atom(2, 0.5, 1.0, 1, 0, (5, 7))), 0.5, 2),
+    "atom 0 has nonpositive measure": (_edit(Atom(0, 1.0, 1.0, 0, None, (1, 2))), 0.5, 2),
+    "atom 0 has exactly one child": (
+        [
+            Atom(0, 0.0, 1.0, 0, None, (1,)),
+            Atom(1, 0.0, 1.0, 1, 0, (2, 3)),
+            Atom(2, 0.0, 0.5, 2, 1, ()),
+            Atom(3, 0.5, 1.0, 2, 1, ()),
+        ],
+        0.5,
+        2,
+    ),
+    "atom 1 splits past the final level": (list(DYADIC2), 0.5, 1),
+    "child bookkeeping broken at atom 1": (_edit(Atom(3, 0.0, 0.25, 2, 2, ())), 0.5, 2),
+    "children do not span atom 1": (_edit(Atom(4, 0.25, 0.45, 2, 1, ())), 0.5, 2),
+    "children leave a gap inside atom 1": (_edit(Atom(3, 0.0, 0.2, 2, 1, ())), 0.25, 2),
+    "child measures do not sum inside atom 0": (_crowded_split(), 0.1, 1),
+    "child ratio 4.000e-01 below delta at atom 1": (
+        _edit(Atom(3, 0.0, 0.2, 2, 1, ()), Atom(4, 0.2, 0.5, 2, 1, ())),
+        0.5,
+        2,
+    ),
+    "need exactly one root atom at level 0": ([*DYADIC2, Atom(7, 0.0, 1.0, 0, None, ())], 0.5, 2),
+    "no split at level 2": (list(DYADIC2), 0.5, 3),
+}
+
+
+@pytest.mark.parametrize("message", list(MALFORMED))
+def test_each_validation_message_survives(message):
+    atoms, delta, depth = MALFORMED[message]
+    with pytest.raises(FiltrationError, match=message):
+        tower_from_atoms(atoms, delta, depth)
+    if message != "atom ids must be dense":
+        # the atom-by-atom check raises the same message; a dense-id break
+        # is an id out of range among the columns, where the atom list
+        # meets it as a missing index
+        with pytest.raises(FiltrationError, match=message):
+            oracles.AtomTower(delta=delta, depth=depth, atoms=tuple(atoms))
+
+
+def test_unlisted_atom_is_rejected():
+    # an atom naming a parent that does not list it: the atom-by-atom check
+    # let it through, the columns reject it
+    atoms = [*DYADIC2, Atom(7, 0.5, 1.0, 2, 2, ())]
+    oracles.AtomTower(delta=0.5, depth=2, atoms=tuple(atoms))
+    with pytest.raises(FiltrationError, match="child bookkeeping broken at atom 2"):
+        tower_from_atoms(atoms, 0.5, 2)
+
+
+def test_atom_views_read_the_columns(dyadic2):
+    root = dyadic2.root
+    assert (root.id, root.a, root.b, root.level, root.parent, root.children) == (0, 0.0, 1.0, 0, None, (1, 4))
+    assert dyadic2.atom(-1).id == dyadic2.n_atoms - 1
+    assert len(dyadic2.atoms) == 7 and dyadic2.atoms[4].children == (5, 6)
+    with pytest.raises(IndexError):
+        dyadic2.atom(7)
+    assert not any(col.flags.writeable for col in (dyadic2.a, dyadic2.children))

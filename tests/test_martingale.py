@@ -11,7 +11,6 @@ from mblab.bellman import moment_table
 from mblab.corpus import random_transform, random_witness
 from mblab.filtration import (
     Atom,
-    Filtration,
     build_dyadic,
     build_random_regular,
     level_partition,
@@ -48,7 +47,7 @@ def rand_fn(filt, dim, seed):
 
 def leaf_positions(filt):
     """Leaf atom id -> its position in leaf order."""
-    return {leaf: i for i, leaf in enumerate(filt.leaves)}
+    return {leaf: i for i, leaf in enumerate(oracles.leaves_of(filt))}
 
 
 def test_constant_and_indicator(dyadic2):
@@ -67,7 +66,8 @@ def test_average_is_measure_weighted(dyadic2):
     f = rand_fn(dyadic2, 1, 0)
     root = dyadic2.root.id
     manual = sum(
-        dyadic2.atom(leaf).measure * f.values[leaf_positions(dyadic2)[leaf]] for leaf in dyadic2.leaves
+        dyadic2.atom(leaf).measure * f.values[pos]
+        for leaf, pos in leaf_positions(dyadic2).items()
     )
     assert np.allclose(average(f, root), manual, atol=1e-15)
 
@@ -133,7 +133,7 @@ def test_delta_split_mean_zero_and_support(dyadic3):
         d = delta_split(f, ev)
         atom = dyadic3.atom(ev.atom)
         # vanishes off the split atom, exactly
-        for leaf in dyadic3.leaves:
+        for leaf in oracles.leaves_of(dyadic3):
             la = dyadic3.atom(leaf)
             if not (atom.a <= la.a and la.b <= atom.b):
                 assert np.all(d.values[leaf_positions(dyadic3)[leaf]] == 0.0)
@@ -158,7 +158,7 @@ def test_osc2_matches_variance_definition(dyadic3):
     for atom in dyadic3.atoms:
         mean = average(f, atom.id)
         acc = 0.0
-        for leaf in dyadic3.leaves:
+        for leaf in oracles.leaves_of(dyadic3):
             la = dyadic3.atom(leaf)
             if atom.a <= la.a and la.b <= atom.b:
                 acc += la.measure * float(np.sum((f.values[leaf_positions(dyadic3)[leaf]] - mean) ** 2))
@@ -226,7 +226,7 @@ def test_restrict_cuts_support(dyadic2):
     left = dyadic2.root.children[0]
     cut = restrict(f, left)
     la = dyadic2.atom(left)
-    for leaf in dyadic2.leaves:
+    for leaf in oracles.leaves_of(dyadic2):
         leaf_atom = dyadic2.atom(leaf)
         inside = la.a <= leaf_atom.a and leaf_atom.b <= la.b
         at = leaf_positions(dyadic2)[leaf]
@@ -305,7 +305,7 @@ def _last_atom_single_leaf():
         Atom(3, 0.0, 0.25, 2, 1, ()),
         Atom(4, 0.25, 0.5, 2, 1, ()),
     )
-    return Filtration(delta=0.5, depth=2, atoms=atoms)
+    return oracles.tower_from_atoms(atoms, 0.5)
 
 
 def _assert_kernel_matches_levels(filt, dim, seed):

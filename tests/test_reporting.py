@@ -260,7 +260,7 @@ def test_certificate_formats_each_point_once(monkeypatch, corpus_reports):
     monkeypatch.setattr(reporting, "_format_floats", counted)
     certificate_to_dict(cert)
     n_atoms, dim = cert.witness.table.x1.shape
-    n_events, n_leaves = len(cert.slack), len(cert.filtration.leaves)
+    n_events, n_leaves = len(cert.slack), cert.filtration.n_leaves
     expected = [n_atoms * dim, n_atoms, n_atoms, n_atoms, len(cert.weights)]
     expected += [n_events] * 5 + [n_leaves]
     assert sorted(sizes) == sorted(expected)

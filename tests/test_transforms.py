@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mblab.checks import restriction_identity_gaps
 from mblab.corpus import active_split_function, max_children_for, random_transform
-from mblab.filtration import build_dyadic, build_random_regular, split_schedule
+from mblab.filtration import build_dyadic, build_random_regular, level_partition, split_schedule
 from mblab.martingale import (
     MartFunction,
     average,
@@ -34,14 +34,12 @@ from mblab.transforms import (
     split_multiplier_norm,
     transform_to_dict,
 )
-from oracles import level_map
+from oracles import leaves_of, level_map, levels_of
 
 
 def ones_transform(filt, dim=1):
     mults = []
     for n in range(1, filt.depth + 1):
-        from mblab.filtration import level_partition
-
         rows = np.zeros((len(level_partition(filt, n - 1)), dim))
         rows[:, 0] = 1.0
         mults.append(rows)
@@ -55,7 +53,7 @@ def rand_fn(filt, dim, seed):
 
 def leaf_positions(filt):
     """Leaf atom id -> its position in leaf order."""
-    return {leaf: i for i, leaf in enumerate(filt.leaves)}
+    return {leaf: i for i, leaf in enumerate(leaves_of(filt))}
 
 
 def test_unit_ball_is_enforced(dyadic2):
@@ -114,7 +112,7 @@ def split_multiplier_max(op):
     filt = op.filtration
     best = 0.0
     for n in range(1, filt.depth + 1):
-        for row, atom_id in zip(op.multipliers[n - 1], filt.levels[n - 1]):
+        for row, atom_id in zip(op.multipliers[n - 1], levels_of(filt)[n - 1]):
             atom = filt.atom(atom_id)
             if atom.children and atom.level == n - 1:
                 best = max(best, float(np.linalg.norm(row)))
@@ -153,7 +151,7 @@ def test_split_multiplier_norm_ignores_atoms_that_do_not_split():
     level, idle = next(
         (n, i)
         for n in range(filt.depth)
-        for i in range(len(filt.levels[n]))
+        for i in range(len(level_partition(filt, n)))
         if i not in level_map(filt, n)[lay.event_spans[lay.event_levels == n, 0]]
     )
     mults = [a.copy() for a in op.multipliers]
@@ -206,7 +204,7 @@ def test_localization_single_split_input(dyadic3):
         atom = dyadic3.atom(ev.atom)
         piece = delta_split(f, ev)
         out = op.apply(piece)
-        for leaf in dyadic3.leaves:
+        for leaf in leaves_of(dyadic3):
             la = dyadic3.atom(leaf)
             if not (atom.a <= la.a and la.b <= atom.b):
                 assert abs(float(out.values[leaf_positions(dyadic3)[leaf], 0])) <= 1e-12
@@ -221,11 +219,11 @@ def test_predictable_support_containment():
     keep = set()
     for aid in active:
         atom = filt.atom(aid)
-        for leaf in filt.leaves:
+        for leaf in leaves_of(filt):
             la = filt.atom(leaf)
             if atom.a <= la.a and la.b <= atom.b:
                 keep.add(leaf)
-    for leaf in filt.leaves:
+    for leaf in leaves_of(filt):
         if leaf not in keep:
             assert abs(float(out.values[leaf_positions(filt)[leaf], 0])) <= 1e-12
 
@@ -297,7 +295,7 @@ def test_json_roundtrip(dyadic3):
     back = json.loads(to_canonical_json(transform_to_dict(op)))
     for n, level in enumerate(back["multipliers"], start=1):
         assert level["level"] == n
-        assert [v["atom_id"] for v in level["values"]] == list(dyadic3.levels[n - 1])
+        assert [v["atom_id"] for v in level["values"]] == list(levels_of(dyadic3)[n - 1])
         assert np.array_equal([v["coords"] for v in level["values"]], op.multipliers[n - 1])
 
 
