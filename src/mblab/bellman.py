@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .martingale import MartFunction, _diagonal_sums, _level_steps, _stacked_means
-from .reporting import Verbatim, _format_float, _format_floats, _format_rows
+from .reporting import Verbatim, _format_float, _format_floats
 from .transforms import EventRuns, MartingaleTransform, _event_runs
 
 __all__ = [
@@ -799,19 +799,27 @@ def estimate_rescale_constant(
 # Report payload
 
 
+def _point_fields(texts: list[str], dim: int) -> tuple[list[str], ...]:
+    """The insides of the x1 arrays and the x2, x3 and x4 texts of moment
+    points, from the texts of their rows (x1, x2, x3, x4) in C order."""
+    width = dim + 3
+    x1 = texts[0::width]
+    if dim > 1:
+        x1 = list(map(",".join, zip(x1, *(texts[j::width] for j in range(1, dim)))))
+    return x1, texts[dim::width], texts[dim + 1 :: width], texts[dim + 2 :: width]
+
+
 def expansion_to_dict(cert: ExpansionCertificate) -> dict:
     """JSON-ready payload of an expansion, with its whole midpoint tree as
     nested nodes, each with its point, weight and two children.
 
     The tree is ``Verbatim`` canonical text written from ``levels``, bottom
-    level first: each level's columns are formatted once with the writer's
-    float rule, and each node's text wraps its two children's."""
+    level first: each level is formatted in one call of the writer's float
+    rule, and each node's text wraps its two children's."""
     dim = cert.levels[0].shape[1] - 3
     nodes: list[str] = []
     for k in range(cert.m, -1, -1):
-        level = cert.levels[k]
-        x1 = _format_rows(level[:, :dim])
-        x2, x3, x4 = (_format_floats(level[:, dim + j]) for j in range(3))
+        x1, x2, x3, x4 = _point_fields(_format_floats(cert.levels[k]), dim)
         if k == cert.m:
             kids = [""] * len(x1)
         else:

@@ -37,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import BellmanCandidate, BellmanPoint, MomentTable, Witness, _split_sides
+from .bellman import BellmanCandidate, BellmanPoint, Witness, _point_fields, _split_sides
 from .filtration import Filtration, _Lazy, level_partition
 from .martingale import MartFunction, inner
-from .reporting import Verbatim, _enclosed, _format_floats, _format_number, _format_rows
+from .reporting import Verbatim, _enclosed, _format_columns, _format_number
 from .transforms import MartingaleTransform
 
 __all__ = [
@@ -299,48 +299,48 @@ def _event_columns(cert: Certificate) -> list:
     ]
 
 
-def _point_texts(table: MomentTable) -> list[str]:
-    """Every atom's moment point as canonical JSON text, by atom id."""
-    x1 = _format_rows(table.x1)
-    tail = ',"p":' + _format_number(table.p) + ',"atom":'
-    x2, x3, x4 = map(_format_floats, (table.x2, table.x3, table.x4))
-    return [
-        f'{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}{tail}{atom}}}'
-        for atom, (a, b, c, e) in enumerate(zip(x1, x2, x3, x4))
-    ]
-
-
 def certificate_to_dict(cert: Certificate) -> dict:
     """Full JSON-ready payload, one record per schedule step.
 
     The summary fields are plain values.  ``records`` and ``leaves`` are
-    ``Verbatim`` canonical text written from the certificate's arrays: each
-    float column is formatted once with the writer's float rule, and each
-    atom's moment point is rendered once and spliced in as its record's
+    ``Verbatim`` canonical text written from the certificate's arrays: all
+    float columns are formatted in one call of the writer's float rule, and
+    each atom's moment point is rendered once and spliced in as its record's
     base, as a child in its parent's record and as its leaf's point.
     ``to_canonical_json`` of the payload gives the text of the same payload
     built as one dict per record, leaf and point."""
     table, lay = cert.witness.table, cert.filtration.layout
-    points = _point_texts(table)
-    starts, kids = lay.event_child_starts.tolist(), lay.event_children.tolist()
-    weights = _format_floats(cert.weights)
-    floats = map(
-        _format_floats,
-        (lay.atom_measures[lay.event_atoms], table.d, cert.diameter, table.pairing, cert.slack),
+    leaves = level_partition(cert.filtration, cert.filtration.depth)
+    moments, weights, measures, ds, diameters, pairings, slacks, values = _format_columns(
+        np.column_stack((table.x1, table.x2, table.x3, table.x4)),
+        cert.weights,
+        lay.atom_measures[lay.event_atoms],
+        table.d,
+        cert.diameter,
+        table.pairing,
+        cert.slack,
+        cert.values[leaves],
     )
+    tail = ',"p":' + _format_number(table.p) + ',"atom":'
+    points = [
+        f'{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}{tail}{atom}}}'
+        for atom, (a, b, c, e) in enumerate(zip(*_point_fields(moments, table.x1.shape[1])))
+    ]
+    starts = lay.event_child_starts.tolist()
+    children = [points[c] for c in lay.event_children.tolist()]
     records = _enclosed("[", [
         f'{{"atom":{atom},"level":{level},"measure":{measure},'
         f'"weights":[{",".join(weights[lo:hi])}],"d":{d},"diameter":{diameter},'
         f'"pairing":{pairing},"slack":{slack},"base":{points[atom]},'
-        f'"children":[{",".join([points[c] for c in kids[lo:hi]])}]}}'
+        f'"children":[{",".join(children[lo:hi])}]}}'
         for atom, level, measure, d, diameter, pairing, slack, lo, hi in zip(
-            lay.event_atoms.tolist(), lay.event_levels.tolist(), *floats, starts, starts[1:]
+            lay.event_atoms.tolist(), lay.event_levels.tolist(),
+            measures, ds, diameters, pairings, slacks, starts, starts[1:],
         )
     ], "]")
-    leaves = level_partition(cert.filtration, cert.filtration.depth)
     leaf_entries = _enclosed("[", [
         f'{{"point":{points[leaf]},"value":{value}}}'
-        for leaf, value in zip(leaves.tolist(), _format_floats(cert.values[leaves]))
+        for leaf, value in zip(leaves.tolist(), values)
     ], "]")
     return {
         "ok": cert.ok,

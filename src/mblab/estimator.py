@@ -1,10 +1,10 @@
 """Constant estimation: scaling balance, norm-ratio scans, witness search,
 duality bounds.
 
-Four instruments share this module.  The scaling balance picks the factor
-lambda that minimizes the two-sided moment expression
-lambda^p x3 + lambda^-q x4, with a golden-section minimizer kept alongside
-as an independent oracle.  The ratio scan measures ||Tf||_p / ||f||_p over
+Four instruments share this module.  The scaling balance picks, in closed
+form, the factor lambda that minimizes the two-sided moment expression
+lambda^p x3 + lambda^-q x4; the tests hold it to a numeric minimizer kept
+in ``tests/oracles.py``.  The ratio scan measures ||Tf||_p / ||f||_p over
 random witnesses and extremal multipliers and bins the ratios into a fixed
 histogram; at p = 2 the ratio is pinned below one by the contraction
 property, below 2 the measured maxima are empirical readings, not proved
@@ -36,7 +36,6 @@ from .martingale import MartFunction, inner, lp_norm
 
 __all__ = [
     "EstimateError",
-    "optimal_lambda_numeric",
     "duality_candidate",
     "lp_constant_scan",
     "lower_bound_search",
@@ -71,52 +70,6 @@ def optimal_lambda(p: float, x3: float, x4: float) -> float:
     if x3 <= 0 or x4 <= 0:
         raise ValueError(f"moments must be positive, got x3={x3}, x4={x4}")
     return (q * x4 / (p * x3)) ** (1.0 / (p + q))
-
-
-def optimal_lambda_numeric(p: float, x3: float, x4: float) -> float:
-    """Numeric minimizer, independent of the closed form on purpose.
-
-    Test oracle: the tests compare ``optimal_lambda`` with it; no
-    production path calls it.
-
-    Golden section over a log grid bracket locates the minimum; value
-    comparisons alone bottom out near sqrt(machine eps) relative, so a
-    derivative sign bisection sharpens the result to full precision.  The
-    derivative here is differentiated numerically from the objective's own
-    terms, never solved algebraically.
-    """
-    from scipy.optimize import brentq, minimize_scalar  # only this oracle needs scipy
-
-    if x3 <= 0 or x4 <= 0:
-        raise ValueError(f"moments must be positive, got x3={x3}, x4={x4}")
-    q = conjugate_exponent(p)
-    grid = np.logspace(-8, 8, 321)
-    with np.errstate(over="ignore"):
-        # far grid tails overflow to inf, which argmin ignores by design
-        vals = [hoelder_objective(l, p, x3, x4) for l in grid]
-    i = int(np.argmin(vals))
-    if i == 0 or i == len(grid) - 1:
-        raise ValueError("minimizer fell outside the bracketing grid")
-    res = minimize_scalar(
-        lambda l: hoelder_objective(l, p, x3, x4),
-        bracket=(grid[i - 1], grid[i], grid[i + 1]),
-        method="golden",
-        options={"xtol": 1e-11},
-    )
-    lam = float(res.x)
-
-    def slope(l: float) -> float:
-        return p * l ** (p - 1.0) * x3 - q * l ** (-q - 1.0) * x4
-
-    lo, hi = lam * (1.0 - 1e-6), lam * (1.0 + 1e-6)
-    for _ in range(120):
-        if slope(lo) < 0.0 < slope(hi):
-            return float(brentq(slope, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps))
-        lo *= 0.5
-        hi *= 2.0
-        if not (np.isfinite(slope(lo)) and np.isfinite(slope(hi))):
-            break
-    return lam
 
 
 def kappa_constant(p: float) -> float:

@@ -9,8 +9,10 @@ from functools import cached_property
 from itertools import chain
 
 import numpy as np
+from scipy.optimize import brentq, minimize_scalar
 
 from mblab.bellman import BellmanCandidate, MomentTable, Witness, conjugate_exponent
+from mblab.estimator import hoelder_objective
 from mblab.filtration import (
     _GEOM_TOL,
     Atom,
@@ -641,3 +643,46 @@ def _build_layout(f: AtomTower) -> LeafLayout:
         stacked_parents=_frozen(parents),
         stacked_children=_frozen(children),
     )
+
+
+def optimal_lambda_numeric(p: float, x3: float, x4: float) -> float:
+    """Numeric minimizer, independent of the closed form on purpose.
+
+    The tests compare ``estimator.optimal_lambda`` with it.
+
+    Golden section over a log grid bracket locates the minimum; value
+    comparisons alone bottom out near sqrt(machine eps) relative, so a
+    derivative sign bisection sharpens the result to full precision.  The
+    derivative here is differentiated numerically from the objective's own
+    terms, never solved algebraically.
+    """
+    if x3 <= 0 or x4 <= 0:
+        raise ValueError(f"moments must be positive, got x3={x3}, x4={x4}")
+    q = conjugate_exponent(p)
+    grid = np.logspace(-8, 8, 321)
+    with np.errstate(over="ignore"):
+        # far grid tails overflow to inf, which argmin ignores by design
+        vals = [hoelder_objective(l, p, x3, x4) for l in grid]
+    i = int(np.argmin(vals))
+    if i == 0 or i == len(grid) - 1:
+        raise ValueError("minimizer fell outside the bracketing grid")
+    res = minimize_scalar(
+        lambda l: hoelder_objective(l, p, x3, x4),
+        bracket=(grid[i - 1], grid[i], grid[i + 1]),
+        method="golden",
+        options={"xtol": 1e-11},
+    )
+    lam = float(res.x)
+
+    def slope(l: float) -> float:
+        return p * l ** (p - 1.0) * x3 - q * l ** (-q - 1.0) * x4
+
+    lo, hi = lam * (1.0 - 1e-6), lam * (1.0 + 1e-6)
+    for _ in range(120):
+        if slope(lo) < 0.0 < slope(hi):
+            return float(brentq(slope, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps))
+        lo *= 0.5
+        hi *= 2.0
+        if not (np.isfinite(slope(lo)) and np.isfinite(slope(hi))):
+            break
+    return lam

@@ -32,7 +32,6 @@ from mblab.estimator import (
     conjugate_exponent,
     lp_constant_scan,
     optimal_lambda,
-    optimal_lambda_numeric,
 )
 from mblab.filtration import build_dyadic
 from mblab.martingale import average, inner
@@ -40,6 +39,7 @@ from mblab.reporting import to_canonical_json
 from mblab.certifier import certificate_to_dict
 
 from conftest import telescoping_relerr  # reused for a direct spot check
+from oracles import optimal_lambda_numeric
 
 DELTAS = (0.1, 0.25, 1.0 / 3.0, 0.5)
 

@@ -23,9 +23,9 @@ from mblab.estimator import (
     lower_bound_search,
     lp_constant_scan,
     optimal_lambda,
-    optimal_lambda_numeric,
 )
 from mblab.martingale import average, inner, lp_norm
+from oracles import optimal_lambda_numeric
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_optimal_lambda_agrees_with_golden_oracle():
 
 
 def test_import_mblab_loads_no_scipy():
-    # scipy serves only the optimal_lambda_numeric oracle, imported inside it
+    # scipy serves only the optimal_lambda_numeric oracle in tests/oracles.py
     src = str(Path(mblab.__file__).resolve().parents[1])
     code = "import sys, mblab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(

@@ -8,11 +8,13 @@ time, so the oracle renders the record-by-record payload of
 ``oracles.certificate_by_records`` in their place.
 """
 
+import itertools
 import json
 import math
 import types
 from collections import OrderedDict
 from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from hypothesis import strategies as st
 from mblab.bellman import quadratic_candidate
 from mblab.certifier import certificate_rows, certificate_to_dict, certify
 from mblab.checks import run_all
-from mblab.corpus import DELTAS, DIMS, CorpusCell, prepare_cell
-import mblab.certifier as certifier
+from mblab.corpus import DELTAS, DIMS, CorpusCell, prepare_cell, random_transform, random_witness
+from mblab.filtration import build_dyadic, build_random_regular
 import mblab.reporting as reporting
 from mblab.reporting import (
     ReportError,
@@ -245,7 +247,7 @@ def test_real_csv_matches_reference(corpus_reports):
 
 
 def test_certificate_formats_each_point_once(monkeypatch, corpus_reports):
-    # every float column goes through the column formatter once, the four
+    # all float columns go through the column formatter in one call, the
     # moment columns with one entry per atom, although the text writes a
     # point as a record's base, as a child and as a leaf's point
     _, _, cert, _ = corpus_reports[-1]
@@ -255,15 +257,11 @@ def test_certificate_formats_each_point_once(monkeypatch, corpus_reports):
         sizes.append(np.size(values))
         return _format_floats(values)
 
-    # the certifier's own binding and the one behind ``_format_rows``
-    monkeypatch.setattr(certifier, "_format_floats", counted)
     monkeypatch.setattr(reporting, "_format_floats", counted)
     certificate_to_dict(cert)
     n_atoms, dim = cert.witness.table.x1.shape
     n_events, n_leaves = len(cert.slack), cert.filtration.n_leaves
-    expected = [n_atoms * dim, n_atoms, n_atoms, n_atoms, len(cert.weights)]
-    expected += [n_events] * 5 + [n_leaves]
-    assert sorted(sizes) == sorted(expected)
+    assert sizes == [n_atoms * (dim + 3) + len(cert.weights) + 5 * n_events + n_leaves]
 
 
 FLOAT_COLUMN = st.lists(
@@ -279,6 +277,152 @@ def test_format_floats_matches_format_float(col):
     if len(col) % 2 == 0:
         # a 2-D column is formatted flat, in row order
         assert _format_floats(np.array(col, dtype=float).reshape(-1, 2)) == expected
+
+
+# --- the column kernel -----------------------------------------------------
+
+
+def expected_texts(values) -> list[str]:
+    return [_format_float(x) for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def ulps_around(x: float, n: int = 64) -> np.ndarray:
+    """The 2n + 1 doubles from n ulps below x to n ulps above, both signs."""
+    bits = np.float64(x).view(np.uint64).astype(np.int64) + np.arange(-n, n + 1)
+    column = bits.astype(np.uint64).view(np.float64)
+    return np.concatenate([column, -column])
+
+
+def kernel_sizes(monkeypatch) -> list[int]:
+    """Sizes of the chunks the column kernel formats from now on."""
+    sizes = []
+    kernel = reporting._format_window
+
+    def counted(x):
+        sizes.append(len(x))
+        return kernel(x)
+
+    monkeypatch.setattr(reporting, "_format_window", counted)
+    return sizes
+
+
+# any double, subnormals, NaN payloads, infinities and signed zeros among them
+RAW_BITS = st.integers(min_value=0, max_value=2**64 - 1)
+# doubles of either sign with exponents in and around the kernel's window
+WINDOW_BITS = st.builds(
+    lambda sign, exponent, mantissa: (sign << 63) | (exponent << 52) | mantissa,
+    st.integers(0, 1),
+    st.integers(1023 - 40, 1023 + 56),
+    st.integers(0, 2**52 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(RAW_BITS, WINDOW_BITS), min_size=1, max_size=64))
+def test_kernel_matches_format_float_on_bit_patterns(patterns):
+    # tiled to the kernel's minimum, so the kernel takes every in-window entry
+    col = np.resize(np.array(patterns, dtype=np.uint64).view(np.float64), reporting._KERNEL_MIN)
+    assert _format_floats(col) == expected_texts(col)
+
+
+def test_kernel_rounds_exact_ties_half_to_even(monkeypatch):
+    # x = c * 2**-m with c odd has the exact decimal c * 5**m * 10**-m; with
+    # c * 5**m of 18 digits, the 17-digit rounding is an exact tie
+    rng = np.random.default_rng(5)
+    ties = []
+    for m in range(2, 26):
+        lo, hi = -(-(10**17) // 5**m), min(10**18 // 5**m, 2**53)
+        for c in rng.integers(lo, hi, 400).tolist():
+            c |= 1
+            if c < hi and len(str(c * 5**m)) == 18:
+                ties.append(c / 2**m)
+    col = np.array(ties + [-t for t in ties])
+    assert len(col) > 9000
+    sizes = kernel_sizes(monkeypatch)
+    assert _format_floats(col) == expected_texts(col)
+    assert sum(sizes) == len(col)
+
+
+def test_kernel_near_powers_of_ten_and_window_edges(monkeypatch):
+    # 64 ulps either side of 10**k for k = -12 .. 16, where log10 needs the
+    # fix-up, and of both window edges
+    points = [10.0**k for k in range(-12, 17)] + list(reporting._WINDOW)
+    col = np.concatenate([ulps_around(x) for x in points])
+    sizes = kernel_sizes(monkeypatch)
+    assert _format_floats(col) == expected_texts(col)
+    size = np.abs(col)
+    inside = (size >= reporting._WINDOW[0]) & (size < reporting._WINDOW[1])
+    assert sum(sizes) == len(col) and np.count_nonzero(inside) > 0.8 * len(col)
+
+
+def test_no_double_in_the_window_rounds_up_to_a_power_of_ten():
+    # the kernel has no carry from 10**17 - 1 up to 10**17: the largest
+    # double below each power of ten rounds to at most 10**17 - 1
+    for j in range(reporting._K_LO + 1, reporting._K_HI + 2):
+        power = Fraction(10) ** j
+        below = float(power)
+        if Fraction(below) >= power:
+            below = math.nextafter(below, 0.0)
+        scaled = Fraction(below) * Fraction(10) ** (17 - j)
+        assert scaled < 10**17 - Fraction(1, 2)
+
+
+def test_kernel_sweep_on_both_sides_of_the_crossover():
+    rng = np.random.default_rng(2024)
+    n = 120_000
+    col = 10.0 ** rng.uniform(-14, 18, n) * rng.choice([-1.0, 1.0], n)
+    col[::5] = np.round(col[::5], int(rng.integers(0, 6)))  # trailing zeros
+    dyadic = col[1::7]
+    dyadic[:] = rng.integers(-(10**6), 10**6, len(dyadic)) / 2.0 ** rng.integers(0, 40, len(dyadic))
+    col[2::11] = rng.integers(-(10**16), 10**16, len(col[2::11])).astype(float)
+    col[3::101] = 0.0
+    col[4::997] = np.nan
+    col[5::997] = -np.inf
+    cut = reporting._KERNEL_MIN
+    lengths = itertools.cycle([1, 40, cut - 1, cut, cut + 1, 3 * cut, reporting._CHUNK + 7, 50000])
+    start = 0
+    while start < len(col):
+        stop = start + next(lengths)
+        assert _format_floats(col[start:stop]) == expected_texts(col[start:stop])
+        start = stop
+
+
+def test_kernel_reads_2d_columns_in_c_order():
+    rng = np.random.default_rng(3)
+    shape = (reporting._KERNEL_MIN, 3)
+    values = 10.0 ** rng.uniform(-6, 6, shape) * rng.choice([-1.0, 1.0], shape)
+    values[::9, 1] = 0.0
+    expected = expected_texts(values)
+    assert _format_floats(values) == expected
+    assert _format_floats(np.asfortranarray(values)) == expected
+
+
+def deep_certificates():
+    """Certificates of dyadic depth 9 in d = 2 and of the depth-12 random
+    tower at floor 0.25 (max_children 3, split_prob 0.7, seed 9), with
+    the record-by-record payloads of their walks."""
+    towers = [
+        (build_dyadic(9), 2),
+        (build_random_regular(depth=12, delta=0.25, max_children=3, split_prob=0.7, seed=9), 2),
+    ]
+    for filt, dim in towers:
+        rng = np.random.default_rng(9)
+        f, g = random_witness(filt, dim, rng)
+        op = random_transform(filt, dim, rng)
+        cand = quadratic_candidate(filt.delta)
+        walk, _ = certificate_by_records(cand, f, g, op)
+        yield certify(cand, f, g, op), walk
+
+
+def test_deep_certificates_match_record_walk_through_the_kernel(monkeypatch):
+    sizes = kernel_sizes(monkeypatch)
+    for cert, walk in deep_certificates():
+        sizes.clear()
+        text = to_canonical_json(certificate_to_dict(cert))
+        assert text == ref_to_canonical_json(walk)
+        n_atoms, dim = cert.witness.table.x1.shape
+        n_floats = n_atoms * (dim + 3) + len(cert.weights) + 5 * len(cert.slack)
+        assert sum(sizes) == n_floats + cert.filtration.n_leaves > reporting._KERNEL_MIN
 
 
 def test_verbatim_text_is_written_as_is():

@@ -19,7 +19,6 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("
 ORACLES = {
     "martingale.cond_exp",
     "martingale.restrict",
-    "estimator.optimal_lambda_numeric",
     "transforms.operator_norm",
 }
 # The two halves of the rescaling route have no caller yet; ROADMAP item 3
