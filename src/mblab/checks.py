@@ -8,10 +8,10 @@ localization, predictable support, the oscillation series, the x2 drop
 accounting, nonnegativity of the x2 slot, the one-sided restriction bound,
 and the L2 contraction.
 
-``run_all`` and ``run_suite`` build one witness at p = 2 from (f, g, T), and
-every suite reads T* g and the moment table from it, so one ``run_all`` call
-computes T* g once, through the closed form ``adjoint_closed_form``, and the
-table once.  T f goes through the multiplier formula ``apply``; no suite
+``run_all`` builds one witness at p = 2 from (f, g, T), and every suite
+reads T* g and the moment table from it, so one ``run_all`` call computes
+T* g once, through the closed form ``adjoint_closed_form``, and the table
+once.  T f goes through the multiplier formula ``apply``; no suite
 builds the dense matrix.
 The dense routes (``matrix_apply``, ``adjoint_apply``, the SVD norm
 ``operator_norm``) are test oracles: the tests compare them with the
@@ -471,23 +471,6 @@ SUITES = {
 }
 
 
-def _suite(name: str):
-    if name not in SUITES:
-        raise KeyError(f"unknown check suite '{name}'; known: {sorted(SUITES)}")
-    return SUITES[name]
-
-
-def run_suite(
-    name: str,
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
-    return _suite(name)(Witness(f, g, op), tol, rng)
-
-
 def run_all(
     f: MartFunction,
     g: MartFunction,
@@ -496,10 +479,14 @@ def run_all(
     rng: np.random.Generator | None = None,
     suites: list[str] | None = None,
 ) -> tuple[list[dict], bool]:
+    """Rows of the named suites (every suite by default) in order, and
+    whether all of them are ok; an unknown suite name is a KeyError."""
     tol = tol or Tolerances()
     rng = rng if rng is not None else np.random.default_rng(0)
     w = Witness(f, g, op)
     rows: list[dict] = []
     for name in suites or list(SUITES):
-        rows.extend(_suite(name)(w, tol, rng))
+        if name not in SUITES:
+            raise KeyError(f"unknown check suite '{name}'; known: {sorted(SUITES)}")
+        rows.extend(SUITES[name](w, tol, rng))
     return rows, all(r["ok"] for r in rows)

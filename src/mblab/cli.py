@@ -8,6 +8,7 @@ Subcommands:
   search   lower-bound search for the pairing over unit-norm witnesses
   scan     norm-ratio scan over random witnesses and extremal multipliers
   bound    certified duality bound over a spread of dual draws
+  corpus   sweep the acceptance corpus: worst row per check, probes, digests
 
 Each subcommand accepts only the flags it reads (``_FLAGS``), plus
 --config, --out and --format; a flag or config key it does not read is a
@@ -24,12 +25,15 @@ given it; reports are byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
+from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -41,8 +45,16 @@ from .bellman import (
     sample_dyadic_split_configs,
 )
 from .certifier import CertificationError, certificate_rows, certificate_to_dict, certify
-from .checks import SUITES, Tolerances, run_all
-from .corpus import haar_witness, max_children_for, random_transform, random_witness
+from .checks import SUITES, Tolerances, hoelder_mean_margin, restriction_identity_gaps, run_all
+from .corpus import (
+    build_tower,
+    default_corpus,
+    haar_witness,
+    max_children_for,
+    prepare_cell,
+    random_transform,
+    random_witness,
+)
 from .estimator import (
     EstimateError,
     duality_bound,
@@ -50,13 +62,7 @@ from .estimator import (
     lower_bound_search,
     lp_constant_scan,
 )
-from .filtration import (
-    FiltrationError,
-    RatioSamplingError,
-    build_dyadic,
-    build_random_regular,
-    filtration_to_dict,
-)
+from .filtration import FiltrationError, RatioSamplingError, filtration_to_dict
 from .reporting import ReportError, rows_to_csv, to_canonical_json, write_text
 from .transforms import PredictabilityError, transform_to_dict
 
@@ -83,6 +89,7 @@ class RunConfig:
     ascent: int = 0
     m: int = 6
     suites: str | None = None
+    seeds: int = 100
 
 
 # The RunConfig fields each command reads, as flags and as config keys.
@@ -96,6 +103,7 @@ _FLAGS = {
     "search": (*_SAMPLED, "target", "ascent"),
     "scan": _SAMPLED,
     "bound": _SAMPLED,
+    "corpus": ("seeds", "suites"),
 }
 # Read by every command.
 _OUTPUT = ("out", "fmt")
@@ -116,6 +124,7 @@ _SPECS = {
     "ascent": {"type": int},
     "m": {"type": int},
     "suites": {},
+    "seeds": {"type": int},
     "out": {},
     "fmt": {"choices": ("json", "csv")},
 }
@@ -205,6 +214,8 @@ def _validate(command: str, cfg: RunConfig) -> None:
         raise UsageError(f"--ascent must be >= 0, got {cfg.ascent}")
     if cfg.suites is not None and not cfg.suites.strip():
         raise UsageError("--suites must name at least one suite")
+    if cfg.seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {cfg.seeds}")
     if command == "lemma1":
         if not 1 <= cfg.dim <= 4:
             raise UsageError(f"lemma1 needs --dim in [1, 4], got {cfg.dim}")
@@ -240,16 +251,16 @@ def _filtration(cfg: RunConfig):
         raise UsageError(
             f"--max-children must lie in [2, 1/delta] = [2, {1.0 / cfg.delta:g}], got {max_children}"
         )
-    if cfg.delta == 0.5:
-        return build_dyadic(depth)
-    seed = _require_seed(cfg)
-    return build_random_regular(
-        depth=depth,
-        delta=cfg.delta,
-        max_children=max_children,
-        split_prob=cfg.split_prob,
-        seed=seed,
-    )
+    return build_tower(cfg.delta, cfg.seed, depth, max_children, cfg.split_prob)
+
+
+def _suite_names(cfg: RunConfig) -> list[str] | None:
+    """The suites --suites names, in order; None, for every suite, without it."""
+    names = None if cfg.suites is None else [s.strip() for s in cfg.suites.split(",")]
+    unknown = [name for name in names or () if name not in SUITES]
+    if unknown:
+        raise UsageError(f"unknown suites {unknown}; known: {sorted(SUITES)}")
+    return names
 
 
 def _witness(cfg: RunConfig, filt):
@@ -325,11 +336,7 @@ def cmd_check(cfg: RunConfig) -> int:
     filt = _filtration(cfg)
     f, g, op = _witness(cfg, filt)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-    names = [s.strip() for s in cfg.suites.split(",")] if cfg.suites else None
-    for name in names or []:
-        if name not in SUITES:
-            raise UsageError(f"unknown suite '{name}'; known: {sorted(SUITES)}")
-    rows, ok = run_all(f, g, op, Tolerances.from_env(), rng, suites=names)
+    rows, ok = run_all(f, g, op, Tolerances.from_env(), rng, suites=_suite_names(cfg))
     _emit(cfg, lambda: {"ok": ok, "rows": rows}, lambda: rows)
     return 0 if ok else 1
 
@@ -358,6 +365,7 @@ def cmd_lemma1(cfg: RunConfig) -> int:
         rows.append(
             {
                 "config": i,
+                "children": sc.n,
                 "m": cert.m,
                 "copies": cert.copies,
                 "separation": cert.separation,
@@ -369,19 +377,21 @@ def cmd_lemma1(cfg: RunConfig) -> int:
         if not cert.degenerate and (worst is None or cert.ratio < worst.ratio):
             worst = cert
 
+    min_ratio = None if worst is None else worst.ratio
+
     def payload() -> dict:
-        ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
         return {
             "delta": cfg.delta,
             "trials": cfg.trials,
-            "min_ratio": min(ratios) if ratios else None,
+            "min_ratio": min_ratio,
             "degenerate": sum(1 for r in rows if r["degenerate"]),
             "rows": rows,
             "worst": None if worst is None else expansion_to_dict(worst),
         }
 
     _emit(cfg, payload, lambda: rows)
-    return 0
+    # The recombination step needs every separation strictly positive.
+    return 1 if min_ratio is not None and min_ratio <= 0.0 else 0
 
 
 def cmd_search(cfg: RunConfig) -> int:
@@ -477,6 +487,85 @@ def cmd_bound(cfg: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
+def cmd_corpus(cfg: RunConfig) -> int:
+    """sweep the acceptance corpus"""
+    names = _suite_names(cfg)
+    tol = Tolerances.from_env()
+    cells = default_corpus(seeds=cfg.seeds)
+    # One generator, seeded 0, feeds the suites of every cell in corpus
+    # order: the reports digest depends on its stream.
+    rng = np.random.default_rng(0)
+    worst = defaultdict(lambda: (0.0, None))
+    centered_worst, defect_worst, margin_worst = 0.0, 0.0, -math.inf
+    suites_ok = True
+    reports, certificates = hashlib.sha256(), hashlib.sha256()
+    stages: dict[str, float] = defaultdict(float)
+    last = perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal last
+        now = perf_counter()
+        stages[stage] += now - last
+        last = now
+
+    for cell in cells:
+        pc = prepare_cell(cell)
+        lap("prepare_cell")
+        rows, ok = run_all(pc.f, pc.g, pc.op, tol, rng, suites=names)
+        lap("run_all")
+        suites_ok = suites_ok and ok
+        cert = certify(quadratic_candidate(cell.delta), pc.f, pc.g, pc.op, tol=1e-9 * tol.scale)
+        lap("certify")
+        cert_text = to_canonical_json(certificate_to_dict(cert)).encode()
+        reports.update(to_canonical_json(rows).encode())
+        reports.update(cert_text)
+        certificates.update(cert_text)
+        for row in rows:
+            ratio = row["max_err"] / row["tol"] if row["tol"] > 0 else float(row["max_err"] > 0)
+            if ratio > worst[row["check"]][0]:
+                worst[row["check"]] = (ratio, cell)
+        lap("emission")
+        centered, defect = restriction_identity_gaps(pc.g, pc.op)
+        centered_worst = max(centered_worst, centered)
+        defect_worst = max(defect_worst, defect)
+        margin_worst = max(margin_worst, hoelder_mean_margin(pc.f, pc.g, pc.op, 2.0, 2.0))
+        lap("probes")
+    walls = "  ".join(f"{name} {wall:.3f}" for name, wall in stages.items())
+    print(f"stage wall (s): {walls}  total {sum(stages.values()):.3f}", file=sys.stderr)
+
+    # The probes' bounds are the acceptance gate's (criteria 3 and 7).
+    ok = (
+        suites_ok
+        and centered_worst <= tol.tight
+        and defect_worst <= tol.tight
+        and margin_worst <= 1e-10 * tol.scale
+    )
+    # Each check's worst err/tol and its cell [delta, dim, seed]; a check
+    # that never moves off zero has no cell.
+    checks = [
+        (name, ratio, None if cell is None else [cell.delta, cell.dim, cell.seed])
+        for name, (ratio, cell) in sorted(worst.items())
+    ]
+    _emit(
+        cfg,
+        lambda: {
+            "cells": len(cells),
+            "checks": [{"check": n, "err_over_tol": r, "cell": c} for n, r, c in checks],
+            "restriction_centered_gap": centered_worst,
+            "restriction_defect_gap": defect_worst,
+            "mean_bound_margin": margin_worst,
+            "ok": ok,
+            "certificates_sha256": certificates.hexdigest(),
+            "reports_sha256": reports.hexdigest(),
+        },
+        lambda: [
+            {"check": n, "err_over_tol": r, **dict(zip(("delta", "dim", "seed"), c or [None] * 3))}
+            for n, r, c in checks
+        ],
+    )
+    return 0 if ok else 1
+
+
 _COMMANDS = {
     "gen": cmd_gen,
     "check": cmd_check,
@@ -485,6 +574,7 @@ _COMMANDS = {
     "search": cmd_search,
     "scan": cmd_scan,
     "bound": cmd_bound,
+    "corpus": cmd_corpus,
 }
 
 

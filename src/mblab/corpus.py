@@ -16,7 +16,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .filtration import Filtration, build_dyadic, build_random_regular, level_partition
+from .filtration import (
+    Filtration,
+    FiltrationError,
+    build_dyadic,
+    build_random_regular,
+    level_partition,
+)
 from .martingale import MartFunction, _diagonal_steps, _event_draws, _leaf_sum
 from .transforms import MartingaleTransform, make_transform
 
@@ -26,6 +32,7 @@ __all__ = [
     "DIMS",
     "default_corpus",
     "max_children_for",
+    "build_tower",
     "cell_filtration",
     "prepare_cell",
     "random_witness",
@@ -61,10 +68,6 @@ class CorpusCell:
     def depth(self) -> int:
         return 2 + self.seed % 4
 
-    @property
-    def max_children(self) -> int:
-        return _MAX_CHILDREN[self.delta]
-
 
 @dataclass(frozen=True, eq=False)
 class PreparedCell:
@@ -91,18 +94,34 @@ def _cell_rng(cell: CorpusCell) -> np.random.Generator:
     )
 
 
-@lru_cache(maxsize=None)
-def cell_filtration(delta: float, seed: int, depth: int, max_children: int) -> Filtration:
-    # Balanced floor: random ratio sampling degenerates, use the exact tower.
+def build_tower(
+    delta: float,
+    seed: int | None,
+    depth: int,
+    max_children: int | None = None,
+    split_prob: float = 0.7,
+) -> Filtration:
+    """The tower of a floor: the dyadic tower at the balanced floor 1/2,
+    where random ratio sampling degenerates (``seed`` is not read), else
+    the seeded random-regular tower, by default with the floor's child-count
+    cap."""
     if delta == 0.5:
         return build_dyadic(depth)
+    if seed is None:
+        raise FiltrationError(f"the random tower at delta={delta:g} needs a seed")
     return build_random_regular(
         depth=depth,
         delta=delta,
-        max_children=max_children,
-        split_prob=0.7,
+        max_children=max_children_for(delta) if max_children is None else max_children,
+        split_prob=split_prob,
         seed=seed,
     )
+
+
+@lru_cache(maxsize=None)
+def cell_filtration(delta: float, seed: int, depth: int, max_children: int) -> Filtration:
+    """``build_tower``, kept: cells of one floor, seed and depth share it."""
+    return build_tower(delta, seed, depth, max_children)
 
 
 def random_function(
@@ -200,7 +219,7 @@ def active_split_function(
 
 def prepare_cell(cell: CorpusCell) -> PreparedCell:
     """Filtration plus one random witness triple, all determined by the cell."""
-    filt = cell_filtration(cell.delta, cell.seed, cell.depth, cell.max_children)
+    filt = cell_filtration(cell.delta, cell.seed, cell.depth, max_children_for(cell.delta))
     rng = _cell_rng(cell)
     f, g = random_witness(filt, cell.dim, rng)
     op = random_transform(filt, cell.dim, rng)

@@ -25,13 +25,13 @@ import numpy as np
 from .bellman import BellmanPoint, bellman_point, conjugate_exponent, quadratic_candidate
 from .certifier import Certificate, certify
 from .corpus import (
+    build_tower,
     cell_filtration,
     haar_witness,
     max_children_for,
     random_function,
     random_transform,
 )
-from .filtration import build_random_regular
 from .martingale import MartFunction, inner, lp_norm
 
 __all__ = [
@@ -89,7 +89,6 @@ class ScanResult:
     delta: float
     dim: int
     trials: int
-    seed: int
     max_ratio: float
     mean_ratio: float
     argmax: dict
@@ -102,13 +101,7 @@ def _trial_filtration(delta: float, depth: int | None, i: int, filt_seed: int):
     if delta == 0.5:
         # All balanced towers of one depth coincide, so share the cached one.
         return cell_filtration(0.5, 0, d, 2)
-    return build_random_regular(
-        depth=d,
-        delta=delta,
-        max_children=max_children_for(delta),
-        split_prob=0.7,
-        seed=filt_seed,
-    )
+    return build_tower(delta, filt_seed, d)
 
 
 def _trial_rng(seed: int, i: int) -> np.random.Generator:
@@ -162,7 +155,6 @@ def lp_constant_scan(
         delta=delta,
         dim=dim,
         trials=trials,
-        seed=seed,
         max_ratio=float(ratios.max()),
         mean_ratio=float(ratios.mean()),
         argmax=argmax,
@@ -186,7 +178,6 @@ class SearchResult:
     witness: dict
     history: tuple[float, ...]
     achieved_point: BellmanPoint | None
-    state: tuple  # live (filt, f, g, op) of the best witness
 
 
 def _pairing_value(
@@ -235,23 +226,13 @@ def lower_bound_search(
     witness: dict = {}
     for i in range(trials):
         rng = _trial_rng(seed, i)
-        if i == 0:
-            filt = cell_filtration(0.5, 0, 2, 2) if delta >= 0.5 else _trial_filtration(
-                delta, 2, 0, int(rng.integers(2**31))
-            )
-            if len(filt.root.children) == 2:
-                f, g, op = haar_witness(filt, dim)
-            else:
-                f, g = random_function(filt, dim, rng), random_function(filt, 1, rng)
-                op = random_transform(filt, dim, rng, unit=True)
-            kind = "structured"
+        filt = _trial_filtration(delta, 2 if i == 0 else depth, i, int(rng.integers(2**31)))
+        if i == 0 and len(filt.root.children) == 2:
+            f, g, op = haar_witness(filt, dim)
         else:
-            filt_seed = int(rng.integers(2**31))
-            filt = _trial_filtration(delta, depth, i, filt_seed)
-            f = random_function(filt, dim, rng)
-            g = random_function(filt, 1, rng)
+            f, g = random_function(filt, dim, rng), random_function(filt, 1, rng)
             op = random_transform(filt, dim, rng, unit=True)
-            kind = "random"
+        kind = "structured" if i == 0 else "random"
         val = _pairing_value(f, g, op, p, q)
         history.append(val)
         # Values are nonnegative, so trial 0 always sets the best state.
@@ -291,7 +272,6 @@ def lower_bound_search(
         witness=witness,
         history=tuple(history),
         achieved_point=_root_point(*best_state, p),
-        state=best_state,
     )
 
 
@@ -309,7 +289,6 @@ class DualityReport:
     analytic_bound: float
     empirical_max: float
     n_g: int
-    seed: int
     ok: bool
     proved: bool
     rows: tuple[dict, ...]
@@ -415,7 +394,6 @@ def duality_bound(
         analytic_bound=analytic,
         empirical_max=empirical,
         n_g=n_g,
-        seed=seed,
         ok=empirical <= analytic + tol,
         proved=p == 2.0,
         rows=tuple(rows),

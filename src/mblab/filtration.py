@@ -585,10 +585,10 @@ def level_partition(f: Filtration, n: int) -> np.ndarray:
 
 def _segments(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the ranges starts[j]:starts[j] + lengths[j] laid end to
-    end, and where each range begins among them."""
-    ends = lengths.cumsum()
-    begin = ends - lengths
-    return np.arange(ends[-1] if len(ends) else 0) + (starts - begin).repeat(lengths), begin
+    end, and the range j each index comes from."""
+    owner = np.arange(len(lengths)).repeat(lengths)
+    begin = lengths.cumsum() - lengths
+    return np.arange(len(owner)) + (starts - begin).repeat(lengths), owner
 
 
 def _build_layout(f: Filtration) -> LeafLayout:
@@ -609,9 +609,8 @@ def _build_layout(f: Filtration) -> LeafLayout:
     block_starts = []
     for _ in range(f.depth):
         here = rows[-1]
-        index, begin = _segments(expand[here], blocks[here])
-        rows.append(pool[index])
-        block_starts.append(begin)
+        rows.append(pool[_segments(expand[here], blocks[here])[0]])
+        block_starts.append(blocks[here].cumsum() - blocks[here])
     counts = [np.ones(len(rows[-1]), dtype=np.intp)]
     for begin in reversed(block_starts):
         counts.append(np.add.reduceat(counts[-1], begin))

@@ -55,7 +55,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .filtration import Filtration, SplitEvent, _GEOM_TOL
+from .filtration import Filtration, SplitEvent, _GEOM_TOL, _segments
 
 __all__ = [
     "MartFunction",
@@ -269,19 +269,11 @@ def _event_draws(
     disjoint spans, so they share one leaf array.
     """
     lay = filt.layout
-    row, leaf = _span_leaves(lay.event_spans[events])
+    spans = lay.event_spans[events]
+    leaf, row = _segments(spans[:, 0], spans[:, 1] - spans[:, 0])
     out = np.zeros((filt.depth, filt.n_leaves, dim))
     out[lay.event_levels[events][row], leaf] = rng.normal(size=(len(leaf), dim))
     return out
-
-
-def _span_leaves(spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The leaves of each [lo, hi) span in turn, as (index of the span,
-    leaf position) pairs."""
-    lengths = spans[:, 1] - spans[:, 0]
-    owner = np.repeat(np.arange(len(spans)), lengths)
-    offsets = spans[:, 0] - (np.cumsum(lengths) - lengths)
-    return owner, np.arange(len(owner)) + np.repeat(offsets, lengths)
 
 
 # reduceat boundaries of a single segment starting at the first row.

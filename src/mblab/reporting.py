@@ -51,6 +51,8 @@ class ReportError(RuntimeError):
 
 
 def _format_float(x: float) -> str:
+    """Canonical float text: '%.17g' (exact round-trip, not shortest),
+    with NaN, +-Infinity and a single 0 for both signed zeros."""
     if x != x:
         return "NaN"
     if x == _INF:
@@ -256,12 +258,6 @@ class Verbatim:
 
     def __repr__(self) -> str:
         return f"Verbatim({len(self.text)} chars)"
-
-
-def format_float(x: float) -> str:
-    """Canonical float text: '%.17g' (exact round-trip, not shortest),
-    with NaN, +-Infinity and a single 0 for both signed zeros."""
-    return _format_float(float(x))
 
 
 def _format_number(v) -> str | None:

@@ -46,14 +46,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .filtration import Filtration, level_partition
-from .martingale import (
-    MartFunction,
-    _atom_steps,
-    _averaging_matrices,
-    _leaf_sum,
-    _span_leaves,
-)
+from .filtration import Filtration, _segments, level_partition
+from .martingale import MartFunction, _atom_steps, _averaging_matrices, _leaf_sum
 
 __all__ = [
     "MartingaleTransform",
@@ -66,8 +60,8 @@ __all__ = [
 ]
 
 class PredictabilityError(ValueError):
-    """Multiplier data is not constant on the coarser-level atoms or exceeds
-    the unit ball."""
+    """Multiplier data does not hold one row per coarser-level atom, or
+    leaves the unit ball."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +164,8 @@ def _event_runs(op: MartingaleTransform) -> EventRuns:
     below_root = lay.event_levels > 0
     levels = lay.event_levels[below_root]
     spans = lay.event_spans[below_root]
-    owner, leaf = _span_leaves(spans)
     lengths = spans[:, 1] - spans[:, 0]
+    leaf, owner = _segments(spans[:, 0], lengths)
     # Row of K_k, k = 0..depth-1, in the stacked rows.
     chain = lay.stacked_maps[: filt.depth, spans[:, 0]].T
     measures = lay.stacked_measures[chain]
@@ -207,16 +201,16 @@ def _adjoint_stack(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
 
 def make_transform(
     filtration: Filtration,
-    multipliers: Sequence[np.ndarray | MartFunction],
+    multipliers: Sequence[np.ndarray],
     dim: int | None = None,
 ) -> MartingaleTransform:
     """Validate multiplier data and build the transform.
 
     Each entry of ``multipliers`` gives the level-n multiplier (n = 1..depth)
-    either as an array of shape (len(A_{n-1}), dim) in level partition order,
-    or as leaf-resolution data (shape (n_leaves, dim) or a MartFunction) that
-    is checked for constancy on the level n-1 atoms.  Every multiplier must
-    lie in the closed unit ball, which makes the transform a contraction.
+    as an array of shape (len(A_{n-1}), dim), one row per A_{n-1} atom in
+    level partition order, so it is predictable by construction.  Every
+    multiplier must lie in the closed unit ball, which makes the transform
+    a contraction.
     """
     if len(multipliers) != filtration.depth:
         raise PredictabilityError(
@@ -224,18 +218,12 @@ def make_transform(
         )
     rows: list[np.ndarray] = []
     for n, raw in enumerate(multipliers, start=1):
-        if isinstance(raw, MartFunction):
-            raw = raw.values
-        arr = np.atleast_2d(np.asarray(raw, dtype=float))
+        per_atom = np.atleast_2d(np.asarray(raw, dtype=float))
         n_atoms = len(level_partition(filtration, n - 1))
-        if arr.shape[0] == n_atoms:
-            per_atom = arr
-        elif arr.shape[0] == filtration.n_leaves:
-            per_atom = _reduce_to_level(filtration, arr, n - 1)
-        else:
+        if per_atom.shape[0] != n_atoms:
             raise PredictabilityError(
-                f"level {n} multiplier has {arr.shape[0]} rows; expected "
-                f"{n_atoms} (per atom) or {filtration.n_leaves} (per leaf)"
+                f"level {n} multiplier has {per_atom.shape[0]} rows; expected "
+                f"{n_atoms}, one per A_{n - 1} atom"
             )
         if dim is None:
             dim = per_atom.shape[1]
@@ -251,19 +239,6 @@ def make_transform(
         rows.append(row)
     assert dim is not None
     return MartingaleTransform(filtration, dim, tuple(rows))
-
-
-def _reduce_to_level(filtration: Filtration, leaf_vals: np.ndarray, level: int) -> np.ndarray:
-    lay = filtration.layout
-    leaf_map = lay.stacked_maps[level] - lay.level_offsets[level]
-    per_atom = leaf_vals[lay.level_starts[level]]
-    bad = np.any(leaf_vals != per_atom[leaf_map], axis=1)
-    if bad.any():
-        atom_id = level_partition(filtration, level)[leaf_map[np.argmax(bad)]]
-        raise PredictabilityError(
-            f"multiplier is not constant on atom {atom_id} of level {level}"
-        )
-    return per_atom
 
 
 def _materialize_matrix(

@@ -21,9 +21,10 @@ from mblab.filtration import (
     LeafLayout,
     RatioSamplingError,
     _frozen,
+    _segments,
     level_partition,
 )
-from mblab.martingale import MartFunction, _segment_means, _span_leaves, _weighted, inner
+from mblab.martingale import MartFunction, _segment_means, _weighted, inner
 from mblab.transforms import MartingaleTransform
 
 
@@ -312,7 +313,8 @@ def event_draws_by_blocks(
     out = np.zeros((filt.depth, L, dim))
     for blk in _blocks(len(events), L * dim):
         raw = rng.normal(size=(blk.stop - blk.start, L, dim))
-        row, leaf = _span_leaves(lay.event_spans[events[blk]])
+        spans = lay.event_spans[events[blk]]
+        leaf, row = _segments(spans[:, 0], spans[:, 1] - spans[:, 0])
         out[lay.event_levels[events[blk]][row], leaf] = raw[row, leaf]
     return out
 
@@ -337,7 +339,7 @@ class SpanFed:
     def normal(self, size: tuple[int, ...]) -> np.ndarray:
         *lead, n_leaves, dim = size
         spans = self._spans[[next(self._events) for _ in range(int(np.prod(lead)))]]
-        row, leaf = _span_leaves(spans)
+        leaf, row = _segments(spans[:, 0], spans[:, 1] - spans[:, 0])
         out = np.full((len(spans), n_leaves, dim), np.nan)
         out[row, leaf] = self._rng.normal(size=(len(leaf), dim))
         return out.reshape(size)

@@ -20,7 +20,7 @@ import mblab.checks as checks
 import mblab.estimator as estimator
 from mblab.bellman import Witness, bellman_point, quadratic_candidate
 from mblab.certifier import certify
-from mblab.checks import SUITES, Tolerances, _row, hoelder_mean_margin, run_all, run_suite
+from mblab.checks import SUITES, Tolerances, _row, hoelder_mean_margin, run_all
 from mblab.corpus import max_children_for, prepare_cell, random_transform, random_witness
 from mblab.filtration import Filtration, build_dyadic, build_random_regular, level_partition
 from mblab.martingale import MartFunction, average, inner, l2_norm
@@ -115,7 +115,7 @@ def test_suite_selection(small_cells):
 def test_unknown_suite_raises(small_cells):
     pc = small_cells[0]
     with pytest.raises(KeyError):
-        run_suite("no_such_suite", pc.f, pc.g, pc.op, Tolerances(), np.random.default_rng(3))
+        run_all(pc.f, pc.g, pc.op, Tolerances(), np.random.default_rng(3), suites=["no_such_suite"])
 
 
 def test_tolerance_scale_from_env(monkeypatch):
@@ -517,7 +517,7 @@ def test_dyadic_depth_12_localization_and_restriction():
     f, g, op = _witness(filt, 1, 12)
     rng = np.random.default_rng(13)
     for name in ("localization", "restriction"):
-        rows = run_suite(name, f, g, op, Tolerances(), rng)
+        rows, _ = run_all(f, g, op, Tolerances(), rng, suites=[name])
         assert all(r["ok"] for r in rows), rows
     centered, defect = checks.restriction_identity_gaps(g, op)
     assert centered <= 1e-9 and defect <= 1e-9

@@ -1,11 +1,9 @@
 """Command line behavior: subcommands, exit codes, deterministic output."""
 
+import dataclasses
 import hashlib
 import json
-import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -91,6 +89,8 @@ def test_unwritable_out_exits_two(capsys):
         ["search", "--seed", "1", "--ascent", "-5"],
         ["gen", "--split-prob", "7", "--depth", "2"],
         ["gen", "--seed", "1", "--delta", "0.25", "--split-prob", "-0.1"],
+        ["corpus", "--seeds", "0"],
+        ["corpus", "--suites", "x2_drop,nope"],
         # a dict stands for a --config file holding it
         ["scan", "--seed", "1", "--config", {"trials": "5"}],
         ["gen", "--config", {"seed": 1.5, "depth": 2}],
@@ -118,6 +118,7 @@ READS = {
     "search": (*SAMPLED, "--target", "--ascent"),
     "scan": SAMPLED,
     "bound": SAMPLED,
+    "corpus": ("--seeds", "--suites"),
 }
 EVERY = ("--config", "--out", "--format")
 FLAGS = sorted(set().union(*READS.values()))
@@ -125,10 +126,10 @@ VALUES = {"--witness": "random", "--candidate": "quadratic", "--suites": "x2_dro
 
 
 def test_flag_table_counts():
-    # 17 flags, of which each command reads its own share: 71 of the
-    # 119 flag-and-command pairs
-    assert len(FLAGS) + len(EVERY) == 17
-    assert sum(len(flags) + len(EVERY) for flags in READS.values()) == 71
+    # 18 flags, of which each command reads its own share: 76 of the
+    # 144 flag-and-command pairs
+    assert len(FLAGS) + len(EVERY) == 18
+    assert sum(len(flags) + len(EVERY) for flags in READS.values()) == 76
     assert set(READS) == set(cli._COMMANDS)
 
 
@@ -432,40 +433,34 @@ def test_config_file_rejects_empty_suites(tmp_path, capsys):
     assert "--suites" in capsys.readouterr().err
 
 
-def run_script(name, *args):
-    """Run ``scripts/<name>`` in a fresh interpreter on this source tree."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / name
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, str(script), *args],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+# ---------------------------------------------------------------------------
+# corpus, and the scan and lemma1 gates
+
+
+def corpus_report(capsys, *args):
+    code = run(["corpus", *args])
+    return code, json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("value", ["", " "])
-def test_corpus_script_rejects_empty_suites(value):
+def test_corpus_rejects_empty_suites(value, capsys):
     # same rule as mblab check: an empty list names no suite, it does not
     # ask for all of them
-    proc = run_script("run_acceptance_corpus.py", "--seeds", "1", "--suites", value)
-    assert proc.returncode == 2
-    assert "--suites must name at least one suite" in proc.stderr
-    assert proc.stdout == ""
+    assert run(["corpus", "--seeds", "1", "--suites", value]) == 2
+    captured = capsys.readouterr()
+    assert "--suites must name at least one suite" in captured.err
+    assert captured.out == ""
 
 
-def test_corpus_script_digests_certificates_alone():
-    # the certificates line hashes the certificates in corpus order and
+def test_corpus_digests_certificates_alone(capsys):
+    # the certificates digest hashes the certificates in corpus order and
     # nothing else: the suites run change the reports digest only
     digests = []
     for suites in ("x2_drop", "localization,support"):
-        proc = run_script("run_acceptance_corpus.py", "--seeds", "1", "--suites", suites)
-        assert proc.returncode == 0, proc.stderr
-        cert_line, reports_line = proc.stdout.splitlines()[-2:]
-        assert cert_line.startswith("certificates sha256 ")
-        assert reports_line.startswith("reports sha256 ")
-        digests.append((cert_line.split()[-1], reports_line.split()[-1]))
+        code, report = corpus_report(capsys, "--seeds", "1", "--suites", suites)
+        assert code == 0
+        assert report["ok"] is True and report["cells"] == 12
+        digests.append((report["certificates_sha256"], report["reports_sha256"]))
     expected = hashlib.sha256()
     for cell in default_corpus(seeds=1):
         pc = prepare_cell(cell)
@@ -475,21 +470,95 @@ def test_corpus_script_digests_certificates_alone():
     assert digests[0][1] != digests[1][1]
 
 
-def test_lp_scan_script_runs():
-    proc = run_script("scan_lp_constants.py", "--trials", "5", "--p-grid", "2", "1.5")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "delta=0.5 dim=1 trials=5 seed=11"
-    assert lines[2].split()[0] == "2.00" and lines[2].endswith("contraction ok")
-    assert lines[3].split()[0] == "1.50"
+def test_corpus_digests_are_pinned(capsys):
+    # four seeds give every depth 2..5 at every floor and dimension; the
+    # digests are those of the acceptance sweep before it became a command
+    assert run(["corpus", "--seeds", "4"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["cells"] == 48
+    assert report["certificates_sha256"] == (
+        "2cfcc809794d18d20608b8786a28b1c6e17cadf66b48b4ebbbc650b6bb9333e6"
+    )
+    assert report["reports_sha256"] == (
+        "c05c57498b9fcc9660d51f0949d00323f919a19f0f483ee60108963ae8463afc"
+    )
+    assert captured.err.startswith("stage wall (s): prepare_cell ")
 
 
-def test_expansion_ratio_script_runs():
-    proc = run_script("measure_expansion_ratios.py", "--count", "5")
-    assert proc.returncode == 0, proc.stderr
-    summary = proc.stdout.splitlines()[-1]
-    assert summary.startswith("overall minimum ratio: ")
-    assert float(summary.split()[-1]) > 0.0
+def test_corpus_names_the_worst_cell_of_each_check(capsys):
+    argv = ["--seeds", "1", "--suites", "x2_drop,x2_sign"]
+    code, report = corpus_report(capsys, *argv)
+    assert code == 0
+    checks = {row["check"]: row for row in report["checks"]}
+    assert sorted(checks) == ["x2_drop", "x2_root_mean_bound", "x2_sign"]
+    delta, dim, seed = checks["x2_drop"]["cell"]
+    assert 0.0 < checks["x2_drop"]["err_over_tol"] <= 1.0
+    assert delta in (0.1, 0.25, 1.0 / 3.0, 0.5) and dim in (1, 2, 3) and seed == 0
+    assert checks["x2_sign"]["cell"] is None  # never off zero
+    assert report["restriction_centered_gap"] <= 1e-9
+    assert report["restriction_defect_gap"] <= 1e-9
+    assert report["mean_bound_margin"] < 0.0
+    # one CSV row per check, the cell in three columns
+    assert run(["corpus", *argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "check,err_over_tol,delta,dim,seed"
+    assert lines[1].startswith("x2_drop,") and lines[1].endswith(",0")
+    assert lines[2:] == ["x2_root_mean_bound,0,,,", "x2_sign,0,,,"]
+
+
+@pytest.mark.parametrize(
+    "probe, value",
+    [
+        ("restriction_identity_gaps", (2e-9, 0.0)),
+        ("restriction_identity_gaps", (0.0, 2e-9)),
+        ("hoelder_mean_margin", 2e-10),
+    ],
+)
+def test_corpus_exits_one_when_a_probe_breaks_its_bound(probe, value, monkeypatch, capsys):
+    # the probes are held to the acceptance gate's bounds, not only printed
+    monkeypatch.setattr(cli, probe, lambda *args: value)
+    code, report = corpus_report(capsys, "--seeds", "1", "--suites", "x2_drop")
+    assert code == 1
+    assert report["ok"] is False
+
+
+def test_corpus_exits_one_on_a_red_row(monkeypatch, capsys):
+    red = {"check": "x2_drop", "max_err": 1.0, "tol": 0.5, "ok": False, "detail": ""}
+    monkeypatch.setitem(cli.SUITES, "x2_drop", lambda w, tol, rng: [red])
+    code, report = corpus_report(capsys, "--seeds", "1", "--suites", "x2_drop")
+    assert code == 1
+    assert report["ok"] is False
+    assert report["checks"] == [{"check": "x2_drop", "err_over_tol": 2, "cell": [0.1, 1, 0]}]
+
+
+def test_scan_over_an_exponent_grid(capsys):
+    # one scan per grid point; at p = 2 the scan is the contraction gate
+    for p in (2.0, 1.5):
+        assert run(["scan", "--seed", "11", "--trials", "5", "--p", str(p)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["p"], report["delta"], report["dim"], report["trials"]) == (p, 0.5, 1, 5)
+        assert p != 2.0 or report["max_ratio"] <= 1.0 + 1e-9
+
+
+def test_lemma1_ratios_are_positive_by_child_count(capsys):
+    for delta in ("0.1", "0.25", "0.3333333333333333", "0.5"):
+        argv = ["lemma1", "--seed", "7", "--delta", delta, "--trials", "5", "--dim", "2"]
+        assert run(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["min_ratio"] > 0.0
+        assert all(2 <= row["children"] <= 1 / float(delta) + 1e-9 for row in report["rows"])
+    assert run([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("config,children,m,")
+
+
+def test_lemma1_exits_one_on_a_nonpositive_ratio(monkeypatch, capsys):
+    expand = cli.dyadic_expand
+    monkeypatch.setattr(
+        cli, "dyadic_expand", lambda sc, m=None: dataclasses.replace(expand(sc, m=m), ratio=0.0)
+    )
+    assert run(["lemma1", "--seed", "7", "--trials", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["min_ratio"] == 0.0
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -160,9 +160,13 @@ def test_search_scalar_target_gates_found():
     assert not_ok.best == ok.best
 
 
-def test_search_best_recomputes_from_witness():
+def test_search_best_recomputes_from_witness(monkeypatch):
+    # the search hands its best witness to the root point, and only there
+    best = []
+    root_point = est._root_point
+    monkeypatch.setattr(est, "_root_point", lambda *args: best.append(args) or root_point(*args))
     res = lower_bound_search(1.5, 40, seed=8, delta=0.25, dim=2)
-    filt, f, g, op = res.state
+    [(filt, f, g, op, _)] = best
     q = conjugate_exponent(1.5)
     direct = abs(inner(g, op.apply(f))) / (
         lp_norm(f, 1.5) * lp_norm(g, q) * filt.total_measure

@@ -32,7 +32,6 @@ from mblab.reporting import (
     Verbatim,
     _format_float,
     _format_floats,
-    format_float,
     rows_to_csv,
     to_canonical_json,
     write_text,
@@ -436,25 +435,25 @@ def test_verbatim_text_is_written_as_is():
 
 
 def test_format_float_special_values():
-    assert format_float(float("nan")) == "NaN"
-    assert format_float(float("inf")) == "Infinity"
-    assert format_float(float("-inf")) == "-Infinity"
-    assert format_float(-0.0) == "0"
-    assert format_float(0.0) == "0"
-    assert format_float(1.0) == "1"
+    assert _format_float(float("nan")) == "NaN"
+    assert _format_float(float("inf")) == "Infinity"
+    assert _format_float(float("-inf")) == "-Infinity"
+    assert _format_float(-0.0) == "0"
+    assert _format_float(0.0) == "0"
+    assert _format_float(1.0) == "1"
 
 
 def test_format_float_is_seventeen_digits_not_shortest():
     # exact round-trip, but longer than repr where repr is shorter
-    assert format_float(0.1) == "0.10000000000000001"
-    assert float(format_float(0.1)) == 0.1
-    assert format_float(0.5) == "0.5"
+    assert _format_float(0.1) == "0.10000000000000001"
+    assert float(_format_float(0.1)) == 0.1
+    assert _format_float(0.5) == "0.5"
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_float_roundtrips(x):
-    assert float(format_float(x)) == x
+    assert float(_format_float(x)) == x
 
 
 def test_canonical_json_basics():

@@ -1,7 +1,7 @@
 """The public surface: every name a module exports resolves, the package
 root re-exports only exported names, and every exported name has a caller
-outside its own module, in ``src/mblab``, ``scripts/`` or ``perfbench/``,
-unless it is a named test oracle or awaits a planned caller."""
+outside its own module, in ``src/mblab`` or ``perfbench/``, unless it is
+a named test oracle or awaits a planned caller."""
 
 import ast
 import importlib
@@ -70,7 +70,7 @@ def test_root_reexports_only_exported_names():
 def test_every_export_has_a_caller_or_is_an_oracle():
     files = [
         path
-        for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+        for folder in (PACKAGE, ROOT / "perfbench")
         for path in folder.rglob("*.py")
         if path.name != "__init__.py"
     ]
