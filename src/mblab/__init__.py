@@ -34,7 +34,6 @@ from .transforms import (
 from .bellman import (
     BellmanCandidate,
     BellmanPoint,
-    bellman_point,
     dyadic_expand,
     estimate_rescale_constant,
     linear_candidate,

@@ -13,9 +13,9 @@ with q the conjugate exponent of p.  These points live in the convex domain
 event J, the displacement d_J, the pairing of the split differences of f and
 T* g, and the x2 gain of the split, in one stacked pass of the martingale
 kernel over all levels.  A ``Witness`` holds (f, g, T) and p and derives
-T* g, that table and the transform's event runs once each, for every
-suite, probe and certificate that reads them; ``bellman_point`` returns
-one atom's row of its table.
+T* g, that table, the transform's event runs and the sides of the
+restriction identity once each, for every suite, probe and certificate
+that reads them; ``table.point`` gives one atom's moment point.
 
 A candidate function B is tested against the split inequality: whenever
 points x^1..x^N and weights lambda_k >= delta (summing to one) satisfy
@@ -54,13 +54,12 @@ import numpy as np
 
 from .martingale import MartFunction, _diagonal_sums, _level_steps, _stacked_means
 from .reporting import Verbatim, _format_float, _format_floats
-from .transforms import EventRuns, MartingaleTransform, _event_runs
+from .transforms import EventRuns, MartingaleTransform, _cut_adjoints, _event_runs
 
 __all__ = [
     "BellmanPoint",
     "BellmanCandidate",
     "conjugate_exponent",
-    "bellman_point",
     "Witness",
     "quadratic_candidate",
     "linear_candidate",
@@ -218,15 +217,15 @@ class Witness:
     """A witness triple (f, g, T) at exponent p, with the objects the
     suites, probes and certificates read derived once each, on first use:
     ``tstar_g``, T* g through the closed form ``adjoint_closed_form``,
-    ``table``, the ``moment_table`` at p, and ``event_runs``, T's split
-    events as runs of leaves with their ancestor chains, which the
-    localization and restriction kernels read.  The table's x2, d and x2
-    gains do not depend on p.  ``f`` is None for a probe that reads only g
-    and T* g; such a witness has no table.  The objects live as long as the
-    witness, so one ``run_all`` builds each once and frees them after.
+    ``table``, the ``moment_table`` at p, ``event_runs``, T's split events
+    as runs of leaves with their ancestor chains, which the localization
+    and restriction kernels read, and ``restriction_sides``.  The table's
+    x2, d and x2 gains do not depend on p.  The objects live as long as the
+    witness, so the suites, the certificate and the probes that share one
+    witness build each once between them.
     """
 
-    f: MartFunction | None
+    f: MartFunction
     g: MartFunction
     op: MartingaleTransform
     p: float = 2.0
@@ -243,13 +242,23 @@ class Witness:
     def event_runs(self) -> EventRuns:
         return _event_runs(self.op)
 
-
-def bellman_point(
-    f: MartFunction, g: MartFunction, op: MartingaleTransform, atom_id: int, p: float
-) -> BellmanPoint:
-    """Moment point of the witness (f, g, T) localized to one atom: its row
-    of the witness's moment table."""
-    return Witness(f, g, op, p).table.point(atom_id)
+    @cached_property
+    def restriction_sides(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per non-root split atom J, in schedule order: the mean <g>_J, the
+        local side osc2(T* g, J) and the rescaled global side
+        (|I|/|J|) osc2(T*(g 1_J), I), the last from one ``_cut_adjoints``
+        pass of the uncentered cuts."""
+        runs, filt = self.event_runs, self.g.filtration
+        measures = runs.measures[:, -1]
+        g = self.g.values[:, 0]
+        cut_osc, _ = _cut_adjoints(self.op, runs, g, np.zeros(len(measures)))
+        weights = filt.layout.measures[runs.leaf]
+        mean_g = runs.sums(weights * g[runs.leaf]) / measures
+        tstar_g = self.tstar_g.values[runs.leaf]
+        mean = runs.sums(weights[:, None] * tstar_g) / measures[:, None]
+        centered = tstar_g - mean[runs.owner]
+        local = runs.sums(weights * np.einsum("ij,ij->i", centered, centered)) / measures
+        return mean_g, local, (filt.total_measure / measures) * cut_osc
 
 
 def in_bellman_domain(pt: BellmanPoint, tol: float = _DOMAIN_TOL) -> bool:
@@ -508,10 +517,6 @@ def _assemble_config(
         x4=float(sum(w * pt.x4 for w, pt in zip(weights, points))),
         p=p,
     )
-    # Convexity of the domain makes the base admissible automatically, but the
-    # contract says reject, so keep an explicit guard.
-    if not in_bellman_domain(base, tol=1e-9 * _scale_of(base)):
-        raise ValueError("sampled base point left the moment domain")
     return SplitConfig(delta=delta, p=p, points=tuple(points), weights=weights, d=d, base=base)
 
 
@@ -649,28 +654,19 @@ class ExpansionCertificate:
     degenerate: bool
 
 
-def _weights_to_counts(weights: np.ndarray, m: int | None) -> tuple[np.ndarray, int]:
-    if m is not None:
-        candidates = [m]
-    else:
-        candidates = range(1, 17)
-    for mm in candidates:
-        b = 2**mm
-        counts = np.rint(weights * b).astype(int)
-        if np.all(np.abs(counts - weights * b) <= 1e-6) and counts.sum() == b and counts.min() >= 1:
-            return counts, mm
-    raise ValueError("weights are not dyadic rationals with denominator up to 2^16")
-
-
-def dyadic_expand(cfg: SplitConfig, m: int | None = None) -> ExpansionCertificate:
-    """Expand, sort along the diameter direction, halve, and build the tree.
+def dyadic_expand(cfg: SplitConfig, m: int) -> ExpansionCertificate:
+    """Expand into 2^m copies, sort along the diameter direction, halve, and
+    build the tree; raises ValueError unless every weight is a positive
+    multiple of 2^-m.
 
     Sort keys are scalar projections of the x1 copies onto the segment
     between the first diameter-realizing pair of ``_diameters``; ties keep
     original copy order.
     """
-    counts, mm = _weights_to_counts(cfg.weights, m)
-    b = int(counts.sum())
+    b = 2**m
+    counts = np.rint(cfg.weights * b).astype(int)
+    if np.any(np.abs(counts - cfg.weights * b) > 1e-6) or counts.sum() != b or counts.min() < 1:
+        raise ValueError(f"weights are not positive multiples of 2^-{m}")
     copy_owner = np.repeat(np.arange(cfg.n), counts)
 
     rows = np.array([[*pt.x1, pt.x2, pt.x3, pt.x4] for pt in cfg.points])
@@ -690,10 +686,10 @@ def dyadic_expand(cfg: SplitConfig, m: int | None = None) -> ExpansionCertificat
     sorted_owner = copy_owner[order]
     full = rows[sorted_owner]
     # The 2^k nodes at depth k average consecutive blocks of b / 2^k copies.
-    levels = tuple(full.reshape(2**k, b >> k, -1).mean(axis=1) for k in range(mm + 1))
+    levels = tuple(full.reshape(2**k, b >> k, -1).mean(axis=1) for k in range(m + 1))
     separation = float(np.linalg.norm(levels[1][0, :dim] - levels[1][1, :dim]))
     return ExpansionCertificate(
-        m=mm,
+        m=m,
         copies=b,
         order=tuple(sorted_owner.tolist()),
         levels=levels,

@@ -8,11 +8,13 @@ localization, predictable support, the oscillation series, the x2 drop
 accounting, nonnegativity of the x2 slot, the one-sided restriction bound,
 and the L2 contraction.
 
-``run_all`` builds one witness at p = 2 from (f, g, T), and every suite
-reads T* g and the moment table from it, so one ``run_all`` call computes
-T* g once, through the closed form ``adjoint_closed_form``, and the table
-once.  T f goes through the multiplier formula ``apply``; no suite
-builds the dense matrix.
+``run_suites`` runs the suites on one witness, and every suite reads T* g
+and the moment table from it, so one call computes T* g once, through the
+closed form ``adjoint_closed_form``, and the table once; ``run_all`` wraps
+(f, g, T) in a witness at p = 2 first.  The two probes below read the same
+witness, so a caller that hands one witness to the certifier, the suites
+and the probes derives each of its objects once.  T f goes through the
+multiplier formula ``apply``; no suite builds the dense matrix.
 The dense routes (``matrix_apply``, ``adjoint_apply``, the SVD norm
 ``operator_norm``) are test oracles: the tests compare them with the
 production routes, on the whole acceptance corpus among others.
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import Witness
+from .bellman import Witness, conjugate_exponent
 from .filtration import Filtration, level_partition
 from .martingale import (
     MartFunction,
@@ -77,13 +79,20 @@ from .martingale import (
     l2_norm,
     lp_norm,
 )
-from .transforms import EventRuns, MartingaleTransform, predictable_hull, split_multiplier_norm
+from .transforms import (
+    MartingaleTransform,
+    _ancestor_values,
+    _cut_adjoints,
+    predictable_hull,
+    split_multiplier_norm,
+)
 from .corpus import active_split_function, random_function
 
 __all__ = [
     "Tolerances",
     "SUITES",
     "run_all",
+    "run_suites",
     "restriction_identity_gaps",
     "hoelder_mean_margin",
 ]
@@ -115,24 +124,6 @@ class Tolerances:
 def _atom_sums(filt: Filtration, per_leaf: np.ndarray, n: int) -> np.ndarray:
     """Sums of a per-leaf array over every A_n atom, in level order."""
     return np.add.reduceat(per_leaf, filt.layout.level_starts[n], axis=-1)
-
-
-def _ancestor_values(mults: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Levels 1..n of T or T* applied to a function h supported in an A_n
-    atom J, n >= 1, outside J's subtree, from its padded ancestor chain
-    (``EventRuns``).
-
-    h has the same sum, J's, over every K_k, so ``means`` (e, depth, c)
-    holds its averages over the chain.  Level k adds a_k(K_{k-1}) (mean_k -
-    mean_{k-1}) on J, and on the ring K_j - K_{j+1} every level up to j does
-    the same while level j+1 sees 0 - mean_j.  Returns the constant on J,
-    (e, d), and on each ring, (e, depth-1, d), as coordinatewise products
-    a * mean: T sums them over the coordinates, T* keeps them.  A ring of
-    zero measure (K_j = K_{j+1}) holds no leaf.
-    """
-    steps = np.cumsum(mults[:, :-1] * np.diff(means, axis=1), axis=1)
-    before = np.concatenate([np.zeros_like(steps[:, :1]), steps[:, :-1]], axis=1)
-    return steps[:, -1], before - mults[:, :-1] * means[:, :-1]
 
 
 def _row(name: str, err: float, tol: float, detail: str = "") -> dict:
@@ -317,85 +308,22 @@ def check_x2_sign(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     return rows
 
 
-def _cut_adjoints(
-    op: MartingaleTransform, runs: EventRuns, values: np.ndarray, shifts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each non-root split atom J, in schedule order, osc2 over I and
-    squared norm of T*((v - s_J) 1_J), with v the scalar leaf values and s_J
-    the shift of J.
-
-    The cuts of one level n have disjoint atoms and share one leaf array,
-    row n - 1 of a stack.  Inside J, levels n+1.. see J's leaves only, so
-    one push of the stack through them gives every cut's T* there, from J's
-    own reduceat segments.  Levels 1..n add a constant on J and on each ring
-    of J's ancestor chain, from J's cut sum: O(L * depth^2) in all, none of
-    it per event.
-    """
-    filt = op.filtration
-    if not len(runs.levels):
-        return np.empty(0), np.empty(0)
-    owner, leaf = runs.owner, runs.leaf
-    row = runs.levels[owner] - 1
-    cut = values[leaf] - shifts[owner]
-    cuts = np.zeros((filt.depth - 1, filt.n_leaves, 1))
-    cuts[row, leaf, 0] = cut
-    steps = _atom_steps(filt, cuts)
-    del cuts
-    weights = filt.layout.measures[leaf]
-    sums = runs.sums(weights * cut)
-    inside, rings = _ancestor_values(runs.mults, (sums[:, None] / runs.measures)[..., None])
-    x = np.zeros((filt.depth - 1, filt.n_leaves, op.dim))
-    x[row, leaf] = inside[owner]
-    # Level k reaches inside the atoms of levels n < k: rows 0..k-2.
-    for k in range(2, filt.depth + 1):
-        diff = np.take(steps[: k - 1], filt.layout.stacked_maps[k], axis=-2)
-        x[: k - 1] += op.multiplier_on_leaves(k) * diff
-    on_atoms = x[row, leaf]
-
-    ring_measures = runs.measures[:, :-1] - runs.measures[:, 1:]
-    mean = runs.sums(weights[:, None] * on_atoms) + np.einsum("ej,ejd->ed", ring_measures, rings)
-    mean /= filt.total_measure
-
-    def square_sums(inside: np.ndarray, on_rings: np.ndarray) -> np.ndarray:
-        per_leaf = runs.sums(weights * np.einsum("ij,ij->i", inside, inside))
-        return per_leaf + np.einsum("ej,ejd,ejd->e", ring_measures, on_rings, on_rings)
-
-    off_mean = square_sums(on_atoms - mean[owner], rings - mean[:, None, :])
-    return off_mean / filt.total_measure, square_sums(on_atoms, rings)
-
-
-def _restriction_sides(w: Witness) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per non-root split atom J, in schedule order: the mean <g>_J, the
-    local side osc2(T* g, J) and the rescaled global side
-    (|I|/|J|) osc2(T*(g 1_J), I)."""
-    g, op, runs = w.g, w.op, w.event_runs
-    filt = g.filtration
-    measures = runs.measures[:, -1]
-    cut_osc, _ = _cut_adjoints(op, runs, g.values[:, 0], np.zeros(len(measures)))
-    weights = filt.layout.measures[runs.leaf]
-    mean_g = runs.sums(weights * g.values[runs.leaf, 0]) / measures
-    tstar_g = w.tstar_g.values[runs.leaf]
-    mean = runs.sums(weights[:, None] * tstar_g) / measures[:, None]
-    centered = tstar_g - mean[runs.owner]
-    local = runs.sums(weights * np.einsum("ij,ij->i", centered, centered)) / measures
-    return mean_g, local, (filt.total_measure / measures) * cut_osc
-
-
 def check_restriction(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
     """One-sided restriction bound: the local oscillation of T* g over J is
     dominated by the rescaled global oscillation of T* applied to g cut to
     J.  Ancestor splits make the global side strictly larger in general.
 
-    Both sides read the witness's T* g, and the cuts go through the
-    per-level kernel of ``_cut_adjoints``; the full-length route, one L-leaf
-    cut per event through the adjoint, is kept in the tests as an oracle.
+    Both sides are the witness's ``restriction_sides``: the cuts go through
+    the per-level kernel of ``_cut_adjoints``; the full-length route, one
+    L-leaf cut per event through the adjoint, is kept in the tests as an
+    oracle.
     """
-    _, local, glob = _restriction_sides(w)
+    _, local, glob = w.restriction_sides
     worst = float(np.max((local - glob) / np.maximum(1.0, local), initial=0.0))
     return [_row("restriction_bound", worst, tol.tight, "local minus rescaled global")]
 
 
-def restriction_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple[float, float]:
+def restriction_identity_gaps(w: Witness) -> tuple[float, float]:
     """Worst relative gaps, over the non-root split atoms J, in the two exact
     restriction identities; both are roundoff on a correct transform.
 
@@ -406,36 +334,34 @@ def restriction_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple
 
     The uncentered cut g 1_J lets the strict ancestors of J see c, and the
     rescaled global side exceeds the local one by exactly c^2 ||T* 1_J||^2/|J|.
+    Both sides and c are the witness's ``restriction_sides``, the ones the
+    restriction suite reads.
 
     Returns (centered gap relative to the larger side, defect gap relative to
     max(1, defect)).  Not a registered suite, so ``run_all`` rows do not
     include it.
     """
-    filt = g.filtration
-    w = Witness(None, g, op)
-    runs = w.event_runs
+    filt, runs = w.g.filtration, w.event_runs
     measures = runs.measures[:, -1]
-    c, local, glob = _restriction_sides(w)
-    centered_osc, _ = _cut_adjoints(op, runs, g.values[:, 0], c)
+    c, local, glob = w.restriction_sides
+    centered_osc, _ = _cut_adjoints(w.op, runs, w.g.values[:, 0], c)
     centered = (filt.total_measure / measures) * centered_osc
     scale = np.maximum(np.maximum(local, centered), 1e-30)
     centered_worst = float(np.max(np.abs(local - centered) / scale, initial=0.0))
-    _, ones_sq = _cut_adjoints(op, runs, np.ones(filt.n_leaves), np.zeros(len(c)))
+    _, ones_sq = _cut_adjoints(w.op, runs, np.ones(filt.n_leaves), np.zeros(len(c)))
     defect = c * c * ones_sq / measures
     gap = np.abs((glob - local) - defect) / np.maximum(1.0, defect)
     return centered_worst, float(np.max(gap, initial=0.0))
 
 
-def hoelder_mean_margin(
-    f: MartFunction, g: MartFunction, op: MartingaleTransform, p: float, q: float
-) -> float:
-    """How far |<f>_I . <T* g>_I| sits above ||f||_p ||g||_q / |I|;
-    nonpositive when the Hoelder mean bound holds.  Not a registered suite,
-    so ``run_all`` rows do not include it."""
-    filt = f.filtration
+def hoelder_mean_margin(w: Witness) -> float:
+    """How far |<f>_I . <T* g>_I| sits above ||f||_p ||g||_q / |I|, at the
+    witness's p and its conjugate q; nonpositive when the Hoelder mean bound
+    holds.  Not a registered suite, so ``run_all`` rows do not include it."""
+    filt = w.f.filtration
     root = filt.root.id
-    lhs = abs(float(np.dot(average(f, root), average(Witness(f, g, op, p).tstar_g, root))))
-    rhs = lp_norm(f, p) * lp_norm(g, q) / filt.total_measure
+    lhs = abs(float(np.dot(average(w.f, root), average(w.tstar_g, root))))
+    rhs = lp_norm(w.f, w.p) * lp_norm(w.g, conjugate_exponent(w.p)) / filt.total_measure
     return lhs - rhs
 
 
@@ -477,13 +403,22 @@ def run_all(
     op: MartingaleTransform,
     tol: Tolerances | None = None,
     rng: np.random.Generator | None = None,
+) -> tuple[list[dict], bool]:
+    """Every suite's rows on the witness (f, g, T) at p = 2 (``run_suites``)."""
+    return run_suites(Witness(f, g, op), tol, rng)
+
+
+def run_suites(
+    w: Witness,
+    tol: Tolerances | None = None,
+    rng: np.random.Generator | None = None,
     suites: list[str] | None = None,
 ) -> tuple[list[dict], bool]:
-    """Rows of the named suites (every suite by default) in order, and
-    whether all of them are ok; an unknown suite name is a KeyError."""
+    """Rows of the named suites (every suite by default) on one witness, in
+    order, and whether all of them are ok; an unknown suite name is a
+    KeyError."""
     tol = tol or Tolerances()
     rng = rng if rng is not None else np.random.default_rng(0)
-    w = Witness(f, g, op)
     rows: list[dict] = []
     for name in suites or list(SUITES):
         if name not in SUITES:

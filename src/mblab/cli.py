@@ -31,13 +31,15 @@ import math
 import sys
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
 from .bellman import (
+    BellmanPoint,
+    Witness,
     dyadic_expand,
     expansion_to_dict,
     linear_candidate,
@@ -45,7 +47,7 @@ from .bellman import (
     sample_dyadic_split_configs,
 )
 from .certifier import CertificationError, certificate_rows, certificate_to_dict, certify
-from .checks import SUITES, Tolerances, hoelder_mean_margin, restriction_identity_gaps, run_all
+from .checks import SUITES, Tolerances, hoelder_mean_margin, restriction_identity_gaps, run_suites
 from .corpus import (
     build_tower,
     default_corpus,
@@ -237,6 +239,16 @@ def _emit(cfg: RunConfig, payload: Callable[[], dict], rows: Callable[[], list[d
         sys.stdout.write(text)
 
 
+def _result_payload(result) -> dict:
+    """Every field of a result dataclass in declaration order, a
+    ``BellmanPoint`` as its dict; ``DualityReport.n_g`` is keyed "draws"."""
+    items = ((field.name, getattr(result, field.name)) for field in fields(result))
+    return {
+        "draws" if name == "n_g" else name: v.to_dict() if isinstance(v, BellmanPoint) else v
+        for name, v in items
+    }
+
+
 def _require_seed(cfg: RunConfig) -> int:
     if cfg.seed is None:
         raise UsageError("this command draws randomness; --seed is required")
@@ -336,7 +348,7 @@ def cmd_check(cfg: RunConfig) -> int:
     filt = _filtration(cfg)
     f, g, op = _witness(cfg, filt)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-    rows, ok = run_all(f, g, op, Tolerances.from_env(), rng, suites=_suite_names(cfg))
+    rows, ok = run_suites(Witness(f, g, op), Tolerances.from_env(), rng, _suite_names(cfg))
     _emit(cfg, lambda: {"ok": ok, "rows": rows}, lambda: rows)
     return 0 if ok else 1
 
@@ -409,17 +421,7 @@ def cmd_search(cfg: RunConfig) -> int:
     )
     _emit(
         cfg,
-        lambda: {
-            "p": res.p,
-            "delta": res.delta,
-            "trials": res.trials,
-            "target": res.target,
-            "best": res.best,
-            "found": res.found,
-            "witness": res.witness,
-            "achieved_point": None if res.achieved_point is None else res.achieved_point.to_dict(),
-            "history": list(res.history),
-        },
+        lambda: _result_payload(res),
         lambda: [{"trial": i, "value": v} for i, v in enumerate(res.history)],
     )
     return 0 if res.found else 1
@@ -434,17 +436,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     tolerances = Tolerances.from_env()
     _emit(
         cfg,
-        lambda: {
-            "p": res.p,
-            "delta": res.delta,
-            "dim": res.dim,
-            "trials": res.trials,
-            "max_ratio": res.max_ratio,
-            "mean_ratio": res.mean_ratio,
-            "argmax": res.argmax,
-            "bin_edges": list(res.bin_edges),
-            "counts": list(res.counts),
-        },
+        lambda: _result_payload(res),
         lambda: [
             {"bin_lo": res.bin_edges[i], "bin_hi": res.bin_edges[i + 1], "count": c}
             for i, c in enumerate(res.counts)
@@ -467,23 +459,7 @@ def cmd_bound(cfg: RunConfig) -> int:
         depth=cfg.depth if cfg.depth is not None else 3,
         tol=1e-6 * Tolerances.from_env().scale,
     )
-    _emit(
-        cfg,
-        lambda: {
-            "p": report.p,
-            "q": report.q,
-            "delta": report.delta,
-            "cp": report.cp,
-            "kappa": report.kappa,
-            "analytic_bound": report.analytic_bound,
-            "empirical_max": report.empirical_max,
-            "draws": report.n_g,
-            "ok": report.ok,
-            "proved": report.proved,
-            "rows": list(report.rows),
-        },
-        lambda: list(report.rows),
-    )
+    _emit(cfg, lambda: _result_payload(report), lambda: list(report.rows))
     return 0 if report.ok else 1
 
 
@@ -511,11 +487,13 @@ def cmd_corpus(cfg: RunConfig) -> int:
     for cell in cells:
         pc = prepare_cell(cell)
         lap("prepare_cell")
-        rows, ok = run_all(pc.f, pc.g, pc.op, tol, rng, suites=names)
-        lap("run_all")
-        suites_ok = suites_ok and ok
         cert = certify(quadratic_candidate(cell.delta), pc.f, pc.g, pc.op, tol=1e-9 * tol.scale)
         lap("certify")
+        # The suites and both probes read the certificate's witness (p = 2).
+        w = cert.witness
+        rows, ok = run_suites(w, tol, rng, suites=names)
+        lap("suites")
+        suites_ok = suites_ok and ok
         cert_text = to_canonical_json(certificate_to_dict(cert)).encode()
         reports.update(to_canonical_json(rows).encode())
         reports.update(cert_text)
@@ -525,10 +503,10 @@ def cmd_corpus(cfg: RunConfig) -> int:
             if ratio > worst[row["check"]][0]:
                 worst[row["check"]] = (ratio, cell)
         lap("emission")
-        centered, defect = restriction_identity_gaps(pc.g, pc.op)
+        centered, defect = restriction_identity_gaps(w)
         centered_worst = max(centered_worst, centered)
         defect_worst = max(defect_worst, defect)
-        margin_worst = max(margin_worst, hoelder_mean_margin(pc.f, pc.g, pc.op, 2.0, 2.0))
+        margin_worst = max(margin_worst, hoelder_mean_margin(w))
         lap("probes")
     walls = "  ".join(f"{name} {wall:.3f}" for name, wall in stages.items())
     print(f"stage wall (s): {walls}  total {sum(stages.values()):.3f}", file=sys.stderr)

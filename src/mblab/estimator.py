@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import BellmanPoint, bellman_point, conjugate_exponent, quadratic_candidate
+from .bellman import BellmanPoint, Witness, conjugate_exponent, quadratic_candidate
 from .certifier import Certificate, certify
 from .corpus import (
     build_tower,
@@ -176,8 +176,8 @@ class SearchResult:
     best: float
     found: bool
     witness: dict
-    history: tuple[float, ...]
     achieved_point: BellmanPoint | None
+    history: tuple[float, ...]
 
 
 def _pairing_value(
@@ -192,7 +192,7 @@ def _pairing_value(
 
 def _root_point(filt, f, g, op, p: float) -> BellmanPoint | None:
     try:
-        return bellman_point(f, g, op, filt.root.id, p)
+        return Witness(f, g, op, p).table.point(filt.root.id)
     except ArithmeticError:
         return None
 
@@ -270,8 +270,8 @@ def lower_bound_search(
         best=best,
         found=found,
         witness=witness,
-        history=tuple(history),
         achieved_point=_root_point(*best_state, p),
+        history=tuple(history),
     )
 
 

@@ -417,15 +417,15 @@ def build_random_regular(
     max_children: int,
     split_prob: float,
     seed: int,
-    ratio_budget: int = 10_000,
 ) -> Filtration:
     """Seeded random filtration of [0, 1) with child ratios >= delta.
 
     At each level, every atom created at that level splits with probability
     split_prob into k ~ U{2..max_children} children; if no atom volunteers,
     one is forced so the tower keeps growing.  Ratios are drawn uniformly on
-    the simplex and rejected until all are >= delta; the exactly-critical
-    case k * delta == 1 degenerates to the unique equal split.
+    the simplex and rejected until all are >= delta, in at most
+    ``_RATIO_BUDGET`` draws per split; the exactly-critical case
+    k * delta == 1 degenerates to the unique equal split.
 
     Splits run left to right and append their children, so each level's
     atoms have rising ids and endpoints, the children of every atom are
@@ -457,7 +457,7 @@ def build_random_regular(
             k = int(rng.integers(2, max_children + 1))
             lo, hi = a[i], b[i]
             width, cut, cuts = hi - lo, 0.0, []
-            for r in _sample_ratios(rng, k, delta, ratio_budget)[:-1]:
+            for r in _sample_ratios(rng, k, delta, _RATIO_BUDGET)[:-1]:
                 cut += r  # the running sum np.cumsum forms, term by term
                 cuts.append(lo + width * cut)
             a.append(lo)
@@ -490,6 +490,7 @@ def build_random_regular(
 # blocks; at 0.0625 (k = 3, delta = 0.25) 30 us against 14 us.
 _RATIO_BLOCK = 64
 _ROW_ACCEPT = 0.125
+_RATIO_BUDGET = 10_000
 
 
 def _exponential_rows(rng: np.random.Generator, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:

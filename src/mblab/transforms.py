@@ -182,6 +182,71 @@ def _event_runs(op: MartingaleTransform) -> EventRuns:
     )
 
 
+def _ancestor_values(mults: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Levels 1..n of T or T* applied to a function h supported in an A_n
+    atom J, n >= 1, outside J's subtree, from its padded ancestor chain
+    (``EventRuns``).
+
+    h has the same sum, J's, over every K_k, so ``means`` (e, depth, c)
+    holds its averages over the chain.  Level k adds a_k(K_{k-1}) (mean_k -
+    mean_{k-1}) on J, and on the ring K_j - K_{j+1} every level up to j does
+    the same while level j+1 sees 0 - mean_j.  Returns the constant on J,
+    (e, d), and on each ring, (e, depth-1, d), as coordinatewise products
+    a * mean: T sums them over the coordinates, T* keeps them.  A ring of
+    zero measure (K_j = K_{j+1}) holds no leaf.
+    """
+    steps = np.cumsum(mults[:, :-1] * np.diff(means, axis=1), axis=1)
+    before = np.concatenate([np.zeros_like(steps[:, :1]), steps[:, :-1]], axis=1)
+    return steps[:, -1], before - mults[:, :-1] * means[:, :-1]
+
+
+def _cut_adjoints(
+    op: MartingaleTransform, runs: EventRuns, values: np.ndarray, shifts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each non-root split atom J, in schedule order, osc2 over I and
+    squared norm of T*((v - s_J) 1_J), with v the scalar leaf values and s_J
+    the shift of J.
+
+    The cuts of one level n have disjoint atoms and share one leaf array,
+    row n - 1 of a stack.  Inside J, levels n+1.. see J's leaves only, so
+    one push of the stack through them gives every cut's T* there, from J's
+    own reduceat segments.  Levels 1..n add a constant on J and on each ring
+    of J's ancestor chain, from J's cut sum: O(L * depth^2) in all, none of
+    it per event.
+    """
+    filt = op.filtration
+    if not len(runs.levels):
+        return np.empty(0), np.empty(0)
+    owner, leaf = runs.owner, runs.leaf
+    row = runs.levels[owner] - 1
+    cut = values[leaf] - shifts[owner]
+    cuts = np.zeros((filt.depth - 1, filt.n_leaves, 1))
+    cuts[row, leaf, 0] = cut
+    steps = _atom_steps(filt, cuts)
+    del cuts
+    weights = filt.layout.measures[leaf]
+    sums = runs.sums(weights * cut)
+    inside, rings = _ancestor_values(runs.mults, (sums[:, None] / runs.measures)[..., None])
+    x = np.zeros((filt.depth - 1, filt.n_leaves, op.dim))
+    x[row, leaf] = inside[owner]
+    # Level k reaches inside the atoms of levels n < k: rows 0..k-2.
+    for k in range(2, filt.depth + 1):
+        diff = np.take(steps[: k - 1], filt.layout.stacked_maps[k], axis=-2)
+        x[: k - 1] += op.multiplier_on_leaves(k) * diff
+    on_atoms = x[row, leaf]
+
+    ring_measures = runs.measures[:, :-1] - runs.measures[:, 1:]
+    mean = runs.sums(weights[:, None] * on_atoms) + np.einsum("ej,ejd->ed", ring_measures, rings)
+    mean /= filt.total_measure
+
+    def square_sums(inside: np.ndarray, on_rings: np.ndarray) -> np.ndarray:
+        per_leaf = runs.sums(weights * np.einsum("ij,ij->i", inside, inside))
+        return per_leaf + np.einsum("ej,ejd,ejd->e", ring_measures, on_rings, on_rings)
+
+    off_mean = square_sums(on_atoms - mean[owner], rings - mean[:, None, :])
+    return off_mean / filt.total_measure, square_sums(on_atoms, rings)
+
+
 def _transform_stack(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
     """T applied to a stack of inputs of shape (..., L, dim); shape (..., L).
 

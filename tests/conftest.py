@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_all
+from mblab.bellman import Witness
+from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_suites
 from mblab.corpus import CorpusCell, default_corpus, prepare_cell
 from mblab.filtration import build_dyadic, build_random_regular, split_schedule
 from mblab.martingale import average
@@ -92,8 +93,9 @@ def corpus_report():
     rng = np.random.default_rng(20240817)
     for cell in default_corpus():
         pc = prepare_cell(cell)
-        rows, ok = run_all(pc.f, pc.g, pc.op, rng=rng)
-        centered, defect = restriction_identity_gaps(pc.g, pc.op)
+        w = Witness(pc.f, pc.g, pc.op)
+        rows, ok = run_suites(w, rng=rng)
+        centered, defect = restriction_identity_gaps(w)
         op = pc.op
         apply_gap = np.max(np.abs(op.matrix_apply(pc.f).values - op.apply(pc.f).values))
         adjoint_gap = np.max(
@@ -108,7 +110,7 @@ def corpus_report():
                 "restriction_centered": centered,
                 "restriction_defect": defect,
                 "telescoping": telescoping_relerr(pc.f, pc.g, pc.op),
-                "hoelder_margin": hoelder_mean_margin(pc.f, pc.g, pc.op, 2.0, 2.0),
+                "hoelder_margin": hoelder_mean_margin(w),
                 "svd_norm": operator_norm(op),
                 "split_norm": split_multiplier_norm(op),
                 "apply_route": float(apply_gap),

@@ -24,7 +24,7 @@ from mblab.bellman import (
     estimate_rescale_constant,
     recombine_slack,
 )
-from mblab.bellman import bellman_point
+from mblab.bellman import Witness
 from mblab.certifier import certify
 from mblab.cli import run as cli_run
 from mblab.corpus import haar_witness
@@ -178,15 +178,15 @@ def test_criterion_6_expansion_suite():
 
     cand = quadratic_candidate(0.5)
 
-    equal = dyadic_expand(three_point_config([0.0, 1.0], [0.5, 0.5]))
-    quarter = dyadic_expand(three_point_config([0.0, 1.0], [0.25, 0.75]))
+    equal = dyadic_expand(three_point_config([0.0, 1.0], [0.5, 0.5]), m=1)
+    quarter = dyadic_expand(three_point_config([0.0, 1.0], [0.25, 0.75]), m=2)
     ratio_ok = abs(equal.ratio - 1.0) <= 1e-12 and abs(quarter.ratio - 0.5) <= 1e-12
 
     positive_ok = True
     recomb_worst = 0.0
     for delta in DELTAS:
-        for cfg in sample_dyadic_split_configs(delta, 2.0, 25, seed=60, dim=2):
-            cert = dyadic_expand(cfg)
+        for cfg in sample_dyadic_split_configs(delta, 2.0, 25, seed=60, dim=2, m=6):
+            cert = dyadic_expand(cfg, m=6)
             if cert.degenerate:
                 continue
             positive_ok = positive_ok and cert.ratio > 0.0
@@ -239,7 +239,7 @@ def test_criterion_7_corollary_suite(corpus_report):
         filt = pc.filtration
         p = 2.0
         q = conjugate_exponent(p)
-        base_pt = bellman_point(pc.f, pc.g, pc.op, filt.root.id, p)
+        base_pt = Witness(pc.f, pc.g, pc.op, p).table.point(filt.root.id)
         centered = pc.f.shift(-average(pc.f, filt.root.id))
         base_obj = inner(pc.g, pc.op.apply(centered)) / filt.total_measure
         for lam in (0.5, 2.0, 7.0):
@@ -249,7 +249,7 @@ def test_criterion_7_corollary_suite(corpus_report):
                 / filt.total_measure
             )
             hom_worst = max(hom_worst, abs(obj - base_obj) / max(1.0, abs(base_obj)))
-            mapped = bellman_point(f_s, g_s, pc.op, filt.root.id, p)
+            mapped = Witness(f_s, g_s, pc.op, p).table.point(filt.root.id)
             orbit = (
                 float(np.max(np.abs(mapped.x1 - lam * base_pt.x1))),
                 abs(mapped.x2 - base_pt.x2 / lam**2),

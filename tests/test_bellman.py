@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from mblab.bellman import (
     BellmanPoint,
     SplitConfig,
+    Witness,
     _diameters,
     _split_terms,
     adversarial_split_configs,
-    bellman_point,
     conjugate_exponent,
     dyadic_expand,
     estimate_rescale_constant,
@@ -87,7 +87,7 @@ def test_domain_membership():
 def test_bellman_point_slots(small_cells):
     pc = small_cells[0]
     filt = pc.filtration
-    pt = bellman_point(pc.f, pc.g, pc.op, filt.root.id, 2.0)
+    pt = Witness(pc.f, pc.g, pc.op, 2.0).table.point(filt.root.id)
     from mblab.martingale import average, osc2
 
     assert np.allclose(pt.x1, average(pc.f, filt.root.id), atol=1e-14)
@@ -233,21 +233,21 @@ def test_sampled_configs_respect_contracts():
 
 def test_expansion_ratio_two_equal_points():
     cfg = three_point_config([0.0, 1.0], [0.5, 0.5])
-    cert = dyadic_expand(cfg)
+    cert = dyadic_expand(cfg, m=1)
     assert not cert.degenerate
     assert cert.ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expansion_ratio_quarter_weight():
     cfg = three_point_config([0.0, 1.0], [0.25, 0.75])
-    cert = dyadic_expand(cfg)
+    cert = dyadic_expand(cfg, m=2)
     assert cert.ratio == pytest.approx(0.5, abs=1e-12)
     assert cert.diameter == pytest.approx(1.0, rel=1e-14)
 
 
 def test_expansion_ratio_three_points():
     cfg = three_point_config([0.0, 1.0, 2.0], [0.25, 0.25, 0.5])
-    cert = dyadic_expand(cfg)
+    cert = dyadic_expand(cfg, m=2)
     assert cert.separation == pytest.approx(1.5, rel=1e-13)
     assert cert.diameter == pytest.approx(2.0, rel=1e-13)
     assert cert.ratio == pytest.approx(0.75, abs=1e-12)
@@ -255,7 +255,7 @@ def test_expansion_ratio_three_points():
 
 def test_expansion_degenerate_when_points_coincide():
     cfg = three_point_config([1.0, 1.0], [0.5, 0.5])
-    cert = dyadic_expand(cfg)
+    cert = dyadic_expand(cfg, m=1)
     assert cert.degenerate
     assert cert.ratio is None
 
@@ -320,8 +320,8 @@ def test_expansion_ratio_positive_on_samples():
     # the expansion needs dyadic rational weights; the dedicated sampler
     # rounds the floor up to the nearest dyadic grid
     for delta in (0.1, 0.25, 1.0 / 3.0, 0.5):
-        for cfg in sample_dyadic_split_configs(delta, 2.0, 30, seed=5, dim=1):
-            cert = dyadic_expand(cfg)
+        for cfg in sample_dyadic_split_configs(delta, 2.0, 30, seed=5, dim=1, m=6):
+            cert = dyadic_expand(cfg, m=6)
             if not cert.degenerate:
                 assert cert.ratio > 0.0
 
@@ -400,13 +400,13 @@ def test_deep_expansion_recombines():
 def test_expand_rejects_non_dyadic_weights():
     cfg = three_point_config([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
     with pytest.raises(ValueError):
-        dyadic_expand(cfg)
+        dyadic_expand(cfg, m=16)
 
 
 def test_recombination_identity():
     cand = quadratic_candidate(0.25)
-    for cfg in sample_dyadic_split_configs(0.25, 2.0, 40, seed=6, dim=2):
-        cert = dyadic_expand(cfg)
+    for cfg in sample_dyadic_split_configs(0.25, 2.0, 40, seed=6, dim=2, m=6):
+        cert = dyadic_expand(cfg, m=6)
         if cert.degenerate:
             continue
         direct, recombined = recombine_slack(cand, cfg, cert)
@@ -417,8 +417,8 @@ def test_recombination_identity_holds_for_any_candidate():
     # the telescoping is an identity in the candidate, not a property of
     # admissible ones; check it on the penalty-free linear shape too
     cand = linear_candidate(2.0, 2.0, 0.25)
-    for cfg in sample_dyadic_split_configs(0.25, 2.0, 15, seed=7):
-        cert = dyadic_expand(cfg)
+    for cfg in sample_dyadic_split_configs(0.25, 2.0, 15, seed=7, m=6):
+        cert = dyadic_expand(cfg, m=6)
         if cert.degenerate:
             continue
         direct, recombined = recombine_slack(cand, cfg, cert)
@@ -483,7 +483,8 @@ def test_extremal_configs_through_the_expansion(delta):
     c = estimate_rescale_constant(cand, delta, samples=50, seed=5).constant
     scaled = scale_candidate(cand, c, delta=delta)
     for cfg in adversarial_split_configs(delta, 2.0):
-        cert = dyadic_expand(cfg)
+        # weights (delta, delta, 1 - 2 delta), multiples of delta = 2^-m
+        cert = dyadic_expand(cfg, m=int(-math.log2(delta)))
         assert not cert.degenerate
         direct, recombined = recombine_slack(cand, cfg, cert)
         assert direct < 0.0  # the unscaled candidate fails below its floor

@@ -1,7 +1,8 @@
 """Check-suite layer: row structure, per-suite pass behavior, tolerance
-scaling through the environment, one T* g and one moment table per
-witness, the per-level localization and restriction kernels against the
-per-event routes they replaced, and the matrix-free production path: no
+scaling through the environment, one T* g, moment table, event-run set and
+uncentered cut pass per witness (and per corpus cell), the per-level
+localization and restriction kernels against the per-event routes they
+replaced, and the matrix-free production path: no
 suite, certificate, moment point or duality bound builds the dense matrix,
 on small cells or at dyadic depth 12."""
 
@@ -17,11 +18,27 @@ from hypothesis import strategies as st
 import mblab.bellman as bellman
 import mblab.certifier as certifier
 import mblab.checks as checks
+import mblab.cli as cli
 import mblab.estimator as estimator
-from mblab.bellman import Witness, bellman_point, quadratic_candidate
+import mblab.transforms as transforms
+from mblab.bellman import Witness, quadratic_candidate
 from mblab.certifier import certify
-from mblab.checks import SUITES, Tolerances, _row, hoelder_mean_margin, run_all
-from mblab.corpus import max_children_for, prepare_cell, random_transform, random_witness
+from mblab.checks import (
+    SUITES,
+    Tolerances,
+    _row,
+    hoelder_mean_margin,
+    restriction_identity_gaps,
+    run_all,
+    run_suites,
+)
+from mblab.corpus import (
+    default_corpus,
+    max_children_for,
+    prepare_cell,
+    random_transform,
+    random_witness,
+)
 from mblab.filtration import Filtration, build_dyadic, build_random_regular, level_partition
 from mblab.martingale import MartFunction, average, inner, l2_norm
 from mblab.transforms import (
@@ -105,17 +122,17 @@ def test_row_names_unique(small_cells):
 
 def test_suite_selection(small_cells):
     pc = small_cells[0]
-    rows, ok = run_all(
-        pc.f, pc.g, pc.op, rng=np.random.default_rng(2), suites=["x2_drop", "x2_sign"]
-    )
+    w = Witness(pc.f, pc.g, pc.op)
+    rows, ok = run_suites(w, rng=np.random.default_rng(2), suites=["x2_drop", "x2_sign"])
     assert ok
     assert {r["check"] for r in rows} == {"x2_drop", "x2_sign", "x2_root_mean_bound"}
 
 
 def test_unknown_suite_raises(small_cells):
     pc = small_cells[0]
+    w = Witness(pc.f, pc.g, pc.op)
     with pytest.raises(KeyError):
-        run_all(pc.f, pc.g, pc.op, Tolerances(), np.random.default_rng(3), suites=["no_such_suite"])
+        run_suites(w, Tolerances(), np.random.default_rng(3), suites=["no_such_suite"])
 
 
 def test_tolerance_scale_from_env(monkeypatch):
@@ -139,27 +156,43 @@ def test_bad_env_tolerance_rejected(monkeypatch, value):
 
 
 # ---------------------------------------------------------------------------
-# One witness: T* g and the moment table once per call
+# One witness: T* g, the moment table, the event runs and the uncentered
+# cut pass once per call
 
 
 def _count_derivations(monkeypatch) -> dict[str, int]:
-    """Count calls of the closed-form adjoint and of the moment table, in
-    every module that binds the table."""
-    counts = {"adjoint_closed_form": 0, "moment_table": 0}
-    closed_form, table = MartingaleTransform.adjoint_closed_form, bellman.moment_table
+    """Count calls of the closed-form adjoint, the moment table, the event
+    runs and the uncentered cut pass (g cut to every split atom, unshifted),
+    in every module that binds them.  The probe's other two cut passes, the
+    centered cuts and the cuts of the constant 1, are not counted."""
+    keys = ("adjoint_closed_form", "moment_table", "event_runs", "uncentered_cuts")
+    counts = dict.fromkeys(keys, 0)
+    closed_form = MartingaleTransform.adjoint_closed_form
+    always = lambda *args: True
 
-    def counted_adjoint(op, g):
-        counts["adjoint_closed_form"] += 1
-        return closed_form(op, g)
+    def counted(key, func, when):
+        def wrapper(*args):
+            counts[key] += bool(when(*args))
+            return func(*args)
 
-    def counted_table(*args):
-        counts["moment_table"] += 1
-        return table(*args)
+        return wrapper
 
-    monkeypatch.setattr(MartingaleTransform, "adjoint_closed_form", counted_adjoint)
-    for module in (bellman, checks, certifier):
-        if getattr(module, "moment_table", None) is table:
-            monkeypatch.setattr(module, "moment_table", counted_table)
+    monkeypatch.setattr(
+        MartingaleTransform,
+        "adjoint_closed_form",
+        counted("adjoint_closed_form", closed_form, always),
+    )
+    uncentered = lambda op, runs, values, shifts: not shifts.any() and not (values == 1.0).all()
+    wrappers = {
+        "moment_table": ("moment_table", bellman.moment_table, always),
+        "_event_runs": ("event_runs", transforms._event_runs, always),
+        "_cut_adjoints": ("uncentered_cuts", transforms._cut_adjoints, uncentered),
+    }
+    for name, (key, func, when) in wrappers.items():
+        wrapper = counted(key, func, when)
+        for module in (transforms, bellman, checks, certifier):
+            if getattr(module, name, None) is func:
+                monkeypatch.setattr(module, name, wrapper)
     return counts
 
 
@@ -168,14 +201,29 @@ def test_one_adjoint_and_one_table_per_call(monkeypatch, kernel_tower, dim):
     f, g, op = _witness(kernel_tower, dim, 20 + dim)
     counts = _count_derivations(monkeypatch)
     calls = {
-        "run_all": lambda: run_all(f, g, op, rng=np.random.default_rng(21)),
-        "certify": lambda: certify(quadratic_candidate(kernel_tower.delta), f, g, op),
-        "bellman_point": lambda: bellman_point(f, g, op, kernel_tower.root.id, 2.0),
+        "run_all": (lambda: run_all(f, g, op, rng=np.random.default_rng(21)), 1),
+        # the certificate reads no event runs and no cuts
+        "certify": (lambda: certify(quadratic_candidate(kernel_tower.delta), f, g, op), 0),
     }
-    for name, call in calls.items():
+    for name, (call, runs) in calls.items():
         counts.update(dict.fromkeys(counts, 0))
         call()
-        assert counts == {"adjoint_closed_form": 1, "moment_table": 1}, name
+        assert counts == {
+            "adjoint_closed_form": 1,
+            "moment_table": 1,
+            "event_runs": runs,
+            "uncentered_cuts": runs,
+        }, name
+
+
+def test_one_corpus_cell_derives_each_object_once(monkeypatch, capsys):
+    # the suites and both probes read the certificate's witness
+    one_cell = default_corpus(seeds=1)[5:6]
+    monkeypatch.setattr(cli, "default_corpus", lambda seeds: one_cell)
+    counts = _count_derivations(monkeypatch)
+    assert cli.run(["corpus", "--seeds", "1"]) == 0
+    assert '"cells":1,' in capsys.readouterr().out
+    assert counts == dict.fromkeys(counts, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +233,10 @@ def test_one_adjoint_and_one_table_per_call(monkeypatch, kernel_tower, dim):
 def _pays_no_matrix(f, g, op):
     filt = f.filtration
     run_all(f, g, op, rng=np.random.default_rng(6))
-    certify(quadratic_candidate(filt.delta), f, g, op)
-    bellman_point(f, g, op, filt.root.id, 2.0)
-    hoelder_mean_margin(f, g, op, 2.0, 2.0)
+    w = certify(quadratic_candidate(filt.delta), f, g, op).witness
+    w.table.point(filt.root.id)
+    restriction_identity_gaps(w)
+    hoelder_mean_margin(w)
     assert "matrix" not in vars(op)
 
 
@@ -345,7 +394,7 @@ def check_restriction(
     return [_row("restriction_bound", worst, tol.tight, "local minus rescaled global")]
 
 
-def restriction_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple[float, float]:
+def reference_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple[float, float]:
     """Worst relative gaps, over the non-root split atoms J, in the two exact
     restriction identities; both are roundoff on a correct transform.
 
@@ -425,7 +474,7 @@ def _assert_matches_reference(f, g, op):
 
     w = Witness(f, g, op)
     runs = w.event_runs
-    _, new_local, new_glob = checks._restriction_sides(w)
+    _, new_local, new_glob = w.restriction_sides
     spans, _, _, ref_local, ref_glob = _restriction_sides(g, op)
     # the local side is osc2 of T* g over J: tiny on some deep atoms, where
     # the two adjoint routes differ by roundoff of the O(1) leaf values
@@ -435,7 +484,7 @@ def _assert_matches_reference(f, g, op):
     shifts = np.random.default_rng(11).normal(size=len(spans))
     for values in (g.values[:, 0], np.ones(f.filtration.n_leaves)):
         for s in (shifts, np.zeros(len(spans))):
-            new = checks._cut_adjoints(op, runs, values, s)
+            new = transforms._cut_adjoints(op, runs, values, s)
             ref = _cut_adjoints(op, values, spans, s)
             assert _rel(new[0], ref[0]) <= 1e-12
             assert _rel(new[1], ref[1]) <= 1e-12
@@ -443,8 +492,8 @@ def _assert_matches_reference(f, g, op):
     # Both gaps are relative roundoff on a correct transform.  The centered
     # gap reaches a few 1e-12 in either route on atoms whose local side is
     # tiny, so the new route is held to the reference's gap plus 1e-12.
-    new_gaps = checks.restriction_identity_gaps(g, op)
-    ref_gaps = restriction_identity_gaps(g, op)
+    new_gaps = checks.restriction_identity_gaps(w)
+    ref_gaps = reference_identity_gaps(g, op)
     assert all(a <= b + 1e-12 for a, b in zip(new_gaps, ref_gaps)), (new_gaps, ref_gaps)
 
 
@@ -498,13 +547,14 @@ def test_localization_red_on_offset_piece(monkeypatch, kernel_tower):
 
 def test_restriction_probe_red_on_scaled_cut(monkeypatch, kernel_tower):
     f, g, op = _witness(kernel_tower, 2, 5)
+    w = Witness(f, g, op)
+    w.tstar_g  # T* g itself stays exact
     # every cut 1 + 1e-6 times too large where it enters the adjoint kernel
-    exact_steps = checks._atom_steps
-    monkeypatch.setattr(checks, "_atom_steps", lambda filt, v: exact_steps(filt, v * (1 + 1e-6)))
+    exact_steps = transforms._atom_steps
+    monkeypatch.setattr(transforms, "_atom_steps", lambda filt, v: exact_steps(filt, v * (1 + 1e-6)))
     exact_stack = _adjoint_stack
     monkeypatch.setattr(_THIS, "_adjoint_stack", lambda op, v: exact_stack(op, v * (1 + 1e-6)))
-    for probe in (checks.restriction_identity_gaps, restriction_identity_gaps):
-        centered, _ = probe(g, op)
+    for centered, _ in (restriction_identity_gaps(w), reference_identity_gaps(g, op)):
         assert centered > 1e-9
 
 
@@ -517,9 +567,9 @@ def test_dyadic_depth_12_localization_and_restriction():
     f, g, op = _witness(filt, 1, 12)
     rng = np.random.default_rng(13)
     for name in ("localization", "restriction"):
-        rows, _ = run_all(f, g, op, Tolerances(), rng, suites=[name])
+        rows, _ = run_suites(Witness(f, g, op), Tolerances(), rng, suites=[name])
         assert all(r["ok"] for r in rows), rows
-    centered, defect = checks.restriction_identity_gaps(g, op)
+    centered, defect = restriction_identity_gaps(Witness(f, g, op))
     assert centered <= 1e-9 and defect <= 1e-9
 
     rows, ok = run_all(f, g, op, Tolerances(), rng)
@@ -551,5 +601,5 @@ def test_run_all_dyadic_depth_14():
     f, g, op = _witness(filt, 1, 14)
     rows, ok = run_all(f, g, op, Tolerances(), np.random.default_rng(15))
     assert ok and len(rows) == 16, [r for r in rows if not r["ok"]]
-    centered, defect = checks.restriction_identity_gaps(g, op)
+    centered, defect = restriction_identity_gaps(Witness(f, g, op))
     assert centered <= 1e-9 and defect <= 1e-9

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import mblab
 import mblab.estimator as est
-from mblab.bellman import bellman_point, conjugate_exponent, linear_candidate
+from mblab.bellman import Witness, conjugate_exponent, linear_candidate
 from mblab.estimator import (
     EstimateError,
     duality_bound,
@@ -251,7 +251,7 @@ def test_homogeneity_orbit_on_witness(small_cells):
     filt = pc.filtration
     p = 2.0
     q = conjugate_exponent(p)
-    base_pt = bellman_point(pc.f, pc.g, pc.op, filt.root.id, p)
+    base_pt = Witness(pc.f, pc.g, pc.op, p).table.point(filt.root.id)
     centered = pc.f.shift(-average(pc.f, filt.root.id))
     base_obj = inner(pc.g, pc.op.apply(centered)) / filt.total_measure
     for lam in (0.5, 2.0, 7.0):
@@ -259,7 +259,7 @@ def test_homogeneity_orbit_on_witness(small_cells):
         g_s = pc.g * (1.0 / lam)
         obj = inner(g_s, pc.op.apply(f_s.shift(-average(f_s, filt.root.id)))) / filt.total_measure
         assert obj == pytest.approx(base_obj, rel=1e-12)
-        mapped = bellman_point(f_s, g_s, pc.op, filt.root.id, p)
+        mapped = Witness(f_s, g_s, pc.op, p).table.point(filt.root.id)
         assert np.allclose(mapped.x1, lam * base_pt.x1, rtol=1e-12, atol=1e-14)
         assert mapped.x2 == pytest.approx(lam ** (-2.0) * base_pt.x2, rel=1e-12, abs=1e-14)
         assert mapped.x3 == pytest.approx(lam**p * base_pt.x3, rel=1e-12)

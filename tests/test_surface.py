@@ -1,12 +1,18 @@
 """The public surface: every name a module exports resolves, the package
-root re-exports only exported names, and every exported name has a caller
+root re-exports only exported names, every exported name has a caller
 outside its own module, in ``src/mblab`` or ``perfbench/``, unless it is
-a named test oracle or awaits a planned caller."""
+a named test oracle or awaits a planned caller, and the benchmark's traced
+runs still find and call what they bind."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
+
+import pytest
 
 import mblab
 
@@ -92,3 +98,18 @@ def test_exempt_names_are_exported():
     # an exemption outlives its name only by mistake
     exported = {f"{name}.{export}" for name, _, export in _exports()}
     assert ORACLES | AWAITING_CALLER <= exported
+
+
+@pytest.mark.parametrize("workload", ["deep_tower", "corpus_sweep"])
+def test_benchmark_traced_run_binds_the_package(workload):
+    # a traced run wraps filtration.split_schedule and the transform's
+    # matrix_apply and adjoint_apply by name, and its workloads call
+    # run_all, certify and prepare_cell positionally: a renamed function or
+    # a changed call form fails the run or its report checks
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0.1", "--trace", "1"]
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert json.loads(out.stdout.splitlines()[-1])["correct"] is True

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mblab.bellman import Witness
 from mblab.checks import restriction_identity_gaps
 from mblab.corpus import active_split_function, max_children_for, random_transform
 from mblab.filtration import build_dyadic, build_random_regular, level_partition, split_schedule
@@ -279,7 +280,8 @@ def test_restriction_equality_fails_in_general(dyadic2):
     defect = mean**2 * inner(ones, ones) / dyadic2.atom(left).measure
     assert defect == pytest.approx(0.5, abs=1e-12)
     assert glob - local == pytest.approx(defect, abs=1e-12)
-    assert restriction_identity_gaps(g, op) == pytest.approx((0.0, 0.0), abs=1e-12)
+    f = MartFunction(dyadic2, np.zeros((dyadic2.n_leaves, op.dim)))  # the probe reads no f
+    assert restriction_identity_gaps(Witness(f, g, op)) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
 def test_adjoint_mean_vanishes(dyadic3):
