@@ -26,10 +26,12 @@ an admissible B must obey
 
     B(x) >= |d| * diam{x1^1..x1^N} + sum_k lambda_k B(x^k).
 
-``_diameters`` (the one diameter rule) and ``_split_sides`` evaluate the
-right-hand side over rows of child points: ``certify`` passes one row per
-split event, ``split_slack`` and ``estimate_rescale_constant`` one per
-sampled configuration.
+``SplitConfigs`` holds configurations as rows, their points in the
+(x1..., x2, x3, x4) layout of the expansion tree's levels.  ``_diameters``
+(the one diameter rule) and ``_weighted_sums`` evaluate the right-hand
+side over rows of child points: ``certify`` passes one row per split
+event, ``split_slack`` and ``estimate_rescale_constant`` one per
+configuration.
 
 The module also implements the constructive rescaling route: a configuration
 with dyadic weights a_k / 2^M is expanded into 2^M copies, sorted along the
@@ -37,9 +39,10 @@ diameter direction of the x1 cloud, halved, and recombined through a binary
 midpoint tree, held as one array of block means per tree level.  The
 separation of the half means against the cloud diameter is the measured
 constant that prices moving a candidate from the balanced regime
-delta = 1/2 down to smaller regularity floors.  ``estimate_rescale_constant``
-prices the same move exactly: the slack of C * B is affine in C, so the
-smallest C is one ratio over the configurations that fail at C = 1.
+delta = 1/2 down to smaller regularity floors, one expansion per row.
+``estimate_rescale_constant`` prices the same move exactly: the slack of
+C * B is affine in C, so the smallest C is one ratio over the
+configurations that fail at C = 1; a non-finite slack raises.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .filtration import _frozen, _Lazy
 from .martingale import MartFunction, _diagonal_sums, _level_steps, _stacked_means
 from .reporting import Verbatim, _format_float, _format_floats
 from .transforms import EventRuns, MartingaleTransform, _cut_adjoints, _event_runs
@@ -98,14 +102,6 @@ class BellmanPoint:
         v = np.atleast_1d(np.asarray(self.x1, dtype=float)).copy()
         v.flags.writeable = False
         object.__setattr__(self, "x1", v)
-
-    @property
-    def q(self) -> float:
-        return conjugate_exponent(self.p)
-
-    @property
-    def dim(self) -> int:
-        return self.x1.shape[0]
 
     def to_dict(self) -> dict:
         return {
@@ -216,8 +212,9 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
 class Witness:
     """A witness triple (f, g, T) at exponent p, with the objects the
     suites, probes and certificates read derived once each, on first use:
-    ``tstar_g``, T* g through the closed form ``adjoint_closed_form``,
-    ``table``, the ``moment_table`` at p, ``event_runs``, T's split events
+    ``tf``, T f, ``tstar_g``, T* g through the closed form
+    ``adjoint_closed_form``, ``table``, the ``moment_table`` at p,
+    ``event_runs``, T's split events
     as runs of leaves with their ancestor chains, which the localization
     and restriction kernels read, and ``restriction_sides``.  The table's
     x2, d and x2 gains do not depend on p.  The objects live as long as the
@@ -229,6 +226,10 @@ class Witness:
     g: MartFunction
     op: MartingaleTransform
     p: float = 2.0
+
+    @cached_property
+    def tf(self) -> MartFunction:
+        return self.op.apply(self.f)
 
     @cached_property
     def tstar_g(self) -> MartFunction:
@@ -261,15 +262,16 @@ class Witness:
         return mean_g, local, (filt.total_measure / measures) * cut_osc
 
 
-def in_bellman_domain(pt: BellmanPoint, tol: float = _DOMAIN_TOL) -> bool:
-    """Membership in the closed moment domain, up to an absolute slack."""
-    if pt.x2 < -tol or pt.x3 < -tol or pt.x4 < -tol:
-        return False
-    if float(np.dot(pt.x1, pt.x1)) ** (pt.p / 2.0) > pt.x3 + tol:
-        return False
-    if max(pt.x2, 0.0) ** pt.q > pt.x4**2 + tol:
-        return False
-    return True
+def in_bellman_domain(x: np.ndarray, p: float, tol: Values = _DOMAIN_TOL) -> np.ndarray:
+    """Membership of moment rows (..., dim + 3) in the closed moment domain,
+    up to an absolute slack ``tol``, one value or one per row.  Every test
+    accepts with ``<=`` or ``>=``, so a NaN fails it."""
+    x1, x2, x3, x4 = x[..., :-3], x[..., -3], x[..., -2], x[..., -1]
+    return (
+        (np.minimum(np.minimum(x2, x3), x4) >= -tol)
+        & (np.vecdot(x1, x1) ** (p / 2.0) <= x3 + tol)
+        & (np.maximum(x2, 0.0) ** conjugate_exponent(p) <= x4 * x4 + tol)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +283,9 @@ class BellmanCandidate:
     """Callable candidate with its claimed exponent and regularity floor.
 
     ``fn(x1, x2, x3, x4)`` takes one point, x1 of shape (dim,) and scalars,
-    or many at once, x1 of shape (n, dim) and arrays of length n, and then
-    returns the n values; each value has the bits of the one-point call.
+    or many at once, x1 of shape (..., dim) and arrays of shape (...), and
+    then returns their values; each value has the bits of the one-point
+    call.  ``evaluate`` takes moment rows (..., dim + 3).
     ``cp`` and ``h`` are populated for candidates of the separated shape
     B(x) = cp * (x3 + x4) - h(x1, x2); the duality estimator needs ``cp``.
     """
@@ -294,12 +297,8 @@ class BellmanCandidate:
     cp: float | None = None
     h: Callable[[np.ndarray, Values], Values] | None = None
 
-    @property
-    def q(self) -> float:
-        return conjugate_exponent(self.p)
-
-    def evaluate(self, pt: BellmanPoint) -> float:
-        return float(self.fn(pt.x1, pt.x2, pt.x3, pt.x4))
+    def evaluate(self, x: np.ndarray) -> Values:
+        return self.fn(x[..., :-3], x[..., -3], x[..., -2], x[..., -1])
 
 
 def shaped_candidate(
@@ -359,65 +358,80 @@ def linear_candidate(cp: float, p: float, delta: float) -> BellmanCandidate:
 
 
 @dataclass(frozen=True, eq=False)
-class SplitConfig:
-    """One instance of the split-inequality hypothesis.
-
-    ``points`` are the split targets x^1..x^N, ``weights`` the lambdas
-    (each >= delta, summing to one), ``d`` the displacement scale, ``base``
-    the source point with base = sum_k lambda_k x^k - (0, d^2, 0, 0).
-    """
+class SplitConfigs:
+    """Instances of the split-inequality hypothesis, one per row: ``points``
+    (rows, k, dim + 3) the split targets x^1..x^N as (x1..., x2, x3, x4),
+    ``weights`` (rows, k) the lambdas (each >= delta, summing to one), ``d``
+    (rows,) the displacement scales and ``base`` (rows, dim + 3) the
+    sources, base = sum_k lambda_k x^k - (0, d^2, 0, 0).  A weight of
+    exactly zero marks a cell without a part: its point takes no part in
+    any check, sum or diameter.  The checks run in turn over all rows, and
+    the first one violated raises, naming the first row that fails it;
+    each accepts with <= or >=, so NaN fails it."""
 
     delta: float
     p: float
-    points: tuple[BellmanPoint, ...]
+    points: np.ndarray
     weights: np.ndarray
-    d: float
-    base: BellmanPoint
+    d: np.ndarray
+    base: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float).copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        n = len(self.points)
-        if n < 2:
-            raise ValueError("a split configuration needs at least two points")
-        if n != w.shape[0]:
-            raise ValueError("points and weights length mismatch")
-        if n > int(1.0 / self.delta + 1e-9):
-            raise ValueError(f"{n} parts exceed floor(1/delta) at delta={self.delta}")
-        if w.min() < self.delta - 1e-12:
-            raise ValueError(f"weight {w.min():.6g} below delta={self.delta}")
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
-        for pt in (*self.points, self.base):
-            if pt.p != self.p:
-                raise ValueError("exponent mismatch inside configuration")
-            if not in_bellman_domain(pt, tol=1e-9 * _scale_of(pt)):
-                raise ValueError(f"point outside the moment domain: {pt}")
+        for name in ("points", "weights", "d", "base"):
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
+        rows, k, width = self.points.shape
+        shapes = (self.weights.shape, self.d.shape, self.base.shape)
+        if shapes != ((rows, k), (rows,), (rows, width)):
+            raise ValueError("points, weights, d and base shapes do not match")
+        has, parts, w, delta = self.has, self.parts, self.weights, self.delta
+        # Every point and the base, each within 1e-9 of its scale
+        # max(1, |x1|, |x2|, |x3|, |x4|) of the domain.
+        x = np.concatenate((self.points, self.base[:, None]), axis=1)
+        scale = np.maximum(np.linalg.norm(x[..., :-3], axis=-1), np.abs(x[..., -3:]).max(axis=-1))
+        scale = np.maximum(1.0, scale)
+        counted = np.column_stack((has, np.ones(rows, dtype=bool)))
+        inside = (in_bellman_domain(x, self.p, 1e-9 * scale) | ~counted).all(axis=1)
         gap = self.displacement_residual()
-        if gap > _DISPLACEMENT_TOL * max(1.0, _scale_of(self.base)):
-            raise ValueError(f"displacement identity violated by {gap:.3e}")
+        checks = (
+            (parts >= 2, "a split configuration needs at least two points"),
+            (parts <= int(1.0 / delta + 1e-9), f"more than floor(1/delta) parts at delta={delta}"),
+            (((w >= delta - 1e-12) | ~has).all(axis=1), f"a weight below delta={delta}"),
+            (np.abs(w.sum(axis=1) - 1.0) <= 1e-10, "weights do not sum to 1"),
+            (inside, "a point or the base outside the moment domain"),
+            (gap <= _DISPLACEMENT_TOL * scale[:, -1], "displacement identity violated"),
+        )
+        for ok, message in checks:
+            if not ok.all():
+                raise ValueError(f"configuration {np.argmin(ok)}: {message}")
+
+    @cached_property
+    def has(self) -> np.ndarray:  # (rows, k): the cells that hold a part
+        return self.weights != 0.0
 
     @property
-    def n(self) -> int:
-        return len(self.points)
+    def parts(self) -> np.ndarray:
+        return self.has.sum(axis=1)
 
-    def displacement_residual(self) -> float:
-        """Max componentwise gap in sum_k lambda_k x^k - base = (0, d^2, 0, 0)."""
-        agg_x1 = sum(w * pt.x1 for w, pt in zip(self.weights, self.points))
-        r1 = float(np.max(np.abs(agg_x1 - self.base.x1)))
-        agg = [
-            float(sum(w * getattr(pt, name) for w, pt in zip(self.weights, self.points)))
-            for name in ("x2", "x3", "x4")
-        ]
-        r2 = abs(agg[0] - self.base.x2 - self.d**2)
-        r3 = abs(agg[1] - self.base.x3)
-        r4 = abs(agg[2] - self.base.x4)
-        return max(r1, r2, r3, r4)
+    def __len__(self) -> int:
+        return len(self.weights)
 
-    def x1_diameter(self) -> float:
-        x1 = np.stack([pt.x1 for pt in self.points])
-        return float(_diameters(x1[None], np.ones((1, self.n), dtype=bool))[0])
+    def displacement_residual(self) -> np.ndarray:
+        """Per row, the max gap in sum_k lambda_k x^k - base = (0, d^2, 0, 0)."""
+        gap = _weighted_sums(self.weights, self.has, self.points) - self.base
+        gap[:, -3] -= self.d**2
+        return np.abs(gap).max(axis=1)
+
+
+def _weighted_sums(weights: np.ndarray, has: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_k weights[r, k] * values[r, k] over the cells with ``has[r, k]``,
+    for each row r, adding the terms in order as a loop would; ``values``
+    (rows, k, ...) may carry trailing axes."""
+    tail = (-1,) + (1,) * (values.ndim - 2)
+    total = np.zeros((len(has), *values.shape[2:]))
+    for k in range(has.shape[1]):
+        term = total + weights[:, k].reshape(tail) * values[:, k]
+        total = np.where(has[:, k].reshape(tail), term, total)
+    return total
 
 
 def _diameters(
@@ -444,80 +458,59 @@ def _diameters(
     return diam, np.where(diam[:, None] > 0.0, np.column_stack((i[first], j[first])), 0)
 
 
-def _split_sides(
-    x1: np.ndarray, values: np.ndarray, weights: np.ndarray, has: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """diam{x1^k} and sum_k lambda_k B(x^k) for rows of splits laid out as
-    in ``_diameters``, with the children's candidate values and weights
-    (rows, k); the sum adds the children in order, as a loop would."""
-    diam = _diameters(x1, has)
-    kid_sum = np.zeros(len(has))
-    for r in range(has.shape[1]):
-        kid_sum = np.where(has[:, r], kid_sum + weights[:, r] * values[:, r], kid_sum)
-    return diam, kid_sum
-
-
-def _scale_of(pt: BellmanPoint) -> float:
-    return max(1.0, float(np.linalg.norm(pt.x1)), abs(pt.x2), abs(pt.x3), abs(pt.x4))
-
-
 def _split_terms(
-    cand: BellmanCandidate, cfgs: Sequence[SplitConfig]
+    cand: BellmanCandidate, cfgs: SplitConfigs
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """B(base), |d| * diam{x1^k} and sum_k lambda_k B(x^k) of each
-    configuration, with one candidate call for all points."""
-    counts = np.array([cfg.n for cfg in cfgs])
-    has = np.arange(counts.max()) < counts[:, None]
-    pts = [pt for cfg in cfgs for pt in cfg.points] + [cfg.base for cfg in cfgs]
-    x1 = np.stack([pt.x1 for pt in pts])
-    x2, x3, x4 = np.array([(pt.x2, pt.x3, pt.x4) for pt in pts]).T
-    values = cand.fn(x1, x2, x3, x4)
-    # Cells past a configuration's count hold point 0; ``has`` masks them out.
-    kids = np.zeros(has.shape, dtype=np.intp)
-    kids[has] = np.arange(counts.sum())
-    weights = np.zeros(has.shape)
-    weights[has] = np.concatenate([cfg.weights for cfg in cfgs])
-    diam, kid_sum = _split_sides(x1[kids], values[kids], weights, has)
-    d = np.array([abs(cfg.d) for cfg in cfgs])
-    return values[counts.sum() :], d * diam, kid_sum
+    """B(base), |d| * diam{x1^k} and sum_k lambda_k B(x^k) of each row, with
+    one candidate call on the points and one on the bases; ``has`` masks
+    out the cells without a part."""
+    diam = _diameters(cfgs.points[..., :-3], cfgs.has)
+    kid_sum = _weighted_sums(cfgs.weights, cfgs.has, cand.evaluate(cfgs.points))
+    return cand.evaluate(cfgs.base), np.abs(cfgs.d) * diam, kid_sum
 
 
-def split_slack(cand: BellmanCandidate, cfg: SplitConfig) -> float:
-    """Signed slack of the split inequality; admissible candidates keep it
-    nonnegative up to roundoff."""
-    base, d_diam, kid_sum = _split_terms(cand, [cfg])
-    return float(base[0] - d_diam[0] - kid_sum[0])
+def split_slack(cand: BellmanCandidate, cfgs: SplitConfigs) -> np.ndarray:
+    """Signed slack of the split inequality, one per row; admissible
+    candidates keep it nonnegative up to roundoff."""
+    base, d_diam, kid_sum = _split_terms(cand, cfgs)
+    return base - d_diam - kid_sum
 
 
 # ---------------------------------------------------------------------------
 # Samplers
 
 
-def _random_point(rng: np.random.Generator, dim: int, p: float, q: float) -> BellmanPoint:
-    x1 = rng.normal(size=dim)
-    x3 = float(np.linalg.norm(x1) ** p + 0.5 * rng.exponential())
-    x2 = float(0.8 * abs(rng.normal()))
-    x4 = float(x2 ** (q / 2.0) + 0.5 * rng.exponential())
-    return BellmanPoint(x1=x1, x2=x2, x3=x3, x4=x4, p=p)
-
-
-def _assemble_config(
+def _sample_rows(
     delta: float,
     p: float,
-    points: Sequence[BellmanPoint],
-    weights: np.ndarray,
-    rng: np.random.Generator,
-) -> SplitConfig:
-    x2_cap = float(sum(w * pt.x2 for w, pt in zip(weights, points)))
-    d = math.sqrt(rng.uniform(0.0, x2_cap)) if x2_cap > 0 else 0.0
-    base = BellmanPoint(
-        x1=sum(w * pt.x1 for w, pt in zip(weights, points)),
-        x2=x2_cap - d**2,
-        x3=float(sum(w * pt.x3 for w, pt in zip(weights, points))),
-        x4=float(sum(w * pt.x4 for w, pt in zip(weights, points))),
-        p=p,
-    )
-    return SplitConfig(delta=delta, p=p, points=tuple(points), weights=weights, d=d, base=base)
+    count: int,
+    seed: int,
+    dim: int,
+    n_cap: int,
+    draw_weights: Callable[[np.random.Generator, int], np.ndarray],
+) -> SplitConfigs:
+    """``count`` configurations of 2..n_cap parts, one row at a time: the
+    part count n, the weights ``draw_weights(rng, n)``, each point's x1, x3,
+    x2 and x4, then d uniform in [0, sum_k lambda_k x2^k]; the base is the
+    row's in-order weighted sum with d^2 taken off its x2."""
+    if not (1 <= dim <= 4):
+        raise ValueError(f"dim must lie in [1, 4], got {dim}")
+    q = conjugate_exponent(p)
+    rng = np.random.default_rng(seed)
+    points, weights = np.zeros((count, n_cap, dim + 3)), np.zeros((count, n_cap))
+    d, base = np.zeros(count), np.zeros((count, dim + 3))
+    for r in range(count):
+        n = int(rng.integers(2, n_cap + 1))
+        weights[r, :n] = draw_weights(rng, n)
+        for k in range(n):
+            x1 = rng.normal(size=dim)
+            x3 = np.linalg.norm(x1) ** p + 0.5 * rng.exponential()
+            x2 = float(0.8 * abs(rng.normal()))
+            points[r, k] = (*x1, x2, x3, x2 ** (q / 2.0) + 0.5 * rng.exponential())
+        base[r] = sum(weights[r, :n, None] * points[r, :n])
+        d[r] = math.sqrt(rng.uniform(0.0, base[r, dim])) if base[r, dim] > 0 else 0.0
+        base[r, dim] -= float(d[r]) ** 2
+    return SplitConfigs(delta, p, points, weights, d, base)
 
 
 def sample_split_configs(
@@ -526,22 +519,13 @@ def sample_split_configs(
     count: int,
     seed: int,
     dim: int = 1,
-) -> list[SplitConfig]:
+) -> SplitConfigs:
     """Seeded admissible configurations with Dirichlet-spread weights."""
-    if not (1 <= dim <= 4):
-        raise ValueError(f"dim must lie in [1, 4], got {dim}")
-    q = conjugate_exponent(p)
     n_max = int(1.0 / delta + 1e-9)
     if n_max < 2:
         raise ValueError(f"delta={delta} admits no configuration with >= 2 parts")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(2, n_max + 1))
-        weights = delta + (1.0 - n * delta) * rng.dirichlet(np.ones(n))
-        points = [_random_point(rng, dim, p, q) for _ in range(n)]
-        out.append(_assemble_config(delta, p, points, weights, rng))
-    return out
+    spread = lambda rng, n: delta + (1.0 - n * delta) * rng.dirichlet(np.ones(n))
+    return _sample_rows(delta, p, count, seed, dim, n_max, spread)
 
 
 def sample_dyadic_split_configs(
@@ -551,39 +535,27 @@ def sample_dyadic_split_configs(
     seed: int,
     dim: int = 1,
     m: int = 6,
-) -> list[SplitConfig]:
+) -> SplitConfigs:
     """Configurations whose weights are a_k / 2^m with every a_k >= delta * 2^m."""
     if not (1 <= m <= 16):
         raise ValueError(f"m must lie in [1, 16], got {m}")
-    if not (1 <= dim <= 4):
-        raise ValueError(f"dim must lie in [1, 4], got {dim}")
-    q = conjugate_exponent(p)
     b = 2**m
     a_min = max(1, math.ceil(delta * b - 1e-9))
     n_cap = min(int(1.0 / delta + 1e-9), b // a_min)
     if n_cap < 2:
         raise ValueError(f"no dyadic split with 2 parts at delta={delta}, m={m}")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(2, n_cap + 1))
-        counts = np.full(n, a_min, dtype=int)
-        rest = b - n * a_min
-        if rest > 0:
-            counts += rng.multinomial(rest, np.full(n, 1.0 / n))
-        weights = counts / b
-        points = [_random_point(rng, dim, p, q) for _ in range(n)]
-        out.append(_assemble_config(delta, p, points, weights, rng))
-    return out
+    # A multinomial of zero trials draws nothing from the generator.
+    dyadic = lambda rng, n: (a_min + rng.multinomial(b - n * a_min, np.full(n, 1.0 / n))) / b
+    return _sample_rows(delta, p, count, seed, dim, n_cap, dyadic)
 
 
 # Diameters of the extremal configurations.
 _ADVERSARIAL_SCALES = (0.5, 1.0, 2.0)
 
 
-def adversarial_split_configs(delta: float, p: float, dim: int = 1) -> list[SplitConfig]:
+def adversarial_split_configs(delta: float, p: float, dim: int = 1) -> SplitConfigs:
     """Extremal-geometry configurations that pin the worst case of
-    quadratic-penalty candidates, one per diameter D in
+    quadratic-penalty candidates, one row per diameter D in
     ``_ADVERSARIAL_SCALES``.
 
     For delta <= 1/3: two weight-delta points at the ends of a diameter and
@@ -592,40 +564,26 @@ def adversarial_split_configs(delta: float, p: float, dim: int = 1) -> list[Spli
     parts fit, with the lighter one at the floor, and v = delta (1 - delta).
     The displacement is d = sqrt(v) * D, where |d| * D / (Var + d^2), the
     scale a quadratic-penalty candidate needs, peaks at 1 / (2 sqrt(v));
-    random sampling alone stays far from this corner.
+    random sampling alone stays far from this corner.  Each point lies on
+    the first axis with x2 = d^2, x3 = |x1|^p and x4 = (d^2)^(q/2); the base
+    has x2 = 0.
     """
+    if not (1 <= dim <= 4):
+        raise ValueError(f"dim must lie in [1, 4], got {dim}")
     q = conjugate_exponent(p)
     if delta <= 1.0 / 3.0 + 1e-12:
         fracs, weights, v = (0.0, 1.0, 0.5), (delta, delta, 1.0 - 2.0 * delta), delta / 2.0
     else:
         fracs, weights, v = (0.0, 1.0), (delta, 1.0 - delta), delta * (1.0 - delta)
-    out = []
-    for scale in _ADVERSARIAL_SCALES:
-        d = math.sqrt(v) * scale
-        pts = []
-        for frac in fracs:
-            x1 = np.zeros(dim)
-            x1[0] = frac * scale
-            pts.append(
-                BellmanPoint(
-                    x1=x1,
-                    x2=d * d,
-                    x3=float(abs(x1[0]) ** p),
-                    x4=float((d * d) ** (q / 2.0)),
-                    p=p,
-                )
-            )
-        base = BellmanPoint(
-            x1=sum(w * pt.x1 for w, pt in zip(weights, pts)),
-            x2=0.0,
-            x3=float(sum(w * pt.x3 for w, pt in zip(weights, pts))),
-            x4=float(sum(w * pt.x4 for w, pt in zip(weights, pts))),
-            p=p,
-        )
-        out.append(
-            SplitConfig(delta=delta, p=p, points=tuple(pts), weights=weights, d=d, base=base)
-        )
-    return out
+    d = [math.sqrt(v) * scale for scale in _ADVERSARIAL_SCALES]
+    pad = [0.0] * (dim - 1)
+    points = np.array([
+        [(x, *pad, dr * dr, abs(x) ** p, (dr * dr) ** (q / 2.0)) for x in np.multiply(fracs, s)]
+        for s, dr in zip(_ADVERSARIAL_SCALES, d)
+    ])
+    base = np.array([sum(w * pt for w, pt in zip(weights, row)) for row in points])
+    base[:, dim] = 0.0
+    return SplitConfigs(delta, p, points, np.tile(weights, (len(d), 1)), np.array(d), base)
 
 
 # ---------------------------------------------------------------------------
@@ -654,56 +612,66 @@ class ExpansionCertificate:
     degenerate: bool
 
 
-def dyadic_expand(cfg: SplitConfig, m: int) -> ExpansionCertificate:
-    """Expand into 2^m copies, sort along the diameter direction, halve, and
-    build the tree; raises ValueError unless every weight is a positive
-    multiple of 2^-m.
+def dyadic_expand(cfgs: SplitConfigs, m: int) -> Sequence[ExpansionCertificate]:
+    """Expand each row into 2^m copies, sort along the diameter direction,
+    halve, and build the tree; raises ValueError naming the first row whose
+    weights are not all positive multiples of 2^-m.  Returns one expansion
+    per row, each built when it is read, so a pass over the rows holds one
+    tree at a time.
 
     Sort keys are scalar projections of the x1 copies onto the segment
     between the first diameter-realizing pair of ``_diameters``; ties keep
     original copy order.
     """
     b = 2**m
-    counts = np.rint(cfg.weights * b).astype(int)
-    if np.any(np.abs(counts - cfg.weights * b) > 1e-6) or counts.sum() != b or counts.min() < 1:
-        raise ValueError(f"weights are not positive multiples of 2^-{m}")
-    copy_owner = np.repeat(np.arange(cfg.n), counts)
+    scaled = cfgs.weights * b
+    counts = np.rint(scaled).astype(int)
+    ok = ((np.abs(counts - scaled) <= 1e-6) & ((counts >= 1) | ~cfgs.has)).all(axis=1)
+    ok &= counts.sum(axis=1) == b
+    if not ok.all():
+        bad = np.argmin(ok)
+        raise ValueError(f"configuration {bad}: weights are not positive multiples of 2^-{m}")
+    dim = cfgs.points.shape[-1] - 3
 
-    rows = np.array([[*pt.x1, pt.x2, pt.x3, pt.x4] for pt in cfg.points])
-    dim = cfg.points[0].dim
-    pts_x1 = rows[:, :dim]
-    diam, pair = _diameters(pts_x1[None], np.ones((1, cfg.n), dtype=bool), return_pairs=True)
-    diam, (i, j) = float(diam[0]), pair[0]
-    degenerate = diam <= 0.0
+    def expand(r: int) -> ExpansionCertificate:
+        rows = cfgs.points[r]
+        x1 = rows[:, :dim]
+        parts = x1[cfgs.has[r]]
+        every = np.ones((1, len(parts)), dtype=bool)
+        diam, pair = _diameters(parts[None], every, return_pairs=True)
+        diam, (i, j) = float(diam[0]), pair[0]
+        # Cells without a part have no copies.
+        copy_owner = np.repeat(np.arange(len(rows)), counts[r])
+        degenerate = diam <= 0.0
+        if degenerate:
+            order = np.arange(b)
+        else:
+            u = (parts[j] - parts[i]) / diam
+            keys = (x1[copy_owner] - parts[i][None, :]) @ u
+            order = np.argsort(keys, kind="stable")
+        sorted_owner = copy_owner[order]
+        full = rows[sorted_owner]
+        # The 2^k nodes at depth k average consecutive blocks of b / 2^k copies.
+        levels = tuple(full.reshape(2**k, b >> k, -1).mean(axis=1) for k in range(m + 1))
+        separation = float(np.linalg.norm(levels[1][0, :dim] - levels[1][1, :dim]))
+        return ExpansionCertificate(
+            m=m,
+            copies=b,
+            order=tuple(sorted_owner.tolist()),
+            levels=levels,
+            separation=separation,
+            diameter=diam,
+            ratio=None if degenerate else separation / diam,
+            degenerate=degenerate,
+        )
 
-    if degenerate:
-        order = np.arange(b)
-    else:
-        u = (pts_x1[j] - pts_x1[i]) / diam
-        keys = (pts_x1[copy_owner] - pts_x1[i][None, :]) @ u
-        order = np.argsort(keys, kind="stable")
-
-    sorted_owner = copy_owner[order]
-    full = rows[sorted_owner]
-    # The 2^k nodes at depth k average consecutive blocks of b / 2^k copies.
-    levels = tuple(full.reshape(2**k, b >> k, -1).mean(axis=1) for k in range(m + 1))
-    separation = float(np.linalg.norm(levels[1][0, :dim] - levels[1][1, :dim]))
-    return ExpansionCertificate(
-        m=m,
-        copies=b,
-        order=tuple(sorted_owner.tolist()),
-        levels=levels,
-        separation=separation,
-        diameter=diam,
-        ratio=None if degenerate else separation / diam,
-        degenerate=degenerate,
-    )
+    return _Lazy(expand, np.arange(len(cfgs)))
 
 
 def recombine_slack(
-    cand: BellmanCandidate, cfg: SplitConfig, cert: ExpansionCertificate
-) -> tuple[float, float]:
-    """Rebuild the direct slack out of the expansion tree.
+    cand: BellmanCandidate, cfgs: SplitConfigs, certs: Sequence[ExpansionCertificate]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rebuild the direct slack of each row out of its expansion tree.
 
     One application of the two-point split inequality at the top (with the
     full displacement d and the measured separation) plus weighted midpoint
@@ -714,19 +682,20 @@ def recombine_slack(
                      + |d| * (separation - diameter).
 
     The candidate is evaluated once per tree level, and the midpoint slacks
-    are added level by level.  Returns (direct, recombined); the two must
-    agree to roundoff for any candidate, admissible or not.
+    are added level by level.  Returns the (direct, recombined) arrays; the
+    two must agree to roundoff for any candidate, admissible or not.
     """
-    direct = split_slack(cand, cfg)
-    dim = cfg.points[0].dim
-    vals = [cand.fn(lv[:, :dim], lv[:, dim], lv[:, dim + 1], lv[:, dim + 2]) for lv in cert.levels]
-    top = cand.evaluate(cfg.base) - abs(cfg.d) * cert.separation - 0.5 * (vals[1][0] + vals[1][1])
-    mids = 0.0
-    for k in range(1, cert.m):
-        own = vals[k] - 0.5 * (vals[k + 1][0::2] + vals[k + 1][1::2])
-        mids += 0.5**k * float(own.sum())
-    recombined = float(top) + mids + abs(cfg.d) * (cert.separation - cert.diameter)
-    return direct, recombined
+    d, base_values = np.abs(cfgs.d), cand.evaluate(cfgs.base)
+    recombined = np.empty(len(certs))
+    for r, cert in enumerate(certs):
+        vals = [cand.evaluate(lv) for lv in cert.levels]
+        top = base_values[r] - d[r] * cert.separation - 0.5 * (vals[1][0] + vals[1][1])
+        mids = 0.0
+        for k in range(1, cert.m):
+            own = vals[k] - 0.5 * (vals[k + 1][0::2] + vals[k + 1][1::2])
+            mids += 0.5**k * float(own.sum())
+        recombined[r] = float(top) + mids + d[r] * (cert.separation - cert.diameter)
+    return split_slack(cand, cfgs), recombined
 
 
 # ---------------------------------------------------------------------------
@@ -761,13 +730,23 @@ def estimate_rescale_constant(
     so C is 1.0 if every slack at C = 1 is at least -1e-9 * max(1, |B(base)|),
     else the largest |d| * diam / gap over the failing configurations.  A
     failing one whose gap is within that roundoff floor, gap <= 1e-9 *
-    max(1, |B(base)|), fails at every C up to roundoff: RuntimeError."""
-    cfgs = sample_split_configs(delta, cand.p, samples, seed, dim=dim)
+    max(1, |B(base)|), fails at every C up to roundoff, and so does a
+    configuration with a non-finite slack: RuntimeError."""
+    sampled = sample_split_configs(delta, cand.p, samples, seed, dim=dim)
     adv = adversarial_split_configs(delta, cand.p, dim=dim)
-    base, d_diam, kid_sum = _split_terms(cand, cfgs + adv)
-    gap = base - kid_sum
+    # The sampled terms first, then the extremal ones, as ``worst`` counts.
+    terms = zip(_split_terms(cand, sampled), _split_terms(cand, adv))
+    base, d_diam, kid_sum = map(np.concatenate, terms)
+    slack, gap = base - d_diam - kid_sum, base - kid_sum
+    odd = np.flatnonzero(~np.isfinite(slack))
+    if len(odd):
+        i = int(odd[0])
+        raise RuntimeError(
+            f"no rescale constant makes '{cand.label}' pass at delta={delta}: configuration"
+            f" {i} has the non-finite slack {slack[i]}"
+        )
     floor = 1e-9 * np.maximum(1.0, np.abs(base))
-    failing = np.flatnonzero(base - d_diam - kid_sum < -floor)
+    failing = np.flatnonzero(slack < -floor)
     constant, worst = 1.0, None
     if len(failing):
         stuck = failing[gap[failing] <= floor[failing]]

@@ -37,7 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import BellmanCandidate, BellmanPoint, Witness, _point_fields, _split_sides
+from .bellman import (
+    BellmanCandidate, BellmanPoint, Witness, _diameters, _point_fields, _weighted_sums
+)
 from .filtration import Filtration, _Lazy, level_partition
 from .martingale import MartFunction, inner
 from .reporting import Verbatim, _enclosed, _format_columns, _format_number
@@ -187,10 +189,9 @@ def certify(
             f"regularity delta={filt.delta:g}"
         )
 
-    tf = op.apply(f)
-    total = filt.total_measure
-    objective = inner(g, tf) / total
     witness = Witness(f, g, op, cand.p)
+    total = filt.total_measure
+    objective = inner(g, witness.tf) / total
     table = witness.table
     negative = np.flatnonzero(table.x2 < -1e-12 * np.maximum(table.g2, 1.0))
     if negative.size:
@@ -200,7 +201,7 @@ def certify(
     # Exact identity: the x2 drop across every split equals d^2.
     d_sq = table.d * table.d
     scale = np.maximum(1.0, np.maximum(np.abs(table.x2[lay.event_atoms]), d_sq))
-    broken = np.flatnonzero(np.abs(table.x2_gain - d_sq) > 1e-9 * scale)
+    broken = np.flatnonzero(~(np.abs(table.x2_gain - d_sq) <= 1e-9 * scale))
     if broken.size:
         e = broken[0]
         raise CertificationError(
@@ -221,7 +222,8 @@ def certify(
     grid_weights = lay.atom_measures[kids] / measure[:, None]
     # The child x1 diameter by the shared rule ``bellman._diameters``, and
     # sum_k lambda_k B(x_k).
-    diameter, kid_sum = _split_sides(table.x1[kids], values[kids], grid_weights, has)
+    diameter = _diameters(table.x1[kids], has)
+    kid_sum = _weighted_sums(grid_weights, has, values[kids])
 
     d, pairing = table.d, table.pairing
     d_diam = d * diameter
@@ -248,6 +250,10 @@ def certify(
             failures.append(f"negative split slack at atom {atom_id}: {float(slack[e]):.6g}")
     for leaf_id, val in zip(leaves[leaf_bad].tolist(), leaf_values[leaf_bad].tolist()):
         failures.append(f"negative candidate value on leaf atom {leaf_id}: {val:.6g}")
+    odd = np.flatnonzero(~np.isfinite(values))
+    if odd.size:
+        first = f"first atom {odd[0]}: {values[odd[0]]}"
+        failures.append(f"non-finite candidate value on {odd.size} atoms, {first}")
 
     bound = float(values[filt.root.id])
     final_slack = bound - objective
@@ -257,7 +263,9 @@ def certify(
     reassembled = (weighted_slack + weighted_gap) / total + leaf_term
     identity_residual = abs(final_slack - reassembled)
     id_scale = max(1.0, abs(bound), abs(objective))
-    if identity_residual > 1e-8 * id_scale:
+    # A non-finite candidate already failed the certificate; otherwise a
+    # residual above the bound, or NaN, breaks the identity.
+    if not odd.size and not identity_residual <= 1e-8 * id_scale:
         raise CertificationError(
             f"telescoping identity failed: final slack {final_slack:.12g} vs "
             f"reassembled {reassembled:.12g}"

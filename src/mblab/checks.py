@@ -373,9 +373,8 @@ def check_contraction(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
     ``apply`` against <f, T* g> from the closed-form adjoint.  No dense
     matrix and no SVD: the tests hold both against the dense oracle.
     """
-    f, g = w.f, w.g
+    f, g, tf = w.f, w.g, w.tf
     norm = split_multiplier_norm(w.op)
-    tf = w.op.apply(f)
     ratio = l2_norm(tf) / max(l2_norm(f), 1e-300)
     pair = abs(inner(tf, g) - inner(f, w.tstar_g)) / max(1.0, abs(inner(tf, g)))
     return [

@@ -291,8 +291,10 @@ def _candidate(cfg: RunConfig, filt):
     name, _, arg = chosen.partition(":")
     try:
         value = float(arg) if arg else None
+        if value is not None and not math.isfinite(value):
+            raise ValueError
     except ValueError:
-        raise UsageError(f"candidate '{chosen}' needs a number after ':'") from None
+        raise UsageError(f"candidate '{chosen}' needs a finite number after ':'") from None
     if name == "quadratic":
         delta = filt.delta if value is None else value
         if not 0.0 < delta <= filt.delta:
@@ -372,12 +374,11 @@ def cmd_lemma1(cfg: RunConfig) -> int:
     )
     rows = []
     worst = None
-    for i, sc in enumerate(cfgs):
-        cert = dyadic_expand(sc, m=cfg.m)
+    for i, (parts, cert) in enumerate(zip(cfgs.parts.tolist(), dyadic_expand(cfgs, m=cfg.m))):
         rows.append(
             {
                 "config": i,
-                "children": sc.n,
+                "children": parts,
                 "m": cert.m,
                 "copies": cert.copies,
                 "separation": cert.separation,

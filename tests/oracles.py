@@ -84,6 +84,9 @@ def certificate_by_records(
     points = [table.point(i) for i in range(len(filt.atoms))]
     dicts = [pt.to_dict() for pt in points]
 
+    def value(pt):
+        return float(cand.fn(pt.x1, pt.x2, pt.x3, pt.x4))
+
     failures: list[str] = []
     records: list[dict] = []
     flagged: list[int] = []
@@ -105,10 +108,10 @@ def certificate_by_records(
                 f"|d|*diam={d * diam:.6g} < pairing={pairing:.6g}"
             )
             bad = True
-        b_base = cand.evaluate(points[atom_id])
+        b_base = value(points[atom_id])
         kid_sum = 0.0
         for w, k in zip(weights, kids):
-            kid_sum += w * cand.evaluate(k)
+            kid_sum += w * value(k)
         slack = b_base - d * diam - kid_sum
         if slack < -tol * max(1.0, abs(b_base)):
             failures.append(f"negative split slack at atom {atom.id}: {slack:.6g}")
@@ -135,13 +138,17 @@ def certificate_by_records(
     leaves = []
     leaf_weighted = 0.0
     for leaf_id in level_partition(filt, filt.depth).tolist():
-        val = cand.evaluate(points[leaf_id])
+        val = value(points[leaf_id])
         leaves.append({"point": dicts[leaf_id], "value": val})
         leaf_weighted += filt.atom(leaf_id).measure * val
         if val < -tol * max(1.0, abs(val)):
             failures.append(f"negative candidate value on leaf atom {leaf_id}: {val:.6g}")
+    odd = [atom_id for atom_id, pt in enumerate(points) if not np.isfinite(value(pt))]
+    if odd:
+        first = f"first atom {odd[0]}: {value(points[odd[0]])}"
+        failures.append(f"non-finite candidate value on {len(odd)} atoms, {first}")
 
-    bound = cand.evaluate(points[filt.root.id])
+    bound = value(points[filt.root.id])
     final_slack = bound - objective
     leaf_term = leaf_weighted / total
     reassembled = (weighted_slack + weighted_gap) / total + leaf_term

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mblab.bellman import (
     BellmanPoint,
-    SplitConfig,
+    SplitConfigs,
     Witness,
     _diameters,
     _split_terms,
@@ -35,8 +35,14 @@ from oracles import diameter_pair, scale_candidate
 from test_reporting import ref_to_canonical_json
 
 
-def point(x1, x2, x3, x4, p=2.0):
-    return BellmanPoint(x1=np.atleast_1d(np.asarray(x1, dtype=float)), x2=x2, x3=x3, x4=x4, p=p)
+def point(x1, x2, x3, x4):
+    """One moment row (x1..., x2, x3, x4)."""
+    return np.array([*np.atleast_1d(np.asarray(x1, dtype=float)), x2, x3, x4])
+
+
+def one_config(delta, points, weights, d, base, p=2.0):
+    """A batch of one configuration."""
+    return SplitConfigs(delta, p, np.array([points]), np.array([weights]), np.array([d]), np.array([base]))
 
 
 def three_point_config(xs, ws, p=2.0, delta=None, d=1.0):
@@ -44,18 +50,15 @@ def three_point_config(xs, ws, p=2.0, delta=None, d=1.0):
     if delta is None:
         delta = min(ws)
     q = conjugate_exponent(p)
-    pts = tuple(
-        point(x, d * d, abs(float(x)) ** p, (d * d) ** (q / 2.0), p=p) for x in xs
-    )
+    pts = [point(x, d * d, abs(float(x)) ** p, (d * d) ** (q / 2.0)) for x in xs]
     w = np.asarray(ws, dtype=float)
     base = point(
         float(np.dot(w, xs)),
         0.0,
         float(np.dot(w, [abs(float(x)) ** p for x in xs])),
         float(np.dot(w, [(d * d) ** (q / 2.0)] * len(xs))),
-        p=p,
     )
-    return SplitConfig(delta=delta, p=p, points=pts, weights=w, d=d, base=base)
+    return one_config(delta, pts, w, d, base, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +78,18 @@ def test_conjugate_exponent_rejects_out_of_range():
 
 
 def test_domain_membership():
-    assert in_bellman_domain(point(0.0, 0.0, 0.0, 0.0))
-    assert in_bellman_domain(point(1.0, 0.0, 1.0, 0.0))
+    assert in_bellman_domain(point(0.0, 0.0, 0.0, 0.0), 2.0)
+    assert in_bellman_domain(point(1.0, 0.0, 1.0, 0.0), 2.0)
     # moment slot below |x1|^p
-    assert not in_bellman_domain(point(1.0, 0.0, 0.5, 1.0))
+    assert not in_bellman_domain(point(1.0, 0.0, 0.5, 1.0), 2.0)
     # fourth slot below x2^{q/2}
-    assert not in_bellman_domain(point(0.0, 4.0, 0.0, 1.0))
-    assert not in_bellman_domain(point(0.0, -1.0, 0.0, 0.0))
+    assert not in_bellman_domain(point(0.0, 4.0, 0.0, 1.0), 2.0)
+    assert not in_bellman_domain(point(0.0, -1.0, 0.0, 0.0), 2.0)
+    # rows at once, and a NaN in any slot fails
+    rows = np.array([point(1.0, 0.0, 1.0, 0.0), point(1.0, 0.0, 0.5, 1.0), point(np.nan, 0.0, 1.0, 1.0)])
+    assert in_bellman_domain(rows, 2.0).tolist() == [True, False, False]
+    for slot in range(1, 4):
+        assert not in_bellman_domain(np.where(np.arange(4) == slot, np.nan, 1.0), 2.0)
 
 
 def test_bellman_point_slots(small_cells):
@@ -97,7 +105,8 @@ def test_bellman_point_slots(small_cells):
     assert pt.x2 == pytest.approx(g2 - osc2(pc.op.adjoint_apply(pc.g), filt.root.id), rel=1e-12)
     f2 = float(m @ np.sum(pc.f.values**2, axis=1))
     assert pt.x3 == pytest.approx(f2, rel=1e-12)
-    assert in_bellman_domain(pt, tol=1e-9 * max(1.0, pt.x3, pt.x4))
+    row = point(pt.x1, pt.x2, pt.x3, pt.x4)
+    assert in_bellman_domain(row, 2.0, tol=1e-9 * max(1.0, pt.x3, pt.x4))
 
 
 def test_bellman_point_rejects_negative_x2(small_cells):
@@ -111,7 +120,7 @@ def test_bellman_point_rejects_negative_x2(small_cells):
 
 
 def test_point_serialization_roundtrip():
-    pt = point([1.5, -2.0], 0.25, 9.0, 1.0)
+    pt = BellmanPoint(x1=np.array([1.5, -2.0]), x2=0.25, x3=9.0, x4=1.0, p=2.0)
     back = json.loads(to_canonical_json(pt.to_dict()))
     assert back == {"x1": [1.5, -2.0], "x2": 0.25, "x3": 9.0, "x4": 1.0, "p": 2.0, "atom": None}
 
@@ -172,7 +181,7 @@ def test_boundary_sign_on_sampled_boundary():
         x2 = float(abs(rng.normal()))
         margin = 0.0 if rng.random() < 0.25 else float(0.5 * rng.exponential())
         pt = point(x1, x2, float(np.linalg.norm(x1) ** 2.0), x2 + margin)
-        assert abs(float(np.linalg.norm(pt.x1))) ** 2.0 == pytest.approx(pt.x3, rel=1e-12)
+        assert abs(float(np.linalg.norm(pt[:2]))) ** 2.0 == pytest.approx(pt[-2], rel=1e-12)
         assert cand.evaluate(pt) >= -1e-9
 
 
@@ -182,49 +191,114 @@ def test_boundary_sign_on_sampled_boundary():
 
 def test_split_config_validation():
     good = three_point_config([0.0, 1.0], [0.5, 0.5])
-    assert good.n == 2
-    assert good.displacement_residual() <= 1e-12
+    assert good.parts.tolist() == [2] and len(good) == 1
+    assert good.displacement_residual()[0] <= 1e-12
     with pytest.raises(ValueError):
         three_point_config([0.0, 1.0], [0.9, 0.1], delta=0.2)  # weight below floor
     with pytest.raises(ValueError):
         three_point_config([0.0, 1.0], [0.6, 0.6])  # weights do not sum to one
     with pytest.raises(ValueError):
         three_point_config([0.0, 1.0, 2.0], [1 / 3] * 3, delta=0.4)  # too many parts
-    with pytest.raises(ValueError):
-        SplitConfig(
-            delta=0.5,
-            p=2.0,
-            points=(point(0.0, 1.0, 0.0, 1.0), point(0.0, 1.0, 0.0, 1.0)),
-            weights=np.array([0.5, 0.5]),
-            d=1.0,
-            base=point(0.0, 5.0, 0.0, 1.0),  # displacement identity broken
+    with pytest.raises(ValueError, match="configuration 0"):
+        one_config(
+            0.5,
+            [point(0.0, 1.0, 0.0, 1.0), point(0.0, 1.0, 0.0, 1.0)],
+            [0.5, 0.5],
+            1.0,
+            point(0.0, 5.0, 0.0, 1.0),  # displacement identity broken
         )
+
+
+def test_split_configs_name_the_first_bad_row():
+    # the cells without a part may sit anywhere in a row
+    good = three_point_config([0.0, 1.0, 2.0], [0.25, 0.25, 0.5])
+    two = three_point_config([0.0, 1.0], [0.5, 0.5])
+    points = np.concatenate((good.points, good.points, two.points[:, [0, 1, 1]]))
+    weights = np.concatenate((good.weights, good.weights, [[0.5, 0.0, 0.5]]))
+    d, base = np.concatenate((good.d, good.d, two.d)), np.concatenate((good.base, good.base, two.base))
+    cfgs = SplitConfigs(0.25, 2.0, points, weights, d, base)
+    assert len(cfgs) == 3 and cfgs.parts.tolist() == [3, 3, 2]
+    assert cfgs.has.tolist()[2] == [True, False, True]
+    assert cfgs.displacement_residual().max() <= 1e-12
+    # the gap cell has no copies, and the order names the padded columns
+    assert dyadic_expand(cfgs, m=2)[2].order == (0, 0, 2, 2)
+    with pytest.raises(ValueError, match="configuration 0: weights are not positive multiples"):
+        dyadic_expand(cfgs, m=1)
+    weights[1] = (0.2, 0.3, 0.5)  # a weight below the floor
+    with pytest.raises(ValueError, match="configuration 1: a weight below delta=0.25"):
+        SplitConfigs(0.25, 2.0, points, weights, d, base)
+
+
+def test_split_configs_raise_on_the_first_violated_check():
+    # row 0's weights do not sum to one (the fourth check), row 1 has a
+    # single part (the first): the first check violated names its first row
+    good = three_point_config([0.0, 1.0], [0.5, 0.5])
+    points = np.concatenate((good.points, good.points))
+    weights = np.array([[0.5, 0.6], [1.0, 0.0]])
+    d, base = np.concatenate((good.d, good.d)), np.concatenate((good.base, good.base))
+    with pytest.raises(ValueError, match="configuration 1: a split configuration needs at least two"):
+        SplitConfigs(0.5, 2.0, points, weights, d, base)
+
+
+def test_zero_weight_cell_holds_no_part():
+    # a cell of weight exactly zero is no part: its point, far away and
+    # outside the domain, enters no check, no sum and no diameter
+    two = three_point_config([0.0, 1.0], [0.5, 0.5])
+    far = point(50.0, np.nan, -1.0, 0.0)
+    points = np.concatenate((two.points, far[None, None]), axis=1)
+    cfgs = SplitConfigs(0.5, 2.0, points, [[0.5, 0.5, 0.0]], two.d, two.base)
+    assert cfgs.parts.tolist() == [2] and cfgs.displacement_residual()[0] <= 1e-12
+    cand = quadratic_candidate(0.5)
+    assert split_slack(cand, cfgs).tolist() == split_slack(cand, two).tolist()
+    assert dyadic_expand(cfgs, m=1)[0].diameter == 1.0
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["nan weight", "nan base x1", "nan base x2"],
+)
+def test_split_configs_reject_nan(case):
+    # each check accepts with <= or >=, so a NaN fails it
+    good = three_point_config([0.0, 1.0], [0.5, 0.5])
+    weights, base = good.weights.copy(), good.base.copy()
+    if case == "nan weight":
+        weights[0] = (np.nan, 0.5)
+    elif case == "nan base x1":
+        base[0, 0] = np.nan
+    else:
+        base[0, 1] = np.nan
+    with pytest.raises(ValueError, match="configuration 0"):
+        SplitConfigs(good.delta, good.p, good.points, weights, good.d, base)
+
+
+def _clears(cand, cfgs):
+    return split_slack(cand, cfgs) >= -1e-9 * np.maximum(1.0, np.abs(cand.evaluate(cfgs.base)))
 
 
 def test_split_slack_nonnegative_for_quadratic_at_own_floor():
     for delta in (0.1, 0.25, 0.5):
         cand = quadratic_candidate(delta)
-        for cfg in sample_split_configs(delta, 2.0, 60, seed=1, dim=2):
-            assert split_slack(cand, cfg) >= -1e-9 * max(1.0, abs(cand.evaluate(cfg.base)))
-        for cfg in adversarial_split_configs(delta, 2.0):
-            assert split_slack(cand, cfg) >= -1e-9 * max(1.0, abs(cand.evaluate(cfg.base)))
+        assert _clears(cand, sample_split_configs(delta, 2.0, 60, seed=1, dim=2)).all()
+        assert _clears(cand, adversarial_split_configs(delta, 2.0)).all()
 
 
 def test_split_slack_fails_for_linear_candidate():
     cand = linear_candidate(1.0, 2.0, 0.25)
-    worst = min(split_slack(cand, cfg) for cfg in adversarial_split_configs(0.25, 2.0))
+    worst = split_slack(cand, adversarial_split_configs(0.25, 2.0)).min()
     assert worst < -1e-6
 
 
 def test_sampled_configs_respect_contracts():
-    for cfg in sample_split_configs(0.2, 1.5, 40, seed=2, dim=3):
-        assert cfg.n <= 5
-        assert cfg.weights.min() >= 0.2 - 1e-12
-        assert cfg.displacement_residual() <= 1e-10 * max(1.0, cfg.base.x3, cfg.base.x4)
-    for cfg in sample_dyadic_split_configs(0.25, 2.0, 20, seed=3):
-        assert cfg.weights.min() >= 0.25 - 1e-12
-        # dyadic weights have denominator 2^6
-        assert np.allclose(cfg.weights * 64, np.round(cfg.weights * 64), atol=1e-9)
+    cfgs = sample_split_configs(0.2, 1.5, 40, seed=2, dim=3)
+    assert len(cfgs) == 40
+    assert cfgs.parts.max() <= 5
+    assert cfgs.weights[cfgs.has].min() >= 0.2 - 1e-12
+    scale = np.maximum(1.0, np.maximum(cfgs.base[:, -2], cfgs.base[:, -1]))
+    assert (cfgs.displacement_residual() <= 1e-10 * scale).all()
+    cfgs = sample_dyadic_split_configs(0.25, 2.0, 20, seed=3)
+    assert cfgs.weights[cfgs.has].min() >= 0.25 - 1e-12
+    # dyadic weights have denominator 2^6
+    assert np.allclose(cfgs.weights * 64, np.round(cfgs.weights * 64), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +307,21 @@ def test_sampled_configs_respect_contracts():
 
 def test_expansion_ratio_two_equal_points():
     cfg = three_point_config([0.0, 1.0], [0.5, 0.5])
-    cert = dyadic_expand(cfg, m=1)
+    (cert,) = dyadic_expand(cfg, m=1)
     assert not cert.degenerate
     assert cert.ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expansion_ratio_quarter_weight():
     cfg = three_point_config([0.0, 1.0], [0.25, 0.75])
-    cert = dyadic_expand(cfg, m=2)
+    (cert,) = dyadic_expand(cfg, m=2)
     assert cert.ratio == pytest.approx(0.5, abs=1e-12)
     assert cert.diameter == pytest.approx(1.0, rel=1e-14)
 
 
 def test_expansion_ratio_three_points():
     cfg = three_point_config([0.0, 1.0, 2.0], [0.25, 0.25, 0.5])
-    cert = dyadic_expand(cfg, m=2)
+    (cert,) = dyadic_expand(cfg, m=2)
     assert cert.separation == pytest.approx(1.5, rel=1e-13)
     assert cert.diameter == pytest.approx(2.0, rel=1e-13)
     assert cert.ratio == pytest.approx(0.75, abs=1e-12)
@@ -255,7 +329,7 @@ def test_expansion_ratio_three_points():
 
 def test_expansion_degenerate_when_points_coincide():
     cfg = three_point_config([1.0, 1.0], [0.5, 0.5])
-    cert = dyadic_expand(cfg, m=1)
+    (cert,) = dyadic_expand(cfg, m=1)
     assert cert.degenerate
     assert cert.ratio is None
 
@@ -266,17 +340,16 @@ def test_expansion_pair_choice_on_tied_and_repeated_points():
     # ties in the sort keys keep copy order
     xs = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)]
     ws = np.array([0.25, 0.25, 0.25, 0.125, 0.125])
-    pts = tuple(point(x, 0.0, float(np.dot(x, x)) + 1.0, 1.0) for x in xs)
-    base = point(
-        sum(w * pt.x1 for w, pt in zip(ws, pts)), 0.0, float(ws @ [pt.x3 for pt in pts]), 1.0
-    )
-    cfg = SplitConfig(delta=0.125, p=2.0, points=pts, weights=ws, d=0.0, base=base)
-    assert diameter_pair([pt.x1 for pt in pts]) == (math.sqrt(2.0), (0, 3))
-    assert diameter_pair([pts[0].x1, pts[4].x1]) == (0.0, (0, 0))
-    assert one_row_diameter([pt.x1 for pt in pts]) == (math.sqrt(2.0), (0, 3))
-    assert one_row_diameter([pts[0].x1, pts[4].x1]) == (0.0, (0, 0))
-    assert cfg.x1_diameter() == math.sqrt(2.0)
-    cert = dyadic_expand(cfg, m=3)
+    pts = [point(x, 0.0, float(np.dot(x, x)) + 1.0, 1.0) for x in xs]
+    x1s = [pt[:2] for pt in pts]
+    base = point(sum(w * x1 for w, x1 in zip(ws, x1s)), 0.0, float(ws @ [pt[-2] for pt in pts]), 1.0)
+    cfg = one_config(0.125, pts, ws, 0.0, base)
+    assert diameter_pair(x1s) == (math.sqrt(2.0), (0, 3))
+    assert diameter_pair([x1s[0], x1s[4]]) == (0.0, (0, 0))
+    assert one_row_diameter(x1s) == (math.sqrt(2.0), (0, 3))
+    assert one_row_diameter([x1s[0], x1s[4]]) == (0.0, (0, 0))
+    assert _diameters(cfg.points[..., :2], cfg.has).tolist() == [math.sqrt(2.0)]
+    (cert,) = dyadic_expand(cfg, m=3)
     assert cert.diameter == math.sqrt(2.0)
     # the other diagonal (1, 2) would give (1, 1, 0, 0, 3, 4, 2, 2)
     assert cert.order == (0, 0, 4, 1, 1, 2, 2, 3)
@@ -320,18 +393,17 @@ def test_expansion_ratio_positive_on_samples():
     # the expansion needs dyadic rational weights; the dedicated sampler
     # rounds the floor up to the nearest dyadic grid
     for delta in (0.1, 0.25, 1.0 / 3.0, 0.5):
-        for cfg in sample_dyadic_split_configs(delta, 2.0, 30, seed=5, dim=1, m=6):
-            cert = dyadic_expand(cfg, m=6)
+        for cert in dyadic_expand(sample_dyadic_split_configs(delta, 2.0, 30, seed=5, dim=1, m=6), m=6):
             if not cert.degenerate:
                 assert cert.ratio > 0.0
 
 
-def expansion_by_node(cfg, order):
-    """Reference tree: the uniform mean of each copy block taken node by
-    node, halving [lo, hi) recursively, as (x1, x2, x3, x4, weight, kids)."""
-    pts = [cfg.points[k] for k in order]
-    full = np.array([[*pt.x1, pt.x2, pt.x3, pt.x4] for pt in pts])
-    dim, b = cfg.points[0].dim, len(order)
+def expansion_by_node(points, order):
+    """Reference tree of one configuration's points (k, dim + 3): the
+    uniform mean of each copy block taken node by node, halving [lo, hi)
+    recursively, as (x1, x2, x3, x4, weight, kids)."""
+    full = np.array([points[k].tolist() for k in order])
+    dim, b = points.shape[1] - 3, len(order)
 
     def build(lo, hi):
         mean = full[lo:hi].mean(axis=0)
@@ -369,32 +441,33 @@ def test_expansion_tree_matches_per_node_means(m):
     # node means taken one tree level at a time equal the per-node means bit for bit
     delta = 0.5 if m == 1 else (0.25 if m < 4 else 0.1)
     for dim in (1, 2, 3):
-        for cfg in sample_dyadic_split_configs(delta, 1.5, 4, seed=m, dim=dim, m=m):
-            cert = dyadic_expand(cfg, m=m)
+        cfgs = sample_dyadic_split_configs(delta, 1.5, 4, seed=m, dim=dim, m=m)
+        for points, cert in zip(cfgs.points, dyadic_expand(cfgs, m=m)):
             assert cert.copies == 2**m
-            assert as_tuple(cert.levels) == expansion_by_node(cfg, cert.order)
+            assert as_tuple(cert.levels) == expansion_by_node(points, cert.order)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_expansion_payload_matches_per_node_tree(m):
     delta = 0.5 if m == 1 else (0.25 if m < 4 else 0.1)
     for dim in (1, 2, 3):
-        for cfg in sample_dyadic_split_configs(delta, 1.5, 2, seed=20 + m, dim=dim, m=m):
-            cert = dyadic_expand(cfg, m=m)
-            reference = payload_by_node(cert, expansion_by_node(cfg, cert.order))
+        cfgs = sample_dyadic_split_configs(delta, 1.5, 2, seed=20 + m, dim=dim, m=m)
+        for points, cert in zip(cfgs.points, dyadic_expand(cfgs, m=m)):
+            reference = payload_by_node(cert, expansion_by_node(points, cert.order))
             assert to_canonical_json(expansion_to_dict(cert)) == ref_to_canonical_json(reference)
 
 
 def test_deep_expansion_recombines():
     # m = 14: 16,384 copies and 14 tree levels
     cand = quadratic_candidate(0.1)
-    for cfg in sample_dyadic_split_configs(0.1, 2.0, 3, seed=14, dim=2, m=14):
-        cert = dyadic_expand(cfg, m=14)
+    cfgs = sample_dyadic_split_configs(0.1, 2.0, 3, seed=14, dim=2, m=14)
+    certs = dyadic_expand(cfgs, m=14)
+    for cert in certs:
         assert cert.copies == 2**14 and len(cert.levels) == 15
         assert cert.levels[14].shape == (2**14, 5)
         assert not cert.degenerate and cert.ratio > 0.0
-        direct, recombined = recombine_slack(cand, cfg, cert)
-        assert recombined == pytest.approx(direct, rel=1e-9, abs=1e-9)
+    direct, recombined = recombine_slack(cand, cfgs, certs)
+    assert recombined == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
 def test_expand_rejects_non_dyadic_weights():
@@ -405,24 +478,24 @@ def test_expand_rejects_non_dyadic_weights():
 
 def test_recombination_identity():
     cand = quadratic_candidate(0.25)
-    for cfg in sample_dyadic_split_configs(0.25, 2.0, 40, seed=6, dim=2, m=6):
-        cert = dyadic_expand(cfg, m=6)
-        if cert.degenerate:
-            continue
-        direct, recombined = recombine_slack(cand, cfg, cert)
-        assert recombined == pytest.approx(direct, rel=1e-9, abs=1e-9)
+    cfgs = sample_dyadic_split_configs(0.25, 2.0, 40, seed=6, dim=2, m=6)
+    certs = dyadic_expand(cfgs, m=6)
+    direct, recombined = recombine_slack(cand, cfgs, certs)
+    kept = [not cert.degenerate for cert in certs]
+    assert any(kept)
+    assert recombined[kept] == pytest.approx(direct[kept], rel=1e-9, abs=1e-9)
 
 
 def test_recombination_identity_holds_for_any_candidate():
     # the telescoping is an identity in the candidate, not a property of
     # admissible ones; check it on the penalty-free linear shape too
     cand = linear_candidate(2.0, 2.0, 0.25)
-    for cfg in sample_dyadic_split_configs(0.25, 2.0, 15, seed=7, m=6):
-        cert = dyadic_expand(cfg, m=6)
-        if cert.degenerate:
-            continue
-        direct, recombined = recombine_slack(cand, cfg, cert)
-        assert recombined == pytest.approx(direct, rel=1e-9, abs=1e-9)
+    cfgs = sample_dyadic_split_configs(0.25, 2.0, 15, seed=7, m=6)
+    certs = dyadic_expand(cfgs, m=6)
+    direct, recombined = recombine_slack(cand, cfgs, certs)
+    kept = [not cert.degenerate for cert in certs]
+    assert any(kept)
+    assert recombined[kept] == pytest.approx(direct[kept], rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +525,6 @@ def test_rescale_matches_two_point_extremal_theory():
         assert est.constant == pytest.approx(_sharp_constant(delta), rel=1e-12, abs=0)
 
 
-def _clears(cand, cfg):
-    return split_slack(cand, cfg) >= -1e-9 * max(1.0, abs(cand.evaluate(cfg.base)))
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("delta", [0.1, 0.125, 0.2, 0.25, 1.0 / 3.0, 0.4, 0.45])
 def test_rescale_constant_is_exact(delta, dim):
@@ -470,9 +539,9 @@ def test_rescale_constant_is_exact(delta, dim):
     assert est.adversarial == len(adv)
     assert 150 <= est.worst < 150 + len(adv)
     above = scale_candidate(cand, est.constant * (1.0 + 1e-9), delta=delta)
-    assert all(_clears(above, cfg) for cfg in cfgs + adv)
+    assert _clears(above, cfgs).all() and _clears(above, adv).all()
     below = scale_candidate(cand, est.constant * (1.0 - 1e-6), delta=delta)
-    assert not _clears(below, (cfgs + adv)[est.worst])
+    assert not _clears(below, adv)[est.worst - len(cfgs)]
 
 
 @pytest.mark.parametrize("delta", [0.25, 0.125])
@@ -482,16 +551,15 @@ def test_extremal_configs_through_the_expansion(delta):
     cand = quadratic_candidate(0.5)
     c = estimate_rescale_constant(cand, delta, samples=50, seed=5).constant
     scaled = scale_candidate(cand, c, delta=delta)
-    for cfg in adversarial_split_configs(delta, 2.0):
-        # weights (delta, delta, 1 - 2 delta), multiples of delta = 2^-m
-        cert = dyadic_expand(cfg, m=int(-math.log2(delta)))
-        assert not cert.degenerate
-        direct, recombined = recombine_slack(cand, cfg, cert)
-        assert direct < 0.0  # the unscaled candidate fails below its floor
-        assert recombined == pytest.approx(direct, rel=1e-12, abs=0)
-        assert split_slack(scaled, cfg) == pytest.approx(
-            0.0, abs=1e-12 * max(1.0, abs(scaled.evaluate(cfg.base)))
-        )
+    cfgs = adversarial_split_configs(delta, 2.0)
+    # weights (delta, delta, 1 - 2 delta), multiples of delta = 2^-m
+    certs = dyadic_expand(cfgs, m=int(-math.log2(delta)))
+    assert not any(cert.degenerate for cert in certs)
+    direct, recombined = recombine_slack(cand, cfgs, certs)
+    assert (direct < 0.0).all()  # the unscaled candidate fails below its floor
+    assert recombined == pytest.approx(direct, rel=1e-12, abs=0)
+    floor = 1e-12 * np.maximum(1.0, np.abs(scaled.evaluate(cfgs.base)))
+    assert (np.abs(split_slack(scaled, cfgs)) <= floor).all()
 
 
 def test_rescale_exhaustion_raises():
@@ -508,8 +576,8 @@ def test_rescale_roundoff_gap_raises():
     # so no constant of honest size rescues it (by sign alone C would be
     # about 3e13)
     cand = shaped_candidate(cp=1.0, h=lambda x1, x2: 1e-12 * x2, p=2.0, delta=0.25, label="tilted")
-    cfgs = sample_split_configs(0.1, 2.0, 80, 12, dim=1) + adversarial_split_configs(0.1, 2.0, dim=1)
-    base, d_diam, kid_sum = _split_terms(cand, cfgs)
+    cfgs = sample_split_configs(0.1, 2.0, 80, 12, dim=1), adversarial_split_configs(0.1, 2.0, dim=1)
+    base, d_diam, kid_sum = map(np.concatenate, zip(*(_split_terms(cand, c) for c in cfgs)))
     failing = base - d_diam - kid_sum < -1e-9 * np.maximum(1.0, np.abs(base))
     gap = (base - kid_sum)[failing]
     assert failing.any() and gap.min() > 0.0 and gap.max() < 1e-9
@@ -522,12 +590,48 @@ def test_rescale_roundoff_gap_raises():
 def test_split_slack_matches_manual_formula(seed):
     cand = quadratic_candidate(0.25)
     cfgs = sample_split_configs(0.25, 2.0, 1, seed=seed, dim=1)
-    cfg = cfgs[0]
+    n = cfgs.parts[0]
+    weights, points = cfgs.weights[0, :n], cfgs.points[0, :n]
     manual = (
-        cand.evaluate(cfg.base)
-        - abs(cfg.d) * cfg.x1_diameter()
-        - float(
-            sum(w * cand.evaluate(pt) for w, pt in zip(cfg.weights, cfg.points))
-        )
+        cand.evaluate(cfgs.base[0])
+        - abs(cfgs.d[0]) * diameter_pair([pt[:1] for pt in points])[0]
+        - float(sum(w * cand.evaluate(pt) for w, pt in zip(weights, points)))
     )
-    assert split_slack(cand, cfg) == pytest.approx(manual, rel=1e-12, abs=1e-12)
+    assert split_slack(cand, cfgs)[0] == pytest.approx(manual, rel=1e-12, abs=1e-12)
+
+
+# (constant.hex(), worst) of the unit quadratic candidate at the default 200
+# samples and seed 0, by (delta, dim).
+RESCALE_PINS = {
+    (1.0 / 3.0, 1): ("0x1.3988e14092130p+0", 200),
+    (1.0 / 3.0, 3): ("0x1.3988e14092130p+0", 200),
+    (0.25, 1): ("0x1.6a09e667f3bcdp+0", 200),
+    (0.25, 3): ("0x1.6a09e667f3bcdp+0", 200),
+    (0.1, 1): ("0x1.1e3779b97f4a6p+1", 200),
+    (0.1, 3): ("0x1.1e3779b97f4a6p+1", 200),
+}
+
+
+@pytest.mark.parametrize("delta_dim", sorted(RESCALE_PINS))
+def test_rescale_constant_pins(delta_dim):
+    delta, dim = delta_dim
+    est = estimate_rescale_constant(quadratic_candidate(0.5), delta, dim=dim)
+    assert (est.constant.hex(), est.worst) == RESCALE_PINS[delta_dim]
+
+
+@pytest.mark.parametrize("cp", [math.nan, math.inf, -math.inf])
+def test_rescale_rejects_non_finite_slack(cp):
+    # a NaN slack fails every comparison, so it must raise rather than pass
+    cand = linear_candidate(cp, 2.0, 0.25)
+    with pytest.raises(RuntimeError, match="non-finite slack"):
+        with np.errstate(invalid="ignore"):
+            estimate_rescale_constant(cand, 0.25)
+
+
+@pytest.mark.parametrize("dim", [0, 5])
+def test_rescale_and_extremal_configs_check_dim(dim):
+    message = f"dim must lie in \\[1, 4\\], got {dim}"
+    with pytest.raises(ValueError, match=message):
+        estimate_rescale_constant(quadratic_candidate(0.25), 0.25, dim=dim)
+    with pytest.raises(ValueError, match=message):
+        adversarial_split_configs(0.25, 2.0, dim=dim)

@@ -16,7 +16,13 @@ from mblab.bellman import (
     moment_table,
     quadratic_candidate,
 )
-from mblab.certifier import Certificate, certificate_rows, certificate_to_dict, certify
+from mblab.certifier import (
+    Certificate,
+    CertificationError,
+    certificate_rows,
+    certificate_to_dict,
+    certify,
+)
 from mblab.corpus import (
     DELTAS,
     CorpusCell,
@@ -407,6 +413,29 @@ def test_certificate_text_with_signed_zeros_and_non_finite_values(dim):
     text = to_canonical_json(certificate_to_dict(cert))
     assert '"x1":[0' in text and not re.search(r"[:\[,]-0[,\]}]", text)
     assert all(word in text for word in ("NaN", "-Infinity", ":Infinity"))
+
+
+@pytest.mark.parametrize("cp", [math.nan, math.inf, -math.inf])
+def test_non_finite_candidate_fails_the_certificate(cp):
+    # each comparison with NaN is false, so the slack and leaf tests alone
+    # would let a NaN candidate through with a NaN bound
+    filt = build_dyadic(3)
+    f, g, op = drawn_witness(filt, 2, 80)
+    with np.errstate(invalid="ignore"):
+        cert = certify(linear_candidate(cp, 2.0, filt.delta), f, g, op)
+    assert not cert.ok
+    assert [msg for msg in cert.failures if msg.startswith("non-finite candidate value on ")]
+
+
+def test_nan_identity_residual_raises():
+    # a NaN f makes the objective, and so the telescoping residual, NaN; a
+    # finite candidate that reads only x2 passes every split and leaf test
+    filt = build_dyadic(3)
+    _, g, op = drawn_witness(filt, 2, 81)
+    f = MartFunction(filt, np.full((filt.n_leaves, 2), np.nan))
+    cand = BellmanCandidate(fn=lambda x1, x2, x3, x4: 1.0 + 0.0 * x2, p=2.0, delta=0.5, label="one")
+    with pytest.raises(CertificationError, match="telescoping identity failed"):
+        certify(cand, f, g, op)
 
 
 def test_batched_diameter_on_tied_and_repeated_children():

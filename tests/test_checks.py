@@ -217,13 +217,18 @@ def test_one_adjoint_and_one_table_per_call(monkeypatch, kernel_tower, dim):
 
 
 def test_one_corpus_cell_derives_each_object_once(monkeypatch, capsys):
-    # the suites and both probes read the certificate's witness
+    # the suites and both probes read the certificate's witness, and T is
+    # applied twice: to f, and to check_support's own input
     one_cell = default_corpus(seeds=1)[5:6]
     monkeypatch.setattr(cli, "default_corpus", lambda seeds: one_cell)
     counts = _count_derivations(monkeypatch)
+    applied = []
+    apply = MartingaleTransform.apply
+    monkeypatch.setattr(MartingaleTransform, "apply", lambda op, h: applied.append(h) or apply(op, h))
     assert cli.run(["corpus", "--seeds", "1"]) == 0
     assert '"cells":1,' in capsys.readouterr().out
     assert counts == dict.fromkeys(counts, 1)
+    assert len(applied) == 2
 
 
 # ---------------------------------------------------------------------------

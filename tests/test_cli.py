@@ -61,6 +61,16 @@ def test_max_children_is_checked_at_every_delta(delta, capsys):
     assert run([*argv, "2"]) == 0
 
 
+@pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
+def test_non_finite_candidate_number_exits_two(number, capsys):
+    # every slack test compares against the candidate's values, and each
+    # comparison with NaN is false, so a non-finite number is an input error
+    for name in ("linear", "quadratic"):
+        argv = ["certify", "--seed", "1", "--depth", "2", "--candidate", f"{name}:{number}"]
+        assert run(argv) == 2
+        assert "needs a finite number" in capsys.readouterr().err
+
+
 def test_unwritable_out_exits_two(capsys):
     assert run(["gen", "--out", "/proc/nowhere/x.json"]) == 2
 
@@ -541,6 +551,29 @@ def test_scan_over_an_exponent_grid(capsys):
         assert p != 2.0 or report["max_ratio"] <= 1.0 + 1e-9
 
 
+# sha256 of the stdout of `mblab lemma1` calls
+LEMMA1_DIGESTS = {
+    ("--seed", "1", "--delta", "0.25", "--trials", "500"):
+        "7610e3a3e1df5b4738d97d6c58340d867e5fc162a05d197ca3211ffc42e48a3f",
+    ("--seed", "3", "--trials", "200", "--dim", "2", "--m", "8", "--delta", "0.25"):
+        "00a78e5d1feadb0de78b0f7bcb71288bd3209e23ccae19942817b4434cdd7a20",
+    ("--seed", "3", "--trials", "200", "--dim", "2", "--m", "8", "--delta", "0.1"):
+        "eb359dd4e2d9455441aa39e6aeba91670565b307e9cf982c7c4b93c69c74b20d",
+    ("--seed", "3", "--trials", "200", "--dim", "2", "--m", "8", "--delta", "0.3333333333333333"):
+        "51b06bdbc0faf499a9841bc402203573812257374434e2276d291dc44f3253c7",
+    ("--seed", "3", "--trials", "200", "--dim", "2", "--m", "8", "--delta", "0.5"):
+        "ae6906e1515ddf8f38efff39644e82ae2cc83d86cb2e4a4ba1db239f6087d686",
+    ("--seed", "5", "--trials", "50", "--dim", "3", "--p", "1.5", "--delta", "0.2"):
+        "8e36edcd6c862b2506e3a32b39f9b0f1b10b911a26e89e5fa03bdb82d102fad0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LEMMA1_DIGESTS))
+def test_lemma1_stdout_is_pinned(argv, capsys):
+    assert run(["lemma1", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == LEMMA1_DIGESTS[argv]
+
+
 def test_lemma1_ratios_are_positive_by_child_count(capsys):
     for delta in ("0.1", "0.25", "0.3333333333333333", "0.5"):
         argv = ["lemma1", "--seed", "7", "--delta", delta, "--trials", "5", "--dim", "2"]
@@ -555,7 +588,9 @@ def test_lemma1_ratios_are_positive_by_child_count(capsys):
 def test_lemma1_exits_one_on_a_nonpositive_ratio(monkeypatch, capsys):
     expand = cli.dyadic_expand
     monkeypatch.setattr(
-        cli, "dyadic_expand", lambda sc, m=None: dataclasses.replace(expand(sc, m=m), ratio=0.0)
+        cli,
+        "dyadic_expand",
+        lambda cfgs, m=None: [dataclasses.replace(cert, ratio=0.0) for cert in expand(cfgs, m=m)],
     )
     assert run(["lemma1", "--seed", "7", "--trials", "3"]) == 1
     assert json.loads(capsys.readouterr().out)["min_ratio"] == 0.0

@@ -188,7 +188,8 @@ def test_search_consistent_with_verified_candidate():
 
     res = lower_bound_search(2.0, 25, seed=12)
     cand = quadratic_candidate(0.5)
-    assert cand.evaluate(res.achieved_point) >= res.best - 1e-6
+    pt = res.achieved_point
+    assert cand.evaluate(np.array([*pt.x1, pt.x2, pt.x3, pt.x4])) >= res.best - 1e-6
 
 
 # ---------------------------------------------------------------------------
