@@ -33,7 +33,6 @@ from .transforms import (
 )
 from .bellman import (
     BellmanCandidate,
-    BellmanPoint,
     dyadic_expand,
     estimate_rescale_constant,
     linear_candidate,

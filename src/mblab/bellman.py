@@ -9,13 +9,14 @@ with q the conjugate exponent of p.  These points live in the convex domain
 
     x2 >= 0,   |x1|^p <= x3,   x2^q <= x4^2.
 
-``moment_table`` computes the point of every atom and, for every split
-event J, the displacement d_J, the pairing of the split differences of f and
-T* g, and the x2 gain of the split, in one stacked pass of the martingale
-kernel over all levels.  A ``Witness`` holds (f, g, T) and p and derives
-T* g, that table, the transform's event runs and the sides of the
-restriction identity once each, for every suite, probe and certificate
-that reads them; ``table.point`` gives one atom's moment point.
+``moment_table`` computes the point of every atom, one row (x1..., x2, x3,
+x4) of ``points`` each, and, for every split event J, the displacement
+d_J, the pairing of the split differences of f and T* g, and the x2 gain
+of the split, in one stacked pass of the martingale kernel over all
+levels.  A ``Witness`` holds (f, g, T) and p and derives T* g, that table,
+the transform's event runs and the sides of the restriction identity once
+each, for every suite, probe and certificate that reads them; one atom's
+moment point is ``table.points[atom]``.
 
 A candidate function B is tested against the split inequality: whenever
 points x^1..x^N and weights lambda_k >= delta (summing to one) satisfy
@@ -61,7 +62,6 @@ from .reporting import Verbatim, _format_float, _format_floats
 from .transforms import EventRuns, MartingaleTransform, _cut_adjoints, _event_runs
 
 __all__ = [
-    "BellmanPoint",
     "BellmanCandidate",
     "conjugate_exponent",
     "Witness",
@@ -87,69 +87,40 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-@dataclass(frozen=True)
-class BellmanPoint:
-    """Four-component moment point; ``x1`` is a vector, the rest scalars."""
-
-    x1: np.ndarray
-    x2: float
-    x3: float
-    x4: float
-    p: float
-    atom: int | None = None
-
-    def __post_init__(self) -> None:
-        v = np.atleast_1d(np.asarray(self.x1, dtype=float)).copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "x1", v)
-
-    def to_dict(self) -> dict:
-        return {
-            "x1": self.x1.tolist(),
-            "x2": self.x2,
-            "x3": self.x3,
-            "x4": self.x4,
-            "p": self.p,
-            "atom": self.atom,
-        }
-
-
 @dataclass(frozen=True, eq=False)
 class MomentTable:
     """Moment points of every atom and split data of every event, for one
     witness (f, g, T) and exponent p.
 
-    Atom arrays are indexed by atom id: ``x1`` (atoms, dim), ``g2`` = <g^2>_J,
-    ``x2``, ``x3``, ``x4``, ``tstar_mean`` = <T* g>_J (atoms, dim) and
-    ``osc2``, the mean squared oscillation of T* g over J, so that
-    x2 = g2 - osc2.  Event arrays follow the layout's schedule order: the
-    displacement ``d``, the normalized ``pairing`` of the split differences
-    of f and T* g, and ``x2_gain``, the weighted x2 of the children minus
-    the x2 of the split atom, which equals d^2 exactly.
+    Atom arrays are indexed by atom id: ``points`` (atoms, dim + 3), rows
+    (x1..., x2, x3, x4), ``g2`` = <g^2>_J, ``tstar_mean`` = <T* g>_J
+    (atoms, dim) and ``osc2``, the mean squared oscillation of T* g over J,
+    so that x2 = g2 - osc2.  Event arrays follow the layout's schedule
+    order: the displacement ``d``, the normalized ``pairing`` of the split
+    differences of f and T* g, and ``x2_gain``, the weighted x2 of the
+    children minus the x2 of the split atom, which equals d^2 exactly.
     """
 
     p: float
-    x1: np.ndarray
+    points: np.ndarray
     g2: np.ndarray
-    x2: np.ndarray
-    x3: np.ndarray
-    x4: np.ndarray
     tstar_mean: np.ndarray
     osc2: np.ndarray
     d: np.ndarray
     pairing: np.ndarray
     x2_gain: np.ndarray
 
-    def point(self, atom_id: int) -> BellmanPoint:
-        """The atom's row as a point; raises ArithmeticError on an x2 below
-        roundoff of zero."""
-        x2, g2 = float(self.x2[atom_id]), float(self.g2[atom_id])
-        if x2 < -1e-12 * max(g2, 1.0):
+    def check_x2(self, atoms=slice(None)) -> None:
+        """Raise ArithmeticError at the first of ``atoms`` (all by default)
+        whose x2 lies below roundoff of zero."""
+        ids = np.arange(len(self.g2))[atoms]
+        x2 = self.points[ids, -3]
+        bad = np.flatnonzero(x2 < -1e-12 * np.maximum(self.g2[ids], 1.0))
+        if bad.size:
             raise ArithmeticError(
-                f"negative x2 = {x2:.3e} at atom {atom_id}; adjoint accounting is broken"
+                f"negative x2 = {float(x2[bad[0]]):.3e} at atom {int(ids[bad[0]])}; "
+                "adjoint accounting is broken"
             )
-        x3, x4 = float(self.x3[atom_id]), float(self.x4[atom_id])
-        return BellmanPoint(x1=self.x1[atom_id], x2=x2, x3=x3, x4=x4, p=self.p, atom=atom_id)
 
 
 def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: float) -> MomentTable:
@@ -192,19 +163,22 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     kids_x2 = np.add.reduceat(lay.stacked_measures * x2, lay.stacked_children)
     gain = kids_x2 / lay.stacked_measures[:below] - x2[:below]
 
-    rows = np.empty((filt.n_atoms, 2 * dim + 5))  # x1, g2, x2, x3, x4, <T* g>, osc2
+    rows = np.empty((filt.n_atoms, 2 * dim + 5))  # x1, x2, x3, x4, g2, <T* g>, osc2
     # A persisting atom has the same floats in each of its rows.
     rows[lay.stacked_atoms] = np.column_stack(
-        (means[:, :dim], means[:, -3], x2, means[:, -2:], means[:, dim : 2 * dim], osc2)
+        (means[:, :dim], x2, means[:, -2:], means[:, -3], means[:, dim : 2 * dim], osc2)
     )
-    x1, g2, x2, x3, x4, tstar_mean, osc2 = np.hsplit(
-        rows, [dim, dim + 1, dim + 2, dim + 3, dim + 4, 2 * dim + 4]
-    )
+    points, g2, tstar_mean, osc2 = np.hsplit(rows, [dim + 3, dim + 4, 2 * dim + 4])
     events = lay.stacked_maps[lay.event_levels, lay.event_spans[:, 0]]
-    d = np.sqrt(np.maximum(pair_means[events, 0], 0.0))
     return MomentTable(
-        p, x1, g2[:, 0], x2[:, 0], x3[:, 0], x4[:, 0], tstar_mean, osc2[:, 0],
-        d, pair_means[events, 1], gain[events],
+        p=p,
+        points=points,
+        g2=g2[:, 0],
+        tstar_mean=tstar_mean,
+        osc2=osc2[:, 0],
+        d=np.sqrt(np.maximum(pair_means[events, 0], 0.0)),
+        pairing=pair_means[events, 1],
+        x2_gain=gain[events],
     )
 
 

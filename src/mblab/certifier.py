@@ -22,12 +22,11 @@ when all three bracketed families are nonnegative within tolerance, which
 forces objective <= B(x_root).  A failed certificate is a first-class
 result: it carries every violating record and the reasons.
 
-The certificate keeps the per-event and per-atom arrays; a ``SplitRecord``
-or ``BellmanPoint`` is built only when one is read, and the report text of
-the records and leaves is written from the arrays.  Every float has the
-bits of a walk over the records one at a time: distances and |x1|^2 come
-from ``np.vecdot``, which rounds like ``np.dot``, and every sum adds its
-terms in order.
+The certificate keeps the per-event and per-atom arrays, and the report
+text of the records and leaves is written from them and from the moment
+table's point rows.  Every float has the bits of a walk over the records
+one at a time: distances and |x1|^2 come from ``np.vecdot``, which rounds
+like ``np.dot``, and every sum adds its terms in order.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import (
-    BellmanCandidate, BellmanPoint, Witness, _diameters, _point_fields, _weighted_sums
-)
+from .bellman import BellmanCandidate, Witness, _diameters, _point_fields, _weighted_sums
 from .filtration import Filtration, _Lazy, level_partition
 from .martingale import MartFunction, inner
 from .reporting import Verbatim, _enclosed, _format_columns, _format_number
@@ -50,7 +47,6 @@ __all__ = [
     "CertificationError",
     "certify",
     "certificate_to_dict",
-    "certificate_rows",
 ]
 
 _CERT_TOL = 1e-9
@@ -58,22 +54,6 @@ _CERT_TOL = 1e-9
 
 class CertificationError(RuntimeError):
     """Internal identity broke down; the witness data cannot be trusted."""
-
-
-@dataclass(frozen=True)
-class SplitRecord:
-    """Everything the split inequality sees at one schedule step."""
-
-    atom: int
-    level: int
-    measure: float
-    weights: tuple[float, ...]
-    d: float
-    diameter: float
-    pairing: float
-    slack: float
-    base: BellmanPoint
-    children: tuple[BellmanPoint, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +65,8 @@ class Certificate:
     ``diameter`` and ``slack`` one entry per split event in schedule order.
     ``flagged`` lists the events behind the split failures, flagged by the
     same tests, tolerance and scales that wrote the messages in
-    ``failures``.  ``records``, ``failing_records`` and ``leaves`` are
-    sequences of ``SplitRecord`` and ``BellmanPoint`` built on read.
+    ``failures``.  ``records`` holds one row per split event, the dict
+    that CSV output writes, each built when it is read.
     """
 
     ok: bool
@@ -116,41 +96,21 @@ class Certificate:
         return self.witness.f.filtration
 
     @property
-    def root(self) -> BellmanPoint:
-        return self.witness.table.point(self.filtration.root.id)
+    def records(self) -> Sequence[dict]:
+        return _Lazy(self._row, np.arange(len(self.slack)))
 
-    @property
-    def records(self) -> Sequence[SplitRecord]:
-        return _Lazy(self._record, np.arange(len(self.slack)))
-
-    @property
-    def failing_records(self) -> Sequence[SplitRecord]:
-        return _Lazy(self._record, self.flagged)
-
-    @property
-    def leaves(self) -> Sequence[BellmanPoint]:
-        return _Lazy(self.witness.table.point, level_partition(self.filtration, self.filtration.depth))
-
-    @property
-    def leaf_values(self) -> tuple[float, ...]:
-        return tuple(self.values[level_partition(self.filtration, self.filtration.depth)].tolist())
-
-    def _record(self, e: int) -> SplitRecord:
-        table, lay = self.witness.table, self.filtration.layout
+    def _row(self, e: int) -> dict:
+        lay, table = self.filtration.layout, self.witness.table
         atom = int(lay.event_atoms[e])
-        lo, hi = lay.event_child_starts[e : e + 2].tolist()
-        return SplitRecord(
-            atom=atom,
-            level=int(lay.event_levels[e]),
-            measure=float(lay.atom_measures[atom]),
-            weights=tuple(self.weights[lo:hi].tolist()),
-            d=float(table.d[e]),
-            diameter=float(self.diameter[e]),
-            pairing=float(table.pairing[e]),
-            slack=float(self.slack[e]),
-            base=table.point(atom),
-            children=tuple(map(table.point, lay.event_children[lo:hi].tolist())),
-        )
+        return {
+            "atom": atom,
+            "level": int(lay.event_levels[e]),
+            "measure": float(lay.atom_measures[atom]),
+            "d": float(table.d[e]),
+            "diameter": float(self.diameter[e]),
+            "pairing": float(table.pairing[e]),
+            "slack": float(self.slack[e]),
+        }
 
 
 def _running_sum(terms: np.ndarray) -> float:
@@ -193,14 +153,12 @@ def certify(
     total = filt.total_measure
     objective = inner(g, witness.tf) / total
     table = witness.table
-    negative = np.flatnonzero(table.x2 < -1e-12 * np.maximum(table.g2, 1.0))
-    if negative.size:
-        table.point(int(negative[0]))  # raises ArithmeticError for that atom
+    table.check_x2()
     lay = filt.layout
 
     # Exact identity: the x2 drop across every split equals d^2.
     d_sq = table.d * table.d
-    scale = np.maximum(1.0, np.maximum(np.abs(table.x2[lay.event_atoms]), d_sq))
+    scale = np.maximum(1.0, np.maximum(np.abs(table.points[lay.event_atoms, -3]), d_sq))
     broken = np.flatnonzero(~(np.abs(table.x2_gain - d_sq) <= 1e-9 * scale))
     if broken.size:
         e = broken[0]
@@ -209,7 +167,7 @@ def certify(
             f"d^2={d_sq[e]:.12g} but weighted x2 gain is {table.x2_gain[e]:.12g}"
         )
 
-    values = cand.fn(table.x1, table.x2, table.x3, table.x4)
+    values = cand.evaluate(table.points)
 
     # Children as an (events, max children) grid, row e holding event e's
     # children in order; the cells past an event's count hold atom 0 and
@@ -222,7 +180,7 @@ def certify(
     grid_weights = lay.atom_measures[kids] / measure[:, None]
     # The child x1 diameter by the shared rule ``bellman._diameters``, and
     # sum_k lambda_k B(x_k).
-    diameter = _diameters(table.x1[kids], has)
+    diameter = _diameters(table.points[kids, : f.dim], has)
     kid_sum = _weighted_sums(grid_weights, has, values[kids])
 
     d, pairing = table.d, table.pairing
@@ -292,21 +250,6 @@ def certify(
     )
 
 
-def _event_columns(cert: Certificate) -> list:
-    """Per-event atom, level, measure, d, diameter, pairing and slack as
-    Python lists, schedule order."""
-    lay, table = cert.filtration.layout, cert.witness.table
-    return [
-        lay.event_atoms.tolist(),
-        lay.event_levels.tolist(),
-        lay.atom_measures[lay.event_atoms].tolist(),
-        table.d.tolist(),
-        cert.diameter.tolist(),
-        table.pairing.tolist(),
-        cert.slack.tolist(),
-    ]
-
-
 def certificate_to_dict(cert: Certificate) -> dict:
     """Full JSON-ready payload, one record per schedule step.
 
@@ -320,7 +263,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
     table, lay = cert.witness.table, cert.filtration.layout
     leaves = level_partition(cert.filtration, cert.filtration.depth)
     moments, weights, measures, ds, diameters, pairings, slacks, values = _format_columns(
-        np.column_stack((table.x1, table.x2, table.x3, table.x4)),
+        table.points,
         cert.weights,
         lay.atom_measures[lay.event_atoms],
         table.d,
@@ -332,7 +275,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
     tail = ',"p":' + _format_number(table.p) + ',"atom":'
     points = [
         f'{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}{tail}{atom}}}'
-        for atom, (a, b, c, e) in enumerate(zip(*_point_fields(moments, table.x1.shape[1])))
+        for atom, (a, b, c, e) in enumerate(zip(*_point_fields(moments, cert.witness.f.dim)))
     ]
     starts = lay.event_child_starts.tolist()
     children = [points[c] for c in lay.event_children.tolist()]
@@ -365,9 +308,3 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "records": Verbatim(records),
         "leaves": Verbatim(leaf_entries),
     }
-
-
-def certificate_rows(cert: Certificate) -> list[dict]:
-    """Flat per-split rows for the tabular summary."""
-    keys = ("atom", "level", "measure", "d", "diameter", "pairing", "slack")
-    return [dict(zip(keys, row)) for row in zip(*_event_columns(cert))]

@@ -292,7 +292,8 @@ def check_x2_sign(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     """The x2 slot is nonnegative on every atom (oscillation of the adjoint
     never exceeds the local second moment of g)."""
     table = w.table
-    worst = float(np.min(table.x2 / np.maximum(table.g2, 1e-300), initial=0.0))
+    x2 = table.points[:, -3]
+    worst = float(np.min(x2 / np.maximum(table.g2, 1e-300), initial=0.0))
     rows = [_row("x2_sign", max(0.0, -worst), tol.exact, "most negative x2, relative")]
     # root form keeps the squared mean of the adjoint on the right hand side
     root = w.f.filtration.root.id
@@ -300,7 +301,7 @@ def check_x2_sign(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     rows.append(
         _row(
             "x2_root_mean_bound",
-            max(0.0, mean_sq - table.x2[root]),
+            max(0.0, mean_sq - x2[root]),
             1e-10 * tol.scale,
             "squared adjoint mean minus root x2",
         )

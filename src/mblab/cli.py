@@ -38,7 +38,6 @@ from time import perf_counter
 import numpy as np
 
 from .bellman import (
-    BellmanPoint,
     Witness,
     dyadic_expand,
     expansion_to_dict,
@@ -46,7 +45,7 @@ from .bellman import (
     quadratic_candidate,
     sample_dyadic_split_configs,
 )
-from .certifier import CertificationError, certificate_rows, certificate_to_dict, certify
+from .certifier import CertificationError, certificate_to_dict, certify
 from .checks import SUITES, Tolerances, hoelder_mean_margin, restriction_identity_gaps, run_suites
 from .corpus import (
     build_tower,
@@ -240,12 +239,11 @@ def _emit(cfg: RunConfig, payload: Callable[[], dict], rows: Callable[[], list[d
 
 
 def _result_payload(result) -> dict:
-    """Every field of a result dataclass in declaration order, a
-    ``BellmanPoint`` as its dict; ``DualityReport.n_g`` is keyed "draws"."""
-    items = ((field.name, getattr(result, field.name)) for field in fields(result))
+    """Every field of a result dataclass in declaration order;
+    ``DualityReport.n_g`` is keyed "draws"."""
     return {
-        "draws" if name == "n_g" else name: v.to_dict() if isinstance(v, BellmanPoint) else v
-        for name, v in items
+        "draws" if field.name == "n_g" else field.name: getattr(result, field.name)
+        for field in fields(result)
     }
 
 
@@ -362,7 +360,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     f, g, op = _witness(cfg, filt)
     cand = _candidate(cfg, filt)
     cert = certify(cand, f, g, op, tol=1e-9 * Tolerances.from_env().scale)
-    _emit(cfg, lambda: certificate_to_dict(cert), lambda: certificate_rows(cert))
+    _emit(cfg, lambda: certificate_to_dict(cert), lambda: list(cert.records))
     return 0 if cert.ok else 1
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import BellmanPoint, Witness, conjugate_exponent, quadratic_candidate
+from .bellman import Witness, conjugate_exponent, quadratic_candidate
 from .certifier import Certificate, certify
 from .corpus import (
     build_tower,
@@ -176,7 +176,7 @@ class SearchResult:
     best: float
     found: bool
     witness: dict
-    achieved_point: BellmanPoint | None
+    achieved_point: dict | None
     history: tuple[float, ...]
 
 
@@ -190,11 +190,14 @@ def _pairing_value(
     return abs(inner(g, op.apply(f))) / (nf * ng * f.filtration.total_measure)
 
 
-def _root_point(filt, f, g, op, p: float) -> BellmanPoint | None:
+def _root_point(filt, f, g, op, p: float) -> dict | None:
+    table, root = Witness(f, g, op, p).table, filt.root.id
     try:
-        return Witness(f, g, op, p).table.point(filt.root.id)
+        table.check_x2([root])
     except ArithmeticError:
         return None
+    *x1, x2, x3, x4 = table.points[root].tolist()
+    return {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": p, "atom": root}
 
 
 def lower_bound_search(
@@ -215,8 +218,8 @@ def lower_bound_search(
     coordinate ascent perturbs the best witness leafwise, keeping the moves
     that improve the value.  ``found`` tells whether the best value reaches
     ``target``; with no target it is true.  ``achieved_point`` is the best
-    witness's root moment point, None where its x2 falls below roundoff of
-    zero.
+    witness's root moment point as a dict keyed x1, x2, x3, x4, p and atom,
+    None where its x2 falls below roundoff of zero.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -365,8 +368,9 @@ def duality_bound(
                 f"certification failed for draw {j} ({kind}): {cert.first_failure}",
                 certificate=cert,
             )
-        tstar_mean = cert.witness.table.tstar_mean[filt.root.id]
-        mean_term = abs(float(np.dot(cert.root.x1, tstar_mean)))
+        table = cert.witness.table
+        x1 = table.points[filt.root.id, :dim]
+        mean_term = abs(float(np.dot(x1, table.tstar_mean[filt.root.id])))
         bound_g = cert.bound + mean_term
         if obj > bound_g + 1e-9 * max(1.0, abs(bound_g)):
             raise EstimateError(

@@ -70,22 +70,28 @@ def certificate_by_records(
 ) -> tuple[dict, list[int]]:
     """The certificate as a walk over the schedule, one record at a time.
 
-    Every moment point is a ``BellmanPoint`` of the witness's table, the
-    candidate is evaluated one point at a time, each child diameter comes
-    from ``diameter_pair`` and every sum adds its terms left to right in a
-    loop.  Returns the payload ``certificate_to_dict`` writes, with one
-    shared dict per point, and the atoms of the flagged records in schedule
-    order.  Raises nothing: the identity checks are ``certify``'s.
+    Every moment point is a dict built from its atom's row of the witness
+    table's ``points``, the candidate is evaluated one point at a time, each
+    child diameter comes from ``diameter_pair`` and every sum adds its terms
+    left to right in a loop.  Returns the payload ``certificate_to_dict``
+    writes, with one shared dict per point, and the atoms of the flagged
+    records in schedule order.  Raises nothing: the identity checks are ``certify``'s.
     """
     filt = f.filtration
     total = filt.total_measure
     objective = inner(g, op.apply(f)) / total
     table = Witness(f, g, op, cand.p).table
-    points = [table.point(i) for i in range(len(filt.atoms))]
-    dicts = [pt.to_dict() for pt in points]
+    dim = f.dim
+    dicts = [
+        {"x1": row[:dim], "x2": row[dim], "x3": row[dim + 1], "x4": row[dim + 2],
+         "p": table.p, "atom": atom_id}
+        for atom_id, row in enumerate(table.points.tolist())
+    ]
+    x1s = [np.array(pt["x1"]) for pt in dicts]
 
-    def value(pt):
-        return float(cand.fn(pt.x1, pt.x2, pt.x3, pt.x4))
+    def value(atom_id):
+        pt = dicts[atom_id]
+        return float(cand.fn(x1s[atom_id], pt["x2"], pt["x3"], pt["x4"]))
 
     failures: list[str] = []
     records: list[dict] = []
@@ -96,9 +102,9 @@ def certificate_by_records(
         filt.layout.event_atoms.tolist(), table.d.tolist(), table.pairing.tolist()
     ):
         atom = filt.atom(atom_id)
-        kids = [points[c] for c in atom.children]
-        weights = [filt.atom(c).measure / atom.measure for c in atom.children]
-        diam = diameter_pair([k.x1 for k in kids])[0]
+        kids = atom.children
+        weights = [filt.atom(c).measure / atom.measure for c in kids]
+        diam = diameter_pair([x1s[k] for k in kids])[0]
 
         bad = False
         chain_scale = max(1.0, abs(pairing), d * diam)
@@ -108,7 +114,7 @@ def certificate_by_records(
                 f"|d|*diam={d * diam:.6g} < pairing={pairing:.6g}"
             )
             bad = True
-        b_base = value(points[atom_id])
+        b_base = value(atom_id)
         kid_sum = 0.0
         for w, k in zip(weights, kids):
             kid_sum += w * value(k)
@@ -138,17 +144,17 @@ def certificate_by_records(
     leaves = []
     leaf_weighted = 0.0
     for leaf_id in level_partition(filt, filt.depth).tolist():
-        val = value(points[leaf_id])
+        val = value(leaf_id)
         leaves.append({"point": dicts[leaf_id], "value": val})
         leaf_weighted += filt.atom(leaf_id).measure * val
         if val < -tol * max(1.0, abs(val)):
             failures.append(f"negative candidate value on leaf atom {leaf_id}: {val:.6g}")
-    odd = [atom_id for atom_id, pt in enumerate(points) if not np.isfinite(value(pt))]
+    odd = [atom_id for atom_id in range(len(dicts)) if not np.isfinite(value(atom_id))]
     if odd:
-        first = f"first atom {odd[0]}: {value(points[odd[0]])}"
+        first = f"first atom {odd[0]}: {value(odd[0])}"
         failures.append(f"non-finite candidate value on {len(odd)} atoms, {first}")
 
-    bound = value(points[filt.root.id])
+    bound = value(filt.root.id)
     final_slack = bound - objective
     leaf_term = leaf_weighted / total
     reassembled = (weighted_slack + weighted_gap) / total + leaf_term
@@ -269,10 +275,15 @@ def moment_table_by_levels(
     x1, g2, x2, x3, x4, tstar_mean, osc2 = np.hsplit(
         rows, [dim, dim + 1, dim + 2, dim + 3, dim + 4, 2 * dim + 4]
     )
-    d = np.sqrt(np.maximum(split[:, 0], 0.0))
     return MomentTable(
-        p, x1, g2[:, 0], x2[:, 0], x3[:, 0], x4[:, 0], tstar_mean, osc2[:, 0],
-        d, split[:, 1], split[:, 2],
+        p=p,
+        points=np.column_stack((x1, x2, x3, x4)),
+        g2=g2[:, 0],
+        tstar_mean=tstar_mean,
+        osc2=osc2[:, 0],
+        d=np.sqrt(np.maximum(split[:, 0], 0.0)),
+        pairing=split[:, 1],
+        x2_gain=split[:, 2],
     )
 
 

@@ -155,12 +155,14 @@ def test_criterion_5_certifier_reference_witness():
     accept_ok = cert.ok and cert.bound >= 1.0 - 1e-9
 
     bad = certify(linear_candidate(1.0, 2.0, 0.5), f, g, op)
-    rejected = not bad.ok and len(bad.failing_records) >= 1
+    rejected = not bad.ok and len(bad.flagged) >= 1
     rec_ok = False
     if rejected:
-        rec = bad.failing_records[0]
-        kid_gap = float(np.linalg.norm(rec.children[0].x1 - rec.children[1].x1))
-        rec_ok = rec.d != 0.0 and kid_gap > 1e-9
+        e, lay, table = bad.flagged[0], filt.layout, bad.witness.table
+        lo, hi = lay.event_child_starts[e : e + 2]
+        kids = table.points[lay.event_children[lo:hi], :-3]
+        kid_gap = float(np.linalg.norm(kids[0] - kids[1]))
+        rec_ok = table.d[e] != 0.0 and kid_gap > 1e-9
     ok = obj_ok and accept_ok and rejected and rec_ok
     _verdict(
         5,
@@ -237,7 +239,7 @@ def test_criterion_7_corollary_suite(corpus_report):
         filt = pc.filtration
         p = 2.0
         q = conjugate_exponent(p)
-        base_pt = Witness(pc.f, pc.g, pc.op, p).table.point(filt.root.id)
+        base_pt = Witness(pc.f, pc.g, pc.op, p).table.points[filt.root.id]
         centered = pc.f.shift(-average(pc.f, filt.root.id))
         base_obj = inner(pc.g, pc.op.apply(centered)) / filt.total_measure
         for lam in (0.5, 2.0, 7.0):
@@ -247,16 +249,14 @@ def test_criterion_7_corollary_suite(corpus_report):
                 / filt.total_measure
             )
             hom_worst = max(hom_worst, abs(obj - base_obj) / max(1.0, abs(base_obj)))
-            mapped = Witness(f_s, g_s, pc.op, p).table.point(filt.root.id)
+            mapped = Witness(f_s, g_s, pc.op, p).table.points[filt.root.id]
             orbit = (
-                float(np.max(np.abs(mapped.x1 - lam * base_pt.x1))),
-                abs(mapped.x2 - base_pt.x2 / lam**2),
-                abs(mapped.x3 - base_pt.x3 * lam**p),
-                abs(mapped.x4 - base_pt.x4 / lam**q),
+                float(np.max(np.abs(mapped[:-3] - lam * base_pt[:-3]))),
+                abs(mapped[-3] - base_pt[-3] / lam**2),
+                abs(mapped[-2] - base_pt[-2] * lam**p),
+                abs(mapped[-1] - base_pt[-1] / lam**q),
             )
-            scale = max(
-                1e-30, float(np.max(np.abs(base_pt.x1))), base_pt.x2, base_pt.x3, base_pt.x4
-            )
+            scale = max(1e-30, float(np.max(np.abs(base_pt[:-3]))), *base_pt[-3:])
             hom_worst = max(hom_worst, max(orbit) / scale)
     hom_ok = hom_worst <= 1e-12
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mblab.bellman import (
-    BellmanPoint,
     SplitConfigs,
     Witness,
     _diameters,
@@ -95,18 +94,18 @@ def test_domain_membership():
 def test_bellman_point_slots(small_cells):
     pc = small_cells[0]
     filt = pc.filtration
-    pt = Witness(pc.f, pc.g, pc.op, 2.0).table.point(filt.root.id)
+    row = Witness(pc.f, pc.g, pc.op, 2.0).table.points[filt.root.id]
     from mblab.martingale import average, osc2
 
-    assert np.allclose(pt.x1, average(pc.f, filt.root.id), atol=1e-14)
+    assert row.shape == (pc.f.dim + 3,)
+    assert np.allclose(row[:-3], average(pc.f, filt.root.id), atol=1e-14)
     # <g^2> and <|f|^2> over the root, the measure-weighted leaf sums
     m = filt.leaf_measures() / filt.total_measure
     g2 = float(m @ pc.g.values[:, 0] ** 2)
-    assert pt.x2 == pytest.approx(g2 - osc2(pc.op.adjoint_apply(pc.g), filt.root.id), rel=1e-12)
+    assert row[-3] == pytest.approx(g2 - osc2(pc.op.adjoint_apply(pc.g), filt.root.id), rel=1e-12)
     f2 = float(m @ np.sum(pc.f.values**2, axis=1))
-    assert pt.x3 == pytest.approx(f2, rel=1e-12)
-    row = point(pt.x1, pt.x2, pt.x3, pt.x4)
-    assert in_bellman_domain(row, 2.0, tol=1e-9 * max(1.0, pt.x3, pt.x4))
+    assert row[-2] == pytest.approx(f2, rel=1e-12)
+    assert in_bellman_domain(row, 2.0, tol=1e-9 * max(1.0, row[-2], row[-1]))
 
 
 def test_bellman_point_rejects_negative_x2(small_cells):
@@ -116,13 +115,20 @@ def test_bellman_point_rejects_negative_x2(small_cells):
     big = pc.op.adjoint_apply(pc.g)
     fake = type(big)(filt, big.values * 100.0 + 5.0)
     with pytest.raises(ArithmeticError):
-        moment_table(pc.f, pc.g, fake, 2.0).point(filt.root.id)
+        moment_table(pc.f, pc.g, fake, 2.0).check_x2([filt.root.id])
 
 
-def test_point_serialization_roundtrip():
-    pt = BellmanPoint(x1=np.array([1.5, -2.0]), x2=0.25, x3=9.0, x4=1.0, p=2.0)
-    back = json.loads(to_canonical_json(pt.to_dict()))
-    assert back == {"x1": [1.5, -2.0], "x2": 0.25, "x3": 9.0, "x4": 1.0, "p": 2.0, "atom": None}
+def test_point_serialization_roundtrip(small_cells):
+    # the search's root point is a plain dict of the table's root row, and
+    # the writer's text reads back as the same dict
+    from mblab.estimator import _root_point
+
+    pc = small_cells[0]
+    root = pc.filtration.root.id
+    pt = _root_point(pc.filtration, pc.f, pc.g, pc.op, 2.0)
+    *x1, x2, x3, x4 = Witness(pc.f, pc.g, pc.op, 2.0).table.points[root].tolist()
+    assert pt == {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": 2.0, "atom": root}
+    assert json.loads(to_canonical_json(pt)) == pt
 
 
 # ---------------------------------------------------------------------------

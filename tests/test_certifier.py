@@ -19,7 +19,6 @@ from mblab.bellman import (
 from mblab.certifier import (
     Certificate,
     CertificationError,
-    certificate_rows,
     certificate_to_dict,
     certify,
 )
@@ -31,7 +30,7 @@ from mblab.corpus import (
     random_transform,
     random_witness,
 )
-from mblab.filtration import Atom, build_dyadic, build_random_regular, split_schedule
+from mblab.filtration import Atom, build_dyadic, build_random_regular, level_partition, split_schedule
 from mblab.martingale import (
     MartFunction,
     average,
@@ -56,22 +55,28 @@ def test_haar_objective_is_one(haar_cert):
     assert haar_cert.objective == pytest.approx(1.0, abs=1e-12)
 
 
+def event_children(cert, e):
+    """The child atom ids of split event e, in the layout's order."""
+    lay = cert.filtration.layout
+    return lay.event_children[lay.event_child_starts[e] : lay.event_child_starts[e + 1]]
+
+
 def test_haar_root_point(haar_cert):
-    root = haar_cert.root
-    assert np.allclose(root.x1, 0.0, atol=1e-14)
-    assert root.x2 == pytest.approx(0.0, abs=1e-12)
-    assert root.x3 == pytest.approx(1.0, rel=1e-12)
-    assert root.x4 == pytest.approx(1.0, rel=1e-12)
+    root = haar_cert.witness.table.points[haar_cert.filtration.root.id]
+    assert np.allclose(root[:-3], 0.0, atol=1e-14)
+    assert root[-3] == pytest.approx(0.0, abs=1e-12)
+    assert root[-2] == pytest.approx(1.0, rel=1e-12)
+    assert root[-1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_haar_split_record(haar_cert):
     assert len(haar_cert.records) == 1
-    rec = haar_cert.records[0]
-    assert rec.d == pytest.approx(1.0, rel=1e-12)
-    assert rec.diameter == pytest.approx(2.0, rel=1e-12)
-    assert rec.pairing == pytest.approx(1.0, rel=1e-12)
+    table = haar_cert.witness.table
+    assert table.d[0] == pytest.approx(1.0, rel=1e-12)
+    assert haar_cert.diameter[0] == pytest.approx(2.0, rel=1e-12)
+    assert table.pairing[0] == pytest.approx(1.0, rel=1e-12)
     # alpha = sqrt(2): slack = 2 sqrt(2) - |d| diam = 2 sqrt(2) - 2
-    assert rec.slack == pytest.approx(2.0 * SQRT2 - 2.0, rel=1e-12)
+    assert haar_cert.slack[0] == pytest.approx(2.0 * SQRT2 - 2.0, rel=1e-12)
 
 
 def test_haar_certificate_accepts(haar_cert):
@@ -103,14 +108,14 @@ def test_linear_candidate_rejected_with_failing_record(dyadic1):
     assert not cert.ok
     assert cert.first_failure is not None
     assert "slack" in cert.first_failure
-    bad = cert.failing_records
+    bad = cert.flagged
     assert len(bad) >= 1
-    rec = bad[0]
+    e = bad[0]
     # the defeating split moves mass (d nonzero) and spreads the children
-    assert rec.d != 0.0
-    child_means = [pt.x1 for pt in rec.children]
+    assert cert.witness.table.d[e] != 0.0
+    child_means = cert.witness.table.points[event_children(cert, e), :-3]
     assert float(np.linalg.norm(child_means[0] - child_means[1])) > 1e-9
-    assert rec.slack < -1e-6
+    assert cert.slack[e] < -1e-6
 
 
 def test_failing_records_follow_certify_tolerance():
@@ -123,13 +128,12 @@ def test_failing_records_follow_certify_tolerance():
     cand = linear_candidate(1.0, 2.0, pc.cell.delta)
     loose = certify(cand, f, g, pc.op, tol=1e-3)
     assert loose.ok and loose.failures == ()
-    assert loose.failing_records == ()
+    assert loose.flagged.tolist() == []
     strict = certify(cand, f, g, pc.op)
     assert not strict.ok
     named = {int(a) for msg in strict.failures for a in re.findall(r"at atom (\d+)", msg)}
-    assert [r.atom for r in strict.failing_records] == sorted(
-        named, key=[r.atom for r in strict.records].index
-    )
+    atoms = pc.filtration.layout.event_atoms
+    assert atoms[strict.flagged].tolist() == sorted(named, key=atoms.tolist().index)
 
 
 def test_claimed_floor_must_cover_filtration(dyadic2):
@@ -147,9 +151,9 @@ def test_negative_x2_raises_at_its_atom(monkeypatch):
 
     def broken(*args):
         table = table_of(*args)
-        x2 = table.x2.copy()
-        x2[[3, 5]] = -1.0
-        return dataclasses.replace(table, x2=x2)
+        points = table.points.copy()
+        points[[3, 5], -3] = -1.0
+        return dataclasses.replace(table, points=points)
 
     monkeypatch.setattr(bellman, "moment_table", broken)
     pc = prepare_cell(CorpusCell(0.25, 1, 2))
@@ -183,34 +187,39 @@ def test_records_and_leaves_are_bellman_points(small_cells):
         filt = pc.filtration
         cand = quadratic_candidate(pc.cell.delta)
         cert = certify(cand, pc.f, pc.g, pc.op)
+        table = cert.witness.table
         tstar = pc.op.adjoint_closed_form(pc.g)  # the T* g certify reads
+        ref = moment_table(pc.f, pc.g, tstar, cand.p)
+        assert table.p == ref.p == cand.p
 
-        def assert_is_point(pt, atom_id):
-            ref = moment_table(pc.f, pc.g, tstar, cand.p).point(atom_id)
-            assert pt.atom == ref.atom == atom_id
-            assert np.array_equal(pt.x1, ref.x1)
-            assert (pt.x2, pt.x3, pt.x4, pt.p) == (ref.x2, ref.x3, ref.x4, ref.p)
+        def assert_is_point(atom_id):
+            pt = table.points[atom_id]
+            assert np.array_equal(pt, ref.points[atom_id])
             x1, x2, x3, x4 = point_by_atom(pc.f, pc.g, tstar, atom_id, cand.p)
-            assert np.array_equal(pt.x1, x1)
-            assert (pt.x2, pt.x3, pt.x4) == pytest.approx((x2, x3, x4), rel=1e-12, abs=1e-15)
+            assert np.array_equal(pt[:-3], x1)
+            assert tuple(pt[-3:]) == pytest.approx((x2, x3, x4), rel=1e-12, abs=1e-15)
 
         events = split_schedule(filt)
-        assert [rec.atom for rec in cert.records] == [ev.atom for ev in events]
-        for ev, rec in zip(events, cert.records):
+        assert [rec["atom"] for rec in cert.records] == [ev.atom for ev in events]
+        assert filt.layout.event_atoms.tolist() == [ev.atom for ev in events]
+        for e, ev in enumerate(events):
             atom = filt.atom(ev.atom)
-            assert_is_point(rec.base, atom.id)
-            assert len(rec.children) == len(atom.children)
-            for pt, child in zip(rec.children, atom.children):
-                assert_is_point(pt, child)
+            assert_is_point(atom.id)
+            kids = event_children(cert, e).tolist()
+            assert kids == list(atom.children)
+            for child in kids:
+                assert_is_point(child)
             diff = delta_split(tstar, ev)
             d = math.sqrt(inner(diff, diff) / atom.measure)
             pairing = inner(delta_split(pc.f, ev), diff) / atom.measure
-            assert rec.d == pytest.approx(d, rel=1e-12)
-            assert rec.pairing == pytest.approx(pairing, rel=1e-12, abs=1e-15)
-        assert len(cert.leaves) == filt.n_leaves
-        for pt, leaf_id in zip(cert.leaves, leaves_of(filt)):
-            assert_is_point(pt, leaf_id)
-        assert_is_point(cert.root, filt.root.id)
+            assert table.d[e] == pytest.approx(d, rel=1e-12)
+            assert table.pairing[e] == pytest.approx(pairing, rel=1e-12, abs=1e-15)
+        leaves = level_partition(filt, filt.depth)
+        assert len(leaves) == filt.n_leaves
+        assert tuple(leaves.tolist()) == leaves_of(filt)
+        for leaf_id in leaves.tolist():
+            assert_is_point(leaf_id)
+        assert_is_point(filt.root.id)
 
 
 def test_depth3_random_witness_end_to_end():
@@ -231,7 +240,7 @@ def test_objective_matches_weighted_pairings():
     pc = prepare_cell(CorpusCell(1.0 / 3.0, 2, 3))
     cert = certify(quadratic_candidate(1.0 / 3.0), pc.f, pc.g, pc.op)
     total = pc.filtration.total_measure
-    acc = sum(r.measure * r.pairing for r in cert.records) / total
+    acc = sum(r["measure"] * r["pairing"] for r in cert.records) / total
     assert cert.objective == pytest.approx(acc, rel=1e-10, abs=1e-12)
 
 
@@ -249,26 +258,29 @@ def test_diameter_chain_per_record():
     pc = prepare_cell(CorpusCell(0.25, 2, 5))
     cert = certify(quadratic_candidate(0.25), pc.f, pc.g, pc.op)
     filt = pc.filtration
-    by_atom = {ev.atom: ev for ev in split_schedule(filt)}
-    for rec in cert.records:
-        atom = filt.atom(rec.atom)
-        ev = by_atom[rec.atom]
+    table = cert.witness.table
+    for e, atom_id in enumerate(filt.layout.event_atoms.tolist()):
+        atom = filt.atom(atom_id)
+        d, diameter, pairing = table.d[e], cert.diameter[e], table.pairing[e]
         shifts = [
             float(np.linalg.norm(average(pc.f, c) - average(pc.f, atom.id)))
             for c in atom.children
         ]
-        mid = abs(rec.d) * max(shifts)
-        scale = max(1.0, abs(rec.pairing), abs(rec.d) * rec.diameter)
-        assert abs(rec.d) * rec.diameter >= mid - 1e-9 * scale
-        assert mid >= rec.pairing - 1e-9 * scale
+        mid = abs(d) * max(shifts)
+        scale = max(1.0, abs(pairing), abs(d) * diameter)
+        assert abs(d) * diameter >= mid - 1e-9 * scale
+        assert mid >= pairing - 1e-9 * scale
 
 
 def test_x2_gain_matches_displacement():
     pc = prepare_cell(CorpusCell(0.25, 1, 6))
     cert = certify(quadratic_candidate(0.25), pc.f, pc.g, pc.op)
-    for rec in cert.records:
-        gain = sum(w * pt.x2 for w, pt in zip(rec.weights, rec.children)) - rec.base.x2
-        assert gain == pytest.approx(rec.d**2, rel=1e-9, abs=1e-12)
+    lay, table = pc.filtration.layout, cert.witness.table
+    x2 = table.points[:, -3]
+    for e, atom_id in enumerate(lay.event_atoms.tolist()):
+        weights = cert.weights[lay.event_child_starts[e] : lay.event_child_starts[e + 1]]
+        gain = sum(w * x2[c] for w, c in zip(weights, event_children(cert, e))) - x2[atom_id]
+        assert gain == pytest.approx(table.d[e] ** 2, rel=1e-9, abs=1e-12)
 
 
 def test_accumulation_lower_bound():
@@ -276,15 +288,16 @@ def test_accumulation_lower_bound():
     pc = prepare_cell(CorpusCell(0.1, 2, 7))
     cert = certify(quadratic_candidate(0.1), pc.f, pc.g, pc.op)
     total = pc.filtration.total_measure
-    acc = sum(r.measure * r.slack for r in cert.records) / total + cert.leaf_term
+    acc = sum(r["measure"] * r["slack"] for r in cert.records) / total + cert.leaf_term
     assert cert.final_slack >= acc - 1e-6 * max(1.0, abs(cert.final_slack))
 
 
 def test_leaf_points_exact_and_nonnegative():
     pc = prepare_cell(CorpusCell(0.5, 2, 8))
     cert = certify(quadratic_candidate(0.5), pc.f, pc.g, pc.op)
-    for pt, val in zip(cert.leaves, cert.leaf_values):
-        assert pt.x3 == pytest.approx(float(np.dot(pt.x1, pt.x1)), rel=1e-12)
+    leaves = level_partition(pc.filtration, pc.filtration.depth)
+    for pt, val in zip(cert.witness.table.points[leaves], cert.values[leaves]):
+        assert pt[-2] == pytest.approx(float(np.dot(pt[:-3], pt[:-3])), rel=1e-12)
         assert val >= -1e-9 * max(1.0, abs(val))
 
 
@@ -293,7 +306,7 @@ def test_certificate_serialization(haar_cert):
     text = to_canonical_json(payload)
     assert text.endswith("\n")
     assert to_canonical_json(certificate_to_dict(haar_cert)) == text
-    rows = certificate_rows(haar_cert)
+    rows = list(haar_cert.records)
     assert len(rows) == len(haar_cert.records)
     assert set(rows[0]) >= {"atom", "d", "diameter", "slack", "pairing"}
 
@@ -346,7 +359,7 @@ def assert_matches_walk(cand, f, g, op, tol=1e-9):
     payload, flagged = certificate_by_records(cand, f, g, op, tol)
     assert to_canonical_json(certificate_to_dict(cert)) == ref_to_canonical_json(payload)
     assert list(cert.failures) == payload["failures"]
-    assert [r.atom for r in cert.failing_records] == flagged
+    assert cert.filtration.layout.event_atoms[cert.flagged].tolist() == flagged
     return cert
 
 
@@ -378,7 +391,7 @@ def test_batched_failures_match_record_walk():
     for filt, (f, g, op) in oracle_witnesses():
         quad = quadratic_candidate(filt.delta)
         linear = assert_matches_walk(linear_candidate(1.0, 2.0, filt.delta), f, g, op)
-        assert not linear.ok and len(linear.failing_records) >= 1
+        assert not linear.ok and len(linear.flagged) >= 1
         assert_matches_walk(scale_candidate(quad, 0.25), f, g, op)
         assert_matches_walk(quad, f, g, op, tol=-0.5)
     kinds = {msg.split(" atom ")[0] for msg in certify(quad, f, g, op, tol=-0.5).failures}
@@ -397,7 +410,7 @@ def test_certificate_text_with_signed_zeros_and_non_finite_values(dim):
     filt = build_random_regular(depth=5, delta=0.25, max_children=3, split_prob=0.7, seed=7)
     _, g, op = drawn_witness(filt, dim, 70 + dim)
     f = MartFunction(filt, np.full((filt.n_leaves, dim), -0.0))
-    lo, mid, hi = np.quantile(Witness(f, g, op, 2.0).table.x2, [0.25, 0.5, 0.75])
+    lo, mid, hi = np.quantile(Witness(f, g, op, 2.0).table.points[:, -3], [0.25, 0.5, 0.75])
 
     def fn(x1, x2, x3, x4):
         special = np.where(x2 > mid, np.nan, np.where(x2 < lo, -np.inf, -0.0 * x4))
@@ -406,7 +419,7 @@ def test_certificate_text_with_signed_zeros_and_non_finite_values(dim):
     cand = BellmanCandidate(fn=fn, p=2.0, delta=0.25, label="special")
     with np.errstate(invalid="ignore"):
         cert = assert_matches_walk(cand, f, g, op)
-    assert np.all(np.signbit(cert.witness.table.x1))
+    assert np.all(np.signbit(cert.witness.table.points[:, :-3]))
     values = cert.values
     assert np.isnan(values).any() and np.isposinf(values).any() and np.isneginf(values).any()
     assert np.any((values == 0.0) & np.signbit(values))
@@ -447,26 +460,27 @@ def test_batched_diameter_on_tied_and_repeated_children():
     f = MartFunction(filt, values)
     _, g, op = drawn_witness(filt, 2, 60)
     cert = assert_matches_walk(quadratic_candidate(0.25), f, g, op)
-    by_atom = {r.atom: r for r in cert.records}
-    assert by_atom[0].diameter == float(np.linalg.norm([1.0, 1.0]))
-    assert by_atom[1].diameter == 0.0
+    by_atom = {r["atom"]: r for r in cert.records}
+    assert by_atom[0]["diameter"] == float(np.linalg.norm([1.0, 1.0]))
+    assert by_atom[1]["diameter"] == 0.0
 
 
 def test_record_count_builds_no_record(monkeypatch):
     pc = prepare_cell(CorpusCell(0.25, 2, 3))
     cert = certify(linear_candidate(1.0, 2.0, 0.25), pc.f, pc.g, pc.op)
     first, last = cert.records[0], cert.records[-1]
-    assert (first.atom, last.atom) == (pc.filtration.root.id, split_schedule(pc.filtration)[-1].atom)
-    assert [r.atom for r in cert.records[1:3]] == [ev.atom for ev in split_schedule(pc.filtration)[1:3]]
+    assert (first["atom"], last["atom"]) == (pc.filtration.root.id, split_schedule(pc.filtration)[-1].atom)
+    assert [r["atom"] for r in cert.records[1:3]] == [ev.atom for ev in split_schedule(pc.filtration)[1:3]]
+    assert list(cert.records)[0] == first
 
     def built(self, e):
         raise AssertionError(f"record {e} built")
 
-    monkeypatch.setattr(Certificate, "_record", built)
+    monkeypatch.setattr(Certificate, "_row", built)
     assert len(cert.records) == len(split_schedule(pc.filtration))
-    assert len(cert.failing_records) == len(cert.flagged) >= 1
-    assert len(cert.leaves) == pc.filtration.n_leaves
-    assert certificate_rows(cert)[0]["atom"] == first.atom
+    assert len(cert.flagged) >= 1
+    # the JSON report is written from the arrays and builds no row either
+    certificate_to_dict(cert)
 
 
 def test_certify_dyadic_depth_14():

@@ -239,7 +239,7 @@ def _pays_no_matrix(f, g, op):
     filt = f.filtration
     run_all(f, g, op, rng=np.random.default_rng(6))
     w = certify(quadratic_candidate(filt.delta), f, g, op).witness
-    w.table.point(filt.root.id)
+    w.table.check_x2([filt.root.id])
     restriction_identity_gaps(w)
     hoelder_mean_margin(w)
     assert "matrix" not in vars(op)

@@ -574,6 +574,34 @@ def test_lemma1_stdout_is_pinned(argv, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == LEMMA1_DIGESTS[argv]
 
 
+# exit code and sha256 of the stdout of the calls that read the moment
+# table's points and the certificate's records: the search's root point,
+# the certificate's records, root and leaves in JSON and CSV, accepted and
+# failing, and the duality bound's root x1
+REPORT_DIGESTS = {
+    ("search", "--seed", "1", "--p", "1.5", "--trials", "200", "--delta", "0.5", "--ascent", "100"):
+        (0, "8f3a319a5968c81df52336859138a875c7561b5013feda3139c9dd09c4f36e16"),
+    ("certify", "--seed", "1", "--depth", "5", "--delta", "0.5", "--dim", "2"):
+        (0, "ea1feb307cf22294ec3fbafe9f05f576546ef8a40eefe9202bf068b4f1fe3b8d"),
+    ("certify", "--seed", "2", "--depth", "6", "--delta", "0.25", "--dim", "3", "--format", "csv"):
+        (0, "7c0be5e4e5860ee206beae0d9343968ebef559bc6aac03144d95a7ea4f07b1f3"),
+    ("certify", "--seed", "2", "--depth", "6", "--delta", "0.25", "--dim", "3", "--candidate", "linear:0.5"):
+        (1, "330a1cf8b9729bc0ab934179b420283be0b7a87135c1f058595e46944205619d"),
+    ("certify", "--seed", "2", "--depth", "6", "--delta", "0.25", "--dim", "3", "--candidate", "linear:0.5",
+     "--format", "csv"):
+        (1, "e60667db67df8b2e58846dcbf3bead19c7688c48ca304bdb8f403891fa70fc72"),
+    ("bound", "--seed", "1", "--p", "2", "--trials", "8", "--delta", "0.25"):
+        (0, "94564d593559c765a6313404a99a9dd91dc7da7187539477aafa7f7f891117d4"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+def test_report_stdout_is_pinned(argv, capsys):
+    code, digest = REPORT_DIGESTS[argv]
+    assert run(list(argv)) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_lemma1_ratios_are_positive_by_child_count(capsys):
     for delta in ("0.1", "0.25", "0.3333333333333333", "0.5"):
         argv = ["lemma1", "--seed", "7", "--delta", delta, "--trials", "5", "--dim", "2"]

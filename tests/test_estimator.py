@@ -1,5 +1,6 @@
 """Scaling balance, norm-ratio scans, witness search, duality pipeline."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -189,7 +190,35 @@ def test_search_consistent_with_verified_candidate():
     res = lower_bound_search(2.0, 25, seed=12)
     cand = quadratic_candidate(0.5)
     pt = res.achieved_point
-    assert cand.evaluate(np.array([*pt.x1, pt.x2, pt.x3, pt.x4])) >= res.best - 1e-6
+    assert cand.evaluate(np.array([*pt["x1"], pt["x2"], pt["x3"], pt["x4"]])) >= res.best - 1e-6
+
+
+def test_search_root_point_is_none_only_for_a_root_x2_below_roundoff(monkeypatch, capsys):
+    # the search checks the root's x2 alone: below roundoff of zero it
+    # reports no point, within roundoff or on another atom it reports one
+    import mblab.bellman as bellman
+    from mblab.cli import run
+
+    table_of = bellman.moment_table
+
+    def x2_set_at(pick, x2):
+        def broken(f, *args):
+            table = table_of(f, *args)
+            points = table.points.copy()
+            points[pick(f.filtration), -3] = x2
+            return dataclasses.replace(table, points=points)
+
+        monkeypatch.setattr(bellman, "moment_table", broken)
+
+    x2_set_at(lambda filt: filt.root.id, -1e-9)
+    assert lower_bound_search(2.0, 5, seed=6).achieved_point is None
+    assert run(["search", "--seed", "6", "--trials", "5"]) == 0
+    assert '"achieved_point":null' in capsys.readouterr().out
+    x2_set_at(lambda filt: filt.root.id, -1e-14)
+    assert lower_bound_search(2.0, 5, seed=6).achieved_point["x2"] == -1e-14
+    x2_set_at(lambda filt: filt.root.children[0], -1.0)
+    pt = lower_bound_search(2.0, 5, seed=6).achieved_point
+    assert pt is not None and pt["x2"] >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +281,7 @@ def test_homogeneity_orbit_on_witness(small_cells):
     filt = pc.filtration
     p = 2.0
     q = conjugate_exponent(p)
-    base_pt = Witness(pc.f, pc.g, pc.op, p).table.point(filt.root.id)
+    base_pt = Witness(pc.f, pc.g, pc.op, p).table.points[filt.root.id]
     centered = pc.f.shift(-average(pc.f, filt.root.id))
     base_obj = inner(pc.g, pc.op.apply(centered)) / filt.total_measure
     for lam in (0.5, 2.0, 7.0):
@@ -260,8 +289,8 @@ def test_homogeneity_orbit_on_witness(small_cells):
         g_s = pc.g * (1.0 / lam)
         obj = inner(g_s, pc.op.apply(f_s.shift(-average(f_s, filt.root.id)))) / filt.total_measure
         assert obj == pytest.approx(base_obj, rel=1e-12)
-        mapped = Witness(f_s, g_s, pc.op, p).table.point(filt.root.id)
-        assert np.allclose(mapped.x1, lam * base_pt.x1, rtol=1e-12, atol=1e-14)
-        assert mapped.x2 == pytest.approx(lam ** (-2.0) * base_pt.x2, rel=1e-12, abs=1e-14)
-        assert mapped.x3 == pytest.approx(lam**p * base_pt.x3, rel=1e-12)
-        assert mapped.x4 == pytest.approx(lam ** (-q) * base_pt.x4, rel=1e-12)
+        mapped = Witness(f_s, g_s, pc.op, p).table.points[filt.root.id]
+        assert np.allclose(mapped[:-3], lam * base_pt[:-3], rtol=1e-12, atol=1e-14)
+        assert mapped[-3] == pytest.approx(lam ** (-2.0) * base_pt[-3], rel=1e-12, abs=1e-14)
+        assert mapped[-2] == pytest.approx(lam**p * base_pt[-2], rel=1e-12)
+        assert mapped[-1] == pytest.approx(lam ** (-q) * base_pt[-1], rel=1e-12)

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mblab.bellman import quadratic_candidate
-from mblab.certifier import certificate_rows, certificate_to_dict, certify
+from mblab.certifier import certificate_to_dict, certify
 from mblab.checks import run_all
 from mblab.corpus import DELTAS, DIMS, CorpusCell, prepare_cell, random_transform, random_witness
 from mblab.filtration import build_dyadic, build_random_regular
@@ -241,7 +241,7 @@ def test_real_reports_match_reference(corpus_reports):
 def test_real_csv_matches_reference(corpus_reports):
     for rows, _, cert, _ in corpus_reports:
         assert rows_to_csv(rows) == ref_rows_to_csv(rows)
-        cert_rows = certificate_rows(cert)
+        cert_rows = list(cert.records)
         assert rows_to_csv(cert_rows) == ref_rows_to_csv(cert_rows)
 
 
@@ -258,7 +258,7 @@ def test_certificate_formats_each_point_once(monkeypatch, corpus_reports):
 
     monkeypatch.setattr(reporting, "_format_floats", counted)
     certificate_to_dict(cert)
-    n_atoms, dim = cert.witness.table.x1.shape
+    n_atoms, dim = len(cert.witness.table.points), cert.witness.f.dim
     n_events, n_leaves = len(cert.slack), cert.filtration.n_leaves
     assert sizes == [n_atoms * (dim + 3) + len(cert.weights) + 5 * n_events + n_leaves]
 
@@ -419,7 +419,7 @@ def test_deep_certificates_match_record_walk_through_the_kernel(monkeypatch):
         sizes.clear()
         text = to_canonical_json(certificate_to_dict(cert))
         assert text == ref_to_canonical_json(walk)
-        n_atoms, dim = cert.witness.table.x1.shape
+        n_atoms, dim = len(cert.witness.table.points), cert.witness.f.dim
         n_floats = n_atoms * (dim + 3) + len(cert.weights) + 5 * len(cert.slack)
         assert sum(sizes) == n_floats + cert.filtration.n_leaves > reporting._KERNEL_MIN
 

@@ -100,12 +100,13 @@ def test_exempt_names_are_exported():
     assert ORACLES | AWAITING_CALLER <= exported
 
 
-@pytest.mark.parametrize("workload", ["deep_tower", "corpus_sweep"])
+@pytest.mark.parametrize("workload", ["deep_tower", "corpus_sweep", "cli_session"])
 def test_benchmark_traced_run_binds_the_package(workload):
     # a traced run wraps filtration.split_schedule and the transform's
     # matrix_apply and adjoint_apply by name, and its workloads call
-    # run_all, certify and prepare_cell positionally: a renamed function or
-    # a changed call form fails the run or its report checks
+    # run_all, certify and prepare_cell positionally, or run the mblab
+    # commands in child processes: a renamed function or a changed call
+    # form fails the run or its report checks
     argv = ["--workload", workload, "--seed", "1", "--seconds", "0.1", "--trace", "1"]
     out = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
