@@ -10,13 +10,13 @@ with q the conjugate exponent of p.  These points live in the convex domain
     x2 >= 0,   |x1|^p <= x3,   x2^q <= x4^2.
 
 ``moment_table`` computes the point of every atom, one row (x1..., x2, x3,
-x4) of ``points`` each, and, for every split event J, the displacement
-d_J, the pairing of the split differences of f and T* g, and the x2 gain
-of the split, in one stacked pass of the martingale kernel over all
-levels.  A ``Witness`` holds (f, g, T) and p and derives T* g, that table,
-the transform's event runs and the sides of the restriction identity once
-each, for every suite, probe and certificate that reads them; one atom's
-moment point is ``table.points[atom]``.
+x4) of ``points`` each, <g>_J, the atom steps of f, T* g and g, and, for
+every split event J, the displacement d_J, the pairing of the split
+differences of f and T* g, and the x2 gain of the split, in one stacked
+pass of the martingale kernel over all levels.  A ``Witness`` checks (f,
+g, T) and derives T* g, that table, the event runs and the restriction
+sides once each, for every suite, probe and certificate that reads them;
+one atom's moment point is ``table.points[atom]``.
 
 A candidate function B is tested against the split inequality: whenever
 points x^1..x^N and weights lambda_k >= delta (summing to one) satisfy
@@ -93,12 +93,14 @@ class MomentTable:
     witness (f, g, T) and exponent p.
 
     Atom arrays are indexed by atom id: ``points`` (atoms, dim + 3), rows
-    (x1..., x2, x3, x4), ``g2`` = <g^2>_J, ``tstar_mean`` = <T* g>_J
-    (atoms, dim) and ``osc2``, the mean squared oscillation of T* g over J,
-    so that x2 = g2 - osc2.  Event arrays follow the layout's schedule
-    order: the displacement ``d``, the normalized ``pairing`` of the split
-    differences of f and T* g, and ``x2_gain``, the weighted x2 of the
-    children minus the x2 of the split atom, which equals d^2 exactly.
+    (x1..., x2, x3, x4), ``g2`` = <g^2>_J, ``g_mean`` = <g>_J, ``tstar_mean``
+    = <T* g>_J (atoms, dim) and ``osc2``, the mean squared oscillation of
+    T* g over J, so that x2 = g2 - osc2.  ``steps`` (rows, 2 dim + 1) holds
+    E_n - E_{n-1} of f, T* g and g by stacked row (the layout's ``stacked_*``
+    arrays), not by atom id.  Event arrays follow the schedule order: the
+    displacement ``d``, the normalized ``pairing`` of the split differences
+    of f and T* g, and ``x2_gain``, the weighted x2 of the children minus
+    the x2 of the split atom, which equals d^2 exactly.
     """
 
     p: float
@@ -109,6 +111,8 @@ class MomentTable:
     d: np.ndarray
     pairing: np.ndarray
     x2_gain: np.ndarray
+    g_mean: np.ndarray
+    steps: np.ndarray
 
     def check_x2(self, atoms=slice(None)) -> None:
         """Raise ArithmeticError at the first of ``atoms`` (all by default)
@@ -124,27 +128,25 @@ class MomentTable:
 
 
 def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: float) -> MomentTable:
-    """All moment points and split data of the witness in one pass.
+    """All moment points, atom steps and split data of a witness in one pass.
 
-    The measure-weighted leaf columns f, T* g, g^2, |f|^p and |g|^q are
-    averaged over the atoms of every level at once, in the layout's
-    stacked rows (one reduceat at the stacked boundaries), which gives x1,
-    <g^2>_J, x3 and x4 of every row and the atom steps E_n - E_{n-1} of f
-    and T* g.  The leaf expectations of T* g at every level are one take
-    of the means; osc2 of T* g and the split pairings, each row of levels
-    0..N-1 with the next level's steps, are one diagonal reduceat each, row
-    n summed over the A_n atoms.  The children's x2 of every row are one
-    reduceat over its children's rows.  Every float is the one the
-    level-by-level pass gave; a persisting atom has the same floats in each
-    of its rows.
+    The measure-weighted leaf columns f, T* g, g, g^2, |f|^p and |g|^q are
+    averaged over the atoms of every level at once, in the layout's stacked
+    rows (one reduceat at the stacked boundaries; a column's means do not
+    depend on the others), which gives x1, <g>_J, <g^2>_J, x3 and x4 of
+    every row and the atom steps E_n - E_{n-1} of f, T* g and g.  The leaf
+    expectations of T* g at every level are one take of the means; osc2 of
+    T* g and the split pairings, each row of levels 0..N-1 with the next
+    level's steps, are one diagonal reduceat each, row n summed over the A_n
+    atoms.  The children's x2 of every row are one reduceat over its
+    children's rows.  Every float is the one the level-by-level pass gave; a
+    persisting atom has the same floats in each of its rows.
     """
-    if g.dim != 1 or tstar_g.dim != f.dim:
-        raise ValueError("g must be scalar valued and T* g must have the dimension of f")
     filt = f.filtration
     lay = filt.layout
     dim, q, gv = f.dim, conjugate_exponent(p), g.values[:, 0]
     f_p = np.linalg.norm(f.values, axis=1) ** p
-    columns = np.column_stack((f.values, tstar_g.values, gv * gv, f_p, np.abs(gv) ** q))
+    columns = np.column_stack((f.values, tstar_g.values, gv, gv * gv, f_p, np.abs(gv) ** q))
     means = _stacked_means(filt, columns)
     below = lay.level_offsets[-2]  # rows of levels 0..N-1
 
@@ -155,20 +157,20 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     osc2 /= lay.stacked_measures
     x2 = means[:, -3] - osc2
 
-    steps = _level_steps(filt, means[:, : 2 * dim])
-    df, dg = steps[:, :dim], steps[:, dim:]
+    steps = _level_steps(filt, means[:, : 2 * dim + 1])
+    df, dg = steps[:, :dim], steps[:, dim : 2 * dim]
     pair = np.column_stack((np.einsum("ij,ij->i", dg, dg), np.einsum("ij,ij->i", df, dg)))
     pair_means = _diagonal_sums(filt, np.take(pair, lay.stacked_maps[1:], axis=0))
     pair_means /= lay.stacked_measures[:below, None]
     kids_x2 = np.add.reduceat(lay.stacked_measures * x2, lay.stacked_children)
     gain = kids_x2 / lay.stacked_measures[:below] - x2[:below]
 
-    rows = np.empty((filt.n_atoms, 2 * dim + 5))  # x1, x2, x3, x4, g2, <T* g>, osc2
+    rows = np.empty((filt.n_atoms, 2 * dim + 6))  # x1, x2, x3, x4, g2, <T* g>, <g>, osc2
     # A persisting atom has the same floats in each of its rows.
     rows[lay.stacked_atoms] = np.column_stack(
-        (means[:, :dim], x2, means[:, -2:], means[:, -3], means[:, dim : 2 * dim], osc2)
+        (means[:, :dim], x2, means[:, -2:], means[:, -3], means[:, dim : 2 * dim + 1], osc2)
     )
-    points, g2, tstar_mean, osc2 = np.hsplit(rows, [dim + 3, dim + 4, 2 * dim + 4])
+    points, g2, tstar_mean, g_mean, osc2 = np.hsplit(rows, np.cumsum([dim + 3, 1, dim, 1]))
     events = lay.stacked_maps[lay.event_levels, lay.event_spans[:, 0]]
     return MomentTable(
         p=p,
@@ -179,6 +181,8 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
         d=np.sqrt(np.maximum(pair_means[events, 0], 0.0)),
         pairing=pair_means[events, 1],
         x2_gain=gain[events],
+        g_mean=g_mean[:, 0],
+        steps=steps,
     )
 
 
@@ -187,19 +191,27 @@ class Witness:
     """A witness triple (f, g, T) at exponent p, with the objects the
     suites, probes and certificates read derived once each, on first use:
     ``tf``, T f, ``tstar_g``, T* g through the closed form
-    ``adjoint_closed_form``, ``table``, the ``moment_table`` at p,
-    ``event_runs``, T's split events
-    as runs of leaves with their ancestor chains, which the localization
-    and restriction kernels read, and ``restriction_sides``.  The table's
-    x2, d and x2 gains do not depend on p.  The objects live as long as the
-    witness, so the suites, the certificate and the probes that share one
-    witness build each once between them.
+    ``adjoint_closed_form``, ``table``, the ``moment_table`` at p and the
+    one source of atom means and steps, ``event_runs``, T's split events as
+    runs of leaves with their ancestor chains, and ``restriction_sides``.
+    The objects live as long as the witness, so the suites, the certificate
+    and the probes that share one witness build each once between them.  A
+    witness takes only f, g and T on one filtration object, g scalar and T
+    of the dimension of f.  The table's x2, d and x2 gains do not depend on p.
     """
 
     f: MartFunction
     g: MartFunction
     op: MartingaleTransform
     p: float = 2.0
+
+    def __post_init__(self) -> None:
+        if not (self.g.filtration is self.f.filtration is self.op.filtration):
+            raise ValueError("witness components live on different filtrations")
+        if self.g.dim != 1:
+            raise ValueError("g must be scalar valued")
+        if self.f.dim != self.op.dim:
+            raise ValueError(f"f has dim {self.f.dim} but the transform expects {self.op.dim}")
 
     @cached_property
     def tf(self) -> MartFunction:
@@ -219,21 +231,15 @@ class Witness:
 
     @cached_property
     def restriction_sides(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per non-root split atom J, in schedule order: the mean <g>_J, the
-        local side osc2(T* g, J) and the rescaled global side
-        (|I|/|J|) osc2(T*(g 1_J), I), the last from one ``_cut_adjoints``
-        pass of the uncentered cuts."""
-        runs, filt = self.event_runs, self.g.filtration
+        """Per non-root split atom J, in schedule order: the mean <g>_J and
+        the local side osc2(T* g, J), both read off the table, and the
+        rescaled global side (|I|/|J|) osc2(T*(g 1_J), I), from one
+        ``_cut_adjoints`` pass of the uncentered cuts."""
+        runs, filt, table = self.event_runs, self.g.filtration, self.table
         measures = runs.measures[:, -1]
-        g = self.g.values[:, 0]
-        cut_osc, _ = _cut_adjoints(self.op, runs, g, np.zeros(len(measures)))
-        weights = filt.layout.measures[runs.leaf]
-        mean_g = runs.sums(weights * g[runs.leaf]) / measures
-        tstar_g = self.tstar_g.values[runs.leaf]
-        mean = runs.sums(weights[:, None] * tstar_g) / measures[:, None]
-        centered = tstar_g - mean[runs.owner]
-        local = runs.sums(weights * np.einsum("ij,ij->i", centered, centered)) / measures
-        return mean_g, local, (filt.total_measure / measures) * cut_osc
+        cut_osc, _ = _cut_adjoints(self.op, runs, self.g.values[:, 0], np.zeros(len(measures)))
+        atoms = filt.layout.event_atoms[filt.layout.event_levels > 0]
+        return table.g_mean[atoms], table.osc2[atoms], (filt.total_measure / measures) * cut_osc
 
 
 def in_bellman_domain(x: np.ndarray, p: float, tol: Values = _DOMAIN_TOL) -> np.ndarray:
@@ -568,30 +574,37 @@ def adversarial_split_configs(delta: float, p: float, dim: int = 1) -> SplitConf
 class ExpansionCertificate:
     """Outcome of the copy-sort-halve expansion of a dyadic configuration.
 
-    The binary midpoint tree is held as ``levels``: ``levels[k]`` is the
-    (2^k, dim + 3) array of the depth-k nodes, left to right, each row the
-    uniform mean (x1, x2, x3, x4) of a block of copies / 2^k consecutive
-    sorted copies, with weight 2^-k.  The children of row i are rows 2i and
-    2i + 1 of the next level; ``levels[1]`` holds the two half means and
-    ``levels[m]`` the sorted copies themselves.
+    ``sorted_copies`` (copies, dim + 3) holds the copies' points in sorted
+    order.  The binary midpoint tree is ``levels``, built from them on first
+    read: ``levels[k]`` is the (2^k, dim + 3) array of the depth-k nodes,
+    left to right, each row the uniform mean (x1, x2, x3, x4) of a block of
+    copies / 2^k consecutive sorted copies, with weight 2^-k.  The children
+    of row i are rows 2i and 2i + 1 of the next level; ``levels[1]`` holds
+    the two half means and ``levels[m]`` the sorted copies themselves.
     """
 
     m: int
     copies: int
     order: tuple[int, ...]  # sorted copy order, entries = original point index
-    levels: tuple[np.ndarray, ...]
+    sorted_copies: np.ndarray
     separation: float
     diameter: float
     ratio: float | None
     degenerate: bool
 
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        # The 2^k nodes at depth k average consecutive blocks of b / 2^k copies.
+        full, b = self.sorted_copies, self.copies
+        return tuple(full.reshape(2**k, b >> k, -1).mean(axis=1) for k in range(self.m + 1))
+
 
 def dyadic_expand(cfgs: SplitConfigs, m: int) -> Sequence[ExpansionCertificate]:
     """Expand each row into 2^m copies, sort along the diameter direction,
-    halve, and build the tree; raises ValueError naming the first row whose
-    weights are not all positive multiples of 2^-m.  Returns one expansion
-    per row, each built when it is read, so a pass over the rows holds one
-    tree at a time.
+    halve; raises ValueError naming the first row whose weights are not all
+    positive multiples of 2^-m.  Returns one expansion per row, each built
+    when it is read, with its separation from the two half means alone: a
+    row's midpoint tree is built only when its ``levels`` are read.
 
     Sort keys are scalar projections of the x1 copies onto the segment
     between the first diameter-realizing pair of ``_diameters``; ties keep
@@ -625,14 +638,14 @@ def dyadic_expand(cfgs: SplitConfigs, m: int) -> Sequence[ExpansionCertificate]:
             order = np.argsort(keys, kind="stable")
         sorted_owner = copy_owner[order]
         full = rows[sorted_owner]
-        # The 2^k nodes at depth k average consecutive blocks of b / 2^k copies.
-        levels = tuple(full.reshape(2**k, b >> k, -1).mean(axis=1) for k in range(m + 1))
-        separation = float(np.linalg.norm(levels[1][0, :dim] - levels[1][1, :dim]))
+        # The two half means, the bits of ``levels[1]``.
+        halves = full.reshape(2, b >> 1, -1).mean(axis=1)
+        separation = float(np.linalg.norm(halves[0, :dim] - halves[1, :dim]))
         return ExpansionCertificate(
             m=m,
             copies=b,
             order=tuple(sorted_owner.tolist()),
-            levels=levels,
+            sorted_copies=full,
             separation=separation,
             diameter=diam,
             ratio=None if degenerate else separation / diam,

@@ -129,27 +129,20 @@ def certify(
     """Evaluate the split inequality at every schedule step and assemble the
     certificate.
 
-    Raises ValueError if the candidate claims a regularity floor above the
-    filtration's, CertificationError if an exact identity (displacement
-    accounting, telescoping) fails beyond roundoff, and ArithmeticError on
-    an x2 below roundoff of zero.  Candidate violations (negative slack,
-    negative leaf value, broken pairing domination) do not raise; they mark
-    the certificate failed.
+    Raises ValueError if (f, g, T) is no ``Witness`` or the candidate claims
+    a regularity floor above the filtration's, CertificationError if an
+    exact identity (displacement accounting, telescoping) fails beyond
+    roundoff, and ArithmeticError on an x2 below roundoff of zero.  Candidate
+    violations (negative slack, negative leaf value, broken pairing
+    domination) do not raise; they mark the certificate failed.
     """
-    filt = f.filtration
-    if g.filtration is not filt or op.filtration is not filt:
-        raise ValueError("witness components live on different filtrations")
-    if g.dim != 1:
-        raise ValueError("g must be scalar valued")
-    if f.dim != op.dim:
-        raise ValueError(f"f has dim {f.dim} but the transform expects {op.dim}")
+    witness, filt = Witness(f, g, op, cand.p), f.filtration
     if cand.delta > filt.delta + 1e-12:
         raise ValueError(
             f"candidate floor delta={cand.delta:g} exceeds the filtration's "
             f"regularity delta={filt.delta:g}"
         )
 
-    witness = Witness(f, g, op, cand.p)
     total = filt.total_measure
     objective = inner(g, witness.tf) / total
     table = witness.table

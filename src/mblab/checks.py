@@ -9,12 +9,13 @@ accounting, nonnegativity of the x2 slot, the one-sided restriction bound,
 and the L2 contraction.
 
 ``run_suites`` runs the suites on one witness, and every suite reads T* g
-and the moment table from it, so one call computes T* g once, through the
-closed form ``adjoint_closed_form``, and the table once; ``run_all`` wraps
-(f, g, T) in a witness at p = 2 first.  The two probes below read the same
-witness, so a caller that hands one witness to the certifier, the suites
-and the probes derives each of its objects once.  T f goes through the
-multiplier formula ``apply``; no suite builds the dense matrix.
+(once, through the closed form ``adjoint_closed_form``) and every atom
+mean, step and oscillation of f, g and T* g from it, the last from the
+moment table's one stacked pass; ``run_all`` wraps (f, g, T) in a witness
+at p = 2 first.  The two probes read the same witness, so a caller that
+hands one witness to the certifier, the suites and the probes derives
+each of its objects once.  T f goes through the multiplier formula
+``apply``; no suite builds the dense matrix.
 The dense routes (``matrix_apply``, ``adjoint_apply``, the SVD norm
 ``operator_norm``) are test oracles: the tests compare them with the
 production routes, on the whole acceptance corpus among others.
@@ -69,12 +70,10 @@ from .bellman import Witness, conjugate_exponent
 from .filtration import Filtration, level_partition
 from .martingale import (
     MartFunction,
-    _atom_steps,
     _diagonal_steps,
     _diagonal_sums,
     _event_draws,
     _level_differences,
-    average,
     inner,
     l2_norm,
     lp_norm,
@@ -144,17 +143,17 @@ def check_projections(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
     pieces on disjoint atoms pair to an exact zero, so orthogonality is
     measured on the nested pairs: an event at level n against its ancestor
     at each level k < n, summed over the event's atom.  The level
-    differences of f and of the auxiliary draw are one stack each, and the
-    level-n difference of every piece n is one diagonal pass over the
-    pieces.
+    differences of f are one take of the table's steps and those of the
+    auxiliary draw one stack, and the level-n difference of every piece n
+    is one diagonal pass over the pieces.
     """
-    f = w.f
+    f, table = w.f, w.table
     filt = f.filtration
     lay = filt.layout
     m = filt.leaf_measures()
     scale = max(1.0, l2_norm(f) ** 2)
     aux = random_function(filt, f.dim, rng)
-    pieces = _level_differences(filt, f.values)
+    pieces = np.take(table.steps[:, : f.dim], lay.stacked_maps[1:], axis=0)
     other = _level_differences(filt, aux.values)
 
     again = np.take(_diagonal_steps(filt, pieces), lay.stacked_maps[1:], axis=0)
@@ -174,8 +173,8 @@ def check_projections(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
         ortho = max(ortho, float(np.max(np.abs(_atom_sums(filt, m * pairs, n)))))
 
     total = pieces.sum(axis=0)
-    centered = f.shift(-average(f, filt.root.id))
-    tele = float(np.max(np.abs(total - centered.values)))
+    centered = f.values - table.points[filt.root.id, : f.dim]
+    tele = float(np.max(np.abs(total - centered)))
 
     return [
         _row("projection_idempotent", idem, tol.tight, "delta applied twice"),
@@ -217,7 +216,7 @@ def check_localization(w: Witness, tol: Tolerances, rng: np.random.Generator) ->
     # On an atom J split at level n, the level-n difference is J's split
     # difference, and T* multiplies it by the level-(n+1) multiplier of J:
     # row by row, the step of T* g is a_{n+1}(J) times the step of g.
-    dsg, dtg = (_atom_steps(filt, v) for v in (w.g.values, w.tstar_g.values))
+    dtg, dsg = np.hsplit(w.table.steps[:, w.f.dim :], [w.f.dim])
     below = lay.level_offsets[1]  # the root row has no step
     err = dtg[below:] - op.step_multipliers[below:] * dsg[below:]
     commute = float(np.max(np.abs(err)))
@@ -260,10 +259,10 @@ def check_osc_series(w: Witness, tol: Tolerances, rng: np.random.Generator) -> l
     inside the A_n atom that holds its first leaf, and an A_n atom splits
     when it holds more than one A_{n+1} atom.
     """
-    filt = w.f.filtration
+    filt, dim = w.f.filtration, w.f.dim
     lay = filt.layout
     osc2 = w.table.osc2
-    steps = _atom_steps(filt, w.tstar_g.values)
+    steps = w.table.steps[:, dim : 2 * dim]
     sq = np.take(np.einsum("ij,ij->i", steps, steps), lay.stacked_maps[1:], axis=0)
     piece_sums = _diagonal_sums(filt, sq)
     series = np.zeros(filt.n_leaves)
@@ -359,9 +358,9 @@ def hoelder_mean_margin(w: Witness) -> float:
     """How far |<f>_I . <T* g>_I| sits above ||f||_p ||g||_q / |I|, at the
     witness's p and its conjugate q; nonpositive when the Hoelder mean bound
     holds.  Not a registered suite, so ``run_all`` rows do not include it."""
-    filt = w.f.filtration
+    filt, table = w.f.filtration, w.table
     root = filt.root.id
-    lhs = abs(float(np.dot(average(w.f, root), average(w.tstar_g, root))))
+    lhs = abs(float(np.dot(table.points[root, : w.f.dim], table.tstar_mean[root])))
     rhs = lp_norm(w.f, w.p) * lp_norm(w.g, conjugate_exponent(w.p)) / filt.total_measure
     return lhs - rhs
 

@@ -211,6 +211,8 @@ def _validate(command: str, cfg: RunConfig) -> None:
         raise UsageError(f"--p must be positive and finite, got {cfg.p}")
     if command == "scan" and not cfg.p > 1.0:
         raise UsageError(f"scan needs --p > 1 (no L^p bound holds for p <= 1), got {cfg.p}")
+    if cfg.target is not None and not math.isfinite(cfg.target):
+        raise UsageError(f"--target must be finite, got {cfg.target}")
     if cfg.ascent < 0:
         raise UsageError(f"--ascent must be >= 0, got {cfg.ascent}")
     if cfg.suites is not None and not cfg.suites.strip():

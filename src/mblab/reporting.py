@@ -361,14 +361,18 @@ def _cell(v) -> str:
 
 def rows_to_csv(rows: Sequence[Mapping]) -> str:
     """One CSV line per row under the first row's keys; a key a row lacks
-    gives an empty cell."""
+    gives an empty cell.  A column of exact floats only is formatted in one
+    ``_format_floats`` call, any other cell by cell."""
     if not rows:
         raise ReportError("refusing to write an empty report")
     cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_cell(row.get(c)) for c in cols))
-    return "\n".join(lines) + "\n"
+    cells = [[row.get(c) for c in cols] for row in rows]
+    texts = [
+        _format_floats(col) if all(type(v) is float for v in col) else list(map(_cell, col))
+        for col in zip(*cells)
+    ]
+    lines = map(",".join, zip(*texts)) if cols else [""] * len(cells)
+    return "\n".join((",".join(cols), *lines)) + "\n"
 
 
 def write_text(path: str | Path, text: str) -> Path:

@@ -239,17 +239,19 @@ def moment_table_by_levels(
 ) -> MomentTable:
     """``moment_table`` as the level-by-level pass it replaced: per level,
     one reduceat of the weighted columns, the leaf expectations, osc2 of
-    T* g, the split pairings of the level's events and their children's
-    x2 gains."""
+    T* g, the atom steps of f, T* g and g, the split pairings of the
+    level's events and their children's x2 gains."""
     if g.dim != 1 or tstar_g.dim != f.dim:
         raise ValueError("g must be scalar valued and T* g must have the dimension of f")
     filt = f.filtration
     lay = filt.layout
     dim, q, gv = f.dim, conjugate_exponent(p), g.values[:, 0]
     f_p = np.linalg.norm(f.values, axis=1) ** p
-    w = _weighted(filt, np.column_stack((f.values, tstar_g.values, gv * gv, f_p, np.abs(gv) ** q)))
-    rows = np.empty((len(filt.atoms), 2 * dim + 5))  # x1, g2, x2, x3, x4, <T* g>, osc2
+    columns = (f.values, tstar_g.values, gv, gv * gv, f_p, np.abs(gv) ** q)
+    w = _weighted(filt, np.column_stack(columns))
+    rows = np.empty((len(filt.atoms), 2 * dim + 6))  # x1, g2, x2, x3, x4, <T* g>, <g>, osc2
     split = np.empty((len(lay.event_atoms), 3))  # d^2, pairing, x2 gain
+    steps = np.zeros((lay.level_offsets[-1], 2 * dim + 1))  # f, T* g, g; the root row is zero
     for n in range(filt.depth + 1):
         means = _level_means(filt, w, n)
         cond = np.take(means[:, : 2 * dim], level_map(filt, n), axis=0)
@@ -259,10 +261,13 @@ def moment_table_by_levels(
         x2 = means[:, -3] - osc2
         # A persisting atom gets the same floats at every level it is in.
         level_rows = np.column_stack(
-            (means[:, :dim], means[:, -3], x2, means[:, -2:], means[:, dim : 2 * dim], osc2)
+            (means[:, :dim], means[:, -3], x2, means[:, -2:], means[:, dim : 2 * dim + 1], osc2)
         )
         rows[level_partition(filt, n)] = level_rows
         if n:
+            parents = level_map(filt, n - 1)[lay.level_starts[n]]
+            level_steps = means[:, : 2 * dim + 1] - prev_means[parents, : 2 * dim + 1]
+            steps[lay.level_offsets[n] : lay.level_offsets[n + 1]] = level_steps
             df, dg = np.hsplit(cond - prev_cond, 2)
             pair = np.column_stack((np.einsum("ij,ij->i", dg, dg), np.einsum("ij,ij->i", df, dg)))
             at = lay.event_levels == n - 1
@@ -271,9 +276,9 @@ def moment_table_by_levels(
             first_kids = level_map(filt, n)[lay.level_starts[n - 1]]
             kids_x2 = np.add.reduceat(lay.level_measures[n] * x2, first_kids)
             split[at, 2] = (kids_x2 / lay.level_measures[n - 1] - prev_x2)[pick]
-        prev_cond, prev_x2 = cond, x2
-    x1, g2, x2, x3, x4, tstar_mean, osc2 = np.hsplit(
-        rows, [dim, dim + 1, dim + 2, dim + 3, dim + 4, 2 * dim + 4]
+        prev_means, prev_cond, prev_x2 = means, cond, x2
+    x1, g2, x2, x3, x4, tstar_mean, g_mean, osc2 = np.hsplit(
+        rows, [dim, dim + 1, dim + 2, dim + 3, dim + 4, 2 * dim + 4, 2 * dim + 5]
     )
     return MomentTable(
         p=p,
@@ -284,6 +289,8 @@ def moment_table_by_levels(
         d=np.sqrt(np.maximum(split[:, 0], 0.0)),
         pairing=split[:, 1],
         x2_gain=split[:, 2],
+        g_mean=g_mean[:, 0],
+        steps=steps,
     )
 
 

@@ -450,7 +450,12 @@ def test_expansion_tree_matches_per_node_means(m):
         cfgs = sample_dyadic_split_configs(delta, 1.5, 4, seed=m, dim=dim, m=m)
         for points, cert in zip(cfgs.points, dyadic_expand(cfgs, m=m)):
             assert cert.copies == 2**m
+            # the tree is built when first read, and the separation is the
+            # distance of its two half means
+            assert "levels" not in vars(cert)
             assert as_tuple(cert.levels) == expansion_by_node(points, cert.order)
+            halves = cert.levels[1][:, :dim]
+            assert cert.separation == float(np.linalg.norm(halves[0] - halves[1]))
 
 
 @pytest.mark.parametrize("m", range(1, 11))

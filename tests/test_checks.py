@@ -1,6 +1,7 @@
 """Check-suite layer: row structure, per-suite pass behavior, tolerance
 scaling through the environment, one T* g, moment table, event-run set and
-uncentered cut pass per witness (and per corpus cell), the per-level
+uncentered cut pass per witness (and per corpus cell), the stacked passes
+of one call, the witness's refusal of a mismatched triple, the per-level
 localization and restriction kernels against the per-event routes they
 replaced, and the matrix-free production path: no
 suite, certificate, moment point or duality bound builds the dense matrix,
@@ -8,6 +9,7 @@ on small cells or at dyadic depth 12."""
 
 from __future__ import annotations
 
+import re
 import sys
 
 import numpy as np
@@ -20,6 +22,7 @@ import mblab.certifier as certifier
 import mblab.checks as checks
 import mblab.cli as cli
 import mblab.estimator as estimator
+import mblab.martingale as martingale
 import mblab.transforms as transforms
 from mblab.bellman import Witness, quadratic_candidate
 from mblab.certifier import certify
@@ -229,6 +232,41 @@ def test_one_corpus_cell_derives_each_object_once(monkeypatch, capsys):
     assert '"cells":1,' in capsys.readouterr().out
     assert counts == dict.fromkeys(counts, 1)
     assert len(applied) == 2
+
+
+def test_stacked_passes_per_call(monkeypatch):
+    # f, g and T* g go through the stacked kernel once, in the moment table;
+    # run_all's other passes are T f, T* g, check_support's T h and hull,
+    # the auxiliary draw of the projections and the uncentered cuts
+    pc = prepare_cell(default_corpus(seeds=1)[5])
+    passes = []
+    stacked = martingale._stacked_means
+    counted = lambda filt, values: passes.append(values.shape) or stacked(filt, values)
+    for module in (martingale, bellman):
+        monkeypatch.setattr(module, "_stacked_means", counted)
+    run_all(pc.f, pc.g, pc.op, rng=np.random.default_rng(0))
+    assert len(passes) <= 7, passes
+    passes.clear()
+    certify(quadratic_candidate(pc.f.filtration.delta), pc.f, pc.g, pc.op)
+    assert len(passes) <= 3, passes
+
+
+def test_a_mismatched_triple_is_no_witness(kernel_tower):
+    f, g, op = _witness(kernel_tower, 2, 12)
+    elsewhere = build_dyadic(3)
+    wide, _ = random_witness(kernel_tower, 3, np.random.default_rng(13))
+    cases = {
+        "witness components live on different filtrations": (
+            f, MartFunction(elsewhere, np.ones(elsewhere.n_leaves)), op
+        ),
+        "g must be scalar valued": (f, MartFunction(kernel_tower, np.hstack((g.values, g.values))), op),
+        "f has dim 3 but the transform expects 2": (wide, g, op),
+    }
+    cand = quadratic_candidate(kernel_tower.delta)
+    for message, triple in cases.items():
+        for build in (Witness, run_all, lambda *t: certify(cand, *t)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(*triple)
 
 
 # ---------------------------------------------------------------------------

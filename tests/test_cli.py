@@ -96,6 +96,9 @@ def test_unwritable_out_exits_two(capsys):
         ["check", "--seed", "1", "--suites", " "],
         ["gen", "--seed", "1", "--delta", "0.25", "--max-children", "0"],
         ["scan", "--seed", "1", "--p", "inf"],
+        ["search", "--seed", "1", "--trials", "3", "--target=nan"],
+        ["search", "--seed", "1", "--trials", "3", "--target=inf"],
+        ["search", "--seed", "1", "--trials", "3", "--target=-inf"],
         ["search", "--seed", "1", "--ascent", "-5"],
         ["gen", "--split-prob", "7", "--depth", "2"],
         ["gen", "--seed", "1", "--delta", "0.25", "--split-prob", "-0.1"],
@@ -104,6 +107,7 @@ def test_unwritable_out_exits_two(capsys):
         # a dict stands for a --config file holding it
         ["scan", "--seed", "1", "--config", {"trials": "5"}],
         ["gen", "--config", {"seed": 1.5, "depth": 2}],
+        ["search", "--seed", "1", "--trials", "3", "--config", {"target": float("-inf")}],
     ],
 )
 def test_bad_arguments_exit_two(argv, capsys, tmp_path):
@@ -577,8 +581,15 @@ def test_lemma1_stdout_is_pinned(argv, capsys):
 # exit code and sha256 of the stdout of the calls that read the moment
 # table's points and the certificate's records: the search's root point,
 # the certificate's records, root and leaves in JSON and CSV, accepted and
-# failing, and the duality bound's root x1
+# failing, the duality bound's root x1, and the suite rows of check, which
+# read the table's steps, means and oscillations
 REPORT_DIGESTS = {
+    ("check", "--seed", "1", "--depth", "5", "--delta", "0.5", "--dim", "2"):
+        (0, "5f101fa20cd4409832fd9922f96619fca16e2ae834cddcc79d6b76f30d40d706"),
+    ("check", "--seed", "2", "--depth", "6", "--delta", "0.25", "--dim", "3"):
+        (0, "376baf69b61d26095888042aff3a370ecdcb219386e41429f15cfdf7813a665a"),
+    ("check", "--seed", "3", "--depth", "9", "--delta", "0.5", "--dim", "1"):
+        (0, "e6fb4b32af166e0d578088bff647bba6f1280e8c5c8b67e66b690adee5841da6"),
     ("search", "--seed", "1", "--p", "1.5", "--trials", "200", "--delta", "0.5", "--ascent", "100"):
         (0, "8f3a319a5968c81df52336859138a875c7561b5013feda3139c9dd09c4f36e16"),
     ("certify", "--seed", "1", "--depth", "5", "--delta", "0.5", "--dim", "2"):

@@ -19,6 +19,7 @@ from mblab.filtration import (
 from mblab.martingale import (
     MartFunction,
     PartitionError,
+    _atom_steps,
     _averaging_matrices,
     _diagonal_steps,
     _diagonal_sums,
@@ -362,8 +363,12 @@ def _assert_kernel_matches_levels(filt, dim, seed):
     for p in (2.0, 1.5):
         new = moment_table(f, g, tstar_g, p)
         ref = oracles.moment_table_by_levels(f, g, tstar_g, p)
-        for name in ("points", "g2", "tstar_mean", "osc2", "d", "pairing", "x2_gain"):
+        fields = ("points", "g2", "tstar_mean", "osc2", "d", "pairing", "x2_gain", "g_mean", "steps")
+        for name in fields:
             _assert_same_bits(getattr(new, name), getattr(ref, name))
+        # each column's steps are those of its function alone
+        alone = [_atom_steps(filt, h.values) for h in (f, tstar_g, g)]
+        _assert_same_bits(new.steps, np.hstack(alone))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -201,6 +201,16 @@ def test_rows_to_csv_matches_reference(rows):
     assert rows_to_csv(rows) == ref_rows_to_csv(rows)
 
 
+def test_rows_to_csv_long_float_columns_match_reference():
+    # a float column this long goes through the column kernel; "y" holds
+    # gaps and "k" integers, so both go cell by cell
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=700) * 10.0 ** rng.integers(-20, 20, size=700)
+    x[::50], x[1::97], x[2::89], x[3::83] = 0.0, np.nan, -np.inf, -0.0
+    rows = [{"x": v, "k": i, "y": v if i % 7 else None} for i, v in enumerate(x.tolist())]
+    assert rows_to_csv(rows) == ref_rows_to_csv(rows)
+
+
 def test_canonical_json_memo_skips_temporaries():
     # a writer that kept text by id() must not reuse the text of values a
     # mapping made on lookup
