@@ -505,9 +505,10 @@ def cmd_corpus(cfg: RunConfig) -> int:
                 worst[row["check"]] = (ratio, cell)
         lap("emission")
         centered, defect = restriction_identity_gaps(w)
-        centered_worst = max(centered_worst, centered)
-        defect_worst = max(defect_worst, defect)
-        margin_worst = max(margin_worst, hoelder_mean_margin(w))
+        # np.maximum keeps a NaN, so the gate below cannot pass on one.
+        centered_worst = float(np.maximum(centered_worst, centered))
+        defect_worst = float(np.maximum(defect_worst, defect))
+        margin_worst = float(np.maximum(margin_worst, hoelder_mean_margin(w)))
         lap("probes")
     walls = "  ".join(f"{name} {wall:.3f}" for name, wall in stages.items())
     print(f"stage wall (s): {walls}  total {sum(stages.values()):.3f}", file=sys.stderr)

@@ -21,7 +21,6 @@ from .filtration import (
     FiltrationError,
     build_dyadic,
     build_random_regular,
-    level_partition,
 )
 from .martingale import MartFunction, _diagonal_steps, _event_draws, _leaf_sum
 from .transforms import MartingaleTransform, make_transform
@@ -144,19 +143,18 @@ def random_transform(
     unit: bool = False,
 ) -> MartingaleTransform:
     """Random predictable multiplier sequence inside the closed unit ball of
-    the value space; ``unit`` pins every multiplier to the unit sphere."""
-    mults = []
-    for n in range(1, filt.depth + 1):
-        part = level_partition(filt, n - 1)
-        raw = rng.normal(size=(len(part), dim))
+    the value space; ``unit`` pins every multiplier to the unit sphere.  The
+    stacked rows of A_0..A_{N-1} are drawn level by level."""
+    offsets = filt.layout.level_offsets[: filt.depth + 1]
+    mults = np.empty((offsets[-1], dim))
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        raw = rng.normal(size=(hi - lo, dim))
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        rows = raw / norms
+        mults[lo:hi] = raw / norms
         if not unit:
-            radii = rng.uniform(size=(len(part), 1)) ** (1.0 / dim)
-            rows = rows * radii
-        mults.append(rows)
-    return make_transform(filt, mults, dim=dim)
+            mults[lo:hi] *= rng.uniform(size=(hi - lo, 1)) ** (1.0 / dim)
+    return make_transform(filt, mults)
 
 
 def haar_witness(
@@ -185,13 +183,9 @@ def haar_witness(
     fvals[:, 0] = profile
     f = MartFunction(filt, fvals)
     g = MartFunction(filt, profile)
-    mults = []
-    for n in range(1, filt.depth + 1):
-        rows = np.zeros((len(level_partition(filt, n - 1)), dim))
-        rows[:, 0] = 1.0
-        mults.append(rows)
-    op = make_transform(filt, mults, dim=dim)
-    return f, g, op
+    mults = np.zeros((filt.layout.level_offsets[filt.depth], dim))
+    mults[:, 0] = 1.0
+    return f, g, make_transform(filt, mults)
 
 
 def active_split_function(

@@ -10,12 +10,19 @@ is the R^d inner product applied leafwise.  Such operators are L^2
 contractions, and they localize: a function living in the range of one
 single-split difference at atom J is mapped to a function supported in J.
 
+The multipliers live on the layout's stacked rows: one array of shape
+(``level_offsets[N]``, d) whose row r is a_{n+1} of the A_n atom at
+stacked row r, so the rows of A_0..A_{N-1} in order give a_1..a_N.
+``make_transform`` checks the row count, finiteness and the unit ball in
+one pass over that array, and the predictable hull comes back as a mask
+over the same rows.
+
 Contraction holds by construction.  The level differences are orthogonal,
 and on an atom J that splits at level n-1 the multiplier a_n(J) maps the
 R^d difference to a scalar with norm |a_n(J)|, so the operator norm is the
 largest |a_n(J)| over the split atoms; ``make_transform`` rejects every
-multiplier outside the unit ball, and ``split_multiplier_norm`` reads that
-maximum off the multipliers.
+multiplier that is not finite or lies outside the unit ball, and
+``split_multiplier_norm`` reads that maximum off the multipliers.
 
 Every production route is matrix-free.  ``apply`` evaluates the multiplier
 formula above, and ``adjoint_closed_form`` the closed form
@@ -42,11 +49,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .filtration import Filtration, _segments, level_partition
+from .filtration import Filtration, _segments
 from .martingale import MartFunction, _atom_steps, _averaging_matrices, _leaf_sum
 
 __all__ = [
@@ -60,37 +67,39 @@ __all__ = [
 ]
 
 class PredictabilityError(ValueError):
-    """Multiplier data does not hold one row per coarser-level atom, or
-    leaves the unit ball."""
+    """Multiplier data does not hold one row per atom of A_0..A_{N-1}, is not
+    finite, or leaves the unit ball."""
 
 
 @dataclass(frozen=True, eq=False)
 class MartingaleTransform:
-    """Immutable transform.  ``multipliers[n-1]`` holds the level-n multiplier
-    as an array of shape (len(A_{n-1}), dim), rows in level partition order."""
+    """Immutable transform.  ``multipliers`` is one read-only array of shape
+    (``layout.level_offsets[N]``, dim) on the stacked rows of A_0..A_{N-1}:
+    row r holds a_{n+1} of the A_n atom at stacked row r."""
 
     filtration: Filtration
-    dim: int
-    multipliers: tuple[np.ndarray, ...]
+    multipliers: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        """The value dimension d, the multipliers' column count."""
+        return self.multipliers.shape[1]
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense oracle mapping flattened (leaf, coord) inputs to leaf
         outputs, shape (L, L*dim); built on first use and kept.  Tests only."""
-        return _materialize_matrix(self.filtration, self.multipliers, self.dim)
+        return _materialize_matrix(self.filtration, self.multipliers)
 
     @cached_property
     def step_multipliers(self) -> np.ndarray:
         """The multiplier each stacked row's step gets, shape (A, dim): a_n
-        of the row's parent for a row of level n >= 1.  The multipliers of
-        A_0..A_{N-1} in order are the stacked rows of those levels."""
-        lay = self.filtration.layout
-        return np.concatenate(self.multipliers)[lay.stacked_parents]
+        of the row's parent for a row of level n >= 1."""
+        return self.multipliers[self.filtration.layout.stacked_parents]
 
     def multiplier_on_leaves(self, n: int) -> np.ndarray:
         """Level-n multiplier expanded to leaf resolution, shape (L, dim)."""
-        lay = self.filtration.layout
-        return self.multipliers[n - 1][lay.stacked_maps[n - 1] - lay.level_offsets[n - 1]]
+        return self.multipliers[self.filtration.layout.stacked_maps[n - 1]]
 
     def apply(self, f: MartFunction) -> MartFunction:
         """T f through the multiplier formula."""
@@ -169,7 +178,7 @@ def _event_runs(op: MartingaleTransform) -> EventRuns:
     # Row of K_k, k = 0..depth-1, in the stacked rows.
     chain = lay.stacked_maps[: filt.depth, spans[:, 0]].T
     measures = lay.stacked_measures[chain]
-    mults = np.concatenate(op.multipliers)[chain]
+    mults = op.multipliers[chain]
     beyond = np.arange(filt.depth) > levels[:, None]
     own = measures[np.arange(len(levels)), levels]
     return EventRuns(
@@ -264,60 +273,49 @@ def _adjoint_stack(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
     return _leaf_sum(op.filtration, op.step_multipliers * _atom_steps(op.filtration, values))
 
 
-def make_transform(
-    filtration: Filtration,
-    multipliers: Sequence[np.ndarray],
-    dim: int | None = None,
-) -> MartingaleTransform:
+def make_transform(filtration: Filtration, rows: np.ndarray) -> MartingaleTransform:
     """Validate multiplier data and build the transform.
 
-    Each entry of ``multipliers`` gives the level-n multiplier (n = 1..depth)
-    as an array of shape (len(A_{n-1}), dim), one row per A_{n-1} atom in
-    level partition order, so it is predictable by construction.  Every
-    multiplier must lie in the closed unit ball, which makes the transform
-    a contraction.
+    ``rows`` has shape (``layout.level_offsets[N]``, dim), one row per
+    stacked row of A_0..A_{N-1}: row r is a_{n+1} of the A_n atom at stacked
+    row r, so the data is predictable by construction.  One pass checks the
+    row count, then that every row is finite and in the closed unit ball,
+    which makes the transform a contraction; the first row at fault names
+    its atom and level.  The array is copied and made read-only.
     """
-    if len(multipliers) != filtration.depth:
+    lay = filtration.layout
+    n_rows = int(lay.level_offsets[filtration.depth])
+    mults = np.array(rows, dtype=float)
+    if mults.ndim != 2 or len(mults) != n_rows:
         raise PredictabilityError(
-            f"need {filtration.depth} multiplier levels, got {len(multipliers)}"
+            f"multipliers have shape {mults.shape}; expected {n_rows} rows of one "
+            f"vector each, one per atom of A_0..A_{filtration.depth - 1}"
         )
-    rows: list[np.ndarray] = []
-    for n, raw in enumerate(multipliers, start=1):
-        per_atom = np.atleast_2d(np.asarray(raw, dtype=float))
-        n_atoms = len(level_partition(filtration, n - 1))
-        if per_atom.shape[0] != n_atoms:
-            raise PredictabilityError(
-                f"level {n} multiplier has {per_atom.shape[0]} rows; expected "
-                f"{n_atoms}, one per A_{n - 1} atom"
-            )
-        if dim is None:
-            dim = per_atom.shape[1]
-        if per_atom.shape[1] != dim:
-            raise PredictabilityError(f"level {n} multiplier dimension mismatch")
-        mags = np.linalg.norm(per_atom, axis=1)
-        if mags.max(initial=0.0) > 1.0 + 1e-12:
-            raise PredictabilityError(
-                f"level {n} multiplier leaves the unit ball (max |a| = {mags.max():.6g})"
-            )
-        row = per_atom.copy()
-        row.flags.writeable = False
-        rows.append(row)
-    assert dim is not None
-    return MartingaleTransform(filtration, dim, tuple(rows))
+    mags = np.linalg.norm(mults, axis=1)
+    # A NaN magnitude fails the comparison, so it is refused with the rest.
+    bad = np.flatnonzero(~(mags <= 1.0 + 1e-12))
+    if bad.size:
+        r = bad[0]
+        n = int(np.searchsorted(lay.level_offsets, r, side="right"))
+        reason = "leaves the unit ball" if np.isfinite(mults[r]).all() else "is not finite"
+        raise PredictabilityError(
+            f"level {n} multiplier of A_{n - 1} atom {lay.stacked_atoms[r]} {reason} "
+            f"(|a| = {mags[r]:.6g})"
+        )
+    mults.flags.writeable = False
+    return MartingaleTransform(filtration, mults)
 
 
-def _materialize_matrix(
-    filtration: Filtration, rows: Sequence[np.ndarray], dim: int
-) -> np.ndarray:
+def _materialize_matrix(filtration: Filtration, multipliers: np.ndarray) -> np.ndarray:
     """Assemble T as a dense (L, L*dim) matrix from block averaging matrices,
     holding two of them at a time."""
     P = _averaging_matrices(filtration)
     L = filtration.n_leaves
-    stacked = np.concatenate(rows)  # the multipliers of the stacked rows of A_0..A_{N-1}
+    dim = multipliers.shape[1]
     tensor = np.zeros((L, L, dim))
     prev = next(P)
     for n, cur in enumerate(P, start=1):
-        a_leaf = stacked[filtration.layout.stacked_maps[n - 1]]
+        a_leaf = multipliers[filtration.layout.stacked_maps[n - 1]]
         tensor += a_leaf[:, None, :] * (cur - prev)[:, :, None]
         prev = cur
     out = tensor.reshape(L, L * dim)
@@ -342,33 +340,27 @@ def split_multiplier_norm(op: MartingaleTransform) -> float:
     the range of J's split difference by h -> a_{n+1}(J) . h, so this is
     ||T|| exactly; 0 on a tower without splits."""
     lay = op.filtration.layout
-    # The concatenated multipliers are the stacked rows of A_0..A_{N-1}, so
-    # J's row there is its stacked row at its level.
     rows = lay.stacked_maps[lay.event_levels, lay.event_spans[:, 0]]
-    mags = np.linalg.norm(np.concatenate(op.multipliers)[rows], axis=1)
+    mags = np.linalg.norm(op.multipliers[rows], axis=1)
     return float(np.max(mags, initial=0.0))
 
 
-def predictable_hull(f: MartFunction) -> list[list[int]]:
-    """Per level n, the atoms of A_{n-1} on which the level-n difference of f
-    is not zero.  These are the smallest predictable events containing the
-    level differences; the transform of f vanishes outside their union.
+def predictable_hull(f: MartFunction) -> np.ndarray:
+    """Boolean mask over the stacked rows of A_0..A_{N-1}: row r of level n
+    is set when the level-(n+1) difference of f is not zero on its atom.
+    These atoms are the smallest predictable events containing the level
+    differences; the transform of f vanishes outside their union.
 
     Zero is judged against 1e-12 times the magnitude of f: averages over
     atoms whose content is mean-zero cancel only up to roundoff, so a strict
     bit test would promote every ancestor of genuine activity into the hull.
     """
     filt = f.filtration
-    lay = filt.layout
     threshold = 1e-12 * max(1.0, float(np.max(np.abs(f.values))) if f.values.size else 0.0)
     # The level-n difference is the step of each A_{n+1} row on its leaves,
     # so its largest value on an A_n atom is the largest over its children.
-    steps = _atom_steps(filt, f.values)
-    atom_max = np.maximum.reduceat(np.max(np.abs(steps), axis=1), lay.stacked_children)
-    rows = np.flatnonzero(atom_max > threshold)
-    ids = lay.stacked_atoms[rows]
-    ends = np.searchsorted(rows, lay.level_offsets[1 : filt.depth])
-    return [level.tolist() for level in np.split(ids, ends)]
+    step_max = np.max(np.abs(_atom_steps(filt, f.values)), axis=1)
+    return np.maximum.reduceat(step_max, filt.layout.stacked_children) > threshold
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +368,21 @@ def predictable_hull(f: MartFunction) -> list[list[int]]:
 
 
 def transform_to_dict(op: MartingaleTransform) -> dict:
-    """JSON-ready payload: per level, each A_{n-1} atom's multiplier."""
+    """JSON-ready payload: per level n, each A_{n-1} atom's multiplier, the
+    stacked rows of A_{n-1} in order."""
+    lay = op.filtration.layout
+    bounds = lay.level_offsets[: op.filtration.depth + 1].tolist()
     return {
         "multipliers": [
             {
                 "level": n,
                 "values": [
-                    {"atom_id": atom_id, "coords": op.multipliers[n - 1][j].tolist()}
-                    for j, atom_id in enumerate(level_partition(op.filtration, n - 1).tolist())
+                    {"atom_id": atom_id, "coords": coords}
+                    for atom_id, coords in zip(
+                        lay.stacked_atoms[lo:hi].tolist(), op.multipliers[lo:hi].tolist()
+                    )
                 ],
             }
-            for n in range(1, op.filtration.depth + 1)
+            for n, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1)
         ]
     }

@@ -3,7 +3,8 @@ scaling through the environment, one T* g, moment table, event-run set and
 uncentered cut pass per witness (and per corpus cell), the stacked passes
 of one call, the witness's refusal of a mismatched triple, the per-level
 localization and restriction kernels against the per-event routes they
-replaced, and the matrix-free production path: no
+replaced, the support suite's mask passes against its per-atom loops, a
+NaN that keeps its rows red, and the matrix-free production path: no
 suite, certificate, moment point or duality bound builds the dense matrix,
 on small cells or at dyadic depth 12."""
 
@@ -36,6 +37,7 @@ from mblab.checks import (
     run_suites,
 )
 from mblab.corpus import (
+    active_split_function,
     default_corpus,
     max_children_for,
     prepare_cell,
@@ -312,9 +314,9 @@ def test_contraction_norm_red_past_the_unit_ball(kernel_tower):
     f, g, op = _witness(kernel_tower, 2, 8)
     # a split-atom multiplier of norm 1 + 1e-6, which make_transform would
     # reject: the root splits at level 0, so a_1(root) is one
-    mults = [a.copy() for a in op.multipliers]
-    mults[0][0] = (1.0 + 1e-6) * mults[0][0] / np.linalg.norm(mults[0][0])
-    wide = MartingaleTransform(op.filtration, op.dim, tuple(mults))
+    mults = op.multipliers.copy()
+    mults[0] = (1.0 + 1e-6) * mults[0] / np.linalg.norm(mults[0])
+    wide = MartingaleTransform(op.filtration, mults)
     row = checks.check_contraction(Witness(f, g, wide), Tolerances(), np.random.default_rng(9))[0]
     assert row["check"] == "contraction_norm"
     assert not row["ok"], row
@@ -322,9 +324,41 @@ def test_contraction_norm_red_past_the_unit_ball(kernel_tower):
     assert abs(operator_norm(wide) - split_multiplier_norm(wide)) <= 1e-12
 
 
+def _nan_witness(where):
+    """The dyadic depth-3 witness of ``default_rng(0)`` with one NaN: a leaf
+    of g, or the root multiplier, set directly as the "wide" transforms
+    above are, since make_transform refuses it."""
+    filt = build_dyadic(3)
+    f, g, op = _witness(filt, 2, 0)
+    if where == "g":
+        values = g.values.copy()
+        values[3, 0] = np.nan
+        return f, MartFunction(filt, values), op
+    mults = op.multipliers.copy()
+    mults[0, 0] = np.nan
+    return f, g, MartingaleTransform(filt, mults)
+
+
+NAN_RED = {"osc_series", "x2_sign", "x2_root_mean_bound"}
+
+
+@pytest.mark.parametrize(
+    "where, red",
+    [("g", NAN_RED), ("multiplier", NAN_RED | {"contraction_norm", "contraction_ratio"})],
+)
+def test_a_nan_stays_red(where, red):
+    # max(0.0, nan) is 0.0: a clamp must keep NaN as its first argument
+    rows, ok = run_all(*_nan_witness(where))
+    by_check = {r["check"]: r for r in rows}
+    assert not ok
+    for name in red:
+        assert np.isnan(by_check[name]["max_err"]) and not by_check[name]["ok"], by_check[name]
+
+
 # ---------------------------------------------------------------------------
 # Reference routes: the per-event localization and restriction suites that
-# the per-level kernel replaced, kept verbatim as oracles.  Each pushes one
+# the per-level kernel replaced, kept verbatim as oracles, and the per-atom
+# support suite that the mask passes replaced.  Each pushes one
 # full-length L-leaf piece or cut per split event through every level, in
 # blocks of at most ``oracles._STACK_VALUES`` leaf values.
 
@@ -437,6 +471,35 @@ def check_restriction(
     return [_row("restriction_bound", worst, tol.tight, "local minus rescaled global")]
 
 
+def check_support(
+    f: MartFunction,
+    g: MartFunction,
+    op: MartingaleTransform,
+    tol: Tolerances,
+    rng: np.random.Generator,
+) -> list[dict]:
+    """Transforms of functions built from a known active split set stay
+    supported in the union of those atoms, and the hull lists no atom
+    outside them: one leaf slice per active atom, and the hull per level
+    from that level's difference, one A_{n-1} atom at a time."""
+    filt = f.filtration
+    h, active = active_split_function(filt, f.dim, rng)
+    covered = np.zeros(filt.n_leaves, dtype=bool)
+    for atom_id in active:
+        covered[filt.leaf_slice(atom_id)] = True
+    err = float(np.max(np.abs(op.apply(h).values[~covered]), initial=0.0))
+    threshold = 1e-12 * max(1.0, float(np.max(np.abs(h.values))))
+    hull_err = 0.0
+    for n, diff in enumerate(_level_differences(filt, h.values), start=1):
+        for atom_id in level_partition(filt, n - 1).tolist():
+            if np.max(np.abs(diff[filt.leaf_slice(atom_id)])) > threshold and atom_id not in active:
+                hull_err += 1.0
+    return [
+        _row("support_containment", err, tol.exact, f"{len(active)} active atoms"),
+        _row("support_hull", hull_err, 0.0, "hull atoms outside the active set"),
+    ]
+
+
 def reference_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple[float, float]:
     """Worst relative gaps, over the non-root split atoms J, in the two exact
     restriction identities; both are roundoff on a correct transform.
@@ -531,6 +594,9 @@ def _assert_matches_reference(f, g, op):
             ref = _cut_adjoints(op, values, spans, s)
             assert _rel(new[0], ref[0]) <= 1e-12
             assert _rel(new[1], ref[1]) <= 1e-12
+
+    new_rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    assert checks.check_support(w, tol, new_rng) == check_support(f, g, op, tol, ref_rng)
 
     # Both gaps are relative roundoff on a correct transform.  The centered
     # gap reaches a few 1e-12 in either route on atoms whose local side is

@@ -3,13 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import math
 import shlex
 from pathlib import Path
 
 import pytest
 
 import mblab.cli as cli
-from mblab.bellman import quadratic_candidate
+from mblab.bellman import Witness, quadratic_candidate
 from mblab.certifier import certificate_to_dict, certify
 from mblab.cli import run
 from mblab.corpus import default_corpus, haar_witness, prepare_cell
@@ -17,6 +18,7 @@ from mblab.filtration import build_dyadic, filtration_to_dict
 from mblab.martingale import inner
 from mblab.reporting import to_canonical_json
 from mblab.transforms import transform_to_dict
+from test_checks import _nan_witness
 
 
 def run_to_file(tmp_path, name, argv):
@@ -537,6 +539,31 @@ def test_corpus_exits_one_when_a_probe_breaks_its_bound(probe, value, monkeypatc
     assert report["ok"] is False
 
 
+@pytest.mark.parametrize("where", ["g", "multiplier"])
+def test_corpus_gate_keeps_a_nan_probe(where, monkeypatch, capsys):
+    # certify refuses a NaN witness, so the probes see it on the first cell
+    # only, through a wrapper; the later cells' finite values must not
+    # replace the NaN in the worst-of accumulators
+    nan_witness = Witness(*_nan_witness(where))
+    seen = set()
+
+    def on_first_cell(probe):
+        def wrapped(w):
+            first = probe not in seen
+            seen.add(probe)
+            return probe(nan_witness if first else w)
+
+        return wrapped
+
+    for name in ("restriction_identity_gaps", "hoelder_mean_margin"):
+        monkeypatch.setattr(cli, name, on_first_cell(getattr(cli, name)))
+    code, report = corpus_report(capsys, "--seeds", "1", "--suites", "x2_drop")
+    assert code == 1
+    assert report["ok"] is False
+    for field in ("restriction_centered_gap", "restriction_defect_gap", "mean_bound_margin"):
+        assert math.isnan(report[field]), field
+
+
 def test_corpus_exits_one_on_a_red_row(monkeypatch, capsys):
     red = {"check": "x2_drop", "max_err": 1.0, "tol": 0.5, "ok": False, "detail": ""}
     monkeypatch.setitem(cli.SUITES, "x2_drop", lambda w, tol, rng: [red])
@@ -603,6 +630,12 @@ REPORT_DIGESTS = {
         (1, "e60667db67df8b2e58846dcbf3bead19c7688c48ca304bdb8f403891fa70fc72"),
     ("bound", "--seed", "1", "--p", "2", "--trials", "8", "--delta", "0.25"):
         (0, "94564d593559c765a6313404a99a9dd91dc7da7187539477aafa7f7f891117d4"),
+    ("gen", "--seed", "1", "--depth", "6", "--delta", "0.25", "--dim", "2"):
+        (0, "12b70aad9d9fa07be255e90abbd167fdeb526d948f5507770ca998363ae66897"),
+    ("gen", "--seed", "0", "--depth", "3", "--delta", "0.5", "--dim", "2", "--witness", "structured"):
+        (0, "892c4430c51519a567afd6f9009e6fcc3fddd39d93c98aabc3e62aabd675d921"),
+    ("scan", "--seed", "1", "--p", "3", "--delta", "0.25", "--trials", "500"):
+        (0, "a53e6334e2d71e9234c5a60afac6a8d32c100c6b3256c01eaff28dc5adda5fcb"),
 }
 
 

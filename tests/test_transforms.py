@@ -35,15 +35,12 @@ from mblab.transforms import (
     split_multiplier_norm,
     transform_to_dict,
 )
-from oracles import leaves_of, level_map, levels_of
+from oracles import _level_differences, leaves_of, level_map, levels_of
 
 
 def ones_transform(filt, dim=1):
-    mults = []
-    for n in range(1, filt.depth + 1):
-        rows = np.zeros((len(level_partition(filt, n - 1)), dim))
-        rows[:, 0] = 1.0
-        mults.append(rows)
+    mults = np.zeros((filt.layout.level_offsets[filt.depth], dim))
+    mults[:, 0] = 1.0
     return make_transform(filt, mults)
 
 
@@ -58,15 +55,42 @@ def leaf_positions(filt):
 
 
 def test_unit_ball_is_enforced(dyadic2):
-    with pytest.raises(PredictabilityError):
-        make_transform(dyadic2, [2.0 * np.ones((1, 1)), np.ones((2, 1))])
+    # the stacked rows of A_0, A_1: the root, then its two children
+    with pytest.raises(PredictabilityError, match="level 1 .* leaves the unit ball"):
+        make_transform(dyadic2, [[2.0], [1.0], [1.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_multipliers_are_refused(dyadic2, bad):
+    # NaN fails every comparison, so a plain "> 1" test would let it through
+    mults = np.zeros((3, 2))
+    mults[0, 1] = bad
+    root = dyadic2.root.id
+    with pytest.raises(PredictabilityError, match=f"level 1 .* atom {root} is not finite"):
+        make_transform(dyadic2, mults)
+    child = dyadic2.root.children[1]
+    mults = np.zeros((3, 2))
+    mults[2, 0] = bad
+    with pytest.raises(PredictabilityError, match=f"level 2 .* atom {child} is not finite"):
+        make_transform(dyadic2, mults)
 
 
 def test_level_count_and_shape_are_checked(dyadic2):
     with pytest.raises(PredictabilityError):
-        make_transform(dyadic2, [np.ones((1, 1))])
+        make_transform(dyadic2, np.ones((1, 1)))
     with pytest.raises(PredictabilityError):
-        make_transform(dyadic2, [np.ones((3, 1)), np.ones((2, 1))])
+        make_transform(dyadic2, np.ones((5, 1)))
+    with pytest.raises(PredictabilityError):
+        make_transform(dyadic2, np.ones(3))
+
+
+def test_multipliers_are_one_read_only_copy(dyadic2):
+    mults = np.full((3, 2), 0.5)
+    op = make_transform(dyadic2, mults)
+    mults[0] = 0.0
+    assert op.dim == 2 and op.multipliers.shape == (3, 2)
+    assert np.all(op.multipliers == 0.5)
+    assert not op.multipliers.flags.writeable
 
 
 def test_operator_norm_below_one(dyadic3):
@@ -111,9 +135,11 @@ def split_multiplier_max(op):
     """max |a_n(J)| over the atoms J of A_{n-1} that split at level n-1:
     the operator norm that contraction by construction predicts."""
     filt = op.filtration
+    offsets = filt.layout.level_offsets
     best = 0.0
     for n in range(1, filt.depth + 1):
-        for row, atom_id in zip(op.multipliers[n - 1], levels_of(filt)[n - 1]):
+        rows = op.multipliers[offsets[n - 1] : offsets[n]]
+        for row, atom_id in zip(rows, levels_of(filt)[n - 1]):
             atom = filt.atom(atom_id)
             if atom.children and atom.level == n - 1:
                 best = max(best, float(np.linalg.norm(row)))
@@ -155,9 +181,9 @@ def test_split_multiplier_norm_ignores_atoms_that_do_not_split():
         for i in range(len(level_partition(filt, n)))
         if i not in level_map(filt, n)[lay.event_spans[lay.event_levels == n, 0]]
     )
-    mults = [a.copy() for a in op.multipliers]
-    mults[level][idle] = 5.0
-    wide = MartingaleTransform(filt, op.dim, tuple(mults))
+    mults = op.multipliers.copy()
+    mults[lay.level_offsets[level] + idle] = 5.0
+    wide = MartingaleTransform(filt, mults)
     assert split_multiplier_norm(wide) == split_multiplier_norm(op)
     assert abs(operator_norm(wide) - split_multiplier_norm(wide)) <= 1e-12
 
@@ -234,9 +260,18 @@ def test_predictable_hull_is_contained_in_active_levels():
     rng = np.random.default_rng(16)
     f, active = active_split_function(filt, 1, rng)
     hull = predictable_hull(f)
-    for level_atoms in hull:
-        for aid in level_atoms:
-            assert aid in active
+    lay = filt.layout
+    assert hull.dtype == bool and hull.shape == (lay.level_offsets[filt.depth],)
+    assert set(lay.stacked_atoms[np.flatnonzero(hull)].tolist()) <= active
+    # the rows of level n - 1 are the A_{n-1} atoms on which the level-n
+    # difference is above the threshold
+    threshold = 1e-12 * max(1.0, float(np.max(np.abs(f.values))))
+    expected = [
+        np.max(np.abs(diff[filt.leaf_slice(atom_id)])) > threshold
+        for n, diff in enumerate(_level_differences(filt, f.values), start=1)
+        for atom_id in levels_of(filt)[n - 1]
+    ]
+    assert hull.tolist() == expected and any(expected)
 
 
 def test_restriction_bound_one_sided(dyadic3):
@@ -291,14 +326,31 @@ def test_adjoint_mean_vanishes(dyadic3):
     assert np.allclose(average(op.adjoint_apply(g), dyadic3.root.id), 0.0, atol=1e-14)
 
 
-def test_json_roundtrip(dyadic3):
+ROUNDTRIP_TOWERS = {
+    "dyadic3": lambda: build_dyadic(3),
+    # atoms that do not split persist, so one atom has rows at several levels
+    "regular4": lambda: build_random_regular(
+        depth=4, delta=0.25, max_children=max_children_for(0.25), split_prob=0.5, seed=21
+    ),
+}
+
+
+@pytest.mark.parametrize("tower", sorted(ROUNDTRIP_TOWERS))
+def test_json_roundtrip(tower):
+    filt = ROUNDTRIP_TOWERS[tower]()
+    lay = filt.layout
+    rows = lay.stacked_atoms[: lay.level_offsets[filt.depth]]
+    assert (len(set(rows.tolist())) < len(rows)) == (tower == "regular4")
     rng = np.random.default_rng(21)
-    op = random_transform(dyadic3, 2, rng)
+    op = random_transform(filt, 2, rng)
     back = json.loads(to_canonical_json(transform_to_dict(op)))
+    assert len(back["multipliers"]) == filt.depth
+    coords = []
     for n, level in enumerate(back["multipliers"], start=1):
         assert level["level"] == n
-        assert [v["atom_id"] for v in level["values"]] == list(levels_of(dyadic3)[n - 1])
-        assert np.array_equal([v["coords"] for v in level["values"]], op.multipliers[n - 1])
+        assert [v["atom_id"] for v in level["values"]] == list(levels_of(filt)[n - 1])
+        coords.extend(v["coords"] for v in level["values"])
+    assert np.array_equal(coords, op.multipliers)
 
 
 @settings(max_examples=25, deadline=None)
