@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 _CERT_TOL = 1e-9
+# About this many floats make one block of a certificate's text, formatted
+# in one call: enough that the column kernel's fixed cost stays small
+# against them, few enough that a block's texts take little memory.
+_BLOCK = 2048
 
 
 class CertificationError(RuntimeError):
@@ -243,49 +247,91 @@ def certify(
     )
 
 
+def _block_bounds(sizes: np.ndarray) -> list[int]:
+    """Bounds of runs of items of ``sizes`` floats each, about ``_BLOCK``
+    floats a run: the runs end where the running count passes evenly spaced
+    marks, at least ``_BLOCK`` and twice the largest item apart, so each run
+    holds more than half the spacing (and at least ``_KERNEL_MIN``)."""
+    ends = np.cumsum(sizes)
+    n_blocks = max(1, int(ends[-1]) // max(_BLOCK, 2 * int(sizes.max())))
+    marks = ends[-1] * np.arange(1, n_blocks) / n_blocks
+    return [0, *(np.searchsorted(ends, marks) + 1).tolist(), len(sizes)]
+
+
 def certificate_to_dict(cert: Certificate) -> dict:
     """Full JSON-ready payload, one record per schedule step.
 
     The summary fields are plain values.  ``records`` and ``leaves`` are
-    ``Verbatim`` canonical text written from the certificate's arrays: all
-    float columns are formatted in one call of the writer's float rule, and
-    each atom's moment point is rendered once and spliced in as its record's
-    base, as a child in its parent's record and as its leaf's point.
+    ``Verbatim`` canonical text written from the certificate's arrays in
+    blocks of about ``_BLOCK`` floats, in text order: runs of records, then
+    runs of leaves.  A block formats its floats in one call of the writer's
+    float rule and keeps its records and leaves as one part each of the
+    ``Verbatim``s; a certificate under 2 * ``_BLOCK`` floats is one block.
+    Each atom's moment point is formatted once, in the block of the record
+    that has it as a child (the root's in the first block), and spliced in
+    as that child, as its own record's base and as its leaf's point.
     ``to_canonical_json`` of the payload gives the text of the same payload
     built as one dict per record, leaf and point."""
-    table, lay = cert.witness.table, cert.filtration.layout
-    leaves = level_partition(cert.filtration, cert.filtration.depth)
-    moments, weights, measures, ds, diameters, pairings, slacks, values = _format_columns(
-        table.points,
-        cert.weights,
-        lay.atom_measures[lay.event_atoms],
-        table.d,
-        cert.diameter,
-        table.pairing,
-        cert.slack,
-        cert.values[leaves],
-    )
+    filt = cert.filtration
+    table, lay, dim = cert.witness.table, filt.layout, cert.witness.f.dim
+    leaves = level_partition(filt, filt.depth)
+    starts = lay.event_child_starts
+    n_events = len(cert.slack)
+    n_floats = (dim + 3) * len(table.points) + len(cert.weights) + 5 * n_events + len(leaves)
+    bounds = [0, n_events + len(leaves)]
+    if n_floats >= 2 * _BLOCK:  # else one block, without the sizes' cost
+        # The floats of each item in text order, a record with its
+        # children's weights and points, then a leaf's value; the root's
+        # point comes with the first item.
+        sizes = np.concatenate(((dim + 4) * np.diff(starts) + 5, np.ones(len(leaves), np.intp)))
+        sizes[0] += dim + 3
+        bounds = _block_bounds(sizes)
+
+    measures = lay.atom_measures[lay.event_atoms]
     tail = ',"p":' + _format_number(table.p) + ',"atom":'
-    points = [
-        f'{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}{tail}{atom}}}'
-        for atom, (a, b, c, e) in enumerate(zip(*_point_fields(moments, cert.witness.f.dim)))
-    ]
-    starts = lay.event_child_starts.tolist()
-    children = [points[c] for c in lay.event_children.tolist()]
-    records = _enclosed("[", [
-        f'{{"atom":{atom},"level":{level},"measure":{measure},'
-        f'"weights":[{",".join(weights[lo:hi])}],"d":{d},"diameter":{diameter},'
-        f'"pairing":{pairing},"slack":{slack},"base":{points[atom]},'
-        f'"children":[{",".join(children[lo:hi])}]}}'
-        for atom, level, measure, d, diameter, pairing, slack, lo, hi in zip(
-            lay.event_atoms.tolist(), lay.event_levels.tolist(),
-            measures, ds, diameters, pairings, slacks, starts, starts[1:],
+    points = np.empty(len(table.points), dtype=object)  # the texts, by atom id
+    records, leaf_entries = [], []
+    for i0, i1 in zip(bounds, bounds[1:]):
+        e0, e1 = min(i0, n_events), min(i1, n_events)
+        c0, c1 = starts[e0], starts[e1]
+        kids = lay.event_children[c0:c1]
+        # the atoms whose points the block formats: its records' children,
+        # and the root (the first stacked row) in the first block
+        new = np.concatenate((lay.stacked_atoms[:1], kids)) if i0 == 0 else kids
+        block_leaves = leaves[i0 - e0 : i1 - e1]
+        moments, weights, *columns, values = _format_columns(
+            table.points[new],
+            cert.weights[c0:c1],
+            measures[e0:e1],
+            table.d[e0:e1],
+            cert.diameter[e0:e1],
+            table.pairing[e0:e1],
+            cert.slack[e0:e1],
+            cert.values[block_leaves],
         )
-    ], "]")
-    leaf_entries = _enclosed("[", [
-        f'{{"point":{points[leaf]},"value":{value}}}'
-        for leaf, value in zip(leaves.tolist(), values)
-    ], "]")
+        points[new] = [
+            f'{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}{tail}{atom}}}'
+            for atom, a, b, c, e in zip(new.tolist(), *_point_fields(moments, dim))
+        ]
+        if e1 > e0:
+            atoms = lay.event_atoms[e0:e1]
+            children = points[kids].tolist()
+            local = (starts[e0 : e1 + 1] - c0).tolist()
+            records.append(",".join([
+                f'{{"atom":{atom},"level":{level},"measure":{measure},'
+                f'"weights":[{",".join(weights[lo:hi])}],"d":{d},"diameter":{diameter},'
+                f'"pairing":{pairing},"slack":{slack},"base":{base},'
+                f'"children":[{",".join(children[lo:hi])}]}}'
+                for atom, level, base, measure, d, diameter, pairing, slack, lo, hi in zip(
+                    atoms.tolist(), lay.event_levels[e0:e1].tolist(), points[atoms].tolist(),
+                    *columns, local, local[1:],
+                )
+            ]))
+        if len(block_leaves):
+            leaf_entries.append(",".join([
+                f'{{"point":{point},"value":{value}}}'
+                for point, value in zip(points[block_leaves].tolist(), values)
+            ]))
     return {
         "ok": cert.ok,
         "candidate": cert.label,
@@ -298,6 +344,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "identity_residual": cert.identity_residual,
         "leaf_term": cert.leaf_term,
         "failures": list(cert.failures),
-        "records": Verbatim(records),
-        "leaves": Verbatim(leaf_entries),
+        "records": Verbatim(*_enclosed("[", records, "]")),
+        "leaves": Verbatim(*_enclosed("[", leaf_entries, "]")),
     }

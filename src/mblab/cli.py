@@ -500,8 +500,12 @@ def cmd_corpus(cfg: RunConfig) -> int:
         reports.update(cert_text)
         certificates.update(cert_text)
         for row in rows:
-            ratio = row["max_err"] / row["tol"] if row["tol"] > 0 else float(row["max_err"] > 0)
-            if ratio > worst[row["check"]][0]:
+            err = row["max_err"]
+            ratio = err / row["tol"] if row["tol"] > 0 else err if math.isnan(err) else float(err > 0)
+            # A NaN ratio beats every number and stays: the first NaN cell
+            # is the worst.
+            best = worst[row["check"]][0]
+            if not math.isnan(best) and (ratio > best or math.isnan(ratio)):
                 worst[row["check"]] = (ratio, cell)
         lap("emission")
         centered, defect = restriction_identity_gaps(w)

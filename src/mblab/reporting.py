@@ -14,9 +14,12 @@ subclasses take the slower ``isinstance`` route to the same text.
 Large array-backed parts of a payload (a certificate's records and leaves,
 an expansion's midpoint tree) are rendered ahead of time from their arrays:
 ``_format_floats`` formats a whole float column with the one float rule,
-and the text sits in the payload as a ``Verbatim``, which the writer copies
-as is.  ``Verbatim`` is not a ``str``, so ``json.dumps`` rejects it rather
-than quoting the text as a JSON string.
+and the text sits in the payload as a ``Verbatim`` of one or more parts,
+which the writer splices in as they are.  The writer also splices the items
+of a dict nested in a dict, so a report's text is joined once, at the top,
+and no nested text (a certificate inside a report, say) is joined or copied
+before it.  ``Verbatim`` is not a ``str``, so ``json.dumps`` rejects it
+rather than quoting the text as a JSON string.
 
 A column of at least ``_KERNEL_MIN`` (512) floats goes through an exact
 numpy kernel.  For finite x with 10**-11 <= |x| < 10**16 it takes the
@@ -25,8 +28,9 @@ exact powers of ten says so, writes x = M * 2**e, forms M * 5**(16 - k) as
 two uint64 limbs (5**27 < 2**63), shifts and rounds half to even to the
 17-digit integer D, and builds the '%.17g' bytes of the whole column in a
 few array passes and one split.  No double in the window rounds up to
-D = 10**17, so no carry moves k.  Zeros, non-finite values, values outside
-the window and shorter columns take the per-float rule ``_format_float``,
+D = 10**17, so no carry moves k.  The kernel writes a zero of either sign
+as 0.  Non-finite values, values outside the window and shorter columns
+take the per-float rule ``_format_float``,
 which is also the oracle the kernel is tested against: below about 400
 floats the kernel's fixed cost made it slower than the per-float loop when
 measured.
@@ -113,6 +117,7 @@ _MIN_BODY = np.where(_POINT < 99, _POINT, 0).astype(np.uint8)
 _SUFFIX = np.frombuffer("".join(f"e-{-k:02d}" for k in range(_K_LO, -4)).encode(), np.uint8)
 _SUFFIX = _SUFFIX.reshape(-1, 4).T.copy()  # _SUFFIX[:, k - _K_LO] is "e-XX" for k < -4
 _POS = np.arange(24, dtype=np.uint8)[:, None]
+_ZERO = np.frombuffer("0".rjust(8).ljust(32).encode(), np.uint8)  # the text of both zeros
 
 # From this many floats on, the kernel beat the per-float loop when measured
 # (on a deep_tower pass's floats the two tie near 400).  Columns run through
@@ -174,9 +179,14 @@ def _digits17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _format_window(x: np.ndarray) -> list[str]:
     """'%.17g' of every entry of the 1-D float array ``x``, each finite with
-    |x| in the window, in a few array passes and one split."""
+    |x| in the window or a zero of either sign (written 0), in a few array
+    passes and one split."""
     n = len(x)
-    d, k = _digits17(np.abs(x))
+    a = np.abs(x)
+    zeros = a == 0.0
+    a[zeros] = 1.0
+    d, k = _digits17(a)
+    del a
     kind = 2 * (k - _K_LO) + (x < 0)
     # the 17 digits, most significant first (the low nine, then the high
     # eight), written into the first 17 rows of the body
@@ -210,6 +220,7 @@ def _format_window(x: np.ndarray) -> list[str]:
     rows.view(np.uint64)[:, 0] = _PREFIX[kind]
     rows[:, 8:].T[...] = body
     del body
+    rows[zeros] = _ZERO
     text = str(rows.data, "ascii")
     del rows  # the texts need only the decoded copy
     return text.split()
@@ -218,16 +229,18 @@ def _format_window(x: np.ndarray) -> list[str]:
 def _format_floats(values) -> list[str]:
     """``[_format_float(x) for x in values]`` over a float array of any
     shape, flattened in C order.  A column of at least _KERNEL_MIN floats
-    goes through the exact column kernel, the rest of its entries (zeros,
-    non-finite, outside the window) through the per-float rule; a shorter
-    column is one '%.17g' pass with its zeros and non-finite entries
-    rewritten one by one."""
+    goes through the exact column kernel, zeros included, and the rest of
+    its entries (non-finite, outside the window) through the per-float rule;
+    a shorter column is one '%.17g' pass with its zeros and non-finite
+    entries rewritten one by one."""
     flat = np.asarray(values, dtype=float).ravel()
     if flat.size < _KERNEL_MIN:
         texts = [format(x, ".17g") for x in flat.tolist()]
         odd = (flat == 0.0) | ~np.isfinite(flat)
     else:
-        odd = ~((np.abs(flat) >= _WINDOW[0]) & (np.abs(flat) < _WINDOW[1]))
+        a = np.abs(flat)
+        odd = ~(((a >= _WINDOW[0]) & (a < _WINDOW[1])) | (a == 0.0))
+        del a
         inside = np.where(odd, 1.0, flat)
         texts = []
         for lo in range(0, flat.size, _CHUNK):
@@ -248,16 +261,18 @@ def _format_columns(*columns) -> list[list[str]]:
 
 
 class Verbatim:
-    """Canonical JSON text rendered ahead of time, which ``to_canonical_json``
-    writes as is; any other serializer fails on it."""
+    """Canonical JSON text rendered ahead of time, the concatenation of
+    ``parts``, which ``to_canonical_json`` writes as is; any other
+    serializer fails on it.  A text built in blocks keeps its blocks as
+    parts, so it is never held both in blocks and joined."""
 
-    __slots__ = ("text",)
+    __slots__ = ("parts",)
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, *parts: str):
+        self.parts = parts
 
     def __repr__(self) -> str:
-        return f"Verbatim({len(self.text)} chars)"
+        return f"Verbatim({sum(map(len, self.parts))} chars)"
 
 
 def _format_number(v) -> str | None:
@@ -277,17 +292,18 @@ def _format_number(v) -> str | None:
     return None
 
 
-def _enclosed(opener: str, texts: list[str], closer: str) -> str:
-    """``opener + ",".join(texts) + closer`` in one join: the separators and
-    both brackets are parts of the list, so the text is built once instead
-    of being joined and then copied again to add the brackets."""
+def _enclosed(opener: str, texts: list[str], closer: str) -> list[str]:
+    """The parts of ``opener + ",".join(texts) + closer``: the separators and
+    both brackets are parts of the list, so joining it builds the text once
+    instead of joining ``texts`` and then copying them again to add the
+    brackets."""
     if not texts:
-        return opener + closer
+        return [opener, closer]
     parts = [","] * (2 * len(texts) + 1)
     parts[0] = opener
     parts[1::2] = texts
     parts[-1] = closer
-    return "".join(parts)
+    return parts
 
 
 def _canon(obj) -> str:
@@ -296,13 +312,13 @@ def _canon(obj) -> str:
     if t is float:
         return _format_float(obj)
     if t is dict:
-        return _canon_items(obj)
+        return "".join(_items(obj, [], "}"))
     if t is list or t is tuple:
         return "[" + ",".join([_canon(v) for v in obj]) + "]"
     if t is str:
         return _encode_str(obj)
     if t is Verbatim:
-        return obj.text
+        return "".join(obj.parts)
     if obj is None:
         return "null"
     text = _format_number(obj)
@@ -314,24 +330,32 @@ def _canon(obj) -> str:
     if isinstance(obj, np.ndarray):
         return _canon(obj.tolist())
     if isinstance(obj, Mapping):
-        return _canon_items(obj)
+        return "".join(_items(obj, [], "}"))
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join([_canon(v) for v in obj]) + "]"
     raise ReportError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _canon_items(obj: Mapping, closer: str = "}") -> str:
-    """Canonical JSON text of a mapping, then ``closer``: one join over the
-    brackets, separators, keys and values, so no value's text (a
-    certificate's records, say) is first copied into an item string."""
-    parts: list[str] = []
+def _items(obj: Mapping, parts: list[str], closer: str) -> list[str]:
+    """``parts`` with the canonical JSON text of a mapping, then ``closer``,
+    appended: the brackets, separators, keys and values.  A value that is a
+    dict or a ``Verbatim`` is spliced in part by part, so no nested text (a
+    certificate's records, say) is joined or copied into an item string."""
+    sep = "{"
     for k, v in obj.items():
-        parts += (",", _encode_str(k if type(k) is str else str(k)), ":", _canon(v))
-    if not parts:
-        return "{" + closer
-    parts[0] = "{"
+        parts += (sep, _encode_str(k if type(k) is str else str(k)), ":")
+        sep = ","
+        t = type(v)
+        if t is dict:
+            _items(v, parts, "}")
+        elif t is Verbatim:
+            parts += v.parts
+        else:
+            parts.append(_canon(v))
+    if sep == "{":
+        parts.append("{")
     parts.append(closer)
-    return "".join(parts)
+    return parts
 
 
 def to_canonical_json(payload) -> str:
@@ -341,9 +365,9 @@ def to_canonical_json(payload) -> str:
     if payload is None or (isinstance(payload, (list, tuple, dict)) and not payload):
         raise ReportError("refusing to write an empty report")
     if isinstance(payload, Mapping):
-        return _canon_items(payload, "}\n")
+        return "".join(_items(payload, [], "}\n"))
     if type(payload) in (list, tuple):
-        return _enclosed("[", [_canon(v) for v in payload], "]\n")
+        return "".join(_enclosed("[", [_canon(v) for v in payload], "]\n"))
     return _canon(payload) + "\n"
 
 

@@ -166,6 +166,18 @@ class EventRuns(NamedTuple):
         """Sums over each run of ``per_leaf`` in run order."""
         return np.add.reduceat(per_leaf, self.starts, axis=0)
 
+    def select(self, e0: int, e1: int) -> EventRuns:
+        """The runs of events e0..e1-1, owners and starts counted from e0."""
+        p0, p1 = (int(self.starts[e]) if e < len(self.starts) else len(self.leaf) for e in (e0, e1))
+        return EventRuns(
+            self.levels[e0:e1],
+            self.owner[p0:p1] - e0,
+            self.leaf[p0:p1],
+            self.starts[e0:e1] - p0,
+            self.measures[e0:e1],
+            self.mults[e0:e1],
+        )
+
 
 def _event_runs(op: MartingaleTransform) -> EventRuns:
     filt = op.filtration
@@ -209,6 +221,11 @@ def _ancestor_values(mults: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, 
     return steps[:, -1], before - mults[:, :-1] * means[:, :-1]
 
 
+# Floats of the (rows, A, 1) step stack one block of cut rows pushes through
+# the levels, at most (or one row, where a row is larger): 2 MB.
+_CUT_STACK = 1 << 18
+
+
 def _cut_adjoints(
     op: MartingaleTransform, runs: EventRuns, values: np.ndarray, shifts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -218,31 +235,61 @@ def _cut_adjoints(
 
     The cuts of one level n have disjoint atoms and share one leaf array,
     row n - 1 of a stack.  Inside J, levels n+1.. see J's leaves only, so
-    one push of the stack through them gives every cut's T* there, from J's
-    own reduceat segments.  Levels 1..n add a constant on J and on each ring
-    of J's ancestor chain, from J's cut sum: O(L * depth^2) in all, none of
-    it per event.
+    pushing the stack through them gives every cut's T* there, from J's own
+    reduceat segments.  Levels 1..n add a constant on J and on each ring of
+    J's ancestor chain, from J's cut sum: O(L * depth^2) in all, none of it
+    per event.  The stack goes through in blocks of rows of at most
+    ``_CUT_STACK`` stacked floats, one pass where the whole stack fits: the
+    events of a row are a contiguous run of the schedule, and a row's floats
+    do not depend on the other rows of its block.
     """
     filt = op.filtration
     if not len(runs.levels):
         return np.empty(0), np.empty(0)
+    rows = filt.depth - 1
+    per_block = max(1, _CUT_STACK // len(filt.layout.stacked_measures))
+    if per_block >= rows:
+        return _cut_block(op, runs, values, shifts, 0, rows)
+    out = []
+    for first in range(0, rows, per_block):
+        last = min(first + per_block, rows)
+        e0, e1 = np.searchsorted(runs.levels, [first + 1, last + 1]).tolist()
+        if e1 > e0:
+            out.append(_cut_block(op, runs.select(e0, e1), values, shifts[e0:e1], first, last))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _cut_block(
+    op: MartingaleTransform,
+    runs: EventRuns,
+    values: np.ndarray,
+    shifts: np.ndarray,
+    first: int,
+    last: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_cut_adjoints`` of the events of cut rows first..last-1 (levels
+    first+1..last), whose runs ``runs`` holds."""
+    filt = op.filtration
     owner, leaf = runs.owner, runs.leaf
-    row = runs.levels[owner] - 1
+    row = runs.levels[owner] - (first + 1)
     cut = values[leaf] - shifts[owner]
-    cuts = np.zeros((filt.depth - 1, filt.n_leaves, 1))
-    cuts[row, leaf, 0] = cut
-    steps = _atom_steps(filt, cuts)
-    del cuts
     weights = filt.layout.measures[leaf]
     sums = runs.sums(weights * cut)
     inside, rings = _ancestor_values(runs.mults, (sums[:, None] / runs.measures)[..., None])
-    x = np.zeros((filt.depth - 1, filt.n_leaves, op.dim))
+    cuts = np.zeros((last - first, filt.n_leaves, 1))
+    cuts[row, leaf, 0] = cut
+    del cut
+    steps = _atom_steps(filt, cuts)
+    del cuts
+    x = np.zeros((last - first, filt.n_leaves, op.dim))
     x[row, leaf] = inside[owner]
     # Level k reaches inside the atoms of levels n < k: rows 0..k-2.
-    for k in range(2, filt.depth + 1):
-        diff = np.take(steps[: k - 1], filt.layout.stacked_maps[k], axis=-2)
-        x[: k - 1] += op.multiplier_on_leaves(k) * diff
+    for k in range(first + 2, filt.depth + 1):
+        diff = np.take(steps[: k - 1 - first], filt.layout.stacked_maps[k], axis=-2)
+        x[: k - 1 - first] += op.multiplier_on_leaves(k) * diff
+    del steps
     on_atoms = x[row, leaf]
+    del x
 
     ring_measures = runs.measures[:, :-1] - runs.measures[:, 1:]
     mean = runs.sums(weights[:, None] * on_atoms) + np.einsum("ej,ejd->ed", ring_measures, rings)

@@ -17,6 +17,8 @@ cut g 1_J exceeds it by exactly <g>_J^2 ||T* 1_J||^2 / |J|.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,20 @@ from mblab.corpus import CorpusCell, default_corpus, prepare_cell
 from mblab.filtration import build_dyadic, build_random_regular, split_schedule
 from mblab.martingale import average
 from mblab.transforms import operator_norm, split_multiplier_norm
+
+
+def traced(fn):
+    """``fn()`` under tracemalloc: its result, and the bytes it left held and
+    its peak bytes, both above what was traced when it began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
 
 
 @pytest.fixture(scope="session")

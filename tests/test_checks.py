@@ -53,6 +53,7 @@ from mblab.transforms import (
     operator_norm,
     split_multiplier_norm,
 )
+from conftest import traced
 from oracles import (
     SpanFed,
     _blocks,
@@ -610,6 +611,37 @@ def _assert_matches_reference(f, g, op):
 def test_per_level_suites_match_per_event_route(kernel_tower, dim):
     f, g, op = _witness(kernel_tower, dim, 40 + dim)
     _assert_matches_reference(f, g, op)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cut_blocks_keep_every_float(monkeypatch, kernel_tower, dim):
+    # the cut rows pushed one or two at a time give the floats of one push
+    # of the whole stack, for any cut values and shifts
+    f, g, op = _witness(kernel_tower, dim, 50 + dim)
+    runs = Witness(f, g, op).event_runs
+    shifts = np.random.default_rng(51).normal(size=len(runs.levels))
+    cases = [(g.values[:, 0], shifts), (g.values[:, 0], 0 * shifts), (np.ones(len(g.values)), shifts)]
+
+    def passes():
+        w = Witness(f, g, op)
+        cuts = [transforms._cut_adjoints(op, runs, v, s) for v, s in cases]
+        return [*np.concatenate(cuts), *w.restriction_sides, *checks.restriction_identity_gaps(w)]
+
+    whole = passes()
+    rows = len(kernel_tower.layout.stacked_measures)
+    for stack in (1, 2 * rows):
+        monkeypatch.setattr(transforms, "_CUT_STACK", stack)
+        assert all(np.array_equal(a, b) for a, b in zip(passes(), whole, strict=True))
+
+
+def test_restriction_sides_hold_little_at_depth_15():
+    # a block of cut rows is at most _CUT_STACK stacked floats, so the
+    # restriction sides of a deep witness take a few blocks' memory, not the
+    # depth-14 stack's
+    w = Witness(*_witness(build_dyadic(15), 1, 15))
+    w.table, w.event_runs
+    _, _, peak = traced(lambda: w.restriction_sides)
+    assert peak <= 20_000_000
 
 
 @settings(max_examples=40, deadline=None)

@@ -573,6 +573,19 @@ def test_corpus_exits_one_on_a_red_row(monkeypatch, capsys):
     assert report["checks"] == [{"check": "x2_drop", "err_over_tol": 2, "cell": [0.1, 1, 0]}]
 
 
+@pytest.mark.parametrize("tol", [0.5, 0.0])
+def test_corpus_names_the_first_nan_cell(tol, monkeypatch, capsys):
+    # a NaN row on every cell: no comparison with NaN is true, so the
+    # worst-of fold has to keep the first NaN cell and its NaN ratio itself
+    red = {"check": "x2_drop", "max_err": math.nan, "tol": tol, "ok": False, "detail": ""}
+    monkeypatch.setitem(cli.SUITES, "x2_drop", lambda w, tol, rng: [red])
+    code, report = corpus_report(capsys, "--seeds", "1", "--suites", "x2_drop")
+    assert code == 1
+    [worst] = report["checks"]
+    assert (worst["check"], worst["cell"]) == ("x2_drop", [0.1, 1, 0])
+    assert math.isnan(worst["err_over_tol"])
+
+
 def test_scan_over_an_exponent_grid(capsys):
     # one scan per grid point; at p = 2 the scan is the contraction gate
     for p in (2.0, 1.5):
@@ -621,6 +634,12 @@ REPORT_DIGESTS = {
         (0, "8f3a319a5968c81df52336859138a875c7561b5013feda3139c9dd09c4f36e16"),
     ("certify", "--seed", "1", "--depth", "5", "--delta", "0.5", "--dim", "2"):
         (0, "ea1feb307cf22294ec3fbafe9f05f576546ef8a40eefe9202bf068b4f1fe3b8d"),
+    # certificates whose text is written in several blocks; the second's
+    # float count also crosses the column kernel's chunk
+    ("certify", "--seed", "3", "--depth", "10", "--delta", "0.5", "--dim", "2"):
+        (0, "c07ebb3403ef942c951ac166aeb3974a06fbb82af68fa81dbe17a8d2295d73a0"),
+    ("certify", "--seed", "5", "--depth", "12", "--delta", "0.25", "--dim", "3"):
+        (0, "cd8c38b6784906979dd5572692e24a4d06911ce99cec6fa71efd09324fbc6ccf"),
     ("certify", "--seed", "2", "--depth", "6", "--delta", "0.25", "--dim", "3", "--format", "csv"):
         (0, "7c0be5e4e5860ee206beae0d9343968ebef559bc6aac03144d95a7ea4f07b1f3"),
     ("certify", "--seed", "2", "--depth", "6", "--delta", "0.25", "--dim", "3", "--candidate", "linear:0.5"):

@@ -4,7 +4,6 @@ the columnar tower against the atom-by-atom oracles."""
 import dataclasses
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,7 @@ from mblab.filtration import (
 from mblab.reporting import to_canonical_json
 
 import oracles
+from conftest import traced
 from oracles import regularity_delta, sample_ratios_one_by_one, tower_from_atoms
 
 
@@ -327,12 +327,7 @@ def test_hand_built_tower_keeps_child_order():
 def test_dyadic_columns_hold_little_memory():
     # four int and two float columns of 2^17 - 1 atoms; the layout is not
     # built until it is read
-    tracemalloc.start()
-    try:
-        filt = build_dyadic(16)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    filt, held, _ = traced(lambda: build_dyadic(16))
     assert held <= 8_000_000
     assert "layout" not in vars(filt)
 

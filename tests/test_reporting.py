@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mblab.certifier as certifier
 from mblab.bellman import quadratic_candidate
 from mblab.certifier import certificate_to_dict, certify
 from mblab.checks import run_all
@@ -36,6 +37,7 @@ from mblab.reporting import (
     to_canonical_json,
     write_text,
 )
+from conftest import traced
 from oracles import certificate_by_records
 
 
@@ -255,11 +257,8 @@ def test_real_csv_matches_reference(corpus_reports):
         assert rows_to_csv(cert_rows) == ref_rows_to_csv(cert_rows)
 
 
-def test_certificate_formats_each_point_once(monkeypatch, corpus_reports):
-    # all float columns go through the column formatter in one call, the
-    # moment columns with one entry per atom, although the text writes a
-    # point as a record's base, as a child and as a leaf's point
-    _, _, cert, _ = corpus_reports[-1]
+def formatter_sizes(monkeypatch) -> list[int]:
+    """Sizes of the columns the float formatter gets from now on."""
     sizes = []
 
     def counted(values):
@@ -267,10 +266,37 @@ def test_certificate_formats_each_point_once(monkeypatch, corpus_reports):
         return _format_floats(values)
 
     monkeypatch.setattr(reporting, "_format_floats", counted)
-    certificate_to_dict(cert)
+    return sizes
+
+
+def certificate_floats(cert) -> int:
+    """The floats of a certificate's text, each moment point counted once."""
     n_atoms, dim = len(cert.witness.table.points), cert.witness.f.dim
     n_events, n_leaves = len(cert.slack), cert.filtration.n_leaves
-    assert sizes == [n_atoms * (dim + 3) + len(cert.weights) + 5 * n_events + n_leaves]
+    return n_atoms * (dim + 3) + len(cert.weights) + 5 * n_events + n_leaves
+
+
+def test_certificate_formats_each_point_once(monkeypatch, corpus_reports):
+    # a certificate under two blocks of floats goes through the column
+    # formatter in one call, the moment columns with one entry per atom,
+    # although the text writes a point as a record's base, as a child and
+    # as a leaf's point
+    _, _, cert, _ = corpus_reports[-1]
+    sizes = formatter_sizes(monkeypatch)
+    certificate_to_dict(cert)
+    assert sizes == [certificate_floats(cert)]
+    assert sizes[0] < 2 * certifier._BLOCK
+
+
+@pytest.mark.parametrize("block", [1, 40, 300])
+def test_certificate_text_is_the_same_in_any_blocks(monkeypatch, corpus_reports, block):
+    # blocks of one record or leaf, blocks that end inside the records or
+    # the leaves and blocks that hold both give the one-block text
+    monkeypatch.setattr(certifier, "_BLOCK", block)
+    for rows, ok, cert, walk in corpus_reports:
+        payload = {"ok": ok, "rows": rows, "certificate": certificate_to_dict(cert)}
+        expected = {"ok": ok, "rows": rows, "certificate": walk}
+        assert to_canonical_json(payload) == ref_to_canonical_json(expected)
 
 
 FLOAT_COLUMN = st.lists(
@@ -396,6 +422,20 @@ def test_kernel_sweep_on_both_sides_of_the_crossover():
         start = stop
 
 
+def test_kernel_writes_zeros_beside_the_odd_values():
+    # signed zeros go through the kernel, NaN, infinities, subnormals and
+    # values outside the window through the per-float rule, on both sides
+    # of a chunk edge
+    rng = np.random.default_rng(5)
+    n = reporting._CHUNK + 64
+    col = 10.0 ** rng.uniform(-6, 6, n) * rng.choice([-1.0, 1.0], n)
+    odd = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e-300, 3e17, -0.0, 0.0]
+    for at in (0, reporting._CHUNK - 5, reporting._CHUNK + 1, len(col) - len(odd)):
+        col[at : at + len(odd)] = odd
+    col[7::97] = 0.0
+    assert _format_floats(col) == expected_texts(col)
+
+
 def test_kernel_reads_2d_columns_in_c_order():
     rng = np.random.default_rng(3)
     shape = (reporting._KERNEL_MIN, 3)
@@ -424,19 +464,40 @@ def deep_certificates():
 
 
 def test_deep_certificates_match_record_walk_through_the_kernel(monkeypatch):
-    sizes = kernel_sizes(monkeypatch)
+    # a deep certificate is written in blocks: every block goes through the
+    # column kernel, and the blocks' floats add up to the certificate's, so
+    # each point is formatted once
+    sizes = formatter_sizes(monkeypatch)
     for cert, walk in deep_certificates():
         sizes.clear()
         text = to_canonical_json(certificate_to_dict(cert))
         assert text == ref_to_canonical_json(walk)
-        n_atoms, dim = len(cert.witness.table.points), cert.witness.f.dim
-        n_floats = n_atoms * (dim + 3) + len(cert.weights) + 5 * len(cert.slack)
-        assert sum(sizes) == n_floats + cert.filtration.n_leaves > reporting._KERNEL_MIN
+        assert min(sizes) >= reporting._KERNEL_MIN
+        assert sum(sizes) == certificate_floats(cert)
+        if cert.filtration.n_leaves == 512:  # dyadic depth 9, d = 2
+            assert sum(sizes) == 9204 and len(sizes) >= 4
+
+
+def test_certificate_text_holds_little_beside_itself():
+    # the float texts, the points and the records are built one block at a
+    # time, and the records and leaves are kept as their blocks, not joined
+    filt = build_dyadic(12)
+    rng = np.random.default_rng(12)
+    f, g = random_witness(filt, 1, rng)
+    cert = certify(quadratic_candidate(0.5), f, g, random_transform(filt, 1, rng))
+    payload, held, peak = traced(lambda: certificate_to_dict(cert))
+    assert peak <= 2.5 * held
+    assert held >= sum(map(len, payload["records"].parts))
 
 
 def test_verbatim_text_is_written_as_is():
     payload = {"a": Verbatim('[1,{"b":NaN}]'), "c": [Verbatim("0"), -0.0]}
     assert to_canonical_json(payload) == '{"a":[1,{"b":NaN}],"c":[0,0]}\n'
+    # parts are written in order, in a nested dict, a list or at the top
+    parts = Verbatim("[1,", '{"b":', "2}", "]")
+    nested = {"x": {"y": parts, "z": {}}, "w": [parts]}
+    assert to_canonical_json(nested) == '{"x":{"y":[1,{"b":2}],"z":{}},"w":[[1,{"b":2}]]}\n'
+    assert to_canonical_json(parts) == '[1,{"b":2}]\n'
     # no other serializer quotes the text as a JSON string
     with pytest.raises(TypeError):
         json.dumps(payload)
