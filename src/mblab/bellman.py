@@ -59,7 +59,7 @@ import numpy as np
 from .filtration import _frozen, _Lazy
 from .martingale import MartFunction, _diagonal_sums, _level_steps, _stacked_means
 from .reporting import Verbatim, _format_float, _format_floats
-from .transforms import EventRuns, MartingaleTransform, _cut_adjoints, _event_runs
+from .transforms import EventChains, MartingaleTransform, _cut_adjoints, _event_chains
 
 __all__ = [
     "BellmanCandidate",
@@ -192,8 +192,8 @@ class Witness:
     suites, probes and certificates read derived once each, on first use:
     ``tf``, T f, ``tstar_g``, T* g through the closed form
     ``adjoint_closed_form``, ``table``, the ``moment_table`` at p and the
-    one source of atom means and steps, ``event_runs``, T's split events as
-    runs of leaves with their ancestor chains, and ``restriction_sides``.
+    one source of atom means and steps, ``event_chains``, T's split events
+    as stacked rows with their ancestor chains, and ``restriction_sides``.
     The objects live as long as the witness, so the suites, the certificate
     and the probes that share one witness build each once between them.  A
     witness takes only f, g and T on one filtration object, g scalar and T
@@ -226,8 +226,8 @@ class Witness:
         return moment_table(self.f, self.g, self.tstar_g, self.p)
 
     @cached_property
-    def event_runs(self) -> EventRuns:
-        return _event_runs(self.op)
+    def event_chains(self) -> EventChains:
+        return _event_chains(self.op)
 
     @cached_property
     def restriction_sides(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,9 +235,9 @@ class Witness:
         the local side osc2(T* g, J), both read off the table, and the
         rescaled global side (|I|/|J|) osc2(T*(g 1_J), I), from one
         ``_cut_adjoints`` pass of the uncentered cuts."""
-        runs, filt, table = self.event_runs, self.g.filtration, self.table
-        measures = runs.measures[:, -1]
-        cut_osc, _ = _cut_adjoints(self.op, runs, self.g.values[:, 0], np.zeros(len(measures)))
+        chains, filt, table = self.event_chains, self.g.filtration, self.table
+        measures = chains.measures[:, -1]
+        cut_osc, _ = _cut_adjoints(self.op, chains, self.g.values[:, 0], np.zeros(len(measures)))
         atoms = filt.layout.event_atoms[filt.layout.event_levels > 0]
         return table.g_mean[atoms], table.osc2[atoms], (filt.total_measure / measures) * cut_osc
 

@@ -54,8 +54,9 @@ kernel's stacked pass serves: the level differences of a function are one
 (depth, L, d) array, a stack with one level per row (the localization
 draws, the projection pieces) goes through the diagonal route, and sums
 whose row n runs over the A_n atoms (the self-adjoint pairings, the
-oscillation pieces) are one diagonal reduceat.  Each level's accumulation
-keeps its order, so every row's max_err is the per-level loop's float.
+oscillation pieces, every event's piece or cut) are one diagonal reduceat.
+Each level's accumulation keeps its order, so every row's max_err is the
+per-level loop's float.
 """
 
 from __future__ import annotations
@@ -144,8 +145,9 @@ def check_projections(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
     measured on the nested pairs: an event at level n against its ancestor
     at each level k < n, summed over the event's atom.  The level
     differences of f are one take of the table's steps and those of the
-    auxiliary draw one stack, and the level-n difference of every piece n
-    is one diagonal pass over the pieces.
+    auxiliary draw one stack.  Piece n and its level-n difference, one
+    diagonal pass over the pieces, are constant on the A_{n+1} atoms and
+    are compared on those stacked rows.
     """
     f, table = w.f, w.table
     filt = f.filtration
@@ -156,8 +158,8 @@ def check_projections(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
     pieces = np.take(table.steps[:, : f.dim], lay.stacked_maps[1:], axis=0)
     other = _level_differences(filt, aux.values)
 
-    again = np.take(_diagonal_steps(filt, pieces), lay.stacked_maps[1:], axis=0)
-    idem = float(np.max(np.abs(again - pieces)))
+    top = lay.level_offsets[1]
+    idem = float(np.max(np.abs(_diagonal_steps(filt, pieces)[top:] - table.steps[top:, : f.dim])))
     lhs = _diagonal_sums(filt, np.einsum("nij,ij->ni", pieces, aux.values))
     rhs = _diagonal_sums(filt, np.einsum("ij,nij->ni", f.values, other))
     selfadj = float(np.max(np.abs(lhs - rhs)))
@@ -200,17 +202,17 @@ def check_localization(w: Witness, tol: Tolerances, rng: np.random.Generator) ->
     filt, op = w.f.filtration, w.op
     lay = filt.layout
     draws = _event_draws(filt, np.arange(len(lay.event_atoms)), w.f.dim, rng)
-    runs = w.event_runs
+    chains = w.event_chains
     outside = 0.0
-    if len(runs.levels):
+    if len(chains.levels):
         # The piece of an event at level n >= 1 is the level-n difference
         # of row n of the draws: on J's leaves, the step of their A_{n+1}
-        # row.
+        # row.  Each piece's sum over J is J's segment of its row.
         steps = _diagonal_steps(filt, draws[1:], first=1)
-        on_atoms = steps[lay.stacked_maps[runs.levels[runs.owner] + 1, runs.leaf]]
-        sums = runs.sums(lay.measures[runs.leaf, None] * on_atoms)
-        _, rings = _ancestor_values(runs.mults, sums[:, None, :] / runs.measures[..., None])
-        nonempty = runs.measures[:, :-1] > runs.measures[:, 1:]
+        pieces = np.take(steps, lay.stacked_maps[2:], axis=0)
+        sums = _diagonal_sums(filt, pieces, 1)[chains.rows - lay.level_offsets[1]]
+        _, rings = _ancestor_values(chains.mults, sums[:, None, :] / chains.measures[..., None])
+        nonempty = chains.measures[:, :-1] > chains.measures[:, 1:]
         outside = float(np.max(np.abs(rings.sum(axis=-1)[nonempty]), initial=0.0))
 
     # On an atom J split at level n, the level-n difference is J's split
@@ -339,14 +341,14 @@ def restriction_identity_gaps(w: Witness) -> tuple[float, float]:
     max(1, defect)).  Not a registered suite, so ``run_all`` rows do not
     include it.
     """
-    filt, runs = w.g.filtration, w.event_runs
-    measures = runs.measures[:, -1]
+    filt, chains = w.g.filtration, w.event_chains
+    measures = chains.measures[:, -1]
     c, local, glob = w.restriction_sides
-    centered_osc, _ = _cut_adjoints(w.op, runs, w.g.values[:, 0], c)
+    centered_osc, _ = _cut_adjoints(w.op, chains, w.g.values[:, 0], c)
     centered = (filt.total_measure / measures) * centered_osc
     scale = np.maximum(np.maximum(local, centered), 1e-30)
     centered_worst = float(np.max(np.abs(local - centered) / scale, initial=0.0))
-    _, ones_sq = _cut_adjoints(w.op, runs, np.ones(filt.n_leaves), np.zeros(len(c)))
+    _, ones_sq = _cut_adjoints(w.op, chains, np.ones(filt.n_leaves), np.zeros(len(c)))
     defect = c * c * ones_sq / measures
     gap = np.abs((glob - local) - defect) / np.maximum(1.0, defect)
     return centered_worst, float(np.max(gap, initial=0.0))

@@ -163,9 +163,9 @@ class LeafLayout:
     of level n >= 1 to the row of the A_{n-1} atom holding it (the
     root row to itself), and ``stacked_children`` each row of levels
     0..N-1 to the row of its first A_{n+1} atom, so that the rows of one
-    parent's children are one reduceat segment.  ``diagonal_starts`` is
-    ``stacked_starts`` with level n's boundaries moved by n * (L + 1): the
-    boundaries of level n in row n of padded leaf rows laid end to end.
+    parent's children are one reduceat segment.  ``diagonal_starts`` holds
+    each stacked row's first leaf plus n * L for level n: its boundary in
+    row n of leaf rows laid end to end, unpadded.
     All arrays are read-only.
     """
 
@@ -625,7 +625,8 @@ def _build_layout(f: Filtration) -> LeafLayout:
     stacked = np.arange(bounds[-1])
     row_level = np.arange(len(sizes)).repeat(sizes)
     stacked_atoms = np.concatenate(rows)
-    first_leaf = leaves_in.cumsum() - leaves_in - row_level * n_leaves
+    diagonal_starts = leaves_in.cumsum() - leaves_in
+    first_leaf = diagonal_starts - row_level * n_leaves
     spans = np.empty((f.n_atoms, 2), dtype=np.intp)
     spans[stacked_atoms, 0] = first_leaf
     spans[stacked_atoms, 1] = first_leaf + leaves_in
@@ -634,7 +635,6 @@ def _build_layout(f: Filtration) -> LeafLayout:
     stacked_starts = np.full(bounds[-1] + len(sizes), n_leaves)
     stacked_starts[stacked + row_level] = first_leaf
     stacked_starts = _frozen(stacked_starts)
-    boundary_levels = np.arange(len(sizes)).repeat(np.array(sizes) + 1)
     stacked_measures = _frozen(atom_measure[stacked_atoms])
     # Atoms split at the level they are created, so the events of level n
     # are the A_n atoms with children, in left-endpoint order: the rows
@@ -661,7 +661,7 @@ def _build_layout(f: Filtration) -> LeafLayout:
         event_child_starts=_frozen(np.concatenate(([0], event_sizes.cumsum()))),
         level_offsets=_frozen(offsets),
         stacked_starts=stacked_starts,
-        diagonal_starts=_frozen(stacked_starts + boundary_levels * (n_leaves + 1)),
+        diagonal_starts=_frozen(diagonal_starts),
         stacked_measures=stacked_measures,
         stacked_maps=stacked_maps,
         stacked_atoms=_frozen(stacked_atoms),

@@ -34,8 +34,8 @@ are expanded (or summed on the leaves, ``_leaf_sum``) one at a time, so no
 (stack, depth, L, d) array is ever made.  A stack whose row k belongs to
 one level n = first + k (the level rows of ``_event_draws``, the level
 pieces of a function) takes the diagonal route instead:
-``_diagonal_sums`` lays the padded rows end to end and sums row k over the
-A_n atoms only, and ``_diagonal_steps`` gives each row's level-n
+``_diagonal_sums`` lays the rows end to end, unpadded, and sums row k over
+the A_n atoms only, and ``_diagonal_steps`` gives each row's level-n
 difference from its sums at levels n and n + 1.
 
 A split piece lives in its event's atom, and the atoms of one level are
@@ -184,19 +184,17 @@ def _diagonal_sums(filt: Filtration, values: np.ndarray, first: int = 0) -> np.n
     leaf measures and summed over the atoms of level first + k only: the
     stacked rows of levels first..first+K-1, shape (rows,) or (rows, c).
 
-    One reduceat: the padded rows are laid end to end and each level's
-    boundaries shifted to its row.  Each segment is the per-level one, over
-    the same leaves, so its sum is the same float.
+    One reduceat: the atoms of one level tile its row, so the rows are laid
+    end to end and each stacked row's boundary is its first leaf in row
+    k.  Each segment is the per-level one, over the same leaves, so its sum
+    is the same float.
     """
     lay = filt.layout
     K, L = values.shape[:2]
-    # The boundaries of levels first..first+K-1, sentinels included.
-    lo = lay.level_offsets[first] + first
-    hi = lay.level_offsets[first + K] + first + K
-    bounds = lay.diagonal_starts[lo:hi] - first * (L + 1)
-    flat = _padded(filt, values.reshape(K, L, -1)).reshape(K * (L + 1), -1)
-    sums = np.add.reduceat(flat if values.ndim == 3 else flat[:, 0], bounds, axis=0)
-    return sums[lay.stacked_starts[lo:hi] < L]
+    lo, hi = lay.level_offsets[first], lay.level_offsets[first + K]
+    w = values * (lay.measures[:, None] if values.ndim == 3 else lay.measures)
+    bounds = lay.diagonal_starts[lo:hi] - first * L
+    return np.add.reduceat(w.reshape(K * L, *values.shape[2:]), bounds)
 
 
 def _level_steps(filt: Filtration, means: np.ndarray) -> np.ndarray:
@@ -362,11 +360,19 @@ def l2_norm(f: MartFunction) -> float:
 
 
 def lp_norm(f: MartFunction, p: float) -> float:
+    """||f||_p; where the sum of |f|^p overflows or underflows for a nonzero
+    finite f, s ||f / s||_p with s = max |f|."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     m = f.filtration.leaf_measures()
     mags = np.linalg.norm(f.values, axis=1)
-    return float((m @ mags**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = m @ mags**p
+    if total == 0.0 or total == np.inf:
+        s = float(np.max(mags, initial=0.0))
+        if 0.0 < s < np.inf:
+            return s * float(m @ (mags / s) ** p) ** (1.0 / p)
+    return float(total ** (1.0 / p))
 
 
 def restrict(f: MartFunction, atom_id: int) -> MartFunction:

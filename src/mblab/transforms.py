@@ -35,6 +35,11 @@ hull reads the same steps.  O(L * depth) work per function.  The kernels
 inputs; the tests push one full-length input per split event through them
 as an oracle for the per-level check suites.
 
+The split events below the root are rows of the level stack
+(``EventChains``): the events of one level have disjoint atoms, so their
+leaf values of level n share row n - 1 of one stack, and a sum over an
+event's atom is its segment of that row's diagonal reduceat.
+
 The dense route is a test oracle, kept deliberately independent of the
 multiplier formula: a matrix with rows indexed by leaves and columns indexed
 by (leaf, coordinate) pairs in row-major order (column = leaf * dim +
@@ -53,8 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filtration import Filtration, _segments
-from .martingale import MartFunction, _atom_steps, _averaging_matrices, _leaf_sum
+from .filtration import Filtration
+from .martingale import MartFunction, _atom_steps, _averaging_matrices, _diagonal_sums, _leaf_sum
 
 __all__ = [
     "MartingaleTransform",
@@ -141,12 +146,13 @@ class MartingaleTransform:
             raise ValueError(f"dimension mismatch: transform {self.dim}, function {f.dim}")
 
 
-class EventRuns(NamedTuple):
-    """The non-root split events of a transform's tower, in schedule order,
-    with each event's atom J laid out as a run of leaves: run position i
-    holds leaf ``leaf[i]`` of event ``owner[i]``, and the runs begin at
-    ``starts``.  A run is J's leaves in order, so a reduceat over the runs
-    sums the same segments as the level kernel does over J.
+class EventChains(NamedTuple):
+    """The non-root split events of a transform's tower, in schedule order:
+    ``levels`` and ``rows``, the stacked row of each event's atom J at its
+    level.  The events of one level n have disjoint atoms, so a per-leaf
+    value of every one of them fits on one leaf array, row n - 1 of a
+    stack, and J's sum is the segment ``rows`` selects of that row's
+    diagonal reduceat (``_diagonal_sums``), the floats of J's own segment.
 
     ``measures`` (e, depth) and ``mults`` (e, depth, d) describe each
     event's ancestor chain K_0 > K_1 > ... > K_n = J, with K_k the A_k atom
@@ -156,57 +162,33 @@ class EventRuns(NamedTuple):
     """
 
     levels: np.ndarray
-    owner: np.ndarray
-    leaf: np.ndarray
-    starts: np.ndarray
+    rows: np.ndarray
     measures: np.ndarray
     mults: np.ndarray
 
-    def sums(self, per_leaf: np.ndarray) -> np.ndarray:
-        """Sums over each run of ``per_leaf`` in run order."""
-        return np.add.reduceat(per_leaf, self.starts, axis=0)
 
-    def select(self, e0: int, e1: int) -> EventRuns:
-        """The runs of events e0..e1-1, owners and starts counted from e0."""
-        p0, p1 = (int(self.starts[e]) if e < len(self.starts) else len(self.leaf) for e in (e0, e1))
-        return EventRuns(
-            self.levels[e0:e1],
-            self.owner[p0:p1] - e0,
-            self.leaf[p0:p1],
-            self.starts[e0:e1] - p0,
-            self.measures[e0:e1],
-            self.mults[e0:e1],
-        )
-
-
-def _event_runs(op: MartingaleTransform) -> EventRuns:
+def _event_chains(op: MartingaleTransform) -> EventChains:
     filt = op.filtration
     lay = filt.layout
     below_root = lay.event_levels > 0
     levels = lay.event_levels[below_root]
-    spans = lay.event_spans[below_root]
-    lengths = spans[:, 1] - spans[:, 0]
-    leaf, owner = _segments(spans[:, 0], lengths)
     # Row of K_k, k = 0..depth-1, in the stacked rows.
-    chain = lay.stacked_maps[: filt.depth, spans[:, 0]].T
+    chain = lay.stacked_maps[: filt.depth, lay.event_spans[below_root, 0]].T
     measures = lay.stacked_measures[chain]
-    mults = op.multipliers[chain]
     beyond = np.arange(filt.depth) > levels[:, None]
-    own = measures[np.arange(len(levels)), levels]
-    return EventRuns(
+    own = np.arange(len(levels)), levels
+    return EventChains(
         levels,
-        owner,
-        leaf,
-        np.cumsum(lengths) - lengths,
-        np.where(beyond, own[:, None], measures),
-        np.where(beyond[..., None], 0.0, mults),
+        chain[own],
+        np.where(beyond, measures[own][:, None], measures),
+        np.where(beyond[..., None], 0.0, op.multipliers[chain]),
     )
 
 
 def _ancestor_values(mults: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Levels 1..n of T or T* applied to a function h supported in an A_n
     atom J, n >= 1, outside J's subtree, from its padded ancestor chain
-    (``EventRuns``).
+    (``EventChains``).
 
     h has the same sum, J's, over every K_k, so ``means`` (e, depth, c)
     holds its averages over the chain.  Level k adds a_k(K_{k-1}) (mean_k -
@@ -216,18 +198,20 @@ def _ancestor_values(mults: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, 
     a * mean: T sums them over the coordinates, T* keeps them.  A ring of
     zero measure (K_j = K_{j+1}) holds no leaf.
     """
-    steps = np.cumsum(mults[:, :-1] * np.diff(means, axis=1), axis=1)
-    before = np.concatenate([np.zeros_like(steps[:, :1]), steps[:, :-1]], axis=1)
-    return steps[:, -1], before - mults[:, :-1] * means[:, :-1]
+    heads = mults[:, :-1]
+    steps = np.cumsum(heads * (means[:, 1:] - means[:, :-1]), axis=1)
+    before = np.concatenate((np.zeros_like(steps[:, :1]), steps[:, :-1]), axis=1)
+    return steps[:, -1], before - heads * means[:, :-1]
 
 
 # Floats of the (rows, A, 1) step stack one block of cut rows pushes through
-# the levels, at most (or one row, where a row is larger): 2 MB.
+# the levels, at most (or one row, where a row is larger): 2 MB, and d times
+# that for its terms.
 _CUT_STACK = 1 << 18
 
 
 def _cut_adjoints(
-    op: MartingaleTransform, runs: EventRuns, values: np.ndarray, shifts: np.ndarray
+    op: MartingaleTransform, chains: EventChains, values: np.ndarray, shifts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each non-root split atom J, in schedule order, osc2 over I and
     squared norm of T*((v - s_J) 1_J), with v the scalar leaf values and s_J
@@ -239,68 +223,72 @@ def _cut_adjoints(
     reduceat segments.  Levels 1..n add a constant on J and on each ring of
     J's ancestor chain, from J's cut sum: O(L * depth^2) in all, none of it
     per event.  The stack goes through in blocks of rows of at most
-    ``_CUT_STACK`` stacked floats, one pass where the whole stack fits: the
-    events of a row are a contiguous run of the schedule, and a row's floats
-    do not depend on the other rows of its block.
+    ``_CUT_STACK`` stacked floats (every corpus tower in one): the events
+    of a row are a contiguous run of the schedule, and a row's floats do
+    not depend on the other rows of its block.
     """
     filt = op.filtration
-    if not len(runs.levels):
+    if not len(chains.levels):
         return np.empty(0), np.empty(0)
     rows = filt.depth - 1
     per_block = max(1, _CUT_STACK // len(filt.layout.stacked_measures))
-    if per_block >= rows:
-        return _cut_block(op, runs, values, shifts, 0, rows)
     out = []
     for first in range(0, rows, per_block):
         last = min(first + per_block, rows)
-        e0, e1 = np.searchsorted(runs.levels, [first + 1, last + 1]).tolist()
+        e0, e1 = np.searchsorted(chains.levels, [first + 1, last + 1]).tolist()
         if e1 > e0:
-            out.append(_cut_block(op, runs.select(e0, e1), values, shifts[e0:e1], first, last))
+            block = EventChains(*(field[e0:e1] for field in chains))
+            out.append(_cut_block(op, block, values, shifts[e0:e1], first, last))
     return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 def _cut_block(
     op: MartingaleTransform,
-    runs: EventRuns,
+    chains: EventChains,
     values: np.ndarray,
     shifts: np.ndarray,
     first: int,
     last: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_cut_adjoints`` of the events of cut rows first..last-1 (levels
-    first+1..last), whose runs ``runs`` holds."""
+    first+1..last), whose chains ``chains`` holds.  An A_n atom that does
+    not split is a leaf whose steps are exact zeros and that no event sums
+    over, so the event-0 values its leaf takes reach no result."""
     filt = op.filtration
-    owner, leaf = runs.owner, runs.leaf
-    row = runs.levels[owner] - (first + 1)
-    cut = values[leaf] - shifts[owner]
-    weights = filt.layout.measures[leaf]
-    sums = runs.sums(weights * cut)
-    inside, rings = _ancestor_values(runs.mults, (sums[:, None] / runs.measures)[..., None])
-    cuts = np.zeros((last - first, filt.n_leaves, 1))
-    cuts[row, leaf, 0] = cut
-    del cut
-    steps = _atom_steps(filt, cuts)
+    lay = filt.layout
+    top = lay.level_offsets[first + 1]
+    rows = chains.rows - top
+    owner = np.zeros(lay.level_offsets[last + 1] - top, dtype=np.intp)
+    owner[rows] = np.arange(len(rows))
+    # Each leaf's event in cut row n - 1 - first, from its A_n row.
+    owner = owner[lay.stacked_maps[first + 1 : last + 1] - top]
+
+    def event_sums(stack: np.ndarray) -> np.ndarray:
+        return _diagonal_sums(filt, stack, first + 1)[rows]
+
+    cuts = values - shifts[owner]
+    means = event_sums(cuts)[:, None] / chains.measures
+    inside, rings = _ancestor_values(chains.mults, means[..., None])
+    # Each atom row's step times a_k of its parent, level k's T* on its leaves.
+    terms = op.step_multipliers * _atom_steps(filt, cuts[..., None])
     del cuts
-    x = np.zeros((last - first, filt.n_leaves, op.dim))
-    x[row, leaf] = inside[owner]
+    x = inside[owner]
     # Level k reaches inside the atoms of levels n < k: rows 0..k-2.
     for k in range(first + 2, filt.depth + 1):
-        diff = np.take(steps[: k - 1 - first], filt.layout.stacked_maps[k], axis=-2)
-        x[: k - 1 - first] += op.multiplier_on_leaves(k) * diff
-    del steps
-    on_atoms = x[row, leaf]
-    del x
+        x[: k - 1 - first] += np.take(terms[: k - 1 - first], lay.stacked_maps[k], axis=-2)
+    del terms
 
-    ring_measures = runs.measures[:, :-1] - runs.measures[:, 1:]
-    mean = runs.sums(weights[:, None] * on_atoms) + np.einsum("ej,ejd->ed", ring_measures, rings)
+    ring_measures = chains.measures[:, :-1] - chains.measures[:, 1:]
+    mean = event_sums(x) + np.einsum("ej,ejd->ed", ring_measures, rings)
     mean /= filt.total_measure
 
-    def square_sums(inside: np.ndarray, on_rings: np.ndarray) -> np.ndarray:
-        per_leaf = runs.sums(weights * np.einsum("ij,ij->i", inside, inside))
+    def square_sums(on_leaves: np.ndarray, on_rings: np.ndarray) -> np.ndarray:
+        per_leaf = event_sums(np.einsum("kij,kij->ki", on_leaves, on_leaves))
         return per_leaf + np.einsum("ej,ejd,ejd->e", ring_measures, on_rings, on_rings)
 
-    off_mean = square_sums(on_atoms - mean[owner], rings - mean[:, None, :])
-    return off_mean / filt.total_measure, square_sums(on_atoms, rings)
+    squares = square_sums(x, rings)
+    x -= mean[owner]
+    return square_sums(x, rings - mean[:, None, :]) / filt.total_measure, squares
 
 
 def _transform_stack(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:

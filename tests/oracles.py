@@ -7,6 +7,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -24,8 +25,18 @@ from mblab.filtration import (
     _segments,
     level_partition,
 )
-from mblab.martingale import MartFunction, _segment_means, _weighted, inner
-from mblab.transforms import MartingaleTransform
+from mblab.checks import Tolerances, _row
+from mblab.martingale import (
+    MartFunction,
+    _atom_steps,
+    _diagonal_steps,
+    _event_draws,
+    _padded,
+    _segment_means,
+    _weighted,
+    inner,
+)
+from mblab.transforms import MartingaleTransform, _ancestor_values
 
 
 def scale_candidate(cand: BellmanCandidate, c: float, delta: float | None = None) -> BellmanCandidate:
@@ -374,6 +385,207 @@ class SpanFed:
 
 
 # ---------------------------------------------------------------------------
+# The split events as runs of leaves: each non-root event's atom J laid out
+# again as a run of its leaves, with its owner, and every sum over J a
+# reduceat over the runs.  The event chains and the diagonal sums on the
+# level stack replaced them; they must give the same floats.
+
+class EventRuns(NamedTuple):
+    """The non-root split events of a transform's tower, in schedule order,
+    with each event's atom J laid out as a run of leaves: run position i
+    holds leaf ``leaf[i]`` of event ``owner[i]``, and the runs begin at
+    ``starts``.  A run is J's leaves in order, so a reduceat over the runs
+    sums the same segments as the level kernel does over J.
+
+    ``measures`` (e, depth) and ``mults`` (e, depth, d) describe each
+    event's ancestor chain K_0 > K_1 > ... > K_n = J, with K_k the A_k atom
+    holding J: |K_k| and a_{k+1}(K_k).  Chains are padded to the depth with
+    J's measure and zero multipliers, so the last column holds |J| and a
+    padded step sees J's mean twice and adds an exact zero.
+    """
+
+    levels: np.ndarray
+    owner: np.ndarray
+    leaf: np.ndarray
+    starts: np.ndarray
+    measures: np.ndarray
+    mults: np.ndarray
+
+    def sums(self, per_leaf: np.ndarray) -> np.ndarray:
+        """Sums over each run of ``per_leaf`` in run order."""
+        return np.add.reduceat(per_leaf, self.starts, axis=0)
+
+    def select(self, e0: int, e1: int) -> EventRuns:
+        """The runs of events e0..e1-1, owners and starts counted from e0."""
+        p0, p1 = (int(self.starts[e]) if e < len(self.starts) else len(self.leaf) for e in (e0, e1))
+        return EventRuns(
+            self.levels[e0:e1],
+            self.owner[p0:p1] - e0,
+            self.leaf[p0:p1],
+            self.starts[e0:e1] - p0,
+            self.measures[e0:e1],
+            self.mults[e0:e1],
+        )
+
+
+def _event_runs(op: MartingaleTransform) -> EventRuns:
+    filt = op.filtration
+    lay = filt.layout
+    below_root = lay.event_levels > 0
+    levels = lay.event_levels[below_root]
+    spans = lay.event_spans[below_root]
+    lengths = spans[:, 1] - spans[:, 0]
+    leaf, owner = _segments(spans[:, 0], lengths)
+    # Row of K_k, k = 0..depth-1, in the stacked rows.
+    chain = lay.stacked_maps[: filt.depth, spans[:, 0]].T
+    measures = lay.stacked_measures[chain]
+    mults = op.multipliers[chain]
+    beyond = np.arange(filt.depth) > levels[:, None]
+    own = measures[np.arange(len(levels)), levels]
+    return EventRuns(
+        levels,
+        owner,
+        leaf,
+        np.cumsum(lengths) - lengths,
+        np.where(beyond, own[:, None], measures),
+        np.where(beyond[..., None], 0.0, mults),
+    )
+
+
+# Floats of the (rows, A, 1) step stack one block of cut rows pushes through
+# the levels, at most (or one row, where a row is larger): 2 MB.
+_CUT_STACK = 1 << 18
+
+
+def _cut_adjoints(
+    op: MartingaleTransform, runs: EventRuns, values: np.ndarray, shifts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each non-root split atom J, in schedule order, osc2 over I and
+    squared norm of T*((v - s_J) 1_J), with v the scalar leaf values and s_J
+    the shift of J.
+
+    The cuts of one level n have disjoint atoms and share one leaf array,
+    row n - 1 of a stack.  Inside J, levels n+1.. see J's leaves only, so
+    pushing the stack through them gives every cut's T* there, from J's own
+    reduceat segments.  Levels 1..n add a constant on J and on each ring of
+    J's ancestor chain, from J's cut sum: O(L * depth^2) in all, none of it
+    per event.  The stack goes through in blocks of rows of at most
+    ``_CUT_STACK`` stacked floats, one pass where the whole stack fits: the
+    events of a row are a contiguous run of the schedule, and a row's floats
+    do not depend on the other rows of its block.
+    """
+    filt = op.filtration
+    if not len(runs.levels):
+        return np.empty(0), np.empty(0)
+    rows = filt.depth - 1
+    per_block = max(1, _CUT_STACK // len(filt.layout.stacked_measures))
+    if per_block >= rows:
+        return _cut_block(op, runs, values, shifts, 0, rows)
+    out = []
+    for first in range(0, rows, per_block):
+        last = min(first + per_block, rows)
+        e0, e1 = np.searchsorted(runs.levels, [first + 1, last + 1]).tolist()
+        if e1 > e0:
+            out.append(_cut_block(op, runs.select(e0, e1), values, shifts[e0:e1], first, last))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _cut_block(
+    op: MartingaleTransform,
+    runs: EventRuns,
+    values: np.ndarray,
+    shifts: np.ndarray,
+    first: int,
+    last: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_cut_adjoints`` of the events of cut rows first..last-1 (levels
+    first+1..last), whose runs ``runs`` holds."""
+    filt = op.filtration
+    owner, leaf = runs.owner, runs.leaf
+    row = runs.levels[owner] - (first + 1)
+    cut = values[leaf] - shifts[owner]
+    weights = filt.layout.measures[leaf]
+    sums = runs.sums(weights * cut)
+    inside, rings = _ancestor_values(runs.mults, (sums[:, None] / runs.measures)[..., None])
+    cuts = np.zeros((last - first, filt.n_leaves, 1))
+    cuts[row, leaf, 0] = cut
+    del cut
+    steps = _atom_steps(filt, cuts)
+    del cuts
+    x = np.zeros((last - first, filt.n_leaves, op.dim))
+    x[row, leaf] = inside[owner]
+    # Level k reaches inside the atoms of levels n < k: rows 0..k-2.
+    for k in range(first + 2, filt.depth + 1):
+        diff = np.take(steps[: k - 1 - first], filt.layout.stacked_maps[k], axis=-2)
+        x[: k - 1 - first] += op.multiplier_on_leaves(k) * diff
+    del steps
+    on_atoms = x[row, leaf]
+    del x
+
+    ring_measures = runs.measures[:, :-1] - runs.measures[:, 1:]
+    mean = runs.sums(weights[:, None] * on_atoms) + np.einsum("ej,ejd->ed", ring_measures, rings)
+    mean /= filt.total_measure
+
+    def square_sums(inside: np.ndarray, on_rings: np.ndarray) -> np.ndarray:
+        per_leaf = runs.sums(weights * np.einsum("ij,ij->i", inside, inside))
+        return per_leaf + np.einsum("ej,ejd,ejd->e", ring_measures, on_rings, on_rings)
+
+    off_mean = square_sums(on_atoms - mean[owner], rings - mean[:, None, :])
+    return off_mean / filt.total_measure, square_sums(on_atoms, rings)
+
+
+def check_localization_by_runs(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
+    """``checks.check_localization`` with every piece's sum over J taken
+    over its run of leaves."""
+    filt, op = w.f.filtration, w.op
+    lay = filt.layout
+    draws = _event_draws(filt, np.arange(len(lay.event_atoms)), w.f.dim, rng)
+    runs = _event_runs(op)
+    outside = 0.0
+    if len(runs.levels):
+        # The piece of an event at level n >= 1 is the level-n difference
+        # of row n of the draws: on J's leaves, the step of their A_{n+1}
+        # row.
+        steps = _diagonal_steps(filt, draws[1:], first=1)
+        on_atoms = steps[lay.stacked_maps[runs.levels[runs.owner] + 1, runs.leaf]]
+        sums = runs.sums(lay.measures[runs.leaf, None] * on_atoms)
+        _, rings = _ancestor_values(runs.mults, sums[:, None, :] / runs.measures[..., None])
+        nonempty = runs.measures[:, :-1] > runs.measures[:, 1:]
+        outside = float(np.max(np.abs(rings.sum(axis=-1)[nonempty]), initial=0.0))
+
+    # On an atom J split at level n, the level-n difference is J's split
+    # difference, and T* multiplies it by the level-(n+1) multiplier of J:
+    # row by row, the step of T* g is a_{n+1}(J) times the step of g.
+    dtg, dsg = np.hsplit(w.table.steps[:, w.f.dim :], [w.f.dim])
+    below = lay.level_offsets[1]  # the root row has no step
+    err = dtg[below:] - op.step_multipliers[below:] * dsg[below:]
+    commute = float(np.max(np.abs(err)))
+    return [
+        _row("localization_support", outside, tol.exact, "T of split piece outside atom"),
+        _row("localization_adjoint", commute, tol.tight, "adjoint split vs multiplier"),
+    ]
+
+
+def diagonal_sums_padded(filt: Filtration, values: np.ndarray, first: int = 0) -> np.ndarray:
+    """``martingale._diagonal_sums`` over padded rows: each leaf row of the
+    stack gets one zero row at position L, and each level's boundaries,
+    sentinel L included, are moved by n * (L + 1); the sentinel sums are
+    dropped."""
+    lay = filt.layout
+    K, L = values.shape[:2]
+    sizes = np.diff(lay.level_offsets)
+    boundary_levels = np.repeat(np.arange(len(sizes)), sizes + 1)
+    diagonal_starts = lay.stacked_starts + boundary_levels * (L + 1)
+    # The boundaries of levels first..first+K-1, sentinels included.
+    lo = lay.level_offsets[first] + first
+    hi = lay.level_offsets[first + K] + first + K
+    bounds = diagonal_starts[lo:hi] - first * (L + 1)
+    flat = _padded(filt, values.reshape(K, L, -1)).reshape(K * (L + 1), -1)
+    sums = np.add.reduceat(flat if values.ndim == 3 else flat[:, 0], bounds, axis=0)
+    return sums[lay.stacked_starts[lo:hi] < L]
+
+
+# ---------------------------------------------------------------------------
 # The tower as a tuple of Atom records
 
 
@@ -625,7 +837,8 @@ def _build_layout(f: AtomTower) -> LeafLayout:
     row_level = np.repeat(np.arange(len(sizes)), sizes)
     stacked_atoms = np.fromiter(chain.from_iterable(f.levels), dtype=np.intp, count=offsets[-1])
     leaves_in = np.array(count)[stacked_atoms]
-    first_leaf = np.cumsum(leaves_in) - leaves_in - row_level * n_leaves
+    diagonal_starts = np.cumsum(leaves_in) - leaves_in
+    first_leaf = diagonal_starts - row_level * n_leaves
     spans = np.empty((len(f.atoms), 2), dtype=np.intp)
     spans[stacked_atoms, 0] = first_leaf
     spans[stacked_atoms, 1] = first_leaf + leaves_in
@@ -635,7 +848,6 @@ def _build_layout(f: AtomTower) -> LeafLayout:
     stacked_starts = np.full(offsets[-1] + len(sizes), n_leaves)
     stacked_starts[rows + row_level] = first_leaf
     stacked_starts = _frozen(stacked_starts)
-    boundary_levels = np.repeat(np.arange(len(sizes)), np.array(sizes) + 1)
     stacked_measures = _frozen(atom_measure[stacked_atoms])
     # Atoms split at the level they are created, so the events of level n
     # are the A_n atoms with children, in left-endpoint order: the rows
@@ -663,7 +875,7 @@ def _build_layout(f: AtomTower) -> LeafLayout:
         event_child_starts=_frozen(np.cumsum([0] + [len(k) for k in kids])),
         level_offsets=_frozen(offsets),
         stacked_starts=stacked_starts,
-        diagonal_starts=_frozen(stacked_starts + boundary_levels * (n_leaves + 1)),
+        diagonal_starts=_frozen(diagonal_starts),
         stacked_measures=stacked_measures,
         stacked_maps=stacked_maps,
         stacked_atoms=_frozen(stacked_atoms),

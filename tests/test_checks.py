@@ -1,9 +1,11 @@
 """Check-suite layer: row structure, per-suite pass behavior, tolerance
-scaling through the environment, one T* g, moment table, event-run set and
+scaling through the environment, one T* g, moment table, event-chain set and
 uncentered cut pass per witness (and per corpus cell), the stacked passes
 of one call, the witness's refusal of a mismatched triple, the per-level
 localization and restriction kernels against the per-event routes they
-replaced, the support suite's mask passes against its per-atom loops, a
+replaced, the event chains against the runs of leaves they replaced, bit
+for bit, the memory the chains and the projection suite take at dyadic
+depth 15, the support suite's mask passes against its per-atom loops, a
 NaN that keeps its rows red, and the matrix-free production path: no
 suite, certificate, moment point or duality bound builds the dense matrix,
 on small cells or at dyadic depth 12."""
@@ -54,6 +56,7 @@ from mblab.transforms import (
     split_multiplier_norm,
 )
 from conftest import traced
+import oracles
 from oracles import (
     SpanFed,
     _blocks,
@@ -162,16 +165,16 @@ def test_bad_env_tolerance_rejected(monkeypatch, value):
 
 
 # ---------------------------------------------------------------------------
-# One witness: T* g, the moment table, the event runs and the uncentered
+# One witness: T* g, the moment table, the event chains and the uncentered
 # cut pass once per call
 
 
 def _count_derivations(monkeypatch) -> dict[str, int]:
     """Count calls of the closed-form adjoint, the moment table, the event
-    runs and the uncentered cut pass (g cut to every split atom, unshifted),
+    chains and the uncentered cut pass (g cut to every split atom, unshifted),
     in every module that binds them.  The probe's other two cut passes, the
     centered cuts and the cuts of the constant 1, are not counted."""
-    keys = ("adjoint_closed_form", "moment_table", "event_runs", "uncentered_cuts")
+    keys = ("adjoint_closed_form", "moment_table", "event_chains", "uncentered_cuts")
     counts = dict.fromkeys(keys, 0)
     closed_form = MartingaleTransform.adjoint_closed_form
     always = lambda *args: True
@@ -188,10 +191,10 @@ def _count_derivations(monkeypatch) -> dict[str, int]:
         "adjoint_closed_form",
         counted("adjoint_closed_form", closed_form, always),
     )
-    uncentered = lambda op, runs, values, shifts: not shifts.any() and not (values == 1.0).all()
+    uncentered = lambda op, chains, values, shifts: not shifts.any() and not (values == 1.0).all()
     wrappers = {
         "moment_table": ("moment_table", bellman.moment_table, always),
-        "_event_runs": ("event_runs", transforms._event_runs, always),
+        "_event_chains": ("event_chains", transforms._event_chains, always),
         "_cut_adjoints": ("uncentered_cuts", transforms._cut_adjoints, uncentered),
     }
     for name, (key, func, when) in wrappers.items():
@@ -208,17 +211,17 @@ def test_one_adjoint_and_one_table_per_call(monkeypatch, kernel_tower, dim):
     counts = _count_derivations(monkeypatch)
     calls = {
         "run_all": (lambda: run_all(f, g, op, rng=np.random.default_rng(21)), 1),
-        # the certificate reads no event runs and no cuts
+        # the certificate reads no event chains and no cuts
         "certify": (lambda: certify(quadratic_candidate(kernel_tower.delta), f, g, op), 0),
     }
-    for name, (call, runs) in calls.items():
+    for name, (call, derived) in calls.items():
         counts.update(dict.fromkeys(counts, 0))
         call()
         assert counts == {
             "adjoint_closed_form": 1,
             "moment_table": 1,
-            "event_runs": runs,
-            "uncentered_cuts": runs,
+            "event_chains": derived,
+            "uncentered_cuts": derived,
         }, name
 
 
@@ -580,7 +583,7 @@ def _assert_matches_reference(f, g, op):
             assert abs(a["max_err"] - b["max_err"]) <= gaps[a["check"]], (a, b)
 
     w = Witness(f, g, op)
-    runs = w.event_runs
+    chains = w.event_chains
     _, new_local, new_glob = w.restriction_sides
     spans, _, _, ref_local, ref_glob = _restriction_sides(g, op)
     # the local side is osc2 of T* g over J: tiny on some deep atoms, where
@@ -591,7 +594,7 @@ def _assert_matches_reference(f, g, op):
     shifts = np.random.default_rng(11).normal(size=len(spans))
     for values in (g.values[:, 0], np.ones(f.filtration.n_leaves)):
         for s in (shifts, np.zeros(len(spans))):
-            new = transforms._cut_adjoints(op, runs, values, s)
+            new = transforms._cut_adjoints(op, chains, values, s)
             ref = _cut_adjoints(op, values, spans, s)
             assert _rel(new[0], ref[0]) <= 1e-12
             assert _rel(new[1], ref[1]) <= 1e-12
@@ -618,13 +621,13 @@ def test_cut_blocks_keep_every_float(monkeypatch, kernel_tower, dim):
     # the cut rows pushed one or two at a time give the floats of one push
     # of the whole stack, for any cut values and shifts
     f, g, op = _witness(kernel_tower, dim, 50 + dim)
-    runs = Witness(f, g, op).event_runs
-    shifts = np.random.default_rng(51).normal(size=len(runs.levels))
+    chains = Witness(f, g, op).event_chains
+    shifts = np.random.default_rng(51).normal(size=len(chains.levels))
     cases = [(g.values[:, 0], shifts), (g.values[:, 0], 0 * shifts), (np.ones(len(g.values)), shifts)]
 
     def passes():
         w = Witness(f, g, op)
-        cuts = [transforms._cut_adjoints(op, runs, v, s) for v, s in cases]
+        cuts = [transforms._cut_adjoints(op, chains, v, s) for v, s in cases]
         return [*np.concatenate(cuts), *w.restriction_sides, *checks.restriction_identity_gaps(w)]
 
     whole = passes()
@@ -634,12 +637,58 @@ def test_cut_blocks_keep_every_float(monkeypatch, kernel_tower, dim):
         assert all(np.array_equal(a, b) for a, b in zip(passes(), whole, strict=True))
 
 
+def _assert_chains_match_runs(f, g, op):
+    # the chains and the diagonal sums give every float of the runs of
+    # leaves they replaced: both outputs of the cuts, for cut values g and 1
+    # and zero, centered and random shifts, pushed in one block or one cut
+    # row at a time, and the localization rows
+    w = Witness(f, g, op)
+    chains, runs = w.event_chains, oracles._event_runs(op)
+    c = w.restriction_sides[0]
+    shifts = np.random.default_rng(61).normal(size=len(c))
+    g0, ones = g.values[:, 0], np.ones(len(g.values))
+    cases = [(g0, 0 * c), (g0, c), (ones, 0 * c), (g0, shifts), (ones, shifts)]
+    refs = [oracles._cut_adjoints(op, runs, v, s) for v, s in cases]
+    for stack in (transforms._CUT_STACK, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transforms, "_CUT_STACK", stack)
+            for (v, s), ref in zip(cases, refs):
+                new = transforms._cut_adjoints(op, chains, v, s)
+                assert all(np.array_equal(a, b) for a, b in zip(new, ref, strict=True))
+    new_rows = checks.check_localization(w, Tolerances(), np.random.default_rng(62))
+    ref_rows = oracles.check_localization_by_runs(w, Tolerances(), np.random.default_rng(62))
+    assert new_rows == ref_rows
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_event_chains_keep_every_float_of_the_runs(kernel_tower, dim):
+    _assert_chains_match_runs(*_witness(kernel_tower, dim, 60 + dim))
+
+
+def test_event_chains_hold_little_at_depth_15():
+    # O(depth) numbers per event and no run of leaves: the runs' leaf and
+    # owner arrays held 15.7 MB at this depth
+    w = Witness(*_witness(build_dyadic(15), 1, 15))
+    _, held, _ = traced(lambda: w.event_chains)
+    assert held <= 10_000_000
+
+
+def test_projections_peak_little_at_depth_15():
+    # idempotence is compared on the stacked rows, so no (depth, L, d)
+    # stack beyond the pieces and the auxiliary differences is made
+    w = Witness(*_witness(build_dyadic(15), 1, 15))
+    w.table
+    rng = np.random.default_rng(0)
+    _, _, peak = traced(lambda: checks.check_projections(w, Tolerances(), rng))
+    assert peak <= 32_000_000
+
+
 def test_restriction_sides_hold_little_at_depth_15():
     # a block of cut rows is at most _CUT_STACK stacked floats, so the
     # restriction sides of a deep witness take a few blocks' memory, not the
     # depth-14 stack's
     w = Witness(*_witness(build_dyadic(15), 1, 15))
-    w.table, w.event_runs
+    w.table, w.event_chains
     _, _, peak = traced(lambda: w.restriction_sides)
     assert peak <= 20_000_000
 
@@ -658,6 +707,7 @@ def test_per_level_suites_match_on_random_towers(depth, delta, tower_seed, dim):
     filt = build_random_regular(depth, delta, max_children_for(delta), 0.7, tower_seed)
     f, g, op = _witness(filt, dim, tower_seed + 1)
     _assert_matches_reference(f, g, op)
+    _assert_chains_match_runs(f, g, op)
 
 
 # ---------------------------------------------------------------------------

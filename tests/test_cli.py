@@ -630,6 +630,11 @@ REPORT_DIGESTS = {
         (0, "376baf69b61d26095888042aff3a370ecdcb219386e41429f15cfdf7813a665a"),
     ("check", "--seed", "3", "--depth", "9", "--delta", "0.5", "--dim", "1"):
         (0, "e6fb4b32af166e0d578088bff647bba6f1280e8c5c8b67e66b690adee5841da6"),
+    # 32,767 stacked rows: the restriction cuts go through in two blocks
+    ("check", "--seed", "1", "--depth", "14", "--delta", "0.5", "--dim", "1"):
+        (0, "4bfd3985a7d5fa6718f6ce65855d9708a09cb998a12acebaf040dfaea13ffb53"),
+    ("check", "--seed", "2", "--depth", "14", "--delta", "0.5", "--dim", "2"):
+        (0, "4b24c671c4e70891f23d9ef2f32002b610a7effe320dd42b1216e74744fcfbb4"),
     ("search", "--seed", "1", "--p", "1.5", "--trials", "200", "--delta", "0.5", "--ascent", "100"):
         (0, "8f3a319a5968c81df52336859138a875c7561b5013feda3139c9dd09c4f36e16"),
     ("certify", "--seed", "1", "--depth", "5", "--delta", "0.5", "--dim", "2"):
@@ -663,6 +668,16 @@ def test_report_stdout_is_pinned(argv, capsys):
     code, digest = REPORT_DIGESTS[argv]
     assert run(list(argv)) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_large_exponents_keep_the_norms_finite(capsys):
+    # ||f||_p at p = 1000 and ||g||_q at q = 1001 (p = 1.001) do not
+    # overflow: the scan's ratios stay finite, and no search trial after
+    # the first records a pairing of exactly 0 from an infinite ||g||_q
+    assert run(["scan", "--seed", "1", "--trials", "3", "--p", "1000"]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["max_ratio"])
+    assert run(["search", "--seed", "1", "--trials", "5", "--p", "1.001"]) == 0
+    assert 0 not in json.loads(capsys.readouterr().out)["history"][1:]
 
 
 def test_lemma1_ratios_are_positive_by_child_count(capsys):

@@ -260,6 +260,22 @@ def test_lp_norm_monotone_in_p_on_probability_space(dyadic3):
     assert norms[0] <= norms[1] + 1e-12 <= norms[2] + 2e-12
 
 
+@pytest.mark.parametrize("p", [442.0, 1000.0])
+def test_lp_norm_survives_large_exponents(dyadic3, p):
+    # 5^442 overflows, and so did the direct sum of |f|^p; the max-scaled
+    # form keeps the norm finite and below max |f|
+    f = rand_fn(dyadic3, 2, 14)
+    f = f * (5.0 / np.max(np.linalg.norm(f.values, axis=1)))
+    mags = np.linalg.norm(f.values, axis=1)
+    scaled = 5.0 * float(dyadic3.leaf_measures() @ (mags / 5.0) ** p) ** (1.0 / p)
+    assert lp_norm(f, p) == pytest.approx(scaled, rel=1e-12)
+    assert lp_norm(f, p) < 5.0
+    # all of |f|^p underflowing to 0 takes the same route
+    small = f * 1e-3
+    assert lp_norm(small, p) == pytest.approx(1e-3 * scaled, rel=1e-12)
+    assert lp_norm(f * 0.0, p) == 0.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     vals=arrays(np.float64, (8, 2), elements=st.floats(-100, 100)),
@@ -344,6 +360,9 @@ def _assert_kernel_matches_levels(filt, dim, seed):
             for k, row in enumerate(stack)
         ]
         _assert_same_bits(flat, np.concatenate(ref))
+        # the rows laid end to end unpadded sum what the padded rows did
+        _assert_same_bits(sums, oracles.diagonal_sums_padded(filt, stack, first))
+        _assert_same_bits(flat, oracles.diagonal_sums_padded(filt, stack[..., 0], first))
         steps = _diagonal_steps(filt, stack, first)
         for k, row in enumerate(stack):
             n = first + k
