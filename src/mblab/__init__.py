@@ -17,12 +17,10 @@ from .filtration import (
 )
 from .martingale import (
     MartFunction,
-    average,
     delta_split,
     inner,
     l2_norm,
     lp_norm,
-    osc2,
 )
 from .transforms import (
     MartingaleTransform,

@@ -599,12 +599,19 @@ class ExpansionCertificate:
         return tuple(full.reshape(2**k, b >> k, -1).mean(axis=1) for k in range(self.m + 1))
 
 
+# Floats of sorted copies one block of configurations expands at once, at
+# most (or one configuration, where one is larger): 512 kB.  lemma1's 500
+# configurations of 4 columns at m = 6 make two blocks.
+_EXPAND_FLOATS = 1 << 16
+
+
 def dyadic_expand(cfgs: SplitConfigs, m: int) -> Sequence[ExpansionCertificate]:
     """Expand each row into 2^m copies, sort along the diameter direction,
     halve; raises ValueError naming the first row whose weights are not all
-    positive multiples of 2^-m.  Returns one expansion per row, each built
-    when it is read, with its separation from the two half means alone: a
-    row's midpoint tree is built only when its ``levels`` are read.
+    positive multiples of 2^-m.  Returns one expansion per row, each block
+    of rows expanded when one of its rows is read, with its separation from
+    the two half means alone: a row's midpoint tree is built only when its
+    ``levels`` are read.
 
     Sort keys are scalar projections of the x1 copies onto the segment
     between the first diameter-realizing pair of ``_diameters``; ties keep
@@ -618,41 +625,60 @@ def dyadic_expand(cfgs: SplitConfigs, m: int) -> Sequence[ExpansionCertificate]:
     if not ok.all():
         bad = np.argmin(ok)
         raise ValueError(f"configuration {bad}: weights are not positive multiples of 2^-{m}")
-    dim = cfgs.points.shape[-1] - 3
+    per_block = max(1, _EXPAND_FLOATS // (b * cfgs.points.shape[-1]))
+    block: dict[int, tuple] = {}
 
     def expand(r: int) -> ExpansionCertificate:
-        rows = cfgs.points[r]
-        x1 = rows[:, :dim]
-        parts = x1[cfgs.has[r]]
-        every = np.ones((1, len(parts)), dtype=bool)
-        diam, pair = _diameters(parts[None], every, return_pairs=True)
-        diam, (i, j) = float(diam[0]), pair[0]
-        # Cells without a part have no copies.
-        copy_owner = np.repeat(np.arange(len(rows)), counts[r])
-        degenerate = diam <= 0.0
-        if degenerate:
-            order = np.arange(b)
-        else:
-            u = (parts[j] - parts[i]) / diam
-            keys = (x1[copy_owner] - parts[i][None, :]) @ u
-            order = np.argsort(keys, kind="stable")
-        sorted_owner = copy_owner[order]
-        full = rows[sorted_owner]
-        # The two half means, the bits of ``levels[1]``.
-        halves = full.reshape(2, b >> 1, -1).mean(axis=1)
-        separation = float(np.linalg.norm(halves[0, :dim] - halves[1, :dim]))
+        first = r - r % per_block
+        if first not in block:
+            block.clear()
+            block[first] = _expand_rows(cfgs, counts, m, slice(first, first + per_block))
+        owner, full, separation, diameter = (column[r - first] for column in block[first])
+        degenerate = diameter <= 0.0
         return ExpansionCertificate(
             m=m,
             copies=b,
-            order=tuple(sorted_owner.tolist()),
-            sorted_copies=full,
+            order=tuple(owner.tolist()),
+            sorted_copies=full.copy(),
             separation=separation,
-            diameter=diam,
-            ratio=None if degenerate else separation / diam,
+            diameter=diameter,
+            ratio=None if degenerate else separation / diameter,
             degenerate=degenerate,
         )
 
     return _Lazy(expand, np.arange(len(cfgs)))
+
+
+def _expand_rows(
+    cfgs: SplitConfigs, counts: np.ndarray, m: int, rows: slice
+) -> tuple[np.ndarray, np.ndarray, list[float], list[float]]:
+    """The expansions of a slice of rows, in row-batched passes: each row's
+    sorted copy owners and sorted copies, separation and diameter.  Each
+    sort key is row r's (copies, dim) @ (dim,) product, a stack of the same
+    BLAS products; each separation is ``np.vecdot``, which rounds like the
+    norm of one row."""
+    b = 2**m
+    points, has, counts = cfgs.points[rows], cfgs.has[rows], counts[rows]
+    n, k = has.shape
+    dim = points.shape[-1] - 3
+    x1 = points[..., :dim]
+    # The pair indexes every cell; a cell without a part has no distance.
+    diam, pair = _diameters(x1, has, return_pairs=True)
+    degenerate = diam <= 0.0
+    every = np.arange(n)[:, None]
+    start, end = x1[every, pair].transpose(1, 0, 2)
+    u = (end - start) / np.where(degenerate, 1.0, diam)[:, None]
+    # Cells without a part have no copies; row r's copies are its cells,
+    # each repeated counts[r, cell] times.
+    owner = np.repeat(np.tile(np.arange(k), n), counts.ravel()).reshape(n, b)
+    keys = np.matmul(x1[every, owner] - start[:, None, :], u[:, :, None])[..., 0]
+    keys[degenerate] = 0.0
+    owner = np.take_along_axis(owner, np.argsort(keys, axis=1, kind="stable"), axis=1)
+    full = points[every, owner]
+    # The two half means, the bits of ``levels[1]``.
+    halves = full.reshape(n, 2, b >> 1, -1).mean(axis=2)
+    gap = halves[:, 0, :dim] - halves[:, 1, :dim]
+    return owner, full, np.sqrt(np.vecdot(gap, gap)).tolist(), diam.tolist()
 
 
 def recombine_slack(

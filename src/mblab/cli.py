@@ -25,6 +25,7 @@ given it; reports are byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -584,4 +585,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> int:
+    # The imports leave many long-lived objects, numpy's above all; frozen,
+    # the collections at interpreter exit do not traverse them.
+    gc.freeze()
     return run()

@@ -148,13 +148,18 @@ def random_transform(
     offsets = filt.layout.level_offsets[: filt.depth + 1]
     mults = np.empty((offsets[-1], dim))
     for lo, hi in zip(offsets[:-1], offsets[1:]):
-        raw = rng.normal(size=(hi - lo, dim))
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        mults[lo:hi] = raw / norms
+        mults[lo:hi] = _unit_rows(rng.normal(size=(hi - lo, dim)))
         if not unit:
             mults[lo:hi] *= rng.uniform(size=(hi - lo, 1)) ** (1.0 / dim)
     return make_transform(filt, mults)
+
+
+def _unit_rows(raw: np.ndarray) -> np.ndarray:
+    """Each row of ``raw`` divided by its length; a zero row stays zero.
+    Row by row, so rows of many draws can be scaled in one call."""
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return raw / norms
 
 
 def haar_witness(
@@ -168,17 +173,9 @@ def haar_witness(
     every multiplier at the first coordinate.  The pairing of g with Tf is
     then exactly one while both second moments are one.
     """
-    root = filt.root
-    if len(root.children) != 2:
-        raise ValueError("the structured witness needs a two-child root split")
-    c1, c2 = (filt.atom(c) for c in root.children)
-    w1 = c1.measure / root.measure
-    w2 = c2.measure / root.measure
-    hi = np.sqrt(w2 / w1)
-    lo = -np.sqrt(w1 / w2)
     profile = np.empty(filt.n_leaves)
-    profile[filt.leaf_slice(c1.id)] = hi
-    profile[filt.leaf_slice(c2.id)] = lo
+    for child, value in _haar_profile(filt):
+        profile[filt.leaf_slice(child)] = value
     fvals = np.zeros((filt.n_leaves, dim))
     fvals[:, 0] = profile
     f = MartFunction(filt, fvals)
@@ -186,6 +183,19 @@ def haar_witness(
     mults = np.zeros((filt.layout.level_offsets[filt.depth], dim))
     mults[:, 0] = 1.0
     return f, g, make_transform(filt, mults)
+
+
+def _haar_profile(filt: Filtration) -> tuple[tuple[int, float], tuple[int, float]]:
+    """The structured witness's scalar profile: each child of the root's
+    two-child split and the value the profile takes on its leaves, read off
+    the columns alone."""
+    root = filt.root
+    if len(root.children) != 2:
+        raise ValueError("the structured witness needs a two-child root split")
+    c1, c2 = (filt.atom(c) for c in root.children)
+    w1 = c1.measure / root.measure
+    w2 = c2.measure / root.measure
+    return (c1.id, np.sqrt(w2 / w1)), (c2.id, -np.sqrt(w1 / w2))
 
 
 def active_split_function(

@@ -13,11 +13,20 @@ alone and reports whether the best reaches a scalar target.  The duality
 instrument turns certified pairing bounds into norm bounds: every certified
 witness pair yields |<g, Tf>| <= B(root), and optimizing lambda trades the
 two moment slots against each other at unit norms.
+
+The scan and the search run their trials by depth.  Each trial draws its
+tower and values from its own spawn-keyed generator, in the order a trial
+alone would; the towers of one depth are then one ``TowerBatch``, so one
+``make_transform`` checks all their multipliers, one ``apply`` gives every
+T f, and each trial's norms and pairing are read off its own leaf segment
+with its own dot products.  Every trial keeps the floats it has when run
+alone (``tests/oracles.py`` keeps the trial-by-trial loops).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +34,8 @@ import numpy as np
 from .bellman import Witness, conjugate_exponent, quadratic_candidate
 from .certifier import Certificate, certify
 from .corpus import (
+    _haar_profile,
+    _unit_rows,
     build_tower,
     cell_filtration,
     haar_witness,
@@ -32,7 +43,9 @@ from .corpus import (
     random_function,
     random_transform,
 )
-from .martingale import MartFunction, inner, lp_norm
+from .filtration import Filtration, TowerBatch
+from .martingale import MartFunction, _lp_norms, inner, lp_norm
+from .transforms import MartingaleTransform, make_transform
 
 __all__ = [
     "EstimateError",
@@ -96,8 +109,12 @@ class ScanResult:
     counts: tuple[int, ...]
 
 
+def _trial_depth(depth: int | None, i: int) -> int:
+    return depth if depth is not None else 2 + i % 4
+
+
 def _trial_filtration(delta: float, depth: int | None, i: int, filt_seed: int):
-    d = depth if depth is not None else 2 + i % 4
+    d = _trial_depth(depth, i)
     if delta == 0.5:
         # All balanced towers of one depth coincide, so share the cached one.
         return cell_filtration(0.5, 0, d, 2)
@@ -108,6 +125,46 @@ def _trial_rng(seed: int, i: int) -> np.random.Generator:
     # Spawn-keyed streams: trial i draws identically no matter how many
     # trials run, so longer scans extend shorter ones exactly.
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+
+
+# Leaves of one tower batch at most (or one tower, where a tower is larger):
+# a depth group beyond it runs as several batches, so that a long scan of
+# deep towers holds a bounded part of its trials at once.  Every group of
+# the CLI's default scans and searches fits in one batch.
+_BATCH_LEAVES = 1 << 16
+
+
+def _batches(
+    seed: int, delta: float, depths: list[int]
+) -> Iterator[tuple[list[int], list[np.random.Generator], list[int], list[Filtration]]]:
+    """The trials of each depth, in order of first appearance, in batches
+    of at most ``_BATCH_LEAVES`` leaves: their ids, their generators (past
+    the tower seed), their tower seeds and their towers.  Batch by batch,
+    so only one batch's trials are held."""
+    groups: dict[int, list[int]] = {}
+    for i, d in enumerate(depths):
+        groups.setdefault(d, []).append(i)
+    for d, members in groups.items():
+        chunk, leaves = [], 0
+        for i in members:
+            rng = _trial_rng(seed, i)
+            filt_seed = int(rng.integers(2**31))
+            filt = _trial_filtration(delta, d, i, filt_seed)
+            if chunk and leaves + filt.n_leaves > _BATCH_LEAVES:
+                yield tuple(map(list, zip(*chunk)))
+                chunk, leaves = [], 0
+            chunk.append((i, rng, filt_seed, filt))
+            leaves += filt.n_leaves
+        yield tuple(map(list, zip(*chunk)))
+
+
+def _batch_transform(batch: TowerBatch, rows: np.ndarray, raw: list[np.ndarray]) -> MartingaleTransform:
+    """One transform over a batch from each tower's multiplier rows, in its
+    own stacked order (``rows``, from ``tower_rows``), scaled to unit
+    length in one row-wise pass."""
+    mults = np.empty((len(rows), raw[0].shape[1]))
+    mults[rows] = _unit_rows(np.concatenate(raw))
+    return make_transform(batch, mults)
 
 
 # Histogram bins of the ratio scan.
@@ -127,27 +184,7 @@ def lp_constant_scan(
     from 2 it is an empirical reading."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    ratios = np.empty(trials)
-    argmax: dict = {}
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        filt_seed = int(rng.integers(2**31))
-        filt = _trial_filtration(delta, depth, i, filt_seed)
-        op = random_transform(filt, dim, rng, unit=True)
-        f = random_function(filt, dim, rng)
-        denom = lp_norm(f, p)
-        if denom <= 0:
-            ratios[i] = 0.0
-            continue
-        ratios[i] = lp_norm(op.apply(f), p) / denom
-        if ratios[i] >= ratios[: i + 1].max():
-            argmax = {
-                "trial": i,
-                "filt_seed": filt_seed,
-                "depth": filt.depth,
-                "delta": delta,
-                "dim": dim,
-            }
+    ratios, argmax = _scan_trials(p, trials, seed, delta, dim, depth)
     hi = max(1.05, float(ratios.max()) * 1.0001)
     counts, edges = np.histogram(ratios, bins=_SCAN_BINS, range=(0.0, hi))
     return ScanResult(
@@ -161,6 +198,51 @@ def lp_constant_scan(
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
     )
+
+
+def _scan_trials(
+    p: float, trials: int, seed: int, delta: float, dim: int, depth: int | None
+) -> tuple[np.ndarray, dict]:
+    """The ratio of every trial of ``lp_constant_scan`` and its argmax.
+
+    Each trial draws from its own generator, in order: its tower's seed,
+    its multipliers level by level, then f.  The towers of one depth are
+    one ``TowerBatch`` (``_batches``): one ``make_transform`` and one
+    ``apply`` serve them, and each trial's norms are read off its own leaf
+    segment.  A trial
+    whose f has zero norm scores 0 and is skipped; the argmax is the last
+    trial not skipped that reaches the running maximum."""
+    depths = [_trial_depth(depth, i) for i in range(trials)]
+    seeds = [0] * trials
+    ratios = np.empty(trials)
+    skipped = np.zeros(trials, dtype=bool)
+    for members, rngs, filt_seeds, towers in _batches(seed, delta, depths):
+        for i, filt_seed, (num, denom) in zip(members, filt_seeds, _scan_batch(towers, rngs, p, dim)):
+            seeds[i] = filt_seed
+            skipped[i] = not denom > 0
+            ratios[i] = num / denom if denom > 0 else 0.0
+    reach = np.flatnonzero((ratios >= np.maximum.accumulate(ratios)) & ~skipped)
+    if not reach.size:
+        return ratios, {}
+    i = int(reach[-1])
+    return ratios, {"trial": i, "filt_seed": seeds[i], "depth": depths[i], "delta": delta, "dim": dim}
+
+
+def _scan_batch(
+    towers: list[Filtration], rngs: list[np.random.Generator], p: float, dim: int
+) -> list[tuple[float, float]]:
+    """||T f||_p and ||f||_p of each trial of one batch: each trial draws
+    its multipliers, then f; one transform and one apply serve the batch."""
+    batch = TowerBatch(towers)
+    rows, starts = batch.tower_rows(batch.depth)
+    raw, fv = [], []
+    for rng, n_rows, filt in zip(rngs, np.diff(starts).tolist(), towers):
+        raw.append(rng.normal(size=(n_rows, dim)))
+        fv.append(rng.normal(size=(filt.n_leaves, dim)))
+    op = _batch_transform(batch, rows, raw)
+    f = MartFunction(batch, np.concatenate(fv))
+    m, bounds = batch.layout.measures, batch.leaf_offsets
+    return list(zip(_lp_norms(m, op.apply(f).values, p, bounds), _lp_norms(m, f.values, p, bounds)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +282,92 @@ def _root_point(filt, f, g, op, p: float) -> dict | None:
     return {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": p, "atom": root}
 
 
+def _structured_draws(batch: TowerBatch, t: int, dim: int, n_rows: int) -> tuple[np.ndarray, ...]:
+    """``haar_witness`` of the batch's tower t as leaf values of f and g and
+    multiplier rows, its leaf spans read off the batch layout."""
+    filt = batch.towers[t]
+    profile = np.empty(filt.n_leaves)
+    for child, value in _haar_profile(filt):
+        lo, hi = batch.layout.spans[batch.atom_offsets[t] + child] - batch.leaf_offsets[t]
+        profile[lo:hi] = value
+    f, mults = np.zeros((filt.n_leaves, dim)), np.zeros((n_rows, dim))
+    f[:, 0], mults[:, 0] = profile, 1.0
+    return f, profile[:, None], mults
+
+
+def _search_batch(
+    ids: list[int],
+    towers: list[Filtration],
+    rngs: list[np.random.Generator],
+    p: float,
+    q: float,
+    dim: int,
+) -> tuple[list[float], list[tuple[np.ndarray, ...]]]:
+    """The pairing of each trial of one batch, and each trial's f, g and
+    multiplier rows (in its tower's stacked order).  Each trial draws f, g,
+    then its multipliers, but for a structured trial 0; one transform and
+    one apply serve the batch."""
+    batch = TowerBatch(towers)
+    rows, starts = batch.tower_rows(batch.depth)
+    fv, gv, raw = [], [], []
+    for t, (i, rng, filt) in enumerate(zip(ids, rngs, towers)):
+        n_rows = int(starts[t + 1] - starts[t])
+        if i == 0 and len(filt.root.children) == 2:
+            draws = _structured_draws(batch, t, dim, n_rows)
+        else:
+            draws = (
+                rng.normal(size=(filt.n_leaves, dim)),
+                rng.normal(size=(filt.n_leaves, 1)),
+                rng.normal(size=(n_rows, dim)),
+            )
+        for out, drawn in zip((fv, gv, raw), draws):
+            out.append(drawn)
+    op = _batch_transform(batch, rows, raw)
+    f, g, mults = np.concatenate(fv), np.concatenate(gv), op.multipliers[rows]
+    m, bounds = batch.layout.measures, batch.leaf_offsets.tolist()
+    pairs = np.einsum("ij,ij->i", g, op.apply(MartFunction(batch, f)).values)
+    nfs, ngs = _lp_norms(m, f, p, bounds), _lp_norms(m, g, q, bounds)
+    values = []
+    for filt, nf, ng, lo, hi in zip(towers, nfs, ngs, bounds, bounds[1:]):
+        if nf <= 0 or ng <= 0:
+            values.append(0.0)
+        else:
+            values.append(abs(float(m[lo:hi] @ pairs[lo:hi])) / (nf * ng * filt.total_measure))
+    spans = zip(bounds, bounds[1:], starts.tolist(), starts[1:].tolist())
+    return values, [(f[lo:hi], g[lo:hi], mults[r0:r1]) for lo, hi, r0, r1 in spans]
+
+
+def _search_trials(
+    p: float, trials: int, seed: int, delta: float, dim: int, depth: int | None
+) -> tuple[list[float], float, dict, tuple]:
+    """The trials of ``lower_bound_search``: the pairing of each, the best
+    value, its witness record and its state (filt, f, g, op).
+
+    Trial i draws from its own generator, in order: its tower's seed, then
+    (but for a structured trial 0) f, g and its multipliers level by level.
+    The towers of one depth are one ``TowerBatch`` (``_batches``); each
+    trial's norms and pairing are read off its own leaf segment.  The best is the first trial
+    with the largest value, as a fold over the trials in order finds it."""
+    q = conjugate_exponent(p)
+    depths = [2 if i == 0 else _trial_depth(depth, i) for i in range(trials)]
+    history = [0.0] * trials
+    best, best_i = -1.0, -1
+    for members, rngs, _, towers in _batches(seed, delta, depths):
+        values, draws = _search_batch(members, towers, rngs, p, q, dim)
+        for i, filt, val, state in zip(members, towers, values, draws):
+            history[i] = val
+            # Ties go to the earlier trial, whichever batch it sits in.
+            if val > best or (val == best and i < best_i):
+                best, best_i, best_draws = val, i, (filt, *state)
+    filt, fb, gb, mults = best_draws
+    mults.flags.writeable = False
+    # The rows passed make_transform in the batch.
+    best_state = (filt, MartFunction(filt, fb), MartFunction(filt, gb), MartingaleTransform(filt, mults))
+    kind = "structured" if best_i == 0 else "random"
+    witness = {"trial": best_i, "kind": kind, "depth": filt.depth, "dim": dim}
+    return history, best, witness, best_state
+
+
 def lower_bound_search(
     p: float,
     trials: int,
@@ -224,25 +392,7 @@ def lower_bound_search(
     if trials < 1:
         raise ValueError("need at least one trial")
     q = conjugate_exponent(p)
-    history = []
-    best = -1.0
-    witness: dict = {}
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        filt = _trial_filtration(delta, 2 if i == 0 else depth, i, int(rng.integers(2**31)))
-        if i == 0 and len(filt.root.children) == 2:
-            f, g, op = haar_witness(filt, dim)
-        else:
-            f, g = random_function(filt, dim, rng), random_function(filt, 1, rng)
-            op = random_transform(filt, dim, rng, unit=True)
-        kind = "structured" if i == 0 else "random"
-        val = _pairing_value(f, g, op, p, q)
-        history.append(val)
-        # Values are nonnegative, so trial 0 always sets the best state.
-        if val > best:
-            best = val
-            best_state = (filt, f, g, op)
-            witness = {"trial": i, "kind": kind, "depth": filt.depth, "dim": dim}
+    history, best, witness, best_state = _search_trials(p, trials, seed, delta, dim, depth)
 
     if ascent_steps > 0:
         filt, f, g, op = best_state

@@ -33,6 +33,12 @@ reduceat boundaries, per-event atoms, levels, spans and children in
 schedule order) is the ``LeafLayout`` of a tower, built on first use from
 the columns and kept on the instance; ``level_partition`` reads A_n off
 it.
+
+A ``TowerBatch`` lays validated towers of one depth end to end: their
+columns concatenated, and one ``LeafLayout`` built from all their roots at
+once, whose levels hold the towers' atoms tower after tower.  A reduceat
+segment sums the same leaves in the same order at any offset, so each
+tower's part of a batch pass is the float of its own pass.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import numpy as np
 
 __all__ = [
     "Filtration",
+    "TowerBatch",
     "SplitEvent",
     "FiltrationError",
     "RatioSamplingError",
@@ -268,7 +275,7 @@ class Filtration:
     @cached_property
     def layout(self) -> LeafLayout:
         """Leaf spans, level rows and event spans; built on first use."""
-        return _build_layout(self)
+        return _build_layout(self, np.array([self._root]))
 
     def leaf_measures(self) -> np.ndarray:
         return self.layout.measures
@@ -277,6 +284,81 @@ class Filtration:
         """Contiguous range of leaf positions covered by the atom."""
         lo, hi = self.layout.spans[atom_id].tolist()
         return slice(lo, hi)
+
+
+class TowerBatch:
+    """Validated towers of one depth laid end to end, so that one array pass
+    serves them all.
+
+    The columns ``a``, ``b``, ``child_starts`` and ``children`` are the
+    towers' own, concatenated: tower t's atom i is batch atom
+    ``atom_offsets[t] + i``.  ``layout`` is one ``LeafLayout`` built from
+    the towers' roots: level n holds every tower's A_n atoms, tower after
+    tower.  So tower t's leaves are the positions from ``leaf_offsets[t]``
+    up to ``leaf_offsets[t + 1]``, and its A_n atoms the stacked rows from
+    ``row_offsets[n, t]`` up to ``row_offsets[n, t + 1]``.
+    ``MartFunction``, ``make_transform`` and ``MartingaleTransform.apply``
+    read only ``layout``, ``depth`` and ``n_leaves``, so they take a batch
+    as they take a tower; each row's reduceat segment covers its own leaves
+    only, so every tower gets the floats its own layout gives.
+    """
+
+    def __init__(self, towers: Sequence[Filtration]):
+        self.towers = tuple(towers)
+        if not self.towers:
+            raise FiltrationError("a tower batch needs at least one tower")
+        self.depth = self.towers[0].depth
+        if any(t.depth != self.depth for t in self.towers):
+            raise FiltrationError("the towers of a batch need one depth")
+        self.atom_offsets = _offsets([t.n_atoms for t in self.towers])
+        self.leaf_offsets = _offsets([t.n_leaves for t in self.towers])
+        kid_offsets = _offsets([len(t.children) for t in self.towers])
+        self.a = _frozen(np.concatenate([t.a for t in self.towers]))
+        self.b = _frozen(np.concatenate([t.b for t in self.towers]))
+        starts = [t.child_starts[:-1] + k for t, k in zip(self.towers, kid_offsets.tolist())]
+        self.child_starts = _frozen(np.concatenate([*starts, kid_offsets[-1:]]))
+        kids = [t.children + k for t, k in zip(self.towers, self.atom_offsets.tolist())]
+        self.children = _frozen(np.concatenate(kids))
+
+    @property
+    def n_atoms(self) -> int:
+        return len(self.a)
+
+    @property
+    def n_leaves(self) -> int:
+        return int(self.leaf_offsets[-1])
+
+    @cached_property
+    def layout(self) -> LeafLayout:
+        """The batch's leaf spans, level rows and event spans; built on
+        first use."""
+        roots = self.atom_offsets[:-1] + [t._root for t in self.towers]
+        return _build_layout(self, roots)
+
+    @cached_property
+    def row_offsets(self) -> np.ndarray:
+        """(depth + 1, towers + 1): tower t's A_n atoms are the stacked rows
+        ``row_offsets[n, t]:row_offsets[n, t + 1]``."""
+        lay, towers = self.layout, len(self.towers)
+        tower = np.searchsorted(self.atom_offsets, lay.stacked_atoms, side="right") - 1
+        level = np.arange(self.depth + 1).repeat(np.diff(lay.level_offsets))
+        counts = np.bincount(level * towers + tower, minlength=(self.depth + 1) * towers)
+        starts = lay.level_offsets[:-1, None]
+        return _frozen(np.hstack((starts, starts + counts.reshape(-1, towers).cumsum(axis=1))))
+
+    def tower_rows(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked rows of levels 0..levels-1 tower by tower, each
+        tower's in its own layout's order, and the towers + 1 boundaries of
+        the towers' runs in that list."""
+        off = self.row_offsets[:levels]
+        lengths = (off[:, 1:] - off[:, :-1]).T
+        rows = _segments(off[:, :-1].T.ravel(), lengths.ravel())[0]
+        return rows, _offsets(lengths.sum(axis=1))
+
+
+def _offsets(sizes) -> np.ndarray:
+    """0 followed by the running sums of ``sizes``."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
 
 
 def _check(bad: np.ndarray, message: str, ids: np.ndarray | None = None) -> None:
@@ -592,21 +674,21 @@ def _segments(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
     return np.arange(len(owner)) + (starts - begin).repeat(lengths), owner
 
 
-def _build_layout(f: Filtration) -> LeafLayout:
-    """Array passes over the columns.  Level by level from the root, A_{n+1}
-    is A_n with every atom that splits replaced by its children in
+def _build_layout(f: Filtration | TowerBatch, roots: np.ndarray) -> LeafLayout:
+    """Array passes over the columns.  Level by level from ``roots`` (A_0),
+    A_{n+1} is A_n with every atom that splits replaced by its children in
     left-endpoint order, so each A_n row holds one block of A_{n+1} rows;
     the leaf counts then sum block by block from the leaves up.  Laid end to
     end in stacked rows, the cumulative counts in row order give every
     atom's span, since each level tiles the L leaves in left-endpoint
-    order."""
+    order, root after root."""
     n_kids = f.child_starts[1:] - f.child_starts[:-1]
     ordered = _sorted_children(f, np.arange(f.n_atoms).repeat(n_kids))
     # An atom that splits expands to its ordered children, any other to itself.
     pool = np.concatenate((ordered, np.arange(f.n_atoms)))
     expand = np.where(n_kids > 0, f.child_starts[:-1], len(ordered) + np.arange(f.n_atoms))
     blocks = np.maximum(n_kids, 1)
-    rows = [np.array([f._root])]
+    rows = [np.asarray(roots, dtype=np.intp)]
     block_starts = []
     for _ in range(f.depth):
         here = rows[-1]

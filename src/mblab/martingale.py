@@ -61,8 +61,6 @@ __all__ = [
     "MartFunction",
     "cond_exp",
     "delta_split",
-    "average",
-    "osc2",
     "lp_norm",
     "l2_norm",
     "inner",
@@ -112,11 +110,6 @@ class MartFunction:
         return MartFunction(self.filtration, self.values * float(c))
 
     __rmul__ = __mul__
-
-    def shift(self, vec: np.ndarray) -> "MartFunction":
-        """Subtract-free helper: f + constant vector."""
-        v = np.broadcast_to(np.atleast_1d(np.asarray(vec, dtype=float)), (self.dim,))
-        return MartFunction(self.filtration, self.values + v[None, :])
 
 
 def _check_same_space(f: MartFunction, g: MartFunction) -> None:
@@ -278,20 +271,6 @@ def _event_draws(
 _WHOLE = np.zeros(1, dtype=np.intp)
 
 
-def _atom_mean(filt: Filtration, values: np.ndarray, atom_id: int) -> np.ndarray:
-    """Average of (L, d) values over one atom; the same float the level
-    kernel gives that atom, since the segment sum is the same reduceat."""
-    lay = filt.layout
-    lo, hi = lay.spans[atom_id].tolist()
-    w = lay.measures[lo:hi, None] * values[lo:hi]
-    return np.add.reduceat(w, _WHOLE, axis=0)[0] / lay.atom_measures[atom_id]
-
-
-def average(f: MartFunction, atom_id: int) -> np.ndarray:
-    """Measure-weighted mean <f>_J as a vector of length dim."""
-    return _atom_mean(f.filtration, f.values, atom_id)
-
-
 def cond_exp(f: MartFunction, partition: Sequence[int]) -> MartFunction:
     """Project onto functions constant on the given partition atoms.
 
@@ -335,19 +314,6 @@ def delta_split(f: MartFunction, event: SplitEvent) -> MartFunction:
     return MartFunction(filt, out)
 
 
-def osc2(f: MartFunction, atom_id: int) -> float:
-    """Mean squared oscillation over one atom: <|f - <f>_J|^2>_J.
-
-    The alternative form <|f|^2>_J - |<f>_J|^2 agrees up to roundoff; the
-    centered form is returned because it is nonnegative by construction.
-    """
-    filt = f.filtration
-    sl = filt.leaf_slice(atom_id)
-    m = filt.leaf_measures()[sl]
-    centered = f.values[sl] - _atom_mean(filt, f.values, atom_id)[None, :]
-    return float(m @ np.einsum("ij,ij->i", centered, centered) / filt.layout.atom_measures[atom_id])
-
-
 def inner(f: MartFunction, g: MartFunction) -> float:
     """Unnormalized pairing integral_I <f, g> dt."""
     _check_same_space(f, g)
@@ -362,17 +328,28 @@ def l2_norm(f: MartFunction) -> float:
 def lp_norm(f: MartFunction, p: float) -> float:
     """||f||_p; where the sum of |f|^p overflows or underflows for a nonzero
     finite f, s ||f / s||_p with s = max |f|."""
+    return _lp_norms(f.filtration.leaf_measures(), f.values, p, (0, f.filtration.n_leaves))[0]
+
+
+def _lp_norms(measures: np.ndarray, values: np.ndarray, p: float, bounds) -> list[float]:
+    """``lp_norm`` of each leaf segment ``bounds[k]:bounds[k + 1]`` of (L, d)
+    values under the leaf ``measures``: the towers of a ``TowerBatch`` at
+    its ``leaf_offsets``.  The magnitudes come from one row-wise pass; each
+    segment's sum is its own dot product, the float of its tower alone."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    m = f.filtration.leaf_measures()
-    mags = np.linalg.norm(f.values, axis=1)
+    mags = np.linalg.norm(values, axis=1)
+
+    def norm(m: np.ndarray, v: np.ndarray) -> float:
+        total = m @ v**p
+        if total == 0.0 or total == np.inf:
+            s = float(np.max(v, initial=0.0))
+            if 0.0 < s < np.inf:
+                return s * float(m @ (v / s) ** p) ** (1.0 / p)
+        return float(total ** (1.0 / p))
+
     with np.errstate(over="ignore"):
-        total = m @ mags**p
-    if total == 0.0 or total == np.inf:
-        s = float(np.max(mags, initial=0.0))
-        if 0.0 < s < np.inf:
-            return s * float(m @ (mags / s) ** p) ** (1.0 / p)
-    return float(total ** (1.0 / p))
+        return [norm(measures[lo:hi], mags[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def restrict(f: MartFunction, atom_id: int) -> MartFunction:

@@ -26,7 +26,7 @@ from mblab.bellman import Witness
 from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_suites
 from mblab.corpus import CorpusCell, default_corpus, prepare_cell
 from mblab.filtration import build_dyadic, build_random_regular, split_schedule
-from mblab.martingale import average
+from oracles import average, shift
 from mblab.transforms import operator_norm, split_multiplier_norm
 
 
@@ -97,7 +97,7 @@ def telescoping_relerr(f, g, op) -> float:
     lhs = 0.0
     for ev in split_schedule(filt):
         lhs += inner(delta_split(tstar_g, ev), delta_split(f, ev))
-    centered = f.shift(-average(f, filt.root.id))
+    centered = shift(f, -average(f, filt.root.id))
     rhs = inner(g, op.apply(centered))
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 

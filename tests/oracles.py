@@ -12,8 +12,22 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from mblab.bellman import BellmanCandidate, MomentTable, Witness, conjugate_exponent
-from mblab.estimator import hoelder_objective
+from mblab.bellman import (
+    BellmanCandidate,
+    ExpansionCertificate,
+    MomentTable,
+    SplitConfigs,
+    Witness,
+    _diameters,
+    conjugate_exponent,
+)
+from mblab.corpus import haar_witness, random_function, random_transform
+from mblab.estimator import (
+    _pairing_value,
+    _trial_filtration,
+    _trial_rng,
+    hoelder_objective,
+)
 from mblab.filtration import (
     _GEOM_TOL,
     Atom,
@@ -22,11 +36,14 @@ from mblab.filtration import (
     LeafLayout,
     RatioSamplingError,
     _frozen,
+    _Lazy,
     _segments,
+    _sorted_children,
     level_partition,
 )
 from mblab.checks import Tolerances, _row
 from mblab.martingale import (
+    _WHOLE,
     MartFunction,
     _atom_steps,
     _diagonal_steps,
@@ -35,6 +52,7 @@ from mblab.martingale import (
     _segment_means,
     _weighted,
     inner,
+    lp_norm,
 )
 from mblab.transforms import MartingaleTransform, _ancestor_values
 
@@ -57,6 +75,39 @@ def scale_candidate(cand: BellmanCandidate, c: float, delta: float | None = None
         cp=None if cand.cp is None else c * cand.cp,
         h=scaled_h,
     )
+
+
+def atom_mean(filt: Filtration, values: np.ndarray, atom_id: int) -> np.ndarray:
+    """Average of (L, d) values over one atom; the same float the level
+    kernel gives that atom, since the segment sum is the same reduceat."""
+    lay = filt.layout
+    lo, hi = lay.spans[atom_id].tolist()
+    w = lay.measures[lo:hi, None] * values[lo:hi]
+    return np.add.reduceat(w, _WHOLE, axis=0)[0] / lay.atom_measures[atom_id]
+
+
+def average(f: MartFunction, atom_id: int) -> np.ndarray:
+    """Measure-weighted mean <f>_J as a vector of length dim."""
+    return atom_mean(f.filtration, f.values, atom_id)
+
+
+def osc2(f: MartFunction, atom_id: int) -> float:
+    """Mean squared oscillation over one atom: <|f - <f>_J|^2>_J.
+
+    The alternative form <|f|^2>_J - |<f>_J|^2 agrees up to roundoff; the
+    centered form is returned because it is nonnegative by construction.
+    """
+    filt = f.filtration
+    sl = filt.leaf_slice(atom_id)
+    m = filt.leaf_measures()[sl]
+    centered = f.values[sl] - atom_mean(filt, f.values, atom_id)[None, :]
+    return float(m @ np.einsum("ij,ij->i", centered, centered) / filt.layout.atom_measures[atom_id])
+
+
+def shift(f: MartFunction, vec: np.ndarray) -> MartFunction:
+    """f plus a constant vector."""
+    v = np.broadcast_to(np.atleast_1d(np.asarray(vec, dtype=float)), (f.dim,))
+    return MartFunction(f.filtration, f.values + v[None, :])
 
 
 def diameter_pair(x1s: Sequence[np.ndarray]) -> tuple[float, tuple[int, int]]:
@@ -925,3 +976,191 @@ def optimal_lambda_numeric(p: float, x3: float, x4: float) -> float:
         if not (np.isfinite(slope(lo)) and np.isfinite(slope(hi))):
             break
     return lam
+
+
+# ---------------------------------------------------------------------------
+# One trial, one tower, one configuration at a time
+
+
+def build_layout_one_root(f: Filtration) -> LeafLayout:
+    """``filtration._build_layout`` of a single tower, from its root: the
+    layout before towers were batched."""
+    n_kids = f.child_starts[1:] - f.child_starts[:-1]
+    ordered = _sorted_children(f, np.arange(f.n_atoms).repeat(n_kids))
+    # An atom that splits expands to its ordered children, any other to itself.
+    pool = np.concatenate((ordered, np.arange(f.n_atoms)))
+    expand = np.where(n_kids > 0, f.child_starts[:-1], len(ordered) + np.arange(f.n_atoms))
+    blocks = np.maximum(n_kids, 1)
+    rows = [np.array([f._root])]
+    block_starts = []
+    for _ in range(f.depth):
+        here = rows[-1]
+        rows.append(pool[_segments(expand[here], blocks[here])[0]])
+        block_starts.append(blocks[here].cumsum() - blocks[here])
+    counts = [np.ones(len(rows[-1]), dtype=np.intp)]
+    for begin in reversed(block_starts):
+        counts.append(np.add.reduceat(counts[-1], begin))
+    leaves_in = np.concatenate(counts[::-1])
+
+    atom_measure = f.b - f.a
+    n_leaves = len(rows[-1])
+    sizes = [len(r) for r in rows]
+    offsets = np.array([0] + sizes).cumsum()
+    bounds = offsets.tolist()
+    stacked = np.arange(bounds[-1])
+    row_level = np.arange(len(sizes)).repeat(sizes)
+    stacked_atoms = np.concatenate(rows)
+    diagonal_starts = leaves_in.cumsum() - leaves_in
+    first_leaf = diagonal_starts - row_level * n_leaves
+    spans = np.empty((f.n_atoms, 2), dtype=np.intp)
+    spans[stacked_atoms, 0] = first_leaf
+    spans[stacked_atoms, 1] = first_leaf + leaves_in
+    stacked_maps = _frozen(stacked.repeat(leaves_in).reshape(len(sizes), n_leaves))
+    # Row r of level n is boundary r + n, after n sentinels.
+    stacked_starts = np.full(bounds[-1] + len(sizes), n_leaves)
+    stacked_starts[stacked + row_level] = first_leaf
+    stacked_starts = _frozen(stacked_starts)
+    stacked_measures = _frozen(atom_measure[stacked_atoms])
+    # Atoms split at the level they are created, so the events of level n
+    # are the A_n atoms with children, in left-endpoint order: the rows
+    # with children, in row order.
+    split = n_kids[stacked_atoms].nonzero()[0]
+    event_atoms = stacked_atoms[split]
+    event_sizes = n_kids[event_atoms]
+    # The row of the atom holding each row's first leaf one level up, or down.
+    parents = stacked_maps[np.maximum(row_level - 1, 0), first_leaf]
+    below = bounds[-2]
+    children = stacked_maps[row_level[:below] + 1, first_leaf[:below]]
+    return LeafLayout(
+        measures=_frozen(atom_measure[rows[-1]]),
+        atom_measures=_frozen(atom_measure),
+        spans=_frozen(spans),
+        level_starts=tuple(
+            stacked_starts[off + n : end + n] for n, (off, end) in enumerate(zip(bounds, bounds[1:]))
+        ),
+        level_measures=tuple(stacked_measures[off:end] for off, end in zip(bounds, bounds[1:])),
+        event_atoms=_frozen(event_atoms),
+        event_levels=_frozen(row_level[split]),
+        event_spans=_frozen(spans[event_atoms]),
+        event_children=_frozen(f.children[_segments(f.child_starts[event_atoms], event_sizes)[0]]),
+        event_child_starts=_frozen(np.concatenate(([0], event_sizes.cumsum()))),
+        level_offsets=_frozen(offsets),
+        stacked_starts=stacked_starts,
+        diagonal_starts=_frozen(diagonal_starts),
+        stacked_measures=stacked_measures,
+        stacked_maps=stacked_maps,
+        stacked_atoms=_frozen(stacked_atoms),
+        stacked_parents=_frozen(parents),
+        stacked_children=_frozen(children),
+    )
+
+
+def scan_trials_by_trials(
+    p: float, trials: int, seed: int, delta: float, dim: int, depth: int | None
+) -> tuple[np.ndarray, dict]:
+    """The ratios and argmax of ``estimator.lp_constant_scan`` one trial at
+    a time: each trial's own transform, apply and norms."""
+    ratios = np.empty(trials)
+    argmax: dict = {}
+    for i in range(trials):
+        rng = _trial_rng(seed, i)
+        filt_seed = int(rng.integers(2**31))
+        filt = _trial_filtration(delta, depth, i, filt_seed)
+        op = random_transform(filt, dim, rng, unit=True)
+        f = random_function(filt, dim, rng)
+        denom = lp_norm(f, p)
+        if denom <= 0:
+            ratios[i] = 0.0
+            continue
+        ratios[i] = lp_norm(op.apply(f), p) / denom
+        if ratios[i] >= ratios[: i + 1].max():
+            argmax = {
+                "trial": i,
+                "filt_seed": filt_seed,
+                "depth": filt.depth,
+                "delta": delta,
+                "dim": dim,
+            }
+    return ratios, argmax
+
+
+def search_trials_by_trials(
+    p: float,
+    trials: int,
+    seed: int,
+    delta: float = 0.5,
+    dim: int = 1,
+    depth: int | None = None,
+) -> tuple[list[float], float, dict, tuple]:
+    """The trials of ``estimator.lower_bound_search`` one at a time: the
+    history, the best value, its witness record and its state (filt, f, g,
+    op)."""
+    q = conjugate_exponent(p)
+    history = []
+    best = -1.0
+    witness: dict = {}
+    for i in range(trials):
+        rng = _trial_rng(seed, i)
+        filt = _trial_filtration(delta, 2 if i == 0 else depth, i, int(rng.integers(2**31)))
+        if i == 0 and len(filt.root.children) == 2:
+            f, g, op = haar_witness(filt, dim)
+        else:
+            f, g = random_function(filt, dim, rng), random_function(filt, 1, rng)
+            op = random_transform(filt, dim, rng, unit=True)
+        kind = "structured" if i == 0 else "random"
+        val = _pairing_value(f, g, op, p, q)
+        history.append(val)
+        # Values are nonnegative, so trial 0 always sets the best state.
+        if val > best:
+            best = val
+            best_state = (filt, f, g, op)
+            witness = {"trial": i, "kind": kind, "depth": filt.depth, "dim": dim}
+    return history, best, witness, best_state
+
+
+def dyadic_expand_one_by_one(cfgs: SplitConfigs, m: int) -> Sequence[ExpansionCertificate]:
+    """``bellman.dyadic_expand`` one configuration at a time, each built
+    when it is read."""
+    b = 2**m
+    scaled = cfgs.weights * b
+    counts = np.rint(scaled).astype(int)
+    ok = ((np.abs(counts - scaled) <= 1e-6) & ((counts >= 1) | ~cfgs.has)).all(axis=1)
+    ok &= counts.sum(axis=1) == b
+    if not ok.all():
+        bad = np.argmin(ok)
+        raise ValueError(f"configuration {bad}: weights are not positive multiples of 2^-{m}")
+    dim = cfgs.points.shape[-1] - 3
+
+    def expand(r: int) -> ExpansionCertificate:
+        rows = cfgs.points[r]
+        x1 = rows[:, :dim]
+        parts = x1[cfgs.has[r]]
+        every = np.ones((1, len(parts)), dtype=bool)
+        diam, pair = _diameters(parts[None], every, return_pairs=True)
+        diam, (i, j) = float(diam[0]), pair[0]
+        # Cells without a part have no copies.
+        copy_owner = np.repeat(np.arange(len(rows)), counts[r])
+        degenerate = diam <= 0.0
+        if degenerate:
+            order = np.arange(b)
+        else:
+            u = (parts[j] - parts[i]) / diam
+            keys = (x1[copy_owner] - parts[i][None, :]) @ u
+            order = np.argsort(keys, kind="stable")
+        sorted_owner = copy_owner[order]
+        full = rows[sorted_owner]
+        # The two half means, the bits of ``levels[1]``.
+        halves = full.reshape(2, b >> 1, -1).mean(axis=1)
+        separation = float(np.linalg.norm(halves[0, :dim] - halves[1, :dim]))
+        return ExpansionCertificate(
+            m=m,
+            copies=b,
+            order=tuple(sorted_owner.tolist()),
+            sorted_copies=full,
+            separation=separation,
+            diameter=diam,
+            ratio=None if degenerate else separation / diam,
+            degenerate=degenerate,
+        )
+
+    return _Lazy(expand, np.arange(len(cfgs)))

@@ -34,12 +34,12 @@ from mblab.estimator import (
     optimal_lambda,
 )
 from mblab.filtration import build_dyadic
-from mblab.martingale import average, inner
+from mblab.martingale import inner
 from mblab.reporting import to_canonical_json
 from mblab.certifier import certificate_to_dict
 
 from conftest import telescoping_relerr  # reused for a direct spot check
-from oracles import optimal_lambda_numeric
+from oracles import average, optimal_lambda_numeric, shift
 
 DELTAS = (0.1, 0.25, 1.0 / 3.0, 0.5)
 
@@ -240,12 +240,12 @@ def test_criterion_7_corollary_suite(corpus_report):
         p = 2.0
         q = conjugate_exponent(p)
         base_pt = Witness(pc.f, pc.g, pc.op, p).table.points[filt.root.id]
-        centered = pc.f.shift(-average(pc.f, filt.root.id))
+        centered = shift(pc.f, -average(pc.f, filt.root.id))
         base_obj = inner(pc.g, pc.op.apply(centered)) / filt.total_measure
         for lam in (0.5, 2.0, 7.0):
             f_s, g_s = pc.f * lam, pc.g * (1.0 / lam)
             obj = (
-                inner(g_s, pc.op.apply(f_s.shift(-average(f_s, filt.root.id))))
+                inner(g_s, pc.op.apply(shift(f_s, -average(f_s, filt.root.id))))
                 / filt.total_measure
             )
             hom_worst = max(hom_worst, abs(obj - base_obj) / max(1.0, abs(base_obj)))

@@ -29,7 +29,9 @@ from mblab.bellman import (
     shaped_candidate,
     split_slack,
 )
+import mblab.bellman as bellman
 from mblab.reporting import to_canonical_json
+import oracles
 from oracles import diameter_pair, scale_candidate
 from test_reporting import ref_to_canonical_json
 
@@ -95,7 +97,7 @@ def test_bellman_point_slots(small_cells):
     pc = small_cells[0]
     filt = pc.filtration
     row = Witness(pc.f, pc.g, pc.op, 2.0).table.points[filt.root.id]
-    from mblab.martingale import average, osc2
+    from oracles import average, osc2
 
     assert row.shape == (pc.f.dim + 3,)
     assert np.allclose(row[:-3], average(pc.f, filt.root.id), atol=1e-14)
@@ -359,6 +361,61 @@ def test_expansion_pair_choice_on_tied_and_repeated_points():
     assert cert.diameter == math.sqrt(2.0)
     # the other diagonal (1, 2) would give (1, 1, 0, 0, 3, 4, 2, 2)
     assert cert.order == (0, 0, 4, 1, 1, 2, 2, 3)
+
+
+def assert_expansions_match_row_by_row(cfgs, m):
+    """Every row's expansion, in row-batched passes, equals the row-by-row
+    oracle's: its order, sorted copies, separation, diameter, ratio and
+    degenerate flag."""
+    batched, one_by_one = dyadic_expand(cfgs, m), oracles.dyadic_expand_one_by_one(cfgs, m)
+    assert len(batched) == len(one_by_one) == len(cfgs)
+    for a, b in zip(batched, one_by_one):
+        assert (a.order, a.separation, a.diameter, a.ratio, a.degenerate) == (
+            b.order,
+            b.separation,
+            b.diameter,
+            b.ratio,
+            b.degenerate,
+        )
+        assert np.array_equal(a.sorted_copies, b.sorted_copies)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.2, 0.25, 1.0 / 3.0, 0.5])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_expansion_rows_match_row_by_row(delta, dim):
+    for m, p in ((1, 2.0), (3, 1.5), (6, 2.0), (8, 1.25)):
+        assert_expansions_match_row_by_row(sample_dyadic_split_configs(delta, p, 60, dim, dim=dim, m=m), m)
+
+
+def test_expansion_of_tied_masked_and_coincident_rows_matches_row_by_row():
+    # the square's tied diagonals, a coincident pair, and sampled rows whose
+    # empty cells sit between their parts
+    xs = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)]
+    ws = np.array([0.25, 0.25, 0.25, 0.125, 0.125])
+    pts = [point(x, 0.0, float(np.dot(x, x)) + 1.0, 1.0) for x in xs]
+    base = point(sum(w * pt[:2] for w, pt in zip(ws, pts)), 0.0, float(ws @ [pt[-2] for pt in pts]), 1.0)
+    assert_expansions_match_row_by_row(one_config(0.125, pts, ws, 0.0, base), 3)
+    assert_expansions_match_row_by_row(three_point_config([1.0, 1.0], [0.5, 0.5]), 1)
+    cfgs = sample_dyadic_split_configs(0.1, 2.0, 80, 4, dim=2, m=5)
+    cells = np.tile(np.arange(cfgs.weights.shape[1]), (len(cfgs), 1))
+    cells = np.random.default_rng(0).permuted(cells, axis=1)
+    rows = np.arange(len(cfgs))[:, None]
+    points, weights = cfgs.points[rows, cells], cfgs.weights[rows, cells]
+    shuffled = SplitConfigs(cfgs.delta, cfgs.p, points, weights, cfgs.d, cfgs.base)
+    assert (shuffled.has[:, :-1] & ~shuffled.has[:, 1:]).any()
+    assert_expansions_match_row_by_row(shuffled, 5)
+
+
+@pytest.mark.parametrize("floats", [1, 7 * 64 * 5, 1 << 18])
+def test_expansion_blocks_keep_every_float(floats, monkeypatch):
+    # one row per block, blocks of seven rows, and one block: each row reads
+    # the same, in any order
+    monkeypatch.setattr(bellman, "_EXPAND_FLOATS", floats)
+    cfgs = sample_dyadic_split_configs(0.25, 2.0, 30, 9, dim=2, m=6)
+    assert_expansions_match_row_by_row(cfgs, 6)
+    certs, ref = dyadic_expand(cfgs, 6), oracles.dyadic_expand_one_by_one(cfgs, 6)
+    for r in (29, 0, 15, 14, 29):
+        assert certs[r].order == ref[r].order and certs[r].separation == ref[r].separation
 
 
 def one_row_diameter(x1s):

@@ -33,13 +33,11 @@ from mblab.corpus import (
 from mblab.filtration import Atom, build_dyadic, build_random_regular, level_partition, split_schedule
 from mblab.martingale import (
     MartFunction,
-    average,
     delta_split,
     inner,
-    osc2,
 )
 from mblab.reporting import to_canonical_json
-from oracles import certificate_by_records, leaves_of, scale_candidate, tower_from_atoms
+from oracles import average, certificate_by_records, leaves_of, osc2, scale_candidate, shift, tower_from_atoms
 from test_reporting import ref_to_canonical_json
 
 SQRT2 = math.sqrt(2.0)
@@ -248,7 +246,7 @@ def test_objective_matches_direct_pairing():
     pc = prepare_cell(CorpusCell(0.5, 3, 4))
     cert = certify(quadratic_candidate(0.5), pc.f, pc.g, pc.op)
     filt = pc.filtration
-    centered = pc.f.shift(-average(pc.f, filt.root.id))
+    centered = shift(pc.f, -average(pc.f, filt.root.id))
     direct = inner(pc.g, pc.op.apply(centered)) / filt.total_measure
     assert cert.objective == pytest.approx(direct, rel=1e-10, abs=1e-12)
 

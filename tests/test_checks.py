@@ -47,7 +47,7 @@ from mblab.corpus import (
     random_witness,
 )
 from mblab.filtration import Filtration, build_dyadic, build_random_regular, level_partition
-from mblab.martingale import MartFunction, average, inner, l2_norm
+from mblab.martingale import MartFunction, inner, l2_norm
 from mblab.transforms import (
     MartingaleTransform,
     _adjoint_stack,
@@ -65,6 +65,7 @@ from oracles import (
     _level_means,
     _weighted,
     adjoint_by_levels,
+    average,
     level_map,
     level_osc2,
 )

@@ -1,10 +1,14 @@
 """Command line behavior: subcommands, exit codes, deterministic output."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -660,6 +664,17 @@ REPORT_DIGESTS = {
         (0, "892c4430c51519a567afd6f9009e6fcc3fddd39d93c98aabc3e62aabd675d921"),
     ("scan", "--seed", "1", "--p", "3", "--delta", "0.25", "--trials", "500"):
         (0, "a53e6334e2d71e9234c5a60afac6a8d32c100c6b3256c01eaff28dc5adda5fcb"),
+    # the scans and searches run their trials as one tower batch per depth
+    ("scan", "--seed", "1", "--p", "2", "--trials", "500"):
+        (0, "67f67177b04d70731de06a2d66b0dad8981f6a9de1ee65eda0c1964722cab06a"),
+    ("scan", "--seed", "2", "--p", "1.5", "--delta", "0.1", "--dim", "2", "--depth", "3", "--trials", "200"):
+        (0, "5fd013970dc7dcf8ec9771004469ba1635ae577b664756f32b64486cccaf0129"),
+    ("scan", "--seed", "4", "--p", "3", "--delta", "0.3333333333333333", "--trials", "300"):
+        (0, "3b0e1791a803633db99660918eeea133451eac65bda1701a6410961f0acc7e98"),
+    ("search", "--seed", "3", "--p", "1.25", "--delta", "0.25", "--trials", "60", "--ascent", "20"):
+        (0, "b6d787082561f25384111c5381c6ef7f556431daee747be3226530d73204bf7f"),
+    ("search", "--seed", "2", "--p", "2", "--delta", "0.5", "--dim", "2", "--depth", "4", "--trials", "80"):
+        (0, "ac06e152a2b74603ef3767ec14c67f2984a321a509149ec0b0f1338f9b834e12"),
 }
 
 
@@ -668,6 +683,44 @@ def test_report_stdout_is_pinned(argv, capsys):
     code, digest = REPORT_DIGESTS[argv]
     assert run(list(argv)) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def mblab_process(*argv, cwd=None):
+    """``python -m mblab argv`` in a fresh interpreter, on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("MBL_TOL", None)
+    return subprocess.run(
+        [sys.executable, "-m", "mblab", *argv], env=env, cwd=cwd, capture_output=True, timeout=120
+    )
+
+
+# the pins of the scans and searches that run their trials as tower batches
+BATCHED_PINS = [argv for argv in REPORT_DIGESTS if argv[0] in ("scan", "search")]
+
+
+@pytest.mark.parametrize("argv", BATCHED_PINS)
+def test_batched_pins_hold_in_a_fresh_interpreter(argv):
+    code, digest = REPORT_DIGESTS[argv]
+    proc = mblab_process(*argv)
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == (code, digest)
+
+
+def test_cli_entry_freezes_the_heap_and_keeps_its_exits(tmp_path):
+    # main() freezes what the imports left before it runs the command;
+    # neither importing the CLI nor run() freezes anything
+    assert gc.get_freeze_count() == 0
+    assert run(["gen", "--depth", "1"]) == 0
+    assert gc.get_freeze_count() == 0
+    gen = ("gen", "--seed", "1", "--depth", "6", "--delta", "0.25", "--dim", "2")
+    proc = mblab_process(*gen)
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == REPORT_DIGESTS[gen]
+    assert mblab_process(*gen, "--out", "report.json", cwd=tmp_path).returncode == 0
+    assert (tmp_path / "report.json").read_bytes() == proc.stdout
+    tower = ("--seed", "2", "--depth", "6", "--delta", "0.25", "--dim", "3")
+    assert mblab_process("certify", *tower, "--candidate", "linear:0.5").returncode == 1
+    proc = mblab_process("scan", "--seed", "1", "--p", "1")
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.decode().startswith("error: scan needs --p > 1")
 
 
 def test_large_exponents_keep_the_norms_finite(capsys):

@@ -16,8 +16,8 @@ from mblab.corpus import (
     random_witness,
 )
 from mblab.filtration import build_dyadic, split_schedule
-from mblab.martingale import MartFunction, average, delta_split, inner, lp_norm
-from oracles import SpanFed, regularity_delta
+from mblab.martingale import MartFunction, delta_split, inner, lp_norm
+from oracles import SpanFed, average, regularity_delta
 
 
 def test_grid_size_and_axes():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import mblab
 import mblab.estimator as est
+import mblab.filtration as filtration
 from mblab.bellman import Witness, conjugate_exponent, linear_candidate
 from mblab.estimator import (
     EstimateError,
@@ -25,8 +26,9 @@ from mblab.estimator import (
     lp_constant_scan,
     optimal_lambda,
 )
-from mblab.martingale import average, inner, lp_norm
-from oracles import optimal_lambda_numeric
+from mblab.martingale import inner, lp_norm
+import oracles
+from oracles import average, optimal_lambda_numeric, shift
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +135,141 @@ def test_scan_is_deterministic():
     assert a.max_ratio == b.max_ratio
     assert a.argmax == b.argmax
     assert a.counts == b.counts
+
+
+# ---------------------------------------------------------------------------
+# trials as one tower batch per depth
+
+BATCH_FLOORS = (0.1, 0.25, 1.0 / 3.0, 0.5)
+
+
+@pytest.mark.parametrize("delta", BATCH_FLOORS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("depth", [None, 3])
+def test_scan_batch_matches_trial_by_trial(delta, dim, depth):
+    for p in (1.5, 2.0, 3.0):
+        ratios, argmax = est._scan_trials(p, 24, 9, delta, dim, depth)
+        ref_ratios, ref_argmax = oracles.scan_trials_by_trials(p, 24, 9, delta, dim, depth)
+        assert np.array_equal(ratios, ref_ratios)
+        assert argmax == ref_argmax
+
+
+def assert_same_search(run, ref):
+    history, best, witness, (filt, f, g, op) = run
+    ref_history, ref_best, ref_witness, (ref_filt, ref_f, ref_g, ref_op) = ref
+    assert (history, best, witness) == (ref_history, ref_best, ref_witness)
+    for name in ("a", "b", "child_starts", "children"):
+        assert np.array_equal(getattr(filt, name), getattr(ref_filt, name))
+    assert np.array_equal(f.values, ref_f.values)
+    assert np.array_equal(g.values, ref_g.values)
+    assert np.array_equal(op.multipliers, ref_op.multipliers)
+
+
+@pytest.mark.parametrize("delta", BATCH_FLOORS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("depth", [None, 3])
+def test_search_batch_matches_trial_by_trial(delta, dim, depth):
+    # with a fixed depth, the structured trial 0 (depth 2) is a group alone
+    for p in (1.5, 2.0):
+        assert_same_search(
+            est._search_trials(p, 24, 10, delta, dim, depth),
+            oracles.search_trials_by_trials(p, 24, 10, delta, dim, depth),
+        )
+
+
+def test_split_depth_groups_keep_every_float(monkeypatch):
+    # at most 40 leaves a batch, so a depth group runs as several batches,
+    # and the search's best can sit in any of them
+    monkeypatch.setattr(est, "_BATCH_LEAVES", 40)
+    for delta in (0.1, 0.5):
+        ratios, argmax = est._scan_trials(1.5, 40, 3, delta, 2, None)
+        assert np.array_equal(ratios, oracles.scan_trials_by_trials(1.5, 40, 3, delta, 2, None)[0])
+        assert argmax == oracles.scan_trials_by_trials(1.5, 40, 3, delta, 2, None)[1]
+        for seed in range(4):
+            assert_same_search(
+                est._search_trials(1.5, 40, seed, delta, 2, None),
+                oracles.search_trials_by_trials(1.5, 40, seed, delta, 2, None),
+            )
+
+
+def test_search_ties_go_to_the_first_trial(monkeypatch):
+    # trials i and i + 4 draw alike, so the best value recurs in later
+    # batches; the first trial that reaches it stays the best, as a fold
+    # over the trials in order keeps it
+    trial_rng = est._trial_rng
+
+    def repeated(seed, i):
+        return trial_rng(seed, i % 4)
+
+    monkeypatch.setattr(est, "_trial_rng", repeated)
+    monkeypatch.setattr(oracles, "_trial_rng", repeated)
+    monkeypatch.setattr(est, "_BATCH_LEAVES", 20)
+    for seed in (0, 2, 4):
+        history, best, witness, state = est._search_trials(1.5, 24, seed, 0.1, 2, 2)
+        assert history.count(best) == 6 and witness["trial"] in (1, 2, 3)
+        ref = oracles.search_trials_by_trials(1.5, 24, seed, 0.1, 2, 2)
+        assert_same_search((history, best, witness, state), ref)
+
+
+class ZeroDraw:
+    """A trial's generator whose normal draws of one shape come back zero."""
+
+    def __init__(self, rng, shape):
+        self._rng, self._shape = rng, shape
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def normal(self, *args, size=None, **kwargs):
+        out = self._rng.normal(*args, size=size, **kwargs)
+        return np.zeros_like(out) if size == self._shape else out
+
+
+def test_scan_skips_a_zero_trial_as_trial_by_trial(monkeypatch):
+    # trial 0, on the dyadic depth-2 tower (4 leaves, 3 multiplier rows),
+    # draws f = 0: it scores 0 and, though it reaches the running maximum,
+    # is never the argmax
+    trial_rng = est._trial_rng
+
+    def zeroed(seed, i):
+        return ZeroDraw(trial_rng(seed, i), (4, 2)) if i == 0 else trial_rng(seed, i)
+
+    monkeypatch.setattr(est, "_trial_rng", zeroed)
+    monkeypatch.setattr(oracles, "_trial_rng", zeroed)
+    for trials in (1, 9):
+        ratios, argmax = est._scan_trials(2.0, trials, 3, 0.5, 2, None)
+        ref_ratios, ref_argmax = oracles.scan_trials_by_trials(2.0, trials, 3, 0.5, 2, None)
+        assert np.array_equal(ratios, ref_ratios)
+        assert argmax == ref_argmax
+        assert ratios[0] == 0.0
+        assert argmax == {} if trials == 1 else argmax["trial"] > 0
+    assert lp_constant_scan(2.0, 1, 3, dim=2).argmax == {}
+
+
+def test_trials_make_one_layout_and_transform_per_depth(monkeypatch):
+    # four depths, 2..5; no trial lays out its own tower, but the search's
+    # best, whose root point needs its tower's layout
+    built, made = [], []
+    build_layout = filtration._build_layout
+    make = est.make_transform
+
+    def counted_build(tower, roots):
+        built.append(type(tower).__name__)
+        return build_layout(tower, roots)
+
+    def counted_make(tower, rows):
+        made.append(type(tower).__name__)
+        return make(tower, rows)
+
+    monkeypatch.setattr(filtration, "_build_layout", counted_build)
+    monkeypatch.setattr(est, "make_transform", counted_make)
+    lp_constant_scan(3.0, 200, 1, delta=0.25)
+    assert built == made == ["TowerBatch"] * 4
+    built.clear()
+    made.clear()
+    lower_bound_search(1.5, 200, 1, delta=0.25, ascent_steps=10)
+    assert built == ["TowerBatch"] * 4 + ["Filtration"]
+    assert made == ["TowerBatch"] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +419,12 @@ def test_homogeneity_orbit_on_witness(small_cells):
     p = 2.0
     q = conjugate_exponent(p)
     base_pt = Witness(pc.f, pc.g, pc.op, p).table.points[filt.root.id]
-    centered = pc.f.shift(-average(pc.f, filt.root.id))
+    centered = shift(pc.f, -average(pc.f, filt.root.id))
     base_obj = inner(pc.g, pc.op.apply(centered)) / filt.total_measure
     for lam in (0.5, 2.0, 7.0):
         f_s = pc.f * lam
         g_s = pc.g * (1.0 / lam)
-        obj = inner(g_s, pc.op.apply(f_s.shift(-average(f_s, filt.root.id)))) / filt.total_measure
+        obj = inner(g_s, pc.op.apply(shift(f_s, -average(f_s, filt.root.id)))) / filt.total_measure
         assert obj == pytest.approx(base_obj, rel=1e-12)
         mapped = Witness(f_s, g_s, pc.op, p).table.points[filt.root.id]
         assert np.allclose(mapped[:-3], lam * base_pt[:-3], rtol=1e-12, atol=1e-14)

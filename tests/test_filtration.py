@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mblab.corpus import _unit_rows as unit_rows
 from mblab.corpus import max_children_for
 from mblab.filtration import (
     Atom,
@@ -17,6 +18,7 @@ from mblab.filtration import (
     FiltrationError,
     LeafLayout,
     RatioSamplingError,
+    TowerBatch,
     _sample_ratios,
     build_dyadic,
     build_random_regular,
@@ -24,7 +26,9 @@ from mblab.filtration import (
     level_partition,
     split_schedule,
 )
+from mblab.martingale import MartFunction, _leaf_sum, _stacked_means
 from mblab.reporting import to_canonical_json
+from mblab.transforms import make_transform
 
 import oracles
 from conftest import traced
@@ -445,3 +449,140 @@ def test_atom_views_read_the_columns(dyadic2):
     with pytest.raises(IndexError):
         dyadic2.atom(7)
     assert not any(col.flags.writeable for col in (dyadic2.a, dyadic2.children))
+
+
+# ---------------------------------------------------------------------------
+# Tower batches
+
+
+def batch_members(tower):
+    """``tower`` with a random tower of its depth at every floor, and itself
+    again: repeated and uneven towers side by side."""
+    depth = tower.depth
+    others = [build_random_regular(depth, d, max_children_for(d), 0.7, 7 * depth) for d in FLOORS]
+    return [tower, *others, build_dyadic(depth), tower]
+
+
+LAYOUT_FIELDS = [f.name for f in dataclasses.fields(LeafLayout)]
+
+
+def assert_same_layout(lay, ref):
+    for name in LAYOUT_FIELDS:
+        a, b = getattr(lay, name), getattr(ref, name)
+        pairs = zip(a, b) if isinstance(a, tuple) else [(a, b)]
+        assert isinstance(a, tuple) == isinstance(b, tuple) and len(a) == len(b), name
+        assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in pairs), name
+
+
+def events_of(lay, atoms=None):
+    """Per split event: atom, level, span and children, for the events of
+    atoms ``atoms`` (a range) only when given."""
+    out = []
+    bounds = lay.event_child_starts.tolist()
+    for e, atom in enumerate(lay.event_atoms.tolist()):
+        if atoms is None or atom in atoms:
+            kids = lay.event_children[bounds[e] : bounds[e + 1]].tolist()
+            out.append((atom, int(lay.event_levels[e]), lay.event_spans[e].tolist(), kids))
+    return out
+
+
+def assert_batch_slices(towers):
+    """Each tower's part of one batch layout is its own layout, its leaves,
+    spans and boundaries moved by its leaf offset, its atoms by its atom
+    offset and its rows, level by level, by its row offsets."""
+    batch = TowerBatch(towers)
+    lay, L = batch.layout, batch.n_leaves
+    assert L == sum(t.n_leaves for t in towers) and batch.depth == towers[0].depth
+    for t, tower in enumerate(towers):
+        own = tower.layout
+        assert_same_layout(own, oracles.build_layout_one_root(tower))
+        lo, hi = batch.leaf_offsets[t : t + 2].tolist()
+        a0 = int(batch.atom_offsets[t])
+        assert np.array_equal(lay.measures[lo:hi], own.measures)
+        assert np.array_equal(lay.spans[a0 : a0 + tower.n_atoms], own.spans + lo)
+        assert np.array_equal(lay.atom_measures[a0 : a0 + tower.n_atoms], own.atom_measures)
+        for n in range(tower.depth + 1):
+            r0, r1 = batch.row_offsets[n, t : t + 2].tolist()
+            o0, o1 = own.level_offsets[n : n + 2].tolist()
+            level_row = int(lay.level_offsets[n])
+            assert np.array_equal(lay.stacked_atoms[r0:r1] - a0, own.stacked_atoms[o0:o1])
+            assert np.array_equal(lay.stacked_measures[r0:r1], own.stacked_measures[o0:o1])
+            firsts = lay.level_starts[n][r0 - level_row : r1 - level_row]
+            assert np.array_equal(firsts - lo, own.level_starts[n])
+            assert np.array_equal(lay.stacked_maps[n, lo:hi] - r0, own.stacked_maps[n] - o0)
+            assert np.array_equal(
+                lay.diagonal_starts[r0:r1] - n * L - lo, own.diagonal_starts[o0:o1] - n * tower.n_leaves
+            )
+            up = max(n - 1, 0)
+            assert np.array_equal(
+                lay.stacked_parents[r0:r1] - batch.row_offsets[up, t],
+                own.stacked_parents[o0:o1] - own.level_offsets[up],
+            )
+            if n < tower.depth:
+                assert np.array_equal(
+                    lay.stacked_children[r0:r1] - batch.row_offsets[n + 1, t],
+                    own.stacked_children[o0:o1] - own.level_offsets[n + 1],
+                )
+        moved = [
+            (atom - a0, level, [s - lo for s in span], [k - a0 for k in kids])
+            for atom, level, span, kids in events_of(lay, range(a0, a0 + tower.n_atoms))
+        ]
+        assert moved == events_of(own)
+    rows, starts = batch.tower_rows(batch.depth + 1)
+    assert sorted(rows.tolist()) == list(range(len(lay.stacked_atoms)))
+    for t, tower in enumerate(towers):
+        atoms = lay.stacked_atoms[rows[starts[t] : starts[t + 1]]]
+        assert np.array_equal(atoms - batch.atom_offsets[t], tower.layout.stacked_atoms)
+    return batch
+
+
+def assert_batch_kernels(batch, dim, seed):
+    """The stacked means, the leaf sum and T f of a batch, each tower's
+    part bit for bit its own."""
+    rng = np.random.default_rng(seed)
+    towers = batch.towers
+    rows, starts = batch.tower_rows(batch.depth + 1)
+    below, below_starts = batch.tower_rows(batch.depth)
+    values = [rng.normal(size=(t.n_leaves, dim)) for t in towers]
+    per_row = [rng.normal(size=(len(t.layout.stacked_atoms), dim)) for t in towers]
+    mults = [unit_rows(rng.normal(size=(t.layout.level_offsets[t.depth], dim))) for t in towers]
+    stacked = np.concatenate(values)
+    batch_rows, batch_mults = np.empty((len(rows), dim)), np.empty((len(below), dim))
+    for t in range(len(towers)):
+        batch_rows[rows[starts[t] : starts[t + 1]]] = per_row[t]
+        batch_mults[below[below_starts[t] : below_starts[t + 1]]] = mults[t]
+    means, sums = _stacked_means(batch, stacked), _leaf_sum(batch, batch_rows)
+    tf = make_transform(batch, batch_mults).apply(MartFunction(batch, stacked)).values
+    for t, tower in enumerate(towers):
+        lo, hi = batch.leaf_offsets[t : t + 2]
+        own_rows = rows[starts[t] : starts[t + 1]]
+        assert np.array_equal(means[own_rows], _stacked_means(tower, values[t]))
+        assert np.array_equal(sums[lo:hi], _leaf_sum(tower, per_row[t]))
+        own_tf = make_transform(tower, mults[t]).apply(MartFunction(tower, values[t])).values
+        assert np.array_equal(tf[lo:hi], own_tf)
+
+
+def test_batch_of_kernel_towers(kernel_tower):
+    batch = assert_batch_slices(batch_members(kernel_tower))
+    for dim in (1, 3):
+        assert_batch_kernels(batch, dim, dim)
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_batch_of_dyadic_and_random_towers(depth):
+    batch = assert_batch_slices(batch_members(build_dyadic(depth)))
+    assert_batch_kernels(batch, 2, depth)
+
+
+@pytest.mark.parametrize("delta", FLOORS)
+def test_batch_of_random_towers_at_a_floor(delta):
+    towers = [build_random_regular(5, delta, max_children_for(delta), 0.7, s) for s in range(6)]
+    assert_batch_kernels(assert_batch_slices(towers), 1, 0)
+    assert_batch_slices(towers[:1])
+
+
+def test_batch_needs_towers_of_one_depth():
+    with pytest.raises(FiltrationError, match="at least one tower"):
+        TowerBatch([])
+    with pytest.raises(FiltrationError, match="one depth"):
+        TowerBatch([build_dyadic(2), build_dyadic(3)])

@@ -27,18 +27,16 @@ from mblab.martingale import (
     _level_differences,
     _level_steps,
     _stacked_means,
-    average,
     cond_exp,
     delta_split,
     inner,
     l2_norm,
     lp_norm,
-    osc2,
     restrict,
 )
 from mblab.transforms import _adjoint_stack, _transform_stack
 import oracles
-from oracles import SpanFed, event_draws_by_blocks
+from oracles import SpanFed, average, event_draws_by_blocks, osc2, shift
 
 
 def rand_fn(filt, dim, seed):
@@ -249,7 +247,7 @@ def test_norms_and_inner(dyadic2):
 
 def test_shift_adds_a_constant_vector(dyadic2):
     f = rand_fn(dyadic2, 2, 11)
-    shifted = f.shift([1.0, -2.0])
+    shifted = shift(f, [1.0, -2.0])
     assert np.allclose(shifted.values, f.values + np.array([1.0, -2.0]), atol=1e-15)
 
 

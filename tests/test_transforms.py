@@ -18,11 +18,9 @@ from mblab.corpus import active_split_function, max_children_for, random_transfo
 from mblab.filtration import build_dyadic, build_random_regular, level_partition, split_schedule
 from mblab.martingale import (
     MartFunction,
-    average,
     delta_split,
     inner,
     l2_norm,
-    osc2,
     restrict,
 )
 from mblab.reporting import to_canonical_json
@@ -35,7 +33,7 @@ from mblab.transforms import (
     split_multiplier_norm,
     transform_to_dict,
 )
-from oracles import _level_differences, leaves_of, level_map, levels_of
+from oracles import _level_differences, average, leaves_of, level_map, levels_of, osc2, shift
 
 
 def ones_transform(filt, dim=1):
@@ -118,7 +116,7 @@ def test_invariant_under_constant_shift(dyadic3):
     rng = np.random.default_rng(2)
     op = random_transform(dyadic3, 2, rng)
     f = rand_fn(dyadic3, 2, 3)
-    shifted = f.shift(average(f, dyadic3.root.id) * -1.0)
+    shifted = shift(f, average(f, dyadic3.root.id) * -1.0)
     assert np.allclose(op.apply(f).values, op.apply(shifted).values, atol=1e-13)
 
 
@@ -308,7 +306,7 @@ def test_restriction_equality_fails_in_general(dyadic2):
     # cutting the centered function instead removes the ancestor term, and
     # the uncentered gap is exactly <g>_J^2 ||T* 1_J||^2 / |J|
     mean = float(average(g, left)[0])
-    centered_cut = op.adjoint_apply(restrict(g.shift(-mean), left))
+    centered_cut = op.adjoint_apply(restrict(shift(g, -mean), left))
     centered = osc2(centered_cut, dyadic2.root.id) / dyadic2.atom(left).measure
     assert centered == pytest.approx(local, abs=1e-15)
     ones = op.adjoint_apply(g)
