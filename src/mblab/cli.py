@@ -273,6 +273,8 @@ def _suite_names(cfg: RunConfig) -> list[str] | None:
     unknown = [name for name in names or () if name not in SUITES]
     if unknown:
         raise UsageError(f"unknown suites {unknown}; known: {sorted(SUITES)}")
+    if names and len(set(names)) < len(names):
+        raise UsageError(f"--suites names a suite more than once: {names}")
     return names
 
 
@@ -303,8 +305,6 @@ def _candidate(cfg: RunConfig, filt):
                 f"candidate floor delta={delta:g} must lie in (0, {filt.delta:g}], "
                 "the tower's regularity floor"
             )
-        if cfg.p == 2.0:
-            return quadratic_candidate(delta)
         return duality_candidate(cfg.p, delta)
     if name == "linear":
         if value is None:
@@ -347,11 +347,11 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     """run identity and inequality suites"""
-    seed = _require_seed(cfg)
+    seed, names = _require_seed(cfg), _suite_names(cfg)
     filt = _filtration(cfg)
     f, g, op = _witness(cfg, filt)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-    rows, ok = run_suites(Witness(f, g, op), Tolerances.from_env(), rng, _suite_names(cfg))
+    rows, ok = run_suites(Witness(f, g, op), Tolerances.from_env(), rng, names)
     _emit(cfg, lambda: {"ok": ok, "rows": rows}, lambda: rows)
     return 0 if ok else 1
 

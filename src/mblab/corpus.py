@@ -140,17 +140,15 @@ def random_transform(
     filt: Filtration,
     dim: int,
     rng: np.random.Generator,
-    unit: bool = False,
 ) -> MartingaleTransform:
     """Random predictable multiplier sequence inside the closed unit ball of
-    the value space; ``unit`` pins every multiplier to the unit sphere.  The
-    stacked rows of A_0..A_{N-1} are drawn level by level."""
+    the value space.  The stacked rows of A_0..A_{N-1} are drawn level by
+    level."""
     offsets = filt.layout.level_offsets[: filt.depth + 1]
     mults = np.empty((offsets[-1], dim))
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         mults[lo:hi] = _unit_rows(rng.normal(size=(hi - lo, dim)))
-        if not unit:
-            mults[lo:hi] *= rng.uniform(size=(hi - lo, 1)) ** (1.0 / dim)
+        mults[lo:hi] *= rng.uniform(size=(hi - lo, 1)) ** (1.0 / dim)
     return make_transform(filt, mults)
 
 

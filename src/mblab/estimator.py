@@ -14,19 +14,24 @@ instrument turns certified pairing bounds into norm bounds: every certified
 witness pair yields |<g, Tf>| <= B(root), and optimizing lambda trades the
 two moment slots against each other at unit norms.
 
-The scan and the search run their trials by depth.  Each trial draws its
-tower and values from its own spawn-keyed generator, in the order a trial
-alone would; the towers of one depth are then one ``TowerBatch``, so one
-``make_transform`` checks all their multipliers, one ``apply`` gives every
-T f, and each trial's norms and pairing are read off its own leaf segment
-with its own dot products.  Every trial keeps the floats it has when run
-alone (``tests/oracles.py`` keeps the trial-by-trial loops).
+The scan and the search run their trials by depth.  Each trial draws from
+its own spawn-keyed generator, in the order a trial alone would: its
+tower's seed, then the scan's multipliers and f, or the search's f, g and
+multipliers (the search's trial 0 is the structured witness where its root
+splits in two).  The towers of one depth are one ``TowerBatch``
+(``_batch_pass``): every trial's multiplier rows are scaled in one
+row-wise pass, one ``make_transform`` checks them and one ``apply`` gives
+every T f.  Each trial's norms and pairing are then read off its own leaf
+segment with its own dot products (``_lp_norms``, ``_pairings``; the
+search's ascent calls ``_pairings`` on its one tower).  Every trial keeps
+the floats it has when run alone (``tests/oracles.py`` keeps the
+trial-by-trial loops).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,13 +163,24 @@ def _batches(
         yield tuple(map(list, zip(*chunk)))
 
 
-def _batch_transform(batch: TowerBatch, rows: np.ndarray, raw: list[np.ndarray]) -> MartingaleTransform:
-    """One transform over a batch from each tower's multiplier rows, in its
-    own stacked order (``rows``, from ``tower_rows``), scaled to unit
-    length in one row-wise pass."""
-    mults = np.empty((len(rows), raw[0].shape[1]))
-    mults[rows] = _unit_rows(np.concatenate(raw))
-    return make_transform(batch, mults)
+def _batch_pass(
+    towers: list[Filtration], draw: Callable[[TowerBatch, int, int], tuple[np.ndarray, ...]]
+) -> tuple[TowerBatch, list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over a batch of trials.  ``draw(batch, t, n_rows)`` is
+    trial t's draws in its own order: leaf values (f first), then its
+    n_rows multiplier rows in its tower's stacked order.  Returns the batch,
+    the leaf values stacked, T f, the multiplier rows scaled to unit length
+    (the rows that passed ``make_transform``) trial after trial, and the
+    trials + 1 boundaries of their runs."""
+    batch = TowerBatch(towers)
+    rows, starts = batch.tower_rows(batch.depth)
+    drawn = [draw(batch, t, n_rows) for t, n_rows in enumerate(np.diff(starts).tolist())]
+    *values, raw = (np.concatenate(column) for column in zip(*drawn))
+    unit = _unit_rows(raw)
+    mults = np.empty_like(unit)
+    mults[rows] = unit
+    tf = make_transform(batch, mults).apply(MartFunction(batch, values[0])).values
+    return batch, values, tf, unit, starts
 
 
 # Histogram bins of the ratio scan.
@@ -205,44 +221,32 @@ def _scan_trials(
 ) -> tuple[np.ndarray, dict]:
     """The ratio of every trial of ``lp_constant_scan`` and its argmax.
 
-    Each trial draws from its own generator, in order: its tower's seed,
-    its multipliers level by level, then f.  The towers of one depth are
-    one ``TowerBatch`` (``_batches``): one ``make_transform`` and one
-    ``apply`` serve them, and each trial's norms are read off its own leaf
-    segment.  A trial
-    whose f has zero norm scores 0 and is skipped; the argmax is the last
-    trial not skipped that reaches the running maximum."""
+    A trial whose f has zero norm scores 0 and is skipped; the argmax is
+    the last trial not skipped that reaches the running maximum."""
     depths = [_trial_depth(depth, i) for i in range(trials)]
     seeds = [0] * trials
     ratios = np.empty(trials)
     skipped = np.zeros(trials, dtype=bool)
     for members, rngs, filt_seeds, towers in _batches(seed, delta, depths):
-        for i, filt_seed, (num, denom) in zip(members, filt_seeds, _scan_batch(towers, rngs, p, dim)):
+
+        def draw(batch, t, n_rows):
+            raw = rngs[t].normal(size=(n_rows, dim))
+            return rngs[t].normal(size=(batch.towers[t].n_leaves, dim)), raw
+
+        batch, (f,), tf, _, _ = _batch_pass(towers, draw)
+        m, bounds = batch.layout.measures, batch.leaf_offsets
+        norms = zip(_lp_norms(m, tf, p, bounds), _lp_norms(m, f, p, bounds))
+        for i, filt_seed, (num, denom) in zip(members, filt_seeds, norms):
             seeds[i] = filt_seed
             skipped[i] = not denom > 0
             ratios[i] = num / denom if denom > 0 else 0.0
+        # Free this batch before the next is built.
+        del batch, f, tf
     reach = np.flatnonzero((ratios >= np.maximum.accumulate(ratios)) & ~skipped)
     if not reach.size:
         return ratios, {}
     i = int(reach[-1])
     return ratios, {"trial": i, "filt_seed": seeds[i], "depth": depths[i], "delta": delta, "dim": dim}
-
-
-def _scan_batch(
-    towers: list[Filtration], rngs: list[np.random.Generator], p: float, dim: int
-) -> list[tuple[float, float]]:
-    """||T f||_p and ||f||_p of each trial of one batch: each trial draws
-    its multipliers, then f; one transform and one apply serve the batch."""
-    batch = TowerBatch(towers)
-    rows, starts = batch.tower_rows(batch.depth)
-    raw, fv = [], []
-    for rng, n_rows, filt in zip(rngs, np.diff(starts).tolist(), towers):
-        raw.append(rng.normal(size=(n_rows, dim)))
-        fv.append(rng.normal(size=(filt.n_leaves, dim)))
-    op = _batch_transform(batch, rows, raw)
-    f = MartFunction(batch, np.concatenate(fv))
-    m, bounds = batch.layout.measures, batch.leaf_offsets
-    return list(zip(_lp_norms(m, op.apply(f).values, p, bounds), _lp_norms(m, f.values, p, bounds)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +266,20 @@ class SearchResult:
     history: tuple[float, ...]
 
 
-def _pairing_value(
-    f: MartFunction, g: MartFunction, op, p: float, q: float
-) -> float:
-    nf = lp_norm(f, p)
-    ng = lp_norm(g, q)
-    if nf <= 0 or ng <= 0:
-        return 0.0
-    return abs(inner(g, op.apply(f))) / (nf * ng * f.filtration.total_measure)
+def _pairings(
+    m: np.ndarray, bounds, totals, f: np.ndarray, g: np.ndarray, tf: np.ndarray, p: float, q: float
+) -> list[float]:
+    """|<g, T f>| / (||f||_p ||g||_q |I|) of each leaf segment
+    ``bounds[k]:bounds[k + 1]`` of the stacked values under the leaf
+    measures ``m``, segment k's tower of total measure ``totals[k]``; 0
+    where a norm is.  Each segment's norms and pairing are its own dot
+    products, the floats of its tower alone."""
+    pairs = np.einsum("ij,ij->i", g, tf)
+    nfs, ngs = _lp_norms(m, f, p, bounds), _lp_norms(m, g, q, bounds)
+    return [
+        0.0 if nf <= 0 or ng <= 0 else abs(float(m[lo:hi] @ pairs[lo:hi])) / (nf * ng * total)
+        for nf, ng, total, lo, hi in zip(nfs, ngs, totals, bounds[:-1], bounds[1:])
+    ]
 
 
 def _root_point(filt, f, g, op, p: float) -> dict | None:
@@ -295,70 +305,38 @@ def _structured_draws(batch: TowerBatch, t: int, dim: int, n_rows: int) -> tuple
     return f, profile[:, None], mults
 
 
-def _search_batch(
-    ids: list[int],
-    towers: list[Filtration],
-    rngs: list[np.random.Generator],
-    p: float,
-    q: float,
-    dim: int,
-) -> tuple[list[float], list[tuple[np.ndarray, ...]]]:
-    """The pairing of each trial of one batch, and each trial's f, g and
-    multiplier rows (in its tower's stacked order).  Each trial draws f, g,
-    then its multipliers, but for a structured trial 0; one transform and
-    one apply serve the batch."""
-    batch = TowerBatch(towers)
-    rows, starts = batch.tower_rows(batch.depth)
-    fv, gv, raw = [], [], []
-    for t, (i, rng, filt) in enumerate(zip(ids, rngs, towers)):
-        n_rows = int(starts[t + 1] - starts[t])
-        if i == 0 and len(filt.root.children) == 2:
-            draws = _structured_draws(batch, t, dim, n_rows)
-        else:
-            draws = (
-                rng.normal(size=(filt.n_leaves, dim)),
-                rng.normal(size=(filt.n_leaves, 1)),
-                rng.normal(size=(n_rows, dim)),
-            )
-        for out, drawn in zip((fv, gv, raw), draws):
-            out.append(drawn)
-    op = _batch_transform(batch, rows, raw)
-    f, g, mults = np.concatenate(fv), np.concatenate(gv), op.multipliers[rows]
-    m, bounds = batch.layout.measures, batch.leaf_offsets.tolist()
-    pairs = np.einsum("ij,ij->i", g, op.apply(MartFunction(batch, f)).values)
-    nfs, ngs = _lp_norms(m, f, p, bounds), _lp_norms(m, g, q, bounds)
-    values = []
-    for filt, nf, ng, lo, hi in zip(towers, nfs, ngs, bounds, bounds[1:]):
-        if nf <= 0 or ng <= 0:
-            values.append(0.0)
-        else:
-            values.append(abs(float(m[lo:hi] @ pairs[lo:hi])) / (nf * ng * filt.total_measure))
-    spans = zip(bounds, bounds[1:], starts.tolist(), starts[1:].tolist())
-    return values, [(f[lo:hi], g[lo:hi], mults[r0:r1]) for lo, hi, r0, r1 in spans]
-
-
 def _search_trials(
     p: float, trials: int, seed: int, delta: float, dim: int, depth: int | None
 ) -> tuple[list[float], float, dict, tuple]:
     """The trials of ``lower_bound_search``: the pairing of each, the best
     value, its witness record and its state (filt, f, g, op).
 
-    Trial i draws from its own generator, in order: its tower's seed, then
-    (but for a structured trial 0) f, g and its multipliers level by level.
-    The towers of one depth are one ``TowerBatch`` (``_batches``); each
-    trial's norms and pairing are read off its own leaf segment.  The best is the first trial
-    with the largest value, as a fold over the trials in order finds it."""
+    The best is the first trial with the largest value, as a fold over the
+    trials in order finds it."""
     q = conjugate_exponent(p)
     depths = [2 if i == 0 else _trial_depth(depth, i) for i in range(trials)]
     history = [0.0] * trials
     best, best_i = -1.0, -1
     for members, rngs, _, towers in _batches(seed, delta, depths):
-        values, draws = _search_batch(members, towers, rngs, p, q, dim)
-        for i, filt, val, state in zip(members, towers, values, draws):
+
+        def draw(batch, t, n_rows):
+            filt, rng = batch.towers[t], rngs[t]
+            if members[t] == 0 and len(filt.root.children) == 2:
+                return _structured_draws(batch, t, dim, n_rows)
+            shapes = (filt.n_leaves, dim), (filt.n_leaves, 1), (n_rows, dim)
+            return tuple(rng.normal(size=shape) for shape in shapes)
+
+        batch, (f, g), tf, unit, starts = _batch_pass(towers, draw)
+        bounds, totals = batch.leaf_offsets.tolist(), [tower.total_measure for tower in towers]
+        values = _pairings(batch.layout.measures, bounds, totals, f, g, tf, p, q)
+        for t, (i, val) in enumerate(zip(members, values)):
             history[i] = val
             # Ties go to the earlier trial, whichever batch it sits in.
             if val > best or (val == best and i < best_i):
-                best, best_i, best_draws = val, i, (filt, *state)
+                (lo, hi), (r0, r1) = bounds[t : t + 2], starts[t : t + 2]
+                best, best_i, best_draws = val, i, (towers[t], f[lo:hi], g[lo:hi], unit[r0:r1])
+        # Free this batch before the next is built.
+        del batch, f, g, tf, unit
     filt, fb, gb, mults = best_draws
     mults.flags.writeable = False
     # The rows passed make_transform in the batch.
@@ -399,6 +377,7 @@ def lower_bound_search(
         rng = _trial_rng(seed, trials)  # ascent stream sits after all trials
         fv = f.values.copy()
         gv = g.values.copy()
+        m, bounds, totals = filt.layout.measures, (0, filt.n_leaves), (filt.total_measure,)
         for step in range(ascent_steps):
             move_f = step % 2 == 0
             tgt = fv if move_f else gv
@@ -406,7 +385,8 @@ def lower_bound_search(
             jdx = int(rng.integers(tgt.shape[1]))
             old = tgt[idx, jdx]
             tgt[idx, jdx] = old + 0.05 * rng.normal()
-            cand_val = _pairing_value(MartFunction(filt, fv), MartFunction(filt, gv), op, p, q)
+            tf = op.apply(MartFunction(filt, fv)).values
+            cand_val = _pairings(m, bounds, totals, fv, gv, tf, p, q)[0]
             if cand_val > best:
                 best = cand_val
                 witness = dict(witness, kind="ascent", step=step)

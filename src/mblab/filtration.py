@@ -295,8 +295,8 @@ class TowerBatch:
     ``atom_offsets[t] + i``.  ``layout`` is one ``LeafLayout`` built from
     the towers' roots: level n holds every tower's A_n atoms, tower after
     tower.  So tower t's leaves are the positions from ``leaf_offsets[t]``
-    up to ``leaf_offsets[t + 1]``, and its A_n atoms the stacked rows from
-    ``row_offsets[n, t]`` up to ``row_offsets[n, t + 1]``.
+    up to ``leaf_offsets[t + 1]``, and its A_n atoms one run of the level-n
+    stacked rows (``tower_rows`` lists each tower's rows).
     ``MartFunction``, ``make_transform`` and ``MartingaleTransform.apply``
     read only ``layout``, ``depth`` and ``n_leaves``, so they take a batch
     as they take a tower; each row's reduceat segment covers its own leaves
@@ -335,25 +335,14 @@ class TowerBatch:
         roots = self.atom_offsets[:-1] + [t._root for t in self.towers]
         return _build_layout(self, roots)
 
-    @cached_property
-    def row_offsets(self) -> np.ndarray:
-        """(depth + 1, towers + 1): tower t's A_n atoms are the stacked rows
-        ``row_offsets[n, t]:row_offsets[n, t + 1]``."""
-        lay, towers = self.layout, len(self.towers)
-        tower = np.searchsorted(self.atom_offsets, lay.stacked_atoms, side="right") - 1
-        level = np.arange(self.depth + 1).repeat(np.diff(lay.level_offsets))
-        counts = np.bincount(level * towers + tower, minlength=(self.depth + 1) * towers)
-        starts = lay.level_offsets[:-1, None]
-        return _frozen(np.hstack((starts, starts + counts.reshape(-1, towers).cumsum(axis=1))))
-
     def tower_rows(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
         """The stacked rows of levels 0..levels-1 tower by tower, each
-        tower's in its own layout's order, and the towers + 1 boundaries of
-        the towers' runs in that list."""
-        off = self.row_offsets[:levels]
-        lengths = (off[:, 1:] - off[:, :-1]).T
-        rows = _segments(off[:, :-1].T.ravel(), lengths.ravel())[0]
-        return rows, _offsets(lengths.sum(axis=1))
+        tower's in its own layout's order (a stable sort by tower), and the
+        towers + 1 boundaries of the towers' runs in that list."""
+        lay = self.layout
+        atoms = lay.stacked_atoms[: lay.level_offsets[levels]]
+        tower = np.searchsorted(self.atom_offsets, atoms, side="right") - 1
+        return np.argsort(tower, kind="stable"), _offsets(np.bincount(tower, minlength=len(self.towers)))
 
 
 def _offsets(sizes) -> np.ndarray:

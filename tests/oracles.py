@@ -21,13 +21,8 @@ from mblab.bellman import (
     _diameters,
     conjugate_exponent,
 )
-from mblab.corpus import haar_witness, random_function, random_transform
-from mblab.estimator import (
-    _pairing_value,
-    _trial_filtration,
-    _trial_rng,
-    hoelder_objective,
-)
+from mblab.corpus import _unit_rows, haar_witness, random_function
+from mblab.estimator import _trial_filtration, _trial_rng, hoelder_objective
 from mblab.filtration import (
     _GEOM_TOL,
     Atom,
@@ -54,7 +49,7 @@ from mblab.martingale import (
     inner,
     lp_norm,
 )
-from mblab.transforms import MartingaleTransform, _ancestor_values
+from mblab.transforms import MartingaleTransform, _ancestor_values, make_transform
 
 
 def scale_candidate(cand: BellmanCandidate, c: float, delta: float | None = None) -> BellmanCandidate:
@@ -1066,7 +1061,7 @@ def scan_trials_by_trials(
         rng = _trial_rng(seed, i)
         filt_seed = int(rng.integers(2**31))
         filt = _trial_filtration(delta, depth, i, filt_seed)
-        op = random_transform(filt, dim, rng, unit=True)
+        op = unit_transform(filt, dim, rng)
         f = random_function(filt, dim, rng)
         denom = lp_norm(f, p)
         if denom <= 0:
@@ -1082,6 +1077,20 @@ def scan_trials_by_trials(
                 "dim": dim,
             }
     return ratios, argmax
+
+
+def unit_transform(filt: Filtration, dim: int, rng: np.random.Generator) -> MartingaleTransform:
+    """A transform whose multipliers are one normal draw of the stacked rows
+    of A_0..A_{N-1}, each scaled to unit length."""
+    return make_transform(filt, _unit_rows(rng.normal(size=(filt.layout.level_offsets[filt.depth], dim))))
+
+
+def _pairing_value(f: MartFunction, g: MartFunction, op, p: float, q: float) -> float:
+    nf = lp_norm(f, p)
+    ng = lp_norm(g, q)
+    if nf <= 0 or ng <= 0:
+        return 0.0
+    return abs(inner(g, op.apply(f))) / (nf * ng * f.filtration.total_measure)
 
 
 def search_trials_by_trials(
@@ -1106,7 +1115,7 @@ def search_trials_by_trials(
             f, g, op = haar_witness(filt, dim)
         else:
             f, g = random_function(filt, dim, rng), random_function(filt, 1, rng)
-            op = random_transform(filt, dim, rng, unit=True)
+            op = unit_transform(filt, dim, rng)
         kind = "structured" if i == 0 else "random"
         val = _pairing_value(f, g, op, p, q)
         history.append(val)

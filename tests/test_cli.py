@@ -110,6 +110,8 @@ def test_unwritable_out_exits_two(capsys):
         ["gen", "--seed", "1", "--delta", "0.25", "--split-prob", "-0.1"],
         ["corpus", "--seeds", "0"],
         ["corpus", "--suites", "x2_drop,nope"],
+        ["check", "--seed", "1", "--suites", "x2_drop,x2_drop"],
+        ["corpus", "--suites", "projections, x2_drop,projections"],
         # a dict stands for a --config file holding it
         ["scan", "--seed", "1", "--config", {"trials": "5"}],
         ["gen", "--config", {"seed": 1.5, "depth": 2}],
@@ -203,6 +205,15 @@ def test_readme_examples_parse():
 def test_bad_tolerance_env_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("MBL_TOL", "nan")
     assert run(["check", "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize("suites", ["nope", "x2_drop,x2_drop"])
+def test_check_rejects_its_suites_before_building(suites, monkeypatch):
+    def no_build(cfg):
+        raise AssertionError("the tower was built")
+
+    monkeypatch.setattr(cli, "_filtration", no_build)
+    assert run(["check", "--seed", "1", "--suites", suites]) == 2
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

@@ -20,6 +20,7 @@ from mblab.filtration import (
     RatioSamplingError,
     TowerBatch,
     _sample_ratios,
+    _sorted_children,
     build_dyadic,
     build_random_regular,
     filtration_to_dict,
@@ -310,18 +311,21 @@ def test_random_regular_matches_atom_builder_at_any_seed(depth, delta, split_pro
     assert_same_tower(build_random_regular(*args), oracles.build_random_regular(*args))
 
 
+# Children listed right to left, the root's and one grandchild's.
+RIGHT_TO_LEFT = (
+    Atom(0, 0.0, 1.0, 0, None, (2, 1)),
+    Atom(1, 0.0, 0.5, 1, 0, (3, 4)),
+    Atom(2, 0.5, 1.0, 1, 0, (6, 5)),
+    Atom(3, 0.0, 0.25, 2, 1, ()),
+    Atom(4, 0.25, 0.5, 2, 1, ()),
+    Atom(5, 0.5, 0.75, 2, 2, ()),
+    Atom(6, 0.75, 1.0, 2, 2, ()),
+)
+
+
 def test_hand_built_tower_keeps_child_order():
-    # children listed right to left, the root's and one grandchild's: the
-    # layout orders levels by endpoint but lists event children as given
-    atoms = [
-        Atom(0, 0.0, 1.0, 0, None, (2, 1)),
-        Atom(1, 0.0, 0.5, 1, 0, (3, 4)),
-        Atom(2, 0.5, 1.0, 1, 0, (6, 5)),
-        Atom(3, 0.0, 0.25, 2, 1, ()),
-        Atom(4, 0.25, 0.5, 2, 1, ()),
-        Atom(5, 0.5, 0.75, 2, 2, ()),
-        Atom(6, 0.75, 1.0, 2, 2, ()),
-    ]
+    # the layout orders levels by endpoint but lists event children as given
+    atoms = list(RIGHT_TO_LEFT)
     filt = tower_from_atoms(atoms, 0.5)
     assert_same_tower(filt, oracles.AtomTower(delta=0.5, depth=2, atoms=tuple(atoms)))
     assert oracles.levels_of(filt) == ((0,), (1, 2), (3, 4, 5, 6))
@@ -489,21 +493,31 @@ def events_of(lay, atoms=None):
 def assert_batch_slices(towers):
     """Each tower's part of one batch layout is its own layout, its leaves,
     spans and boundaries moved by its leaf offset, its atoms by its atom
-    offset and its rows, level by level, by its row offsets."""
+    offset and its rows, level by level, by the first of its rows at that
+    level: its run of ``tower_rows``, cut at its own level offsets, is one
+    range of stacked rows per level."""
     batch = TowerBatch(towers)
     lay, L = batch.layout, batch.n_leaves
     assert L == sum(t.n_leaves for t in towers) and batch.depth == towers[0].depth
+    rows, starts = batch.tower_rows(batch.depth + 1)
+    assert sorted(rows.tolist()) == list(range(len(lay.stacked_atoms)))
     for t, tower in enumerate(towers):
         own = tower.layout
         assert_same_layout(own, oracles.build_layout_one_root(tower))
         lo, hi = batch.leaf_offsets[t : t + 2].tolist()
         a0 = int(batch.atom_offsets[t])
+        run = rows[starts[t] : starts[t + 1]]
+        assert np.array_equal(lay.stacked_atoms[run] - a0, own.stacked_atoms)
         assert np.array_equal(lay.measures[lo:hi], own.measures)
         assert np.array_equal(lay.spans[a0 : a0 + tower.n_atoms], own.spans + lo)
         assert np.array_equal(lay.atom_measures[a0 : a0 + tower.n_atoms], own.atom_measures)
+        # the first batch row of each of the tower's levels
+        first_rows = run[own.level_offsets[:-1]]
         for n in range(tower.depth + 1):
-            r0, r1 = batch.row_offsets[n, t : t + 2].tolist()
             o0, o1 = own.level_offsets[n : n + 2].tolist()
+            r0 = int(first_rows[n])
+            r1 = r0 + o1 - o0
+            assert np.array_equal(run[o0:o1], np.arange(r0, r1))
             level_row = int(lay.level_offsets[n])
             assert np.array_equal(lay.stacked_atoms[r0:r1] - a0, own.stacked_atoms[o0:o1])
             assert np.array_equal(lay.stacked_measures[r0:r1], own.stacked_measures[o0:o1])
@@ -515,12 +529,12 @@ def assert_batch_slices(towers):
             )
             up = max(n - 1, 0)
             assert np.array_equal(
-                lay.stacked_parents[r0:r1] - batch.row_offsets[up, t],
+                lay.stacked_parents[r0:r1] - first_rows[up],
                 own.stacked_parents[o0:o1] - own.level_offsets[up],
             )
             if n < tower.depth:
                 assert np.array_equal(
-                    lay.stacked_children[r0:r1] - batch.row_offsets[n + 1, t],
+                    lay.stacked_children[r0:r1] - first_rows[n + 1],
                     own.stacked_children[o0:o1] - own.level_offsets[n + 1],
                 )
         moved = [
@@ -528,11 +542,6 @@ def assert_batch_slices(towers):
             for atom, level, span, kids in events_of(lay, range(a0, a0 + tower.n_atoms))
         ]
         assert moved == events_of(own)
-    rows, starts = batch.tower_rows(batch.depth + 1)
-    assert sorted(rows.tolist()) == list(range(len(lay.stacked_atoms)))
-    for t, tower in enumerate(towers):
-        atoms = lay.stacked_atoms[rows[starts[t] : starts[t + 1]]]
-        assert np.array_equal(atoms - batch.atom_offsets[t], tower.layout.stacked_atoms)
     return batch
 
 
@@ -579,6 +588,16 @@ def test_batch_of_random_towers_at_a_floor(delta):
     towers = [build_random_regular(5, delta, max_children_for(delta), 0.7, s) for s in range(6)]
     assert_batch_kernels(assert_batch_slices(towers), 1, 0)
     assert_batch_slices(towers[:1])
+
+
+def test_batch_of_towers_with_children_right_to_left():
+    # the batch's children column takes the lexsort path of _sorted_children
+    towers = [tower_from_atoms(list(RIGHT_TO_LEFT), 0.5), build_dyadic(2)]
+    batch = assert_batch_slices(towers + towers[::-1])
+    owner = np.arange(batch.n_atoms).repeat(np.diff(batch.child_starts))
+    assert _sorted_children(batch, owner) is not batch.children
+    for dim in (1, 2):
+        assert_batch_kernels(batch, dim, dim)
 
 
 def test_batch_needs_towers_of_one_depth():
