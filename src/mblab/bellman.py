@@ -196,8 +196,9 @@ class Witness:
     as stacked rows with their ancestor chains, and ``restriction_sides``.
     The objects live as long as the witness, so the suites, the certificate
     and the probes that share one witness build each once between them.  A
-    witness takes only f, g and T on one filtration object, g scalar and T
-    of the dimension of f.  The table's x2, d and x2 gains do not depend on p.
+    witness takes only f, g and T on one filtration of one tower, g scalar
+    and T of the dimension of f.  The table's x2, d and x2 gains do not
+    depend on p.
     """
 
     f: MartFunction
@@ -208,6 +209,7 @@ class Witness:
     def __post_init__(self) -> None:
         if not (self.g.filtration is self.f.filtration is self.op.filtration):
             raise ValueError("witness components live on different filtrations")
+        self.f.filtration._require_one_tower()
         if self.g.dim != 1:
             raise ValueError("g must be scalar valued")
         if self.f.dim != self.op.dim:

@@ -48,6 +48,7 @@ _SEEDS_PER_CELL = 100
 # Max child counts chosen so max_children * delta stays clearly below 1 and
 # the Dirichlet rejection sampler converges fast.
 _MAX_CHILDREN = {0.1: 4, 0.25: 3, 1.0 / 3.0: 2, 0.5: 2}
+_SPLIT_PROB = 0.7  # the chance that an atom of a random tower splits
 
 
 def max_children_for(delta: float) -> int:
@@ -98,7 +99,7 @@ def build_tower(
     seed: int | None,
     depth: int,
     max_children: int | None = None,
-    split_prob: float = 0.7,
+    split_prob: float = _SPLIT_PROB,
 ) -> Filtration:
     """The tower of a floor: the dyadic tower at the balanced floor 1/2,
     where random ratio sampling degenerates (``seed`` is not read), else
@@ -171,29 +172,26 @@ def haar_witness(
     every multiplier at the first coordinate.  The pairing of g with Tf is
     then exactly one while both second moments are one.
     """
-    profile = np.empty(filt.n_leaves)
-    for child, value in _haar_profile(filt):
-        profile[filt.leaf_slice(child)] = value
-    fvals = np.zeros((filt.n_leaves, dim))
-    fvals[:, 0] = profile
-    f = MartFunction(filt, fvals)
-    g = MartFunction(filt, profile)
-    mults = np.zeros((filt.layout.level_offsets[filt.depth], dim))
-    mults[:, 0] = 1.0
-    return f, g, make_transform(filt, mults)
+    f, g, mults = _haar_profile(filt, filt.root.id, dim, filt.layout.level_offsets[filt.depth])
+    return MartFunction(filt, f), MartFunction(filt, g), make_transform(filt, mults)
 
 
-def _haar_profile(filt: Filtration) -> tuple[tuple[int, float], tuple[int, float]]:
-    """The structured witness's scalar profile: each child of the root's
-    two-child split and the value the profile takes on its leaves, read off
-    the columns alone."""
-    root = filt.root
-    if len(root.children) != 2:
+def _haar_profile(filt: Filtration, root: int, dim: int, n_rows: int) -> tuple[np.ndarray, ...]:
+    """The structured witness on the tower of root atom ``root``, read off
+    the columns, as leaf values of f and g and n_rows multiplier rows.  g
+    takes, on each child of the root's two-child split, the value that makes
+    it zero-mean with unit variance under the root's weights."""
+    lo, hi = filt.child_starts[root : root + 2].tolist()
+    if hi - lo != 2:
         raise ValueError("the structured witness needs a two-child root split")
-    c1, c2 = (filt.atom(c) for c in root.children)
-    w1 = c1.measure / root.measure
-    w2 = c2.measure / root.measure
-    return (c1.id, np.sqrt(w2 / w1)), (c2.id, -np.sqrt(w1 / w2))
+    ids = [root, *filt.children[lo:hi].tolist()]
+    m0, m1, m2 = (filt.b[ids] - filt.a[ids]).tolist()
+    w1, w2 = m1 / m0, m2 / m0
+    (first, end), (lo1, hi1), (lo2, hi2) = filt.layout.spans[ids] - filt.layout.spans[root, 0]
+    g, f, mults = np.empty((end - first, 1)), np.zeros((end - first, dim)), np.zeros((n_rows, dim))
+    g[lo1:hi1], g[lo2:hi2] = np.sqrt(w2 / w1), -np.sqrt(w1 / w2)
+    f[:, 0], mults[:, 0] = g[:, 0], 1.0
+    return f, g, mults
 
 
 def active_split_function(

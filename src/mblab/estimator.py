@@ -18,14 +18,15 @@ The scan and the search run their trials by depth.  Each trial draws from
 its own spawn-keyed generator, in the order a trial alone would: its
 tower's seed, then the scan's multipliers and f, or the search's f, g and
 multipliers (the search's trial 0 is the structured witness where its root
-splits in two).  The towers of one depth are one ``TowerBatch``
-(``_batch_pass``): every trial's multiplier rows are scaled in one
-row-wise pass, one ``make_transform`` checks them and one ``apply`` gives
-every T f.  Each trial's norms and pairing are then read off its own leaf
-segment with its own dot products (``_lp_norms``, ``_pairings``; the
-search's ascent calls ``_pairings`` on its one tower).  Every trial keeps
-the floats it has when run alone (``tests/oracles.py`` keeps the
-trial-by-trial loops).
+splits in two).  The towers of one depth are one ``Filtration``, their
+columns stacked and validated once (``_batches``); one pass over it
+(``_batch_pass``) scales every trial's multiplier rows row-wise, checks
+them in one ``make_transform`` and gives every T f in one ``apply``.
+Each trial's norms and pairing are then read off its own leaf segment
+with its own dot products (``_lp_norms``, ``_pairings``; the search's
+ascent calls ``_pairings`` on the best trial's tower, cut out of its
+batch).  Every trial keeps the floats it has when run alone
+(``tests/oracles.py`` keeps the trial-by-trial loops).
 """
 
 from __future__ import annotations
@@ -39,16 +40,16 @@ import numpy as np
 from .bellman import Witness, conjugate_exponent, quadratic_candidate
 from .certifier import Certificate, certify
 from .corpus import (
+    _SPLIT_PROB,
     _haar_profile,
     _unit_rows,
-    build_tower,
     cell_filtration,
     haar_witness,
     max_children_for,
     random_function,
     random_transform,
 )
-from .filtration import Filtration, TowerBatch
+from .filtration import Filtration, _random_columns
 from .martingale import MartFunction, _lp_norms, inner, lp_norm
 from .transforms import MartingaleTransform, make_transform
 
@@ -118,14 +119,6 @@ def _trial_depth(depth: int | None, i: int) -> int:
     return depth if depth is not None else 2 + i % 4
 
 
-def _trial_filtration(delta: float, depth: int | None, i: int, filt_seed: int):
-    d = _trial_depth(depth, i)
-    if delta == 0.5:
-        # All balanced towers of one depth coincide, so share the cached one.
-        return cell_filtration(0.5, 0, d, 2)
-    return build_tower(delta, filt_seed, d)
-
-
 def _trial_rng(seed: int, i: int) -> np.random.Generator:
     # Spawn-keyed streams: trial i draws identically no matter how many
     # trials run, so longer scans extend shorter ones exactly.
@@ -141,11 +134,12 @@ _BATCH_LEAVES = 1 << 16
 
 def _batches(
     seed: int, delta: float, depths: list[int]
-) -> Iterator[tuple[list[int], list[np.random.Generator], list[int], list[Filtration]]]:
+) -> Iterator[tuple[list[int], list[np.random.Generator], Filtration]]:
     """The trials of each depth, in order of first appearance, in batches
     of at most ``_BATCH_LEAVES`` leaves: their ids, their generators (past
-    the tower seed), their tower seeds and their towers.  Batch by batch,
-    so only one batch's trials are held."""
+    the tower seed) and the columns of their ``build_tower`` towers stacked
+    in one filtration, validated once.  Batch by batch, so only one batch's
+    trials are held."""
     groups: dict[int, list[int]] = {}
     for i, d in enumerate(depths):
         groups.setdefault(d, []).append(i)
@@ -154,33 +148,42 @@ def _batches(
         for i in members:
             rng = _trial_rng(seed, i)
             filt_seed = int(rng.integers(2**31))
-            filt = _trial_filtration(delta, d, i, filt_seed)
-            if chunk and leaves + filt.n_leaves > _BATCH_LEAVES:
-                yield tuple(map(list, zip(*chunk)))
+            if delta == 0.5:
+                # All balanced towers of one depth coincide, so share the cached one.
+                columns = cell_filtration(0.5, 0, d, 2).columns
+            else:
+                columns = _random_columns(d, delta, max_children_for(delta), _SPLIT_PROB, filt_seed)
+            n_leaves = len(columns[0]) - np.count_nonzero(np.diff(columns[4]))
+            if chunk and leaves + n_leaves > _BATCH_LEAVES:
+                yield _stacked(delta, d, chunk)
                 chunk, leaves = [], 0
-            chunk.append((i, rng, filt_seed, filt))
-            leaves += filt.n_leaves
-        yield tuple(map(list, zip(*chunk)))
+            chunk.append((i, rng, columns))
+            leaves += n_leaves
+        yield _stacked(delta, d, chunk)
+
+
+def _stacked(delta: float, depth: int, chunk: list[tuple]) -> tuple:
+    members, rngs, columns = map(list, zip(*chunk))
+    return members, rngs, Filtration.stack(delta, depth, columns)
 
 
 def _batch_pass(
-    towers: list[Filtration], draw: Callable[[TowerBatch, int, int], tuple[np.ndarray, ...]]
-) -> tuple[TowerBatch, list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over a batch of trials.  ``draw(batch, t, n_rows)`` is
-    trial t's draws in its own order: leaf values (f first), then its
-    n_rows multiplier rows in its tower's stacked order.  Returns the batch,
-    the leaf values stacked, T f, the multiplier rows scaled to unit length
-    (the rows that passed ``make_transform``) trial after trial, and the
-    trials + 1 boundaries of their runs."""
-    batch = TowerBatch(towers)
+    batch: Filtration, draw: Callable[[int, int], tuple[np.ndarray, ...]]
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over a batch of trials.  ``draw(t, n_rows)`` is tower t's
+    draws in its own order: leaf values (f first), then its n_rows
+    multiplier rows in its tower's stacked order.  Returns the leaf values
+    stacked, T f, the multiplier rows scaled to unit length (the rows that
+    passed ``make_transform``) trial after trial, and the trials + 1
+    boundaries of their runs."""
     rows, starts = batch.tower_rows(batch.depth)
-    drawn = [draw(batch, t, n_rows) for t, n_rows in enumerate(np.diff(starts).tolist())]
+    drawn = [draw(t, n_rows) for t, n_rows in enumerate(np.diff(starts).tolist())]
     *values, raw = (np.concatenate(column) for column in zip(*drawn))
     unit = _unit_rows(raw)
     mults = np.empty_like(unit)
     mults[rows] = unit
     tf = make_transform(batch, mults).apply(MartFunction(batch, values[0])).values
-    return batch, values, tf, unit, starts
+    return values, tf, unit, starts
 
 
 # Histogram bins of the ratio scan.
@@ -224,20 +227,19 @@ def _scan_trials(
     A trial whose f has zero norm scores 0 and is skipped; the argmax is
     the last trial not skipped that reaches the running maximum."""
     depths = [_trial_depth(depth, i) for i in range(trials)]
-    seeds = [0] * trials
     ratios = np.empty(trials)
     skipped = np.zeros(trials, dtype=bool)
-    for members, rngs, filt_seeds, towers in _batches(seed, delta, depths):
+    for members, rngs, batch in _batches(seed, delta, depths):
+        sizes = np.diff(batch.leaf_offsets).tolist()
 
-        def draw(batch, t, n_rows):
+        def draw(t, n_rows):
             raw = rngs[t].normal(size=(n_rows, dim))
-            return rngs[t].normal(size=(batch.towers[t].n_leaves, dim)), raw
+            return rngs[t].normal(size=(sizes[t], dim)), raw
 
-        batch, (f,), tf, _, _ = _batch_pass(towers, draw)
+        (f,), tf, _, _ = _batch_pass(batch, draw)
         m, bounds = batch.layout.measures, batch.leaf_offsets
         norms = zip(_lp_norms(m, tf, p, bounds), _lp_norms(m, f, p, bounds))
-        for i, filt_seed, (num, denom) in zip(members, filt_seeds, norms):
-            seeds[i] = filt_seed
+        for i, (num, denom) in zip(members, norms):
             skipped[i] = not denom > 0
             ratios[i] = num / denom if denom > 0 else 0.0
         # Free this batch before the next is built.
@@ -246,7 +248,8 @@ def _scan_trials(
     if not reach.size:
         return ratios, {}
     i = int(reach[-1])
-    return ratios, {"trial": i, "filt_seed": seeds[i], "depth": depths[i], "delta": delta, "dim": dim}
+    filt_seed = int(_trial_rng(seed, i).integers(2**31))  # the trial's first draw, as in _batches
+    return ratios, {"trial": i, "filt_seed": filt_seed, "depth": depths[i], "delta": delta, "dim": dim}
 
 
 # ---------------------------------------------------------------------------
@@ -292,24 +295,11 @@ def _root_point(filt, f, g, op, p: float) -> dict | None:
     return {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": p, "atom": root}
 
 
-def _structured_draws(batch: TowerBatch, t: int, dim: int, n_rows: int) -> tuple[np.ndarray, ...]:
-    """``haar_witness`` of the batch's tower t as leaf values of f and g and
-    multiplier rows, its leaf spans read off the batch layout."""
-    filt = batch.towers[t]
-    profile = np.empty(filt.n_leaves)
-    for child, value in _haar_profile(filt):
-        lo, hi = batch.layout.spans[batch.atom_offsets[t] + child] - batch.leaf_offsets[t]
-        profile[lo:hi] = value
-    f, mults = np.zeros((filt.n_leaves, dim)), np.zeros((n_rows, dim))
-    f[:, 0], mults[:, 0] = profile, 1.0
-    return f, profile[:, None], mults
-
-
 def _search_trials(
     p: float, trials: int, seed: int, delta: float, dim: int, depth: int | None
 ) -> tuple[list[float], float, dict, tuple]:
     """The trials of ``lower_bound_search``: the pairing of each, the best
-    value, its witness record and its state (filt, f, g, op).
+    value, its witness record and its state (filt, f, g, op) on its tower.
 
     The best is the first trial with the largest value, as a fold over the
     trials in order finds it."""
@@ -317,31 +307,36 @@ def _search_trials(
     depths = [2 if i == 0 else _trial_depth(depth, i) for i in range(trials)]
     history = [0.0] * trials
     best, best_i = -1.0, -1
-    for members, rngs, _, towers in _batches(seed, delta, depths):
+    for members, rngs, batch in _batches(seed, delta, depths):
+        roots = batch.atom_offsets[:-1]
+        root_splits = np.diff(batch.child_starts)[roots].tolist()
+        bounds = batch.leaf_offsets.tolist()
 
-        def draw(batch, t, n_rows):
-            filt, rng = batch.towers[t], rngs[t]
-            if members[t] == 0 and len(filt.root.children) == 2:
-                return _structured_draws(batch, t, dim, n_rows)
-            shapes = (filt.n_leaves, dim), (filt.n_leaves, 1), (n_rows, dim)
-            return tuple(rng.normal(size=shape) for shape in shapes)
+        def draw(t, n_rows):
+            if members[t] == 0 and root_splits[t] == 2:
+                return _haar_profile(batch, int(roots[t]), dim, n_rows)
+            n_leaves = bounds[t + 1] - bounds[t]
+            shapes = (n_leaves, dim), (n_leaves, 1), (n_rows, dim)
+            return tuple(rngs[t].normal(size=shape) for shape in shapes)
 
-        batch, (f, g), tf, unit, starts = _batch_pass(towers, draw)
-        bounds, totals = batch.leaf_offsets.tolist(), [tower.total_measure for tower in towers]
+        (f, g), tf, unit, starts = _batch_pass(batch, draw)
+        totals = (batch.b[roots] - batch.a[roots]).tolist()
         values = _pairings(batch.layout.measures, bounds, totals, f, g, tf, p, q)
         for t, (i, val) in enumerate(zip(members, values)):
             history[i] = val
             # Ties go to the earlier trial, whichever batch it sits in.
             if val > best or (val == best and i < best_i):
                 (lo, hi), (r0, r1) = bounds[t : t + 2], starts[t : t + 2]
-                best, best_i, best_draws = val, i, (towers[t], f[lo:hi], g[lo:hi], unit[r0:r1])
+                best, best_i = val, i
+                best_draws = (batch.tower_columns(t), f[lo:hi], g[lo:hi], unit[r0:r1])
         # Free this batch before the next is built.
         del batch, f, g, tf, unit
-    filt, fb, gb, mults = best_draws
+    columns, fb, gb, mults = best_draws
+    filt = Filtration(delta, depths[best_i], *columns)
     mults.flags.writeable = False
     # The rows passed make_transform in the batch.
     best_state = (filt, MartFunction(filt, fb), MartFunction(filt, gb), MartingaleTransform(filt, mults))
-    kind = "structured" if best_i == 0 else "random"
+    kind = "structured" if best_i == 0 and len(filt.root.children) == 2 else "random"
     witness = {"trial": best_i, "kind": kind, "depth": filt.depth, "dim": dim}
     return history, best, witness, best_state
 
@@ -358,14 +353,15 @@ def lower_bound_search(
 ) -> SearchResult:
     """Maximize |<g, Tf>| over unit-norm witnesses.
 
-    Trial 0 plants the structured two-value witness (pairing exactly one);
-    the rest are Gaussian draws.  Witnesses are normalized to unit p- and
-    q-norm, otherwise the pairing is unbounded under scaling.  Optional
-    coordinate ascent perturbs the best witness leafwise, keeping the moves
-    that improve the value.  ``found`` tells whether the best value reaches
-    ``target``; with no target it is true.  ``achieved_point`` is the best
-    witness's root moment point as a dict keyed x1, x2, x3, x4, p and atom,
-    None where its x2 falls below roundoff of zero.
+    Trial 0 plants the structured two-value witness (pairing exactly one,
+    kind "structured") where its tower's root splits in two; every other
+    trial is a Gaussian draw (kind "random").  Witnesses are normalized to
+    unit p- and q-norm, otherwise the pairing is unbounded under scaling.
+    Optional coordinate ascent perturbs the best witness leafwise, keeping
+    the moves that improve the value.  ``found`` tells whether the best
+    value reaches ``target``; with no target it is true.  ``achieved_point``
+    is the best witness's root moment point as a dict keyed x1, x2, x3, x4,
+    p and atom, None where its x2 falls below roundoff of zero.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -15,13 +15,14 @@ one-split-at-a-time refiltration is what downstream difference operators
 are indexed by.  The schedule is the event list of the layout below, O(E)
 for E split events.
 
-A tower is stored as columns indexed by atom id: the endpoints ``a`` and
-``b``, the ``level`` at which each atom first appears, its ``parent`` (-1
-at the root) and a child offset table, under which the children of atom i
-are ``children[child_starts[i]:child_starts[i + 1]]`` in their given order.
-The tower is validated by array passes over the columns.  The ``Atom``
-record of one atom is a view built when it is read (``root``, ``atom(i)``,
-``atoms``); checking and certifying a tower builds none of them.
+A filtration is stored as columns indexed by atom id: the endpoints ``a``
+and ``b``, the ``level`` at which each atom first appears, its ``parent``
+(-1 at a root) and a child offset table, under which the children of atom
+i are ``children[child_starts[i]:child_starts[i + 1]]`` in their given
+order.  The columns hold one tower or several of one depth end to end
+(``Filtration.stack``), validated by array passes over all of them.  The
+``Atom`` record of one atom is a view built when it is read (``root``,
+``atom(i)``, ``atoms``); checking and certifying a tower builds none.
 
 Two builders are provided: the uniform binary (dyadic) filtration, filled in
 one level at a time, and a seeded random generator with prescribed
@@ -30,15 +31,11 @@ regularity floor.
 Every atom covers a contiguous run of leaves in left-endpoint order.  The
 array form of that fact (leaf spans, per-level leaf -> atom maps and
 reduceat boundaries, per-event atoms, levels, spans and children in
-schedule order) is the ``LeafLayout`` of a tower, built on first use from
-the columns and kept on the instance; ``level_partition`` reads A_n off
-it.
-
-A ``TowerBatch`` lays validated towers of one depth end to end: their
-columns concatenated, and one ``LeafLayout`` built from all their roots at
-once, whose levels hold the towers' atoms tower after tower.  A reduceat
-segment sums the same leaves in the same order at any offset, so each
-tower's part of a batch pass is the float of its own pass.
+schedule order) is the ``LeafLayout``, built on first use from the columns
+and kept on the instance; ``level_partition`` reads A_n off it.  Its levels
+hold the towers' atoms tower after tower; a reduceat segment sums the same
+leaves in the same order at any offset, so each tower's part of a pass
+over a stack is the float of its own pass.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ import numpy as np
 
 __all__ = [
     "Filtration",
-    "TowerBatch",
     "SplitEvent",
     "FiltrationError",
     "RatioSamplingError",
@@ -209,13 +205,20 @@ _COLUMNS = (
 
 @dataclass(frozen=True, eq=False)
 class Filtration:
-    """Immutable atom tower, stored as columns indexed by atom id.
+    """Immutable towers of one depth, stored as columns indexed by atom id.
 
     Atom i is [a[i], b[i]) at ``level[i]``, with parent ``parent[i]`` (-1 at
-    the root) and children ``children[child_starts[i]:child_starts[i + 1]]``
-    in their given order.  The constructor copies the columns, makes them
-    read-only and validates the tower.  Eq is by object identity on purpose:
-    the derived leaf layout is built once and kept on the object.
+    a root) and children ``children[child_starts[i]:child_starts[i + 1]]``
+    in their given order.  Tower t is the id range from its root
+    ``atom_offsets[t]`` up to ``atom_offsets[t + 1]``; every root sits at
+    level 0 and every tower splits at every level below ``depth``.  Tower
+    t's leaves start at ``leaf_offsets[t]`` and its A_n atoms are one run of
+    the level-n stacked rows (``tower_rows``); one tower reads ``[0, n]``,
+    ``[0, L]`` and every row.  ``root``, ``interval``, ``total_measure`` and
+    ``filtration_to_dict`` refuse several towers.  The constructor copies
+    the columns, makes them read-only and validates every tower.  Eq is by
+    object identity on purpose: the derived leaf layout is built once and
+    kept on the object.
     """
 
     delta: float
@@ -226,16 +229,52 @@ class Filtration:
     parent: np.ndarray
     child_starts: np.ndarray
     children: np.ndarray
-    _root: int = field(init=False, repr=False)
+    atom_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, dtype in _COLUMNS:
             object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
-        object.__setattr__(self, "_root", _validate(self))
+        object.__setattr__(self, "atom_offsets", _frozen(np.append(_validate(self), self.n_atoms)))
+
+    @classmethod
+    def stack(cls, delta: float, depth: int, parts: Sequence[tuple]) -> Filtration:
+        """The towers of ``parts`` laid end to end, validated once.  A part is
+        the six columns of towers in constructor order (``columns``), its ids
+        from 0; part k's ids move by the atoms of the parts before it."""
+        if not parts:
+            raise FiltrationError("a stack needs at least one tower")
+        a, b, level, parent, starts, kids = ([np.asarray(x) for x in col] for col in zip(*parts))
+        first, kid_first = (_offsets([len(x) for x in col]).tolist() for col in (a, kids))
+        parent = [np.where(p < 0, p, p + k) for p, k in zip(parent, first)]
+        starts = [s[:-1] + k for s, k in zip(starts, kid_first)] + [kid_first[-1:]]
+        kids = [c + k for c, k in zip(kids, first)]
+        return cls(delta, depth, *(np.concatenate(col) for col in (a, b, level, parent, starts, kids)))
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The six columns in constructor order."""
+        return tuple(getattr(self, name) for name, _ in _COLUMNS)
+
+    def tower_columns(self, t: int) -> tuple[np.ndarray, ...]:
+        """Tower t's six columns, copied out of the stack, its ids from 0."""
+        lo, hi = self.atom_offsets[t : t + 2].tolist()
+        k0, k1 = self.child_starts[[lo, hi]].tolist()
+        a, b, level = (col[lo:hi].copy() for col in (self.a, self.b, self.level))
+        parent = np.maximum(self.parent[lo:hi] - lo, -1)  # the root's parent stays -1
+        return a, b, level, parent, self.child_starts[lo : hi + 1] - k0, self.children[k0:k1] - lo
 
     @property
     def n_atoms(self) -> int:
         return len(self.a)
+
+    @cached_property
+    def leaf_offsets(self) -> np.ndarray:
+        """Each tower's first leaf position (its root's span), then L."""
+        return _frozen(np.append(self.layout.spans[self.atom_offsets[:-1], 0], self.n_leaves))
+
+    @cached_property
+    def n_leaves(self) -> int:
+        return int(np.count_nonzero(self.child_starts[1:] == self.child_starts[:-1]))
 
     def atom(self, atom_id: int) -> Atom:
         """View of one atom, built on read."""
@@ -256,26 +295,30 @@ class Filtration:
         """Every atom in id order, each view built when it is read."""
         return _Lazy(self.atom, np.arange(self.n_atoms))
 
+    def _require_one_tower(self) -> None:
+        towers = len(self.atom_offsets) - 1
+        if towers != 1:
+            raise FiltrationError(f"a filtration of {towers} towers has no single root")
+
     @property
     def root(self) -> Atom:
-        return self.atom(self._root)
+        self._require_one_tower()
+        return self.atom(0)
 
     @property
     def interval(self) -> tuple[float, float]:
-        return (float(self.a[self._root]), float(self.b[self._root]))
+        self._require_one_tower()
+        return (float(self.a[0]), float(self.b[0]))
 
     @property
     def total_measure(self) -> float:
-        return float(self.b[self._root] - self.a[self._root])
-
-    @cached_property
-    def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.child_starts[1:] == self.child_starts[:-1]))
+        self._require_one_tower()
+        return float(self.b[0] - self.a[0])
 
     @cached_property
     def layout(self) -> LeafLayout:
         """Leaf spans, level rows and event spans; built on first use."""
-        return _build_layout(self, np.array([self._root]))
+        return _build_layout(self)
 
     def leaf_measures(self) -> np.ndarray:
         return self.layout.measures
@@ -285,56 +328,6 @@ class Filtration:
         lo, hi = self.layout.spans[atom_id].tolist()
         return slice(lo, hi)
 
-
-class TowerBatch:
-    """Validated towers of one depth laid end to end, so that one array pass
-    serves them all.
-
-    The columns ``a``, ``b``, ``child_starts`` and ``children`` are the
-    towers' own, concatenated: tower t's atom i is batch atom
-    ``atom_offsets[t] + i``.  ``layout`` is one ``LeafLayout`` built from
-    the towers' roots: level n holds every tower's A_n atoms, tower after
-    tower.  So tower t's leaves are the positions from ``leaf_offsets[t]``
-    up to ``leaf_offsets[t + 1]``, and its A_n atoms one run of the level-n
-    stacked rows (``tower_rows`` lists each tower's rows).
-    ``MartFunction``, ``make_transform`` and ``MartingaleTransform.apply``
-    read only ``layout``, ``depth`` and ``n_leaves``, so they take a batch
-    as they take a tower; each row's reduceat segment covers its own leaves
-    only, so every tower gets the floats its own layout gives.
-    """
-
-    def __init__(self, towers: Sequence[Filtration]):
-        self.towers = tuple(towers)
-        if not self.towers:
-            raise FiltrationError("a tower batch needs at least one tower")
-        self.depth = self.towers[0].depth
-        if any(t.depth != self.depth for t in self.towers):
-            raise FiltrationError("the towers of a batch need one depth")
-        self.atom_offsets = _offsets([t.n_atoms for t in self.towers])
-        self.leaf_offsets = _offsets([t.n_leaves for t in self.towers])
-        kid_offsets = _offsets([len(t.children) for t in self.towers])
-        self.a = _frozen(np.concatenate([t.a for t in self.towers]))
-        self.b = _frozen(np.concatenate([t.b for t in self.towers]))
-        starts = [t.child_starts[:-1] + k for t, k in zip(self.towers, kid_offsets.tolist())]
-        self.child_starts = _frozen(np.concatenate([*starts, kid_offsets[-1:]]))
-        kids = [t.children + k for t, k in zip(self.towers, self.atom_offsets.tolist())]
-        self.children = _frozen(np.concatenate(kids))
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.a)
-
-    @property
-    def n_leaves(self) -> int:
-        return int(self.leaf_offsets[-1])
-
-    @cached_property
-    def layout(self) -> LeafLayout:
-        """The batch's leaf spans, level rows and event spans; built on
-        first use."""
-        roots = self.atom_offsets[:-1] + [t._root for t in self.towers]
-        return _build_layout(self, roots)
-
     def tower_rows(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
         """The stacked rows of levels 0..levels-1 tower by tower, each
         tower's in its own layout's order (a stable sort by tower), and the
@@ -342,20 +335,13 @@ class TowerBatch:
         lay = self.layout
         atoms = lay.stacked_atoms[: lay.level_offsets[levels]]
         tower = np.searchsorted(self.atom_offsets, atoms, side="right") - 1
-        return np.argsort(tower, kind="stable"), _offsets(np.bincount(tower, minlength=len(self.towers)))
+        counts = np.bincount(tower, minlength=len(self.atom_offsets) - 1)
+        return np.argsort(tower, kind="stable"), _offsets(counts)
 
 
 def _offsets(sizes) -> np.ndarray:
     """0 followed by the running sums of ``sizes``."""
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-
-
-def _check(bad: np.ndarray, message: str, ids: np.ndarray | None = None) -> None:
-    """Raise ``message`` naming the smallest atom id that ``bad`` flags
-    (the flagged entries of ``ids`` when given)."""
-    if bad.any():
-        atom = bad.argmax() if ids is None else ids[bad].min()
-        raise FiltrationError(message.format(atom=int(atom)))
 
 
 def _sorted_children(f: Filtration, owner: np.ndarray) -> np.ndarray:
@@ -369,9 +355,9 @@ def _sorted_children(f: Filtration, owner: np.ndarray) -> np.ndarray:
     return kids[np.lexsort((kids, kid_a, owner))]
 
 
-def _validate(f: Filtration) -> int:
-    """Array passes over the columns, each check naming the smallest atom id
-    it flags; returns the root id."""
+def _validate(f: Filtration) -> np.ndarray:
+    """Array passes over the columns of every tower at once, each check
+    naming the smallest atom id it flags and its tower; returns the roots."""
     if not (0.0 < f.delta <= 0.5):
         raise FiltrationError(f"delta must lie in (0, 1/2], got {f.delta}")
     if f.depth < 1:
@@ -388,41 +374,56 @@ def _validate(f: Filtration) -> int:
         or (starts[1:] < starts[:-1]).any()
     ):
         raise FiltrationError("columns need one row per atom and child offsets rising from 0")
+    # Each tower is the id range from its root up to the next root.
+    if parent[0] >= 0:
+        raise FiltrationError("atom 0 has a parent: each tower must start at its root")
+    is_root = parent < 0
+    tower, roots = np.cumsum(is_root) - 1, is_root.nonzero()[0]
+
+    def check(bad: np.ndarray, message: str, ids: np.ndarray | None = None) -> None:
+        """Raise ``message`` naming the smallest atom flagged (of ``ids``) and its tower."""
+        if bad.any():
+            atom = bad.argmax() if ids is None else ids[bad].min()
+            raise FiltrationError(f"{message.format(atom=int(atom))} in tower {tower[atom]}")
+
+    message = "need exactly one root atom at level 0: atom {atom} is a root at another level"
+    check(level[roots] != 0, message, roots)
+    n_kids = starts[1:] - starts[:-1]
+    owner = np.arange(n).repeat(n_kids)
     if (len(kids) and (kids.min() < 0 or kids.max() >= n)) or parent.min() < -1 or parent.max() >= n:
-        raise FiltrationError("atom ids must be dense 0..len-1 in order")
+        bad = np.concatenate(((kids < 0) | (kids >= n), (parent < -1) | (parent >= n)))
+        message = "atom ids must be dense 0..len-1 in order: atom {atom} names an id out of range"
+        check(bad, message, np.concatenate((owner, np.arange(n))))
 
     measure = b - a
-    _check(~(b > a), "atom {atom} has nonpositive measure")
-    n_kids = starts[1:] - starts[:-1]
-    _check(n_kids == 1, "atom {atom} has exactly one child")
-    _check((n_kids > 0) & (level >= f.depth), "atom {atom} splits past the final level")
-    owner = np.arange(n).repeat(n_kids)
-    # Each child names its owner and sits one level below it, and every atom
-    # but the root is listed exactly once, under its parent.
+    check(~(b > a), "atom {atom} has nonpositive measure")
+    check(n_kids == 1, "atom {atom} has exactly one child")
+    check((n_kids > 0) & (level >= f.depth), "atom {atom} splits past the final level")
+    # Each child names its owner, sits one level below it and in its tower,
+    # and every atom but a root is listed exactly once, under its parent.
+    wrong = (parent[kids] != owner) | (level[kids] != level[owner] + 1) | (tower[kids] != tower[owner])
     orphan = (np.bincount(kids, minlength=n) != 1) & (parent >= 0)
-    _check(
-        np.concatenate(((parent[kids] != owner) | (level[kids] != level[owner] + 1), orphan)),
-        "child bookkeeping broken at atom {atom}",
-        np.concatenate((owner, parent)),
-    )
+    ids = np.concatenate((owner, parent))
+    check(np.concatenate((wrong, orphan)), "child bookkeeping broken at atom {atom}", ids)
 
     split = n_kids.nonzero()[0]
     tol = _GEOM_TOL * np.maximum(measure, 1.0)
     ordered = _sorted_children(f, owner)
     first, last = ordered[starts[split]], ordered[starts[split + 1] - 1]
-    _check(
+    check(
         (abs(a[first] - a[split]) > tol[split]) | (abs(b[last] - b[split]) > tol[split]),
         "children do not span atom {atom}",
         split,
     )
     inside = (owner[1:] == owner[:-1]).nonzero()[0]
-    _check(
+    check(
         abs(b[ordered[inside]] - a[ordered[inside + 1]]) > tol[owner[inside]],
         "children leave a gap inside atom {atom}",
         owner[inside],
     )
     sums = np.add.reduceat(measure[kids], starts[split]) if len(split) else measure[:0]
-    _check(abs(sums - measure[split]) > tol[split], "child measures do not sum inside atom {atom}", split)
+    unsummed = abs(sums - measure[split]) > tol[split]
+    check(unsummed, "child measures do not sum inside atom {atom}", split)
     # The floor holds up to the roundoff of the endpoint differences: the
     # b - a of rounded endpoints is off by up to eps * (|a| + |b|), which
     # alone breaks a fixed 1e-12 on the ratios of deep equal splits.
@@ -432,16 +433,17 @@ def _validate(f: Filtration) -> int:
     if low.any():
         atom = owner[low].min()
         worst = ratio[(low & (owner == atom)).argmax()]
-        raise FiltrationError(f"child ratio {worst:.3e} below delta at atom {atom}")
+        where = f"atom {atom} in tower {tower[atom]}"
+        raise FiltrationError(f"child ratio {worst:.3e} below delta at {where}")
 
-    roots = (parent < 0).nonzero()[0]
-    if len(roots) != 1 or level[roots[0]] != 0:
-        raise FiltrationError("need exactly one root atom at level 0")
-    # Strictly increasing tower: some atom must split at every level n < N.
-    idle = (np.bincount(level[split], minlength=f.depth) == 0).nonzero()[0]
+    # Strictly increasing towers: some atom of each must split at every
+    # level n < N.
+    counts = np.bincount(tower[split] * f.depth + level[split], minlength=len(roots) * f.depth)
+    idle = (counts == 0).nonzero()[0]
     if len(idle):
-        raise FiltrationError(f"no split at level {idle[0]}; tower not strictly increasing")
-    return int(roots[0])
+        t, lv = divmod(int(idle[0]), f.depth)
+        raise FiltrationError(f"no split at level {lv} in tower {t}; tower not strictly increasing")
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +504,12 @@ def build_random_regular(
     atoms have rising ids and endpoints, the children of every atom are
     consecutive ids, and the children column is 1..n-1.
     """
+    return Filtration(delta, depth, *_random_columns(depth, delta, max_children, split_prob, seed))
+
+
+def _random_columns(depth: int, delta: float, max_children: int, split_prob: float, seed: int) -> tuple:
+    """The six columns of ``build_random_regular``'s tower in constructor
+    order, drawn but not validated (a stack validates many at once)."""
     if not (1 <= depth <= 12):
         raise FiltrationError(f"random depth must be in [1, 12], got {depth}")
     if not (0.0 < delta <= 0.5):
@@ -540,16 +548,7 @@ def build_random_regular(
             n_kids[i] = k
             n_kids += [0] * k
         current = list(range(first, len(a)))
-    return Filtration(
-        delta=delta,
-        depth=depth,
-        a=a,
-        b=b,
-        level=level,
-        parent=parent,
-        child_starts=np.concatenate(([0], np.cumsum(n_kids))),
-        children=np.arange(1, len(a)),
-    )
+    return a, b, level, parent, _offsets(n_kids), np.arange(1, len(a))
 
 
 # Dirichlet rows drawn per block of rejection sampling, and the acceptance
@@ -663,8 +662,8 @@ def _segments(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
     return np.arange(len(owner)) + (starts - begin).repeat(lengths), owner
 
 
-def _build_layout(f: Filtration | TowerBatch, roots: np.ndarray) -> LeafLayout:
-    """Array passes over the columns.  Level by level from ``roots`` (A_0),
+def _build_layout(f: Filtration) -> LeafLayout:
+    """Array passes over the columns.  Level by level from the roots (A_0),
     A_{n+1} is A_n with every atom that splits replaced by its children in
     left-endpoint order, so each A_n row holds one block of A_{n+1} rows;
     the leaf counts then sum block by block from the leaves up.  Laid end to
@@ -677,7 +676,7 @@ def _build_layout(f: Filtration | TowerBatch, roots: np.ndarray) -> LeafLayout:
     pool = np.concatenate((ordered, np.arange(f.n_atoms)))
     expand = np.where(n_kids > 0, f.child_starts[:-1], len(ordered) + np.arange(f.n_atoms))
     blocks = np.maximum(n_kids, 1)
-    rows = [np.asarray(roots, dtype=np.intp)]
+    rows = [f.atom_offsets[:-1]]
     block_starts = []
     for _ in range(f.depth):
         here = rows[-1]
@@ -751,8 +750,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def filtration_to_dict(f: Filtration) -> dict:
-    """JSON-ready payload of the tower: delta, depth and every atom, read
-    off the columns."""
+    """JSON-ready payload of a filtration of one tower: delta, depth and
+    every atom, read off the columns."""
+    f._require_one_tower()
     bounds = f.child_starts.tolist()
     kids = f.children.tolist()
     return {

@@ -333,8 +333,8 @@ def lp_norm(f: MartFunction, p: float) -> float:
 
 def _lp_norms(measures: np.ndarray, values: np.ndarray, p: float, bounds) -> list[float]:
     """``lp_norm`` of each leaf segment ``bounds[k]:bounds[k + 1]`` of (L, d)
-    values under the leaf ``measures``: the towers of a ``TowerBatch`` at
-    its ``leaf_offsets``.  The magnitudes come from one row-wise pass; each
+    values under the leaf ``measures``: the towers of a stack at its
+    ``leaf_offsets``.  The magnitudes come from one row-wise pass; each
     segment's sum is its own dot product, the float of its tower alone."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")

@@ -21,6 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mblab.bellman import Witness
 from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_suites
@@ -28,6 +29,11 @@ from mblab.corpus import CorpusCell, default_corpus, prepare_cell
 from mblab.filtration import build_dyadic, build_random_regular, split_schedule
 from oracles import average, shift
 from mblab.transforms import operator_norm, split_multiplier_norm
+
+# A failing example prints its ``@reproduce_failure`` blob, so a rare
+# failure can be replayed; every other setting stays hypothesis's default.
+settings.register_profile("mblab", print_blob=True)
+settings.load_profile("mblab")
 
 
 def traced(fn):

@@ -21,8 +21,8 @@ from mblab.bellman import (
     _diameters,
     conjugate_exponent,
 )
-from mblab.corpus import _unit_rows, haar_witness, random_function
-from mblab.estimator import _trial_filtration, _trial_rng, hoelder_objective
+from mblab.corpus import _unit_rows, build_tower, cell_filtration, haar_witness, random_function
+from mblab.estimator import _trial_depth, _trial_rng, hoelder_objective
 from mblab.filtration import (
     _GEOM_TOL,
     Atom,
@@ -635,21 +635,26 @@ def diagonal_sums_padded(filt: Filtration, values: np.ndarray, first: int = 0) -
 # The tower as a tuple of Atom records
 
 
-def tower_from_atoms(atoms: Sequence[Atom], delta: float, depth: int | None = None) -> Filtration:
-    """The columnar tower of a list of atoms, row i from ``atoms[i]``, each
-    atom's children in their listed order; depth defaults to the deepest
-    level."""
+def atom_columns(atoms: Sequence[Atom]) -> tuple[list, ...]:
+    """The six columns of a list of atoms in constructor order, row i from
+    ``atoms[i]``, each atom's children in their listed order; not
+    validated."""
     children = [a.children for a in atoms]
-    return Filtration(
-        delta=delta,
-        depth=max(a.level for a in atoms) if depth is None else depth,
-        a=[a.a for a in atoms],
-        b=[a.b for a in atoms],
-        level=[a.level for a in atoms],
-        parent=[-1 if a.parent is None else a.parent for a in atoms],
-        child_starts=np.cumsum([0] + [len(c) for c in children]),
-        children=list(chain.from_iterable(children)),
+    return (
+        [a.a for a in atoms],
+        [a.b for a in atoms],
+        [a.level for a in atoms],
+        [-1 if a.parent is None else a.parent for a in atoms],
+        np.cumsum([0] + [len(c) for c in children]),
+        list(chain.from_iterable(children)),
     )
+
+
+def tower_from_atoms(atoms: Sequence[Atom], delta: float, depth: int | None = None) -> Filtration:
+    """The columnar tower of a list of atoms (``atom_columns``); depth
+    defaults to the deepest level."""
+    depth = max(a.level for a in atoms) if depth is None else depth
+    return Filtration(delta, depth, *atom_columns(atoms))
 
 
 def levels_of(filt: Filtration) -> tuple[tuple[int, ...], ...]:
@@ -986,7 +991,7 @@ def build_layout_one_root(f: Filtration) -> LeafLayout:
     pool = np.concatenate((ordered, np.arange(f.n_atoms)))
     expand = np.where(n_kids > 0, f.child_starts[:-1], len(ordered) + np.arange(f.n_atoms))
     blocks = np.maximum(n_kids, 1)
-    rows = [np.array([f._root])]
+    rows = [np.array([f.root.id])]
     block_starts = []
     for _ in range(f.depth):
         here = rows[-1]
@@ -1048,6 +1053,15 @@ def build_layout_one_root(f: Filtration) -> LeafLayout:
         stacked_parents=_frozen(parents),
         stacked_children=_frozen(children),
     )
+
+
+def _trial_filtration(delta: float, depth: int | None, i: int, filt_seed: int) -> Filtration:
+    """Trial i's tower, built alone: the cached dyadic tower at delta 1/2,
+    else ``build_tower``'s."""
+    d = _trial_depth(depth, i)
+    if delta == 0.5:
+        return cell_filtration(0.5, 0, d, 2)
+    return build_tower(delta, filt_seed, d)
 
 
 def scan_trials_by_trials(
@@ -1113,10 +1127,11 @@ def search_trials_by_trials(
         filt = _trial_filtration(delta, 2 if i == 0 else depth, i, int(rng.integers(2**31)))
         if i == 0 and len(filt.root.children) == 2:
             f, g, op = haar_witness(filt, dim)
+            kind = "structured"
         else:
             f, g = random_function(filt, dim, rng), random_function(filt, 1, rng)
             op = unit_transform(filt, dim, rng)
-        kind = "structured" if i == 0 else "random"
+            kind = "random"
         val = _pairing_value(f, g, op, p, q)
         history.append(val)
         # Values are nonnegative, so trial 0 always sets the best state.

@@ -30,7 +30,15 @@ from mblab.corpus import (
     random_transform,
     random_witness,
 )
-from mblab.filtration import Atom, build_dyadic, build_random_regular, level_partition, split_schedule
+from mblab.filtration import (
+    Atom,
+    Filtration,
+    FiltrationError,
+    build_dyadic,
+    build_random_regular,
+    level_partition,
+    split_schedule,
+)
 from mblab.martingale import (
     MartFunction,
     delta_split,
@@ -132,6 +140,18 @@ def test_failing_records_follow_certify_tolerance():
     named = {int(a) for msg in strict.failures for a in re.findall(r"at atom (\d+)", msg)}
     atoms = pc.filtration.layout.event_atoms
     assert atoms[strict.flagged].tolist() == sorted(named, key=atoms.tolist().index)
+
+
+def test_witness_and_certify_refuse_a_batch(dyadic2):
+    # two towers stacked in one filtration: the witness and the certificate
+    # refuse it rather than read tower 0 as the whole
+    batch = Filtration.stack(0.5, 2, [dyadic2.columns, dyadic2.columns])
+    rng = np.random.default_rng(0)
+    f, g = random_witness(batch, 1, rng)
+    op = random_transform(batch, 1, rng)
+    for build in (lambda: Witness(f, g, op), lambda: certify(quadratic_candidate(0.5), f, g, op)):
+        with pytest.raises(FiltrationError, match="a filtration of 2 towers has no single root"):
+            build()
 
 
 def test_claimed_floor_must_cover_filtration(dyadic2):

@@ -16,6 +16,7 @@ import mblab
 import mblab.estimator as est
 import mblab.filtration as filtration
 from mblab.bellman import Witness, conjugate_exponent, linear_candidate
+from mblab.corpus import build_tower
 from mblab.estimator import (
     EstimateError,
     duality_bound,
@@ -253,9 +254,9 @@ def test_trials_make_one_layout_and_transform_per_depth(monkeypatch):
     build_layout = filtration._build_layout
     make = est.make_transform
 
-    def counted_build(tower, roots):
+    def counted_build(tower):
         built.append(type(tower).__name__)
-        return build_layout(tower, roots)
+        return build_layout(tower)
 
     def counted_make(tower, rows):
         made.append(type(tower).__name__)
@@ -264,12 +265,31 @@ def test_trials_make_one_layout_and_transform_per_depth(monkeypatch):
     monkeypatch.setattr(filtration, "_build_layout", counted_build)
     monkeypatch.setattr(est, "make_transform", counted_make)
     lp_constant_scan(3.0, 200, 1, delta=0.25)
-    assert built == made == ["TowerBatch"] * 4
+    assert built == made == ["Filtration"] * 4
     built.clear()
     made.clear()
     lower_bound_search(1.5, 200, 1, delta=0.25, ascent_steps=10)
-    assert built == ["TowerBatch"] * 4 + ["Filtration"]
-    assert made == ["TowerBatch"] * 4
+    assert built == ["Filtration"] * 5
+    assert made == ["Filtration"] * 4
+
+
+def test_trials_validate_one_stack_per_depth(monkeypatch):
+    # four depths, 2..5: one validation per depth group, and one for the
+    # tower the search's best trial is cut into
+    towers = []
+    validate = filtration._validate
+
+    def counted(tower):
+        roots = validate(tower)
+        towers.append(len(roots))
+        return roots
+
+    monkeypatch.setattr(filtration, "_validate", counted)
+    lp_constant_scan(3.0, 200, 1, delta=0.25)
+    assert len(towers) == 4 and sum(towers) == 200
+    towers.clear()
+    lower_bound_search(1.5, 200, 1, delta=0.25, ascent_steps=10)
+    assert len(towers) == 5 and sum(towers[:4]) == 200 and towers[4] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +301,24 @@ def test_search_structured_witness_hits_one():
     assert res.history[0] == pytest.approx(1.0, abs=1e-12)
     assert res.best >= 1.0 - 1e-12
     assert res.found
+
+
+def test_search_labels_trial_zero_by_its_draws():
+    # trial 0 draws the structured witness only where its root splits in
+    # two: always at delta 1/2, not always at delta 0.1
+    kinds = []
+    for seed in range(1, 6):
+        balanced = lower_bound_search(2.0, 1, seed, delta=0.5)
+        assert balanced.witness["kind"] == "structured"
+        assert balanced.best == pytest.approx(1.0, abs=1e-12)
+        rng = est._trial_rng(seed, 0)
+        filt = build_tower(0.1, int(rng.integers(2**31)), 2)
+        res = lower_bound_search(2.0, 1, seed, delta=0.1)
+        structured = len(filt.root.children) == 2
+        assert res.witness["kind"] == ("structured" if structured else "random")
+        assert (res.best == pytest.approx(1.0, abs=1e-12)) == structured
+        kinds.append(res.witness["kind"])
+    assert kinds[0] == "random"
 
 
 def test_search_seed_prefix_stability():

@@ -4,6 +4,7 @@ the columnar tower against the atom-by-atom oracles."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from mblab.filtration import (
     FiltrationError,
     LeafLayout,
     RatioSamplingError,
-    TowerBatch,
     _sample_ratios,
     _sorted_children,
     build_dyadic,
@@ -33,7 +33,7 @@ from mblab.transforms import make_transform
 
 import oracles
 from conftest import traced
-from oracles import regularity_delta, sample_ratios_one_by_one, tower_from_atoms
+from oracles import atom_columns, regularity_delta, sample_ratios_one_by_one, tower_from_atoms
 
 
 def test_dyadic_shape(dyadic3):
@@ -418,7 +418,9 @@ MALFORMED = {
         0.5,
         2,
     ),
-    "need exactly one root atom at level 0": ([*DYADIC2, Atom(7, 0.0, 1.0, 0, None, ())], 0.5, 2),
+    # a second root at level 0 would start a second tower; this one is a
+    # root off level 0
+    "need exactly one root atom at level 0": ([*DYADIC2, Atom(7, 0.0, 1.0, 1, None, ())], 0.5, 2),
     "no split at level 2": (list(DYADIC2), 0.5, 3),
 }
 
@@ -434,6 +436,56 @@ def test_each_validation_message_survives(message):
         # meets it as a missing index
         with pytest.raises(FiltrationError, match=message):
             oracles.AtomTower(delta=delta, depth=depth, atoms=tuple(atoms))
+
+
+@pytest.mark.parametrize("message", list(MALFORMED))
+def test_each_validation_message_names_the_tower_in_a_batch(message):
+    # the malformed tower second in a stack, after a good tower of n atoms:
+    # the lone tower's message with every atom id moved by n and every
+    # tower by one
+    atoms, delta, depth = MALFORMED[message]
+    with pytest.raises(FiltrationError, match=message) as lone:
+        tower_from_atoms(atoms, delta, depth)
+    good = build_dyadic(depth)
+    moves = {"atom": good.n_atoms, "tower": 1}
+    moved = re.sub(r"(atom|tower) (\d+)", lambda m: f"{m[1]} {int(m[2]) + moves[m[1]]}", str(lone.value))
+    assert "in tower " in moved
+    with pytest.raises(FiltrationError, match=re.escape(moved)):
+        Filtration.stack(delta, depth, [good.columns, atom_columns(atoms)])
+
+
+def test_batch_needs_a_split_at_every_level_of_every_tower():
+    # the first tower splits at level 1, the second does not
+    parts = [build_dyadic(2).columns, build_dyadic(1).columns]
+    with pytest.raises(FiltrationError, match="no split at level 1 in tower 1"):
+        Filtration.stack(0.5, 2, parts)
+
+
+def test_towers_start_at_their_roots():
+    # atom 0 listed as a child: the ids of a tower do not start at its root
+    atoms = [Atom(0, 0.0, 0.5, 1, 2, ()), Atom(1, 0.5, 1.0, 1, 2, ()), Atom(2, 0.0, 1.0, 0, None, (0, 1))]
+    with pytest.raises(FiltrationError, match="each tower must start at its root"):
+        tower_from_atoms(atoms, 0.5)
+    # atom 2's second child, its bookkeeping else sound, in the id range of
+    # the tower that atom 6 roots
+    atoms = [
+        *_edit(Atom(2, 0.5, 1.0, 1, 0, (5, 9)))[:6],
+        Atom(6, 0.0, 1.0, 0, None, (7, 8)),
+        Atom(7, 0.0, 0.5, 1, 6, ()),
+        Atom(8, 0.5, 1.0, 1, 6, ()),
+        Atom(9, 0.75, 1.0, 2, 2, ()),
+    ]
+    with pytest.raises(FiltrationError, match="child bookkeeping broken at atom 2 in tower 0"):
+        tower_from_atoms(atoms, 0.5, 2)
+
+
+def test_single_tower_accessors_refuse_a_batch():
+    batch = stack([build_dyadic(2), build_dyadic(2)])
+    reads = (lambda f: f.root, lambda f: f.interval, lambda f: f.total_measure, filtration_to_dict)
+    for read in reads:
+        with pytest.raises(FiltrationError, match="a filtration of 2 towers has no single root"):
+            read(batch)
+    assert stack([build_dyadic(2)]).interval == (0.0, 1.0)
 
 
 def test_unlisted_atom_is_rejected():
@@ -467,6 +519,11 @@ def batch_members(tower):
     return [tower, *others, build_dyadic(depth), tower]
 
 
+def stack(towers):
+    """The towers laid end to end in one filtration, at their lowest floor."""
+    return Filtration.stack(min(t.delta for t in towers), towers[0].depth, [t.columns for t in towers])
+
+
 LAYOUT_FIELDS = [f.name for f in dataclasses.fields(LeafLayout)]
 
 
@@ -496,9 +553,11 @@ def assert_batch_slices(towers):
     offset and its rows, level by level, by the first of its rows at that
     level: its run of ``tower_rows``, cut at its own level offsets, is one
     range of stacked rows per level."""
-    batch = TowerBatch(towers)
+    batch = stack(towers)
     lay, L = batch.layout, batch.n_leaves
     assert L == sum(t.n_leaves for t in towers) and batch.depth == towers[0].depth
+    assert batch.atom_offsets.tolist() == np.cumsum([0] + [t.n_atoms for t in towers]).tolist()
+    assert batch.leaf_offsets.tolist() == np.cumsum([0] + [t.n_leaves for t in towers]).tolist()
     rows, starts = batch.tower_rows(batch.depth + 1)
     assert sorted(rows.tolist()) == list(range(len(lay.stacked_atoms)))
     for t, tower in enumerate(towers):
@@ -545,11 +604,10 @@ def assert_batch_slices(towers):
     return batch
 
 
-def assert_batch_kernels(batch, dim, seed):
-    """The stacked means, the leaf sum and T f of a batch, each tower's
-    part bit for bit its own."""
+def assert_batch_kernels(towers, batch, dim, seed):
+    """The stacked means, the leaf sum and T f of ``towers`` stacked in
+    ``batch``, each tower's part bit for bit its own."""
     rng = np.random.default_rng(seed)
-    towers = batch.towers
     rows, starts = batch.tower_rows(batch.depth + 1)
     below, below_starts = batch.tower_rows(batch.depth)
     values = [rng.normal(size=(t.n_leaves, dim)) for t in towers]
@@ -572,36 +630,50 @@ def assert_batch_kernels(batch, dim, seed):
 
 
 def test_batch_of_kernel_towers(kernel_tower):
-    batch = assert_batch_slices(batch_members(kernel_tower))
+    towers = batch_members(kernel_tower)
+    batch = assert_batch_slices(towers)
     for dim in (1, 3):
-        assert_batch_kernels(batch, dim, dim)
+        assert_batch_kernels(towers, batch, dim, dim)
 
 
 @pytest.mark.parametrize("depth", range(1, 9))
 def test_batch_of_dyadic_and_random_towers(depth):
-    batch = assert_batch_slices(batch_members(build_dyadic(depth)))
-    assert_batch_kernels(batch, 2, depth)
+    towers = batch_members(build_dyadic(depth))
+    assert_batch_kernels(towers, assert_batch_slices(towers), 2, depth)
 
 
 @pytest.mark.parametrize("delta", FLOORS)
 def test_batch_of_random_towers_at_a_floor(delta):
     towers = [build_random_regular(5, delta, max_children_for(delta), 0.7, s) for s in range(6)]
-    assert_batch_kernels(assert_batch_slices(towers), 1, 0)
+    assert_batch_kernels(towers, assert_batch_slices(towers), 1, 0)
     assert_batch_slices(towers[:1])
 
 
 def test_batch_of_towers_with_children_right_to_left():
     # the batch's children column takes the lexsort path of _sorted_children
     towers = [tower_from_atoms(list(RIGHT_TO_LEFT), 0.5), build_dyadic(2)]
-    batch = assert_batch_slices(towers + towers[::-1])
+    towers += towers[::-1]
+    batch = assert_batch_slices(towers)
     owner = np.arange(batch.n_atoms).repeat(np.diff(batch.child_starts))
     assert _sorted_children(batch, owner) is not batch.children
     for dim in (1, 2):
-        assert_batch_kernels(batch, dim, dim)
+        assert_batch_kernels(towers, batch, dim, dim)
 
 
 def test_batch_needs_towers_of_one_depth():
     with pytest.raises(FiltrationError, match="at least one tower"):
-        TowerBatch([])
-    with pytest.raises(FiltrationError, match="one depth"):
-        TowerBatch([build_dyadic(2), build_dyadic(3)])
+        Filtration.stack(0.5, 2, [])
+    parts = [build_dyadic(2).columns, build_dyadic(3).columns]
+    with pytest.raises(FiltrationError, match="atom 9 splits past the final level in tower 1"):
+        Filtration.stack(0.5, 2, parts)
+    with pytest.raises(FiltrationError, match="no split at level 2 in tower 0"):
+        Filtration.stack(0.5, 3, parts)
+
+
+def test_tower_columns_cut_one_tower_out():
+    towers = batch_members(build_dyadic(3))
+    batch = stack(towers)
+    for t, tower in enumerate(towers):
+        cut = batch.tower_columns(t)
+        assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(cut, tower.columns))
+        assert not any(np.shares_memory(x, y) for x, y in zip(cut, batch.columns))

@@ -27,7 +27,7 @@ ORACLES = {
     "martingale.restrict",
     "transforms.operator_norm",
 }
-# The two halves of the rescaling route have no caller yet; ROADMAP item 3
+# The two halves of the rescaling route have no caller yet; ROADMAP item 6
 # gives them one, an `mblab rescale` command.
 AWAITING_CALLER = {"bellman.estimate_rescale_constant", "bellman.recombine_slack"}
 
