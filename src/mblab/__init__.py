@@ -1,23 +1,21 @@
 """Numerical laboratory for split-inequality certificates of martingale
 transform bounds on regular atom towers.
 
-The root re-exports names the modules list in ``__all__``, except the test
-oracles, which stay importable from their modules."""
+The package holds the production routes only; the tests keep the oracles
+they compare them with in ``tests/oracles.py``.  The root re-exports names
+the modules list in ``__all__``."""
 
 from .filtration import (
     Filtration,
     FiltrationError,
     RatioSamplingError,
-    SplitEvent,
     build_dyadic,
     build_random_regular,
     filtration_to_dict,
     level_partition,
-    split_schedule,
 )
 from .martingale import (
     MartFunction,
-    delta_split,
     inner,
     l2_norm,
     lp_norm,

@@ -210,7 +210,7 @@ def certify(
         first = f"first atom {odd[0]}: {values[odd[0]]}"
         failures.append(f"non-finite candidate value on {odd.size} atoms, {first}")
 
-    bound = float(values[filt.root.id])
+    bound = float(values[0])  # B at the root, atom 0 of the witness's tower
     final_slack = bound - objective
     weighted_slack = _running_sum(measure * slack)
     weighted_gap = _running_sum(measure * (d_diam - pairing))

@@ -16,8 +16,8 @@ at p = 2 first.  The two probes read the same witness, so a caller that
 hands one witness to the certifier, the suites and the probes derives
 each of its objects once.  T f goes through the multiplier formula
 ``apply``; no suite builds the dense matrix.
-The dense routes (``matrix_apply``, ``adjoint_apply``, the SVD norm
-``operator_norm``) are test oracles: the tests compare them with the
+The dense routes (``matrix_apply``, ``adjoint_apply``, and the SVD norm
+in ``tests/oracles.py``) are test oracles: the tests compare them with the
 production routes, on the whole acceptance corpus among others.
 
 A note on the restriction bound: localizing g to an atom J and measuring
@@ -152,7 +152,7 @@ def check_projections(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
     f, table = w.f, w.table
     filt = f.filtration
     lay = filt.layout
-    m = filt.leaf_measures()
+    m = lay.measures
     scale = max(1.0, l2_norm(f) ** 2)
     aux = random_function(filt, f.dim, rng)
     pieces = np.take(table.steps[:, : f.dim], lay.stacked_maps[1:], axis=0)
@@ -175,7 +175,7 @@ def check_projections(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
         ortho = max(ortho, float(np.max(np.abs(_atom_sums(filt, m * pairs, n)))))
 
     total = pieces.sum(axis=0)
-    centered = f.values - table.points[filt.root.id, : f.dim]
+    centered = f.values - table.points[0, : f.dim]  # the root is atom 0
     tele = float(np.max(np.abs(total - centered)))
 
     return [
@@ -294,8 +294,9 @@ def check_x2_sign(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     worst = float(np.min(x2 / np.maximum(table.g2, 1e-300), initial=0.0))
     # max(x, 0.0) keeps a NaN x: the comparison fails and x is returned.
     rows = [_row("x2_sign", max(-worst, 0.0), tol.exact, "most negative x2, relative")]
-    # root form keeps the squared mean of the adjoint on the right hand side
-    root = w.f.filtration.root.id
+    # root form keeps the squared mean of the adjoint on the right hand side;
+    # a witness has one tower, whose root is atom 0
+    root = 0
     mean_sq = float(np.sum(table.tstar_mean[root] ** 2))
     rows.append(
         _row(
@@ -359,8 +360,7 @@ def hoelder_mean_margin(w: Witness) -> float:
     witness's p and its conjugate q; nonpositive when the Hoelder mean bound
     holds.  Not a registered suite, so ``run_all`` rows do not include it."""
     filt, table = w.f.filtration, w.table
-    root = filt.root.id
-    lhs = abs(float(np.dot(table.points[root, : w.f.dim], table.tstar_mean[root])))
+    lhs = abs(float(np.dot(table.points[0, : w.f.dim], table.tstar_mean[0])))  # at the root, atom 0
     rhs = lp_norm(w.f, w.p) * lp_norm(w.g, conjugate_exponent(w.p)) / filt.total_measure
     return lhs - rhs
 

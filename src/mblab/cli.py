@@ -56,14 +56,9 @@ from .corpus import (
     prepare_cell,
     random_transform,
     random_witness,
+    root_splits_in_two,
 )
-from .estimator import (
-    EstimateError,
-    duality_bound,
-    duality_candidate,
-    lower_bound_search,
-    lp_constant_scan,
-)
+from .estimator import EstimateError, duality_bound, duality_candidate, lower_bound_search, lp_constant_scan
 from .filtration import FiltrationError, RatioSamplingError, filtration_to_dict
 from .reporting import ReportError, rows_to_csv, to_canonical_json, write_text
 from .transforms import PredictabilityError, transform_to_dict
@@ -280,7 +275,7 @@ def _suite_names(cfg: RunConfig) -> list[str] | None:
 
 def _witness(cfg: RunConfig, filt):
     if cfg.witness == "structured":
-        if len(filt.root.children) != 2:
+        if not root_splits_in_two(filt):
             raise UsageError("the structured witness needs a tower whose root splits in two")
         return haar_witness(filt, cfg.dim)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=_require_seed(cfg), spawn_key=(1,)))

@@ -79,12 +79,7 @@ class PreparedCell:
 
 
 def default_corpus(seeds: int = _SEEDS_PER_CELL) -> list[CorpusCell]:
-    return [
-        CorpusCell(delta=d, dim=dim, seed=s)
-        for d in DELTAS
-        for dim in DIMS
-        for s in range(seeds)
-    ]
+    return [CorpusCell(delta=d, dim=dim, seed=s) for d in DELTAS for dim in DIMS for s in range(seeds)]
 
 
 def _cell_rng(cell: CorpusCell) -> np.random.Generator:
@@ -124,9 +119,7 @@ def cell_filtration(delta: float, seed: int, depth: int, max_children: int) -> F
     return build_tower(delta, seed, depth, max_children)
 
 
-def random_function(
-    filt: Filtration, dim: int, rng: np.random.Generator
-) -> MartFunction:
+def random_function(filt: Filtration, dim: int, rng: np.random.Generator) -> MartFunction:
     return MartFunction(filt, rng.normal(size=(filt.n_leaves, dim)))
 
 
@@ -172,8 +165,14 @@ def haar_witness(
     every multiplier at the first coordinate.  The pairing of g with Tf is
     then exactly one while both second moments are one.
     """
-    f, g, mults = _haar_profile(filt, filt.root.id, dim, filt.layout.level_offsets[filt.depth])
+    f, g, mults = _haar_profile(filt, 0, dim, filt.layout.level_offsets[filt.depth])
     return MartFunction(filt, f), MartFunction(filt, g), make_transform(filt, mults)
+
+
+def root_splits_in_two(filt: Filtration, root: int = 0) -> bool:
+    """Whether root atom ``root``, by default a lone tower's, has two children."""
+    lo, hi = filt.child_starts[root : root + 2].tolist()
+    return hi - lo == 2
 
 
 def _haar_profile(filt: Filtration, root: int, dim: int, n_rows: int) -> tuple[np.ndarray, ...]:
@@ -181,10 +180,10 @@ def _haar_profile(filt: Filtration, root: int, dim: int, n_rows: int) -> tuple[n
     the columns, as leaf values of f and g and n_rows multiplier rows.  g
     takes, on each child of the root's two-child split, the value that makes
     it zero-mean with unit variance under the root's weights."""
-    lo, hi = filt.child_starts[root : root + 2].tolist()
-    if hi - lo != 2:
+    if not root_splits_in_two(filt, root):
         raise ValueError("the structured witness needs a two-child root split")
-    ids = [root, *filt.children[lo:hi].tolist()]
+    lo = filt.child_starts[root]
+    ids = [root, *filt.children[lo : lo + 2].tolist()]
     m0, m1, m2 = (filt.b[ids] - filt.a[ids]).tolist()
     w1, w2 = m1 / m0, m2 / m0
     (first, end), (lo1, hi1), (lo2, hi2) = filt.layout.spans[ids] - filt.layout.spans[root, 0]

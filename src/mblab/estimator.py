@@ -48,6 +48,7 @@ from .corpus import (
     max_children_for,
     random_function,
     random_transform,
+    root_splits_in_two,
 )
 from .filtration import Filtration, _random_columns
 from .martingale import MartFunction, _lp_norms, inner, lp_norm
@@ -73,14 +74,6 @@ class EstimateError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Scaling balance
-
-
-def hoelder_objective(lam: float, p: float, x3: float, x4: float) -> float:
-    """lambda^p x3 + lambda^-q x4, the quantity the balance minimizes."""
-    q = conjugate_exponent(p)
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return lam**p * x3 + lam ** (-q) * x4
 
 
 def optimal_lambda(p: float, x3: float, x4: float) -> float:
@@ -286,13 +279,13 @@ def _pairings(
 
 
 def _root_point(filt, f, g, op, p: float) -> dict | None:
-    table, root = Witness(f, g, op, p).table, filt.root.id
+    table = Witness(f, g, op, p).table
     try:
-        table.check_x2([root])
+        table.check_x2([0])  # the root, atom 0
     except ArithmeticError:
         return None
-    *x1, x2, x3, x4 = table.points[root].tolist()
-    return {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": p, "atom": root}
+    *x1, x2, x3, x4 = table.points[0].tolist()
+    return {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": p, "atom": 0}
 
 
 def _search_trials(
@@ -309,11 +302,10 @@ def _search_trials(
     best, best_i = -1.0, -1
     for members, rngs, batch in _batches(seed, delta, depths):
         roots = batch.atom_offsets[:-1]
-        root_splits = np.diff(batch.child_starts)[roots].tolist()
         bounds = batch.leaf_offsets.tolist()
 
         def draw(t, n_rows):
-            if members[t] == 0 and root_splits[t] == 2:
+            if members[t] == 0 and root_splits_in_two(batch, int(roots[t])):
                 return _haar_profile(batch, int(roots[t]), dim, n_rows)
             n_leaves = bounds[t + 1] - bounds[t]
             shapes = (n_leaves, dim), (n_leaves, 1), (n_rows, dim)
@@ -336,7 +328,7 @@ def _search_trials(
     mults.flags.writeable = False
     # The rows passed make_transform in the batch.
     best_state = (filt, MartFunction(filt, fb), MartFunction(filt, gb), MartingaleTransform(filt, mults))
-    kind = "structured" if best_i == 0 and len(filt.root.children) == 2 else "random"
+    kind = "structured" if best_i == 0 and root_splits_in_two(filt) else "random"
     witness = {"trial": best_i, "kind": kind, "depth": filt.depth, "dim": dim}
     return history, best, witness, best_state
 
@@ -467,9 +459,7 @@ def duality_bound(
     op = random_transform(filt, dim, rng)
     tf = op.apply(f)
 
-    structured = None
-    if len(filt.root.children) == 2:
-        structured = haar_witness(filt, 1)[1]
+    structured = haar_witness(filt, 1)[1] if root_splits_in_two(filt) else None
 
     rows = []
     empirical = 0.0
@@ -495,8 +485,8 @@ def duality_bound(
                 certificate=cert,
             )
         table = cert.witness.table
-        x1 = table.points[filt.root.id, :dim]
-        mean_term = abs(float(np.dot(x1, table.tstar_mean[filt.root.id])))
+        x1 = table.points[0, :dim]  # at the root, atom 0
+        mean_term = abs(float(np.dot(x1, table.tstar_mean[0])))
         bound_g = cert.bound + mean_term
         if obj > bound_g + 1e-9 * max(1.0, abs(bound_g)):
             raise EstimateError(

@@ -20,9 +20,9 @@ and ``b``, the ``level`` at which each atom first appears, its ``parent``
 (-1 at a root) and a child offset table, under which the children of atom
 i are ``children[child_starts[i]:child_starts[i + 1]]`` in their given
 order.  The columns hold one tower or several of one depth end to end
-(``Filtration.stack``), validated by array passes over all of them.  The
-``Atom`` record of one atom is a view built when it is read (``root``,
-``atom(i)``, ``atoms``); checking and certifying a tower builds none.
+(``Filtration.stack``), validated by array passes over all of them.  Each
+tower starts at its root, so the root of a lone tower is atom 0.  Every
+read of a tower is a column read; no per-atom record is built.
 
 Two builders are provided: the uniform binary (dyadic) filtration, filled in
 one level at a time, and a seeded random generator with prescribed
@@ -48,7 +48,6 @@ import numpy as np
 
 __all__ = [
     "Filtration",
-    "SplitEvent",
     "FiltrationError",
     "RatioSamplingError",
     "build_dyadic",
@@ -73,32 +72,6 @@ class RatioSamplingError(RuntimeError):
     Raised when delta is so close to 1/k that the feasible ratio region has
     vanishing volume.
     """
-
-
-@dataclass(frozen=True, eq=False)
-class Atom:
-    """Half-open interval [a, b) sitting at one level of the tower.
-
-    ``level`` is the level at which the atom first appears.  An atom with
-    children is split immediately at its own level (children live at
-    level + 1); an atom without children survives into every later level.
-    A read-only view of one row of a ``Filtration``'s columns.
-    """
-
-    id: int
-    a: float
-    b: float
-    level: int
-    parent: int | None
-    children: tuple[int, ...]
-
-    @property
-    def measure(self) -> float:
-        return self.b - self.a
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 class _Lazy(Sequence):
@@ -214,8 +187,8 @@ class Filtration:
     level 0 and every tower splits at every level below ``depth``.  Tower
     t's leaves start at ``leaf_offsets[t]`` and its A_n atoms are one run of
     the level-n stacked rows (``tower_rows``); one tower reads ``[0, n]``,
-    ``[0, L]`` and every row.  ``root``, ``interval``, ``total_measure`` and
-    ``filtration_to_dict`` refuse several towers.  The constructor copies
+    ``[0, L]`` and every row.  ``total_measure`` and ``filtration_to_dict``
+    refuse several towers.  The constructor copies
     the columns, makes them read-only and validates every tower.  Eq is by
     object identity on purpose: the derived leaf layout is built once and
     kept on the object.
@@ -276,39 +249,10 @@ class Filtration:
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.child_starts[1:] == self.child_starts[:-1]))
 
-    def atom(self, atom_id: int) -> Atom:
-        """View of one atom, built on read."""
-        i = range(self.n_atoms)[atom_id]  # negative ids count from the end
-        parent = int(self.parent[i])
-        lo, hi = self.child_starts[i : i + 2].tolist()
-        return Atom(
-            i,
-            float(self.a[i]),
-            float(self.b[i]),
-            int(self.level[i]),
-            None if parent < 0 else parent,
-            tuple(self.children[lo:hi].tolist()),
-        )
-
-    @cached_property
-    def atoms(self) -> Sequence[Atom]:
-        """Every atom in id order, each view built when it is read."""
-        return _Lazy(self.atom, np.arange(self.n_atoms))
-
     def _require_one_tower(self) -> None:
         towers = len(self.atom_offsets) - 1
         if towers != 1:
             raise FiltrationError(f"a filtration of {towers} towers has no single root")
-
-    @property
-    def root(self) -> Atom:
-        self._require_one_tower()
-        return self.atom(0)
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        self._require_one_tower()
-        return (float(self.a[0]), float(self.b[0]))
 
     @property
     def total_measure(self) -> float:
@@ -319,14 +263,6 @@ class Filtration:
     def layout(self) -> LeafLayout:
         """Leaf spans, level rows and event spans; built on first use."""
         return _build_layout(self)
-
-    def leaf_measures(self) -> np.ndarray:
-        return self.layout.measures
-
-    def leaf_slice(self, atom_id: int) -> slice:
-        """Contiguous range of leaf positions covered by the atom."""
-        lo, hi = self.layout.spans[atom_id].tolist()
-        return slice(lo, hi)
 
     def tower_rows(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
         """The stacked rows of levels 0..levels-1 tower by tower, each

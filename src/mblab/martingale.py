@@ -7,13 +7,11 @@ products and norms are measure weighted:
     (f, g) = sum_leaves |leaf| * <f(leaf), g(leaf)>,
     ||f||_p = (sum_leaves |leaf| * |f(leaf)|^p)^(1/p).
 
-The two workhorses are the conditional expectation onto a coarser partition
-and the single-split difference attached to one schedule event J:
-
-    delta_split(f, J) = E[f | after splitting J] - E[f | before],
-
-which is supported on J, has zero mean over J, and is an orthogonal
-projection of the function space.  Scalar functions are simply d = 1.
+The calculus works on the level differences E_n f - E_{n-1} f.  On an
+atom J that splits at level n - 1, the level difference is J's single-split
+difference E[f | after splitting J] - E[f | before], which is supported on
+J, has zero mean over J, and is an orthogonal projection of the function
+space.  Scalar functions are simply d = 1.
 
 Every atom average comes from one kernel, over all levels at once.  The
 measure-weighted leaf values get one zero row at position L, and one
@@ -42,34 +40,33 @@ A split piece lives in its event's atom, and the atoms of one level are
 disjoint, so ``_event_draws`` lays the random draws of one level's events
 side by side in one leaf array: one level difference then gives every
 event's split piece, each from its atom's own reduceat segments, bit for
-bit as ``delta_split``.  An event draws values only for its atom's leaves,
+bit as the piece of that event alone.  An event draws values only for its atom's leaves,
 so all events together take one ``rng.normal`` call of sum |J| rows, cut
 into spans in schedule order: O(L * depth) values per call rather than a
 full L-leaf block per event.
+
+The dense averaging matrices at the end are the one oracle kept here, since
+the transform's dense matrix is built from them.  The per-atom routes the
+tests compare this kernel with (the conditional expectation onto any
+partition, one event's split difference, the cut to one atom) are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .filtration import Filtration, SplitEvent, _GEOM_TOL, _segments
+from .filtration import Filtration, _segments
 
 __all__ = [
     "MartFunction",
-    "cond_exp",
-    "delta_split",
     "lp_norm",
     "l2_norm",
     "inner",
-    "restrict",
 ]
-
-
-class PartitionError(ValueError):
-    """Atom ids do not form a partition of the base interval."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,33 +118,6 @@ def _check_same_space(f: MartFunction, g: MartFunction) -> None:
 
 # ---------------------------------------------------------------------------
 # Conditional calculus
-
-
-def _check_partition(f: Filtration, atom_ids: Sequence[int]) -> list[int]:
-    try:
-        atoms = [f.atom(i) for i in atom_ids]
-    except (IndexError, TypeError) as exc:
-        raise PartitionError(f"unknown atom id in partition: {exc}") from None
-    atoms = sorted(atoms, key=lambda a: a.a)
-    lo, hi = f.interval
-    scale = max(hi - lo, 1.0)
-    if not atoms or abs(atoms[0].a - lo) > _GEOM_TOL * scale or abs(atoms[-1].b - hi) > _GEOM_TOL * scale:
-        raise PartitionError("atoms do not span the base interval")
-    for u, v in zip(atoms, atoms[1:]):
-        if abs(u.b - v.a) > _GEOM_TOL * scale:
-            raise PartitionError(f"gap or overlap between atoms {u.id} and {v.id}")
-    return [a.id for a in atoms]
-
-
-def _weighted(filt: Filtration, values: np.ndarray) -> np.ndarray:
-    """Measure-weighted leaf values; ``values`` has shape (..., L, d)."""
-    return filt.layout.measures[:, None] * values
-
-
-def _segment_means(w: np.ndarray, starts, measures: np.ndarray) -> np.ndarray:
-    """Means over consecutive leaf segments of weighted values ``w``
-    (..., L', d) beginning at ``starts``; shape (..., len(starts), d)."""
-    return np.add.reduceat(w, starts, axis=-2) / measures[:, None]
 
 
 def _padded(filt: Filtration, values: np.ndarray) -> np.ndarray:
@@ -267,57 +237,10 @@ def _event_draws(
     return out
 
 
-# reduceat boundaries of a single segment starting at the first row.
-_WHOLE = np.zeros(1, dtype=np.intp)
-
-
-def cond_exp(f: MartFunction, partition: Sequence[int]) -> MartFunction:
-    """Project onto functions constant on the given partition atoms.
-
-    Test oracle: the tests compare it with the dense averaging matrices
-    and read per-level projections off it; no production path calls it.
-    ``perfbench`` reports its calls as a named kernel.
-    """
-    filt = f.filtration
-    ids = _check_partition(filt, partition)
-    spans = filt.layout.spans[ids]
-    measures = filt.layout.atom_measures[ids]
-    means = _segment_means(_weighted(filt, f.values), spans[:, 0], measures)
-    return MartFunction(filt, np.repeat(means, spans[:, 1] - spans[:, 0], axis=0))
-
-
-def delta_split(f: MartFunction, event: SplitEvent) -> MartFunction:
-    """Single-split martingale difference for one schedule event.
-
-    Computed directly as (child average - parent average) inside the split
-    atom and exact zero outside, which agrees with the difference of the two
-    partition projections.  The children are the A_{n+1} atoms inside the
-    split atom's span, n being its level.
-    """
-    filt = f.filtration
-    atom = filt.atom(event.atom)
-    if not atom.children:
-        raise ValueError(f"atom {atom.id} has no split event")
-    lay = filt.layout
-    lo, hi = lay.spans[atom.id].tolist()
-    child_map = lay.stacked_maps[atom.level + 1][lo:hi] - lay.level_offsets[atom.level + 1]
-    first, last = int(child_map[0]), int(child_map[-1]) + 1
-    w = lay.measures[lo:hi, None] * f.values[lo:hi]
-    parent_avg = np.add.reduceat(w, _WHOLE, axis=0)[0] / atom.measure
-    child_avg = _segment_means(
-        w,
-        lay.level_starts[atom.level + 1][first:last] - lo,
-        lay.level_measures[atom.level + 1][first:last],
-    )
-    out = np.zeros_like(f.values)
-    out[lo:hi] = child_avg[child_map - first] - parent_avg
-    return MartFunction(filt, out)
-
-
 def inner(f: MartFunction, g: MartFunction) -> float:
     """Unnormalized pairing integral_I <f, g> dt."""
     _check_same_space(f, g)
-    m = f.filtration.leaf_measures()
+    m = f.filtration.layout.measures
     return float(m @ np.einsum("ij,ij->i", f.values, g.values))
 
 
@@ -328,7 +251,7 @@ def l2_norm(f: MartFunction) -> float:
 def lp_norm(f: MartFunction, p: float) -> float:
     """||f||_p; where the sum of |f|^p overflows or underflows for a nonzero
     finite f, s ||f / s||_p with s = max |f|."""
-    return _lp_norms(f.filtration.leaf_measures(), f.values, p, (0, f.filtration.n_leaves))[0]
+    return _lp_norms(f.filtration.layout.measures, f.values, p, (0, f.filtration.n_leaves))[0]
 
 
 def _lp_norms(measures: np.ndarray, values: np.ndarray, p: float, bounds) -> list[float]:
@@ -350,19 +273,6 @@ def _lp_norms(measures: np.ndarray, values: np.ndarray, p: float, bounds) -> lis
 
     with np.errstate(over="ignore"):
         return [norm(measures[lo:hi], mags[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def restrict(f: MartFunction, atom_id: int) -> MartFunction:
-    """Multiply by the indicator of one atom (extension by zero).
-
-    Test oracle: the tests cut functions to one atom with it when they
-    check the restriction bound on the dense route; no production path
-    calls it.
-    """
-    out = np.zeros_like(f.values)
-    sl = f.filtration.leaf_slice(atom_id)
-    out[sl] = f.values[sl]
-    return MartFunction(f.filtration, out)
 
 
 # ---------------------------------------------------------------------------

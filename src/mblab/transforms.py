@@ -44,10 +44,10 @@ The dense route is a test oracle, kept deliberately independent of the
 multiplier formula: a matrix with rows indexed by leaves and columns indexed
 by (leaf, coordinate) pairs in row-major order (column = leaf * dim +
 coord), assembled from block averaging matrices.  It takes O(L^2 d) memory,
-and a transform builds it on its first ``matrix_apply``, ``adjoint_apply``
-(the weight-conjugated transpose) or ``operator_norm`` (a full SVD), never
-by construction.  No production caller reaches it; the tests compare each
-production route against it.
+and a transform builds it on its first ``matrix_apply`` or
+``adjoint_apply`` (the weight-conjugated transpose), never by construction.
+No production caller reaches it; the tests compare each production route
+against it, and ``tests/oracles.py`` holds its full-SVD operator norm.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "MartingaleTransform",
     "PredictabilityError",
     "make_transform",
-    "operator_norm",
     "predictable_hull",
     "split_multiplier_norm",
     "transform_to_dict",
@@ -102,10 +101,6 @@ class MartingaleTransform:
         of the row's parent for a row of level n >= 1."""
         return self.multipliers[self.filtration.layout.stacked_parents]
 
-    def multiplier_on_leaves(self, n: int) -> np.ndarray:
-        """Level-n multiplier expanded to leaf resolution, shape (L, dim)."""
-        return self.multipliers[self.filtration.layout.stacked_maps[n - 1]]
-
     def apply(self, f: MartFunction) -> MartFunction:
         """T f through the multiplier formula."""
         self._check_input(f)
@@ -120,14 +115,14 @@ class MartingaleTransform:
     @cached_property
     def _weighted_transpose(self) -> np.ndarray:
         """M^T W_out, built on the first adjoint_apply and kept."""
-        return self.matrix.T * self.filtration.leaf_measures()[None, :]
+        return self.matrix.T * self.filtration.layout.measures[None, :]
 
     def adjoint_apply(self, g: MartFunction) -> MartFunction:
         """T* g via the weight-conjugated transpose of the dense oracle; must
         agree with adjoint_closed_form().  Tests only."""
         if g.filtration is not self.filtration or g.dim != 1:
             raise ValueError("adjoint expects a scalar function on the same filtration")
-        w_in = np.repeat(self.filtration.leaf_measures(), self.dim)
+        w_in = np.repeat(self.filtration.layout.measures, self.dim)
         # (W_in)^-1 M^T W_out acting on g.
         flat = self._weighted_transpose @ g.values[:, 0]
         flat /= w_in
@@ -356,17 +351,6 @@ def _materialize_matrix(filtration: Filtration, multipliers: np.ndarray) -> np.n
     out = tensor.reshape(L, L * dim)
     out.flags.writeable = False
     return out
-
-
-def operator_norm(op: MartingaleTransform) -> float:
-    """Largest singular value of W_out^(1/2) M W_in^(-1/2): a full SVD of
-    the dense matrix oracle, for the tests only.  It equals
-    ``split_multiplier_norm`` up to roundoff."""
-    m = op.filtration.leaf_measures()
-    w_out = np.sqrt(m)
-    w_in = np.sqrt(np.repeat(m, op.dim))
-    scaled = op.matrix * w_out[:, None] / w_in[None, :]
-    return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
 def split_multiplier_norm(op: MartingaleTransform) -> float:

@@ -27,8 +27,9 @@ from mblab.bellman import Witness
 from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_suites
 from mblab.corpus import CorpusCell, default_corpus, prepare_cell
 from mblab.filtration import build_dyadic, build_random_regular, split_schedule
-from oracles import average, shift
-from mblab.transforms import operator_norm, split_multiplier_norm
+import oracles
+from oracles import average, delta_split, operator_norm, shift
+from mblab.transforms import split_multiplier_norm
 
 # A failing example prints its ``@reproduce_failure`` blob, so a rare
 # failure can be replayed; every other setting stays hypothesis's default.
@@ -96,14 +97,14 @@ def small_cells():
 def telescoping_relerr(f, g, op) -> float:
     """Relative gap between the split-pairing sum and the direct pairing
     against the centered input."""
-    from mblab.martingale import delta_split, inner
+    from mblab.martingale import inner
 
     filt = f.filtration
     tstar_g = op.adjoint_apply(g)
     lhs = 0.0
     for ev in split_schedule(filt):
         lhs += inner(delta_split(tstar_g, ev), delta_split(f, ev))
-    centered = shift(f, -average(f, filt.root.id))
+    centered = shift(f, -average(f, oracles.root(filt).id))
     rhs = inner(g, op.apply(centered))
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 

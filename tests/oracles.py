@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -22,14 +22,14 @@ from mblab.bellman import (
     conjugate_exponent,
 )
 from mblab.corpus import _unit_rows, build_tower, cell_filtration, haar_witness, random_function
-from mblab.estimator import _trial_depth, _trial_rng, hoelder_objective
+from mblab.estimator import _trial_depth, _trial_rng
 from mblab.filtration import (
     _GEOM_TOL,
-    Atom,
     Filtration,
     FiltrationError,
     LeafLayout,
     RatioSamplingError,
+    SplitEvent,
     _frozen,
     _Lazy,
     _segments,
@@ -38,18 +38,215 @@ from mblab.filtration import (
 )
 from mblab.checks import Tolerances, _row
 from mblab.martingale import (
-    _WHOLE,
     MartFunction,
     _atom_steps,
     _diagonal_steps,
     _event_draws,
     _padded,
-    _segment_means,
-    _weighted,
     inner,
     lp_norm,
 )
 from mblab.transforms import MartingaleTransform, _ancestor_values, make_transform
+
+
+# ---------------------------------------------------------------------------
+# Atom views: one atom of a tower as a record, read off the columns.  The
+# package reads its towers as columns only; the tests read atoms through
+# these helpers.
+
+
+@dataclass(frozen=True, eq=False)
+class Atom:
+    """Half-open interval [a, b) sitting at one level of the tower.
+
+    ``level`` is the level at which the atom first appears.  An atom with
+    children is split immediately at its own level (children live at
+    level + 1); an atom without children survives into every later level.
+    """
+
+    id: int
+    a: float
+    b: float
+    level: int
+    parent: int | None
+    children: tuple[int, ...]
+
+    @property
+    def measure(self) -> float:
+        return self.b - self.a
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
+
+
+def atom(filt: Filtration, atom_id: int) -> Atom:
+    """View of one atom of a tower's columns, built on read; negative ids
+    count from the end."""
+    i = range(filt.n_atoms)[atom_id]
+    parent = int(filt.parent[i])
+    lo, hi = filt.child_starts[i : i + 2].tolist()
+    return Atom(
+        i,
+        float(filt.a[i]),
+        float(filt.b[i]),
+        int(filt.level[i]),
+        None if parent < 0 else parent,
+        tuple(filt.children[lo:hi].tolist()),
+    )
+
+
+def atoms(tower) -> Sequence[Atom]:
+    """Every atom in id order: an ``AtomTower``'s records, or the views of
+    a ``Filtration``'s atoms, each built when it is read."""
+    if isinstance(tower, AtomTower):
+        return tower.atoms
+    return _Lazy(partial(atom, tower), np.arange(tower.n_atoms))
+
+
+def root(filt: Filtration) -> Atom:
+    """The root of a lone tower, atom 0; a stack of towers has none."""
+    filt._require_one_tower()
+    return atom(filt, 0)
+
+
+def interval(filt: Filtration) -> tuple[float, float]:
+    """The base interval [a, b) of a lone tower."""
+    r = root(filt)
+    return (r.a, r.b)
+
+
+def leaf_slice(filt: Filtration, atom_id: int) -> slice:
+    """Contiguous range of leaf positions covered by the atom."""
+    lo, hi = filt.layout.spans[atom_id].tolist()
+    return slice(lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# The per-atom conditional calculus: every mean over atoms or leaf segments
+# is one reduceat of measure-weighted leaf values (``segment_means``); a
+# segment sums the same leaves in the same order at any offset, so each
+# mean is the float the level kernel gives that atom.
+
+
+class PartitionError(ValueError):
+    """Atom ids do not form a partition of the base interval."""
+
+
+def segment_means(m: np.ndarray, values: np.ndarray, starts, measures: np.ndarray) -> np.ndarray:
+    """Means of (..., L', d) leaf values under the leaf measures ``m`` over
+    consecutive leaf segments beginning at ``starts``, each running to the
+    next start and the last to L', of measures ``measures``; shape (...,
+    len(starts), d)."""
+    return np.add.reduceat(m[:, None] * values, starts, axis=-2) / measures[:, None]
+
+
+def atom_mean(filt: Filtration, values: np.ndarray, atom_id: int) -> np.ndarray:
+    """Average of (L, d) values over one atom, its leaves as one segment."""
+    lay = filt.layout
+    sl = leaf_slice(filt, atom_id)
+    return segment_means(lay.measures[sl], values[sl], [0], lay.atom_measures[[atom_id]])[0]
+
+
+def average(f: MartFunction, atom_id: int) -> np.ndarray:
+    """Measure-weighted mean <f>_J as a vector of length dim."""
+    return atom_mean(f.filtration, f.values, atom_id)
+
+
+def osc2(f: MartFunction, atom_id: int) -> float:
+    """Mean squared oscillation over one atom: <|f - <f>_J|^2>_J.
+
+    The alternative form <|f|^2>_J - |<f>_J|^2 agrees up to roundoff; the
+    centered form is returned because it is nonnegative by construction.
+    """
+    filt = f.filtration
+    sl = leaf_slice(filt, atom_id)
+    m = filt.layout.measures[sl]
+    centered = f.values[sl] - atom_mean(filt, f.values, atom_id)[None, :]
+    return float(m @ np.einsum("ij,ij->i", centered, centered) / filt.layout.atom_measures[atom_id])
+
+
+def check_partition(filt: Filtration, atom_ids: Sequence[int]) -> list[int]:
+    """The ids of a partition of the base interval, in left-endpoint order."""
+    try:
+        parts = [atom(filt, i) for i in atom_ids]
+    except (IndexError, TypeError) as exc:
+        raise PartitionError(f"unknown atom id in partition: {exc}") from None
+    parts = sorted(parts, key=lambda a: a.a)
+    lo, hi = interval(filt)
+    scale = max(hi - lo, 1.0)
+    if not parts or abs(parts[0].a - lo) > _GEOM_TOL * scale or abs(parts[-1].b - hi) > _GEOM_TOL * scale:
+        raise PartitionError("atoms do not span the base interval")
+    for u, v in zip(parts, parts[1:]):
+        if abs(u.b - v.a) > _GEOM_TOL * scale:
+            raise PartitionError(f"gap or overlap between atoms {u.id} and {v.id}")
+    return [a.id for a in parts]
+
+
+def cond_exp(f: MartFunction, partition: Sequence[int]) -> MartFunction:
+    """Project onto functions constant on the given partition atoms."""
+    filt = f.filtration
+    ids = check_partition(filt, partition)
+    spans = filt.layout.spans[ids]
+    means = segment_means(filt.layout.measures, f.values, spans[:, 0], filt.layout.atom_measures[ids])
+    return MartFunction(filt, np.repeat(means, spans[:, 1] - spans[:, 0], axis=0))
+
+
+def delta_split(f: MartFunction, event: SplitEvent) -> MartFunction:
+    """Single-split martingale difference for one schedule event.
+
+    Computed directly as (child average - parent average) inside the split
+    atom and exact zero outside, which agrees with the difference of the two
+    partition projections.  The children are the A_{n+1} atoms inside the
+    split atom's span, n being its level.
+    """
+    filt = f.filtration
+    here = atom(filt, event.atom)
+    if not here.children:
+        raise ValueError(f"atom {here.id} has no split event")
+    lay = filt.layout
+    lo, hi = lay.spans[here.id].tolist()
+    n = here.level + 1
+    child_map = lay.stacked_maps[n][lo:hi] - lay.level_offsets[n]
+    first, last = int(child_map[0]), int(child_map[-1]) + 1
+    starts = lay.level_starts[n][first:last] - lo
+    child_avg = segment_means(lay.measures[lo:hi], f.values[lo:hi], starts, lay.level_measures[n][first:last])
+    out = np.zeros_like(f.values)
+    out[lo:hi] = child_avg[child_map - first] - atom_mean(filt, f.values, here.id)
+    return MartFunction(filt, out)
+
+
+def restrict(f: MartFunction, atom_id: int) -> MartFunction:
+    """Multiply by the indicator of one atom (extension by zero)."""
+    out = np.zeros_like(f.values)
+    sl = leaf_slice(f.filtration, atom_id)
+    out[sl] = f.values[sl]
+    return MartFunction(f.filtration, out)
+
+
+def multiplier_on_leaves(op: MartingaleTransform, n: int) -> np.ndarray:
+    """Level-n multiplier expanded to leaf resolution, shape (L, dim)."""
+    return op.multipliers[op.filtration.layout.stacked_maps[n - 1]]
+
+
+def operator_norm(op: MartingaleTransform) -> float:
+    """Largest singular value of W_out^(1/2) M W_in^(-1/2): a full SVD of
+    the dense matrix oracle.  It equals ``split_multiplier_norm`` up to
+    roundoff."""
+    m = op.filtration.layout.measures
+    w_out = np.sqrt(m)
+    w_in = np.sqrt(np.repeat(m, op.dim))
+    scaled = op.matrix * w_out[:, None] / w_in[None, :]
+    return float(np.linalg.svd(scaled, compute_uv=False)[0])
+
+
+def hoelder_objective(lam: float, p: float, x3: float, x4: float) -> float:
+    """lambda^p x3 + lambda^-q x4, the quantity the scaling balance
+    minimizes."""
+    q = conjugate_exponent(p)
+    if lam <= 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    return lam**p * x3 + lam ** (-q) * x4
 
 
 def scale_candidate(cand: BellmanCandidate, c: float, delta: float | None = None) -> BellmanCandidate:
@@ -70,33 +267,6 @@ def scale_candidate(cand: BellmanCandidate, c: float, delta: float | None = None
         cp=None if cand.cp is None else c * cand.cp,
         h=scaled_h,
     )
-
-
-def atom_mean(filt: Filtration, values: np.ndarray, atom_id: int) -> np.ndarray:
-    """Average of (L, d) values over one atom; the same float the level
-    kernel gives that atom, since the segment sum is the same reduceat."""
-    lay = filt.layout
-    lo, hi = lay.spans[atom_id].tolist()
-    w = lay.measures[lo:hi, None] * values[lo:hi]
-    return np.add.reduceat(w, _WHOLE, axis=0)[0] / lay.atom_measures[atom_id]
-
-
-def average(f: MartFunction, atom_id: int) -> np.ndarray:
-    """Measure-weighted mean <f>_J as a vector of length dim."""
-    return atom_mean(f.filtration, f.values, atom_id)
-
-
-def osc2(f: MartFunction, atom_id: int) -> float:
-    """Mean squared oscillation over one atom: <|f - <f>_J|^2>_J.
-
-    The alternative form <|f|^2>_J - |<f>_J|^2 agrees up to roundoff; the
-    centered form is returned because it is nonnegative by construction.
-    """
-    filt = f.filtration
-    sl = filt.leaf_slice(atom_id)
-    m = filt.leaf_measures()[sl]
-    centered = f.values[sl] - atom_mean(filt, f.values, atom_id)[None, :]
-    return float(m @ np.einsum("ij,ij->i", centered, centered) / filt.layout.atom_measures[atom_id])
 
 
 def shift(f: MartFunction, vec: np.ndarray) -> MartFunction:
@@ -158,16 +328,16 @@ def certificate_by_records(
     for atom_id, d, pairing in zip(
         filt.layout.event_atoms.tolist(), table.d.tolist(), table.pairing.tolist()
     ):
-        atom = filt.atom(atom_id)
-        kids = atom.children
-        weights = [filt.atom(c).measure / atom.measure for c in kids]
+        here = atom(filt, atom_id)
+        kids = here.children
+        weights = [atom(filt, c).measure / here.measure for c in kids]
         diam = diameter_pair([x1s[k] for k in kids])[0]
 
         bad = False
         chain_scale = max(1.0, abs(pairing), d * diam)
         if d * diam < pairing - tol * chain_scale:
             failures.append(
-                f"pairing domination failed at atom {atom.id}: "
+                f"pairing domination failed at atom {here.id}: "
                 f"|d|*diam={d * diam:.6g} < pairing={pairing:.6g}"
             )
             bad = True
@@ -177,33 +347,33 @@ def certificate_by_records(
             kid_sum += w * value(k)
         slack = b_base - d * diam - kid_sum
         if slack < -tol * max(1.0, abs(b_base)):
-            failures.append(f"negative split slack at atom {atom.id}: {slack:.6g}")
+            failures.append(f"negative split slack at atom {here.id}: {slack:.6g}")
             bad = True
         if bad:
-            flagged.append(atom.id)
+            flagged.append(here.id)
         records.append(
             {
-                "atom": atom.id,
-                "level": atom.level,
-                "measure": atom.measure,
+                "atom": here.id,
+                "level": here.level,
+                "measure": here.measure,
                 "weights": weights,
                 "d": d,
                 "diameter": diam,
                 "pairing": pairing,
                 "slack": slack,
                 "base": dicts[atom_id],
-                "children": [dicts[c] for c in atom.children],
+                "children": [dicts[c] for c in here.children],
             }
         )
-        weighted_slack += atom.measure * slack
-        weighted_gap += atom.measure * (d * diam - pairing)
+        weighted_slack += here.measure * slack
+        weighted_gap += here.measure * (d * diam - pairing)
 
     leaves = []
     leaf_weighted = 0.0
     for leaf_id in level_partition(filt, filt.depth).tolist():
         val = value(leaf_id)
         leaves.append({"point": dicts[leaf_id], "value": val})
-        leaf_weighted += filt.atom(leaf_id).measure * val
+        leaf_weighted += atom(filt, leaf_id).measure * val
         if val < -tol * max(1.0, abs(val)):
             failures.append(f"negative candidate value on leaf atom {leaf_id}: {val:.6g}")
     odd = [atom_id for atom_id in range(len(dicts)) if not np.isfinite(value(atom_id))]
@@ -211,7 +381,7 @@ def certificate_by_records(
         first = f"first atom {odd[0]}: {value(odd[0])}"
         failures.append(f"non-finite candidate value on {len(odd)} atoms, {first}")
 
-    bound = value(filt.root.id)
+    bound = value(root(filt).id)
     final_slack = bound - objective
     leaf_term = leaf_weighted / total
     reassembled = (weighted_slack + weighted_gap) / total + leaf_term
@@ -245,32 +415,30 @@ def level_map(filt: Filtration, n: int) -> np.ndarray:
     return lay.stacked_maps[n] - lay.level_offsets[n]
 
 
-def _level_means(filt: Filtration, w: np.ndarray, n: int) -> np.ndarray:
-    """Averages over the A_n atoms, in level order, of weighted values."""
+def _level_means(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
+    """Averages of (..., L, d) values over the A_n atoms, in level order."""
     lay = filt.layout
-    return _segment_means(w, lay.level_starts[n], lay.level_measures[n])
+    return segment_means(lay.measures, values, lay.level_starts[n], lay.level_measures[n])
 
 
-def _level_expectation(filt: Filtration, w: np.ndarray, n: int) -> np.ndarray:
-    """E_n at leaf resolution, from weighted values; shape (..., L, d)."""
-    return np.take(_level_means(filt, w, n), level_map(filt, n), axis=-2)
+def _level_expectation(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
+    """E_n at leaf resolution; shape (..., L, d)."""
+    return np.take(_level_means(filt, values, n), level_map(filt, n), axis=-2)
 
 
 def _level_difference(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
     """E_{n+1} v - E_n v at leaf resolution: the sum of the single-split
     differences of all events at level n, whose supports are disjoint."""
-    w = _weighted(filt, values)
-    return _level_expectation(filt, w, n + 1) - _level_expectation(filt, w, n)
+    return _level_expectation(filt, values, n + 1) - _level_expectation(filt, values, n)
 
 
 def _level_differences(
     filt: Filtration, values: np.ndarray, start: int = 0
 ) -> Iterator[np.ndarray]:
     """E_{n+1} v - E_n v at leaf resolution for n = start..depth-1, in order."""
-    w = _weighted(filt, values)
-    prev = _level_expectation(filt, w, start)
+    prev = _level_expectation(filt, values, start)
     for n in range(start + 1, filt.depth + 1):
-        cur = _level_expectation(filt, w, n)
+        cur = _level_expectation(filt, values, n)
         yield cur - prev
         prev = cur
 
@@ -279,7 +447,7 @@ def transform_by_levels(op: MartingaleTransform, values: np.ndarray) -> np.ndarr
     """T of (..., L, dim) inputs, one level difference at a time."""
     out = np.zeros(values.shape[:-1])
     for n, diff in enumerate(_level_differences(op.filtration, values), start=1):
-        out += np.einsum("ij,...ij->...i", op.multiplier_on_leaves(n), diff)
+        out += np.einsum("ij,...ij->...i", multiplier_on_leaves(op, n), diff)
     return out
 
 
@@ -287,7 +455,7 @@ def adjoint_by_levels(op: MartingaleTransform, values: np.ndarray) -> np.ndarray
     """Closed-form T* of (..., L, 1) inputs, one level difference at a time."""
     out = np.zeros((*values.shape[:-1], op.dim))
     for n, diff in enumerate(_level_differences(op.filtration, values), start=1):
-        out += op.multiplier_on_leaves(n) * diff
+        out += multiplier_on_leaves(op, n) * diff
     return out
 
 
@@ -305,16 +473,16 @@ def moment_table_by_levels(
     dim, q, gv = f.dim, conjugate_exponent(p), g.values[:, 0]
     f_p = np.linalg.norm(f.values, axis=1) ** p
     columns = (f.values, tstar_g.values, gv, gv * gv, f_p, np.abs(gv) ** q)
-    w = _weighted(filt, np.column_stack(columns))
-    rows = np.empty((len(filt.atoms), 2 * dim + 6))  # x1, g2, x2, x3, x4, <T* g>, <g>, osc2
+    stack = np.column_stack(columns)
+    rows = np.empty((filt.n_atoms, 2 * dim + 6))  # x1, g2, x2, x3, x4, <T* g>, <g>, osc2
     split = np.empty((len(lay.event_atoms), 3))  # d^2, pairing, x2 gain
     steps = np.zeros((lay.level_offsets[-1], 2 * dim + 1))  # f, T* g, g; the root row is zero
     for n in range(filt.depth + 1):
-        means = _level_means(filt, w, n)
+        means = _level_means(filt, stack, n)
         cond = np.take(means[:, : 2 * dim], level_map(filt, n), axis=0)
         centered = tstar_g.values - cond[:, dim:]
         sq = np.einsum("ij,ij->i", centered, centered)[:, None]
-        osc2 = _level_means(filt, _weighted(filt, sq), n)[:, 0]
+        osc2 = _level_means(filt, sq, n)[:, 0]
         x2 = means[:, -3] - osc2
         # A persisting atom gets the same floats at every level it is in.
         level_rows = np.column_stack(
@@ -329,7 +497,7 @@ def moment_table_by_levels(
             pair = np.column_stack((np.einsum("ij,ij->i", dg, dg), np.einsum("ij,ij->i", df, dg)))
             at = lay.event_levels == n - 1
             pick = level_map(filt, n - 1)[lay.event_spans[at, 0]]
-            split[at, :2] = _level_means(filt, _weighted(filt, pair), n - 1)[pick]
+            split[at, :2] = _level_means(filt, pair, n - 1)[pick]
             first_kids = level_map(filt, n)[lay.level_starts[n - 1]]
             kids_x2 = np.add.reduceat(lay.level_measures[n] * x2, first_kids)
             split[at, 2] = (kids_x2 / lay.level_measures[n - 1] - prev_x2)[pick]
@@ -358,10 +526,8 @@ def moment_table_by_levels(
 
 def level_osc2(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
     """osc2 of (L, d) values over every A_n atom, in level order."""
-    w = _weighted(filt, values)
-    centered = values - _level_expectation(filt, w, n)
-    sq = filt.layout.measures * np.einsum("ij,ij->i", centered, centered)
-    return _level_means(filt, sq[:, None], n)[:, 0]
+    centered = values - _level_expectation(filt, values, n)
+    return _level_means(filt, np.einsum("ij,ij->i", centered, centered)[:, None], n)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +729,7 @@ def _cut_block(
     # Level k reaches inside the atoms of levels n < k: rows 0..k-2.
     for k in range(first + 2, filt.depth + 1):
         diff = np.take(steps[: k - 1 - first], filt.layout.stacked_maps[k], axis=-2)
-        x[: k - 1 - first] += op.multiplier_on_leaves(k) * diff
+        x[: k - 1 - first] += multiplier_on_leaves(op, k) * diff
     del steps
     on_atoms = x[row, leaf]
     del x
@@ -670,14 +836,14 @@ def leaves_of(filt: Filtration) -> tuple[int, ...]:
 
 def columns_of(tower) -> dict[str, list]:
     """The columns of a tower of either kind, as lists."""
-    atoms = list(tower.atoms)
+    rows = list(atoms(tower))
     return {
-        "a": [a.a for a in atoms],
-        "b": [a.b for a in atoms],
-        "level": [a.level for a in atoms],
-        "parent": [-1 if a.parent is None else a.parent for a in atoms],
-        "child_starts": np.cumsum([0] + [len(a.children) for a in atoms]).tolist(),
-        "children": [c for a in atoms for c in a.children],
+        "a": [a.a for a in rows],
+        "b": [a.b for a in rows],
+        "level": [a.level for a in rows],
+        "parent": [-1 if a.parent is None else a.parent for a in rows],
+        "child_starts": np.cumsum([0] + [len(a.children) for a in rows]).tolist(),
+        "children": [c for a in rows for c in a.children],
     }
 
 
@@ -726,10 +892,11 @@ def atoms_to_dict(f: AtomTower) -> dict:
 def regularity_delta(f) -> float:
     """Smallest realized child/parent measure ratio."""
     best = 0.5
-    for a in f.atoms:
+    every = atoms(f)
+    for a in every:
         if a.children:
             for c in a.children:
-                best = min(best, f.atoms[c].measure / a.measure)
+                best = min(best, every[c].measure / a.measure)
     return best
 
 
@@ -991,7 +1158,7 @@ def build_layout_one_root(f: Filtration) -> LeafLayout:
     pool = np.concatenate((ordered, np.arange(f.n_atoms)))
     expand = np.where(n_kids > 0, f.child_starts[:-1], len(ordered) + np.arange(f.n_atoms))
     blocks = np.maximum(n_kids, 1)
-    rows = [np.array([f.root.id])]
+    rows = [np.array([root(f).id])]
     block_starts = []
     for _ in range(f.depth):
         here = rows[-1]
@@ -1125,7 +1292,7 @@ def search_trials_by_trials(
     for i in range(trials):
         rng = _trial_rng(seed, i)
         filt = _trial_filtration(delta, 2 if i == 0 else depth, i, int(rng.integers(2**31)))
-        if i == 0 and len(filt.root.children) == 2:
+        if i == 0 and len(root(filt).children) == 2:
             f, g, op = haar_witness(filt, dim)
             kind = "structured"
         else:

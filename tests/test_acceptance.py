@@ -39,6 +39,7 @@ from mblab.reporting import to_canonical_json
 from mblab.certifier import certificate_to_dict
 
 from conftest import telescoping_relerr  # reused for a direct spot check
+import oracles
 from oracles import average, optimal_lambda_numeric, shift
 
 DELTAS = (0.1, 0.25, 1.0 / 3.0, 0.5)
@@ -239,17 +240,17 @@ def test_criterion_7_corollary_suite(corpus_report):
         filt = pc.filtration
         p = 2.0
         q = conjugate_exponent(p)
-        base_pt = Witness(pc.f, pc.g, pc.op, p).table.points[filt.root.id]
-        centered = shift(pc.f, -average(pc.f, filt.root.id))
+        base_pt = Witness(pc.f, pc.g, pc.op, p).table.points[oracles.root(filt).id]
+        centered = shift(pc.f, -average(pc.f, oracles.root(filt).id))
         base_obj = inner(pc.g, pc.op.apply(centered)) / filt.total_measure
         for lam in (0.5, 2.0, 7.0):
             f_s, g_s = pc.f * lam, pc.g * (1.0 / lam)
             obj = (
-                inner(g_s, pc.op.apply(shift(f_s, -average(f_s, filt.root.id))))
+                inner(g_s, pc.op.apply(shift(f_s, -average(f_s, oracles.root(filt).id))))
                 / filt.total_measure
             )
             hom_worst = max(hom_worst, abs(obj - base_obj) / max(1.0, abs(base_obj)))
-            mapped = Witness(f_s, g_s, pc.op, p).table.points[filt.root.id]
+            mapped = Witness(f_s, g_s, pc.op, p).table.points[oracles.root(filt).id]
             orbit = (
                 float(np.max(np.abs(mapped[:-3] - lam * base_pt[:-3]))),
                 abs(mapped[-3] - base_pt[-3] / lam**2),

@@ -96,15 +96,15 @@ def test_domain_membership():
 def test_bellman_point_slots(small_cells):
     pc = small_cells[0]
     filt = pc.filtration
-    row = Witness(pc.f, pc.g, pc.op, 2.0).table.points[filt.root.id]
+    row = Witness(pc.f, pc.g, pc.op, 2.0).table.points[oracles.root(filt).id]
     from oracles import average, osc2
 
     assert row.shape == (pc.f.dim + 3,)
-    assert np.allclose(row[:-3], average(pc.f, filt.root.id), atol=1e-14)
+    assert np.allclose(row[:-3], average(pc.f, oracles.root(filt).id), atol=1e-14)
     # <g^2> and <|f|^2> over the root, the measure-weighted leaf sums
-    m = filt.leaf_measures() / filt.total_measure
+    m = filt.layout.measures / filt.total_measure
     g2 = float(m @ pc.g.values[:, 0] ** 2)
-    assert row[-3] == pytest.approx(g2 - osc2(pc.op.adjoint_apply(pc.g), filt.root.id), rel=1e-12)
+    assert row[-3] == pytest.approx(g2 - osc2(pc.op.adjoint_apply(pc.g), oracles.root(filt).id), rel=1e-12)
     f2 = float(m @ np.sum(pc.f.values**2, axis=1))
     assert row[-2] == pytest.approx(f2, rel=1e-12)
     assert in_bellman_domain(row, 2.0, tol=1e-9 * max(1.0, row[-2], row[-1]))
@@ -117,7 +117,7 @@ def test_bellman_point_rejects_negative_x2(small_cells):
     big = pc.op.adjoint_apply(pc.g)
     fake = type(big)(filt, big.values * 100.0 + 5.0)
     with pytest.raises(ArithmeticError):
-        moment_table(pc.f, pc.g, fake, 2.0).check_x2([filt.root.id])
+        moment_table(pc.f, pc.g, fake, 2.0).check_x2([oracles.root(filt).id])
 
 
 def test_point_serialization_roundtrip(small_cells):
@@ -126,7 +126,7 @@ def test_point_serialization_roundtrip(small_cells):
     from mblab.estimator import _root_point
 
     pc = small_cells[0]
-    root = pc.filtration.root.id
+    root = oracles.root(pc.filtration).id
     pt = _root_point(pc.filtration, pc.f, pc.g, pc.op, 2.0)
     *x1, x2, x3, x4 = Witness(pc.f, pc.g, pc.op, 2.0).table.points[root].tolist()
     assert pt == {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": 2.0, "atom": root}

@@ -31,7 +31,6 @@ from mblab.corpus import (
     random_witness,
 )
 from mblab.filtration import (
-    Atom,
     Filtration,
     FiltrationError,
     build_dyadic,
@@ -41,11 +40,21 @@ from mblab.filtration import (
 )
 from mblab.martingale import (
     MartFunction,
-    delta_split,
     inner,
 )
 from mblab.reporting import to_canonical_json
-from oracles import average, certificate_by_records, leaves_of, osc2, scale_candidate, shift, tower_from_atoms
+import oracles
+from oracles import (
+    Atom,
+    average,
+    certificate_by_records,
+    delta_split,
+    leaves_of,
+    osc2,
+    scale_candidate,
+    shift,
+    tower_from_atoms,
+)
 from test_reporting import ref_to_canonical_json
 
 SQRT2 = math.sqrt(2.0)
@@ -68,7 +77,7 @@ def event_children(cert, e):
 
 
 def test_haar_root_point(haar_cert):
-    root = haar_cert.witness.table.points[haar_cert.filtration.root.id]
+    root = haar_cert.witness.table.points[oracles.root(haar_cert.filtration).id]
     assert np.allclose(root[:-3], 0.0, atol=1e-14)
     assert root[-3] == pytest.approx(0.0, abs=1e-12)
     assert root[-2] == pytest.approx(1.0, rel=1e-12)
@@ -189,8 +198,8 @@ def test_mismatched_filtration_rejected(dyadic2, dyadic3):
 def point_by_atom(f, g, tstar_g, atom_id, p):
     """Reference: the moment point summed over one atom's leaves at a time."""
     filt = f.filtration
-    sl = filt.leaf_slice(atom_id)
-    m = filt.leaf_measures()[sl] / filt.atom(atom_id).measure
+    sl = oracles.leaf_slice(filt, atom_id)
+    m = filt.layout.measures[sl] / oracles.atom(filt, atom_id).measure
     x2 = float(m @ g.values[sl, 0] ** 2) - osc2(tstar_g, atom_id)
     x3 = float(m @ np.linalg.norm(f.values[sl], axis=1) ** p)
     x4 = float(m @ np.abs(g.values[sl, 0]) ** conjugate_exponent(p))
@@ -221,7 +230,7 @@ def test_records_and_leaves_are_bellman_points(small_cells):
         assert [rec["atom"] for rec in cert.records] == [ev.atom for ev in events]
         assert filt.layout.event_atoms.tolist() == [ev.atom for ev in events]
         for e, ev in enumerate(events):
-            atom = filt.atom(ev.atom)
+            atom = oracles.atom(filt, ev.atom)
             assert_is_point(atom.id)
             kids = event_children(cert, e).tolist()
             assert kids == list(atom.children)
@@ -237,7 +246,7 @@ def test_records_and_leaves_are_bellman_points(small_cells):
         assert tuple(leaves.tolist()) == leaves_of(filt)
         for leaf_id in leaves.tolist():
             assert_is_point(leaf_id)
-        assert_is_point(filt.root.id)
+        assert_is_point(oracles.root(filt).id)
 
 
 def test_depth3_random_witness_end_to_end():
@@ -266,7 +275,7 @@ def test_objective_matches_direct_pairing():
     pc = prepare_cell(CorpusCell(0.5, 3, 4))
     cert = certify(quadratic_candidate(0.5), pc.f, pc.g, pc.op)
     filt = pc.filtration
-    centered = shift(pc.f, -average(pc.f, filt.root.id))
+    centered = shift(pc.f, -average(pc.f, oracles.root(filt).id))
     direct = inner(pc.g, pc.op.apply(centered)) / filt.total_measure
     assert cert.objective == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
@@ -278,7 +287,7 @@ def test_diameter_chain_per_record():
     filt = pc.filtration
     table = cert.witness.table
     for e, atom_id in enumerate(filt.layout.event_atoms.tolist()):
-        atom = filt.atom(atom_id)
+        atom = oracles.atom(filt, atom_id)
         d, diameter, pairing = table.d[e], cert.diameter[e], table.pairing[e]
         shifts = [
             float(np.linalg.norm(average(pc.f, c) - average(pc.f, atom.id)))
@@ -487,7 +496,7 @@ def test_record_count_builds_no_record(monkeypatch):
     pc = prepare_cell(CorpusCell(0.25, 2, 3))
     cert = certify(linear_candidate(1.0, 2.0, 0.25), pc.f, pc.g, pc.op)
     first, last = cert.records[0], cert.records[-1]
-    assert (first["atom"], last["atom"]) == (pc.filtration.root.id, split_schedule(pc.filtration)[-1].atom)
+    assert (first["atom"], last["atom"]) == (oracles.root(pc.filtration).id, split_schedule(pc.filtration)[-1].atom)
     assert [r["atom"] for r in cert.records[1:3]] == [ev.atom for ev in split_schedule(pc.filtration)[1:3]]
     assert list(cert.records)[0] == first
 
@@ -506,5 +515,5 @@ def test_certify_dyadic_depth_14():
     f, g, op = drawn_witness(filt, 1, 14)
     cert = certify(quadratic_candidate(0.5), f, g, op)
     assert cert.ok
-    assert len(cert.records) == 16_383 == len(filt.atoms) - filt.n_leaves
+    assert len(cert.records) == 16_383 == len(oracles.atoms(filt)) - filt.n_leaves
     assert cert.identity_residual <= 1e-9 * max(1.0, abs(cert.bound), abs(cert.objective))

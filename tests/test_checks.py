@@ -52,7 +52,6 @@ from mblab.transforms import (
     MartingaleTransform,
     _adjoint_stack,
     _transform_stack,
-    operator_norm,
     split_multiplier_norm,
 )
 from conftest import traced
@@ -63,11 +62,11 @@ from oracles import (
     _level_difference,
     _level_differences,
     _level_means,
-    _weighted,
     adjoint_by_levels,
     average,
     level_map,
     level_osc2,
+    operator_norm,
 )
 
 
@@ -119,7 +118,7 @@ def test_moment_table_osc2_and_tstar_mean_match_their_old_sources(small_cells, k
             for n in range(filt.depth + 1):
                 ids = level_partition(filt, n)
                 assert np.array_equal(w.table.osc2[ids], level_osc2(filt, w.tstar_g.values, n))
-            for atom in filt.atoms:
+            for atom in oracles.atoms(filt):
                 assert np.array_equal(w.table.tstar_mean[atom.id], average(w.tstar_g, atom.id))
 
 
@@ -284,7 +283,7 @@ def _pays_no_matrix(f, g, op):
     filt = f.filtration
     run_all(f, g, op, rng=np.random.default_rng(6))
     w = certify(quadratic_candidate(filt.delta), f, g, op).witness
-    w.table.check_x2([filt.root.id])
+    w.table.check_x2([oracles.root(filt).id])
     restriction_identity_gaps(w)
     hoelder_mean_margin(w)
     assert "matrix" not in vars(op)
@@ -417,7 +416,7 @@ def check_localization(
     tstar_g = adjoint_by_levels(op, g.values)
     diffs = zip(_level_differences(filt, g.values), _level_differences(filt, tstar_g))
     for n, (dsg, dtg) in enumerate(diffs, start=1):
-        err = np.abs(dtg - op.multiplier_on_leaves(n) * dsg)
+        err = np.abs(dtg - oracles.multiplier_on_leaves(op, n) * dsg)
         commute = max(commute, float(np.max(err)))
     return [
         _row("localization_support", outside, tol.exact, "T of split piece outside atom"),
@@ -431,15 +430,15 @@ def _cut_adjoints(
     """For each span J, osc2 over I and squared norm of T*((v - s_J) 1_J),
     with v the scalar leaf values and s_J the shift of J."""
     filt = op.filtration
-    m = filt.leaf_measures()
-    root = filt.root
+    m = filt.layout.measures
+    root = oracles.root(filt)
     osc = np.empty(len(spans))
     norm_sq = np.empty(len(spans))
     for blk in _blocks(len(spans), filt.n_leaves * op.dim):
         inside = _inside(spans[blk], filt.n_leaves)
         cuts = np.where(inside, values[None, :] - shifts[blk, None], 0.0)
         x = _adjoint_stack(op, cuts[..., None])
-        centered = x - _level_means(filt, _weighted(filt, x), 0)
+        centered = x - _level_means(filt, x, 0)
         osc[blk] = np.einsum("bij,bij->bi", centered, centered) @ m / root.measure
         norm_sq[blk] = np.einsum("bij,bij->bi", x, x) @ m
     return osc, norm_sq
@@ -491,13 +490,13 @@ def check_support(
     h, active = active_split_function(filt, f.dim, rng)
     covered = np.zeros(filt.n_leaves, dtype=bool)
     for atom_id in active:
-        covered[filt.leaf_slice(atom_id)] = True
+        covered[oracles.leaf_slice(filt, atom_id)] = True
     err = float(np.max(np.abs(op.apply(h).values[~covered]), initial=0.0))
     threshold = 1e-12 * max(1.0, float(np.max(np.abs(h.values))))
     hull_err = 0.0
     for n, diff in enumerate(_level_differences(filt, h.values), start=1):
         for atom_id in level_partition(filt, n - 1).tolist():
-            if np.max(np.abs(diff[filt.leaf_slice(atom_id)])) > threshold and atom_id not in active:
+            if np.max(np.abs(diff[oracles.leaf_slice(filt, atom_id)])) > threshold and atom_id not in active:
                 hull_err += 1.0
     return [
         _row("support_containment", err, tol.exact, f"{len(active)} active atoms"),
@@ -523,8 +522,7 @@ def reference_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple[f
     """
     filt = g.filtration
     spans, levels, measures, local, glob = _restriction_sides(g, op)
-    w = _weighted(filt, g.values)
-    c = _at_events(filt, lambda n: _level_means(filt, w, n)[:, 0], spans, levels)
+    c = _at_events(filt, lambda n: _level_means(filt, g.values, n)[:, 0], spans, levels)
     centered_osc, _ = _cut_adjoints(op, g.values[:, 0], spans, c)
     centered = (filt.total_measure / measures) * centered_osc
     scale = np.maximum(np.maximum(local, centered), 1e-30)

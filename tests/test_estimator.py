@@ -16,12 +16,11 @@ import mblab
 import mblab.estimator as est
 import mblab.filtration as filtration
 from mblab.bellman import Witness, conjugate_exponent, linear_candidate
-from mblab.corpus import build_tower
+from mblab.corpus import build_tower, cell_filtration, max_children_for
 from mblab.estimator import (
     EstimateError,
     duality_bound,
     duality_candidate,
-    hoelder_objective,
     kappa_constant,
     lower_bound_search,
     lp_constant_scan,
@@ -29,7 +28,7 @@ from mblab.estimator import (
 )
 from mblab.martingale import inner, lp_norm
 import oracles
-from oracles import average, optimal_lambda_numeric, shift
+from oracles import average, hoelder_objective, optimal_lambda_numeric, shift
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,7 @@ def test_search_labels_trial_zero_by_its_draws():
         rng = est._trial_rng(seed, 0)
         filt = build_tower(0.1, int(rng.integers(2**31)), 2)
         res = lower_bound_search(2.0, 1, seed, delta=0.1)
-        structured = len(filt.root.children) == 2
+        structured = len(oracles.root(filt).children) == 2
         assert res.witness["kind"] == ("structured" if structured else "random")
         assert (res.best == pytest.approx(1.0, abs=1e-12)) == structured
         kinds.append(res.witness["kind"])
@@ -385,13 +384,13 @@ def test_search_root_point_is_none_only_for_a_root_x2_below_roundoff(monkeypatch
 
         monkeypatch.setattr(bellman, "moment_table", broken)
 
-    x2_set_at(lambda filt: filt.root.id, -1e-9)
+    x2_set_at(lambda filt: oracles.root(filt).id, -1e-9)
     assert lower_bound_search(2.0, 5, seed=6).achieved_point is None
     assert run(["search", "--seed", "6", "--trials", "5"]) == 0
     assert '"achieved_point":null' in capsys.readouterr().out
-    x2_set_at(lambda filt: filt.root.id, -1e-14)
+    x2_set_at(lambda filt: oracles.root(filt).id, -1e-14)
     assert lower_bound_search(2.0, 5, seed=6).achieved_point["x2"] == -1e-14
-    x2_set_at(lambda filt: filt.root.children[0], -1.0)
+    x2_set_at(lambda filt: oracles.root(filt).children[0], -1.0)
     pt = lower_bound_search(2.0, 5, seed=6).achieved_point
     assert pt is not None and pt["x2"] >= 0.0
 
@@ -407,6 +406,19 @@ def test_duality_bound_p2():
     assert len(rep.rows) == 8
     for row in rep.rows:
         assert row["objective"] <= row["bound"] + 1e-9 * max(1.0, row["bound"])
+
+
+def test_duality_bound_takes_structured_rows_only_where_the_root_splits_in_two():
+    # at delta 0.1 a root splits 2, 3 or 4 ways; only a two-way split gives
+    # the structured witness its rows 0 and 1
+    splits = set()
+    for seed in range(8):
+        ways = len(oracles.root(cell_filtration(0.1, seed, 3, max_children_for(0.1))).children)
+        splits.add(ways)
+        kinds = [row["kind"] for row in duality_bound(2.0, delta=0.1, n_g=4, seed=seed).rows]
+        expected = ["structured+", "structured-"] if ways == 2 else ["gaussian", "gaussian"]
+        assert kinds == [*expected, "gaussian", "gaussian"]
+    assert splits == {2, 3, 4}
 
 
 def test_duality_bound_below_two():
@@ -456,15 +468,15 @@ def test_homogeneity_orbit_on_witness(small_cells):
     filt = pc.filtration
     p = 2.0
     q = conjugate_exponent(p)
-    base_pt = Witness(pc.f, pc.g, pc.op, p).table.points[filt.root.id]
-    centered = shift(pc.f, -average(pc.f, filt.root.id))
+    base_pt = Witness(pc.f, pc.g, pc.op, p).table.points[oracles.root(filt).id]
+    centered = shift(pc.f, -average(pc.f, oracles.root(filt).id))
     base_obj = inner(pc.g, pc.op.apply(centered)) / filt.total_measure
     for lam in (0.5, 2.0, 7.0):
         f_s = pc.f * lam
         g_s = pc.g * (1.0 / lam)
-        obj = inner(g_s, pc.op.apply(shift(f_s, -average(f_s, filt.root.id)))) / filt.total_measure
+        obj = inner(g_s, pc.op.apply(shift(f_s, -average(f_s, oracles.root(filt).id)))) / filt.total_measure
         assert obj == pytest.approx(base_obj, rel=1e-12)
-        mapped = Witness(f_s, g_s, pc.op, p).table.points[filt.root.id]
+        mapped = Witness(f_s, g_s, pc.op, p).table.points[oracles.root(filt).id]
         assert np.allclose(mapped[:-3], lam * base_pt[:-3], rtol=1e-12, atol=1e-14)
         assert mapped[-3] == pytest.approx(lam ** (-2.0) * base_pt[-3], rel=1e-12, abs=1e-14)
         assert mapped[-2] == pytest.approx(lam**p * base_pt[-2], rel=1e-12)

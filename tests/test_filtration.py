@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from mblab.corpus import _unit_rows as unit_rows
 from mblab.corpus import max_children_for
 from mblab.filtration import (
-    Atom,
     Filtration,
     FiltrationError,
     LeafLayout,
@@ -33,7 +32,7 @@ from mblab.transforms import make_transform
 
 import oracles
 from conftest import traced
-from oracles import atom_columns, regularity_delta, sample_ratios_one_by_one, tower_from_atoms
+from oracles import Atom, atom_columns, regularity_delta, sample_ratios_one_by_one, tower_from_atoms
 
 
 def test_dyadic_shape(dyadic3):
@@ -41,14 +40,14 @@ def test_dyadic_shape(dyadic3):
     assert dyadic3.n_leaves == 8
     assert dyadic3.total_measure == pytest.approx(1.0, abs=0)
     assert regularity_delta(dyadic3) == pytest.approx(0.5, abs=1e-15)
-    widths = dyadic3.leaf_measures()
+    widths = dyadic3.layout.measures
     assert np.allclose(widths, 0.125, atol=1e-15)
 
 
 def levels_by_definition(filt):
     """A_n scanned out of all atoms once per level: the atoms created at
     level n plus the earlier atoms that never split, by left endpoint."""
-    atoms = list(filt.atoms)
+    atoms = list(oracles.atoms(filt))
     return tuple(
         tuple(
             a.id
@@ -72,12 +71,12 @@ def test_deep_dyadic_leaf_spans():
     filt = build_dyadic(14)
     ref = levels_by_definition(filt)
     assert oracles.levels_of(filt) == ref
-    assert filt.leaf_slice(filt.root.id) == slice(0, 16384)
-    for atom in filt.atoms:
-        sl = filt.leaf_slice(atom.id)
+    assert oracles.leaf_slice(filt, oracles.root(filt).id) == slice(0, 16384)
+    for atom in oracles.atoms(filt):
+        sl = oracles.leaf_slice(filt, atom.id)
         assert sl.stop - sl.start == 2 ** (14 - atom.level)
     events = filt.layout.event_atoms
-    assert len(events) == 2**14 - 1 and events[0] == filt.root.id
+    assert len(events) == 2**14 - 1 and events[0] == oracles.root(filt).id
     # the schedule is a read of the layout's events
     assert [e.atom for e in split_schedule(filt)] == events.tolist()
 
@@ -87,42 +86,42 @@ def test_layout_events_follow_schedule():
     lay = filt.layout
     events = split_schedule(filt)
     # schedule order by definition: split atoms by (level, left endpoint)
-    by_definition = sorted((a for a in filt.atoms if a.children), key=lambda a: (a.level, a.a))
+    by_definition = sorted((a for a in oracles.atoms(filt) if a.children), key=lambda a: (a.level, a.a))
     assert [e.atom for e in events] == [a.id for a in by_definition]
     assert lay.event_atoms.tolist() == [e.atom for e in events]
-    assert lay.event_levels.tolist() == [filt.atom(e.atom).level for e in events]
+    assert lay.event_levels.tolist() == [oracles.atom(filt, e.atom).level for e in events]
     for e, (lo, hi) in zip(events, lay.event_spans.tolist()):
-        assert filt.leaf_slice(e.atom) == slice(lo, hi)
-        kids = sorted(filt.leaf_slice(c).start for c in filt.atom(e.atom).children)
+        assert oracles.leaf_slice(filt, e.atom) == slice(lo, hi)
+        kids = sorted(oracles.leaf_slice(filt, c).start for c in oracles.atom(filt, e.atom).children)
         assert kids[0] == lo
     for n, part in enumerate(oracles.levels_of(filt)):
-        spans = [filt.leaf_slice(a) for a in part]
+        spans = [oracles.leaf_slice(filt, a) for a in part]
         assert lay.level_starts[n].tolist() == [sl.start for sl in spans]
         assert spans[-1].stop == filt.n_leaves
         for j, sl in enumerate(spans):
             assert np.all(lay.stacked_maps[n][sl] == lay.level_offsets[n] + j)
-            assert lay.level_measures[n][j] == filt.atom(part[j]).measure
+            assert lay.level_measures[n][j] == oracles.atom(filt, part[j]).measure
 
 
 def test_dyadic_depth_one_is_single_split(dyadic1):
     assert dyadic1.n_leaves == 2
     events = split_schedule(dyadic1)
     assert len(events) == 1
-    assert events[0].atom == dyadic1.root.id
+    assert events[0].atom == oracles.root(dyadic1).id
 
 
 def test_root_and_interval(dyadic2):
-    assert dyadic2.root.a == 0.0
-    assert dyadic2.root.b == 1.0
-    assert dyadic2.interval == (0.0, 1.0)
-    assert dyadic2.root.parent is None
+    assert oracles.root(dyadic2).a == 0.0
+    assert oracles.root(dyadic2).b == 1.0
+    assert oracles.interval(dyadic2) == (0.0, 1.0)
+    assert oracles.root(dyadic2).parent is None
 
 
 def test_children_partition_parent(dyadic3):
-    for atom in dyadic3.atoms:
+    for atom in oracles.atoms(dyadic3):
         if not atom.children:
             continue
-        kids = [dyadic3.atom(c) for c in atom.children]
+        kids = [oracles.atom(dyadic3, c) for c in atom.children]
         # contiguous, measure preserving, left to right
         assert kids[0].a == atom.a
         assert kids[-1].b == atom.b
@@ -133,16 +132,16 @@ def test_children_partition_parent(dyadic3):
 
 def test_schedule_order_level_then_endpoint(dyadic3):
     events = split_schedule(dyadic3)
-    keys = [(dyadic3.atom(e.atom).level, dyadic3.atom(e.atom).a) for e in events]
+    keys = [(oracles.atom(dyadic3, e.atom).level, oracles.atom(dyadic3, e.atom).a) for e in events]
     assert keys == sorted(keys)
 
 
 def assert_schedule_replays(filt):
     """Replayed from {I}, each event replaces one atom of the current
     partition by its children, and the last partition is the leaves."""
-    part = {filt.root.id}
+    part = {oracles.root(filt).id}
     for ev in split_schedule(filt):
-        kids = set(filt.atom(ev.atom).children)
+        kids = set(oracles.atom(filt, ev.atom).children)
         assert ev.atom in part and not kids & part
         part = (part - {ev.atom}) | kids
     assert part == set(oracles.leaves_of(filt))
@@ -161,27 +160,27 @@ def test_schedule_covers_active_set(dyadic3):
 def test_level_partition_measures(dyadic3):
     for n in range(dyadic3.depth + 1):
         part = level_partition(dyadic3, n)
-        total = sum(dyadic3.atom(a).measure for a in part)
+        total = sum(oracles.atom(dyadic3, a).measure for a in part)
         assert total == pytest.approx(1.0, rel=1e-12)
-    assert list(level_partition(dyadic3, 0)) == [dyadic3.root.id]
-    assert set(level_partition(dyadic3, dyadic3.depth)) == {a.id for a in dyadic3.atoms if a.is_leaf}
+    assert list(level_partition(dyadic3, 0)) == [oracles.root(dyadic3).id]
+    assert set(level_partition(dyadic3, dyadic3.depth)) == {a.id for a in oracles.atoms(dyadic3) if a.is_leaf}
 
 
 def test_random_regular_respects_floor():
     filt = build_random_regular(depth=4, delta=0.2, max_children=4, split_prob=0.8, seed=11)
     assert regularity_delta(filt) >= 0.2 - 1e-12
-    for atom in filt.atoms:
+    for atom in oracles.atoms(filt):
         for c in atom.children:
-            ratio = filt.atom(c).measure / atom.measure
+            ratio = oracles.atom(filt, c).measure / atom.measure
             assert ratio >= 0.2 - 1e-12
 
 
 def test_random_regular_critical_delta_forces_equal_split():
     # k * delta == 1 leaves a single feasible ratio vector
     filt = build_random_regular(depth=3, delta=0.5, max_children=2, split_prob=1.0, seed=3)
-    for atom in filt.atoms:
+    for atom in oracles.atoms(filt):
         if atom.children:
-            ratios = [filt.atom(c).measure / atom.measure for c in atom.children]
+            ratios = [oracles.atom(filt, c).measure / atom.measure for c in atom.children]
             assert ratios == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
@@ -227,7 +226,7 @@ def test_random_regular_rejects_bad_parameters():
 def test_random_regular_is_seed_deterministic():
     a = build_random_regular(depth=4, delta=0.15, max_children=4, split_prob=0.7, seed=42)
     b = build_random_regular(depth=4, delta=0.15, max_children=4, split_prob=0.7, seed=42)
-    assert [(x.a, x.b, x.level) for x in a.atoms] == [(x.a, x.b, x.level) for x in b.atoms]
+    assert [(x.a, x.b, x.level) for x in oracles.atoms(a)] == [(x.a, x.b, x.level) for x in oracles.atoms(b)]
 
 
 def test_json_roundtrip():
@@ -237,7 +236,7 @@ def test_json_roundtrip():
     assert [
         (x["id"], x["a"], x["b"], x["level"], x["parent"], tuple(x["children"]))
         for x in back["atoms"]
-    ] == [(x.id, x.a, x.b, x.level, x.parent, x.children) for x in filt.atoms]
+    ] == [(x.id, x.a, x.b, x.level, x.parent, x.children) for x in oracles.atoms(filt)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,7 +250,7 @@ def test_random_regular_invariants(depth, delta_k, seed):
     filt = build_random_regular(depth, delta, k, split_prob=0.7, seed=seed)
     assert regularity_delta(filt) >= delta - 1e-12
     # leaves tile the unit interval
-    leaves = sorted((filt.atom(i) for i in oracles.leaves_of(filt)), key=lambda a: a.a)
+    leaves = sorted((oracles.atom(filt, i) for i in oracles.leaves_of(filt)), key=lambda a: a.a)
     assert leaves[0].a == 0.0
     assert leaves[-1].b == 1.0
     for left, right in zip(leaves, leaves[1:]):
@@ -269,8 +268,8 @@ def assert_same_tower(filt, ref):
     the canonical payload bytes of a tower equal the oracle tower's."""
     for name, column in oracles.columns_of(ref).items():
         assert getattr(filt, name).tolist() == column, name
-    assert [(x.id, x.a, x.b, x.level, x.parent, x.children) for x in filt.atoms] == [
-        (x.id, x.a, x.b, x.level, x.parent, x.children) for x in ref.atoms
+    assert [(x.id, x.a, x.b, x.level, x.parent, x.children) for x in oracles.atoms(filt)] == [
+        (x.id, x.a, x.b, x.level, x.parent, x.children) for x in oracles.atoms(ref)
     ]
     assert oracles.levels_of(filt) == ref.levels
     lay, ref_lay = filt.layout, ref.layout
@@ -348,7 +347,7 @@ def test_critical_equal_split_at_depth_twelve(delta, k, seed):
     filt = build_random_regular(depth=12, delta=delta, max_children=k, split_prob=0.7, seed=seed)
     assert regularity_delta(filt) < delta - 1e-12
     with pytest.raises(FiltrationError, match="below delta"):
-        oracles.AtomTower(delta=delta, depth=12, atoms=tuple(filt.atoms))
+        oracles.AtomTower(delta=delta, depth=12, atoms=tuple(oracles.atoms(filt)))
 
 
 def test_ratio_check_still_rejects_a_sub_delta_child():
@@ -481,11 +480,11 @@ def test_towers_start_at_their_roots():
 
 def test_single_tower_accessors_refuse_a_batch():
     batch = stack([build_dyadic(2), build_dyadic(2)])
-    reads = (lambda f: f.root, lambda f: f.interval, lambda f: f.total_measure, filtration_to_dict)
+    reads = (oracles.root, oracles.interval, lambda f: f.total_measure, filtration_to_dict)
     for read in reads:
         with pytest.raises(FiltrationError, match="a filtration of 2 towers has no single root"):
             read(batch)
-    assert stack([build_dyadic(2)]).interval == (0.0, 1.0)
+    assert oracles.interval(stack([build_dyadic(2)])) == (0.0, 1.0)
 
 
 def test_unlisted_atom_is_rejected():
@@ -498,12 +497,12 @@ def test_unlisted_atom_is_rejected():
 
 
 def test_atom_views_read_the_columns(dyadic2):
-    root = dyadic2.root
+    root = oracles.root(dyadic2)
     assert (root.id, root.a, root.b, root.level, root.parent, root.children) == (0, 0.0, 1.0, 0, None, (1, 4))
-    assert dyadic2.atom(-1).id == dyadic2.n_atoms - 1
-    assert len(dyadic2.atoms) == 7 and dyadic2.atoms[4].children == (5, 6)
+    assert oracles.atom(dyadic2, -1).id == dyadic2.n_atoms - 1
+    assert len(oracles.atoms(dyadic2)) == 7 and oracles.atoms(dyadic2)[4].children == (5, 6)
     with pytest.raises(IndexError):
-        dyadic2.atom(7)
+        oracles.atom(dyadic2, 7)
     assert not any(col.flags.writeable for col in (dyadic2.a, dyadic2.children))
 
 

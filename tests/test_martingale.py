@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from mblab.bellman import moment_table
 from mblab.corpus import random_transform, random_witness
 from mblab.filtration import (
-    Atom,
     build_dyadic,
     build_random_regular,
     level_partition,
@@ -18,7 +17,6 @@ from mblab.filtration import (
 )
 from mblab.martingale import (
     MartFunction,
-    PartitionError,
     _atom_steps,
     _averaging_matrices,
     _diagonal_steps,
@@ -27,16 +25,24 @@ from mblab.martingale import (
     _level_differences,
     _level_steps,
     _stacked_means,
-    cond_exp,
-    delta_split,
     inner,
     l2_norm,
     lp_norm,
-    restrict,
 )
 from mblab.transforms import _adjoint_stack, _transform_stack
 import oracles
-from oracles import SpanFed, average, event_draws_by_blocks, osc2, shift
+from oracles import (
+    Atom,
+    PartitionError,
+    SpanFed,
+    average,
+    cond_exp,
+    delta_split,
+    event_draws_by_blocks,
+    osc2,
+    restrict,
+    shift,
+)
 
 
 def rand_fn(filt, dim, seed):
@@ -52,20 +58,20 @@ def leaf_positions(filt):
 def test_constant_and_indicator(dyadic2):
     c = MartFunction(dyadic2, np.full((dyadic2.n_leaves, 2), [2.0, -1.0]))
     assert c.dim == 2
-    assert np.allclose(average(c, dyadic2.root.id), [2.0, -1.0])
-    left = dyadic2.atom(dyadic2.root.children[0])
+    assert np.allclose(average(c, oracles.root(dyadic2).id), [2.0, -1.0])
+    left = oracles.atom(dyadic2, oracles.root(dyadic2).children[0])
     vals = np.zeros((dyadic2.n_leaves, 1))
-    vals[dyadic2.leaf_slice(left.id)] = 1.0
+    vals[oracles.leaf_slice(dyadic2, left.id)] = 1.0
     ind = MartFunction(dyadic2, vals)
     assert inner(ind, ind) == pytest.approx(left.measure, abs=1e-15)
-    assert float(average(ind, dyadic2.root.id)[0]) == pytest.approx(0.5, abs=1e-15)
+    assert float(average(ind, oracles.root(dyadic2).id)[0]) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_average_is_measure_weighted(dyadic2):
     f = rand_fn(dyadic2, 1, 0)
-    root = dyadic2.root.id
+    root = oracles.root(dyadic2).id
     manual = sum(
-        dyadic2.atom(leaf).measure * f.values[pos]
+        oracles.atom(dyadic2, leaf).measure * f.values[pos]
         for leaf, pos in leaf_positions(dyadic2).items()
     )
     assert np.allclose(average(f, root), manual, atol=1e-15)
@@ -112,31 +118,31 @@ def test_persisting_atoms_cancel_exactly(kernel_tower):
         coarse = cond_exp(f, level_partition(kernel_tower, n)).values
         fine = cond_exp(f, level_partition(kernel_tower, n + 1)).values
         for atom_id in level_partition(kernel_tower, n):
-            if kernel_tower.atom(atom_id).is_leaf:
-                sl = kernel_tower.leaf_slice(atom_id)
+            if oracles.atom(kernel_tower, atom_id).is_leaf:
+                sl = oracles.leaf_slice(kernel_tower, atom_id)
                 assert np.all(fine[sl] == coarse[sl])
 
 
 def test_cond_exp_rejects_non_partition(dyadic2):
     f = rand_fn(dyadic2, 1, 3)
-    left = dyadic2.root.children[0]
+    left = oracles.root(dyadic2).children[0]
     with pytest.raises(PartitionError):
         cond_exp(f, [left])  # does not cover the interval
     with pytest.raises(PartitionError):
-        cond_exp(f, [dyadic2.root.id, left])  # overlaps
+        cond_exp(f, [oracles.root(dyadic2).id, left])  # overlaps
 
 
 def test_delta_split_mean_zero_and_support(dyadic3):
     f = rand_fn(dyadic3, 2, 4)
     for ev in split_schedule(dyadic3):
         d = delta_split(f, ev)
-        atom = dyadic3.atom(ev.atom)
+        atom = oracles.atom(dyadic3, ev.atom)
         # vanishes off the split atom, exactly
         for leaf in oracles.leaves_of(dyadic3):
-            la = dyadic3.atom(leaf)
+            la = oracles.atom(dyadic3, leaf)
             if not (atom.a <= la.a and la.b <= atom.b):
                 assert np.all(d.values[leaf_positions(dyadic3)[leaf]] == 0.0)
-        assert np.allclose(average(d, dyadic3.root.id), 0.0, atol=1e-15)
+        assert np.allclose(average(d, oracles.root(dyadic3).id), 0.0, atol=1e-15)
         # constant on each child: the value is child mean minus parent mean
         for child in atom.children:
             expect = average(f, child) - average(f, atom.id)
@@ -148,17 +154,17 @@ def test_delta_splits_telescope_to_centered_function(dyadic3):
     acc = np.zeros_like(f.values)
     for ev in split_schedule(dyadic3):
         acc += delta_split(f, ev).values
-    centered = f.values - average(f, dyadic3.root.id)
+    centered = f.values - average(f, oracles.root(dyadic3).id)
     assert np.allclose(acc, centered, atol=1e-13)
 
 
 def test_osc2_matches_variance_definition(dyadic3):
     f = rand_fn(dyadic3, 2, 6)
-    for atom in dyadic3.atoms:
+    for atom in oracles.atoms(dyadic3):
         mean = average(f, atom.id)
         acc = 0.0
         for leaf in oracles.leaves_of(dyadic3):
-            la = dyadic3.atom(leaf)
+            la = oracles.atom(dyadic3, leaf)
             if atom.a <= la.a and la.b <= atom.b:
                 acc += la.measure * float(np.sum((f.values[leaf_positions(dyadic3)[leaf]] - mean) ** 2))
         assert osc2(f, atom.id) == pytest.approx(acc / atom.measure, rel=1e-12, abs=1e-15)
@@ -168,13 +174,13 @@ def test_osc2_series_identity(dyadic3):
     # squared oscillation over J equals the weighted sum of squared
     # single-split differences supported inside J
     f = rand_fn(dyadic3, 1, 7)
-    for atom in dyadic3.atoms:
+    for atom in oracles.atoms(dyadic3):
         if atom.is_leaf:
             assert osc2(f, atom.id) == pytest.approx(0.0, abs=1e-15)
             continue
         acc = 0.0
         for ev in split_schedule(dyadic3):
-            q = dyadic3.atom(ev.atom)
+            q = oracles.atom(dyadic3, ev.atom)
             if atom.a <= q.a and q.b <= atom.b:
                 d = delta_split(f, ev)
                 acc += inner(d, d)
@@ -222,11 +228,11 @@ def test_event_draws_match_full_block_route(monkeypatch, kernel_tower, rows_per_
 
 def test_restrict_cuts_support(dyadic2):
     f = rand_fn(dyadic2, 1, 8)
-    left = dyadic2.root.children[0]
+    left = oracles.root(dyadic2).children[0]
     cut = restrict(f, left)
-    la = dyadic2.atom(left)
+    la = oracles.atom(dyadic2, left)
     for leaf in oracles.leaves_of(dyadic2):
-        leaf_atom = dyadic2.atom(leaf)
+        leaf_atom = oracles.atom(dyadic2, leaf)
         inside = la.a <= leaf_atom.a and leaf_atom.b <= la.b
         at = leaf_positions(dyadic2)[leaf]
         if inside:
@@ -242,7 +248,7 @@ def test_norms_and_inner(dyadic2):
     g = rand_fn(dyadic2, 3, 10)
     assert abs(inner(f, g)) <= l2_norm(f) * l2_norm(g) + 1e-12
     dot = np.einsum("ij,ij->i", f.values, g.values)
-    assert inner(f, g) == pytest.approx(float(np.dot(dyadic2.leaf_measures(), dot)), rel=1e-13)
+    assert inner(f, g) == pytest.approx(float(np.dot(dyadic2.layout.measures, dot)), rel=1e-13)
 
 
 def test_shift_adds_a_constant_vector(dyadic2):
@@ -265,7 +271,7 @@ def test_lp_norm_survives_large_exponents(dyadic3, p):
     f = rand_fn(dyadic3, 2, 14)
     f = f * (5.0 / np.max(np.linalg.norm(f.values, axis=1)))
     mags = np.linalg.norm(f.values, axis=1)
-    scaled = 5.0 * float(dyadic3.leaf_measures() @ (mags / 5.0) ** p) ** (1.0 / p)
+    scaled = 5.0 * float(dyadic3.layout.measures @ (mags / 5.0) ** p) ** (1.0 / p)
     assert lp_norm(f, p) == pytest.approx(scaled, rel=1e-12)
     assert lp_norm(f, p) < 5.0
     # all of |f|^p underflowing to 0 takes the same route
@@ -292,7 +298,7 @@ def test_inner_is_bilinear(vals, w):
 def test_jensen_for_averages(vals):
     filt = build_dyadic(2)
     f = MartFunction(filt, vals)
-    root = filt.root.id
+    root = oracles.root(filt).id
     assert abs(float(average(f, root)[0])) <= lp_norm(f, 2.0) + 1e-9
 
 
@@ -329,13 +335,12 @@ def _assert_kernel_matches_levels(filt, dim, seed):
     L = filt.n_leaves
     for lead in [(), (3,), (2, 2)]:
         values = rng.normal(size=(*lead, L, dim)) * np.exp(rng.normal(size=(*lead, L, dim)))
-        w = oracles._weighted(filt, values)
         means = _stacked_means(filt, values)
-        per_level = [oracles._level_means(filt, w, n) for n in range(filt.depth + 1)]
+        per_level = [oracles._level_means(filt, values, n) for n in range(filt.depth + 1)]
         _assert_same_bits(means, np.concatenate(per_level, axis=-2))
         for n in range(filt.depth + 1):
             expectation = np.take(means, lay.stacked_maps[n], axis=-2)
-            _assert_same_bits(expectation, oracles._level_expectation(filt, w, n))
+            _assert_same_bits(expectation, oracles._level_expectation(filt, values, n))
         steps = _level_steps(filt, means)
         ref = list(oracles._level_differences(filt, values))
         for n, diff in enumerate(ref, start=1):

@@ -1,8 +1,10 @@
 """The public surface: every name a module exports resolves, the package
 root re-exports only exported names, every exported name has a caller
-outside its own module, in ``src/mblab`` or ``perfbench/``, unless it is
-a named test oracle or awaits a planned caller, and the benchmark's traced
-runs still find and call what they bind."""
+outside its own module, in ``src/mblab`` or ``perfbench/``, unless it
+awaits a planned caller, every function, class and method the package
+defines is named outside its own definition, so that test-only code lives
+in ``tests/oracles.py``, and the benchmark's traced runs still find and
+call what they bind."""
 
 import ast
 import importlib
@@ -20,16 +22,14 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mblab"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
 
-# Exported without a caller in the code: the tests compare production
-# routes against these.  The package root does not re-export them.
-ORACLES = {
-    "martingale.cond_exp",
-    "martingale.restrict",
-    "transforms.operator_norm",
-}
 # The two halves of the rescaling route have no caller yet; ROADMAP item 6
 # gives them one, an `mblab rescale` command.
 AWAITING_CALLER = {"bellman.estimate_rescale_constant", "bellman.recombine_slack"}
+# Methods the benchmark's tracer binds by their names as strings only.
+BENCHMARK_BINDS = {
+    "transforms.MartingaleTransform.matrix_apply",
+    "transforms.MartingaleTransform.adjoint_apply",
+}
 
 
 def _exports():
@@ -70,21 +70,25 @@ def test_root_reexports_only_exported_names():
         if not attr.startswith("_") and not isinstance(value, ModuleType)
     }
     assert public - exported == set()
-    assert public & {qualified.split(".")[1] for qualified in ORACLES} == set()
 
 
-def test_every_export_has_a_caller_or_is_an_oracle():
-    files = [
+def _files() -> list[Path]:
+    """The package's modules but ``__init__.py``, and the benchmark's."""
+    return [
         path
         for folder in (PACKAGE, ROOT / "perfbench")
         for path in folder.rglob("*.py")
         if path.name != "__init__.py"
     ]
+
+
+def test_every_export_has_a_caller():
+    files = _files()
     refs = {path: _references(path) for path in files}
     orphans = []
     for name, _, export in _exports():
         qualified = f"{name}.{export}"
-        if qualified in ORACLES | AWAITING_CALLER:
+        if qualified in AWAITING_CALLER:
             continue
         own = PACKAGE / f"{name}.py"
         if not any(
@@ -94,10 +98,63 @@ def test_every_export_has_a_caller_or_is_an_oracle():
     assert orphans == []
 
 
-def test_exempt_names_are_exported():
-    # an exemption outlives its name only by mistake
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(path: Path):
+    """(qualified name, node) of every module-level function and class of a
+    module and every method of its classes but the dunders."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, _DEFS):
+            yield f"{path.stem}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, _DEFS[:2]) and not item.name.startswith("__"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item
+
+
+def _named(path: Path) -> list[tuple[str, int]]:
+    """(identifier, line) of every import, name and attribute in a file.
+    String constants do not count, the tracer's metric names among them."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out.append((node.name.rsplit(".", 1)[-1], node.lineno))
+    return out
+
+
+def _unnamed() -> list[str]:
+    """The package's definitions that no import, name or attribute outside
+    their own definition names, in ``src/mblab`` or ``perfbench/``."""
+    files = _files()
+    named = {path: _named(path) for path in files}
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, node in _definitions(path):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                ident == node.name and not (other == path and line in own)
+                for other in files
+                for ident, line in named[other]
+            ):
+                out.append(qualified)
+    return out
+
+
+def test_every_definition_is_named_outside_itself():
+    # code only the tests call belongs in tests/oracles.py
+    assert [q for q in _unnamed() if q not in AWAITING_CALLER | BENCHMARK_BINDS] == []
+
+
+def test_exempt_names_are_defined():
+    # an exemption outlives its name, or the lack of a caller, only by mistake
     exported = {f"{name}.{export}" for name, _, export in _exports()}
-    assert ORACLES | AWAITING_CALLER <= exported
+    assert AWAITING_CALLER <= exported
+    assert AWAITING_CALLER | BENCHMARK_BINDS <= set(_unnamed())
 
 
 @pytest.mark.parametrize("workload", ["deep_tower", "corpus_sweep", "cli_session"])

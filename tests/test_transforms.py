@@ -16,24 +16,29 @@ from mblab.bellman import Witness
 from mblab.checks import restriction_identity_gaps
 from mblab.corpus import active_split_function, max_children_for, random_transform
 from mblab.filtration import build_dyadic, build_random_regular, level_partition, split_schedule
-from mblab.martingale import (
-    MartFunction,
-    delta_split,
-    inner,
-    l2_norm,
-    restrict,
-)
+from mblab.martingale import MartFunction, inner, l2_norm
 from mblab.reporting import to_canonical_json
 from mblab.transforms import (
     MartingaleTransform,
     PredictabilityError,
     make_transform,
-    operator_norm,
     predictable_hull,
     split_multiplier_norm,
     transform_to_dict,
 )
-from oracles import _level_differences, average, leaves_of, level_map, levels_of, osc2, shift
+import oracles
+from oracles import (
+    _level_differences,
+    average,
+    delta_split,
+    leaves_of,
+    level_map,
+    levels_of,
+    operator_norm,
+    osc2,
+    restrict,
+    shift,
+)
 
 
 def ones_transform(filt, dim=1):
@@ -63,10 +68,10 @@ def test_non_finite_multipliers_are_refused(dyadic2, bad):
     # NaN fails every comparison, so a plain "> 1" test would let it through
     mults = np.zeros((3, 2))
     mults[0, 1] = bad
-    root = dyadic2.root.id
+    root = oracles.root(dyadic2).id
     with pytest.raises(PredictabilityError, match=f"level 1 .* atom {root} is not finite"):
         make_transform(dyadic2, mults)
-    child = dyadic2.root.children[1]
+    child = oracles.root(dyadic2).children[1]
     mults = np.zeros((3, 2))
     mults[2, 0] = bad
     with pytest.raises(PredictabilityError, match=f"level 2 .* atom {child} is not finite"):
@@ -116,7 +121,7 @@ def test_invariant_under_constant_shift(dyadic3):
     rng = np.random.default_rng(2)
     op = random_transform(dyadic3, 2, rng)
     f = rand_fn(dyadic3, 2, 3)
-    shifted = shift(f, average(f, dyadic3.root.id) * -1.0)
+    shifted = shift(f, average(f, oracles.root(dyadic3).id) * -1.0)
     assert np.allclose(op.apply(f).values, op.apply(shifted).values, atol=1e-13)
 
 
@@ -138,7 +143,7 @@ def split_multiplier_max(op):
     for n in range(1, filt.depth + 1):
         rows = op.multipliers[offsets[n - 1] : offsets[n]]
         for row, atom_id in zip(rows, levels_of(filt)[n - 1]):
-            atom = filt.atom(atom_id)
+            atom = oracles.atom(filt, atom_id)
             if atom.children and atom.level == n - 1:
                 best = max(best, float(np.linalg.norm(row)))
     return best
@@ -226,11 +231,11 @@ def test_localization_single_split_input(dyadic3):
     op = random_transform(dyadic3, 2, rng)
     f = rand_fn(dyadic3, 2, 12)
     for ev in split_schedule(dyadic3):
-        atom = dyadic3.atom(ev.atom)
+        atom = oracles.atom(dyadic3, ev.atom)
         piece = delta_split(f, ev)
         out = op.apply(piece)
         for leaf in leaves_of(dyadic3):
-            la = dyadic3.atom(leaf)
+            la = oracles.atom(dyadic3, leaf)
             if not (atom.a <= la.a and la.b <= atom.b):
                 assert abs(float(out.values[leaf_positions(dyadic3)[leaf], 0])) <= 1e-12
 
@@ -243,9 +248,9 @@ def test_predictable_support_containment():
     out = op.apply(f)
     keep = set()
     for aid in active:
-        atom = filt.atom(aid)
+        atom = oracles.atom(filt, aid)
         for leaf in leaves_of(filt):
-            la = filt.atom(leaf)
+            la = oracles.atom(filt, leaf)
             if atom.a <= la.a and la.b <= atom.b:
                 keep.add(leaf)
     for leaf in leaves_of(filt):
@@ -265,7 +270,7 @@ def test_predictable_hull_is_contained_in_active_levels():
     # difference is above the threshold
     threshold = 1e-12 * max(1.0, float(np.max(np.abs(f.values))))
     expected = [
-        np.max(np.abs(diff[filt.leaf_slice(atom_id)])) > threshold
+        np.max(np.abs(diff[oracles.leaf_slice(filt, atom_id)])) > threshold
         for n, diff in enumerate(_level_differences(filt, f.values), start=1)
         for atom_id in levels_of(filt)[n - 1]
     ]
@@ -277,11 +282,11 @@ def test_restriction_bound_one_sided(dyadic3):
     op = random_transform(dyadic3, 1, rng)
     g = rand_fn(dyadic3, 1, 18)
     tstar = op.adjoint_apply(g)
-    root = dyadic3.root.id
+    root = oracles.root(dyadic3).id
     for ev in split_schedule(dyadic3):
         if ev.atom == root:
             continue
-        atom = dyadic3.atom(ev.atom)
+        atom = oracles.atom(dyadic3, ev.atom)
         local = osc2(tstar, atom.id)
         cut = op.adjoint_apply(restrict(g, atom.id))
         glob = osc2(cut, root) / atom.measure
@@ -292,14 +297,14 @@ def test_restriction_equality_fails_in_general(dyadic2):
     # ancestor splits feed the global side: cutting g to the left half and
     # rescaling retains the root-level jump the local oscillation never sees
     op = ones_transform(dyadic2)
-    left = dyadic2.root.children[0]
+    left = oracles.root(dyadic2).children[0]
     values = np.zeros((dyadic2.n_leaves, 1))
-    values[dyadic2.leaf_slice(left)] = 1.0
+    values[oracles.leaf_slice(dyadic2, left)] = 1.0
     g = MartFunction(dyadic2, values)  # the indicator of J
     tstar = op.adjoint_apply(g)
     local = osc2(tstar, left)
     cut = op.adjoint_apply(restrict(g, left))
-    glob = osc2(cut, dyadic2.root.id) / dyadic2.atom(left).measure
+    glob = osc2(cut, oracles.root(dyadic2).id) / oracles.atom(dyadic2, left).measure
     assert local == pytest.approx(0.0, abs=1e-15)
     assert glob == pytest.approx(0.5, abs=1e-12)
 
@@ -307,10 +312,10 @@ def test_restriction_equality_fails_in_general(dyadic2):
     # the uncentered gap is exactly <g>_J^2 ||T* 1_J||^2 / |J|
     mean = float(average(g, left)[0])
     centered_cut = op.adjoint_apply(restrict(shift(g, -mean), left))
-    centered = osc2(centered_cut, dyadic2.root.id) / dyadic2.atom(left).measure
+    centered = osc2(centered_cut, oracles.root(dyadic2).id) / oracles.atom(dyadic2, left).measure
     assert centered == pytest.approx(local, abs=1e-15)
     ones = op.adjoint_apply(g)
-    defect = mean**2 * inner(ones, ones) / dyadic2.atom(left).measure
+    defect = mean**2 * inner(ones, ones) / oracles.atom(dyadic2, left).measure
     assert defect == pytest.approx(0.5, abs=1e-12)
     assert glob - local == pytest.approx(defect, abs=1e-12)
     f = MartFunction(dyadic2, np.zeros((dyadic2.n_leaves, op.dim)))  # the probe reads no f
@@ -321,7 +326,7 @@ def test_adjoint_mean_vanishes(dyadic3):
     rng = np.random.default_rng(19)
     op = random_transform(dyadic3, 2, rng)
     g = rand_fn(dyadic3, 1, 20)
-    assert np.allclose(average(op.adjoint_apply(g), dyadic3.root.id), 0.0, atol=1e-14)
+    assert np.allclose(average(op.adjoint_apply(g), oracles.root(dyadic3).id), 0.0, atol=1e-14)
 
 
 ROUNDTRIP_TOWERS = {
