@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -119,7 +119,7 @@ class MomentTable:
         whose x2 lies below roundoff of zero."""
         ids = np.arange(len(self.g2))[atoms]
         x2 = self.points[ids, -3]
-        bad = np.flatnonzero(x2 < -1e-12 * np.maximum(self.g2[ids], 1.0))
+        bad = (x2 < -1e-12 * np.maximum(self.g2[ids], 1.0)).nonzero()[0]
         if bad.size:
             raise ArithmeticError(
                 f"negative x2 = {float(x2[bad[0]]):.3e} at atom {int(ids[bad[0]])}; "
@@ -150,7 +150,7 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     means = _stacked_means(filt, columns)
     below = lay.level_offsets[-2]  # rows of levels 0..N-1
 
-    centered = np.take(means[:, dim : 2 * dim], lay.stacked_maps, axis=0)
+    centered = means[:, dim : 2 * dim].take(lay.stacked_maps, axis=0)
     np.subtract(tstar_g.values, centered, out=centered)
     osc2 = _diagonal_sums(filt, np.einsum("nij,nij->ni", centered, centered)[..., None])[:, 0]
     del centered
@@ -160,7 +160,7 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     steps = _level_steps(filt, means[:, : 2 * dim + 1])
     df, dg = steps[:, :dim], steps[:, dim : 2 * dim]
     pair = np.column_stack((np.einsum("ij,ij->i", dg, dg), np.einsum("ij,ij->i", df, dg)))
-    pair_means = _diagonal_sums(filt, np.take(pair, lay.stacked_maps[1:], axis=0))
+    pair_means = _diagonal_sums(filt, pair.take(lay.stacked_maps[1:], axis=0))
     pair_means /= lay.stacked_measures[:below, None]
     kids_x2 = np.add.reduceat(lay.stacked_measures * x2, lay.stacked_children)
     gain = kids_x2 / lay.stacked_measures[:below] - x2[:below]
@@ -170,18 +170,17 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     rows[lay.stacked_atoms] = np.column_stack(
         (means[:, :dim], x2, means[:, -2:], means[:, -3], means[:, dim : 2 * dim + 1], osc2)
     )
-    points, g2, tstar_mean, g_mean, osc2 = np.hsplit(rows, np.cumsum([dim + 3, 1, dim, 1]))
     events = lay.stacked_maps[lay.event_levels, lay.event_spans[:, 0]]
     return MomentTable(
         p=p,
-        points=points,
-        g2=g2[:, 0],
-        tstar_mean=tstar_mean,
-        osc2=osc2[:, 0],
+        points=rows[:, : dim + 3],
+        g2=rows[:, dim + 3],
+        tstar_mean=rows[:, dim + 4 : 2 * dim + 4],
+        osc2=rows[:, 2 * dim + 5],
         d=np.sqrt(np.maximum(pair_means[events, 0], 0.0)),
         pairing=pair_means[events, 1],
         x2_gain=gain[events],
-        g_mean=g_mean[:, 0],
+        g_mean=rows[:, 2 * dim + 4],
         steps=steps,
     )
 
@@ -242,6 +241,15 @@ class Witness:
         cut_osc, _ = _cut_adjoints(self.op, chains, self.g.values[:, 0], np.zeros(len(measures)))
         atoms = filt.layout.event_atoms[filt.layout.event_levels > 0]
         return table.g_mean[atoms], table.osc2[atoms], (filt.total_measure / measures) * cut_osc
+
+
+# The witness of the last (f, g, T, p) asked for, kept for the next call:
+# ``checks.run_all`` then ``certifier.certify`` on one triple derive T f,
+# T* g and the table once between them.  Functions and transforms are
+# immutable and compare by identity, so another object or another p misses;
+# ``typed`` keeps p = 2 and p = 2.0 apart.  One entry holds at most one
+# witness beyond what callers hold.
+_shared_witness = lru_cache(maxsize=1, typed=True)(Witness)
 
 
 def in_bellman_domain(x: np.ndarray, p: float, tol: Values = _DOMAIN_TOL) -> np.ndarray:
@@ -753,7 +761,7 @@ def estimate_rescale_constant(
     terms = zip(_split_terms(cand, sampled), _split_terms(cand, adv))
     base, d_diam, kid_sum = map(np.concatenate, terms)
     slack, gap = base - d_diam - kid_sum, base - kid_sum
-    odd = np.flatnonzero(~np.isfinite(slack))
+    odd = (~np.isfinite(slack)).nonzero()[0]
     if len(odd):
         i = int(odd[0])
         raise RuntimeError(
@@ -761,7 +769,7 @@ def estimate_rescale_constant(
             f" {i} has the non-finite slack {slack[i]}"
         )
     floor = 1e-9 * np.maximum(1.0, np.abs(base))
-    failing = np.flatnonzero(slack < -floor)
+    failing = (slack < -floor).nonzero()[0]
     constant, worst = 1.0, None
     if len(failing):
         stuck = failing[gap[failing] <= floor[failing]]

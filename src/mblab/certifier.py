@@ -36,7 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import BellmanCandidate, Witness, _diameters, _point_fields, _weighted_sums
+from .bellman import (
+    BellmanCandidate,
+    Witness,
+    _diameters,
+    _point_fields,
+    _shared_witness,
+    _weighted_sums,
+)
 from .filtration import Filtration, _Lazy, level_partition
 from .martingale import MartFunction, inner
 from .reporting import Verbatim, _enclosed, _format_columns, _format_number
@@ -120,7 +127,7 @@ class Certificate:
 def _running_sum(terms: np.ndarray) -> float:
     """0.0 + terms[0] + terms[1] + ..., added in order as a loop would;
     ``np.sum`` adds pairwise and rounds differently."""
-    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+    return float(np.concatenate(([0.0], terms)).cumsum()[-1])
 
 
 def certify(
@@ -138,9 +145,11 @@ def certify(
     exact identity (displacement accounting, telescoping) fails beyond
     roundoff, and ArithmeticError on an x2 below roundoff of zero.  Candidate
     violations (negative slack, negative leaf value, broken pairing
-    domination) do not raise; they mark the certificate failed.
+    domination) do not raise; they mark the certificate failed.  The
+    witness is the one ``checks.run_all`` shares: after ``run_all`` on the
+    same objects at p = 2 it arrives with T f, T* g and the table derived.
     """
-    witness, filt = Witness(f, g, op, cand.p), f.filtration
+    witness, filt = _shared_witness(f, g, op, cand.p), f.filtration
     if cand.delta > filt.delta + 1e-12:
         raise ValueError(
             f"candidate floor delta={cand.delta:g} exceeds the filtration's "
@@ -156,7 +165,7 @@ def certify(
     # Exact identity: the x2 drop across every split equals d^2.
     d_sq = table.d * table.d
     scale = np.maximum(1.0, np.maximum(np.abs(table.points[lay.event_atoms, -3]), d_sq))
-    broken = np.flatnonzero(~(np.abs(table.x2_gain - d_sq) <= 1e-9 * scale))
+    broken = (~(np.abs(table.x2_gain - d_sq) <= 1e-9 * scale)).nonzero()[0]
     if broken.size:
         e = broken[0]
         raise CertificationError(
@@ -169,7 +178,7 @@ def certify(
     # Children as an (events, max children) grid, row e holding event e's
     # children in order; the cells past an event's count hold atom 0 and
     # are masked out by ``has``.
-    counts = np.diff(lay.event_child_starts)
+    counts = lay.event_child_starts[1:] - lay.event_child_starts[:-1]
     has = np.arange(counts.max()) < counts[:, None]
     kids = np.zeros(has.shape, dtype=np.intp)
     kids[has] = lay.event_children
@@ -193,7 +202,7 @@ def certify(
     leaf_bad = leaf_values < -tol * np.maximum(1.0, np.abs(leaf_values))
 
     failures: list[str] = []
-    flagged = np.flatnonzero(pairing_bad | slack_bad)
+    flagged = (pairing_bad | slack_bad).nonzero()[0]
     for e in flagged.tolist():
         atom_id = int(lay.event_atoms[e])
         if pairing_bad[e]:
@@ -205,7 +214,7 @@ def certify(
             failures.append(f"negative split slack at atom {atom_id}: {float(slack[e]):.6g}")
     for leaf_id, val in zip(leaves[leaf_bad].tolist(), leaf_values[leaf_bad].tolist()):
         failures.append(f"negative candidate value on leaf atom {leaf_id}: {val:.6g}")
-    odd = np.flatnonzero(~np.isfinite(values))
+    odd = (~np.isfinite(values)).nonzero()[0]
     if odd.size:
         first = f"first atom {odd[0]}: {values[odd[0]]}"
         failures.append(f"non-finite candidate value on {odd.size} atoms, {first}")
@@ -252,7 +261,7 @@ def _block_bounds(sizes: np.ndarray) -> list[int]:
     floats a run: the runs end where the running count passes evenly spaced
     marks, at least ``_BLOCK`` and twice the largest item apart, so each run
     holds more than half the spacing (and at least ``_KERNEL_MIN``)."""
-    ends = np.cumsum(sizes)
+    ends = sizes.cumsum()
     n_blocks = max(1, int(ends[-1]) // max(_BLOCK, 2 * int(sizes.max())))
     marks = ends[-1] * np.arange(1, n_blocks) / n_blocks
     return [0, *(np.searchsorted(ends, marks) + 1).tolist(), len(sizes)]

@@ -11,11 +11,13 @@ and the L2 contraction.
 ``run_suites`` runs the suites on one witness, and every suite reads T* g
 (once, through the closed form ``adjoint_closed_form``) and every atom
 mean, step and oscillation of f, g and T* g from it, the last from the
-moment table's one stacked pass; ``run_all`` wraps (f, g, T) in a witness
-at p = 2 first.  The two probes read the same witness, so a caller that
-hands one witness to the certifier, the suites and the probes derives
-each of its objects once.  T f goes through the multiplier formula
-``apply``; no suite builds the dense matrix.
+moment table's one stacked pass; ``run_all`` takes the witness of (f, g,
+T) at p = 2 first.  ``run_all`` and ``certifier.certify`` share one witness
+per (f, g, T, p), the last one ``bellman`` was asked for, so the pair on
+one triple derives T f, T* g and the table once.  The two probes read the
+same witness, so a caller that hands one witness to the certifier, the
+suites and the probes derives each of its objects once.  T f goes through
+the multiplier formula ``apply``; no suite builds the dense matrix.
 The dense routes (``matrix_apply``, ``adjoint_apply``, and the SVD norm
 in ``tests/oracles.py``) are test oracles: the tests compare them with the
 production routes, on the whole acceptance corpus among others.
@@ -67,8 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import Witness, conjugate_exponent
-from .filtration import Filtration, _segments, level_partition
+from .bellman import Witness, _shared_witness, conjugate_exponent
+from .filtration import Filtration, _segments
 from .martingale import (
     MartFunction,
     _diagonal_steps,
@@ -155,14 +157,14 @@ def check_projections(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
     m = lay.measures
     scale = max(1.0, l2_norm(f) ** 2)
     aux = random_function(filt, f.dim, rng)
-    pieces = np.take(table.steps[:, : f.dim], lay.stacked_maps[1:], axis=0)
+    pieces = table.steps[:, : f.dim].take(lay.stacked_maps[1:], axis=0)
     other = _level_differences(filt, aux.values)
 
     top = lay.level_offsets[1]
-    idem = float(np.max(np.abs(_diagonal_steps(filt, pieces)[top:] - table.steps[top:, : f.dim])))
+    idem = float(np.abs(_diagonal_steps(filt, pieces)[top:] - table.steps[top:, : f.dim]).max())
     lhs = _diagonal_sums(filt, np.einsum("nij,ij->ni", pieces, aux.values))
     rhs = _diagonal_sums(filt, np.einsum("ij,nij->ni", f.values, other))
-    selfadj = float(np.max(np.abs(lhs - rhs)))
+    selfadj = float(np.abs(lhs - rhs).max())
 
     ortho = 0.0
     for n in range(1, filt.depth):
@@ -172,11 +174,11 @@ def check_projections(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
                 np.einsum("ij,kij->ki", pieces[n], other[:n]),
             )
         )
-        ortho = max(ortho, float(np.max(np.abs(_atom_sums(filt, m * pairs, n)))))
+        ortho = max(ortho, float(np.abs(_atom_sums(filt, m * pairs, n)).max()))
 
     total = pieces.sum(axis=0)
     centered = f.values - table.points[0, : f.dim]  # the root is atom 0
-    tele = float(np.max(np.abs(total - centered)))
+    tele = float(np.abs(total - centered).max())
 
     return [
         _row("projection_idempotent", idem, tol.tight, "delta applied twice"),
@@ -209,19 +211,20 @@ def check_localization(w: Witness, tol: Tolerances, rng: np.random.Generator) ->
         # of row n of the draws: on J's leaves, the step of their A_{n+1}
         # row.  Each piece's sum over J is J's segment of its row.
         steps = _diagonal_steps(filt, draws[1:], first=1)
-        pieces = np.take(steps, lay.stacked_maps[2:], axis=0)
+        pieces = steps.take(lay.stacked_maps[2:], axis=0)
         sums = _diagonal_sums(filt, pieces, 1)[chains.rows - lay.level_offsets[1]]
         _, rings = _ancestor_values(chains.mults, sums[:, None, :] / chains.measures[..., None])
         nonempty = chains.measures[:, :-1] > chains.measures[:, 1:]
-        outside = float(np.max(np.abs(rings.sum(axis=-1)[nonempty]), initial=0.0))
+        outside = float(np.abs(rings.sum(axis=-1)[nonempty]).max(initial=0.0))
 
     # On an atom J split at level n, the level-n difference is J's split
     # difference, and T* multiplies it by the level-(n+1) multiplier of J:
     # row by row, the step of T* g is a_{n+1}(J) times the step of g.
-    dtg, dsg = np.hsplit(w.table.steps[:, w.f.dim :], [w.f.dim])
+    dim = w.f.dim
+    dtg, dsg = w.table.steps[:, dim : 2 * dim], w.table.steps[:, 2 * dim :]
     below = lay.level_offsets[1]  # the root row has no step
     err = dtg[below:] - op.step_multipliers[below:] * dsg[below:]
-    commute = float(np.max(np.abs(err)))
+    commute = float(np.abs(err).max())
     return [
         _row("localization_support", outside, tol.exact, "T of split piece outside atom"),
         _row("localization_adjoint", commute, tol.tight, "adjoint split vs multiplier"),
@@ -240,10 +243,12 @@ def check_support(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     spans = lay.spans[ids]
     covered = np.zeros(filt.n_leaves, dtype=bool)
     covered[_segments(spans[:, 0], spans[:, 1] - spans[:, 0])[0]] = True
-    err = float(np.max(np.abs(th.values[~covered]), initial=0.0))
+    err = float(np.abs(th.values[~covered]).max(initial=0.0))
 
     hull = predictable_hull(h)
-    hull_err = float(np.count_nonzero(hull & ~np.isin(lay.stacked_atoms[: len(hull)], ids)))
+    inside = np.zeros(filt.n_atoms, dtype=bool)
+    inside[ids] = True
+    hull_err = float(np.count_nonzero(hull & ~inside[lay.stacked_atoms[: len(hull)]]))
     return [
         _row("support_containment", err, tol.exact, f"{len(active)} active atoms"),
         _row("support_hull", hull_err, 0.0, "hull atoms outside the active set"),
@@ -254,26 +259,27 @@ def check_osc_series(w: Witness, tol: Tolerances, rng: np.random.Generator) -> l
     """Mean squared oscillation over an atom equals the normalized sum of
     squared split differences of atoms inside it.
 
-    The series is summed up the tree level by level: each A_{n+1} atom lies
-    inside the A_n atom that holds its first leaf, and an A_n atom splits
-    when it holds more than one A_{n+1} atom.
+    The series is summed up the tree level by level, on the stacked rows
+    of A_0..A_{N-1}: each row holds its own pieces and adds its children's
+    series in child order, one ``bincount`` per level.  A row splits when
+    it has more than one child; all rows are compared at once.
     """
     filt, dim = w.f.filtration, w.f.dim
     lay = filt.layout
-    osc2 = w.table.osc2
+    off = lay.level_offsets
     steps = w.table.steps[:, dim : 2 * dim]
-    sq = np.take(np.einsum("ij,ij->i", steps, steps), lay.stacked_maps[1:], axis=0)
-    piece_sums = _diagonal_sums(filt, sq)
-    series = np.zeros(filt.n_leaves)
-    err = 0.0
-    for n in range(filt.depth - 1, -1, -1):
-        piece_sq = piece_sums[lay.level_offsets[n] : lay.level_offsets[n + 1]]
-        container = lay.stacked_maps[n][lay.level_starts[n + 1]] - lay.level_offsets[n]
-        series = piece_sq + np.bincount(container, weights=series, minlength=len(piece_sq))
-        split = np.bincount(container, minlength=len(piece_sq)) > 1
-        direct = osc2[level_partition(filt, n)[split]]
-        rel = np.abs(direct - series[split] / lay.level_measures[n][split]) / np.maximum(1.0, direct)
-        err = float(np.maximum(err, np.max(rel)))  # NaN stays
+    sq = np.einsum("ij,ij->i", steps, steps).take(lay.stacked_maps[1:], axis=0)
+    series = _diagonal_sums(filt, sq)
+    for n in range(filt.depth - 2, -1, -1):
+        lo, hi, end = off[n], off[n + 1], off[n + 2]
+        parents = lay.stacked_parents[hi:end] - lo
+        series[lo:hi] += np.bincount(parents, weights=series[hi:end], minlength=hi - lo)
+    below = off[filt.depth]  # the rows of A_0..A_{N-1}
+    split = np.bincount(lay.stacked_parents[off[1] :], minlength=below) > 1
+    direct = w.table.osc2[lay.stacked_atoms[:below][split]]
+    rel = np.abs(direct - series[split] / lay.stacked_measures[:below][split])
+    rel /= np.maximum(1.0, direct)
+    err = float(rel.max())  # NaN stays
     return [_row("osc_series", err, tol.tight, "series vs direct, relative")]
 
 
@@ -282,7 +288,7 @@ def check_x2_drop(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     x2 by exactly the squared displacement."""
     table = w.table
     d_sq = table.d * table.d
-    err = float(np.max(np.abs(table.x2_gain - d_sq) / np.maximum(1.0, d_sq), initial=0.0))
+    err = float((np.abs(table.x2_gain - d_sq) / np.maximum(1.0, d_sq)).max(initial=0.0))
     return [_row("x2_drop", err, tol.tight, "weighted x2 gain vs d^2, relative")]
 
 
@@ -291,13 +297,13 @@ def check_x2_sign(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     never exceeds the local second moment of g)."""
     table = w.table
     x2 = table.points[:, -3]
-    worst = float(np.min(x2 / np.maximum(table.g2, 1e-300), initial=0.0))
+    worst = float((x2 / np.maximum(table.g2, 1e-300)).min(initial=0.0))
     # max(x, 0.0) keeps a NaN x: the comparison fails and x is returned.
     rows = [_row("x2_sign", max(-worst, 0.0), tol.exact, "most negative x2, relative")]
     # root form keeps the squared mean of the adjoint on the right hand side;
     # a witness has one tower, whose root is atom 0
     root = 0
-    mean_sq = float(np.sum(table.tstar_mean[root] ** 2))
+    mean_sq = float((table.tstar_mean[root] ** 2).sum())
     rows.append(
         _row(
             "x2_root_mean_bound",
@@ -320,7 +326,7 @@ def check_restriction(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
     oracle.
     """
     _, local, glob = w.restriction_sides
-    worst = float(np.max((local - glob) / np.maximum(1.0, local), initial=0.0))
+    worst = float(((local - glob) / np.maximum(1.0, local)).max(initial=0.0))
     return [_row("restriction_bound", worst, tol.tight, "local minus rescaled global")]
 
 
@@ -348,11 +354,11 @@ def restriction_identity_gaps(w: Witness) -> tuple[float, float]:
     centered_osc, _ = _cut_adjoints(w.op, chains, w.g.values[:, 0], c)
     centered = (filt.total_measure / measures) * centered_osc
     scale = np.maximum(np.maximum(local, centered), 1e-30)
-    centered_worst = float(np.max(np.abs(local - centered) / scale, initial=0.0))
+    centered_worst = float((np.abs(local - centered) / scale).max(initial=0.0))
     _, ones_sq = _cut_adjoints(w.op, chains, np.ones(filt.n_leaves), np.zeros(len(c)))
     defect = c * c * ones_sq / measures
     gap = np.abs((glob - local) - defect) / np.maximum(1.0, defect)
-    return centered_worst, float(np.max(gap, initial=0.0))
+    return centered_worst, float(gap.max(initial=0.0))
 
 
 def hoelder_mean_margin(w: Witness) -> float:
@@ -376,7 +382,8 @@ def check_contraction(w: Witness, tol: Tolerances, rng: np.random.Generator) -> 
     f, g, tf = w.f, w.g, w.tf
     norm = split_multiplier_norm(w.op)
     ratio = l2_norm(tf) / max(l2_norm(f), 1e-300)
-    pair = abs(inner(tf, g) - inner(f, w.tstar_g)) / max(1.0, abs(inner(tf, g)))
+    tf_g = inner(tf, g)
+    pair = abs(tf_g - inner(f, w.tstar_g)) / max(1.0, abs(tf_g))
     return [
         _row("contraction_norm", max(norm - 1.0, 0.0), tol.tight, "operator norm minus 1"),
         _row("contraction_ratio", max(ratio - 1.0, 0.0), tol.tight, "witness ratio minus 1"),
@@ -404,7 +411,7 @@ def run_all(
     rng: np.random.Generator | None = None,
 ) -> tuple[list[dict], bool]:
     """Every suite's rows on the witness (f, g, T) at p = 2 (``run_suites``)."""
-    return run_suites(Witness(f, g, op), tol, rng)
+    return run_suites(_shared_witness(f, g, op, 2.0), tol, rng)
 
 
 def run_suites(

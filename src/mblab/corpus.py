@@ -139,10 +139,13 @@ def random_transform(
     the value space.  The stacked rows of A_0..A_{N-1} are drawn level by
     level."""
     offsets = filt.layout.level_offsets[: filt.depth + 1]
-    mults = np.empty((offsets[-1], dim))
+    raw, radii = np.empty((offsets[-1], dim)), np.empty((offsets[-1], 1))
     for lo, hi in zip(offsets[:-1], offsets[1:]):
-        mults[lo:hi] = _unit_rows(rng.normal(size=(hi - lo, dim)))
-        mults[lo:hi] *= rng.uniform(size=(hi - lo, 1)) ** (1.0 / dim)
+        raw[lo:hi] = rng.normal(size=(hi - lo, dim))
+        radii[lo:hi] = rng.uniform(size=(hi - lo, 1))
+    # Both steps act row by row, so one call over all rows keeps every float.
+    mults = _unit_rows(raw)
+    mults *= radii ** (1.0 / dim)
     return make_transform(filt, mults)
 
 
@@ -209,7 +212,7 @@ def active_split_function(
     """
     lay = filt.layout
     n_events = len(lay.event_atoms)
-    kept = np.flatnonzero(rng.random(n_events) < 0.5)
+    kept = (rng.random(n_events) < 0.5).nonzero()[0]
     if not kept.size:
         kept = np.array([int(rng.integers(n_events))])
     steps = _diagonal_steps(filt, _event_draws(filt, kept, dim, rng))

@@ -45,6 +45,12 @@ so all events together take one ``rng.normal`` call of sum |J| rows, cut
 into spans in schedule order: O(L * depth) values per call rather than a
 full L-leaf block per event.
 
+The kernels here and the suites, certificate and corpus code that call
+them use array methods (``x.max()``, ``a.take(i, axis=0)``,
+``mask.nonzero()[0]``) rather than the numpy functions of the same name:
+the same C loops, so the same floats, without the functions' Python
+dispatch, which costs more than the arithmetic on corpus-size arrays.
+
 The dense averaging matrices at the end are the one oracle kept here, since
 the transform's dense matrix is built from them.  The per-atom routes the
 tests compare this kernel with (the conditional expectation onto any
@@ -164,7 +170,7 @@ def _level_steps(filt: Filtration, means: np.ndarray) -> np.ndarray:
     """E_n - E_{n-1} at atom resolution, from stacked means (..., A, d): each
     row's mean minus its parent's, the floats the level difference takes
     on the row's leaves.  The root row is zero."""
-    steps = np.take(means, filt.layout.stacked_parents, axis=-2)
+    steps = means.take(filt.layout.stacked_parents, axis=-2)
     np.subtract(means, steps, out=steps)
     return steps
 
@@ -196,7 +202,7 @@ def _diagonal_steps(filt: Filtration, values: np.ndarray, first: int = 0) -> np.
 def _level_differences(filt: Filtration, values: np.ndarray) -> np.ndarray:
     """E_{n+1} v - E_n v at leaf resolution for n = 0..depth-1 of (L, d)
     values; shape (depth, L, d), one take of the atom steps."""
-    return np.take(_atom_steps(filt, values), filt.layout.stacked_maps[1:], axis=0)
+    return _atom_steps(filt, values).take(filt.layout.stacked_maps[1:], axis=0)
 
 
 def _leaf_sum(filt: Filtration, per_row: np.ndarray) -> np.ndarray:
@@ -210,10 +216,10 @@ def _leaf_sum(filt: Filtration, per_row: np.ndarray) -> np.ndarray:
     """
     maps = filt.layout.stacked_maps[1:]
     if per_row.ndim == 2:
-        return np.add.reduce(np.take(per_row, maps, axis=0), axis=0, initial=0.0)
+        return np.add.reduce(per_row.take(maps, axis=0), axis=0, initial=0.0)
     out = np.zeros((*per_row.shape[:-2], filt.n_leaves, per_row.shape[-1]))
     for leaf_rows in maps:
-        out += np.take(per_row, leaf_rows, axis=-2)
+        out += per_row.take(leaf_rows, axis=-2)
     return out
 
 
@@ -266,7 +272,7 @@ def _lp_norms(measures: np.ndarray, values: np.ndarray, p: float, bounds) -> lis
     def norm(m: np.ndarray, v: np.ndarray) -> float:
         total = m @ v**p
         if total == 0.0 or total == np.inf:
-            s = float(np.max(v, initial=0.0))
+            s = float(v.max(initial=0.0))
             if 0.0 < s < np.inf:
                 return s * float(m @ (v / s) ** p) ** (1.0 / p)
         return float(total ** (1.0 / p))

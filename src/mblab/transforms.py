@@ -194,7 +194,7 @@ def _ancestor_values(mults: np.ndarray, means: np.ndarray) -> tuple[np.ndarray, 
     zero measure (K_j = K_{j+1}) holds no leaf.
     """
     heads = mults[:, :-1]
-    steps = np.cumsum(heads * (means[:, 1:] - means[:, :-1]), axis=1)
+    steps = (heads * (means[:, 1:] - means[:, :-1])).cumsum(axis=1)
     before = np.concatenate((np.zeros_like(steps[:, :1]), steps[:, :-1]), axis=1)
     return steps[:, -1], before - heads * means[:, :-1]
 
@@ -230,7 +230,7 @@ def _cut_adjoints(
     out = []
     for first in range(0, rows, per_block):
         last = min(first + per_block, rows)
-        e0, e1 = np.searchsorted(chains.levels, [first + 1, last + 1]).tolist()
+        e0, e1 = chains.levels.searchsorted([first + 1, last + 1]).tolist()
         if e1 > e0:
             block = EventChains(*(field[e0:e1] for field in chains))
             out.append(_cut_block(op, block, values, shifts[e0:e1], first, last))
@@ -270,7 +270,7 @@ def _cut_block(
     x = inside[owner]
     # Level k reaches inside the atoms of levels n < k: rows 0..k-2.
     for k in range(first + 2, filt.depth + 1):
-        x[: k - 1 - first] += np.take(terms[: k - 1 - first], lay.stacked_maps[k], axis=-2)
+        x[: k - 1 - first] += terms[: k - 1 - first].take(lay.stacked_maps[k], axis=-2)
     del terms
 
     ring_measures = chains.measures[:, :-1] - chains.measures[:, 1:]
@@ -323,7 +323,7 @@ def make_transform(filtration: Filtration, rows: np.ndarray) -> MartingaleTransf
         )
     mags = np.linalg.norm(mults, axis=1)
     # A NaN magnitude fails the comparison, so it is refused with the rest.
-    bad = np.flatnonzero(~(mags <= 1.0 + 1e-12))
+    bad = (~(mags <= 1.0 + 1e-12)).nonzero()[0]
     if bad.size:
         r = bad[0]
         n = int(np.searchsorted(lay.level_offsets, r, side="right"))
@@ -361,7 +361,7 @@ def split_multiplier_norm(op: MartingaleTransform) -> float:
     lay = op.filtration.layout
     rows = lay.stacked_maps[lay.event_levels, lay.event_spans[:, 0]]
     mags = np.linalg.norm(op.multipliers[rows], axis=1)
-    return float(np.max(mags, initial=0.0))
+    return float(mags.max(initial=0.0))
 
 
 def predictable_hull(f: MartFunction) -> np.ndarray:
@@ -375,10 +375,10 @@ def predictable_hull(f: MartFunction) -> np.ndarray:
     bit test would promote every ancestor of genuine activity into the hull.
     """
     filt = f.filtration
-    threshold = 1e-12 * max(1.0, float(np.max(np.abs(f.values))) if f.values.size else 0.0)
+    threshold = 1e-12 * max(1.0, float(np.abs(f.values).max()) if f.values.size else 0.0)
     # The level-n difference is the step of each A_{n+1} row on its leaves,
     # so its largest value on an A_n atom is the largest over its children.
-    step_max = np.max(np.abs(_atom_steps(filt, f.values)), axis=1)
+    step_max = np.abs(_atom_steps(filt, f.values)).max(axis=1)
     return np.maximum.reduceat(step_max, filt.layout.stacked_children) > threshold
 
 

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import mblab.bellman as bellman
 from mblab.bellman import Witness
 from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_suites
 from mblab.corpus import CorpusCell, default_corpus, prepare_cell
@@ -35,6 +36,13 @@ from mblab.transforms import split_multiplier_norm
 # failure can be replayed; every other setting stays hypothesis's default.
 settings.register_profile("mblab", print_blob=True)
 settings.load_profile("mblab")
+
+
+@pytest.fixture(autouse=True)
+def no_shared_witness():
+    """Every test starts with ``run_all`` and ``certify`` holding no witness,
+    so no test reads one another test derived."""
+    bellman._shared_witness.cache_clear()
 
 
 def traced(fn):

@@ -21,7 +21,14 @@ from mblab.bellman import (
     _diameters,
     conjugate_exponent,
 )
-from mblab.corpus import _unit_rows, build_tower, cell_filtration, haar_witness, random_function
+from mblab.corpus import (
+    _unit_rows,
+    active_split_function,
+    build_tower,
+    cell_filtration,
+    haar_witness,
+    random_function,
+)
 from mblab.estimator import _trial_depth, _trial_rng
 from mblab.filtration import (
     _GEOM_TOL,
@@ -41,12 +48,18 @@ from mblab.martingale import (
     MartFunction,
     _atom_steps,
     _diagonal_steps,
+    _diagonal_sums,
     _event_draws,
     _padded,
     inner,
     lp_norm,
 )
-from mblab.transforms import MartingaleTransform, _ancestor_values, make_transform
+from mblab.transforms import (
+    MartingaleTransform,
+    _ancestor_values,
+    make_transform,
+    predictable_hull,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -776,6 +789,63 @@ def check_localization_by_runs(w: Witness, tol: Tolerances, rng: np.random.Gener
         _row("localization_support", outside, tol.exact, "T of split piece outside atom"),
         _row("localization_adjoint", commute, tol.tight, "adjoint split vs multiplier"),
     ]
+
+
+def check_osc_series_by_levels(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
+    """``checks.check_osc_series`` with each level's series, split atoms and
+    gaps taken in a loop over the levels, one A_n level at a time."""
+    filt, dim = w.f.filtration, w.f.dim
+    lay = filt.layout
+    osc2 = w.table.osc2
+    steps = w.table.steps[:, dim : 2 * dim]
+    sq = np.take(np.einsum("ij,ij->i", steps, steps), lay.stacked_maps[1:], axis=0)
+    piece_sums = _diagonal_sums(filt, sq)
+    series = np.zeros(filt.n_leaves)
+    err = 0.0
+    for n in range(filt.depth - 1, -1, -1):
+        piece_sq = piece_sums[lay.level_offsets[n] : lay.level_offsets[n + 1]]
+        container = lay.stacked_maps[n][lay.level_starts[n + 1]] - lay.level_offsets[n]
+        series = piece_sq + np.bincount(container, weights=series, minlength=len(piece_sq))
+        split = np.bincount(container, minlength=len(piece_sq)) > 1
+        direct = osc2[level_partition(filt, n)[split]]
+        rel = np.abs(direct - series[split] / lay.level_measures[n][split])
+        rel /= np.maximum(1.0, direct)
+        err = float(np.maximum(err, np.max(rel)))  # NaN stays
+    return [_row("osc_series", err, tol.tight, "series vs direct, relative")]
+
+
+def check_support_by_isin(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
+    """``checks.check_support`` with the hull's atoms looked up in the
+    active set by ``np.isin``."""
+    filt = w.f.filtration
+    lay = filt.layout
+    h, active = active_split_function(filt, w.f.dim, rng)
+    th = w.op.apply(h)
+    ids = np.fromiter(active, dtype=np.intp, count=len(active))
+    spans = lay.spans[ids]
+    covered = np.zeros(filt.n_leaves, dtype=bool)
+    covered[_segments(spans[:, 0], spans[:, 1] - spans[:, 0])[0]] = True
+    err = float(np.max(np.abs(th.values[~covered]), initial=0.0))
+
+    hull = predictable_hull(h)
+    hull_err = float(np.count_nonzero(hull & ~np.isin(lay.stacked_atoms[: len(hull)], ids)))
+    return [
+        _row("support_containment", err, tol.exact, f"{len(active)} active atoms"),
+        _row("support_hull", hull_err, 0.0, "hull atoms outside the active set"),
+    ]
+
+
+def random_transform_by_levels(
+    filt: Filtration, dim: int, rng: np.random.Generator
+) -> MartingaleTransform:
+    """``corpus.random_transform`` with each level's rows scaled to unit
+    length and to their radii as soon as they are drawn."""
+    offsets = filt.layout.level_offsets[: filt.depth + 1]
+    mults = np.empty((offsets[-1], dim))
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        mults[lo:hi] = _unit_rows(rng.normal(size=(hi - lo, dim)))
+        mults[lo:hi] *= rng.uniform(size=(hi - lo, 1)) ** (1.0 / dim)
+    return make_transform(filt, mults)
 
 
 def diagonal_sums_padded(filt: Filtration, values: np.ndarray, first: int = 0) -> np.ndarray:

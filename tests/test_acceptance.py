@@ -294,7 +294,8 @@ def test_criterion_8_determinism(tmp_path):
     f, g, op = haar_witness(filt, 2)
     cert = certify(quadratic_candidate(0.5), f, g, op)
     text_a = to_canonical_json(certificate_to_dict(cert))
-    cert_b = certify(quadratic_candidate(0.5), f, g, op)
+    # a fresh triple: the second certificate derives its own witness
+    cert_b = certify(quadratic_candidate(0.5), *haar_witness(filt, 2))
     text_b = to_canonical_json(certificate_to_dict(cert_b))
     identical = identical and text_a == text_b
 

@@ -1,19 +1,22 @@
 """Check-suite layer: row structure, per-suite pass behavior, tolerance
 scaling through the environment, one T* g, moment table, event-chain set and
-uncentered cut pass per witness (and per corpus cell), the stacked passes
-of one call, the witness's refusal of a mismatched triple, the per-level
-localization and restriction kernels against the per-event routes they
-replaced, the event chains against the runs of leaves they replaced, bit
-for bit, the memory the chains and the projection suite take at dyadic
-depth 15, the support suite's mask passes against its per-atom loops, a
-NaN that keeps its rows red, and the matrix-free production path: no
-suite, certificate, moment point or duality bound builds the dense matrix,
-on small cells or at dyadic depth 12."""
+uncentered cut pass per witness (per corpus cell, and per ``run_all`` and
+``certify`` pair on one triple, whose shared witness keeps every report
+byte and holds one triple only), the stacked passes of one call, the
+witness's refusal of a mismatched triple, the per-level localization and
+restriction kernels against the per-event routes they replaced, the event
+chains against the runs of leaves they replaced, bit for bit, the memory
+the chains and the projection suite take at dyadic depth 15, the support
+suite's mask passes against its per-atom loops and its atom mask against
+``np.isin``, a NaN that keeps its rows red, and the matrix-free production
+path: no suite, certificate, moment point or duality bound builds the
+dense matrix, on small cells or at dyadic depth 12."""
 
 from __future__ import annotations
 
 import re
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ import mblab.estimator as estimator
 import mblab.martingale as martingale
 import mblab.transforms as transforms
 from mblab.bellman import Witness, quadratic_candidate
-from mblab.certifier import certify
+from mblab.certifier import certificate_to_dict, certify
 from mblab.checks import (
     SUITES,
     Tolerances,
@@ -39,6 +42,7 @@ from mblab.checks import (
     run_suites,
 )
 from mblab.corpus import (
+    CorpusCell,
     active_split_function,
     default_corpus,
     max_children_for,
@@ -48,6 +52,7 @@ from mblab.corpus import (
 )
 from mblab.filtration import Filtration, build_dyadic, build_random_regular, level_partition
 from mblab.martingale import MartFunction, inner, l2_norm
+from mblab.reporting import to_canonical_json
 from mblab.transforms import (
     MartingaleTransform,
     _adjoint_stack,
@@ -207,21 +212,37 @@ def _count_derivations(monkeypatch) -> dict[str, int]:
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_one_adjoint_and_one_table_per_call(monkeypatch, kernel_tower, dim):
+    # run_all then certify on one triple share the witness; another p, or a
+    # fresh triple with equal values, derives its own
     f, g, op = _witness(kernel_tower, dim, 20 + dim)
     counts = _count_derivations(monkeypatch)
+    cand = quadratic_candidate(kernel_tower.delta)
+    at_three_halves = quadratic_candidate(kernel_tower.delta, p=1.5, cp=1.0)
+    twin = (MartFunction(kernel_tower, f.values), MartFunction(kernel_tower, g.values))
+    twin_op = transforms.make_transform(kernel_tower, op.multipliers)
+
+    def run_all_then(then):
+        return lambda: (run_all(f, g, op, rng=np.random.default_rng(21)), then())
+
+    # the certificate reads no event chains and no cuts
     calls = {
-        "run_all": (lambda: run_all(f, g, op, rng=np.random.default_rng(21)), 1),
-        # the certificate reads no event chains and no cuts
-        "certify": (lambda: certify(quadratic_candidate(kernel_tower.delta), f, g, op), 0),
+        "run_all": (lambda: run_all(f, g, op, rng=np.random.default_rng(21)), 1, 1),
+        "certify": (lambda: certify(cand, f, g, op), 1, 0),
+        "run_all, certify": (run_all_then(lambda: certify(cand, f, g, op)), 1, 1),
+        "run_all, certify at p = 1.5": (
+            run_all_then(lambda: certify(at_three_halves, f, g, op)), 2, 1
+        ),
+        "run_all, certify a twin": (run_all_then(lambda: certify(cand, *twin, twin_op)), 2, 1),
     }
-    for name, (call, derived) in calls.items():
+    for name, (call, derived, read) in calls.items():
+        bellman._shared_witness.cache_clear()
         counts.update(dict.fromkeys(counts, 0))
         call()
         assert counts == {
-            "adjoint_closed_form": 1,
-            "moment_table": 1,
-            "event_chains": derived,
-            "uncentered_cuts": derived,
+            "adjoint_closed_form": derived,
+            "moment_table": derived,
+            "event_chains": read,
+            "uncentered_cuts": read,
         }, name
 
 
@@ -253,8 +274,47 @@ def test_stacked_passes_per_call(monkeypatch):
     run_all(pc.f, pc.g, pc.op, rng=np.random.default_rng(0))
     assert len(passes) <= 7, passes
     passes.clear()
+    # certify reads the witness run_all left: no pass of its own
     certify(quadratic_candidate(pc.f.filtration.delta), pc.f, pc.g, pc.op)
-    assert len(passes) <= 3, passes
+    assert passes == []
+
+
+def _cold_and_warm(f, g, op, cand):
+    """run_all's rows and the certificate's text of one triple, with the
+    shared witness cleared before each call and then kept between them."""
+    out = []
+    for clear_between in (True, False):
+        bellman._shared_witness.cache_clear()
+        rows, ok = run_all(f, g, op, rng=np.random.default_rng(17))
+        if clear_between:
+            bellman._shared_witness.cache_clear()
+        text = to_canonical_json(certificate_to_dict(certify(cand, f, g, op)))
+        out.append((rows, ok, text))
+    assert bellman._shared_witness.cache_info().hits == 1
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shared_witness_keeps_every_byte_on_kernel_towers(kernel_tower, dim):
+    f, g, op = _witness(kernel_tower, dim, 60 + dim)
+    cold, warm = _cold_and_warm(f, g, op, quadratic_candidate(kernel_tower.delta))
+    assert warm == cold
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.25, 1.0 / 3.0, 0.5])
+def test_shared_witness_keeps_every_byte_on_corpus_cells(delta):
+    pc = prepare_cell(CorpusCell(delta, 2, seed=5))
+    cold, warm = _cold_and_warm(pc.f, pc.g, pc.op, quadratic_candidate(delta))
+    assert warm == cold
+
+
+def test_shared_witness_holds_one_triple(kernel_tower):
+    a, b = _witness(kernel_tower, 2, 30), _witness(kernel_tower, 2, 31)
+    run_all(*a, rng=np.random.default_rng(30))
+    held = weakref.ref(bellman._shared_witness(*a, 2.0))
+    assert bellman._shared_witness.cache_info().hits == 1  # run_all's witness
+    certify(quadratic_candidate(kernel_tower.delta), *b)
+    assert held() is None
 
 
 def test_a_mismatched_triple_is_no_witness(kernel_tower):
@@ -607,6 +667,42 @@ def _assert_matches_reference(f, g, op):
     new_gaps = checks.restriction_identity_gaps(w)
     ref_gaps = reference_identity_gaps(g, op)
     assert all(a <= b + 1e-12 for a, b in zip(new_gaps, ref_gaps)), (new_gaps, ref_gaps)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_osc_series_matches_level_loop(small_cells, kernel_tower, dim):
+    # the series summed on all stacked rows keeps the row of the per-level
+    # loop, every float of it: children add in child order either way
+    witnesses = [Witness(*_witness(kernel_tower, dim, 80 + seed)) for seed in range(6)]
+    witnesses += [Witness(pc.f, pc.g, pc.op) for pc in small_cells if pc.f.dim == dim]
+    tol = Tolerances()
+    for w in witnesses:
+        rows = checks.check_osc_series(w, tol, None)
+        assert rows == oracles.check_osc_series_by_levels(w, tol, None)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_support_mask_matches_isin(monkeypatch, kernel_tower, dim):
+    # the hull's atoms looked up in a boolean mask count as np.isin counted
+    # them, on the honest active set and on one with an active atom left
+    # out, whose hull rows then count
+    honest = checks.active_split_function
+
+    def short(*args):
+        h, active = honest(*args)
+        return h, frozenset(sorted(active)[1:])
+
+    tol = Tolerances()
+    for active_set in (honest, short):
+        monkeypatch.setattr(checks, "active_split_function", active_set)
+        monkeypatch.setattr(oracles, "active_split_function", active_set)
+        for seed in range(6):
+            w = Witness(*_witness(kernel_tower, dim, 70 + seed))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = checks.check_support(w, tol, rng)
+            assert rows == oracles.check_support_by_isin(w, tol, ref_rng)
+            assert rng.random() == ref_rng.random()
+            assert (rows[1]["max_err"] > 0) == (active_set is short)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -1,5 +1,6 @@
 """Witness corpus: cell grid, deterministic preparation, structured
-two-value witness."""
+two-value witness, and the active-split function and random transform
+against the loops they replaced, bit for bit."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mblab.corpus import (
     max_children_for,
     prepare_cell,
     random_function,
+    random_transform,
     random_witness,
 )
 from mblab.filtration import build_dyadic, split_schedule
@@ -123,6 +125,18 @@ def test_active_split_function_matches_event_loop(kernel_tower, dim):
         ref, ref_active = reference_active_split_function(kernel_tower, dim, ref_rng)
         assert f.values.tobytes() == ref.values.tobytes()
         assert active == ref_active
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_random_transform_matches_level_loop(kernel_tower, dim):
+    # the rows scaled in one call after the draws keep every float, and the
+    # generator ends where the per-level loop left it
+    for seed in range(6):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        op = random_transform(kernel_tower, dim, rng)
+        ref = oracles.random_transform_by_levels(kernel_tower, dim, ref_rng)
+        assert op.multipliers.tobytes() == ref.multipliers.tobytes()
         assert rng.random() == ref_rng.random()
 
 
