@@ -114,6 +114,13 @@ class MomentTable:
     g_mean: np.ndarray
     steps: np.ndarray
 
+    @property
+    def root_mean_pairing(self) -> float:
+        """|<f>_I . <T* g>_I|, the pairing of the root means (the root of a
+        witness's one tower is atom 0)."""
+        x1 = self.points[0, : self.tstar_mean.shape[1]]
+        return abs(float(np.dot(x1, self.tstar_mean[0])))
+
     def check_x2(self, atoms=slice(None)) -> None:
         """Raise ArithmeticError at the first of ``atoms`` (all by default)
         whose x2 lies below roundoff of zero."""
@@ -170,7 +177,7 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     rows[lay.stacked_atoms] = np.column_stack(
         (means[:, :dim], x2, means[:, -2:], means[:, -3], means[:, dim : 2 * dim + 1], osc2)
     )
-    events = lay.stacked_maps[lay.event_levels, lay.event_spans[:, 0]]
+    events = lay.event_rows
     return MomentTable(
         p=p,
         points=rows[:, : dim + 3],

@@ -73,6 +73,7 @@ from .bellman import Witness, _shared_witness, conjugate_exponent
 from .filtration import Filtration, _segments
 from .martingale import (
     MartFunction,
+    _atom_steps,
     _diagonal_steps,
     _diagonal_sums,
     _event_draws,
@@ -85,7 +86,8 @@ from .transforms import (
     MartingaleTransform,
     _ancestor_values,
     _cut_adjoints,
-    predictable_hull,
+    _steps_hull,
+    _transform_steps,
     split_multiplier_norm,
 )
 from .corpus import active_split_function, random_function
@@ -125,7 +127,8 @@ class Tolerances:
 
 def _atom_sums(filt: Filtration, per_leaf: np.ndarray, n: int) -> np.ndarray:
     """Sums of a per-leaf array over every A_n atom, in level order."""
-    return np.add.reduceat(per_leaf, filt.layout.level_starts[n], axis=-1)
+    lo, hi = filt.layout.level_offsets[n : n + 2] + n  # past the n sentinels before level n
+    return np.add.reduceat(per_leaf, filt.layout.stacked_starts[lo:hi], axis=-1)
 
 
 def _row(name: str, err: float, tol: float, detail: str = "") -> dict:
@@ -238,14 +241,15 @@ def check_support(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     filt = w.f.filtration
     lay = filt.layout
     h, active = active_split_function(filt, w.f.dim, rng)
-    th = w.op.apply(h)
+    steps = _atom_steps(filt, h.values)  # T h and the hull read one pass of h
+    th = _transform_steps(w.op, steps)
     ids = np.fromiter(active, dtype=np.intp, count=len(active))
     spans = lay.spans[ids]
     covered = np.zeros(filt.n_leaves, dtype=bool)
     covered[_segments(spans[:, 0], spans[:, 1] - spans[:, 0])[0]] = True
-    err = float(np.abs(th.values[~covered]).max(initial=0.0))
+    err = float(np.abs(th[~covered]).max(initial=0.0))
 
-    hull = predictable_hull(h)
+    hull = _steps_hull(filt, h.values, steps)
     inside = np.zeros(filt.n_atoms, dtype=bool)
     inside[ids] = True
     hull_err = float(np.count_nonzero(hull & ~inside[lay.stacked_atoms[: len(hull)]]))
@@ -261,8 +265,8 @@ def check_osc_series(w: Witness, tol: Tolerances, rng: np.random.Generator) -> l
 
     The series is summed up the tree level by level, on the stacked rows
     of A_0..A_{N-1}: each row holds its own pieces and adds its children's
-    series in child order, one ``bincount`` per level.  A row splits when
-    it has more than one child; all rows are compared at once.
+    series in child order, one ``bincount`` per level.  The rows of the
+    split events (the layout's ``event_rows``) are compared at once.
     """
     filt, dim = w.f.filtration, w.f.dim
     lay = filt.layout
@@ -274,10 +278,8 @@ def check_osc_series(w: Witness, tol: Tolerances, rng: np.random.Generator) -> l
         lo, hi, end = off[n], off[n + 1], off[n + 2]
         parents = lay.stacked_parents[hi:end] - lo
         series[lo:hi] += np.bincount(parents, weights=series[hi:end], minlength=hi - lo)
-    below = off[filt.depth]  # the rows of A_0..A_{N-1}
-    split = np.bincount(lay.stacked_parents[off[1] :], minlength=below) > 1
-    direct = w.table.osc2[lay.stacked_atoms[:below][split]]
-    rel = np.abs(direct - series[split] / lay.stacked_measures[:below][split])
+    direct = w.table.osc2[lay.event_atoms]
+    rel = np.abs(direct - series[lay.event_rows] / lay.stacked_measures[lay.event_rows])
     rel /= np.maximum(1.0, direct)
     err = float(rel.max())  # NaN stays
     return [_row("osc_series", err, tol.tight, "series vs direct, relative")]
@@ -365,10 +367,8 @@ def hoelder_mean_margin(w: Witness) -> float:
     """How far |<f>_I . <T* g>_I| sits above ||f||_p ||g||_q / |I|, at the
     witness's p and its conjugate q; nonpositive when the Hoelder mean bound
     holds.  Not a registered suite, so ``run_all`` rows do not include it."""
-    filt, table = w.f.filtration, w.table
-    lhs = abs(float(np.dot(table.points[0, : w.f.dim], table.tstar_mean[0])))  # at the root, atom 0
-    rhs = lp_norm(w.f, w.p) * lp_norm(w.g, conjugate_exponent(w.p)) / filt.total_measure
-    return lhs - rhs
+    rhs = lp_norm(w.f, w.p) * lp_norm(w.g, conjugate_exponent(w.p)) / w.f.filtration.total_measure
+    return w.table.root_mean_pairing - rhs
 
 
 def check_contraction(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:

@@ -24,8 +24,8 @@ columns stacked and validated once (``_batches``); one pass over it
 them in one ``make_transform`` and gives every T f in one ``apply``.
 Each trial's norms and pairing are then read off its own leaf segment
 with its own dot products (``_lp_norms``, ``_pairings``; the search's
-ascent calls ``_pairings`` on the best trial's tower, cut out of its
-batch).  Every trial keeps the floats it has when run alone
+ascent calls ``_pairings`` on the best trial's tower, rebuilt from the
+columns it drew).  Every trial keeps the floats it has when run alone
 (``tests/oracles.py`` keeps the trial-by-trial loops).
 """
 
@@ -127,12 +127,12 @@ _BATCH_LEAVES = 1 << 16
 
 def _batches(
     seed: int, delta: float, depths: list[int]
-) -> Iterator[tuple[list[int], list[np.random.Generator], Filtration]]:
+) -> Iterator[tuple[list[int], list[np.random.Generator], list[tuple], Filtration]]:
     """The trials of each depth, in order of first appearance, in batches
     of at most ``_BATCH_LEAVES`` leaves: their ids, their generators (past
-    the tower seed) and the columns of their ``build_tower`` towers stacked
-    in one filtration, validated once.  Batch by batch, so only one batch's
-    trials are held."""
+    the tower seed), the columns of their ``build_tower`` towers, and those
+    columns stacked in one filtration, validated once.  Batch by batch, so
+    only one batch's trials are held."""
     groups: dict[int, list[int]] = {}
     for i, d in enumerate(depths):
         groups.setdefault(d, []).append(i)
@@ -157,7 +157,7 @@ def _batches(
 
 def _stacked(delta: float, depth: int, chunk: list[tuple]) -> tuple:
     members, rngs, columns = map(list, zip(*chunk))
-    return members, rngs, Filtration.stack(delta, depth, columns)
+    return members, rngs, columns, Filtration.stack(delta, depth, columns)
 
 
 def _batch_pass(
@@ -222,7 +222,7 @@ def _scan_trials(
     depths = [_trial_depth(depth, i) for i in range(trials)]
     ratios = np.empty(trials)
     skipped = np.zeros(trials, dtype=bool)
-    for members, rngs, batch in _batches(seed, delta, depths):
+    for members, rngs, _, batch in _batches(seed, delta, depths):
         sizes = np.diff(batch.leaf_offsets).tolist()
 
         def draw(t, n_rows):
@@ -278,7 +278,7 @@ def _pairings(
     ]
 
 
-def _root_point(filt, f, g, op, p: float) -> dict | None:
+def _root_point(f, g, op, p: float) -> dict | None:
     table = Witness(f, g, op, p).table
     try:
         table.check_x2([0])  # the root, atom 0
@@ -292,7 +292,7 @@ def _search_trials(
     p: float, trials: int, seed: int, delta: float, dim: int, depth: int | None
 ) -> tuple[list[float], float, dict, tuple]:
     """The trials of ``lower_bound_search``: the pairing of each, the best
-    value, its witness record and its state (filt, f, g, op) on its tower.
+    value, its witness record and its state (f, g, op) on its tower.
 
     The best is the first trial with the largest value, as a fold over the
     trials in order finds it."""
@@ -300,7 +300,7 @@ def _search_trials(
     depths = [2 if i == 0 else _trial_depth(depth, i) for i in range(trials)]
     history = [0.0] * trials
     best, best_i = -1.0, -1
-    for members, rngs, batch in _batches(seed, delta, depths):
+    for members, rngs, columns, batch in _batches(seed, delta, depths):
         roots = batch.atom_offsets[:-1]
         bounds = batch.leaf_offsets.tolist()
 
@@ -320,14 +320,14 @@ def _search_trials(
             if val > best or (val == best and i < best_i):
                 (lo, hi), (r0, r1) = bounds[t : t + 2], starts[t : t + 2]
                 best, best_i = val, i
-                best_draws = (batch.tower_columns(t), f[lo:hi], g[lo:hi], unit[r0:r1])
+                best_draws = (columns[t], f[lo:hi], g[lo:hi], unit[r0:r1])
         # Free this batch before the next is built.
-        del batch, f, g, tf, unit
-    columns, fb, gb, mults = best_draws
-    filt = Filtration(delta, depths[best_i], *columns)
+        del batch, columns, f, g, tf, unit
+    best_columns, fb, gb, mults = best_draws
+    filt = Filtration(delta, depths[best_i], *best_columns)
     mults.flags.writeable = False
     # The rows passed make_transform in the batch.
-    best_state = (filt, MartFunction(filt, fb), MartFunction(filt, gb), MartingaleTransform(filt, mults))
+    best_state = (MartFunction(filt, fb), MartFunction(filt, gb), MartingaleTransform(filt, mults))
     kind = "structured" if best_i == 0 and root_splits_in_two(filt) else "random"
     witness = {"trial": best_i, "kind": kind, "depth": filt.depth, "dim": dim}
     return history, best, witness, best_state
@@ -361,7 +361,8 @@ def lower_bound_search(
     history, best, witness, best_state = _search_trials(p, trials, seed, delta, dim, depth)
 
     if ascent_steps > 0:
-        filt, f, g, op = best_state
+        f, g, op = best_state
+        filt = f.filtration
         rng = _trial_rng(seed, trials)  # ascent stream sits after all trials
         fv = f.values.copy()
         gv = g.values.copy()
@@ -380,7 +381,7 @@ def lower_bound_search(
                 witness = dict(witness, kind="ascent", step=step)
             else:
                 tgt[idx, jdx] = old
-        best_state = (filt, MartFunction(filt, fv), MartFunction(filt, gv), op)
+        best_state = (MartFunction(filt, fv), MartFunction(filt, gv), op)
 
     found = True if target is None else best >= target - 1e-12
     return SearchResult(
@@ -484,9 +485,7 @@ def duality_bound(
                 f"certification failed for draw {j} ({kind}): {cert.first_failure}",
                 certificate=cert,
             )
-        table = cert.witness.table
-        x1 = table.points[0, :dim]  # at the root, atom 0
-        mean_term = abs(float(np.dot(x1, table.tstar_mean[0])))
+        mean_term = cert.witness.table.root_mean_pairing
         bound_g = cert.bound + mean_term
         if obj > bound_g + 1e-9 * max(1.0, abs(bound_g)):
             raise EstimateError(

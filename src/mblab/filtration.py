@@ -29,13 +29,15 @@ one level at a time, and a seeded random generator with prescribed
 regularity floor.
 
 Every atom covers a contiguous run of leaves in left-endpoint order.  The
-array form of that fact (leaf spans, per-level leaf -> atom maps and
-reduceat boundaries, per-event atoms, levels, spans and children in
-schedule order) is the ``LeafLayout``, built on first use from the columns
-and kept on the instance; ``level_partition`` reads A_n off it.  Its levels
-hold the towers' atoms tower after tower; a reduceat segment sums the same
-leaves in the same order at any offset, so each tower's part of a pass
-over a stack is the float of its own pass.
+array form of that fact is the ``LeafLayout``, built on first use from the
+columns and kept on the instance: leaf spans, and the atoms of every level
+laid end to end in stacked rows with their leaf maps and reduceat
+boundaries (a level is a range of rows, not a view of its own), and per
+split event, in schedule order, its atom, level, stacked row and
+children.  Each fact is stated once; ``level_partition`` reads A_n off the
+rows.  Its levels hold the towers' atoms tower after tower; a reduceat
+segment sums the same leaves in the same order at any offset, so each
+tower's part of a pass over a stack is the float of its own pass.
 """
 
 from __future__ import annotations
@@ -114,12 +116,10 @@ class LeafLayout:
 
     ``measures`` holds the leaf measures in leaf order and
     ``atom_measures[i]`` the measure b - a of atom i.  ``spans[i]`` is the
-    [lo, hi) leaf range of atom i.  For each level n,
-    ``level_starts[n]`` holds the first leaf of every A_n atom in level
-    order (the boundaries for ``np.add.reduceat``) and ``level_measures[n]``
-    their measures b - a.  ``event_atoms``, ``event_levels`` and
-    ``event_spans`` describe the split events in schedule order; the
-    children of an event at level n are the A_{n+1} atoms inside its span.
+    [lo, hi) leaf range of atom i.  ``event_atoms``, ``event_levels`` and
+    ``event_rows`` describe the split events in schedule order: each
+    event's atom, its level n and its stacked row at level n; the children
+    of an event at level n are the A_{n+1} atoms inside its atom's span.
     ``event_children[event_child_starts[e]:event_child_starts[e + 1]]`` are
     the children of event e in the order of its atom's ``children``.
 
@@ -127,13 +127,13 @@ class LeafLayout:
     rows: level n holds rows ``level_offsets[n]:level_offsets[n + 1]``, in
     level order, and a persisting atom has one row per level it is in.
     ``stacked_starts`` is the reduceat boundary list of every level at once:
-    each level's ``level_starts`` followed by the sentinel L.  Reduced over
-    leaf values padded with one zero row at position L, it gives each
-    level's last atom the segment up to L and each sentinel the zero row,
-    which is dropped; the remaining segment sums are the stacked rows, the
-    floats of the per-level reduceat.  ``level_starts[n]`` and
-    ``level_measures[n]`` are views of ``stacked_starts`` and
-    ``stacked_measures``.  ``stacked_maps[n]`` maps each leaf to its A_n
+    the first leaves of the A_n atoms in level order, from position
+    ``level_offsets[n] + n`` on, then the sentinel L.  Reduced over leaf
+    values padded with one zero row at position L, it gives each level's
+    last atom the segment up to L and each sentinel the zero row, which is
+    dropped; the remaining segment sums are the stacked rows, the floats of
+    the per-level reduceat.  ``stacked_measures`` holds each row's atom
+    measure.  ``stacked_maps[n]`` maps each leaf to its A_n
     row (less ``level_offsets[n]``, the index of that atom in level order),
     ``stacked_atoms`` each row to its atom id, ``stacked_parents`` each row
     of level n >= 1 to the row of the A_{n-1} atom holding it (the
@@ -148,11 +148,9 @@ class LeafLayout:
     measures: np.ndarray
     atom_measures: np.ndarray
     spans: np.ndarray
-    level_starts: tuple[np.ndarray, ...]
-    level_measures: tuple[np.ndarray, ...]
     event_atoms: np.ndarray
     event_levels: np.ndarray
-    event_spans: np.ndarray
+    event_rows: np.ndarray
     event_children: np.ndarray
     event_child_starts: np.ndarray
     level_offsets: np.ndarray
@@ -228,14 +226,6 @@ class Filtration:
         """The six columns in constructor order."""
         return tuple(getattr(self, name) for name, _ in _COLUMNS)
 
-    def tower_columns(self, t: int) -> tuple[np.ndarray, ...]:
-        """Tower t's six columns, copied out of the stack, its ids from 0."""
-        lo, hi = self.atom_offsets[t : t + 2].tolist()
-        k0, k1 = self.child_starts[[lo, hi]].tolist()
-        a, b, level = (col[lo:hi].copy() for col in (self.a, self.b, self.level))
-        parent = np.maximum(self.parent[lo:hi] - lo, -1)  # the root's parent stays -1
-        return a, b, level, parent, self.child_starts[lo : hi + 1] - k0, self.children[k0:k1] - lo
-
     @property
     def n_atoms(self) -> int:
         return len(self.a)
@@ -261,7 +251,7 @@ class Filtration:
 
     @cached_property
     def layout(self) -> LeafLayout:
-        """Leaf spans, level rows and event spans; built on first use."""
+        """Leaf spans, stacked rows and split events; built on first use."""
         return _build_layout(self)
 
     def tower_rows(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -627,8 +617,7 @@ def _build_layout(f: Filtration) -> LeafLayout:
     n_leaves = len(rows[-1])
     sizes = [len(r) for r in rows]
     offsets = np.array([0] + sizes).cumsum()
-    bounds = offsets.tolist()
-    stacked = np.arange(bounds[-1])
+    stacked = np.arange(offsets[-1])
     row_level = np.arange(len(sizes)).repeat(sizes)
     stacked_atoms = np.concatenate(rows)
     diagonal_starts = leaves_in.cumsum() - leaves_in
@@ -638,10 +627,8 @@ def _build_layout(f: Filtration) -> LeafLayout:
     spans[stacked_atoms, 1] = first_leaf + leaves_in
     stacked_maps = _frozen(stacked.repeat(leaves_in).reshape(len(sizes), n_leaves))
     # Row r of level n is boundary r + n, after n sentinels.
-    stacked_starts = np.full(bounds[-1] + len(sizes), n_leaves)
+    stacked_starts = np.full(offsets[-1] + len(sizes), n_leaves)
     stacked_starts[stacked + row_level] = first_leaf
-    stacked_starts = _frozen(stacked_starts)
-    stacked_measures = _frozen(atom_measure[stacked_atoms])
     # Atoms split at the level they are created, so the events of level n
     # are the A_n atoms with children, in left-endpoint order: the rows
     # with children, in row order.
@@ -650,25 +637,21 @@ def _build_layout(f: Filtration) -> LeafLayout:
     event_sizes = n_kids[event_atoms]
     # The row of the atom holding each row's first leaf one level up, or down.
     parents = stacked_maps[np.maximum(row_level - 1, 0), first_leaf]
-    below = bounds[-2]
+    below = offsets[-2]
     children = stacked_maps[row_level[:below] + 1, first_leaf[:below]]
     return LeafLayout(
         measures=_frozen(atom_measure[rows[-1]]),
         atom_measures=_frozen(atom_measure),
         spans=_frozen(spans),
-        level_starts=tuple(
-            stacked_starts[off + n : end + n] for n, (off, end) in enumerate(zip(bounds, bounds[1:]))
-        ),
-        level_measures=tuple(stacked_measures[off:end] for off, end in zip(bounds, bounds[1:])),
         event_atoms=_frozen(event_atoms),
         event_levels=_frozen(row_level[split]),
-        event_spans=_frozen(spans[event_atoms]),
+        event_rows=_frozen(split),
         event_children=_frozen(f.children[_segments(f.child_starts[event_atoms], event_sizes)[0]]),
         event_child_starts=_frozen(np.concatenate(([0], event_sizes.cumsum()))),
         level_offsets=_frozen(offsets),
-        stacked_starts=stacked_starts,
+        stacked_starts=_frozen(stacked_starts),
         diagonal_starts=_frozen(diagonal_starts),
-        stacked_measures=stacked_measures,
+        stacked_measures=_frozen(atom_measure[stacked_atoms]),
         stacked_maps=stacked_maps,
         stacked_atoms=_frozen(stacked_atoms),
         stacked_parents=_frozen(parents),

@@ -236,7 +236,7 @@ def _event_draws(
     disjoint spans, so they share one leaf array.
     """
     lay = filt.layout
-    spans = lay.event_spans[events]
+    spans = lay.spans[lay.event_atoms[events]]
     leaf, row = _segments(spans[:, 0], spans[:, 1] - spans[:, 0])
     out = np.zeros((filt.depth, filt.n_leaves, dim))
     out[lay.event_levels[events][row], leaf] = rng.normal(size=(len(leaf), dim))

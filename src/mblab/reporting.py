@@ -8,8 +8,11 @@ form is not the shortest one that does: 0.1 renders as
 failures in ReportError.
 
 ``to_canonical_json`` renders a payload in one pass that dispatches on the
-exact type of each value; numpy scalars and arrays, other mappings and
-subclasses take the slower ``isinstance`` route to the same text.
+exact type of each value.  Both writers accept ``None``, ``bool``,
+``int``, ``float`` and ``str``, and the JSON writer ``dict``, ``list``,
+``tuple`` and ``Verbatim`` too; any other type, a numpy scalar or array,
+a mapping that is not a ``dict`` or a subclass among them, raises
+``ReportError`` rather than being written in some other form.
 
 Large array-backed parts of a payload (a certificate's records and leaves,
 an expansion's midpoint tree) are rendered ahead of time from their arrays:
@@ -41,7 +44,7 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -276,20 +279,20 @@ class Verbatim:
 
 
 def _format_number(v) -> str | None:
-    """Text of a bool, integer or float scalar, numpy ones included; None
-    for anything else.  The one scalar rule of both writers."""
+    """Text of a ``bool``, ``int`` or ``float``, by exact type; None for
+    anything else.  The one scalar rule of both writers."""
     t = type(v)
     if t is float:
         return _format_float(v)
     if t is int:
         return str(v)
-    if isinstance(v, (bool, np.bool_)):
+    if t is bool:
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _format_float(float(v))
     return None
+
+
+def _refused(v) -> ReportError:
+    return ReportError(f"cannot serialize object of type {type(v).__name__}")
 
 
 def _enclosed(opener: str, texts: list[str], closer: str) -> list[str]:
@@ -322,22 +325,13 @@ def _canon(obj) -> str:
     if obj is None:
         return "null"
     text = _format_number(obj)
-    if text is not None:
-        return text
-    # Subclasses, arrays and other mappings.
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, np.ndarray):
-        return _canon(obj.tolist())
-    if isinstance(obj, Mapping):
-        return "".join(_items(obj, [], "}"))
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join([_canon(v) for v in obj]) + "]"
-    raise ReportError(f"cannot serialize object of type {type(obj).__name__}")
+    if text is None:
+        raise _refused(obj)
+    return text
 
 
-def _items(obj: Mapping, parts: list[str], closer: str) -> list[str]:
-    """``parts`` with the canonical JSON text of a mapping, then ``closer``,
+def _items(obj: dict, parts: list[str], closer: str) -> list[str]:
+    """``parts`` with the canonical JSON text of a dict, then ``closer``,
     appended: the brackets, separators, keys and values.  A value that is a
     dict or a ``Verbatim`` is spliced in part by part, so no nested text (a
     certificate's records, say) is joined or copied into an item string."""
@@ -364,7 +358,7 @@ def to_canonical_json(payload) -> str:
     report text, the largest string, is built once."""
     if payload is None or (isinstance(payload, (list, tuple, dict)) and not payload):
         raise ReportError("refusing to write an empty report")
-    if isinstance(payload, Mapping):
+    if type(payload) is dict:
         return "".join(_items(payload, [], "}\n"))
     if type(payload) in (list, tuple):
         return "".join(_enclosed("[", [_canon(v) for v in payload], "]\n"))
@@ -377,13 +371,14 @@ def _cell(v) -> str:
     text = _format_number(v)
     if text is not None:
         return text
-    text = str(v)
-    if any(c in text for c in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    if type(v) is not str:
+        raise _refused(v)
+    if any(c in v for c in ",\"\n"):
+        return '"' + v.replace('"', '""') + '"'
+    return v
 
 
-def rows_to_csv(rows: Sequence[Mapping]) -> str:
+def rows_to_csv(rows: Sequence[dict]) -> str:
     """One CSV line per row under the first row's keys; a key a row lacks
     gives an empty cell.  A column of exact floats only is formatted in one
     ``_format_floats`` call, any other cell by cell."""

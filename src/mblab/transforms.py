@@ -166,16 +166,14 @@ def _event_chains(op: MartingaleTransform) -> EventChains:
     filt = op.filtration
     lay = filt.layout
     below_root = lay.event_levels > 0
-    levels = lay.event_levels[below_root]
+    levels, rows = lay.event_levels[below_root], lay.event_rows[below_root]
     # Row of K_k, k = 0..depth-1, in the stacked rows.
-    chain = lay.stacked_maps[: filt.depth, lay.event_spans[below_root, 0]].T
-    measures = lay.stacked_measures[chain]
+    chain = lay.stacked_maps[: filt.depth, lay.spans[lay.event_atoms[below_root], 0]].T
     beyond = np.arange(filt.depth) > levels[:, None]
-    own = np.arange(len(levels)), levels
     return EventChains(
         levels,
-        chain[own],
-        np.where(beyond, measures[own][:, None], measures),
+        rows,
+        np.where(beyond, lay.stacked_measures[rows][:, None], lay.stacked_measures[chain]),
         np.where(beyond[..., None], 0.0, op.multipliers[chain]),
     )
 
@@ -292,7 +290,11 @@ def _transform_stack(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
     Each atom row of level n >= 1 dots its step with a_n of its parent,
     and the levels' products are summed on the leaves (``_leaf_sum``).
     """
-    steps = _atom_steps(op.filtration, values)
+    return _transform_steps(op, _atom_steps(op.filtration, values))
+
+
+def _transform_steps(op: MartingaleTransform, steps: np.ndarray) -> np.ndarray:
+    """T from the atom steps (..., A, dim) of its input; shape (..., L)."""
     dots = np.einsum("ij,...ij->...i", op.step_multipliers, steps)
     return _leaf_sum(op.filtration, dots[..., None])[..., 0]
 
@@ -358,9 +360,7 @@ def split_multiplier_norm(op: MartingaleTransform) -> float:
     that split at level n.  The split projections are orthogonal and T maps
     the range of J's split difference by h -> a_{n+1}(J) . h, so this is
     ||T|| exactly; 0 on a tower without splits."""
-    lay = op.filtration.layout
-    rows = lay.stacked_maps[lay.event_levels, lay.event_spans[:, 0]]
-    mags = np.linalg.norm(op.multipliers[rows], axis=1)
+    mags = np.linalg.norm(op.multipliers[op.filtration.layout.event_rows], axis=1)
     return float(mags.max(initial=0.0))
 
 
@@ -374,11 +374,15 @@ def predictable_hull(f: MartFunction) -> np.ndarray:
     atoms whose content is mean-zero cancel only up to roundoff, so a strict
     bit test would promote every ancestor of genuine activity into the hull.
     """
-    filt = f.filtration
-    threshold = 1e-12 * max(1.0, float(np.abs(f.values).max()) if f.values.size else 0.0)
+    return _steps_hull(f.filtration, f.values, _atom_steps(f.filtration, f.values))
+
+
+def _steps_hull(filt: Filtration, values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The predictable hull of leaf values (L, d) from their atom steps."""
+    threshold = 1e-12 * max(1.0, float(np.abs(values).max()) if values.size else 0.0)
     # The level-n difference is the step of each A_{n+1} row on its leaves,
     # so its largest value on an A_n atom is the largest over its children.
-    step_max = np.abs(_atom_steps(filt, f.values)).max(axis=1)
+    step_max = np.abs(steps).max(axis=1)
     return np.maximum.reduceat(step_max, filt.layout.stacked_children) > threshold
 
 

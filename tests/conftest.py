@@ -34,8 +34,20 @@ from mblab.transforms import split_multiplier_norm
 
 # A failing example prints its ``@reproduce_failure`` blob, so a rare
 # failure can be replayed; every other setting stays hypothesis's default.
+# ``pytest --hypothesis-profile=soak`` runs every ``@given`` test at 20
+# times its tier-1 examples (``examples``).
 settings.register_profile("mblab", print_blob=True)
+_TIER1_EXAMPLES = settings.get_profile("mblab").max_examples
+settings.register_profile("soak", settings.get_profile("mblab"), max_examples=20 * _TIER1_EXAMPLES)
 settings.load_profile("mblab")
+
+
+def examples(n: int) -> settings:
+    """The settings of a ``@given`` test of n examples at tier 1, no
+    deadline.  An explicit ``max_examples`` overrides every profile, so n
+    is scaled by the loaded profile's own count: n under ``mblab``, 20 n
+    under ``soak``."""
+    return settings(max_examples=n * settings.default.max_examples // _TIER1_EXAMPLES, deadline=None)
 
 
 @pytest.fixture(autouse=True)

@@ -222,8 +222,9 @@ def delta_split(f: MartFunction, event: SplitEvent) -> MartFunction:
     n = here.level + 1
     child_map = lay.stacked_maps[n][lo:hi] - lay.level_offsets[n]
     first, last = int(child_map[0]), int(child_map[-1]) + 1
-    starts = lay.level_starts[n][first:last] - lo
-    child_avg = segment_means(lay.measures[lo:hi], f.values[lo:hi], starts, lay.level_measures[n][first:last])
+    starts = level_starts(lay, n)[first:last] - lo
+    kids = level_measures(lay, n)[first:last]
+    child_avg = segment_means(lay.measures[lo:hi], f.values[lo:hi], starts, kids)
     out = np.zeros_like(f.values)
     out[lo:hi] = child_avg[child_map - first] - atom_mean(filt, f.values, here.id)
     return MartFunction(filt, out)
@@ -428,10 +429,28 @@ def level_map(filt: Filtration, n: int) -> np.ndarray:
     return lay.stacked_maps[n] - lay.level_offsets[n]
 
 
+def level_starts(lay: LeafLayout, n: int) -> np.ndarray:
+    """The first leaf of every A_n atom, in level order: level n's run of
+    the stacked boundaries, after the n sentinels of the levels before."""
+    lo, hi = lay.level_offsets[n : n + 2].tolist()
+    return lay.stacked_starts[lo + n : hi + n]
+
+
+def level_measures(lay: LeafLayout, n: int) -> np.ndarray:
+    """The measure of every A_n atom, in level order."""
+    lo, hi = lay.level_offsets[n : n + 2].tolist()
+    return lay.stacked_measures[lo:hi]
+
+
+def event_spans(lay: LeafLayout) -> np.ndarray:
+    """The leaf span of every split event's atom, in schedule order."""
+    return lay.spans[lay.event_atoms]
+
+
 def _level_means(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
     """Averages of (..., L, d) values over the A_n atoms, in level order."""
     lay = filt.layout
-    return segment_means(lay.measures, values, lay.level_starts[n], lay.level_measures[n])
+    return segment_means(lay.measures, values, level_starts(lay, n), level_measures(lay, n))
 
 
 def _level_expectation(filt: Filtration, values: np.ndarray, n: int) -> np.ndarray:
@@ -503,17 +522,17 @@ def moment_table_by_levels(
         )
         rows[level_partition(filt, n)] = level_rows
         if n:
-            parents = level_map(filt, n - 1)[lay.level_starts[n]]
+            parents = level_map(filt, n - 1)[level_starts(lay, n)]
             level_steps = means[:, : 2 * dim + 1] - prev_means[parents, : 2 * dim + 1]
             steps[lay.level_offsets[n] : lay.level_offsets[n + 1]] = level_steps
             df, dg = np.hsplit(cond - prev_cond, 2)
             pair = np.column_stack((np.einsum("ij,ij->i", dg, dg), np.einsum("ij,ij->i", df, dg)))
             at = lay.event_levels == n - 1
-            pick = level_map(filt, n - 1)[lay.event_spans[at, 0]]
+            pick = level_map(filt, n - 1)[event_spans(lay)[at, 0]]
             split[at, :2] = _level_means(filt, pair, n - 1)[pick]
-            first_kids = level_map(filt, n)[lay.level_starts[n - 1]]
-            kids_x2 = np.add.reduceat(lay.level_measures[n] * x2, first_kids)
-            split[at, 2] = (kids_x2 / lay.level_measures[n - 1] - prev_x2)[pick]
+            first_kids = level_map(filt, n)[level_starts(lay, n - 1)]
+            kids_x2 = np.add.reduceat(level_measures(lay, n) * x2, first_kids)
+            split[at, 2] = (kids_x2 / level_measures(lay, n - 1) - prev_x2)[pick]
         prev_means, prev_cond, prev_x2 = means, cond, x2
     x1, g2, x2, x3, x4, tstar_mean, g_mean, osc2 = np.hsplit(
         rows, [dim, dim + 1, dim + 2, dim + 3, dim + 4, 2 * dim + 4, 2 * dim + 5]
@@ -574,7 +593,7 @@ def event_draws_by_blocks(
     out = np.zeros((filt.depth, L, dim))
     for blk in _blocks(len(events), L * dim):
         raw = rng.normal(size=(blk.stop - blk.start, L, dim))
-        spans = lay.event_spans[events[blk]]
+        spans = event_spans(lay)[events[blk]]
         leaf, row = _segments(spans[:, 0], spans[:, 1] - spans[:, 0])
         out[lay.event_levels[events[blk]][row], leaf] = raw[row, leaf]
     return out
@@ -594,7 +613,7 @@ class SpanFed:
 
     def __init__(self, rng: np.random.Generator, filt: Filtration, events: Iterable[int]):
         self._rng = rng
-        self._spans = filt.layout.event_spans
+        self._spans = event_spans(filt.layout)
         self._events = iter(events)
 
     def normal(self, size: tuple[int, ...]) -> np.ndarray:
@@ -658,7 +677,7 @@ def _event_runs(op: MartingaleTransform) -> EventRuns:
     lay = filt.layout
     below_root = lay.event_levels > 0
     levels = lay.event_levels[below_root]
-    spans = lay.event_spans[below_root]
+    spans = event_spans(lay)[below_root]
     lengths = spans[:, 1] - spans[:, 0]
     leaf, owner = _segments(spans[:, 0], lengths)
     # Row of K_k, k = 0..depth-1, in the stacked rows.
@@ -804,11 +823,11 @@ def check_osc_series_by_levels(w: Witness, tol: Tolerances, rng: np.random.Gener
     err = 0.0
     for n in range(filt.depth - 1, -1, -1):
         piece_sq = piece_sums[lay.level_offsets[n] : lay.level_offsets[n + 1]]
-        container = lay.stacked_maps[n][lay.level_starts[n + 1]] - lay.level_offsets[n]
+        container = lay.stacked_maps[n][level_starts(lay, n + 1)] - lay.level_offsets[n]
         series = piece_sq + np.bincount(container, weights=series, minlength=len(piece_sq))
         split = np.bincount(container, minlength=len(piece_sq)) > 1
         direct = osc2[level_partition(filt, n)[split]]
-        rel = np.abs(direct - series[split] / lay.level_measures[n][split])
+        rel = np.abs(direct - series[split] / level_measures(lay, n)[split])
         rel /= np.maximum(1.0, direct)
         err = float(np.maximum(err, np.max(rel)))  # NaN stays
     return [_row("osc_series", err, tol.tight, "series vs direct, relative")]
@@ -1151,14 +1170,10 @@ def _build_layout(f: AtomTower) -> LeafLayout:
         measures=_frozen(atom_measure[list(f.leaves)]),
         atom_measures=_frozen(atom_measure),
         spans=_frozen(spans),
-        level_starts=tuple(
-            stacked_starts[off + n : end + n]
-            for n, (off, end) in enumerate(zip(offsets, offsets[1:]))
-        ),
-        level_measures=tuple(stacked_measures[off:end] for off, end in zip(offsets, offsets[1:])),
         event_atoms=_frozen(event_atoms),
         event_levels=_frozen(row_level[split]),
-        event_spans=_frozen(spans[event_atoms]),
+        # each event's row: the row its level's map gives its first leaf
+        event_rows=_frozen(stacked_maps[row_level[split], spans[event_atoms, 0]]),
         event_children=_frozen(np.fromiter(chain.from_iterable(kids), dtype=np.intp)),
         event_child_starts=_frozen(np.cumsum([0] + [len(k) for k in kids])),
         level_offsets=_frozen(offsets),
@@ -1272,13 +1287,10 @@ def build_layout_one_root(f: Filtration) -> LeafLayout:
         measures=_frozen(atom_measure[rows[-1]]),
         atom_measures=_frozen(atom_measure),
         spans=_frozen(spans),
-        level_starts=tuple(
-            stacked_starts[off + n : end + n] for n, (off, end) in enumerate(zip(bounds, bounds[1:]))
-        ),
-        level_measures=tuple(stacked_measures[off:end] for off, end in zip(bounds, bounds[1:])),
         event_atoms=_frozen(event_atoms),
         event_levels=_frozen(row_level[split]),
-        event_spans=_frozen(spans[event_atoms]),
+        # each event's row: the row its level's map gives its first leaf
+        event_rows=_frozen(stacked_maps[row_level[split], spans[event_atoms, 0]]),
         event_children=_frozen(f.children[_segments(f.child_starts[event_atoms], event_sizes)[0]]),
         event_child_starts=_frozen(np.concatenate(([0], event_sizes.cumsum()))),
         level_offsets=_frozen(offsets),
@@ -1353,8 +1365,7 @@ def search_trials_by_trials(
     depth: int | None = None,
 ) -> tuple[list[float], float, dict, tuple]:
     """The trials of ``estimator.lower_bound_search`` one at a time: the
-    history, the best value, its witness record and its state (filt, f, g,
-    op)."""
+    history, the best value, its witness record and its state (f, g, op)."""
     q = conjugate_exponent(p)
     history = []
     best = -1.0
@@ -1374,7 +1385,7 @@ def search_trials_by_trials(
         # Values are nonnegative, so trial 0 always sets the best state.
         if val > best:
             best = val
-            best_state = (filt, f, g, op)
+            best_state = (f, g, op)
             witness = {"trial": i, "kind": kind, "depth": filt.depth, "dim": dim}
     return history, best, witness, best_state
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mblab.bellman import (
@@ -31,6 +31,7 @@ from mblab.bellman import (
 )
 import mblab.bellman as bellman
 from mblab.reporting import to_canonical_json
+from conftest import examples
 import oracles
 from oracles import diameter_pair, scale_candidate
 from test_reporting import ref_to_canonical_json
@@ -127,7 +128,7 @@ def test_point_serialization_roundtrip(small_cells):
 
     pc = small_cells[0]
     root = oracles.root(pc.filtration).id
-    pt = _root_point(pc.filtration, pc.f, pc.g, pc.op, 2.0)
+    pt = _root_point(pc.f, pc.g, pc.op, 2.0)
     *x1, x2, x3, x4 = Witness(pc.f, pc.g, pc.op, 2.0).table.points[root].tolist()
     assert pt == {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": 2.0, "atom": root}
     assert json.loads(to_canonical_json(pt)) == pt
@@ -653,7 +654,7 @@ def test_rescale_roundoff_gap_raises():
         estimate_rescale_constant(cand, 0.1, samples=80, seed=12)
 
 
-@settings(max_examples=20, deadline=None)
+@examples(20)
 @given(seed=st.integers(0, 5_000))
 def test_split_slack_matches_manual_formula(seed):
     cand = quadratic_candidate(0.25)

@@ -20,7 +20,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mblab.bellman as bellman
@@ -59,7 +59,7 @@ from mblab.transforms import (
     _transform_stack,
     split_multiplier_norm,
 )
-from conftest import traced
+from conftest import examples, traced
 import oracles
 from oracles import (
     SpanFed,
@@ -248,7 +248,8 @@ def test_one_adjoint_and_one_table_per_call(monkeypatch, kernel_tower, dim):
 
 def test_one_corpus_cell_derives_each_object_once(monkeypatch, capsys):
     # the suites and both probes read the certificate's witness, and T is
-    # applied twice: to f, and to check_support's own input
+    # applied once, to f: check_support takes T of its own input from the
+    # steps it shares with the hull
     one_cell = default_corpus(seeds=1)[5:6]
     monkeypatch.setattr(cli, "default_corpus", lambda seeds: one_cell)
     counts = _count_derivations(monkeypatch)
@@ -258,21 +259,31 @@ def test_one_corpus_cell_derives_each_object_once(monkeypatch, capsys):
     assert cli.run(["corpus", "--seeds", "1"]) == 0
     assert '"cells":1,' in capsys.readouterr().out
     assert counts == dict.fromkeys(counts, 1)
-    assert len(applied) == 2
+    assert len(applied) == 1
 
 
 def test_stacked_passes_per_call(monkeypatch):
     # f, g and T* g go through the stacked kernel once, in the moment table;
-    # run_all's other passes are T f, T* g, check_support's T h and hull,
-    # the auxiliary draw of the projections and the uncentered cuts
+    # run_all's other passes are T f, T* g, one pass of check_support's h
+    # for both T h and its hull, the auxiliary draw of the projections and
+    # the uncentered cuts
     pc = prepare_cell(default_corpus(seeds=1)[5])
-    passes = []
+    passes, support_inputs = [], []
     stacked = martingale._stacked_means
-    counted = lambda filt, values: passes.append(values.shape) or stacked(filt, values)
+    counted = lambda filt, values: passes.append(values) or stacked(filt, values)
     for module in (martingale, bellman):
         monkeypatch.setattr(module, "_stacked_means", counted)
+    active = checks.active_split_function
+
+    def drawn(*args):
+        support_inputs.append(active(*args))
+        return support_inputs[-1]
+
+    monkeypatch.setattr(checks, "active_split_function", drawn)
     run_all(pc.f, pc.g, pc.op, rng=np.random.default_rng(0))
-    assert len(passes) <= 7, passes
+    assert len(passes) <= 6, [v.shape for v in passes]
+    [(h, _)] = support_inputs
+    assert sum(v is h.values for v in passes) == 1
     passes.clear()
     # certify reads the witness run_all left: no pass of its own
     certify(quadratic_candidate(pc.f.filtration.delta), pc.f, pc.g, pc.op)
@@ -465,7 +476,7 @@ def check_localization(
         pieces = np.empty_like(raw)
         for n in np.unique(levels).tolist():
             pieces[levels == n] = _level_difference(filt, raw[levels == n], n)
-        inside = _inside(lay.event_spans[blk], L)
+        inside = _inside(oracles.event_spans(lay)[blk], L)
         pieces[~inside] = 0.0
         th = _transform_stack(op, pieces)
         outside = max(outside, float(np.max(np.abs(th[~inside]), initial=0.0)))
@@ -511,9 +522,9 @@ def _restriction_sides(g: MartFunction, op: MartingaleTransform) -> tuple[np.nda
     filt = g.filtration
     lay = filt.layout
     below_root = lay.event_levels > 0
-    spans = lay.event_spans[below_root]
+    spans = oracles.event_spans(lay)[below_root]
     levels = lay.event_levels[below_root]
-    measures = _at_events(filt, lambda n: lay.level_measures[n], spans, levels)
+    measures = _at_events(filt, lambda n: oracles.level_measures(lay, n), spans, levels)
     tstar_g = op.adjoint_apply(g).values
     local = _at_events(filt, lambda n: level_osc2(filt, tstar_g, n), spans, levels)
     cut_osc, _ = _cut_adjoints(op, g.values[:, 0], spans, np.zeros(len(spans)))
@@ -788,7 +799,7 @@ def test_restriction_sides_hold_little_at_depth_15():
     assert peak <= 20_000_000
 
 
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(
     depth=st.integers(1, 7),
     delta=st.sampled_from([0.1, 0.25, 1.0 / 3.0]),

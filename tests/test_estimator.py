@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import mblab
@@ -27,6 +27,7 @@ from mblab.estimator import (
     optimal_lambda,
 )
 from mblab.martingale import inner, lp_norm
+from conftest import examples
 import oracles
 from oracles import average, hoelder_objective, optimal_lambda_numeric, shift
 
@@ -96,7 +97,7 @@ def test_kappa_constant():
         assert val == pytest.approx(target, rel=1e-10)
 
 
-@settings(max_examples=60, deadline=None)
+@examples(60)
 @given(
     p=st.floats(1.01, 2.0),
     lx3=st.floats(-4, 4),
@@ -155,8 +156,9 @@ def test_scan_batch_matches_trial_by_trial(delta, dim, depth):
 
 
 def assert_same_search(run, ref):
-    history, best, witness, (filt, f, g, op) = run
-    ref_history, ref_best, ref_witness, (ref_filt, ref_f, ref_g, ref_op) = ref
+    history, best, witness, (f, g, op) = run
+    ref_history, ref_best, ref_witness, (ref_f, ref_g, ref_op) = ref
+    filt, ref_filt = f.filtration, ref_f.filtration
     assert (history, best, witness) == (ref_history, ref_best, ref_witness)
     for name in ("a", "b", "child_starts", "children"):
         assert np.array_equal(getattr(filt, name), getattr(ref_filt, name))
@@ -341,7 +343,8 @@ def test_search_best_recomputes_from_witness(monkeypatch):
     root_point = est._root_point
     monkeypatch.setattr(est, "_root_point", lambda *args: best.append(args) or root_point(*args))
     res = lower_bound_search(1.5, 40, seed=8, delta=0.25, dim=2)
-    [(filt, f, g, op, _)] = best
+    [(f, g, op, _)] = best
+    filt = f.filtration
     q = conjugate_exponent(1.5)
     direct = abs(inner(g, op.apply(f))) / (
         lp_norm(f, 1.5) * lp_norm(g, q) * filt.total_measure

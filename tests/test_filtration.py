@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mblab.corpus import _unit_rows as unit_rows
@@ -31,7 +31,7 @@ from mblab.reporting import to_canonical_json
 from mblab.transforms import make_transform
 
 import oracles
-from conftest import traced
+from conftest import examples, traced
 from oracles import Atom, atom_columns, regularity_delta, sample_ratios_one_by_one, tower_from_atoms
 
 
@@ -90,17 +90,20 @@ def test_layout_events_follow_schedule():
     assert [e.atom for e in events] == [a.id for a in by_definition]
     assert lay.event_atoms.tolist() == [e.atom for e in events]
     assert lay.event_levels.tolist() == [oracles.atom(filt, e.atom).level for e in events]
-    for e, (lo, hi) in zip(events, lay.event_spans.tolist()):
+    # each event's row holds its atom at its level
+    assert lay.stacked_atoms[lay.event_rows].tolist() == lay.event_atoms.tolist()
+    assert np.array_equal(np.searchsorted(lay.level_offsets, lay.event_rows, "right") - 1, lay.event_levels)
+    for e, (lo, hi) in zip(events, oracles.event_spans(lay).tolist()):
         assert oracles.leaf_slice(filt, e.atom) == slice(lo, hi)
         kids = sorted(oracles.leaf_slice(filt, c).start for c in oracles.atom(filt, e.atom).children)
         assert kids[0] == lo
     for n, part in enumerate(oracles.levels_of(filt)):
         spans = [oracles.leaf_slice(filt, a) for a in part]
-        assert lay.level_starts[n].tolist() == [sl.start for sl in spans]
+        assert oracles.level_starts(lay, n).tolist() == [sl.start for sl in spans]
         assert spans[-1].stop == filt.n_leaves
         for j, sl in enumerate(spans):
             assert np.all(lay.stacked_maps[n][sl] == lay.level_offsets[n] + j)
-            assert lay.level_measures[n][j] == oracles.atom(filt, part[j]).measure
+            assert oracles.level_measures(lay, n)[j] == oracles.atom(filt, part[j]).measure
 
 
 def test_dyadic_depth_one_is_single_split(dyadic1):
@@ -239,7 +242,7 @@ def test_json_roundtrip():
     ] == [(x.id, x.a, x.b, x.level, x.parent, x.children) for x in oracles.atoms(filt)]
 
 
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(
     depth=st.integers(min_value=1, max_value=5),
     delta_k=st.sampled_from([(0.5, 2), (0.3, 3), (0.2, 4), (0.1, 5)]),
@@ -274,12 +277,10 @@ def assert_same_tower(filt, ref):
     assert oracles.levels_of(filt) == ref.levels
     lay, ref_lay = filt.layout, ref.layout
     for fld in dataclasses.fields(LeafLayout):
-        new, old = getattr(lay, fld.name), getattr(ref_lay, fld.name)
-        pairs = zip(new, old, strict=True) if isinstance(old, tuple) else [(new, old)]
-        for x, y in pairs:
-            assert x.dtype == y.dtype and x.shape == y.shape, fld.name
-            assert np.array_equal(x, y), fld.name
-            assert not x.flags.writeable, fld.name
+        x, y = getattr(lay, fld.name), getattr(ref_lay, fld.name)
+        assert x.dtype == y.dtype and x.shape == y.shape, fld.name
+        assert np.array_equal(x, y), fld.name
+        assert not x.flags.writeable, fld.name
     assert to_canonical_json(filtration_to_dict(filt)) == to_canonical_json(oracles.atoms_to_dict(ref))
 
 
@@ -298,7 +299,7 @@ def test_random_regular_matches_atom_builder(depth, delta):
     assert_same_tower(build_random_regular(*args), oracles.build_random_regular(*args))
 
 
-@settings(max_examples=25, deadline=None)
+@examples(25)
 @given(
     depth=st.integers(min_value=1, max_value=6),
     delta=st.sampled_from(FLOORS),
@@ -529,9 +530,7 @@ LAYOUT_FIELDS = [f.name for f in dataclasses.fields(LeafLayout)]
 def assert_same_layout(lay, ref):
     for name in LAYOUT_FIELDS:
         a, b = getattr(lay, name), getattr(ref, name)
-        pairs = zip(a, b) if isinstance(a, tuple) else [(a, b)]
-        assert isinstance(a, tuple) == isinstance(b, tuple) and len(a) == len(b), name
-        assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in pairs), name
+        assert np.array_equal(a, b) and a.dtype == b.dtype, name
 
 
 def events_of(lay, atoms=None):
@@ -542,7 +541,7 @@ def events_of(lay, atoms=None):
     for e, atom in enumerate(lay.event_atoms.tolist()):
         if atoms is None or atom in atoms:
             kids = lay.event_children[bounds[e] : bounds[e + 1]].tolist()
-            out.append((atom, int(lay.event_levels[e]), lay.event_spans[e].tolist(), kids))
+            out.append((atom, int(lay.event_levels[e]), oracles.event_spans(lay)[e].tolist(), kids))
     return out
 
 
@@ -579,8 +578,8 @@ def assert_batch_slices(towers):
             level_row = int(lay.level_offsets[n])
             assert np.array_equal(lay.stacked_atoms[r0:r1] - a0, own.stacked_atoms[o0:o1])
             assert np.array_equal(lay.stacked_measures[r0:r1], own.stacked_measures[o0:o1])
-            firsts = lay.level_starts[n][r0 - level_row : r1 - level_row]
-            assert np.array_equal(firsts - lo, own.level_starts[n])
+            firsts = oracles.level_starts(lay, n)[r0 - level_row : r1 - level_row]
+            assert np.array_equal(firsts - lo, oracles.level_starts(own, n))
             assert np.array_equal(lay.stacked_maps[n, lo:hi] - r0, own.stacked_maps[n] - o0)
             assert np.array_equal(
                 lay.diagonal_starts[r0:r1] - n * L - lo, own.diagonal_starts[o0:o1] - n * tower.n_leaves
@@ -667,12 +666,3 @@ def test_batch_needs_towers_of_one_depth():
         Filtration.stack(0.5, 2, parts)
     with pytest.raises(FiltrationError, match="no split at level 2 in tower 0"):
         Filtration.stack(0.5, 3, parts)
-
-
-def test_tower_columns_cut_one_tower_out():
-    towers = batch_members(build_dyadic(3))
-    batch = stack(towers)
-    for t, tower in enumerate(towers):
-        cut = batch.tower_columns(t)
-        assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(cut, tower.columns))
-        assert not any(np.shares_memory(x, y) for x, y in zip(cut, batch.columns))

@@ -3,7 +3,7 @@ single-split differences, oscillation bookkeeping."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,6 +30,7 @@ from mblab.martingale import (
     lp_norm,
 )
 from mblab.transforms import _adjoint_stack, _transform_stack
+from conftest import examples
 import oracles
 from oracles import (
     Atom,
@@ -196,7 +197,7 @@ def _drawn_events(filt, seed):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_event_draws_are_one_span_sized_normal_call(kernel_tower, dim):
-    spans = kernel_tower.layout.event_spans
+    spans = oracles.event_spans(kernel_tower.layout)
     for events in _drawn_events(kernel_tower, dim):
         rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)
         draws = _event_draws(kernel_tower, events, dim, rng)
@@ -280,7 +281,7 @@ def test_lp_norm_survives_large_exponents(dyadic3, p):
     assert lp_norm(f * 0.0, p) == 0.0
 
 
-@settings(max_examples=30, deadline=None)
+@examples(30)
 @given(
     vals=arrays(np.float64, (8, 2), elements=st.floats(-100, 100)),
     w=st.floats(-10, 10),
@@ -293,7 +294,7 @@ def test_inner_is_bilinear(vals, w):
     assert lhs == pytest.approx(w * inner(f, g), rel=1e-9, abs=1e-9)
 
 
-@settings(max_examples=30, deadline=None)
+@examples(30)
 @given(vals=arrays(np.float64, (4, 1), elements=st.floats(-50, 50)))
 def test_jensen_for_averages(vals):
     filt = build_dyadic(2)
@@ -353,13 +354,13 @@ def _assert_kernel_matches_levels(filt, dim, seed):
         stack = rng.normal(size=(filt.depth - first, L, dim))
         sums = _diagonal_sums(filt, stack, first)
         ref = [
-            np.add.reduceat(lay.measures[:, None] * row, lay.level_starts[first + k], axis=-2)
+            np.add.reduceat(lay.measures[:, None] * row, oracles.level_starts(lay, first + k), axis=-2)
             for k, row in enumerate(stack)
         ]
         _assert_same_bits(sums, np.concatenate(ref))
         flat = _diagonal_sums(filt, stack[..., 0], first)
         ref = [
-            np.add.reduceat(lay.measures * row[:, 0], lay.level_starts[first + k])
+            np.add.reduceat(lay.measures * row[:, 0], oracles.level_starts(lay, first + k))
             for k, row in enumerate(stack)
         ]
         _assert_same_bits(flat, np.concatenate(ref))
@@ -399,7 +400,7 @@ def test_stacked_kernel_matches_per_level_loop_on_fixed_towers(kernel_tower, dim
     _assert_kernel_matches_levels(_last_atom_single_leaf(), dim, 30 + dim)
 
 
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(
     dyadic=st.booleans(),
     depth=st.integers(1, 10),

@@ -1,8 +1,9 @@
 """Deterministic report serialization.
 
-The writers render in one type-dispatched pass.  The oracle below is the
-plain recursive writer (an ``isinstance`` chain, one ``json.dumps`` per
-key): every payload, random or real, must give the same bytes through both.
+The writers render in one pass that dispatches on each value's exact
+type, and refuse every type no report carries.  The oracle below is the
+plain recursive writer (one ``json.dumps`` per key and string): every
+payload, random or real, must give the same bytes through both.
 A certificate's records and leaves are written from its arrays ahead of
 time, so the oracle renders the record-by-record payload of
 ``oracles.certificate_by_records`` in their place.
@@ -13,12 +14,11 @@ import json
 import math
 import types
 from collections import OrderedDict
-from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import mblab.certifier as certifier
@@ -37,7 +37,7 @@ from mblab.reporting import (
     to_canonical_json,
     write_text,
 )
-from conftest import traced
+from conftest import examples, traced
 from oracles import certificate_by_records
 
 
@@ -55,24 +55,23 @@ def ref_format_float(x: float) -> str:
 
 
 def ref_canon(obj) -> str:
+    t = type(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if t is bool:
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return ref_format_float(float(obj))
-    if isinstance(obj, str):
+    if t is int:
+        return str(obj)
+    if t is float:
+        return ref_format_float(obj)
+    if t is str:
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return ref_canon(obj.tolist())
-    if isinstance(obj, Mapping):
+    if t is dict:
         inner = ",".join(f"{json.dumps(str(k))}:{ref_canon(v)}" for k, v in obj.items())
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
+    if t is list or t is tuple:
         return "[" + ",".join(ref_canon(v) for v in obj) + "]"
-    raise ReportError(f"cannot serialize object of type {type(obj).__name__}")
+    raise ReportError(f"cannot serialize object of type {t.__name__}")
 
 
 def ref_to_canonical_json(payload) -> str:
@@ -82,18 +81,20 @@ def ref_to_canonical_json(payload) -> str:
 
 
 def ref_cell(v) -> str:
+    t = type(v)
     if v is None:
         return ""
-    if isinstance(v, bool) or isinstance(v, np.bool_):
+    if t is bool:
         return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return ref_format_float(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    text = str(v)
-    if any(c in text for c in ",\"\n"):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    if t is float:
+        return ref_format_float(v)
+    if t is int:
+        return str(v)
+    if t is not str:
+        raise ReportError(f"cannot serialize object of type {t.__name__}")
+    if any(c in v for c in ",\"\n"):
+        return '"' + v.replace('"', '""') + '"'
+    return v
 
 
 def ref_rows_to_csv(rows) -> str:
@@ -109,36 +110,11 @@ def ref_rows_to_csv(rows) -> str:
 # --- random payloads -------------------------------------------------------
 
 
-class ScratchMapping(Mapping):
-    """A Mapping that is not a dict.  It hands out every dict value through
-    one reused scratch dict, so one id carries different contents, as when
-    a freed temporary's id is reused."""
-
-    def __init__(self, items):
-        self._d = dict(items)
-        self._scratch = {}
-
-    def __getitem__(self, key):
-        value = self._d[key]
-        if type(value) is not dict:
-            return value
-        self._scratch.clear()
-        self._scratch.update(value)
-        return self._scratch
-
-    def __iter__(self):
-        return iter(self._d)
-
-    def __len__(self):
-        return len(self._d)
-
-
 SPECIAL_FLOATS = (
     math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
     5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
     1e-310, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e17,
 )
-INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
 texts = st.one_of(
@@ -146,22 +122,7 @@ texts = st.one_of(
     st.sampled_from(['', 'say "hi", ok', "back\\slash", "tab\tnl\nnul\x00\x1f\x7f",
                      "caf\u00e9 \u6f22\u5b57 \U0001f600", "\ud800 lone surrogate"]),
 )
-numpy_scalars = st.one_of(
-    floats.map(np.float64),
-    st.floats(width=32).map(np.float32),
-    INT64.map(np.int64),
-    st.booleans().map(np.bool_),
-)
-numpy_arrays = st.one_of(
-    st.lists(floats, max_size=5).map(lambda v: np.array(v, dtype=np.float64)),
-    st.lists(st.floats(width=32), max_size=5).map(lambda v: np.array(v, dtype=np.float32)),
-    st.lists(INT64, max_size=5).map(lambda v: np.array(v, dtype=np.int64)),
-    st.lists(st.booleans(), max_size=5).map(lambda v: np.array(v, dtype=np.bool_)),
-    st.lists(floats, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2)),
-)
-scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), floats, texts, numpy_scalars, numpy_arrays
-)
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, texts)
 keys = st.one_of(st.text(max_size=8), st.integers(), st.booleans(), st.none(), floats)
 
 
@@ -172,9 +133,6 @@ def _containers(children):
         st.lists(children, max_size=4).map(tuple),
         str_dicts,
         st.dictionaries(keys, children, max_size=4),
-        str_dicts.map(ScratchMapping),
-        str_dicts.map(types.MappingProxyType),
-        str_dicts.map(OrderedDict),
         # the same sub-dict or list twice in one payload
         st.tuples(str_dicts, st.lists(children, max_size=3)).map(
             lambda dl: {"a": dl[0], "b": [dl[0], dl[1], {"c": dl[0]}], "d": dl[1]}
@@ -185,7 +143,7 @@ def _containers(children):
 payloads = st.recursive(scalars, _containers, max_leaves=20)
 
 
-@settings(max_examples=200, deadline=None)
+@examples(200)
 @given(payloads)
 def test_canonical_json_matches_reference(payload):
     try:
@@ -197,10 +155,24 @@ def test_canonical_json_matches_reference(payload):
     assert to_canonical_json(payload) == expected
 
 
-@settings(max_examples=100, deadline=None)
+@examples(100)
 @given(st.lists(st.dictionaries(st.sampled_from("abc"), scalars, max_size=3), min_size=1, max_size=4))
 def test_rows_to_csv_matches_reference(rows):
     assert rows_to_csv(rows) == ref_rows_to_csv(rows)
+
+
+# Types no report carries beside sets and plain objects: numpy scalars
+# and arrays, and mappings that are not a dict.
+FOREIGN = [
+    np.float64(0.5),
+    np.float32(0.5),
+    np.int64(3),
+    np.bool_(True),
+    np.array([1.0, -0.0]),
+    np.array(2.0),
+    OrderedDict(k=1.0),
+    types.MappingProxyType({"k": 1.0}),
+]
 
 
 def test_rows_to_csv_long_float_columns_match_reference():
@@ -213,17 +185,23 @@ def test_rows_to_csv_long_float_columns_match_reference():
     assert rows_to_csv(rows) == ref_rows_to_csv(rows)
 
 
-def test_canonical_json_memo_skips_temporaries():
-    # a writer that kept text by id() must not reuse the text of values a
-    # mapping made on lookup
-    payload = [ScratchMapping({f"k{i}": {"v": i} for i in range(4)})] * 2
-    assert to_canonical_json(payload) == ref_to_canonical_json(payload)
-
-
-@pytest.mark.parametrize("bad", [set(), object(), [1.0, {"x": {1, 2}}], {"k": (object(),)}])
+@pytest.mark.parametrize(
+    "bad",
+    [set(), object(), [1.0, {"x": {1, 2}}], {"k": (object(),)}, *FOREIGN, {"k": [np.float64(1.0)]}],
+)
 def test_canonical_json_rejects_unknown_types(bad):
     with pytest.raises(ReportError):
         to_canonical_json(bad)
+    with pytest.raises(ReportError):
+        to_canonical_json({"ok": True, "rows": [{"v": bad}]})
+
+
+@pytest.mark.parametrize("bad", [set(), object(), *FOREIGN, [1.0], (1.0,), {"k": 1.0}])
+def test_csv_cells_reject_unknown_types(bad):
+    # a numpy float would otherwise be written through str(), in another form
+    for rows in ([{"v": bad}], [{"v": 1.5}, {"v": bad}], [{"v": "x"}, {"v": bad}]):
+        with pytest.raises(ReportError):
+            rows_to_csv(rows)
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +282,7 @@ FLOAT_COLUMN = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@examples(300)
 @given(FLOAT_COLUMN)
 def test_format_floats_matches_format_float(col):
     expected = [_format_float(x) for x in col]
@@ -352,7 +330,7 @@ WINDOW_BITS = st.builds(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@examples(300)
 @given(st.lists(st.one_of(RAW_BITS, WINDOW_BITS), min_size=1, max_size=64))
 def test_kernel_matches_format_float_on_bit_patterns(patterns):
     # tiled to the kernel's minimum, so the kernel takes every in-window entry
@@ -521,7 +499,7 @@ def test_format_float_is_seventeen_digits_not_shortest():
     assert _format_float(0.5) == "0.5"
 
 
-@settings(max_examples=200, deadline=None)
+@examples(200)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_float_roundtrips(x):
     assert float(_format_float(x)) == x
@@ -535,8 +513,8 @@ def test_canonical_json_basics():
     assert text.index('"b"') < text.index('"a"')
 
 
-def test_canonical_json_handles_arrays_and_specials():
-    text = to_canonical_json({"v": np.array([1.0, -0.0]), "n": float("nan")})
+def test_canonical_json_handles_specials():
+    text = to_canonical_json({"v": [1.0, -0.0], "n": float("nan")})
     assert '"v":[1,0]' in text
     assert '"n":NaN' in text
 

@@ -3,10 +3,12 @@ root re-exports only exported names, every exported name has a caller
 outside its own module, in ``src/mblab`` or ``perfbench/``, unless it
 awaits a planned caller, every function, class and method the package
 defines is named outside its own definition, so that test-only code lives
-in ``tests/oracles.py``, and the benchmark's traced runs still find and
+in ``tests/oracles.py``, every field of the leaf layout is read outside
+the module that builds it, and the benchmark's traced runs still find and
 call what they bind."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import subprocess
@@ -17,6 +19,7 @@ from types import ModuleType
 import pytest
 
 import mblab
+from mblab.filtration import LeafLayout
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mblab"
@@ -25,10 +28,13 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("
 # The two halves of the rescaling route have no caller yet; ROADMAP item 6
 # gives them one, an `mblab rescale` command.
 AWAITING_CALLER = {"bellman.estimate_rescale_constant", "bellman.recombine_slack"}
-# Methods the benchmark's tracer binds by their names as strings only.
+# Functions and methods the benchmark's tracer binds by their names as
+# strings only.  ``predictable_hull`` is public; ``check_support`` reads the
+# hull from the steps it shares with T h.
 BENCHMARK_BINDS = {
     "transforms.MartingaleTransform.matrix_apply",
     "transforms.MartingaleTransform.adjoint_apply",
+    "transforms.predictable_hull",
 }
 
 
@@ -155,6 +161,18 @@ def test_exempt_names_are_defined():
     exported = {f"{name}.{export}" for name, _, export in _exports()}
     assert AWAITING_CALLER <= exported
     assert AWAITING_CALLER | BENCHMARK_BINDS <= set(_unnamed())
+
+
+def test_every_layout_field_is_read_outside_filtration():
+    # a field no kernel reads is a second copy of a fact, or an unused view
+    read = {
+        node.attr
+        for path in PACKAGE.glob("*.py")
+        if path.name != "filtration.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    assert [f.name for f in dataclasses.fields(LeafLayout) if f.name not in read] == []
 
 
 @pytest.mark.parametrize("workload", ["deep_tower", "corpus_sweep", "cli_session"])

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mblab.bellman import Witness
@@ -26,6 +26,7 @@ from mblab.transforms import (
     split_multiplier_norm,
     transform_to_dict,
 )
+from conftest import examples
 import oracles
 from oracles import (
     _level_differences,
@@ -182,7 +183,7 @@ def test_split_multiplier_norm_ignores_atoms_that_do_not_split():
         (n, i)
         for n in range(filt.depth)
         for i in range(len(level_partition(filt, n)))
-        if i not in level_map(filt, n)[lay.event_spans[lay.event_levels == n, 0]]
+        if i not in level_map(filt, n)[oracles.event_spans(lay)[lay.event_levels == n, 0]]
     )
     mults = op.multipliers.copy()
     mults[lay.level_offsets[level] + idle] = 5.0
@@ -200,7 +201,7 @@ def test_adjoint_routes_agree(kernel_tower):
     assert np.allclose(a.values, b.values, atol=1e-12)
 
 
-@settings(max_examples=30, deadline=None)
+@examples(30)
 @given(
     depth=st.integers(1, 6),
     delta=st.sampled_from([0.1, 0.25, 1.0 / 3.0]),
@@ -356,7 +357,7 @@ def test_json_roundtrip(tower):
     assert np.array_equal(coords, op.multipliers)
 
 
-@settings(max_examples=25, deadline=None)
+@examples(25)
 @given(seed=st.integers(0, 10_000), dim=st.integers(1, 3))
 def test_contraction_property(seed, dim):
     filt = build_dyadic(3)
