@@ -804,14 +804,13 @@ def estimate_rescale_constant(
 # Report payload
 
 
-def _point_fields(texts: list[str], dim: int) -> tuple[list[str], ...]:
-    """The insides of the x1 arrays and the x2, x3 and x4 texts of moment
-    points, from the texts of their rows (x1, x2, x3, x4) in C order."""
-    width = dim + 3
-    x1 = texts[0::width]
-    if dim > 1:
-        x1 = list(map(",".join, zip(x1, *(texts[j::width] for j in range(1, dim)))))
-    return x1, texts[dim::width], texts[dim + 1 :: width], texts[dim + 2 :: width]
+def _point_texts(texts: list[str], dim: int) -> list[str]:
+    """The text of each moment point up to its x4 value,
+    '{"x1":[...],"x2":...,"x3":...,"x4":...' without the closing brace,
+    from the texts of the points' rows (x1, x2, x3, x4) in C order."""
+    rows = [texts[j :: dim + 3] for j in range(dim + 3)]
+    x1 = rows[0] if dim == 1 else map(",".join, zip(*rows[:dim]))
+    return [f'{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}' for a, b, c, e in zip(x1, *rows[dim:])]
 
 
 def expansion_to_dict(cert: ExpansionCertificate) -> dict:
@@ -824,16 +823,13 @@ def expansion_to_dict(cert: ExpansionCertificate) -> dict:
     dim = cert.levels[0].shape[1] - 3
     nodes: list[str] = []
     for k in range(cert.m, -1, -1):
-        x1, x2, x3, x4 = _point_fields(_format_floats(cert.levels[k]), dim)
+        points = _point_texts(_format_floats(cert.levels[k]), dim)
         if k == cert.m:
-            kids = [""] * len(x1)
+            kids = [""] * len(points)
         else:
             kids = [a + "," + b for a, b in zip(nodes[0::2], nodes[1::2])]
         tail = '},"weight":' + _format_float(0.5**k) + ',"children":['
-        nodes = [
-            f'{{"point":{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}{tail}{kid}]}}'
-            for a, b, c, e, kid in zip(x1, x2, x3, x4, kids)
-        ]
+        nodes = [f'{{"point":{point}{tail}{kid}]}}' for point, kid in zip(points, kids)]
     return {
         "m": cert.m,
         "copies": cert.copies,

@@ -40,13 +40,14 @@ from .bellman import (
     BellmanCandidate,
     Witness,
     _diameters,
-    _point_fields,
+    _point_texts,
     _shared_witness,
     _weighted_sums,
 )
+from .checks import Tolerances
 from .filtration import Filtration, _Lazy, level_partition
 from .martingale import MartFunction, inner
-from .reporting import Verbatim, _enclosed, _format_columns, _format_number
+from .reporting import Verbatim, _format_columns, _format_number
 from .transforms import MartingaleTransform
 
 __all__ = [
@@ -56,7 +57,6 @@ __all__ = [
     "certificate_to_dict",
 ]
 
-_CERT_TOL = 1e-9
 # About this many floats make one block of a certificate's text, formatted
 # in one call: enough that the column kernel's fixed cost stays small
 # against them, few enough that a block's texts take little memory.
@@ -135,7 +135,7 @@ def certify(
     f: MartFunction,
     g: MartFunction,
     op: MartingaleTransform,
-    tol: float = _CERT_TOL,
+    tol: float = Tolerances().tight,
 ) -> Certificate:
     """Evaluate the split inequality at every schedule step and assemble the
     certificate.
@@ -271,11 +271,11 @@ def certificate_to_dict(cert: Certificate) -> dict:
     """Full JSON-ready payload, one record per schedule step.
 
     The summary fields are plain values.  ``records`` and ``leaves`` are
-    ``Verbatim`` canonical text written from the certificate's arrays in
-    blocks of about ``_BLOCK`` floats, in text order: runs of records, then
-    runs of leaves.  A block formats its floats in one call of the writer's
-    float rule and keeps its records and leaves as one part each of the
-    ``Verbatim``s; a certificate under 2 * ``_BLOCK`` floats is one block.
+    lists of ``Verbatim`` canonical text written from the certificate's
+    arrays in blocks of about ``_BLOCK`` floats, in text order: runs of
+    records, then runs of leaves.  A block formats its floats in one call of
+    the writer's float rule and gives its records and leaves one ``Verbatim``
+    each; a certificate under 2 * ``_BLOCK`` floats is one block.
     Each atom's moment point is formatted once, in the block of the record
     that has it as a child (the root's in the first block), and spliced in
     as that child, as its own record's base and as its leaf's point.
@@ -319,14 +319,13 @@ def certificate_to_dict(cert: Certificate) -> dict:
             cert.values[block_leaves],
         )
         points[new] = [
-            f'{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}{tail}{atom}}}'
-            for atom, a, b, c, e in zip(new.tolist(), *_point_fields(moments, dim))
+            f"{point}{tail}{atom}}}" for point, atom in zip(_point_texts(moments, dim), new.tolist())
         ]
         if e1 > e0:
             atoms = lay.event_atoms[e0:e1]
             children = points[kids].tolist()
             local = (starts[e0 : e1 + 1] - c0).tolist()
-            records.append(",".join([
+            records.append(Verbatim(",".join([
                 f'{{"atom":{atom},"level":{level},"measure":{measure},'
                 f'"weights":[{",".join(weights[lo:hi])}],"d":{d},"diameter":{diameter},'
                 f'"pairing":{pairing},"slack":{slack},"base":{base},'
@@ -335,12 +334,12 @@ def certificate_to_dict(cert: Certificate) -> dict:
                     atoms.tolist(), lay.event_levels[e0:e1].tolist(), points[atoms].tolist(),
                     *columns, local, local[1:],
                 )
-            ]))
+            ])))
         if len(block_leaves):
-            leaf_entries.append(",".join([
+            leaf_entries.append(Verbatim(",".join([
                 f'{{"point":{point},"value":{value}}}'
                 for point, value in zip(points[block_leaves].tolist(), values)
-            ]))
+            ])))
     return {
         "ok": cert.ok,
         "candidate": cert.label,
@@ -353,6 +352,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "identity_residual": cert.identity_residual,
         "leaf_term": cert.leaf_term,
         "failures": list(cert.failures),
-        "records": Verbatim(*_enclosed("[", records, "]")),
-        "leaves": Verbatim(*_enclosed("[", leaf_entries, "]")),
+        "records": records,
+        "leaves": leaf_entries,
     }

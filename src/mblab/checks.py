@@ -114,8 +114,18 @@ class Tolerances:
         return 1e-12 * self.scale
 
     @property
+    def mean_bound(self) -> float:
+        # The root's x2 and the corpus's Hoelder margin against mean bounds.
+        return 1e-10 * self.scale
+
+    @property
     def tight(self) -> float:
         return 1e-9 * self.scale
+
+    @property
+    def duality(self) -> float:
+        # The duality bound's empirical maximum against its analytic bound.
+        return 1e-6 * self.scale
 
     @staticmethod
     def from_env() -> "Tolerances":
@@ -310,7 +320,7 @@ def check_x2_sign(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
         _row(
             "x2_root_mean_bound",
             max(mean_sq - x2[root], 0.0),
-            1e-10 * tol.scale,
+            tol.mean_bound,
             "squared adjoint mean minus root x2",
         )
     )

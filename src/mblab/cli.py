@@ -357,7 +357,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     filt = _filtration(cfg)
     f, g, op = _witness(cfg, filt)
     cand = _candidate(cfg, filt)
-    cert = certify(cand, f, g, op, tol=1e-9 * Tolerances.from_env().scale)
+    cert = certify(cand, f, g, op, tol=Tolerances.from_env().tight)
     _emit(cfg, lambda: certificate_to_dict(cert), lambda: list(cert.records))
     return 0 if cert.ok else 1
 
@@ -430,7 +430,6 @@ def cmd_scan(cfg: RunConfig) -> int:
     res = lp_constant_scan(
         cfg.p, cfg.trials, seed, delta=cfg.delta, dim=cfg.dim, depth=cfg.depth
     )
-    tolerances = Tolerances.from_env()
     _emit(
         cfg,
         lambda: _result_payload(res),
@@ -439,7 +438,7 @@ def cmd_scan(cfg: RunConfig) -> int:
             for i, c in enumerate(res.counts)
         ],
     )
-    if cfg.p == 2.0 and res.max_ratio > 1.0 + tolerances.tight:
+    if cfg.p == 2.0 and res.max_ratio > 1.0 + Tolerances.from_env().tight:
         return 1
     return 0
 
@@ -454,7 +453,7 @@ def cmd_bound(cfg: RunConfig) -> int:
         seed=seed,
         dim=cfg.dim,
         depth=cfg.depth if cfg.depth is not None else 3,
-        tol=1e-6 * Tolerances.from_env().scale,
+        tol=Tolerances.from_env().duality,
     )
     _emit(cfg, lambda: _result_payload(report), lambda: list(report.rows))
     return 0 if report.ok else 1
@@ -484,7 +483,7 @@ def cmd_corpus(cfg: RunConfig) -> int:
     for cell in cells:
         pc = prepare_cell(cell)
         lap("prepare_cell")
-        cert = certify(quadratic_candidate(cell.delta), pc.f, pc.g, pc.op, tol=1e-9 * tol.scale)
+        cert = certify(quadratic_candidate(cell.delta), pc.f, pc.g, pc.op, tol=tol.tight)
         lap("certify")
         # The suites and both probes read the certificate's witness (p = 2).
         w = cert.witness
@@ -518,7 +517,7 @@ def cmd_corpus(cfg: RunConfig) -> int:
         suites_ok
         and centered_worst <= tol.tight
         and defect_worst <= tol.tight
-        and margin_worst <= 1e-10 * tol.scale
+        and margin_worst <= tol.mean_bound
     )
     # Each check's worst err/tol and its cell [delta, dim, seed]; a check
     # that never moves off zero has no cell.

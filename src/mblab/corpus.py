@@ -21,6 +21,7 @@ from .filtration import (
     FiltrationError,
     build_dyadic,
     build_random_regular,
+    _random_columns,
 )
 from .martingale import MartFunction, _diagonal_steps, _event_draws, _leaf_sum
 from .transforms import MartingaleTransform, make_transform
@@ -32,6 +33,7 @@ __all__ = [
     "default_corpus",
     "max_children_for",
     "build_tower",
+    "tower_columns",
     "cell_filtration",
     "prepare_cell",
     "random_witness",
@@ -89,6 +91,20 @@ def _cell_rng(cell: CorpusCell) -> np.random.Generator:
     )
 
 
+def _tower(dyadic, random, delta, seed, depth, max_children=None, split_prob=_SPLIT_PROB):
+    """The tower rule of a floor: ``dyadic(depth)`` at the balanced floor
+    1/2, where random ratio sampling degenerates (``seed`` is not read),
+    else ``random(depth, delta, max_children, split_prob, seed)``, the
+    seeded random-regular tower, by default with the floor's child-count
+    cap."""
+    if delta == 0.5:
+        return dyadic(depth)
+    if seed is None:
+        raise FiltrationError(f"the random tower at delta={delta:g} needs a seed")
+    cap = max_children_for(delta) if max_children is None else max_children
+    return random(depth, delta, cap, split_prob, seed)
+
+
 def build_tower(
     delta: float,
     seed: int | None,
@@ -96,21 +112,15 @@ def build_tower(
     max_children: int | None = None,
     split_prob: float = _SPLIT_PROB,
 ) -> Filtration:
-    """The tower of a floor: the dyadic tower at the balanced floor 1/2,
-    where random ratio sampling degenerates (``seed`` is not read), else
-    the seeded random-regular tower, by default with the floor's child-count
-    cap."""
-    if delta == 0.5:
-        return build_dyadic(depth)
-    if seed is None:
-        raise FiltrationError(f"the random tower at delta={delta:g} needs a seed")
-    return build_random_regular(
-        depth=depth,
-        delta=delta,
-        max_children=max_children_for(delta) if max_children is None else max_children,
-        split_prob=split_prob,
-        seed=seed,
-    )
+    """The tower of a floor (``_tower``), built and validated."""
+    return _tower(build_dyadic, build_random_regular, delta, seed, depth, max_children, split_prob)
+
+
+def tower_columns(delta: float, seed: int, depth: int) -> tuple:
+    """The six columns of ``build_tower(delta, seed, depth)`` in constructor
+    order, drawn but not validated (a stack validates many at once); all
+    balanced towers of one depth coincide, so theirs come from the cached one."""
+    return _tower(lambda d: cell_filtration(0.5, 0, d, 2).columns, _random_columns, delta, seed, depth)
 
 
 @lru_cache(maxsize=None)

@@ -39,8 +39,8 @@ import numpy as np
 
 from .bellman import Witness, conjugate_exponent, quadratic_candidate
 from .certifier import Certificate, certify
+from .checks import Tolerances
 from .corpus import (
-    _SPLIT_PROB,
     _haar_profile,
     _unit_rows,
     cell_filtration,
@@ -49,8 +49,9 @@ from .corpus import (
     random_function,
     random_transform,
     root_splits_in_two,
+    tower_columns,
 )
-from .filtration import Filtration, _random_columns
+from .filtration import Filtration
 from .martingale import MartFunction, _lp_norms, inner, lp_norm
 from .transforms import MartingaleTransform, make_transform
 
@@ -130,7 +131,7 @@ def _batches(
 ) -> Iterator[tuple[list[int], list[np.random.Generator], list[tuple], Filtration]]:
     """The trials of each depth, in order of first appearance, in batches
     of at most ``_BATCH_LEAVES`` leaves: their ids, their generators (past
-    the tower seed), the columns of their ``build_tower`` towers, and those
+    the tower seed), their towers' ``tower_columns``, and those
     columns stacked in one filtration, validated once.  Batch by batch, so
     only one batch's trials are held."""
     groups: dict[int, list[int]] = {}
@@ -141,11 +142,7 @@ def _batches(
         for i in members:
             rng = _trial_rng(seed, i)
             filt_seed = int(rng.integers(2**31))
-            if delta == 0.5:
-                # All balanced towers of one depth coincide, so share the cached one.
-                columns = cell_filtration(0.5, 0, d, 2).columns
-            else:
-                columns = _random_columns(d, delta, max_children_for(delta), _SPLIT_PROB, filt_seed)
+            columns = tower_columns(delta, filt_seed, d)
             n_leaves = len(columns[0]) - np.count_nonzero(np.diff(columns[4]))
             if chunk and leaves + n_leaves > _BATCH_LEAVES:
                 yield _stacked(delta, d, chunk)
@@ -316,11 +313,12 @@ def _search_trials(
         values = _pairings(batch.layout.measures, bounds, totals, f, g, tf, p, q)
         for t, (i, val) in enumerate(zip(members, values)):
             history[i] = val
-            # Ties go to the earlier trial, whichever batch it sits in.
+            # Ties go to the earlier trial, whichever batch it sits in.  The
+            # copies own their data, so the batch is freed after its pass.
             if val > best or (val == best and i < best_i):
                 (lo, hi), (r0, r1) = bounds[t : t + 2], starts[t : t + 2]
                 best, best_i = val, i
-                best_draws = (columns[t], f[lo:hi], g[lo:hi], unit[r0:r1])
+                best_draws = (columns[t], f[lo:hi].copy(), g[lo:hi].copy(), unit[r0:r1].copy())
         # Free this batch before the next is built.
         del batch, columns, f, g, tf, unit
     best_columns, fb, gb, mults = best_draws
@@ -437,7 +435,7 @@ def duality_bound(
     seed: int = 0,
     dim: int = 2,
     depth: int = 3,
-    tol: float = 1e-6,
+    tol: float = Tolerances().duality,
 ) -> DualityReport:
     """Certify |<g, Tf>| <= B(root) over a spread of unit-norm g draws.
 

@@ -17,12 +17,12 @@ a mapping that is not a ``dict`` or a subclass among them, raises
 Large array-backed parts of a payload (a certificate's records and leaves,
 an expansion's midpoint tree) are rendered ahead of time from their arrays:
 ``_format_floats`` formats a whole float column with the one float rule,
-and the text sits in the payload as a ``Verbatim`` of one or more parts,
-which the writer splices in as they are.  The writer also splices the items
-of a dict nested in a dict, so a report's text is joined once, at the top,
-and no nested text (a certificate inside a report, say) is joined or copied
-before it.  ``Verbatim`` is not a ``str``, so ``json.dumps`` rejects it
-rather than quoting the text as a JSON string.
+and the text sits in the payload as a ``Verbatim`` (a list of them, one
+per block, for a text built in blocks), which the writer appends as it is.
+The writer appends every piece of text to one list and joins it once, so
+no nested text (a certificate inside a report, say) is joined or copied
+before the report.  ``Verbatim`` is not a ``str``, so ``json.dumps``
+rejects it rather than quoting the text as a JSON string.
 
 A column of at least ``_KERNEL_MIN`` (512) floats goes through an exact
 numpy kernel.  For finite x with 10**-11 <= |x| < 10**16 it takes the
@@ -264,23 +264,18 @@ def _format_columns(*columns) -> list[list[str]]:
 
 
 class Verbatim:
-    """Canonical JSON text rendered ahead of time, the concatenation of
-    ``parts``, which ``to_canonical_json`` writes as is; any other
-    serializer fails on it.  A text built in blocks keeps its blocks as
-    parts, so it is never held both in blocks and joined."""
+    """Canonical JSON text rendered ahead of time, which
+    ``to_canonical_json`` writes as is; any other serializer fails on it."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("text",)
 
-    def __init__(self, *parts: str):
-        self.parts = parts
-
-    def __repr__(self) -> str:
-        return f"Verbatim({sum(map(len, self.parts))} chars)"
+    def __init__(self, text: str):
+        self.text = text
 
 
-def _format_number(v) -> str | None:
-    """Text of a ``bool``, ``int`` or ``float``, by exact type; None for
-    anything else.  The one scalar rule of both writers."""
+def _format_number(v) -> str:
+    """Text of a ``bool``, ``int`` or ``float``, by exact type; any other
+    type raises ReportError.  The one scalar rule of both writers."""
     t = type(v)
     if t is float:
         return _format_float(v)
@@ -288,91 +283,58 @@ def _format_number(v) -> str | None:
         return str(v)
     if t is bool:
         return "true" if v else "false"
-    return None
+    raise ReportError(f"cannot serialize object of type {t.__name__}")
 
 
-def _refused(v) -> ReportError:
-    return ReportError(f"cannot serialize object of type {type(v).__name__}")
-
-
-def _enclosed(opener: str, texts: list[str], closer: str) -> list[str]:
-    """The parts of ``opener + ",".join(texts) + closer``: the separators and
-    both brackets are parts of the list, so joining it builds the text once
-    instead of joining ``texts`` and then copying them again to add the
-    brackets."""
-    if not texts:
-        return [opener, closer]
-    parts = [","] * (2 * len(texts) + 1)
-    parts[0] = opener
-    parts[1::2] = texts
-    parts[-1] = closer
-    return parts
-
-
-def _canon(obj) -> str:
-    """Canonical JSON text of ``obj``."""
-    t = type(obj)
+def _append(parts: list[str], v) -> None:
+    """Append the canonical JSON text of ``v`` to ``parts``: the brackets,
+    keys, separators and scalar texts, and a ``Verbatim``'s text as is."""
+    t = type(v)
     if t is float:
-        return _format_float(obj)
-    if t is dict:
-        return "".join(_items(obj, [], "}"))
-    if t is list or t is tuple:
-        return "[" + ",".join([_canon(v) for v in obj]) + "]"
-    if t is str:
-        return _encode_str(obj)
-    if t is Verbatim:
-        return "".join(obj.parts)
-    if obj is None:
-        return "null"
-    text = _format_number(obj)
-    if text is None:
-        raise _refused(obj)
-    return text
-
-
-def _items(obj: dict, parts: list[str], closer: str) -> list[str]:
-    """``parts`` with the canonical JSON text of a dict, then ``closer``,
-    appended: the brackets, separators, keys and values.  A value that is a
-    dict or a ``Verbatim`` is spliced in part by part, so no nested text (a
-    certificate's records, say) is joined or copied into an item string."""
-    sep = "{"
-    for k, v in obj.items():
-        parts += (sep, _encode_str(k if type(k) is str else str(k)), ":")
-        sep = ","
-        t = type(v)
-        if t is dict:
-            _items(v, parts, "}")
-        elif t is Verbatim:
-            parts += v.parts
-        else:
-            parts.append(_canon(v))
-    if sep == "{":
-        parts.append("{")
-    parts.append(closer)
-    return parts
+        parts.append(_format_float(v))
+    elif t is dict:
+        sep = "{"
+        for k, item in v.items():
+            parts += (sep, _encode_str(k if type(k) is str else str(k)), ":")
+            sep = ","
+            _append(parts, item)
+        parts.append("}" if sep == "," else "{}")
+    elif t is list or t is tuple:
+        sep = "["
+        for item in v:
+            parts.append(sep)
+            sep = ","
+            # a block of a text built in blocks, without a call per block
+            if type(item) is Verbatim:
+                parts.append(item.text)
+            else:
+                _append(parts, item)
+        parts.append("]" if sep == "," else "[]")
+    elif t is str:
+        parts.append(_encode_str(v))
+    elif t is Verbatim:
+        parts.append(v.text)
+    elif v is None:
+        parts.append("null")
+    else:
+        parts.append(_format_number(v))
 
 
 def to_canonical_json(payload) -> str:
-    """Canonical JSON text of ``payload`` and a newline; the outermost
-    container is joined once with its brackets and the newline, so the
-    report text, the largest string, is built once."""
+    """Canonical JSON text of ``payload`` and a newline, joined once."""
     if payload is None or (isinstance(payload, (list, tuple, dict)) and not payload):
         raise ReportError("refusing to write an empty report")
-    if type(payload) is dict:
-        return "".join(_items(payload, [], "}\n"))
-    if type(payload) in (list, tuple):
-        return "".join(_enclosed("[", [_canon(v) for v in payload], "]\n"))
-    return _canon(payload) + "\n"
+    parts: list[str] = []
+    _append(parts, payload)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _cell(v) -> str:
     if v is None:
         return ""
-    text = _format_number(v)
-    if text is not None:
-        return text
     if type(v) is not str:
-        raise _refused(v)
+        return _format_number(v)
     if any(c in v for c in ",\"\n"):
         return '"' + v.replace('"', '""') + '"'
     return v

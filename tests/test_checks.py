@@ -155,10 +155,12 @@ def test_tolerance_scale_from_env(monkeypatch):
     assert base.scale == 1.0
     assert base.tight == pytest.approx(1e-9)
     assert base.exact == pytest.approx(1e-12)
+    assert (base.mean_bound, base.duality) == (1e-10, 1e-6)
     monkeypatch.setenv("MBL_TOL", "1000")
     wide = Tolerances.from_env()
     assert wide.scale == 1000.0
     assert wide.tight == pytest.approx(1e-6)
+    assert (wide.mean_bound, wide.duality) == (1e-10 * 1000.0, 1e-6 * 1000.0)
 
 
 @pytest.mark.parametrize("value", ["-2", "0", "inf", "nan"])

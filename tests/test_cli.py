@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import mblab.cli as cli
+import mblab.estimator as estimator
 from mblab.bellman import Witness, quadratic_candidate
 from mblab.certifier import certificate_to_dict, certify
 from mblab.cli import run
@@ -714,6 +715,34 @@ def test_batched_pins_hold_in_a_fresh_interpreter(argv):
     code, digest = REPORT_DIGESTS[argv]
     proc = mblab_process(*argv)
     assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("argv", [argv for argv in BATCHED_PINS if argv[0] == "search"])
+def test_search_pins_hold_in_small_batches(argv, monkeypatch, capsys):
+    # at most 40 leaves a batch, so every depth group runs as several
+    # batches; the best trial's state owns its arrays, so no batch it came
+    # from outlives its pass
+    monkeypatch.setattr(estimator, "_BATCH_LEAVES", 40)
+    batches, states = [], []
+    stacked, search = estimator._stacked, estimator._search_trials
+
+    def counted(*args):
+        batches.append(len(args[-1]))
+        return stacked(*args)
+
+    def recorded(*args):
+        out = search(*args)
+        states.append(out[-1])
+        return out
+
+    monkeypatch.setattr(estimator, "_stacked", counted)
+    monkeypatch.setattr(estimator, "_search_trials", recorded)
+    code, digest = REPORT_DIGESTS[argv]
+    assert run(list(argv)) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    [(f, g, op)] = states
+    assert len(batches) >= 4
+    assert f.values.base is None and g.values.base is None and op.multipliers.base is None
 
 
 def test_cli_entry_freezes_the_heap_and_keeps_its_exits(tmp_path):

@@ -181,11 +181,15 @@ def test_benchmark_traced_run_binds_the_package(workload):
     # matrix_apply and adjoint_apply by name, and its workloads call
     # run_all, certify and prepare_cell positionally, or run the mblab
     # commands in child processes: a renamed function or a changed call
-    # form fails the run or its report checks
+    # form fails the run or its report checks; every report goes through
+    # the traced writer, so its time and bytes cannot read 0
     argv = ["--workload", workload, "--seed", "1", "--seconds", "0.1", "--trace", "1"]
     out = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr[-2000:]
-    assert json.loads(out.stdout.splitlines()[-1])["correct"] is True
+    last = json.loads(out.stdout.splitlines()[-1])
+    assert last["correct"] is True
+    for metric in ("reporting.bytes_out", "reporting.to_canonical_json_s"):
+        assert last["metrics"][metric]["value"] > 0, metric
