@@ -24,7 +24,6 @@ from .transforms import (
     MartingaleTransform,
     PredictabilityError,
     make_transform,
-    predictable_hull,
     transform_to_dict,
 )
 from .bellman import (

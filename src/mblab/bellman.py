@@ -663,7 +663,7 @@ def dyadic_expand(cfgs: SplitConfigs, m: int) -> Sequence[ExpansionCertificate]:
             degenerate=degenerate,
         )
 
-    return _Lazy(expand, np.arange(len(cfgs)))
+    return _Lazy(expand, len(cfgs))
 
 
 def _expand_rows(
@@ -804,13 +804,16 @@ def estimate_rescale_constant(
 # Report payload
 
 
-def _point_texts(texts: list[str], dim: int) -> list[str]:
-    """The text of each moment point up to its x4 value,
-    '{"x1":[...],"x2":...,"x3":...,"x4":...' without the closing brace,
+def _point_texts(texts: list[str], dim: int, head: str, ends: list[str]) -> list[str]:
+    """The text of each moment point, ``head`` then
+    '{"x1":[...],"x2":...,"x3":...,"x4":...' then its entry of ``ends``,
     from the texts of the points' rows (x1, x2, x3, x4) in C order."""
     rows = [texts[j :: dim + 3] for j in range(dim + 3)]
     x1 = rows[0] if dim == 1 else map(",".join, zip(*rows[:dim]))
-    return [f'{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}' for a, b, c, e in zip(x1, *rows[dim:])]
+    return [
+        f'{head}{{"x1":[{a}],"x2":{b},"x3":{c},"x4":{e}{end}'
+        for a, b, c, e, end in zip(x1, *rows[dim:], ends)
+    ]
 
 
 def expansion_to_dict(cert: ExpansionCertificate) -> dict:
@@ -823,13 +826,12 @@ def expansion_to_dict(cert: ExpansionCertificate) -> dict:
     dim = cert.levels[0].shape[1] - 3
     nodes: list[str] = []
     for k in range(cert.m, -1, -1):
-        points = _point_texts(_format_floats(cert.levels[k]), dim)
-        if k == cert.m:
-            kids = [""] * len(points)
-        else:
-            kids = [a + "," + b for a, b in zip(nodes[0::2], nodes[1::2])]
         tail = '},"weight":' + _format_float(0.5**k) + ',"children":['
-        nodes = [f'{{"point":{point}{tail}{kid}]}}' for point, kid in zip(points, kids)]
+        if k == cert.m:
+            ends = [tail + "]}"] * len(cert.levels[k])
+        else:
+            ends = [f"{tail}{a},{b}]}}" for a, b in zip(nodes[0::2], nodes[1::2])]
+        nodes = _point_texts(_format_floats(cert.levels[k]), dim, '{"point":', ends)
     return {
         "m": cert.m,
         "copies": cert.copies,

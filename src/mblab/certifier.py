@@ -108,7 +108,7 @@ class Certificate:
 
     @property
     def records(self) -> Sequence[dict]:
-        return _Lazy(self._row, np.arange(len(self.slack)))
+        return _Lazy(self._row, len(self.slack))
 
     def _row(self, e: int) -> dict:
         lay, table = self.filtration.layout, self.witness.table
@@ -318,9 +318,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
             cert.slack[e0:e1],
             cert.values[block_leaves],
         )
-        points[new] = [
-            f"{point}{tail}{atom}}}" for point, atom in zip(_point_texts(moments, dim), new.tolist())
-        ]
+        points[new] = _point_texts(moments, dim, "", [f"{tail}{atom}}}" for atom in new.tolist()])
         if e1 > e0:
             atoms = lay.event_atoms[e0:e1]
             children = points[kids].tolist()

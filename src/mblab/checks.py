@@ -46,10 +46,11 @@ segments.  Levels above J see only J's sum, so T or T* of the input is
 constant on J and on each ring K_j - K_{j+1} of J's ancestor chain: O(depth)
 numbers per event from the chain's measures and multipliers.  That is
 O(L * depth^2) per witness; no event gets an L-leaf array of its own.  The
-tests keep the per-event route, one full-length input per event through
-the transform kernels, as an oracle.  The x2 suites read every atom's x2
-and every event's displacement and x2 gain off the witness's moment table,
-the arrays the certifier uses.
+tests keep the per-event route as an oracle: one full-length input per
+event, each through ``apply`` or ``adjoint_closed_form``, which take one
+function per call.  The x2 suites read every atom's x2 and every event's
+displacement and x2 gain off the witness's moment table, the arrays the
+certifier uses.
 
 No suite walks the levels one kernel call at a time where the martingale
 kernel's stacked pass serves: the level differences of a function are one

@@ -105,6 +105,12 @@ def _tower(dyadic, random, delta, seed, depth, max_children=None, split_prob=_SP
     return random(depth, delta, cap, split_prob, seed)
 
 
+def _cell_tower(delta: float, seed: int | None, depth: int) -> Filtration:
+    """``cell_filtration`` of a floor, seed and depth with the floor's cap.
+    The balanced tower reads no seed, so it is cached by its depth alone."""
+    return cell_filtration(delta, None if delta == 0.5 else seed, depth, max_children_for(delta))
+
+
 def build_tower(
     delta: float,
     seed: int | None,
@@ -118,13 +124,13 @@ def build_tower(
 
 def tower_columns(delta: float, seed: int, depth: int) -> tuple:
     """The six columns of ``build_tower(delta, seed, depth)`` in constructor
-    order, drawn but not validated (a stack validates many at once); all
-    balanced towers of one depth coincide, so theirs come from the cached one."""
-    return _tower(lambda d: cell_filtration(0.5, 0, d, 2).columns, _random_columns, delta, seed, depth)
+    order, drawn but not validated (a stack validates many at once); a
+    balanced tower's come from the cached one (``_cell_tower``)."""
+    return _tower(lambda d: _cell_tower(0.5, None, d).columns, _random_columns, delta, seed, depth)
 
 
 @lru_cache(maxsize=None)
-def cell_filtration(delta: float, seed: int, depth: int, max_children: int) -> Filtration:
+def cell_filtration(delta: float, seed: int | None, depth: int, max_children: int) -> Filtration:
     """``build_tower``, kept: cells of one floor, seed and depth share it."""
     return build_tower(delta, seed, depth, max_children)
 
@@ -231,7 +237,7 @@ def active_split_function(
 
 def prepare_cell(cell: CorpusCell) -> PreparedCell:
     """Filtration plus one random witness triple, all determined by the cell."""
-    filt = cell_filtration(cell.delta, cell.seed, cell.depth, max_children_for(cell.delta))
+    filt = _cell_tower(cell.delta, cell.seed, cell.depth)
     rng = _cell_rng(cell)
     f, g = random_witness(filt, cell.dim, rng)
     op = random_transform(filt, cell.dim, rng)

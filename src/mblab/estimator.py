@@ -41,11 +41,10 @@ from .bellman import Witness, conjugate_exponent, quadratic_candidate
 from .certifier import Certificate, certify
 from .checks import Tolerances
 from .corpus import (
+    _cell_tower,
     _haar_profile,
     _unit_rows,
-    cell_filtration,
     haar_witness,
-    max_children_for,
     random_function,
     random_transform,
     root_splits_in_two,
@@ -450,7 +449,7 @@ def duality_bound(
     """
     q = conjugate_exponent(p)
     cand = duality_candidate(p, delta)
-    filt = cell_filtration(delta, seed, depth, max_children_for(delta))
+    filt = _cell_tower(delta, seed, depth)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(777,)))
 
     f = random_function(filt, dim, rng)

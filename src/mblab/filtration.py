@@ -13,7 +13,7 @@ a deterministic split schedule (ascending level, then ascending left
 endpoint) that refines {I} step by step into the leaf partition A_N.  The
 one-split-at-a-time refiltration is what downstream difference operators
 are indexed by.  The schedule is the event list of the layout below, O(E)
-for E split events.
+for E split events; ``split_schedule`` gives it as the split atoms' ids.
 
 A filtration is stored as columns indexed by atom id: the endpoints ``a``
 and ``b``, the ``level`` at which each atom first appears, its ``parent``
@@ -77,37 +77,20 @@ class RatioSamplingError(RuntimeError):
 
 
 class _Lazy(Sequence):
-    """Read-only sequence whose item i is ``make(keys[i])``, built when it
-    is read; ``len`` builds none."""
+    """Read-only sequence whose item i < n is ``make(i)``, built when it is
+    read, by index or in iteration; ``len`` builds none."""
 
-    __slots__ = ("_make", "_keys")
+    __slots__ = ("_make", "_n")
 
-    def __init__(self, make: Callable[[int], object], keys: np.ndarray):
+    def __init__(self, make: Callable[[int], object], n: int):
         self._make = make
-        self._keys = keys
+        self._n = n
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._n
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _Lazy(self._make, self._keys[i])
-        return self._make(int(self._keys[i]))
-
-    def __iter__(self):
-        return map(self._make, self._keys.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-
-@dataclass(frozen=True, eq=False)
-class SplitEvent:
-    """One step of the refiltration: atom ``atom`` is replaced by its children."""
-
-    atom: int
+    def __getitem__(self, i: int):
+        return self._make(range(self._n)[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,14 +544,15 @@ def _sample_ratios(rng: np.random.Generator, k: int, delta: float, budget: int) 
 # Derived structure
 
 
-def split_schedule(f: Filtration) -> tuple[SplitEvent, ...]:
-    """Deterministic one-split-at-a-time refinement from {I} to the leaves.
+def split_schedule(f: Filtration) -> tuple[int, ...]:
+    """Deterministic one-split-at-a-time refinement from {I} to the leaves,
+    as the ids of the split atoms.
 
     Events are ordered by (level of the split atom, left endpoint); each
     replaces one atom of the current partition by its children.  Read off
     the layout's event atoms.
     """
-    return tuple(SplitEvent(a) for a in f.layout.event_atoms.tolist())
+    return tuple(f.layout.event_atoms.tolist())
 
 
 def level_partition(f: Filtration, n: int) -> np.ndarray:

@@ -25,16 +25,16 @@ fixed order, so it is the float the per-level reduceat gave, an atom that
 persists across levels gets the same float at every level, and its level
 differences cancel exactly.  The level differences E_n - E_{n-1} are
 atom steps first, each row's mean minus its parent's (``_level_steps``),
-and reach the leaves by a take over the stacked leaf maps.  The leaf rule
-depends on the input: without a stack axis, one take gives every level's
-difference at once, (depth, L, d); with a leading stack axis, the levels
-are expanded (or summed on the leaves, ``_leaf_sum``) one at a time, so no
-(stack, depth, L, d) array is ever made.  A stack whose row k belongs to
-one level n = first + k (the level rows of ``_event_draws``, the level
-pieces of a function) takes the diagonal route instead:
-``_diagonal_sums`` lays the rows end to end, unpadded, and sums row k over
-the A_n atoms only, and ``_diagonal_steps`` gives each row's level-n
-difference from its sums at levels n and n + 1.
+and reach the leaves by a take over the stacked leaf maps: one take gives
+every level's difference at once, (depth, L, d), and ``_leaf_sum`` adds
+stacked rows (A, c) on the leaves in level order.  The stacked means also
+take a leading stack axis, which the transform module's cut blocks use,
+expanding one level at a time.  A stack whose row k belongs to one level
+n = first + k (the level rows of ``_event_draws``, the level pieces of a
+function) takes the diagonal route instead: ``_diagonal_sums`` lays the
+rows end to end, unpadded, and sums row k over the A_n atoms only, and
+``_diagonal_steps`` gives each row's level-n difference from its sums at
+levels n and n + 1.
 
 A split piece lives in its event's atom, and the atoms of one level are
 disjoint, so ``_event_draws`` lays the random draws of one level's events
@@ -206,21 +206,14 @@ def _level_differences(filt: Filtration, values: np.ndarray) -> np.ndarray:
 
 
 def _leaf_sum(filt: Filtration, per_row: np.ndarray) -> np.ndarray:
-    """sum_{n=1..N} of stacked rows (..., A, c) expanded to the leaves at
-    level n, added in level order onto zeros; shape (..., L, c).
+    """sum_{n=1..N} of stacked rows (A, c) expanded to the leaves at level
+    n, added in level order onto zeros; shape (L, c).
 
-    Without a stack axis, one take over all levels; the level axis is the
-    outermost and holds L >= 2 leaves per level, so numpy adds the levels
-    in order.  With a stack axis, level by level, so that no (stack,
-    levels, L) array is made.
+    One take over all levels; the level axis is the outermost and holds
+    L >= 2 leaves per level, so numpy adds the levels in order.
     """
     maps = filt.layout.stacked_maps[1:]
-    if per_row.ndim == 2:
-        return np.add.reduce(per_row.take(maps, axis=0), axis=0, initial=0.0)
-    out = np.zeros((*per_row.shape[:-2], filt.n_leaves, per_row.shape[-1]))
-    for leaf_rows in maps:
-        out += per_row.take(leaf_rows, axis=-2)
-    return out
+    return np.add.reduce(per_row.take(maps, axis=0), axis=0, initial=0.0)
 
 
 def _event_draws(

@@ -14,8 +14,7 @@ The multipliers live on the layout's stacked rows: one array of shape
 (``level_offsets[N]``, d) whose row r is a_{n+1} of the A_n atom at
 stacked row r, so the rows of A_0..A_{N-1} in order give a_1..a_N.
 ``make_transform`` checks the row count, finiteness and the unit ball in
-one pass over that array, and the predictable hull comes back as a mask
-over the same rows.
+one pass over that array.
 
 Contraction holds by construction.  The level differences are orthogonal,
 and on an atom J that splits at level n-1 the multiplier a_n(J) maps the
@@ -29,11 +28,9 @@ formula above, and ``adjoint_closed_form`` the closed form
 T* g = sum_n a_n * (D_n g), with D_n the scalar level-n difference.  Both
 read the atom steps of the martingale kernel's stacked pass: on each atom
 row of level n, a_n of its parent row (``step_multipliers``) times the
-row's step, the levels then summed on the leaves in order; the predictable
-hull reads the same steps.  O(L * depth) work per function.  The kernels
-``_transform_stack`` and ``_adjoint_stack`` also take a leading axis of
-inputs; the tests push one full-length input per split event through them
-as an oracle for the per-level check suites.
+row's step, the levels then summed on the leaves in order (``_leaf_sum``).
+O(L * depth) work per function.  The predictable hull (``_steps_hull``, a
+mask over the multiplier rows) reads the same steps as T h.
 
 The split events below the root are rows of the level stack
 (``EventChains``): the events of one level have disjoint atoms, so their
@@ -65,7 +62,6 @@ __all__ = [
     "MartingaleTransform",
     "PredictabilityError",
     "make_transform",
-    "predictable_hull",
     "split_multiplier_norm",
     "transform_to_dict",
 ]
@@ -103,12 +99,12 @@ class MartingaleTransform:
 
     def apply(self, f: MartFunction) -> MartFunction:
         """T f through the multiplier formula."""
-        self._check_input(f)
-        return MartFunction(self.filtration, _transform_stack(self, f.values)[:, None])
+        self._check_input(f, self.dim)
+        return MartFunction(self.filtration, _transform_steps(self, _atom_steps(self.filtration, f.values)))
 
     def matrix_apply(self, f: MartFunction) -> MartFunction:
         """T f through the dense oracle; must agree with apply().  Tests only."""
-        self._check_input(f)
+        self._check_input(f, self.dim)
         flat = f.values.reshape(-1)
         return MartFunction(self.filtration, (self.matrix @ flat)[:, None])
 
@@ -120,8 +116,7 @@ class MartingaleTransform:
     def adjoint_apply(self, g: MartFunction) -> MartFunction:
         """T* g via the weight-conjugated transpose of the dense oracle; must
         agree with adjoint_closed_form().  Tests only."""
-        if g.filtration is not self.filtration or g.dim != 1:
-            raise ValueError("adjoint expects a scalar function on the same filtration")
+        self._check_input(g, 1)
         w_in = np.repeat(self.filtration.layout.measures, self.dim)
         # (W_in)^-1 M^T W_out acting on g.
         flat = self._weighted_transpose @ g.values[:, 0]
@@ -130,15 +125,16 @@ class MartingaleTransform:
 
     def adjoint_closed_form(self, g: MartFunction) -> MartFunction:
         """T* g = sum_n a_n * (E_n g - E_{n-1} g); the production adjoint."""
-        if g.filtration is not self.filtration or g.dim != 1:
-            raise ValueError("adjoint expects a scalar function on the same filtration")
-        return MartFunction(self.filtration, _adjoint_stack(self, g.values))
+        self._check_input(g, 1)
+        filt = self.filtration
+        return MartFunction(filt, _leaf_sum(filt, self.step_multipliers * _atom_steps(filt, g.values)))
 
-    def _check_input(self, f: MartFunction) -> None:
+    def _check_input(self, f: MartFunction, dim: int) -> None:
+        """T takes functions of the transform's dimension, T* scalar ones."""
         if f.filtration is not self.filtration:
             raise ValueError("function lives on a different filtration object")
-        if f.dim != self.dim:
-            raise ValueError(f"dimension mismatch: transform {self.dim}, function {f.dim}")
+        if f.dim != dim:
+            raise ValueError(f"dimension mismatch: expected {dim}, function has {f.dim}")
 
 
 class EventChains(NamedTuple):
@@ -284,25 +280,11 @@ def _cut_block(
     return square_sums(x, rings - mean[:, None, :]) / filt.total_measure, squares
 
 
-def _transform_stack(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
-    """T applied to a stack of inputs of shape (..., L, dim); shape (..., L).
-
-    Each atom row of level n >= 1 dots its step with a_n of its parent,
-    and the levels' products are summed on the leaves (``_leaf_sum``).
-    """
-    return _transform_steps(op, _atom_steps(op.filtration, values))
-
-
 def _transform_steps(op: MartingaleTransform, steps: np.ndarray) -> np.ndarray:
-    """T from the atom steps (..., A, dim) of its input; shape (..., L)."""
-    dots = np.einsum("ij,...ij->...i", op.step_multipliers, steps)
-    return _leaf_sum(op.filtration, dots[..., None])[..., 0]
-
-
-def _adjoint_stack(op: MartingaleTransform, values: np.ndarray) -> np.ndarray:
-    """Closed-form T* applied to a stack of scalar inputs of shape
-    (..., L, 1); shape (..., L, dim)."""
-    return _leaf_sum(op.filtration, op.step_multipliers * _atom_steps(op.filtration, values))
+    """T from the atom steps (A, dim) of its input; shape (L, 1).  Each atom
+    row of level n >= 1 dots its step with a_n of its parent, and the
+    levels' products are summed on the leaves (``_leaf_sum``)."""
+    return _leaf_sum(op.filtration, np.einsum("ij,ij->i", op.step_multipliers, steps)[:, None])
 
 
 def make_transform(filtration: Filtration, rows: np.ndarray) -> MartingaleTransform:
@@ -364,21 +346,17 @@ def split_multiplier_norm(op: MartingaleTransform) -> float:
     return float(mags.max(initial=0.0))
 
 
-def predictable_hull(f: MartFunction) -> np.ndarray:
-    """Boolean mask over the stacked rows of A_0..A_{N-1}: row r of level n
-    is set when the level-(n+1) difference of f is not zero on its atom.
-    These atoms are the smallest predictable events containing the level
-    differences; the transform of f vanishes outside their union.
+def _steps_hull(filt: Filtration, values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The predictable hull of leaf values v (L, d), from their atom steps:
+    a boolean mask over the stacked rows of A_0..A_{N-1}, row r of level n
+    set when the level-(n+1) difference of v is not zero on its atom.  These
+    atoms are the smallest predictable events containing the level
+    differences; the transform of v vanishes outside their union.
 
-    Zero is judged against 1e-12 times the magnitude of f: averages over
+    Zero is judged against 1e-12 times the magnitude of v: averages over
     atoms whose content is mean-zero cancel only up to roundoff, so a strict
     bit test would promote every ancestor of genuine activity into the hull.
     """
-    return _steps_hull(f.filtration, f.values, _atom_steps(f.filtration, f.values))
-
-
-def _steps_hull(filt: Filtration, values: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """The predictable hull of leaf values (L, d) from their atom steps."""
     threshold = 1e-12 * max(1.0, float(np.abs(values).max()) if values.size else 0.0)
     # The level-n difference is the step of each A_{n+1} row on its leaves,
     # so its largest value on an A_n atom is the largest over its children.

@@ -36,7 +36,6 @@ from mblab.filtration import (
     FiltrationError,
     LeafLayout,
     RatioSamplingError,
-    SplitEvent,
     _frozen,
     _Lazy,
     _segments,
@@ -57,8 +56,8 @@ from mblab.martingale import (
 from mblab.transforms import (
     MartingaleTransform,
     _ancestor_values,
+    _steps_hull,
     make_transform,
-    predictable_hull,
 )
 
 
@@ -114,7 +113,7 @@ def atoms(tower) -> Sequence[Atom]:
     a ``Filtration``'s atoms, each built when it is read."""
     if isinstance(tower, AtomTower):
         return tower.atoms
-    return _Lazy(partial(atom, tower), np.arange(tower.n_atoms))
+    return _Lazy(partial(atom, tower), tower.n_atoms)
 
 
 def root(filt: Filtration) -> Atom:
@@ -205,7 +204,7 @@ def cond_exp(f: MartFunction, partition: Sequence[int]) -> MartFunction:
     return MartFunction(filt, np.repeat(means, spans[:, 1] - spans[:, 0], axis=0))
 
 
-def delta_split(f: MartFunction, event: SplitEvent) -> MartFunction:
+def delta_split(f: MartFunction, event: int) -> MartFunction:
     """Single-split martingale difference for one schedule event.
 
     Computed directly as (child average - parent average) inside the split
@@ -214,7 +213,7 @@ def delta_split(f: MartFunction, event: SplitEvent) -> MartFunction:
     split atom's span, n being its level.
     """
     filt = f.filtration
-    here = atom(filt, event.atom)
+    here = atom(filt, event)
     if not here.children:
         raise ValueError(f"atom {here.id} has no split event")
     lay = filt.layout
@@ -846,7 +845,7 @@ def check_support_by_isin(w: Witness, tol: Tolerances, rng: np.random.Generator)
     covered[_segments(spans[:, 0], spans[:, 1] - spans[:, 0])[0]] = True
     err = float(np.max(np.abs(th.values[~covered]), initial=0.0))
 
-    hull = predictable_hull(h)
+    hull = _steps_hull(filt, h.values, _atom_steps(filt, h.values))
     hull_err = float(np.count_nonzero(hull & ~np.isin(lay.stacked_atoms[: len(hull)], ids)))
     return [
         _row("support_containment", err, tol.exact, f"{len(active)} active atoms"),
@@ -1309,7 +1308,7 @@ def _trial_filtration(delta: float, depth: int | None, i: int, filt_seed: int) -
     else ``build_tower``'s."""
     d = _trial_depth(depth, i)
     if delta == 0.5:
-        return cell_filtration(0.5, 0, d, 2)
+        return cell_filtration(0.5, None, d, 2)
     return build_tower(delta, filt_seed, d)
 
 
@@ -1435,4 +1434,4 @@ def dyadic_expand_one_by_one(cfgs: SplitConfigs, m: int) -> Sequence[ExpansionCe
             degenerate=degenerate,
         )
 
-    return _Lazy(expand, np.arange(len(cfgs)))
+    return _Lazy(expand, len(cfgs))

@@ -227,10 +227,10 @@ def test_records_and_leaves_are_bellman_points(small_cells):
             assert tuple(pt[-3:]) == pytest.approx((x2, x3, x4), rel=1e-12, abs=1e-15)
 
         events = split_schedule(filt)
-        assert [rec["atom"] for rec in cert.records] == [ev.atom for ev in events]
-        assert filt.layout.event_atoms.tolist() == [ev.atom for ev in events]
+        assert [rec["atom"] for rec in cert.records] == list(events)
+        assert filt.layout.event_atoms.tolist() == list(events)
         for e, ev in enumerate(events):
-            atom = oracles.atom(filt, ev.atom)
+            atom = oracles.atom(filt, ev)
             assert_is_point(atom.id)
             kids = event_children(cert, e).tolist()
             assert kids == list(atom.children)
@@ -496,8 +496,8 @@ def test_record_count_builds_no_record(monkeypatch):
     pc = prepare_cell(CorpusCell(0.25, 2, 3))
     cert = certify(linear_candidate(1.0, 2.0, 0.25), pc.f, pc.g, pc.op)
     first, last = cert.records[0], cert.records[-1]
-    assert (first["atom"], last["atom"]) == (oracles.root(pc.filtration).id, split_schedule(pc.filtration)[-1].atom)
-    assert [r["atom"] for r in cert.records[1:3]] == [ev.atom for ev in split_schedule(pc.filtration)[1:3]]
+    assert (first["atom"], last["atom"]) == (oracles.root(pc.filtration).id, split_schedule(pc.filtration)[-1])
+    assert [r["atom"] for r in list(cert.records)[1:3]] == list(split_schedule(pc.filtration)[1:3])
     assert list(cert.records)[0] == first
 
     def built(self, e):

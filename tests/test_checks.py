@@ -53,12 +53,7 @@ from mblab.corpus import (
 from mblab.filtration import Filtration, build_dyadic, build_random_regular, level_partition
 from mblab.martingale import MartFunction, inner, l2_norm
 from mblab.reporting import to_canonical_json
-from mblab.transforms import (
-    MartingaleTransform,
-    _adjoint_stack,
-    _transform_stack,
-    split_multiplier_norm,
-)
+from mblab.transforms import MartingaleTransform, split_multiplier_norm
 from conftest import examples, traced
 import oracles
 from oracles import (
@@ -480,7 +475,7 @@ def check_localization(
             pieces[levels == n] = _level_difference(filt, raw[levels == n], n)
         inside = _inside(oracles.event_spans(lay)[blk], L)
         pieces[~inside] = 0.0
-        th = _transform_stack(op, pieces)
+        th = np.array([op.apply(MartFunction(filt, piece)).values[:, 0] for piece in pieces])
         outside = max(outside, float(np.max(np.abs(th[~inside]), initial=0.0)))
 
     # On an atom J split at level n, the level-n difference is J's split
@@ -510,7 +505,7 @@ def _cut_adjoints(
     for blk in _blocks(len(spans), filt.n_leaves * op.dim):
         inside = _inside(spans[blk], filt.n_leaves)
         cuts = np.where(inside, values[None, :] - shifts[blk, None], 0.0)
-        x = _adjoint_stack(op, cuts[..., None])
+        x = np.array([op.adjoint_closed_form(MartFunction(filt, cut)).values for cut in cuts])
         centered = x - _level_means(filt, x, 0)
         osc[blk] = np.einsum("bij,bij->bi", centered, centered) @ m / root.measure
         norm_sq[blk] = np.einsum("bij,bij->bi", x, x) @ m
@@ -851,8 +846,6 @@ def test_restriction_probe_red_on_scaled_cut(monkeypatch, kernel_tower):
     # every cut 1 + 1e-6 times too large where it enters the adjoint kernel
     exact_steps = transforms._atom_steps
     monkeypatch.setattr(transforms, "_atom_steps", lambda filt, v: exact_steps(filt, v * (1 + 1e-6)))
-    exact_stack = _adjoint_stack
-    monkeypatch.setattr(_THIS, "_adjoint_stack", lambda op, v: exact_stack(op, v * (1 + 1e-6)))
     for centered, _ in (restriction_identity_gaps(w), reference_identity_gaps(g, op)):
         assert centered > 1e-9
 

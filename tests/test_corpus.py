@@ -2,9 +2,12 @@
 two-value witness, and the active-split function and random transform
 against the loops they replaced, bit for bit."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+import mblab.corpus as corpus
 from mblab.corpus import (
     CorpusCell,
     active_split_function,
@@ -17,6 +20,7 @@ from mblab.corpus import (
     random_transform,
     random_witness,
 )
+from mblab.estimator import duality_bound
 from mblab.filtration import build_dyadic, split_schedule
 from mblab.martingale import MartFunction, inner, lp_norm
 import oracles
@@ -67,6 +71,20 @@ def test_prepare_cell_varies_with_seed():
     assert not np.array_equal(a.f.values, b.f.values)
 
 
+def test_balanced_towers_are_cached_by_depth(monkeypatch):
+    # the balanced tower reads no seed: the 300 cells at 1/2 of the default
+    # corpus share 4 towers, one per depth, beside the 300 random towers of
+    # the other floors (100 seeds each); the duality bound shares them too
+    fresh = lru_cache(maxsize=None)(corpus.cell_filtration.__wrapped__)
+    monkeypatch.setattr(corpus, "cell_filtration", fresh)
+    towers = {cell: prepare_cell(cell).filtration for cell in default_corpus(seeds=100)}
+    assert fresh.cache_info().misses == 304
+    assert len({id(t) for cell, t in towers.items() if cell.delta == 0.5}) == 4
+    for seed in (5, 6):
+        duality_bound(2.0, delta=0.5, n_g=1, seed=seed, dim=1, depth=3)
+    assert fresh.cache_info().misses == 304
+
+
 def test_haar_witness_unit_pairing(dyadic2):
     f, g, op = haar_witness(dyadic2, 3)
     filt = f.filtration
@@ -114,7 +132,7 @@ def reference_active_split_function(filt, dim, rng):
     for i in keep:
         piece = delta_split(random_function(filt, dim, fed), events[i])
         f = f + piece
-    return f, frozenset(events[i].atom for i in keep)
+    return f, frozenset(events[i] for i in keep)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -78,7 +78,7 @@ def test_deep_dyadic_leaf_spans():
     events = filt.layout.event_atoms
     assert len(events) == 2**14 - 1 and events[0] == oracles.root(filt).id
     # the schedule is a read of the layout's events
-    assert [e.atom for e in split_schedule(filt)] == events.tolist()
+    assert list(split_schedule(filt)) == events.tolist()
 
 
 def test_layout_events_follow_schedule():
@@ -87,15 +87,15 @@ def test_layout_events_follow_schedule():
     events = split_schedule(filt)
     # schedule order by definition: split atoms by (level, left endpoint)
     by_definition = sorted((a for a in oracles.atoms(filt) if a.children), key=lambda a: (a.level, a.a))
-    assert [e.atom for e in events] == [a.id for a in by_definition]
-    assert lay.event_atoms.tolist() == [e.atom for e in events]
-    assert lay.event_levels.tolist() == [oracles.atom(filt, e.atom).level for e in events]
+    assert list(events) == [a.id for a in by_definition]
+    assert lay.event_atoms.tolist() == list(events)
+    assert lay.event_levels.tolist() == [oracles.atom(filt, e).level for e in events]
     # each event's row holds its atom at its level
     assert lay.stacked_atoms[lay.event_rows].tolist() == lay.event_atoms.tolist()
     assert np.array_equal(np.searchsorted(lay.level_offsets, lay.event_rows, "right") - 1, lay.event_levels)
     for e, (lo, hi) in zip(events, oracles.event_spans(lay).tolist()):
-        assert oracles.leaf_slice(filt, e.atom) == slice(lo, hi)
-        kids = sorted(oracles.leaf_slice(filt, c).start for c in oracles.atom(filt, e.atom).children)
+        assert oracles.leaf_slice(filt, e) == slice(lo, hi)
+        kids = sorted(oracles.leaf_slice(filt, c).start for c in oracles.atom(filt, e).children)
         assert kids[0] == lo
     for n, part in enumerate(oracles.levels_of(filt)):
         spans = [oracles.leaf_slice(filt, a) for a in part]
@@ -110,7 +110,7 @@ def test_dyadic_depth_one_is_single_split(dyadic1):
     assert dyadic1.n_leaves == 2
     events = split_schedule(dyadic1)
     assert len(events) == 1
-    assert events[0].atom == oracles.root(dyadic1).id
+    assert events[0] == oracles.root(dyadic1).id
 
 
 def test_root_and_interval(dyadic2):
@@ -135,7 +135,7 @@ def test_children_partition_parent(dyadic3):
 
 def test_schedule_order_level_then_endpoint(dyadic3):
     events = split_schedule(dyadic3)
-    keys = [(oracles.atom(dyadic3, e.atom).level, oracles.atom(dyadic3, e.atom).a) for e in events]
+    keys = [(oracles.atom(dyadic3, e).level, oracles.atom(dyadic3, e).a) for e in events]
     assert keys == sorted(keys)
 
 
@@ -144,9 +144,9 @@ def assert_schedule_replays(filt):
     partition by its children, and the last partition is the leaves."""
     part = {oracles.root(filt).id}
     for ev in split_schedule(filt):
-        kids = set(oracles.atom(filt, ev.atom).children)
-        assert ev.atom in part and not kids & part
-        part = (part - {ev.atom}) | kids
+        kids = set(oracles.atom(filt, ev).children)
+        assert ev in part and not kids & part
+        part = (part - {ev}) | kids
     assert part == set(oracles.leaves_of(filt))
 
 
@@ -156,7 +156,7 @@ def test_schedule_refines_one_atom_at_a_time(dyadic3):
 
 def test_schedule_covers_active_set(dyadic3):
     events = split_schedule(dyadic3)
-    assert {e.atom for e in events} == set(dyadic3.layout.event_atoms.tolist())
+    assert set(events) == set(dyadic3.layout.event_atoms.tolist())
     assert len(events) == len(dyadic3.layout.event_atoms)
 
 

@@ -29,7 +29,6 @@ from mblab.martingale import (
     l2_norm,
     lp_norm,
 )
-from mblab.transforms import _adjoint_stack, _transform_stack
 from conftest import examples
 import oracles
 from oracles import (
@@ -137,7 +136,7 @@ def test_delta_split_mean_zero_and_support(dyadic3):
     f = rand_fn(dyadic3, 2, 4)
     for ev in split_schedule(dyadic3):
         d = delta_split(f, ev)
-        atom = oracles.atom(dyadic3, ev.atom)
+        atom = oracles.atom(dyadic3, ev)
         # vanishes off the split atom, exactly
         for leaf in oracles.leaves_of(dyadic3):
             la = oracles.atom(dyadic3, leaf)
@@ -181,7 +180,7 @@ def test_osc2_series_identity(dyadic3):
             continue
         acc = 0.0
         for ev in split_schedule(dyadic3):
-            q = oracles.atom(dyadic3, ev.atom)
+            q = oracles.atom(dyadic3, ev)
             if atom.a <= q.a and q.b <= atom.b:
                 d = delta_split(f, ev)
                 acc += inner(d, d)
@@ -373,14 +372,12 @@ def _assert_kernel_matches_levels(filt, dim, seed):
             piece = np.take(steps, lay.stacked_maps[n + 1], axis=0)
             _assert_same_bits(piece, oracles._level_difference(filt, row, n))
 
-    # the transform kernels sum the levels on the leaves in the loop's order
+    # the transform routes sum the levels on the leaves in the loop's order
     f, g = random_witness(filt, dim, rng)
     op = random_transform(filt, dim, rng)
-    for lead in [(), (2,)]:
-        x = rng.normal(size=(*lead, L, dim))
-        _assert_same_bits(_transform_stack(op, x), oracles.transform_by_levels(op, x))
-        y = rng.normal(size=(*lead, L, 1))
-        _assert_same_bits(_adjoint_stack(op, y), oracles.adjoint_by_levels(op, y))
+    x, y = rng.normal(size=(L, dim)), rng.normal(size=(L, 1))
+    _assert_same_bits(op.apply(MartFunction(filt, x)).values[:, 0], oracles.transform_by_levels(op, x))
+    _assert_same_bits(op.adjoint_closed_form(MartFunction(filt, y)).values, oracles.adjoint_by_levels(op, y))
 
     tstar_g = op.adjoint_closed_form(g)
     for p in (2.0, 1.5):

@@ -28,13 +28,11 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("
 # The two halves of the rescaling route have no caller yet; ROADMAP item 6
 # gives them one, an `mblab rescale` command.
 AWAITING_CALLER = {"bellman.estimate_rescale_constant", "bellman.recombine_slack"}
-# Functions and methods the benchmark's tracer binds by their names as
-# strings only.  ``predictable_hull`` is public; ``check_support`` reads the
-# hull from the steps it shares with T h.
+# Methods the benchmark's tracer binds by their names as strings only: the
+# dense oracle's two routes, which no production route calls.
 BENCHMARK_BINDS = {
     "transforms.MartingaleTransform.matrix_apply",
     "transforms.MartingaleTransform.adjoint_apply",
-    "transforms.predictable_hull",
 }
 
 

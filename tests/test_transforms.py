@@ -16,13 +16,13 @@ from mblab.bellman import Witness
 from mblab.checks import restriction_identity_gaps
 from mblab.corpus import active_split_function, max_children_for, random_transform
 from mblab.filtration import build_dyadic, build_random_regular, level_partition, split_schedule
-from mblab.martingale import MartFunction, inner, l2_norm
+from mblab.martingale import MartFunction, _atom_steps, inner, l2_norm
 from mblab.reporting import to_canonical_json
 from mblab.transforms import (
     MartingaleTransform,
     PredictabilityError,
+    _steps_hull,
     make_transform,
-    predictable_hull,
     split_multiplier_norm,
     transform_to_dict,
 )
@@ -201,6 +201,17 @@ def test_adjoint_routes_agree(kernel_tower):
     assert np.allclose(a.values, b.values, atol=1e-12)
 
 
+def test_routes_refuse_functions_of_another_space(dyadic2):
+    # T takes functions of its dimension, T* scalar ones, on its own tower
+    op = random_transform(dyadic2, 2, np.random.default_rng(8))
+    other = build_dyadic(2)
+    for route, dim in ((op.apply, 2), (op.matrix_apply, 2), (op.adjoint_closed_form, 1), (op.adjoint_apply, 1)):
+        with pytest.raises(ValueError, match="different filtration"):
+            route(rand_fn(other, dim, 9))
+        with pytest.raises(ValueError, match=f"expected {dim}, function has 3"):
+            route(rand_fn(dyadic2, 3, 9))
+
+
 @examples(30)
 @given(
     depth=st.integers(1, 6),
@@ -232,7 +243,7 @@ def test_localization_single_split_input(dyadic3):
     op = random_transform(dyadic3, 2, rng)
     f = rand_fn(dyadic3, 2, 12)
     for ev in split_schedule(dyadic3):
-        atom = oracles.atom(dyadic3, ev.atom)
+        atom = oracles.atom(dyadic3, ev)
         piece = delta_split(f, ev)
         out = op.apply(piece)
         for leaf in leaves_of(dyadic3):
@@ -263,7 +274,7 @@ def test_predictable_hull_is_contained_in_active_levels():
     filt = build_random_regular(depth=4, delta=0.2, max_children=3, split_prob=0.8, seed=15)
     rng = np.random.default_rng(16)
     f, active = active_split_function(filt, 1, rng)
-    hull = predictable_hull(f)
+    hull = _steps_hull(filt, f.values, _atom_steps(filt, f.values))
     lay = filt.layout
     assert hull.dtype == bool and hull.shape == (lay.level_offsets[filt.depth],)
     assert set(lay.stacked_atoms[np.flatnonzero(hull)].tolist()) <= active
@@ -285,9 +296,9 @@ def test_restriction_bound_one_sided(dyadic3):
     tstar = op.adjoint_apply(g)
     root = oracles.root(dyadic3).id
     for ev in split_schedule(dyadic3):
-        if ev.atom == root:
+        if ev == root:
             continue
-        atom = oracles.atom(dyadic3, ev.atom)
+        atom = oracles.atom(dyadic3, ev)
         local = osc2(tstar, atom.id)
         cut = op.adjoint_apply(restrict(g, atom.id))
         glob = osc2(cut, root) / atom.measure
