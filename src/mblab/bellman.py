@@ -13,10 +13,11 @@ with q the conjugate exponent of p.  These points live in the convex domain
 x4) of ``points`` each, <g>_J, the atom steps of f, T* g and g, and, for
 every split event J, the displacement d_J, the pairing of the split
 differences of f and T* g, and the x2 gain of the split, in one stacked
-pass of the martingale kernel over all levels.  A ``Witness`` checks (f,
-g, T) and derives T* g, that table, the event runs and the restriction
-sides once each, for every suite, probe and certificate that reads them;
-one atom's moment point is ``table.points[atom]``.
+pass of the martingale kernel over all levels.  A ``Witness`` is the one
+form of a triple: it checks (f, g, T), names their tower ``filtration``,
+and derives T* g, that table, the event runs and the restriction sides
+once each, for every suite, probe and certificate that reads them; one
+atom's moment point is ``table.points[atom]``.
 
 A candidate function B is tested against the split inequality: whenever
 points x^1..x^N and weights lambda_k >= delta (summing to one) satisfy
@@ -56,7 +57,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filtration import _frozen, _Lazy
+from .filtration import Filtration, _frozen, _Lazy, max_parts
 from .martingale import MartFunction, _diagonal_sums, _level_steps, _stacked_means
 from .reporting import Verbatim, _format_float, _format_floats
 from .transforms import EventChains, MartingaleTransform, _cut_adjoints, _event_chains
@@ -194,8 +195,9 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """A witness triple (f, g, T) at exponent p, with the objects the
-    suites, probes and certificates read derived once each, on first use:
+    """A witness triple (f, g, T) at exponent p on one tower,
+    ``filtration``, with the objects the suites, probes and certificates
+    read derived once each, on first use:
     ``tf``, T f, ``tstar_g``, T* g through the closed form
     ``adjoint_closed_form``, ``table``, the ``moment_table`` at p and the
     one source of atom means and steps, ``event_chains``, T's split events
@@ -215,11 +217,15 @@ class Witness:
     def __post_init__(self) -> None:
         if not (self.g.filtration is self.f.filtration is self.op.filtration):
             raise ValueError("witness components live on different filtrations")
-        self.f.filtration._require_one_tower()
+        self.filtration._require_one_tower()
         if self.g.dim != 1:
             raise ValueError("g must be scalar valued")
         if self.f.dim != self.op.dim:
             raise ValueError(f"f has dim {self.f.dim} but the transform expects {self.op.dim}")
+
+    @property
+    def filtration(self) -> Filtration:
+        return self.f.filtration
 
     @cached_property
     def tf(self) -> MartFunction:
@@ -243,7 +249,7 @@ class Witness:
         the local side osc2(T* g, J), both read off the table, and the
         rescaled global side (|I|/|J|) osc2(T*(g 1_J), I), from one
         ``_cut_adjoints`` pass of the uncentered cuts."""
-        chains, filt, table = self.event_chains, self.g.filtration, self.table
+        chains, filt, table = self.event_chains, self.filtration, self.table
         measures = chains.measures[:, -1]
         cut_osc, _ = _cut_adjoints(self.op, chains, self.g.values[:, 0], np.zeros(len(measures)))
         atoms = filt.layout.event_atoms[filt.layout.event_levels > 0]
@@ -283,8 +289,8 @@ class BellmanCandidate:
     or many at once, x1 of shape (..., dim) and arrays of shape (...), and
     then returns their values; each value has the bits of the one-point
     call.  ``evaluate`` takes moment rows (..., dim + 3).
-    ``cp`` and ``h`` are populated for candidates of the separated shape
-    B(x) = cp * (x3 + x4) - h(x1, x2); the duality estimator needs ``cp``.
+    ``cp`` is populated for candidates of the separated shape
+    B(x) = cp * (x3 + x4) - h(x1, x2); the duality estimator needs it.
     """
 
     fn: Callable[[np.ndarray, Values, Values, Values], Values]
@@ -292,7 +298,6 @@ class BellmanCandidate:
     delta: float
     label: str
     cp: float | None = None
-    h: Callable[[np.ndarray, Values], Values] | None = None
 
     def evaluate(self, x: np.ndarray) -> Values:
         return self.fn(x[..., :-3], x[..., -3], x[..., -2], x[..., -1])
@@ -311,7 +316,7 @@ def shaped_candidate(
     def fn(x1: np.ndarray, x2: Values, x3: Values, x4: Values) -> Values:
         return cp * (x3 + x4) - h(x1, x2)
 
-    return BellmanCandidate(fn=fn, p=p, delta=delta, label=label, cp=cp, h=h)
+    return BellmanCandidate(fn=fn, p=p, delta=delta, label=label, cp=cp)
 
 
 def quadratic_candidate(delta: float, p: float = 2.0, cp: float | None = None) -> BellmanCandidate:
@@ -391,7 +396,7 @@ class SplitConfigs:
         gap = self.displacement_residual()
         checks = (
             (parts >= 2, "a split configuration needs at least two points"),
-            (parts <= int(1.0 / delta + 1e-9), f"more than floor(1/delta) parts at delta={delta}"),
+            (parts <= max_parts(delta), f"more than floor(1/delta) parts at delta={delta}"),
             (((w >= delta - 1e-12) | ~has).all(axis=1), f"a weight below delta={delta}"),
             (np.abs(w.sum(axis=1) - 1.0) <= 1e-10, "weights do not sum to 1"),
             (inside, "a point or the base outside the moment domain"),
@@ -518,7 +523,7 @@ def sample_split_configs(
     dim: int = 1,
 ) -> SplitConfigs:
     """Seeded admissible configurations with Dirichlet-spread weights."""
-    n_max = int(1.0 / delta + 1e-9)
+    n_max = max_parts(delta)
     if n_max < 2:
         raise ValueError(f"delta={delta} admits no configuration with >= 2 parts")
     spread = lambda rng, n: delta + (1.0 - n * delta) * rng.dirichlet(np.ones(n))
@@ -538,7 +543,7 @@ def sample_dyadic_split_configs(
         raise ValueError(f"m must lie in [1, 16], got {m}")
     b = 2**m
     a_min = max(1, math.ceil(delta * b - 1e-9))
-    n_cap = min(int(1.0 / delta + 1e-9), b // a_min)
+    n_cap = min(max_parts(delta), b // a_min)
     if n_cap < 2:
         raise ValueError(f"no dyadic split with 2 parts at delta={delta}, m={m}")
     # A multinomial of zero trials draws nothing from the generator.
@@ -568,7 +573,7 @@ def adversarial_split_configs(delta: float, p: float, dim: int = 1) -> SplitConf
     if not (1 <= dim <= 4):
         raise ValueError(f"dim must lie in [1, 4], got {dim}")
     q = conjugate_exponent(p)
-    if delta <= 1.0 / 3.0 + 1e-12:
+    if max_parts(delta) >= 3:
         fracs, weights, v = (0.0, 1.0, 0.5), (delta, delta, 1.0 - 2.0 * delta), delta / 2.0
     else:
         fracs, weights, v = (0.0, 1.0), (delta, 1.0 - delta), delta * (1.0 - delta)

@@ -1,10 +1,11 @@
 """Certificate machinery: from a candidate and a witness to a global bound.
 
 The certifier reads the moment table of one ``Witness`` (f, g, T) at the
-candidate's exponent in a single array pass.  At every split event J of the
-refiltration schedule it computes, from the candidate's values on all atoms
-and the layout's children, the convex weights of the children, the
-displacement scale
+candidate's exponent in a single array pass, and the certificate keeps that
+witness (its tower is ``cert.witness.filtration``).  At every split event J
+of the refiltration schedule it computes, from the candidate's values on
+all atoms and the layout's children, the convex weights of the children,
+the displacement scale
 
     d_J = |J|^{-1/2} || single-split difference of T* g on J ||,
 
@@ -45,7 +46,7 @@ from .bellman import (
     _weighted_sums,
 )
 from .checks import Tolerances
-from .filtration import Filtration, _Lazy, level_partition
+from .filtration import _Lazy, level_partition
 from .martingale import MartFunction, inner
 from .reporting import Verbatim, _format_columns, _format_number
 from .transforms import MartingaleTransform
@@ -77,14 +78,13 @@ class Certificate:
     ``flagged`` lists the events behind the split failures, flagged by the
     same tests, tolerance and scales that wrote the messages in
     ``failures``.  ``records`` holds one row per split event, the dict
-    that CSV output writes, each built when it is read.
+    that CSV output writes, each built when it is read.  The exponent and
+    the tower are the witness's.
     """
 
     ok: bool
     label: str
-    p: float
     candidate_delta: float
-    filtration_delta: float
     objective: float
     bound: float
     final_slack: float
@@ -103,15 +103,11 @@ class Certificate:
         return self.failures[0] if self.failures else None
 
     @property
-    def filtration(self) -> Filtration:
-        return self.witness.f.filtration
-
-    @property
     def records(self) -> Sequence[dict]:
         return _Lazy(self._row, len(self.slack))
 
     def _row(self, e: int) -> dict:
-        lay, table = self.filtration.layout, self.witness.table
+        lay, table = self.witness.filtration.layout, self.witness.table
         atom = int(lay.event_atoms[e])
         return {
             "atom": atom,
@@ -238,9 +234,7 @@ def certify(
     return Certificate(
         ok=not failures,
         label=cand.label,
-        p=cand.p,
         candidate_delta=cand.delta,
-        filtration_delta=filt.delta,
         objective=objective,
         bound=bound,
         final_slack=final_slack,
@@ -281,7 +275,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
     as that child, as its own record's base and as its leaf's point.
     ``to_canonical_json`` of the payload gives the text of the same payload
     built as one dict per record, leaf and point."""
-    filt = cert.filtration
+    filt = cert.witness.filtration
     table, lay, dim = cert.witness.table, filt.layout, cert.witness.f.dim
     leaves = level_partition(filt, filt.depth)
     starts = lay.event_child_starts
@@ -341,9 +335,9 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "ok": cert.ok,
         "candidate": cert.label,
-        "p": cert.p,
+        "p": table.p,
         "candidate_delta": cert.candidate_delta,
-        "filtration_delta": cert.filtration_delta,
+        "filtration_delta": filt.delta,
         "objective": cert.objective,
         "bound": cert.bound,
         "final_slack": cert.final_slack,

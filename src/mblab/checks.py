@@ -215,7 +215,7 @@ def check_localization(w: Witness, tol: Tolerances, rng: np.random.Generator) ->
     full-length route, one transform of an L-leaf piece per event, is kept
     in the tests as an oracle.
     """
-    filt, op = w.f.filtration, w.op
+    filt, op = w.filtration, w.op
     lay = filt.layout
     draws = _event_draws(filt, np.arange(len(lay.event_atoms)), w.f.dim, rng)
     chains = w.event_chains
@@ -249,7 +249,7 @@ def check_support(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     """Transforms of functions built from a known active split set stay
     supported in the union of those atoms, exactly, and the predictable
     hull of such a function has no row outside them."""
-    filt = w.f.filtration
+    filt = w.filtration
     lay = filt.layout
     h, active = active_split_function(filt, w.f.dim, rng)
     steps = _atom_steps(filt, h.values)  # T h and the hull read one pass of h
@@ -279,7 +279,7 @@ def check_osc_series(w: Witness, tol: Tolerances, rng: np.random.Generator) -> l
     series in child order, one ``bincount`` per level.  The rows of the
     split events (the layout's ``event_rows``) are compared at once.
     """
-    filt, dim = w.f.filtration, w.f.dim
+    filt, dim = w.filtration, w.f.dim
     lay = filt.layout
     off = lay.level_offsets
     steps = w.table.steps[:, dim : 2 * dim]
@@ -361,7 +361,7 @@ def restriction_identity_gaps(w: Witness) -> tuple[float, float]:
     max(1, defect)).  Not a registered suite, so ``run_all`` rows do not
     include it.
     """
-    filt, chains = w.g.filtration, w.event_chains
+    filt, chains = w.filtration, w.event_chains
     measures = chains.measures[:, -1]
     c, local, glob = w.restriction_sides
     centered_osc, _ = _cut_adjoints(w.op, chains, w.g.values[:, 0], c)
@@ -378,7 +378,7 @@ def hoelder_mean_margin(w: Witness) -> float:
     """How far |<f>_I . <T* g>_I| sits above ||f||_p ||g||_q / |I|, at the
     witness's p and its conjugate q; nonpositive when the Hoelder mean bound
     holds.  Not a registered suite, so ``run_all`` rows do not include it."""
-    rhs = lp_norm(w.f, w.p) * lp_norm(w.g, conjugate_exponent(w.p)) / w.f.filtration.total_measure
+    rhs = lp_norm(w.f, w.p) * lp_norm(w.g, conjugate_exponent(w.p)) / w.filtration.total_measure
     return w.table.root_mean_pairing - rhs
 
 

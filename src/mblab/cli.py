@@ -59,7 +59,7 @@ from .corpus import (
     root_splits_in_two,
 )
 from .estimator import EstimateError, duality_bound, duality_candidate, lower_bound_search, lp_constant_scan
-from .filtration import FiltrationError, RatioSamplingError, filtration_to_dict
+from .filtration import FiltrationError, RatioSamplingError, filtration_to_dict, max_parts
 from .reporting import ReportError, rows_to_csv, to_canonical_json, write_text
 from .transforms import PredictabilityError, transform_to_dict
 
@@ -255,10 +255,9 @@ def _filtration(cfg: RunConfig):
     depth = cfg.depth if cfg.depth is not None else 3
     max_children = max_children_for(cfg.delta) if cfg.max_children is None else cfg.max_children
     # Checked for every delta, the dyadic tower included.
-    if max_children < 2 or max_children * cfg.delta > 1.0 + 1e-12:
-        raise UsageError(
-            f"--max-children must lie in [2, 1/delta] = [2, {1.0 / cfg.delta:g}], got {max_children}"
-        )
+    cap = max_parts(cfg.delta)
+    if not 2 <= max_children <= cap:
+        raise UsageError(f"--max-children must lie in [2, floor(1/delta)] = [2, {cap}], got {max_children}")
     return build_tower(cfg.delta, cfg.seed, depth, max_children, cfg.split_prob)
 
 
@@ -273,15 +272,14 @@ def _suite_names(cfg: RunConfig) -> list[str] | None:
     return names
 
 
-def _witness(cfg: RunConfig, filt):
+def _witness(cfg: RunConfig, filt) -> Witness:
     if cfg.witness == "structured":
         if not root_splits_in_two(filt):
             raise UsageError("the structured witness needs a tower whose root splits in two")
         return haar_witness(filt, cfg.dim)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=_require_seed(cfg), spawn_key=(1,)))
     f, g = random_witness(filt, cfg.dim, rng)
-    op = random_transform(filt, cfg.dim, rng)
-    return f, g, op
+    return Witness(f, g, random_transform(filt, cfg.dim, rng))
 
 
 def _candidate(cfg: RunConfig, filt):
@@ -320,13 +318,13 @@ def cmd_gen(cfg: RunConfig) -> int:
         out = {"filtration": filtration_to_dict(filt)}
         # a structured witness is deterministic; a random one needs the seed
         if cfg.witness == "structured" or cfg.seed is not None:
-            f, g, op = _witness(cfg, filt)
+            w = _witness(cfg, filt)
             out["witness"] = {
                 "kind": cfg.witness,
                 "dim": cfg.dim,
-                "f": f.values.tolist(),
-                "g": g.values.tolist(),
-                "transform": transform_to_dict(op),
+                "f": w.f.values.tolist(),
+                "g": w.g.values.tolist(),
+                "transform": transform_to_dict(w.op),
             }
         return out
 
@@ -344,9 +342,8 @@ def cmd_check(cfg: RunConfig) -> int:
     """run identity and inequality suites"""
     seed, names = _require_seed(cfg), _suite_names(cfg)
     filt = _filtration(cfg)
-    f, g, op = _witness(cfg, filt)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-    rows, ok = run_suites(Witness(f, g, op), Tolerances.from_env(), rng, names)
+    rows, ok = run_suites(_witness(cfg, filt), Tolerances.from_env(), rng, names)
     _emit(cfg, lambda: {"ok": ok, "rows": rows}, lambda: rows)
     return 0 if ok else 1
 
@@ -355,9 +352,9 @@ def cmd_certify(cfg: RunConfig) -> int:
     """run the schedule certifier"""
     _require_seed(cfg)
     filt = _filtration(cfg)
-    f, g, op = _witness(cfg, filt)
+    w = _witness(cfg, filt)
     cand = _candidate(cfg, filt)
-    cert = certify(cand, f, g, op, tol=Tolerances.from_env().tight)
+    cert = certify(cand, w.f, w.g, w.op, tol=Tolerances.from_env().tight)
     _emit(cfg, lambda: certificate_to_dict(cert), lambda: list(cert.records))
     return 0 if cert.ok else 1
 

@@ -4,9 +4,10 @@ The default grid crosses regularity floors {0.1, 0.25, 1/3, 0.5} with
 target dimensions {1, 2, 3} and a hundred seeds each; depth cycles through
 2..5 with the seed.  Child counts are capped per floor so that ratio
 sampling keeps honest slack above the floor (at the balanced floor 1/2 the
-grid falls back to exact dyadic towers, where random ratios have no room).
-Every object here is a pure function of its cell, so the corpus can be
-rebuilt identically anywhere.
+grid falls back to exact dyadic towers, where random ratios have no room);
+off the grid the cap is min(4, ``filtration.max_parts(delta)``).  A cell's
+triple is a ``bellman.Witness`` at p = 2, a pure function of the cell, as
+is every object here, so the corpus can be rebuilt identically anywhere.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bellman import Witness
 from .filtration import (
     Filtration,
     FiltrationError,
     build_dyadic,
     build_random_regular,
+    max_parts,
     _random_columns,
 )
 from .martingale import MartFunction, _diagonal_steps, _event_draws, _leaf_sum
@@ -54,10 +57,11 @@ _SPLIT_PROB = 0.7  # the chance that an atom of a random tower splits
 
 
 def max_children_for(delta: float) -> int:
-    """Child-count cap keeping ratio sampling comfortably feasible."""
+    """Child-count cap keeping ratio sampling comfortably feasible: the
+    grid floor's own, else min(4, ``max_parts(delta)``)."""
     if delta in _MAX_CHILDREN:
         return _MAX_CHILDREN[delta]
-    return max(2, min(4, int(1.0 / delta + 1e-9)))
+    return min(4, max_parts(delta))
 
 
 @dataclass(frozen=True)
@@ -69,15 +73,6 @@ class CorpusCell:
     @property
     def depth(self) -> int:
         return 2 + self.seed % 4
-
-
-@dataclass(frozen=True, eq=False)
-class PreparedCell:
-    cell: CorpusCell
-    filtration: Filtration
-    f: MartFunction
-    g: MartFunction
-    op: MartingaleTransform
 
 
 def default_corpus(seeds: int = _SEEDS_PER_CELL) -> list[CorpusCell]:
@@ -173,9 +168,7 @@ def _unit_rows(raw: np.ndarray) -> np.ndarray:
     return raw / norms
 
 
-def haar_witness(
-    filt: Filtration, dim: int
-) -> tuple[MartFunction, MartFunction, MartingaleTransform]:
+def haar_witness(filt: Filtration, dim: int) -> Witness:
     """Structured witness saturating the balanced pairing.
 
     Requires a two-child root split.  f oscillates along the first
@@ -185,7 +178,7 @@ def haar_witness(
     then exactly one while both second moments are one.
     """
     f, g, mults = _haar_profile(filt, 0, dim, filt.layout.level_offsets[filt.depth])
-    return MartFunction(filt, f), MartFunction(filt, g), make_transform(filt, mults)
+    return Witness(MartFunction(filt, f), MartFunction(filt, g), make_transform(filt, mults))
 
 
 def root_splits_in_two(filt: Filtration, root: int = 0) -> bool:
@@ -235,10 +228,10 @@ def active_split_function(
     return MartFunction(filt, _leaf_sum(filt, steps)), frozenset(lay.event_atoms[kept].tolist())
 
 
-def prepare_cell(cell: CorpusCell) -> PreparedCell:
-    """Filtration plus one random witness triple, all determined by the cell."""
+def prepare_cell(cell: CorpusCell) -> Witness:
+    """The cell's random witness triple at p = 2 on the cell's tower, all
+    determined by the cell."""
     filt = _cell_tower(cell.delta, cell.seed, cell.depth)
     rng = _cell_rng(cell)
     f, g = random_witness(filt, cell.dim, rng)
-    op = random_transform(filt, cell.dim, rng)
-    return PreparedCell(cell=cell, filtration=filt, f=f, g=g, op=op)
+    return Witness(f, g, random_transform(filt, cell.dim, rng))

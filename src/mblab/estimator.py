@@ -457,7 +457,7 @@ def duality_bound(
     op = random_transform(filt, dim, rng)
     tf = op.apply(f)
 
-    structured = haar_witness(filt, 1)[1] if root_splits_in_two(filt) else None
+    structured = haar_witness(filt, 1).g if root_splits_in_two(filt) else None
 
     rows = []
     empirical = 0.0

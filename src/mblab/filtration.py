@@ -6,7 +6,10 @@ each atom either splits into k >= 2 children that partition it exactly, or
 survives unchanged into every later level.  The regularity floor delta
 bounds every child/parent measure ratio from below:
 
-    |child| / |parent| >= delta,   with delta in (0, 1/2].
+    |child| / |parent| >= delta,   with delta in (0, 1/2],
+
+so a split has at most floor(1/delta) children (``max_parts``, the one
+statement of that count).
 
 Atoms that split form the active set D; they are consumed one at a time by
 a deterministic split schedule (ascending level, then ascending left
@@ -56,6 +59,7 @@ __all__ = [
     "build_random_regular",
     "split_schedule",
     "level_partition",
+    "max_parts",
     "filtration_to_dict",
 ]
 
@@ -74,6 +78,14 @@ class RatioSamplingError(RuntimeError):
     Raised when delta is so close to 1/k that the feasible ratio region has
     vanishing volume.
     """
+
+
+def max_parts(delta: float) -> int:
+    """The most parts one split can have at floor delta in (0, 1/2]: each
+    part holds at least delta of its parent, so the largest k with
+    k * delta <= 1 + ``_GEOM_TOL``.  The one statement of that count."""
+    k = int((1.0 + _GEOM_TOL) / delta)
+    return k - 1 if k * delta > 1.0 + _GEOM_TOL else k
 
 
 class _Lazy(Sequence):
@@ -425,7 +437,7 @@ def _random_columns(depth: int, delta: float, max_children: int, split_prob: flo
         raise FiltrationError(f"delta must lie in (0, 1/2], got {delta}")
     if max_children < 2:
         raise FiltrationError(f"max_children must be >= 2, got {max_children}")
-    if max_children * delta > 1.0 + 1e-12:
+    if max_children > max_parts(delta):
         raise FiltrationError(
             f"infeasible: max_children * delta = {max_children * delta:.6g} > 1"
         )

@@ -98,14 +98,6 @@ class MartFunction:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def __add__(self, other: "MartFunction") -> "MartFunction":
-        _check_same_space(self, other)
-        return MartFunction(self.filtration, self.values + other.values)
-
-    def __sub__(self, other: "MartFunction") -> "MartFunction":
-        _check_same_space(self, other)
-        return MartFunction(self.filtration, self.values - other.values)
-
     def __neg__(self) -> "MartFunction":
         return MartFunction(self.filtration, -self.values)
 
@@ -113,13 +105,6 @@ class MartFunction:
         return MartFunction(self.filtration, self.values * float(c))
 
     __rmul__ = __mul__
-
-
-def _check_same_space(f: MartFunction, g: MartFunction) -> None:
-    if f.filtration is not g.filtration:
-        raise ValueError("functions live on different filtration objects")
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +223,10 @@ def _event_draws(
 
 def inner(f: MartFunction, g: MartFunction) -> float:
     """Unnormalized pairing integral_I <f, g> dt."""
-    _check_same_space(f, g)
+    if f.filtration is not g.filtration:
+        raise ValueError("functions live on different filtration objects")
+    if f.dim != g.dim:
+        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
     m = f.filtration.layout.measures
     return float(m @ np.einsum("ij,ij->i", f.values, g.values))
 

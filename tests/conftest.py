@@ -104,14 +104,18 @@ def kernel_tower(request):
 
 
 @pytest.fixture(scope="session")
-def small_cells():
+def small_corpus():
     # one cell per (delta, dim) pair keeps unit runs quick
-    cells = [
+    return [
         CorpusCell(delta, dim, seed=0)
         for delta in (0.1, 0.25, 1.0 / 3.0, 0.5)
         for dim in (1, 2, 3)
     ]
-    return [prepare_cell(c) for c in cells]
+
+
+@pytest.fixture(scope="session")
+def small_cells(small_corpus):
+    return [prepare_cell(c) for c in small_corpus]
 
 
 def telescoping_relerr(f, g, op) -> float:

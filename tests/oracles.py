@@ -266,19 +266,13 @@ def scale_candidate(cand: BellmanCandidate, c: float, delta: float | None = None
     """c times a candidate as a candidate of its own, optionally retagging
     the claimed floor: the direct route to the slacks of C * B that
     ``estimate_rescale_constant`` reads off B's unscaled terms."""
-    new_delta = cand.delta if delta is None else delta
-    scaled_h = None
-    if cand.h is not None:
-        base_h = cand.h
-        scaled_h = lambda x1, x2: c * base_h(x1, x2)
     base_fn = cand.fn
     return BellmanCandidate(
         fn=lambda x1, x2, x3, x4: c * base_fn(x1, x2, x3, x4),
         p=cand.p,
-        delta=new_delta,
+        delta=cand.delta if delta is None else delta,
         label=f"{c:g}*{cand.label}",
         cp=None if cand.cp is None else c * cand.cp,
-        h=scaled_h,
     )
 
 
@@ -1373,8 +1367,8 @@ def search_trials_by_trials(
         rng = _trial_rng(seed, i)
         filt = _trial_filtration(delta, 2 if i == 0 else depth, i, int(rng.integers(2**31)))
         if i == 0 and len(root(filt).children) == 2:
-            f, g, op = haar_witness(filt, dim)
-            kind = "structured"
+            w = haar_witness(filt, dim)
+            f, g, op, kind = w.f, w.g, w.op, "structured"
         else:
             f, g = random_function(filt, dim, rng), random_function(filt, 1, rng)
             op = unit_transform(filt, dim, rng)

@@ -150,12 +150,12 @@ def test_criterion_4_positivity(corpus_report):
 
 def test_criterion_5_certifier_reference_witness():
     filt = build_dyadic(1)
-    f, g, op = haar_witness(filt, 1)
-    cert = certify(quadratic_candidate(0.5), f, g, op)
+    w = haar_witness(filt, 1)
+    cert = certify(quadratic_candidate(0.5), w.f, w.g, w.op)
     obj_ok = abs(cert.objective - 1.0) <= 1e-12
     accept_ok = cert.ok and cert.bound >= 1.0 - 1e-9
 
-    bad = certify(linear_candidate(1.0, 2.0, 0.5), f, g, op)
+    bad = certify(linear_candidate(1.0, 2.0, 0.5), w.f, w.g, w.op)
     rejected = not bad.ok and len(bad.flagged) >= 1
     rec_ok = False
     if rejected:
@@ -291,11 +291,12 @@ def test_criterion_8_determinism(tmp_path):
         identical = identical and a.read_bytes() == b.read_bytes()
 
     filt = build_dyadic(2)
-    f, g, op = haar_witness(filt, 2)
-    cert = certify(quadratic_candidate(0.5), f, g, op)
+    w = haar_witness(filt, 2)
+    cert = certify(quadratic_candidate(0.5), w.f, w.g, w.op)
     text_a = to_canonical_json(certificate_to_dict(cert))
     # a fresh triple: the second certificate derives its own witness
-    cert_b = certify(quadratic_candidate(0.5), *haar_witness(filt, 2))
+    w_b = haar_witness(filt, 2)
+    cert_b = certify(quadratic_candidate(0.5), w_b.f, w_b.g, w_b.op)
     text_b = to_canonical_json(certificate_to_dict(cert_b))
     identical = identical and text_a == text_b
 

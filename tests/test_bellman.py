@@ -688,6 +688,13 @@ def test_rescale_constant_pins(delta_dim):
     assert (est.constant.hex(), est.worst) == RESCALE_PINS[delta_dim]
 
 
+def test_rescale_constant_next_to_a_critical_floor():
+    # 1/3 + 5e-11 fits two parts: the sampler once drew three, each then
+    # below the floor, and the configurations refused their own weights
+    delta = 0.33333333338
+    assert estimate_rescale_constant(quadratic_candidate(delta), delta).constant == 1.0
+
+
 @pytest.mark.parametrize("cp", [math.nan, math.inf, -math.inf])
 def test_rescale_rejects_non_finite_slack(cp):
     # a NaN slack fails every comparison, so it must raise rather than pass

@@ -62,8 +62,8 @@ SQRT2 = math.sqrt(2.0)
 
 @pytest.fixture(scope="module")
 def haar_cert(dyadic1):
-    f, g, op = haar_witness(dyadic1, 1)
-    return certify(quadratic_candidate(0.25), f, g, op)
+    w = haar_witness(dyadic1, 1)
+    return certify(quadratic_candidate(0.25), w.f, w.g, w.op)
 
 
 def test_haar_objective_is_one(haar_cert):
@@ -72,12 +72,12 @@ def test_haar_objective_is_one(haar_cert):
 
 def event_children(cert, e):
     """The child atom ids of split event e, in the layout's order."""
-    lay = cert.filtration.layout
+    lay = cert.witness.filtration.layout
     return lay.event_children[lay.event_child_starts[e] : lay.event_child_starts[e + 1]]
 
 
 def test_haar_root_point(haar_cert):
-    root = haar_cert.witness.table.points[oracles.root(haar_cert.filtration).id]
+    root = haar_cert.witness.table.points[oracles.root(haar_cert.witness.filtration).id]
     assert np.allclose(root[:-3], 0.0, atol=1e-14)
     assert root[-3] == pytest.approx(0.0, abs=1e-12)
     assert root[-2] == pytest.approx(1.0, rel=1e-12)
@@ -118,8 +118,8 @@ def test_zero_function_certifies_trivially(dyadic3):
 
 
 def test_linear_candidate_rejected_with_failing_record(dyadic1):
-    f, g, op = haar_witness(dyadic1, 1)
-    cert = certify(linear_candidate(1.0, 2.0, 0.5), f, g, op)
+    w = haar_witness(dyadic1, 1)
+    cert = certify(linear_candidate(1.0, 2.0, 0.5), w.f, w.g, w.op)
     assert not cert.ok
     assert cert.first_failure is not None
     assert "slack" in cert.first_failure
@@ -140,7 +140,7 @@ def test_failing_records_follow_certify_tolerance():
     # exactly the records its failure messages name
     pc = prepare_cell(CorpusCell(0.25, 2, 3))
     f, g = pc.f * 1e-3, pc.g * 1e-3
-    cand = linear_candidate(1.0, 2.0, pc.cell.delta)
+    cand = linear_candidate(1.0, 2.0, pc.filtration.delta)
     loose = certify(cand, f, g, pc.op, tol=1e-3)
     assert loose.ok and loose.failures == ()
     assert loose.flagged.tolist() == []
@@ -163,8 +163,7 @@ def test_witness_and_certify_refuse_a_batch(dyadic2):
             build()
 
 
-def test_claimed_floor_must_cover_filtration(dyadic2):
-    f, g, op = haar_witness(dyadic2, 1)
+def test_claimed_floor_must_cover_filtration():
     tight = quadratic_candidate(0.25)
     loose_filtration = prepare_cell(CorpusCell(0.1, 1, 0))
     with pytest.raises(ValueError):
@@ -189,10 +188,10 @@ def test_negative_x2_raises_at_its_atom(monkeypatch):
 
 
 def test_mismatched_filtration_rejected(dyadic2, dyadic3):
-    f, g, op = haar_witness(dyadic2, 1)
+    w = haar_witness(dyadic2, 1)
     f_other = MartFunction(dyadic3, np.full((dyadic3.n_leaves, 1), 1.0))
     with pytest.raises(ValueError):
-        certify(quadratic_candidate(0.5), f_other, g, op)
+        certify(quadratic_candidate(0.5), f_other, w.g, w.op)
 
 
 def point_by_atom(f, g, tstar_g, atom_id, p):
@@ -212,7 +211,7 @@ def test_records_and_leaves_are_bellman_points(small_cells):
     # those of the single-split differences
     for pc in small_cells:
         filt = pc.filtration
-        cand = quadratic_candidate(pc.cell.delta)
+        cand = quadratic_candidate(pc.filtration.delta)
         cert = certify(cand, pc.f, pc.g, pc.op)
         table = cert.witness.table
         tstar = pc.op.adjoint_closed_form(pc.g)  # the T* g certify reads
@@ -386,7 +385,7 @@ def assert_matches_walk(cand, f, g, op, tol=1e-9):
     payload, flagged = certificate_by_records(cand, f, g, op, tol)
     assert to_canonical_json(certificate_to_dict(cert)) == ref_to_canonical_json(payload)
     assert list(cert.failures) == payload["failures"]
-    assert cert.filtration.layout.event_atoms[cert.flagged].tolist() == flagged
+    assert cert.witness.filtration.layout.event_atoms[cert.flagged].tolist() == flagged
     return cert
 
 

@@ -357,9 +357,9 @@ def _pays_no_matrix(f, g, op):
     assert "matrix" not in vars(op)
 
 
-def test_production_paths_build_no_matrix_on_small_cells(small_cells):
+def test_production_paths_build_no_matrix_on_small_cells(small_corpus):
     # fresh cells: other tests build the dense oracle on the shared ones
-    for pc in map(prepare_cell, (pc.cell for pc in small_cells)):
+    for pc in map(prepare_cell, small_corpus):
         assert "matrix" not in vars(pc.op)
         _pays_no_matrix(pc.f, pc.g, pc.op)
 

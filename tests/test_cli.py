@@ -58,6 +58,13 @@ def test_unknown_suite_exits_two(capsys):
 
 def test_infeasible_filtration_exits_two(capsys):
     assert run(["gen", "--delta", "0.4", "--max-children", "3", "--seed", "1"]) == 2
+    assert "--max-children" in capsys.readouterr().err
+
+
+def test_gen_builds_with_its_own_cap_next_to_a_critical_floor():
+    # 1/3 + 5e-11 fits two parts, not three: the default cap once said
+    # three, and the check then refused it
+    assert run(["gen", "--seed", "1", "--delta", "0.33333333338", "--depth", "2"]) == 0
 
 
 @pytest.mark.parametrize("delta", ["0.5", "0.25"])
@@ -240,12 +247,12 @@ def test_gen_depth1_structured_matches_reference_witness(tmp_path):
     payload = json.loads(out.read_text())
     filt = build_dyadic(1)
     assert payload["filtration"] == filtration_to_dict(filt)
-    f, g, op = haar_witness(filt, 1)
+    w = haar_witness(filt, 1)
     wit = payload["witness"]
-    assert wit["f"] == f.values.tolist()
-    assert wit["g"] == g.values.tolist()
-    assert wit["transform"] == transform_to_dict(op)
-    assert inner(g, op.apply(f)) == pytest.approx(1.0, rel=1e-12)
+    assert wit["f"] == w.f.values.tolist()
+    assert wit["g"] == w.g.values.tolist()
+    assert wit["transform"] == transform_to_dict(w.op)
+    assert inner(w.g, w.tf) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gen_csv_lists_atoms(tmp_path):

@@ -11,6 +11,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mblab.cli as cli
+import mblab.filtration as filtration
+from mblab.bellman import sample_split_configs
 from mblab.corpus import _unit_rows as unit_rows
 from mblab.corpus import max_children_for
 from mblab.filtration import (
@@ -24,6 +27,7 @@ from mblab.filtration import (
     build_random_regular,
     filtration_to_dict,
     level_partition,
+    max_parts,
     split_schedule,
 )
 from mblab.martingale import MartFunction, _leaf_sum, _stacked_means
@@ -224,6 +228,38 @@ def test_random_regular_rejects_bad_parameters():
         build_random_regular(depth=2, delta=0.4, max_children=3, split_prob=0.5, seed=0)
     with pytest.raises(FiltrationError):
         build_random_regular(depth=2, delta=0.25, max_children=2, split_prob=1.5, seed=0)
+
+
+# Floors a hair either side of 1/k with the part count each admits: k parts
+# fit just below 1/k and k - 1 just above (1/2 + 5e-11 is no floor).
+NEAR_CRITICAL = [
+    (1.0 / k + side * 5e-11, k if side < 0 else k - 1)
+    for k in range(2, 11)
+    for side in (-1, 1)
+    if (k, side) != (2, 1)
+]
+
+
+@pytest.mark.parametrize("delta, parts", NEAR_CRITICAL)
+def test_every_part_count_is_max_parts(delta, parts, monkeypatch):
+    # the corpus cap, the command line's check, the random builder and the
+    # configuration sampler all read one count; with counts of their own,
+    # the command line refused the cap the corpus picked at 1/3 + 5e-11
+    assert max_parts(delta) == parts
+    assert max_children_for(delta) == min(4, parts)
+    monkeypatch.setattr(cli, "build_tower", lambda *args: args)
+    tower = lambda n: cli._filtration(cli.RunConfig(seed=1, delta=delta, max_children=n))
+    assert tower(parts)[3] == parts
+    with pytest.raises(cli.UsageError, match=re.escape(f"[2, floor(1/delta)] = [2, {parts}]")):
+        tower(parts + 1)
+    # equal splits, which fit at every count up to the cap, keep the
+    # builder off the rejection sampler
+    monkeypatch.setattr(filtration, "_sample_ratios", lambda rng, k, delta, budget: [1.0 / k] * k)
+    filt = build_random_regular(depth=3, delta=delta, max_children=parts, split_prob=1.0, seed=0)
+    assert np.diff(filt.child_starts).max() <= parts
+    with pytest.raises(FiltrationError, match="infeasible"):
+        build_random_regular(depth=3, delta=delta, max_children=parts + 1, split_prob=1.0, seed=0)
+    assert sample_split_configs(delta, 2.0, 200, 0).parts.max() == parts
 
 
 def test_random_regular_is_seed_deterministic():

@@ -256,7 +256,7 @@ def formatter_sizes(monkeypatch) -> list[int]:
 def certificate_floats(cert) -> int:
     """The floats of a certificate's text, each moment point counted once."""
     n_atoms, dim = len(cert.witness.table.points), cert.witness.f.dim
-    n_events, n_leaves = len(cert.slack), cert.filtration.n_leaves
+    n_events, n_leaves = len(cert.slack), cert.witness.filtration.n_leaves
     return n_atoms * (dim + 3) + len(cert.weights) + 5 * n_events + n_leaves
 
 
@@ -458,7 +458,7 @@ def test_deep_certificates_match_record_walk_through_the_kernel(monkeypatch):
         assert text == ref_to_canonical_json(walk)
         assert min(sizes) >= reporting._KERNEL_MIN
         assert sum(sizes) == certificate_floats(cert)
-        if cert.filtration.n_leaves == 512:  # dyadic depth 9, d = 2
+        if cert.witness.filtration.n_leaves == 512:  # dyadic depth 9, d = 2
             assert sum(sizes) == 9204 and len(sizes) >= 4
 
 

@@ -4,8 +4,9 @@ outside its own module, in ``src/mblab`` or ``perfbench/``, unless it
 awaits a planned caller, every function, class and method the package
 defines is named outside its own definition, so that test-only code lives
 in ``tests/oracles.py``, every field of the leaf layout is read outside
-the module that builds it, and the benchmark's traced runs still find and
-call what they bind."""
+the module that builds it, every dataclass field is read but in results
+handed back whole, and the benchmark's traced runs still find and call
+what they bind."""
 
 import ast
 import dataclasses
@@ -171,6 +172,47 @@ def test_every_layout_field_is_read_outside_filtration():
         if isinstance(node, ast.Attribute)
     }
     assert [f.name for f in dataclasses.fields(LeafLayout) if f.name not in read] == []
+
+
+# What a call hands back to its caller whole: the records the command line
+# writes field by field through ``dataclasses.fields`` (``_result_payload``),
+# the rescale estimate that awaits its command, and the events behind a
+# certificate's failures.
+RESULT_RECORDS = {
+    "estimator.ScanResult",
+    "estimator.SearchResult",
+    "estimator.DualityReport",
+    "bellman.RescaleEstimate",
+}
+RESULT_FIELDS = {"certifier.Certificate.flagged"}
+
+
+def _dataclass_fields():
+    """(module.Class, field name) of every dataclass the package defines."""
+    for name in MODULES:
+        module = importlib.import_module(f"mblab.{name}")
+        for attr, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                if dataclasses.is_dataclass(value):
+                    yield f"{name}.{attr}", [f.name for f in dataclasses.fields(value)]
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing reads is state kept for no one, or for the tests only
+    read = {
+        node.attr
+        for path in _files()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls}.{field}"
+        for cls, names in _dataclass_fields()
+        if cls not in RESULT_RECORDS
+        for field in names
+        if field not in read and f"{cls}.{field}" not in RESULT_FIELDS
+    ]
+    assert unread == []
 
 
 @pytest.mark.parametrize("workload", ["deep_tower", "corpus_sweep", "cli_session"])
