@@ -91,7 +91,8 @@ def conjugate_exponent(p: float) -> float:
 @dataclass(frozen=True, eq=False)
 class MomentTable:
     """Moment points of every atom and split data of every event, for one
-    witness (f, g, T) and exponent p.
+    witness (f, g, T) at the exponent p its ``Witness`` holds, which sets
+    x3 and x4.
 
     Atom arrays are indexed by atom id: ``points`` (atoms, dim + 3), rows
     (x1..., x2, x3, x4), ``g2`` = <g^2>_J, ``g_mean`` = <g>_J, ``tstar_mean``
@@ -104,7 +105,6 @@ class MomentTable:
     the x2 of the split atom, which equals d^2 exactly.
     """
 
-    p: float
     points: np.ndarray
     g2: np.ndarray
     tstar_mean: np.ndarray
@@ -180,7 +180,6 @@ def moment_table(f: MartFunction, g: MartFunction, tstar_g: MartFunction, p: flo
     )
     events = lay.event_rows
     return MomentTable(
-        p=p,
         points=rows[:, : dim + 3],
         g2=rows[:, dim + 3],
         tstar_mean=rows[:, dim + 4 : 2 * dim + 4],

@@ -2,7 +2,8 @@
 
 The certifier reads the moment table of one ``Witness`` (f, g, T) at the
 candidate's exponent in a single array pass, and the certificate keeps that
-witness (its tower is ``cert.witness.filtration``).  At every split event J
+witness and the candidate (``cert.witness.filtration`` is its tower,
+``cert.candidate.label`` its label).  At every split event J
 of the refiltration schedule it computes, from the candidate's values on
 all atoms and the layout's children, the convex weights of the children,
 the displacement scale
@@ -78,13 +79,13 @@ class Certificate:
     ``flagged`` lists the events behind the split failures, flagged by the
     same tests, tolerance and scales that wrote the messages in
     ``failures``.  ``records`` holds one row per split event, the dict
-    that CSV output writes, each built when it is read.  The exponent and
-    the tower are the witness's.
+    that CSV output writes, each built when it is read.  The label and
+    claimed floor are the candidate's; the exponent and the tower are the
+    witness's.
     """
 
     ok: bool
-    label: str
-    candidate_delta: float
+    candidate: BellmanCandidate
     objective: float
     bound: float
     final_slack: float
@@ -233,8 +234,7 @@ def certify(
 
     return Certificate(
         ok=not failures,
-        label=cand.label,
-        candidate_delta=cand.delta,
+        candidate=cand,
         objective=objective,
         bound=bound,
         final_slack=final_slack,
@@ -291,7 +291,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         bounds = _block_bounds(sizes)
 
     measures = lay.atom_measures[lay.event_atoms]
-    tail = ',"p":' + _format_number(table.p) + ',"atom":'
+    tail = ',"p":' + _format_number(cert.witness.p) + ',"atom":'
     points = np.empty(len(table.points), dtype=object)  # the texts, by atom id
     records, leaf_entries = [], []
     for i0, i1 in zip(bounds, bounds[1:]):
@@ -334,9 +334,9 @@ def certificate_to_dict(cert: Certificate) -> dict:
             ])))
     return {
         "ok": cert.ok,
-        "candidate": cert.label,
-        "p": table.p,
-        "candidate_delta": cert.candidate_delta,
+        "candidate": cert.candidate.label,
+        "p": cert.witness.p,
+        "candidate_delta": cert.candidate.delta,
         "filtration_delta": filt.delta,
         "objective": cert.objective,
         "bound": cert.bound,

@@ -254,15 +254,14 @@ def check_support(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list
     h, active = active_split_function(filt, w.f.dim, rng)
     steps = _atom_steps(filt, h.values)  # T h and the hull read one pass of h
     th = _transform_steps(w.op, steps)
-    ids = np.fromiter(active, dtype=np.intp, count=len(active))
-    spans = lay.spans[ids]
+    spans = lay.spans[active]
     covered = np.zeros(filt.n_leaves, dtype=bool)
     covered[_segments(spans[:, 0], spans[:, 1] - spans[:, 0])[0]] = True
     err = float(np.abs(th[~covered]).max(initial=0.0))
 
     hull = _steps_hull(filt, h.values, steps)
     inside = np.zeros(filt.n_atoms, dtype=bool)
-    inside[ids] = True
+    inside[active] = True
     hull_err = float(np.count_nonzero(hull & ~inside[lay.stacked_atoms[: len(hull)]]))
     return [
         _row("support_containment", err, tol.exact, f"{len(active)} active atoms"),

@@ -10,11 +10,12 @@ Subcommands:
   bound    certified duality bound over a spread of dual draws
   corpus   sweep the acceptance corpus: worst row per check, probes, digests
 
-Each subcommand accepts only the flags it reads (``_FLAGS``), plus
---config, --out and --format; a flag or config key it does not read is a
-usage error.  Each command hands ``_emit`` two builders, one for the JSON
-payload and one for the CSV rows, and only the builder --format chooses
-runs.
+Each flag is declared once, as a ``RunConfig`` field that holds its
+default and its argparse settings.  Each subcommand accepts only the flags
+it reads (``_FLAGS``), plus --config, --out and --format; a flag or config
+key it does not read is a usage error.  Each command hands ``_emit`` two
+builders, one for the JSON payload and one for the CSV rows, and only the
+builder --format chooses runs.
 
 Exit codes: 0 success, 1 a check/certificate/bound failed, 2 bad usage or
 infeasible configuration.  Tolerances scale with the MBL_TOL environment
@@ -32,7 +33,7 @@ import math
 import sys
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from time import perf_counter
 
@@ -49,6 +50,7 @@ from .bellman import (
 from .certifier import CertificationError, certificate_to_dict, certify
 from .checks import SUITES, Tolerances, hoelder_mean_margin, restriction_identity_gaps, run_suites
 from .corpus import (
+    _SPLIT_PROB,
     build_tower,
     default_corpus,
     haar_witness,
@@ -66,27 +68,34 @@ from .transforms import PredictabilityError, transform_to_dict
 __all__ = ["main", "run"]
 
 
+def _knob(default, **settings):
+    """A ``RunConfig`` field: its default and its flag's argparse settings."""
+    return field(default=default, metadata=settings)
+
+
 @dataclass
 class RunConfig:
-    """Merged knobs for one command; file values sit below flag values."""
+    """Merged knobs for one command; file values sit below flag values.
+    Each field is a config key and a flag (--format for ``fmt``, else the
+    name with "-" for "_"), its metadata the flag's argparse settings."""
 
-    seed: int | None = None
-    depth: int | None = None
-    delta: float = 0.5
-    dim: int = 1
-    p: float = 2.0
-    trials: int = 100
-    out: str | None = None
-    fmt: str = "json"
-    max_children: int | None = None
-    split_prob: float = 0.7
-    witness: str = "random"
-    candidate: str = "quadratic"
-    target: float | None = None
-    ascent: int = 0
-    m: int = 6
-    suites: str | None = None
-    seeds: int = 100
+    seed: int | None = _knob(None, type=int)
+    depth: int | None = _knob(None, type=int)
+    delta: float = _knob(0.5, type=float)
+    dim: int = _knob(1, type=int)
+    p: float = _knob(2.0, type=float)
+    trials: int = _knob(100, type=int)
+    out: str | None = _knob(None)
+    fmt: str = _knob("json", choices=("json", "csv"))
+    max_children: int | None = _knob(None, type=int)
+    split_prob: float = _knob(_SPLIT_PROB, type=float)
+    witness: str = _knob("random", choices=("random", "structured"))
+    candidate: str = _knob("quadratic")
+    target: float | None = _knob(None, type=float)
+    ascent: int = _knob(0, type=int)
+    m: int = _knob(6, type=int)
+    suites: str | None = _knob(None)
+    seeds: int = _knob(100, type=int)
 
 
 # The RunConfig fields each command reads, as flags and as config keys.
@@ -104,27 +113,8 @@ _FLAGS = {
 }
 # Read by every command.
 _OUTPUT = ("out", "fmt")
-
-# argparse settings of each flag: --format for fmt, else the key with "-" for "_".
-_SPECS = {
-    "seed": {"type": int},
-    "depth": {"type": int},
-    "delta": {"type": float},
-    "dim": {"type": int},
-    "p": {"type": float},
-    "trials": {"type": int},
-    "max_children": {"type": int},
-    "split_prob": {"type": float},
-    "witness": {"choices": ("random", "structured")},
-    "candidate": {},
-    "target": {"type": float},
-    "ascent": {"type": int},
-    "m": {"type": int},
-    "suites": {},
-    "seeds": {"type": int},
-    "out": {},
-    "fmt": {"choices": ("json", "csv")},
-}
+# The argparse settings of each field's flag.
+_SPECS = {f.name: f.metadata for f in fields(RunConfig)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,14 +241,18 @@ def _require_seed(cfg: RunConfig) -> int:
     return cfg.seed
 
 
+def _tower_depth(cfg: RunConfig) -> int:
+    """--depth, else 3: the depth of gen's, check's, certify's and bound's tower."""
+    return 3 if cfg.depth is None else cfg.depth
+
+
 def _filtration(cfg: RunConfig):
-    depth = cfg.depth if cfg.depth is not None else 3
     max_children = max_children_for(cfg.delta) if cfg.max_children is None else cfg.max_children
     # Checked for every delta, the dyadic tower included.
     cap = max_parts(cfg.delta)
     if not 2 <= max_children <= cap:
         raise UsageError(f"--max-children must lie in [2, floor(1/delta)] = [2, {cap}], got {max_children}")
-    return build_tower(cfg.delta, cfg.seed, depth, max_children, cfg.split_prob)
+    return build_tower(cfg.delta, cfg.seed, _tower_depth(cfg), max_children, cfg.split_prob)
 
 
 def _suite_names(cfg: RunConfig) -> list[str] | None:
@@ -449,7 +443,7 @@ def cmd_bound(cfg: RunConfig) -> int:
         n_g=cfg.trials,
         seed=seed,
         dim=cfg.dim,
-        depth=cfg.depth if cfg.depth is not None else 3,
+        depth=_tower_depth(cfg),
         tol=Tolerances.from_env().duality,
     )
     _emit(cfg, lambda: _result_payload(report), lambda: list(report.rows))

@@ -207,9 +207,10 @@ def _haar_profile(filt: Filtration, root: int, dim: int, n_rows: int) -> tuple[n
 
 def active_split_function(
     filt: Filtration, dim: int, rng: np.random.Generator
-) -> tuple[MartFunction, frozenset[int]]:
+) -> tuple[MartFunction, np.ndarray]:
     """Function assembled as a sum of single-split differences over a random
-    subset of the schedule, with the subset returned for support checks.
+    subset of the schedule, with the atoms of that subset returned, as a
+    sorted array of ids, for support checks.
 
     Each kept event draws random values on its atom's leaves only, in
     schedule order (``_event_draws``: one normal draw of sum |J| rows over
@@ -225,7 +226,11 @@ def active_split_function(
     if not kept.size:
         kept = np.array([int(rng.integers(n_events))])
     steps = _diagonal_steps(filt, _event_draws(filt, kept, dim, rng))
-    return MartFunction(filt, _leaf_sum(filt, steps)), frozenset(lay.event_atoms[kept].tolist())
+    # Read off a mask, the ids come sorted; the first np.sort of a process
+    # pages in its kernels' code, about 0.4 MB of RSS.
+    active = np.zeros(filt.n_atoms, dtype=bool)
+    active[lay.event_atoms[kept]] = True
+    return MartFunction(filt, _leaf_sum(filt, steps)), np.flatnonzero(active)
 
 
 def prepare_cell(cell: CorpusCell) -> Witness:

@@ -23,10 +23,12 @@ columns stacked and validated once (``_batches``); one pass over it
 (``_batch_pass``) scales every trial's multiplier rows row-wise, checks
 them in one ``make_transform`` and gives every T f in one ``apply``.
 Each trial's norms and pairing are then read off its own leaf segment
-with its own dot products (``_lp_norms``, ``_pairings``; the search's
-ascent calls ``_pairings`` on the best trial's tower, rebuilt from the
-columns it drew).  Every trial keeps the floats it has when run alone
-(``tests/oracles.py`` keeps the trial-by-trial loops).
+with its own dot products (``_lp_norms``, ``_pairings``).  Every trial
+keeps the floats it has when run alone (``tests/oracles.py`` keeps the
+trial-by-trial loops).  The search's best trial comes back as a
+``Witness`` at p on its own tower, rebuilt from the columns it drew; the
+ascent moves that witness's leaf values, scores them with ``_pairings``
+and ends in one new ``Witness``, whose table gives the achieved root point.
 """
 
 from __future__ import annotations
@@ -274,21 +276,23 @@ def _pairings(
     ]
 
 
-def _root_point(f, g, op, p: float) -> dict | None:
-    table = Witness(f, g, op, p).table
+def _root_point(w: Witness) -> dict | None:
+    """The witness's root moment point, atom 0 of its table, as a dict;
+    None where its x2 falls below roundoff of zero."""
+    table = w.table
     try:
-        table.check_x2([0])  # the root, atom 0
+        table.check_x2([0])
     except ArithmeticError:
         return None
     *x1, x2, x3, x4 = table.points[0].tolist()
-    return {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": p, "atom": 0}
+    return {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": w.p, "atom": 0}
 
 
 def _search_trials(
     p: float, trials: int, seed: int, delta: float, dim: int, depth: int | None
-) -> tuple[list[float], float, dict, tuple]:
+) -> tuple[list[float], float, dict, Witness]:
     """The trials of ``lower_bound_search``: the pairing of each, the best
-    value, its witness record and its state (f, g, op) on its tower.
+    value, its record and its ``Witness`` at p on its own tower.
 
     The best is the first trial with the largest value, as a fold over the
     trials in order finds it."""
@@ -324,10 +328,10 @@ def _search_trials(
     filt = Filtration(delta, depths[best_i], *best_columns)
     mults.flags.writeable = False
     # The rows passed make_transform in the batch.
-    best_state = (MartFunction(filt, fb), MartFunction(filt, gb), MartingaleTransform(filt, mults))
+    w = Witness(MartFunction(filt, fb), MartFunction(filt, gb), MartingaleTransform(filt, mults), p)
     kind = "structured" if best_i == 0 and root_splits_in_two(filt) else "random"
-    witness = {"trial": best_i, "kind": kind, "depth": filt.depth, "dim": dim}
-    return history, best, witness, best_state
+    record = {"trial": best_i, "kind": kind, "depth": filt.depth, "dim": dim}
+    return history, best, record, w
 
 
 def lower_bound_search(
@@ -355,14 +359,13 @@ def lower_bound_search(
     if trials < 1:
         raise ValueError("need at least one trial")
     q = conjugate_exponent(p)
-    history, best, witness, best_state = _search_trials(p, trials, seed, delta, dim, depth)
+    history, best, record, w = _search_trials(p, trials, seed, delta, dim, depth)
 
     if ascent_steps > 0:
-        f, g, op = best_state
-        filt = f.filtration
+        filt = w.filtration
         rng = _trial_rng(seed, trials)  # ascent stream sits after all trials
-        fv = f.values.copy()
-        gv = g.values.copy()
+        fv = w.f.values.copy()
+        gv = w.g.values.copy()
         m, bounds, totals = filt.layout.measures, (0, filt.n_leaves), (filt.total_measure,)
         for step in range(ascent_steps):
             move_f = step % 2 == 0
@@ -371,14 +374,14 @@ def lower_bound_search(
             jdx = int(rng.integers(tgt.shape[1]))
             old = tgt[idx, jdx]
             tgt[idx, jdx] = old + 0.05 * rng.normal()
-            tf = op.apply(MartFunction(filt, fv)).values
+            tf = w.op.apply(MartFunction(filt, fv)).values
             cand_val = _pairings(m, bounds, totals, fv, gv, tf, p, q)[0]
             if cand_val > best:
                 best = cand_val
-                witness = dict(witness, kind="ascent", step=step)
+                record = dict(record, kind="ascent", step=step)
             else:
                 tgt[idx, jdx] = old
-        best_state = (MartFunction(filt, fv), MartFunction(filt, gv), op)
+        w = Witness(MartFunction(filt, fv), MartFunction(filt, gv), w.op, p)
 
     found = True if target is None else best >= target - 1e-12
     return SearchResult(
@@ -388,8 +391,8 @@ def lower_bound_search(
         target=target,
         best=best,
         found=found,
-        witness=witness,
-        achieved_point=_root_point(*best_state, p),
+        witness=record,
+        achieved_point=_root_point(w),
         history=tuple(history),
     )
 

@@ -304,11 +304,7 @@ def _append(parts: list[str], v) -> None:
         for item in v:
             parts.append(sep)
             sep = ","
-            # a block of a text built in blocks, without a call per block
-            if type(item) is Verbatim:
-                parts.append(item.text)
-            else:
-                _append(parts, item)
+            _append(parts, item)
         parts.append("]" if sep == "," else "[]")
     elif t is str:
         parts.append(_encode_str(v))

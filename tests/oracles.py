@@ -318,7 +318,7 @@ def certificate_by_records(
     dim = f.dim
     dicts = [
         {"x1": row[:dim], "x2": row[dim], "x3": row[dim + 1], "x4": row[dim + 2],
-         "p": table.p, "atom": atom_id}
+         "p": cand.p, "atom": atom_id}
         for atom_id, row in enumerate(table.points.tolist())
     ]
     x1s = [np.array(pt["x1"]) for pt in dicts]
@@ -531,7 +531,6 @@ def moment_table_by_levels(
         rows, [dim, dim + 1, dim + 2, dim + 3, dim + 4, 2 * dim + 4, 2 * dim + 5]
     )
     return MomentTable(
-        p=p,
         points=np.column_stack((x1, x2, x3, x4)),
         g2=g2[:, 0],
         tstar_mean=tstar_mean,
@@ -833,14 +832,13 @@ def check_support_by_isin(w: Witness, tol: Tolerances, rng: np.random.Generator)
     lay = filt.layout
     h, active = active_split_function(filt, w.f.dim, rng)
     th = w.op.apply(h)
-    ids = np.fromiter(active, dtype=np.intp, count=len(active))
-    spans = lay.spans[ids]
+    spans = lay.spans[active]
     covered = np.zeros(filt.n_leaves, dtype=bool)
     covered[_segments(spans[:, 0], spans[:, 1] - spans[:, 0])[0]] = True
     err = float(np.max(np.abs(th.values[~covered]), initial=0.0))
 
     hull = _steps_hull(filt, h.values, _atom_steps(filt, h.values))
-    hull_err = float(np.count_nonzero(hull & ~np.isin(lay.stacked_atoms[: len(hull)], ids)))
+    hull_err = float(np.count_nonzero(hull & ~np.isin(lay.stacked_atoms[: len(hull)], active)))
     return [
         _row("support_containment", err, tol.exact, f"{len(active)} active atoms"),
         _row("support_hull", hull_err, 0.0, "hull atoms outside the active set"),
@@ -1356,13 +1354,13 @@ def search_trials_by_trials(
     delta: float = 0.5,
     dim: int = 1,
     depth: int | None = None,
-) -> tuple[list[float], float, dict, tuple]:
+) -> tuple[list[float], float, dict, Witness]:
     """The trials of ``estimator.lower_bound_search`` one at a time: the
-    history, the best value, its witness record and its state (f, g, op)."""
+    history, the best value, its record and its ``Witness`` at p."""
     q = conjugate_exponent(p)
     history = []
     best = -1.0
-    witness: dict = {}
+    record: dict = {}
     for i in range(trials):
         rng = _trial_rng(seed, i)
         filt = _trial_filtration(delta, 2 if i == 0 else depth, i, int(rng.integers(2**31)))
@@ -1375,12 +1373,12 @@ def search_trials_by_trials(
             kind = "random"
         val = _pairing_value(f, g, op, p, q)
         history.append(val)
-        # Values are nonnegative, so trial 0 always sets the best state.
+        # Values are nonnegative, so trial 0 always sets the best witness.
         if val > best:
             best = val
-            best_state = (f, g, op)
-            witness = {"trial": i, "kind": kind, "depth": filt.depth, "dim": dim}
-    return history, best, witness, best_state
+            best_witness = Witness(f, g, op, p)
+            record = {"trial": i, "kind": kind, "depth": filt.depth, "dim": dim}
+    return history, best, record, best_witness
 
 
 def dyadic_expand_one_by_one(cfgs: SplitConfigs, m: int) -> Sequence[ExpansionCertificate]:

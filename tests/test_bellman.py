@@ -128,7 +128,7 @@ def test_point_serialization_roundtrip(small_cells):
 
     pc = small_cells[0]
     root = oracles.root(pc.filtration).id
-    pt = _root_point(pc.f, pc.g, pc.op, 2.0)
+    pt = _root_point(pc)
     *x1, x2, x3, x4 = Witness(pc.f, pc.g, pc.op, 2.0).table.points[root].tolist()
     assert pt == {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": 2.0, "atom": root}
     assert json.loads(to_canonical_json(pt)) == pt

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, deterministic output."""
 
+import argparse
 import dataclasses
 import gc
 import hashlib
@@ -184,6 +185,31 @@ def test_unread_flag_or_config_key_exits_two(command, flag, tmp_path, capsys):
     config.write_text(json.dumps({key: VALUES.get(flag, 1)}))
     assert run([command, "--config", str(config)]) == 2
     assert f"does not read: ['{key}']" in capsys.readouterr().err
+
+
+# Config values of another JSON type than a flag's type takes.
+WRONG_TYPES = {int: [True, 1.5], float: ["1"], str: [1]}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(cli.RunConfig), ids=lambda f: f.name)
+def test_each_flag_is_declared_on_its_field(field, tmp_path, capsys):
+    # the flag's argparse type and choices are its field's metadata, its
+    # default is the field's, and a config value of another JSON type
+    # exits 2 naming the key
+    command = next((c for c, keys in cli._FLAGS.items() if field.name in keys), "gen")
+    flag = "--format" if field.name == "fmt" else "--" + field.name.replace("_", "-")
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    [action] = [a for a in sub.choices[command]._actions if a.dest == field.name]
+    assert action.option_strings == [flag]
+    assert action.type is field.metadata.get("type")
+    assert action.choices == field.metadata.get("choices")
+    assert getattr(cli._merge_config(parser.parse_args([command])), field.name) == field.default
+    config = tmp_path / "run.json"
+    for value in WRONG_TYPES[field.metadata.get("type", str)]:
+        config.write_text(json.dumps({field.name: value}))
+        assert run([command, "--config", str(config)]) == 2
+        assert f"config key {field.name!r} needs" in capsys.readouterr().err
 
 
 def _readme_command_line() -> str:
@@ -727,10 +753,10 @@ def test_batched_pins_hold_in_a_fresh_interpreter(argv):
 @pytest.mark.parametrize("argv", [argv for argv in BATCHED_PINS if argv[0] == "search"])
 def test_search_pins_hold_in_small_batches(argv, monkeypatch, capsys):
     # at most 40 leaves a batch, so every depth group runs as several
-    # batches; the best trial's state owns its arrays, so no batch it came
-    # from outlives its pass
+    # batches; the best trial's witness owns its arrays, so no batch it
+    # came from outlives its pass
     monkeypatch.setattr(estimator, "_BATCH_LEAVES", 40)
-    batches, states = [], []
+    batches, witnesses = [], []
     stacked, search = estimator._stacked, estimator._search_trials
 
     def counted(*args):
@@ -739,7 +765,7 @@ def test_search_pins_hold_in_small_batches(argv, monkeypatch, capsys):
 
     def recorded(*args):
         out = search(*args)
-        states.append(out[-1])
+        witnesses.append(out[-1])
         return out
 
     monkeypatch.setattr(estimator, "_stacked", counted)
@@ -747,9 +773,9 @@ def test_search_pins_hold_in_small_batches(argv, monkeypatch, capsys):
     code, digest = REPORT_DIGESTS[argv]
     assert run(list(argv)) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-    [(f, g, op)] = states
+    [w] = witnesses
     assert len(batches) >= 4
-    assert f.values.base is None and g.values.base is None and op.multipliers.base is None
+    assert w.f.values.base is None and w.g.values.base is None and w.op.multipliers.base is None
 
 
 def test_cli_entry_freezes_the_heap_and_keeps_its_exits(tmp_path):

@@ -113,7 +113,8 @@ def test_random_witness_shapes(dyadic3):
 def test_active_split_function_support(dyadic3):
     rng = np.random.default_rng(1)
     f, active = active_split_function(dyadic3, 2, rng)
-    assert active <= set(dyadic3.layout.event_atoms.tolist())
+    assert active.dtype == np.intp and np.all(np.diff(active) > 0)
+    assert set(active.tolist()) <= set(dyadic3.layout.event_atoms.tolist())
     # the function has mean zero: it is a sum of split differences
     assert np.allclose(average(f, oracles.root(dyadic3).id), 0.0, atol=1e-13)
 
@@ -141,7 +142,7 @@ def test_active_split_function_matches_event_loop(kernel_tower, dim):
         f, active = active_split_function(kernel_tower, dim, rng)
         ref, ref_active = reference_active_split_function(kernel_tower, dim, ref_rng)
         assert f.values.tobytes() == ref.values.tobytes()
-        assert active == ref_active
+        assert active.tolist() == sorted(ref_active)
         assert rng.random() == ref_rng.random()
 
 
@@ -167,6 +168,6 @@ def test_active_split_function_fallback_event():
         f, active = active_split_function(filt, 2, rng)
         ref, ref_active = reference_active_split_function(filt, 2, ref_rng)
         assert f.values.tobytes() == ref.values.tobytes()
-        assert active == ref_active == {oracles.root(filt).id}
+        assert active.tolist() == sorted(ref_active) == [oracles.root(filt).id]
         assert rng.random() == ref_rng.random()
     assert 0 < fallbacks < 8

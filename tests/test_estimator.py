@@ -26,7 +26,7 @@ from mblab.estimator import (
     lp_constant_scan,
     optimal_lambda,
 )
-from mblab.martingale import inner, lp_norm
+from mblab.martingale import MartFunction, inner, lp_norm
 from conftest import examples
 import oracles
 from oracles import average, hoelder_objective, optimal_lambda_numeric, shift
@@ -156,15 +156,15 @@ def test_scan_batch_matches_trial_by_trial(delta, dim, depth):
 
 
 def assert_same_search(run, ref):
-    history, best, witness, (f, g, op) = run
-    ref_history, ref_best, ref_witness, (ref_f, ref_g, ref_op) = ref
-    filt, ref_filt = f.filtration, ref_f.filtration
-    assert (history, best, witness) == (ref_history, ref_best, ref_witness)
+    history, best, record, w = run
+    ref_history, ref_best, ref_record, ref_w = ref
+    assert (history, best, record) == (ref_history, ref_best, ref_record)
+    assert w.p == ref_w.p
     for name in ("a", "b", "child_starts", "children"):
-        assert np.array_equal(getattr(filt, name), getattr(ref_filt, name))
-    assert np.array_equal(f.values, ref_f.values)
-    assert np.array_equal(g.values, ref_g.values)
-    assert np.array_equal(op.multipliers, ref_op.multipliers)
+        assert np.array_equal(getattr(w.filtration, name), getattr(ref_w.filtration, name))
+    assert np.array_equal(w.f.values, ref_w.f.values)
+    assert np.array_equal(w.g.values, ref_w.g.values)
+    assert np.array_equal(w.op.multipliers, ref_w.op.multipliers)
 
 
 @pytest.mark.parametrize("delta", BATCH_FLOORS)
@@ -207,10 +207,10 @@ def test_search_ties_go_to_the_first_trial(monkeypatch):
     monkeypatch.setattr(oracles, "_trial_rng", repeated)
     monkeypatch.setattr(est, "_BATCH_LEAVES", 20)
     for seed in (0, 2, 4):
-        history, best, witness, state = est._search_trials(1.5, 24, seed, 0.1, 2, 2)
-        assert history.count(best) == 6 and witness["trial"] in (1, 2, 3)
+        history, best, record, w = est._search_trials(1.5, 24, seed, 0.1, 2, 2)
+        assert history.count(best) == 6 and record["trial"] in (1, 2, 3)
         ref = oracles.search_trials_by_trials(1.5, 24, seed, 0.1, 2, 2)
-        assert_same_search((history, best, witness, state), ref)
+        assert_same_search((history, best, record, w), ref)
 
 
 class ZeroDraw:
@@ -341,13 +341,13 @@ def test_search_best_recomputes_from_witness(monkeypatch):
     # the search hands its best witness to the root point, and only there
     best = []
     root_point = est._root_point
-    monkeypatch.setattr(est, "_root_point", lambda *args: best.append(args) or root_point(*args))
+    monkeypatch.setattr(est, "_root_point", lambda w: best.append(w) or root_point(w))
     res = lower_bound_search(1.5, 40, seed=8, delta=0.25, dim=2)
-    [(f, g, op, _)] = best
-    filt = f.filtration
+    [w] = best
+    assert w.p == 1.5
     q = conjugate_exponent(1.5)
-    direct = abs(inner(g, op.apply(f))) / (
-        lp_norm(f, 1.5) * lp_norm(g, q) * filt.total_measure
+    direct = abs(inner(w.g, w.op.apply(w.f))) / (
+        lp_norm(w.f, 1.5) * lp_norm(w.g, q) * w.filtration.total_measure
     )
     assert direct == pytest.approx(res.best, rel=1e-10, abs=1e-10)
 
@@ -357,6 +357,37 @@ def test_search_ascent_never_hurts():
     refined = lower_bound_search(1.5, 15, seed=11, delta=0.25, ascent_steps=150)
     assert refined.best >= base.best - 1e-15
     assert refined.history == base.history
+
+
+@pytest.mark.parametrize("steps", [1, 2, 40])
+def test_search_ascent_point_is_its_final_witness(steps):
+    # replay the ascent on the best trial's witness (step 0 moves f, step
+    # 1 moves g): the achieved point is the root point of a Witness rebuilt
+    # from the final leaf values
+    p, trials, seed = 1.5, 12, 5
+    _, best, _, w = est._search_trials(p, trials, seed, 0.25, 2, None)
+    filt, q = w.filtration, conjugate_exponent(p)
+    fv, gv = w.f.values.copy(), w.g.values.copy()
+    rng = est._trial_rng(seed, trials)
+    moved = 0
+    for step in range(steps):
+        tgt = fv if step % 2 == 0 else gv
+        idx, jdx = int(rng.integers(tgt.shape[0])), int(rng.integers(tgt.shape[1]))
+        old = tgt[idx, jdx]
+        tgt[idx, jdx] = old + 0.05 * rng.normal()
+        tf = w.op.apply(MartFunction(filt, fv)).values
+        value = est._pairings(
+            filt.layout.measures, (0, filt.n_leaves), (filt.total_measure,), fv, gv, tf, p, q
+        )[0]
+        if value > best:
+            best, moved = value, moved + 1
+        else:
+            tgt[idx, jdx] = old
+    final = Witness(MartFunction(filt, fv.copy()), MartFunction(filt, gv.copy()), w.op, p)
+    *x1, x2, x3, x4 = final.table.points[oracles.root(filt).id].tolist()
+    res = lower_bound_search(p, trials, seed, delta=0.25, dim=2, ascent_steps=steps)
+    assert moved > 0 and res.best == best and res.witness["kind"] == "ascent"
+    assert res.achieved_point == {"x1": x1, "x2": x2, "x3": x3, "x4": x4, "p": p, "atom": 0}
 
 
 def test_search_consistent_with_verified_candidate():

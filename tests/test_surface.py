@@ -5,7 +5,8 @@ awaits a planned caller, every function, class and method the package
 defines is named outside its own definition, so that test-only code lives
 in ``tests/oracles.py``, every field of the leaf layout is read outside
 the module that builds it, every dataclass field is read but in results
-handed back whole, and the benchmark's traced runs still find and call
+handed back whole, a witness triple travels loose only into the
+benchmark's entries, and the benchmark's traced runs still find and call
 what they bind."""
 
 import ast
@@ -213,6 +214,24 @@ def test_every_dataclass_field_is_read():
         if field not in read and f"{cls}.{field}" not in RESULT_FIELDS
     ]
     assert unread == []
+
+
+# The entries the benchmark calls with a loose triple, run_all(f, g, op)
+# and certify(cand, f, g, op); ROADMAP items 1 and 12 empty this set.
+LOOSE_TRIPLE_ENTRIES = {"checks.run_all", "certifier.certify"}
+
+
+def test_loose_triples_only_at_benchmark_entries():
+    # every other function, method or nested function (named module.name)
+    # takes a triple as one Witness
+    loose = {
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, _DEFS[:2])
+        and {"f", "g", "op"} <= {a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
+    }
+    assert loose == LOOSE_TRIPLE_ENTRIES
 
 
 @pytest.mark.parametrize("workload", ["deep_tower", "corpus_sweep", "cli_session"])

@@ -277,7 +277,7 @@ def test_predictable_hull_is_contained_in_active_levels():
     hull = _steps_hull(filt, f.values, _atom_steps(filt, f.values))
     lay = filt.layout
     assert hull.dtype == bool and hull.shape == (lay.level_offsets[filt.depth],)
-    assert set(lay.stacked_atoms[np.flatnonzero(hull)].tolist()) <= active
+    assert set(lay.stacked_atoms[np.flatnonzero(hull)].tolist()) <= set(active.tolist())
     # the rows of level n - 1 are the A_{n-1} atoms on which the level-n
     # difference is above the threshold
     threshold = 1e-12 * max(1.0, float(np.max(np.abs(f.values))))
