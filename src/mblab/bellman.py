@@ -621,9 +621,10 @@ class ExpansionCertificate:
 
 
 # Floats of sorted copies one block of configurations expands at once, at
-# most (or one configuration, where one is larger): 512 kB.  lemma1's 500
-# configurations of 4 columns at m = 6 make two blocks.
-_EXPAND_FLOATS = 1 << 16
+# most (or one configuration, where one is larger): 128 kB.  lemma1's 500
+# configurations of 4 columns at m = 6 make eight blocks, and expanding
+# them peaks at 0.26 MB traced (0.89 MB in blocks four times as large).
+_EXPAND_FLOATS = 1 << 14
 
 
 def dyadic_expand(cfgs: SplitConfigs, m: int) -> Sequence[ExpansionCertificate]:

@@ -31,7 +31,7 @@ from mblab.bellman import (
 )
 import mblab.bellman as bellman
 from mblab.reporting import to_canonical_json
-from conftest import examples
+from conftest import examples, traced
 import oracles
 from oracles import diameter_pair, scale_candidate
 from test_reporting import ref_to_canonical_json
@@ -417,6 +417,19 @@ def test_expansion_blocks_keep_every_float(floats, monkeypatch):
     certs, ref = dyadic_expand(cfgs, 6), oracles.dyadic_expand_one_by_one(cfgs, 6)
     for r in (29, 0, 15, 14, 29):
         assert certs[r].order == ref[r].order and certs[r].separation == ref[r].separation
+
+
+def test_lemma1_expansion_holds_a_few_rows():
+    # lemma1's 500 default configurations expand in eight blocks of 64
+    # rows; in two blocks of 256 they peaked at 0.89 MB
+    cfgs = sample_dyadic_split_configs(0.25, 2.0, 500, 1, dim=1, m=6)
+
+    def expand():
+        for cert in dyadic_expand(cfgs, 6):
+            cert.separation
+
+    _, _, peak = traced(expand)
+    assert peak <= 800_000
 
 
 def one_row_diameter(x1s):

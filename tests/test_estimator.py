@@ -27,7 +27,7 @@ from mblab.estimator import (
     optimal_lambda,
 )
 from mblab.martingale import MartFunction, inner, lp_norm
-from conftest import examples
+from conftest import examples, traced
 import oracles
 from oracles import average, hoelder_objective, optimal_lambda_numeric, shift
 
@@ -194,6 +194,39 @@ def test_split_depth_groups_keep_every_float(monkeypatch):
             )
 
 
+def test_deep_trials_keep_every_float_at_any_cap(monkeypatch):
+    # deep towers, one or a few to a batch at the default cap, read the same
+    # as in the batches of 65,536 leaves that hold a whole depth group
+    runs = (
+        lambda: est._scan_trials(3.0, 24, 1, 0.25, 1, 10),
+        lambda: est._scan_trials(2.0, 24, 1, 0.5, 2, 12),
+        lambda: est._search_trials(1.5, 24, 1, 0.25, 2, 10),
+    )
+    small = [run() for run in runs]
+    monkeypatch.setattr(est, "_BATCH_LEAVES", 1 << 16)
+    large = [run() for run in runs]
+    for (ratios, argmax), (ref_ratios, ref_argmax) in zip(small[:2], large[:2]):
+        assert np.array_equal(ratios, ref_ratios)
+        assert argmax == ref_argmax
+    assert_same_search(small[2], large[2])
+
+
+@pytest.mark.parametrize(
+    "run, bound",
+    [
+        # the CLI's largest default scan: 2.8 MB when each depth group was
+        # one batch
+        (lambda: lp_constant_scan(3.0, 500, 1, delta=0.25), 1_200_000),
+        # depth-12 dyadic trials, one a batch: 46.7 MB as one batch
+        (lambda: lp_constant_scan(2.0, 40, 1, depth=12), 4_000_000),
+    ],
+)
+def test_trial_batches_hold_a_bounded_working_set(run, bound):
+    run()  # the balanced towers are cached on first use
+    _, _, peak = traced(run)
+    assert peak <= bound
+
+
 def test_search_ties_go_to_the_first_trial(monkeypatch):
     # trials i and i + 4 draw alike, so the best value recurs in later
     # batches; the first trial that reaches it stays the best, as a fold
@@ -248,9 +281,35 @@ def test_scan_skips_a_zero_trial_as_trial_by_trial(monkeypatch):
     assert lp_constant_scan(2.0, 1, 3, dim=2).argmax == {}
 
 
+def batch_sizes(seed, delta, depths, cap):
+    """The towers of each batch of trials at depths ``depths``: the trials
+    of each depth in order of first appearance, cut greedily where a batch
+    would pass ``cap`` leaves."""
+    groups = {}
+    for i, d in enumerate(depths):
+        filt_seed = int(est._trial_rng(seed, i).integers(2**31))
+        groups.setdefault(d, []).append(build_tower(delta, filt_seed, d).n_leaves)
+    sizes = []
+    for leaves in groups.values():
+        total = cap  # the group's first tower opens a batch
+        for n in leaves:
+            if total + n > cap:
+                sizes.append(0)
+                total = 0
+            sizes[-1] += 1
+            total += n
+    return sizes
+
+
+# four depths, 2..5, at delta 1/4: the scan's and the search's trials
+TRIAL_DEPTHS = [2 + i % 4 for i in range(200)]
+
+
 def test_trials_make_one_layout_and_transform_per_depth(monkeypatch):
-    # four depths, 2..5; no trial lays out its own tower, but the search's
-    # best, whose root point needs its tower's layout
+    # at 65,536 leaves a batch each depth group is one batch, at the default
+    # cap several: one layout and one transform per batch.  No trial lays
+    # out its own tower but the search's best, whose root point needs its
+    # tower's layout
     built, made = [], []
     build_layout = filtration._build_layout
     make = est.make_transform
@@ -263,20 +322,29 @@ def test_trials_make_one_layout_and_transform_per_depth(monkeypatch):
         made.append(type(tower).__name__)
         return make(tower, rows)
 
+    default = est._BATCH_LEAVES
+    batches = len(batch_sizes(1, 0.25, TRIAL_DEPTHS, default))
+    assert batches > 4
     monkeypatch.setattr(filtration, "_build_layout", counted_build)
     monkeypatch.setattr(est, "make_transform", counted_make)
-    lp_constant_scan(3.0, 200, 1, delta=0.25)
-    assert built == made == ["Filtration"] * 4
-    built.clear()
-    made.clear()
-    lower_bound_search(1.5, 200, 1, delta=0.25, ascent_steps=10)
-    assert built == ["Filtration"] * 5
-    assert made == ["Filtration"] * 4
+    for cap, n in ((1 << 16, 4), (default, batches)):
+        monkeypatch.setattr(est, "_BATCH_LEAVES", cap)
+        lp_constant_scan(3.0, 200, 1, delta=0.25)
+        assert built == made == ["Filtration"] * n
+        built.clear()
+        made.clear()
+        lower_bound_search(1.5, 200, 1, delta=0.25, ascent_steps=10)
+        assert built == ["Filtration"] * (n + 1)
+        assert made == ["Filtration"] * n
+        built.clear()
+        made.clear()
 
 
 def test_trials_validate_one_stack_per_depth(monkeypatch):
-    # four depths, 2..5: one validation per depth group, and one for the
-    # tower the search's best trial is cut into
+    # one validation per batch, each of its batch's towers: at 65,536
+    # leaves a batch one per depth group, at the default cap the greedy cut
+    # of each group by its trials' leaves; and one for the tower the
+    # search's best trial is cut into
     towers = []
     validate = filtration._validate
 
@@ -285,12 +353,18 @@ def test_trials_validate_one_stack_per_depth(monkeypatch):
         towers.append(len(roots))
         return roots
 
+    default = est._BATCH_LEAVES
+    sizes = batch_sizes(1, 0.25, TRIAL_DEPTHS, default)
+    assert batch_sizes(1, 0.25, TRIAL_DEPTHS, 1 << 16) == [50] * 4
     monkeypatch.setattr(filtration, "_validate", counted)
-    lp_constant_scan(3.0, 200, 1, delta=0.25)
-    assert len(towers) == 4 and sum(towers) == 200
-    towers.clear()
-    lower_bound_search(1.5, 200, 1, delta=0.25, ascent_steps=10)
-    assert len(towers) == 5 and sum(towers[:4]) == 200 and towers[4] == 1
+    for cap, expected in ((1 << 16, [50] * 4), (default, sizes)):
+        monkeypatch.setattr(est, "_BATCH_LEAVES", cap)
+        lp_constant_scan(3.0, 200, 1, delta=0.25)
+        assert towers == expected and sum(towers) == 200
+        towers.clear()
+        lower_bound_search(1.5, 200, 1, delta=0.25, ascent_steps=10)
+        assert towers == [*expected, 1] and sum(towers[:-1]) == 200
+        towers.clear()
 
 
 # ---------------------------------------------------------------------------

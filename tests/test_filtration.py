@@ -474,15 +474,46 @@ def test_each_validation_message_survives(message):
             oracles.AtomTower(delta=delta, depth=depth, atoms=tuple(atoms))
 
 
+# The whole message of each malformed tower validated alone: the atom and
+# the tower it names.  A lone tower's tower index is all zeros, so every
+# message but a second root's names tower 0.
+LONE_MESSAGES = {
+    "atom ids must be dense": (
+        "atom ids must be dense 0..len-1 in order: atom 2 names an id out of range in tower 0"
+    ),
+    "atom 0 has nonpositive measure": "atom 0 has nonpositive measure in tower 0",
+    "atom 0 has exactly one child": "atom 0 has exactly one child in tower 0",
+    "atom 1 splits past the final level": "atom 1 splits past the final level in tower 0",
+    "child bookkeeping broken at atom 1": "child bookkeeping broken at atom 1 in tower 0",
+    "children do not span atom 1": "children do not span atom 1 in tower 0",
+    "children leave a gap inside atom 1": "children leave a gap inside atom 1 in tower 0",
+    "child measures do not sum inside atom 0": "child measures do not sum inside atom 0 in tower 0",
+    "child ratio 4.000e-01 below delta at atom 1": "child ratio 4.000e-01 below delta at atom 1 in tower 0",
+    "need exactly one root atom at level 0": (
+        "need exactly one root atom at level 0: atom 7 is a root at another level in tower 1"
+    ),
+    "no split at level 2": "no split at level 2 in tower 0; tower not strictly increasing",
+}
+
+
 @pytest.mark.parametrize("message", list(MALFORMED))
 def test_each_validation_message_names_the_tower_in_a_batch(message):
-    # the malformed tower second in a stack, after a good tower of n atoms:
+    # the malformed tower alone names its atom and tower 0; first in a stack,
+    # before a good tower, the same; second, after a good tower of n atoms,
     # the lone tower's message with every atom id moved by n and every
     # tower by one
     atoms, delta, depth = MALFORMED[message]
-    with pytest.raises(FiltrationError, match=message) as lone:
+    with pytest.raises(FiltrationError) as lone:
         tower_from_atoms(atoms, delta, depth)
+    assert str(lone.value) == LONE_MESSAGES[message]
     good = build_dyadic(depth)
+    with pytest.raises(FiltrationError) as first:
+        Filtration.stack(delta, depth, [atom_columns(atoms), good.columns])
+    if message == "atom ids must be dense":
+        # the id out of range alone is the good tower's root in the stack
+        assert str(first.value) == "child bookkeeping broken at atom 2 in tower 0"
+    else:
+        assert str(first.value) == str(lone.value)
     moves = {"atom": good.n_atoms, "tower": 1}
     moved = re.sub(r"(atom|tower) (\d+)", lambda m: f"{m[1]} {int(m[2]) + moves[m[1]]}", str(lone.value))
     assert "in tower " in moved

@@ -420,6 +420,22 @@ def test_kernel_writes_zeros_beside_the_odd_values():
     assert _format_floats(col) == expected_texts(col)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 600])
+def test_kernel_chunks_keep_every_text(monkeypatch, chunk):
+    # chunks of one float, of a few and of more than the kernel's least
+    # column, with zeros and odd values on their edges, give the per-float
+    # texts
+    rng = np.random.default_rng(6)
+    n = 3 * reporting._KERNEL_MIN + 5
+    col = 10.0 ** rng.uniform(-14, 18, n) * rng.choice([-1.0, 1.0], n)
+    col[::13] = 0.0
+    col[6::97] = np.resize([np.nan, -np.inf, 5e-324, 3e17, -0.0], len(col[6::97]))
+    monkeypatch.setattr(reporting, "_CHUNK", chunk)
+    sizes = kernel_sizes(monkeypatch)
+    assert _format_floats(col) == expected_texts(col)
+    assert sizes == [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
+
+
 def test_kernel_reads_2d_columns_in_c_order():
     rng = np.random.default_rng(3)
     shape = (reporting._KERNEL_MIN, 3)

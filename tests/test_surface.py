@@ -252,3 +252,73 @@ def test_benchmark_traced_run_binds_the_package(workload):
     assert last["correct"] is True
     for metric in ("reporting.bytes_out", "reporting.to_canonical_json_s"):
         assert last["metrics"][metric]["value"] > 0, metric
+
+
+# The constants that size a bounded pass.  Each is patched below its value
+# by some test, which holds the pass's output in small blocks to its output
+# in one.
+PASS_SIZES = {
+    "estimator._BATCH_LEAVES",
+    "bellman._EXPAND_FLOATS",
+    "transforms._CUT_STACK",
+    "certifier._BLOCK",
+    "reporting._CHUNK",
+}
+
+
+def _number(node: ast.expr) -> int | float | None:
+    """The value of an expression of number literals and arithmetic, else None."""
+    numeric = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
+    if all(isinstance(n, numeric) for n in ast.walk(node)):
+        value = eval(compile(ast.Expression(node), "<test>", "eval"), {"__builtins__": {}})
+        if isinstance(value, (int, float)):
+            return value
+    return None
+
+
+def _bound_values(test: ast.FunctionDef, name: str) -> list[ast.expr]:
+    """The expressions a test binds ``name`` to: the items a ``for`` loop
+    over a literal tuple or list takes, or a ``parametrize`` lists."""
+    out = []
+    for node in ast.walk(test):
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name) and node.target.id == name:
+            if isinstance(node.iter, (ast.Tuple, ast.List)):
+                out += node.iter.elts
+    for deco in test.decorator_list:
+        if isinstance(deco, ast.Call) and getattr(deco.func, "attr", None) == "parametrize":
+            names = [n.strip() for n in deco.args[0].value.split(",")]
+            if name in names and isinstance(deco.args[1], (ast.Tuple, ast.List)):
+                at = names.index(name)
+                for case in deco.args[1].elts:
+                    out.append(case.elts[at] if len(names) > 1 else case)
+    return out
+
+
+def _patched_to() -> dict[str, list]:
+    """Constant name -> the numbers the tests ``setattr`` it to."""
+    out: dict[str, list] = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for test in ast.parse(path.read_text()).body:
+            if not isinstance(test, ast.FunctionDef):
+                continue
+            for node in ast.walk(test):
+                if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setattr"):
+                    continue
+                if len(node.args) != 3 or not isinstance(node.args[1], ast.Constant):
+                    continue
+                value = node.args[2]
+                exprs = _bound_values(test, value.id) if isinstance(value, ast.Name) else [value]
+                numbers = [v for v in map(_number, exprs) if v is not None]
+                out.setdefault(node.args[1].value, []).extend(numbers)
+    return out
+
+
+def test_every_pass_size_is_patched_smaller():
+    patched = _patched_to()
+    unpatched = []
+    for qualified in sorted(PASS_SIZES):
+        module, name = qualified.split(".")
+        size = getattr(importlib.import_module(f"mblab.{module}"), name)
+        if not any(value < size for value in patched.get(name, [])):
+            unpatched.append(qualified)
+    assert unpatched == []
