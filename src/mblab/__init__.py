@@ -8,7 +8,6 @@ the modules list in ``__all__``."""
 from .filtration import (
     Filtration,
     FiltrationError,
-    RatioSamplingError,
     build_dyadic,
     build_random_regular,
     filtration_to_dict,

@@ -76,9 +76,7 @@ class Certificate:
     ``values`` holds the candidate on every atom, by atom id; ``weights``
     the child weights, flat in the layout's ``event_children`` order; and
     ``diameter`` and ``slack`` one entry per split event in schedule order.
-    ``flagged`` lists the events behind the split failures, flagged by the
-    same tests, tolerance and scales that wrote the messages in
-    ``failures``.  ``records`` holds one row per split event, the dict
+    ``records`` holds one row per split event, the dict
     that CSV output writes, each built when it is read.  The label and
     claimed floor are the candidate's; the exponent and the tower are the
     witness's.
@@ -97,7 +95,6 @@ class Certificate:
     weights: np.ndarray
     diameter: np.ndarray
     slack: np.ndarray
-    flagged: np.ndarray
 
     @property
     def first_failure(self) -> str | None:
@@ -199,8 +196,7 @@ def certify(
     leaf_bad = leaf_values < -tol * np.maximum(1.0, np.abs(leaf_values))
 
     failures: list[str] = []
-    flagged = (pairing_bad | slack_bad).nonzero()[0]
-    for e in flagged.tolist():
+    for e in (pairing_bad | slack_bad).nonzero()[0].tolist():
         atom_id = int(lay.event_atoms[e])
         if pairing_bad[e]:
             failures.append(
@@ -246,7 +242,6 @@ def certify(
         weights=grid_weights[has],
         diameter=diameter,
         slack=slack,
-        flagged=flagged,
     )
 
 

@@ -61,7 +61,7 @@ from .corpus import (
     root_splits_in_two,
 )
 from .estimator import EstimateError, duality_bound, duality_candidate, lower_bound_search, lp_constant_scan
-from .filtration import FiltrationError, RatioSamplingError, filtration_to_dict, max_parts
+from .filtration import FiltrationError, filtration_to_dict, max_parts
 from .reporting import ReportError, rows_to_csv, to_canonical_json, write_text
 from .transforms import PredictabilityError, transform_to_dict
 
@@ -558,7 +558,6 @@ def run(argv: list[str] | None = None) -> int:
     except (
         UsageError,
         FiltrationError,
-        RatioSamplingError,
         PredictabilityError,
         ReportError,
     ) as exc:

@@ -47,14 +47,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import accumulate
 
 import numpy as np
 
 __all__ = [
     "Filtration",
     "FiltrationError",
-    "RatioSamplingError",
     "build_dyadic",
     "build_random_regular",
     "split_schedule",
@@ -70,14 +70,6 @@ _EPS = 2.0**-52  # float64 machine epsilon
 
 class FiltrationError(ValueError):
     """Invalid filtration parameters or inconsistent atom data."""
-
-
-class RatioSamplingError(RuntimeError):
-    """Rejection sampling of split ratios exhausted its budget.
-
-    Raised when delta is so close to 1/k that the feasible ratio region has
-    vanishing volume.
-    """
 
 
 def max_parts(delta: float) -> int:
@@ -200,7 +192,7 @@ class Filtration:
     def __post_init__(self) -> None:
         for name, dtype in _COLUMNS:
             object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=dtype)))
-        object.__setattr__(self, "atom_offsets", _frozen(np.append(_validate(self), self.n_atoms)))
+        object.__setattr__(self, "atom_offsets", _frozen(np.concatenate((_validate(self), [self.n_atoms]))))
 
     @classmethod
     def stack(cls, delta: float, depth: int, parts: Sequence[tuple]) -> Filtration:
@@ -270,15 +262,17 @@ def _sorted_children(f: Filtration, owner: np.ndarray) -> np.ndarray:
     the column itself when it already is, as in the builders' towers."""
     kids = f.children
     kid_a = f.a[kids]
-    rising = (kid_a[1:] > kid_a[:-1]) | ((kid_a[1:] == kid_a[:-1]) & (kids[1:] > kids[:-1]))
-    if (rising | (owner[1:] != owner[:-1])).all():
+    # Rising a within each atom is the builders' case; ties fall to the sort.
+    if not np.count_nonzero((kid_a[1:] <= kid_a[:-1]) & (owner[1:] == owner[:-1])):
         return kids
     return kids[np.lexsort((kids, kid_a, owner))]
 
 
 def _validate(f: Filtration) -> np.ndarray:
     """Array passes over the columns of every tower at once, each check
-    naming the smallest atom id it flags and its tower; returns the roots."""
+    naming the smallest atom id it flags and its tower; returns the roots.
+    The children's sort and the floor's roundoff allowance are computed
+    only where a cheaper pass finds something to flag."""
     if not (0.0 < f.delta <= 0.5):
         raise FiltrationError(f"delta must lie in (0, 1/2], got {f.delta}")
     if f.depth < 1:
@@ -288,28 +282,27 @@ def _validate(f: Filtration) -> np.ndarray:
         raise FiltrationError("empty atom list")
     a, b, level, parent, starts, kids = f.a, f.b, f.level, f.parent, f.child_starts, f.children
     if (
-        any(col.ndim != 1 for col in (a, b, level, parent, starts, kids))
+        (a.ndim, b.ndim, level.ndim, parent.ndim, starts.ndim, kids.ndim) != (1,) * 6
         or not len(b) == len(level) == len(parent) == len(starts) - 1 == n
         or starts[0] != 0
         or starts[-1] != len(kids)
-        or (starts[1:] < starts[:-1]).any()
+        or (n_kids := starts[1:] - starts[:-1]).min() < 0
     ):
         raise FiltrationError("columns need one row per atom and child offsets rising from 0")
     # Each tower is the id range from its root up to the next root.
     if parent[0] >= 0:
         raise FiltrationError("atom 0 has a parent: each tower must start at its root")
     is_root = parent < 0
-    tower, roots = np.cumsum(is_root) - 1, is_root.nonzero()[0]
+    tower, roots = is_root.cumsum(), is_root.nonzero()[0]  # atom i is in tower tower[i] - 1
 
     def check(bad: np.ndarray, message: str, ids: np.ndarray | None = None) -> None:
         """Raise ``message`` naming the smallest atom flagged (of ``ids``) and its tower."""
-        if bad.any():
+        if np.count_nonzero(bad):
             atom = bad.argmax() if ids is None else ids[bad].min()
-            raise FiltrationError(f"{message.format(atom=int(atom))} in tower {tower[atom]}")
+            raise FiltrationError(f"{message.format(atom=int(atom))} in tower {tower[atom] - 1}")
 
     message = "need exactly one root atom at level 0: atom {atom} is a root at another level"
     check(level[roots] != 0, message, roots)
-    n_kids = starts[1:] - starts[:-1]
     owner = np.arange(n).repeat(n_kids)
     if (len(kids) and (kids.min() < 0 or kids.max() >= n)) or parent.min() < -1 or parent.max() >= n:
         bad = np.concatenate(((kids < 0) | (kids >= n), (parent < -1) | (parent >= n)))
@@ -319,7 +312,8 @@ def _validate(f: Filtration) -> np.ndarray:
     measure = b - a
     check(~(b > a), "atom {atom} has nonpositive measure")
     check(n_kids == 1, "atom {atom} has exactly one child")
-    check((n_kids > 0) & (level >= f.depth), "atom {atom} splits past the final level")
+    split = n_kids.nonzero()[0]
+    check(level[split] >= f.depth, "atom {atom} splits past the final level", split)
     # Each child names its owner, sits one level below it and in its tower,
     # and every atom but a root is listed exactly once, under its parent.
     wrong = (parent[kids] != owner) | (level[kids] != level[owner] + 1) | (tower[kids] != tower[owner])
@@ -327,43 +321,43 @@ def _validate(f: Filtration) -> np.ndarray:
     ids = np.concatenate((owner, parent))
     check(np.concatenate((wrong, orphan)), "child bookkeeping broken at atom {atom}", ids)
 
-    split = n_kids.nonzero()[0]
+    # In (a, id) order the children chain from their atom's a to its b:
+    # each child's a meets the b before it, its atom's a for the first.
     tol = _GEOM_TOL * np.maximum(measure, 1.0)
+    split_tol, head = tol[split], starts[split]
     ordered = _sorted_children(f, owner)
-    first, last = ordered[starts[split]], ordered[starts[split + 1] - 1]
-    check(
-        (abs(a[first] - a[split]) > tol[split]) | (abs(b[last] - b[split]) > tol[split]),
-        "children do not span atom {atom}",
-        split,
-    )
-    inside = (owner[1:] == owner[:-1]).nonzero()[0]
-    check(
-        abs(b[ordered[inside]] - a[ordered[inside + 1]]) > tol[owner[inside]],
-        "children leave a gap inside atom {atom}",
-        owner[inside],
-    )
-    sums = np.add.reduceat(measure[kids], starts[split]) if len(split) else measure[:0]
-    unsummed = abs(sums - measure[split]) > tol[split]
-    check(unsummed, "child measures do not sum inside atom {atom}", split)
+    kid_b = b[ordered]
+    before = np.empty_like(kid_b)
+    before[1:], before[head] = kid_b[:-1], a[split]
+    joint = abs(a[ordered] - before) > tol[owner]
+    end = abs(kid_b[starts[1:][split] - 1] - b[split]) > split_tol
+    check(joint[head] | end, "children do not span atom {atom}", split)
+    check(joint, "children leave a gap inside atom {atom}", owner)
+    kid_m, owner_m = measure[kids], measure[owner]
+    sums = np.add.reduceat(kid_m, head) if len(split) else kid_m[:0]
+    check(abs(sums - measure[split]) > split_tol, "child measures do not sum inside atom {atom}", split)
     # The floor holds up to the roundoff of the endpoint differences: the
     # b - a of rounded endpoints is off by up to eps * (|a| + |b|), which
-    # alone breaks a fixed 1e-12 on the ratios of deep equal splits.
-    roundoff = _EPS * (abs(a) + abs(b))
-    ratio = measure[kids] / measure[owner]
-    low = ratio < f.delta - _GEOM_TOL - (roundoff[kids] + roundoff[owner]) / measure[owner]
-    if low.any():
-        atom = owner[low].min()
-        worst = ratio[(low & (owner == atom)).argmax()]
-        where = f"atom {atom} in tower {tower[atom]}"
-        raise FiltrationError(f"child ratio {worst:.3e} below delta at {where}")
+    # alone breaks a fixed 1e-12 on the ratios of deep equal splits.  That
+    # allowance only lowers the floor, so it is computed where a ratio is
+    # below the floor without it.
+    ratio, floor = kid_m / owner_m, f.delta - _GEOM_TOL
+    if np.count_nonzero(ratio < floor):
+        roundoff = _EPS * (abs(a) + abs(b))
+        low = ratio < floor - (roundoff[kids] + roundoff[owner]) / owner_m
+        if low.any():
+            atom = owner[low].min()
+            worst = ratio[(low & (owner == atom)).argmax()]
+            where = f"atom {atom} in tower {tower[atom] - 1}"
+            raise FiltrationError(f"child ratio {worst:.3e} below delta at {where}")
 
     # Strictly increasing towers: some atom of each must split at every
-    # level n < N.
-    counts = np.bincount(tower[split] * f.depth + level[split], minlength=len(roots) * f.depth)
-    idle = (counts == 0).nonzero()[0]
-    if len(idle):
-        t, lv = divmod(int(idle[0]), f.depth)
-        raise FiltrationError(f"no split at level {lv} in tower {t}; tower not strictly increasing")
+    # level n < N.  The ancestors of a tower's deepest atom split at every
+    # level above it and no atom splits at its level, which must be N.
+    deepest = np.maximum.reduceat(level, roots)
+    if np.count_nonzero(deepest < f.depth):
+        t = int((deepest < f.depth).argmax())
+        raise FiltrationError(f"no split at level {deepest[t]} in tower {t}; tower not strictly increasing")
     return roots
 
 
@@ -416,10 +410,9 @@ def build_random_regular(
 
     At each level, every atom created at that level splits with probability
     split_prob into k ~ U{2..max_children} children; if no atom volunteers,
-    one is forced so the tower keeps growing.  Ratios are drawn uniformly on
-    the simplex and rejected until all are >= delta, in at most
-    ``_RATIO_BUDGET`` draws per split; the exactly-critical case
-    k * delta == 1 degenerates to the unique equal split.
+    one is forced so the tower keeps growing.  Ratios are uniform on the
+    simplex truncated at delta (``_ratio_sampler``); the exactly-critical
+    case k * delta == 1 degenerates to the unique equal split.
 
     Splits run left to right and append their children, so each level's
     atoms have rising ids and endpoints, the children of every atom are
@@ -445,111 +438,116 @@ def _random_columns(depth: int, delta: float, max_children: int, split_prob: flo
         raise FiltrationError(f"split_prob must lie in [0, 1], got {split_prob}")
 
     rng = np.random.default_rng(seed)
+    integers, top = rng.integers, max_children + 1
+    draws = {k: _ratio_sampler(k, delta) for k in range(2, top)}
     a, b, level, parent, n_kids = [0.0], [1.0], [0], [-1], [0]
-    current = [0]  # atoms created at the current level, candidates to split
+    first = 0  # the atoms of the current level, candidates to split, are ids first..
     for lv in range(1, depth + 1):
+        current = range(first, len(a))
         coins = rng.random(len(current)).tolist()
         chosen = [i for i, c in zip(current, coins) if c < split_prob]
         if not chosen:
-            chosen = [current[int(rng.integers(len(current)))]]
+            chosen = [current[int(integers(len(current)))]]
         first = len(a)
         for i in chosen:
-            k = int(rng.integers(2, max_children + 1))
+            k = int(integers(2, top))
             lo, hi = a[i], b[i]
-            width, cut, cuts = hi - lo, 0.0, []
-            for r in _sample_ratios(rng, k, delta, _RATIO_BUDGET)[:-1]:
-                cut += r  # the running sum np.cumsum forms, term by term
-                cuts.append(lo + width * cut)
+            width, cut = hi - lo, 0.0
             a.append(lo)
-            a += cuts
-            b += cuts
+            for r in draws[k](rng)[:-1]:
+                cut += r  # the running sum np.cumsum forms, term by term
+                a.append(lo + width * cut)
+                b.append(a[-1])
             b.append(hi)
-            level += [lv] * k
             parent += [i] * k
             n_kids[i] = k
-            n_kids += [0] * k
-        current = list(range(first, len(a)))
-    return a, b, level, parent, _offsets(n_kids), np.arange(1, len(a))
+        n_kids += [0] * (len(a) - first)
+        level += [lv] * (len(a) - first)
+    return a, b, level, parent, list(accumulate(n_kids, initial=0)), np.arange(1, len(a))
 
 
-# Dirichlet rows drawn per block of rejection sampling, and the acceptance
-# chance above which rows are drawn one at a time instead.  A row drawn alone
-# costs about 2-3 us and a block call about 14-28 us however many of its 64
-# rows are needed, so drawing alone wins while the expected 1/chance rows
-# cost less than one block.  Per call on a 2-vCPU Xeon guest (numpy 2.4):
-# at chance 0.216 (k = 4, delta = 0.1) 8 us one at a time against 25 us in
-# blocks; at 0.0625 (k = 3, delta = 0.25) 30 us against 14 us.
+# The ratio draw's kind by the chance that a Dirichlet row is accepted: at
+# or above ``_ROW_ACCEPT`` rows one at a time, below it blocks of
+# ``_RATIO_BLOCK`` rows, below ``_AFFINE_ACCEPT`` (over 1,000 expected rows)
+# the affine row.  A block costs a rewind (2.6 us to save and restore the
+# generator) and a dozen array calls however many rows it needs.  Per call
+# on a 2-vCPU Xeon guest (numpy 2.4, minimum of 9 interleaved runs), rows
+# against blocks: 7.4 against 16.6 us at chance 0.216 (k = 4, delta = 0.1),
+# 11.1 against 11.9 at 0.1 (k = 2, delta = 0.45), 20.3 against 15.3 at
+# 0.0625 (k = 3, delta = 0.25), where blocks of 48 to 128 rows cost the same.
 _RATIO_BLOCK = 64
 _ROW_ACCEPT = 0.125
+_AFFINE_ACCEPT = 1e-3
 _RATIO_BUDGET = 10_000
 
 
-def _exponential_rows(rng: np.random.Generator, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """n rows of k standard exponentials and the reciprocal of each row's
-    running sum.  Row j times its reciprocal is, bit for bit, row j of
-    ``rng.dirichlet(np.ones(k), size=n)``: numpy forms each Dirichlet(1, ...,
-    1) row that way."""
-    e = rng.standard_exponential((n, k))
-    total = e[:, 0]
-    for j in range(1, k):
-        total = total + e[:, j]
-    return e, 1.0 / total
+def _ratio_sampler(k: int, delta: float, budget: int = _RATIO_BUDGET) -> Callable:
+    """The draw of one split's k ratios at floor delta, a function of the
+    generator: the uniform law on the truncated simplex {x_i >= delta,
+    sum x_i = 1}, by a kind fixed by the chance (1 - k delta)^(k - 1) that
+    a Dirichlet(1, ..., 1) row lies in it.  Rejection keeps the first such
+    row of at most ``budget``, one at a time (``_rows``) or in blocks
+    (``_blocks``) with the same bits; the affine row delta + (1 - k delta) D
+    of one Dirichlet row D is the law in one draw (Devroye, *Non-Uniform
+    Random Variate Generation*, 1986, ch. V)."""
+    room = 1.0 - k * delta
+    if room < 1e-9:  # the one feasible point, the equal split
+        return lambda rng: [1.0 / k] * k
+    chance = room ** (k - 1)
+    if chance < _AFFINE_ACCEPT:
+        return partial(_affine_row, k=k, delta=delta)
+    return partial(_rows if chance >= _ROW_ACCEPT else _blocks, k=k, delta=delta, budget=budget)
 
 
-def _dirichlet_row(rng: np.random.Generator, k: int) -> list[float]:
-    """One Dirichlet(1, ..., 1) row as ``_exponential_rows`` forms it, in
-    Python floats."""
-    e = rng.standard_exponential(k).tolist()
-    total = 0.0
-    for v in e:
-        total += v
-    scale = 1.0 / total
-    return [v * scale for v in e]
+def _affine_row(rng: np.random.Generator, k: int, delta: float) -> list[float]:
+    """delta + (1 - k * delta) * D for D one Dirichlet(1, ..., 1) row, the
+    first row of ``_rows`` at floor 0."""
+    room = 1.0 - k * delta
+    return [delta + room * x for x in _rows(rng, k, 0.0, 1)]
 
 
-def _sample_ratios(rng: np.random.Generator, k: int, delta: float, budget: int) -> list[float]:
-    """First Dirichlet(1, ..., 1) draw with every ratio >= delta, in at most
-    ``budget`` draws.
+def _rows(rng: np.random.Generator, k: int, delta: float, budget: int) -> list[float]:
+    """Rejection, one Dirichlet row at a time: k standard exponentials times
+    the reciprocal of their running sum, as numpy forms the row.  Rounding
+    is monotone, so a row's smallest ratio is its smallest exponential
+    times the reciprocal, and a row is rejected on that."""
+    exponentials, out = rng.standard_exponential, np.empty(k)
+    for _ in range(budget):
+        e = exponentials(out=out).tolist()
+        total = 0.0
+        for v in e:
+            total += v
+        scale = 1.0 / total
+        if min(e) * scale >= delta:
+            return [v * scale for v in e]
+    return _affine_row(rng, k, delta)
 
-    A row is accepted with chance (1 - k * delta)^(k - 1).  Where that is at
-    least ``_ROW_ACCEPT``, rows are drawn one at a time.  Below it, draws
-    come in blocks of rows.  Row j of a block is the draw a one-row loop
-    would make j-th, but a block overshoots the accepted row; so the
+
+def _blocks(rng: np.random.Generator, k: int, delta: float, budget: int) -> list[float]:
+    """Rejection in blocks of rows.  Row j of a block is the row a one-row
+    loop would draw j-th, but a block overshoots the accepted row; so the
     generator is rewound and exactly the rows up to the accepted one are
-    drawn again.  Either way it ends in the state a one-draw-at-a-time loop
-    would leave, and the draws after this call do not depend on the block
-    size.
-    """
-    if 1.0 - k * delta < 1e-9:
-        # Unique feasible point: the equal split.
-        return [1.0 / k] * k
-    if (1.0 - k * delta) ** (k - 1) >= _ROW_ACCEPT:
-        for _ in range(budget):
-            row = _dirichlet_row(rng, k)
-            if min(row) >= delta:
-                return row
-    else:
-        left = budget
-        while left > 0:
-            n = min(_RATIO_BLOCK, left)
-            state = rng.bit_generator.state
-            e, scale = _exponential_rows(rng, n, k)
-            # Rounding is monotone, so a row's smallest ratio is its smallest
-            # exponential times its reciprocal.
-            low = e[:, 0]
-            for j in range(1, k):
-                low = np.minimum(low, e[:, j])
-            hits = (low * scale >= delta).nonzero()[0]
-            if hits.size:
-                h = int(hits[0])
-                rng.bit_generator.state = state
-                rng.standard_exponential((h + 1) * k)
-                return (e[h] * scale[h]).tolist()
-            left -= n
-    raise RatioSamplingError(
-        f"no ratio draw with min >= {delta} in {budget} tries (k={k}); "
-        "delta is too close to 1/k"
-    )
+    drawn again, leaving it where ``_rows`` would."""
+    left = budget
+    while left > 0:
+        n = min(_RATIO_BLOCK, left)
+        state = rng.bit_generator.state
+        e = rng.standard_exponential((n, k))
+        columns = e.T
+        total, low = columns[0] + columns[1], np.minimum(columns[0], columns[1])
+        for column in columns[2:]:  # each row's running sum, and its smallest
+            total += column
+            np.minimum(low, column, out=low)
+        scale = 1.0 / total
+        hits = (np.multiply(low, scale, out=low) >= delta).nonzero()[0]
+        if hits.size:
+            hit = int(hits[0])
+            rng.bit_generator.state = state
+            rng.standard_exponential((hit + 1) * k)
+            s = float(scale[hit])
+            return [v * s for v in e[hit].tolist()]
+        left -= n
+    return _affine_row(rng, k, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +654,7 @@ def _build_layout(f: Filtration) -> LeafLayout:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 

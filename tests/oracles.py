@@ -3,6 +3,7 @@ against."""
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -35,7 +36,7 @@ from mblab.filtration import (
     Filtration,
     FiltrationError,
     LeafLayout,
-    RatioSamplingError,
+    _AFFINE_ACCEPT,
     _frozen,
     _Lazy,
     _segments,
@@ -293,6 +294,14 @@ def diameter_pair(x1s: Sequence[np.ndarray]) -> tuple[float, tuple[int, int]]:
             if dij > best:
                 best, pair = dij, (i, j)
     return best, pair
+
+
+def flagged_events(cert) -> np.ndarray:
+    """The split events behind a certificate's failures, in schedule order:
+    the events of the atoms its pairing and slack messages name (``at atom
+    i``; a leaf's message names ``leaf atom i``)."""
+    named = [int(i) for msg in cert.failures for i in re.findall(r"at atom (\d+)", msg)]
+    return np.flatnonzero(np.isin(cert.witness.filtration.layout.event_atoms, named))
 
 
 def certificate_by_records(
@@ -1072,14 +1081,19 @@ def build_dyadic(depth: int) -> AtomTower:
 
 
 def sample_ratios_one_by_one(rng, k, delta, budget):
-    """Rejection sampling with one Dirichlet draw per iteration."""
-    if 1.0 - k * delta < 1e-9:
+    """Rejection sampling with one Dirichlet draw per iteration; where a
+    row is accepted with chance below ``_AFFINE_ACCEPT``, or ``budget``
+    rows are all rejected, the affine row delta + (1 - k delta) D of one
+    Dirichlet row D."""
+    room = 1.0 - k * delta
+    if room < 1e-9:
         return np.full(k, 1.0 / k)
-    for _ in range(budget):
-        w = rng.dirichlet(np.ones(k))
-        if w.min() >= delta:
-            return w
-    raise RatioSamplingError("budget exhausted")
+    if room ** (k - 1) >= _AFFINE_ACCEPT:
+        for _ in range(budget):
+            w = rng.dirichlet(np.ones(k))
+            if w.min() >= delta:
+                return w
+    return delta + room * rng.dirichlet(np.ones(k))
 
 
 def build_random_regular(

@@ -40,7 +40,7 @@ from mblab.certifier import certificate_to_dict
 
 from conftest import telescoping_relerr  # reused for a direct spot check
 import oracles
-from oracles import average, optimal_lambda_numeric, shift
+from oracles import average, flagged_events, optimal_lambda_numeric, shift
 
 DELTAS = (0.1, 0.25, 1.0 / 3.0, 0.5)
 
@@ -156,10 +156,10 @@ def test_criterion_5_certifier_reference_witness():
     accept_ok = cert.ok and cert.bound >= 1.0 - 1e-9
 
     bad = certify(linear_candidate(1.0, 2.0, 0.5), w.f, w.g, w.op)
-    rejected = not bad.ok and len(bad.flagged) >= 1
+    rejected = not bad.ok and len(flagged_events(bad)) >= 1
     rec_ok = False
     if rejected:
-        e, lay, table = bad.flagged[0], filt.layout, bad.witness.table
+        e, lay, table = flagged_events(bad)[0], filt.layout, bad.witness.table
         lo, hi = lay.event_child_starts[e : e + 2]
         kids = table.points[lay.event_children[lo:hi], :-3]
         kid_gap = float(np.linalg.norm(kids[0] - kids[1]))

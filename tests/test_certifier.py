@@ -22,6 +22,7 @@ from mblab.certifier import (
     certificate_to_dict,
     certify,
 )
+from mblab.checks import Tolerances
 from mblab.corpus import (
     DELTAS,
     CorpusCell,
@@ -49,6 +50,7 @@ from oracles import (
     average,
     certificate_by_records,
     delta_split,
+    flagged_events,
     leaves_of,
     osc2,
     scale_candidate,
@@ -123,7 +125,7 @@ def test_linear_candidate_rejected_with_failing_record(dyadic1):
     assert not cert.ok
     assert cert.first_failure is not None
     assert "slack" in cert.first_failure
-    bad = cert.flagged
+    bad = flagged_events(cert)
     assert len(bad) >= 1
     e = bad[0]
     # the defeating split moves mass (d nonzero) and spreads the children
@@ -134,21 +136,24 @@ def test_linear_candidate_rejected_with_failing_record(dyadic1):
 
 
 def test_failing_records_follow_certify_tolerance():
-    # the failing records are the ones certify flagged, under the tol and
-    # scales it was given: a witness scaled down by 1e-3 passes a linear
-    # candidate at tol 1e-3 with none, and fails it at the default tol with
-    # exactly the records its failure messages name
+    # the failing records are the ones the failure messages name, under the
+    # tol and scales certify was given: a witness scaled down by 1e-3 passes
+    # a linear candidate at tol 1e-3 with none, and fails it at the default
+    # tol at exactly the events whose slack or pairing is off by more than
+    # tol times its scale
     pc = prepare_cell(CorpusCell(0.25, 2, 3))
     f, g = pc.f * 1e-3, pc.g * 1e-3
     cand = linear_candidate(1.0, 2.0, pc.filtration.delta)
     loose = certify(cand, f, g, pc.op, tol=1e-3)
     assert loose.ok and loose.failures == ()
-    assert loose.flagged.tolist() == []
     strict = certify(cand, f, g, pc.op)
     assert not strict.ok
-    named = {int(a) for msg in strict.failures for a in re.findall(r"at atom (\d+)", msg)}
-    atoms = pc.filtration.layout.event_atoms
-    assert atoms[strict.flagged].tolist() == sorted(named, key=atoms.tolist().index)
+    tol, table = Tolerances().tight, strict.witness.table
+    base = strict.values[pc.filtration.layout.event_atoms]
+    d_diam = table.d * strict.diameter
+    scale = np.maximum(np.maximum(1.0, np.abs(table.pairing)), d_diam)
+    bad = (strict.slack < -tol * np.maximum(1.0, np.abs(base))) | (d_diam < table.pairing - tol * scale)
+    assert flagged_events(strict).tolist() == np.flatnonzero(bad).tolist() != []
 
 
 def test_witness_and_certify_refuse_a_batch(dyadic2):
@@ -385,7 +390,7 @@ def assert_matches_walk(cand, f, g, op, tol=1e-9):
     payload, flagged = certificate_by_records(cand, f, g, op, tol)
     assert to_canonical_json(certificate_to_dict(cert)) == ref_to_canonical_json(payload)
     assert list(cert.failures) == payload["failures"]
-    assert cert.witness.filtration.layout.event_atoms[cert.flagged].tolist() == flagged
+    assert cert.witness.filtration.layout.event_atoms[flagged_events(cert)].tolist() == flagged
     return cert
 
 
@@ -417,7 +422,7 @@ def test_batched_failures_match_record_walk():
     for filt, (f, g, op) in oracle_witnesses():
         quad = quadratic_candidate(filt.delta)
         linear = assert_matches_walk(linear_candidate(1.0, 2.0, filt.delta), f, g, op)
-        assert not linear.ok and len(linear.flagged) >= 1
+        assert not linear.ok and len(flagged_events(linear)) >= 1
         assert_matches_walk(scale_candidate(quad, 0.25), f, g, op)
         assert_matches_walk(quad, f, g, op, tol=-0.5)
     kinds = {msg.split(" atom ")[0] for msg in certify(quad, f, g, op, tol=-0.5).failures}
@@ -504,7 +509,7 @@ def test_record_count_builds_no_record(monkeypatch):
 
     monkeypatch.setattr(Certificate, "_row", built)
     assert len(cert.records) == len(split_schedule(pc.filtration))
-    assert len(cert.flagged) >= 1
+    assert len(flagged_events(cert)) >= 1
     # the JSON report is written from the arrays and builds no row either
     certificate_to_dict(cert)
 

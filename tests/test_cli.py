@@ -1,9 +1,11 @@
 """Command line behavior: subcommands, exit codes, deterministic output."""
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,17 +15,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mblab.cli as cli
 import mblab.estimator as estimator
+import mblab.filtration as filtration
 from mblab.bellman import Witness, quadratic_candidate
 from mblab.certifier import certificate_to_dict, certify
 from mblab.cli import run
-from mblab.corpus import default_corpus, haar_witness, prepare_cell
-from mblab.filtration import build_dyadic, filtration_to_dict
+from mblab.corpus import build_tower, default_corpus, haar_witness, prepare_cell
+from mblab.filtration import build_dyadic, filtration_to_dict, max_parts
 from mblab.martingale import inner
 from mblab.reporting import to_canonical_json
 from mblab.transforms import transform_to_dict
+from conftest import examples
 from test_checks import _nan_witness
 
 
@@ -728,6 +734,71 @@ def test_report_stdout_is_pinned(argv, capsys):
     code, digest = REPORT_DIGESTS[argv]
     assert run(list(argv)) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_no_pin_draws_an_affine_row(monkeypatch, capsys):
+    # the affine ratio row is the one draw the pins above predate: no
+    # pinned call and no corpus tower reaches it, so no pinned byte moved
+    drawn, affine = [], filtration._affine_row
+
+    def counted(rng, k, delta):
+        drawn.append((k, delta))
+        return affine(rng, k, delta)
+
+    monkeypatch.setattr(filtration, "_affine_row", counted)
+    for argv in REPORT_DIGESTS:
+        run(list(argv))
+    for argv in LEMMA1_DIGESTS:
+        run(["lemma1", *argv])
+    capsys.readouterr()
+    for delta, seed, depth in sorted({(c.delta, c.seed, c.depth) for c in default_corpus()}):
+        build_tower(delta, seed, depth)
+    assert drawn == []
+    # the count is live: three parts at 0.333 take the affine row
+    build_tower(0.333, 1, 3)
+    assert drawn and set(drawn) == {(3, 0.333)}
+
+
+# Calls that exited 2 after work had begun, with no ratio row of 10,000
+# above the floor: the default cap at 0.333, eight parts at the corpus
+# floor 0.1, and four parts at 0.249
+NEAR_CRITICAL_CALLS = [
+    ("check", "--seed", "1", "--delta", "0.333"),
+    ("gen", "--seed", "1", "--delta", "0.1", "--max-children", "8", "--depth", "3", "--split-prob", "1"),
+    ("check", "--seed", "1", "--depth", "3", "--split-prob", "1", "--delta", "0.249"),
+]
+
+
+@pytest.mark.parametrize("argv", NEAR_CRITICAL_CALLS)
+def test_near_critical_floors_build(argv, capsys):
+    assert run(list(argv)) == 0
+    assert capsys.readouterr().err == ""
+
+
+@examples(40)
+@given(
+    parts=st.integers(2, 40),
+    room=st.floats(0.0, 0.6),
+    cap_share=st.floats(0.0, 1.0),
+    split_prob=st.floats(0.0, 1.0),
+    depth_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+)
+def test_every_accepted_floor_and_cap_builds(parts, room, cap_share, split_prob, depth_share, seed):
+    # a floor (1 - room) / parts, a hair to far below 1/parts, any cap the
+    # command line accepts there and a depth whose tower stays small: gen
+    # exits 0, and the tower it wrote is a valid one
+    delta = (1.0 - room) / parts
+    cap = 2 + round(cap_share * (max_parts(delta) - 2))
+    depth = 1 + round(depth_share * (max(1, int(math.log(2000) / math.log(cap))) - 1))
+    argv = ["--seed", str(seed), "--delta", repr(delta), "--max-children", str(cap)]
+    argv += ["--depth", str(depth), "--split-prob", repr(split_prob)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["gen", *argv]) == 0
+    filt = build_tower(delta, seed, depth, cap, split_prob)
+    filtration._validate(filt)
+    assert json.loads(out.getvalue())["filtration"] == json.loads(to_canonical_json(filtration_to_dict(filt)))
 
 
 def mblab_process(*argv, cwd=None):

@@ -2,6 +2,7 @@
 the columnar tower against the atom-by-atom oracles."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -20,8 +21,7 @@ from mblab.filtration import (
     Filtration,
     FiltrationError,
     LeafLayout,
-    RatioSamplingError,
-    _sample_ratios,
+    _ratio_sampler,
     _sorted_children,
     build_dyadic,
     build_random_regular,
@@ -199,19 +199,22 @@ def test_blocked_ratio_draws_match_one_by_one(k, delta):
     blocked, single = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(40):
         expected = sample_ratios_one_by_one(single, k, delta, 10_000)
-        assert np.array_equal(_sample_ratios(blocked, k, delta, 10_000), expected)
+        assert np.array_equal(_ratio_sampler(k, delta, 10_000)(blocked), expected)
     assert blocked.random() == single.random()
 
 
 @pytest.mark.parametrize("budget", [1, 63, 64, 65, 200])
 def test_ratio_budget_counts_single_draws(budget):
-    # feasible volume (1 - 3 * 0.333)^2 = 1e-6: every budget here runs out
-    blocked, single = np.random.default_rng(3), np.random.default_rng(3)
-    with pytest.raises(RatioSamplingError):
-        sample_ratios_one_by_one(single, 3, 0.333, budget)
-    with pytest.raises(RatioSamplingError):
-        _sample_ratios(blocked, 3, 0.333, budget)
-    assert blocked.random() == single.random()
+    # acceptance chance (1 - 3 * 0.318)^2 = 2.1e-3, drawn in blocks; the
+    # first 200 rows of seed 3 are all rejected, so every budget here runs
+    # out and both samplers draw the affine row where its rows end
+    blocked, single, ref = (np.random.default_rng(3) for _ in range(3))
+    expected = sample_ratios_one_by_one(single, 3, 0.318, budget)
+    assert np.array_equal(_ratio_sampler(3, 0.318, budget)(blocked), expected)
+    for _ in range(budget):
+        assert ref.dirichlet(np.ones(3)).min() < 0.318
+    assert np.array_equal(expected, 0.318 + (1.0 - 3 * 0.318) * ref.dirichlet(np.ones(3)))
+    assert blocked.random() == single.random() == ref.random()
 
 
 def test_random_regular_rejects_bad_parameters():
@@ -252,14 +255,35 @@ def test_every_part_count_is_max_parts(delta, parts, monkeypatch):
     assert tower(parts)[3] == parts
     with pytest.raises(cli.UsageError, match=re.escape(f"[2, floor(1/delta)] = [2, {parts}]")):
         tower(parts + 1)
-    # equal splits, which fit at every count up to the cap, keep the
-    # builder off the rejection sampler
-    monkeypatch.setattr(filtration, "_sample_ratios", lambda rng, k, delta, budget: [1.0 / k] * k)
+    # every count up to the cap draws its ratios, near 1/k as the affine row
     filt = build_random_regular(depth=3, delta=delta, max_children=parts, split_prob=1.0, seed=0)
     assert np.diff(filt.child_starts).max() <= parts
     with pytest.raises(FiltrationError, match="infeasible"):
         build_random_regular(depth=3, delta=delta, max_children=parts + 1, split_prob=1.0, seed=0)
     assert sample_split_configs(delta, 2.0, 200, 0).parts.max() == parts
+
+
+# sha256 of the six columns, in constructor order, of every tower of
+# COLUMN_GRID and of one depth-10 tower that splits every atom
+COLUMN_GRID = [
+    (delta, depth, seed) for delta in (0.1, 0.25, 1.0 / 3.0) for depth in range(2, 6) for seed in range(24)
+]
+COLUMNS_SHA256 = "9a45122275831831da676f95c5788e3817faf15be538993434211deef6e34cd0"
+
+
+def test_random_columns_are_pinned():
+    # the builder's bits: the cuts of every split, its child counts and
+    # ids, over the corpus floors at their caps, and 10,609 leaves at 0.25
+    towers = [
+        build_random_regular(depth, delta, max_children_for(delta), 0.7, seed)
+        for delta, depth, seed in COLUMN_GRID
+    ]
+    towers.append(build_random_regular(10, 0.25, 3, 1.0, 7))
+    digest = hashlib.sha256()
+    for filt in towers:
+        for column in filt.columns:
+            digest.update(column.tobytes())
+    assert digest.hexdigest() == COLUMNS_SHA256
 
 
 def test_random_regular_is_seed_deterministic():

@@ -176,16 +176,16 @@ def test_every_layout_field_is_read_outside_filtration():
 
 
 # What a call hands back to its caller whole: the records the command line
-# writes field by field through ``dataclasses.fields`` (``_result_payload``),
-# the rescale estimate that awaits its command, and the events behind a
-# certificate's failures.
+# writes field by field through ``dataclasses.fields`` (``_result_payload``)
+# and the rescale estimate that awaits its command.  No single field is
+# exempt (``RESULT_FIELDS``).
 RESULT_RECORDS = {
     "estimator.ScanResult",
     "estimator.SearchResult",
     "estimator.DualityReport",
     "bellman.RescaleEstimate",
 }
-RESULT_FIELDS = {"certifier.Certificate.flagged"}
+RESULT_FIELDS: set[str] = set()
 
 
 def _dataclass_fields():

@@ -108,6 +108,10 @@ def command_calls(tmp: Path) -> list[tuple[list[str], dict]]:
         calls.append(([*argv, "--out", str(tmp / f"{i}.json")], {}))
         calls.append(([*argv, "--format", "csv", "--out", str(tmp / f"{i}.csv")], {}))
     calls.append((["gen", "--depth", "2"], {}))  # to stdout
+    calls.append((["check", "--seed", "1", "--delta", "0.333"], {}))  # three parts near 1/3: affine rows
+    # equal thirds down to depth 12, ratios below 1/3 by their endpoints' roundoff
+    third = ["--delta", "0.3333333333333333", "--max-children", "3", "--depth", "12", "--split-prob", "0.5"]
+    calls.append((["check", "--seed", "1", *third], {}))
     errors = [
         ["gen", "--bogus"],
         ["check", "--depth", "3"],
@@ -117,7 +121,6 @@ def command_calls(tmp: Path) -> list[tuple[list[str], dict]]:
         ["gen", "--split-prob", "2"],
         ["gen", "--max-children", "9"],
         ["gen", "--delta", "0.25"],
-        ["gen", "--seed", "1", "--delta", "0.4999", "--max-children", "2", "--depth", "2"],
         ["check", "--seed", "1", "--suites", "nope"],
         ["check", "--seed", "1", "--suites", "support,support"],
         ["check", "--seed", "1", "--suites", " "],
