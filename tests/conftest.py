@@ -1,6 +1,12 @@
-"""Shared fixtures.
+"""Shared fixtures and inputs.
 
-Unit tests lean on a handful of cheap prepared cells.  The acceptance
+Unit tests lean on a handful of cheap prepared cells (``small_cells``) and
+on three kernel towers, balanced, uneven and many-child
+(``KERNEL_TOWERS``).  Every property test draws its towers from one
+strategy, ``regular_towers``: random-regular towers with the value
+dimension and seed of what is drawn on them.  The equivalence harness,
+``tests/test_equivalence.py``, runs every entry of the registry
+``oracles.EQUIVALENCES`` on all three kinds of input.  The acceptance
 suite walks the full randomized corpus once per session; the heavy per
 cell sweep (all check suites, the restriction identity gaps, the
 telescoping gap, the Hoelder mean bound margin
@@ -18,16 +24,18 @@ cut g 1_J exceeds it by exactly <g>_J^2 ||T* 1_J||^2 / |J|.
 from __future__ import annotations
 
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
 import mblab.bellman as bellman
 from mblab.bellman import Witness
 from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_suites
-from mblab.corpus import CorpusCell, default_corpus, prepare_cell
-from mblab.filtration import build_dyadic, build_random_regular, split_schedule
+from mblab.corpus import CorpusCell, default_corpus, max_children_for, prepare_cell
+from mblab.filtration import Filtration, build_dyadic, build_random_regular, max_parts, split_schedule
 import oracles
 from oracles import average, delta_split, operator_norm, shift
 from mblab.transforms import split_multiplier_norm
@@ -101,6 +109,44 @@ KERNEL_TOWERS = {
 @pytest.fixture(scope="session", params=list(KERNEL_TOWERS))
 def kernel_tower(request):
     return KERNEL_TOWERS[request.param]()
+
+
+class Drawn(NamedTuple):
+    """A tower, and the value dimension and seed of what is drawn on it."""
+
+    tower: Filtration
+    dim: int
+    seed: int
+
+
+# The floors of the random towers: the corpus floors and two off its grid.
+RANDOM_FLOORS = (0.1, 0.2, 0.25, 0.3, 1.0 / 3.0, 0.5)
+
+
+def drawn(depth: int, delta: float, cap: int, split_prob: float, tower_seed: int, dim: int) -> Drawn:
+    """The random-regular tower of these arguments, with d and the seed
+    tower_seed + 1 for the draws on it."""
+    return Drawn(build_random_regular(depth, delta, cap, split_prob, tower_seed), dim, tower_seed + 1)
+
+
+@st.composite
+def regular_towers(draw) -> Drawn:
+    """The one strategy of the property tests: a random-regular tower of
+    depth 1 to 7 and at most 1,024 leaves at a floor of ``RANDOM_FLOORS``,
+    with a cap on its children from the floor's corpus cap up to its
+    ``max_parts`` (at most 5), a split chance of 0.3, 0.7 or 1 and any
+    seed; d of 1 to 3."""
+    delta = draw(st.sampled_from(RANDOM_FLOORS))
+    args = (
+        draw(st.integers(1, 7)),
+        delta,
+        draw(st.integers(max_children_for(delta), min(5, max_parts(delta)))),
+        draw(st.sampled_from((0.3, 0.7, 1.0))),
+        draw(st.integers(0, 2**32 - 2)),
+    )
+    case = drawn(*args, draw(st.integers(1, 3)))
+    assume(case.tower.n_leaves <= 1024)
+    return case
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,32 @@
 """Slow, obvious versions of production routes, for the tests to compare
-against."""
+against, and ``EQUIVALENCES``, the registry that pairs each production
+route with its oracle once (see ``tests/test_equivalence.py``)."""
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import importlib
+import json
+import marshal
+import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq, minimize_scalar
 
+import mblab.checks as checks
+import mblab.estimator as estimator
+import mblab.filtration as filtration
+import mblab.martingale as martingale
+import mblab.transforms as transforms
 from mblab.bellman import (
     BellmanCandidate,
     ExpansionCertificate,
@@ -21,16 +35,27 @@ from mblab.bellman import (
     Witness,
     _diameters,
     conjugate_exponent,
+    dyadic_expand,
+    expansion_to_dict,
+    linear_candidate,
+    moment_table,
+    quadratic_candidate,
+    sample_dyadic_split_configs,
 )
+from mblab.certifier import certificate_to_dict, certify
+from mblab.checks import Tolerances, _row, restriction_identity_gaps
 from mblab.corpus import (
     _unit_rows,
     active_split_function,
     build_tower,
     cell_filtration,
     haar_witness,
+    max_children_for,
     random_function,
+    random_transform,
+    random_witness,
 )
-from mblab.estimator import _trial_depth, _trial_rng
+from mblab.estimator import _trial_depth, _trial_rng, optimal_lambda
 from mblab.filtration import (
     _GEOM_TOL,
     Filtration,
@@ -39,26 +64,34 @@ from mblab.filtration import (
     _AFFINE_ACCEPT,
     _frozen,
     _Lazy,
+    _ratio_sampler,
     _segments,
     _sorted_children,
+    filtration_to_dict,
     level_partition,
+    max_parts,
+    split_schedule,
 )
-from mblab.checks import Tolerances, _row
 from mblab.martingale import (
     MartFunction,
     _atom_steps,
     _diagonal_steps,
     _diagonal_sums,
     _event_draws,
+    _leaf_sum,
+    _level_steps,
     _padded,
+    _stacked_means,
     inner,
     lp_norm,
 )
+from mblab.reporting import ReportError, Verbatim, _format_float, _format_floats, rows_to_csv, to_canonical_json
 from mblab.transforms import (
     MartingaleTransform,
     _ancestor_values,
     _steps_hull,
     make_transform,
+    split_multiplier_norm,
 )
 
 
@@ -629,6 +662,177 @@ class SpanFed:
         return getattr(self._rng, name)
 
 
+def event_draws_by_spans(
+    filt: Filtration, events: np.ndarray, dim: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``martingale._event_draws`` as one (|J|, dim) normal draw per event,
+    laid on J's leaves in its level's array."""
+    lay = filt.layout
+    out = np.zeros((filt.depth, filt.n_leaves, dim))
+    for e in np.asarray(events).tolist():
+        lo, hi = event_spans(lay)[e].tolist()
+        out[lay.event_levels[e], lo:hi] = rng.normal(size=(hi - lo, dim))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The per-event localization and restriction suites that the per-level
+# kernel replaced, and the per-atom support suite that the mask passes
+# replaced.  Each pushes one full-length L-leaf piece or cut per split
+# event through every level, in blocks of at most ``_STACK_VALUES`` leaf
+# values.
+
+
+def _at_events(filt: Filtration, per_level, spans: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Pick, for each atom J (leaf span, level n), entry J of the per-A_n-atom
+    array ``per_level(n)``; J is the A_n atom holding its first leaf."""
+    out = np.empty(len(levels))
+    for n in np.unique(levels).tolist():
+        at = levels == n
+        out[at] = per_level(n)[level_map(filt, n)[spans[at, 0]]]
+    return out
+
+
+def _inside(spans: np.ndarray, n_leaves: int) -> np.ndarray:
+    """Boolean (len(spans), L) mask of the leaves inside each span."""
+    leaf = np.arange(n_leaves)
+    return (spans[:, :1] <= leaf) & (leaf < spans[:, 1:])
+
+
+def check_localization_by_events(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
+    """Single-split inputs localize: T of a split difference at J is
+    supported in J, and the adjoint commutes with the split difference up to
+    the multiplier of that atom.  Its full-length draws carry the
+    span-sized stream's numbers on each event's atom (``SpanFed``)."""
+    f, g, op = w.f, w.g, w.op
+    filt = f.filtration
+    lay = filt.layout
+    L = filt.n_leaves
+    rng = SpanFed(rng, filt, range(len(lay.event_atoms)))
+    outside = 0.0
+    for blk in _blocks(len(lay.event_atoms), L * f.dim):
+        # One random function per event in schedule order: the same draws as
+        # calling random_function once per event.
+        raw = rng.normal(size=(blk.stop - blk.start, L, f.dim))
+        levels = lay.event_levels[blk]
+        pieces = np.empty_like(raw)
+        for n in np.unique(levels).tolist():
+            pieces[levels == n] = _level_difference(filt, raw[levels == n], n)
+        inside = _inside(event_spans(lay)[blk], L)
+        pieces[~inside] = 0.0
+        th = np.array([op.apply(MartFunction(filt, piece)).values[:, 0] for piece in pieces])
+        outside = max(outside, float(np.max(np.abs(th[~inside]), initial=0.0)))
+
+    # On an atom J split at level n, the level-n difference is J's split
+    # difference, and T* multiplies it by the level-(n+1) multiplier of J.
+    commute = 0.0
+    tstar_g = adjoint_by_levels(op, g.values)
+    diffs = zip(_level_differences(filt, g.values), _level_differences(filt, tstar_g))
+    for n, (dsg, dtg) in enumerate(diffs, start=1):
+        err = np.abs(dtg - multiplier_on_leaves(op, n) * dsg)
+        commute = max(commute, float(np.max(err)))
+    return [
+        _row("localization_support", outside, tol.exact, "T of split piece outside atom"),
+        _row("localization_adjoint", commute, tol.tight, "adjoint split vs multiplier"),
+    ]
+
+
+def cut_adjoints_by_events(
+    op: MartingaleTransform, values: np.ndarray, spans: np.ndarray, shifts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each span J, osc2 over I and squared norm of T*((v - s_J) 1_J),
+    with v the scalar leaf values and s_J the shift of J."""
+    filt = op.filtration
+    m = filt.layout.measures
+    osc = np.empty(len(spans))
+    norm_sq = np.empty(len(spans))
+    for blk in _blocks(len(spans), filt.n_leaves * op.dim):
+        inside = _inside(spans[blk], filt.n_leaves)
+        cuts = np.where(inside, values[None, :] - shifts[blk, None], 0.0)
+        x = np.array([op.adjoint_closed_form(MartFunction(filt, cut)).values for cut in cuts])
+        centered = x - _level_means(filt, x, 0)
+        osc[blk] = np.einsum("bij,bij->bi", centered, centered) @ m / root(filt).measure
+        norm_sq[blk] = np.einsum("bij,bij->bi", x, x) @ m
+    return osc, norm_sq
+
+
+def restriction_sides_by_events(g: MartFunction, op: MartingaleTransform) -> tuple[np.ndarray, ...]:
+    """Per non-root split atom J, in schedule order: leaf span, level,
+    measure, local side osc2(T* g, J) and rescaled global side
+    (|I|/|J|) osc2(T*(g 1_J), I)."""
+    filt = g.filtration
+    lay = filt.layout
+    below_root = lay.event_levels > 0
+    spans = event_spans(lay)[below_root]
+    levels = lay.event_levels[below_root]
+    measures = _at_events(filt, lambda n: level_measures(lay, n), spans, levels)
+    tstar_g = op.adjoint_apply(g).values
+    local = _at_events(filt, lambda n: level_osc2(filt, tstar_g, n), spans, levels)
+    cut_osc, _ = cut_adjoints_by_events(op, g.values[:, 0], spans, np.zeros(len(spans)))
+    return spans, levels, measures, local, (filt.total_measure / measures) * cut_osc
+
+
+def check_restriction_by_events(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
+    """One-sided restriction bound: the local oscillation of T* g over J is
+    dominated by the rescaled global oscillation of T* applied to g cut to
+    J.  Ancestor splits make the global side strictly larger in general."""
+    _, _, _, local, glob = restriction_sides_by_events(w.g, w.op)
+    worst = float(np.max((local - glob) / np.maximum(1.0, local), initial=0.0))
+    return [_row("restriction_bound", worst, tol.tight, "local minus rescaled global")]
+
+
+def check_support_by_loops(w: Witness, tol: Tolerances, rng: np.random.Generator) -> list[dict]:
+    """Transforms of functions built from a known active split set stay
+    supported in the union of those atoms, and the hull lists no atom
+    outside them: one leaf slice per active atom, and the hull per level
+    from that level's difference, one A_{n-1} atom at a time."""
+    filt = w.f.filtration
+    h, active = active_split_function(filt, w.f.dim, rng)
+    covered = np.zeros(filt.n_leaves, dtype=bool)
+    for atom_id in active:
+        covered[leaf_slice(filt, atom_id)] = True
+    err = float(np.max(np.abs(w.op.apply(h).values[~covered]), initial=0.0))
+    threshold = 1e-12 * max(1.0, float(np.max(np.abs(h.values))))
+    hull_err = 0.0
+    for n, diff in enumerate(_level_differences(filt, h.values), start=1):
+        for atom_id in level_partition(filt, n - 1).tolist():
+            if np.max(np.abs(diff[leaf_slice(filt, atom_id)])) > threshold and atom_id not in active:
+                hull_err += 1.0
+    return [
+        _row("support_containment", err, tol.exact, f"{len(active)} active atoms"),
+        _row("support_hull", hull_err, 0.0, "hull atoms outside the active set"),
+    ]
+
+
+def identity_gaps_by_events(w: Witness) -> tuple[float, float]:
+    """Worst relative gaps, over the non-root split atoms J, in the two exact
+    restriction identities; both are roundoff on a correct transform.
+
+    With c = <g>_J, the centered cut (g - c) 1_J has no mass on any split
+    outside J, so T* localizes:
+
+        osc2(T* g, J) = (|I|/|J|) osc2(T*((g - c) 1_J), I).
+
+    The uncentered cut g 1_J lets the strict ancestors of J see c, and the
+    rescaled global side exceeds the local one by exactly c^2 ||T* 1_J||^2/|J|.
+
+    Returns (centered gap relative to the larger side, defect gap relative to
+    max(1, defect)).
+    """
+    g, op = w.g, w.op
+    filt = g.filtration
+    spans, levels, measures, local, glob = restriction_sides_by_events(g, op)
+    c = _at_events(filt, lambda n: _level_means(filt, g.values, n)[:, 0], spans, levels)
+    centered_osc, _ = cut_adjoints_by_events(op, g.values[:, 0], spans, c)
+    centered = (filt.total_measure / measures) * centered_osc
+    scale = np.maximum(np.maximum(local, centered), 1e-30)
+    centered_worst = float(np.max(np.abs(local - centered) / scale, initial=0.0))
+    _, ones_sq = cut_adjoints_by_events(op, np.ones(filt.n_leaves), spans, np.zeros(len(c)))
+    defect = c * c * ones_sq / measures
+    gap = np.abs((glob - local) - defect) / np.maximum(1.0, defect)
+    return centered_worst, float(np.max(gap, initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # The split events as runs of leaves: each non-root event's atom J laid out
 # again as a run of its leaves, with its owner, and every sum over J a
@@ -865,6 +1069,14 @@ def random_transform_by_levels(
         mults[lo:hi] = _unit_rows(rng.normal(size=(hi - lo, dim)))
         mults[lo:hi] *= rng.uniform(size=(hi - lo, 1)) ** (1.0 / dim)
     return make_transform(filt, mults)
+
+
+def diagonal_sums_by_levels(filt: Filtration, values: np.ndarray, first: int = 0) -> np.ndarray:
+    """``martingale._diagonal_sums`` as one reduceat of measure-weighted
+    leaf values per row, row k over the A_{first + k} atoms."""
+    m = filt.layout.measures if values.ndim == 2 else filt.layout.measures[:, None]
+    starts = [level_starts(filt.layout, first + k) for k in range(len(values))]
+    return np.concatenate([np.add.reduceat(m * row, at, axis=0) for row, at in zip(values, starts)])
 
 
 def diagonal_sums_padded(filt: Filtration, values: np.ndarray, first: int = 0) -> np.ndarray:
@@ -1192,6 +1404,104 @@ def _build_layout(f: AtomTower) -> LeafLayout:
     )
 
 
+def stack(towers: Sequence[Filtration]) -> Filtration:
+    """The towers laid end to end in one filtration, at their lowest floor."""
+    return Filtration.stack(min(t.delta for t in towers), towers[0].depth, [t.columns for t in towers])
+
+
+def batch_members(tower: Filtration, seed: int = 7) -> list[Filtration]:
+    """``tower`` with a random tower of its depth at every corpus floor but
+    1/2, the dyadic tower of its depth and itself again: repeated and
+    uneven towers side by side."""
+    depth = tower.depth
+    others = [
+        filtration.build_random_regular(depth, d, max_children_for(d), 0.7, seed * depth)
+        for d in (0.1, 0.25, 1.0 / 3.0)
+    ]
+    return [tower, *others, filtration.build_dyadic(depth), tower]
+
+
+def layouts_in_batch(towers: Sequence[Filtration]) -> list[LeafLayout]:
+    """Each tower's layout read back out of the layout of one batch of the
+    towers: its stacked rows (``tower_rows``) renumbered in its own order,
+    and its atoms, leaves and boundaries moved back by its offsets."""
+    batch = stack(towers)
+    lay = batch.layout
+    rows, starts = batch.tower_rows(batch.depth + 1)
+    out = []
+    for t in range(len(towers)):
+        a0, a1 = batch.atom_offsets[t : t + 2].tolist()
+        lo, hi = batch.leaf_offsets[t : t + 2].tolist()
+        run = rows[starts[t] : starts[t + 1]]  # the batch row of each own row
+        own = np.full(len(lay.stacked_atoms), -1)
+        own[run] = np.arange(len(run))  # the own row of each batch row
+        level = np.searchsorted(lay.level_offsets, run, "right") - 1
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(level, minlength=batch.depth + 1))))
+        first = lay.diagonal_starts[run] - level * batch.n_leaves - lo
+        events = np.flatnonzero((lay.event_atoms >= a0) & (lay.event_atoms < a1))
+        kid_lo, kid_hi = lay.event_child_starts[events], lay.event_child_starts[events + 1]
+        out.append(
+            LeafLayout(
+                measures=lay.measures[lo:hi],
+                atom_measures=lay.atom_measures[a0:a1],
+                spans=lay.spans[a0:a1] - lo,
+                event_atoms=lay.event_atoms[events] - a0,
+                event_levels=lay.event_levels[events],
+                event_rows=own[lay.event_rows[events]],
+                event_children=np.concatenate([lay.event_children[x:y] - a0 for x, y in zip(kid_lo, kid_hi)]),
+                event_child_starts=np.concatenate(([0], np.cumsum(kid_hi - kid_lo))),
+                level_offsets=offsets,
+                # the first leaf of each row of a level, then the sentinel
+                stacked_starts=np.insert(first, offsets[1:], hi - lo),
+                diagonal_starts=first + level * (hi - lo),
+                stacked_measures=lay.stacked_measures[run],
+                stacked_maps=own[lay.stacked_maps[:, lo:hi]],
+                stacked_atoms=lay.stacked_atoms[run] - a0,
+                stacked_parents=own[lay.stacked_parents[run]],
+                stacked_children=own[lay.stacked_children[run[: offsets[-2]]]],
+            )
+        )
+    return out
+
+
+def batch_kernel_args(towers: Sequence[Filtration], dim: int, seed: int) -> tuple:
+    """Per tower: leaf values, stacked-row values and unit multiplier rows."""
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=(t.n_leaves, dim)) for t in towers]
+    per_row = [rng.normal(size=(len(t.layout.stacked_atoms), dim)) for t in towers]
+    mults = [_unit_rows(rng.normal(size=(t.layout.level_offsets[t.depth], dim))) for t in towers]
+    return towers, values, per_row, mults
+
+
+def kernels_in_batch(towers, values, per_row, mults) -> list[tuple[np.ndarray, ...]]:
+    """The stacked means, the leaf sum and T f of the towers stacked in one
+    batch, cut into each tower's part."""
+    batch = stack(towers)
+    rows, starts = batch.tower_rows(batch.depth + 1)
+    below, below_starts = batch.tower_rows(batch.depth)
+    batch_rows = np.empty((len(rows), values[0].shape[1]))
+    batch_mults = np.empty((len(below), values[0].shape[1]))
+    for t in range(len(towers)):
+        batch_rows[rows[starts[t] : starts[t + 1]]] = per_row[t]
+        batch_mults[below[below_starts[t] : below_starts[t + 1]]] = mults[t]
+    stacked = np.concatenate(values)
+    means, sums = _stacked_means(batch, stacked), _leaf_sum(batch, batch_rows)
+    tf = make_transform(batch, batch_mults).apply(MartFunction(batch, stacked)).values
+    bounds = batch.leaf_offsets.tolist()
+    return [
+        (means[rows[starts[t] : starts[t + 1]]], sums[lo:hi], tf[lo:hi])
+        for t, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+def kernels_per_tower(towers, values, per_row, mults) -> list[tuple[np.ndarray, ...]]:
+    """``kernels_in_batch`` one tower at a time."""
+    return [
+        (_stacked_means(t, v), _leaf_sum(t, r), make_transform(t, m).apply(MartFunction(t, v)).values)
+        for t, v, r, m in zip(towers, values, per_row, mults)
+    ]
+
+
 def optimal_lambda_numeric(p: float, x3: float, x4: float) -> float:
     """Numeric minimizer, independent of the closed form on purpose.
 
@@ -1441,3 +1751,882 @@ def dyadic_expand_one_by_one(cfgs: SplitConfigs, m: int) -> Sequence[ExpansionCe
         )
 
     return _Lazy(expand, len(cfgs))
+
+
+# ---------------------------------------------------------------------------
+# The reference writers: one ``json.dumps`` per key and string, one
+# ``format(x, ".17g")`` per float.
+
+
+def ref_format_float(x: float) -> str:
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    if x == 0.0:
+        return "0"  # fold -0.0 as well
+    return format(float(x), ".17g")
+
+
+def ref_canon(obj) -> str:
+    t = type(obj)
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if t is int:
+        return str(obj)
+    if t is float:
+        return ref_format_float(obj)
+    if t is str:
+        return json.dumps(obj)
+    if t is dict:
+        inner = ",".join(f"{json.dumps(str(k))}:{ref_canon(v)}" for k, v in obj.items())
+        return "{" + inner + "}"
+    if t is list or t is tuple:
+        return "[" + ",".join(ref_canon(v) for v in obj) + "]"
+    if t is Verbatim:
+        return obj.text
+    raise ReportError(f"cannot serialize object of type {t.__name__}")
+
+
+def ref_to_canonical_json(payload) -> str:
+    if payload is None or (isinstance(payload, (list, tuple, dict)) and not payload):
+        raise ReportError("refusing to write an empty report")
+    return ref_canon(payload) + "\n"
+
+
+def ref_cell(v) -> str:
+    t = type(v)
+    if v is None:
+        return ""
+    if t is bool:
+        return "true" if v else "false"
+    if t is float:
+        return ref_format_float(v)
+    if t is int:
+        return str(v)
+    if t is not str:
+        raise ReportError(f"cannot serialize object of type {t.__name__}")
+    if any(c in v for c in ",\"\n"):
+        return '"' + v.replace('"', '""') + '"'
+    return v
+
+
+def ref_rows_to_csv(rows) -> str:
+    if not rows:
+        raise ReportError("refusing to write an empty report")
+    cols = list(rows[0].keys())
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join(ref_cell(row.get(c)) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Loops the vectorized routes replaced: levels, norms, the active-split
+# function and the expansion tree, one item at a time.
+
+
+def levels_by_definition(filt: Filtration) -> tuple[tuple[int, ...], ...]:
+    """A_n scanned out of all atoms once per level: the atoms created at
+    level n plus the earlier atoms that never split, by left endpoint."""
+    every = list(atoms(filt))
+    return tuple(
+        tuple(
+            a.id
+            for a in sorted(
+                (a for a in every if a.level == n or (a.is_leaf and a.level < n)),
+                key=lambda a: a.a,
+            )
+        )
+        for n in range(filt.depth + 1)
+    )
+
+
+def split_multiplier_max(op: MartingaleTransform) -> float:
+    """max |a_n(J)| over the atoms J of A_{n-1} that split at level n-1:
+    the operator norm that contraction by construction predicts."""
+    filt = op.filtration
+    offsets = filt.layout.level_offsets
+    best = 0.0
+    for n in range(1, filt.depth + 1):
+        rows = op.multipliers[offsets[n - 1] : offsets[n]]
+        for row, atom_id in zip(rows, levels_of(filt)[n - 1]):
+            here = atom(filt, atom_id)
+            if here.children and here.level == n - 1:
+                best = max(best, float(np.linalg.norm(row)))
+    return best
+
+
+def active_split_function_by_events(filt: Filtration, dim: int, rng) -> tuple[MartFunction, np.ndarray]:
+    """``corpus.active_split_function`` as the one-event-at-a-time loop the
+    per-level kernel replaced.  Each kept event's full-length random
+    function carries, on the event's atom, the numbers the span-sized draw
+    gives it."""
+    events = split_schedule(filt)
+    keep = [i for i in range(len(events)) if rng.random() < 0.5]
+    if not keep:
+        keep = [int(rng.integers(len(events)))]
+    fed = SpanFed(rng, filt, keep)
+    f = MartFunction(filt, np.zeros((filt.n_leaves, dim)))
+    for i in keep:
+        piece = delta_split(random_function(filt, dim, fed), events[i])
+        f = MartFunction(filt, f.values + piece.values)
+    return f, np.array(sorted(events[i] for i in keep), dtype=np.intp)
+
+
+def expansion_by_node(points: np.ndarray, order) -> tuple:
+    """Reference tree of one configuration's points (k, dim + 3): the
+    uniform mean of each copy block taken node by node, halving [lo, hi)
+    recursively, as (x1, x2, x3, x4, weight, kids)."""
+    full = np.array([points[k].tolist() for k in order])
+    dim, b = points.shape[1] - 3, len(order)
+
+    def build(lo, hi):
+        mean = full[lo:hi].mean(axis=0)
+        mid = (lo + hi) // 2
+        kids = () if hi - lo == 1 else (build(lo, mid), build(mid, hi))
+        x2, x3, x4 = (float(v) for v in mean[dim:])
+        return (mean[:dim].tolist(), x2, x3, x4, (hi - lo) / b, kids)
+
+    return build(0, b)
+
+
+def tree_of(levels, k: int = 0, i: int = 0) -> tuple:
+    """Node i of tree level k of ``ExpansionCertificate.levels`` and its
+    subtree, in the shape of ``expansion_by_node``."""
+    row = levels[k][i].tolist()
+    kids = () if k + 1 == len(levels) else tuple(tree_of(levels, k + 1, c) for c in (2 * i, 2 * i + 1))
+    return (row[:-3], *row[-3:], 0.5**k, kids)
+
+
+def payload_by_node(cert: ExpansionCertificate, node: tuple) -> dict:
+    """``expansion_to_dict``'s payload with the tree taken from a reference
+    tuple of ``expansion_by_node``."""
+
+    def tree(n):
+        x1, x2, x3, x4, weight, kids = n
+        point = {"x1": x1, "x2": x2, "x3": x3, "x4": x4}
+        return {"point": point, "weight": weight, "children": [tree(c) for c in kids]}
+
+    fields = ("m", "copies", "order", "separation", "diameter", "ratio", "degenerate")
+    return {**{name: getattr(cert, name) for name in fields}, "tree": tree(node)}
+
+
+def same_tower(filt: Filtration, ref: AtomTower) -> None:
+    """Columns, atom views, levels, every layout field (dtype, bits and
+    read-only flag) and the canonical payload bytes of a tower equal the
+    oracle tower's."""
+    for name, column in columns_of(ref).items():
+        assert getattr(filt, name).tolist() == column, name
+    view = lambda tower: [(x.id, x.a, x.b, x.level, x.parent, x.children) for x in atoms(tower)]
+    assert view(filt) == view(ref)
+    assert levels_of(filt) == ref.levels
+    same_bits(filt.layout, ref.layout, "layout")
+    assert not any(getattr(filt.layout, f.name).flags.writeable for f in dataclasses.fields(LeafLayout))
+    assert to_canonical_json(filtration_to_dict(filt)) == to_canonical_json(atoms_to_dict(ref))
+
+
+# ---------------------------------------------------------------------------
+# The equivalence registry: each production route and the oracle it must
+# equal, declared once.  ``tests/test_equivalence.py`` runs every entry on
+# the kernel towers, the small corpus cells, random-regular towers and the
+# entry's own cases, at its default pass sizes and with each pass size it
+# names patched to each of its smaller values.
+
+
+def same_bits(new, ref, at: str = "result") -> None:
+    """Exact equality: arrays of one dtype and shape holding the same bytes,
+    so NaNs and signed zeros count; floats by their bits; dicts key by key
+    in order; sequences item by item; dataclasses field by field."""
+    if new is ref:
+        return
+    if isinstance(new, np.ndarray) or isinstance(ref, np.ndarray):
+        new, ref = np.asarray(new), np.asarray(ref)
+        assert (new.dtype, new.shape) == (ref.dtype, ref.shape), (at, new.dtype, ref.dtype, new.shape, ref.shape)
+        assert np.ascontiguousarray(new).tobytes() == np.ascontiguousarray(ref).tobytes(), at
+    elif isinstance(new, float) and isinstance(ref, float):
+        assert new.hex() == ref.hex(), (at, new, ref)
+    elif isinstance(new, dict):
+        assert isinstance(ref, dict) and list(new) == list(ref), (at, list(new), ref)
+        for key in new:
+            same_bits(new[key], ref[key], f"{at}[{key!r}]")
+    elif dataclasses.is_dataclass(new):
+        assert type(new) is type(ref), at
+        for fld in dataclasses.fields(new):
+            same_bits(getattr(new, fld.name), getattr(ref, fld.name), f"{at}.{fld.name}")
+    elif isinstance(new, Sequence) and not isinstance(new, str):
+        assert isinstance(ref, Sequence) and len(new) == len(ref), (at, len(new))
+        new, ref = list(new), list(ref)  # each item of a lazy sequence built once
+        if all(type(x) in (str, int) for x in chain(new, ref)):
+            assert new == ref, at
+            return
+        for i, (a, b) in enumerate(zip(new, ref)):
+            same_bits(a, b, f"{at}[{i}]")
+    else:
+        assert new == ref, (at, new, ref)
+
+
+def within(atol: float = 0.0, rtol: float = 0.0) -> Callable:
+    """Comparison of arrays or floats of one shape by ``np.allclose`` at
+    these tolerances."""
+
+    def compare(new, ref) -> None:
+        new, ref = np.asarray(new, dtype=float), np.asarray(ref, dtype=float)
+        assert new.shape == ref.shape and np.allclose(new, ref, rtol=rtol, atol=atol), (new, ref)
+
+    return compare
+
+
+def itemwise(compare: Callable) -> Callable:
+    """``compare`` applied to the items of two sequences, pair by pair."""
+
+    def each(new, ref) -> None:
+        for a, b in zip(new, ref, strict=True):
+            compare(a, b)
+
+    return each
+
+
+def rows_within(new: tuple[list[dict], dict], ref: tuple[list[dict], dict]) -> None:
+    """Check rows equal but in ``max_err``, which may differ from the
+    oracle's by the roundoff gap of its check; each side is (rows, gaps)."""
+    (new_rows, gaps), (ref_rows, _) = new, ref
+    fixed = lambda rows: [{k: v for k, v in r.items() if k != "max_err"} for r in rows]
+    assert fixed(new_rows) == fixed(ref_rows)
+    for a, b in zip(new_rows, ref_rows):
+        assert abs(a["max_err"] - b["max_err"]) <= gaps[a["check"]], (a, b)
+
+
+def relative_within(*tols: tuple[float, float]) -> Callable:
+    """Comparison of sequences of arrays: item i within relative gap
+    ``tols[i][0]`` of the oracle's, relative to max(|oracle|, ``tols[i][1]``)."""
+
+    def compare(new, ref) -> None:
+        for (gap, floor), a, b in zip(tols, new, ref, strict=True):
+            a, b = np.asarray(a), np.asarray(b)
+            rel = np.abs(a - b) / np.maximum(np.abs(b), floor)
+            assert float(np.max(rel, initial=0.0)) <= gap, (a, b)
+
+    return compare
+
+
+def same_builtins(new, ref) -> None:
+    """Exact equality of nested lists and tuples of Python floats, ints and
+    strings by their ``marshal`` bytes, which hold each float's bits and
+    each container's type.  (marshal writes an array as its bare bytes, so
+    arrays go through ``same_bits``.)"""
+    assert marshal.dumps(new) == marshal.dumps(ref)
+
+
+def no_larger(gap: float) -> Callable:
+    """Comparison of float tuples: each at most the oracle's plus ``gap``."""
+
+    def compare(new, ref) -> None:
+        assert all(a <= b + gap for a, b in zip(new, ref, strict=True)), (new, ref)
+
+    return compare
+
+
+@dataclass(frozen=True)
+class Equivalence:
+    """A production route and the oracle it must equal.
+
+    ``build(tower, dim, seed)`` gives the arguments of both calls; it is
+    called once for each side, so each gets generators of its own, and
+    every generator among the arguments must end at one stream position.
+    ``compare(new, ref)`` is exact bits unless the entry names a tolerance.
+    ``sizes`` maps each pass-size constant the route reads, as
+    ``module._NAME`` of ``mblab``, to the smaller values it also runs at,
+    smallest first.  ``cases`` names argument builders of the entry's own,
+    beyond the towers every entry runs on.
+    """
+
+    name: str
+    production: Callable
+    oracle: Callable
+    build: Callable[[Filtration, int, int], tuple]
+    sizes: dict = field(default_factory=dict)
+    compare: Callable = same_bits
+    cases: dict = field(default_factory=dict)
+
+    def holds(self, make_args: Callable[[], tuple]) -> None:
+        """Production against oracle on the arguments ``make_args()`` gives."""
+        new_args, ref_args = make_args(), make_args()
+        self.compare(self.production(*new_args), self.oracle(*ref_args))
+        for a, b in zip(new_args, ref_args):
+            if isinstance(a, np.random.Generator):
+                assert a.bit_generator.state == b.bit_generator.state, f"{self.name}: stream position"
+
+    def on(self, tower: Filtration, dim: int, seed: int) -> None:
+        self.holds(lambda: self.build(tower, dim, seed))
+
+    def on_every_size(self, tower: Filtration, dim: int, seed: int) -> None:
+        """``on`` at the default pass sizes and at each smaller one."""
+        self.on(tower, dim, seed)
+        for qualified, values in self.sizes.items():
+            for value in values:
+                with pass_size(qualified, value):
+                    self.on(tower, dim, seed)
+
+
+@contextmanager
+def pass_size(qualified: str, value):
+    """The ``mblab`` constant ``module._NAME`` set to ``value`` inside."""
+    module, name = qualified.split(".")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module(f"mblab.{module}"), name, value)
+        yield
+
+
+def witness_of(filt: Filtration, dim: int, seed: int, p: float = 2.0) -> Witness:
+    """The random witness of ``default_rng(seed)`` on a tower: f and g
+    drawn first, then the transform."""
+    rng = np.random.default_rng(seed)
+    f, g = random_witness(filt, dim, rng)
+    return Witness(f, g, random_transform(filt, dim, rng), p)
+
+
+@lru_cache(maxsize=4)
+def _witness(filt: Filtration, dim: int, seed: int, p: float = 2.0) -> Witness:
+    """``witness_of``, one object while it is among the last 4 asked for:
+    both sides of an entry, and the entries run on one input, share it
+    (and the dense matrix an oracle may build on its transform)."""
+    return witness_of(filt, dim, seed, p)
+
+
+def _values(filt: Filtration, dim: int, seed: int) -> tuple[Filtration, np.ndarray]:
+    """Leaf values of many scales with lead axes (), (3,) or (2, 2) by seed."""
+    rng = np.random.default_rng(seed)
+    shape = (*((), (3,), (2, 2))[seed % 3], filt.n_leaves, dim)
+    return filt, rng.normal(size=shape) * np.exp(rng.normal(size=shape))
+
+
+def _diagonal(filt: Filtration, dim: int, seed: int) -> tuple[Filtration, np.ndarray, int]:
+    """A (depth - first, L, dim) stack whose row k sits at level first + k."""
+    first = seed % filt.depth
+    return filt, np.random.default_rng(seed).normal(size=(filt.depth - first, filt.n_leaves, dim)), first
+
+
+def _transform_input(filt: Filtration, dim: int, seed: int):
+    rng = np.random.default_rng(seed)
+    op = random_transform(filt, dim, rng)
+    f = MartFunction(filt, rng.normal(size=(filt.n_leaves, dim)))
+    return op, f, MartFunction(filt, rng.normal(size=(filt.n_leaves, 1)))
+
+
+def _some_events(filt: Filtration, seed: int) -> np.ndarray:
+    """Every event for an even seed, else a random nonempty subset in order."""
+    n_events = len(filt.layout.event_atoms)
+    if seed % 2 == 0:
+        return np.arange(n_events)
+    some = np.flatnonzero(np.random.default_rng(seed).random(n_events) < 0.5)
+    return some if some.size else np.arange(1)
+
+
+def _cut_cases(w: Witness, seed: int, centered: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cut values g and 1 under zero and random shifts, and g under the
+    centered shifts <g>_J too where ``centered``."""
+    c = w.restriction_sides[0]
+    shifts = np.random.default_rng(seed).normal(size=len(c))
+    g0, ones = w.g.values[:, 0], np.ones(len(w.g.values))
+    cases = [(g0, 0 * c), (ones, 0 * c), (g0, shifts), (ones, shifts)]
+    return cases + [(g0, c)] if centered else cases
+
+
+def _cut_spans(filt: Filtration) -> np.ndarray:
+    """The leaf span of every non-root split event, in schedule order."""
+    return event_spans(filt.layout)[filt.layout.event_levels > 0]
+
+
+def _restriction_passes(w: Witness, cases) -> list:
+    """Every cut pass of a fresh witness of w's triple: the cuts of
+    ``cases``, the restriction sides and both identity gaps."""
+    fresh = Witness(w.f, w.g, w.op)
+    cuts = [transforms._cut_adjoints(w.op, fresh.event_chains, v, s) for v, s in cases]
+    return [*np.concatenate(cuts), *fresh.restriction_sides, *restriction_identity_gaps(fresh)]
+
+
+def at_default_sizes(fn: Callable) -> Callable:
+    """``fn`` run with every registry pass size at its module's value."""
+
+    def run(*args):
+        with contextlib.ExitStack() as stack:
+            for qualified, value in DEFAULT_SIZES.items():
+                stack.enter_context(pass_size(qualified, value))
+            return fn(*args)
+
+    return run
+
+
+def _gaps(w: Witness) -> dict:
+    """The roundoff gaps of the per-event localization and restriction
+    rows: localization_support reads mean-zero pieces, restriction_bound
+    local - global where the two sides meet, and localization_adjoint
+    reads T* g through the stacked closed form, the oracle through the
+    level-by-level one, whose roundoff grows with the size of T* g."""
+    scale = max(1.0, float(np.max(np.abs(w.op.adjoint_closed_form(w.g).values))))
+    return {"localization_support": 1e-15, "localization_adjoint": 1e-15 * scale, "restriction_bound": 1e-12}
+
+
+def _stacked_kernel(filt: Filtration, values: np.ndarray) -> tuple:
+    """The stacked means, and from them every level's expectation and the
+    step of every level below the root, at leaf resolution."""
+    means, maps = _stacked_means(filt, values), filt.layout.stacked_maps
+    steps = _level_steps(filt, means)
+    return (
+        means,
+        [np.take(means, maps[n], axis=-2) for n in range(filt.depth + 1)],
+        [np.take(steps, maps[n], axis=-2) for n in range(1, filt.depth + 1)],
+    )
+
+
+def _diagonal_kernel(filt: Filtration, stack: np.ndarray, first: int) -> tuple:
+    """The diagonal sums of a stack and of its first column, each twice (for
+    the per-level and the padded oracle), and row k's diagonal step at leaf
+    resolution."""
+    sums = [martingale._diagonal_sums(filt, x, first) for x in (stack, stack[..., 0])]
+    steps = _diagonal_steps(filt, stack, first)
+    maps = filt.layout.stacked_maps
+    return (*sums, *sums, [np.take(steps, maps[first + k + 1], axis=0) for k in range(len(stack))])
+
+
+def _trial_args(exponents: tuple[float, ...]) -> Callable:
+    """Builder of (p, trials, seed, delta, d, depth) of a trial run at the
+    tower's floor: p of ``exponents`` and random or depth-3 towers by seed."""
+    return lambda filt, dim, seed: (
+        exponents[seed % len(exponents)], 4, seed, filt.delta, dim, (None, 3)[seed // len(exponents) % 2]
+    )
+
+
+def _expansion_args(filt: Filtration, dim: int, seed: int) -> tuple[SplitConfigs, int]:
+    m = 1 + seed % 6
+    p = (2.0, 1.5, 1.25)[seed % 3]
+    return sample_dyadic_split_configs(filt.delta, p, 6, seed, dim=dim, m=m), m
+
+
+def ragged_points(dim: int, seed: int, rows: int = 300) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged rows of 2 to 10 children, with masked cells holding far-off
+    points, repeated points, lattice points whose distances tie, and the
+    unit square's tied diagonals in row 0; every child the same point in
+    the last row."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(2, 11, size=rows)
+    x1 = rng.normal(size=(rows, 10, dim)) * rng.exponential(size=(rows, 1, 1))
+    third = rows // 3
+    x1[third : 2 * third] = rng.integers(-1, 2, size=(third, 10, dim))  # ties on a lattice
+    for r in range(2 * third, rows):  # repeats of earlier children
+        picks = rng.integers(0, np.arange(10) + 1)
+        x1[r] = x1[r, picks]
+    x1[-1] = x1[-1, 0]
+    square = np.zeros((4, dim))
+    square[[1, 3], 0] = 1.0
+    if dim > 1:
+        square[[2, 3], 1] = 1.0
+    x1[0, :4], counts[0] = square, 4
+    has = np.arange(10) < counts[:, None]
+    x1[~has] = 1e6 * rng.normal(size=(int((~has).sum()), dim))
+    return x1, has
+
+
+def candidates_at(delta: float) -> tuple[BellmanCandidate, ...]:
+    """The quadratic candidate at the floor, first, a linear one and three
+    times the quadratic."""
+    quad = quadratic_candidate(delta)
+    return quad, linear_candidate(1.5, 2.0, delta), scale_candidate(quad, 3.0)
+
+
+def moment_points(dim: int, seed: int, n: int = 500) -> tuple[np.ndarray, ...]:
+    """n moment points (x1, x2, x3, x4) of many scales."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(size=(n, dim)) * rng.exponential(size=(n, 1))
+    x2, x3, x4 = rng.exponential(size=(3, n))
+    return x1, x2, x3, x4
+
+
+def float_column(seed: int, n: int = 3 * 512 + 5) -> np.ndarray:
+    """Floats of every magnitude the kernel writes, zeros and special
+    values among them."""
+    rng = np.random.default_rng(seed)
+    col = 10.0 ** rng.uniform(-14, 18, n) * rng.choice([-1.0, 1.0], n)
+    col[::13] = 0.0
+    col[6::97] = np.resize([np.nan, -np.inf, 5e-324, 3e17, -0.0], len(col[6::97]))
+    return col
+
+
+def _certificate(cand: BellmanCandidate, w: Witness, tol: float) -> tuple[str, list, list]:
+    cert = certify(cand, w.f, w.g, w.op, tol=tol)
+    flagged = cert.witness.filtration.layout.event_atoms[flagged_events(cert)].tolist()
+    return to_canonical_json(certificate_to_dict(cert)), list(cert.failures), flagged
+
+
+def _certificate_by_records(cand: BellmanCandidate, w: Witness, tol: float) -> tuple[str, list, list]:
+    payload, flagged = certificate_by_records(cand, w.f, w.g, w.op, tol)
+    return ref_to_canonical_json(payload), payload["failures"], flagged
+
+
+def _certificate_args(filt: Filtration, dim: int, seed: int) -> tuple:
+    """A random witness and the quadratic candidate, the linear one (which
+    fails most splits) or a quarter of the quadratic (which fails some),
+    at the certifier's tolerance or at -0.5, which flags near-tight
+    pairings, slacks and leaves."""
+    quad = quadratic_candidate(filt.delta)
+    cand = (quad, linear_candidate(1.0, 2.0, filt.delta), scale_candidate(quad, 0.25))[seed % 3]
+    return cand, _witness(filt, dim, seed), (1e-9, -0.5)[seed // 3 % 2]
+
+
+def _ratio_args(k: int, delta: float, seed: int = 7, budget: int = 10_000, draws: int = 40):
+    return lambda: (np.random.default_rng(seed), k, delta, budget, draws)
+
+
+def _ratio_draws(rng, k, delta, budget, draws):
+    sample = _ratio_sampler(k, delta, budget)
+    return [sample(rng) for _ in range(draws)]
+
+
+def _ratio_draws_one_by_one(rng, k, delta, budget, draws):
+    return [list(sample_ratios_one_by_one(rng, k, delta, budget)) for _ in range(draws)]
+
+
+def quadratic_by_dot(x1, x2, x3, x4) -> list[float]:
+    """The quadratic candidate at floor 1/4, one point at a time, |x1|^2 by
+    ``np.dot``."""
+    alpha = 1.0 / math.sqrt(0.5)
+    return [
+        alpha * (a + b) - alpha * (float(np.dot(v, v)) + c)
+        for v, c, a, b in zip(x1, x2.tolist(), x3.tolist(), x4.tolist())
+    ]
+
+
+def _lambda_args(filt: Filtration, dim: int, seed: int) -> tuple[float, float, float]:
+    """p in [1.05, 2) and x3, x4 of 10^-3 to 10^3."""
+    rng = np.random.default_rng(seed)
+    return float(rng.uniform(1.05, 2.0)), float(10.0 ** rng.uniform(-3, 3)), float(10.0 ** rng.uniform(-3, 3))
+
+
+def _lambda_close(new: float, ref: float) -> None:
+    assert abs(new - ref) <= 1e-8 * max(1.0, abs(new)), (new, ref)
+
+
+def _diameter_pairs(x1: np.ndarray, has: np.ndarray) -> tuple[list, list]:
+    """``bellman._diameters`` of the rows with their pairs, as lists."""
+    diam, pair = _diameters(x1, has, True)
+    return diam.tolist(), [tuple(p) for p in pair.tolist()]
+
+
+def _rows_of(filt: Filtration, dim: int, seed: int) -> tuple[list[dict]]:
+    return (_report_of(filt, dim, seed)[0]["rows"],)
+
+
+def _report_of(filt: Filtration, dim: int, seed: int) -> tuple[dict]:
+    """The payload of every suite's rows on a random witness."""
+    rows, ok = checks.run_suites(_witness(filt, dim, seed), rng=np.random.default_rng(seed))
+    return ({"ok": ok, "rows": rows},)
+
+
+def search_result(run) -> tuple:
+    """A search's history, best value, record, witness tower columns, f, g
+    and multipliers: a best witness is a lone tower either way."""
+    history, best, record, w = run
+    columns = tuple(getattr(w.filtration, name) for name in ("a", "b", "child_starts", "children"))
+    return history, best, record, w.p, columns, w.f.values, w.g.values, w.op.multipliers
+
+
+def _normal(filt: Filtration, dim: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).normal(size=(filt.n_leaves, dim))
+
+
+def _transform_args(filt: Filtration, dim: int, seed: int) -> tuple[MartingaleTransform]:
+    return (random_transform(filt, dim, np.random.default_rng(seed)),)
+
+
+def _table_args(filt: Filtration, dim: int, seed: int) -> tuple:
+    """f, g, T* g and p of a random witness, at p = 2 or 1.5 by seed."""
+    w = _witness(filt, dim, seed, (2.0, 1.5)[seed % 2])
+    return w.f, w.g, w.tstar_g, w.p
+
+
+def _with_gaps(*suites: Callable) -> Callable:
+    """The rows of the suites on one witness, with the roundoff gaps of
+    their checks (``_gaps``)."""
+    return lambda w, tol, rng: ([row for suite in suites for row in suite(w, tol, rng)], _gaps(w))
+
+
+def _witness_args(filt: Filtration, dim: int, seed: int) -> tuple[Witness]:
+    return (_witness(filt, dim, seed),)
+
+
+def _suite_args(filt: Filtration, dim: int, seed: int) -> tuple:
+    return _witness(filt, dim, seed), Tolerances(), np.random.default_rng(seed)
+
+
+def _cut_args(filt: Filtration, dim: int, seed: int, centered: bool = True) -> tuple:
+    w = _witness(filt, dim, seed)
+    return w, _cut_cases(w, seed, centered)
+
+
+_EQUIVALENCES = [
+    # towers, layouts and draws
+    Equivalence("levels", levels_of, levels_by_definition, lambda filt, dim, seed: (filt,)),
+    Equivalence(
+        "dyadic_tower", filtration.build_dyadic, build_dyadic, lambda filt, dim, seed: (filt.depth,),
+        compare=same_tower,
+    ),
+    Equivalence(
+        "random_tower", filtration.build_random_regular, build_random_regular,
+        # at most depth 6, so that splitting every atom stays cheap in the oracle
+        lambda filt, dim, seed: (
+            min(6, filt.depth), filt.delta, max_children_for(filt.delta), (0.7, 1.0, 0.3)[seed % 3], seed
+        ),
+        compare=same_tower,
+    ),
+    Equivalence("layout", lambda filt: filt.layout, build_layout_one_root, lambda filt, dim, seed: (filt,)),
+    Equivalence(
+        "batch_layout", layouts_in_batch, lambda towers: [build_layout_one_root(t) for t in towers],
+        lambda filt, dim, seed: (batch_members(filt, seed),),
+    ),
+    Equivalence(
+        "batch_kernels", kernels_in_batch, kernels_per_tower,
+        lambda filt, dim, seed: batch_kernel_args(batch_members(filt, seed), dim, seed),
+    ),
+    Equivalence(
+        "ratios", _ratio_draws, _ratio_draws_one_by_one,
+        lambda filt, dim, seed: _ratio_args(min(3, max_parts(filt.delta)), filt.delta, seed, draws=10)(),
+        sizes={"filtration._RATIO_BLOCK": (1, 3)},
+        cases={
+            "rows": _ratio_args(2, 0.1),
+            "first_block": _ratio_args(3, 0.25),
+            "past_first_block": _ratio_args(3, 0.3, draws=10),
+            "affine": _ratio_args(3, 0.33),
+            "equal": _ratio_args(4, 0.25),
+        },
+    ),
+    Equivalence(
+        "event_draws", _event_draws, event_draws_by_spans,
+        lambda filt, dim, seed: (filt, _some_events(filt, seed), dim, np.random.default_rng(seed)),
+    ),
+    Equivalence(
+        "event_draws_by_blocks", _event_draws,
+        lambda filt, events, dim, rng: event_draws_by_blocks(filt, events, dim, SpanFed(rng, filt, events)),
+        lambda filt, dim, seed: (filt, _some_events(filt, seed), dim, np.random.default_rng(seed)),
+    ),
+    # the conditional calculus: every level's means, expectations and steps
+    # at lead axes (), (3,) or (2, 2); row k of a diagonal stack at level
+    # first + k, its sums also over padded rows; the level differences
+    Equivalence(
+        "stacked_kernel",
+        _stacked_kernel,
+        lambda filt, v: (
+            np.concatenate([_level_means(filt, v, n) for n in range(filt.depth + 1)], axis=-2),
+            [_level_expectation(filt, v, n) for n in range(filt.depth + 1)],
+            list(_level_differences(filt, v)),
+        ),
+        _values,
+    ),
+    Equivalence(
+        "level_differences", martingale._level_differences,
+        lambda filt, v: np.stack(list(_level_differences(filt, v))),
+        lambda filt, dim, seed: _values(filt, dim, 3 * seed),
+    ),
+    Equivalence(
+        "diagonal",
+        _diagonal_kernel,
+        lambda filt, stack, first: (
+            *(diagonal_sums_by_levels(filt, x, first) for x in (stack, stack[..., 0])),
+            *(diagonal_sums_padded(filt, x, first) for x in (stack, stack[..., 0])),
+            [_level_difference(filt, row, first + k) for k, row in enumerate(stack)],
+        ),
+        _diagonal,
+    ),
+    Equivalence(
+        "cond_exp_dense",
+        lambda filt, f: [cond_exp(f, level_partition(filt, n)).values for n in range(filt.depth + 1)],
+        lambda filt, f: [P @ f.values for P in martingale._averaging_matrices(filt)],
+        lambda filt, dim, seed: (filt, MartFunction(filt, _normal(filt, dim, seed))),
+        compare=within(atol=1e-13),
+    ),
+    # transforms
+    Equivalence(
+        "level_routes",
+        lambda op, f, g: (op.apply(f).values[:, 0], op.adjoint_closed_form(g).values),
+        lambda op, f, g: (transform_by_levels(op, f.values), adjoint_by_levels(op, g.values)),
+        _transform_input,
+    ),
+    Equivalence(
+        "dense_routes",
+        lambda op, f, g: (op.apply(f).values, op.adjoint_closed_form(g).values),
+        lambda op, f, g: (op.matrix_apply(f).values, op.adjoint_apply(g).values),
+        _transform_input,
+        compare=itemwise(within(atol=1e-12, rtol=1e-5)),
+    ),
+    Equivalence(
+        "split_norm", split_multiplier_norm, split_multiplier_max,
+        _transform_args, compare=within(atol=1e-15),
+    ),
+    Equivalence(
+        "svd_norm", split_multiplier_norm, operator_norm,
+        _transform_args, compare=within(atol=1e-12),
+    ),
+    Equivalence(
+        "random_transform",
+        lambda filt, dim, rng: random_transform(filt, dim, rng).multipliers,
+        lambda filt, dim, rng: random_transform_by_levels(filt, dim, rng).multipliers,
+        lambda filt, dim, seed: (filt, dim, np.random.default_rng(seed)),
+    ),
+    Equivalence(
+        "active_split", active_split_function, active_split_function_by_events,
+        lambda filt, dim, seed: (filt, dim, np.random.default_rng(seed)),
+    ),
+    # the moment table, its steps column by column, and the check suites
+    Equivalence(
+        "moment_table",
+        lambda f, g, tstar_g, p: (lambda table: (table, table.steps))(moment_table(f, g, tstar_g, p)),
+        lambda f, g, tstar_g, p: (
+            moment_table_by_levels(f, g, tstar_g, p),
+            np.hstack([_atom_steps(f.filtration, h.values) for h in (f, tstar_g, g)]),
+        ),
+        _table_args,
+    ),
+    Equivalence(
+        "table_columns",
+        lambda w: (
+            [w.table.osc2[level_partition(w.filtration, n)] for n in range(w.filtration.depth + 1)],
+            w.table.tstar_mean,
+        ),
+        lambda w: (
+            [level_osc2(w.filtration, w.tstar_g.values, n) for n in range(w.filtration.depth + 1)],
+            np.array([average(w.tstar_g, a.id) for a in atoms(w.filtration)]),
+        ),
+        lambda filt, dim, seed: (_witness(filt, dim, seed, (2.0, 1.5)[seed % 2]),),
+    ),
+    Equivalence(
+        "osc_series", checks.check_osc_series, check_osc_series_by_levels,
+        lambda filt, dim, seed: (_witness(filt, dim, seed), Tolerances(), None),
+    ),
+    Equivalence("support_isin", checks.check_support, check_support_by_isin, _suite_args),
+    Equivalence("support_loops", checks.check_support, check_support_by_loops, _suite_args),
+    Equivalence("localization_runs", checks.check_localization, check_localization_by_runs, _suite_args),
+    Equivalence(
+        # every max_err here is roundoff of an exact zero
+        "suites_by_events",
+        _with_gaps(checks.check_localization, checks.check_restriction),
+        _with_gaps(check_localization_by_events, check_restriction_by_events),
+        _suite_args,
+        compare=rows_within,
+    ),
+    Equivalence(
+        # the local side is osc2 of T* g over J: tiny on some deep atoms,
+        # where the two adjoint routes differ by roundoff of the O(1) values
+        "restriction_sides",
+        lambda w: w.restriction_sides[1:],
+        lambda w: restriction_sides_by_events(w.g, w.op)[3:],
+        _witness_args,
+        compare=relative_within((1e-12, 1.0), (1e-12, 0.0)),
+    ),
+    Equivalence(
+        "cuts_by_events",
+        lambda w, cases: [x for v, s in cases for x in transforms._cut_adjoints(w.op, w.event_chains, v, s)],
+        lambda w, cases: [
+            x for v, s in cases for x in cut_adjoints_by_events(w.op, v, _cut_spans(w.filtration), s)
+        ],
+        partial(_cut_args, centered=False),
+        compare=relative_within(*[(1e-12, 0.0)] * 8),
+    ),
+    Equivalence(
+        # both gaps are relative roundoff on a correct transform; the
+        # centered gap reaches a few 1e-12 in either route on atoms whose
+        # local side is tiny
+        "identity_gaps", restriction_identity_gaps, identity_gaps_by_events, _witness_args,
+        compare=no_larger(1e-12),
+    ),
+    Equivalence(
+        "cuts_by_runs",
+        lambda w, cases: [transforms._cut_adjoints(w.op, w.event_chains, v, s) for v, s in cases],
+        lambda w, cases: [_cut_adjoints(w.op, _event_runs(w.op), v, s) for v, s in cases],
+        _cut_args, sizes={"transforms._CUT_STACK": (1,)},
+    ),
+    Equivalence(
+        "restriction_blocks", _restriction_passes, at_default_sizes(_restriction_passes), _cut_args,
+        sizes={"transforms._CUT_STACK": (1,)},
+    ),
+    # the expansion, its tree and payload, and the candidates
+    Equivalence(
+        "expansion", dyadic_expand, dyadic_expand_one_by_one, _expansion_args,
+        sizes={"bellman._EXPAND_FLOATS": (1,)},
+    ),
+    # the tree and payload oracles take the copy order the expansion entry holds
+    Equivalence(
+        "expansion_tree",
+        lambda cfgs, m: [tree_of(cert.levels) for cert in dyadic_expand(cfgs, m)],
+        lambda cfgs, m: [
+            expansion_by_node(points, cert.order) for points, cert in zip(cfgs.points, dyadic_expand(cfgs, m))
+        ],
+        _expansion_args,
+        sizes={"bellman._EXPAND_FLOATS": (1,)},
+        compare=same_builtins,
+    ),
+    Equivalence(
+        "expansion_payload",
+        lambda cfgs, m: [to_canonical_json(expansion_to_dict(cert)) for cert in dyadic_expand(cfgs, m)],
+        lambda cfgs, m: [
+            ref_to_canonical_json(payload_by_node(cert, expansion_by_node(points, cert.order)))
+            for points, cert in zip(cfgs.points, dyadic_expand(cfgs, m))
+        ],
+        _expansion_args,
+    ),
+    Equivalence(
+        "diameters",
+        _diameter_pairs,
+        lambda x1, has: tuple(map(list, zip(*(diameter_pair(list(row[ok])) for row, ok in zip(x1, has))))),
+        lambda filt, dim, seed: ragged_points(dim, seed, rows=60),
+    ),
+    Equivalence(
+        # |x1|^2 rounds like np.dot
+        "candidates",
+        lambda cands, x1, x2, x3, x4: [cand.fn(x1, x2, x3, x4).tolist() for cand in (*cands, cands[0])],
+        lambda cands, x1, x2, x3, x4: [
+            [float(cand.fn(*row)) for row in zip(x1, x2.tolist(), x3.tolist(), x4.tolist())] for cand in cands
+        ] + [quadratic_by_dot(x1, x2, x3, x4)],
+        lambda filt, dim, seed: (candidates_at(0.25), *moment_points(dim, seed, 50)),
+    ),
+    Equivalence(
+        "optimal_lambda", optimal_lambda, optimal_lambda_numeric,
+        _lambda_args,
+        compare=_lambda_close,
+    ),
+    # trials
+    Equivalence(
+        "scan", estimator._scan_trials, scan_trials_by_trials, _trial_args((1.5, 2.0, 3.0)),
+        sizes={"estimator._BATCH_LEAVES": (1,)},
+    ),
+    Equivalence(
+        "search",
+        lambda *args: search_result(estimator._search_trials(*args)),
+        lambda *args: search_result(search_trials_by_trials(*args)),
+        _trial_args((1.5, 2.0)),
+        sizes={"estimator._BATCH_LEAVES": (1,)},
+    ),
+    # certificates and reports
+    Equivalence(
+        "certificate", _certificate, _certificate_by_records, _certificate_args,
+        sizes={"certifier._BLOCK": (1,)},
+    ),
+    Equivalence("canonical_json", to_canonical_json, ref_to_canonical_json, _report_of),
+    Equivalence("csv", rows_to_csv, ref_rows_to_csv, _rows_of),
+    Equivalence(
+        "format_floats", _format_floats,
+        lambda col: [_format_float(x) for x in np.asarray(col, dtype=float).ravel().tolist()],
+        lambda filt, dim, seed: (float_column(seed, 520 * dim).reshape(-1, dim),),
+        sizes={"reporting._CHUNK": (64,)},
+    ),
+]
+
+EQUIVALENCES = {entry.name: entry for entry in _EQUIVALENCES}
+
+# Each registry pass size at its module's value.
+DEFAULT_SIZES = {
+    qualified: getattr(importlib.import_module(f"mblab.{qualified.split('.')[0]}"), qualified.split(".")[1])
+    for entry in _EQUIVALENCES
+    for qualified in entry.sizes
+}

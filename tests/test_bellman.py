@@ -18,7 +18,6 @@ from mblab.bellman import (
     conjugate_exponent,
     dyadic_expand,
     estimate_rescale_constant,
-    expansion_to_dict,
     in_bellman_domain,
     linear_candidate,
     moment_table,
@@ -33,8 +32,7 @@ import mblab.bellman as bellman
 from mblab.reporting import to_canonical_json
 from conftest import examples, traced
 import oracles
-from oracles import diameter_pair, scale_candidate
-from test_reporting import ref_to_canonical_json
+from oracles import EQUIVALENCES, diameter_pair, scale_candidate
 
 
 def point(x1, x2, x3, x4):
@@ -150,20 +148,7 @@ def test_quadratic_candidate_reference_values():
 def test_candidates_take_many_points_with_one_point_bits(dim):
     # many points at once give each point's one-point value bit for bit,
     # and |x1|^2 rounds like np.dot
-    rng = np.random.default_rng(dim)
-    x1 = rng.normal(size=(500, dim)) * rng.exponential(size=(500, 1))
-    x2, x3, x4 = rng.exponential(size=(3, 500))
-    quad = quadratic_candidate(0.25)
-    alpha = 1.0 / math.sqrt(0.5)
-    for cand in (quad, linear_candidate(1.5, 2.0, 0.25), scale_candidate(quad, 3.0)):
-        many = cand.fn(x1, x2, x3, x4)
-        one = [float(cand.fn(*row)) for row in zip(x1, x2.tolist(), x3.tolist(), x4.tolist())]
-        assert many.tolist() == one
-    by_dot = [
-        alpha * (a + b) - alpha * (float(np.dot(v, v)) + c)
-        for v, c, a, b in zip(x1, x2.tolist(), x3.tolist(), x4.tolist())
-    ]
-    assert quad.fn(x1, x2, x3, x4).tolist() == by_dot
+    EQUIVALENCES["candidates"].holds(lambda: (oracles.candidates_at(0.25), *oracles.moment_points(dim, dim)))
 
 
 def test_quadratic_candidate_needs_cp_below_two():
@@ -366,19 +351,8 @@ def test_expansion_pair_choice_on_tied_and_repeated_points():
 
 def assert_expansions_match_row_by_row(cfgs, m):
     """Every row's expansion, in row-batched passes, equals the row-by-row
-    oracle's: its order, sorted copies, separation, diameter, ratio and
-    degenerate flag."""
-    batched, one_by_one = dyadic_expand(cfgs, m), oracles.dyadic_expand_one_by_one(cfgs, m)
-    assert len(batched) == len(one_by_one) == len(cfgs)
-    for a, b in zip(batched, one_by_one):
-        assert (a.order, a.separation, a.diameter, a.ratio, a.degenerate) == (
-            b.order,
-            b.separation,
-            b.diameter,
-            b.ratio,
-            b.degenerate,
-        )
-        assert np.array_equal(a.sorted_copies, b.sorted_copies)
+    oracle's, bit for bit."""
+    EQUIVALENCES["expansion"].holds(lambda: (cfgs, m))
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.2, 0.25, 1.0 / 3.0, 0.5])
@@ -439,31 +413,13 @@ def one_row_diameter(x1s):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_diameter_kernel_matches_pairwise_loop(dim):
-    # ragged rows of 2 to 10 children, with masked cells holding far-off
-    # points, repeated points, lattice points whose distances tie, and the
-    # unit square's tied diagonals; diameters and pairs equal bit for bit
-    rng = np.random.default_rng(40 + dim)
-    counts = rng.integers(2, 11, size=300)
-    x1 = rng.normal(size=(300, 10, dim)) * rng.exponential(size=(300, 1, 1))
-    x1[100:200] = rng.integers(-1, 2, size=(100, 10, dim))  # ties on a lattice
-    for r in range(200, 300):  # repeats of earlier children
-        picks = rng.integers(0, np.arange(10) + 1)
-        x1[r] = x1[r, picks]
-    x1[-1] = x1[-1, 0]  # every child the same point
-    square = np.zeros((4, dim))
-    square[[1, 3], 0] = 1.0
-    if dim > 1:
-        square[[2, 3], 1] = 1.0
-    x1[0, :4], counts[0] = square, 4
-    has = np.arange(10) < counts[:, None]
-    x1[~has] = 1e6 * rng.normal(size=(int((~has).sum()), dim))
+    # ragged rows with masked, repeated and tied points: diameters and
+    # pairs equal the pairwise loop's bit for bit
+    x1, has = oracles.ragged_points(dim, 40 + dim)
     assert _diameters(x1, has).tolist() == _diameters(x1, has, True)[0].tolist()
-    diam, pair = _diameters(x1, has, True)
-    expected = [diameter_pair(list(row[:n])) for row, n in zip(x1, counts)]
-    assert diam.tolist() == [e[0] for e in expected]
-    assert [tuple(pr) for pr in pair.tolist()] == [e[1] for e in expected]
-    assert expected[0] == ((math.sqrt(2.0), (0, 3)) if dim > 1 else (1.0, (0, 1)))
-    assert expected[-1] == (0.0, (0, 0))
+    EQUIVALENCES["diameters"].holds(lambda: (x1, has))
+    assert diameter_pair(list(x1[0, :4])) == ((math.sqrt(2.0), (0, 3)) if dim > 1 else (1.0, (0, 1)))
+    assert diameter_pair(list(x1[-1][has[-1]])) == (0.0, (0, 0))
 
 
 def test_expansion_ratio_positive_on_samples():
@@ -475,56 +431,18 @@ def test_expansion_ratio_positive_on_samples():
                 assert cert.ratio > 0.0
 
 
-def expansion_by_node(points, order):
-    """Reference tree of one configuration's points (k, dim + 3): the
-    uniform mean of each copy block taken node by node, halving [lo, hi)
-    recursively, as (x1, x2, x3, x4, weight, kids)."""
-    full = np.array([points[k].tolist() for k in order])
-    dim, b = points.shape[1] - 3, len(order)
-
-    def build(lo, hi):
-        mean = full[lo:hi].mean(axis=0)
-        mid = (lo + hi) // 2
-        kids = () if hi - lo == 1 else (build(lo, mid), build(mid, hi))
-        x2, x3, x4 = (float(v) for v in mean[dim:])
-        return (mean[:dim].tolist(), x2, x3, x4, (hi - lo) / b, kids)
-
-    return build(0, b)
-
-
-def as_tuple(levels, k=0, i=0):
-    """Node i of tree level k and its subtree, in the shape of
-    ``expansion_by_node``."""
-    row = levels[k][i].tolist()
-    kids = () if k + 1 == len(levels) else tuple(as_tuple(levels, k + 1, c) for c in (2 * i, 2 * i + 1))
-    return (row[:-3], *row[-3:], 0.5**k, kids)
-
-
-def payload_by_node(cert, node):
-    """``expansion_to_dict``'s payload with the tree taken from a reference
-    tuple of ``expansion_by_node``."""
-
-    def tree(n):
-        x1, x2, x3, x4, weight, kids = n
-        point = {"x1": x1, "x2": x2, "x3": x3, "x4": x4}
-        return {"point": point, "weight": weight, "children": [tree(c) for c in kids]}
-
-    fields = ("m", "copies", "order", "separation", "diameter", "ratio", "degenerate")
-    return {**{name: getattr(cert, name) for name in fields}, "tree": tree(node)}
-
-
 @pytest.mark.parametrize("m", range(1, 11))
 def test_expansion_tree_matches_per_node_means(m):
     # node means taken one tree level at a time equal the per-node means bit for bit
     delta = 0.5 if m == 1 else (0.25 if m < 4 else 0.1)
     for dim in (1, 2, 3):
         cfgs = sample_dyadic_split_configs(delta, 1.5, 4, seed=m, dim=dim, m=m)
-        for points, cert in zip(cfgs.points, dyadic_expand(cfgs, m=m)):
+        EQUIVALENCES["expansion_tree"].holds(lambda: (cfgs, m))
+        for cert in dyadic_expand(cfgs, m=m):
             assert cert.copies == 2**m
             # the tree is built when first read, and the separation is the
             # distance of its two half means
             assert "levels" not in vars(cert)
-            assert as_tuple(cert.levels) == expansion_by_node(points, cert.order)
             halves = cert.levels[1][:, :dim]
             assert cert.separation == float(np.linalg.norm(halves[0] - halves[1]))
 
@@ -534,9 +452,7 @@ def test_expansion_payload_matches_per_node_tree(m):
     delta = 0.5 if m == 1 else (0.25 if m < 4 else 0.1)
     for dim in (1, 2, 3):
         cfgs = sample_dyadic_split_configs(delta, 1.5, 2, seed=20 + m, dim=dim, m=m)
-        for points, cert in zip(cfgs.points, dyadic_expand(cfgs, m=m)):
-            reference = payload_by_node(cert, expansion_by_node(points, cert.order))
-            assert to_canonical_json(expansion_to_dict(cert)) == ref_to_canonical_json(reference)
+        EQUIVALENCES["expansion_payload"].holds(lambda: (cfgs, m))
 
 
 def test_deep_expansion_recombines():

@@ -3,25 +3,22 @@ scaling through the environment, one T* g, moment table, event-chain set and
 uncentered cut pass per witness (per corpus cell, and per ``run_all`` and
 ``certify`` pair on one triple, whose shared witness keeps every report
 byte and holds one triple only), the stacked passes of one call, the
-witness's refusal of a mismatched triple, the per-level localization and
-restriction kernels against the per-event routes they replaced, the event
-chains against the runs of leaves they replaced, bit for bit, the memory
-the chains and the projection suite take at dyadic depth 15, the support
-suite's mask passes against its per-atom loops and its atom mask against
-``np.isin``, a NaN that keeps its rows red, and the matrix-free production
-path: no suite, certificate, moment point or duality bound builds the
-dense matrix, on small cells or at dyadic depth 12."""
+witness's refusal of a mismatched triple, the cases on which the suites'
+kernels meet their oracles in ``oracles.EQUIVALENCES`` (the per-event
+routes, the runs of leaves, the per-atom loops and ``np.isin``), the
+memory the chains and the projection suite take at dyadic depth 15, a NaN
+that keeps its rows red, and the matrix-free production path: no suite,
+certificate, moment point or duality bound builds the dense matrix, on
+small cells or at dyadic depth 12."""
 
 from __future__ import annotations
 
 import re
-import sys
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given
-from hypothesis import strategies as st
 
 import mblab.bellman as bellman
 import mblab.certifier as certifier
@@ -35,7 +32,6 @@ from mblab.certifier import certificate_to_dict, certify
 from mblab.checks import (
     SUITES,
     Tolerances,
-    _row,
     hoelder_mean_margin,
     restriction_identity_gaps,
     run_all,
@@ -43,31 +39,18 @@ from mblab.checks import (
 )
 from mblab.corpus import (
     CorpusCell,
-    active_split_function,
     default_corpus,
-    max_children_for,
     prepare_cell,
     random_transform,
     random_witness,
 )
-from mblab.filtration import Filtration, build_dyadic, build_random_regular, level_partition
+from mblab.filtration import build_dyadic
 from mblab.martingale import MartFunction, inner, l2_norm
 from mblab.reporting import to_canonical_json
 from mblab.transforms import MartingaleTransform, split_multiplier_norm
-from conftest import examples, traced
+from conftest import drawn, examples, regular_towers, traced
 import oracles
-from oracles import (
-    SpanFed,
-    _blocks,
-    _level_difference,
-    _level_differences,
-    _level_means,
-    adjoint_by_levels,
-    average,
-    level_map,
-    level_osc2,
-    operator_norm,
-)
+from oracles import EQUIVALENCES, operator_norm, pass_size
 
 
 def test_suite_names_are_stable():
@@ -107,19 +90,9 @@ def test_moment_table_osc2_and_tstar_mean_match_their_old_sources(small_cells, k
     # the osc-series and x2-sign suites and the duality bound read osc2 and
     # <T* g>_J off the table: they equal the direct routes bit for bit, on
     # every atom of every level, at p = 2 and below
-    rng = np.random.default_rng(7)
-    f, g = random_witness(kernel_tower, 2, rng)
-    triples = [(pc.f, pc.g, pc.op) for pc in small_cells]
-    triples.append((f, g, random_transform(kernel_tower, 2, rng)))
-    for f, g, op in triples:
-        filt = f.filtration
+    for w in [*small_cells, oracles.witness_of(kernel_tower, 2, 7)]:
         for p in (2.0, 1.5):
-            w = Witness(f, g, op, p)
-            for n in range(filt.depth + 1):
-                ids = level_partition(filt, n)
-                assert np.array_equal(w.table.osc2[ids], level_osc2(filt, w.tstar_g.values, n))
-            for atom in oracles.atoms(filt):
-                assert np.array_equal(w.table.tstar_mean[atom.id], average(w.tstar_g, atom.id))
+            EQUIVALENCES["table_columns"].holds(lambda: (Witness(w.f, w.g, w.op, p),))
 
 
 def test_row_names_unique(small_cells):
@@ -428,265 +401,33 @@ def test_a_nan_stays_red(where, red):
 
 
 # ---------------------------------------------------------------------------
-# Reference routes: the per-event localization and restriction suites that
-# the per-level kernel replaced, kept verbatim as oracles, and the per-atom
-# support suite that the mask passes replaced.  Each pushes one
-# full-length L-leaf piece or cut per split event through every level, in
-# blocks of at most ``oracles._STACK_VALUES`` leaf values.
+# Per-level kernel against the per-event routes it replaced, and the event
+# chains against the runs of leaves they replaced (``oracles.EQUIVALENCES``)
 
-
-def _at_events(filt: Filtration, per_level, spans: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Pick, for each atom J (leaf span, level n), entry J of the per-A_n-atom
-    array ``per_level(n)``; J is the A_n atom holding its first leaf."""
-    out = np.empty(len(levels))
-    for n in np.unique(levels).tolist():
-        at = levels == n
-        out[at] = per_level(n)[level_map(filt, n)[spans[at, 0]]]
-    return out
-
-
-def _inside(spans: np.ndarray, n_leaves: int) -> np.ndarray:
-    """Boolean (len(spans), L) mask of the leaves inside each span."""
-    leaf = np.arange(n_leaves)
-    return (spans[:, :1] <= leaf) & (leaf < spans[:, 1:])
-
-
-def check_localization(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
-    """Single-split inputs localize: T of a split difference at J is
-    supported in J, and the adjoint commutes with the split difference up to
-    the multiplier of that atom."""
-    filt = f.filtration
-    lay = filt.layout
-    L = filt.n_leaves
-    outside = 0.0
-    for blk in _blocks(len(lay.event_atoms), L * f.dim):
-        # One random function per event in schedule order: the same draws as
-        # calling random_function once per event.
-        raw = rng.normal(size=(blk.stop - blk.start, L, f.dim))
-        levels = lay.event_levels[blk]
-        pieces = np.empty_like(raw)
-        for n in np.unique(levels).tolist():
-            pieces[levels == n] = _level_difference(filt, raw[levels == n], n)
-        inside = _inside(oracles.event_spans(lay)[blk], L)
-        pieces[~inside] = 0.0
-        th = np.array([op.apply(MartFunction(filt, piece)).values[:, 0] for piece in pieces])
-        outside = max(outside, float(np.max(np.abs(th[~inside]), initial=0.0)))
-
-    # On an atom J split at level n, the level-n difference is J's split
-    # difference, and T* multiplies it by the level-(n+1) multiplier of J.
-    commute = 0.0
-    tstar_g = adjoint_by_levels(op, g.values)
-    diffs = zip(_level_differences(filt, g.values), _level_differences(filt, tstar_g))
-    for n, (dsg, dtg) in enumerate(diffs, start=1):
-        err = np.abs(dtg - oracles.multiplier_on_leaves(op, n) * dsg)
-        commute = max(commute, float(np.max(err)))
-    return [
-        _row("localization_support", outside, tol.exact, "T of split piece outside atom"),
-        _row("localization_adjoint", commute, tol.tight, "adjoint split vs multiplier"),
-    ]
-
-
-def _cut_adjoints(
-    op: MartingaleTransform, values: np.ndarray, spans: np.ndarray, shifts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each span J, osc2 over I and squared norm of T*((v - s_J) 1_J),
-    with v the scalar leaf values and s_J the shift of J."""
-    filt = op.filtration
-    m = filt.layout.measures
-    root = oracles.root(filt)
-    osc = np.empty(len(spans))
-    norm_sq = np.empty(len(spans))
-    for blk in _blocks(len(spans), filt.n_leaves * op.dim):
-        inside = _inside(spans[blk], filt.n_leaves)
-        cuts = np.where(inside, values[None, :] - shifts[blk, None], 0.0)
-        x = np.array([op.adjoint_closed_form(MartFunction(filt, cut)).values for cut in cuts])
-        centered = x - _level_means(filt, x, 0)
-        osc[blk] = np.einsum("bij,bij->bi", centered, centered) @ m / root.measure
-        norm_sq[blk] = np.einsum("bij,bij->bi", x, x) @ m
-    return osc, norm_sq
-
-
-def _restriction_sides(g: MartFunction, op: MartingaleTransform) -> tuple[np.ndarray, ...]:
-    """Per non-root split atom J, in schedule order: leaf span, level,
-    measure, local side osc2(T* g, J) and rescaled global side
-    (|I|/|J|) osc2(T*(g 1_J), I)."""
-    filt = g.filtration
-    lay = filt.layout
-    below_root = lay.event_levels > 0
-    spans = oracles.event_spans(lay)[below_root]
-    levels = lay.event_levels[below_root]
-    measures = _at_events(filt, lambda n: oracles.level_measures(lay, n), spans, levels)
-    tstar_g = op.adjoint_apply(g).values
-    local = _at_events(filt, lambda n: level_osc2(filt, tstar_g, n), spans, levels)
-    cut_osc, _ = _cut_adjoints(op, g.values[:, 0], spans, np.zeros(len(spans)))
-    return spans, levels, measures, local, (filt.total_measure / measures) * cut_osc
-
-
-def check_restriction(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
-    """One-sided restriction bound: the local oscillation of T* g over J is
-    dominated by the rescaled global oscillation of T* applied to g cut to
-    J.  Ancestor splits make the global side strictly larger in general."""
-    _, _, _, local, glob = _restriction_sides(g, op)
-    worst = float(np.max((local - glob) / np.maximum(1.0, local), initial=0.0))
-    return [_row("restriction_bound", worst, tol.tight, "local minus rescaled global")]
-
-
-def check_support(
-    f: MartFunction,
-    g: MartFunction,
-    op: MartingaleTransform,
-    tol: Tolerances,
-    rng: np.random.Generator,
-) -> list[dict]:
-    """Transforms of functions built from a known active split set stay
-    supported in the union of those atoms, and the hull lists no atom
-    outside them: one leaf slice per active atom, and the hull per level
-    from that level's difference, one A_{n-1} atom at a time."""
-    filt = f.filtration
-    h, active = active_split_function(filt, f.dim, rng)
-    covered = np.zeros(filt.n_leaves, dtype=bool)
-    for atom_id in active:
-        covered[oracles.leaf_slice(filt, atom_id)] = True
-    err = float(np.max(np.abs(op.apply(h).values[~covered]), initial=0.0))
-    threshold = 1e-12 * max(1.0, float(np.max(np.abs(h.values))))
-    hull_err = 0.0
-    for n, diff in enumerate(_level_differences(filt, h.values), start=1):
-        for atom_id in level_partition(filt, n - 1).tolist():
-            if np.max(np.abs(diff[oracles.leaf_slice(filt, atom_id)])) > threshold and atom_id not in active:
-                hull_err += 1.0
-    return [
-        _row("support_containment", err, tol.exact, f"{len(active)} active atoms"),
-        _row("support_hull", hull_err, 0.0, "hull atoms outside the active set"),
-    ]
-
-
-def reference_identity_gaps(g: MartFunction, op: MartingaleTransform) -> tuple[float, float]:
-    """Worst relative gaps, over the non-root split atoms J, in the two exact
-    restriction identities; both are roundoff on a correct transform.
-
-    With c = <g>_J, the centered cut (g - c) 1_J has no mass on any split
-    outside J, so T* localizes:
-
-        osc2(T* g, J) = (|I|/|J|) osc2(T*((g - c) 1_J), I).
-
-    The uncentered cut g 1_J lets the strict ancestors of J see c, and the
-    rescaled global side exceeds the local one by exactly c^2 ||T* 1_J||^2/|J|.
-
-    Returns (centered gap relative to the larger side, defect gap relative to
-    max(1, defect)).  Not a registered suite, so ``run_all`` rows do not
-    include it.
-    """
-    filt = g.filtration
-    spans, levels, measures, local, glob = _restriction_sides(g, op)
-    c = _at_events(filt, lambda n: _level_means(filt, g.values, n)[:, 0], spans, levels)
-    centered_osc, _ = _cut_adjoints(op, g.values[:, 0], spans, c)
-    centered = (filt.total_measure / measures) * centered_osc
-    scale = np.maximum(np.maximum(local, centered), 1e-30)
-    centered_worst = float(np.max(np.abs(local - centered) / scale, initial=0.0))
-    _, ones_sq = _cut_adjoints(op, np.ones(filt.n_leaves), spans, np.zeros(len(c)))
-    defect = c * c * ones_sq / measures
-    gap = np.abs((glob - local) - defect) / np.maximum(1.0, defect)
-    return centered_worst, float(np.max(gap, initial=0.0))
-
-
-# ---------------------------------------------------------------------------
-# Per-level kernel against the reference routes
+# The per-event suites, the sides and cuts of the restriction probe and both
+# identity gaps, held to tolerances of roundoff of an exact zero or of the
+# two adjoint routes, and the per-atom support suite, exactly.
+PER_EVENT = ("suites_by_events", "restriction_sides", "cuts_by_events", "identity_gaps", "support_loops")
+# The cuts for cut values g and 1 and zero, centered and random shifts,
+# pushed in one block or one cut row at a time, and the localization rows.
+BY_RUNS = ("cuts_by_runs", "localization_runs")
 
 
 def _witness(filt, dim, seed):
-    rng = np.random.default_rng(seed)
-    f, g = random_witness(filt, dim, rng)
-    return f, g, random_transform(filt, dim, rng)
-
-
-def _fixed(rows):
-    """Every field of the rows but max_err."""
-    return [{k: v for k, v in r.items() if k != "max_err"} for r in rows]
-
-
-def _rel(new, ref, floor=0.0):
-    new, ref = np.asarray(new), np.asarray(ref)
-    return float(np.max(np.abs(new - ref) / np.maximum(np.abs(ref), floor), initial=0.0))
-
-
-def _assert_matches_reference(f, g, op):
-    tol = Tolerances()
-    # Every max_err here is roundoff of an exact zero.  localization_support
-    # reads mean-zero pieces, restriction_bound local - global where the two
-    # sides meet.  localization_adjoint reads T* g through the stacked
-    # closed form, the reference through the level-by-level one, and their
-    # roundoff grows with the size of T* g.
-    scale = max(1.0, float(np.max(np.abs(op.adjoint_closed_form(g).values))))
-    gaps = {
-        "localization_support": 1e-15,
-        "localization_adjoint": 1e-15 * scale,
-        "restriction_bound": 1e-12,
-    }
-    for new_suite, ref_suite in (
-        (checks.check_localization, check_localization),
-        (checks.check_restriction, check_restriction),
-    ):
-        new_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        new = new_suite(Witness(f, g, op), tol, new_rng)
-        # the reference's full-length draws carry the new route's numbers
-        # on each event's atom
-        events = range(len(f.filtration.layout.event_atoms))
-        ref = ref_suite(f, g, op, tol, SpanFed(ref_rng, f.filtration, events))
-        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
-        assert _fixed(new) == _fixed(ref)
-        for a, b in zip(new, ref):
-            assert abs(a["max_err"] - b["max_err"]) <= gaps[a["check"]], (a, b)
-
-    w = Witness(f, g, op)
-    chains = w.event_chains
-    _, new_local, new_glob = w.restriction_sides
-    spans, _, _, ref_local, ref_glob = _restriction_sides(g, op)
-    # the local side is osc2 of T* g over J: tiny on some deep atoms, where
-    # the two adjoint routes differ by roundoff of the O(1) leaf values
-    assert _rel(new_local, ref_local, floor=1.0) <= 1e-12
-    assert _rel(new_glob, ref_glob) <= 1e-12
-
-    shifts = np.random.default_rng(11).normal(size=len(spans))
-    for values in (g.values[:, 0], np.ones(f.filtration.n_leaves)):
-        for s in (shifts, np.zeros(len(spans))):
-            new = transforms._cut_adjoints(op, chains, values, s)
-            ref = _cut_adjoints(op, values, spans, s)
-            assert _rel(new[0], ref[0]) <= 1e-12
-            assert _rel(new[1], ref[1]) <= 1e-12
-
-    new_rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
-    assert checks.check_support(w, tol, new_rng) == check_support(f, g, op, tol, ref_rng)
-
-    # Both gaps are relative roundoff on a correct transform.  The centered
-    # gap reaches a few 1e-12 in either route on atoms whose local side is
-    # tiny, so the new route is held to the reference's gap plus 1e-12.
-    new_gaps = checks.restriction_identity_gaps(w)
-    ref_gaps = reference_identity_gaps(g, op)
-    assert all(a <= b + 1e-12 for a, b in zip(new_gaps, ref_gaps)), (new_gaps, ref_gaps)
+    w = oracles.witness_of(filt, dim, seed)
+    return w.f, w.g, w.op
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_osc_series_matches_level_loop(small_cells, kernel_tower, dim):
     # the series summed on all stacked rows keeps the row of the per-level
     # loop, every float of it: children add in child order either way
-    witnesses = [Witness(*_witness(kernel_tower, dim, 80 + seed)) for seed in range(6)]
-    witnesses += [Witness(pc.f, pc.g, pc.op) for pc in small_cells if pc.f.dim == dim]
-    tol = Tolerances()
-    for w in witnesses:
-        rows = checks.check_osc_series(w, tol, None)
-        assert rows == oracles.check_osc_series_by_levels(w, tol, None)
+    osc_series = EQUIVALENCES["osc_series"]
+    for seed in range(6):
+        osc_series.on(kernel_tower, dim, 80 + seed)
+    for w in small_cells:
+        if w.f.dim == dim:
+            osc_series.holds(lambda: (w, Tolerances(), None))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -700,72 +441,36 @@ def test_support_mask_matches_isin(monkeypatch, kernel_tower, dim):
         h, active = honest(*args)
         return h, active[1:]
 
-    tol = Tolerances()
     for active_set in (honest, short):
         monkeypatch.setattr(checks, "active_split_function", active_set)
         monkeypatch.setattr(oracles, "active_split_function", active_set)
         for seed in range(6):
-            w = Witness(*_witness(kernel_tower, dim, 70 + seed))
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            rows = checks.check_support(w, tol, rng)
-            assert rows == oracles.check_support_by_isin(w, tol, ref_rng)
-            assert rng.random() == ref_rng.random()
-            assert (rows[1]["max_err"] > 0) == (active_set is short)
+            w = oracles.witness_of(kernel_tower, dim, 70 + seed)
+            args = lambda: (w, Tolerances(), np.random.default_rng(seed))
+            EQUIVALENCES["support_isin"].holds(args)
+            assert (checks.check_support(*args())[1]["max_err"] > 0) == (active_set is short)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_per_level_suites_match_per_event_route(kernel_tower, dim):
-    f, g, op = _witness(kernel_tower, dim, 40 + dim)
-    _assert_matches_reference(f, g, op)
+    for name in PER_EVENT:
+        EQUIVALENCES[name].on(kernel_tower, dim, 40 + dim)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_cut_blocks_keep_every_float(monkeypatch, kernel_tower, dim):
+def test_cut_blocks_keep_every_float(kernel_tower, dim):
     # the cut rows pushed one or two at a time give the floats of one push
     # of the whole stack, for any cut values and shifts
-    f, g, op = _witness(kernel_tower, dim, 50 + dim)
-    chains = Witness(f, g, op).event_chains
-    shifts = np.random.default_rng(51).normal(size=len(chains.levels))
-    cases = [(g.values[:, 0], shifts), (g.values[:, 0], 0 * shifts), (np.ones(len(g.values)), shifts)]
-
-    def passes():
-        w = Witness(f, g, op)
-        cuts = [transforms._cut_adjoints(op, chains, v, s) for v, s in cases]
-        return [*np.concatenate(cuts), *w.restriction_sides, *checks.restriction_identity_gaps(w)]
-
-    whole = passes()
     rows = len(kernel_tower.layout.stacked_measures)
     for stack in (1, 2 * rows):
-        monkeypatch.setattr(transforms, "_CUT_STACK", stack)
-        assert all(np.array_equal(a, b) for a, b in zip(passes(), whole, strict=True))
-
-
-def _assert_chains_match_runs(f, g, op):
-    # the chains and the diagonal sums give every float of the runs of
-    # leaves they replaced: both outputs of the cuts, for cut values g and 1
-    # and zero, centered and random shifts, pushed in one block or one cut
-    # row at a time, and the localization rows
-    w = Witness(f, g, op)
-    chains, runs = w.event_chains, oracles._event_runs(op)
-    c = w.restriction_sides[0]
-    shifts = np.random.default_rng(61).normal(size=len(c))
-    g0, ones = g.values[:, 0], np.ones(len(g.values))
-    cases = [(g0, 0 * c), (g0, c), (ones, 0 * c), (g0, shifts), (ones, shifts)]
-    refs = [oracles._cut_adjoints(op, runs, v, s) for v, s in cases]
-    for stack in (transforms._CUT_STACK, 1):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transforms, "_CUT_STACK", stack)
-            for (v, s), ref in zip(cases, refs):
-                new = transforms._cut_adjoints(op, chains, v, s)
-                assert all(np.array_equal(a, b) for a, b in zip(new, ref, strict=True))
-    new_rows = checks.check_localization(w, Tolerances(), np.random.default_rng(62))
-    ref_rows = oracles.check_localization_by_runs(w, Tolerances(), np.random.default_rng(62))
-    assert new_rows == ref_rows
+        with pass_size("transforms._CUT_STACK", stack):
+            EQUIVALENCES["restriction_blocks"].on(kernel_tower, dim, 50 + dim)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_event_chains_keep_every_float_of_the_runs(kernel_tower, dim):
-    _assert_chains_match_runs(*_witness(kernel_tower, dim, 60 + dim))
+    for name in BY_RUNS:
+        EQUIVALENCES[name].on_every_size(kernel_tower, dim, 60 + dim)
 
 
 def test_event_chains_hold_little_at_depth_15():
@@ -797,27 +502,19 @@ def test_restriction_sides_hold_little_at_depth_15():
 
 
 @examples(40)
-@given(
-    depth=st.integers(1, 7),
-    delta=st.sampled_from([0.1, 0.25, 1.0 / 3.0]),
-    tower_seed=st.integers(0, 10_000),
-    dim=st.integers(1, 3),
-)
+@given(case=regular_towers())
 # towers on which the dense-matrix T* g once put the reference past the gap
-@example(depth=7, delta=0.1, tower_seed=229, dim=1)
-@example(depth=7, delta=0.1, tower_seed=3431, dim=2)
-def test_per_level_suites_match_on_random_towers(depth, delta, tower_seed, dim):
-    filt = build_random_regular(depth, delta, max_children_for(delta), 0.7, tower_seed)
-    f, g, op = _witness(filt, dim, tower_seed + 1)
-    _assert_matches_reference(f, g, op)
-    _assert_chains_match_runs(f, g, op)
+@example(case=drawn(7, 0.1, 4, 0.7, 229, 1))
+@example(case=drawn(7, 0.1, 4, 0.7, 3431, 2))
+def test_per_level_suites_match_on_random_towers(case):
+    for name in PER_EVENT:
+        EQUIVALENCES[name].on(*case)
+    for name in BY_RUNS:
+        EQUIVALENCES[name].on_every_size(*case)
 
 
 # ---------------------------------------------------------------------------
 # The suites can go red: a wrong piece or cut shows in both routes
-
-_THIS = sys.modules[__name__]
-
 
 def test_localization_red_on_offset_piece(monkeypatch, kernel_tower):
     f, g, op = _witness(kernel_tower, 2, 3)
@@ -827,14 +524,10 @@ def test_localization_red_on_offset_piece(monkeypatch, kernel_tower):
     monkeypatch.setattr(
         checks, "_diagonal_steps", lambda filt, v, first=0: exact_steps(filt, v, first) + 1e-6
     )
-    exact = _level_difference
-    monkeypatch.setattr(
-        _THIS, "_level_difference", lambda filt, v, n: exact(filt, v, n) + 1e-6
-    )
-    for rows in (
-        checks.check_localization(Witness(f, g, op), Tolerances(), np.random.default_rng(4)),
-        check_localization(f, g, op, Tolerances(), np.random.default_rng(4)),
-    ):
+    exact = oracles._level_difference
+    monkeypatch.setattr(oracles, "_level_difference", lambda filt, v, n: exact(filt, v, n) + 1e-6)
+    for suite in (checks.check_localization, oracles.check_localization_by_events):
+        rows = suite(Witness(f, g, op), Tolerances(), np.random.default_rng(4))
         assert rows[0]["check"] == "localization_support"
         assert not rows[0]["ok"], rows[0]
 
@@ -846,7 +539,7 @@ def test_restriction_probe_red_on_scaled_cut(monkeypatch, kernel_tower):
     # every cut 1 + 1e-6 times too large where it enters the adjoint kernel
     exact_steps = transforms._atom_steps
     monkeypatch.setattr(transforms, "_atom_steps", lambda filt, v: exact_steps(filt, v * (1 + 1e-6)))
-    for centered, _ in (restriction_identity_gaps(w), reference_identity_gaps(g, op)):
+    for centered, _ in (restriction_identity_gaps(w), oracles.identity_gaps_by_events(w)):
         assert centered > 1e-9
 
 

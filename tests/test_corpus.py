@@ -16,15 +16,13 @@ from mblab.corpus import (
     haar_witness,
     max_children_for,
     prepare_cell,
-    random_function,
-    random_transform,
     random_witness,
 )
 from mblab.estimator import duality_bound
-from mblab.filtration import build_dyadic, split_schedule
-from mblab.martingale import MartFunction, inner, lp_norm
+from mblab.filtration import build_dyadic
+from mblab.martingale import inner, lp_norm
 import oracles
-from oracles import SpanFed, average, delta_split, regularity_delta
+from oracles import EQUIVALENCES, average, regularity_delta
 
 
 def test_grid_size_and_axes():
@@ -119,31 +117,10 @@ def test_active_split_function_support(dyadic3):
     assert np.allclose(average(f, oracles.root(dyadic3).id), 0.0, atol=1e-13)
 
 
-def reference_active_split_function(filt, dim, rng):
-    """The one-event-at-a-time loop the per-level kernel replaced.  Each
-    kept event's full-length random function carries, on the event's atom,
-    the numbers the span-sized draw gives it."""
-    events = split_schedule(filt)
-    keep = [i for i in range(len(events)) if rng.random() < 0.5]
-    if not keep:
-        keep = [int(rng.integers(len(events)))]
-    fed = SpanFed(rng, filt, keep)
-    f = MartFunction(filt, np.zeros((filt.n_leaves, dim)))
-    for i in keep:
-        piece = delta_split(random_function(filt, dim, fed), events[i])
-        f = MartFunction(filt, f.values + piece.values)
-    return f, frozenset(events[i] for i in keep)
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_active_split_function_matches_event_loop(kernel_tower, dim):
     for seed in range(6):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        f, active = active_split_function(kernel_tower, dim, rng)
-        ref, ref_active = reference_active_split_function(kernel_tower, dim, ref_rng)
-        assert f.values.tobytes() == ref.values.tobytes()
-        assert active.tolist() == sorted(ref_active)
-        assert rng.random() == ref_rng.random()
+        EQUIVALENCES["active_split"].on(kernel_tower, dim, seed)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -151,11 +128,7 @@ def test_random_transform_matches_level_loop(kernel_tower, dim):
     # the rows scaled in one call after the draws keep every float, and the
     # generator ends where the per-level loop left it
     for seed in range(6):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        op = random_transform(kernel_tower, dim, rng)
-        ref = oracles.random_transform_by_levels(kernel_tower, dim, ref_rng)
-        assert op.multipliers.tobytes() == ref.multipliers.tobytes()
-        assert rng.random() == ref_rng.random()
+        EQUIVALENCES["random_transform"].on(kernel_tower, dim, seed)
 
 
 def test_active_split_function_fallback_event():
@@ -164,10 +137,7 @@ def test_active_split_function_fallback_event():
     fallbacks = 0
     for seed in range(8):
         fallbacks += np.random.default_rng(seed).random() >= 0.5
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        f, active = active_split_function(filt, 2, rng)
-        ref, ref_active = reference_active_split_function(filt, 2, ref_rng)
-        assert f.values.tobytes() == ref.values.tobytes()
-        assert active.tolist() == sorted(ref_active) == [oracles.root(filt).id]
-        assert rng.random() == ref_rng.random()
+        EQUIVALENCES["active_split"].on(filt, 2, seed)
+        _, active = active_split_function(filt, 2, np.random.default_rng(seed))
+        assert active.tolist() == [oracles.root(filt).id]
     assert 0 < fallbacks < 8

@@ -1,7 +1,6 @@
 """Structure tests for the atom tower: builders, regularity, schedule, and
 the columnar tower against the atom-by-atom oracles."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -10,18 +9,18 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 import mblab.cli as cli
 import mblab.filtration as filtration
 from mblab.bellman import sample_split_configs
-from mblab.corpus import _unit_rows as unit_rows
 from mblab.corpus import max_children_for
 from mblab.filtration import (
     Filtration,
     FiltrationError,
-    LeafLayout,
+    _affine_row,
+    _blocks,
     _ratio_sampler,
+    _rows,
     _sorted_children,
     build_dyadic,
     build_random_regular,
@@ -30,13 +29,18 @@ from mblab.filtration import (
     max_parts,
     split_schedule,
 )
-from mblab.martingale import MartFunction, _leaf_sum, _stacked_means
 from mblab.reporting import to_canonical_json
-from mblab.transforms import make_transform
 
 import oracles
-from conftest import examples, traced
-from oracles import Atom, atom_columns, regularity_delta, sample_ratios_one_by_one, tower_from_atoms
+from conftest import examples, regular_towers, traced
+from oracles import (
+    EQUIVALENCES,
+    Atom,
+    atom_columns,
+    regularity_delta,
+    sample_ratios_one_by_one,
+    tower_from_atoms,
+)
 
 
 def test_dyadic_shape(dyadic3):
@@ -48,33 +52,15 @@ def test_dyadic_shape(dyadic3):
     assert np.allclose(widths, 0.125, atol=1e-15)
 
 
-def levels_by_definition(filt):
-    """A_n scanned out of all atoms once per level: the atoms created at
-    level n plus the earlier atoms that never split, by left endpoint."""
-    atoms = list(oracles.atoms(filt))
-    return tuple(
-        tuple(
-            a.id
-            for a in sorted(
-                (a for a in atoms if a.level == n or (a.is_leaf and a.level < n)),
-                key=lambda a: a.a,
-            )
-        )
-        for n in range(filt.depth + 1)
-    )
-
-
 def test_levels_match_per_level_definition(kernel_tower):
-    ref = levels_by_definition(kernel_tower)
-    assert oracles.levels_of(kernel_tower) == ref
+    EQUIVALENCES["levels"].on(kernel_tower, 1, 0)
 
 
 def test_deep_dyadic_leaf_spans():
     # spans come from one pass over the tower, so depth 14 (32767 atoms)
     # is quick; a recursion visiting each child twice would need ~4^14 calls
     filt = build_dyadic(14)
-    ref = levels_by_definition(filt)
-    assert oracles.levels_of(filt) == ref
+    assert oracles.levels_of(filt) == oracles.levels_by_definition(filt)
     assert oracles.leaf_slice(filt, oracles.root(filt).id) == slice(0, 16384)
     for atom in oracles.atoms(filt):
         sl = oracles.leaf_slice(filt, atom.id)
@@ -195,12 +181,39 @@ def test_random_regular_critical_delta_forces_equal_split():
 @pytest.mark.parametrize("delta", [0.1, 0.25, 1.0 / 3.0])
 def test_blocked_ratio_draws_match_one_by_one(k, delta):
     # block draws must return the same ratios and leave the generator where
-    # the one-draw loop leaves it, call after call
-    blocked, single = np.random.default_rng(7), np.random.default_rng(7)
-    for _ in range(40):
-        expected = sample_ratios_one_by_one(single, k, delta, 10_000)
-        assert np.array_equal(_ratio_sampler(k, delta, 10_000)(blocked), expected)
-    assert blocked.random() == single.random()
+    # the one-draw loop leaves it, call after call; four parts of 1/3 are
+    # no split the builder draws
+    if k > max_parts(delta):
+        with pytest.raises(FiltrationError, match="infeasible"):
+            build_random_regular(depth=2, delta=delta, max_children=k, split_prob=1.0, seed=0)
+    else:
+        EQUIVALENCES["ratios"].holds(lambda: (np.random.default_rng(7), k, delta, 10_000, 40))
+
+
+class CountedRows:
+    """A generator that counts its Dirichlet rows."""
+
+    def __init__(self, rng):
+        self.rng, self.rows = rng, 0
+
+    def dirichlet(self, alpha):
+        self.rows += 1
+        return self.rng.dirichlet(alpha)
+
+
+def test_ratio_cases_reach_their_kinds():
+    # each case of the ratio entry takes the route its name says: the
+    # sampler's kind, and the block of the first draw's accepted row
+    ratios = EQUIVALENCES["ratios"].cases
+    kinds = {"rows": _rows, "first_block": _blocks, "past_first_block": _blocks, "affine": _affine_row}
+    for name, kind in kinds.items():
+        rng, k, delta, budget, _ = ratios[name]()
+        assert _ratio_sampler(k, delta, budget).func is kind, name
+        counted = CountedRows(rng)
+        sample_ratios_one_by_one(counted, k, delta, budget)
+        assert (counted.rows > filtration._RATIO_BLOCK) == (name == "past_first_block"), name
+    _, k, delta, _, _ = ratios["equal"]()
+    assert 1.0 - k * delta < 1e-9
 
 
 @pytest.mark.parametrize("budget", [1, 63, 64, 65, 200])
@@ -208,13 +221,13 @@ def test_ratio_budget_counts_single_draws(budget):
     # acceptance chance (1 - 3 * 0.318)^2 = 2.1e-3, drawn in blocks; the
     # first 200 rows of seed 3 are all rejected, so every budget here runs
     # out and both samplers draw the affine row where its rows end
-    blocked, single, ref = (np.random.default_rng(3) for _ in range(3))
+    EQUIVALENCES["ratios"].holds(lambda: (np.random.default_rng(3), 3, 0.318, budget, 1))
+    single, ref = np.random.default_rng(3), np.random.default_rng(3)
     expected = sample_ratios_one_by_one(single, 3, 0.318, budget)
-    assert np.array_equal(_ratio_sampler(3, 0.318, budget)(blocked), expected)
     for _ in range(budget):
         assert ref.dirichlet(np.ones(3)).min() < 0.318
     assert np.array_equal(expected, 0.318 + (1.0 - 3 * 0.318) * ref.dirichlet(np.ones(3)))
-    assert blocked.random() == single.random() == ref.random()
+    assert single.random() == ref.random()
 
 
 def test_random_regular_rejects_bad_parameters():
@@ -303,15 +316,10 @@ def test_json_roundtrip():
 
 
 @examples(40)
-@given(
-    depth=st.integers(min_value=1, max_value=5),
-    delta_k=st.sampled_from([(0.5, 2), (0.3, 3), (0.2, 4), (0.1, 5)]),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_random_regular_invariants(depth, delta_k, seed):
-    delta, k = delta_k
-    filt = build_random_regular(depth, delta, k, split_prob=0.7, seed=seed)
-    assert regularity_delta(filt) >= delta - 1e-12
+@given(case=regular_towers())
+def test_random_regular_invariants(case):
+    filt = case.tower
+    assert regularity_delta(filt) >= filt.delta - 1e-12
     # leaves tile the unit interval
     leaves = sorted((oracles.atom(filt, i) for i in oracles.leaves_of(filt)), key=lambda a: a.a)
     assert leaves[0].a == 0.0
@@ -323,30 +331,13 @@ def test_random_regular_invariants(depth, delta_k, seed):
 
 
 # ---------------------------------------------------------------------------
-# The columnar tower against the atom-by-atom oracles
-
-
-def assert_same_tower(filt, ref):
-    """Columns, atom views, levels, every layout field (dtype and values) and
-    the canonical payload bytes of a tower equal the oracle tower's."""
-    for name, column in oracles.columns_of(ref).items():
-        assert getattr(filt, name).tolist() == column, name
-    assert [(x.id, x.a, x.b, x.level, x.parent, x.children) for x in oracles.atoms(filt)] == [
-        (x.id, x.a, x.b, x.level, x.parent, x.children) for x in oracles.atoms(ref)
-    ]
-    assert oracles.levels_of(filt) == ref.levels
-    lay, ref_lay = filt.layout, ref.layout
-    for fld in dataclasses.fields(LeafLayout):
-        x, y = getattr(lay, fld.name), getattr(ref_lay, fld.name)
-        assert x.dtype == y.dtype and x.shape == y.shape, fld.name
-        assert np.array_equal(x, y), fld.name
-        assert not x.flags.writeable, fld.name
-    assert to_canonical_json(filtration_to_dict(filt)) == to_canonical_json(oracles.atoms_to_dict(ref))
+# The columnar tower against the atom-by-atom oracles: columns, atom views,
+# levels, every layout field and the canonical payload bytes
 
 
 @pytest.mark.parametrize("depth", range(1, 13))
 def test_dyadic_matches_recursive_builder(depth):
-    assert_same_tower(build_dyadic(depth), oracles.build_dyadic(depth))
+    EQUIVALENCES["dyadic_tower"].holds(lambda: (depth,))
 
 
 FLOORS = (0.1, 0.25, 1.0 / 3.0)
@@ -355,20 +346,13 @@ FLOORS = (0.1, 0.25, 1.0 / 3.0)
 @pytest.mark.parametrize("delta", FLOORS)
 @pytest.mark.parametrize("depth", range(1, 13))
 def test_random_regular_matches_atom_builder(depth, delta):
-    args = (depth, delta, max_children_for(delta), 0.7, 100 * depth)
-    assert_same_tower(build_random_regular(*args), oracles.build_random_regular(*args))
+    EQUIVALENCES["random_tower"].holds(lambda: (depth, delta, max_children_for(delta), 0.7, 100 * depth))
 
 
 @examples(25)
-@given(
-    depth=st.integers(min_value=1, max_value=6),
-    delta=st.sampled_from(FLOORS),
-    split_prob=st.sampled_from([0.3, 0.7, 1.0]),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_random_regular_matches_atom_builder_at_any_seed(depth, delta, split_prob, seed):
-    args = (depth, delta, max_children_for(delta), split_prob, seed)
-    assert_same_tower(build_random_regular(*args), oracles.build_random_regular(*args))
+@given(case=regular_towers())
+def test_random_regular_matches_atom_builder_at_any_seed(case):
+    EQUIVALENCES["random_tower"].on(*case)
 
 
 # Children listed right to left, the root's and one grandchild's.
@@ -387,7 +371,7 @@ def test_hand_built_tower_keeps_child_order():
     # the layout orders levels by endpoint but lists event children as given
     atoms = list(RIGHT_TO_LEFT)
     filt = tower_from_atoms(atoms, 0.5)
-    assert_same_tower(filt, oracles.AtomTower(delta=0.5, depth=2, atoms=tuple(atoms)))
+    oracles.same_tower(filt, oracles.AtomTower(delta=0.5, depth=2, atoms=tuple(atoms)))
     assert oracles.levels_of(filt) == ((0,), (1, 2), (3, 4, 5, 6))
     assert filt.layout.event_children.tolist() == [2, 1, 3, 4, 6, 5]
 
@@ -571,12 +555,12 @@ def test_towers_start_at_their_roots():
 
 
 def test_single_tower_accessors_refuse_a_batch():
-    batch = stack([build_dyadic(2), build_dyadic(2)])
+    batch = oracles.stack([build_dyadic(2), build_dyadic(2)])
     reads = (oracles.root, oracles.interval, lambda f: f.total_measure, filtration_to_dict)
     for read in reads:
         with pytest.raises(FiltrationError, match="a filtration of 2 towers has no single root"):
             read(batch)
-    assert oracles.interval(stack([build_dyadic(2)])) == (0.0, 1.0)
+    assert oracles.interval(oracles.stack([build_dyadic(2)])) == (0.0, 1.0)
 
 
 def test_unlisted_atom_is_rejected():
@@ -602,151 +586,50 @@ def test_atom_views_read_the_columns(dyadic2):
 # Tower batches
 
 
-def batch_members(tower):
-    """``tower`` with a random tower of its depth at every floor, and itself
-    again: repeated and uneven towers side by side."""
-    depth = tower.depth
-    others = [build_random_regular(depth, d, max_children_for(d), 0.7, 7 * depth) for d in FLOORS]
-    return [tower, *others, build_dyadic(depth), tower]
-
-
-def stack(towers):
-    """The towers laid end to end in one filtration, at their lowest floor."""
-    return Filtration.stack(min(t.delta for t in towers), towers[0].depth, [t.columns for t in towers])
-
-
-LAYOUT_FIELDS = [f.name for f in dataclasses.fields(LeafLayout)]
-
-
-def assert_same_layout(lay, ref):
-    for name in LAYOUT_FIELDS:
-        a, b = getattr(lay, name), getattr(ref, name)
-        assert np.array_equal(a, b) and a.dtype == b.dtype, name
-
-
-def events_of(lay, atoms=None):
-    """Per split event: atom, level, span and children, for the events of
-    atoms ``atoms`` (a range) only when given."""
-    out = []
-    bounds = lay.event_child_starts.tolist()
-    for e, atom in enumerate(lay.event_atoms.tolist()):
-        if atoms is None or atom in atoms:
-            kids = lay.event_children[bounds[e] : bounds[e + 1]].tolist()
-            out.append((atom, int(lay.event_levels[e]), oracles.event_spans(lay)[e].tolist(), kids))
-    return out
-
-
-def assert_batch_slices(towers):
-    """Each tower's part of one batch layout is its own layout, its leaves,
-    spans and boundaries moved by its leaf offset, its atoms by its atom
-    offset and its rows, level by level, by the first of its rows at that
-    level: its run of ``tower_rows``, cut at its own level offsets, is one
-    range of stacked rows per level."""
-    batch = stack(towers)
-    lay, L = batch.layout, batch.n_leaves
-    assert L == sum(t.n_leaves for t in towers) and batch.depth == towers[0].depth
+def assert_batch_holds(towers, dims):
+    """One batch of the towers: its offsets, each tower's rows one range
+    per level, and each tower's part of its layout and of its kernels' output
+    equal to that tower's own, bit for bit (``batch_layout``,
+    ``batch_kernels``)."""
+    batch = oracles.stack(towers)
+    assert batch.depth == towers[0].depth
     assert batch.atom_offsets.tolist() == np.cumsum([0] + [t.n_atoms for t in towers]).tolist()
     assert batch.leaf_offsets.tolist() == np.cumsum([0] + [t.n_leaves for t in towers]).tolist()
     rows, starts = batch.tower_rows(batch.depth + 1)
-    assert sorted(rows.tolist()) == list(range(len(lay.stacked_atoms)))
+    assert sorted(rows.tolist()) == list(range(len(batch.layout.stacked_atoms)))
     for t, tower in enumerate(towers):
-        own = tower.layout
-        assert_same_layout(own, oracles.build_layout_one_root(tower))
-        lo, hi = batch.leaf_offsets[t : t + 2].tolist()
-        a0 = int(batch.atom_offsets[t])
-        run = rows[starts[t] : starts[t + 1]]
-        assert np.array_equal(lay.stacked_atoms[run] - a0, own.stacked_atoms)
-        assert np.array_equal(lay.measures[lo:hi], own.measures)
-        assert np.array_equal(lay.spans[a0 : a0 + tower.n_atoms], own.spans + lo)
-        assert np.array_equal(lay.atom_measures[a0 : a0 + tower.n_atoms], own.atom_measures)
-        # the first batch row of each of the tower's levels
-        first_rows = run[own.level_offsets[:-1]]
-        for n in range(tower.depth + 1):
-            o0, o1 = own.level_offsets[n : n + 2].tolist()
-            r0 = int(first_rows[n])
-            r1 = r0 + o1 - o0
-            assert np.array_equal(run[o0:o1], np.arange(r0, r1))
-            level_row = int(lay.level_offsets[n])
-            assert np.array_equal(lay.stacked_atoms[r0:r1] - a0, own.stacked_atoms[o0:o1])
-            assert np.array_equal(lay.stacked_measures[r0:r1], own.stacked_measures[o0:o1])
-            firsts = oracles.level_starts(lay, n)[r0 - level_row : r1 - level_row]
-            assert np.array_equal(firsts - lo, oracles.level_starts(own, n))
-            assert np.array_equal(lay.stacked_maps[n, lo:hi] - r0, own.stacked_maps[n] - o0)
-            assert np.array_equal(
-                lay.diagonal_starts[r0:r1] - n * L - lo, own.diagonal_starts[o0:o1] - n * tower.n_leaves
-            )
-            up = max(n - 1, 0)
-            assert np.array_equal(
-                lay.stacked_parents[r0:r1] - first_rows[up],
-                own.stacked_parents[o0:o1] - own.level_offsets[up],
-            )
-            if n < tower.depth:
-                assert np.array_equal(
-                    lay.stacked_children[r0:r1] - first_rows[n + 1],
-                    own.stacked_children[o0:o1] - own.level_offsets[n + 1],
-                )
-        moved = [
-            (atom - a0, level, [s - lo for s in span], [k - a0 for k in kids])
-            for atom, level, span, kids in events_of(lay, range(a0, a0 + tower.n_atoms))
-        ]
-        assert moved == events_of(own)
+        run, offsets = rows[starts[t] : starts[t + 1]], tower.layout.level_offsets.tolist()
+        assert all(np.all(np.diff(run[o0:o1]) == 1) for o0, o1 in zip(offsets, offsets[1:]))
+        EQUIVALENCES["layout"].holds(lambda: (tower,))
+    EQUIVALENCES["batch_layout"].holds(lambda: (towers,))
+    for dim in dims:
+        EQUIVALENCES["batch_kernels"].holds(lambda: oracles.batch_kernel_args(towers, dim, dim))
     return batch
 
 
-def assert_batch_kernels(towers, batch, dim, seed):
-    """The stacked means, the leaf sum and T f of ``towers`` stacked in
-    ``batch``, each tower's part bit for bit its own."""
-    rng = np.random.default_rng(seed)
-    rows, starts = batch.tower_rows(batch.depth + 1)
-    below, below_starts = batch.tower_rows(batch.depth)
-    values = [rng.normal(size=(t.n_leaves, dim)) for t in towers]
-    per_row = [rng.normal(size=(len(t.layout.stacked_atoms), dim)) for t in towers]
-    mults = [unit_rows(rng.normal(size=(t.layout.level_offsets[t.depth], dim))) for t in towers]
-    stacked = np.concatenate(values)
-    batch_rows, batch_mults = np.empty((len(rows), dim)), np.empty((len(below), dim))
-    for t in range(len(towers)):
-        batch_rows[rows[starts[t] : starts[t + 1]]] = per_row[t]
-        batch_mults[below[below_starts[t] : below_starts[t + 1]]] = mults[t]
-    means, sums = _stacked_means(batch, stacked), _leaf_sum(batch, batch_rows)
-    tf = make_transform(batch, batch_mults).apply(MartFunction(batch, stacked)).values
-    for t, tower in enumerate(towers):
-        lo, hi = batch.leaf_offsets[t : t + 2]
-        own_rows = rows[starts[t] : starts[t + 1]]
-        assert np.array_equal(means[own_rows], _stacked_means(tower, values[t]))
-        assert np.array_equal(sums[lo:hi], _leaf_sum(tower, per_row[t]))
-        own_tf = make_transform(tower, mults[t]).apply(MartFunction(tower, values[t])).values
-        assert np.array_equal(tf[lo:hi], own_tf)
-
-
 def test_batch_of_kernel_towers(kernel_tower):
-    towers = batch_members(kernel_tower)
-    batch = assert_batch_slices(towers)
-    for dim in (1, 3):
-        assert_batch_kernels(towers, batch, dim, dim)
+    assert_batch_holds(oracles.batch_members(kernel_tower), (1, 3))
 
 
 @pytest.mark.parametrize("depth", range(1, 9))
 def test_batch_of_dyadic_and_random_towers(depth):
-    towers = batch_members(build_dyadic(depth))
-    assert_batch_kernels(towers, assert_batch_slices(towers), 2, depth)
+    assert_batch_holds(oracles.batch_members(build_dyadic(depth)), (2,))
 
 
 @pytest.mark.parametrize("delta", FLOORS)
 def test_batch_of_random_towers_at_a_floor(delta):
     towers = [build_random_regular(5, delta, max_children_for(delta), 0.7, s) for s in range(6)]
-    assert_batch_kernels(towers, assert_batch_slices(towers), 1, 0)
-    assert_batch_slices(towers[:1])
+    assert_batch_holds(towers, (1,))
+    assert_batch_holds(towers[:1], ())
 
 
 def test_batch_of_towers_with_children_right_to_left():
     # the batch's children column takes the lexsort path of _sorted_children
     towers = [tower_from_atoms(list(RIGHT_TO_LEFT), 0.5), build_dyadic(2)]
     towers += towers[::-1]
-    batch = assert_batch_slices(towers)
+    batch = assert_batch_holds(towers, (1, 2))
     owner = np.arange(batch.n_atoms).repeat(np.diff(batch.child_starts))
     assert _sorted_children(batch, owner) is not batch.children
-    for dim in (1, 2):
-        assert_batch_kernels(towers, batch, dim, dim)
 
 
 def test_batch_needs_towers_of_one_depth():

@@ -3,47 +3,25 @@ single-split differences, oscillation bookkeeping."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mblab.bellman import moment_table
-from mblab.corpus import random_transform, random_witness
-from mblab.filtration import (
-    build_dyadic,
-    build_random_regular,
-    level_partition,
-    split_schedule,
-)
-from mblab.martingale import (
-    MartFunction,
-    _atom_steps,
-    _averaging_matrices,
-    _diagonal_steps,
-    _diagonal_sums,
-    _event_draws,
-    _level_differences,
-    _level_steps,
-    _stacked_means,
-    inner,
-    l2_norm,
-    lp_norm,
-)
-from conftest import examples
+from mblab.filtration import build_dyadic, level_partition, split_schedule
+from mblab.martingale import MartFunction, inner, l2_norm, lp_norm
+from conftest import examples, regular_towers
 import oracles
 from oracles import (
+    EQUIVALENCES,
     Atom,
     PartitionError,
-    SpanFed,
     average,
     cond_exp,
     delta_split,
-    event_draws_by_blocks,
     osc2,
     restrict,
     shift,
 )
-
 
 def rand_fn(filt, dim, seed):
     rng = np.random.default_rng(seed)
@@ -100,14 +78,7 @@ def test_cond_exp_tower(dyadic3):
 
 def test_cond_exp_matches_dense_oracle(kernel_tower):
     # the reduceat kernel against the dense per-level averaging matrices
-    f = rand_fn(kernel_tower, 3, 14)
-    # the oracle yields P_0..P_depth one level at a time
-    levels = 0
-    for n, P in enumerate(_averaging_matrices(kernel_tower)):
-        ef = cond_exp(f, level_partition(kernel_tower, n))
-        assert np.allclose(ef.values, P @ f.values, rtol=0.0, atol=1e-13)
-        levels += 1
-    assert levels == kernel_tower.depth + 1
+    EQUIVALENCES["cond_exp_dense"].on(kernel_tower, 3, 14)
 
 
 def test_persisting_atoms_cancel_exactly(kernel_tower):
@@ -196,20 +167,10 @@ def _drawn_events(filt, seed):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_event_draws_are_one_span_sized_normal_call(kernel_tower, dim):
-    spans = oracles.event_spans(kernel_tower.layout)
+    # the numbers of one (|J|, dim) draw per event, laid on J's leaves in
+    # its level's array
     for events in _drawn_events(kernel_tower, dim):
-        rng, ref = np.random.default_rng(dim), np.random.default_rng(dim)
-        draws = _event_draws(kernel_tower, events, dim, rng)
-        lengths = spans[events, 1] - spans[events, 0]
-        ref.normal(size=(int(lengths.sum()), dim))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        # the same numbers as one (|J|, dim) draw per event, laid on J's
-        # leaves in its level's array
-        ref = np.random.default_rng(dim)
-        levels = kernel_tower.layout.event_levels[events]
-        for (lo, hi), n in zip(spans[events].tolist(), levels.tolist()):
-            assert np.array_equal(draws[n, lo:hi], ref.normal(size=(hi - lo, dim)))
-        assert rng.bit_generator.state == ref.bit_generator.state
+        EQUIVALENCES["event_draws"].holds(lambda: (kernel_tower, events, dim, np.random.default_rng(dim)))
 
 
 @pytest.mark.parametrize("rows_per_block", [1, 3, None])
@@ -219,11 +180,7 @@ def test_event_draws_match_full_block_route(monkeypatch, kernel_tower, rows_per_
     if rows_per_block is not None:
         monkeypatch.setattr(oracles, "_STACK_VALUES", rows_per_block * kernel_tower.n_leaves * 2)
     for events in _drawn_events(kernel_tower, 5):
-        rng, fed_rng = np.random.default_rng(8), np.random.default_rng(8)
-        draws = _event_draws(kernel_tower, events, 2, rng)
-        fed = SpanFed(fed_rng, kernel_tower, events.tolist())
-        assert np.array_equal(draws, event_draws_by_blocks(kernel_tower, events, 2, fed))
-        assert rng.bit_generator.state == fed_rng.bit_generator.state
+        EQUIVALENCES["event_draws_by_blocks"].holds(lambda: (kernel_tower, events, 2, np.random.default_rng(8)))
 
 
 def test_restrict_cuts_support(dyadic2):
@@ -306,15 +263,6 @@ def test_jensen_for_averages(vals):
 # The level-stacked kernel against the per-level loop it replaced, bit for bit
 
 
-def _bits(x):
-    return np.ascontiguousarray(x, dtype=float).view(np.int64)
-
-
-def _assert_same_bits(new, ref):
-    assert new.shape == ref.shape
-    assert np.array_equal(_bits(new), _bits(ref))
-
-
 def _last_atom_single_leaf():
     # [0, 1) splits in two and only the left half splits again, so the last
     # atom of levels 1 and 2 is one leaf: a segment of one row before the
@@ -330,65 +278,14 @@ def _last_atom_single_leaf():
 
 
 def _assert_kernel_matches_levels(filt, dim, seed):
-    rng = np.random.default_rng(seed)
-    lay = filt.layout
-    L = filt.n_leaves
-    for lead in [(), (3,), (2, 2)]:
-        values = rng.normal(size=(*lead, L, dim)) * np.exp(rng.normal(size=(*lead, L, dim)))
-        means = _stacked_means(filt, values)
-        per_level = [oracles._level_means(filt, values, n) for n in range(filt.depth + 1)]
-        _assert_same_bits(means, np.concatenate(per_level, axis=-2))
-        for n in range(filt.depth + 1):
-            expectation = np.take(means, lay.stacked_maps[n], axis=-2)
-            _assert_same_bits(expectation, oracles._level_expectation(filt, values, n))
-        steps = _level_steps(filt, means)
-        ref = list(oracles._level_differences(filt, values))
-        for n, diff in enumerate(ref, start=1):
-            _assert_same_bits(np.take(steps, lay.stacked_maps[n], axis=-2), diff)
-        if not lead:
-            _assert_same_bits(_level_differences(filt, values), np.stack(ref))
-
-    # row k at level first + k: the diagonal sums and steps
+    for lead in range(3):  # lead axes (), (3,) and (2, 2)
+        EQUIVALENCES["stacked_kernel"].on(filt, dim, seed + lead)
     for first in range(filt.depth):
-        stack = rng.normal(size=(filt.depth - first, L, dim))
-        sums = _diagonal_sums(filt, stack, first)
-        ref = [
-            np.add.reduceat(lay.measures[:, None] * row, oracles.level_starts(lay, first + k), axis=-2)
-            for k, row in enumerate(stack)
-        ]
-        _assert_same_bits(sums, np.concatenate(ref))
-        flat = _diagonal_sums(filt, stack[..., 0], first)
-        ref = [
-            np.add.reduceat(lay.measures * row[:, 0], oracles.level_starts(lay, first + k))
-            for k, row in enumerate(stack)
-        ]
-        _assert_same_bits(flat, np.concatenate(ref))
-        # the rows laid end to end unpadded sum what the padded rows did
-        _assert_same_bits(sums, oracles.diagonal_sums_padded(filt, stack, first))
-        _assert_same_bits(flat, oracles.diagonal_sums_padded(filt, stack[..., 0], first))
-        steps = _diagonal_steps(filt, stack, first)
-        for k, row in enumerate(stack):
-            n = first + k
-            piece = np.take(steps, lay.stacked_maps[n + 1], axis=0)
-            _assert_same_bits(piece, oracles._level_difference(filt, row, n))
-
-    # the transform routes sum the levels on the leaves in the loop's order
-    f, g = random_witness(filt, dim, rng)
-    op = random_transform(filt, dim, rng)
-    x, y = rng.normal(size=(L, dim)), rng.normal(size=(L, 1))
-    _assert_same_bits(op.apply(MartFunction(filt, x)).values[:, 0], oracles.transform_by_levels(op, x))
-    _assert_same_bits(op.adjoint_closed_form(MartFunction(filt, y)).values, oracles.adjoint_by_levels(op, y))
-
-    tstar_g = op.adjoint_closed_form(g)
-    for p in (2.0, 1.5):
-        new = moment_table(f, g, tstar_g, p)
-        ref = oracles.moment_table_by_levels(f, g, tstar_g, p)
-        fields = ("points", "g2", "tstar_mean", "osc2", "d", "pairing", "x2_gain", "g_mean", "steps")
-        for name in fields:
-            _assert_same_bits(getattr(new, name), getattr(ref, name))
-        # each column's steps are those of its function alone
-        alone = [_atom_steps(filt, h.values) for h in (f, tstar_g, g)]
-        _assert_same_bits(new.steps, np.hstack(alone))
+        EQUIVALENCES["diagonal"].on(filt, dim, first)
+    for name in ("level_differences", "level_routes"):
+        EQUIVALENCES[name].on(filt, dim, seed)
+    for p in range(2):  # at p = 2 and 1.5
+        EQUIVALENCES["moment_table"].on(filt, dim, seed + p)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -398,18 +295,6 @@ def test_stacked_kernel_matches_per_level_loop_on_fixed_towers(kernel_tower, dim
 
 
 @examples(40)
-@given(
-    dyadic=st.booleans(),
-    depth=st.integers(1, 10),
-    delta=st.sampled_from([0.1, 0.25, 1.0 / 3.0]),
-    split_prob=st.sampled_from([0.3, 0.6]),
-    tower_seed=st.integers(0, 10_000),
-    dim=st.integers(1, 3),
-)
-def test_stacked_kernel_matches_per_level_loop(dyadic, depth, delta, split_prob, tower_seed, dim):
-    if dyadic:
-        filt = build_dyadic(depth)
-    else:
-        filt = build_random_regular(depth, delta, 3, split_prob, tower_seed)
-    assume(filt.n_leaves <= 2048)
-    _assert_kernel_matches_levels(filt, dim, tower_seed)
+@given(case=regular_towers())
+def test_stacked_kernel_matches_per_level_loop(case):
+    _assert_kernel_matches_levels(*case)

@@ -1,9 +1,10 @@
 """Deterministic report serialization.
 
 The writers render in one pass that dispatches on each value's exact
-type, and refuse every type no report carries.  The oracle below is the
-plain recursive writer (one ``json.dumps`` per key and string): every
-payload, random or real, must give the same bytes through both.
+type, and refuse every type no report carries.  The oracle is the plain
+recursive writer ``oracles.ref_to_canonical_json`` (one ``json.dumps`` per
+key and string): every payload, random or real, must give the same bytes
+through both.
 A certificate's records and leaves are written from its arrays ahead of
 time, so the oracle renders the record-by-record payload of
 ``oracles.certificate_by_records`` in their place.
@@ -38,75 +39,8 @@ from mblab.reporting import (
     write_text,
 )
 from conftest import examples, traced
-from oracles import certificate_by_records
-
-
-# --- reference writers -----------------------------------------------------
-
-
-def ref_format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if x == 0.0:
-        return "0"  # fold -0.0 as well
-    return format(float(x), ".17g")
-
-
-def ref_canon(obj) -> str:
-    t = type(obj)
-    if obj is None:
-        return "null"
-    if t is bool:
-        return "true" if obj else "false"
-    if t is int:
-        return str(obj)
-    if t is float:
-        return ref_format_float(obj)
-    if t is str:
-        return json.dumps(obj)
-    if t is dict:
-        inner = ",".join(f"{json.dumps(str(k))}:{ref_canon(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if t is list or t is tuple:
-        return "[" + ",".join(ref_canon(v) for v in obj) + "]"
-    if t is Verbatim:
-        return obj.text
-    raise ReportError(f"cannot serialize object of type {t.__name__}")
-
-
-def ref_to_canonical_json(payload) -> str:
-    if payload is None or (isinstance(payload, (list, tuple, dict)) and not payload):
-        raise ReportError("refusing to write an empty report")
-    return ref_canon(payload) + "\n"
-
-
-def ref_cell(v) -> str:
-    t = type(v)
-    if v is None:
-        return ""
-    if t is bool:
-        return "true" if v else "false"
-    if t is float:
-        return ref_format_float(v)
-    if t is int:
-        return str(v)
-    if t is not str:
-        raise ReportError(f"cannot serialize object of type {t.__name__}")
-    if any(c in v for c in ",\"\n"):
-        return '"' + v.replace('"', '""') + '"'
-    return v
-
-
-def ref_rows_to_csv(rows) -> str:
-    if not rows:
-        raise ReportError("refusing to write an empty report")
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(ref_cell(row.get(c)) for c in cols))
-    return "\n".join(lines) + "\n"
+import oracles
+from oracles import EQUIVALENCES, ref_canon, ref_to_canonical_json
 
 
 # --- random payloads -------------------------------------------------------
@@ -153,18 +87,18 @@ payloads = st.recursive(st.one_of(scalars, verbatims), _containers, max_leaves=2
 @given(payloads)
 def test_canonical_json_matches_reference(payload):
     try:
-        expected = ref_to_canonical_json(payload)
+        ref_to_canonical_json(payload)
     except ReportError:
         with pytest.raises(ReportError):
             to_canonical_json(payload)
         return
-    assert to_canonical_json(payload) == expected
+    EQUIVALENCES["canonical_json"].holds(lambda: (payload,))
 
 
 @examples(100)
 @given(st.lists(st.dictionaries(st.sampled_from("abc"), scalars, max_size=3), min_size=1, max_size=4))
 def test_rows_to_csv_matches_reference(rows):
-    assert rows_to_csv(rows) == ref_rows_to_csv(rows)
+    EQUIVALENCES["csv"].holds(lambda: (rows,))
 
 
 # Types no report carries beside sets and plain objects: numpy scalars
@@ -188,7 +122,7 @@ def test_rows_to_csv_long_float_columns_match_reference():
     x = rng.normal(size=700) * 10.0 ** rng.integers(-20, 20, size=700)
     x[::50], x[1::97], x[2::89], x[3::83] = 0.0, np.nan, -np.inf, -0.0
     rows = [{"x": v, "k": i, "y": v if i % 7 else None} for i, v in enumerate(x.tolist())]
-    assert rows_to_csv(rows) == ref_rows_to_csv(rows)
+    EQUIVALENCES["csv"].holds(lambda: (rows,))
 
 
 @pytest.mark.parametrize(
@@ -212,33 +146,30 @@ def test_csv_cells_reject_unknown_types(bad):
 
 @pytest.fixture(scope="module")
 def corpus_reports():
-    """run_all rows, the quadratic-candidate certificate and the payload of
-    its record-by-record walk for one cell of every (floor, dim) pair."""
+    """The witness, the run_all payload and the quadratic candidate of one
+    cell of every (floor, dim) pair."""
     rng = np.random.default_rng(0)
     out = []
     for delta in DELTAS:
         for dim in DIMS:
-            pc = prepare_cell(CorpusCell(delta=delta, dim=dim, seed=1))
-            rows, ok = run_all(pc.f, pc.g, pc.op, rng=rng)
-            cand = quadratic_candidate(delta)
-            cert = certify(cand, pc.f, pc.g, pc.op)
-            walk, _ = certificate_by_records(cand, pc.f, pc.g, pc.op)
-            out.append((rows, ok, cert, walk))
+            w = prepare_cell(CorpusCell(delta=delta, dim=dim, seed=1))
+            rows, ok = run_all(w.f, w.g, w.op, rng=rng)
+            out.append((w, {"ok": ok, "rows": rows}, quadratic_candidate(delta)))
     return out
 
 
 def test_real_reports_match_reference(corpus_reports):
-    for rows, ok, cert, walk in corpus_reports:
-        payload = {"ok": ok, "rows": rows, "certificate": certificate_to_dict(cert)}
-        expected = {"ok": ok, "rows": rows, "certificate": walk}
-        assert to_canonical_json(payload) == ref_to_canonical_json(expected)
+    # the certificate's text, written from the arrays, against the reference
+    # writer over the payload of the record-by-record walk
+    for w, report, cand in corpus_reports:
+        EQUIVALENCES["canonical_json"].holds(lambda: (report,))
+        EQUIVALENCES["certificate"].holds(lambda: (cand, w, 1e-9))
 
 
 def test_real_csv_matches_reference(corpus_reports):
-    for rows, _, cert, _ in corpus_reports:
-        assert rows_to_csv(rows) == ref_rows_to_csv(rows)
-        cert_rows = list(cert.records)
-        assert rows_to_csv(cert_rows) == ref_rows_to_csv(cert_rows)
+    for w, report, cand in corpus_reports:
+        EQUIVALENCES["csv"].holds(lambda: (report["rows"],))
+        EQUIVALENCES["csv"].holds(lambda: (list(certify(cand, w.f, w.g, w.op).records),))
 
 
 def formatter_sizes(monkeypatch) -> list[int]:
@@ -265,7 +196,8 @@ def test_certificate_formats_each_point_once(monkeypatch, corpus_reports):
     # formatter in one call, the moment columns with one entry per atom,
     # although the text writes a point as a record's base, as a child and
     # as a leaf's point
-    _, _, cert, _ = corpus_reports[-1]
+    w, _, cand = corpus_reports[-1]
+    cert = certify(cand, w.f, w.g, w.op)
     sizes = formatter_sizes(monkeypatch)
     certificate_to_dict(cert)
     assert sizes == [certificate_floats(cert)]
@@ -277,10 +209,8 @@ def test_certificate_text_is_the_same_in_any_blocks(monkeypatch, corpus_reports,
     # blocks of one record or leaf, blocks that end inside the records or
     # the leaves and blocks that hold both give the one-block text
     monkeypatch.setattr(certifier, "_BLOCK", block)
-    for rows, ok, cert, walk in corpus_reports:
-        payload = {"ok": ok, "rows": rows, "certificate": certificate_to_dict(cert)}
-        expected = {"ok": ok, "rows": rows, "certificate": walk}
-        assert to_canonical_json(payload) == ref_to_canonical_json(expected)
+    for w, _, cand in corpus_reports:
+        EQUIVALENCES["certificate"].holds(lambda: (cand, w, 1e-9))
 
 
 FLOAT_COLUMN = st.lists(
@@ -291,18 +221,18 @@ FLOAT_COLUMN = st.lists(
 @examples(300)
 @given(FLOAT_COLUMN)
 def test_format_floats_matches_format_float(col):
-    expected = [_format_float(x) for x in col]
-    assert _format_floats(np.array(col, dtype=float)) == expected
+    format_floats(np.array(col, dtype=float))
     if len(col) % 2 == 0:
         # a 2-D column is formatted flat, in row order
-        assert _format_floats(np.array(col, dtype=float).reshape(-1, 2)) == expected
+        format_floats(np.array(col, dtype=float).reshape(-1, 2))
 
 
 # --- the column kernel -----------------------------------------------------
 
 
-def expected_texts(values) -> list[str]:
-    return [_format_float(x) for x in np.asarray(values, dtype=float).ravel().tolist()]
+def format_floats(values) -> None:
+    """The column formatter against ``_format_float`` on each float."""
+    EQUIVALENCES["format_floats"].holds(lambda: (values,))
 
 
 def ulps_around(x: float, n: int = 64) -> np.ndarray:
@@ -341,7 +271,7 @@ WINDOW_BITS = st.builds(
 def test_kernel_matches_format_float_on_bit_patterns(patterns):
     # tiled to the kernel's minimum, so the kernel takes every in-window entry
     col = np.resize(np.array(patterns, dtype=np.uint64).view(np.float64), reporting._KERNEL_MIN)
-    assert _format_floats(col) == expected_texts(col)
+    format_floats(col)
 
 
 def test_kernel_rounds_exact_ties_half_to_even(monkeypatch):
@@ -358,7 +288,7 @@ def test_kernel_rounds_exact_ties_half_to_even(monkeypatch):
     col = np.array(ties + [-t for t in ties])
     assert len(col) > 9000
     sizes = kernel_sizes(monkeypatch)
-    assert _format_floats(col) == expected_texts(col)
+    format_floats(col)
     assert sum(sizes) == len(col)
 
 
@@ -368,7 +298,7 @@ def test_kernel_near_powers_of_ten_and_window_edges(monkeypatch):
     points = [10.0**k for k in range(-12, 17)] + list(reporting._WINDOW)
     col = np.concatenate([ulps_around(x) for x in points])
     sizes = kernel_sizes(monkeypatch)
-    assert _format_floats(col) == expected_texts(col)
+    format_floats(col)
     size = np.abs(col)
     inside = (size >= reporting._WINDOW[0]) & (size < reporting._WINDOW[1])
     assert sum(sizes) == len(col) and np.count_nonzero(inside) > 0.8 * len(col)
@@ -402,7 +332,7 @@ def test_kernel_sweep_on_both_sides_of_the_crossover():
     start = 0
     while start < len(col):
         stop = start + next(lengths)
-        assert _format_floats(col[start:stop]) == expected_texts(col[start:stop])
+        format_floats(col[start:stop])
         start = stop
 
 
@@ -417,7 +347,7 @@ def test_kernel_writes_zeros_beside_the_odd_values():
     for at in (0, reporting._CHUNK - 5, reporting._CHUNK + 1, len(col) - len(odd)):
         col[at : at + len(odd)] = odd
     col[7::97] = 0.0
-    assert _format_floats(col) == expected_texts(col)
+    format_floats(col)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 600])
@@ -425,14 +355,11 @@ def test_kernel_chunks_keep_every_text(monkeypatch, chunk):
     # chunks of one float, of a few and of more than the kernel's least
     # column, with zeros and odd values on their edges, give the per-float
     # texts
-    rng = np.random.default_rng(6)
     n = 3 * reporting._KERNEL_MIN + 5
-    col = 10.0 ** rng.uniform(-14, 18, n) * rng.choice([-1.0, 1.0], n)
-    col[::13] = 0.0
-    col[6::97] = np.resize([np.nan, -np.inf, 5e-324, 3e17, -0.0], len(col[6::97]))
+    col = oracles.float_column(6, n)
     monkeypatch.setattr(reporting, "_CHUNK", chunk)
     sizes = kernel_sizes(monkeypatch)
-    assert _format_floats(col) == expected_texts(col)
+    format_floats(col)
     assert sizes == [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
 
 
@@ -441,40 +368,24 @@ def test_kernel_reads_2d_columns_in_c_order():
     shape = (reporting._KERNEL_MIN, 3)
     values = 10.0 ** rng.uniform(-6, 6, shape) * rng.choice([-1.0, 1.0], shape)
     values[::9, 1] = 0.0
-    expected = expected_texts(values)
-    assert _format_floats(values) == expected
-    assert _format_floats(np.asfortranarray(values)) == expected
-
-
-def deep_certificates():
-    """Certificates of dyadic depth 9 in d = 2 and of the depth-12 random
-    tower at floor 0.25 (max_children 3, split_prob 0.7, seed 9), with
-    the record-by-record payloads of their walks."""
-    towers = [
-        (build_dyadic(9), 2),
-        (build_random_regular(depth=12, delta=0.25, max_children=3, split_prob=0.7, seed=9), 2),
-    ]
-    for filt, dim in towers:
-        rng = np.random.default_rng(9)
-        f, g = random_witness(filt, dim, rng)
-        op = random_transform(filt, dim, rng)
-        cand = quadratic_candidate(filt.delta)
-        walk, _ = certificate_by_records(cand, f, g, op)
-        yield certify(cand, f, g, op), walk
+    format_floats(values)
+    format_floats(np.asfortranarray(values))
 
 
 def test_deep_certificates_match_record_walk_through_the_kernel(monkeypatch):
     # a deep certificate is written in blocks: every block goes through the
     # column kernel, and the blocks' floats add up to the certificate's, so
-    # each point is formatted once
+    # each point is formatted once; at dyadic depth 9 in d = 2 and on the
+    # depth-12 random tower at floor 0.25
     sizes = formatter_sizes(monkeypatch)
-    for cert, walk in deep_certificates():
+    regular = build_random_regular(depth=12, delta=0.25, max_children=3, split_prob=0.7, seed=9)
+    for filt in (build_dyadic(9), regular):
+        w, cand = oracles.witness_of(filt, 2, 9), quadratic_candidate(filt.delta)
         sizes.clear()
-        text = to_canonical_json(certificate_to_dict(cert))
-        assert text == ref_to_canonical_json(walk)
+        EQUIVALENCES["certificate"].holds(lambda: (cand, w, 1e-9))
         assert min(sizes) >= reporting._KERNEL_MIN
-        assert sum(sizes) == certificate_floats(cert)
-        if cert.witness.filtration.n_leaves == 512:  # dyadic depth 9, d = 2
+        assert sum(sizes) == certificate_floats(certify(cand, w.f, w.g, w.op))
+        if filt.n_leaves == 512:
             assert sum(sizes) == 9204 and len(sizes) >= 4
 
 
@@ -504,7 +415,7 @@ def test_verbatim_text_is_written_as_is():
     blocks = {"r": [Verbatim('1,{"b":2}'), Verbatim("3"), Verbatim('"x"')], "s": []}
     assert to_canonical_json(blocks) == '{"r":[1,{"b":2},3,"x"],"s":[]}\n'
     for p in (payload, nested, blocks):
-        assert to_canonical_json(p) == ref_to_canonical_json(p)
+        EQUIVALENCES["canonical_json"].holds(lambda: (p,))
     # no other serializer quotes the text as a JSON string
     with pytest.raises(TypeError):
         json.dumps(payload)

@@ -6,8 +6,10 @@ defines is named outside its own definition, so that test-only code lives
 in ``tests/oracles.py``, every field of the leaf layout is read outside
 the module that builds it, every dataclass field is read but in results
 handed back whole, a witness triple travels loose only into the
-benchmark's entries, and the benchmark's traced runs still find and call
-what they bind."""
+benchmark's entries, the benchmark's traced runs still find and call
+what they bind, every pass size belongs to an entry of the equivalence
+registry that runs it below its default, and every definition of
+``tests/oracles.py`` is reached from a test or a registry entry."""
 
 import ast
 import dataclasses
@@ -22,6 +24,7 @@ import pytest
 
 import mblab
 from mblab.filtration import LeafLayout
+from oracles import EQUIVALENCES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mblab"
@@ -254,71 +257,57 @@ def test_benchmark_traced_run_binds_the_package(workload):
         assert last["metrics"][metric]["value"] > 0, metric
 
 
-# The constants that size a bounded pass.  Each is patched below its value
-# by some test, which holds the pass's output in small blocks to its output
-# in one.
+# The constants that size a bounded pass.  Each belongs to an entry of the
+# equivalence registry, which runs its route at a smaller value against the
+# route's oracle.
 PASS_SIZES = {
     "estimator._BATCH_LEAVES",
     "bellman._EXPAND_FLOATS",
     "transforms._CUT_STACK",
     "certifier._BLOCK",
     "reporting._CHUNK",
+    "filtration._RATIO_BLOCK",
 }
 
 
-def _number(node: ast.expr) -> int | float | None:
-    """The value of an expression of number literals and arithmetic, else None."""
-    numeric = (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
-    if all(isinstance(n, numeric) for n in ast.walk(node)):
-        value = eval(compile(ast.Expression(node), "<test>", "eval"), {"__builtins__": {}})
-        if isinstance(value, (int, float)):
-            return value
-    return None
-
-
-def _bound_values(test: ast.FunctionDef, name: str) -> list[ast.expr]:
-    """The expressions a test binds ``name`` to: the items a ``for`` loop
-    over a literal tuple or list takes, or a ``parametrize`` lists."""
-    out = []
-    for node in ast.walk(test):
-        if isinstance(node, ast.For) and isinstance(node.target, ast.Name) and node.target.id == name:
-            if isinstance(node.iter, (ast.Tuple, ast.List)):
-                out += node.iter.elts
-    for deco in test.decorator_list:
-        if isinstance(deco, ast.Call) and getattr(deco.func, "attr", None) == "parametrize":
-            names = [n.strip() for n in deco.args[0].value.split(",")]
-            if name in names and isinstance(deco.args[1], (ast.Tuple, ast.List)):
-                at = names.index(name)
-                for case in deco.args[1].elts:
-                    out.append(case.elts[at] if len(names) > 1 else case)
-    return out
-
-
-def _patched_to() -> dict[str, list]:
-    """Constant name -> the numbers the tests ``setattr`` it to."""
-    out: dict[str, list] = {}
-    for path in sorted((ROOT / "tests").glob("*.py")):
-        for test in ast.parse(path.read_text()).body:
-            if not isinstance(test, ast.FunctionDef):
-                continue
-            for node in ast.walk(test):
-                if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setattr"):
-                    continue
-                if len(node.args) != 3 or not isinstance(node.args[1], ast.Constant):
-                    continue
-                value = node.args[2]
-                exprs = _bound_values(test, value.id) if isinstance(value, ast.Name) else [value]
-                numbers = [v for v in map(_number, exprs) if v is not None]
-                out.setdefault(node.args[1].value, []).extend(numbers)
-    return out
-
-
 def test_every_pass_size_is_patched_smaller():
-    patched = _patched_to()
-    unpatched = []
-    for qualified in sorted(PASS_SIZES):
+    smallest: dict[str, list] = {}
+    for entry in EQUIVALENCES.values():
+        for qualified, values in entry.sizes.items():
+            smallest.setdefault(qualified, []).append(min(values))
+    assert set(smallest) == PASS_SIZES
+    for qualified, values in sorted(smallest.items()):
         module, name = qualified.split(".")
-        size = getattr(importlib.import_module(f"mblab.{module}"), name)
-        if not any(value < size for value in patched.get(name, [])):
-            unpatched.append(qualified)
-    assert unpatched == []
+        assert max(values) < getattr(importlib.import_module(f"mblab.{module}"), name), qualified
+
+
+ORACLES = ROOT / "tests" / "oracles.py"
+
+
+def _oracle_names(path: Path) -> set[str]:
+    """The names a test module takes from ``tests/oracles.py``: imported
+    from it, or read as its attributes."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "oracles":
+            out.add(node.attr)
+    return out
+
+
+def test_every_oracle_is_reached():
+    # a top-level definition of tests/oracles.py counts as reached through a
+    # chain of names from a test module or the registry's entries; one that
+    # nothing reaches holds no route to anything
+    body = ast.parse(ORACLES.read_text()).body
+    defs = {node.name: node for node in body if isinstance(node, _DEFS)}
+    uses = lambda node: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    registry = [node for node in body if isinstance(node, ast.Assign) and "_EQUIVALENCES" in uses(node)]
+    tests = [*(ROOT / "tests").glob("test_*.py"), ROOT / "tests" / "conftest.py"]
+    frontier = set().union(*map(_oracle_names, tests), *map(uses, registry)) & set(defs)
+    reached = set()
+    while frontier:
+        reached |= frontier
+        frontier = set().union(*(uses(defs[name]) for name in frontier)) & set(defs) - reached
+    assert sorted(set(defs) - reached) == []

@@ -26,9 +26,10 @@ from mblab.transforms import (
     split_multiplier_norm,
     transform_to_dict,
 )
-from conftest import examples
+from conftest import examples, regular_towers
 import oracles
 from oracles import (
+    EQUIVALENCES,
     _level_differences,
     average,
     delta_split,
@@ -127,34 +128,20 @@ def test_invariant_under_constant_shift(dyadic3):
 
 
 def test_matrix_route_agrees(kernel_tower):
-    rng = np.random.default_rng(4)
-    op = random_transform(kernel_tower, 2, rng)
+    op = random_transform(kernel_tower, 2, np.random.default_rng(4))
     assert "matrix" not in vars(op)  # construction builds no dense matrix
-    f = rand_fn(kernel_tower, 2, 5)
-    assert np.allclose(op.apply(f).values, op.matrix_apply(f).values, atol=1e-12)
-    assert "matrix" in vars(op)
+    EQUIVALENCES["dense_routes"].on(kernel_tower, 2, 4)
 
 
-def split_multiplier_max(op):
-    """max |a_n(J)| over the atoms J of A_{n-1} that split at level n-1:
-    the operator norm that contraction by construction predicts."""
-    filt = op.filtration
-    offsets = filt.layout.level_offsets
-    best = 0.0
-    for n in range(1, filt.depth + 1):
-        rows = op.multipliers[offsets[n - 1] : offsets[n]]
-        for row, atom_id in zip(rows, levels_of(filt)[n - 1]):
-            atom = oracles.atom(filt, atom_id)
-            if atom.children and atom.level == n - 1:
-                best = max(best, float(np.linalg.norm(row)))
-    return best
+# The split-multiplier norm against the largest split multiplier and the
+# dense matrix's SVD norm.
+NORMS = ("split_norm", "svd_norm")
 
 
 def test_operator_norm_is_largest_split_multiplier(kernel_tower):
     for seed in range(3):
-        op = random_transform(kernel_tower, 1 + seed, np.random.default_rng(seed))
-        assert abs(operator_norm(op) - split_multiplier_max(op)) <= 1e-12
-        assert abs(split_multiplier_norm(op) - split_multiplier_max(op)) <= 1e-15
+        for name in NORMS:
+            EQUIVALENCES[name].on(kernel_tower, 1 + seed, seed)
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.25, 1.0 / 3.0])
@@ -168,9 +155,8 @@ def test_operator_norm_on_random_regular_towers(delta, dim):
             split_prob=0.7,
             seed=seed,
         )
-        op = random_transform(filt, dim, np.random.default_rng(100 + seed))
-        assert abs(operator_norm(op) - split_multiplier_max(op)) <= 1e-12
-        assert abs(split_multiplier_norm(op) - split_multiplier_max(op)) <= 1e-15
+        for name in NORMS:
+            EQUIVALENCES[name].on(filt, dim, 100 + seed)
 
 
 def test_split_multiplier_norm_ignores_atoms_that_do_not_split():
@@ -193,12 +179,7 @@ def test_split_multiplier_norm_ignores_atoms_that_do_not_split():
 
 
 def test_adjoint_routes_agree(kernel_tower):
-    rng = np.random.default_rng(6)
-    op = random_transform(kernel_tower, 3, rng)
-    g = rand_fn(kernel_tower, 1, 7)
-    a = op.adjoint_apply(g)
-    b = op.adjoint_closed_form(g)
-    assert np.allclose(a.values, b.values, atol=1e-12)
+    EQUIVALENCES["dense_routes"].on(kernel_tower, 3, 6)
 
 
 def test_routes_refuse_functions_of_another_space(dyadic2):
@@ -213,20 +194,10 @@ def test_routes_refuse_functions_of_another_space(dyadic2):
 
 
 @examples(30)
-@given(
-    depth=st.integers(1, 6),
-    delta=st.sampled_from([0.1, 0.25, 1.0 / 3.0]),
-    tower_seed=st.integers(0, 10_000),
-    dim=st.integers(1, 3),
-)
-def test_dense_oracle_routes_on_random_towers(depth, delta, tower_seed, dim):
+@given(case=regular_towers())
+def test_dense_oracle_routes_on_random_towers(case):
     # the production routes against the dense matrix and its weighted transpose
-    filt = build_random_regular(depth, delta, max_children_for(delta), 0.7, tower_seed)
-    op = random_transform(filt, dim, np.random.default_rng(tower_seed + 1))
-    f = rand_fn(filt, dim, tower_seed + 2)
-    g = rand_fn(filt, 1, tower_seed + 3)
-    assert np.allclose(op.apply(f).values, op.matrix_apply(f).values, atol=1e-12)
-    assert np.allclose(op.adjoint_closed_form(g).values, op.adjoint_apply(g).values, atol=1e-12)
+    EQUIVALENCES["dense_routes"].on(*case)
 
 
 def test_adjoint_duality(dyadic3):
