@@ -3,8 +3,9 @@
 Unit tests lean on a handful of cheap prepared cells (``small_cells``) and
 on three kernel towers, balanced, uneven and many-child
 (``KERNEL_TOWERS``).  Every property test draws its towers from one
-strategy, ``regular_towers``: random-regular towers with the value
-dimension and seed of what is drawn on them.  The equivalence harness,
+strategy, ``regular_towers``: dyadic and random-regular towers up to the
+test's depth bound, with the value dimension and seed of what is drawn on
+them.  The equivalence harness,
 ``tests/test_equivalence.py``, runs every entry of the registry
 ``oracles.EQUIVALENCES`` on all three kinds of input.  The acceptance
 suite walks the full randomized corpus once per session; the heavy per
@@ -34,8 +35,9 @@ from hypothesis import strategies as st
 import mblab.bellman as bellman
 from mblab.bellman import Witness
 from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_suites
-from mblab.corpus import CorpusCell, default_corpus, max_children_for, prepare_cell
+from mblab.corpus import CorpusCell, default_corpus, prepare_cell
 from mblab.filtration import Filtration, build_dyadic, build_random_regular, max_parts, split_schedule
+from mblab.martingale import MartFunction
 import oracles
 from oracles import average, delta_split, operator_norm, shift
 from mblab.transforms import split_multiplier_norm
@@ -77,6 +79,16 @@ def traced(fn):
     finally:
         tracemalloc.stop()
     return result, held - base, peak - base
+
+
+def rand_fn(filt: Filtration, dim: int, seed: int) -> MartFunction:
+    """Standard normal (L, dim) leaf values of ``default_rng(seed)``."""
+    return MartFunction(filt, np.random.default_rng(seed).normal(size=(filt.n_leaves, dim)))
+
+
+def leaf_positions(filt: Filtration) -> dict[int, int]:
+    """Leaf atom id -> its position in leaf order."""
+    return {leaf: i for i, leaf in enumerate(oracles.leaves_of(filt))}
 
 
 @pytest.fixture(scope="session")
@@ -130,22 +142,23 @@ def drawn(depth: int, delta: float, cap: int, split_prob: float, tower_seed: int
 
 
 @st.composite
-def regular_towers(draw) -> Drawn:
-    """The one strategy of the property tests: a random-regular tower of
-    depth 1 to 7 and at most 1,024 leaves at a floor of ``RANDOM_FLOORS``,
-    with a cap on its children from the floor's corpus cap up to its
-    ``max_parts`` (at most 5), a split chance of 0.3, 0.7 or 1 and any
-    seed; d of 1 to 3."""
-    delta = draw(st.sampled_from(RANDOM_FLOORS))
-    args = (
-        draw(st.integers(1, 7)),
-        delta,
-        draw(st.integers(max_children_for(delta), min(5, max_parts(delta)))),
-        draw(st.sampled_from((0.3, 0.7, 1.0))),
-        draw(st.integers(0, 2**32 - 2)),
-    )
-    case = drawn(*args, draw(st.integers(1, 3)))
-    assume(case.tower.n_leaves <= 1024)
+def regular_towers(draw, max_depth: int = 10) -> Drawn:
+    """The one strategy of the property tests: a dyadic tower, or a
+    random-regular tower at a floor of ``RANDOM_FLOORS`` with a cap on its
+    children from 2 up to its ``max_parts`` (at most 5), a split chance of
+    0.3, 0.6, 0.7 or 1 and any seed; depth 1 to ``max_depth`` and at most
+    2,048 leaves; d of 1 to 3.  Cap^depth stays within 3^10, so no tower
+    built to be turned down holds more than 59,049 leaves."""
+    depth, dim = draw(st.integers(1, max_depth)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        case = Drawn(build_dyadic(depth), dim, draw(st.integers(0, 2**32 - 1)))
+    else:
+        delta = draw(st.sampled_from(RANDOM_FLOORS))
+        caps = [c for c in range(2, min(5, max_parts(delta)) + 1) if c**depth <= 3**10]
+        cap = draw(st.sampled_from(caps))
+        split_prob = draw(st.sampled_from((0.3, 0.6, 0.7, 1.0)))
+        case = drawn(depth, delta, cap, split_prob, draw(st.integers(0, 2**32 - 2)), dim)
+    assume(case.tower.n_leaves <= 2048)
     return case
 
 

@@ -8,13 +8,12 @@ import contextlib
 import dataclasses
 import importlib
 import json
-import marshal
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -1893,12 +1892,16 @@ def expansion_by_node(points: np.ndarray, order) -> tuple:
     return build(0, b)
 
 
-def tree_of(levels, k: int = 0, i: int = 0) -> tuple:
-    """Node i of tree level k of ``ExpansionCertificate.levels`` and its
-    subtree, in the shape of ``expansion_by_node``."""
-    row = levels[k][i].tolist()
-    kids = () if k + 1 == len(levels) else tuple(tree_of(levels, k + 1, c) for c in (2 * i, 2 * i + 1))
-    return (row[:-3], *row[-3:], 0.5**k, kids)
+def levels_of_tree(node: tuple) -> tuple[np.ndarray, ...]:
+    """A tree of ``expansion_by_node`` as ``ExpansionCertificate.levels``:
+    per depth k, the (x1, x2, x3, x4) rows of its nodes left to right, each
+    node of weight 2^-k."""
+    levels, nodes = [], [node]
+    while nodes:
+        assert all(n[4] == 0.5 ** len(levels) for n in nodes)
+        levels.append(np.array([[*x1, x2, x3, x4] for x1, x2, x3, x4, _, _ in nodes]))
+        nodes = [kid for n in nodes for kid in n[5]]
+    return tuple(levels)
 
 
 def payload_by_node(cert: ExpansionCertificate, node: tuple) -> dict:
@@ -1936,34 +1939,35 @@ def same_tower(filt: Filtration, ref: AtomTower) -> None:
 # names patched to each of its smaller values.
 
 
-def same_bits(new, ref, at: str = "result") -> None:
+def same_bits(new, ref, at="result") -> None:
     """Exact equality: arrays of one dtype and shape holding the same bytes,
     so NaNs and signed zeros count; floats by their bits; dicts key by key
-    in order; sequences item by item; dataclasses field by field."""
+    in order; sequences item by item; dataclasses field by field.  ``at``
+    names the place compared, as (outer place, index) pairs."""
     if new is ref:
         return
-    if isinstance(new, np.ndarray) or isinstance(ref, np.ndarray):
+    if isinstance(new, float) and isinstance(ref, float):
+        assert new.hex() == ref.hex(), (at, new, ref)
+    elif isinstance(new, np.ndarray) or isinstance(ref, np.ndarray):
         new, ref = np.asarray(new), np.asarray(ref)
         assert (new.dtype, new.shape) == (ref.dtype, ref.shape), (at, new.dtype, ref.dtype, new.shape, ref.shape)
         assert np.ascontiguousarray(new).tobytes() == np.ascontiguousarray(ref).tobytes(), at
-    elif isinstance(new, float) and isinstance(ref, float):
-        assert new.hex() == ref.hex(), (at, new, ref)
     elif isinstance(new, dict):
         assert isinstance(ref, dict) and list(new) == list(ref), (at, list(new), ref)
         for key in new:
-            same_bits(new[key], ref[key], f"{at}[{key!r}]")
-    elif dataclasses.is_dataclass(new):
-        assert type(new) is type(ref), at
-        for fld in dataclasses.fields(new):
-            same_bits(getattr(new, fld.name), getattr(ref, fld.name), f"{at}.{fld.name}")
-    elif isinstance(new, Sequence) and not isinstance(new, str):
+            same_bits(new[key], ref[key], (at, key))
+    elif isinstance(new, (list, tuple)) or (isinstance(new, Sequence) and not isinstance(new, str)):
         assert isinstance(ref, Sequence) and len(new) == len(ref), (at, len(new))
         new, ref = list(new), list(ref)  # each item of a lazy sequence built once
         if all(type(x) in (str, int) for x in chain(new, ref)):
             assert new == ref, at
             return
         for i, (a, b) in enumerate(zip(new, ref)):
-            same_bits(a, b, f"{at}[{i}]")
+            same_bits(a, b, (at, i))
+    elif dataclasses.is_dataclass(new):
+        assert type(new) is type(ref), at
+        for fld in dataclasses.fields(new):
+            same_bits(getattr(new, fld.name), getattr(ref, fld.name), (at, fld.name))
     else:
         assert new == ref, (at, new, ref)
 
@@ -2010,14 +2014,6 @@ def relative_within(*tols: tuple[float, float]) -> Callable:
             assert float(np.max(rel, initial=0.0)) <= gap, (a, b)
 
     return compare
-
-
-def same_builtins(new, ref) -> None:
-    """Exact equality of nested lists and tuples of Python floats, ints and
-    strings by their ``marshal`` bytes, which hold each float's bits and
-    each container's type.  (marshal writes an array as its bare bytes, so
-    arrays go through ``same_bits``.)"""
-    assert marshal.dumps(new) == marshal.dumps(ref)
 
 
 def no_larger(gap: float) -> Callable:
@@ -2086,14 +2082,6 @@ def witness_of(filt: Filtration, dim: int, seed: int, p: float = 2.0) -> Witness
     rng = np.random.default_rng(seed)
     f, g = random_witness(filt, dim, rng)
     return Witness(f, g, random_transform(filt, dim, rng), p)
-
-
-@lru_cache(maxsize=4)
-def _witness(filt: Filtration, dim: int, seed: int, p: float = 2.0) -> Witness:
-    """``witness_of``, one object while it is among the last 4 asked for:
-    both sides of an entry, and the entries run on one input, share it
-    (and the dense matrix an oracle may build on its transform)."""
-    return witness_of(filt, dim, seed, p)
 
 
 def _values(filt: Filtration, dim: int, seed: int) -> tuple[Filtration, np.ndarray]:
@@ -2273,7 +2261,7 @@ def _certificate_args(filt: Filtration, dim: int, seed: int) -> tuple:
     pairings, slacks and leaves."""
     quad = quadratic_candidate(filt.delta)
     cand = (quad, linear_candidate(1.0, 2.0, filt.delta), scale_candidate(quad, 0.25))[seed % 3]
-    return cand, _witness(filt, dim, seed), (1e-9, -0.5)[seed // 3 % 2]
+    return cand, witness_of(filt, dim, seed), (1e-9, -0.5)[seed // 3 % 2]
 
 
 def _ratio_args(k: int, delta: float, seed: int = 7, budget: int = 10_000, draws: int = 40):
@@ -2321,7 +2309,7 @@ def _rows_of(filt: Filtration, dim: int, seed: int) -> tuple[list[dict]]:
 
 def _report_of(filt: Filtration, dim: int, seed: int) -> tuple[dict]:
     """The payload of every suite's rows on a random witness."""
-    rows, ok = checks.run_suites(_witness(filt, dim, seed), rng=np.random.default_rng(seed))
+    rows, ok = checks.run_suites(witness_of(filt, dim, seed), rng=np.random.default_rng(seed))
     return ({"ok": ok, "rows": rows},)
 
 
@@ -2343,7 +2331,7 @@ def _transform_args(filt: Filtration, dim: int, seed: int) -> tuple[MartingaleTr
 
 def _table_args(filt: Filtration, dim: int, seed: int) -> tuple:
     """f, g, T* g and p of a random witness, at p = 2 or 1.5 by seed."""
-    w = _witness(filt, dim, seed, (2.0, 1.5)[seed % 2])
+    w = witness_of(filt, dim, seed, (2.0, 1.5)[seed % 2])
     return w.f, w.g, w.tstar_g, w.p
 
 
@@ -2354,15 +2342,15 @@ def _with_gaps(*suites: Callable) -> Callable:
 
 
 def _witness_args(filt: Filtration, dim: int, seed: int) -> tuple[Witness]:
-    return (_witness(filt, dim, seed),)
+    return (witness_of(filt, dim, seed),)
 
 
 def _suite_args(filt: Filtration, dim: int, seed: int) -> tuple:
-    return _witness(filt, dim, seed), Tolerances(), np.random.default_rng(seed)
+    return witness_of(filt, dim, seed), Tolerances(), np.random.default_rng(seed)
 
 
 def _cut_args(filt: Filtration, dim: int, seed: int, centered: bool = True) -> tuple:
-    w = _witness(filt, dim, seed)
+    w = witness_of(filt, dim, seed)
     return w, _cut_cases(w, seed, centered)
 
 
@@ -2498,11 +2486,11 @@ _EQUIVALENCES = [
             [level_osc2(w.filtration, w.tstar_g.values, n) for n in range(w.filtration.depth + 1)],
             np.array([average(w.tstar_g, a.id) for a in atoms(w.filtration)]),
         ),
-        lambda filt, dim, seed: (_witness(filt, dim, seed, (2.0, 1.5)[seed % 2]),),
+        lambda filt, dim, seed: (witness_of(filt, dim, seed, (2.0, 1.5)[seed % 2]),),
     ),
     Equivalence(
         "osc_series", checks.check_osc_series, check_osc_series_by_levels,
-        lambda filt, dim, seed: (_witness(filt, dim, seed), Tolerances(), None),
+        lambda filt, dim, seed: (witness_of(filt, dim, seed), Tolerances(), None),
     ),
     Equivalence("support_isin", checks.check_support, check_support_by_isin, _suite_args),
     Equivalence("support_loops", checks.check_support, check_support_by_loops, _suite_args),
@@ -2558,13 +2546,13 @@ _EQUIVALENCES = [
     # the tree and payload oracles take the copy order the expansion entry holds
     Equivalence(
         "expansion_tree",
-        lambda cfgs, m: [tree_of(cert.levels) for cert in dyadic_expand(cfgs, m)],
+        lambda cfgs, m: [cert.levels for cert in dyadic_expand(cfgs, m)],
         lambda cfgs, m: [
-            expansion_by_node(points, cert.order) for points, cert in zip(cfgs.points, dyadic_expand(cfgs, m))
+            levels_of_tree(expansion_by_node(points, cert.order))
+            for points, cert in zip(cfgs.points, dyadic_expand(cfgs, m))
         ],
         _expansion_args,
         sizes={"bellman._EXPAND_FLOATS": (1,)},
-        compare=same_builtins,
     ),
     Equivalence(
         "expansion_payload",

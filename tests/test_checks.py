@@ -502,7 +502,7 @@ def test_restriction_sides_hold_little_at_depth_15():
 
 
 @examples(40)
-@given(case=regular_towers())
+@given(case=regular_towers(max_depth=7))
 # towers on which the dense-matrix T* g once put the reference past the gap
 @example(case=drawn(7, 0.1, 4, 0.7, 229, 1))
 @example(case=drawn(7, 0.1, 4, 0.7, 3431, 2))
@@ -511,6 +511,11 @@ def test_per_level_suites_match_on_random_towers(case):
         EQUIVALENCES[name].on(*case)
     for name in BY_RUNS:
         EQUIVALENCES[name].on_every_size(*case)
+
+
+@pytest.mark.xfail(strict=True, reason="production centered gap 3.3e-11, per-event route's 1.2e-11")
+def test_identity_gaps_on_a_deep_two_child_tower():
+    EQUIVALENCES["identity_gaps"].on(*drawn(7, 0.25, 2, 0.7, 2, 2))
 
 
 # ---------------------------------------------------------------------------

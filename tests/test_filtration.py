@@ -316,7 +316,7 @@ def test_json_roundtrip():
 
 
 @examples(40)
-@given(case=regular_towers())
+@given(case=regular_towers(max_depth=5))
 def test_random_regular_invariants(case):
     filt = case.tower
     assert regularity_delta(filt) >= filt.delta - 1e-12
@@ -350,7 +350,7 @@ def test_random_regular_matches_atom_builder(depth, delta):
 
 
 @examples(25)
-@given(case=regular_towers())
+@given(case=regular_towers(max_depth=6))
 def test_random_regular_matches_atom_builder_at_any_seed(case):
     EQUIVALENCES["random_tower"].on(*case)
 

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from mblab.filtration import build_dyadic, level_partition, split_schedule
 from mblab.martingale import MartFunction, inner, l2_norm, lp_norm
-from conftest import examples, regular_towers
+from conftest import examples, leaf_positions, rand_fn, regular_towers
 import oracles
 from oracles import (
     EQUIVALENCES,
@@ -22,15 +22,6 @@ from oracles import (
     restrict,
     shift,
 )
-
-def rand_fn(filt, dim, seed):
-    rng = np.random.default_rng(seed)
-    return MartFunction(filt, rng.normal(size=(filt.n_leaves, dim)))
-
-
-def leaf_positions(filt):
-    """Leaf atom id -> its position in leaf order."""
-    return {leaf: i for i, leaf in enumerate(oracles.leaves_of(filt))}
 
 
 def test_constant_and_indicator(dyadic2):

@@ -301,13 +301,13 @@ def test_every_oracle_is_reached():
     # chain of names from a test module or the registry's entries; one that
     # nothing reaches holds no route to anything
     body = ast.parse(ORACLES.read_text()).body
-    defs = {node.name: node for node in body if isinstance(node, _DEFS)}
     uses = lambda node: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    defs = {node.name: uses(node) for node in body if isinstance(node, _DEFS)}
     registry = [node for node in body if isinstance(node, ast.Assign) and "_EQUIVALENCES" in uses(node)]
     tests = [*(ROOT / "tests").glob("test_*.py"), ROOT / "tests" / "conftest.py"]
     frontier = set().union(*map(_oracle_names, tests), *map(uses, registry)) & set(defs)
     reached = set()
     while frontier:
         reached |= frontier
-        frontier = set().union(*(uses(defs[name]) for name in frontier)) & set(defs) - reached
+        frontier = set().union(*(defs[name] for name in frontier)) & set(defs) - reached
     assert sorted(set(defs) - reached) == []

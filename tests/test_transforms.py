@@ -26,7 +26,7 @@ from mblab.transforms import (
     split_multiplier_norm,
     transform_to_dict,
 )
-from conftest import examples, regular_towers
+from conftest import examples, leaf_positions, rand_fn, regular_towers
 import oracles
 from oracles import (
     EQUIVALENCES,
@@ -49,14 +49,6 @@ def ones_transform(filt, dim=1):
     return make_transform(filt, mults)
 
 
-def rand_fn(filt, dim, seed):
-    rng = np.random.default_rng(seed)
-    return MartFunction(filt, rng.normal(size=(filt.n_leaves, dim)))
-
-
-def leaf_positions(filt):
-    """Leaf atom id -> its position in leaf order."""
-    return {leaf: i for i, leaf in enumerate(leaves_of(filt))}
 
 
 def test_unit_ball_is_enforced(dyadic2):
@@ -131,6 +123,8 @@ def test_matrix_route_agrees(kernel_tower):
     op = random_transform(kernel_tower, 2, np.random.default_rng(4))
     assert "matrix" not in vars(op)  # construction builds no dense matrix
     EQUIVALENCES["dense_routes"].on(kernel_tower, 2, 4)
+    op.matrix_apply(rand_fn(kernel_tower, 2, 5))
+    assert "matrix" in vars(op)
 
 
 # The split-multiplier norm against the largest split multiplier and the
@@ -194,7 +188,7 @@ def test_routes_refuse_functions_of_another_space(dyadic2):
 
 
 @examples(30)
-@given(case=regular_towers())
+@given(case=regular_towers(max_depth=6))
 def test_dense_oracle_routes_on_random_towers(case):
     # the production routes against the dense matrix and its weighted transpose
     EQUIVALENCES["dense_routes"].on(*case)
