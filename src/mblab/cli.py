@@ -33,7 +33,7 @@ import math
 import sys
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from time import perf_counter
 
@@ -226,15 +226,6 @@ def _emit(cfg: RunConfig, payload: Callable[[], dict], rows: Callable[[], list[d
         sys.stdout.write(text)
 
 
-def _result_payload(result) -> dict:
-    """Every field of a result dataclass in declaration order;
-    ``DualityReport.n_g`` is keyed "draws"."""
-    return {
-        "draws" if field.name == "n_g" else field.name: getattr(result, field.name)
-        for field in fields(result)
-    }
-
-
 def _require_seed(cfg: RunConfig) -> int:
     if cfg.seed is None:
         raise UsageError("this command draws randomness; --seed is required")
@@ -409,7 +400,7 @@ def cmd_search(cfg: RunConfig) -> int:
     )
     _emit(
         cfg,
-        lambda: _result_payload(res),
+        lambda: asdict(res),
         lambda: [{"trial": i, "value": v} for i, v in enumerate(res.history)],
     )
     return 0 if res.found else 1
@@ -418,12 +409,10 @@ def cmd_search(cfg: RunConfig) -> int:
 def cmd_scan(cfg: RunConfig) -> int:
     """norm-ratio scan"""
     seed = _require_seed(cfg)
-    res = lp_constant_scan(
-        cfg.p, cfg.trials, seed, delta=cfg.delta, dim=cfg.dim, depth=cfg.depth
-    )
+    res = lp_constant_scan(cfg.p, cfg.trials, seed, delta=cfg.delta, dim=cfg.dim, depth=cfg.depth)
     _emit(
         cfg,
-        lambda: _result_payload(res),
+        lambda: asdict(res),
         lambda: [
             {"bin_lo": res.bin_edges[i], "bin_hi": res.bin_edges[i + 1], "count": c}
             for i, c in enumerate(res.counts)
@@ -440,13 +429,13 @@ def cmd_bound(cfg: RunConfig) -> int:
     report = duality_bound(
         cfg.p,
         delta=cfg.delta,
-        n_g=cfg.trials,
+        draws=cfg.trials,
         seed=seed,
         dim=cfg.dim,
         depth=_tower_depth(cfg),
         tol=Tolerances.from_env().duality,
     )
-    _emit(cfg, lambda: _result_payload(report), lambda: list(report.rows))
+    _emit(cfg, lambda: asdict(report), lambda: list(report.rows))
     return 0 if report.ok else 1
 
 

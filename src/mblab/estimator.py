@@ -12,22 +12,23 @@ constants.  The witness search ranks unit-norm witnesses by their pairing
 alone and reports whether the best reaches a scalar target.  The duality
 instrument turns certified pairing bounds into norm bounds: every certified
 witness pair yields |<g, Tf>| <= B(root), and optimizing lambda trades the
-two moment slots against each other at unit norms.
+two moment slots against each other at unit norms over ``draws`` g draws.
 
 The scan and the search run their trials by depth.  Each trial draws from
 its own spawn-keyed generator, in the order a trial alone would: its
 tower's seed, then the scan's multipliers and f, or the search's f, g and
 multipliers (the search's trial 0 is the structured witness where its root
-splits in two).  The towers of one depth are stacked in batches of a
-bounded leaf count, each one ``Filtration`` validated once (``_batches``);
-one pass over a batch (``_batch_pass``) scales every trial's multiplier
-rows row-wise, checks them in one ``make_transform`` and gives every T f
-in one ``apply``.
+splits in two).  ``_trial`` gives the batches, the scan's argmax and the
+search's best witness a trial's tower seed.  The towers of one depth are
+stacked in batches of a bounded leaf count (``_leaf_count``), each one
+``Filtration`` validated once (``_batches``); one pass over a batch
+(``_batch_pass``) scales every trial's multiplier rows row-wise, checks
+them in one ``make_transform`` and gives every T f in one ``apply``.
 Each trial's norms and pairing are then read off its own leaf segment
 with its own dot products (``_lp_norms``, ``_pairings``).  Every trial
 keeps the floats it has when run alone (``tests/oracles.py`` keeps the
 trial-by-trial loops).  The search's best trial comes back as a
-``Witness`` at p on its own tower, rebuilt from the columns it drew; the
+``Witness`` at p on its own tower, rebuilt from its tower seed; the
 ascent moves that witness's leaf values, scores them with ``_pairings``
 and ends in one new ``Witness``, whose table gives the achieved root point.
 """
@@ -53,7 +54,7 @@ from .corpus import (
     root_splits_in_two,
     tower_columns,
 )
-from .filtration import Filtration
+from .filtration import Filtration, _leaf_count
 from .martingale import MartFunction, _lp_norms, inner, lp_norm
 from .transforms import MartingaleTransform, make_transform
 
@@ -121,6 +122,12 @@ def _trial_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
 
 
+def _trial(seed: int, i: int) -> tuple[np.random.Generator, int]:
+    """Trial i's generator past its tower seed, and that seed, its first draw."""
+    rng = _trial_rng(seed, i)
+    return rng, int(rng.integers(2**31))
+
+
 # Leaves of one tower batch at most (or one tower, where a tower is larger):
 # a depth group beyond it runs as several batches, so that what a scan or
 # search holds at once does not grow with its trial count, only with its
@@ -135,22 +142,21 @@ _BATCH_LEAVES = 1 << 10
 
 def _batches(
     seed: int, delta: float, depths: list[int]
-) -> Iterator[tuple[list[int], list[np.random.Generator], list[tuple], Filtration]]:
+) -> Iterator[tuple[list[int], list[np.random.Generator], Filtration]]:
     """The trials of each depth, in order of first appearance, in batches
-    of at most ``_BATCH_LEAVES`` leaves: their ids, their generators (past
-    the tower seed), their towers' ``tower_columns``, and those
-    columns stacked in one filtration, validated once.  Batch by batch, so
-    only one batch's trials are held."""
+    of at most ``_BATCH_LEAVES`` leaves: their ids, their generators past
+    the tower seed (``_trial``), and their towers' ``tower_columns``
+    stacked in one filtration, validated once.  Batch by batch, so only
+    one batch's trials are held."""
     groups: dict[int, list[int]] = {}
     for i, d in enumerate(depths):
         groups.setdefault(d, []).append(i)
     for d, members in groups.items():
         chunk, leaves = [], 0
         for i in members:
-            rng = _trial_rng(seed, i)
-            filt_seed = int(rng.integers(2**31))
+            rng, filt_seed = _trial(seed, i)
             columns = tower_columns(delta, filt_seed, d)
-            n_leaves = len(columns[0]) - np.count_nonzero(np.diff(columns[4]))
+            n_leaves = _leaf_count(columns[4])
             if chunk and leaves + n_leaves > _BATCH_LEAVES:
                 yield _stacked(delta, d, chunk)
                 chunk, leaves = [], 0
@@ -161,20 +167,21 @@ def _batches(
 
 def _stacked(delta: float, depth: int, chunk: list[tuple]) -> tuple:
     members, rngs, columns = map(list, zip(*chunk))
-    return members, rngs, columns, Filtration.stack(delta, depth, columns)
+    return members, rngs, Filtration.stack(delta, depth, columns)
 
 
 def _batch_pass(
-    batch: Filtration, draw: Callable[[int, int], tuple[np.ndarray, ...]]
+    batch: Filtration, draw: Callable[[int, int, int], tuple[np.ndarray, ...]]
 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over a batch of trials.  ``draw(t, n_rows)`` is tower t's
-    draws in its own order: leaf values (f first), then its n_rows
-    multiplier rows in its tower's stacked order.  Returns the leaf values
-    stacked, T f, the multiplier rows scaled to unit length (the rows that
-    passed ``make_transform``) trial after trial, and the trials + 1
-    boundaries of their runs."""
+    """One pass over a batch of trials.  ``draw(t, n_leaves, n_rows)`` is
+    tower t's draws in its own order: values on its n_leaves leaves (f
+    first), then its n_rows multiplier rows in its tower's stacked order.
+    Returns the leaf values stacked, T f, the multiplier rows scaled to unit
+    length (the rows that passed ``make_transform``) trial after trial, and
+    the trials + 1 boundaries of their runs."""
     rows, starts = batch.tower_rows(batch.depth)
-    drawn = [draw(t, n_rows) for t, n_rows in enumerate(np.diff(starts).tolist())]
+    shapes = zip(np.diff(batch.leaf_offsets).tolist(), np.diff(starts).tolist())
+    drawn = [draw(t, n_leaves, n_rows) for t, (n_leaves, n_rows) in enumerate(shapes)]
     *values, raw = (np.concatenate(column) for column in zip(*drawn))
     unit = _unit_rows(raw)
     mults = np.empty_like(unit)
@@ -226,12 +233,11 @@ def _scan_trials(
     depths = [_trial_depth(depth, i) for i in range(trials)]
     ratios = np.empty(trials)
     skipped = np.zeros(trials, dtype=bool)
-    for members, rngs, _, batch in _batches(seed, delta, depths):
-        sizes = np.diff(batch.leaf_offsets).tolist()
+    for members, rngs, batch in _batches(seed, delta, depths):
 
-        def draw(t, n_rows):
+        def draw(t, n_leaves, n_rows):
             raw = rngs[t].normal(size=(n_rows, dim))
-            return rngs[t].normal(size=(sizes[t], dim)), raw
+            return rngs[t].normal(size=(n_leaves, dim)), raw
 
         (f,), tf, _, _ = _batch_pass(batch, draw)
         m, bounds = batch.layout.measures, batch.leaf_offsets
@@ -245,7 +251,7 @@ def _scan_trials(
     if not reach.size:
         return ratios, {}
     i = int(reach[-1])
-    filt_seed = int(_trial_rng(seed, i).integers(2**31))  # the trial's first draw, as in _batches
+    filt_seed = _trial(seed, i)[1]
     return ratios, {"trial": i, "filt_seed": filt_seed, "depth": depths[i], "delta": delta, "dim": dim}
 
 
@@ -306,14 +312,13 @@ def _search_trials(
     depths = [2 if i == 0 else _trial_depth(depth, i) for i in range(trials)]
     history = [0.0] * trials
     best, best_i = -1.0, -1
-    for members, rngs, columns, batch in _batches(seed, delta, depths):
+    for members, rngs, batch in _batches(seed, delta, depths):
         roots = batch.atom_offsets[:-1]
         bounds = batch.leaf_offsets.tolist()
 
-        def draw(t, n_rows):
+        def draw(t, n_leaves, n_rows):
             if members[t] == 0 and root_splits_in_two(batch, int(roots[t])):
                 return _haar_profile(batch, int(roots[t]), dim, n_rows)
-            n_leaves = bounds[t + 1] - bounds[t]
             shapes = (n_leaves, dim), (n_leaves, 1), (n_rows, dim)
             return tuple(rngs[t].normal(size=shape) for shape in shapes)
 
@@ -327,11 +332,11 @@ def _search_trials(
             if val > best or (val == best and i < best_i):
                 (lo, hi), (r0, r1) = bounds[t : t + 2], starts[t : t + 2]
                 best, best_i = val, i
-                best_draws = (columns[t], f[lo:hi].copy(), g[lo:hi].copy(), unit[r0:r1].copy())
+                fb, gb, mults = f[lo:hi].copy(), g[lo:hi].copy(), unit[r0:r1].copy()
         # Free this batch before the next is built.
-        del batch, columns, f, g, tf, unit
-    best_columns, fb, gb, mults = best_draws
-    filt = Filtration(delta, depths[best_i], *best_columns)
+        del batch, f, g, tf, unit
+    d = depths[best_i]
+    filt = Filtration(delta, d, *tower_columns(delta, _trial(seed, best_i)[1], d))
     mults.flags.writeable = False
     # The rows passed make_transform in the batch.
     w = Witness(MartFunction(filt, fb), MartFunction(filt, gb), MartingaleTransform(filt, mults), p)
@@ -370,8 +375,7 @@ def lower_bound_search(
     if ascent_steps > 0:
         filt = w.filtration
         rng = _trial_rng(seed, trials)  # ascent stream sits after all trials
-        fv = w.f.values.copy()
-        gv = w.g.values.copy()
+        fv, gv = w.f.values.copy(), w.g.values.copy()
         m, bounds, totals = filt.layout.measures, (0, filt.n_leaves), (filt.total_measure,)
         for step in range(ascent_steps):
             move_f = step % 2 == 0
@@ -416,10 +420,15 @@ class DualityReport:
     kappa: float
     analytic_bound: float
     empirical_max: float
-    n_g: int
+    draws: int
     ok: bool
     proved: bool
     rows: tuple[dict, ...]
+
+    @property
+    def n_g(self) -> int:
+        """``draws`` by the name ``perfbench/tracer.py`` reads."""
+        return self.draws
 
 
 def duality_candidate(p: float, delta: float):
@@ -439,13 +448,13 @@ def duality_candidate(p: float, delta: float):
 def duality_bound(
     p: float,
     delta: float = 0.25,
-    n_g: int = 16,
+    draws: int = 16,
     seed: int = 0,
     dim: int = 2,
     depth: int = 3,
     tol: float = Tolerances().duality,
 ) -> DualityReport:
-    """Certify |<g, Tf>| <= B(root) over a spread of unit-norm g draws.
+    """Certify |<g, Tf>| <= B(root) over ``draws`` unit-norm g draws.
 
     The witness f and the transform are fixed Gaussian draws; the scaling
     balance rescales (f, g) to (lambda f, g / lambda) before certification,
@@ -470,7 +479,7 @@ def duality_bound(
 
     rows = []
     empirical = 0.0
-    for j in range(n_g):
+    for j in range(draws):
         if j == 0 and structured is not None:
             g, kind = structured, "structured+"
         elif j == 1 and structured is not None:
@@ -480,12 +489,9 @@ def duality_bound(
         g = g * (1.0 / lp_norm(g, q))
         obj = inner(g, tf) / filt.total_measure
         if obj < 0:
-            g = -g
-            obj = -obj
+            g, obj = -g, -obj
         lam = optimal_lambda(p, lp_norm(f, p) ** p, lp_norm(g, q) ** q)
-        f_s = f * lam
-        g_s = g * (1.0 / lam)
-        cert = certify(cand, f_s, g_s, op)
+        cert = certify(cand, f * lam, g * (1.0 / lam), op)
         if not cert.ok:
             raise EstimateError(
                 f"certification failed for draw {j} ({kind}): {cert.first_failure}",
@@ -494,9 +500,7 @@ def duality_bound(
         mean_term = cert.witness.table.root_mean_pairing
         bound_g = cert.bound + mean_term
         if obj > bound_g + 1e-9 * max(1.0, abs(bound_g)):
-            raise EstimateError(
-                f"pairing {obj:.12g} escaped its certified bound {bound_g:.12g}"
-            )
+            raise EstimateError(f"pairing {obj:.12g} escaped its certified bound {bound_g:.12g}")
         empirical = max(empirical, obj)
         rows.append(
             {
@@ -518,7 +522,7 @@ def duality_bound(
         kappa=kappa_constant(p),
         analytic_bound=analytic,
         empirical_max=empirical,
-        n_g=n_g,
+        draws=draws,
         ok=empirical <= analytic + tol,
         proved=p == 2.0,
         rows=tuple(rows),

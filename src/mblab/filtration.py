@@ -8,8 +8,9 @@ bounds every child/parent measure ratio from below:
 
     |child| / |parent| >= delta,   with delta in (0, 1/2],
 
-so a split has at most floor(1/delta) children (``max_parts``, the one
-statement of that count).
+so a split has at most floor(1/delta) children (``max_parts``; the ratio
+draw refuses more).  Each count has one statement, the leaf count too
+(``_leaf_count``, the atoms without children).
 
 Atoms that split form the active set D; they are consumed one at a time by
 a deterministic split schedule (ascending level, then ascending left
@@ -29,7 +30,7 @@ read of a tower is a column read; no per-atom record is built.
 
 Two builders are provided: the uniform binary (dyadic) filtration, filled in
 one level at a time, and a seeded random generator with prescribed
-regularity floor.
+regularity floor, whose rejection draws try at most ``_RATIO_BUDGET`` rows.
 
 Every atom covers a contiguous run of leaves in left-endpoint order.  The
 array form of that fact is the ``LeafLayout``, built on first use from the
@@ -224,7 +225,7 @@ class Filtration:
 
     @cached_property
     def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.child_starts[1:] == self.child_starts[:-1]))
+        return _leaf_count(self.child_starts)
 
     def _require_one_tower(self) -> None:
         towers = len(self.atom_offsets) - 1
@@ -250,6 +251,11 @@ class Filtration:
         tower = np.searchsorted(self.atom_offsets, atoms, side="right") - 1
         counts = np.bincount(tower, minlength=len(self.atom_offsets) - 1)
         return np.argsort(tower, kind="stable"), _offsets(counts)
+
+
+def _leaf_count(child_starts) -> int:
+    """The leaves of a child offset table: the atoms whose offsets repeat."""
+    return int(np.count_nonzero(np.diff(child_starts) == 0))
 
 
 def _offsets(sizes) -> np.ndarray:
@@ -320,19 +326,20 @@ def _validate(f: Filtration) -> np.ndarray:
     orphan = (np.bincount(kids, minlength=n) != 1) & (parent >= 0)
     ids = np.concatenate((owner, parent))
     check(np.concatenate((wrong, orphan)), "child bookkeeping broken at atom {atom}", ids)
+    del wrong, orphan, ids  # each group's length-n temporaries go before the next group's
 
     # In (a, id) order the children chain from their atom's a to its b:
     # each child's a meets the b before it, its atom's a for the first.
     tol = _GEOM_TOL * np.maximum(measure, 1.0)
     split_tol, head = tol[split], starts[split]
     ordered = _sorted_children(f, owner)
-    kid_b = b[ordered]
-    before = np.empty_like(kid_b)
-    before[1:], before[head] = kid_b[:-1], a[split]
+    before = np.empty(len(ordered))
+    before[1:], before[head] = b[ordered[:-1]], a[split]
     joint = abs(a[ordered] - before) > tol[owner]
-    end = abs(kid_b[starts[1:][split] - 1] - b[split]) > split_tol
+    end = abs(b[ordered[starts[1:][split] - 1]] - b[split]) > split_tol
     check(joint[head] | end, "children do not span atom {atom}", split)
     check(joint, "children leave a gap inside atom {atom}", owner)
+    del tol, ordered, before, joint
     kid_m, owner_m = measure[kids], measure[owner]
     sums = np.add.reduceat(kid_m, head) if len(split) else kid_m[:0]
     check(abs(sums - measure[split]) > split_tol, "child measures do not sum inside atom {atom}", split)
@@ -430,16 +437,12 @@ def _random_columns(depth: int, delta: float, max_children: int, split_prob: flo
         raise FiltrationError(f"delta must lie in (0, 1/2], got {delta}")
     if max_children < 2:
         raise FiltrationError(f"max_children must be >= 2, got {max_children}")
-    if max_children > max_parts(delta):
-        raise FiltrationError(
-            f"infeasible: max_children * delta = {max_children * delta:.6g} > 1"
-        )
+    draws = {k: _ratio_sampler(k, delta) for k in range(2, max_children + 1)}  # refuses k > max_parts
     if not (0.0 <= split_prob <= 1.0):
         raise FiltrationError(f"split_prob must lie in [0, 1], got {split_prob}")
 
     rng = np.random.default_rng(seed)
     integers, top = rng.integers, max_children + 1
-    draws = {k: _ratio_sampler(k, delta) for k in range(2, top)}
     a, b, level, parent, n_kids = [0.0], [1.0], [0], [-1], [0]
     first = 0  # the atoms of the current level, candidates to split, are ids first..
     for lv in range(1, depth + 1):
@@ -478,41 +481,46 @@ def _random_columns(depth: int, delta: float, max_children: int, split_prob: flo
 _RATIO_BLOCK = 64
 _ROW_ACCEPT = 0.125
 _AFFINE_ACCEPT = 1e-3
+# Dirichlet rows a rejection draw tries before it draws the affine row; at
+# least 1, as the affine row is the first row of ``_rows`` at floor 0.
 _RATIO_BUDGET = 10_000
 
 
-def _ratio_sampler(k: int, delta: float, budget: int = _RATIO_BUDGET) -> Callable:
+def _ratio_sampler(k: int, delta: float) -> Callable:
     """The draw of one split's k ratios at floor delta, a function of the
     generator: the uniform law on the truncated simplex {x_i >= delta,
     sum x_i = 1}, by a kind fixed by the chance (1 - k delta)^(k - 1) that
     a Dirichlet(1, ..., 1) row lies in it.  Rejection keeps the first such
-    row of at most ``budget``, one at a time (``_rows``) or in blocks
+    row of at most ``_RATIO_BUDGET``, one at a time (``_rows``) or in blocks
     (``_blocks``) with the same bits; the affine row delta + (1 - k delta) D
     of one Dirichlet row D is the law in one draw (Devroye, *Non-Uniform
-    Random Variate Generation*, 1986, ch. V)."""
+    Random Variate Generation*, 1986, ch. V).  A k above ``max_parts`` has
+    no such row and is refused."""
+    if k > max_parts(delta):
+        raise FiltrationError(f"infeasible: {k} parts of at least delta = {delta:.6g} exceed 1")
     room = 1.0 - k * delta
-    if room < 1e-9:  # the one feasible point, the equal split
+    if room < 1e-9:  # k = max_parts(delta) at a critical floor: the one point, the equal split
         return lambda rng: [1.0 / k] * k
     chance = room ** (k - 1)
     if chance < _AFFINE_ACCEPT:
         return partial(_affine_row, k=k, delta=delta)
-    return partial(_rows if chance >= _ROW_ACCEPT else _blocks, k=k, delta=delta, budget=budget)
+    return partial(_rows if chance >= _ROW_ACCEPT else _blocks, k=k, delta=delta)
 
 
 def _affine_row(rng: np.random.Generator, k: int, delta: float) -> list[float]:
     """delta + (1 - k * delta) * D for D one Dirichlet(1, ..., 1) row, the
-    first row of ``_rows`` at floor 0."""
+    first row of ``_rows`` at floor 0, which accepts every row."""
     room = 1.0 - k * delta
-    return [delta + room * x for x in _rows(rng, k, 0.0, 1)]
+    return [delta + room * x for x in _rows(rng, k, 0.0)]
 
 
-def _rows(rng: np.random.Generator, k: int, delta: float, budget: int) -> list[float]:
+def _rows(rng: np.random.Generator, k: int, delta: float) -> list[float]:
     """Rejection, one Dirichlet row at a time: k standard exponentials times
     the reciprocal of their running sum, as numpy forms the row.  Rounding
     is monotone, so a row's smallest ratio is its smallest exponential
     times the reciprocal, and a row is rejected on that."""
     exponentials, out = rng.standard_exponential, np.empty(k)
-    for _ in range(budget):
+    for _ in range(_RATIO_BUDGET):
         e = exponentials(out=out).tolist()
         total = 0.0
         for v in e:
@@ -523,14 +531,13 @@ def _rows(rng: np.random.Generator, k: int, delta: float, budget: int) -> list[f
     return _affine_row(rng, k, delta)
 
 
-def _blocks(rng: np.random.Generator, k: int, delta: float, budget: int) -> list[float]:
+def _blocks(rng: np.random.Generator, k: int, delta: float) -> list[float]:
     """Rejection in blocks of rows.  Row j of a block is the row a one-row
     loop would draw j-th, but a block overshoots the accepted row; so the
     generator is rewound and exactly the rows up to the accepted one are
     drawn again, leaving it where ``_rows`` would."""
-    left = budget
-    while left > 0:
-        n = min(_RATIO_BLOCK, left)
+    for done in range(0, _RATIO_BUDGET, _RATIO_BLOCK):
+        n = min(_RATIO_BLOCK, _RATIO_BUDGET - done)
         state = rng.bit_generator.state
         e = rng.standard_exponential((n, k))
         columns = e.T
@@ -546,7 +553,6 @@ def _blocks(rng: np.random.Generator, k: int, delta: float, budget: int) -> list
             rng.standard_exponential((hit + 1) * k)
             s = float(scale[hit])
             return [v * s for v in e[hit].tolist()]
-        left -= n
     return _affine_row(rng, k, delta)
 
 

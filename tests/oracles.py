@@ -2264,16 +2264,19 @@ def _certificate_args(filt: Filtration, dim: int, seed: int) -> tuple:
     return cand, witness_of(filt, dim, seed), (1e-9, -0.5)[seed // 3 % 2]
 
 
-def _ratio_args(k: int, delta: float, seed: int = 7, budget: int = 10_000, draws: int = 40):
-    return lambda: (np.random.default_rng(seed), k, delta, budget, draws)
+def _ratio_args(k: int, delta: float, seed: int = 7, draws: int = 40):
+    return lambda: (np.random.default_rng(seed), k, delta, draws)
 
 
-def _ratio_draws(rng, k, delta, budget, draws):
-    sample = _ratio_sampler(k, delta, budget)
+def _ratio_draws(rng, k, delta, draws):
+    sample = _ratio_sampler(k, delta)
     return [sample(rng) for _ in range(draws)]
 
 
-def _ratio_draws_one_by_one(rng, k, delta, budget, draws):
+def _ratio_draws_one_by_one(rng, k, delta, draws):
+    """The draws of ``_ratio_draws`` at the budget the sampler reads, which
+    a test may patch."""
+    budget = filtration._RATIO_BUDGET
     return [list(sample_ratios_one_by_one(rng, k, delta, budget)) for _ in range(draws)]
 
 

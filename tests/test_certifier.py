@@ -432,26 +432,34 @@ def test_batched_failures_match_record_walk():
 def test_certificate_text_with_signed_zeros_and_non_finite_values(dim):
     # f = -0.0 gives x1 = -0.0 on every atom, and a candidate that is -inf,
     # -0.0, NaN or +inf by quartile of x2 carries all four into the values,
-    # slacks and summary fields, which the writer spells NaN, +-Infinity, 0
-    filt = build_random_regular(depth=5, delta=0.25, max_children=3, split_prob=0.7, seed=7)
-    _, g, op = drawn_witness(filt, dim, 70 + dim)
-    f = MartFunction(filt, np.full((filt.n_leaves, dim), -0.0))
-    lo, mid, hi = np.quantile(Witness(f, g, op, 2.0).table.points[:, -3], [0.25, 0.5, 0.75])
+    # slacks and summary fields, which the writer spells NaN, +-Infinity, 0;
+    # the depth-5 tower's text is one block, the depth-9 dyadic tower's
+    # (at least 2 * _BLOCK floats) goes through the kernel blocks
+    towers = [
+        (build_random_regular(depth=5, delta=0.25, max_children=3, split_prob=0.7, seed=7), False),
+        (build_dyadic(9), True),
+    ]
+    for filt, blocked in towers:
+        _, g, op = drawn_witness(filt, dim, 70 + dim)
+        f = MartFunction(filt, np.full((filt.n_leaves, dim), -0.0))
+        lo, mid, hi = np.quantile(Witness(f, g, op, 2.0).table.points[:, -3], [0.25, 0.5, 0.75])
 
-    def fn(x1, x2, x3, x4):
-        special = np.where(x2 > mid, np.nan, np.where(x2 < lo, -np.inf, -0.0 * x4))
-        return np.where(x2 > hi, np.inf, special)
+        def fn(x1, x2, x3, x4):
+            special = np.where(x2 > mid, np.nan, np.where(x2 < lo, -np.inf, -0.0 * x4))
+            return np.where(x2 > hi, np.inf, special)
 
-    cand = BellmanCandidate(fn=fn, p=2.0, delta=0.25, label="special")
-    with np.errstate(invalid="ignore"):
-        cert = assert_matches_walk(cand, f, g, op)
-    assert np.all(np.signbit(cert.witness.table.points[:, :-3]))
-    values = cert.values
-    assert np.isnan(values).any() and np.isposinf(values).any() and np.isneginf(values).any()
-    assert np.any((values == 0.0) & np.signbit(values))
-    text = to_canonical_json(certificate_to_dict(cert))
-    assert '"x1":[0' in text and not re.search(r"[:\[,]-0[,\]}]", text)
-    assert all(word in text for word in ("NaN", "-Infinity", ":Infinity"))
+        cand = BellmanCandidate(fn=fn, p=2.0, delta=0.25, label="special")
+        with np.errstate(invalid="ignore"):
+            cert = assert_matches_walk(cand, f, g, op)
+        assert np.all(np.signbit(cert.witness.table.points[:, :-3]))
+        values = cert.values
+        assert np.isnan(values).any() and np.isposinf(values).any() and np.isneginf(values).any()
+        assert np.any((values == 0.0) & np.signbit(values))
+        payload = certificate_to_dict(cert)
+        assert (len(payload["records"]) > 1) == blocked
+        text = to_canonical_json(payload)
+        assert '"x1":[0' in text and not re.search(r"[:\[,]-0[,\]}]", text)
+        assert all(word in text for word in ("NaN", "-Infinity", ":Infinity"))
 
 
 @pytest.mark.parametrize("cp", [math.nan, math.inf, -math.inf])

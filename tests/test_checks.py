@@ -350,7 +350,7 @@ def test_duality_bound_builds_no_matrix(monkeypatch):
 
     monkeypatch.setattr(estimator, "random_transform", capture)
     for p in (2.0, 1.5):
-        assert estimator.duality_bound(p, n_g=4, seed=1).ok
+        assert estimator.duality_bound(p, draws=4, seed=1).ok
     assert len(drawn) == 2
     assert all("matrix" not in vars(op) for op in drawn)
 

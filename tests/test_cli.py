@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -232,14 +233,22 @@ def test_readme_flag_table_matches_the_flag_table():
     assert table == READS
 
 
-def test_readme_examples_parse():
-    lines = [
-        line for line in _readme_command_line().splitlines() if line.startswith("mblab ")
-    ]
-    assert len(lines) >= 7
-    for line in lines:
-        argv = shlex.split(line)[1:]
-        assert cli._build_parser().parse_args(argv).command == argv[0]
+def test_readme_examples_run(capsys):
+    # every example of the section runs in-process: exit 1 for the linear
+    # candidate's certificate, 0 for the rest, and its report holds each
+    # "key": value of the "# ->" excerpt under it (a value ending in "..."
+    # as a prefix); the corpus runs at --seeds 1, not its 100
+    lines = _readme_command_line().splitlines()
+    examples = [(line, after) for line, after in zip(lines, lines[1:] + [""]) if line.startswith("mblab ")]
+    assert len(examples) >= 7
+    for line, after in examples:
+        argv = shlex.split(line.replace("--seeds 100", "--seeds 1"))[1:]
+        assert run(argv) == (1 if "--candidate linear" in line else 0), line
+        out = capsys.readouterr().out
+        excerpt = after.removeprefix("# -> ") if after.startswith("# -> ") else ""
+        for key, value in re.findall(r'"(\w+)": ([^,}]+)', excerpt):
+            end = "" if value.endswith("...") else "[,}]"
+            assert re.search(f'"{key}":{re.escape(value.removesuffix("..."))}{end}', out), line
 
 
 def test_bad_tolerance_env_exits_two(monkeypatch, capsys):

@@ -79,7 +79,7 @@ def test_balanced_towers_are_cached_by_depth(monkeypatch):
     assert fresh.cache_info().misses == 304
     assert len({id(t) for cell, t in towers.items() if cell.delta == 0.5}) == 4
     for seed in (5, 6):
-        duality_bound(2.0, delta=0.5, n_g=1, seed=seed, dim=1, depth=3)
+        duality_bound(2.0, delta=0.5, draws=1, seed=seed, dim=1, depth=3)
     assert fresh.cache_info().misses == 304
 
 

@@ -483,7 +483,7 @@ def test_search_root_point_is_none_only_for_a_root_x2_below_roundoff(monkeypatch
 
 
 def test_duality_bound_p2():
-    rep = duality_bound(2.0, delta=0.25, n_g=8, seed=0)
+    rep = duality_bound(2.0, delta=0.25, draws=8, seed=0)
     assert rep.ok
     assert rep.empirical_max <= rep.analytic_bound + 1e-6
     assert len(rep.rows) == 8
@@ -498,14 +498,14 @@ def test_duality_bound_takes_structured_rows_only_where_the_root_splits_in_two()
     for seed in range(8):
         ways = len(oracles.root(cell_filtration(0.1, seed, 3, max_children_for(0.1))).children)
         splits.add(ways)
-        kinds = [row["kind"] for row in duality_bound(2.0, delta=0.1, n_g=4, seed=seed).rows]
+        kinds = [row["kind"] for row in duality_bound(2.0, delta=0.1, draws=4, seed=seed).rows]
         expected = ["structured+", "structured-"] if ways == 2 else ["gaussian", "gaussian"]
         assert kinds == [*expected, "gaussian", "gaussian"]
     assert splits == {2, 3, 4}
 
 
 def test_duality_bound_below_two():
-    rep = duality_bound(1.5, delta=0.25, n_g=8, seed=0)
+    rep = duality_bound(1.5, delta=0.25, draws=8, seed=0)
     assert rep.ok
     assert rep.q == pytest.approx(3.0, rel=1e-14)
     assert rep.empirical_max <= rep.analytic_bound + 1e-6
@@ -523,7 +523,7 @@ def test_duality_bound_computes_tstar_g_once_per_draw(monkeypatch):
         return closed_form(self, g)
 
     monkeypatch.setattr(MartingaleTransform, "adjoint_closed_form", counted)
-    duality_bound(2.0, n_g=6, seed=4, delta=0.25)
+    duality_bound(2.0, draws=6, seed=4, delta=0.25)
     assert len(calls) == 6
 
 
@@ -537,7 +537,7 @@ def test_duality_candidate_shapes():
 def test_duality_reports_failed_certification(monkeypatch):
     monkeypatch.setattr(est, "duality_candidate", lambda p, d: linear_candidate(1.0, p, d))
     with pytest.raises(EstimateError) as exc:
-        duality_bound(2.0, delta=0.25, n_g=4, seed=0)
+        duality_bound(2.0, delta=0.25, draws=4, seed=0)
     assert exc.value.certificate is not None
     assert not exc.value.certificate.ok
 

@@ -37,6 +37,7 @@ from oracles import (
     EQUIVALENCES,
     Atom,
     atom_columns,
+    pass_size,
     regularity_delta,
     sample_ratios_one_by_one,
     tower_from_atoms,
@@ -182,12 +183,15 @@ def test_random_regular_critical_delta_forces_equal_split():
 def test_blocked_ratio_draws_match_one_by_one(k, delta):
     # block draws must return the same ratios and leave the generator where
     # the one-draw loop leaves it, call after call; four parts of 1/3 are
-    # no split the builder draws
+    # no split the builder or the sampler draws, and neither is one part
+    # more than any floor admits
     if k > max_parts(delta):
         with pytest.raises(FiltrationError, match="infeasible"):
             build_random_regular(depth=2, delta=delta, max_children=k, split_prob=1.0, seed=0)
     else:
-        EQUIVALENCES["ratios"].holds(lambda: (np.random.default_rng(7), k, delta, 10_000, 40))
+        EQUIVALENCES["ratios"].holds(lambda: (np.random.default_rng(7), k, delta, 40))
+    with pytest.raises(FiltrationError, match="infeasible"):
+        _ratio_sampler(max_parts(delta) + 1, delta)
 
 
 class CountedRows:
@@ -207,13 +211,13 @@ def test_ratio_cases_reach_their_kinds():
     ratios = EQUIVALENCES["ratios"].cases
     kinds = {"rows": _rows, "first_block": _blocks, "past_first_block": _blocks, "affine": _affine_row}
     for name, kind in kinds.items():
-        rng, k, delta, budget, _ = ratios[name]()
-        assert _ratio_sampler(k, delta, budget).func is kind, name
+        rng, k, delta, _ = ratios[name]()
+        assert _ratio_sampler(k, delta).func is kind, name
         counted = CountedRows(rng)
-        sample_ratios_one_by_one(counted, k, delta, budget)
+        sample_ratios_one_by_one(counted, k, delta, filtration._RATIO_BUDGET)
         assert (counted.rows > filtration._RATIO_BLOCK) == (name == "past_first_block"), name
-    _, k, delta, _, _ = ratios["equal"]()
-    assert 1.0 - k * delta < 1e-9
+    _, k, delta, _ = ratios["equal"]()
+    assert 1.0 - k * delta < 1e-9 and k == max_parts(delta)
 
 
 @pytest.mark.parametrize("budget", [1, 63, 64, 65, 200])
@@ -221,7 +225,8 @@ def test_ratio_budget_counts_single_draws(budget):
     # acceptance chance (1 - 3 * 0.318)^2 = 2.1e-3, drawn in blocks; the
     # first 200 rows of seed 3 are all rejected, so every budget here runs
     # out and both samplers draw the affine row where its rows end
-    EQUIVALENCES["ratios"].holds(lambda: (np.random.default_rng(3), 3, 0.318, budget, 1))
+    with pass_size("filtration._RATIO_BUDGET", budget):
+        EQUIVALENCES["ratios"].holds(lambda: (np.random.default_rng(3), 3, 0.318, 1))
     single, ref = np.random.default_rng(3), np.random.default_rng(3)
     expected = sample_ratios_one_by_one(single, 3, 0.318, budget)
     for _ in range(budget):
@@ -382,6 +387,15 @@ def test_dyadic_columns_hold_little_memory():
     filt, held, _ = traced(lambda: build_dyadic(16))
     assert held <= 8_000_000
     assert "layout" not in vars(filt)
+
+
+def test_validation_drops_each_check_group_before_the_next():
+    # a check group's length-n temporaries are dropped before the next
+    # group's are made; kept to the last check, they peak at 3.85 MB over a
+    # depth-14 tower (32,767 atoms), and the bound is a quarter below that
+    filt = build_dyadic(14)
+    _, _, peak = traced(lambda: filtration._validate(filt))
+    assert peak <= 0.75 * 3_850_000
 
 
 @pytest.mark.parametrize("delta, k, seed", [(0.25, 4, 2), (1.0 / 3.0, 3, 1)])

@@ -179,7 +179,7 @@ def test_every_layout_field_is_read_outside_filtration():
 
 
 # What a call hands back to its caller whole: the records the command line
-# writes field by field through ``dataclasses.fields`` (``_result_payload``)
+# writes field by field through ``dataclasses.asdict``
 # and the rescale estimate that awaits its command.  No single field is
 # exempt (``RESULT_FIELDS``).
 RESULT_RECORDS = {
