@@ -51,6 +51,7 @@ from .certifier import CertificationError, certificate_to_dict, certify
 from .checks import SUITES, Tolerances, hoelder_mean_margin, restriction_identity_gaps, run_suites
 from .corpus import (
     _SPLIT_PROB,
+    CorpusCell,
     build_tower,
     default_corpus,
     haar_witness,
@@ -439,6 +440,55 @@ def cmd_bound(cfg: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
+@dataclass(frozen=True)
+class CellRun:
+    """One corpus cell's work: the certificate's witness, the suites' rows
+    and verdict, the canonical texts of the rows and the certificate, both
+    restriction identity gaps, the mean-bound margin, and the wall of each
+    stage in the order run."""
+
+    witness: Witness
+    rows: list[dict]
+    ok: bool
+    rows_text: str
+    certificate_text: str
+    centered_gap: float
+    defect_gap: float
+    margin: float
+    walls: dict[str, float]
+
+
+def run_cell(
+    cell: CorpusCell, tol: Tolerances, rng: np.random.Generator, suites: list[str] | None = None
+) -> CellRun:
+    """The one route of a corpus cell: its witness, the quadratic candidate
+    at its floor certified on it, the suites (``suites``, all by default)
+    drawing from ``rng``, and both probes, all on the certificate's witness
+    at p = 2."""
+    walls: dict[str, float] = {}
+    last = perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal last
+        now = perf_counter()
+        walls[stage] = now - last
+        last = now
+
+    pc = prepare_cell(cell)
+    lap("prepare_cell")
+    cert = certify(quadratic_candidate(cell.delta), pc.f, pc.g, pc.op, tol=tol.tight)
+    lap("certify")
+    w = cert.witness
+    rows, ok = run_suites(w, tol, rng, suites=suites)
+    lap("suites")
+    rows_text, certificate_text = to_canonical_json(rows), to_canonical_json(certificate_to_dict(cert))
+    lap("emission")
+    centered, defect = restriction_identity_gaps(w)
+    margin = hoelder_mean_margin(w)
+    lap("probes")
+    return CellRun(w, rows, ok, rows_text, certificate_text, centered, defect, margin, walls)
+
+
 def cmd_corpus(cfg: RunConfig) -> int:
     """sweep the acceptance corpus"""
     names = _suite_names(cfg)
@@ -452,29 +502,16 @@ def cmd_corpus(cfg: RunConfig) -> int:
     suites_ok = True
     reports, certificates = hashlib.sha256(), hashlib.sha256()
     stages: dict[str, float] = defaultdict(float)
-    last = perf_counter()
-
-    def lap(stage: str) -> None:
-        nonlocal last
-        now = perf_counter()
-        stages[stage] += now - last
-        last = now
-
     for cell in cells:
-        pc = prepare_cell(cell)
-        lap("prepare_cell")
-        cert = certify(quadratic_candidate(cell.delta), pc.f, pc.g, pc.op, tol=tol.tight)
-        lap("certify")
-        # The suites and both probes read the certificate's witness (p = 2).
-        w = cert.witness
-        rows, ok = run_suites(w, tol, rng, suites=names)
-        lap("suites")
-        suites_ok = suites_ok and ok
-        cert_text = to_canonical_json(certificate_to_dict(cert)).encode()
-        reports.update(to_canonical_json(rows).encode())
+        cell_run = run_cell(cell, tol, rng, names)
+        for stage, wall in cell_run.walls.items():
+            stages[stage] += wall
+        suites_ok = suites_ok and cell_run.ok
+        cert_text = cell_run.certificate_text.encode()
+        reports.update(cell_run.rows_text.encode())
         reports.update(cert_text)
         certificates.update(cert_text)
-        for row in rows:
+        for row in cell_run.rows:
             err = row["max_err"]
             ratio = err / row["tol"] if row["tol"] > 0 else err if math.isnan(err) else float(err > 0)
             # A NaN ratio beats every number and stays: the first NaN cell
@@ -482,13 +519,10 @@ def cmd_corpus(cfg: RunConfig) -> int:
             best = worst[row["check"]][0]
             if not math.isnan(best) and (ratio > best or math.isnan(ratio)):
                 worst[row["check"]] = (ratio, cell)
-        lap("emission")
-        centered, defect = restriction_identity_gaps(w)
         # np.maximum keeps a NaN, so the gate below cannot pass on one.
-        centered_worst = float(np.maximum(centered_worst, centered))
-        defect_worst = float(np.maximum(defect_worst, defect))
-        margin_worst = float(np.maximum(margin_worst, hoelder_mean_margin(w)))
-        lap("probes")
+        centered_worst = float(np.maximum(centered_worst, cell_run.centered_gap))
+        defect_worst = float(np.maximum(defect_worst, cell_run.defect_gap))
+        margin_worst = float(np.maximum(margin_worst, cell_run.margin))
     walls = "  ".join(f"{name} {wall:.3f}" for name, wall in stages.items())
     print(f"stage wall (s): {walls}  total {sum(stages.values()):.3f}", file=sys.stderr)
 

@@ -465,6 +465,8 @@ def duality_bound(
     outright; below 2 ``ok`` vouches for an empirical bound only (see
     ``duality_candidate``).
     """
+    if draws < 1:
+        raise ValueError("need at least one draw")
     q = conjugate_exponent(p)
     cand = duality_candidate(p, delta)
     filt = _cell_tower(delta, seed, depth)

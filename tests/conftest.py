@@ -7,23 +7,28 @@ strategy, ``regular_towers``: dyadic and random-regular towers up to the
 test's depth bound, with the value dimension and seed of what is drawn on
 them.  The equivalence harness,
 ``tests/test_equivalence.py``, runs every entry of the registry
-``oracles.EQUIVALENCES`` on all three kinds of input.  The acceptance
-suite walks the full randomized corpus once per session; the heavy per
-cell sweep (all check suites, the restriction identity gaps, the
-telescoping gap, the Hoelder mean bound margin
-``mblab.checks.hoelder_mean_margin`` and the dense-oracle cross-checks) is
-cached here so each criterion only scans rows.  The check suites are
-matrix-free, so the sweep holds their routes against the dense oracle of
-``mblab.transforms`` on every cell: the SVD norm against the split-multiplier
-norm, ``matrix_apply`` against ``apply`` and ``adjoint_apply`` against
-``adjoint_closed_form``.  The restriction probe is
-``mblab.checks.restriction_identity_gaps``: the centered cut
+``oracles.EQUIVALENCES`` on all three kinds of input.
+
+The acceptance suite walks the full randomized corpus once per session,
+through the command's own route.  ``corpus_report`` runs
+``mblab.cli.run_cell`` on every cell of ``default_corpus()``.  It feeds the
+suites from the stream ``mblab corpus`` uses, ``default_rng(0)`` in corpus
+order, so criteria 1-4 and 7 read the rows the command emits.  It folds
+each cell's rows and certificate texts into the command's two
+``--seeds 100`` digests, which tier-1 pins.  It adds only the dense-oracle
+columns: the check suites are matrix-free, so the sweep holds their routes
+against the dense oracle of ``mblab.transforms`` on every cell (the
+telescoping gap, the SVD norm against the split-multiplier norm,
+``matrix_apply`` against ``apply`` and ``adjoint_apply`` against
+``adjoint_closed_form``).  The restriction probe
+is ``mblab.checks.restriction_identity_gaps``: the centered cut
 (g - <g>_J) 1_J gives an exact localization identity, and the uncentered
 cut g 1_J exceeds it by exactly <g>_J^2 ||T* 1_J||^2 / |J|.
 """
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 from typing import NamedTuple
 
@@ -33,8 +38,8 @@ from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 import mblab.bellman as bellman
-from mblab.bellman import Witness
-from mblab.checks import hoelder_mean_margin, restriction_identity_gaps, run_suites
+from mblab.checks import Tolerances
+from mblab.cli import run_cell
 from mblab.corpus import CorpusCell, default_corpus, prepare_cell
 from mblab.filtration import Filtration, build_dyadic, build_random_regular, max_parts, split_schedule
 from mblab.martingale import MartFunction
@@ -192,35 +197,47 @@ def telescoping_relerr(f, g, op) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
+class CorpusReport(NamedTuple):
+    """The acceptance sweep: one record per cell, and the two digests of
+    ``mblab corpus --seeds 100``."""
+
+    cells: list[dict]
+    certificates_sha256: str
+    reports_sha256: str
+
+
 @pytest.fixture(scope="session")
 def corpus_report():
-    """Full corpus sweep: check-suite rows plus acceptance-only probes."""
-    report = []
-    rng = np.random.default_rng(20240817)
+    """The full corpus through ``run_cell`` on the command's stream, at the
+    default tolerances: each cell's witness, rows and probes plus the
+    dense-oracle columns, and the digests the command folds the same texts
+    into."""
+    cells = []
+    tol, rng = Tolerances(), np.random.default_rng(0)
+    reports, certificates = hashlib.sha256(), hashlib.sha256()
     for cell in default_corpus():
-        pc = prepare_cell(cell)
-        w = Witness(pc.f, pc.g, pc.op)
-        rows, ok = run_suites(w, rng=rng)
-        centered, defect = restriction_identity_gaps(w)
-        op = pc.op
-        apply_gap = np.max(np.abs(op.matrix_apply(pc.f).values - op.apply(pc.f).values))
-        adjoint_gap = np.max(
-            np.abs(op.adjoint_apply(pc.g).values - op.adjoint_closed_form(pc.g).values)
-        )
-        report.append(
+        cell_run = run_cell(cell, tol, rng)
+        cert_text = cell_run.certificate_text.encode()
+        reports.update(cell_run.rows_text.encode())
+        reports.update(cert_text)
+        certificates.update(cert_text)
+        w = cell_run.witness
+        op = w.op
+        apply_gap = np.max(np.abs(op.matrix_apply(w.f).values - op.apply(w.f).values))
+        adjoint_gap = np.max(np.abs(op.adjoint_apply(w.g).values - op.adjoint_closed_form(w.g).values))
+        cells.append(
             {
                 "cell": cell,
-                "prepared": pc,
-                "rows": {r["check"]: r for r in rows},
-                "suite_ok": ok,
-                "restriction_centered": centered,
-                "restriction_defect": defect,
-                "telescoping": telescoping_relerr(pc.f, pc.g, pc.op),
-                "hoelder_margin": hoelder_mean_margin(w),
+                "witness": w,
+                "rows": {r["check"]: r for r in cell_run.rows},
+                "restriction_centered": cell_run.centered_gap,
+                "restriction_defect": cell_run.defect_gap,
+                "telescoping": telescoping_relerr(w.f, w.g, op),
+                "hoelder_margin": cell_run.margin,
                 "svd_norm": operator_norm(op),
                 "split_norm": split_multiplier_norm(op),
                 "apply_route": float(apply_gap),
                 "adjoint_route": float(adjoint_gap),
             }
         )
-    return report
+    return CorpusReport(cells, certificates.hexdigest(), reports.hexdigest())

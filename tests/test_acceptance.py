@@ -57,14 +57,14 @@ def _worst(report, row_name):
     Zero-tolerance rows are exact counts; their ratio is 0 or infinity.
     """
     errs, ratios = [], []
-    for cell in report:
+    for cell in report.cells:
         row = cell["rows"][row_name]
         errs.append(row["max_err"])
         if row["tol"] > 0.0:
             ratios.append(row["max_err"] / row["tol"])
         else:
             ratios.append(0.0 if row["max_err"] == 0.0 else math.inf)
-    oks = all(cell["rows"][row_name]["ok"] for cell in report)
+    oks = all(cell["rows"][row_name]["ok"] for cell in report.cells)
     return max(errs), max(ratios), oks
 
 
@@ -80,7 +80,7 @@ def test_criterion_1_projection_suite(corpus_report):
         1,
         "projection identities on full corpus",
         ok,
-        f"{len(corpus_report)} cells, worst err/tol {worst:.3e}",
+        f"{len(corpus_report.cells)} cells, worst err/tol {worst:.3e}",
     )
 
 
@@ -103,12 +103,12 @@ def test_criterion_2_localization(corpus_report):
 def test_criterion_3_identity_suite(corpus_report):
     _, osc_ratio, osc_ok = _worst(corpus_report, "osc_series")
     _, drop_ratio, drop_ok = _worst(corpus_report, "x2_drop")
-    tele = max(cell["telescoping"] for cell in corpus_report)
+    tele = max(cell["telescoping"] for cell in corpus_report.cells)
     tele_ok = tele <= 1e-9
-    eq = max(cell["restriction_centered"] for cell in corpus_report)
+    eq = max(cell["restriction_centered"] for cell in corpus_report.cells)
     eq_ok = eq <= 1e-9
     _, bound_ratio, bound_ok = _worst(corpus_report, "restriction_bound")
-    defect = max(cell["restriction_defect"] for cell in corpus_report)
+    defect = max(cell["restriction_defect"] for cell in corpus_report.cells)
     defect_ok = defect <= 1e-9
     ok = osc_ok and drop_ok and tele_ok and eq_ok and bound_ok and defect_ok
     _verdict(
@@ -131,9 +131,9 @@ def test_criterion_4_positivity(corpus_report):
     # every cell: the SVD norm is the split-multiplier norm the
     # contraction_norm row reads, and both application routes agree with
     # their dense counterparts to the tight rung.
-    svd_gap = max(abs(c["svd_norm"] - c["split_norm"]) for c in corpus_report)
-    apply_gap = max(c["apply_route"] for c in corpus_report)
-    adjoint_gap = max(c["adjoint_route"] for c in corpus_report)
+    svd_gap = max(abs(c["svd_norm"] - c["split_norm"]) for c in corpus_report.cells)
+    apply_gap = max(c["apply_route"] for c in corpus_report.cells)
+    adjoint_gap = max(c["adjoint_route"] for c in corpus_report.cells)
     oracle_ok = svd_gap <= 1e-12 and apply_gap <= 1e-9 and adjoint_gap <= 1e-9
     ok = norm_ok and sign_ok and mean_ok and oracle_ok
     _verdict(
@@ -231,26 +231,26 @@ def test_criterion_7_corollary_suite(corpus_report):
         lam_worst = max(lam_worst, abs(a - b) / max(1.0, abs(a)))
     lam_ok = lam_worst <= 1e-8
 
-    hld_worst = max(cell["hoelder_margin"] for cell in corpus_report)
+    hld_worst = max(cell["hoelder_margin"] for cell in corpus_report.cells)
     hld_ok = hld_worst <= 1e-10
 
     hom_worst = 0.0
-    for cell in corpus_report[:: len(corpus_report) // 48]:
-        pc = cell["prepared"]
-        filt = pc.filtration
+    for cell in corpus_report.cells[:: len(corpus_report.cells) // 48]:
+        w = cell["witness"]
+        filt = w.filtration
         p = 2.0
         q = conjugate_exponent(p)
-        base_pt = Witness(pc.f, pc.g, pc.op, p).table.points[oracles.root(filt).id]
-        centered = shift(pc.f, -average(pc.f, oracles.root(filt).id))
-        base_obj = inner(pc.g, pc.op.apply(centered)) / filt.total_measure
+        base_pt = Witness(w.f, w.g, w.op, p).table.points[oracles.root(filt).id]
+        centered = shift(w.f, -average(w.f, oracles.root(filt).id))
+        base_obj = inner(w.g, w.op.apply(centered)) / filt.total_measure
         for lam in (0.5, 2.0, 7.0):
-            f_s, g_s = pc.f * lam, pc.g * (1.0 / lam)
+            f_s, g_s = w.f * lam, w.g * (1.0 / lam)
             obj = (
-                inner(g_s, pc.op.apply(shift(f_s, -average(f_s, oracles.root(filt).id))))
+                inner(g_s, w.op.apply(shift(f_s, -average(f_s, oracles.root(filt).id))))
                 / filt.total_measure
             )
             hom_worst = max(hom_worst, abs(obj - base_obj) / max(1.0, abs(base_obj)))
-            mapped = Witness(f_s, g_s, pc.op, p).table.points[oracles.root(filt).id]
+            mapped = Witness(f_s, g_s, w.op, p).table.points[oracles.root(filt).id]
             orbit = (
                 float(np.max(np.abs(mapped[:-3] - lam * base_pt[:-3]))),
                 abs(mapped[-3] - base_pt[-3] / lam**2),

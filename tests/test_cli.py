@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,10 +23,10 @@ from hypothesis import strategies as st
 import mblab.cli as cli
 import mblab.estimator as estimator
 import mblab.filtration as filtration
-from mblab.bellman import Witness, quadratic_candidate
-from mblab.certifier import certificate_to_dict, certify
+from mblab.bellman import Witness
+from mblab.checks import Tolerances
 from mblab.cli import run
-from mblab.corpus import build_tower, default_corpus, haar_witness, prepare_cell
+from mblab.corpus import build_tower, default_corpus, haar_witness
 from mblab.filtration import build_dyadic, filtration_to_dict, max_parts
 from mblab.martingale import inner
 from mblab.reporting import to_canonical_json
@@ -542,17 +543,15 @@ def test_corpus_digests_certificates_alone(capsys):
         assert report["ok"] is True and report["cells"] == 12
         digests.append((report["certificates_sha256"], report["reports_sha256"]))
     expected = hashlib.sha256()
+    rng = np.random.default_rng(0)
     for cell in default_corpus(seeds=1):
-        pc = prepare_cell(cell)
-        cert = certify(quadratic_candidate(cell.delta), pc.f, pc.g, pc.op)
-        expected.update(to_canonical_json(certificate_to_dict(cert)).encode())
+        expected.update(cli.run_cell(cell, Tolerances(), rng, ["x2_drop"]).certificate_text.encode())
     assert digests[0][0] == digests[1][0] == expected.hexdigest()
     assert digests[0][1] != digests[1][1]
 
 
 def test_corpus_digests_are_pinned(capsys):
-    # four seeds give every depth 2..5 at every floor and dimension; the
-    # digests are those of the acceptance sweep before it became a command
+    # four seeds reach every depth 2..5 at every floor and dimension
     assert run(["corpus", "--seeds", "4"]) == 0
     captured = capsys.readouterr()
     report = json.loads(captured.out)
@@ -564,6 +563,33 @@ def test_corpus_digests_are_pinned(capsys):
         "c05c57498b9fcc9660d51f0949d00323f919a19f0f483ee60108963ae8463afc"
     )
     assert captured.err.startswith("stage wall (s): prepare_cell ")
+
+
+def test_full_corpus_digests_are_pinned(corpus_report):
+    # the acceptance sweep runs every cell of `mblab corpus --seeds 100`
+    # through run_cell on the command's stream, so its digests are the
+    # command's
+    assert len(corpus_report.cells) == 1200
+    assert corpus_report.certificates_sha256 == (
+        "ea31ab1e5ae65e862216b3821816a75f3a73bec3540ce92b2383df0f0656c921"
+    )
+    assert corpus_report.reports_sha256 == (
+        "1c0883edd95ddbaebb18e28608b7e27d247e5145b3234b7e5904506aa607cd6d"
+    )
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.25, 1.0 / 3.0, 0.5])
+def test_run_cell_replays_from_the_same_stream_state(delta):
+    # one cell of each floor, run from two generators in one state: the same
+    # bytes, and both generators left at one state
+    cell = next(c for c in default_corpus(seeds=4) if c.delta == delta and c.seed == 3)
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    first, second = (cli.run_cell(cell, Tolerances(), rng) for rng in (a, b))
+    assert first.rows_text == second.rows_text
+    assert first.certificate_text == second.certificate_text
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.bit_generator.state != np.random.default_rng(5).bit_generator.state
+    assert list(first.walls) == ["prepare_cell", "certify", "suites", "emission", "probes"]
 
 
 def test_corpus_names_the_worst_cell_of_each_check(capsys):

@@ -504,6 +504,13 @@ def test_duality_bound_takes_structured_rows_only_where_the_root_splits_in_two()
     assert splits == {2, 3, 4}
 
 
+@pytest.mark.parametrize("draws", [0, -1])
+def test_duality_bound_refuses_fewer_than_one_draw(draws):
+    # an empty spread of draws would report ok over nothing
+    with pytest.raises(ValueError, match="need at least one draw"):
+        duality_bound(2.0, draws=draws)
+
+
 def test_duality_bound_below_two():
     rep = duality_bound(1.5, delta=0.25, draws=8, seed=0)
     assert rep.ok
