@@ -52,8 +52,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import combinations, islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -435,6 +435,20 @@ def _weighted_sums(weights: np.ndarray, has: np.ndarray, values: np.ndarray) -> 
     return total
 
 
+# The most pairs ``_diameters`` holds at once: a split of thousands of
+# parts (lemma1 at a tiny floor and a large m) takes its k(k - 1)/2 pairs
+# in blocks, not all at once.
+_PAIR_BLOCK = 1 << 14
+
+
+def _pair_blocks(k: int) -> Iterator[np.ndarray]:
+    """The pairs (i, j), i < j < k, in row-major order, as (2, n) index
+    arrays of at most ``_PAIR_BLOCK`` pairs."""
+    pairs = combinations(range(k), 2)
+    while block := list(islice(pairs, _PAIR_BLOCK)):
+        yield np.array(block).T
+
+
 def _diameters(
     x1: np.ndarray, has: np.ndarray, return_pairs: bool = False
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -447,16 +461,18 @@ def _diameters(
     replaces the best only when strictly farther, so a row whose points all
     coincide gives (0.0, (0, 0)).  A distance is
     ``np.sqrt(np.vecdot(diff, diff))``, which rounds like ``np.linalg.norm``
-    of that one difference.
+    of that one difference.  The pairs go in blocks (``_pair_blocks``).
     """
-    i, j = np.array(list(combinations(range(has.shape[1]), 2))).T
-    diff = x1[:, i] - x1[:, j]
-    dist = np.where(has[:, i] & has[:, j], np.sqrt(np.vecdot(diff, diff)), 0.0)
-    diam = np.fmax.reduce(dist, axis=1, initial=0.0)
-    if not return_pairs:
-        return diam
-    first = np.argmax(dist == diam[:, None], axis=1)
-    return diam, np.where(diam[:, None] > 0.0, np.column_stack((i[first], j[first])), 0)
+    diam, pair = np.zeros(len(has)), np.zeros((len(has), 2), dtype=np.intp)
+    for i, j in _pair_blocks(has.shape[1]):
+        diff = x1[:, i] - x1[:, j]
+        dist = np.where(has[:, i] & has[:, j], np.sqrt(np.vecdot(diff, diff)), 0.0)
+        block = np.fmax.reduce(dist, axis=1, initial=0.0)
+        if return_pairs:  # a later block's pair replaces the best only when strictly farther
+            first = np.argmax(dist == block[:, None], axis=1)
+            pair = np.where((block > diam)[:, None], np.column_stack((i[first], j[first])), pair)
+        diam = np.fmax(diam, block)
+    return (diam, pair) if return_pairs else diam
 
 
 def _split_terms(

@@ -11,11 +11,12 @@ Subcommands:
   corpus   sweep the acceptance corpus: worst row per check, probes, digests
 
 Each flag is declared once, as a ``RunConfig`` field that holds its
-default and its argparse settings.  Each subcommand accepts only the flags
-it reads (``_FLAGS``), plus --config, --out and --format; a flag or config
-key it does not read is a usage error.  Each command hands ``_emit`` two
-builders, one for the JSON payload and one for the CSV rows, and only the
-builder --format chooses runs.
+default, its argparse settings and its interval; ``_RULES`` holds the
+flags each subcommand needs and its narrower intervals.  Each subcommand
+accepts only the flags it reads (``_FLAGS``), plus --config, --out and
+--format; a flag or config key it does not read is a usage error.  Each
+command hands ``_emit`` two builders, one for the JSON payload and one for
+the CSV rows, and only the builder --format chooses runs.
 
 Exit codes: 0 success, 1 a check/certificate/bound failed, 2 bad usage or
 infeasible configuration.  Tolerances scale with the MBL_TOL environment
@@ -69,34 +70,35 @@ from .transforms import PredictabilityError, transform_to_dict
 __all__ = ["main", "run"]
 
 
-def _knob(default, **settings):
-    """A ``RunConfig`` field: its default and its flag's argparse settings."""
-    return field(default=default, metadata=settings)
+def _knob(default, interval=None, **settings):
+    """A ``RunConfig`` field: its default, its flag's settings and interval."""
+    return field(default=default, metadata={"argparse": settings, "interval": interval})
 
 
 @dataclass
 class RunConfig:
     """Merged knobs for one command; file values sit below flag values.
-    Each field is a config key and a flag (--format for ``fmt``, else the
-    name with "-" for "_"), its metadata the flag's argparse settings."""
+    Each field is a config key and a flag (``_flag``), its metadata the
+    flag's argparse settings and interval: none for --depth and
+    --max-children, whose intervals depend on --delta."""
 
-    seed: int | None = _knob(None, type=int)
+    seed: int | None = _knob(None, "[0, inf)", type=int)
     depth: int | None = _knob(None, type=int)
-    delta: float = _knob(0.5, type=float)
-    dim: int = _knob(1, type=int)
-    p: float = _knob(2.0, type=float)
-    trials: int = _knob(100, type=int)
+    delta: float = _knob(0.5, "(0, 0.5]", type=float)
+    dim: int = _knob(1, "[1, inf)", type=int)
+    p: float = _knob(2.0, "(1, inf)", type=float)  # no L^p bound holds for p <= 1
+    trials: int = _knob(100, "[1, inf)", type=int)
     out: str | None = _knob(None)
     fmt: str = _knob("json", choices=("json", "csv"))
     max_children: int | None = _knob(None, type=int)
-    split_prob: float = _knob(_SPLIT_PROB, type=float)
+    split_prob: float = _knob(_SPLIT_PROB, "[0, 1]", type=float)
     witness: str = _knob("random", choices=("random", "structured"))
     candidate: str = _knob("quadratic")
-    target: float | None = _knob(None, type=float)
-    ascent: int = _knob(0, type=int)
-    m: int = _knob(6, type=int)
+    target: float | None = _knob(None, "(-inf, inf)", type=float)
+    ascent: int = _knob(0, "[0, inf)", type=int)
+    m: int = _knob(6, "[1, 16]", type=int)
     suites: str | None = _knob(None)
-    seeds: int = _knob(100, type=int)
+    seeds: int = _knob(100, "[1, inf)", type=int)
 
 
 # The RunConfig fields each command reads, as flags and as config keys.
@@ -112,10 +114,44 @@ _FLAGS = {
     "bound": _SAMPLED,
     "corpus": ("seeds", "suites"),
 }
+# Each command's needed flags (--seed, where it draws randomness) and
+# narrower intervals: Bellman points and candidates need the conjugate
+# exponent, defined for p in (1, 2].
+_CONJUGATE = "(1, 2]"
+_RULES = {
+    "gen": ((), {}),
+    "check": (("seed",), {}),
+    "certify": (("seed",), {"p": _CONJUGATE}),
+    "lemma1": (("seed",), {"p": _CONJUGATE, "dim": "[1, 4]"}),
+    "search": (("seed",), {"p": _CONJUGATE}),
+    "scan": (("seed",), {}),
+    "bound": (("seed",), {"p": _CONJUGATE}),
+    "corpus": ((), {}),
+}
 # Read by every command.
 _OUTPUT = ("out", "fmt")
 # The argparse settings of each field's flag.
-_SPECS = {f.name: f.metadata for f in fields(RunConfig)}
+_SPECS = {f.name: f.metadata["argparse"] for f in fields(RunConfig)}
+
+
+def _flag(key: str) -> str:
+    """A field's flag: --format for ``fmt``, else the name with "-" for "_"."""
+    return "--format" if key == "fmt" else "--" + key.replace("_", "-")
+
+
+def _intervals(command: str) -> dict[str, str]:
+    """The interval of each number flag ``command`` reads: the command's
+    own, else its field's."""
+    narrower = _RULES[command][1]
+    own = {f.name: f.metadata["interval"] for f in fields(RunConfig)}
+    return {key: narrower.get(key, own[key]) for key in _FLAGS[command] if own[key]}
+
+
+def _inside(value, interval: str) -> bool:
+    """Whether ``value`` lies in an interval such as "(0, 0.5]"; NaN lies in none."""
+    lo, hi = map(float, interval[1:-1].split(", "))
+    above = lo < value if interval[0] == "(" else lo <= value
+    return above and (value < hi if interval[-1] == ")" else value <= hi)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,8 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=command.__doc__, allow_abbrev=False)
         cmd.add_argument("--config", help="JSON file with defaults")
         for key in (*_FLAGS[name], *_OUTPUT):
-            flag = "--format" if key == "fmt" else "--" + key.replace("_", "-")
-            cmd.add_argument(flag, dest=key, **_SPECS[key])
+            cmd.add_argument(_flag(key), dest=key, **_SPECS[key])
     return parser
 
 
@@ -174,43 +209,16 @@ class UsageError(ValueError):
     """Bad flags, config values or environment; exit code 2."""
 
 
-# Commands whose Bellman points or candidates need the conjugate exponent,
-# defined for p in (1, 2].
-_CONJUGATE_COMMANDS = ("certify", "lemma1", "search", "bound")
-
-
 def _validate(command: str, cfg: RunConfig) -> None:
-    """Reject out-of-range flags, config values and MBL_TOL before any work
-    is done."""
-    if cfg.seed is not None and cfg.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {cfg.seed}")
-    if not 0.0 < cfg.delta <= 0.5:
-        raise UsageError(f"--delta must lie in (0, 1/2], got {cfg.delta}")
-    if cfg.dim < 1:
-        raise UsageError(f"--dim must be >= 1, got {cfg.dim}")
-    if cfg.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {cfg.trials}")
-    if not 0.0 <= cfg.split_prob <= 1.0:
-        raise UsageError(f"--split-prob must lie in [0, 1], got {cfg.split_prob}")
-    if command in _CONJUGATE_COMMANDS and not 1.0 < cfg.p <= 2.0:
-        raise UsageError(f"{command} needs --p in (1, 2], got {cfg.p}")
-    if not (cfg.p > 0.0 and math.isfinite(cfg.p)):
-        raise UsageError(f"--p must be positive and finite, got {cfg.p}")
-    if command == "scan" and not cfg.p > 1.0:
-        raise UsageError(f"scan needs --p > 1 (no L^p bound holds for p <= 1), got {cfg.p}")
-    if cfg.target is not None and not math.isfinite(cfg.target):
-        raise UsageError(f"--target must be finite, got {cfg.target}")
-    if cfg.ascent < 0:
-        raise UsageError(f"--ascent must be >= 0, got {cfg.ascent}")
-    if cfg.suites is not None and not cfg.suites.strip():
-        raise UsageError("--suites must name at least one suite")
-    if cfg.seeds < 1:
-        raise UsageError(f"--seeds must be >= 1, got {cfg.seeds}")
-    if command == "lemma1":
-        if not 1 <= cfg.dim <= 4:
-            raise UsageError(f"lemma1 needs --dim in [1, 4], got {cfg.dim}")
-        if not 1 <= cfg.m <= 16:
-            raise UsageError(f"lemma1 needs --m in [1, 16], got {cfg.m}")
+    """Reject a missing or out-of-range flag or config value, and a bad
+    MBL_TOL, before any work is done."""
+    needed, intervals = _RULES[command][0], _intervals(command)
+    for key in _FLAGS[command]:
+        value, interval = getattr(cfg, key), intervals.get(key)
+        if value is None and key in needed:
+            raise UsageError(f"{_flag(key)} is required by {command}, which draws randomness")
+        if value is not None and interval and not _inside(value, interval):
+            raise UsageError(f"{command} needs {_flag(key)} in {interval}, got {value}")
     try:
         Tolerances.from_env()
     except ValueError as exc:
@@ -225,12 +233,6 @@ def _emit(cfg: RunConfig, payload: Callable[[], dict], rows: Callable[[], list[d
         write_text(cfg.out, text)
     else:
         sys.stdout.write(text)
-
-
-def _require_seed(cfg: RunConfig) -> int:
-    if cfg.seed is None:
-        raise UsageError("this command draws randomness; --seed is required")
-    return cfg.seed
 
 
 def _tower_depth(cfg: RunConfig) -> int:
@@ -250,6 +252,8 @@ def _filtration(cfg: RunConfig):
 def _suite_names(cfg: RunConfig) -> list[str] | None:
     """The suites --suites names, in order; None, for every suite, without it."""
     names = None if cfg.suites is None else [s.strip() for s in cfg.suites.split(",")]
+    if names == [""]:
+        raise UsageError("--suites must name at least one suite")
     unknown = [name for name in names or () if name not in SUITES]
     if unknown:
         raise UsageError(f"unknown suites {unknown}; known: {sorted(SUITES)}")
@@ -263,7 +267,7 @@ def _witness(cfg: RunConfig, filt) -> Witness:
         if not root_splits_in_two(filt):
             raise UsageError("the structured witness needs a tower whose root splits in two")
         return haar_witness(filt, cfg.dim)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=_require_seed(cfg), spawn_key=(1,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     f, g = random_witness(filt, cfg.dim, rng)
     return Witness(f, g, random_transform(filt, cfg.dim, rng))
 
@@ -326,9 +330,9 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     """run identity and inequality suites"""
-    seed, names = _require_seed(cfg), _suite_names(cfg)
+    names = _suite_names(cfg)
     filt = _filtration(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2,)))
     rows, ok = run_suites(_witness(cfg, filt), Tolerances.from_env(), rng, names)
     _emit(cfg, lambda: {"ok": ok, "rows": rows}, lambda: rows)
     return 0 if ok else 1
@@ -336,7 +340,6 @@ def cmd_check(cfg: RunConfig) -> int:
 
 def cmd_certify(cfg: RunConfig) -> int:
     """run the schedule certifier"""
-    _require_seed(cfg)
     filt = _filtration(cfg)
     w = _witness(cfg, filt)
     cand = _candidate(cfg, filt)
@@ -347,10 +350,7 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 def cmd_lemma1(cfg: RunConfig) -> int:
     """expand dyadic configurations, report separation ratios"""
-    seed = _require_seed(cfg)
-    cfgs = sample_dyadic_split_configs(
-        cfg.delta, cfg.p, cfg.trials, seed, dim=cfg.dim, m=cfg.m
-    )
+    cfgs = sample_dyadic_split_configs(cfg.delta, cfg.p, cfg.trials, cfg.seed, dim=cfg.dim, m=cfg.m)
     rows = []
     worst = None
     for i, (parts, cert) in enumerate(zip(cfgs.parts.tolist(), dyadic_expand(cfgs, m=cfg.m))):
@@ -388,11 +388,10 @@ def cmd_lemma1(cfg: RunConfig) -> int:
 
 def cmd_search(cfg: RunConfig) -> int:
     """lower-bound search for the pairing"""
-    seed = _require_seed(cfg)
     res = lower_bound_search(
         cfg.p,
         cfg.trials,
-        seed,
+        cfg.seed,
         target=cfg.target,
         delta=cfg.delta,
         dim=cfg.dim,
@@ -409,8 +408,7 @@ def cmd_search(cfg: RunConfig) -> int:
 
 def cmd_scan(cfg: RunConfig) -> int:
     """norm-ratio scan"""
-    seed = _require_seed(cfg)
-    res = lp_constant_scan(cfg.p, cfg.trials, seed, delta=cfg.delta, dim=cfg.dim, depth=cfg.depth)
+    res = lp_constant_scan(cfg.p, cfg.trials, cfg.seed, delta=cfg.delta, dim=cfg.dim, depth=cfg.depth)
     _emit(
         cfg,
         lambda: asdict(res),
@@ -426,12 +424,11 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 def cmd_bound(cfg: RunConfig) -> int:
     """certified duality bound"""
-    seed = _require_seed(cfg)
     report = duality_bound(
         cfg.p,
         delta=cfg.delta,
         draws=cfg.trials,
-        seed=seed,
+        seed=cfg.seed,
         dim=cfg.dim,
         depth=_tower_depth(cfg),
         tol=Tolerances.from_env().duality,

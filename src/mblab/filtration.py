@@ -77,7 +77,11 @@ def max_parts(delta: float) -> int:
     """The most parts one split can have at floor delta in (0, 1/2]: each
     part holds at least delta of its parent, so the largest k with
     k * delta <= 1 + ``_GEOM_TOL``.  The one statement of that count."""
-    k = int((1.0 + _GEOM_TOL) / delta)
+    try:
+        k = int((1.0 + _GEOM_TOL) / delta)
+    except OverflowError:  # a subnormal floor, whose count is past every float
+        (num, den), (a, b) = (1.0 + _GEOM_TOL).as_integer_ratio(), delta.as_integer_ratio()
+        return num * b // (den * a)
     return k - 1 if k * delta > 1.0 + _GEOM_TOL else k
 
 

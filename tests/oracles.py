@@ -2571,6 +2571,7 @@ _EQUIVALENCES = [
         _diameter_pairs,
         lambda x1, has: tuple(map(list, zip(*(diameter_pair(list(row[ok])) for row, ok in zip(x1, has))))),
         lambda filt, dim, seed: ragged_points(dim, seed, rows=60),
+        sizes={"bellman._PAIR_BLOCK": (1, 7)},
     ),
     Equivalence(
         # |x1|^2 rounds like np.dot

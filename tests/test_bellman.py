@@ -406,6 +406,16 @@ def test_lemma1_expansion_holds_a_few_rows():
     assert peak <= 800_000
 
 
+def test_lemma1_pairs_go_in_blocks_at_a_tiny_floor():
+    # at floor 1e-9 and m = 10 two configurations hold 486 and 525 parts
+    # in one block of rows, whose 1,024 cells make 523,776 pairs; all
+    # pairs at once peaked at 59.1 MB traced, blocks of 2^14 at 3.0 MB
+    cfgs = sample_dyadic_split_configs(1e-9, 2.0, 2, 1, dim=1, m=10)
+    assert cfgs.parts.tolist() == [486, 525]
+    _, _, peak = traced(lambda: [cert.separation for cert in dyadic_expand(cfgs, 10)])
+    assert peak <= 8_000_000
+
+
 def one_row_diameter(x1s):
     diam, pair = _diameters(np.stack(x1s)[None], np.ones((1, len(x1s)), dtype=bool), True)
     return float(diam[0]), tuple(pair[0].tolist())

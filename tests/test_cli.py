@@ -13,6 +13,8 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ import mblab.cli as cli
 import mblab.estimator as estimator
 import mblab.filtration as filtration
 from mblab.bellman import Witness
-from mblab.checks import Tolerances
+from mblab.checks import SUITES, Tolerances
 from mblab.cli import run
 from mblab.corpus import build_tower, default_corpus, haar_witness
 from mblab.filtration import build_dyadic, filtration_to_dict, max_parts
@@ -145,6 +147,152 @@ def test_bad_arguments_exit_two(argv, capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def interval_ends(interval: str) -> tuple[float, float, bool, bool]:
+    """An interval such as "(0, 0.5]" as (lo, hi, lo open, hi open)."""
+    lo, hi = map(float, interval[1:-1].split(", "))
+    return lo, hi, interval[0] == "(", interval[-1] == ")"
+
+
+def outside(key: str, interval: str) -> list[str]:
+    """The values of a flag that its interval refuses, as argv text: each
+    open end (an infinite one only for a float flag), a value just past
+    each closed end, and NaN for a float flag."""
+    kind = cli._SPECS[key]["type"]
+    lo, hi, lo_open, hi_open = interval_ends(interval)
+    values = []
+    for end, is_open, away in ((lo, lo_open, -math.inf), (hi, hi_open, math.inf)):
+        if not is_open:
+            values.append(end + math.copysign(1, away) if kind is int else math.nextafter(end, away))
+        elif kind is float or math.isfinite(end):
+            values.append(end)
+    values += [math.nan] if kind is float else []
+    return [repr(kind(v)) for v in values]
+
+
+# (command, flag key, interval, refused value) for every interval each
+# command reads
+BOUNDARIES = [
+    (command, key, interval, value)
+    for command in cli._COMMANDS
+    for key, interval in cli._intervals(command).items()
+    for value in outside(key, interval)
+]
+
+
+def test_boundaries_cover_every_interval():
+    assert len(BOUNDARIES) == 71
+    assert ("scan", "p", "(1, inf)", "1.0") in BOUNDARIES
+    assert ("lemma1", "dim", "[1, 4]", "5") in BOUNDARIES
+    assert ("certify", "p", "(1, 2]", "2.0000000000000004") in BOUNDARIES
+
+
+@pytest.mark.parametrize("command, key, interval, value", BOUNDARIES)
+def test_each_interval_refuses_its_ends(command, key, interval, value, capsys):
+    seed = [] if key == "seed" or "seed" not in cli._FLAGS[command] else ["--seed=1"]
+    assert run([command, *seed, f"{cli._flag(key)}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert f"{cli._flag(key)} in {interval}" in captured.err
+
+
+@pytest.mark.parametrize("delta", ["5e-324", "1e-310"])
+@pytest.mark.parametrize("command", [c for c, keys in cli._FLAGS.items() if "delta" in keys])
+def test_subnormal_floors_run(command, delta, capsys):
+    # a floor below about 5.6e-309 once overflowed the part count
+    # (1 + 1e-12) / delta, and every command that reads --delta exited 1
+    trials = ["--trials=2"] if "trials" in cli._FLAGS[command] else []
+    assert run([command, "--seed=1", f"--delta={delta}", *trials]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# The largest value a drawn flag takes, where its interval allows more:
+# small towers, few trials, seeds and ascent steps.
+SMALL = {"depth": 5, "trials": 20, "seeds": 2, "dim": 3, "m": 8, "ascent": 10, "seed": 2**32}
+
+
+def in_range(key: str, interval: str):
+    """Values of a number flag inside its interval, at most ``SMALL[key]``."""
+    lo, hi, lo_open, hi_open = interval_ends(interval)
+    if cli._SPECS[key]["type"] is int:
+        return st.integers(int(lo + lo_open), int(min(hi - hi_open, SMALL[key])))
+    lo_open, hi_open = lo_open and math.isfinite(lo), hi_open and math.isfinite(hi)
+    lo, hi = (None if math.isinf(end) else end for end in (lo, hi))
+    return st.floats(lo, hi, exclude_min=lo_open, exclude_max=hi_open, allow_nan=False, allow_infinity=False)
+
+
+def drawn_flags(command: str):
+    """A command and a dict of values of the flags it reads: the flags it
+    needs and --trials and --seeds always, each other one or not; number
+    flags inside the command's intervals, --depth in [1, 5] and
+    --max-children in [2, 4]."""
+    values = {key: in_range(key, interval) for key, interval in cli._intervals(command).items()}
+    suites = st.lists(st.sampled_from(sorted(SUITES)), min_size=1, max_size=3, unique=True)
+    values |= {
+        "depth": st.integers(1, SMALL["depth"]),
+        "max_children": st.integers(2, 4),
+        "witness": st.sampled_from(cli._SPECS["witness"]["choices"]),
+        "candidate": st.just("quadratic") | st.builds(
+            "{}:{!r}".format,
+            st.sampled_from(("quadratic", "linear")),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        "suites": suites.map(",".join),
+    }
+    # the flags a command needs, and those whose default is above SMALL
+    always = (*cli._RULES[command][0], "trials", "seeds")
+    needed = {key: values[key] for key in cli._FLAGS[command] if key in always}
+    optional = {key: values[key] for key in cli._FLAGS[command] if key not in always}
+    return st.tuples(st.just(command), st.fixed_dictionaries(needed, optional=optional))
+
+
+IN_RANGE_ARGV = st.sampled_from(sorted(cli._COMMANDS)).flatmap(drawn_flags)
+
+
+def shows_its_failure(command: str, report: dict) -> bool:
+    """Whether the JSON report of an exit-1 call shows what failed."""
+    if command == "lemma1":
+        return report["min_ratio"] is not None and report["min_ratio"] <= 0.0
+    if command == "scan":
+        return report["p"] == 2.0 and report["max_ratio"] > 1.0
+    return report["found" if command == "search" else "ok"] is False
+
+
+def run_quietly(argv: list[str], report: Path) -> tuple[int, str | None, str]:
+    """The exit code, the report text (None for no file) and stderr of one
+    in-process call that writes to ``report``; nothing goes to stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([*argv, f"--out={report}"])
+    assert out.getvalue() == ""
+    text = report.read_text() if report.exists() else None
+    report.unlink(missing_ok=True)
+    return code, text, err.getvalue()
+
+
+@examples(30)
+@given(drawn=IN_RANGE_ARGV)
+def test_every_in_range_argv_ends_in_an_exit_code(drawn):
+    # no exception escapes run(); exit 2 says "error:" and writes no
+    # report; exit 1 says "failed:" or its report shows what failed; the
+    # same argv twice and a --config file of the same keys write the same
+    # bytes
+    command, values = drawn
+    flags = [f"{cli._flag(key)}={value!r}" if isinstance(value, float) else f"{cli._flag(key)}={value}"
+             for key, value in values.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        report, config = Path(tmp) / "report.json", Path(tmp) / "config.json"
+        config.write_text(json.dumps(values))
+        argvs = [[command, *flags], [command, *flags], [command, f"--config={config}"]]
+        runs = [run_quietly(argv, report) for argv in argvs]
+    for code, text, err in runs:
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ") and text is None
+        if code == 1:
+            assert err.startswith("failed: ") or shows_its_failure(command, json.loads(text)), err
+    assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+
+
 # The flags each command reads; every command also takes --config, --out
 # and --format.
 TOWER = ("--seed", "--depth", "--delta", "--dim", "--max-children", "--split-prob", "--witness")
@@ -202,19 +350,24 @@ WRONG_TYPES = {int: [True, 1.5], float: ["1"], str: [1]}
 @pytest.mark.parametrize("field", dataclasses.fields(cli.RunConfig), ids=lambda f: f.name)
 def test_each_flag_is_declared_on_its_field(field, tmp_path, capsys):
     # the flag's argparse type and choices are its field's metadata, its
-    # default is the field's, and a config value of another JSON type
-    # exits 2 naming the key
+    # default is the field's and lies in its interval, every number flag
+    # but --depth and --max-children has one, and a config value of
+    # another JSON type exits 2 naming the key
     command = next((c for c, keys in cli._FLAGS.items() if field.name in keys), "gen")
     flag = "--format" if field.name == "fmt" else "--" + field.name.replace("_", "-")
     parser = cli._build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     [action] = [a for a in sub.choices[command]._actions if a.dest == field.name]
-    assert action.option_strings == [flag]
-    assert action.type is field.metadata.get("type")
-    assert action.choices == field.metadata.get("choices")
+    settings, interval = field.metadata["argparse"], field.metadata["interval"]
+    assert action.option_strings == [flag] == [cli._flag(field.name)]
+    assert action.type is settings.get("type")
+    assert action.choices == settings.get("choices")
     assert getattr(cli._merge_config(parser.parse_args([command])), field.name) == field.default
+    number = settings.get("type") in (int, float)
+    assert (interval is not None) == (number and field.name not in ("depth", "max_children"))
+    assert field.default is None or interval is None or cli._inside(field.default, interval)
     config = tmp_path / "run.json"
-    for value in WRONG_TYPES[field.metadata.get("type", str)]:
+    for value in WRONG_TYPES[settings.get("type", str)]:
         config.write_text(json.dumps({field.name: value}))
         assert run([command, "--config", str(config)]) == 2
         assert f"config key {field.name!r} needs" in capsys.readouterr().err
@@ -228,10 +381,35 @@ def _readme_command_line() -> str:
 def test_readme_flag_table_matches_the_flag_table():
     table = {}
     for line in _readme_command_line().splitlines():
-        if line.startswith("| `"):
+        if line.startswith("| `") and not line.startswith("| `--"):
             command, flags = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
             table[command] = tuple(flags.split())
     assert table == READS
+
+
+def test_readme_interval_table_matches_the_rules():
+    # each row: a flag, its field's interval, and the subcommands that
+    # need it or narrow its interval
+    own, narrower, needed = {}, defaultdict(list), defaultdict(list)
+    for field in dataclasses.fields(cli.RunConfig):
+        if field.metadata["interval"]:
+            own[cli._flag(field.name)] = field.metadata["interval"]
+    for command, (needs, intervals) in cli._RULES.items():
+        for key in needs:
+            needed[cli._flag(key)].append(command)
+        for key, interval in intervals.items():
+            narrower[cli._flag(key), interval].append(command)
+    table, table_narrower, table_needed = {}, {}, {}
+    for line in _readme_command_line().splitlines():
+        if line.startswith("| `--"):
+            flag, interval, rules = (cell.strip() for cell in line.strip("|").split("|"))
+            flag = flag.strip("`")
+            table[flag] = interval.strip("`")
+            for commands in re.findall(r"needed by `([^`]*)`", rules):
+                table_needed[flag] = commands.split()
+            for interval, commands in re.findall(r"`([^`]*)` in `([^`]*)`", rules):
+                table_narrower[flag, interval] = commands.split()
+    assert (table, table_narrower, table_needed) == (own, dict(narrower), dict(needed))
 
 
 def test_readme_examples_run(capsys):
@@ -899,7 +1077,7 @@ def test_cli_entry_freezes_the_heap_and_keeps_its_exits(tmp_path):
     assert mblab_process("certify", *tower, "--candidate", "linear:0.5").returncode == 1
     proc = mblab_process("scan", "--seed", "1", "--p", "1")
     assert proc.returncode == 2 and proc.stdout == b""
-    assert proc.stderr.decode().startswith("error: scan needs --p > 1")
+    assert proc.stderr.decode().startswith("error: scan needs --p in (1, inf), got 1.0")
 
 
 def test_large_exponents_keep_the_norms_finite(capsys):

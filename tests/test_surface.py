@@ -263,6 +263,7 @@ def test_benchmark_traced_run_binds_the_package(workload):
 PASS_SIZES = {
     "estimator._BATCH_LEAVES",
     "bellman._EXPAND_FLOATS",
+    "bellman._PAIR_BLOCK",
     "transforms._CUT_STACK",
     "certifier._BLOCK",
     "reporting._CHUNK",

@@ -7,7 +7,8 @@ Run from anywhere, with the package's own dependencies installed:
 
 Under ``sys.settrace``, in this interpreter, it replays every ``mblab``
 command in JSON and in CSV, each writing its report into a temporary
-directory, plus the commands' error exits (bad flags, config files and
+directory, plus the commands' error exits (bad flags, one value outside
+each interval of the command line's flag table, bad config files and
 environment, infeasible towers, failing certificates), and then the
 operations of the benchmark's ``corpus_sweep`` and ``deep_tower``
 workloads (``perfbench/workloads.py``).  It prints, for each function of
@@ -23,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import inspect
 import io
+import math
 import os
 import sys
 import tempfile
@@ -109,16 +111,14 @@ def command_calls(tmp: Path) -> list[tuple[list[str], dict]]:
         calls.append(([*argv, "--format", "csv", "--out", str(tmp / f"{i}.csv")], {}))
     calls.append((["gen", "--depth", "2"], {}))  # to stdout
     calls.append((["check", "--seed", "1", "--delta", "0.333"], {}))  # three parts near 1/3: affine rows
+    calls.append((["gen", "--seed", "1", "--delta", "5e-324"], {}))  # a subnormal floor's part count
     # equal thirds down to depth 12, ratios below 1/3 by their endpoints' roundoff
     third = ["--delta", "0.3333333333333333", "--max-children", "3", "--depth", "12", "--split-prob", "0.5"]
     calls.append((["check", "--seed", "1", *third], {}))
     errors = [
         ["gen", "--bogus"],
         ["check", "--depth", "3"],
-        ["gen", "--delta", "0.7"],
-        ["gen", "--seed", "-1"],
-        ["gen", "--dim", "0"],
-        ["gen", "--split-prob", "2"],
+        *interval_errors(),
         ["gen", "--max-children", "9"],
         ["gen", "--delta", "0.25"],
         ["check", "--seed", "1", "--suites", "nope"],
@@ -129,21 +129,37 @@ def command_calls(tmp: Path) -> list[tuple[list[str], dict]]:
         ["certify", "--seed", "1", "--candidate", "quadratic:nan"],
         ["certify", "--seed", "1", "--candidate", "quadratic:0.9"],
         ["certify", "--seed", "1", "--candidate", "cubic"],
-        ["certify", "--seed", "1", "--p", "3"],
-        ["lemma1", "--seed", "1", "--dim", "5"],
-        ["lemma1", "--seed", "1", "--m", "0"],
-        ["search", "--seed", "1", "--ascent", "-1"],
-        ["search", "--seed", "1", "--target", "inf"],
-        ["scan", "--seed", "1", "--p", "1"],
-        ["scan", "--seed", "1", "--p", "inf"],
-        ["scan", "--seed", "1", "--trials", "0"],
-        ["corpus", "--seeds", "0"],
         ["gen", "--config", str(tmp / "missing.json")],
         ["gen", "--out", str(tmp)],
         *(["gen", "--config", str(tmp / f"{name}.json")] for name in bad),
     ]
     calls += [(argv, {}) for argv in errors]
     calls += [(["check", "--seed", "1"], {"MBL_TOL": "0"}), (["check", "--seed", "1"], {"MBL_TOL": "2"})]
+    return calls
+
+
+def interval_errors() -> list[list[str]]:
+    """One argv for each interval of the flag table (``cli._intervals``):
+    its flag just below its lower end, or above its upper end where the
+    lower one is -inf, written --flag=value."""
+    from mblab import cli
+
+    calls, seen = [], set()
+    for command in cli._COMMANDS:
+        for key, interval in cli._intervals(command).items():
+            if (key, interval) in seen:
+                continue
+            seen.add((key, interval))
+            lo, hi = map(float, interval[1:-1].split(", "))
+            if lo > -math.inf:
+                end, closed, away = lo, interval[0] == "[", -math.inf
+            else:
+                end, closed, away = hi, interval[-1] == "]", math.inf
+            value = math.nextafter(end, away) if closed else end
+            if cli._SPECS[key]["type"] is int:
+                value = math.floor(value) if away < 0 else math.ceil(value)
+            seed = ["--seed=1"] if "seed" in cli._FLAGS[command] and key != "seed" else []
+            calls.append([command, *seed, f"{cli._flag(key)}={value!r}"])
     return calls
 
 
